@@ -250,6 +250,8 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
                 return run_resident_worker(ep, &mut base);
             }
             Msg::CancelJob { .. } => {} // advisory; nothing queued here yet
+            // A resident service may ask before it has submitted anything.
+            Msg::MetricsQuery => crate::scheduler::report_worker_metrics(ep),
             Msg::Stop => return WorkerExit::Finished,
             other => panic!("worker {me}: unexpected bootstrap message {other:?}"),
         }

@@ -592,6 +592,13 @@ fn collect_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) -> Vec<MetricsSnap
         .collect()
 }
 
+/// Answers a [`Msg::MetricsQuery`] from the master: a worker does so
+/// whenever it is idle, before its first job as much as between jobs.
+pub(crate) fn report_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) {
+    let snapshot = worker_metrics_snapshot(ep);
+    ep.send(0, &Msg::MetricsReport { snapshot });
+}
+
 /// A worker's answer to [`Msg::MetricsQuery`]: endpoint-level facts that
 /// are always valid (virtual clock, inference steps, this rank's send
 /// totals), this rank's [`metrics::rank_registry`], and the process-wide
@@ -896,10 +903,7 @@ pub(crate) fn run_resident_worker<T: Transport>(
             // Introspection: always answered, even with sampling and
             // tracing off — the endpoint facts in the snapshot are
             // maintained unconditionally.
-            Msg::MetricsQuery => {
-                let snapshot = worker_metrics_snapshot(ep);
-                ep.send(0, &Msg::MetricsReport { snapshot });
-            }
+            Msg::MetricsQuery => report_worker_metrics(ep),
             Msg::Stop => return WorkerExit::Finished,
             other => panic!("worker {me}: unexpected idle-loop message {other:?}"),
         }

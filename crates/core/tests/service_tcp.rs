@@ -116,3 +116,29 @@ fn multi_job_service_over_real_worker_processes() {
         report.total_bytes
     );
 }
+
+/// `Service::metrics()` is legal before the first job: the worker processes
+/// are still in their bootstrap loop then, and must answer the query from
+/// there instead of dying on it. (Found by `bench_e2e`; see its README.)
+#[test]
+fn metrics_before_the_first_job_leave_the_service_up() {
+    let ds = p2mdie_datasets::pyrimidines(0.1, 1);
+    let (snapshots, job, report) = bounded(move || {
+        let service = Service::new_tcp(&ds.engine, ServiceConfig::new(2), &tcp_config());
+        let snapshots = service.metrics();
+        let job = service
+            .submit(JobSpec::coverage(ds.examples.clone(), vec![]))
+            .map(|h| h.wait());
+        (snapshots, job, service.shutdown())
+    });
+    assert_eq!(
+        snapshots.expect("metrics() before any job").len(),
+        2,
+        "one snapshot per worker"
+    );
+    let job = job.expect("submit after an early metrics()");
+    assert_eq!(job.state, JobState::Done, "{:?}", job.error);
+    let report = report.expect("shutdown after an early metrics()");
+    assert_eq!(report.jobs_run, 1);
+    assert_eq!(report.dropped_sends, 0);
+}

@@ -191,13 +191,19 @@ pub fn evaluate_side_prepared(
     live: Option<&Bitset>,
     threads: usize,
 ) -> (Bitset, u64) {
-    let threads = resolve_threads(threads);
     let n = lits.len();
     // Threshold on *live* examples: under monotone pruning a deep
     // refinement may be live on a handful of a thousand examples, and
     // spawning threads for mostly-dead ranges costs more than it saves.
     let workload = live.map_or(n, Bitset::count);
-    let threads = threads.min(workload.div_ceil(PARALLEL_MIN_EXAMPLES).max(1));
+    let cap = workload.div_ceil(PARALLEL_MIN_EXAMPLES);
+    // Resolving `0` asks the OS (cgroup and affinity reads): only when the
+    // side is large enough to fan out at all.
+    let threads = if cap <= 1 {
+        1
+    } else {
+        resolve_threads(threads).min(cap)
+    };
     if threads <= 1 {
         let prover = Prover::new(kb, proof);
         return eval_range(&prover, rule, lits, live, 0, n);

@@ -19,6 +19,52 @@
 //! examples instead of O(|E|), with bit-identical results; examples the
 //! parent already failed to cover are never touched again anywhere in that
 //! subtree.
+//!
+//! # Variant memo
+//!
+//! A breadth-first walk over subsets of ⊥e meets the same clause *up to
+//! variable renaming* again and again: ⊥e of a 20-atom molecule holds half
+//! a dozen `atm(M,Ai,c,Ci)` literals, so `{atm₁}`, `{atm₂}`, … and all
+//! their pairs are alphabetic variants of each other. Each search
+//! therefore keeps a memo keyed by the node's *canonical* clause — variables
+//! renamed in first-occurrence order, literal order kept (see
+//! `VariantKeys`). A node whose canonical clause was already proved under
+//! value-equal live masks takes the stored covered sets and step counts
+//! instead of compiling and proving the clause, and its steps are charged
+//! exactly as if it had been proved: the work is skipped, the fuel is kept
+//! — the convention of the prover's bulk-charged plans — so `good`,
+//! `seed_scored`, `nodes`, `steps`, `dead` and `cut`, and with them every
+//! theory, virtual time and table, are bit-identical to the memo-free
+//! search. [`SearchOutcome::reused`] and the `search_memo_*` hot counters
+//! say how many nodes were served this way.
+//!
+//! *Why it is exact.* Equal canonical forms are the same clause with the
+//! same literal order, so each example's `(covered, steps)` is the same
+//! for both nodes; a side's result is that summed over the live examples,
+//! so it is the same whenever the live masks are.
+//!
+//! *The mask rule.* In a seedless search a variant's BFS parent is a
+//! variant of the other's parent, so by induction their coverages — the
+//! children's live masks — are equal, though held in different `Rc`s: masks
+//! are compared by value (pointer first). Figure 7 seeds are proved under
+//! the caller's `live_pos` and every negative whatever their length, so a
+//! seed and a non-seed variant can disagree; on a mismatch the node is
+//! proved as usual and the entry is left alone. The lazy negative side
+//! survives: an entry made by a node below `min_pos` holds the positive
+//! side only, and a seed that needs more proves the clause and completes
+//! the entry.
+//!
+//! *Memory.* The key is a flat `u32` encoding (one skeleton id per literal
+//! plus its renamed variables — 16 bytes for an `atm/4` literal), not a
+//! cloned `Clause` (over 130), and the covered sets are the very
+//! `Rc<(Bitset, Bitset)>` the node hands its successors; a node below
+//! `min_pos` stores two counters. At most `max_nodes` entries exist.
+//!
+//! *Why per search.* Across epochs the live set shrinks, so an entry would
+//! have to be kept per example rather than per mask; that store measured
+//! 66 MB on the Table-1 mesh and needs an eviction design of its own.
+//! Skipping the *expansion* of variant subtrees is a different algorithm:
+//! it changes what the `max_nodes` budget buys, hence the theories.
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
@@ -26,8 +72,11 @@ use crate::coverage::{evaluate_side_prepared, prepare_rule};
 use crate::examples::Examples;
 use crate::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
 use crate::settings::Settings;
-use p2mdie_logic::fxhash::FxHashSet;
+use p2mdie_logic::clause::Literal;
+use p2mdie_logic::fxhash::{FxHashMap, FxHashSet};
+use p2mdie_logic::hot;
 use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_logic::term::{Term, VarId};
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -73,6 +122,9 @@ pub struct SearchOutcome {
     /// Nodes skipped *without evaluation* because a constraint-store entry
     /// already proved their subtree dead.
     pub cut: usize,
+    /// Nodes (of `nodes`) whose coverage came from the variant memo: counted
+    /// and step-charged like any other, but not proved again.
+    pub reused: usize,
 }
 
 impl SearchOutcome {
@@ -101,6 +153,96 @@ pub struct SearchGuide {
     pub collect_dead: bool,
     /// Cap on collected dead shapes (broadcast payload bound).
     pub dead_cap: usize,
+}
+
+/// The covered positives and negatives of an evaluated node: the live masks
+/// of its successors, shared among them and with the variant memo.
+type Masks = Rc<(Bitset, Bitset)>;
+
+/// True when two nodes are evaluated on the same examples. `None` stands for
+/// the caller's `live_pos` and every negative, which no covered set is
+/// compared with: a root or seed only ever matches another.
+fn same_masks(a: &Option<Masks>, b: &Option<Masks>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(a), Some(b)) => Rc::ptr_eq(a, b) || a == b,
+        _ => false,
+    }
+}
+
+/// Canonical keys for the shapes of one bottom clause: two shapes get equal
+/// keys exactly when their clauses are equal after renaming variables in
+/// first-occurrence order (head first, body literals in shape order).
+struct VariantKeys {
+    /// The head's variable occurrences; they take the first canonical ids.
+    head_vars: Vec<VarId>,
+    /// Per bottom literal: the id of its skeleton (the literal with every
+    /// variable blanked, so literals differing only in variable names share
+    /// one) and its variable occurrences in argument order.
+    lits: Vec<(u32, Vec<VarId>)>,
+    /// Scratch: the key being written and the variables met so far.
+    key: Vec<u32>,
+    renamed: Vec<VarId>,
+}
+
+impl VariantKeys {
+    fn new(bottom: &BottomClause) -> Self {
+        let mut head_vars = Vec::new();
+        bottom.head.collect_vars(&mut head_vars);
+        let mut skeletons: FxHashMap<Literal, u32> = FxHashMap::default();
+        let lits = bottom
+            .lits
+            .iter()
+            .map(|bl| {
+                let next = skeletons.len() as u32;
+                let skeleton = bl.lit.map_vars(&mut |_| Term::Var(0));
+                let mut vars = Vec::new();
+                bl.lit.collect_vars(&mut vars);
+                (*skeletons.entry(skeleton).or_insert(next), vars)
+            })
+            .collect();
+        VariantKeys {
+            head_vars,
+            lits,
+            key: Vec::new(),
+            renamed: Vec::new(),
+        }
+    }
+
+    /// `shape`'s key: per literal its skeleton id, then the canonical id of
+    /// each variable occurrence. A skeleton fixes how many ids follow it, so
+    /// distinct canonical clauses never share a key. (A clause has few
+    /// variables: renaming is a linear scan.)
+    fn key_of(&mut self, shape: &RuleShape) -> &[u32] {
+        self.key.clear();
+        self.renamed.clear();
+        self.renamed.extend_from_slice(&self.head_vars);
+        for &i in &shape.lits {
+            let (skeleton, vars) = &self.lits[i as usize];
+            self.key.push(*skeleton);
+            for v in vars {
+                let met = self.renamed.iter().position(|r| r == v);
+                let id = met.unwrap_or_else(|| {
+                    self.renamed.push(*v);
+                    self.renamed.len() - 1
+                });
+                self.key.push(id as u32);
+            }
+        }
+        &self.key
+    }
+}
+
+/// What the memo keeps of one proved canonical clause.
+struct Proved {
+    /// The live masks it was proved under.
+    under: Option<Masks>,
+    /// Covered positives and the steps proving them took.
+    pos: u32,
+    pos_steps: u64,
+    /// Covered sets and the negative side's steps; `None` while only nodes
+    /// that never needed the negatives (non-seeds below `min_pos`) met it.
+    both: Option<(Masks, u64)>,
 }
 
 /// Runs one breadth-first search over `bottom`'s refinement lattice.
@@ -150,10 +292,11 @@ pub fn search_rules_guided(
     let mut rng = guide.explore_seed.map(splitmix64);
     // Each queued node carries its parent's coverage masks (shared among
     // siblings); roots and seeds evaluate under the caller's live mask.
-    type Masks = Rc<(Bitset, Bitset)>;
     let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
     let mut visited: FxHashSet<RuleShape> = FxHashSet::default();
     let mut seed_set: HashSet<&RuleShape> = HashSet::new();
+    let mut keys = VariantKeys::new(bottom);
+    let mut memo: FxHashMap<Box<[u32]>, Proved> = FxHashMap::default();
 
     if seeds.is_empty() {
         queue.push_back((RuleShape::empty(), None));
@@ -181,32 +324,77 @@ pub fn search_rules_guided(
             out.cut += 1;
             continue;
         }
-        // Compile the candidate once; both sides (and every example) reuse
-        // the resolved dispatch.
-        let clause = prepare_rule(kb, &shape.to_clause(bottom));
-        // Monotonicity: the child's coverage is a subset of the parent's, so
-        // the parent's covered sets are exact live masks for the child.
-        let (live_p, live_n) = match &parent_cov {
-            Some(m) => (Some(&m.0), Some(&m.1)),
-            None => (live_pos, None),
-        };
         out.nodes += 1;
-        let (pos_bits, pos_steps) = evaluate_side_prepared(
-            kb,
-            settings.proof,
-            &clause,
-            &examples.pos,
-            live_p,
-            settings.eval_threads,
-        );
-        out.steps += pos_steps;
-        let pos = pos_bits.count() as u32;
         let is_seed = seed_set.contains(&shape);
-
         // Lazy negative side: a non-seed node below `min_pos` can never be
         // good, reports nothing, and is not expanded — its negative
         // coverage is unobservable, so don't pay for it.
-        if pos < settings.min_pos && !is_seed {
+        let needs_neg = |pos: u32| pos >= settings.min_pos || is_seed;
+        // Variant memo: an entry proved under the same masks stands in for
+        // the proof — unless this node needs the negative side and the
+        // entry never got one, when the proof below completes the entry.
+        let key = keys.key_of(&shape);
+        let known = memo.get(key);
+        let matching = known.filter(|e| same_masks(&e.under, &parent_cov));
+        let reused = matching
+            .filter(|e| e.both.is_some() || !needs_neg(e.pos))
+            .map(|e| (e.pos, e.pos_steps, e.both.clone()));
+        // An entry proved under other masks keeps its place.
+        let store = known.is_none() || matching.is_some();
+        let (pos, pos_steps, both) = match reused {
+            Some(proved) => {
+                out.reused += 1;
+                hot::search_memo_hit();
+                proved
+            }
+            None => {
+                hot::search_memo_miss();
+                // Compile the candidate once; both sides (and every example)
+                // reuse the resolved dispatch.
+                let clause = prepare_rule(kb, &shape.to_clause(bottom));
+                // Monotonicity: the child's coverage is a subset of the
+                // parent's, so the parent's covered sets are exact live masks
+                // for the child.
+                let (live_p, live_n) = match &parent_cov {
+                    Some(m) => (Some(&m.0), Some(&m.1)),
+                    None => (live_pos, None),
+                };
+                let (pos_bits, pos_steps) = evaluate_side_prepared(
+                    kb,
+                    settings.proof,
+                    &clause,
+                    &examples.pos,
+                    live_p,
+                    settings.eval_threads,
+                );
+                let pos = pos_bits.count() as u32;
+                let both = needs_neg(pos).then(|| {
+                    let (neg_bits, neg_steps) = evaluate_side_prepared(
+                        kb,
+                        settings.proof,
+                        &clause,
+                        &examples.neg,
+                        live_n,
+                        settings.eval_threads,
+                    );
+                    (Rc::new((pos_bits, neg_bits)), neg_steps)
+                });
+                if store {
+                    memo.insert(
+                        key.into(),
+                        Proved {
+                            under: parent_cov,
+                            pos,
+                            pos_steps,
+                            both: both.clone(),
+                        },
+                    );
+                }
+                (pos, pos_steps, both)
+            }
+        };
+        out.steps += pos_steps;
+        let Some((masks, neg_steps)) = both.filter(|_| needs_neg(pos)) else {
             // This is the cut frontier: the shape and every specialization
             // are dead here and (coverage only shrinks as the live set
             // shrinks) stay dead for the rest of this bottom clause's life.
@@ -214,17 +402,9 @@ pub fn search_rules_guided(
                 out.dead.push(shape);
             }
             continue;
-        }
-        let (neg_bits, neg_steps) = evaluate_side_prepared(
-            kb,
-            settings.proof,
-            &clause,
-            &examples.neg,
-            live_n,
-            settings.eval_threads,
-        );
+        };
         out.steps += neg_steps;
-        let neg = neg_bits.count() as u32;
+        let neg = masks.1.count() as u32;
 
         if is_seed {
             out.seed_scored.push(ScoredRule {
@@ -253,7 +433,6 @@ pub fn search_rules_guided(
         if pos < settings.min_pos {
             continue;
         }
-        let masks: Masks = Rc::new((pos_bits, neg_bits));
         let mut succs = shape.successors(bottom, settings.max_body);
         if let Some(slice) = &guide.slice {
             succs.retain(|s| slice.admits(s));

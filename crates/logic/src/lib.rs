@@ -49,6 +49,9 @@ pub use clause::{
     PredId,
 };
 pub use kb::KnowledgeBase;
+/// The process-wide hot counters the prover's probes report to, re-exported
+/// so the layers built on the prover count next to it.
+pub use p2mdie_obs::metrics::hot;
 pub use parser::{ParseError, Parser};
 pub use program::Program;
 pub use prover::{ProofLimits, ProofStats, Prover};

@@ -450,7 +450,9 @@ impl MetricsSnapshot {
 /// deduction kernels have no rank identity (worker processes of a TCP mesh
 /// are one rank per process anyway; in-process meshes aggregate all ranks
 /// here — documented, and still the actionable signal: probe selectivity
-/// and kernel occupancy are engine properties, not rank properties).
+/// and kernel occupancy are engine properties, not rank properties). The
+/// rule search's variant-memo hit/miss pair lives here too: it explains the
+/// probe counts (a memo hit is a proof, and its probes, that never ran).
 pub mod hot {
     use super::{Histo, MetricEntry, MetricValue};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -459,6 +461,8 @@ pub mod hot {
     static POSTING_PROBE_HITS: AtomicU64 = AtomicU64::new(0);
     static POSTING_PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
     static ALL_GROUND_KERNEL: AtomicU64 = AtomicU64::new(0);
+    static SEARCH_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+    static SEARCH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
     static BATCH_OCCUPANCY: Histo = Histo::new();
     // Sampling ratio: record every Nth event, weight-scaled by N so the
     // exported totals stay unbiased. 1 (the default) records everything
@@ -516,34 +520,44 @@ pub mod hot {
         t.is_multiple_of(every).then_some(every)
     }
 
+    /// Counts one event on `counter`, sampled and weighted as configured.
+    #[inline(always)]
+    fn count(counter: &AtomicU64) {
+        if enabled() {
+            if let Some(w) = sample_weight() {
+                counter.fetch_add(w, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// A posting-list probe found a run.
     #[inline(always)]
     pub fn posting_probe_hit() {
-        if enabled() {
-            if let Some(w) = sample_weight() {
-                POSTING_PROBE_HITS.fetch_add(w, Ordering::Relaxed);
-            }
-        }
+        count(&POSTING_PROBE_HITS);
     }
 
     /// A posting-list probe found nothing.
     #[inline(always)]
     pub fn posting_probe_miss() {
-        if enabled() {
-            if let Some(w) = sample_weight() {
-                POSTING_PROBE_MISSES.fetch_add(w, Ordering::Relaxed);
-            }
-        }
+        count(&POSTING_PROBE_MISSES);
     }
 
     /// The all-ground stripe-compare kernel ran once.
     #[inline(always)]
     pub fn all_ground_kernel() {
-        if enabled() {
-            if let Some(w) = sample_weight() {
-                ALL_GROUND_KERNEL.fetch_add(w, Ordering::Relaxed);
-            }
-        }
+        count(&ALL_GROUND_KERNEL);
+    }
+
+    /// A search node took its coverage from the variant memo (no proof ran).
+    #[inline(always)]
+    pub fn search_memo_hit() {
+        count(&SEARCH_MEMO_HITS);
+    }
+
+    /// A search node found no usable memo entry and was proved.
+    #[inline(always)]
+    pub fn search_memo_miss() {
+        count(&SEARCH_MEMO_MISSES);
     }
 
     /// A goal batch of `goals` entries was planned in one posting pass.
@@ -562,13 +576,15 @@ pub mod hot {
         POSTING_PROBE_HITS.store(0, Ordering::Relaxed);
         POSTING_PROBE_MISSES.store(0, Ordering::Relaxed);
         ALL_GROUND_KERNEL.store(0, Ordering::Relaxed);
+        SEARCH_MEMO_HITS.store(0, Ordering::Relaxed);
+        SEARCH_MEMO_MISSES.store(0, Ordering::Relaxed);
         BATCH_OCCUPANCY.reset();
         TICK.store(0, Ordering::Relaxed);
     }
 
     /// The hot counters as snapshot entries (merged into metric reports).
     pub fn entries() -> Vec<MetricEntry> {
-        vec![
+        let mut entries = vec![
             MetricEntry {
                 name: "prover_posting_probe_hits_total".to_owned(),
                 value: MetricValue::Counter(POSTING_PROBE_HITS.load(Ordering::Relaxed)),
@@ -585,7 +601,23 @@ pub mod hot {
                 name: "prover_batch_occupancy".to_owned(),
                 value: BATCH_OCCUPANCY.load(),
             },
-        ]
+        ];
+        // The search pair joins once it has moved: a mesh that runs no
+        // sampled search (a coverage service, say) ships no bytes for it in
+        // its `MetricsReport`s.
+        let hits = SEARCH_MEMO_HITS.load(Ordering::Relaxed);
+        let misses = SEARCH_MEMO_MISSES.load(Ordering::Relaxed);
+        if hits + misses > 0 {
+            entries.push(MetricEntry {
+                name: "search_memo_hits_total".to_owned(),
+                value: MetricValue::Counter(hits),
+            });
+            entries.push(MetricEntry {
+                name: "search_memo_misses_total".to_owned(),
+                value: MetricValue::Counter(misses),
+            });
+        }
+        entries
     }
 
     /// Sum of events recorded so far (zero-overhead tests assert this
@@ -598,6 +630,8 @@ pub mod hot {
         POSTING_PROBE_HITS.load(Ordering::Relaxed)
             + POSTING_PROBE_MISSES.load(Ordering::Relaxed)
             + ALL_GROUND_KERNEL.load(Ordering::Relaxed)
+            + SEARCH_MEMO_HITS.load(Ordering::Relaxed)
+            + SEARCH_MEMO_MISSES.load(Ordering::Relaxed)
             + histo
     }
 }
@@ -707,6 +741,7 @@ mod tests {
         hot::posting_probe_hit();
         hot::all_ground_kernel();
         hot::batch_occupancy(8);
+        hot::search_memo_hit();
         assert_eq!(hot::total_recorded(), 0, "disabled guard records nothing");
         hot::enable();
         hot::posting_probe_hit();
@@ -716,6 +751,19 @@ mod tests {
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("prover_posting_probe_hits_total"), 1);
         assert_eq!(snap.counter("prover_posting_probe_misses_total"), 1);
+        assert!(
+            hot::entries()
+                .iter()
+                .all(|e| !e.name.starts_with("search_memo")),
+            "the search pair is reported only once it has moved"
+        );
+        hot::search_memo_hit();
+        hot::search_memo_hit();
+        hot::search_memo_miss();
+        assert_eq!(hot::total_recorded(), 6);
+        let snap = MetricsSnapshot::from_entries(hot::entries());
+        assert_eq!(snap.counter("search_memo_hits_total"), 2);
+        assert_eq!(snap.counter("search_memo_misses_total"), 1);
         hot::disable();
         hot::reset();
     }
