@@ -11,16 +11,20 @@
 //! implementing both lets this reproduction *measure* that explanation
 //! against p²-mdie on the same virtual cluster.
 
-use crate::protocol::Msg;
+use crate::driver::{launch, ParallelConfig, TransportKind};
+use crate::partition::{partition_examples, Partition};
+use crate::protocol::{Msg, WorkerRole};
+use crate::remote::launch_tcp;
 use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{ClusterError, CostModel};
-use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
+use p2mdie_ilp::settings::Width;
 use p2mdie_logic::clause::Clause;
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// How many candidate clauses one evaluation round ships.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,10 +83,6 @@ pub fn run_coverage_parallel(
 /// `ship_kb` is set, workers start with an empty KB and the master ships
 /// its compiled background theory once as a `Msg::KbSnapshot` (the same
 /// wiring as `ParallelConfig::with_kb_shipping`).
-///
-/// Thin wrapper: the mesh build and single-job lifecycle live in
-/// [`crate::scheduler`]; the wire framing is the legacy one, so reports
-/// stay bit-identical to the pre-service implementation.
 pub fn run_coverage_parallel_opts(
     engine: &IlpEngine,
     examples: &Examples,
@@ -92,53 +92,44 @@ pub fn run_coverage_parallel_opts(
     seed: u64,
     ship_kb: bool,
 ) -> Result<BaselineReport, ClusterError> {
-    crate::scheduler::one_shot_coverage(
-        engine,
-        examples,
-        workers,
-        granularity,
-        model,
-        seed,
-        ship_kb,
-    )
+    let mut cfg = ParallelConfig::new(workers, Width::Unlimited, seed);
+    cfg.model = model;
+    cfg.ship_kb = ship_kb;
+    coverage_parallel(engine, examples, &cfg, granularity)
 }
 
-/// The worker side: evaluate and mark-covered, nothing else. Public so
-/// the remote-worker bootstrap can run the same loop in a worker process.
-pub fn run_baseline_worker<T: Transport>(
-    ep: &mut Endpoint<T>,
-    mut engine: IlpEngine,
-    local: Examples,
-) {
-    let mut live = local.full_pos_live();
-    loop {
-        let msg = Msg::recv(ep, 0, "a baseline master command");
-        match msg {
-            Msg::KbSnapshot(snap) => {
-                crate::worker::adopt_kb_snapshot(&mut engine, *snap, ep.rank())
-            }
-            Msg::LoadExamples => ep.advance_steps(local.len() as u64),
-            Msg::Evaluate { rules } => {
-                let mut counts = Vec::with_capacity(rules.len());
-                for rule in &rules {
-                    let cov = engine.evaluate(rule, &local, Some(&live), None);
-                    ep.advance_steps(cov.steps);
-                    counts.push((cov.pos_count(), cov.neg_count()));
-                }
-                ep.send(0, &Msg::EvalResult { counts });
-            }
-            Msg::MarkCovered { rule } => {
-                let cov = engine.evaluate(&rule, &local, Some(&live), None);
-                ep.advance_steps(cov.steps);
-                let idx: Vec<u32> = cov.pos.iter_ones().map(|i| i as u32).collect();
-                live.difference_with(&cov.pos);
-                engine.assert_rule(rule);
-                ep.send(0, &Msg::CoveredIdx { pos: idx });
-            }
-            Msg::Stop => return,
-            other => panic!("baseline worker: unexpected message {other:?}"),
-        }
-    }
+/// One baseline learning run on a fresh mesh. Of `cfg`, the mesh fields
+/// apply (`workers`, `model`, `seed`, `ship_kb`, `transport`); the workers
+/// run [`crate::worker::run_worker`] in its [`WorkerRole::Coverage`] shape:
+/// evaluate and mark-covered, no pipeline ever starts.
+pub(crate) fn coverage_parallel(
+    engine: &IlpEngine,
+    examples: &Examples,
+    cfg: &ParallelConfig,
+    granularity: EvalGranularity,
+) -> Result<BaselineReport, ClusterError> {
+    let started = Instant::now();
+    let (subsets, partition) = partition_examples(examples, cfg.workers, cfg.seed);
+    let role = WorkerRole::Coverage;
+    let outcome = match &cfg.transport {
+        TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
+            baseline_master(ep, engine, examples, &partition, granularity)
+        }),
+        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, &subsets, |ep| {
+            baseline_master(ep, engine, examples, &partition, granularity)
+        }),
+    }?;
+    let (theory, epochs, set_aside) = outcome.result;
+    Ok(BaselineReport {
+        theory,
+        epochs,
+        set_aside,
+        vtime: outcome.master_vtime,
+        total_bytes: outcome.stats.total_bytes(),
+        total_messages: outcome.stats.total_messages(),
+        dropped_sends: outcome.dropped_sends,
+        wall: started.elapsed(),
+    })
 }
 
 /// One distributed evaluation round: broadcast, gather, sum. Crate-visible
@@ -177,7 +168,7 @@ pub(crate) fn baseline_master<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
     examples: &Examples,
-    partition: &crate::partition::Partition,
+    partition: &Partition,
     granularity: EvalGranularity,
 ) -> (Vec<Clause>, u32, u32) {
     let settings = &engine.settings;
@@ -191,7 +182,7 @@ pub(crate) fn baseline_master<T: Transport>(
 
     while live.any() {
         epochs += 1;
-        let seed_idx = next_live(&live, cursor).expect("live set non-empty");
+        let seed_idx = live.next_after(cursor).expect("live set non-empty");
         cursor = Some(seed_idx);
 
         let Some(bottom) = engine.saturate(&examples.pos[seed_idx]) else {
@@ -278,18 +269,10 @@ pub(crate) fn baseline_master<T: Transport>(
     (theory, epochs, set_aside)
 }
 
-fn next_live(live: &Bitset, prev: Option<usize>) -> Option<usize> {
-    if let Some(p) = prev {
-        if let Some(idx) = (p + 1..live.len()).find(|&i| live.get(i)) {
-            return Some(idx);
-        }
-    }
-    live.first()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::check_complete_and_consistent;
 
     #[test]
     fn baseline_learns_the_trains_concept() {
@@ -300,13 +283,7 @@ mod tests {
                     .unwrap();
             assert!(!rep.theory.is_empty(), "{gran:?} must learn");
             // Theory must cover every positive, no negative (noise-free).
-            let mut covered = Bitset::new(ds.examples.num_pos());
-            for c in &rep.theory {
-                let cov = ds.engine.evaluate(c, &ds.examples, None, None);
-                assert_eq!(cov.neg_count(), 0);
-                covered.union_with(&cov.pos);
-            }
-            assert_eq!(covered.count(), ds.examples.num_pos());
+            check_complete_and_consistent(&ds.engine, &ds.examples, &rep.theory);
         }
     }
 

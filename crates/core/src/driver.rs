@@ -1,13 +1,30 @@
 //! One-call drivers: run p²-mdie or the sequential baseline on a problem
 //! and get back a full report. Used by the evaluation sweeps, the
 //! benchmarks, and the examples.
+//!
+//! A one-shot run builds a fresh mesh, runs one master function against
+//! one worker role, and tears the mesh down. `launch` does that for
+//! ranks that are threads of this process, `crate::remote::launch_tcp`
+//! for ranks that are worker processes; both take the master as a plain
+//! function of the endpoint, so [`run_parallel`] and the coverage-parallel
+//! baseline differ only in the function they pass.
 
+use crate::master::{run_master, ship_kb, Dealing};
+use crate::protocol::{WorkerConfig, WorkerRole};
+use crate::remote::launch_tcp;
 use crate::report::{ParallelReport, SequentialReport};
 use crate::strategy::Strategy;
-use p2mdie_cluster::{ChaosConfig, ClusterError, CostModel};
+use crate::worker::run_role;
+use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::{
+    maybe_chaos, run_cluster_with, ChaosConfig, ChaosTransport, ClusterError, ClusterOutcome,
+    CostModel, MeshTransport,
+};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
-use p2mdie_ilp::settings::Width;
+use p2mdie_ilp::settings::{Settings, Width};
+use p2mdie_obs::event;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which substrate carries the cluster's messages.
@@ -27,15 +44,13 @@ pub enum TransportKind {
 /// What the run does when a worker rank dies mid-run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryPolicy {
-    /// Fail the run with a rank-tagged error (the legacy behaviour, and
-    /// the default — every paper-shaped number is taken under it, and the
-    /// protocol stays byte-for-byte unchanged).
+    /// Fail the run with a rank-tagged error (the default — every
+    /// paper-shaped number is taken under it).
     #[default]
     Abort,
     /// Self-heal: abort the epoch, repartition the dead rank's examples
     /// over the survivors, resync the live set by replaying the accepted
-    /// theory, and resume over the shrunk ring (see
-    /// [`crate::master::run_master_recovering`]).
+    /// theory, and resume over the shrunk ring (see [`crate::master`]).
     Repartition {
         /// How many rank deaths to absorb before failing the run anyway.
         max_rank_losses: u32,
@@ -71,17 +86,18 @@ pub struct ParallelConfig {
     /// What to do when a worker rank dies mid-run.
     pub recovery: RecoveryPolicy,
     /// Deterministic fault injection for in-process runs: wrap each listed
-    /// worker rank's transport in a
-    /// [`ChaosTransport`](p2mdie_cluster::ChaosTransport) with its own
+    /// worker rank's transport in a [`ChaosTransport`] with its own
     /// configuration (test-only seam; empty in production use). Multiple
     /// entries inject faults into multiple ranks of the same run — the
-    /// seam the second-death recovery tests use.
+    /// seam the second-death recovery tests use. Needs
+    /// [`RecoveryPolicy::Repartition`]: only a recovering mesh notices a
+    /// rank whose fabric went silent.
     pub chaos: Vec<(usize, ChaosConfig)>,
     /// How the ranks divide the run: the paper's data-parallel pipeline
     /// (default), hypothesis-parallel lattice slicing, or constraint-driven
-    /// independent search (see [`crate::strategy`]). The default routes
-    /// through the exact pre-seam code path; `repartition`, `recovery`, and
-    /// `chaos` only apply to it.
+    /// independent search (see [`crate::strategy`]). `repartition`,
+    /// `recovery`, and `chaos` only apply to the default; [`run_parallel`]
+    /// rejects them with any other.
     pub strategy: Strategy,
 }
 
@@ -145,28 +161,213 @@ impl ParallelConfig {
     }
 }
 
+/// Names the first unsupported combination in `cfg`, if any — here, before
+/// a mesh exists, because none of them can fail cleanly later: a rank
+/// silenced under `Abort` hangs the run, worker processes cannot be
+/// wrapped, and the replicating strategies' workers do not speak the
+/// repartitioning or recovery messages.
+fn check_combination(cfg: &ParallelConfig) -> Result<(), ClusterError> {
+    let replicating = cfg.strategy != Strategy::DataPipeline;
+    let aborting = cfg.recovery == RecoveryPolicy::Abort;
+    let chaos = !cfg.chaos.is_empty();
+    let stray = |(rank, _): &(usize, ChaosConfig)| !(1..=cfg.workers).contains(rank);
+    let rejected = [
+        (
+            replicating && cfg.repartition,
+            "repartition with a strategy that replicates the examples on every rank",
+        ),
+        (
+            replicating && !aborting,
+            "RecoveryPolicy::Repartition with a strategy that replicates the examples on every \
+             rank (worker-death recovery covers partitioned examples only)",
+        ),
+        (
+            replicating && chaos,
+            "chaos with a strategy other than the data pipeline (fault injection needs \
+             RecoveryPolicy::Repartition, which covers the data pipeline only)",
+        ),
+        (
+            chaos && matches!(cfg.transport, TransportKind::Tcp(_)),
+            "chaos with TransportKind::Tcp (fault injection wraps in-process transports; \
+             worker processes take P2MDIE_TEST_FAIL)",
+        ),
+        (
+            chaos && aborting,
+            "chaos with RecoveryPolicy::Abort (only a recovering mesh notices a rank whose \
+             fabric went silent)",
+        ),
+        (
+            cfg.chaos.iter().any(stray),
+            "chaos on a rank that is not a worker rank",
+        ),
+    ];
+    match rejected.iter().find(|(hit, _)| *hit) {
+        Some((_, what)) => Err(ClusterError::Net {
+            message: format!(
+                "unsupported ParallelConfig ({} workers, strategy {}): {what}",
+                cfg.workers, cfg.strategy
+            ),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The configuration every rank of a run is bootstrapped with: the
+/// engine's bias, `settings`, and what the run's description adds.
+pub(crate) fn worker_config(
+    engine: &IlpEngine,
+    settings: &Settings,
+    workers: usize,
+    role: WorkerRole,
+    strategy: Strategy,
+    strategy_seed: u64,
+) -> WorkerConfig {
+    // Simulated ranks run on real threads; split the physical cores among
+    // them so each rank's coverage evaluation (see
+    // `p2mdie_ilp::coverage::evaluate_rule_threads`) exploits its share
+    // without oversubscribing the machine. An explicit `eval_threads` in
+    // the caller's settings wins.
+    let mut settings = settings.clone();
+    settings.eval_threads = threads_per_worker(settings.eval_threads, workers);
+    WorkerConfig {
+        role,
+        modes: engine.modes.clone(),
+        settings,
+        strategy,
+        strategy_seed,
+    }
+}
+
+/// Takes what in-process rank `rank` starts with. The worker closure of a
+/// mesh is shared by every rank's thread, so ownership of each rank's
+/// start-up state travels through a seat it empties exactly once.
+pub(crate) fn take_seat<S>(seats: &[Mutex<Option<S>>], rank: usize) -> S {
+    seats[rank - 1]
+        .lock()
+        .unwrap_or_else(|_| panic!("rank {rank}: seat lock poisoned by an earlier panic"))
+        .take()
+        .expect("each rank takes its seat exactly once")
+}
+
+/// Runs `master` against `cfg.workers` in-process ranks in `role`, rank
+/// `k` holding `subsets[k - 1]`, on a fresh mesh that is torn down when
+/// the master returns. Every rank's transport is wrapped for fault
+/// injection — a no-op wrapper (no faults, no RNG draws) unless `cfg.chaos`
+/// names the rank.
+pub(crate) fn launch<R: Send>(
+    engine: &IlpEngine,
+    cfg: &ParallelConfig,
+    role: WorkerRole,
+    subsets: Vec<Examples>,
+    master: impl FnOnce(&mut Endpoint<ChaosTransport<MeshTransport>>) -> R + Send,
+) -> Result<ClusterOutcome<R>, ClusterError> {
+    let config = worker_config(
+        engine,
+        &engine.settings,
+        cfg.workers,
+        role,
+        cfg.strategy,
+        cfg.seed,
+    );
+    // With KB shipping a worker starts *empty* (the multi-process
+    // deployment shape) and adopts the master's snapshot on its first
+    // message; otherwise it clones the shared KB.
+    let seats: Vec<Mutex<Option<_>>> = subsets
+        .into_iter()
+        .map(|local| {
+            let kb = match cfg.ship_kb {
+                true => engine.with_empty_kb().kb,
+                false => engine.kb.clone(),
+            };
+            Mutex::new(Some((kb, local)))
+        })
+        .collect();
+    run_cluster_with(
+        cfg.workers,
+        cfg.model,
+        cfg.recovery != RecoveryPolicy::Abort,
+        |rank, t| {
+            let chaos = cfg.chaos.iter().find(|(target, _)| *target == rank);
+            maybe_chaos(t, chaos.map(|(_, c)| c.clone()))
+        },
+        |ep| {
+            if cfg.ship_kb {
+                ship_kb(ep, &engine.kb);
+            }
+            master(ep)
+        },
+        |ep| {
+            let (kb, local) = take_seat(&seats, ep.rank());
+            run_role(ep, kb, config.clone(), local);
+        },
+    )
+}
+
+/// End-of-run warning for a learning run that survived rank deaths: a
+/// structured trace event when tracing is on, a stderr line otherwise, so
+/// a recovered-but-degraded run is never silent (the counterpart of
+/// the cluster layer's dropped-sends warning).
+fn warn_rank_losses(losses: &[u32], master_vtime: f64) {
+    if losses.is_empty() {
+        return;
+    }
+    let tracer = p2mdie_obs::Tracer::for_rank(0);
+    if tracer.on() {
+        event!(
+            tracer,
+            "rank_losses_warning",
+            master_vtime,
+            losses = losses.len() as u64,
+        );
+    } else {
+        eprintln!(
+            "warning: run finished after {} rank loss(es) ({:?}) — \
+             the theory was recovered by repartition-and-resume",
+            losses.len(),
+            losses
+        );
+    }
+}
+
 /// Runs p²-mdie on `engine` × `examples` with `cfg`.
 ///
 /// The engine (background knowledge, modes, settings) is shared by all
 /// ranks, mirroring the paper's distributed-file-system assumption; each
 /// worker clones it so `mark_covered` can grow its local copy of `B`.
 ///
-/// Thin wrapper: this submits exactly one learning job to an ephemeral
-/// single-job dispatch in [`crate::scheduler`], which builds a fresh mesh,
-/// walks the job through the service lifecycle, and tears the mesh down.
-/// The wire framing is the legacy one, so reports stay bit-identical to
-/// the pre-service implementation.
+/// A `cfg` that combines options no run supports (say, fault injection
+/// over TCP) is refused up front with a [`ClusterError::Net`] naming the
+/// combination.
 pub fn run_parallel(
     engine: &IlpEngine,
     examples: &Examples,
     cfg: &ParallelConfig,
 ) -> Result<ParallelReport, ClusterError> {
-    match &cfg.transport {
-        TransportKind::Tcp(tcp) => {
-            crate::scheduler::one_shot_parallel_tcp(engine, examples, cfg, tcp)
-        }
-        TransportKind::InProcess => crate::scheduler::one_shot_parallel(engine, examples, cfg),
-    }
+    check_combination(cfg)?;
+    let started = Instant::now();
+    let (dealing, subsets) = Dealing::plan(
+        examples,
+        cfg.workers,
+        cfg.seed,
+        cfg.strategy,
+        cfg.repartition,
+    );
+    let role = WorkerRole::Pipeline {
+        width: cfg.width,
+        repartition: cfg.repartition,
+    };
+    let (settings, seed, recovery) = (&engine.settings, cfg.seed, &cfg.recovery);
+    let outcome = match &cfg.transport {
+        TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
+            run_master(ep, settings, examples, &dealing, seed, recovery)
+        }),
+        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, &subsets, |ep| {
+            run_master(ep, settings, examples, &dealing, seed, recovery)
+        }),
+    }?;
+    let report = ParallelReport::from_outcome(cfg.workers, started.elapsed(), outcome);
+    warn_rank_losses(&report.rank_losses, report.vtime);
+    Ok(report)
 }
 
 /// Each simulated rank's fair share of the machine's cores: an explicit
@@ -205,74 +406,10 @@ pub fn run_sequential_timed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2mdie_ilp::modes::ModeSet;
-    use p2mdie_ilp::settings::Settings;
-    use p2mdie_logic::clause::Literal;
-    use p2mdie_logic::kb::KnowledgeBase;
-    use p2mdie_logic::symbol::SymbolTable;
-    use p2mdie_logic::term::Term;
+    use crate::fixtures::check_complete_and_consistent;
 
-    /// Multiples of 6 or 10 among 1..120: two target clauses to learn.
     fn problem() -> (IlpEngine, Examples) {
-        let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
-        for i in 1..=120i64 {
-            if i % 2 == 0 {
-                kb.assert_fact(Literal::new(t.intern("even"), vec![Term::Int(i)]));
-            }
-            if i % 3 == 0 {
-                kb.assert_fact(Literal::new(t.intern("div3"), vec![Term::Int(i)]));
-            }
-            if i % 5 == 0 {
-                kb.assert_fact(Literal::new(t.intern("div5"), vec![Term::Int(i)]));
-            }
-        }
-        let modes = ModeSet::parse(
-            &t,
-            "special(+num)",
-            &[(1, "even(+num)"), (1, "div3(+num)"), (1, "div5(+num)")],
-        )
-        .unwrap();
-        let tgt = t.intern("special");
-        let ex = Examples::new(
-            (1..=120i64)
-                .filter(|i| i % 6 == 0 || i % 10 == 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-            (1..=120i64)
-                .filter(|i| i % 6 != 0 && i % 10 != 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-        );
-        let engine = IlpEngine::new(
-            kb,
-            modes,
-            Settings {
-                min_pos: 2,
-                noise: 0,
-                max_body: 3,
-                ..Settings::default()
-            },
-        );
-        (engine, ex)
-    }
-
-    fn check_complete_and_consistent(
-        engine: &IlpEngine,
-        ex: &Examples,
-        clauses: &[p2mdie_logic::clause::Clause],
-    ) {
-        let mut covered = p2mdie_ilp::bitset::Bitset::new(ex.num_pos());
-        for c in clauses {
-            let cov = engine.evaluate(c, ex, None, None);
-            covered.union_with(&cov.pos);
-            assert_eq!(cov.neg_count(), 0, "inconsistent clause in theory");
-        }
-        assert_eq!(
-            covered.count(),
-            ex.num_pos(),
-            "theory must cover all positives"
-        );
+        crate::fixtures::problem(120)
     }
 
     #[test]
@@ -420,5 +557,61 @@ mod tests {
             par.epochs,
             seq.epochs
         );
+    }
+
+    /// Every combination of options no run supports is refused before a
+    /// mesh is built, with an error that names it.
+    #[test]
+    fn unsupported_combinations_fail_typed() {
+        let (engine, ex) = problem();
+        let base = || ParallelConfig::new(2, Width::Limit(10), 42);
+        let kill = || ChaosConfig::new(7).kill_after_sends(4);
+        let healing = || RecoveryPolicy::Repartition { max_rank_losses: 1 };
+        // The binary is never resolved, let alone spawned: the check runs first.
+        let tcp = || TransportKind::Tcp(crate::remote::TcpConfig::with_worker_bin("/nonexistent"));
+        let rejected = [
+            (
+                base()
+                    .with_strategy(Strategy::SearchPartition)
+                    .with_repartition(),
+                "repartition with a strategy",
+            ),
+            (
+                base()
+                    .with_strategy(Strategy::ConstraintDriven)
+                    .with_recovery(healing()),
+                "RecoveryPolicy::Repartition with a strategy",
+            ),
+            (
+                base()
+                    .with_strategy(Strategy::SearchPartition)
+                    .with_chaos(1, kill()),
+                "chaos with a strategy",
+            ),
+            (
+                base()
+                    .with_recovery(healing())
+                    .with_transport(tcp())
+                    .with_chaos(1, kill()),
+                "chaos with TransportKind::Tcp",
+            ),
+            (
+                base().with_chaos(1, kill()),
+                "chaos with RecoveryPolicy::Abort",
+            ),
+            (
+                base().with_recovery(healing()).with_chaos(3, kill()),
+                "not a worker rank",
+            ),
+        ];
+        for (cfg, what) in rejected {
+            match run_parallel(&engine, &ex, &cfg) {
+                Err(ClusterError::Net { message }) => assert!(
+                    message.contains("unsupported ParallelConfig") && message.contains(what),
+                    "{what}: unhelpful message: {message}"
+                ),
+                other => panic!("{what}: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 }

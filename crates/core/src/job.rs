@@ -5,13 +5,14 @@
 //! mesh, describing the work, and running it. A [`JobSpec`] now describes
 //! the work alone — a coverage query, a one-epoch rule search, or a full
 //! learning run, each with its own examples, settings, seed, and pipeline
-//! width — and the [`crate::scheduler`] decides where it executes: on a
-//! fresh ephemeral mesh (the one-shot entry points) or multiplexed over a
-//! resident [`Service`](crate::scheduler::Service).
+//! width — and the [`crate::scheduler`] multiplexes it with others over a
+//! resident [`Service`](crate::scheduler::Service). (The one-shot entry
+//! points of [`crate::driver`] run the same master functions on a mesh of
+//! their own and have no queue, hence no lifecycle.)
 //!
 //! # Lifecycle
 //!
-//! Every job walks the same state machine, whether ephemeral or resident:
+//! Every job walks the same state machine:
 //!
 //! ```text
 //!             submit            per-rank SubmitJob        all JobAccepted
@@ -254,8 +255,7 @@ impl JobState {
 }
 
 /// The scheduler's in-flight view of one job: its id plus a
-/// transition-checked [`JobState`]. Shared by the resident scheduler and
-/// the ephemeral one-shot dispatch so both walk the identical lifecycle.
+/// transition-checked [`JobState`].
 #[derive(Debug)]
 pub(crate) struct Lifecycle {
     pub id: JobId,

@@ -9,25 +9,39 @@
 //! rules, scores them globally, and consumes the bag MDIE-style — several
 //! rules per epoch.
 //!
+//! One job, one path: whatever the entry point, a run is a master
+//! function against `p` worker loops over a mesh.
+//!
 //! * [`protocol`] — the wire messages (Figures 5–7 as a protocol);
 //! * [`partition`] — seeded random even example partitioning;
-//! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
-//! * [`worker`] — the worker script (Figure 6);
-//! * [`master`] — the epoch loop and bag consumption (Figure 5);
+//! * [`master`] — **the** epoch loop (Figure 5): [`master::run_master`]
+//!   runs every learning run — static, re-dealing or replicated examples,
+//!   aborting or self-healing — and `run_search_epoch` the one-epoch rule
+//!   search; they share the pipeline-start/gather and bag-evaluation
+//!   rounds;
 //! * [`bag`] — the rule bag with global scoring;
-//! * [`report`] — run reports and the Figure 3/4 trace renderer;
-//! * [`driver`] — `run_parallel` / `run_sequential_timed`;
-//! * [`remote`] — multi-process deployment: the remote-worker bootstrap
-//!   and the TCP launchers behind `ParallelConfig::with_transport` (the
-//!   `p2mdie-worker` binary is this crate's `src/bin/`);
+//! * [`worker`] — the worker script (Figure 6) and `run_role`, the one
+//!   place a [`WorkerRole`] becomes a loop;
+//! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
+//! * [`strategy`] — the [`Strategy`] switch and the worker loop of the two
+//!   non-default strategies (hypothesis-parallel lattice slicing,
+//!   constraint-driven search); their master is [`master::run_master`]
+//!   over replicated examples;
+//! * [`baselines`] — the coverage-parallel related-work algorithm: its own
+//!   master (a sequential search with distributed evaluation), the common
+//!   worker loop;
+//! * [`driver`] — `run_parallel` / `run_sequential_timed`, the check of
+//!   option combinations, and `launch`: a fresh in-process mesh for one
+//!   master function;
+//! * [`remote`] — multi-process deployment: `launch_tcp` (the same for
+//!   worker processes), the remote-worker bootstrap (the `p2mdie-worker`
+//!   binary is this crate's `src/bin/`);
 //! * [`job`] — the first-class job layer: what runs on the cluster
 //!   (coverage query, rule search, learning run) and its lifecycle;
 //! * [`scheduler`] — ILP-as-a-service: a resident mesh (`Service`) that
-//!   multiplexes many jobs over one standing cluster, plus the ephemeral
-//!   single-job dispatch the one-shot entry points are thin wrappers over;
-//! * [`strategy`] — the strategy seam: data-parallel (the paper),
-//!   hypothesis-parallel (lattice slicing), and constraint-driven
-//!   (pruning-constraint exchange) parallel ILP over one runtime.
+//!   multiplexes many jobs over one standing cluster, calling the same
+//!   master functions per job;
+//! * [`report`] — run reports and the Figure 3/4 trace renderer.
 
 pub mod bag;
 pub mod baselines;
@@ -51,9 +65,7 @@ pub use driver::{
     run_parallel, run_sequential_timed, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState};
-pub use master::{
-    run_master, run_master_recovering, ship_kb, AcceptedRule, EpochTrace, MasterOutcome,
-};
+pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterOutcome};
 pub use partition::{partition_examples, Partition};
 pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
 pub use remote::{
@@ -62,5 +74,76 @@ pub use remote::{
 };
 pub use report::{render_pipeline_trace, ParallelReport, SequentialReport};
 pub use scheduler::{JobHandle, Service, ServiceConfig, ServiceReport, SubmitError};
-pub use strategy::{run_strategy_master, run_strategy_worker, Strategy, StrategyWorkerContext};
+pub use strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
 pub use worker::{run_worker, WorkerContext};
+
+/// The problem the unit tests of this crate learn on.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use p2mdie_ilp::bitset::Bitset;
+    use p2mdie_ilp::engine::IlpEngine;
+    use p2mdie_ilp::examples::Examples;
+    use p2mdie_ilp::modes::ModeSet;
+    use p2mdie_ilp::settings::Settings;
+    use p2mdie_logic::clause::{Clause, Literal};
+    use p2mdie_logic::kb::KnowledgeBase;
+    use p2mdie_logic::symbol::SymbolTable;
+    use p2mdie_logic::term::Term;
+
+    /// Multiples of 6 or 10 in `1..=n` over `even`/`div3`/`div5`
+    /// background facts — needs a two-rule theory.
+    pub(crate) fn problem(n: i64) -> (IlpEngine, Examples) {
+        let t = SymbolTable::new();
+        let mut kb = KnowledgeBase::new(t.clone());
+        for i in 1..=n {
+            for (name, k) in [("even", 2), ("div3", 3), ("div5", 5)] {
+                if i % k == 0 {
+                    kb.assert_fact(Literal::new(t.intern(name), vec![Term::Int(i)]));
+                }
+            }
+        }
+        let modes = ModeSet::parse(
+            &t,
+            "special(+num)",
+            &[(1, "even(+num)"), (1, "div3(+num)"), (1, "div5(+num)")],
+        )
+        .unwrap();
+        let tgt = t.intern("special");
+        let (pos, neg) = (1..=n).partition(|i| i % 6 == 0 || i % 10 == 0);
+        let literals = |ns: Vec<i64>| -> Vec<Literal> {
+            ns.into_iter()
+                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
+                .collect()
+        };
+        let engine = IlpEngine::new(
+            kb,
+            modes,
+            Settings {
+                min_pos: 2,
+                noise: 0,
+                max_body: 3,
+                ..Settings::default()
+            },
+        );
+        (engine, Examples::new(literals(pos), literals(neg)))
+    }
+
+    /// Asserts that `clauses` cover every positive and no negative.
+    pub(crate) fn check_complete_and_consistent(
+        engine: &IlpEngine,
+        ex: &Examples,
+        clauses: &[Clause],
+    ) {
+        let mut covered = Bitset::new(ex.num_pos());
+        for c in clauses {
+            let cov = engine.evaluate(c, ex, None, None);
+            covered.union_with(&cov.pos);
+            assert_eq!(cov.neg_count(), 0, "inconsistent clause in theory");
+        }
+        assert_eq!(
+            covered.count(),
+            ex.num_pos(),
+            "theory must cover all positives"
+        );
+    }
+}

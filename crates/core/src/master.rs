@@ -1,24 +1,48 @@
-//! The master rank (paper Figure 5).
+//! The master rank (paper Figure 5): one epoch driver for every way a
+//! learning run is dealt and supervised.
 //!
-//! Epochs repeat until every positive example is covered: start `p`
-//! pipelines, gather each pipeline's surviving rules into the bag, have all
-//! workers score the bag globally, then consume the bag — pick the globally
-//! best rule, broadcast `mark_covered`, re-evaluate, drop what is no longer
-//! good — accepting *several* rules per epoch (the key difference from the
-//! sequential algorithm, and the source of the epoch reduction in Table 5).
+//! Epochs repeat until every positive example is covered or set aside.
+//! Each one starts a pipeline on every live rank, gathers the rules that
+//! survive them, *reduces* the harvest to the rules it accepts, broadcasts
+//! each acceptance as `MarkCovered`, and — when nothing was acceptable —
+//! retires the seeds the pipelines started from, so a run always makes
+//! progress. [`run_master`] is that loop; what varies is plain data:
 //!
-//! One deliberate deviation from the letter of Figure 5 is documented in
-//! DESIGN.md §6: the bag is filtered with `notGood` *before* every pick
-//! (including the first), so a globally-bad rule is never accepted; Figure 5
-//! only filters after the first acceptance. This matches the figure's
-//! stated intent of "emulating MDIE as closely as possible".
+//! * the [`Dealing`] — examples dealt once before the run (the paper's
+//!   algorithm), re-dealt before every epoch (§4.1's rejected alternative,
+//!   implemented so its communication cost can be measured), or replicated
+//!   on every rank (the non-default strategies of [`crate::strategy`]);
+//! * the [`RecoveryPolicy`] — whether a dead rank fails the run or is
+//!   recovered around (below);
+//! * the reduce step, which follows from the dealing. Partitioned examples
+//!   need the bag of Fig. 5 steps 10–22: all workers score the pooled rules,
+//!   the master picks the globally best, marks it covered, re-evaluates what
+//!   is left and drops what is no longer good, accepting *several* rules per
+//!   epoch (the key difference from the sequential algorithm, and the source
+//!   of the epoch reduction in Table 5). On replicated examples a rank's
+//!   counts already are global, so the single best rule of the pool is
+//!   accepted without an evaluation round.
 //!
-//! # Worker-death recovery ([`run_master_recovering`])
+//! The worker side tells the master about coverage in one of two ways, and
+//! `LiveSet` hides which: a count (`SeedRetired`, and the accepted rule's
+//! own global cover) when examples were dealt statically and nobody can
+//! die, local indices (`CoveredIdx`) mapped back to global ones whenever
+//! the master must know *which* examples are left — to re-deal them, or to
+//! hand a dead rank's share to the survivors.
 //!
-//! The recovering master treats a dead rank as a *membership event*, not an
-//! error. Every receive watches all links
-//! ([`Endpoint::recv_from_watching`]); the moment one dies the master runs
-//! the recovery protocol instead of unwinding:
+//! One deliberate deviation from the letter of Figure 5: the bag is
+//! filtered with `notGood` *before* every pick, including the first, so a
+//! globally-bad rule is never accepted; the figure only filters after the
+//! first acceptance. This matches its stated intent of "emulating MDIE as
+//! closely as possible".
+//!
+//! # Worker-death recovery
+//!
+//! Under [`RecoveryPolicy::Repartition`] a dead rank is a *membership
+//! event*, not an error. Every receive watches all links
+//! ([`Endpoint::recv_from_watching`]); the moment one dies the epoch is
+//! abandoned and the master runs the recovery protocol instead of
+//! unwinding:
 //!
 //! 1. **Abort** — send [`Msg::AbortEpoch`] to every survivor, then drain
 //!    each survivor's stream up to its [`Msg::AbortAck`], *processing* any
@@ -26,8 +50,8 @@
 //!    worker side must not be lost) and discarding stale pipeline results.
 //! 2. **Redistribute** — deal the dead rank's still-live positives and its
 //!    negatives over the survivors ([`Msg::AdoptExamples`]), extending the
-//!    master's global-index bookkeeping in sent order (static partition
-//!    mode; the repartitioning variant simply re-deals next epoch).
+//!    master's global-index bookkeeping in sent order (static dealing; a
+//!    re-dealing run simply deals over the survivors next epoch).
 //! 3. **Resync** — broadcast the accepted theory ([`Msg::ReplayTheory`]);
 //!    each survivor reports everything it covers among its live examples,
 //!    which restores the exact global live set even if the death raced a
@@ -43,15 +67,22 @@
 //! partial theory (pinned by `crates/core/tests/recovery.rs`).
 
 use crate::bag::RuleBag;
-use crate::partition::Partition;
+use crate::driver::RecoveryPolicy;
+use crate::partition::{partition_examples, Partition};
 use crate::protocol::{Msg, StageTrace};
-use p2mdie_cluster::codec::from_bytes;
+use crate::strategy::Strategy;
+use p2mdie_cluster::codec::{from_bytes, to_bytes};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault, RecvError};
 use p2mdie_cluster::transport::Transport;
+use p2mdie_ilp::bitset::Bitset;
+use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Settings;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_obs::span;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 /// A rule accepted into the global theory.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -81,6 +112,17 @@ pub struct EpochTrace {
     pub accepted: u32,
 }
 
+impl EpochTrace {
+    fn new(epoch: u32, p: usize) -> Self {
+        EpochTrace {
+            epoch,
+            pipelines: vec![Vec::new(); p],
+            bag_size: 0,
+            accepted: 0,
+        }
+    }
+}
+
 /// What the master reports when the run finishes.
 #[derive(Clone, Debug, Default)]
 pub struct MasterOutcome {
@@ -96,7 +138,7 @@ pub struct MasterOutcome {
     /// progress possible but `remaining > 0`); should never happen.
     pub stalled: bool,
     /// Ranks that died mid-run and were recovered from, in death order
-    /// (always empty outside [`run_master_recovering`]).
+    /// (always empty under [`RecoveryPolicy::Abort`]).
     pub rank_losses: Vec<u32>,
 }
 
@@ -115,740 +157,685 @@ pub fn ship_kb<T: Transport>(ep: &mut Endpoint<T>, kb: &KnowledgeBase) {
     ep.broadcast(&Msg::KbSnapshot(Box::new(kb.to_snapshot())));
 }
 
-/// Runs the master protocol of Figure 5. `total_pos` is `|E+|` over all
-/// subsets; `settings` must be the same the workers use (shared data
-/// assumption).
-pub fn run_master<T: Transport>(
+/// How a learning run's examples reach the ranks.
+#[derive(Clone, Debug)]
+pub enum Dealing {
+    /// Dealt once, before the run (Fig. 5 steps 1–2). The partition maps
+    /// every rank's local example indices back to global ones.
+    Static(Partition),
+    /// §4.1's rejected alternative: the master re-deals the live examples
+    /// before every epoch, shipping the literals in full.
+    Redeal,
+    /// Every rank holds the full set (the non-default strategies), so a
+    /// rule's counts on any rank are global and all ranks stay in lockstep.
+    Replicated,
+}
+
+impl Dealing {
+    /// The dealing of a learning run and the example subset each rank
+    /// starts with.
+    pub(crate) fn plan(
+        examples: &Examples,
+        p: usize,
+        seed: u64,
+        strategy: Strategy,
+        repartition: bool,
+    ) -> (Dealing, Vec<Examples>) {
+        if strategy != Strategy::DataPipeline {
+            (Dealing::Replicated, vec![examples.clone(); p])
+        } else if repartition {
+            // Workers start empty; the first deal arrives with epoch 1.
+            (Dealing::Redeal, vec![Examples::default(); p])
+        } else {
+            let (subsets, partition) = partition_examples(examples, p, seed);
+            (Dealing::Static(partition), subsets)
+        }
+    }
+}
+
+/// Sends `msg` to each of `ranks` in order. With every worker alive this
+/// is [`Endpoint::broadcast`] — the same frames, in the same order, at the
+/// same clock readings.
+fn send_all<T: Transport>(ep: &mut Endpoint<T>, ranks: &[usize], msg: &Msg) {
+    let payload = to_bytes(msg);
+    for &k in ranks {
+        ep.send_bytes(k, payload.clone());
+    }
+}
+
+/// Receives one message from each of `ranks`, in order — every receive
+/// names its source, which is what makes whole runs reproducible. When
+/// `watching`, the death of *any* rank not yet acknowledged ends the wait
+/// with `Err(dead)`; otherwise a dead link unwinds the run with a
+/// [`CommFailure`] naming the rank waited on.
+fn gather<T: Transport>(
+    ep: &mut Endpoint<T>,
+    ranks: &[usize],
+    watching: bool,
+    expected: &str,
+    mut each: impl FnMut(usize, Msg),
+) -> Result<(), usize> {
+    for &k in ranks {
+        let msg = if watching {
+            match from_bytes(ep.recv_from_watching(k)?) {
+                Ok(msg) => msg,
+                Err(error) => std::panic::panic_any(CommFailure {
+                    rank: ep.rank(),
+                    from: k,
+                    expected: expected.to_owned(),
+                    error: CommError::Decode(error),
+                }),
+            }
+        } else {
+            Msg::recv(ep, k, expected)
+        };
+        each(k, msg);
+    }
+    Ok(())
+}
+
+/// Fails the run over the loss of rank `dead`.
+fn give_up<T: Transport>(ep: &Endpoint<T>, dead: usize, expected: String) -> ! {
+    std::panic::panic_any(CommFailure {
+        rank: ep.rank(),
+        from: dead,
+        expected,
+        error: CommError::Closed(RecvError {
+            rank: ep.rank(),
+            from: dead,
+            fault: LinkFault::Closed,
+        }),
+    })
+}
+
+/// A rule that survived a pipeline: the clause, its final stage's local
+/// `(pos, neg)` counts, and the pipeline's origin.
+type Found = (Clause, u32, u32, u8);
+
+/// Fig. 5 steps 6–9: starts a pipeline on each of `ranks` and gathers the
+/// rules that survive all stages, in rank order, plus whether any pipeline
+/// had a seed to start from. The pipeline of origin `k` delivers from its
+/// last stage, the ring predecessor of `k`, so receiving from the ranks in
+/// order collects all of them deterministically.
+fn run_pipelines<T: Transport>(
+    ep: &mut Endpoint<T>,
+    ranks: &[usize],
+    watching: bool,
+    trace: &mut EpochTrace,
+) -> Result<(Vec<Found>, bool), usize> {
+    for &k in ranks {
+        ep.send(k, &Msg::StartPipeline { epoch: trace.epoch });
+    }
+    let mut found = Vec::new();
+    let mut any_seed = false;
+    gather(ep, ranks, watching, "RulesFound", |k, msg| {
+        let Msg::RulesFound {
+            origin,
+            rules,
+            had_seed,
+            trace: stages,
+        } = msg
+        else {
+            panic!("master: expected RulesFound from rank {k}, got {msg:?}");
+        };
+        any_seed |= had_seed;
+        found.extend(rules.into_iter().map(|(c, pos, neg)| (c, pos, neg, origin)));
+        trace.pipelines[origin as usize - 1] = stages;
+    })?;
+    Ok((found, any_seed))
+}
+
+/// Pools pipeline harvests into a bag, one entry per α-variant.
+fn bag_of(found: Vec<Found>) -> RuleBag {
+    let mut bag = RuleBag::new();
+    for (clause, _, _, origin) in found {
+        bag.insert(clause, origin);
+    }
+    bag
+}
+
+/// One global evaluation round: every rank of `ranks` scores the bag on
+/// its live subset (Fig. 5 steps 10–11 / 18–19).
+fn evaluate_bag<T: Transport>(
+    ep: &mut Endpoint<T>,
+    ranks: &[usize],
+    watching: bool,
+    bag: &mut RuleBag,
+) -> Result<(), usize> {
+    send_all(
+        ep,
+        ranks,
+        &Msg::Evaluate {
+            rules: bag.clauses(),
+        },
+    );
+    let mut results = Vec::with_capacity(ranks.len());
+    gather(ep, ranks, watching, "EvalResult", |k, msg| match msg {
+        Msg::EvalResult { counts } => results.push(counts),
+        other => panic!("master: expected EvalResult from rank {k}, got {other:?}"),
+    })?;
+    bag.set_results(&results);
+    Ok(())
+}
+
+/// One pipelined rule-search epoch without the reduce step (Fig. 5 steps
+/// 6–11, a `RuleSearch` job): start the `p` pipelines, pool the survivors,
+/// score the bag globally, and return it best-first without consuming it.
+pub(crate) fn run_search_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
     settings: &Settings,
-    total_pos: usize,
-) -> MasterOutcome {
-    let p = ep.workers();
-    let mut out = MasterOutcome::default();
-    let mut remaining = total_pos;
-
+) -> Vec<(Clause, u32, u32)> {
+    let ranks: Vec<usize> = (1..=ep.workers()).collect();
     ep.broadcast(&Msg::LoadExamples);
+    // Nothing watches here, so no receive can report a death.
+    fn unwatched<R>(dead: usize) -> R {
+        unreachable!("unwatched receive reported rank {dead} dead")
+    }
+    let mut trace = EpochTrace::new(1, ranks.len());
+    let (found, _) = run_pipelines(ep, &ranks, false, &mut trace).unwrap_or_else(unwatched);
+    let mut bag = bag_of(found);
+    if !bag.is_empty() {
+        evaluate_bag(ep, &ranks, false, &mut bag).unwrap_or_else(unwatched);
+    }
+    ep.broadcast(&Msg::Stop);
+    std::iter::from_fn(|| bag.pick_best(settings.score))
+        .map(|rule| {
+            let (pos, neg) = (rule.global_pos(), rule.global_neg());
+            (rule.clause, pos, neg)
+        })
+        .collect()
+}
 
-    while remaining > 0 {
-        out.epochs += 1;
-        let epoch = out.epochs;
-        let mut epoch_span = Some(span!(ep.tracer(), "epoch", ep.now(), epoch = epoch));
-        let mut trace = EpochTrace {
-            epoch,
-            pipelines: vec![Vec::new(); p],
-            bag_size: 0,
-            accepted: 0,
-        };
+/// Global-index bookkeeping: which positives are still uncovered, and the
+/// global indices of every rank's examples in the rank's local order — the
+/// key that maps `CoveredIdx` replies back to the global live set. A dead
+/// rank's rows are empty.
+struct GlobalIndex {
+    live: Bitset,
+    pos: Vec<Vec<usize>>,
+    neg: Vec<Vec<usize>>,
+}
 
-        // Fig. 5 steps 6–9: start p pipelines, gather the rule sets. The
-        // pipeline of origin k delivers from its last stage, worker k-1
-        // (wrapping), so receiving from ranks 1..=p in order collects all
-        // of them deterministically.
-        for k in 1..=p {
-            ep.send(k, &Msg::StartPipeline { epoch });
-        }
-        let mut bag = RuleBag::new();
-        let mut any_seed = false;
-        for k in 1..=p {
-            let msg = Msg::recv(ep, k, "RulesFound");
-            let Msg::RulesFound {
-                origin,
-                rules,
-                had_seed,
-                trace: ptrace,
-            } = msg
-            else {
-                panic!("master: expected RulesFound from rank {k}, got {msg:?}");
-            };
-            any_seed |= had_seed;
-            for (clause, _, _) in rules {
-                bag.insert(clause, origin);
-            }
-            trace.pipelines[origin as usize - 1] = ptrace;
-        }
-        trace.bag_size = bag.len() as u32;
+/// The positives not yet covered or set aside.
+enum Uncovered {
+    /// Only their number is known: no worker reports indices.
+    Count(usize),
+    /// Tracked one by one.
+    Index(GlobalIndex),
+}
 
-        if !any_seed {
-            // No worker has a live example but `remaining > 0`: the count
-            // drifted (should be impossible). Bail out rather than spin.
-            out.stalled = true;
-            out.traces.push(trace);
-            if let Some(s) = epoch_span.take() {
-                s.end(ep.now());
-            }
-            break;
-        }
-
-        // Fig. 5 steps 10–22: consume the bag.
-        let mut accepted_this_epoch = 0u32;
-        if !bag.is_empty() {
-            evaluate_bag(ep, p, &mut bag);
-            loop {
-                bag.drop_not_good(settings);
-                if bag.is_empty() {
-                    break;
-                }
-                // Bag bookkeeping is master-side compute: charge one step
-                // per scanned rule.
-                ep.advance_steps(bag.len() as u64);
-                let best = bag.pick_best(settings.score).expect("bag non-empty");
-                let (pos, neg) = (best.global_pos(), best.global_neg());
-                ep.broadcast(&Msg::MarkCovered {
-                    rule: best.clause.clone(),
-                });
-                remaining = remaining.saturating_sub(pos as usize);
-                out.theory.push(AcceptedRule {
-                    clause: best.clause,
-                    pos,
-                    neg,
-                    epoch,
-                    origin: best.origin,
-                });
-                accepted_this_epoch += 1;
-                if bag.is_empty() {
-                    break;
-                }
-                evaluate_bag(ep, p, &mut bag);
-            }
-        }
-        trace.accepted = accepted_this_epoch;
-        out.traces.push(trace);
-
-        // Progress guarantee: an epoch that accepted nothing retires the
-        // seed examples its pipelines started from (April sets aside
-        // examples no good rule explains).
-        if accepted_this_epoch == 0 && remaining > 0 {
-            ep.broadcast(&Msg::RetireSeed);
-            let mut retired = 0u32;
-            for k in 1..=p {
-                let msg = Msg::recv(ep, k, "SeedRetired");
-                let Msg::SeedRetired { removed } = msg else {
-                    panic!("master: expected SeedRetired from rank {k}, got {msg:?}");
-                };
-                retired += removed;
-            }
-            if retired == 0 {
-                out.stalled = true;
-                if let Some(s) = epoch_span.take() {
-                    s.end(ep.now());
-                }
-                break;
-            }
-            remaining = remaining.saturating_sub(retired as usize);
-            out.set_aside += retired;
-        }
-        if let Some(s) = epoch_span.take() {
-            s.end_with(
-                ep.now(),
-                &[
-                    ("accepted", accepted_this_epoch.into()),
-                    ("remaining", (remaining as u64).into()),
-                ],
-            );
+impl Uncovered {
+    fn remaining(&self) -> usize {
+        match self {
+            Uncovered::Count(n) => *n,
+            Uncovered::Index(ix) => ix.live.count(),
         }
     }
 
-    ep.broadcast(&Msg::Stop);
-    out
+    fn index(&mut self) -> &mut GlobalIndex {
+        match self {
+            Uncovered::Index(ix) => ix,
+            Uncovered::Count(_) => unreachable!("this dealing tracks coverage by count only"),
+        }
+    }
+
+    /// Folds rank `k`'s coverage reply into the set: local indices when
+    /// tracked by index, a count otherwise.
+    fn absorb(&mut self, k: usize, reply: Msg) {
+        match (reply, self) {
+            (Msg::CoveredIdx { pos }, Uncovered::Index(ix)) => {
+                for local in pos {
+                    ix.live.clear(ix.pos[k - 1][local as usize]);
+                }
+            }
+            (Msg::SeedRetired { removed }, Uncovered::Count(n)) => {
+                *n = n.saturating_sub(removed as usize)
+            }
+            (other, _) => panic!("master: unexpected coverage reply from rank {k}: {other:?}"),
+        }
+    }
 }
 
-/// The §4.1 repartitioning variant: identical to [`run_master`] except that
-/// the live examples are randomly re-dealt to the workers *before every
-/// epoch* (shipping the example literals in full — the communication cost
-/// the paper cites as the reason not to do this), and every `MarkCovered`
-/// is answered with covered indices so the master can track the global
-/// live set the next deal draws from.
-pub fn run_master_repartition<T: Transport>(
-    ep: &mut Endpoint<T>,
-    settings: &Settings,
-    examples: &p2mdie_ilp::examples::Examples,
+/// What a run is given and never changes: the arguments of [`run_master`].
+struct Run<'a> {
+    settings: &'a Settings,
+    examples: &'a Examples,
+    dealing: &'a Dealing,
     seed: u64,
-) -> MasterOutcome {
-    use p2mdie_ilp::bitset::Bitset;
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
+}
 
-    let p = ep.workers();
-    let mut out = MasterOutcome::default();
-    let mut live = Bitset::full(examples.num_pos());
+/// The master's view of a run in flight: which worker ranks are alive, how
+/// to wait on them, and which positives are left.
+struct LiveSet {
+    /// Live worker ranks, ascending.
+    alive: Vec<usize>,
+    /// Recovery is armed: receives watch every link and report a death
+    /// instead of unwinding.
+    watching: bool,
+    uncovered: Uncovered,
+    /// A rank died in a re-dealing run: the next deal must be followed by
+    /// a theory replay before its pipelines start.
+    resync_after_deal: bool,
+}
 
-    ep.broadcast(&Msg::LoadExamples);
-
-    while live.any() {
-        out.epochs += 1;
-        let epoch = out.epochs;
-        let mut epoch_span = Some(span!(ep.tracer(), "epoch", ep.now(), epoch = epoch));
-        let mut trace = EpochTrace {
-            epoch,
-            pipelines: vec![Vec::new(); p],
-            bag_size: 0,
-            accepted: 0,
+impl LiveSet {
+    fn new(p: usize, examples: &Examples, dealing: &Dealing, watching: bool) -> Self {
+        let live = || Bitset::full(examples.num_pos());
+        let uncovered = match dealing {
+            Dealing::Static(part) if watching => Uncovered::Index(GlobalIndex {
+                live: live(),
+                pos: part.pos.clone(),
+                neg: part.neg.clone(),
+            }),
+            Dealing::Redeal => Uncovered::Index(GlobalIndex {
+                live: live(),
+                pos: vec![Vec::new(); p],
+                neg: vec![Vec::new(); p],
+            }),
+            Dealing::Static(_) | Dealing::Replicated => Uncovered::Count(examples.num_pos()),
         };
+        LiveSet {
+            alive: (1..=p).collect(),
+            watching,
+            uncovered,
+            resync_after_deal: false,
+        }
+    }
 
-        // Re-deal the live positives (and all negatives) evenly.
-        let mut rng = StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9));
-        let mut live_idx: Vec<usize> = live.iter_ones().collect();
+    /// §4.1: deals the live positives and all negatives evenly over the
+    /// live ranks, shipping the literals in full — the communication cost
+    /// the paper cites as the reason not to do this.
+    fn deal<T: Transport>(&mut self, ep: &mut Endpoint<T>, run: &Run, epoch: u32) {
+        let examples = run.examples;
+        let ix = self.uncovered.index();
+        let mut rng = StdRng::seed_from_u64(run.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9));
+        let mut live_idx: Vec<usize> = ix.live.iter_ones().collect();
         live_idx.shuffle(&mut rng);
         let mut neg_idx: Vec<usize> = (0..examples.num_neg()).collect();
         neg_idx.shuffle(&mut rng);
-        let mut assign: Vec<Vec<usize>> = vec![Vec::new(); p];
+        let s = self.alive.len();
+        ix.pos.iter_mut().for_each(Vec::clear);
         for (i, g) in live_idx.iter().enumerate() {
-            assign[i % p].push(*g);
+            ix.pos[self.alive[i % s] - 1].push(*g);
         }
-        for (k, part) in assign.iter().enumerate() {
-            let pos: Vec<_> = part.iter().map(|&g| examples.pos[g].clone()).collect();
-            let neg: Vec<_> = neg_idx
+        for (j, &k) in self.alive.iter().enumerate() {
+            let pos = ix.pos[k - 1]
                 .iter()
-                .skip(k)
-                .step_by(p)
+                .map(|&g| examples.pos[g].clone())
+                .collect();
+            let neg = neg_idx
+                .iter()
+                .skip(j)
+                .step_by(s)
                 .map(|&g| examples.neg[g].clone())
                 .collect();
-            ep.send(k + 1, &Msg::NewPartition { pos, neg });
+            ep.send(k, &Msg::NewPartition { pos, neg });
         }
+    }
 
-        // Pipelines, exactly as in the static master.
-        for k in 1..=p {
-            ep.send(k, &Msg::StartPipeline { epoch });
+    /// Accepts `rule`: every live rank marks its cover and asserts it. The
+    /// acceptance is final the moment the broadcast is out — per-channel
+    /// FIFO order means every survivor asserts the rule before it can see
+    /// any abort — so it joins the theory before the replies are in.
+    fn accept<T: Transport>(
+        &mut self,
+        ep: &mut Endpoint<T>,
+        rule: AcceptedRule,
+        theory: &mut Vec<AcceptedRule>,
+    ) -> Result<(), usize> {
+        send_all(
+            ep,
+            &self.alive,
+            &Msg::MarkCovered {
+                rule: rule.clause.clone(),
+            },
+        );
+        let covered = rule.pos as usize;
+        theory.push(rule);
+        if let Uncovered::Count(n) = &mut self.uncovered {
+            *n = n.saturating_sub(covered);
+            return Ok(());
         }
-        let mut bag = RuleBag::new();
-        for k in 1..=p {
-            let msg = Msg::recv(ep, k, "RulesFound");
-            let Msg::RulesFound {
-                origin,
-                rules,
-                had_seed: _,
-                trace: ptrace,
-            } = msg
-            else {
-                panic!("master: expected RulesFound from rank {k}, got {msg:?}");
+        gather(ep, &self.alive, self.watching, "CoveredIdx", |k, reply| {
+            self.uncovered.absorb(k, reply)
+        })
+    }
+
+    /// Progress guarantee: an epoch that accepted nothing retires the seed
+    /// examples its pipelines started from (April sets aside examples no
+    /// good rule explains). Returns how many were retired.
+    fn retire_seeds<T: Transport>(
+        &mut self,
+        ep: &mut Endpoint<T>,
+        dealing: &Dealing,
+    ) -> Result<u32, usize> {
+        let before = self.uncovered.remaining();
+        if let Dealing::Redeal = dealing {
+            // A fresh deal means each rank's seed was its first example.
+            let ix = self.uncovered.index();
+            for &k in &self.alive {
+                if let Some(&g) = ix.pos[k - 1].first() {
+                    ix.live.clear(g);
+                }
+            }
+        } else {
+            send_all(ep, &self.alive, &Msg::RetireSeed);
+            // Replicated ranks all retire the same shared seed; the first
+            // one answers for the mesh.
+            let answering = match dealing {
+                Dealing::Replicated => &self.alive[..1],
+                _ => &self.alive[..],
             };
-            for (clause, _, _) in rules {
-                bag.insert(clause, origin);
-            }
-            trace.pipelines[origin as usize - 1] = ptrace;
+            gather(
+                ep,
+                answering,
+                self.watching,
+                "a retired seed",
+                |k, reply| self.uncovered.absorb(k, reply),
+            )?;
         }
-        trace.bag_size = bag.len() as u32;
+        Ok((before - self.uncovered.remaining()) as u32)
+    }
 
-        // Bag consumption with master-side live tracking.
-        let mut accepted_this_epoch = 0u32;
-        if !bag.is_empty() {
-            evaluate_bag(ep, p, &mut bag);
+    /// Ships the accepted theory to every survivor and folds their coverage
+    /// replies into the global live set.
+    fn replay_theory<T: Transport>(
+        &mut self,
+        ep: &mut Endpoint<T>,
+        theory: &[AcceptedRule],
+    ) -> Result<(), usize> {
+        let rules = theory.iter().map(|r| r.clause.clone()).collect();
+        send_all(ep, &self.alive, &Msg::ReplayTheory { rules });
+        let expected = "a ReplayTheory CoveredIdx";
+        gather(ep, &self.alive, self.watching, expected, |k, reply| {
+            self.uncovered.absorb(k, reply)
+        })
+    }
+
+    /// The recovery protocol of the module docs, after the `losses`-th
+    /// death of the run: abort and quiesce the epoch, then redistribute
+    /// and resync (static dealing) or leave both to the next deal.
+    fn recover<T: Transport>(
+        &mut self,
+        ep: &mut Endpoint<T>,
+        run: &Run,
+        dead: usize,
+        theory: &[AcceptedRule],
+        losses: usize,
+    ) {
+        ep.set_recovery_phase(true);
+        ep.mark_down(dead);
+        self.alive.retain(|&r| r != dead);
+
+        // 1. Abort: tell every survivor, then drain each stream up to its
+        // ack — coverage replies still apply, stale pipeline, evaluation
+        // and retirement results are dropped.
+        send_all(ep, &self.alive, &Msg::AbortEpoch { dead: dead as u8 });
+        for &k in &self.alive {
             loop {
-                bag.drop_not_good(settings);
-                if bag.is_empty() {
-                    break;
-                }
-                ep.advance_steps(bag.len() as u64);
-                let best = bag.pick_best(settings.score).expect("bag non-empty");
-                let (pos, neg) = (best.global_pos(), best.global_neg());
-                ep.broadcast(&Msg::MarkCovered {
-                    rule: best.clause.clone(),
-                });
-                for k in 1..=p {
-                    let msg = Msg::recv(ep, k, "CoveredIdx");
-                    let Msg::CoveredIdx { pos: covered } = msg else {
-                        panic!("master: expected CoveredIdx from rank {k}, got {msg:?}");
-                    };
-                    for local in covered {
-                        live.clear(assign[k - 1][local as usize]);
-                    }
-                }
-                out.theory.push(AcceptedRule {
-                    clause: best.clause,
-                    pos,
-                    neg,
-                    epoch,
-                    origin: best.origin,
-                });
-                accepted_this_epoch += 1;
-                if bag.is_empty() {
-                    break;
-                }
-                evaluate_bag(ep, p, &mut bag);
-            }
-        }
-        trace.accepted = accepted_this_epoch;
-        out.traces.push(trace);
-
-        // Progress guarantee, master-side: a fresh partition means each
-        // worker's epoch seed was its first assigned example.
-        if accepted_this_epoch == 0 {
-            let mut retired = 0u32;
-            for part in &assign {
-                if let Some(&g) = part.first() {
-                    if live.get(g) {
-                        live.clear(g);
-                        retired += 1;
-                    }
+                match Msg::recv(ep, k, "an AbortAck") {
+                    Msg::AbortAck => break,
+                    reply @ Msg::CoveredIdx { .. } => self.uncovered.absorb(k, reply),
+                    _ => {}
                 }
             }
-            if retired == 0 {
-                out.stalled = true;
-                if let Some(s) = epoch_span.take() {
-                    s.end(ep.now());
-                }
-                break;
+        }
+        ep.clear_pending(dead);
+
+        if let Dealing::Static(_) = run.dealing {
+            // 2. Redistribute the orphaned examples over the survivors.
+            let examples = run.examples;
+            let ix = self.uncovered.index();
+            let mut orphan_pos: Vec<usize> = std::mem::take(&mut ix.pos[dead - 1]);
+            orphan_pos.retain(|&g| ix.live.get(g));
+            let mut orphan_neg: Vec<usize> = std::mem::take(&mut ix.neg[dead - 1]);
+            let mut rng = StdRng::seed_from_u64(
+                run.seed ^ (losses as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
+            );
+            orphan_pos.shuffle(&mut rng);
+            orphan_neg.shuffle(&mut rng);
+            let s = self.alive.len();
+            for (j, &k) in self.alive.iter().enumerate() {
+                let share = |orphans: &[usize]| -> Vec<usize> {
+                    orphans.iter().skip(j).step_by(s).copied().collect()
+                };
+                let (pos_idx, neg_idx) = (share(&orphan_pos), share(&orphan_neg));
+                ep.send(
+                    k,
+                    &Msg::AdoptExamples {
+                        pos: pos_idx.iter().map(|&g| examples.pos[g].clone()).collect(),
+                        neg: neg_idx.iter().map(|&g| examples.neg[g].clone()).collect(),
+                    },
+                );
+                // Adoption appends, so local indices extend in sent order.
+                ix.pos[k - 1].extend(pos_idx);
+                ix.neg[k - 1].extend(neg_idx);
             }
-            out.set_aside += retired;
-        }
-        if let Some(s) = epoch_span.take() {
-            s.end_with(ep.now(), &[("accepted", accepted_this_epoch.into())]);
-        }
-    }
 
-    ep.broadcast(&Msg::Stop);
-    out
-}
-
-/// Receives one decoded message from `from` while watching every other
-/// link: `Err(dead)` the moment an unacknowledged rank dies. A frame that
-/// will not decode is a protocol error and panics with [`CommFailure`].
-fn recv_msg_watching<T: Transport>(
-    ep: &mut Endpoint<T>,
-    from: usize,
-    expected: &str,
-) -> Result<Msg, usize> {
-    match ep.recv_from_watching(from) {
-        Ok(bytes) => match from_bytes(bytes) {
-            Ok(msg) => Ok(msg),
-            Err(error) => std::panic::panic_any(CommFailure {
-                rank: ep.rank(),
-                from,
-                expected: expected.to_owned(),
-                error: CommError::Decode(error),
-            }),
-        },
-        Err(dead) => Err(dead),
+            // 3. Resync: replay the theory so both sides agree on the
+            // live set exactly.
+            if let Err(second) = self.replay_theory(ep, theory) {
+                let expected = "a ReplayTheory reply (second rank death mid-recovery)";
+                give_up(ep, second, expected.to_owned());
+            }
+        } else {
+            self.resync_after_deal = true;
+        }
+        ep.set_recovery_phase(false);
     }
 }
 
-/// The self-healing master: [`run_master`] / [`run_master_repartition`]
-/// semantics, but a worker death mid-run triggers the
-/// repartition-and-resume protocol (see the module docs) instead of
-/// unwinding the run.
-///
-/// `partition` selects the variant: `Some` is the static-partition
-/// algorithm (the per-rank global-index map must describe the exact
-/// subsets the workers hold), `None` the §4.1 repartitioning one (live
-/// examples are re-dealt every epoch with `seed`, as in
-/// [`run_master_repartition`]). Up to `max_rank_losses` deaths are
-/// absorbed; one more fails the run with a rank-tagged error.
-pub fn run_master_recovering<T: Transport>(
+/// The reduce step on partitioned examples (Fig. 5 steps 10–22): consume
+/// the globally-evaluated bag.
+fn consume_bag<T: Transport>(
     ep: &mut Endpoint<T>,
     settings: &Settings,
-    examples: &p2mdie_ilp::examples::Examples,
-    partition: Option<&Partition>,
+    live: &mut LiveSet,
+    mut bag: RuleBag,
+    out: &mut MasterOutcome,
+    trace: &mut EpochTrace,
+) -> Result<(), usize> {
+    if bag.is_empty() {
+        return Ok(());
+    }
+    evaluate_bag(ep, &live.alive, live.watching, &mut bag)?;
+    loop {
+        bag.drop_not_good(settings);
+        if bag.is_empty() {
+            return Ok(());
+        }
+        // Bag bookkeeping is master-side compute: charge one step per
+        // scanned rule.
+        ep.advance_steps(bag.len() as u64);
+        let best = bag.pick_best(settings.score).expect("bag non-empty");
+        let rule = AcceptedRule {
+            pos: best.global_pos(),
+            neg: best.global_neg(),
+            clause: best.clause,
+            epoch: trace.epoch,
+            origin: best.origin,
+        };
+        live.accept(ep, rule, &mut out.theory)?;
+        trace.accepted += 1;
+        if bag.is_empty() {
+            return Ok(());
+        }
+        evaluate_bag(ep, &live.alive, live.watching, &mut bag)?;
+    }
+}
+
+/// The reduce step on replicated examples: the counts inside each
+/// `RulesFound` are already global, so the single best acceptable rule of
+/// the pool is accepted — no evaluation round. Duplicates kept their first
+/// copy (lowest rank, best local order) and ties keep the earliest pool
+/// entry, so the choice is deterministic.
+fn accept_best_of_pool<T: Transport>(
+    ep: &mut Endpoint<T>,
+    settings: &Settings,
+    live: &mut LiveSet,
+    pool: Vec<Found>,
+    out: &mut MasterOutcome,
+    trace: &mut EpochTrace,
+) -> Result<(), usize> {
+    // Master-side pool scan is compute: one step per pooled rule.
+    ep.advance_steps(pool.len() as u64);
+    // `max_by_key` keeps the last of equal maxima: scan from the back.
+    let best = pool
+        .into_iter()
+        .filter(|(_, pos, neg, _)| settings.is_good(*pos, *neg))
+        .rev()
+        .max_by_key(|(clause, pos, neg, _)| settings.score.score(*pos, *neg, clause.body.len()));
+    if let Some((clause, pos, neg, origin)) = best {
+        let epoch = trace.epoch;
+        let rule = AcceptedRule {
+            clause,
+            pos,
+            neg,
+            epoch,
+            origin,
+        };
+        live.accept(ep, rule, &mut out.theory)?;
+        trace.accepted = 1;
+    }
+    Ok(())
+}
+
+/// One epoch. `Ok(false)` when no progress is possible (the count of
+/// uncovered positives drifted from what the workers hold — should be
+/// impossible; bail out rather than spin), `Err(dead)` when rank `dead`
+/// died under a watching receive.
+fn run_epoch<T: Transport>(
+    ep: &mut Endpoint<T>,
+    run: &Run,
+    live: &mut LiveSet,
+    out: &mut MasterOutcome,
+    trace: &mut EpochTrace,
+) -> Result<bool, usize> {
+    if let Dealing::Redeal = run.dealing {
+        live.deal(ep, run, trace.epoch);
+        if live.resync_after_deal {
+            ep.set_recovery_phase(true);
+            live.replay_theory(ep, &out.theory)?;
+            ep.set_recovery_phase(false);
+            live.resync_after_deal = false;
+            if live.uncovered.remaining() == 0 {
+                return Ok(true);
+            }
+        }
+    }
+
+    let (found, any_seed) = run_pipelines(ep, &live.alive, live.watching, trace)?;
+    // A fresh deal seeds every rank that got a positive, so only the other
+    // dealings can find themselves with examples left and no seed.
+    let seedless = !any_seed && !matches!(run.dealing, Dealing::Redeal);
+    if let Dealing::Replicated = run.dealing {
+        let mut pool: Vec<Found> = Vec::new();
+        for rule in found {
+            if !pool.iter().any(|(clause, ..)| *clause == rule.0) {
+                pool.push(rule);
+            }
+        }
+        trace.bag_size = pool.len() as u32;
+        if seedless {
+            return Ok(false);
+        }
+        accept_best_of_pool(ep, run.settings, live, pool, out, trace)?;
+    } else {
+        let bag = bag_of(found);
+        trace.bag_size = bag.len() as u32;
+        if seedless {
+            return Ok(false);
+        }
+        consume_bag(ep, run.settings, live, bag, out, trace)?;
+    }
+
+    if trace.accepted == 0 {
+        let retired = live.retire_seeds(ep, run.dealing)?;
+        if retired == 0 {
+            return Ok(false);
+        }
+        out.set_aside += retired;
+    }
+    Ok(true)
+}
+
+/// Runs the master protocol of Figure 5 over `examples` as dealt by
+/// `dealing` (which must describe the exact subsets the workers hold);
+/// `settings` must be the same the workers use (shared data assumption).
+/// `seed` drives the per-epoch re-deals and the redistribution of a dead
+/// rank's examples. Under [`RecoveryPolicy::Repartition`] up to
+/// `max_rank_losses` deaths are absorbed; one more fails the run with a
+/// rank-tagged error.
+pub fn run_master<T: Transport>(
+    ep: &mut Endpoint<T>,
+    settings: &Settings,
+    examples: &Examples,
+    dealing: &Dealing,
     seed: u64,
-    max_rank_losses: u32,
+    recovery: &RecoveryPolicy,
 ) -> MasterOutcome {
-    use p2mdie_ilp::bitset::Bitset;
-    use rand::rngs::StdRng;
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-
     let p = ep.workers();
-    let mut out = MasterOutcome::default();
-    let mut live = Bitset::full(examples.num_pos());
-    let mut alive: Vec<usize> = (1..=p).collect();
-    // Global positive/negative example indices per rank (index `k-1`), in
-    // the rank's local order — the key that maps `CoveredIdx` replies back
-    // to the global live set. Empty rows in repartition mode until the
-    // first deal; a dead rank's rows are cleared.
-    let (mut assign, mut neg_assign) = match partition {
-        Some(part) => (part.pos.clone(), part.neg.clone()),
-        None => (vec![Vec::new(); p], vec![Vec::new(); p]),
+    let budget = match recovery {
+        RecoveryPolicy::Abort => None,
+        RecoveryPolicy::Repartition { max_rank_losses } => Some(*max_rank_losses),
     };
-    let statically_partitioned = partition.is_some();
-    // Set after a death in repartition mode: the next epoch's deal must be
-    // followed by a theory replay before its pipelines start.
-    let mut resync_after_deal = false;
+    assert!(
+        budget.is_none() || !matches!(dealing, Dealing::Replicated),
+        "worker-death recovery only covers partitioned examples"
+    );
+    let run = Run {
+        settings,
+        examples,
+        dealing,
+        seed,
+    };
+    let mut live = LiveSet::new(p, examples, dealing, budget.is_some());
+    let mut out = MasterOutcome::default();
 
-    ep.broadcast(&Msg::EnableRecovery);
+    if budget.is_some() {
+        ep.broadcast(&Msg::EnableRecovery);
+    }
     ep.broadcast(&Msg::LoadExamples);
 
-    // Applies one rank's `CoveredIdx` reply to the global live set.
-    fn apply_covered(live: &mut Bitset, row: &[usize], covered: &[u32]) {
-        for &local in covered {
-            live.clear(row[local as usize]);
-        }
-    }
-
-    'run: while live.any() {
+    while live.uncovered.remaining() > 0 {
         out.epochs += 1;
-        let epoch = out.epochs;
-        let mut epoch_span = Some(span!(ep.tracer(), "epoch", ep.now(), epoch = epoch));
-        let mut trace = EpochTrace {
-            epoch,
-            pipelines: vec![Vec::new(); p],
-            bag_size: 0,
-            accepted: 0,
-        };
-
-        // Recovery entry point for this epoch: aborts it, quiesces the
-        // ring, redistributes, resyncs, then restarts via `continue 'run`.
-        macro_rules! on_death {
-            ($dead:expr) => {{
-                let dead = $dead;
-                out.rank_losses.push(dead as u32);
-                if out.rank_losses.len() as u32 > max_rank_losses {
-                    std::panic::panic_any(CommFailure {
-                        rank: ep.rank(),
-                        from: dead,
-                        expected: format!(
-                            "a live worker (recovery budget exhausted: \
-                             {} rank losses, policy allows {max_rank_losses})",
-                            out.rank_losses.len()
-                        ),
-                        error: CommError::Closed(RecvError {
-                            rank: ep.rank(),
-                            from: dead,
-                            fault: LinkFault::Closed,
-                        }),
-                    });
-                }
-                ep.set_recovery_phase(true);
-                ep.mark_down(dead);
-                alive.retain(|&r| r != dead);
-
-                // 1. Abort: tell every survivor, then drain each stream up
-                // to its ack — coverage replies still apply, stale
-                // pipeline/evaluation results are dropped.
-                for &k in &alive {
-                    ep.send(k, &Msg::AbortEpoch { dead: dead as u8 });
-                }
-                for &k in &alive {
-                    loop {
-                        match Msg::recv(ep, k, "an AbortAck") {
-                            Msg::AbortAck => break,
-                            Msg::CoveredIdx { pos } => {
-                                apply_covered(&mut live, &assign[k - 1], &pos)
-                            }
-                            _ => {} // stale RulesFound / EvalResult / SeedRetired
-                        }
-                    }
-                }
-                ep.clear_pending(dead);
-
-                if statically_partitioned {
-                    // 2. Redistribute the orphaned examples over survivors.
-                    let mut orphan_pos: Vec<usize> = assign[dead - 1]
-                        .iter()
-                        .copied()
-                        .filter(|&g| live.get(g))
-                        .collect();
-                    let mut orphan_neg: Vec<usize> = std::mem::take(&mut neg_assign[dead - 1]);
-                    assign[dead - 1].clear();
-                    let mut rng = StdRng::seed_from_u64(
-                        seed ^ (out.rank_losses.len() as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-                    );
-                    orphan_pos.shuffle(&mut rng);
-                    orphan_neg.shuffle(&mut rng);
-                    let s = alive.len();
-                    for (j, &k) in alive.iter().enumerate() {
-                        let pos_idx: Vec<usize> =
-                            orphan_pos.iter().skip(j).step_by(s).copied().collect();
-                        let neg_idx: Vec<usize> =
-                            orphan_neg.iter().skip(j).step_by(s).copied().collect();
-                        ep.send(
-                            k,
-                            &Msg::AdoptExamples {
-                                pos: pos_idx.iter().map(|&g| examples.pos[g].clone()).collect(),
-                                neg: neg_idx.iter().map(|&g| examples.neg[g].clone()).collect(),
-                            },
-                        );
-                        // Adoption appends, so local indices extend in sent
-                        // order.
-                        assign[k - 1].extend(pos_idx);
-                        neg_assign[k - 1].extend(neg_idx);
-                    }
-
-                    // 3. Resync: replay the theory so both sides agree on
-                    // the live set exactly.
-                    if let Err(d) = replay_theory(ep, &alive, &out.theory, &assign, &mut live) {
-                        std::panic::panic_any(CommFailure {
-                            rank: ep.rank(),
-                            from: d,
-                            expected: "a ReplayTheory reply (second rank death mid-recovery)"
-                                .to_owned(),
-                            error: CommError::Closed(RecvError {
-                                rank: ep.rank(),
-                                from: d,
-                                fault: LinkFault::Closed,
-                            }),
-                        });
-                    }
-                } else {
-                    // Repartitioning mode re-deals every epoch anyway; the
-                    // replay rides on the next deal.
-                    resync_after_deal = true;
-                }
-                ep.set_recovery_phase(false);
-                out.traces.push(trace);
-                if let Some(s) = epoch_span.take() {
-                    s.end_with(ep.now(), &[("aborted_by_death_of", (dead as u64).into())]);
-                }
-                continue 'run;
-            }};
-        }
-
-        if !statically_partitioned {
-            // Re-deal the live positives (and all negatives) evenly over
-            // the *live* ranks (same formula as `run_master_repartition`).
-            let mut rng = StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9));
-            let mut live_idx: Vec<usize> = live.iter_ones().collect();
-            live_idx.shuffle(&mut rng);
-            let mut neg_idx: Vec<usize> = (0..examples.num_neg()).collect();
-            neg_idx.shuffle(&mut rng);
-            let s = alive.len();
-            for row in assign.iter_mut() {
-                row.clear();
+        let epoch_span = span!(ep.tracer(), "epoch", ep.now(), epoch = out.epochs);
+        let mut trace = EpochTrace::new(out.epochs, p);
+        let end = run_epoch(ep, &run, &mut live, &mut out, &mut trace);
+        let accepted = trace.accepted;
+        out.traces.push(trace);
+        match end {
+            Ok(true) => {
+                let remaining = live.uncovered.remaining() as u64;
+                epoch_span.end_with(
+                    ep.now(),
+                    &[
+                        ("accepted", accepted.into()),
+                        ("remaining", remaining.into()),
+                    ],
+                );
             }
-            for (i, g) in live_idx.iter().enumerate() {
-                assign[alive[i % s] - 1].push(*g);
-            }
-            for (j, &k) in alive.iter().enumerate() {
-                let pos: Vec<_> = assign[k - 1]
-                    .iter()
-                    .map(|&g| examples.pos[g].clone())
-                    .collect();
-                let neg: Vec<_> = neg_idx
-                    .iter()
-                    .skip(j)
-                    .step_by(s)
-                    .map(|&g| examples.neg[g].clone())
-                    .collect();
-                ep.send(k, &Msg::NewPartition { pos, neg });
-            }
-            if resync_after_deal {
-                ep.set_recovery_phase(true);
-                if let Err(d) = replay_theory(ep, &alive, &out.theory, &assign, &mut live) {
-                    on_death!(d);
-                }
-                ep.set_recovery_phase(false);
-                resync_after_deal = false;
-                if !live.any() {
-                    out.traces.push(trace);
-                    if let Some(s) = epoch_span.take() {
-                        s.end(ep.now());
-                    }
-                    break 'run;
-                }
-            }
-        }
-
-        // Pipelines over the live ring.
-        for &k in &alive {
-            ep.send(k, &Msg::StartPipeline { epoch });
-        }
-        let mut bag = RuleBag::new();
-        let mut any_seed = false;
-        for k in alive.clone() {
-            let msg = match recv_msg_watching(ep, k, "RulesFound") {
-                Ok(msg) => msg,
-                Err(dead) => on_death!(dead),
-            };
-            let Msg::RulesFound {
-                origin,
-                rules,
-                had_seed,
-                trace: ptrace,
-            } = msg
-            else {
-                panic!("master: expected RulesFound from rank {k}, got {msg:?}");
-            };
-            any_seed |= had_seed;
-            for (clause, _, _) in rules {
-                bag.insert(clause, origin);
-            }
-            trace.pipelines[origin as usize - 1] = ptrace;
-        }
-        trace.bag_size = bag.len() as u32;
-
-        if statically_partitioned && !any_seed {
-            out.stalled = true;
-            out.traces.push(trace);
-            if let Some(s) = epoch_span.take() {
-                s.end(ep.now());
-            }
-            break;
-        }
-
-        // Bag consumption with master-side live tracking.
-        let mut accepted_this_epoch = 0u32;
-        if !bag.is_empty() {
-            if let Err(dead) = evaluate_bag_recovering(ep, &alive, &mut bag) {
-                on_death!(dead);
-            }
-            loop {
-                bag.drop_not_good(settings);
-                if bag.is_empty() {
-                    break;
-                }
-                ep.advance_steps(bag.len() as u64);
-                let best = bag.pick_best(settings.score).expect("bag non-empty");
-                let (pos, neg) = (best.global_pos(), best.global_neg());
-                for &k in &alive {
-                    ep.send(
-                        k,
-                        &Msg::MarkCovered {
-                            rule: best.clause.clone(),
-                        },
-                    );
-                }
-                // The acceptance is final the moment the broadcast is out:
-                // per-channel FIFO order means every survivor asserts the
-                // rule before it can see any abort.
-                out.theory.push(AcceptedRule {
-                    clause: best.clause,
-                    pos,
-                    neg,
-                    epoch,
-                    origin: best.origin,
-                });
-                accepted_this_epoch += 1;
-                for k in alive.clone() {
-                    match recv_msg_watching(ep, k, "CoveredIdx") {
-                        Ok(Msg::CoveredIdx { pos: covered }) => {
-                            apply_covered(&mut live, &assign[k - 1], &covered)
-                        }
-                        Ok(other) => {
-                            panic!("master: expected CoveredIdx from rank {k}, got {other:?}")
-                        }
-                        Err(dead) => on_death!(dead),
-                    }
-                }
-                if bag.is_empty() {
-                    break;
-                }
-                if let Err(dead) = evaluate_bag_recovering(ep, &alive, &mut bag) {
-                    on_death!(dead);
-                }
-            }
-        }
-        trace.accepted = accepted_this_epoch;
-
-        // Progress guarantee.
-        if accepted_this_epoch == 0 && live.any() {
-            let before = live.count();
-            if statically_partitioned {
-                // Workers report their retired seed by local index.
-                for &k in &alive {
-                    ep.send(k, &Msg::RetireSeed);
-                }
-                for k in alive.clone() {
-                    match recv_msg_watching(ep, k, "a retired-seed CoveredIdx") {
-                        Ok(Msg::CoveredIdx { pos: covered }) => {
-                            apply_covered(&mut live, &assign[k - 1], &covered)
-                        }
-                        Ok(other) => {
-                            panic!("master: expected CoveredIdx from rank {k}, got {other:?}")
-                        }
-                        Err(dead) => on_death!(dead),
-                    }
-                }
-            } else {
-                // A fresh partition means each worker's seed was its first
-                // assigned example; retire those master-side.
-                for &k in &alive {
-                    if let Some(&g) = assign[k - 1].first() {
-                        live.clear(g);
-                    }
-                }
-            }
-            let retired = before - live.count();
-            if retired == 0 {
+            Ok(false) => {
                 out.stalled = true;
-                out.traces.push(trace);
-                if let Some(s) = epoch_span.take() {
-                    s.end(ep.now());
-                }
+                epoch_span.end(ep.now());
                 break;
             }
-            out.set_aside += retired as u32;
-        }
-        out.traces.push(trace);
-        if let Some(s) = epoch_span.take() {
-            s.end_with(ep.now(), &[("accepted", accepted_this_epoch.into())]);
-        }
-    }
-
-    for &k in &alive {
-        ep.send(k, &Msg::Stop);
-    }
-    out
-}
-
-/// Ships the accepted theory to every survivor and folds their coverage
-/// replies into the global live set; `Err(dead)` if a rank dies mid-round.
-fn replay_theory<T: Transport>(
-    ep: &mut Endpoint<T>,
-    alive: &[usize],
-    theory: &[AcceptedRule],
-    assign: &[Vec<usize>],
-    live: &mut p2mdie_ilp::bitset::Bitset,
-) -> Result<(), usize> {
-    let rules: Vec<Clause> = theory.iter().map(|r| r.clause.clone()).collect();
-    for &k in alive {
-        ep.send(
-            k,
-            &Msg::ReplayTheory {
-                rules: rules.clone(),
-            },
-        );
-    }
-    for &k in alive {
-        match recv_msg_watching(ep, k, "a ReplayTheory CoveredIdx")? {
-            Msg::CoveredIdx { pos } => {
-                for local in pos {
-                    live.clear(assign[k - 1][local as usize]);
+            Err(dead) => {
+                out.rank_losses.push(dead as u32);
+                let (losses, allowed) = (out.rank_losses.len(), budget.unwrap_or(0));
+                if losses as u32 > allowed {
+                    let expected = format!(
+                        "a live worker (recovery budget exhausted: \
+                         {losses} rank losses, policy allows {allowed})"
+                    );
+                    give_up(ep, dead, expected);
                 }
+                live.recover(ep, &run, dead, &out.theory, losses);
+                epoch_span.end_with(ep.now(), &[("aborted_by_death_of", (dead as u64).into())]);
             }
-            other => panic!("master: expected CoveredIdx from rank {k}, got {other:?}"),
         }
     }
-    Ok(())
-}
 
-/// [`evaluate_bag`] over the live ranks only, with death-watching receives.
-fn evaluate_bag_recovering<T: Transport>(
-    ep: &mut Endpoint<T>,
-    alive: &[usize],
-    bag: &mut RuleBag,
-) -> Result<(), usize> {
-    let rules = bag.clauses();
-    for &k in alive {
-        ep.send(
-            k,
-            &Msg::Evaluate {
-                rules: rules.clone(),
-            },
-        );
-    }
-    let mut results = Vec::with_capacity(alive.len());
-    for &k in alive {
-        match recv_msg_watching(ep, k, "EvalResult")? {
-            Msg::EvalResult { counts } => results.push(counts),
-            other => panic!("master: expected EvalResult from rank {k}, got {other:?}"),
-        }
-    }
-    bag.set_results(&results);
-    Ok(())
-}
-
-/// One global evaluation round: broadcast the bag, collect per-subset
-/// counts from every worker (Fig. 5 steps 10–11 / 18–19).
-pub(crate) fn evaluate_bag<T: Transport>(ep: &mut Endpoint<T>, p: usize, bag: &mut RuleBag) {
-    ep.broadcast(&Msg::Evaluate {
-        rules: bag.clauses(),
-    });
-    let mut results = Vec::with_capacity(p);
-    for k in 1..=p {
-        let msg = Msg::recv(ep, k, "EvalResult");
-        let Msg::EvalResult { counts } = msg else {
-            panic!("master: expected EvalResult from rank {k}, got {msg:?}");
-        };
-        results.push(counts);
-    }
-    bag.set_results(&results);
+    send_all(ep, &live.alive, &Msg::Stop);
+    out
 }

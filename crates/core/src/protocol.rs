@@ -442,13 +442,15 @@ pub enum WorkerRole {
         /// §4.1 repartitioning mode.
         repartition: bool,
     },
-    /// The coverage-parallel baseline worker (paper §6).
+    /// The coverage-parallel baseline's worker (paper §6): the same loop,
+    /// never sent a `StartPipeline`, answering every `MarkCovered` with the
+    /// covered indices.
     Coverage,
 }
 
 /// Everything a *remote* worker process needs, beyond the compiled KB
-/// (which travels separately as [`Msg::KbSnapshot`]), to reconstruct the
-/// exact `WorkerContext` an in-process worker thread is handed directly:
+/// (which travels separately as [`Msg::KbSnapshot`]), to run the exact
+/// loop an in-process worker thread runs (`crate::worker::run_role`):
 /// the language bias, the search constraints, and its role.
 ///
 /// Symbol ids inside the modes are the master's; they stay valid on the
@@ -620,9 +622,9 @@ pub enum Msg {
     /// Master → workers: run over, shut down.
     Stop,
     /// Master → worker (remote bootstrap): the worker configuration — role,
-    /// language bias, and settings. In-process workers are handed their
-    /// `WorkerContext` directly and never see this message; a worker
-    /// *process* reconstructs the identical context from
+    /// language bias, and settings. In-process workers are handed the
+    /// same [`WorkerConfig`] directly and never see this message; a worker
+    /// *process* reconstructs the identical engine from
     /// [`Msg::KbSnapshot`] + `Configure` + [`Msg::LoadPartition`].
     Configure(Box<WorkerConfig>),
     /// Master → worker (remote bootstrap): your example subset, shipped in
@@ -637,8 +639,8 @@ pub enum Msg {
     },
     /// Master → workers, before `LoadExamples`: this run may lose ranks —
     /// arm the worker-side recovery protocol (`AbortEpoch` handling, ring
-    /// membership tracking, `CoveredIdx` replies). Without it, every
-    /// worker runs the exact legacy protocol byte for byte.
+    /// membership tracking, `CoveredIdx` replies). Without it none of that
+    /// code runs on a worker.
     EnableRecovery,
     /// Master → survivors: rank `dead` is gone; abandon the current epoch,
     /// flush in-flight ring traffic, shrink the ring, and ack.

@@ -18,7 +18,8 @@
 //!    holds the snapshot's `TermId` columns and unifies straight against
 //!    them, so a worker process's fact memory is the columnar footprint
 //!    and nothing more);
-//! 3. run the same worker loop ([`run_worker`] or the coverage baseline).
+//! 3. run the same worker loop an in-process rank of that role runs
+//!    (`crate::worker::run_role`).
 //!
 //! Because virtual arrival times travel inside the TCP frames, a
 //! multi-process run Lamport-merges the same clock values and makes the
@@ -29,7 +30,7 @@
 //!
 //! # Resident mode
 //!
-//! A worker process that receives [`Msg::SubmitJob`] instead of the legacy
+//! A worker process that receives [`Msg::SubmitJob`] instead of the
 //! `Configure`/`LoadPartition` pair joins a resident service mesh
 //! ([`crate::scheduler::Service::new_tcp`]): it runs the submitted job on
 //! a clone of the adopted KB, then parks in the idle loop awaiting further
@@ -38,24 +39,26 @@
 //! code when its master vanished while it sat idle *between* jobs (not a
 //! mid-job failure).
 //!
-//! Entry points: [`run_parallel_tcp`] / [`run_coverage_parallel_tcp`]
-//! spawn the `p2mdie-worker` binary once per rank and drive the master on
-//! the calling thread; `ParallelConfig::with_transport` routes
-//! `run_parallel` here. Both are thin wrappers over the single-job
-//! dispatch in [`crate::scheduler`].
+//! Entry points: `launch_tcp` spawns the `p2mdie-worker` binary once per
+//! rank, bootstraps the processes and drives a master function on the
+//! calling thread — `ParallelConfig::with_transport` routes `run_parallel`
+//! through it, and [`run_parallel_tcp`] / [`run_coverage_parallel_tcp`]
+//! are shorthands for that.
 
-use crate::baselines::{run_baseline_worker, BaselineReport, EvalGranularity};
-use crate::driver::ParallelConfig;
+use crate::baselines::{coverage_parallel, BaselineReport, EvalGranularity};
+use crate::driver::{run_parallel, worker_config, ParallelConfig, TransportKind};
+use crate::master::ship_kb;
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::report::ParallelReport;
-use crate::scheduler::{one_shot_coverage_tcp, one_shot_parallel_tcp, run_resident_worker};
-use crate::strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
-use crate::worker::{run_worker, WorkerContext};
+use crate::scheduler::{report_worker_metrics, run_resident_worker, run_submitted_job};
+use crate::worker::run_role;
 use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::net::{run_cluster_tcp, TcpTransport};
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{ClusterError, CostModel};
+use p2mdie_cluster::{ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
+use p2mdie_ilp::settings::Width;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
 use std::io;
@@ -163,29 +166,49 @@ pub(crate) fn spawn_worker(
     cmd.spawn()
 }
 
-/// Master-side bootstrap: ship the compiled KB, then each worker's
-/// configuration and example subset. Must run before the protocol proper
-/// (the worker processes block in [`run_remote_worker`]'s bootstrap loop
-/// until all three messages arrived). The caller builds the full
-/// [`WorkerConfig`] (role, bias, settings, strategy) so every launcher —
-/// data-pipeline, baseline, or strategy — shares this one shipping path.
-pub(crate) fn bootstrap_workers<T: Transport>(
-    ep: &mut Endpoint<T>,
+/// Runs `master` against `cfg.workers` worker *processes* in `role`, rank
+/// `k` holding `subsets[k - 1]`: spawn them, ship the compiled KB, then
+/// each worker's configuration and example subset (the processes block in
+/// [`run_remote_worker`]'s bootstrap loop until all three arrived), run the
+/// master on the calling thread, reap the processes. The KB is always
+/// shipped — worker processes have no shared memory to inherit it from.
+pub(crate) fn launch_tcp<R>(
     engine: &IlpEngine,
-    config: &WorkerConfig,
+    cfg: &ParallelConfig,
+    tcp: &TcpConfig,
+    role: WorkerRole,
     subsets: &[Examples],
-) {
-    crate::master::ship_kb(ep, &engine.kb);
-    for (i, subset) in subsets.iter().enumerate() {
-        ep.send(i + 1, &Msg::Configure(Box::new(config.clone())));
-        ep.send(
-            i + 1,
-            &Msg::LoadPartition {
-                pos: subset.pos.clone(),
-                neg: subset.neg.clone(),
-            },
-        );
-    }
+    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> R,
+) -> Result<ClusterOutcome<R>, ClusterError> {
+    let bin = tcp.resolve_worker_bin()?;
+    let config = worker_config(
+        engine,
+        &engine.settings,
+        cfg.workers,
+        role,
+        cfg.strategy,
+        cfg.seed,
+    );
+    run_cluster_tcp(
+        cfg.workers,
+        cfg.model,
+        tcp.timeout,
+        |rank, addr| spawn_worker(&bin, rank, addr, tcp),
+        |ep| {
+            ship_kb(ep, &engine.kb);
+            for (i, subset) in subsets.iter().enumerate() {
+                ep.send(i + 1, &Msg::Configure(Box::new(config.clone())));
+                ep.send(
+                    i + 1,
+                    &Msg::LoadPartition {
+                        pos: subset.pos.clone(),
+                        neg: subset.neg.clone(),
+                    },
+                );
+            }
+            master(ep)
+        },
+    )
 }
 
 /// How a worker-process session ended — the return value of
@@ -208,7 +231,7 @@ pub enum WorkerExit {
 ///
 /// Two bootstrap shapes arrive on the wire:
 ///
-/// - **Legacy one-shot**: `KbSnapshot` + [`Msg::Configure`] +
+/// - **One-shot**: `KbSnapshot` + [`Msg::Configure`] +
 ///   [`Msg::LoadPartition`] in any order, then the role's protocol loop
 ///   runs once to `Stop`.
 /// - **Resident**: `KbSnapshot` + [`Msg::SubmitJob`] — the job runs on a
@@ -246,12 +269,12 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
                 });
                 let mut base = KnowledgeBase::from_snapshot(snap, SymbolTable::new())
                     .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-                crate::scheduler::run_submitted_job(ep, &base, id, *config, pos, neg);
+                run_submitted_job(ep, &base, id, *config, pos, neg);
                 return run_resident_worker(ep, &mut base);
             }
             Msg::CancelJob { .. } => {} // advisory; nothing queued here yet
             // A resident service may ask before it has submitted anything.
-            Msg::MetricsQuery => crate::scheduler::report_worker_metrics(ep),
+            Msg::MetricsQuery => report_worker_metrics(ep),
             Msg::Stop => return WorkerExit::Finished,
             other => panic!("worker {me}: unexpected bootstrap message {other:?}"),
         }
@@ -264,40 +287,13 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
 
     let kb = KnowledgeBase::from_snapshot(snap, SymbolTable::new())
         .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-    let engine = IlpEngine {
-        kb,
-        modes: config.modes,
-        settings: config.settings,
-    };
-    match config.role {
-        WorkerRole::Pipeline { width, repartition } => {
-            if config.strategy != Strategy::DataPipeline {
-                // Non-default strategies replicate the full example set;
-                // `local` *is* the full set (the launcher ships identical
-                // subsets to every rank).
-                run_strategy_worker(
-                    ep,
-                    StrategyWorkerContext::new(
-                        engine,
-                        local,
-                        width,
-                        config.strategy,
-                        config.strategy_seed,
-                    ),
-                );
-            } else {
-                let mut ctx = WorkerContext::new(engine, local, width);
-                ctx.repartition = repartition;
-                run_worker(ep, ctx);
-            }
-        }
-        WorkerRole::Coverage => run_baseline_worker(ep, engine, local),
-    }
+    run_role(ep, kb, config, local);
     WorkerExit::Finished
 }
 
 /// [`crate::driver::run_parallel`] with every worker a real OS process
-/// over localhost TCP.
+/// over localhost TCP: shorthand for `cfg` with
+/// [`TransportKind::Tcp`]`(tcp)`.
 ///
 /// The background KB is always shipped (worker processes have no shared
 /// memory to inherit it from), so the run to compare against is the
@@ -305,22 +301,18 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
 /// same coverage counts, same per-rank step counts. `cfg.model` still
 /// governs all virtual-time metering — wall-clock plays no role in the
 /// reported numbers.
-///
-/// Thin wrapper: the mesh build and single-job lifecycle live in
-/// [`crate::scheduler`].
 pub fn run_parallel_tcp(
     engine: &IlpEngine,
     examples: &Examples,
     cfg: &ParallelConfig,
     tcp: &TcpConfig,
 ) -> Result<ParallelReport, ClusterError> {
-    one_shot_parallel_tcp(engine, examples, cfg, tcp)
+    let cfg = cfg.clone().with_transport(TransportKind::Tcp(tcp.clone()));
+    run_parallel(engine, examples, &cfg)
 }
 
 /// [`crate::baselines::run_coverage_parallel`] with worker processes over
 /// localhost TCP (KB always shipped, as in [`run_parallel_tcp`]).
-///
-/// Thin wrapper over the single-job dispatch in [`crate::scheduler`].
 pub fn run_coverage_parallel_tcp(
     engine: &IlpEngine,
     examples: &Examples,
@@ -330,5 +322,8 @@ pub fn run_coverage_parallel_tcp(
     seed: u64,
     tcp: &TcpConfig,
 ) -> Result<BaselineReport, ClusterError> {
-    one_shot_coverage_tcp(engine, examples, workers, granularity, model, seed, tcp)
+    let mut cfg = ParallelConfig::new(workers, Width::Unlimited, seed)
+        .with_transport(TransportKind::Tcp(tcp.clone()));
+    cfg.model = model;
+    coverage_parallel(engine, examples, &cfg, granularity)
 }

@@ -2,7 +2,8 @@
 //! pipeline trace rendering that reproduces Figures 3–4 as ASCII Gantt
 //! charts of real executions.
 
-use crate::master::{AcceptedRule, EpochTrace};
+use crate::master::{AcceptedRule, EpochTrace, MasterOutcome};
+use p2mdie_cluster::ClusterOutcome;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::symbol::SymbolTable;
 use std::fmt::Write as _;
@@ -60,6 +61,35 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
+    /// The report of a finished mesh whose master ran a learning run.
+    pub(crate) fn from_outcome(
+        workers: usize,
+        wall: Duration,
+        outcome: ClusterOutcome<MasterOutcome>,
+    ) -> Self {
+        let (master, stats) = (outcome.result, outcome.stats);
+        ParallelReport {
+            workers,
+            theory: master.theory,
+            epochs: master.epochs,
+            set_aside: master.set_aside,
+            vtime: outcome.master_vtime,
+            worker_vtimes: outcome.worker_vtimes,
+            total_bytes: stats.total_bytes(),
+            total_messages: stats.total_messages(),
+            worker_steps: outcome.worker_steps,
+            dropped_sends: outcome.dropped_sends,
+            wall,
+            traces: master.traces,
+            stalled: master.stalled,
+            rank_losses: master.rank_losses,
+            recovery_bytes: stats.recovery_bytes(),
+            recovery_messages: stats.recovery_messages(),
+            constraint_bytes: stats.constraint_bytes(),
+            constraint_messages: stats.constraint_messages(),
+        }
+    }
+
     /// Communication volume in MBytes (decimal, as the paper reports).
     pub fn megabytes(&self) -> f64 {
         self.total_bytes as f64 / 1.0e6

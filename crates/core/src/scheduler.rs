@@ -1,6 +1,5 @@
 //! ILP-as-a-service: a resident cluster that runs many [`JobSpec`]s over
-//! one standing mesh, plus the ephemeral single-job dispatch the one-shot
-//! entry points are thin wrappers over.
+//! one standing mesh.
 //!
 //! # The resident service
 //!
@@ -13,7 +12,7 @@
 //! — mesh construction and the KB transfer — is paid once per service
 //! instead of once per run. The same loop serves a TCP mesh of real
 //! `p2mdie-worker` processes ([`Service::new_tcp`]): a remote worker that
-//! receives a `SubmitJob` instead of the legacy `Configure` bootstrap
+//! receives a `SubmitJob` instead of the one-shot `Configure` bootstrap
 //! switches into the identical resident loop.
 //!
 //! Every worker runs each job on a **pristine clone** of the resident KB:
@@ -65,51 +64,43 @@
 //! class-fairness gauges plus a backpressure counter in rank 0's
 //! registry.
 //!
-//! # Ephemeral dispatch
+//! # One-shot runs
 //!
-//! The pre-service entry points — [`crate::driver::run_parallel`],
-//! [`crate::baselines::run_coverage_parallel`], and their TCP analogues —
-//! are thin wrappers over the `one_shot_*` functions here: build a mesh,
-//! walk **one** job through the same [`JobState`] lifecycle using the
-//! legacy wire framing (no job-control frames), tear the mesh down. Their
-//! reports stay bit-identical to the pre-service implementations: theory,
-//! coverage, steps, vtime, and Table-4 traffic are pinned by the existing
-//! driver/baseline/TCP tests.
+//! [`crate::driver::run_parallel`], the coverage-parallel baseline and
+//! their TCP shorthands do not come through here: each builds a fresh mesh
+//! with `crate::driver::launch` / `crate::remote::launch_tcp`, runs one
+//! master function, and tears the mesh down. They share with a job on the
+//! service the master function ([`run_master`], `baseline_master`) and the
+//! worker loop (`run_role`), so a job's result is bit-identical to the
+//! one-shot run of the same work (pinned by
+//! `crates/core/tests/service.rs`). Only the framing differs: a job
+//! travels as one [`Msg::SubmitJob`] per rank and is acknowledged and
+//! drained, a one-shot run bootstraps worker processes with `Configure` +
+//! `LoadPartition`.
 
-use crate::bag::RuleBag;
-use crate::baselines::{
-    baseline_master, eval_round, run_baseline_worker, BaselineReport, EvalGranularity,
-};
-use crate::driver::{threads_per_worker, ParallelConfig, RecoveryPolicy};
+use crate::baselines::{baseline_master, eval_round};
+use crate::driver::{take_seat, worker_config, RecoveryPolicy};
 use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
-use crate::master::{
-    evaluate_bag, run_master, run_master_recovering, run_master_repartition, ship_kb,
-};
-use crate::partition::partition_examples;
+use crate::master::{run_master, run_search_epoch, ship_kb, Dealing};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
-use crate::remote::{bootstrap_workers, spawn_worker, TcpConfig, WorkerExit};
-use crate::report::{JobAccounting, ParallelReport};
-use crate::strategy::{run_strategy_master, run_strategy_worker, Strategy, StrategyWorkerContext};
-use crate::worker::{run_worker, WorkerContext};
-use p2mdie_cluster::codec::from_bytes;
+use crate::remote::{spawn_worker, TcpConfig, WorkerExit};
+use crate::report::JobAccounting;
+use crate::strategy::Strategy;
+use crate::worker::run_role;
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::net::run_cluster_tcp;
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{
-    maybe_chaos, run_cluster, run_cluster_with, ClusterError, ClusterOutcome, CostModel,
-};
+use p2mdie_cluster::{run_cluster, ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
-use p2mdie_ilp::settings::Settings;
-use p2mdie_logic::clause::{Clause, Literal};
+use p2mdie_logic::clause::Literal;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_obs::{event, metrics, MetricEntry, MetricValue, MetricsSnapshot};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
 
 /// Configuration of a resident [`Service`].
 #[derive(Clone, Debug)]
@@ -391,16 +382,7 @@ fn serve_in_process(
         cfg.model,
         move |ep| scheduler_master(ep, engine, &rx, cancelled, ship),
         |ep| {
-            let mut base = bases[ep.rank() - 1]
-                .lock()
-                .unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: resident-KB lock poisoned by an earlier panic",
-                        ep.rank()
-                    )
-                })
-                .take()
-                .expect("each resident KB is taken exactly once");
+            let mut base = take_seat(&bases, ep.rank());
             let _ = run_resident_worker(ep, &mut base);
         },
     )
@@ -674,17 +656,8 @@ fn dispatch_job<T: Transport>(
         JobKind::Learn => spec.strategy,
         _ => Strategy::DataPipeline,
     };
-    let (subsets, partition) = if strategy != Strategy::DataPipeline {
-        // Non-default strategies replicate the full example set per rank.
-        (vec![spec.examples.clone(); p], None)
-    } else if spec.repartition {
-        (vec![Examples::default(); p], None)
-    } else {
-        let (subsets, part) = partition_examples(&spec.examples, p, spec.seed);
-        (subsets, Some(part))
-    };
-    let mut worker_settings = settings.clone();
-    worker_settings.eval_threads = threads_per_worker(settings.eval_threads, p);
+    let (dealing, subsets) =
+        Dealing::plan(&spec.examples, p, spec.seed, strategy, spec.repartition);
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
@@ -692,18 +665,13 @@ fn dispatch_job<T: Transport>(
             repartition: spec.repartition,
         },
     };
+    let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
     for (i, subset) in subsets.iter().enumerate() {
         ep.send(
             i + 1,
             &Msg::SubmitJob {
                 id: id.0,
-                config: Box::new(WorkerConfig {
-                    role: role.clone(),
-                    modes: engine.modes.clone(),
-                    settings: worker_settings.clone(),
-                    strategy,
-                    strategy_seed: spec.seed,
-                }),
+                config: Box::new(config.clone()),
                 pos: subset.pos.clone(),
                 neg: subset.neg.clone(),
             },
@@ -739,18 +707,19 @@ fn dispatch_job<T: Transport>(
             ep.broadcast(&Msg::Stop);
             JobOutput::Coverage(totals)
         }
-        JobKind::RuleSearch => JobOutput::Rules(rule_search_master(ep, &settings)),
-        JobKind::Learn => JobOutput::Learned(if strategy != Strategy::DataPipeline {
-            run_strategy_master(ep, &settings, spec.examples.num_pos())
-        } else if spec.repartition {
-            run_master_repartition(ep, &settings, &spec.examples, spec.seed)
-        } else {
-            run_master(ep, &settings, spec.examples.num_pos())
-        }),
+        JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)),
+        JobKind::Learn => JobOutput::Learned(run_master(
+            ep,
+            &settings,
+            &spec.examples,
+            &dealing,
+            spec.seed,
+            &RecoveryPolicy::Abort,
+        )),
         JobKind::BaselineLearn { granularity } => {
-            let partition = partition
-                .as_ref()
-                .expect("baseline jobs partition statically");
+            let Dealing::Static(partition) = &dealing else {
+                unreachable!("baseline jobs partition statically");
+            };
             // `baseline_master` saturates and refines master-side with the
             // job's settings; rebuild the engine only when overridden.
             let holder;
@@ -819,40 +788,6 @@ fn dispatch_job<T: Transport>(
     }
 }
 
-/// One pipelined rule-search epoch as a job (Fig. 5 steps 6–11): start the
-/// `p` pipelines, pool the survivors, score the bag globally, and return
-/// it best-first without consuming it.
-fn rule_search_master<T: Transport>(
-    ep: &mut Endpoint<T>,
-    settings: &Settings,
-) -> Vec<(Clause, u32, u32)> {
-    let p = ep.workers();
-    ep.broadcast(&Msg::LoadExamples);
-    for k in 1..=p {
-        ep.send(k, &Msg::StartPipeline { epoch: 1 });
-    }
-    let mut bag = RuleBag::new();
-    for k in 1..=p {
-        let msg = Msg::recv(ep, k, "RulesFound");
-        let Msg::RulesFound { origin, rules, .. } = msg else {
-            panic!("rule-search master: expected RulesFound from rank {k}, got {msg:?}");
-        };
-        for (clause, _, _) in rules {
-            bag.insert(clause, origin);
-        }
-    }
-    if !bag.is_empty() {
-        evaluate_bag(ep, p, &mut bag);
-    }
-    ep.broadcast(&Msg::Stop);
-    let mut out = Vec::with_capacity(bag.len());
-    while let Some(rule) = bag.pick_best(settings.score) {
-        let (pos, neg) = (rule.global_pos(), rule.global_neg());
-        out.push((rule.clause, pos, neg));
-    }
-    out
-}
-
 /// The resident worker's idle loop: park between jobs with the adopted KB
 /// loaded, run each [`Msg::SubmitJob`] on a pristine clone of it, return
 /// to idle. `Stop` *at idle* is mesh shutdown (inside a job it merely ends
@@ -865,25 +800,16 @@ pub(crate) fn run_resident_worker<T: Transport>(
 ) -> WorkerExit {
     let me = ep.rank();
     loop {
-        let bytes = match ep.recv_from(0) {
-            Ok(bytes) => bytes,
-            Err(err) if matches!(err.fault, LinkFault::Closed) => {
+        let msg: Msg = match ep.recv_msg(0) {
+            Ok(msg) => msg,
+            Err(CommError::Closed(err)) if matches!(err.fault, LinkFault::Closed) => {
                 return WorkerExit::IdleDisconnect
             }
-            Err(err) => std::panic::panic_any(CommFailure {
-                rank: me,
-                from: 0,
-                expected: "a job-control frame".to_owned(),
-                error: CommError::Closed(err),
-            }),
-        };
-        let msg: Msg = match from_bytes(bytes) {
-            Ok(msg) => msg,
             Err(error) => std::panic::panic_any(CommFailure {
                 rank: me,
                 from: 0,
                 expected: "a job-control frame".to_owned(),
-                error: CommError::Decode(error),
+                error,
             }),
         };
         match msg {
@@ -910,10 +836,10 @@ pub(crate) fn run_resident_worker<T: Transport>(
     }
 }
 
-/// One job on a resident worker: accept, run the role's legacy protocol
-/// loop on a pristine KB clone until the job's `Stop`, report the step
-/// delta. Crate-visible so the remote bootstrap can run the job that
-/// switched it into resident mode.
+/// One job on a resident worker: accept, run the role's protocol loop on
+/// a pristine KB clone until the job's `Stop`, report the step delta.
+/// Crate-visible so the remote bootstrap can run the job that switched it
+/// into resident mode.
 pub(crate) fn run_submitted_job<T: Transport>(
     ep: &mut Endpoint<T>,
     base: &KnowledgeBase,
@@ -926,34 +852,7 @@ pub(crate) fn run_submitted_job<T: Transport>(
     let steps0 = ep.compute_steps();
     // A pristine clone per job: `MarkCovered` asserts accepted rules into
     // the engine's KB, and those must die with the job.
-    let engine = IlpEngine {
-        kb: base.clone(),
-        modes: config.modes,
-        settings: config.settings,
-    };
-    let local = Examples::new(pos, neg);
-    match config.role {
-        WorkerRole::Pipeline { width, repartition } => {
-            if config.strategy != Strategy::DataPipeline {
-                // Strategy jobs replicate: `local` is the full example set.
-                run_strategy_worker(
-                    ep,
-                    StrategyWorkerContext::new(
-                        engine,
-                        local,
-                        width,
-                        config.strategy,
-                        config.strategy_seed,
-                    ),
-                );
-            } else {
-                let mut ctx = WorkerContext::new(engine, local, width);
-                ctx.repartition = repartition;
-                run_worker(ep, ctx);
-            }
-        }
-        WorkerRole::Coverage => run_baseline_worker(ep, engine, local),
-    }
+    run_role(ep, base.clone(), config, Examples::new(pos, neg));
     ep.send(
         0,
         &Msg::JobResult {
@@ -963,471 +862,10 @@ pub(crate) fn run_submitted_job<T: Transport>(
     );
 }
 
-// ---------------------------------------------------------------------------
-// Ephemeral dispatch: the one-shot entry points as single-job services.
-// ---------------------------------------------------------------------------
-
-/// The id every ephemeral (single-job) dispatch uses.
-pub(crate) const EPHEMERAL_JOB: JobId = JobId(1);
-
-/// End-of-run warning for a learning run that survived rank deaths: a
-/// structured trace event when tracing is on, a stderr line otherwise, so
-/// a recovered-but-degraded run is never silent (the counterpart of
-/// the cluster layer's dropped-sends warning).
-fn warn_rank_losses(losses: &[u32], master_vtime: f64) {
-    if losses.is_empty() {
-        return;
-    }
-    let tracer = p2mdie_obs::Tracer::for_rank(0);
-    if tracer.on() {
-        event!(
-            tracer,
-            "rank_losses_warning",
-            master_vtime,
-            losses = losses.len() as u64,
-        );
-    } else {
-        eprintln!(
-            "warning: run finished after {} rank loss(es) ({:?}) — \
-             the theory was recovered by repartition-and-resume",
-            losses.len(),
-            losses
-        );
-    }
-}
-
-/// [`crate::driver::run_parallel`]'s in-process engine room: build a fresh
-/// mesh, walk one learning job through the lifecycle using the legacy wire
-/// framing, tear the mesh down. Bit-identical to the pre-service
-/// implementation (same messages, same clocks, same traffic).
-pub(crate) fn one_shot_parallel(
-    engine: &IlpEngine,
-    examples: &Examples,
-    cfg: &ParallelConfig,
-) -> Result<ParallelReport, ClusterError> {
-    if cfg.strategy != Strategy::DataPipeline {
-        return crate::strategy::one_shot_strategy(engine, examples, cfg);
-    }
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-    // Static mode partitions up front; repartition mode starts workers
-    // empty (the master deals examples at every epoch). The recovering
-    // master additionally needs the global-index map of the static deal.
-    let (subsets, partition) = if cfg.repartition {
-        (vec![Examples::default(); cfg.workers], None)
-    } else {
-        let (subsets, part) = partition_examples(examples, cfg.workers, cfg.seed);
-        (subsets, Some(part))
-    };
-    // Simulated ranks run on real threads; split the physical cores among
-    // them so each rank's coverage evaluation (see
-    // `p2mdie_ilp::coverage::evaluate_rule_threads`) exploits its share
-    // without oversubscribing the machine. An explicit `eval_threads` in
-    // the caller's settings wins.
-    let threads_per_rank = threads_per_worker(engine.settings.eval_threads, cfg.workers);
-    let contexts: Vec<Mutex<Option<WorkerContext>>> = subsets
-        .into_iter()
-        .map(|local| {
-            // With KB shipping the worker starts *empty* (the multi-process
-            // deployment shape) and adopts the master's snapshot on its
-            // first message; otherwise it clones the shared engine.
-            let mut worker_engine = if cfg.ship_kb {
-                engine.with_empty_kb()
-            } else {
-                engine.clone()
-            };
-            worker_engine.settings.eval_threads = threads_per_rank;
-            let mut ctx = WorkerContext::new(worker_engine, local, cfg.width);
-            ctx.repartition = cfg.repartition;
-            Mutex::new(Some(ctx))
-        })
-        .collect();
-
-    let settings = engine.settings.clone();
-    let total_pos = examples.num_pos();
-
-    fn take_ctx(contexts: &[Mutex<Option<WorkerContext>>], rank: usize) -> WorkerContext {
-        contexts[rank - 1]
-            .lock()
-            .unwrap_or_else(|_| {
-                panic!("rank {rank}: worker-context lock poisoned by an earlier panic")
-            })
-            .take()
-            .expect("each worker context is taken exactly once")
-    }
-
-    job.advance(JobState::Running);
-    let run = match &cfg.recovery {
-        RecoveryPolicy::Abort => run_cluster(
-            cfg.workers,
-            cfg.model,
-            |ep| {
-                if cfg.ship_kb {
-                    ship_kb(ep, &engine.kb);
-                }
-                if cfg.repartition {
-                    run_master_repartition(ep, &settings, examples, cfg.seed)
-                } else {
-                    run_master(ep, &settings, total_pos)
-                }
-            },
-            |ep| run_worker(ep, take_ctx(&contexts, ep.rank())),
-        ),
-        RecoveryPolicy::Repartition { max_rank_losses } => {
-            for (rank, _) in &cfg.chaos {
-                assert!(
-                    (1..=cfg.workers).contains(rank),
-                    "chaos injection targets a worker rank (got {rank})"
-                );
-            }
-            run_cluster_with(
-                cfg.workers,
-                cfg.model,
-                true,
-                |rank, t| {
-                    let chaos = cfg
-                        .chaos
-                        .iter()
-                        .find(|(target, _)| *target == rank)
-                        .map(|(_, c)| c.clone());
-                    maybe_chaos(t, chaos)
-                },
-                |ep| {
-                    if cfg.ship_kb {
-                        ship_kb(ep, &engine.kb);
-                    }
-                    run_master_recovering(
-                        ep,
-                        &settings,
-                        examples,
-                        partition.as_ref(),
-                        cfg.seed,
-                        *max_rank_losses,
-                    )
-                },
-                |ep| run_worker(ep, take_ctx(&contexts, ep.rank())),
-            )
-        }
-    };
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let master = outcome.result;
-    let report = ParallelReport {
-        workers: cfg.workers,
-        theory: master.theory,
-        epochs: master.epochs,
-        set_aside: master.set_aside,
-        vtime: outcome.master_vtime,
-        worker_vtimes: outcome.worker_vtimes,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        worker_steps: outcome.worker_steps,
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-        traces: master.traces,
-        stalled: master.stalled,
-        rank_losses: master.rank_losses,
-        recovery_bytes: outcome.stats.recovery_bytes(),
-        recovery_messages: outcome.stats.recovery_messages(),
-        constraint_bytes: outcome.stats.constraint_bytes(),
-        constraint_messages: outcome.stats.constraint_messages(),
-    };
-    warn_rank_losses(&report.rank_losses, report.vtime);
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
-/// [`crate::baselines::run_coverage_parallel_opts`]'s engine room: one
-/// baseline learning job on a fresh ephemeral mesh, legacy framing.
-pub(crate) fn one_shot_coverage(
-    engine: &IlpEngine,
-    examples: &Examples,
-    workers: usize,
-    granularity: EvalGranularity,
-    model: CostModel,
-    seed: u64,
-    ship: bool,
-) -> Result<BaselineReport, ClusterError> {
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-    let (subsets, partition) = partition_examples(examples, workers, seed);
-    let threads_per_rank = threads_per_worker(engine.settings.eval_threads, workers);
-    let contexts: Vec<Mutex<Option<(IlpEngine, Examples)>>> = subsets
-        .into_iter()
-        .map(|local| {
-            let mut worker_engine = if ship {
-                engine.with_empty_kb()
-            } else {
-                engine.clone()
-            };
-            worker_engine.settings.eval_threads = threads_per_rank;
-            Mutex::new(Some((worker_engine, local)))
-        })
-        .collect();
-
-    job.advance(JobState::Running);
-    let run = run_cluster(
-        workers,
-        model,
-        |ep| {
-            if ship {
-                ship_kb(ep, &engine.kb);
-            }
-            baseline_master(ep, engine, examples, &partition, granularity)
-        },
-        |ep| {
-            let (eng, local) = contexts[ep.rank() - 1]
-                .lock()
-                .unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: worker-context lock poisoned by an earlier panic",
-                        ep.rank()
-                    )
-                })
-                .take()
-                .expect("taken once");
-            run_baseline_worker(ep, eng, local);
-        },
-    );
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let (theory, epochs, set_aside) = outcome.result;
-    let report = BaselineReport {
-        theory,
-        epochs,
-        set_aside,
-        vtime: outcome.master_vtime,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-    };
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
-/// [`crate::remote::run_parallel_tcp`]'s engine room: one learning job on
-/// a fresh mesh of worker OS processes, legacy bootstrap framing.
-pub(crate) fn one_shot_parallel_tcp(
-    engine: &IlpEngine,
-    examples: &Examples,
-    cfg: &ParallelConfig,
-    tcp: &TcpConfig,
-) -> Result<ParallelReport, ClusterError> {
-    if cfg.strategy != Strategy::DataPipeline {
-        return crate::strategy::one_shot_strategy_tcp(engine, examples, cfg, tcp);
-    }
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-    let bin = tcp.resolve_worker_bin()?;
-    let (subsets, partition) = if cfg.repartition {
-        (vec![Examples::default(); cfg.workers], None)
-    } else {
-        let (subsets, part) = partition_examples(examples, cfg.workers, cfg.seed);
-        (subsets, Some(part))
-    };
-    let mut worker_settings = engine.settings.clone();
-    worker_settings.eval_threads = threads_per_worker(engine.settings.eval_threads, cfg.workers);
-    let config = WorkerConfig {
-        role: WorkerRole::Pipeline {
-            width: cfg.width,
-            repartition: cfg.repartition,
-        },
-        modes: engine.modes.clone(),
-        settings: worker_settings,
-        strategy: Strategy::DataPipeline,
-        strategy_seed: cfg.seed,
-    };
-    let settings = engine.settings.clone();
-    let total_pos = examples.num_pos();
-
-    job.advance(JobState::Running);
-    let run = run_cluster_tcp(
-        cfg.workers,
-        cfg.model,
-        tcp.timeout,
-        |rank, addr| spawn_worker(&bin, rank, addr, tcp),
-        |ep| {
-            bootstrap_workers(ep, engine, &config, &subsets);
-            match &cfg.recovery {
-                RecoveryPolicy::Abort => {
-                    if cfg.repartition {
-                        run_master_repartition(ep, &settings, examples, cfg.seed)
-                    } else {
-                        run_master(ep, &settings, total_pos)
-                    }
-                }
-                RecoveryPolicy::Repartition { max_rank_losses } => run_master_recovering(
-                    ep,
-                    &settings,
-                    examples,
-                    partition.as_ref(),
-                    cfg.seed,
-                    *max_rank_losses,
-                ),
-            }
-        },
-    );
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let master = outcome.result;
-    let report = ParallelReport {
-        workers: cfg.workers,
-        theory: master.theory,
-        epochs: master.epochs,
-        set_aside: master.set_aside,
-        vtime: outcome.master_vtime,
-        worker_vtimes: outcome.worker_vtimes,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        worker_steps: outcome.worker_steps,
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-        traces: master.traces,
-        stalled: master.stalled,
-        rank_losses: master.rank_losses,
-        recovery_bytes: outcome.stats.recovery_bytes(),
-        recovery_messages: outcome.stats.recovery_messages(),
-        constraint_bytes: outcome.stats.constraint_bytes(),
-        constraint_messages: outcome.stats.constraint_messages(),
-    };
-    warn_rank_losses(&report.rank_losses, report.vtime);
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
-/// [`crate::remote::run_coverage_parallel_tcp`]'s engine room.
-pub(crate) fn one_shot_coverage_tcp(
-    engine: &IlpEngine,
-    examples: &Examples,
-    workers: usize,
-    granularity: EvalGranularity,
-    model: CostModel,
-    seed: u64,
-    tcp: &TcpConfig,
-) -> Result<BaselineReport, ClusterError> {
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-    let bin = tcp.resolve_worker_bin()?;
-    let (subsets, partition) = partition_examples(examples, workers, seed);
-    let mut worker_settings = engine.settings.clone();
-    worker_settings.eval_threads = threads_per_worker(engine.settings.eval_threads, workers);
-
-    job.advance(JobState::Running);
-    let run = run_cluster_tcp(
-        workers,
-        model,
-        tcp.timeout,
-        |rank, addr| spawn_worker(&bin, rank, addr, tcp),
-        |ep| {
-            bootstrap_workers(
-                ep,
-                engine,
-                &WorkerConfig {
-                    role: WorkerRole::Coverage,
-                    modes: engine.modes.clone(),
-                    settings: worker_settings.clone(),
-                    strategy: Strategy::DataPipeline,
-                    strategy_seed: seed,
-                },
-                &subsets,
-            );
-            baseline_master(ep, engine, examples, &partition, granularity)
-        },
-    );
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let (theory, epochs, set_aside) = outcome.result;
-    let report = BaselineReport {
-        theory,
-        epochs,
-        set_aside,
-        vtime: outcome.master_vtime,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-    };
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2mdie_ilp::modes::ModeSet;
-    use p2mdie_logic::clause::Literal;
-    use p2mdie_logic::symbol::SymbolTable;
-    use p2mdie_logic::term::Term;
-
-    /// Multiples of 6 among 1..=n, with even/div3 background.
-    fn problem(n: i64) -> (IlpEngine, Examples) {
-        let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
-        for i in 1..=n {
-            if i % 2 == 0 {
-                kb.assert_fact(Literal::new(t.intern("even"), vec![Term::Int(i)]));
-            }
-            if i % 3 == 0 {
-                kb.assert_fact(Literal::new(t.intern("div3"), vec![Term::Int(i)]));
-            }
-        }
-        let modes =
-            ModeSet::parse(&t, "div6(+num)", &[(1, "even(+num)"), (1, "div3(+num)")]).unwrap();
-        let tgt = t.intern("div6");
-        let ex = Examples::new(
-            (1..=n)
-                .filter(|i| i % 6 == 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-            (1..=n)
-                .filter(|i| i % 6 != 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-        );
-        let engine = IlpEngine::new(
-            kb,
-            modes,
-            Settings {
-                min_pos: 1,
-                noise: 0,
-                ..Settings::default()
-            },
-        );
-        (engine, ex)
-    }
+    use crate::fixtures::problem;
 
     fn free_service(engine: &IlpEngine, workers: usize) -> Service {
         Service::new(

@@ -8,11 +8,9 @@
 //! out more broadly, and this module hosts the other two classic points
 //! behind one [`Strategy`] switch:
 //!
-//! * [`Strategy::DataPipeline`] — the paper's algorithm, untouched. The
-//!   seam routes it through the exact pre-seam code path
-//!   ([`crate::master::run_master`] / [`crate::worker::run_worker`]), so a
-//!   default-strategy run is bit-identical to one that predates the seam
-//!   (pinned by `crates/core/tests/strategy_seam.rs`).
+//! * [`Strategy::DataPipeline`] — the paper's algorithm: partitioned
+//!   examples, [`crate::worker::run_worker`] on every rank, and the bag
+//!   reduce of [`crate::master::run_master`].
 //! * [`Strategy::SearchPartition`] — **hypothesis-parallel**: every rank
 //!   holds the *full* example set and the ranks split the refinement
 //!   lattice itself. The split rides on a structural fact of
@@ -44,10 +42,16 @@
 //! receive names its source rank, exploration orders derive from
 //! [`splitmix64`] chains seeded by (strategy seed, epoch, rank, round), and
 //! the master breaks rule ties by pool order, which is itself rank-ordered.
-//! The non-default strategies replicate the full example set on every rank,
-//! so local coverage counts *are* global counts and the master needs no
-//! separate evaluation round — one accepted rule per epoch, broadcast as
-//! [`Msg::MarkCovered`], keeps every rank's live set bit-identical.
+//! The non-default strategies replicate the full example set on every rank
+//! ([`crate::master::Dealing::Replicated`]), so local coverage counts *are*
+//! global counts and the master's epoch loop needs no separate evaluation
+//! round: it pools the per-rank rules, accepts the single best acceptable
+//! one per epoch (ties broken by pool order, which is rank-then-rule
+//! order) and broadcasts it as [`Msg::MarkCovered`], which keeps every
+//! rank's live set bit-identical. An epoch with no acceptable rule retires
+//! the shared seed example ([`Msg::RetireSeed`]; rank 1 answers for the
+//! mesh, since every rank retires the same example). There is no strategy
+//! master: only the worker side ([`run_strategy_worker`]) is their own.
 //!
 //! # Traffic accounting
 //!
@@ -56,30 +60,21 @@
 //! `constraint_messages`), exactly like the recovery row of the
 //! self-healing protocol: total traffic still includes them, but reports
 //! can say how much of the bill was pruning gossip (surfaced as
-//! [`ParallelReport::constraint_bytes`]). Over TCP the workers return their
+//! [`crate::report::ParallelReport::constraint_bytes`]). Over TCP the workers return their
 //! constraint counters in the shutdown report and the master absorbs them.
 
-use crate::driver::{threads_per_worker, ParallelConfig, RecoveryPolicy};
-use crate::job::{JobState, Lifecycle};
-use crate::master::{ship_kb, AcceptedRule, EpochTrace, MasterOutcome};
-use crate::protocol::{Msg, StageTrace, WorkerConfig, WorkerRole};
-use crate::report::ParallelReport;
-use crate::scheduler::EPHEMERAL_JOB;
+use crate::protocol::{Msg, StageTrace};
 use crate::worker::adopt_kb_snapshot;
 use p2mdie_cluster::comm::Endpoint;
-use p2mdie_cluster::net::run_cluster_tcp;
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{run_cluster, ClusterError};
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::splitmix64;
-use p2mdie_ilp::settings::{Settings, Width};
+use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::{take_top, ConstraintStore, LatticeSlice, ScoredRule, SearchGuide};
 use p2mdie_logic::clause::Clause;
 use p2mdie_obs::span;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// How the ranks divide one learning run among themselves.
 #[derive(
@@ -88,7 +83,7 @@ use std::time::Instant;
 pub enum Strategy {
     /// The paper's data-parallel pipelined algorithm (Figure 7): examples
     /// partitioned, full lattice per rank, rules scored by travelling the
-    /// pipeline. The default, and byte-for-byte the pre-seam protocol.
+    /// pipeline. The default.
     #[default]
     DataPipeline,
     /// Hypothesis-parallel: full example replication, the refinement
@@ -187,142 +182,6 @@ fn explore_seed(strategy_seed: u64, epoch: u32, rank: usize, round: u32) -> u64 
     splitmix64(x ^ u64::from(round))
 }
 
-/// The master protocol shared by both non-default strategies.
-///
-/// Every rank holds the full example set and an identical live set, so the
-/// counts inside each [`Msg::RulesFound`] are already *global*: the master
-/// pools the per-rank rules, accepts the single best acceptable one per
-/// epoch (ties broken by pool order, which is rank-then-rule order), and
-/// broadcasts [`Msg::MarkCovered`] — no evaluation round, no pipeline. An
-/// epoch with no acceptable rule retires the shared seed example
-/// ([`Msg::RetireSeed`]; rank 1 answers for the mesh, since every rank
-/// retires the same example).
-pub fn run_strategy_master<T: Transport>(
-    ep: &mut Endpoint<T>,
-    settings: &Settings,
-    total_pos: usize,
-) -> MasterOutcome {
-    let p = ep.workers();
-    let mut out = MasterOutcome::default();
-    let mut remaining = total_pos;
-
-    ep.broadcast(&Msg::LoadExamples);
-
-    while remaining > 0 {
-        out.epochs += 1;
-        let epoch = out.epochs;
-        let mut epoch_span = Some(span!(ep.tracer(), "epoch", ep.now(), epoch = epoch));
-        let mut trace = EpochTrace {
-            epoch,
-            pipelines: vec![Vec::new(); p],
-            bag_size: 0,
-            accepted: 0,
-        };
-
-        for k in 1..=p {
-            ep.send(k, &Msg::StartPipeline { epoch });
-        }
-        // Pool the per-rank harvests, deduplicating by clause: with
-        // replicated examples a rule's counts are identical wherever it was
-        // found, so the first copy (lowest rank, best local order) wins.
-        let mut pool: Vec<(Clause, u32, u32, u8)> = Vec::new();
-        let mut any_seed = false;
-        for k in 1..=p {
-            let msg = Msg::recv(ep, k, "RulesFound");
-            let Msg::RulesFound {
-                origin,
-                rules,
-                had_seed,
-                trace: ptrace,
-            } = msg
-            else {
-                panic!("strategy master: expected RulesFound from rank {k}, got {msg:?}");
-            };
-            any_seed |= had_seed;
-            for (clause, pos, neg) in rules {
-                if !pool.iter().any(|(c, ..)| *c == clause) {
-                    pool.push((clause, pos, neg, origin));
-                }
-            }
-            trace.pipelines[origin as usize - 1] = ptrace;
-        }
-        trace.bag_size = pool.len() as u32;
-
-        if !any_seed {
-            out.stalled = true;
-            out.traces.push(trace);
-            if let Some(s) = epoch_span.take() {
-                s.end(ep.now());
-            }
-            break;
-        }
-
-        // Master-side pool scan is compute: one step per pooled rule.
-        ep.advance_steps(pool.len() as u64);
-        let mut best: Option<(Clause, u32, u32, u8, i64)> = None;
-        for (clause, pos, neg, origin) in pool {
-            if !settings.is_good(pos, neg) {
-                continue;
-            }
-            let score = settings.score.score(pos, neg, clause.body.len());
-            // Strictly greater: ties keep the earliest pool entry.
-            if best.as_ref().is_none_or(|b| score > b.4) {
-                best = Some((clause, pos, neg, origin, score));
-            }
-        }
-
-        match best {
-            Some((clause, pos, neg, origin, _)) => {
-                ep.broadcast(&Msg::MarkCovered {
-                    rule: clause.clone(),
-                });
-                remaining = remaining.saturating_sub(pos as usize);
-                out.theory.push(AcceptedRule {
-                    clause,
-                    pos,
-                    neg,
-                    epoch,
-                    origin,
-                });
-                trace.accepted = 1;
-            }
-            None => {
-                // No acceptable rule for the shared seed: retire it. Every
-                // rank clears the same example; rank 1 reports the count.
-                ep.broadcast(&Msg::RetireSeed);
-                let msg = Msg::recv(ep, 1, "SeedRetired");
-                let Msg::SeedRetired { removed } = msg else {
-                    panic!("strategy master: expected SeedRetired from rank 1, got {msg:?}");
-                };
-                if removed == 0 {
-                    out.stalled = true;
-                    out.traces.push(trace);
-                    if let Some(s) = epoch_span.take() {
-                        s.end(ep.now());
-                    }
-                    break;
-                }
-                remaining = remaining.saturating_sub(removed as usize);
-                out.set_aside += removed;
-            }
-        }
-        let accepted = trace.accepted;
-        out.traces.push(trace);
-        if let Some(s) = epoch_span.take() {
-            s.end_with(
-                ep.now(),
-                &[
-                    ("accepted", accepted.into()),
-                    ("remaining", (remaining as u64).into()),
-                ],
-            );
-        }
-    }
-
-    ep.broadcast(&Msg::Stop);
-    out
-}
-
 /// The worker protocol shared by both non-default strategies. Must be
 /// called on ranks `1..=p` with the **full** example set in `ctx.local`.
 ///
@@ -339,7 +198,7 @@ pub fn run_strategy_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: Strategy
     );
     assert!(
         ctx.strategy != Strategy::DataPipeline,
-        "the data-pipeline strategy runs the legacy run_worker loop"
+        "the data-pipeline strategy runs crate::worker::run_worker"
     );
 
     let mut live = ctx.local.full_pos_live();
@@ -537,266 +396,17 @@ fn run_strategy_epoch<T: Transport>(
     (rules, traces, true)
 }
 
-/// [`crate::driver::run_parallel`]'s engine room for the non-default
-/// strategies: a fresh in-process mesh, full example replication, the
-/// shared strategy master. The lifecycle walk mirrors
-/// [`crate::scheduler::one_shot_parallel`].
-pub(crate) fn one_shot_strategy(
-    engine: &IlpEngine,
-    examples: &Examples,
-    cfg: &ParallelConfig,
-) -> Result<ParallelReport, ClusterError> {
-    assert!(
-        cfg.strategy != Strategy::DataPipeline,
-        "the data-pipeline strategy dispatches through one_shot_parallel"
-    );
-    assert!(
-        !cfg.repartition,
-        "repartitioning only applies to the data-pipeline strategy \
-         (the others replicate examples on every rank)"
-    );
-    assert!(
-        matches!(cfg.recovery, RecoveryPolicy::Abort),
-        "worker-death recovery only covers the data-pipeline strategy"
-    );
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-
-    let threads_per_rank = threads_per_worker(engine.settings.eval_threads, cfg.workers);
-    let contexts: Vec<Mutex<Option<StrategyWorkerContext>>> = (0..cfg.workers)
-        .map(|_| {
-            let mut worker_engine = if cfg.ship_kb {
-                engine.with_empty_kb()
-            } else {
-                engine.clone()
-            };
-            worker_engine.settings.eval_threads = threads_per_rank;
-            Mutex::new(Some(StrategyWorkerContext::new(
-                worker_engine,
-                examples.clone(),
-                cfg.width,
-                cfg.strategy,
-                cfg.seed,
-            )))
-        })
-        .collect();
-    let settings = engine.settings.clone();
-    let total_pos = examples.num_pos();
-
-    job.advance(JobState::Running);
-    let run = run_cluster(
-        cfg.workers,
-        cfg.model,
-        |ep| {
-            if cfg.ship_kb {
-                ship_kb(ep, &engine.kb);
-            }
-            run_strategy_master(ep, &settings, total_pos)
-        },
-        |ep| {
-            let ctx = contexts[ep.rank() - 1]
-                .lock()
-                .unwrap_or_else(|_| {
-                    panic!(
-                        "rank {}: worker-context lock poisoned by an earlier panic",
-                        ep.rank()
-                    )
-                })
-                .take()
-                .expect("each worker context is taken exactly once");
-            run_strategy_worker(ep, ctx);
-        },
-    );
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let master = outcome.result;
-    let report = ParallelReport {
-        workers: cfg.workers,
-        theory: master.theory,
-        epochs: master.epochs,
-        set_aside: master.set_aside,
-        vtime: outcome.master_vtime,
-        worker_vtimes: outcome.worker_vtimes,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        worker_steps: outcome.worker_steps,
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-        traces: master.traces,
-        stalled: master.stalled,
-        rank_losses: master.rank_losses,
-        recovery_bytes: outcome.stats.recovery_bytes(),
-        recovery_messages: outcome.stats.recovery_messages(),
-        constraint_bytes: outcome.stats.constraint_bytes(),
-        constraint_messages: outcome.stats.constraint_messages(),
-    };
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
-/// [`one_shot_strategy`] with every worker a real OS process over localhost
-/// TCP: the full example set ships to every rank (replication is the
-/// strategy's data model, and the bytes are accounted like any other
-/// transfer), and the workers' constraint counters come back in their
-/// shutdown reports.
-pub(crate) fn one_shot_strategy_tcp(
-    engine: &IlpEngine,
-    examples: &Examples,
-    cfg: &ParallelConfig,
-    tcp: &crate::remote::TcpConfig,
-) -> Result<ParallelReport, ClusterError> {
-    assert!(
-        cfg.strategy != Strategy::DataPipeline,
-        "the data-pipeline strategy dispatches through one_shot_parallel_tcp"
-    );
-    assert!(!cfg.repartition && matches!(cfg.recovery, RecoveryPolicy::Abort));
-    let started = Instant::now();
-    let mut job = Lifecycle::new(EPHEMERAL_JOB);
-    job.advance(JobState::Dispatching);
-    let bin = tcp.resolve_worker_bin()?;
-    let subsets = vec![examples.clone(); cfg.workers];
-    let mut worker_settings = engine.settings.clone();
-    worker_settings.eval_threads = threads_per_worker(engine.settings.eval_threads, cfg.workers);
-    let config = WorkerConfig {
-        role: WorkerRole::Pipeline {
-            width: cfg.width,
-            repartition: false,
-        },
-        modes: engine.modes.clone(),
-        settings: worker_settings,
-        strategy: cfg.strategy,
-        strategy_seed: cfg.seed,
-    };
-    let settings = engine.settings.clone();
-    let total_pos = examples.num_pos();
-
-    job.advance(JobState::Running);
-    let run = run_cluster_tcp(
-        cfg.workers,
-        cfg.model,
-        tcp.timeout,
-        |rank, addr| crate::remote::spawn_worker(&bin, rank, addr, tcp),
-        |ep| {
-            crate::remote::bootstrap_workers(ep, engine, &config, &subsets);
-            run_strategy_master(ep, &settings, total_pos)
-        },
-    );
-    let outcome = match run {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            job.advance(JobState::Failed);
-            return Err(e);
-        }
-    };
-
-    job.advance(JobState::Draining);
-    let master = outcome.result;
-    let report = ParallelReport {
-        workers: cfg.workers,
-        theory: master.theory,
-        epochs: master.epochs,
-        set_aside: master.set_aside,
-        vtime: outcome.master_vtime,
-        worker_vtimes: outcome.worker_vtimes,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
-        worker_steps: outcome.worker_steps,
-        dropped_sends: outcome.dropped_sends,
-        wall: started.elapsed(),
-        traces: master.traces,
-        stalled: master.stalled,
-        rank_losses: master.rank_losses,
-        recovery_bytes: outcome.stats.recovery_bytes(),
-        recovery_messages: outcome.stats.recovery_messages(),
-        constraint_bytes: outcome.stats.constraint_bytes(),
-        constraint_messages: outcome.stats.constraint_messages(),
-    };
-    job.advance(JobState::Done);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::run_parallel;
+    use crate::driver::{run_parallel, ParallelConfig};
+    use crate::fixtures::{check_complete_and_consistent, problem};
     use p2mdie_cluster::CostModel;
-    use p2mdie_ilp::modes::ModeSet;
-    use p2mdie_logic::clause::Literal;
-    use p2mdie_logic::kb::KnowledgeBase;
-    use p2mdie_logic::symbol::SymbolTable;
-    use p2mdie_logic::term::Term;
-
-    /// Multiples of 6 or 10 in 1..=n — needs a two-rule theory.
-    fn problem(n: i64) -> (IlpEngine, Examples) {
-        let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
-        for i in 1..=n {
-            if i % 2 == 0 {
-                kb.assert_fact(Literal::new(t.intern("even"), vec![Term::Int(i)]));
-            }
-            if i % 3 == 0 {
-                kb.assert_fact(Literal::new(t.intern("div3"), vec![Term::Int(i)]));
-            }
-            if i % 5 == 0 {
-                kb.assert_fact(Literal::new(t.intern("div5"), vec![Term::Int(i)]));
-            }
-        }
-        let modes = ModeSet::parse(
-            &t,
-            "special(+num)",
-            &[(1, "even(+num)"), (1, "div3(+num)"), (1, "div5(+num)")],
-        )
-        .unwrap();
-        let tgt = t.intern("special");
-        let ex = Examples::new(
-            (1..=n)
-                .filter(|i| i % 6 == 0 || i % 10 == 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-            (1..=n)
-                .filter(|i| i % 6 != 0 && i % 10 != 0)
-                .map(|i| Literal::new(tgt, vec![Term::Int(i)]))
-                .collect(),
-        );
-        let engine = IlpEngine::new(
-            kb,
-            modes,
-            Settings {
-                min_pos: 2,
-                noise: 0,
-                max_body: 3,
-                ..Settings::default()
-            },
-        );
-        (engine, ex)
-    }
 
     fn cfg(workers: usize, strategy: Strategy) -> ParallelConfig {
         let mut cfg = ParallelConfig::new(workers, Width::Unlimited, 42).with_strategy(strategy);
         cfg.model = CostModel::free();
         cfg
-    }
-
-    fn check_complete_and_consistent(engine: &IlpEngine, ex: &Examples, clauses: &[Clause]) {
-        let mut covered = Bitset::new(ex.num_pos());
-        for c in clauses {
-            let cov = engine.evaluate(c, ex, None, None);
-            covered.union_with(&cov.pos);
-            assert_eq!(cov.neg_count(), 0, "inconsistent clause in theory");
-        }
-        assert_eq!(
-            covered.count(),
-            ex.num_pos(),
-            "theory must cover all positives"
-        );
     }
 
     #[test]
@@ -863,8 +473,8 @@ mod tests {
         );
     }
 
-    /// The default strategy still routes through the legacy path: its
-    /// report never shows constraint traffic.
+    /// The default strategy never gossips: its report shows no constraint
+    /// traffic.
     #[test]
     fn data_pipeline_reports_no_constraint_traffic() {
         let (engine, ex) = problem(120);

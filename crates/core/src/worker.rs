@@ -12,6 +12,10 @@
 //! 3. then serve master commands — `Evaluate`, `MarkCovered`, `RetireSeed` —
 //!    until the next `StartPipeline` or `Stop`.
 //!
+//! A worker that is never sent a `StartPipeline` is the worker of the
+//! coverage-parallel baseline ([`crate::baselines`]): step 3 is all that
+//! master asks for. `run_role` picks the loop a [`WorkerConfig`] names.
+//!
 //! # Recovery mode
 //!
 //! When the master broadcasts [`Msg::EnableRecovery`] before `LoadExamples`,
@@ -24,11 +28,11 @@
 //! predecessor down to its marker, ack the master — after which the worker
 //! can adopt a dead rank's examples ([`Msg::AdoptExamples`]) and answer a
 //! theory replay ([`Msg::ReplayTheory`]) so the master's global live set
-//! resynchronizes exactly. Without `EnableRecovery` none of this code runs
-//! and the protocol is byte-for-byte the legacy one.
+//! resynchronizes exactly. Without `EnableRecovery` none of this code runs.
 
 use crate::pipeline::run_stage_search;
-use crate::protocol::{Msg, PipelineToken, StageTrace};
+use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
+use crate::strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
 use p2mdie_cluster::codec::from_bytes;
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
@@ -36,6 +40,8 @@ use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
+use p2mdie_logic::clause::Literal;
+use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_obs::span;
 
 /// Everything a worker owns locally: its engine (background knowledge,
@@ -52,11 +58,12 @@ pub struct WorkerContext {
     pub local: Examples,
     /// Pipeline width `W`.
     pub width: Width,
-    /// Repartitioning mode (paper §4.1's rejected alternative): the master
-    /// re-deals live examples every epoch via `NewPartition`, and each
-    /// `MarkCovered` is answered with the covered local indices so the
-    /// master can track the global live set.
-    pub repartition: bool,
+    /// Answer every `MarkCovered` with the covered local indices, for a
+    /// master that tracks the global live set itself: §4.1 repartitioning
+    /// (which re-deals the live examples every epoch via `NewPartition`)
+    /// and the coverage-parallel baseline. Recovery mode turns the replies
+    /// on by itself.
+    pub report_covered: bool,
 }
 
 impl WorkerContext {
@@ -66,8 +73,52 @@ impl WorkerContext {
             engine,
             local,
             width,
-            repartition: false,
+            report_covered: false,
         }
+    }
+}
+
+/// Runs the worker loop `config` names on rank `ep.rank()`, over `kb` and
+/// the rank's example subset, until the master's `Stop`. The one place a
+/// role becomes a loop: in-process ranks, bootstrapped worker processes
+/// and resident workers running a submitted job all come through here.
+pub(crate) fn run_role<T: Transport>(
+    ep: &mut Endpoint<T>,
+    kb: KnowledgeBase,
+    config: WorkerConfig,
+    local: Examples,
+) {
+    let engine = IlpEngine {
+        kb,
+        modes: config.modes,
+        settings: config.settings,
+    };
+    match config.role {
+        WorkerRole::Pipeline { width, .. } if config.strategy != Strategy::DataPipeline => {
+            // Non-default strategies replicate: `local` is the full set.
+            let (strategy, seed) = (config.strategy, config.strategy_seed);
+            let ctx = StrategyWorkerContext::new(engine, local, width, strategy, seed);
+            run_strategy_worker(ep, ctx)
+        }
+        WorkerRole::Pipeline { width, repartition } => run_worker(
+            ep,
+            WorkerContext {
+                engine,
+                local,
+                width,
+                report_covered: repartition,
+            },
+        ),
+        WorkerRole::Coverage => run_worker(
+            ep,
+            WorkerContext {
+                engine,
+                local,
+                // No pipeline ever starts on this rank: never read.
+                width: Width::Unlimited,
+                report_covered: true,
+            },
+        ),
     }
 }
 
@@ -75,8 +126,7 @@ impl WorkerContext {
 /// fact-argument re-interning, no posting-list rebuild, no rule recompile —
 /// the transfer time was already merged into the rank's clock by the
 /// receive, and adoption is the near-instant structural validation inside
-/// `from_snapshot`. Shared by the p²-mdie worker and the coverage-parallel
-/// baseline worker.
+/// `from_snapshot`.
 pub fn adopt_kb_snapshot(engine: &mut IlpEngine, snap: p2mdie_logic::KbSnapshot, rank: usize) {
     let syms = engine.kb.symbols().clone();
     engine.kb = p2mdie_logic::kb::KnowledgeBase::from_snapshot(snap, syms)
@@ -144,14 +194,11 @@ fn handle_abort<T: Transport>(
 pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
     let me = ep.rank();
     assert!(me >= 1, "run_worker must not run on the master rank");
-    let p = ep.workers();
-    let next = me % p + 1;
-    let prev = if me == 1 { p } else { me - 1 };
-
     let mut live = ctx.local.full_pos_live();
     let mut current_seed: Option<usize> = None;
     let mut recovery = false;
-    let mut alive: Vec<usize> = (1..=p).collect();
+    // The ring: only a recovering run ever shrinks it.
+    let mut alive: Vec<usize> = (1..=ep.workers()).collect();
 
     loop {
         let msg = Msg::recv(ep, 0, "a master command");
@@ -164,23 +211,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 ep.advance_steps(ctx.local.len() as u64);
             }
             Msg::StartPipeline { epoch: _ } => {
-                let (p_now, next_now, prev_now) = if recovery {
-                    let (n, pv) = ring_neighbors(me, &alive);
-                    (alive.len(), n, pv)
-                } else {
-                    (p, next, prev)
-                };
-                let end = run_epoch_pipelines(
-                    ep,
-                    &mut ctx,
-                    &live,
-                    &mut current_seed,
-                    me as u8,
-                    p_now,
-                    next_now,
-                    prev_now,
-                    recovery,
-                );
+                let end = run_epoch_pipelines(ep, &ctx, &live, &mut current_seed, &alive, recovery);
                 if let EpochEnd::Aborted { dead, prev_flushed } = end {
                     handle_abort(ep, &mut alive, me, dead, prev_flushed);
                 }
@@ -238,7 +269,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             Msg::MarkCovered { rule } => {
                 let cov = ctx.engine.evaluate(&rule, &ctx.local, Some(&live), None);
                 ep.advance_steps(cov.steps);
-                if ctx.repartition || recovery {
+                if ctx.report_covered || recovery {
                     let idx: Vec<u32> = cov.pos.iter_ones().map(|i| i as u32).collect();
                     ep.send(0, &Msg::CoveredIdx { pos: idx });
                 }
@@ -248,34 +279,29 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             }
             Msg::NewPartition { pos, neg } => {
                 // §4.1 repartitioning: adopt the freshly-dealt subset.
-                assert!(ctx.repartition, "NewPartition outside repartition mode");
+                assert!(ctx.report_covered, "NewPartition outside repartition mode");
                 ep.advance_steps((pos.len() + neg.len()) as u64);
                 ctx.local = Examples::new(pos, neg);
                 live = ctx.local.full_pos_live();
                 current_seed = None;
             }
             Msg::RetireSeed => {
-                if recovery {
-                    // The recovering master tracks coverage by global index,
-                    // so the reply names the retired index instead of a count.
-                    let mut idx = Vec::new();
-                    if let Some(i) = current_seed {
-                        if live.get(i) {
-                            live.clear(i);
-                            idx.push(i as u32);
-                        }
-                    }
-                    ep.send(0, &Msg::CoveredIdx { pos: idx });
-                } else {
-                    let mut removed = 0u32;
-                    if let Some(idx) = current_seed {
-                        if live.get(idx) {
-                            live.clear(idx);
-                            removed = 1;
-                        }
-                    }
-                    ep.send(0, &Msg::SeedRetired { removed });
+                let retired = current_seed.filter(|&i| live.get(i));
+                if let Some(i) = retired {
+                    live.clear(i);
                 }
+                // A master that tracks coverage by global index (recovery)
+                // is told which example went, any other how many.
+                let reply = if recovery {
+                    Msg::CoveredIdx {
+                        pos: retired.map(|i| i as u32).into_iter().collect(),
+                    }
+                } else {
+                    Msg::SeedRetired {
+                        removed: retired.is_some() as u32,
+                    }
+                };
+                ep.send(0, &reply);
             }
             Msg::Stop => return,
             other => panic!("worker {me}: unexpected master message {other:?}"),
@@ -289,67 +315,36 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
 /// [`Msg::AbortEpoch`] (or the death of the ring predecessor itself)
 /// interrupts the epoch and returns [`EpochEnd::Aborted`] so the caller can
 /// quiesce the ring.
-#[allow(clippy::too_many_arguments)]
 fn run_epoch_pipelines<T: Transport>(
     ep: &mut Endpoint<T>,
-    ctx: &mut WorkerContext,
+    ctx: &WorkerContext,
     live: &Bitset,
     current_seed: &mut Option<usize>,
-    me: u8,
-    p: usize,
-    next: usize,
-    prev: usize,
+    alive: &[usize],
     recovery: bool,
 ) -> EpochEnd {
+    let me = ep.rank();
+    let p = alive.len();
+    let (next, prev) = ring_neighbors(me, alive);
     // --- Stage 1: seed, saturate, search. -----------------------------
     // Seeds advance round-robin through the live set (April's "select an
     // example"): picking the next live example after the previous seed
     // keeps one uncoverable example from monopolizing this pipeline.
-    let start = ep.now();
-    let stage_span = span!(ep.tracer(), "stage", start, origin = me, step = 1u32);
-    *current_seed = next_live_seed(live, *current_seed);
-    let (bottom, rules) = match *current_seed {
-        None => (None, Vec::new()),
-        Some(idx) => {
-            let seed_example = ctx.local.pos[idx].clone();
-            match ctx.engine.saturate(&seed_example) {
-                None => (None, Vec::new()),
-                Some(bottom) => {
-                    ep.advance_steps(bottom.steps);
-                    let stage =
-                        run_stage_search(&ctx.engine, &ctx.local, live, &bottom, &[], ctx.width);
-                    ep.advance_steps(stage.steps);
-                    (Some(bottom), stage.rules)
-                }
-            }
-        }
-    };
-    stage_span.end_with(ep.now(), &[("rules_out", (rules.len() as u64).into())]);
-    let trace = StageTrace {
-        worker: me,
+    *current_seed = live.next_after(*current_seed);
+    let own = PipelineToken {
+        origin: me as u8,
         step: 1,
-        start,
-        end: ep.now(),
-        rules_in: 0,
-        rules_out: rules.len() as u32,
+        bottom: None,
+        rules: Vec::new(),
+        trace: Vec::new(),
     };
-    dispatch(
-        ep,
-        p,
-        next,
-        PipelineToken {
-            origin: me,
-            step: 2,
-            bottom,
-            rules,
-            trace: vec![trace],
-        },
-    );
+    let seed = current_seed.map(|idx| &ctx.local.pos[idx]);
+    run_stage(ep, ctx, live, p, next, own, seed);
 
     // --- Stages 2..=p of the pipelines passing through this worker. ----
     for _ in 0..p.saturating_sub(1) {
         let token = if recovery {
-            match recv_token_watching(ep, me, prev) {
+            match recv_token_watching(ep, prev) {
                 Ok(token) => token,
                 Err(end) => return end,
             }
@@ -360,56 +355,68 @@ fn run_epoch_pipelines<T: Transport>(
             };
             token
         };
-        let start = ep.now();
-        let step = token.step;
-        let stage_span = span!(
-            ep.tracer(),
-            "stage",
-            start,
-            origin = token.origin,
-            step = step,
-        );
-        let rules_in = token.rules.len() as u32;
-        let (bottom, rules) = match token.bottom {
-            None => (None, Vec::new()),
-            Some(bottom) => {
-                let stage = run_stage_search(
-                    &ctx.engine,
-                    &ctx.local,
-                    live,
-                    &bottom,
-                    &token.rules,
-                    ctx.width,
-                );
-                ep.advance_steps(stage.steps);
-                (Some(bottom), stage.rules)
-            }
-        };
-        stage_span.end_with(ep.now(), &[("rules_out", (rules.len() as u64).into())]);
-        let trace = StageTrace {
-            worker: me,
-            step,
-            start,
-            end: ep.now(),
-            rules_in,
-            rules_out: rules.len() as u32,
-        };
-        let mut full_trace = token.trace;
-        full_trace.push(trace);
-        dispatch(
-            ep,
-            p,
-            next,
-            PipelineToken {
-                origin: token.origin,
-                step: step + 1,
-                bottom,
-                rules,
-                trace: full_trace,
-            },
-        );
+        run_stage(ep, ctx, live, p, next, token, None);
     }
     EpochEnd::Done
+}
+
+/// Runs stage `token.step` of pipeline `token.origin` on this worker and
+/// forwards the token. Stage 1 — the only one given a `seed` — first
+/// saturates it into the bottom clause the whole pipeline searches under;
+/// a token without one (no live seed, or one that does not saturate) just
+/// keeps the schedule static.
+fn run_stage<T: Transport>(
+    ep: &mut Endpoint<T>,
+    ctx: &WorkerContext,
+    live: &Bitset,
+    p: usize,
+    next: usize,
+    mut token: PipelineToken,
+    seed: Option<&Literal>,
+) {
+    let start = ep.now();
+    let step = token.step;
+    let stage_span = span!(
+        ep.tracer(),
+        "stage",
+        start,
+        origin = token.origin,
+        step = step,
+    );
+    let rules_in = token.rules.len() as u32;
+    if let Some(example) = seed {
+        token.bottom = ctx.engine.saturate(example);
+        if let Some(bottom) = &token.bottom {
+            ep.advance_steps(bottom.steps);
+        }
+    }
+    token.rules = match &token.bottom {
+        None => Vec::new(),
+        Some(bottom) => {
+            let stage = run_stage_search(
+                &ctx.engine,
+                &ctx.local,
+                live,
+                bottom,
+                &token.rules,
+                ctx.width,
+            );
+            ep.advance_steps(stage.steps);
+            stage.rules
+        }
+    };
+    let rules_out = token.rules.len() as u32;
+    stage_span.end_with(ep.now(), &[("rules_out", u64::from(rules_out).into())]);
+    token.trace.push(StageTrace {
+        worker: ep.rank() as u8,
+        step,
+        start,
+        end: ep.now(),
+        rules_in,
+        rules_out,
+    });
+    token.step = step + 1;
+    dispatch(ep, p, next, token);
 }
 
 /// One mid-epoch receive in recovery mode: a pipeline token from `prev`
@@ -418,9 +425,9 @@ fn run_epoch_pipelines<T: Transport>(
 /// and a dead predecessor link blocks on the master's announcement.
 fn recv_token_watching<T: Transport>(
     ep: &mut Endpoint<T>,
-    me: u8,
     prev: usize,
 ) -> Result<PipelineToken, EpochEnd> {
+    let me = ep.rank();
     match ep.recv_from_either(prev, 0) {
         Ok((src, bytes)) => {
             let msg: Msg = match from_bytes(bytes) {
@@ -474,17 +481,6 @@ fn recv_token_watching<T: Transport>(
             error: CommError::Closed(e),
         }),
     }
-}
-
-/// The next live example index strictly after `prev` (wrapping), or the
-/// first live one when `prev` is `None` or nothing lies after it.
-fn next_live_seed(live: &Bitset, prev: Option<usize>) -> Option<usize> {
-    if let Some(p) = prev {
-        if let Some(idx) = (p + 1..live.len()).find(|&i| live.get(i)) {
-            return Some(idx);
-        }
-    }
-    live.first()
 }
 
 /// Forwards a token whose `step` is the stage the *receiver* would run: to

@@ -108,6 +108,14 @@ impl Bitset {
         None
     }
 
+    /// The seed cursor of the covering loops: the lowest set bit strictly
+    /// after `prev`, wrapping to [`Bitset::first`] when `prev` is `None` or
+    /// nothing is set after it. `prev` itself need not be set any more.
+    pub fn next_after(&self, prev: Option<usize>) -> Option<usize> {
+        prev.and_then(|p| (p + 1..self.len).find(|&i| self.get(i)))
+            .or_else(|| self.first())
+    }
+
     /// In-place union.
     pub fn union_with(&mut self, other: &Bitset) {
         assert_eq!(self.len, other.len, "bitset length mismatch");
@@ -256,6 +264,25 @@ mod tests {
         let b = Bitset::from_indices(200, [150, 3, 64]);
         assert_eq!(b.first(), Some(3));
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 64, 150]);
+    }
+
+    #[test]
+    fn next_after_is_a_wrapping_cursor() {
+        let mut b = Bitset::from_indices(130, [3, 64, 129]);
+        assert_eq!(b.next_after(None), Some(3));
+        assert_eq!(b.next_after(Some(3)), Some(64));
+        assert_eq!(b.next_after(Some(64)), Some(129));
+        // Nothing after the last bit, or after the end: wrap around.
+        assert_eq!(b.next_after(Some(129)), Some(3));
+        assert_eq!(b.next_after(Some(500)), Some(3));
+        // The previous seed was covered (cleared) in the meantime.
+        b.clear(64);
+        assert_eq!(b.next_after(Some(64)), Some(129));
+        // A cursor on the only set bit finds it again.
+        let one = Bitset::from_indices(10, [7]);
+        assert_eq!(one.next_after(Some(7)), Some(7));
+        assert_eq!(Bitset::new(10).next_after(Some(2)), None);
+        assert_eq!(Bitset::new(0).next_after(None), None);
     }
 
     #[test]

@@ -3,14 +3,37 @@
 //! Every optimisation in this tree follows one convention — skip the work,
 //! keep the fuel: inference steps are charged as if the naive algorithm had
 //! run, so virtual time, the paper's tables and the traffic volumes never
-//! move when wall time does. This test holds that contract for whole runs:
-//! the sequential baseline and an in-process p = 2, W = 10 pipeline on a
-//! small carcinogenesis input, compared against values recorded at commit
-//! 7e9926a (before the search's variant memo). A change that moves any of
-//! them changed what the reproduction computes, not just how fast.
+//! move when wall time does. This test holds that contract for whole runs.
+//! A change that moves any of these numbers changed what the reproduction
+//! computes, not just how fast.
+//!
+//! Two recordings:
+//!
+//! * the sequential baseline and an in-process p = 2, W = 10 pipeline on a
+//!   small carcinogenesis input, recorded at commit 7e9926a (before the
+//!   search's variant memo);
+//! * `golden/{trains,mesh}_accounting.txt`, one line per configuration of
+//!   every way `crates/core` can run a job — the default path (on trains
+//!   over workers × seed × width), repartitioning, fault-free recovery,
+//!   both non-default strategies, the coverage-parallel baseline and one
+//!   job of each kind on a resident service — recorded at commit 0e178e7,
+//!   while each mode still had a master loop of its own. `trains(12, 5)`
+//!   is learnt in one epoch; `mesh(0.05, 9)` takes 7 to 13 epochs with
+//!   several rules per epoch and set-aside seeds, so it also walks the bag
+//!   consumption and seed-retirement rounds. These lines are the
+//!   *contract* the single epoch driver is held to: theory with coverage
+//!   counts, epochs, set-aside, per-rank steps, bytes, messages and the
+//!   master's virtual clock, bit for bit.
 
 use p2mdie::cluster::CostModel;
-use p2mdie::core::driver::{run_parallel, run_sequential_timed, ParallelConfig};
+use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};
+use p2mdie::core::driver::{run_parallel, run_sequential_timed, ParallelConfig, RecoveryPolicy};
+use p2mdie::core::job::{JobOutput, JobSpec, JobState};
+use p2mdie::core::master::AcceptedRule;
+use p2mdie::core::report::ParallelReport;
+use p2mdie::core::scheduler::{Service, ServiceConfig};
+use p2mdie::core::Strategy;
+use p2mdie::datasets::Dataset;
 use p2mdie::ilp::settings::Width;
 use p2mdie::logic::clause::Clause;
 use p2mdie::logic::symbol::SymbolTable;
@@ -63,4 +86,179 @@ fn pipelined_p2_run_matches_recorded_accounting() {
         "vtime {}",
         rep.vtime
     );
+}
+
+/// Accepted rules with the global cover they were accepted on.
+fn accepted_text(theory: &[AcceptedRule], syms: &SymbolTable) -> Vec<String> {
+    theory
+        .iter()
+        .map(|r| format!("{} [{}/{}]", r.clause.display(syms), r.pos, r.neg))
+        .collect()
+}
+
+/// One table line for a learning run. `{:?}` of an `f64` is its shortest
+/// round-trip form, so the clock is compared bit for bit.
+fn parallel_line(label: &str, rep: &ParallelReport, syms: &SymbolTable) -> String {
+    assert!(!rep.stalled && rep.rank_losses.is_empty() && rep.dropped_sends == 0);
+    format!(
+        "{label} | {:?} | epochs={} set_aside={} steps={:?} bytes={} msgs={} \
+         constraint_bytes={} recovery_bytes={} vtime={:?}",
+        accepted_text(&rep.theory, syms),
+        rep.epochs,
+        rep.set_aside,
+        rep.worker_steps,
+        rep.total_bytes,
+        rep.total_messages,
+        rep.constraint_bytes,
+        rep.recovery_bytes,
+        rep.vtime
+    )
+}
+
+/// Every line of a dataset's table, in file order. `grid` lists the
+/// `(workers, seed, width)` points of the default path.
+fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
+    let syms = ds.engine.kb.symbols();
+    let run = |label: &str, cfg: ParallelConfig| {
+        let rep = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap();
+        parallel_line(label, &rep, syms)
+    };
+    let mut lines = Vec::new();
+
+    for &(workers, seed, width) in grid {
+        lines.push(run(
+            &format!("default p={workers} seed={seed} {width:?}"),
+            ParallelConfig::new(workers, width, seed),
+        ));
+    }
+
+    let base = || ParallelConfig::new(3, Width::Limit(10), 5);
+    let healing = RecoveryPolicy::Repartition { max_rank_losses: 1 };
+    lines.push(run("repartition", base().with_repartition()));
+    lines.push(run(
+        "recovery static",
+        base().with_recovery(healing.clone()),
+    ));
+    lines.push(run(
+        "recovery repartition",
+        base().with_repartition().with_recovery(healing),
+    ));
+    lines.push(run(
+        "search-partition",
+        base().with_strategy(Strategy::SearchPartition),
+    ));
+    lines.push(run(
+        "constraint-driven",
+        base().with_strategy(Strategy::ConstraintDriven),
+    ));
+
+    let granularities = [EvalGranularity::PerLevel, EvalGranularity::PerClause];
+    for granularity in granularities {
+        let rep = run_coverage_parallel(
+            &ds.engine,
+            &ds.examples,
+            3,
+            granularity,
+            CostModel::beowulf_2005(),
+            5,
+        )
+        .unwrap();
+        lines.push(format!(
+            "coverage-parallel {granularity:?} | {:?} | epochs={} set_aside={} bytes={} msgs={} \
+             vtime={:?}",
+            theory_text(&rep.theory, syms),
+            rep.epochs,
+            rep.set_aside,
+            rep.total_bytes,
+            rep.total_messages,
+            rep.vtime
+        ));
+    }
+
+    let service = Service::new(&ds.engine, ServiceConfig::new(2));
+    let examples = || ds.examples.clone();
+    let query = run_parallel(&ds.engine, &ds.examples, &base())
+        .unwrap()
+        .clauses();
+    let jobs = [
+        ("service rule-search", JobSpec::rule_search(examples())),
+        ("service learn", JobSpec::learn(examples())),
+        ("service coverage", JobSpec::coverage(examples(), query)),
+        (
+            "service baseline",
+            JobSpec::baseline(examples(), EvalGranularity::PerLevel),
+        ),
+    ];
+    for (label, spec) in jobs {
+        let outcome = service
+            .submit(spec.with_seed(3).with_width(Width::Limit(10)))
+            .unwrap()
+            .wait();
+        assert_eq!(
+            outcome.state,
+            JobState::Done,
+            "{label}: {:?}",
+            outcome.error
+        );
+        let result = match outcome.output.as_ref().expect("a finished job has output") {
+            JobOutput::Rules(rules) => {
+                let rules: Vec<String> = rules
+                    .iter()
+                    .map(|(c, pos, neg)| format!("{} [{pos}/{neg}]", c.display(syms)))
+                    .collect();
+                format!("{rules:?}")
+            }
+            JobOutput::Learned(out) => format!(
+                "{:?} | epochs={} set_aside={}",
+                accepted_text(&out.theory, syms),
+                out.epochs,
+                out.set_aside
+            ),
+            JobOutput::Coverage(counts) => format!("{counts:?}"),
+            JobOutput::BaselineLearned {
+                theory,
+                epochs,
+                set_aside,
+            } => format!(
+                "{:?} | epochs={epochs} set_aside={set_aside}",
+                theory_text(theory, syms)
+            ),
+        };
+        let acct = &outcome.accounting;
+        lines.push(format!(
+            "{label} | {result} | master_steps={} steps={:?} bytes={} msgs={} vtime={:?}",
+            acct.master_steps, acct.worker_steps, acct.bytes, acct.messages, acct.vtime
+        ));
+    }
+    service.shutdown().unwrap();
+    lines
+}
+
+fn assert_table(lines: &[String], golden: &str) {
+    let golden: Vec<&str> = golden.lines().collect();
+    for (line, want) in lines.iter().zip(&golden) {
+        assert_eq!(line, want);
+    }
+    assert_eq!(lines.len(), golden.len(), "the table lost or gained a row");
+}
+
+#[test]
+fn every_run_mode_on_trains_matches_recorded_accounting() {
+    let mut grid = Vec::new();
+    for workers in [1, 2, 3] {
+        for seed in [0, 3] {
+            for width in [Width::Unlimited, Width::Limit(4), Width::Limit(10)] {
+                grid.push((workers, seed, width));
+            }
+        }
+    }
+    let lines = table_lines(&p2mdie::datasets::trains(12, 5), &grid);
+    assert_table(&lines, include_str!("golden/trains_accounting.txt"));
+}
+
+#[test]
+fn every_run_mode_on_mesh_matches_recorded_accounting() {
+    let grid = [(2, 5, Width::Limit(10)), (3, 5, Width::Unlimited)];
+    let lines = table_lines(&p2mdie::datasets::mesh(0.05, 9), &grid);
+    assert_table(&lines, include_str!("golden/mesh_accounting.txt"));
 }
