@@ -96,7 +96,7 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// v4: `PredSnapshot` columns flattened to one position-major stripe run
 /// and posting lists moved from sorted pairs to CSR keys/offs/idx runs;
 /// v5: the protocol gained the resident-service job-control messages —
-/// `SubmitJob`/`JobAccepted`/`JobResult`/`CancelJob` — and workers became
+/// `SubmitJob`/`JobAccepted`/`JobResult` — and workers became
 /// resident between jobs, so a v4 peer would mis-parse a job submission
 /// and would exit where a v5 worker idles;
 /// v6: the protocol gained the introspection pair `MetricsQuery` /
@@ -107,8 +107,13 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// seed, the protocol gained the worker↔worker `Constraint` broadcast of
 /// the constraint-driven strategy, and the shutdown `Report` frame grew the
 /// worker's constraint-traffic counters — a v6 peer would mis-parse all
-/// three).
-pub const PROTOCOL_VERSION: u16 = 7;
+/// three;
+/// v8: one bootstrap framing — a worker process is handed its work as a
+/// `SubmitJob` whether the mesh is resident or one-shot, so the v3
+/// `Configure`/`LoadPartition` pair and the advisory `CancelJob` are
+/// retired; a v7 worker would sit waiting for a `Configure` that never
+/// comes, and a v7 master would send frames a v8 worker refuses to decode).
+pub const PROTOCOL_VERSION: u16 = 8;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a

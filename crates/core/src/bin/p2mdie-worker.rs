@@ -1,17 +1,19 @@
 //! `p2mdie-worker` — a standalone worker rank for multi-process cluster
 //! runs.
 //!
-//! Spawned once per rank by the TCP drivers (`run_parallel_tcp`,
-//! `run_coverage_parallel_tcp`, or `ParallelConfig::with_transport`):
+//! Spawned once per rank by the TCP drivers (`run_parallel` with
+//! `ParallelConfig::with_transport`, `run_coverage_parallel_tcp`, or
+//! `Service::new_tcp`):
 //!
 //! ```sh
 //! p2mdie-worker --connect 127.0.0.1:40042 --rank 2 [--timeout-secs 60]
 //! ```
 //!
 //! The process dials the master, completes the rendezvous handshake (which
-//! also yields the cost model and the worker-to-worker mesh), bootstraps
-//! its ILP engine from the wire (`Msg::KbSnapshot` + `Msg::Configure` +
-//! `Msg::LoadPartition`), runs the worker protocol until `Stop`, sends a
+//! also yields the cost model and the worker-to-worker mesh), adopts the
+//! background KB from the wire (`Msg::KbSnapshot`), then serves jobs — each
+//! a `Msg::SubmitJob` run to its own `Stop`; one for a one-shot run, many
+//! on a resident service — until a `Stop` arrives while it is idle, sends a
 //! shutdown report (final clock, steps, traffic row, recovery counters),
 //! and exits 0.
 //!

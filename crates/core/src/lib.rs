@@ -20,13 +20,15 @@
 //!   search; they share the pipeline-start/gather and bag-evaluation
 //!   rounds;
 //! * [`bag`] — the rule bag with global scoring;
-//! * [`worker`] — the worker script (Figure 6) and `run_role`, the one
-//!   place a [`WorkerRole`] becomes a loop;
+//! * [`worker`] — **the** worker loop (Figure 6): [`worker::run_worker`]
+//!   serves every role and strategy, and `run_role` is the one place a
+//!   [`WorkerConfig`] becomes its context;
 //! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
-//! * [`strategy`] — the [`Strategy`] switch and the worker loop of the two
-//!   non-default strategies (hypothesis-parallel lattice slicing,
-//!   constraint-driven search); their master is [`master::run_master`]
-//!   over replicated examples;
+//! * [`strategy`] — the [`Strategy`] switch and the replicated epoch of the
+//!   two non-default strategies (hypothesis-parallel lattice slicing,
+//!   constraint-driven search), which the worker loop runs in place of the
+//!   ring of pipelines; their master is [`master::run_master`] over
+//!   replicated examples;
 //! * [`baselines`] — the coverage-parallel related-work algorithm: its own
 //!   master (a sequential search with distributed evaluation), the common
 //!   worker loop;
@@ -34,8 +36,9 @@
 //!   option combinations, and `launch`: a fresh in-process mesh for one
 //!   master function;
 //! * [`remote`] — multi-process deployment: `launch_tcp` (the same for
-//!   worker processes), the remote-worker bootstrap (the `p2mdie-worker`
-//!   binary is this crate's `src/bin/`);
+//!   worker processes, as a one-job session of the resident worker) and
+//!   the worker-process entry (the `p2mdie-worker` binary is this crate's
+//!   `src/bin/`);
 //! * [`job`] — the first-class job layer: what runs on the cluster
 //!   (coverage query, rule search, learning run) and its lifecycle;
 //! * [`scheduler`] — ILP-as-a-service: a resident mesh (`Service`) that
@@ -69,12 +72,11 @@ pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterO
 pub use partition::{partition_examples, Partition};
 pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
 pub use remote::{
-    default_worker_bin, run_coverage_parallel_tcp, run_parallel_tcp, run_remote_worker, TcpConfig,
-    WorkerExit,
+    default_worker_bin, run_coverage_parallel_tcp, run_remote_worker, TcpConfig, WorkerExit,
 };
 pub use report::{render_pipeline_trace, ParallelReport, SequentialReport};
 pub use scheduler::{JobHandle, Service, ServiceConfig, ServiceReport, SubmitError};
-pub use strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
+pub use strategy::Strategy;
 pub use worker::{run_worker, WorkerContext};
 
 /// The problem the unit tests of this crate learn on.

@@ -4,15 +4,20 @@
 //! `LoadExamples` / `StartPipeline` / `PipelineStage` / `RulesFound` /
 //! `Evaluate` / `EvalResult` / `MarkCovered` / `RetireSeed` / `SeedRetired` /
 //! `Stop`, plus the protocol-v5 job-control frames ([`Msg::SubmitJob`] /
-//! [`Msg::JobAccepted`] / [`Msg::JobResult`] / [`Msg::CancelJob`]) that let
-//! a *resident* mesh run many jobs back to back (see [`crate::scheduler`]),
-//! and the protocol-v6 introspection pair ([`Msg::MetricsQuery`] /
-//! [`Msg::MetricsReport`]) that lets the master pull live per-worker metric
-//! snapshots between jobs. Protocol v7 adds the strategy seam: the
+//! [`Msg::JobAccepted`] / [`Msg::JobResult`]) that hand a worker its work —
+//! many jobs back to back on a *resident* mesh (see [`crate::scheduler`]),
+//! exactly one on the worker processes of a one-shot run (see
+//! [`crate::remote`]) — and the protocol-v6 introspection pair
+//! ([`Msg::MetricsQuery`] / [`Msg::MetricsReport`]) that lets the master
+//! pull live per-worker metric snapshots between jobs. Protocol v7 adds the strategy seam: the
 //! worker-to-worker [`Msg::Constraint`] broadcast (proven-dead lattice
 //! regions exchanged by the constraint-driven strategy) and the
 //! [`Strategy`] + strategy-seed fields on [`WorkerConfig`], so one
-//! resident mesh can multiplex jobs of different strategies.
+//! resident mesh can multiplex jobs of different strategies. Protocol v8
+//! only retires frames: the v3 process bootstrap (`Configure` +
+//! `LoadPartition`, tags 13 and 14 — a worker process is now handed its
+//! work as a `SubmitJob`, like a resident one) and the advisory `CancelJob`
+//! (tag 24, which every receiver ignored). Retired tags are not reused.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`] codec, so the traffic statistics reproduce Table 4 exactly as
 //! "bytes that would have crossed the network".
@@ -429,10 +434,10 @@ impl Wire for PipelineToken {
 }
 
 // ---------------------------------------------------------------------------
-// Remote-worker bootstrap payloads.
+// Per-job worker configuration.
 // ---------------------------------------------------------------------------
 
-/// Which protocol loop a bootstrapped worker process must run.
+/// Which shape of the worker loop a rank runs.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkerRole {
     /// The p²-mdie pipelined worker (paper Figure 6).
@@ -448,20 +453,17 @@ pub enum WorkerRole {
     Coverage,
 }
 
-/// Everything a *remote* worker process needs, beyond the compiled KB
-/// (which travels separately as [`Msg::KbSnapshot`]), to run the exact
-/// loop an in-process worker thread runs (`crate::worker::run_role`):
-/// the language bias, the search constraints, and its role.
+/// Everything a worker needs, beyond the compiled KB and its example
+/// subset, to run one job (`crate::worker::run_role`): the language bias,
+/// the search constraints, its role, and the strategy. An in-process rank
+/// of a one-shot run is handed it directly; everywhere else it travels
+/// inside [`Msg::SubmitJob`] and configures the rank for that job over the
+/// already-adopted KB.
 ///
-/// Symbol ids inside the modes are the master's; they stay valid on the
-/// worker because the KB snapshot ships the master's *complete* symbol
-/// dictionary and the worker restores it into a fresh table (id-preserving
-/// path) before anything else is interned.
-///
-/// The same payload travels inside [`Msg::SubmitJob`] for *resident*
-/// workers, where it reconfigures the rank per job over the already-adopted
-/// KB (this type was called `JobSpec` before the job layer in
-/// [`crate::job`] claimed that name; the tag-13 byte layout is unchanged).
+/// Symbol ids inside the modes are the master's; they stay valid on a
+/// worker process because the KB snapshot ships the master's *complete*
+/// symbol dictionary and the worker restores it into a fresh table
+/// (id-preserving path) before anything else is interned.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerConfig {
     /// The worker loop to run.
@@ -621,22 +623,6 @@ pub enum Msg {
     KbSnapshot(Box<KbSnapshot>),
     /// Master → workers: run over, shut down.
     Stop,
-    /// Master → worker (remote bootstrap): the worker configuration — role,
-    /// language bias, and settings. In-process workers are handed the
-    /// same [`WorkerConfig`] directly and never see this message; a worker
-    /// *process* reconstructs the identical engine from
-    /// [`Msg::KbSnapshot`] + `Configure` + [`Msg::LoadPartition`].
-    Configure(Box<WorkerConfig>),
-    /// Master → worker (remote bootstrap): your example subset, shipped in
-    /// full. Distinct from [`Msg::NewPartition`], which is the §4.1
-    /// repartitioning protocol *inside* a run; this one happens once at
-    /// startup, before `LoadExamples`.
-    LoadPartition {
-        /// Local positive examples.
-        pos: Vec<Literal>,
-        /// Local negative examples.
-        neg: Vec<Literal>,
-    },
     /// Master → workers, before `LoadExamples`: this run may lose ranks —
     /// arm the worker-side recovery protocol (`AbortEpoch` handling, ring
     /// membership tracking, `CoveredIdx` replies). Without it none of that
@@ -673,17 +659,18 @@ pub enum Msg {
         /// The accepted theory so far, in acceptance order.
         rules: Vec<Clause>,
     },
-    /// Master → *resident* worker (protocol v5): bootstrap one job over the
+    /// Master → idle worker (protocol v5): bootstrap one job over the
     /// already-adopted KB. Carries everything that differs between jobs —
     /// role, language bias, settings, and this rank's example subset — and
-    /// nothing that doesn't (the compiled KB shipped once at service
-    /// start). The worker clones its pristine base KB, runs the role loop
+    /// nothing that doesn't (the compiled KB shipped once, when the mesh
+    /// came up). The worker clones its pristine base KB, runs the role loop
     /// until the job's `Stop`, replies [`Msg::JobResult`], and returns to
-    /// idle.
+    /// idle. A resident service sends many; a one-shot run over worker
+    /// processes sends exactly one per rank.
     SubmitJob {
-        /// Scheduler-assigned job id, echoed on every job-control reply.
+        /// Master-assigned job id, echoed on every job-control reply.
         id: u64,
-        /// Per-job worker configuration (same payload as `Configure`).
+        /// Per-job worker configuration.
         config: Box<WorkerConfig>,
         /// This rank's positive examples for the job.
         pos: Vec<Literal>,
@@ -708,14 +695,6 @@ pub enum Msg {
         id: u64,
         /// Compute steps this rank spent on this job.
         steps: u64,
-    },
-    /// Master → resident workers: abandon job `id` if it is still queued
-    /// worker-side. A rank that already finished (or never queued) the job
-    /// treats this as a no-op — cancellation is advisory, never destructive
-    /// (a running job's partial theory is never published either way).
-    CancelJob {
-        /// The cancelled job's id.
-        id: u64,
     },
     /// Master → *idle* resident worker (protocol v6): report your live
     /// metric snapshot. Only sent between jobs (the resident idle loop is
@@ -807,15 +786,6 @@ impl Wire for Msg {
                 buf.put_u8(12);
                 snap.encode(buf);
             }
-            Msg::Configure(spec) => {
-                buf.put_u8(13);
-                spec.encode(buf);
-            }
-            Msg::LoadPartition { pos, neg } => {
-                buf.put_u8(14);
-                pos.encode(buf);
-                neg.encode(buf);
-            }
             Msg::EnableRecovery => buf.put_u8(15),
             Msg::AbortEpoch { dead } => {
                 buf.put_u8(16);
@@ -853,10 +823,6 @@ impl Wire for Msg {
                 buf.put_u8(23);
                 id.encode(buf);
                 steps.encode(buf);
-            }
-            Msg::CancelJob { id } => {
-                buf.put_u8(24);
-                id.encode(buf);
             }
             Msg::MetricsQuery => buf.put_u8(25),
             Msg::MetricsReport { snapshot } => {
@@ -912,11 +878,6 @@ impl Wire for Msg {
                 neg: Vec::<Literal>::decode(buf)?,
             },
             12 => Msg::KbSnapshot(Box::new(KbSnapshot::decode(buf)?)),
-            13 => Msg::Configure(Box::new(WorkerConfig::decode(buf)?)),
-            14 => Msg::LoadPartition {
-                pos: Vec::<Literal>::decode(buf)?,
-                neg: Vec::<Literal>::decode(buf)?,
-            },
             15 => Msg::EnableRecovery,
             16 => Msg::AbortEpoch {
                 dead: u8::decode(buf)?,
@@ -944,9 +905,6 @@ impl Wire for Msg {
                 id: u64::decode(buf)?,
                 steps: u64::decode(buf)?,
             },
-            24 => Msg::CancelJob {
-                id: u64::decode(buf)?,
-            },
             25 => Msg::MetricsQuery,
             26 => Msg::MetricsReport {
                 snapshot: decode_metrics(buf)?,
@@ -956,6 +914,8 @@ impl Wire for Msg {
                 epoch: u32::decode(buf)?,
                 shapes: decode_shapes(buf)?,
             },
+            // Unknown, or retired and never reused: 13 `Configure`, 14
+            // `LoadPartition`, 24 `CancelJob`.
             _ => return Err(DecodeError::new("message tag")),
         })
     }
@@ -1067,13 +1027,6 @@ mod tests {
                 vec![Term::Sym(t.intern("m2"))],
             )],
         });
-        roundtrip(Msg::LoadPartition {
-            pos: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m1"))],
-            )],
-            neg: vec![],
-        });
         roundtrip(Msg::EnableRecovery);
         roundtrip(Msg::AbortEpoch { dead: 2 });
         roundtrip(Msg::EpochFlush);
@@ -1109,18 +1062,23 @@ mod tests {
             WorkerRole::Coverage,
         ] {
             for strategy in Strategy::ALL {
-                roundtrip(Msg::Configure(Box::new(WorkerConfig {
-                    role: role.clone(),
-                    modes: modes.clone(),
-                    settings: Settings {
-                        noise: 3,
-                        score: ScoreFn::Compression,
-                        eval_threads: 2,
-                        ..Settings::default()
-                    },
-                    strategy,
-                    strategy_seed: 0xDEAD_BEEF_CAFE_F00D,
-                })));
+                roundtrip(Msg::SubmitJob {
+                    id: 1,
+                    config: Box::new(WorkerConfig {
+                        role: role.clone(),
+                        modes: modes.clone(),
+                        settings: Settings {
+                            noise: 3,
+                            score: ScoreFn::Compression,
+                            eval_threads: 2,
+                            ..Settings::default()
+                        },
+                        strategy,
+                        strategy_seed: 0xDEAD_BEEF_CAFE_F00D,
+                    }),
+                    pos: vec![],
+                    neg: vec![],
+                });
             }
         }
         roundtrip(Msg::SubmitJob {
@@ -1149,7 +1107,6 @@ mod tests {
             id: 9,
             steps: u64::MAX / 3,
         });
-        roundtrip(Msg::CancelJob { id: u64::MAX });
         roundtrip(Msg::MetricsQuery);
         roundtrip(Msg::MetricsReport {
             snapshot: MetricsSnapshot {
@@ -1232,16 +1189,22 @@ mod tests {
 
         let t = SymbolTable::new();
         let modes = p2mdie_ilp::modes::ModeSet::parse(&t, "active(+mol)", &[(1, "solid")]).unwrap();
-        let cfg_bytes = to_bytes(&Msg::Configure(Box::new(WorkerConfig {
-            role: WorkerRole::Coverage,
-            modes,
-            settings: Settings::default(),
-            strategy: Strategy::ConstraintDriven,
-            strategy_seed: 3,
-        })));
-        // The strategy tag is the 9th byte from the end (tag + u64 seed).
+        let cfg_bytes = to_bytes(&Msg::SubmitJob {
+            id: 1,
+            config: Box::new(WorkerConfig {
+                role: WorkerRole::Coverage,
+                modes,
+                settings: Settings::default(),
+                strategy: Strategy::ConstraintDriven,
+                strategy_seed: 3,
+            }),
+            pos: vec![],
+            neg: vec![],
+        });
+        // The config ends with the strategy tag and the u64 seed; the two
+        // empty example vectors after it are one u32 count each.
         let mut raw = cfg_bytes.to_vec();
-        let at = raw.len() - 9;
+        let at = raw.len() - 8 - 9;
         raw[at] = 200;
         assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
     }
@@ -1293,11 +1256,30 @@ mod tests {
         }
     }
 
+    /// An unknown tag is a decode error, and so is a retired one — 13
+    /// (`Configure`), 14 (`LoadPartition`), 24 (`CancelJob`) — whatever
+    /// follows it: a v7 peer's frame is refused, never mis-decoded and never
+    /// a panic.
     #[test]
     fn corrupt_tag_is_rejected() {
-        let mut raw = to_bytes(&Msg::Stop).to_vec();
-        raw[0] = 200;
-        assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
+        let t = SymbolTable::new();
+        let lits = vec![Literal::new(t.intern("active"), vec![Term::Int(1)])];
+        let bodies = [
+            Vec::new(),
+            // What used to follow the retired tags: a job id, and two
+            // example vectors.
+            to_bytes(&7u64).to_vec(),
+            [to_bytes(&lits).to_vec(), to_bytes(&lits).to_vec()].concat(),
+        ];
+        for tag in [200u8, 13, 14, 24] {
+            for body in &bodies {
+                let raw = [&[tag][..], body].concat();
+                assert!(
+                    from_bytes::<Msg>(Bytes::from(raw)).is_err(),
+                    "tag {tag} must not decode"
+                );
+            }
+        }
     }
 
     #[test]

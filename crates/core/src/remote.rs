@@ -1,25 +1,34 @@
 //! Multi-process deployment: run p²-mdie with workers as real OS
 //! processes over a localhost TCP mesh.
 //!
-//! The in-process drivers hand each simulated rank its `WorkerContext`
-//! through shared memory. A worker *process* has no shared memory, so
-//! everything must travel over the wire — and since PR 3 it can: the
-//! compiled background KB ships as [`Msg::KbSnapshot`] (symbol dictionary
-//! included), and this module adds the two missing bootstrap messages,
-//! [`Msg::Configure`] (role + modes + settings) and [`Msg::LoadPartition`]
-//! (the example subset). A bootstrapped process reconstructs a
-//! bit-identical engine:
+//! The in-process drivers hand each simulated rank its KB, configuration
+//! and examples through shared memory. A worker *process* has no shared
+//! memory, so everything travels over the wire, in one bootstrap shape
+//! whatever the process is for: the compiled background KB ships as
+//! [`Msg::KbSnapshot`] (symbol dictionary included), and the work arrives
+//! as [`Msg::SubmitJob`] frames (role + modes + settings + the example
+//! subset). [`run_remote_worker`] is therefore two steps:
 //!
-//! 1. restore the snapshot into a **fresh** symbol table — the
+//! 1. restore the first snapshot into a **fresh** symbol table — the
 //!    id-preserving path, so every symbol id in later messages (clauses,
-//!    examples, modes) means the same thing on both sides;
-//! 2. adopt the KB *as shipped* (no re-pruning, no re-indexing, and — the
-//!    store being column-native — no row materialization: the restored KB
-//!    holds the snapshot's `TermId` columns and unifies straight against
-//!    them, so a worker process's fact memory is the columnar footprint
-//!    and nothing more);
-//! 3. run the same worker loop an in-process rank of that role runs
-//!    (`crate::worker::run_role`).
+//!    examples, modes) means the same thing on both sides — and adopt the
+//!    KB *as shipped* (no re-pruning, no re-indexing, and — the store being
+//!    column-native — no row materialization: the restored KB holds the
+//!    snapshot's `TermId` columns and unifies straight against them, so a
+//!    worker process's fact memory is the columnar footprint and nothing
+//!    more);
+//! 2. park in the resident idle loop (`crate::scheduler`), which runs each
+//!    submitted job on a clone of that KB with the same worker loop an
+//!    in-process rank runs (`crate::worker::run_role`), until `Stop`.
+//!
+//! A one-shot run is a one-job session of that worker: `launch_tcp` spawns
+//! the `p2mdie-worker` binary once per rank, ships the KB, submits the
+//! run as one job, drives the master function on the calling thread,
+//! drains the job and stops the idle mesh. A resident service
+//! ([`crate::scheduler::Service::new_tcp`]) keeps the same processes up
+//! for many jobs. [`WorkerExit`] reports how the session ended, so the
+//! binary can exit with a distinct code when its master vanished while it
+//! sat idle *between* jobs (not a mid-job failure).
 //!
 //! Because virtual arrival times travel inside the TCP frames, a
 //! multi-process run Lamport-merges the same clock values and makes the
@@ -28,30 +37,15 @@
 //! `run_parallel` with KB shipping enabled and the same seed (pinned by
 //! `crates/core/tests/tcp_cluster.rs`).
 //!
-//! # Resident mode
-//!
-//! A worker process that receives [`Msg::SubmitJob`] instead of the
-//! `Configure`/`LoadPartition` pair joins a resident service mesh
-//! ([`crate::scheduler::Service::new_tcp`]): it runs the submitted job on
-//! a clone of the adopted KB, then parks in the idle loop awaiting further
-//! jobs. [`run_remote_worker`] reports how the session ended via
-//! [`WorkerExit`] so the `p2mdie-worker` binary can exit with a distinct
-//! code when its master vanished while it sat idle *between* jobs (not a
-//! mid-job failure).
-//!
-//! Entry points: `launch_tcp` spawns the `p2mdie-worker` binary once per
-//! rank, bootstraps the processes and drives a master function on the
-//! calling thread — `ParallelConfig::with_transport` routes `run_parallel`
-//! through it, and [`run_parallel_tcp`] / [`run_coverage_parallel_tcp`]
-//! are shorthands for that.
+//! `ParallelConfig::with_transport` routes `run_parallel` through
+//! `launch_tcp`; [`run_coverage_parallel_tcp`] is the baseline's shorthand.
 
 use crate::baselines::{coverage_parallel, BaselineReport, EvalGranularity};
-use crate::driver::{run_parallel, worker_config, ParallelConfig, TransportKind};
+use crate::driver::{worker_config, ParallelConfig, TransportKind};
 use crate::master::ship_kb;
-use crate::protocol::{Msg, WorkerConfig, WorkerRole};
-use crate::report::ParallelReport;
-use crate::scheduler::{report_worker_metrics, run_resident_worker, run_submitted_job};
-use crate::worker::run_role;
+use crate::protocol::{Msg, WorkerRole};
+use crate::scheduler::{drain_job, live_workers, run_resident_worker, submit_job};
+use crate::worker::restore_kb;
 use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::net::{run_cluster_tcp, TcpTransport};
 use p2mdie_cluster::transport::Transport;
@@ -59,7 +53,6 @@ use p2mdie_cluster::{ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
-use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
 use std::io;
 use std::net::SocketAddr;
@@ -166,11 +159,13 @@ pub(crate) fn spawn_worker(
     cmd.spawn()
 }
 
+/// The job id of a one-shot run: the only job its worker processes see.
+const ONE_SHOT_JOB: u64 = 1;
+
 /// Runs `master` against `cfg.workers` worker *processes* in `role`, rank
-/// `k` holding `subsets[k - 1]`: spawn them, ship the compiled KB, then
-/// each worker's configuration and example subset (the processes block in
-/// [`run_remote_worker`]'s bootstrap loop until all three arrived), run the
-/// master on the calling thread, reap the processes. The KB is always
+/// `k` holding `subsets[k - 1]`: spawn them, ship the compiled KB, submit
+/// the run as one job, run the master on the calling thread, drain the
+/// job, stop the (now idle) workers, reap the processes. The KB is always
 /// shipped — worker processes have no shared memory to inherit it from.
 pub(crate) fn launch_tcp<R>(
     engine: &IlpEngine,
@@ -196,17 +191,15 @@ pub(crate) fn launch_tcp<R>(
         |rank, addr| spawn_worker(&bin, rank, addr, tcp),
         |ep| {
             ship_kb(ep, &engine.kb);
-            for (i, subset) in subsets.iter().enumerate() {
-                ep.send(i + 1, &Msg::Configure(Box::new(config.clone())));
-                ep.send(
-                    i + 1,
-                    &Msg::LoadPartition {
-                        pos: subset.pos.clone(),
-                        neg: subset.neg.clone(),
-                    },
-                );
+            submit_job(ep, ONE_SHOT_JOB, &config, subsets);
+            let result = master(ep);
+            drain_job(ep, ONE_SHOT_JOB);
+            // `Stop` at idle ends the session; a rank the run recovered
+            // around is not there to hear it.
+            for k in live_workers(ep) {
+                ep.send(k, &Msg::Stop);
             }
-            master(ep)
+            result
         },
     )
 }
@@ -226,93 +219,35 @@ pub enum WorkerExit {
     IdleDisconnect,
 }
 
-/// The worker-process entry: gather the bootstrap messages, rebuild the
-/// engine, run the protocol until the mesh stops.
+/// The worker-process entry: adopt the KB, then serve jobs until the mesh
+/// stops.
 ///
-/// Two bootstrap shapes arrive on the wire:
-///
-/// - **One-shot**: `KbSnapshot` + [`Msg::Configure`] +
-///   [`Msg::LoadPartition`] in any order, then the role's protocol loop
-///   runs once to `Stop`.
-/// - **Resident**: `KbSnapshot` + [`Msg::SubmitJob`] — the job runs on a
-///   clone of the adopted KB, then the worker parks in the resident idle
-///   loop for further jobs until `Stop` (or an idle disconnect).
-///
-/// The KB snapshot restores into a **fresh** symbol table before anything
-/// else is interned, which reproduces the master's symbol ids exactly (the
-/// snapshot carries the complete dictionary in id order) — every id-typed
-/// payload of the protocol stays valid. The restored KB is adopted as
-/// shipped, mirroring the in-process `ship_kb` adoption path bit for bit
-/// (the snapshot already carries the master's mode-pruned posting lists,
-/// so `IlpEngine::new`'s re-pruning is deliberately *not* run).
+/// The first frame must be the [`Msg::KbSnapshot`]; a job submitted to a
+/// process that has no KB yet is a protocol violation and fails the rank
+/// rather than run on an empty background theory. The snapshot restores
+/// into a **fresh** symbol table before anything else is interned, which
+/// reproduces the master's symbol ids exactly (the snapshot carries the
+/// complete dictionary in id order) — every id-typed payload of the
+/// protocol stays valid. The restored KB is adopted as shipped, mirroring
+/// the in-process `ship_kb` adoption path bit for bit (the snapshot already
+/// carries the master's mode-pruned posting lists, so `IlpEngine::new`'s
+/// re-pruning is deliberately *not* run). From there on the process is a
+/// resident worker: a one-shot run submits one job and stops it, a service
+/// submits many.
 pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
     let me = ep.rank();
     assert!(me >= 1, "run_remote_worker must not run on the master rank");
-    let mut snap = None;
-    let mut config: Option<WorkerConfig> = None;
-    let mut local = None;
-    while snap.is_none() || config.is_none() || local.is_none() {
-        match Msg::recv(ep, 0, "a bootstrap message") {
-            Msg::KbSnapshot(s) => snap = Some(*s),
-            Msg::Configure(j) => config = Some(*j),
-            Msg::LoadPartition { pos, neg } => local = Some(Examples::new(pos, neg)),
-            Msg::SubmitJob {
-                id,
-                config,
-                pos,
-                neg,
-            } => {
-                // Resident bootstrap: the snapshot must already be adopted
-                // (the service ships it before the first job).
-                let snap = snap.unwrap_or_else(|| {
-                    panic!("worker {me}: SubmitJob before the KB snapshot arrived")
-                });
-                let mut base = KnowledgeBase::from_snapshot(snap, SymbolTable::new())
-                    .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-                run_submitted_job(ep, &base, id, *config, pos, neg);
-                return run_resident_worker(ep, &mut base);
-            }
-            Msg::CancelJob { .. } => {} // advisory; nothing queued here yet
-            // A resident service may ask before it has submitted anything.
-            Msg::MetricsQuery => report_worker_metrics(ep),
-            Msg::Stop => return WorkerExit::Finished,
-            other => panic!("worker {me}: unexpected bootstrap message {other:?}"),
-        }
-    }
-    let (snap, config, local) = (
-        snap.expect("gathered"),
-        config.expect("gathered"),
-        local.expect("gathered"),
-    );
-
-    let kb = KnowledgeBase::from_snapshot(snap, SymbolTable::new())
-        .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-    run_role(ep, kb, config, local);
-    WorkerExit::Finished
-}
-
-/// [`crate::driver::run_parallel`] with every worker a real OS process
-/// over localhost TCP: shorthand for `cfg` with
-/// [`TransportKind::Tcp`]`(tcp)`.
-///
-/// The background KB is always shipped (worker processes have no shared
-/// memory to inherit it from), so the run to compare against is the
-/// in-process one with `ParallelConfig::with_kb_shipping`: same theory,
-/// same coverage counts, same per-rank step counts. `cfg.model` still
-/// governs all virtual-time metering — wall-clock plays no role in the
-/// reported numbers.
-pub fn run_parallel_tcp(
-    engine: &IlpEngine,
-    examples: &Examples,
-    cfg: &ParallelConfig,
-    tcp: &TcpConfig,
-) -> Result<ParallelReport, ClusterError> {
-    let cfg = cfg.clone().with_transport(TransportKind::Tcp(tcp.clone()));
-    run_parallel(engine, examples, &cfg)
+    let msg = Msg::recv(ep, 0, "the KB snapshot");
+    let Msg::KbSnapshot(snap) = msg else {
+        panic!("worker {me}: expected the KB snapshot before anything else, got {msg:?}");
+    };
+    let mut base = restore_kb(*snap, SymbolTable::new(), me);
+    run_resident_worker(ep, &mut base)
 }
 
 /// [`crate::baselines::run_coverage_parallel`] with worker processes over
-/// localhost TCP (KB always shipped, as in [`run_parallel_tcp`]).
+/// localhost TCP. The KB is always shipped, so the run to compare against
+/// is the in-process one with `ship_kb` on.
 pub fn run_coverage_parallel_tcp(
     engine: &IlpEngine,
     examples: &Examples,
@@ -326,4 +261,53 @@ pub fn run_coverage_parallel_tcp(
         .with_transport(TransportKind::Tcp(tcp.clone()));
     cfg.model = model;
     coverage_parallel(engine, examples, &cfg, granularity)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::problem;
+    use p2mdie_cluster::run_cluster;
+
+    /// A job that reaches a worker process before any KB snapshot fails the
+    /// rank loudly instead of running on an empty background theory.
+    #[test]
+    fn submit_before_the_kb_snapshot_fails_the_rank() {
+        let (engine, ex) = problem(30);
+        let config = worker_config(
+            &engine,
+            &engine.settings,
+            1,
+            WorkerRole::Coverage,
+            Default::default(),
+            0,
+        );
+        let err = run_cluster(
+            1,
+            CostModel::free(),
+            |ep| {
+                ep.send(
+                    1,
+                    &Msg::SubmitJob {
+                        id: ONE_SHOT_JOB,
+                        config: Box::new(config.clone()),
+                        pos: ex.pos.clone(),
+                        neg: ex.neg.clone(),
+                    },
+                );
+                let _ = ep.recv_from(1);
+            },
+            |ep| {
+                let _ = run_remote_worker(ep);
+            },
+        )
+        .unwrap_err();
+        match &err {
+            ClusterError::WorkerPanicked { rank, message } => {
+                assert_eq!(*rank, 1, "{err}");
+                assert!(message.contains("KB snapshot"), "{err}");
+            }
+            other => panic!("expected rank 1 to fail, got {other}"),
+        }
+    }
 }

@@ -11,9 +11,9 @@
 //! per-rank [`Msg::SubmitJob`] frames); the expensive part of a cold start
 //! — mesh construction and the KB transfer — is paid once per service
 //! instead of once per run. The same loop serves a TCP mesh of real
-//! `p2mdie-worker` processes ([`Service::new_tcp`]): a remote worker that
-//! receives a `SubmitJob` instead of the one-shot `Configure` bootstrap
-//! switches into the identical resident loop.
+//! `p2mdie-worker` processes ([`Service::new_tcp`]): a worker process
+//! adopts the snapshot and then runs the identical resident loop
+//! ([`crate::remote::run_remote_worker`]).
 //!
 //! Every worker runs each job on a **pristine clone** of the resident KB:
 //! accepted rules assert into the job's copy and vanish with it, so
@@ -47,9 +47,10 @@
 //!    the queue, not in interleaved wire traffic.
 //!
 //! Cancellation is advisory and queue-side: [`JobHandle::cancel`] marks
-//! the id, the scheduler fails the job at dequeue time (before any
-//! dispatch), and broadcasts [`Msg::CancelJob`] so the resident workers
-//! observe the frame; a job already on the mesh runs to completion.
+//! the id and the scheduler fails the job at dequeue time, before any
+//! dispatch — nothing travels over the mesh. A job already on the mesh
+//! runs to completion; a cancel that arrives too late only has its mark
+//! consumed.
 //!
 //! # Introspection
 //!
@@ -67,16 +68,18 @@
 //! # One-shot runs
 //!
 //! [`crate::driver::run_parallel`], the coverage-parallel baseline and
-//! their TCP shorthands do not come through here: each builds a fresh mesh
-//! with `crate::driver::launch` / `crate::remote::launch_tcp`, runs one
-//! master function, and tears the mesh down. They share with a job on the
-//! service the master function ([`run_master`], `baseline_master`) and the
-//! worker loop (`run_role`), so a job's result is bit-identical to the
-//! one-shot run of the same work (pinned by
-//! `crates/core/tests/service.rs`). Only the framing differs: a job
-//! travels as one [`Msg::SubmitJob`] per rank and is acknowledged and
-//! drained, a one-shot run bootstraps worker processes with `Configure` +
-//! `LoadPartition`.
+//! their TCP shorthands do not queue here: each builds a fresh mesh with
+//! `crate::driver::launch` / `crate::remote::launch_tcp`, runs one master
+//! function, and tears the mesh down. They share with a job on the service
+//! the master function ([`run_master`], `baseline_master`) and the worker
+//! loop (`run_role`), so a job's result is bit-identical to the one-shot
+//! run of the same work (pinned by `crates/core/tests/service.rs`). Over
+//! TCP they share the framing too: `launch_tcp` is a one-job session of
+//! the resident worker — `submit_job`, the master function, `drain_job`,
+//! `Stop` at idle. Only an in-process one-shot is framed differently: its
+//! ranks are handed KB, configuration and examples through shared memory
+//! (the paper's distributed-file-system assumption, zero bootstrap bytes),
+//! so no job-control frame travels.
 
 use crate::baselines::{baseline_master, eval_round};
 use crate::driver::{take_seat, worker_config, RecoveryPolicy};
@@ -88,7 +91,7 @@ use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{spawn_worker, TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
 use crate::strategy::Strategy;
-use crate::worker::run_role;
+use crate::worker::{restore_kb, run_role};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::net::run_cluster_tcp;
 use p2mdie_cluster::transport::Transport;
@@ -505,9 +508,6 @@ fn scheduler_master<T: Transport>(
             .map(|mut set| set.remove(&job.id.0))
             .unwrap_or(false);
         let outcome = if was_cancelled {
-            // Nothing was dispatched; tell the (idle) workers anyway so the
-            // advisory frame is exercised end to end.
-            ep.broadcast(&Msg::CancelJob { id: job.id.0 });
             registry.counter("scheduler_jobs_cancelled_total").inc();
             let mut lifecycle = Lifecycle::new(job.id);
             lifecycle.advance(JobState::Failed);
@@ -535,16 +535,10 @@ fn scheduler_master<T: Transport>(
                 .inc();
             let outcome = dispatch_job(ep, engine, job.id, &job.spec);
             // A cancel that raced the running job arrived too late to stop
-            // it — the job completed legally. Consume the mark (so it can
-            // never leak onto a later dequeue pass) and still broadcast the
-            // advisory frame; every worker treats a finished job's
-            // CancelJob as a no-op.
-            let late_cancel = cancelled
-                .lock()
-                .map(|mut set| set.remove(&job.id.0))
-                .unwrap_or(false);
-            if late_cancel {
-                ep.broadcast(&Msg::CancelJob { id: job.id.0 });
+            // it — the job completed legally. Consume the mark so it can
+            // never leak onto a later dequeue pass.
+            if let Ok(mut set) = cancelled.lock() {
+                set.remove(&job.id.0);
             }
             outcome
         };
@@ -576,7 +570,7 @@ fn collect_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) -> Vec<MetricsSnap
 
 /// Answers a [`Msg::MetricsQuery`] from the master: a worker does so
 /// whenever it is idle, before its first job as much as between jobs.
-pub(crate) fn report_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) {
+fn report_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) {
     let snapshot = worker_metrics_snapshot(ep);
     ep.send(0, &Msg::MetricsReport { snapshot });
 }
@@ -666,31 +660,7 @@ fn dispatch_job<T: Transport>(
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
-    for (i, subset) in subsets.iter().enumerate() {
-        ep.send(
-            i + 1,
-            &Msg::SubmitJob {
-                id: id.0,
-                config: Box::new(config.clone()),
-                pos: subset.pos.clone(),
-                neg: subset.neg.clone(),
-            },
-        );
-    }
-    for k in 1..=p {
-        let msg = Msg::recv(ep, k, "a JobAccepted");
-        let Msg::JobAccepted {
-            id: accepted,
-            queue_free,
-        } = msg
-        else {
-            panic!("scheduler: expected JobAccepted from rank {k}, got {msg:?}");
-        };
-        assert_eq!(accepted, id.0, "rank {k} accepted the wrong job");
-        // The backpressure contract: a worker runs one job at a time, so
-        // the slot it just consumed was its only one.
-        assert_eq!(queue_free, 0, "rank {k} advertised a queue it cannot have");
-    }
+    submit_job(ep, id.0, &config, &subsets);
 
     job.advance(JobState::Running);
     event!(
@@ -751,19 +721,7 @@ fn dispatch_job<T: Transport>(
         job = id.0,
         state = "draining",
     );
-    let mut worker_steps = vec![0u64; p];
-    for k in 1..=p {
-        let msg = Msg::recv(ep, k, "a JobResult");
-        let Msg::JobResult {
-            id: finished,
-            steps,
-        } = msg
-        else {
-            panic!("scheduler: expected JobResult from rank {k}, got {msg:?}");
-        };
-        assert_eq!(finished, id.0, "rank {k} drained the wrong job");
-        worker_steps[k - 1] = steps;
-    }
+    let worker_steps = drain_job(ep, id.0);
 
     job.advance(JobState::Done);
     event!(
@@ -786,6 +744,71 @@ fn dispatch_job<T: Transport>(
             messages: ep.stats().total_messages() - messages0,
         },
     }
+}
+
+/// The worker ranks not acknowledged dead, ascending: everyone, unless the
+/// run recovered around a death.
+pub(crate) fn live_workers<T: Transport>(ep: &Endpoint<T>) -> Vec<usize> {
+    let down = ep.downed();
+    (1..=ep.workers()).filter(|k| !down.contains(k)).collect()
+}
+
+/// Hands job `id` to the idle workers, rank `k` getting `subsets[k - 1]`:
+/// one [`Msg::SubmitJob`] per live rank, then each one's
+/// [`Msg::JobAccepted`].
+pub(crate) fn submit_job<T: Transport>(
+    ep: &mut Endpoint<T>,
+    id: u64,
+    config: &WorkerConfig,
+    subsets: &[Examples],
+) {
+    let ranks = live_workers(ep);
+    for &k in &ranks {
+        ep.send(
+            k,
+            &Msg::SubmitJob {
+                id,
+                config: Box::new(config.clone()),
+                pos: subsets[k - 1].pos.clone(),
+                neg: subsets[k - 1].neg.clone(),
+            },
+        );
+    }
+    for k in ranks {
+        let msg = Msg::recv(ep, k, "a JobAccepted");
+        let Msg::JobAccepted {
+            id: accepted,
+            queue_free,
+        } = msg
+        else {
+            panic!("master: expected JobAccepted from rank {k}, got {msg:?}");
+        };
+        assert_eq!(accepted, id, "rank {k} accepted the wrong job");
+        // The backpressure contract: a worker runs one job at a time, so
+        // the slot it just consumed was its only one.
+        assert_eq!(queue_free, 0, "rank {k} advertised a queue it cannot have");
+    }
+}
+
+/// Collects job `id`'s [`Msg::JobResult`] from every live worker once the
+/// job's master protocol has sent its `Stop`, and returns the compute steps
+/// each rank spent on it. A rank that died during the job (and was
+/// recovered around) has nothing to report and counts 0.
+pub(crate) fn drain_job<T: Transport>(ep: &mut Endpoint<T>, id: u64) -> Vec<u64> {
+    let mut worker_steps = vec![0u64; ep.workers()];
+    for k in live_workers(ep) {
+        let msg = Msg::recv(ep, k, "a JobResult");
+        let Msg::JobResult {
+            id: finished,
+            steps,
+        } = msg
+        else {
+            panic!("master: expected JobResult from rank {k}, got {msg:?}");
+        };
+        assert_eq!(finished, id, "rank {k} drained the wrong job");
+        worker_steps[k - 1] = steps;
+    }
+    worker_steps
 }
 
 /// The resident worker's idle loop: park between jobs with the adopted KB
@@ -813,19 +836,13 @@ pub(crate) fn run_resident_worker<T: Transport>(
             }),
         };
         match msg {
-            Msg::KbSnapshot(snap) => {
-                let syms = base.symbols().clone();
-                *base = KnowledgeBase::from_snapshot(*snap, syms)
-                    .unwrap_or_else(|e| panic!("rank {me}: rejected KB snapshot: {e}"));
-            }
+            Msg::KbSnapshot(snap) => *base = restore_kb(*snap, base.symbols().clone(), me),
             Msg::SubmitJob {
                 id,
                 config,
                 pos,
                 neg,
             } => run_submitted_job(ep, base, id, *config, pos, neg),
-            // Advisory: the cancelled job never reached this rank.
-            Msg::CancelJob { .. } => {}
             // Introspection: always answered, even with sampling and
             // tracing off — the endpoint facts in the snapshot are
             // maintained unconditionally.
@@ -838,9 +855,7 @@ pub(crate) fn run_resident_worker<T: Transport>(
 
 /// One job on a resident worker: accept, run the role's protocol loop on
 /// a pristine KB clone until the job's `Stop`, report the step delta.
-/// Crate-visible so the remote bootstrap can run the job that switched it
-/// into resident mode.
-pub(crate) fn run_submitted_job<T: Transport>(
+fn run_submitted_job<T: Transport>(
     ep: &mut Endpoint<T>,
     base: &KnowledgeBase,
     id: u64,
@@ -1090,9 +1105,10 @@ mod tests {
             let mut base = kb;
             run_resident_worker(&mut ep, &mut base)
         });
-        // An advisory frame the idle loop ignores, then the master is gone:
-        // its endpoint drops and the supervisor notifies the worker.
-        master_ep.broadcast(&Msg::CancelJob { id: 1 });
+        // A frame the idle loop answers, then the master is gone: its
+        // endpoint drops and the supervisor notifies the worker.
+        master_ep.broadcast(&Msg::MetricsQuery);
+        let _ = Msg::recv(&mut master_ep, 1, "a MetricsReport");
         drop(master_ep);
         assert!(master_down.notify(0), "worker must still be receiving");
         assert_eq!(

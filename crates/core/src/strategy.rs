@@ -50,8 +50,10 @@
 //! order) and broadcasts it as [`Msg::MarkCovered`], which keeps every
 //! rank's live set bit-identical. An epoch with no acceptable rule retires
 //! the shared seed example ([`Msg::RetireSeed`]; rank 1 answers for the
-//! mesh, since every rank retires the same example). There is no strategy
-//! master: only the worker side ([`run_strategy_worker`]) is their own.
+//! mesh, since every rank retires the same example). Neither side is
+//! their own: the worker loop is [`crate::worker::run_worker`] too, whose
+//! `StartPipeline` arm runs the replicated epoch of this module
+//! (`run_strategy_epoch`) instead of the ring of pipelines.
 //!
 //! # Traffic accounting
 //!
@@ -64,14 +66,11 @@
 //! constraint counters in the shutdown report and the master absorbs them.
 
 use crate::protocol::{Msg, StageTrace};
-use crate::worker::adopt_kb_snapshot;
+use crate::worker::WorkerContext;
 use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
-use p2mdie_ilp::engine::IlpEngine;
-use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::splitmix64;
-use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::{take_top, ConstraintStore, LatticeSlice, ScoredRule, SearchGuide};
 use p2mdie_logic::clause::Clause;
 use p2mdie_obs::span;
@@ -137,39 +136,13 @@ impl std::fmt::Display for Strategy {
 /// excess only costs pruning opportunity, never correctness.
 const DEAD_SHAPE_CAP: usize = 64;
 
-/// Everything a non-default-strategy worker owns: its engine, the **full**
-/// example set (both non-default strategies replicate data), the width cap
-/// on rules returned per epoch, and the strategy with its seed.
-pub struct StrategyWorkerContext {
-    /// The local ILP engine (the KB grows as rules are accepted).
-    pub engine: IlpEngine,
-    /// The full example set — replicated, not partitioned.
-    pub local: Examples,
-    /// Cap on the rules a rank returns per epoch (the paper's `W`).
-    pub width: Width,
-    /// Which non-default strategy to run.
-    pub strategy: Strategy,
-    /// Seed salting the lattice slices and the exploration orders.
-    pub strategy_seed: u64,
-}
-
-impl StrategyWorkerContext {
-    /// Bundles a strategy worker context.
-    pub fn new(
-        engine: IlpEngine,
-        local: Examples,
-        width: Width,
-        strategy: Strategy,
-        strategy_seed: u64,
-    ) -> Self {
-        StrategyWorkerContext {
-            engine,
-            local,
-            width,
-            strategy,
-            strategy_seed,
-        }
-    }
+/// The dead shapes a constraint-driven rank holds. They are bottom-clause
+/// relative, so the store is keyed to the seed index that produced it and
+/// cleared whenever the seed moves.
+#[derive(Default)]
+pub(crate) struct SeedConstraints {
+    seed: Option<usize>,
+    store: ConstraintStore,
 }
 
 /// The per-(epoch, rank, round) exploration seed: a [`splitmix64`] chain
@@ -182,111 +155,45 @@ fn explore_seed(strategy_seed: u64, epoch: u32, rank: usize, round: u32) -> u64 
     splitmix64(x ^ u64::from(round))
 }
 
-/// The worker protocol shared by both non-default strategies. Must be
-/// called on ranks `1..=p` with the **full** example set in `ctx.local`.
+/// One replicated epoch on one rank — what `StartPipeline` means to a
+/// worker of either non-default strategy, which holds the **full** example
+/// set: saturate the shared seed, search under the strategy's guide, return
+/// the width-capped harvest as materialized clauses, a stage trace per
+/// search round, and whether there was a seed.
 ///
 /// The shared-seed invariant: every rank holds identical examples, applies
 /// every `MarkCovered`/`RetireSeed` identically, and picks its epoch seed
 /// as the *first* live positive — so all ranks saturate the same example
 /// into the same bottom clause, which is what makes lattice slices and
 /// exchanged constraints commensurable across ranks.
-pub fn run_strategy_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: StrategyWorkerContext) {
-    let me = ep.rank();
-    assert!(
-        me >= 1,
-        "run_strategy_worker must not run on the master rank"
-    );
-    assert!(
-        ctx.strategy != Strategy::DataPipeline,
-        "the data-pipeline strategy runs crate::worker::run_worker"
-    );
-
-    let mut live = ctx.local.full_pos_live();
-    let mut current_seed: Option<usize> = None;
-    // Constraint state (ConstraintDriven only): the store is bottom-clause
-    // relative, so it is keyed to the seed index that produced it and
-    // cleared whenever the seed moves.
-    let mut store = ConstraintStore::new();
-    let mut store_key: Option<usize> = None;
-
-    loop {
-        let msg = Msg::recv(ep, 0, "a master command");
-        match msg {
-            Msg::KbSnapshot(snap) => adopt_kb_snapshot(&mut ctx.engine, *snap, me),
-            Msg::LoadExamples => {
-                ep.advance_steps(ctx.local.len() as u64);
-            }
-            Msg::StartPipeline { epoch } => {
-                current_seed = live.first();
-                if ctx.strategy == Strategy::ConstraintDriven && store_key != current_seed {
-                    store.clear();
-                    store_key = current_seed;
-                }
-                let (rules, trace, had_seed) =
-                    run_strategy_epoch(ep, &mut ctx, &live, current_seed, epoch, &mut store);
-                ep.send(
-                    0,
-                    &Msg::RulesFound {
-                        origin: me as u8,
-                        rules,
-                        had_seed,
-                        trace,
-                    },
-                );
-            }
-            Msg::MarkCovered { rule } => {
-                let cov = ctx.engine.evaluate(&rule, &ctx.local, Some(&live), None);
-                ep.advance_steps(cov.steps);
-                live.difference_with(&cov.pos);
-                ctx.engine.assert_rule(rule);
-            }
-            Msg::RetireSeed => {
-                let mut removed = 0u32;
-                if let Some(idx) = current_seed {
-                    if live.get(idx) {
-                        live.clear(idx);
-                        removed = 1;
-                    }
-                }
-                // Every rank retired the same shared seed; rank 1 speaks
-                // for the mesh.
-                if me == 1 {
-                    ep.send(0, &Msg::SeedRetired { removed });
-                }
-            }
-            Msg::Stop => return,
-            other => panic!("strategy worker {me}: unexpected master message {other:?}"),
-        }
-    }
-}
-
-/// One strategy epoch on one rank: saturate the shared seed, search under
-/// the strategy's guide, return the width-capped harvest as materialized
-/// clauses plus a stage trace per search round.
-fn run_strategy_epoch<T: Transport>(
+pub(crate) fn run_strategy_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
-    ctx: &mut StrategyWorkerContext,
+    ctx: &WorkerContext,
     live: &Bitset,
     seed_idx: Option<usize>,
     epoch: u32,
-    store: &mut ConstraintStore,
+    constraints: &mut SeedConstraints,
 ) -> (Vec<(Clause, u32, u32)>, Vec<StageTrace>, bool) {
     let me = ep.rank();
+    if constraints.seed != seed_idx {
+        constraints.store.clear();
+        constraints.seed = seed_idx;
+    }
+    let store = &mut constraints.store;
     // The seed (and whether its saturation succeeds) is identical on every
     // rank, so the skip below is rank-uniform and nobody blocks waiting for
     // a peer that bailed out.
     let Some(idx) = seed_idx else {
         return (Vec::new(), Vec::new(), false);
     };
-    let seed_example = ctx.local.pos[idx].clone();
-    let Some(bottom) = ctx.engine.saturate(&seed_example) else {
+    let Some(bottom) = ctx.engine.saturate(&ctx.local.pos[idx]) else {
         return (Vec::new(), Vec::new(), true);
     };
     ep.advance_steps(bottom.steps);
 
     let mut traces = Vec::new();
     let mut round = |ep: &mut Endpoint<T>,
-                     ctx: &StrategyWorkerContext,
+                     ctx: &WorkerContext,
                      guide: &SearchGuide,
                      constraints: Option<&ConstraintStore>,
                      step: u8,
@@ -359,7 +266,7 @@ fn run_strategy_epoch<T: Transport>(
                     let msg = Msg::recv(ep, k, "a Constraint broadcast");
                     let Msg::Constraint { shapes, .. } = msg else {
                         panic!(
-                            "strategy worker {me}: expected a Constraint from rank {k}, \
+                            "worker {me}: expected a Constraint from rank {k}, \
                              got {msg:?}"
                         );
                     };
@@ -381,7 +288,7 @@ fn run_strategy_epoch<T: Transport>(
             good.extend(good2);
             good
         }
-        Strategy::DataPipeline => unreachable!("guarded at the loop entry"),
+        Strategy::DataPipeline => unreachable!("the data pipeline runs the ring epoch"),
     };
 
     // Deterministic harvest: best-first by rank key, duplicates (a shape
@@ -402,6 +309,7 @@ mod tests {
     use crate::driver::{run_parallel, ParallelConfig};
     use crate::fixtures::{check_complete_and_consistent, problem};
     use p2mdie_cluster::CostModel;
+    use p2mdie_ilp::settings::Width;
 
     fn cfg(workers: usize, strategy: Strategy) -> ParallelConfig {
         let mut cfg = ParallelConfig::new(workers, Width::Unlimited, 42).with_strategy(strategy);

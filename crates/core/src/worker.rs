@@ -12,9 +12,14 @@
 //! 3. then serve master commands — `Evaluate`, `MarkCovered`, `RetireSeed` —
 //!    until the next `StartPipeline` or `Stop`.
 //!
-//! A worker that is never sent a `StartPipeline` is the worker of the
-//! coverage-parallel baseline ([`crate::baselines`]): step 3 is all that
-//! master asks for. `run_role` picks the loop a [`WorkerConfig`] names.
+//! [`run_worker`] is the only worker loop; a run's variations are data in
+//! its [`WorkerContext`]. A worker that is never sent a `StartPipeline` is
+//! the worker of the coverage-parallel baseline ([`crate::baselines`]):
+//! step 3 is all that master asks for. A worker of a non-default
+//! [`Strategy`] holds the full example set, so steps 1–2 are one replicated
+//! epoch ([`crate::strategy`]) answered with `RulesFound` directly — no
+//! token travels the ring — and only rank 1 answers `RetireSeed`. `run_role`
+//! builds the context a [`WorkerConfig`] names.
 //!
 //! # Recovery mode
 //!
@@ -32,7 +37,7 @@
 
 use crate::pipeline::run_stage_search;
 use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
-use crate::strategy::{run_strategy_worker, Strategy, StrategyWorkerContext};
+use crate::strategy::{run_strategy_epoch, SeedConstraints, Strategy};
 use p2mdie_cluster::codec::from_bytes;
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
@@ -42,10 +47,13 @@ use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
 use p2mdie_logic::clause::Literal;
 use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_logic::symbol::SymbolTable;
+use p2mdie_logic::KbSnapshot;
 use p2mdie_obs::span;
 
 /// Everything a worker owns locally: its engine (background knowledge,
-/// modes, settings), its example subset, and the pipeline width.
+/// modes, settings), its example subset, the pipeline width, and the
+/// strategy the mesh runs.
 ///
 /// The engine's `settings.eval_threads` controls how many OS threads this
 /// rank's coverage evaluations fan out over (the driver splits the physical
@@ -64,6 +72,11 @@ pub struct WorkerContext {
     /// and the coverage-parallel baseline. Recovery mode turns the replies
     /// on by itself.
     pub report_covered: bool,
+    /// How the ranks divide the run. Anything but the data pipeline means
+    /// `local` is the **full** example set, replicated on every rank.
+    pub strategy: Strategy,
+    /// Seed salting the strategy's lattice slices and exploration orders.
+    pub strategy_seed: u64,
 }
 
 impl WorkerContext {
@@ -74,63 +87,51 @@ impl WorkerContext {
             local,
             width,
             report_covered: false,
+            strategy: Strategy::DataPipeline,
+            strategy_seed: 0,
         }
     }
 }
 
-/// Runs the worker loop `config` names on rank `ep.rank()`, over `kb` and
-/// the rank's example subset, until the master's `Stop`. The one place a
-/// role becomes a loop: in-process ranks, bootstrapped worker processes
-/// and resident workers running a submitted job all come through here.
+/// Runs the worker loop on rank `ep.rank()` as `config` describes it, over
+/// `kb` and the rank's example subset, until the master's `Stop`. The one
+/// place a [`WorkerConfig`] becomes a [`WorkerContext`]: in-process ranks
+/// and resident workers running a submitted job both come through here.
 pub(crate) fn run_role<T: Transport>(
     ep: &mut Endpoint<T>,
     kb: KnowledgeBase,
     config: WorkerConfig,
     local: Examples,
 ) {
-    let engine = IlpEngine {
-        kb,
-        modes: config.modes,
-        settings: config.settings,
+    let (width, report_covered) = match config.role {
+        WorkerRole::Pipeline { width, repartition } => (width, repartition),
+        // No pipeline ever starts on a coverage rank: the width is never read.
+        WorkerRole::Coverage => (Width::Unlimited, true),
     };
-    match config.role {
-        WorkerRole::Pipeline { width, .. } if config.strategy != Strategy::DataPipeline => {
-            // Non-default strategies replicate: `local` is the full set.
-            let (strategy, seed) = (config.strategy, config.strategy_seed);
-            let ctx = StrategyWorkerContext::new(engine, local, width, strategy, seed);
-            run_strategy_worker(ep, ctx)
-        }
-        WorkerRole::Pipeline { width, repartition } => run_worker(
-            ep,
-            WorkerContext {
-                engine,
-                local,
-                width,
-                report_covered: repartition,
-            },
-        ),
-        WorkerRole::Coverage => run_worker(
-            ep,
-            WorkerContext {
-                engine,
-                local,
-                // No pipeline ever starts on this rank: never read.
-                width: Width::Unlimited,
-                report_covered: true,
-            },
-        ),
-    }
+    let ctx = WorkerContext {
+        engine: IlpEngine {
+            kb,
+            modes: config.modes,
+            settings: config.settings,
+        },
+        local,
+        width,
+        report_covered,
+        strategy: config.strategy,
+        strategy_seed: config.strategy_seed,
+    };
+    run_worker(ep, ctx)
 }
 
-/// Installs a received compiled-KB snapshot into a worker's engine: no
-/// fact-argument re-interning, no posting-list rebuild, no rule recompile —
-/// the transfer time was already merged into the rank's clock by the
-/// receive, and adoption is the near-instant structural validation inside
-/// `from_snapshot`.
-pub fn adopt_kb_snapshot(engine: &mut IlpEngine, snap: p2mdie_logic::KbSnapshot, rank: usize) {
-    let syms = engine.kb.symbols().clone();
-    engine.kb = p2mdie_logic::kb::KnowledgeBase::from_snapshot(snap, syms)
-        .unwrap_or_else(|e| panic!("rank {rank}: rejected KB snapshot: {e}"));
+/// Rebuilds a worker's KB from a received compiled snapshot, interning its
+/// dictionary into `syms`: no fact-argument re-interning, no posting-list
+/// rebuild, no rule recompile — the transfer time was already merged into
+/// the rank's clock by the receive, and adoption is the near-instant
+/// structural validation inside `from_snapshot`. A worker process passes a
+/// fresh table, which reproduces the master's symbol ids exactly.
+pub(crate) fn restore_kb(snap: KbSnapshot, syms: SymbolTable, rank: usize) -> KnowledgeBase {
+    KnowledgeBase::from_snapshot(snap, syms)
+        .unwrap_or_else(|e| panic!("rank {rank}: rejected KB snapshot: {e}"))
 }
 
 /// How an epoch's pipelines ended.
@@ -194,21 +195,41 @@ fn handle_abort<T: Transport>(
 pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
     let me = ep.rank();
     assert!(me >= 1, "run_worker must not run on the master rank");
+    let replicated = ctx.strategy != Strategy::DataPipeline;
     let mut live = ctx.local.full_pos_live();
     let mut current_seed: Option<usize> = None;
     let mut recovery = false;
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
+    let mut constraints = SeedConstraints::default();
 
     loop {
         let msg = Msg::recv(ep, 0, "a master command");
         match msg {
-            Msg::KbSnapshot(snap) => adopt_kb_snapshot(&mut ctx.engine, *snap, me),
+            Msg::KbSnapshot(snap) => {
+                let syms = ctx.engine.kb.symbols().clone();
+                ctx.engine.kb = restore_kb(*snap, syms, me);
+            }
             Msg::EnableRecovery => recovery = true,
             Msg::LoadExamples => {
                 // Data is shared (distributed-FS assumption); loading costs
                 // compute proportional to the local subset.
                 ep.advance_steps(ctx.local.len() as u64);
+            }
+            Msg::StartPipeline { epoch } if replicated => {
+                // Every rank picks the first live positive: the shared seed.
+                current_seed = live.first();
+                let (rules, trace, had_seed) =
+                    run_strategy_epoch(ep, &ctx, &live, current_seed, epoch, &mut constraints);
+                ep.send(
+                    0,
+                    &Msg::RulesFound {
+                        origin: me as u8,
+                        rules,
+                        had_seed,
+                        trace,
+                    },
+                );
             }
             Msg::StartPipeline { epoch: _ } => {
                 let end = run_epoch_pipelines(ep, &ctx, &live, &mut current_seed, &alive, recovery);
@@ -289,6 +310,11 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 let retired = current_seed.filter(|&i| live.get(i));
                 if let Some(i) = retired {
                     live.clear(i);
+                }
+                // Replicated ranks all retired the same shared seed; rank 1
+                // answers for the mesh.
+                if replicated && me != 1 {
+                    continue;
                 }
                 // A master that tracks coverage by global index (recovery)
                 // is told which example went, any other how many.
@@ -764,6 +790,64 @@ mod tests {
             },
         )
         .unwrap();
+    }
+
+    /// A replicated-strategy context through the same loop: `StartPipeline`
+    /// is answered with the rank's own `RulesFound` and no token travels the
+    /// ring, and only rank 1 answers `RetireSeed`.
+    #[test]
+    fn replicated_strategy_runs_through_the_same_loop() {
+        let ctxs: Vec<_> = (0..2)
+            .map(|_| {
+                let (_t, mut c) = make_ctx(1, 60);
+                c.strategy = Strategy::SearchPartition;
+                c.strategy_seed = 7;
+                Some(c)
+            })
+            .collect();
+        let ctxs = std::sync::Mutex::new(ctxs);
+        let out = run_cluster(
+            2,
+            CostModel::free(),
+            |ep| {
+                ep.broadcast(&Msg::LoadExamples);
+                for k in 1..=2 {
+                    ep.send(k, &Msg::StartPipeline { epoch: 1 });
+                }
+                // Each rank reports its own search: in the ring, rank `k`
+                // would deliver the pipeline of the *other* origin.
+                for k in 1..=2u8 {
+                    let Msg::RulesFound {
+                        origin, had_seed, ..
+                    } = ep.recv_msg(k as usize).unwrap()
+                    else {
+                        panic!("expected RulesFound from rank {k}")
+                    };
+                    assert_eq!(origin, k);
+                    assert!(had_seed);
+                }
+                ep.broadcast(&Msg::RetireSeed);
+                let Msg::SeedRetired { removed } = ep.recv_msg(1).unwrap() else {
+                    panic!("rank 1 answers for the mesh")
+                };
+                assert_eq!(removed, 1);
+                // Rank 2 retired the seed silently: its next frame is the
+                // answer to the next question, not a `SeedRetired`.
+                ep.send(2, &Msg::Evaluate { rules: vec![] });
+                let Msg::EvalResult { counts } = ep.recv_msg(2).unwrap() else {
+                    panic!("rank 2 must not answer RetireSeed")
+                };
+                assert!(counts.is_empty());
+                ep.broadcast(&Msg::Stop);
+            },
+            |ep| {
+                let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
+                run_worker(ep, c);
+            },
+        )
+        .unwrap();
+        assert_eq!(out.stats.messages_between(1, 2), 0, "no PipelineStage");
+        assert_eq!(out.stats.messages_between(2, 1), 0, "no PipelineStage");
     }
 
     #[test]

@@ -203,8 +203,8 @@ fn baseline_job_matches_the_standalone_baseline() {
 
 /// Cancelling a job once it is already `Running` is advisory: the job
 /// still reaches a legal terminal state (`Done` when the cancel lost the
-/// race to the refill loop, `Failed` when it won), the late-cancel
-/// [`Msg::CancelJob`](p2mdie_core::protocol::Msg::CancelJob) broadcast
+/// race to the refill loop, `Failed` when it won), the late cancel — whose
+/// mark the scheduler consumes without telling the workers anything —
 /// never wedges the refill loop, and the mesh keeps serving later jobs
 /// bit-identically.
 #[test]
@@ -242,7 +242,7 @@ fn cancel_after_running_leaves_legal_state_and_does_not_wedge() {
         other => panic!("cancel left the job in a non-terminal state: {other:?}"),
     }
 
-    // The refill loop must not be wedged by the advisory broadcast: a
+    // The refill loop must not be wedged by the late cancel: a
     // subsequent job runs to completion and matches its solo run.
     let second = service
         .submit(
@@ -258,7 +258,7 @@ fn cancel_after_running_leaves_legal_state_and_does_not_wedge() {
     let report = service.shutdown().unwrap();
     assert_eq!(
         report.dropped_sends, 0,
-        "every advisory CancelJob frame must have been deliverable"
+        "every frame of the lifetime must have been deliverable"
     );
 }
 

@@ -79,8 +79,8 @@ fn tcp_processes_match_in_process_run_bit_for_bit() {
         // Nothing was lost on the wire.
         assert_eq!(tcp.dropped_sends, 0, "p={p}");
         // The TCP run ships the same protocol traffic plus the bootstrap
-        // (Configure + LoadPartition), so its byte total strictly
-        // dominates the in-process one.
+        // (one SubmitJob per rank, acknowledged and drained), so its byte
+        // total strictly dominates the in-process one.
         assert!(
             tcp.total_bytes > reference.total_bytes,
             "p={p}: bootstrap must be byte-accounted ({} vs {})",
@@ -194,11 +194,11 @@ fn killed_worker_process_mid_run_is_recovered_around() {
 
     let mut tcp = tcp_config();
     tcp.timeout = Duration::from_secs(30);
-    // 7 = past the bootstrap (snapshot, configure, partition, enable-
-    // recovery, load) and the first StartPipeline: the process dies inside
-    // epoch 1's pipelines, with stage work in flight.
+    // 6 = past the bootstrap (snapshot, submit-job, enable-recovery, load),
+    // the first StartPipeline and one pipeline token: the process dies
+    // inside epoch 1's pipelines, with stage work in flight.
     tcp.worker_env
-        .push(("P2MDIE_TEST_FAIL".to_owned(), "exit-after:1:7".to_owned()));
+        .push(("P2MDIE_TEST_FAIL".to_owned(), "exit-after:1:6".to_owned()));
     let killed_cfg = base.with_transport(TransportKind::Tcp(tcp));
     let engine = ds.engine.clone();
     let examples = ds.examples.clone();
