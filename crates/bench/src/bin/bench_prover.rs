@@ -3,7 +3,7 @@
 //! Measures the pre-refactor implementation (the verbatim seed replicas in
 //! `p2mdie_bench::legacy`, built on `prover::reference`) against the
 //! optimized stack (goal-stack prover, monotone coverage pruning, optional
-//! thread fan-out) on three workloads:
+//! thread fan-out) on these workloads:
 //!
 //! 1. `prover_backtracking` — deep recursive `ancestor/2` proofs;
 //! 2. `coverage_eval` — rule evaluation over a carcinogenesis-scale KB,
@@ -20,16 +20,12 @@
 //!    layout vs the retired duplicate row+column layout, on the
 //!    carcinogenesis and trains background KBs, with a trains coverage
 //!    run asserted bit-identical to the seed replica alongside;
-//! 7. `all_ground_scan` — ground membership probes (the coverage inner
-//!    loop) with only the reference position-0 index retained, so each
-//!    probe walks its full posting run: the all-ground stripe-compare
-//!    kernel vs the per-row unification path it replaced;
-//! 8. `posting_memory` — resident posting-index bytes of the CSR layout
+//! 7. `posting_memory` — resident posting-index bytes of the CSR layout
 //!    (sorted keys + run offsets + one contiguous index buffer) vs the
 //!    retired per-key `FxHashMap<TermId, Vec<u32>>` layout, on the same
 //!    background KBs. Exact byte accounting, so CI enforces it
 //!    deterministically alongside `fact_memory`;
-//! 9. `warm_job_submit` — one coverage job on a *resident* service mesh
+//! 8. `warm_job_submit` — one coverage job on a *resident* service mesh
 //!    (submit, wait; the compiled KB already shipped and adopted) vs the
 //!    one-shot shape that builds a fresh mesh, ships the KB, runs the
 //!    same job, and tears the mesh down — the PR-8 ILP-as-a-service win.
@@ -43,10 +39,9 @@
 //! Writes the numbers to `BENCH_prover.json` (repo root) and exits non-zero
 //! when the coverage-evaluation speedup falls below 2x, the
 //! second-arg-bound speedup falls below 3x, the worker-startup speedup
-//! falls below 5x, the all-ground-scan speedup falls below 2x, the
-//! warm-job-submit speedup falls below 5x, the fact-memory reduction falls
-//! below 1.8x, or the posting-memory reduction falls below 1.5x, so CI can
-//! gate on the acceptance criteria.
+//! falls below 5x, the warm-job-submit speedup falls below 5x, the
+//! fact-memory reduction falls below 1.8x, or the posting-memory reduction
+//! falls below 1.5x, so CI can gate on the acceptance criteria.
 
 use p2mdie_bench::{legacy, workloads};
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
@@ -494,39 +489,12 @@ fn main() {
     // workload. Acceptance bar: >= 1.8x smaller.
     let fact_memory = fact_memory_entries(kb);
 
-    // ---- 7. All-ground scan: ground membership probes with only the
-    // reference position-0 index retained, so every probe walks its
-    // molecule's full posting run and the per-candidate test is the whole
-    // retrieval cost. Before: the per-row unification path (kernel off).
-    // After: the all-ground stripe-compare kernel. Same prover, same
-    // plans, same steps — only the data movement differs. Bar: >= 2x.
-    {
-        let (_t, akb, queries) = workloads::all_ground_world();
-        let expect = workloads::run_all_ground(&akb, &queries, false);
-        assert_eq!(
-            workloads::run_all_ground(&akb, &queries, true),
-            expect,
-            "kernel must prove identical probes"
-        );
-        let before = best_ns(samples, || {
-            black_box(workloads::run_all_ground(&akb, &queries, false));
-        });
-        let after = best_ns(samples, || {
-            black_box(workloads::run_all_ground(&akb, &queries, true));
-        });
-        entries.push(Entry {
-            name: "all_ground_scan",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // ---- 8. Posting-index memory: CSR (sorted keys + run offsets + one
+    // ---- 7. Posting-index memory: CSR (sorted keys + run offsets + one
     // contiguous index buffer) vs the retired per-key hashmap. Exact byte
     // accounting from the store itself. Acceptance bar: >= 1.5x smaller.
     let posting_memory = posting_memory_entries(kb);
 
-    // ---- 9. Warm job submission: the same coverage job (one head-only
+    // ---- 8. Warm job submission: the same coverage job (one head-only
     // clause, always-true body, so the measured cost is the job machinery,
     // not deduction) submitted to a *standing* resident mesh vs run in the
     // one-shot shape — build a fresh service, ship the compiled KB, run
@@ -595,7 +563,7 @@ fn main() {
     };
 
     // ---- Report.
-    let mut json = String::from("{\n  \"description\": \"Deduction hot path: pre-refactor (seed replica) vs compiled KB (goal-stack prover, monotone coverage pruning, multi-arg join indexes); worker_startup: fresh textual consult vs compiled-KB snapshot load; all_ground_scan: all-ground stripe-compare kernel vs per-row unification on position-0-only retrieval; fact_memory: column-native fact store vs the retired row+column layout (exact byte accounting; shared arena/postings excluded, column-only arena growth past the indexable prefix charged to the new layout); posting_memory: CSR posting store vs the retired per-key hashmap layout (exact byte accounting); warm_job_submit: one coverage job on a standing resident service mesh vs the one-shot build-ship-run-teardown shape. Best-of-N wall times\",\n  \"benches\": {\n");
+    let mut json = String::from("{\n  \"description\": \"Deduction hot path: pre-refactor (seed replica) vs compiled KB (goal-stack prover, monotone coverage pruning, multi-arg join indexes); worker_startup: fresh textual consult vs compiled-KB snapshot load; fact_memory: column-native fact store vs the retired row+column layout (exact byte accounting; shared arena/postings excluded, column-only arena growth past the indexable prefix charged to the new layout); posting_memory: CSR posting store vs the retired per-key hashmap layout (exact byte accounting); warm_job_submit: one coverage job on a standing resident service mesh vs the one-shot build-ship-run-teardown shape. Best-of-N wall times\",\n  \"benches\": {\n");
     for e in entries.iter() {
         println!(
             "{:<24} before {:>12.0} ns   after {:>12.0} ns   speedup {:>5.2}x",
@@ -648,7 +616,6 @@ fn main() {
         ("coverage_eval", 2.0),
         ("second_arg_bound", 3.0),
         ("worker_startup", 5.0),
-        ("all_ground_scan", 2.0),
         ("warm_job_submit", 5.0),
     ] {
         let e = entries

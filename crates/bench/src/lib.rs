@@ -231,70 +231,6 @@ pub mod workloads {
         }
         n
     }
-
-    /// The all-ground membership workload (the coverage inner loop: "is
-    /// this ground fact derivable?"). Only the reference position-0 index
-    /// is retained, so every probe walks its molecule's full posting run
-    /// and the per-candidate test — the all-ground stripe-compare kernel
-    /// vs per-row unification — is the entire retrieval cost. Roughly half
-    /// the probes miss (wrong bond type), the kernel's fast path.
-    pub fn all_ground_world() -> (SymbolTable, KnowledgeBase, Vec<Literal>) {
-        let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
-        let bond = t.intern("bond");
-        let key = Literal::new(bond, vec![Term::Int(0); 4]).key();
-        for m in 0..200 {
-            let mol = Term::Sym(t.intern(&format!("m{m}")));
-            for k in 0..400 {
-                kb.assert_fact(Literal::new(
-                    bond,
-                    vec![
-                        mol.clone(),
-                        Term::Sym(t.intern(&format!("m{m}_a{k}"))),
-                        Term::Sym(t.intern(&format!("m{m}_a{}", k + 1))),
-                        Term::Int((k % 3) + 1),
-                    ],
-                ));
-            }
-        }
-        kb.retain_indexes(key, &[]);
-        kb.optimize();
-        let queries = (0..2000)
-            .map(|i| {
-                let m = (i * 37) % 200;
-                let k = (i * 13) % 400;
-                // Even probes hit; odd probes carry the wrong bond type.
-                let ty = (k % 3) + 1 + (i % 2) * 3;
-                Literal::new(
-                    bond,
-                    vec![
-                        Term::Sym(t.intern(&format!("m{m}"))),
-                        Term::Sym(t.intern(&format!("m{m}_a{k}"))),
-                        Term::Sym(t.intern(&format!("m{m}_a{}", k + 1))),
-                        Term::Int(ty),
-                    ],
-                )
-            })
-            .collect();
-        (t, kb, queries)
-    }
-
-    /// Proves every all-ground probe with the stripe-compare kernel on or
-    /// off ([`Prover::set_all_ground_kernel`]); returns the hit count as a
-    /// checksum. Results and step accounting are bit-identical either way
-    /// (pinned by the kernel differential proptest) — only the wall time
-    /// moves.
-    pub fn run_all_ground(kb: &KnowledgeBase, queries: &[Literal], kernel: bool) -> usize {
-        let mut p = Prover::new(kb, bond_limits());
-        p.set_all_ground_kernel(kernel);
-        let mut n = 0usize;
-        for q in queries {
-            if p.prove_ground(q).0 {
-                n += 1;
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -313,29 +249,6 @@ mod tests {
         let b = super::workloads::run_bond_compiled(&kb, &queries);
         assert_eq!(a, b);
         assert!(a > 0, "queries must hit");
-    }
-
-    /// The all-ground workload must prove the same probes with the
-    /// stripe-compare kernel on and off, and agree with the seed reference
-    /// prover — the benched ≥2x is pure data movement, not semantics.
-    #[test]
-    fn all_ground_workload_counts_agree() {
-        let (_t, kb, queries) = super::workloads::all_ground_world();
-        let on = super::workloads::run_all_ground(&kb, &queries, true);
-        let off = super::workloads::run_all_ground(&kb, &queries, false);
-        assert_eq!(on, off, "kernel must not change results");
-        assert_eq!(on, queries.len() / 2, "even probes hit, odd probes miss");
-        let limits = super::workloads::bond_limits();
-        let r = p2mdie_logic::prover::reference::Prover::new(&kb, limits);
-        for q in queries.iter().take(40) {
-            let (ok, _) = r.prove_ground(q);
-            let p = p2mdie_logic::prover::Prover::new(&kb, limits);
-            assert_eq!(
-                p.prove_ground(q).0,
-                ok,
-                "kernel diverged from seed on {q:?}"
-            );
-        }
     }
 
     /// The legacy replicas and the optimized implementations must agree on

@@ -1120,7 +1120,7 @@ mod tests {
                         value: MetricValue::Gauge(7.25),
                     },
                     MetricEntry {
-                        name: "prover_batch_occupancy".to_owned(),
+                        name: "sample_sizes".to_owned(),
                         value: MetricValue::Histogram {
                             count: 4,
                             sum: 11,

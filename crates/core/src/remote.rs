@@ -45,7 +45,7 @@ use crate::driver::{worker_config, ParallelConfig, TransportKind};
 use crate::master::ship_kb;
 use crate::protocol::{Msg, WorkerRole};
 use crate::scheduler::{drain_job, live_workers, run_resident_worker, submit_job};
-use crate::worker::restore_kb;
+use crate::worker::{reject_bootstrap, restore_kb};
 use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::net::{run_cluster_tcp, TcpTransport};
 use p2mdie_cluster::transport::Transport;
@@ -237,9 +237,8 @@ pub enum WorkerExit {
 pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
     let me = ep.rank();
     assert!(me >= 1, "run_remote_worker must not run on the master rank");
-    let msg = Msg::recv(ep, 0, "the KB snapshot");
-    let Msg::KbSnapshot(snap) = msg else {
-        panic!("worker {me}: expected the KB snapshot before anything else, got {msg:?}");
+    let Msg::KbSnapshot(snap) = Msg::recv(ep, 0, "the KB snapshot") else {
+        reject_bootstrap(me, "first frame: not a KB snapshot");
     };
     let mut base = restore_kb(*snap, SymbolTable::new(), me);
     run_resident_worker(ep, &mut base)
@@ -269,8 +268,11 @@ mod tests {
     use crate::fixtures::problem;
     use p2mdie_cluster::run_cluster;
 
-    /// A job that reaches a worker process before any KB snapshot fails the
-    /// rank loudly instead of running on an empty background theory.
+    /// Whatever reaches a worker process ahead of a valid KB snapshot — a
+    /// job, a `Stop`, a snapshot that decodes but does not validate — fails
+    /// that rank with an error naming it and the snapshot, instead of
+    /// running on an empty background theory or panicking with a bare
+    /// string.
     #[test]
     fn submit_before_the_kb_snapshot_fails_the_rank() {
         let (engine, ex) = problem(30);
@@ -282,32 +284,46 @@ mod tests {
             Default::default(),
             0,
         );
-        let err = run_cluster(
-            1,
-            CostModel::free(),
-            |ep| {
-                ep.send(
-                    1,
-                    &Msg::SubmitJob {
-                        id: ONE_SHOT_JOB,
-                        config: Box::new(config.clone()),
-                        pos: ex.pos.clone(),
-                        neg: ex.neg.clone(),
-                    },
-                );
-                let _ = ep.recv_from(1);
-            },
-            |ep| {
-                let _ = run_remote_worker(ep);
-            },
-        )
-        .unwrap_err();
-        match &err {
-            ClusterError::WorkerPanicked { rank, message } => {
-                assert_eq!(*rank, 1, "{err}");
-                assert!(message.contains("KB snapshot"), "{err}");
+        let mut invalid = engine.kb.to_snapshot();
+        invalid.preds.push(invalid.preds[0].clone());
+        let first_frames = [
+            (
+                Msg::SubmitJob {
+                    id: ONE_SHOT_JOB,
+                    config: Box::new(config),
+                    pos: ex.pos.clone(),
+                    neg: ex.neg.clone(),
+                },
+                "not a KB snapshot",
+            ),
+            (Msg::Stop, "not a KB snapshot"),
+            (
+                Msg::KbSnapshot(Box::new(invalid)),
+                "duplicate predicate key",
+            ),
+        ];
+        for (first, reason) in first_frames {
+            let err = run_cluster(
+                1,
+                CostModel::free(),
+                |ep| {
+                    ep.send(1, &first);
+                    let _ = ep.recv_from(1);
+                },
+                |ep| {
+                    let _ = run_remote_worker(ep);
+                },
+            )
+            .unwrap_err();
+            match &err {
+                ClusterError::WorkerPanicked { rank, message } => {
+                    assert_eq!(*rank, 1, "{err}");
+                    assert!(message.contains("rank 1"), "{err}");
+                    assert!(message.contains("the KB snapshot from rank 0"), "{err}");
+                    assert!(message.contains(reason), "{err}");
+                }
+                other => panic!("expected rank 1 to fail, got {other}"),
             }
-            other => panic!("expected rank 1 to fail, got {other}"),
         }
     }
 }

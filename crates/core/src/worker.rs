@@ -38,7 +38,7 @@
 use crate::pipeline::run_stage_search;
 use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
 use crate::strategy::{run_strategy_epoch, SeedConstraints, Strategy};
-use p2mdie_cluster::codec::from_bytes;
+use p2mdie_cluster::codec::{from_bytes, DecodeError};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
@@ -129,9 +129,24 @@ pub(crate) fn run_role<T: Transport>(
 /// the rank's clock by the receive, and adoption is the near-instant
 /// structural validation inside `from_snapshot`. A worker process passes a
 /// fresh table, which reproduces the master's symbol ids exactly.
+///
+/// A snapshot that decodes but fails validation is a bad frame from the
+/// master like any other: see [`reject_bootstrap`].
 pub(crate) fn restore_kb(snap: KbSnapshot, syms: SymbolTable, rank: usize) -> KnowledgeBase {
-    KnowledgeBase::from_snapshot(snap, syms)
-        .unwrap_or_else(|e| panic!("rank {rank}: rejected KB snapshot: {e}"))
+    KnowledgeBase::from_snapshot(snap, syms).unwrap_or_else(|e| reject_bootstrap(rank, e.context))
+}
+
+/// Unwinds `rank` with the [`CommFailure`] of a bootstrap that did not
+/// deliver a usable KB snapshot (`why`: the violated snapshot invariant, or
+/// that the first frame was something else), so the master reports a
+/// rank-tagged `ClusterError` as for every other bad frame.
+pub(crate) fn reject_bootstrap(rank: usize, why: &'static str) -> ! {
+    std::panic::panic_any(CommFailure {
+        rank,
+        from: 0,
+        expected: "the KB snapshot".to_owned(),
+        error: CommError::Decode(DecodeError::new(why)),
+    })
 }
 
 /// How an epoch's pipelines ended.

@@ -23,15 +23,6 @@ use std::collections::HashSet;
 /// protects saturation from cartesian blow-ups on very wide types.
 const MAX_COMBOS_PER_MODE: usize = 1024;
 
-/// Saturation queries planned per [`Prover::solutions_compiled_batch`]
-/// call. Every combination of one mode targets the same predicate, so a
-/// chunk of the combo loop is a natural batch: goals probing the same
-/// first-argument key (the shared seed molecule, typically) share one
-/// posting fetch and one stripe-compare pass. Results are consumed in
-/// combo order with per-query steps, so saturation stays bit-identical to
-/// the one-query-at-a-time loop.
-const QUERY_BATCH: usize = 32;
-
 /// One body literal of a bottom clause, with its dataflow role.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BottomLiteral {
@@ -193,83 +184,69 @@ pub fn saturate(
             let total: usize = candidates.iter().map(|c| c.len()).product();
             let combos = total.min(MAX_COMBOS_PER_MODE);
 
-            let mut next_combo = 0;
-            while next_combo < combos {
-                // Compile one chunk of queries, then plan them in a single
-                // batched pass over the shared posting runs.
-                let chunk = (combos - next_combo).min(QUERY_BATCH);
-                let mut queries = Vec::with_capacity(chunk);
-                for combo in next_combo..next_combo + chunk {
-                    // Decode the mixed-radix combination index into one
-                    // ground term per + slot.
-                    let mut pick = Vec::with_capacity(input_slots.len());
-                    let mut rem = combo;
-                    for c in &candidates {
-                        pick.push(&c[rem % c.len()]);
-                        rem /= c.len();
-                    }
-
-                    // Build the saturation query: + slots ground, -/# slots
-                    // are fresh query variables.
-                    let mut qargs = Vec::with_capacity(mode.args.len());
-                    let mut qvar: VarId = 0;
-                    let mut in_pos = 0;
-                    for a in &mode.args {
-                        match a {
-                            ModeArg::Input(_) => {
-                                qargs.push(pick[in_pos].clone());
-                                in_pos += 1;
-                            }
-                            ModeArg::Output(_) | ModeArg::Const(_) => {
-                                qargs.push(Term::Var(qvar));
-                                qvar += 1;
-                            }
-                        }
-                    }
-                    queries.push(kb.compile_query(Literal::new(mode.pred, qargs)));
+            for combo in 0..combos {
+                // Decode the mixed-radix combination index into one ground
+                // term per + slot.
+                let mut pick = Vec::with_capacity(input_slots.len());
+                let mut rem = combo;
+                for c in &candidates {
+                    pick.push(&c[rem % c.len()]);
+                    rem /= c.len();
                 }
-                next_combo += chunk;
-                let results =
-                    prover.solutions_compiled_batch(&queries, mode.recall as usize, &mut scratch);
 
-                // Consume in combo order; a `break 'depths` below discards
-                // the chunk's unconsumed results, so their steps are never
-                // added — exactly as if those queries had never run.
-                for (solutions, pstats) in results {
-                    sat.steps += pstats.steps;
-
-                    for sol in solutions {
-                        // Variablize the solution according to the mode.
-                        let mut args = Vec::with_capacity(mode.args.len());
-                        let mut inputs = Vec::new();
-                        let mut outputs = Vec::new();
-                        for (slot, ground) in mode.args.iter().zip(sol.args.iter()) {
-                            match slot {
-                                ModeArg::Input(t) => {
-                                    let v = sat.var_for(ground, *t);
-                                    inputs.push(v);
-                                    args.push(Term::Var(v));
-                                }
-                                ModeArg::Output(t) => {
-                                    let v = sat.var_for(ground, *t);
-                                    outputs.push(v);
-                                    args.push(Term::Var(v));
-                                    sat.add_in_term(ground, *t, &mut fresh);
-                                }
-                                ModeArg::Const(_) => args.push(ground.clone()),
-                            }
+                // Build the saturation query: + slots ground, -/# slots are
+                // fresh query variables.
+                let mut qargs = Vec::with_capacity(mode.args.len());
+                let mut qvar: VarId = 0;
+                let mut in_pos = 0;
+                for a in &mode.args {
+                    match a {
+                        ModeArg::Input(_) => {
+                            qargs.push(pick[in_pos].clone());
+                            in_pos += 1;
                         }
-                        let lit = Literal::new(mode.pred, args);
-                        if body_seen.insert(lit.clone()) {
-                            lits.push(BottomLiteral {
-                                lit,
-                                inputs,
-                                outputs,
-                                depth,
-                            });
-                            if lits.len() >= sat.settings.max_bottom_literals {
-                                break 'depths;
+                        ModeArg::Output(_) | ModeArg::Const(_) => {
+                            qargs.push(Term::Var(qvar));
+                            qvar += 1;
+                        }
+                    }
+                }
+                let query = kb.compile_query(Literal::new(mode.pred, qargs));
+                let (solutions, pstats) =
+                    prover.solutions_compiled_reusing(&query, mode.recall as usize, &mut scratch);
+                sat.steps += pstats.steps;
+
+                for sol in solutions {
+                    // Variablize the solution according to the mode.
+                    let mut args = Vec::with_capacity(mode.args.len());
+                    let mut inputs = Vec::new();
+                    let mut outputs = Vec::new();
+                    for (slot, ground) in mode.args.iter().zip(sol.args.iter()) {
+                        match slot {
+                            ModeArg::Input(t) => {
+                                let v = sat.var_for(ground, *t);
+                                inputs.push(v);
+                                args.push(Term::Var(v));
                             }
+                            ModeArg::Output(t) => {
+                                let v = sat.var_for(ground, *t);
+                                outputs.push(v);
+                                args.push(Term::Var(v));
+                                sat.add_in_term(ground, *t, &mut fresh);
+                            }
+                            ModeArg::Const(_) => args.push(ground.clone()),
+                        }
+                    }
+                    let lit = Literal::new(mode.pred, args);
+                    if body_seen.insert(lit.clone()) {
+                        lits.push(BottomLiteral {
+                            lit,
+                            inputs,
+                            outputs,
+                            depth,
+                        });
+                        if lits.len() >= sat.settings.max_bottom_literals {
+                            break 'depths;
                         }
                     }
                 }

@@ -89,11 +89,6 @@ pub fn prepare_rule(kb: &KnowledgeBase, rule: &Clause) -> PreparedRule {
     }
 }
 
-/// Examples per batched-planning block in [`eval_range`]: one
-/// [`Prover::prove_compiled_batch`] call plans fact retrieval for up to
-/// this many head-matched examples in a single posting-run pass.
-const COVERAGE_BATCH: usize = 64;
-
 /// Evaluates one side (positive or negative examples) over `[lo, hi)`,
 /// reusing one binding store across the whole range.
 fn eval_range(
@@ -119,11 +114,8 @@ fn eval_range(
     }
 }
 
-/// Proves `rule` against each indexed example, handing the prover blocks
-/// of [`COVERAGE_BATCH`] examples so single-literal bodies get their fact
-/// retrieval planned in one batched posting pass. Plan construction is
-/// never step-charged, so the step totals are bit-identical to proving
-/// one example at a time.
+/// Proves `rule` against each indexed example: reset the store, unify the
+/// head with the example (one step), prove the compiled body.
 fn eval_indices(
     prover: &Prover<'_>,
     rule: &PreparedRule,
@@ -132,32 +124,15 @@ fn eval_indices(
 ) -> (Bitset, u64) {
     let mut bits = Bitset::new(lits.len());
     let mut steps = 0u64;
-    let span = rule.span;
-    let mut scratch = Bindings::with_capacity(span);
-    let mut indices = indices.fuse();
-    let mut block: Vec<usize> = Vec::with_capacity(COVERAGE_BATCH);
-    loop {
-        block.clear();
-        block.extend(indices.by_ref().take(COVERAGE_BATCH));
-        if block.is_empty() {
-            break;
-        }
-        let results = prover.prove_compiled_batch(
-            &rule.body,
-            block.len(),
-            &mut |k: usize, b: &mut Bindings| {
-                b.reset(span);
-                b.unify_literals(&rule.head, &lits[block[k]], false)
-            },
-            &mut scratch,
-        );
-        for (k, r) in results.into_iter().enumerate() {
-            steps += 1; // head-match attempt
-            if let Some((ok, st)) = r {
-                steps += st.steps;
-                if ok {
-                    bits.set(block[k]);
-                }
+    let mut scratch = Bindings::with_capacity(rule.span);
+    for i in indices {
+        steps += 1; // head-match attempt
+        scratch.reset(rule.span);
+        if scratch.unify_literals(&rule.head, &lits[i], false) {
+            let (ok, st) = prover.prove_compiled_reusing(&rule.body, &mut scratch);
+            steps += st.steps;
+            if ok {
+                bits.set(i);
             }
         }
     }

@@ -25,10 +25,10 @@ use crate::term::Term;
 /// Dense identifier of an interned ground term.
 ///
 /// `repr(transparent)` is load-bearing: fact storage is contiguous
-/// `TermId` stripes (see `kb.rs`) that the all-ground compare kernel
-/// streams as plain `u32` lanes, so the id must be exactly a `u32` with no
-/// padding or discriminant (the layout-audit test pins size and alignment
-/// at 4).
+/// `TermId` stripes (see `kb.rs`) that plan building and the prover's
+/// ground compare read as plain `u32`s, so the id must be exactly a `u32`
+/// with no padding or discriminant (the layout-audit test pins size and
+/// alignment at 4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct TermId(pub u32);
@@ -52,9 +52,9 @@ impl TermId {
 
 /// A goal argument resolved for index probing, the cached form of one
 /// `arena.lookup(..)` — computed once per goal and shared by plan
-/// construction ([`crate::kb::KnowledgeBase::fact_plan`]) and the
-/// all-ground compare kernel, instead of re-resolving and re-hashing the
-/// argument per indexed position.
+/// construction ([`crate::kb::KnowledgeBase::fact_plan`]) and the prover's
+/// ground compare ([`crate::kb::FactCols::row_matches`]), instead of
+/// re-resolving and re-hashing the argument per indexed position.
 ///
 /// The three-way split mirrors the step-accounting contract exactly:
 /// whether a position *probes* depends only on groundness

@@ -15,30 +15,29 @@
 //!    arguments at position `p` of facts `0..len` are one contiguous
 //!    `&[TermId]` run ([`TermId::NONE`] for the rare non-ground argument).
 //!    Stripes are simultaneously the *plan-building* substrate (one-compare
-//!    membership tests), the *unification target* (the prover matches a
+//!    membership tests) and the *unification target*: the prover matches a
 //!    goal directly against a fact's id tuple via
 //!    [`crate::subst::Bindings::unify_term_id`], so no row `Literal` is
-//!    ever needed on the hot path), and the *kernel operand*: when every
-//!    goal argument is ground, candidate filtering is a branch-light
-//!    chunked `u32` compare over the stripes
-//!    ([`FactCols::match_mask`]/[`FactCols::row_matches`]), written so
-//!    stable Rust autovectorizes the 64-row blocks with a scalar tail.
+//!    ever needed on the hot path — and when every goal argument is ground
+//!    and every row regular, a candidate is tested by comparing its cells
+//!    with the goal's probe ids ([`FactCols::row_matches`]), binding
+//!    nothing.
 //! 2. **CSR posting lists** — for each of the first [`MAX_INDEXED_ARGS`]
 //!    argument positions (unless pruned via
 //!    [`KnowledgeBase::retain_indexes`], e.g. from mode declarations), a
 //!    `PostingCsr`: sorted key array + offset array + one contiguous
 //!    fact-index array, probed by binary search — no per-key heap
 //!    allocation, no hashing, and the resident form round-trips through
-//!    snapshots verbatim. At query time the prover asks for a [`FactPlan`]
-//!    (single goal) or a batch of plans ([`KnowledgeBase::fact_plan_batch`]
-//!    — several pending goals share one pass over a posting run): the
+//!    snapshots verbatim. At query time the prover asks for a
+//!    [`FactPlan`], one per goal ([`KnowledgeBase::fact_plan`]): the
 //!    store picks the *most selective* bound position (hash-join style),
 //!    so a `bond/4` goal bound on its second argument touches only that
 //!    atom's bonds instead of scanning the molecule — or the whole
 //!    relation (ROADMAP "index beyond first-arg").
 //! 3. **Irregular rows** — the occasional fact with a non-ground argument
 //!    cannot live in the arena; its original `Literal` is kept in a small
-//!    index-sorted side list and unified row-at-a-time as before.
+//!    index-sorted side list and unified row-at-a-time as before (and a
+//!    relation holding one unifies every candidate, never compares).
 //!
 //! The duplicate row store of earlier revisions (every fact kept a second
 //! time as a `Literal`) is gone from release builds, roughly halving fact
@@ -88,8 +87,8 @@
 //! every fact in assertion order otherwise. [`KnowledgeBase::candidate_facts`]
 //! *is* R (the differential oracle iterates it); every [`FactPlan`] variant
 //! enumerates a subset of R in R's order and charges the rest by rank; the
-//! all-ground kernel in the prover only changes *how* a candidate's failure
-//! is detected (stripe compare vs. unification), never which candidates R
+//! prover's per-row ground compare only changes *how* a candidate's failure
+//! is detected (cell compare vs. unification), never which candidates R
 //! contains or the order they are charged in. The position-0 posting list is
 //! never pruned, precisely because R is defined in terms of it.
 
@@ -115,9 +114,9 @@ const NARROW_MIN: u64 = 64;
 /// Contiguous position-major fact storage: one `TermId` stripe per argument
 /// position, all stripes in a single allocation. `cell(p, f)` is
 /// `data[p * cap + f]`, so the stripe for position `p` is one contiguous
-/// `&[TermId]` run — which is what lets the all-ground compare kernel and
-/// the narrowing column compare stream a position with plain slice loads
-/// instead of chasing one `Vec` pointer per position.
+/// `&[TermId]` run — which is what lets the narrowing column compare
+/// stream a position with plain slice loads instead of chasing one `Vec`
+/// pointer per position.
 ///
 /// Growth is capacity-strided: stripes are laid out at stride `cap >= len`
 /// and appending past `cap` re-lays the buffer at double the stride (O(1)
@@ -347,23 +346,6 @@ impl PostingCsr {
         self.pending = Vec::new();
     }
 
-    /// True when every insert has been merged into the CSR arrays.
-    #[inline]
-    pub(crate) fn is_sealed(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// The sealed run for `tid` (pending hits excluded; empty when absent —
-    /// including the [`TermId::NONE`] probe of an uninterned term, which
-    /// sorts above every real key).
-    #[inline]
-    pub(crate) fn sealed_run(&self, tid: TermId) -> &[u32] {
-        match self.keys.binary_search(&tid) {
-            Ok(k) => &self.idx[self.offs[k] as usize..self.offs[k + 1] as usize],
-            Err(_) => &[],
-        }
-    }
-
     /// All hits for `tid` in ascending fact order: the CSR run borrowed
     /// directly in the sealed case, an owned splice of run + pending
     /// matches otherwise (pending facts are strictly newer, so they append
@@ -378,7 +360,13 @@ impl PostingCsr {
     }
 
     fn hits_into(&self, tid: TermId, buf: impl FnOnce() -> Vec<u32>) -> Hits<'_> {
-        let run = self.sealed_run(tid);
+        // The sealed run: empty when absent — including the
+        // [`TermId::NONE`] probe of an uninterned term, which sorts above
+        // every real key.
+        let run: &[u32] = match self.keys.binary_search(&tid) {
+            Ok(k) => &self.idx[self.offs[k] as usize..self.offs[k + 1] as usize],
+            Err(_) => &[],
+        };
         if self.pending.is_empty() || !self.pending.iter().any(|&(t, _)| t == tid) {
             return Hits::Run(run);
         }
@@ -797,9 +785,8 @@ impl KnowledgeBase {
 
     /// Compiles a query literal by *moving* it into its compiled form — no
     /// clone, no allocation. Pair with
-    /// [`crate::prover::Prover::solutions_compiled_reusing`] (or
-    /// [`crate::clause::CompiledGoalsRef::single`]) for the allocation-free
-    /// saturation query path.
+    /// [`crate::prover::Prover::solutions_compiled_reusing`] for the
+    /// allocation-free saturation query path.
     pub fn compile_query(&self, l: Literal) -> CompiledLiteral {
         CompiledLiteral {
             kind: self.litkind(&l),
@@ -856,8 +843,7 @@ impl KnowledgeBase {
     /// The returned plan enumerates a *superset* of the facts unifiable
     /// with the goal, and a *subset* of the reference (first-argument)
     /// candidate set R, in R's order — see the module docs for the step
-    /// contract. [`KnowledgeBase::fact_plan_batch`] is the multi-goal
-    /// variant and must stay plan-for-plan identical to this.
+    /// contract.
     pub fn fact_plan<'a>(
         &'a self,
         id: PredId,
@@ -1014,208 +1000,6 @@ impl KnowledgeBase {
         }
     }
 
-    /// Multi-goal [`KnowledgeBase::fact_plan`]: plans a whole batch of
-    /// goals against predicate `id`, sharing work between goals instead of
-    /// replanning from scratch per goal.
-    ///
-    /// The output is positional and **plan-for-plan identical** to mapping
-    /// [`KnowledgeBase::fact_plan`] over `goal_probes` (pinned by the batch
-    /// differential proptest) — batching changes *when* work happens, never
-    /// what any goal's plan contains. Goals whose first argument probes the
-    /// same key form a group: the group fetches its position-0 posting run
-    /// once, and every member that narrows through the stripe-compare case
-    /// rides ONE shared pass over that run (each reference candidate is
-    /// loaded once and tested against all pending goals) — the batched
-    /// all-ground probing of the data-movement work; the saturation loop in
-    /// `bottom.rs` and single-literal coverage in `coverage.rs` are the
-    /// callers with natural batches.
-    ///
-    /// Postings with un-merged pending inserts fall back to the per-goal
-    /// path (mid-bulk-load hit runs are owned splices, not shareable
-    /// slices; the plans are identical either way).
-    pub fn fact_plan_batch<'a>(
-        &'a self,
-        id: PredId,
-        goal_probes: &[Vec<Probe>],
-        scratch: &mut PlanScratch,
-    ) -> Vec<FactPlan<'a>> {
-        let entry = &self.entries[id.index()];
-        let n = entry.len as usize;
-        let sealed = entry.postings.iter().flatten().all(PostingCsr::is_sealed);
-        if !sealed || n == 0 {
-            return goal_probes
-                .iter()
-                .map(|p| self.fact_plan(id, p, scratch))
-                .collect();
-        }
-        // How full the shared-scan batches actually run — the occupancy
-        // histogram that says whether callers batch enough goals to pay
-        // for the grouping.
-        hot::batch_occupancy(goal_probes.len());
-
-        // Group goal indices by their position-0 probe key (`None`: first
-        // argument free, or no indexed position at all — R is the whole
-        // relation). Goal batches are small, so the linear group lookup
-        // beats hashing.
-        let mut groups: Vec<(Option<TermId>, Vec<usize>)> = Vec::new();
-        for (g, probes) in goal_probes.iter().enumerate() {
-            debug_assert_eq!(probes.len(), entry.cols.arity());
-            let key = if entry.postings.is_empty() || !probes[0].is_ground() {
-                None
-            } else {
-                Some(probes[0].tid())
-            };
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.push(g),
-                None => groups.push((key, vec![g])),
-            }
-        }
-
-        /// A goal waiting on the group's shared reference-walk scan.
-        struct Deferred {
-            goal: usize,
-            pos: usize,
-            tid: TermId,
-            tried: Vec<(u32, u64)>,
-        }
-        let mut plans: Vec<Option<FactPlan<'a>>> = (0..goal_probes.len()).map(|_| None).collect();
-        for (key, goals) in groups {
-            // One position-0 posting fetch per distinct key.
-            let segs: Option<(&[u32], &[u32])> = key.map(|tid| {
-                let posting = entry.postings[0]
-                    .as_ref()
-                    .expect("invariant: position-0 posting list is never pruned");
-                let run = posting.sealed_run(tid);
-                // Mirrors the single-goal path's reference-probe counter:
-                // one probe per distinct position-0 key.
-                if run.is_empty() {
-                    hot::posting_probe_miss();
-                } else {
-                    hot::posting_probe_hit();
-                }
-                (run, entry.unindexed[0].as_slice())
-            });
-            let r_len = segs.map_or(n as u64, |(a, b)| (a.len() + b.len()) as u64);
-            let mut deferred: Vec<Deferred> = Vec::new();
-            for g in goals {
-                let probes = &goal_probes[g];
-                // Hash-join choice, exactly as the single-goal path.
-                struct Alt<'h> {
-                    pos: usize,
-                    tid: TermId,
-                    hits: &'h [u32],
-                    un: &'h [u32],
-                    size: u64,
-                }
-                let mut best: Option<Alt<'a>> = None;
-                if r_len > NARROW_MIN {
-                    for (p, posting) in entry.postings.iter().enumerate().skip(1) {
-                        let Some(posting) = posting.as_ref() else {
-                            continue;
-                        };
-                        if !probes[p].is_ground() {
-                            continue;
-                        }
-                        let tid = probes[p].tid();
-                        let hits = posting.sealed_run(tid);
-                        let un = entry.unindexed[p].as_slice();
-                        let size = (hits.len() + un.len()) as u64;
-                        if best.as_ref().is_none_or(|b| size < b.size) {
-                            best = Some(Alt {
-                                pos: p,
-                                tid,
-                                hits,
-                                un,
-                                size,
-                            });
-                        }
-                    }
-                }
-                plans[g] = match (best, segs) {
-                    (Some(alt), segs) if alt.size.saturating_mul(2) < r_len => match segs {
-                        None => {
-                            let mut tried = scratch.take_tried();
-                            if alt.un.is_empty() {
-                                for &f in alt.hits {
-                                    tried.push((f, f as u64));
-                                }
-                            } else {
-                                let mut merged = scratch.take_hits();
-                                merge_sorted_into(alt.hits, alt.un, &mut merged);
-                                for &f in &merged {
-                                    tried.push((f, f as u64));
-                                }
-                                scratch.recycle_hits_vec(merged);
-                            }
-                            Some(FactPlan::Narrowed {
-                                tried,
-                                total: n as u64,
-                            })
-                        }
-                        // The shareable stripe-compare case: park the goal;
-                        // the single pass below fills its tried set.
-                        Some(_) if alt.un.is_empty() => {
-                            deferred.push(Deferred {
-                                goal: g,
-                                pos: alt.pos,
-                                tid: alt.tid,
-                                tried: scratch.take_tried(),
-                            });
-                            None
-                        }
-                        Some((s1, s2)) => {
-                            let mut tried = scratch.take_tried();
-                            let mut merged = scratch.take_hits();
-                            merge_sorted_into(alt.hits, alt.un, &mut merged);
-                            intersect_ranks(s1, &merged, 0, &mut tried);
-                            intersect_ranks(s2, &merged, s1.len() as u64, &mut tried);
-                            scratch.recycle_hits_vec(merged);
-                            Some(FactPlan::Narrowed {
-                                tried,
-                                total: r_len,
-                            })
-                        }
-                    },
-                    (_, Some((indexed, unindexed))) => Some(FactPlan::Seq {
-                        indexed: Hits::Run(indexed),
-                        unindexed,
-                    }),
-                    (_, None) => Some(FactPlan::All { n: n as u32 }),
-                };
-            }
-            // The shared scan: one pass over the group's reference walk,
-            // each candidate row tested against every parked goal (ranks
-            // ascend per goal exactly as the single-goal loop produces).
-            if !deferred.is_empty() {
-                let (s1, s2) = segs.expect("deferred goals narrow a first-arg walk");
-                for (rank, &f) in s1.iter().enumerate() {
-                    for d in deferred.iter_mut() {
-                        if entry.cols.stripe(d.pos)[f as usize] == d.tid {
-                            d.tried.push((f, rank as u64));
-                        }
-                    }
-                }
-                for (rank, &f) in s2.iter().enumerate() {
-                    for d in deferred.iter_mut() {
-                        if entry.cols.stripe(d.pos)[f as usize] == d.tid {
-                            d.tried.push((f, (s1.len() + rank) as u64));
-                        }
-                    }
-                }
-                for d in deferred {
-                    plans[d.goal] = Some(FactPlan::Narrowed {
-                        tried: d.tried,
-                        total: r_len,
-                    });
-                }
-            }
-        }
-        plans
-            .into_iter()
-            .map(|p| p.expect("every goal planned"))
-            .collect()
-    }
-
     /// Test/debug view of [`KnowledgeBase::fact_plan`]: the fact indices the
     /// plan would try (in reference order) and the reference candidate
     /// count, for a goal with the given per-position ground terms.
@@ -1270,8 +1054,7 @@ impl KnowledgeBase {
     /// and every CSR posting merges its pending inserts into the three
     /// contiguous arrays. Call once after bulk construction. (Everything
     /// stays correct without it — probes splice pending hits on the fly —
-    /// but sealed postings are what the zero-copy snapshot and the batch
-    /// planner's shared scans operate on.)
+    /// but sealed postings are what the zero-copy snapshot operates on.)
     pub fn optimize(&mut self) {
         self.arena.shrink_to_fit();
         for entry in &mut self.entries {
@@ -1721,62 +1504,27 @@ impl<'a> FactCols<'a> {
         &self.entry.cols.data[start..start + self.entry.len as usize]
     }
 
-    /// True when every row is regular (all arguments ground) — the
-    /// licensing condition for the all-ground compare kernel: with no
-    /// irregular row and an all-ground goal, unification binds nothing and
-    /// a candidate matches iff each stripe cell equals the goal's probe id.
+    /// True when every row is regular (all arguments ground) — half of
+    /// what licenses [`FactCols::row_matches`]: with no irregular row and
+    /// an all-ground goal, unification binds nothing and a candidate
+    /// matches iff each of its cells equals the goal's probe id.
     #[inline]
     pub fn all_regular(&self) -> bool {
         self.entry.irregular.is_empty()
     }
 
-    /// All-ground block compare: a bitmask of rows `base..base + blk`
-    /// (`1 <= blk <= 64`) whose every cell equals the corresponding
-    /// [`Probe::Id`]. One stripe is streamed per goal argument — a
-    /// branch-light equality-accumulate loop stable Rust autovectorizes —
-    /// with an early exit once the block mask empties. A [`Probe::Miss`]
-    /// matches nothing (no cell can equal an uninterned term); callers
-    /// guarantee no [`Probe::Free`] (kernel precondition).
-    pub fn match_mask(&self, probes: &[Probe], base: u32, blk: u32) -> u64 {
-        debug_assert!((1..=64).contains(&blk) && base + blk <= self.entry.len);
-        hot::all_ground_kernel();
-        let mut mask: u64 = if blk == 64 {
-            u64::MAX
-        } else {
-            (1u64 << blk) - 1
-        };
-        for (p, probe) in probes.iter().enumerate() {
-            let id = match *probe {
-                Probe::Id(id) => id,
-                Probe::Miss => return 0,
-                Probe::Free => {
-                    debug_assert!(false, "kernel requires ground probes");
-                    continue;
-                }
-            };
-            let stripe = &self.stripe(p)[base as usize..(base + blk) as usize];
-            let mut m = 0u64;
-            for (i, &cell) in stripe.iter().enumerate() {
-                m |= u64::from(cell == id) << i;
-            }
-            mask &= m;
-            if mask == 0 {
-                return 0;
-            }
-        }
-        mask
-    }
-
-    /// Scalar all-ground row filter for gathered (index-selected)
-    /// candidates: true iff every cell of `row` equals its probe id. Same
-    /// preconditions as [`FactCols::match_mask`].
+    /// The ground compare for one plan-selected candidate: true iff every
+    /// cell of `row` equals its probe id. A [`Probe::Miss`] matches nothing
+    /// (no cell can equal an uninterned term); callers guarantee the
+    /// relation is [`FactCols::all_regular`] and no probe is
+    /// [`Probe::Free`].
     #[inline]
     pub fn row_matches(&self, probes: &[Probe], row: u32) -> bool {
         probes.iter().enumerate().all(|(p, probe)| match *probe {
             Probe::Id(id) => self.cell(p, row) == id,
             Probe::Miss => false,
             Probe::Free => {
-                debug_assert!(false, "kernel requires ground probes");
+                debug_assert!(false, "row_matches requires ground probes");
                 true
             }
         })

@@ -26,21 +26,27 @@
 //!
 //! # Multi-argument indexing with pinned step accounting
 //!
-//! Fact retrieval goes through [`KnowledgeBase::fact_plan`], which may pick
-//! a *more selective* bound argument position than the first (hash-join
-//! choice). The inference-step fuel stays bit-identical to the seed
-//! semantics: candidates the narrower index skips are exactly those that
-//! provably fail unification on the chosen position, so the prover
-//! *bulk-charges* their steps by rank without touching
-//! them. `(proved, steps, depth_cuts, aborted)` — and solution order — are
-//! pinned equal to [`mod@reference`], the seed implementation preserved
-//! verbatim for differential testing and benchmarking.
+//! Every fact goal takes one path: `Ctx::solve` resolves the goal's
+//! arguments to probes, asks [`KnowledgeBase::fact_plan`] for a plan, and
+//! `Ctx::run_plan` walks it, one candidate row at a time. A row of an
+//! all-ground goal over an all-regular relation is tested by comparing its
+//! cells with the probe ids ([`FactCols::row_matches`]); any other row is
+//! unified.
+//!
+//! The plan may pick a *more selective* bound argument position than the
+//! first (hash-join choice). The inference-step fuel stays bit-identical to
+//! the seed semantics: candidates the narrower index skips are exactly
+//! those that provably fail unification on the chosen position, so the
+//! prover *bulk-charges* their steps by rank without touching them.
+//! `(proved, steps, depth_cuts, aborted)` — and solution order — are pinned
+//! equal to [`mod@reference`], the seed implementation preserved verbatim
+//! for differential testing and benchmarking.
 
 pub mod reference;
 
 use crate::arena::Probe;
 use crate::builtins::solve_builtin_off;
-use crate::clause::{CompiledGoals, CompiledGoalsRef, CompiledLiteral, LitKind, Literal, PredId};
+use crate::clause::{CompiledGoals, CompiledGoalsRef, CompiledLiteral, LitKind, Literal};
 use crate::kb::{FactCols, FactPlan, KnowledgeBase, PlanScratch};
 use crate::subst::Bindings;
 use crate::term::VarId;
@@ -115,7 +121,6 @@ pub struct Prover<'a> {
     kb: &'a KnowledgeBase,
     limits: ProofLimits,
     scratch: RefCell<PlanScratch>,
-    all_ground_kernel: bool,
 }
 
 impl<'a> Prover<'a> {
@@ -125,16 +130,7 @@ impl<'a> Prover<'a> {
             kb,
             limits,
             scratch: RefCell::new(PlanScratch::new()),
-            all_ground_kernel: true,
         }
-    }
-
-    /// Disables/enables the all-ground compare kernel. Benchmark plumbing
-    /// only (measuring the kernel against the per-row unify path it
-    /// replaced); results are bit-identical either way.
-    #[doc(hidden)]
-    pub fn set_all_ground_kernel(&mut self, on: bool) {
-        self.all_ground_kernel = on;
     }
 
     /// The limits in force.
@@ -166,26 +162,22 @@ impl<'a> Prover<'a> {
         goals: &[Literal],
         mut bindings: Bindings,
     ) -> (bool, ProofStats) {
-        self.prove_reusing(goals, &mut bindings)
-    }
-
-    /// Like [`Prover::prove_with_bindings`], but borrows the binding store so
-    /// hot loops (coverage testing) can reuse one allocation across proofs.
-    /// The caller clears the store between proofs.
-    pub fn prove_reusing(&self, goals: &[Literal], bindings: &mut Bindings) -> (bool, ProofStats) {
         let compiled = self.compile(goals);
-        self.prove_compiled_reusing(&compiled, bindings)
+        self.prove_compiled_reusing(&compiled, &mut bindings)
     }
 
-    /// [`Prover::prove_reusing`] over pre-compiled goals: no dispatch
+    /// [`Prover::prove_with_bindings`] over pre-compiled goals and a
+    /// borrowed binding store, so hot loops (coverage testing) compile a
+    /// rule body once and reuse one allocation across proofs: no dispatch
     /// resolution, no allocation — prove thousands of times per compile.
+    /// The caller clears the store between proofs.
     pub fn prove_compiled_reusing(
         &self,
         goals: &CompiledGoals,
         bindings: &mut Bindings,
     ) -> (bool, ProofStats) {
         let mut found = false;
-        let stats = self.run_compiled_reusing(goals, bindings, &mut |_| {
+        let stats = self.run_borrowed_reusing(goals.into(), bindings, &mut |_| {
             found = true;
             false // stop at first solution
         });
@@ -196,30 +188,15 @@ impl<'a> Prover<'a> {
     /// fully-resolved instances in discovery order (duplicates collapsed, as
     /// saturation only cares about distinct bindings).
     pub fn solutions(&self, goal: &Literal, max: usize) -> (Vec<Literal>, ProofStats) {
-        let mut scratch = Bindings::new();
-        self.solutions_reusing(goal, max, &mut scratch)
+        let compiled = self.kb.compile_literal(goal);
+        self.solutions_compiled_reusing(&compiled, max, &mut Bindings::new())
     }
 
-    /// [`Prover::solutions`] over a borrowed binding store (cleared here), so
-    /// saturation's many queries share one allocation.
-    pub fn solutions_reusing(
-        &self,
-        goal: &Literal,
-        max: usize,
-        scratch: &mut Bindings,
-    ) -> (Vec<Literal>, ProofStats) {
-        let compiled = CompiledLiteral {
-            kind: self.kb.litkind(goal),
-            lit: goal.clone(),
-        };
-        self.solutions_compiled_reusing(&compiled, max, scratch)
-    }
-
-    /// [`Prover::solutions_reusing`] over a *borrowed* pre-compiled goal
-    /// (see [`KnowledgeBase::compile_query`]): the query literal is never
-    /// cloned and no goals vector is allocated, which keeps saturation's
-    /// per-recall-round query loop allocation-free — the same discipline as
-    /// coverage's `PreparedRule` path.
+    /// [`Prover::solutions`] over a *borrowed* pre-compiled goal (see
+    /// [`KnowledgeBase::compile_query`]) and a borrowed binding store
+    /// (cleared here): the query literal is never cloned and no goals
+    /// vector is allocated, and saturation's many queries share one
+    /// allocation — the same discipline as coverage's `PreparedRule` path.
     pub fn solutions_compiled_reusing(
         &self,
         goal: &CompiledLiteral,
@@ -262,23 +239,13 @@ impl<'a> Prover<'a> {
         on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
     ) -> ProofStats {
         let compiled = self.compile(goals);
-        self.run_compiled_reusing(&compiled, bindings, on_solution)
+        self.run_borrowed_reusing((&compiled).into(), bindings, on_solution)
     }
 
-    /// [`Prover::run`] over pre-compiled goals and a borrowed binding store.
-    pub fn run_compiled_reusing(
-        &self,
-        goals: &CompiledGoals,
-        bindings: &mut Bindings,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
-    ) -> ProofStats {
-        self.run_borrowed_reusing(CompiledGoalsRef::from(goals), bindings, on_solution)
-    }
-
-    /// [`Prover::run`] over *borrowed* compiled goals — the fully
-    /// allocation-free entry point: the literals stay wherever the caller
-    /// compiled them.
-    pub fn run_borrowed_reusing(
+    /// [`Prover::run`] over *borrowed* compiled goals — what every entry
+    /// point above ends in: the literals stay wherever the caller compiled
+    /// them.
+    fn run_borrowed_reusing(
         &self,
         goals: CompiledGoalsRef<'_>,
         bindings: &mut Bindings,
@@ -294,7 +261,6 @@ impl<'a> Prover<'a> {
             bindings,
             next_var: &mut next_var,
             plan_scratch: &mut plan_scratch,
-            all_ground_kernel: self.all_ground_kernel,
         };
         let root = Frame {
             lits: goals.lits,
@@ -304,195 +270,6 @@ impl<'a> Prover<'a> {
         };
         ctx.solve(Some(&root), on_solution);
         ctx.stats
-    }
-
-    /// Batched [`Prover::solutions_compiled_reusing`]: enumerates each query
-    /// independently (same solutions, order, and per-query stats — pinned by
-    /// the batch differential proptest), but when every query targets the
-    /// same dense predicate the retrieval plans are built in one
-    /// [`KnowledgeBase::fact_plan_batch`] pass — goals probing the same
-    /// first-argument key share one posting fetch, and their narrowing
-    /// stripe compares ride a single scan over the shared reference walk.
-    /// The saturation loop ([`bottom`] combo queries) and single-literal
-    /// coverage are the natural callers.
-    ///
-    /// Queries are planned under the *empty* binding store, exactly as each
-    /// would be when run standalone (the per-query `scratch.reset(0)`).
-    ///
-    /// [`bottom`]: https://en.wikipedia.org/wiki/Inductive_logic_programming
-    pub fn solutions_compiled_batch(
-        &self,
-        queries: &[CompiledLiteral],
-        max: usize,
-        scratch: &mut Bindings,
-    ) -> Vec<(Vec<Literal>, ProofStats)> {
-        let same_pid = queries.first().and_then(|q0| match q0.kind {
-            LitKind::Pred(pid) if queries.iter().all(|q| q.kind == LitKind::Pred(pid)) => Some(pid),
-            _ => None,
-        });
-        let Some(pid) = same_pid else {
-            // Mixed dispatch (builtins, unknowns, several predicates):
-            // nothing to share, run each query through the one-goal path.
-            return queries
-                .iter()
-                .map(|q| self.solutions_compiled_reusing(q, max, scratch))
-                .collect();
-        };
-        if max == 0 {
-            return queries
-                .iter()
-                .map(|_| (Vec::new(), ProofStats::default()))
-                .collect();
-        }
-
-        let mut guard = self.scratch.borrow_mut();
-        let plan_scratch = &mut *guard;
-        scratch.reset(0);
-        let arena = self.kb.arena();
-        let mut all_probes: Vec<Vec<Probe>> = Vec::with_capacity(queries.len());
-        for q in queries {
-            let mut probes = plan_scratch.take_probes();
-            probes.extend(q.lit.args.iter().map(|a| scratch.probe(a, 0, arena)));
-            all_probes.push(probes);
-        }
-        let plans = self.kb.fact_plan_batch(pid, &all_probes, plan_scratch);
-
-        // Per query, replicate `solutions_compiled_reusing` exactly — reset,
-        // dedup against resolved instances, stop at `max` — but hand
-        // `solve_pred` the pre-built plan. (Inlined rather than delegated:
-        // the `PlanScratch` cell is already borrowed for the whole batch.)
-        let mut out = Vec::with_capacity(queries.len());
-        for ((q, plan), probes) in queries.iter().zip(plans).zip(&all_probes) {
-            let mut sols: Vec<Literal> = Vec::new();
-            scratch.reset(0);
-            let mut seen: crate::fxhash::FxHashSet<Literal> = crate::fxhash::FxHashSet::default();
-            let goals = CompiledGoalsRef::single(q);
-            let mut next_var: VarId = goals.var_span.max(scratch.len() as VarId);
-            scratch.ensure(next_var as usize);
-            let mut ctx = Ctx {
-                kb: self.kb,
-                limits: self.limits,
-                stats: ProofStats::default(),
-                bindings: scratch,
-                next_var: &mut next_var,
-                plan_scratch: &mut *plan_scratch,
-                all_ground_kernel: self.all_ground_kernel,
-            };
-            // An exhausted goal list under the empty continuation — what
-            // `solve` builds after splitting off a single-literal frame.
-            let rest = Frame {
-                lits: &[],
-                offset: 0,
-                depth: 0,
-                next: None,
-            };
-            ctx.solve_pred(pid, plan, probes, &q.lit, 0, 0, &rest, &mut |b| {
-                let inst = b.resolve_literal(&q.lit);
-                if seen.insert(inst.clone()) {
-                    sols.push(inst);
-                }
-                sols.len() < max
-            });
-            out.push((sols, ctx.stats));
-        }
-        for probes in all_probes {
-            plan_scratch.recycle_probes(probes);
-        }
-        out
-    }
-
-    /// Batched [`Prover::prove_compiled_reusing`] over one compiled body
-    /// and many seed binding sets — the coverage hot path: one rule, a
-    /// block of examples. `seed(k, bindings)` must fully establish seed
-    /// `k`'s bindings (typically a reset plus head unification) and return
-    /// whether the example is admissible; it is called up to twice per
-    /// seed and must be deterministic. Returns one entry per seed: `None`
-    /// where `seed` declined, otherwise exactly
-    /// [`Prover::prove_compiled_reusing`]'s `(proved, stats)`.
-    ///
-    /// When the body is a single dense-predicate literal, retrieval plans
-    /// for the whole block are built in one
-    /// [`KnowledgeBase::fact_plan_batch`] pass — plan construction is
-    /// never step-charged, so per-example stats stay bit-identical to the
-    /// one-proof-at-a-time loop. Any other body shape falls back to
-    /// per-seed proving.
-    pub fn prove_compiled_batch(
-        &self,
-        goals: &CompiledGoals,
-        n: usize,
-        seed: &mut dyn FnMut(usize, &mut Bindings) -> bool,
-        scratch: &mut Bindings,
-    ) -> Vec<Option<(bool, ProofStats)>> {
-        let single_pred = match goals.lits.first() {
-            Some(l) if goals.lits.len() == 1 => match l.kind {
-                LitKind::Pred(pid) => Some((l, pid)),
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some((goal, pid)) = single_pred else {
-            return (0..n)
-                .map(|k| seed(k, scratch).then(|| self.prove_compiled_reusing(goals, scratch)))
-                .collect();
-        };
-
-        let mut guard = self.scratch.borrow_mut();
-        let plan_scratch = &mut *guard;
-        let arena = self.kb.arena();
-
-        // Pass 1: per admissible seed, resolve the goal's probes under
-        // that seed's bindings (probe resolution is step-free).
-        let mut seeded: Vec<usize> = Vec::with_capacity(n);
-        let mut all_probes: Vec<Vec<Probe>> = Vec::with_capacity(n);
-        for k in 0..n {
-            if seed(k, scratch) {
-                scratch.ensure(goals.var_span.max(scratch.len() as VarId) as usize);
-                let mut probes = plan_scratch.take_probes();
-                probes.extend(goal.lit.args.iter().map(|a| scratch.probe(a, 0, arena)));
-                seeded.push(k);
-                all_probes.push(probes);
-            }
-        }
-        // Pass 2: one batched planning pass for the whole block.
-        let plans = self.kb.fact_plan_batch(pid, &all_probes, plan_scratch);
-
-        // Pass 3: prove each admissible seed with its pre-built plan.
-        let mut out: Vec<Option<(bool, ProofStats)>> = (0..n).map(|_| None).collect();
-        for ((&k, plan), probes) in seeded.iter().zip(plans).zip(&all_probes) {
-            let readmitted = seed(k, scratch);
-            debug_assert!(readmitted, "seed must be deterministic");
-            if !readmitted {
-                plan_scratch.recycle(plan);
-                continue;
-            }
-            let mut next_var: VarId = goals.var_span.max(scratch.len() as VarId);
-            scratch.ensure(next_var as usize);
-            let mut found = false;
-            let mut ctx = Ctx {
-                kb: self.kb,
-                limits: self.limits,
-                stats: ProofStats::default(),
-                bindings: scratch,
-                next_var: &mut next_var,
-                plan_scratch: &mut *plan_scratch,
-                all_ground_kernel: self.all_ground_kernel,
-            };
-            let rest = Frame {
-                lits: &[],
-                offset: 0,
-                depth: 0,
-                next: None,
-            };
-            ctx.solve_pred(pid, plan, probes, &goal.lit, 0, 0, &rest, &mut |_| {
-                found = true;
-                false // stop at first solution
-            });
-            out[k] = Some((found, ctx.stats));
-        }
-        for probes in all_probes {
-            plan_scratch.recycle_probes(probes);
-        }
-        out
     }
 }
 
@@ -505,11 +282,6 @@ struct Ctx<'a, 'v> {
     /// Pooled plan buffers (`tried` vectors, merge scratch, probe vectors)
     /// — drawn per goal, returned when the goal's plan is consumed.
     plan_scratch: &'v mut PlanScratch,
-    /// Whether the all-ground compare kernel may replace per-row
-    /// `unify_term_id` (results are bit-identical either way; the toggle
-    /// exists so the benchmark can measure the kernel against the path it
-    /// replaced).
-    all_ground_kernel: bool,
 }
 
 impl<'a> Ctx<'a, '_> {
@@ -599,48 +371,30 @@ impl<'a> Ctx<'a, '_> {
         // Resolve every goal argument to a `Probe` once: shared by plan
         // construction (every indexed position probes the cached id instead
         // of re-walking and re-hashing the argument) and, when the goal is
-        // all ground over an all-regular relation, by the stripe compare
-        // kernel.
+        // all ground over an all-regular relation, by the per-row compare.
         let mut probes = self.plan_scratch.take_probes();
         {
             let arena = kb.arena();
             let bindings = &*self.bindings;
             probes.extend(glit.args.iter().map(|a| bindings.probe(a, goff, arena)));
         }
-        let plan = kb.fact_plan(pid, &probes, self.plan_scratch);
-        let ctrl = self.solve_pred(pid, plan, &probes, glit, goff, depth, &rest, on_solution);
-        self.plan_scratch.recycle_probes(probes);
-        ctrl
-    }
 
-    /// Facts then rules for one dense-predicate goal — the shared tail of
-    /// [`Ctx::solve`] and the batch runner
-    /// ([`Prover::solutions_compiled_batch`], which injects a pre-built
-    /// plan).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_pred(
-        &mut self,
-        pid: PredId,
-        plan: FactPlan<'a>,
-        probes: &[Probe],
-        glit: &Literal,
-        goff: VarId,
-        depth: u32,
-        rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
-    ) -> Control {
         // Facts, through the most selective available argument index; step
         // accounting stays pinned to the first-argument reference plan.
         // Candidates unify column-natively — goal arguments match straight
         // against the fact's arena-id tuple, no row literal involved.
-        match self.solve_facts(pid, plan, probes, glit, goff, rest, on_solution) {
+        let plan = kb.fact_plan(pid, &probes, self.plan_scratch);
+        let facts = kb.fact_cols(pid);
+        let ctrl = self.run_plan(&facts, &plan, &probes, glit, goff, &rest, on_solution);
+        self.plan_scratch.recycle(plan);
+        self.plan_scratch.recycle_probes(probes);
+        match ctrl {
             Control::More => {}
             c => return c,
         }
 
         // Rules: rename apart via a fresh offset (the span is precompiled),
         // push the compiled body at depth+1.
-        let kb = self.kb;
         for crule in kb.rules_compiled(pid) {
             if depth + 1 > self.limits.max_depth {
                 self.stats.depth_cuts += 1;
@@ -660,7 +414,7 @@ impl<'a> Ctx<'a, '_> {
                     lits: &crule.body,
                     offset,
                     depth: depth + 1,
-                    next: Some(rest),
+                    next: Some(&rest),
                 };
                 match self.solve(Some(&body), on_solution) {
                     Control::More => {}
@@ -676,32 +430,15 @@ impl<'a> Ctx<'a, '_> {
         Control::More
     }
 
-    /// Enumerates one plan's fact candidates, then recycles the plan's
-    /// buffers. Dispatches to the all-ground compare kernel when licensed.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_facts(
-        &mut self,
-        pid: PredId,
-        plan: FactPlan<'a>,
-        probes: &[Probe],
-        glit: &Literal,
-        goff: VarId,
-        rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
-    ) -> Control {
-        let facts = self.kb.fact_cols(pid);
-        let ctrl = self.run_plan(&facts, &plan, probes, glit, goff, rest, on_solution);
-        self.plan_scratch.recycle(plan);
-        ctrl
-    }
-
-    /// The plan walk. Kernel licensing: when every goal argument resolves
-    /// ground ([`Probe::is_ground`]) and every row is regular
+    /// Walks one plan's candidates in reference order, charging what the
+    /// plan skipped. When every goal argument resolves ground
+    /// ([`Probe::is_ground`]) and every row is regular
     /// ([`FactCols::all_regular`]), unification binds nothing and a
-    /// candidate matches iff each stripe cell equals the goal's probe id —
-    /// so per-row [`crate::subst::Bindings::unify_term_id`] collapses to
-    /// plain `u32` compares over contiguous stripes (block-masked for the
-    /// full-relation scan), with identical solutions, order, and steps.
+    /// candidate matches iff each of its cells equals the goal's probe id —
+    /// so index-selected rows take [`Ctx::try_fact_ground`], a plain `u32`
+    /// compare per cell, with identical solutions, order, and steps. (Only
+    /// an arity-0 goal is all ground *and* planned [`FactPlan::All`]: a
+    /// ground first argument plans `Seq` or `Narrowed`.)
     #[allow(clippy::too_many_arguments)]
     fn run_plan(
         &mut self,
@@ -713,13 +450,9 @@ impl<'a> Ctx<'a, '_> {
         rest: &Frame<'_>,
         on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
     ) -> Control {
-        let kernel =
-            self.all_ground_kernel && facts.all_regular() && probes.iter().all(|p| p.is_ground());
+        let ground = facts.all_regular() && probes.iter().all(|p| p.is_ground());
         match plan {
             FactPlan::Empty => Control::More,
-            FactPlan::All { n } if kernel => {
-                self.scan_all_ground(facts, probes, *n, rest, on_solution)
-            }
             FactPlan::All { n } => {
                 for row in 0..*n {
                     match self.try_fact(facts, row, glit, goff, rest, on_solution) {
@@ -731,7 +464,7 @@ impl<'a> Ctx<'a, '_> {
             }
             FactPlan::Seq { indexed, unindexed } => {
                 for &row in indexed.iter().chain(unindexed.iter()) {
-                    let ctrl = if kernel {
+                    let ctrl = if ground {
                         self.try_fact_ground(facts, probes, row, rest, on_solution)
                     } else {
                         self.try_fact(facts, row, glit, goff, rest, on_solution)
@@ -750,7 +483,7 @@ impl<'a> Ctx<'a, '_> {
                         return Control::Abort;
                     }
                     charged = rank;
-                    let ctrl = if kernel {
+                    let ctrl = if ground {
                         self.try_fact_ground(facts, probes, row, rest, on_solution)
                     } else {
                         self.try_fact(facts, row, glit, goff, rest, on_solution)
@@ -769,61 +502,10 @@ impl<'a> Ctx<'a, '_> {
         }
     }
 
-    /// The vectorizable all-ground scan for a full-relation plan: rows are
-    /// tested in 64-row blocks via [`FactCols::match_mask`] — per-stripe
-    /// chunked equality the compiler autovectorizes — and only matching
-    /// rows take the per-candidate [`Ctx::tick`]/recurse path. Failed rows
-    /// are bulk-charged in reference order ([`Ctx::charge`] lands on the
-    /// same abort point consecutive ticks would), so
-    /// `(proved, steps, depth_cuts, aborted)` stays bit-identical.
-    fn scan_all_ground(
-        &mut self,
-        facts: &FactCols<'a>,
-        probes: &[Probe],
-        n: u32,
-        rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
-    ) -> Control {
-        // Failed candidates seen since the last charge; charging is
-        // deferred to the next match (or the end of the scan), which cannot
-        // change the observable abort point — failed rows produce no
-        // solutions and touch no bindings.
-        let mut pending: u64 = 0;
-        let mut base: u32 = 0;
-        while base < n {
-            let blk = (n - base).min(64);
-            let mut mask = facts.match_mask(probes, base, blk);
-            let mut prev: u32 = 0;
-            while mask != 0 {
-                let bit = mask.trailing_zeros();
-                mask &= mask - 1;
-                pending += u64::from(bit - prev);
-                prev = bit + 1;
-                if !self.charge(pending) {
-                    return Control::Abort;
-                }
-                pending = 0;
-                debug_assert!(facts.row_matches(probes, base + bit));
-                if !self.tick() {
-                    return Control::Abort;
-                }
-                match self.solve(Some(rest), on_solution) {
-                    Control::More => {}
-                    c => return c,
-                }
-            }
-            pending += u64::from(blk - prev);
-            base += blk;
-        }
-        if !self.charge(pending) {
-            return Control::Abort;
-        }
-        Control::More
-    }
-
-    /// All-ground kernel candidate for an index-selected row: tick,
-    /// stripe-compare, recurse. No binding mark is taken — an all-ground
-    /// match binds nothing, so there is nothing to undo.
+    /// One fact candidate of an all-ground goal over an all-regular
+    /// relation: tick, compare cells ([`FactCols::row_matches`]), recurse.
+    /// No binding mark is taken — an all-ground match binds nothing, so
+    /// there is nothing to undo.
     #[inline]
     fn try_fact_ground(
         &mut self,
@@ -1047,7 +729,7 @@ mod tests {
         let mut scratch = Bindings::new();
         for goal in goals {
             for max in [0, 1, 5] {
-                let owned = p.solutions_reusing(&goal, max, &mut scratch);
+                let owned = p.solutions(&goal, max);
                 let compiled = kb.compile_query(goal.clone());
                 let borrowed = p.solutions_compiled_reusing(&compiled, max, &mut scratch);
                 assert_eq!(owned, borrowed, "diverged on {goal:?} max {max}");
@@ -1102,7 +784,8 @@ mod tests {
         for g in &goals {
             let fresh = p.prove_ground(g);
             scratch.reset(0);
-            let reused = p.prove_reusing(std::slice::from_ref(g), &mut scratch);
+            let compiled = p.compile(std::slice::from_ref(g));
+            let reused = p.prove_compiled_reusing(&compiled, &mut scratch);
             assert_eq!(fresh.0, reused.0);
             assert_eq!(fresh.1.steps, reused.1.steps);
         }

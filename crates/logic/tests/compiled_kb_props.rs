@@ -419,113 +419,6 @@ proptest! {
         }
     }
 
-    /// `solutions_compiled_batch` is query-for-query bit-identical to the
-    /// one-goal-at-a-time `solutions_compiled_reusing` loop — same
-    /// solutions, order, and per-query stats — for same-predicate batches
-    /// (the shared-plan pass), mixed batches (the fallback), and with the
-    /// all-ground kernel disabled.
-    #[test]
-    fn batched_solutions_match_one_at_a_time(
-        bonds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
-        atms in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..60),
-        vals in proptest::collection::vec(0i64..40, 0..20),
-        same_pred in any::<bool>(),
-        optimize in any::<bool>(),
-        queries in proptest::collection::vec((any::<u8>(), proptest::collection::vec(any::<u8>(), 1..5)), 1..8),
-        max_steps in 1u64..3000,
-        recall in 0usize..8,
-    ) {
-        let (t, mut kb) = build_kb(&bonds, &atms, &vals);
-        if optimize {
-            kb.optimize();
-        }
-        let limits = ProofLimits { max_depth: 4, max_steps };
-        let compiled: Vec<_> = queries
-            .iter()
-            .map(|(pick, seeds)| {
-                let pick = if same_pred { queries[0].0 } else { *pick };
-                kb.compile_query(build_query(&t, pick, seeds))
-            })
-            .collect();
-        for kernel in [true, false] {
-            let mut prover = Prover::new(&kb, limits);
-            prover.set_all_ground_kernel(kernel);
-            let mut scratch = Bindings::new();
-            let batched = prover.solutions_compiled_batch(&compiled, recall, &mut scratch);
-            prop_assert_eq!(batched.len(), compiled.len());
-            for (q, got) in compiled.iter().zip(&batched) {
-                let want = prover.solutions_compiled_reusing(q, recall, &mut scratch);
-                prop_assert_eq!(
-                    got, &want,
-                    "batch diverged (kernel={}) on {:?}", kernel, q.lit
-                );
-            }
-        }
-    }
-
-    /// `prove_compiled_batch` is seed-for-seed bit-identical to the
-    /// head-unify + `prove_compiled_reusing` loop it batches — for
-    /// single-literal bodies (the batched-planning fast path), for
-    /// multi-literal bodies (the fallback), and for seeds whose head
-    /// unification fails (skipped with `None`).
-    #[test]
-    fn batched_proving_matches_per_example(
-        bonds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..120),
-        examples in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..80),
-        two_lits in any::<bool>(),
-        optimize in any::<bool>(),
-        max_steps in 1u64..2000,
-    ) {
-        let (t, mut kb) = build_kb(&bonds, &[], &[]);
-        if optimize {
-            kb.optimize();
-        }
-        let lit = |name: &str, args: Vec<Term>| Literal::new(t.intern(name), args);
-        // Coverage-shaped rule: h(M, A) :- bond(M, A, B, T)[, path(M, B, A)].
-        let head = lit("h", vec![Term::Var(0), Term::Var(1)]);
-        let mut body = vec![lit(
-            "bond",
-            vec![Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3)],
-        )];
-        if two_lits {
-            body.push(lit("path", vec![Term::Var(0), Term::Var(2), Term::Var(1)]));
-        }
-        let span = Clause::new(head.clone(), body.clone()).var_span() as usize;
-        let goals = kb.compile_goals(&body);
-        // Ground "examples": h(mol, atom) instances, some unmatchable.
-        let exs: Vec<Literal> = examples
-            .iter()
-            .map(|&(m, a)| {
-                let marg = if m % 9 == 8 {
-                    Term::Sym(t.intern("zz_absent"))
-                } else {
-                    Term::Sym(t.intern(&format!("m{}", m % 6)))
-                };
-                lit("h", vec![marg, atom_term(&t, a)])
-            })
-            .collect();
-        let limits = ProofLimits { max_depth: 4, max_steps };
-        let prover = Prover::new(&kb, limits);
-        let mut scratch = Bindings::with_capacity(span);
-        let batched = prover.prove_compiled_batch(
-            &goals,
-            exs.len(),
-            &mut |k: usize, b: &mut Bindings| {
-                b.reset(span);
-                b.unify_literals(&head, &exs[k], false)
-            },
-            &mut scratch,
-        );
-        prop_assert_eq!(batched.len(), exs.len());
-        for (ex, got) in exs.iter().zip(&batched) {
-            scratch.reset(span);
-            let want = scratch
-                .unify_literals(&head, ex, false)
-                .then(|| prover.prove_compiled_reusing(&goals, &mut scratch));
-            prop_assert_eq!(got, &want, "batched proof diverged on {:?}", ex);
-        }
-    }
-
     /// The columnar stripe store *is* the fact store: `facts_for`
     /// round-trips every asserted literal (including irregular non-ground
     /// rows) verbatim and in assertion order, before and after `optimize`

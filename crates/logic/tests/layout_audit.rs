@@ -5,7 +5,8 @@
 //! directly:
 //!
 //! 1. `TermId` is a bare `u32` (`#[repr(transparent)]`): column stripes
-//!    are dense 4-byte lanes the all-ground compare kernel streams over.
+//!    are dense 4-byte cells that plan building and the prover's ground
+//!    compare read directly.
 //! 2. After [`KnowledgeBase::optimize`], a predicate's column stripes are
 //!    exactly adjacent — one position-major allocation with no capacity
 //!    slack between positions.

@@ -181,30 +181,95 @@ fn trains_kb_agrees_on_every_train() {
     }
 }
 
-#[test]
-fn open_queries_enumerate_identically() {
-    let (t, kb) = trains_kb();
-    let limits = ProofLimits::default();
-    let goal = lit(&t, "heavy", vec![Term::Var(0)]);
-    let new = Prover::new(&kb, limits);
-    let old = reference::Prover::new(&kb, limits);
-
+/// Enumerates `goals` to exhaustion on both provers: the solution streams
+/// (content and order) and the stats must match. Returns the solutions.
+fn assert_streams_agree(
+    kb: &KnowledgeBase,
+    limits: ProofLimits,
+    goals: &[Literal],
+) -> Vec<Literal> {
     let mut new_sols = Vec::new();
-    let new_stats = new.run(std::slice::from_ref(&goal), Bindings::new(), &mut |b| {
-        new_sols.push(b.resolve_literal(&goal));
+    let new_stats = Prover::new(kb, limits).run(goals, Bindings::new(), &mut |b| {
+        new_sols.extend(goals.iter().map(|g| b.resolve_literal(g)));
         true
     });
     let mut old_sols = Vec::new();
-    let old_stats = old.run(std::slice::from_ref(&goal), Bindings::new(), &mut |b| {
-        old_sols.push(b.resolve_literal(&goal));
+    let old_stats = reference::Prover::new(kb, limits).run(goals, Bindings::new(), &mut |b| {
+        old_sols.extend(goals.iter().map(|g| b.resolve_literal(g)));
         true
     });
-    assert!(!new_sols.is_empty());
     assert_eq!(
         new_sols, old_sols,
-        "solution streams must match in order and content"
+        "solution streams must match in order and content on {goals:?} under {limits:?}"
     );
-    assert_eq!(new_stats, old_stats);
+    assert_eq!(
+        new_stats, old_stats,
+        "stats mismatch on {goals:?} under {limits:?}"
+    );
+    new_sols
+}
+
+#[test]
+fn open_queries_enumerate_identically() {
+    let (t, kb) = trains_kb();
+    let goal = lit(&t, "heavy", vec![Term::Var(0)]);
+    let sols = assert_streams_agree(&kb, ProofLimits::default(), &[goal]);
+    assert!(!sols.is_empty());
+}
+
+/// Arity-0 predicates are the one goal shape that is all ground and still
+/// planned as a full-relation walk (there is no first argument to index):
+/// every asserted copy is a candidate, a solution and a step, with and
+/// without a same-named rule behind the facts, down to the step at which a
+/// tight budget aborts the walk.
+#[test]
+fn arity_zero_facts_agree() {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    for _ in 0..5 {
+        kb.assert_fact(lit(&t, "plain", vec![]));
+    }
+    for i in 0..3 {
+        kb.assert_fact(lit(&t, "val", vec![Term::Int(i)]));
+        kb.assert_fact(lit(&t, "backed", vec![]));
+    }
+    // backed :- val(X), plain.   (behind three `backed.` facts)
+    kb.assert_rule(Clause::new(
+        lit(&t, "backed", vec![]),
+        vec![lit(&t, "val", vec![Term::Var(0)]), lit(&t, "plain", vec![])],
+    ));
+    let conjunctions = [
+        vec![lit(&t, "plain", vec![])],
+        vec![lit(&t, "backed", vec![])],
+        vec![lit(&t, "val", vec![Term::Var(0)]), lit(&t, "plain", vec![])],
+        vec![
+            lit(&t, "backed", vec![]),
+            lit(&t, "val", vec![Term::Var(0)]),
+        ],
+        vec![lit(&t, "plain", vec![]), lit(&t, "absent", vec![])],
+    ];
+    let unbounded = ProofLimits::default();
+    assert_eq!(
+        assert_streams_agree(&kb, unbounded, &conjunctions[0]).len(),
+        5,
+        "one solution per asserted copy"
+    );
+    assert_eq!(
+        assert_streams_agree(&kb, unbounded, &conjunctions[1]).len(),
+        3 + 3 * 5,
+        "facts first, then the rule's solutions"
+    );
+    for goals in &conjunctions {
+        // Budgets from "aborts on the first candidate" to "never aborts".
+        for max_steps in 1..=80 {
+            let limits = ProofLimits {
+                max_depth: 4,
+                max_steps,
+            };
+            assert_streams_agree(&kb, limits, goals);
+            assert_agree(&kb, limits, &goals[0]);
+        }
+    }
 }
 
 #[test]

@@ -68,8 +68,7 @@ impl Gauge {
     }
 }
 
-/// The fixed-bucket histogram storage (see [`HISTO_BUCKETS`]). Public so
-/// [`hot`] can embed one statically.
+/// The fixed-bucket histogram storage (see [`HISTO_BUCKETS`]).
 #[derive(Debug)]
 pub struct Histo {
     buckets: [AtomicU64; HISTO_BUCKETS],
@@ -98,17 +97,9 @@ impl Histo {
     /// Records one observation — three relaxed `fetch_add`s, nothing else.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` identical observations of `v` in one update (the
-    /// weighted form sampled recorders use: one sampled event stands for
-    /// `n` real ones, so count and sum stay unbiased in expectation).
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Snapshot of the non-empty buckets.
@@ -125,15 +116,6 @@ impl Histo {
             sum: self.sum.load(Ordering::Relaxed),
             buckets,
         }
-    }
-
-    /// Zeroes everything (test isolation for the static [`hot`] block).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -450,20 +432,18 @@ impl MetricsSnapshot {
 /// deduction kernels have no rank identity (worker processes of a TCP mesh
 /// are one rank per process anyway; in-process meshes aggregate all ranks
 /// here — documented, and still the actionable signal: probe selectivity
-/// and kernel occupancy are engine properties, not rank properties). The
-/// rule search's variant-memo hit/miss pair lives here too: it explains the
-/// probe counts (a memo hit is a proof, and its probes, that never ran).
+/// is an engine property, not a rank property). The rule search's
+/// variant-memo hit/miss pair lives here too: it explains the probe counts
+/// (a memo hit is a proof, and its probes, that never ran).
 pub mod hot {
-    use super::{Histo, MetricEntry, MetricValue};
+    use super::{MetricEntry, MetricValue};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static POSTING_PROBE_HITS: AtomicU64 = AtomicU64::new(0);
     static POSTING_PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
-    static ALL_GROUND_KERNEL: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-    static BATCH_OCCUPANCY: Histo = Histo::new();
     // Sampling ratio: record every Nth event, weight-scaled by N so the
     // exported totals stay unbiased. 1 (the default) records everything
     // and never touches TICK — exact counts, unchanged behavior.
@@ -542,12 +522,6 @@ pub mod hot {
         count(&POSTING_PROBE_MISSES);
     }
 
-    /// The all-ground stripe-compare kernel ran once.
-    #[inline(always)]
-    pub fn all_ground_kernel() {
-        count(&ALL_GROUND_KERNEL);
-    }
-
     /// A search node took its coverage from the variant memo (no proof ran).
     #[inline(always)]
     pub fn search_memo_hit() {
@@ -560,25 +534,13 @@ pub mod hot {
         count(&SEARCH_MEMO_MISSES);
     }
 
-    /// A goal batch of `goals` entries was planned in one posting pass.
-    #[inline(always)]
-    pub fn batch_occupancy(goals: usize) {
-        if enabled() {
-            if let Some(w) = sample_weight() {
-                BATCH_OCCUPANCY.record_n(goals as u64, w);
-            }
-        }
-    }
-
     /// Zeroes every hot counter and the sampling tick (test isolation;
     /// the enabled flag and sampling ratio are untouched).
     pub fn reset() {
         POSTING_PROBE_HITS.store(0, Ordering::Relaxed);
         POSTING_PROBE_MISSES.store(0, Ordering::Relaxed);
-        ALL_GROUND_KERNEL.store(0, Ordering::Relaxed);
         SEARCH_MEMO_HITS.store(0, Ordering::Relaxed);
         SEARCH_MEMO_MISSES.store(0, Ordering::Relaxed);
-        BATCH_OCCUPANCY.reset();
         TICK.store(0, Ordering::Relaxed);
     }
 
@@ -592,14 +554,6 @@ pub mod hot {
             MetricEntry {
                 name: "prover_posting_probe_misses_total".to_owned(),
                 value: MetricValue::Counter(POSTING_PROBE_MISSES.load(Ordering::Relaxed)),
-            },
-            MetricEntry {
-                name: "prover_all_ground_kernel_total".to_owned(),
-                value: MetricValue::Counter(ALL_GROUND_KERNEL.load(Ordering::Relaxed)),
-            },
-            MetricEntry {
-                name: "prover_batch_occupancy".to_owned(),
-                value: BATCH_OCCUPANCY.load(),
             },
         ];
         // The search pair joins once it has moved: a mesh that runs no
@@ -623,16 +577,10 @@ pub mod hot {
     /// Sum of events recorded so far (zero-overhead tests assert this
     /// stays 0 while sampling is off).
     pub fn total_recorded() -> u64 {
-        let histo = match BATCH_OCCUPANCY.load() {
-            MetricValue::Histogram { count, .. } => count,
-            _ => 0,
-        };
         POSTING_PROBE_HITS.load(Ordering::Relaxed)
             + POSTING_PROBE_MISSES.load(Ordering::Relaxed)
-            + ALL_GROUND_KERNEL.load(Ordering::Relaxed)
             + SEARCH_MEMO_HITS.load(Ordering::Relaxed)
             + SEARCH_MEMO_MISSES.load(Ordering::Relaxed)
-            + histo
     }
 }
 
@@ -739,15 +687,12 @@ mod tests {
         hot::set_sample_every(1);
         hot::reset();
         hot::posting_probe_hit();
-        hot::all_ground_kernel();
-        hot::batch_occupancy(8);
         hot::search_memo_hit();
         assert_eq!(hot::total_recorded(), 0, "disabled guard records nothing");
         hot::enable();
         hot::posting_probe_hit();
         hot::posting_probe_miss();
-        hot::batch_occupancy(8);
-        assert_eq!(hot::total_recorded(), 3);
+        assert_eq!(hot::total_recorded(), 2);
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("prover_posting_probe_hits_total"), 1);
         assert_eq!(snap.counter("prover_posting_probe_misses_total"), 1);
@@ -760,7 +705,7 @@ mod tests {
         hot::search_memo_hit();
         hot::search_memo_hit();
         hot::search_memo_miss();
-        assert_eq!(hot::total_recorded(), 6);
+        assert_eq!(hot::total_recorded(), 5);
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("search_memo_hits_total"), 2);
         assert_eq!(snap.counter("search_memo_misses_total"), 1);
@@ -784,20 +729,6 @@ mod tests {
         // Ticks 0..8: ticks 0 and 4 sample, each with weight 4.
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("prover_posting_probe_hits_total"), 8);
-        // The histogram records weighted too: ticks 8..12, tick 8 samples.
-        for _ in 0..4 {
-            hot::batch_occupancy(3);
-        }
-        match MetricsSnapshot::from_entries(hot::entries())
-            .get("prover_batch_occupancy")
-            .cloned()
-        {
-            Some(MetricValue::Histogram { count, sum, .. }) => {
-                assert_eq!(count, 4);
-                assert_eq!(sum, 12);
-            }
-            other => panic!("missing histogram: {other:?}"),
-        }
         assert_eq!(hot::sample_every(), 4);
         hot::disable();
         hot::set_sample_every(1);
