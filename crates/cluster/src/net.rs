@@ -1432,45 +1432,84 @@ mod tests {
         }
     }
 
+    /// One named frame per kind (two envelopes: plain and poison). The
+    /// round-trip, golden-layout, truncation and corruption tests all walk
+    /// this list.
+    fn frame_samples() -> Vec<(&'static str, Frame)> {
+        vec![
+            ("Envelope/plain", env_frame(3, b"hello")),
+            (
+                "Envelope/poison",
+                Frame::Envelope {
+                    from: 0,
+                    poison: true,
+                    arrival: 0.0,
+                    payload: vec![],
+                },
+            ),
+            (
+                "Hello",
+                Frame::Hello {
+                    magic: MAGIC,
+                    version: PROTOCOL_VERSION,
+                    rank: 2,
+                    addr: "127.0.0.1:9999".to_owned(),
+                },
+            ),
+            (
+                "Roster",
+                Frame::Roster {
+                    model: CostModel::beowulf_2005(),
+                    addrs: vec![(1, "a:1".to_owned()), (2, "b:2".to_owned())],
+                },
+            ),
+            (
+                "Report",
+                Frame::Report(WorkerReport {
+                    vtime: 12.5,
+                    steps: 99,
+                    sends: vec![(1, 2, 0), (0, 0, 3)],
+                    recovery_bytes: 77,
+                    recovery_messages: 4,
+                    constraint_bytes: 31,
+                    constraint_messages: 2,
+                }),
+            ),
+        ]
+    }
+
     #[test]
     fn frames_roundtrip() {
-        let frames = vec![
-            env_frame(3, b"hello"),
-            Frame::Envelope {
-                from: 0,
-                poison: true,
-                arrival: 0.0,
-                payload: vec![],
-            },
-            Frame::Hello {
-                magic: MAGIC,
-                version: PROTOCOL_VERSION,
-                rank: 2,
-                addr: "127.0.0.1:9999".to_owned(),
-            },
-            Frame::Roster {
-                model: CostModel::beowulf_2005(),
-                addrs: vec![(1, "a:1".to_owned()), (2, "b:2".to_owned())],
-            },
-            Frame::Report(WorkerReport {
-                vtime: 12.5,
-                steps: 99,
-                sends: vec![(1, 2, 0), (0, 0, 3)],
-                recovery_bytes: 77,
-                recovery_messages: 4,
-                constraint_bytes: 31,
-                constraint_messages: 2,
-            }),
-        ];
+        let frames = frame_samples();
         let mut reader = FrameReader::new();
-        for f in &frames {
+        for (_, f) in &frames {
             reader.push(&encode_frame(f));
         }
-        for f in &frames {
+        for (_, f) in &frames {
             assert_eq!(reader.next_frame().unwrap().as_ref(), Some(f));
         }
         assert_eq!(reader.next_frame().unwrap(), None);
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// The byte layout of every frame kind is the one recorded in
+    /// `tests/golden/wire_layout.txt` on the codec this one replaced: name,
+    /// length (prefix included), and the bytes in hex.
+    #[test]
+    fn frame_layout_matches_golden() {
+        let lines: Vec<String> = frame_samples()
+            .iter()
+            .map(|(name, frame)| {
+                let bytes = encode_frame(frame);
+                let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+                format!("frame {name} {} {hex}", bytes.len())
+            })
+            .collect();
+        let golden: Vec<&str> = include_str!("../../../tests/golden/wire_layout.txt")
+            .lines()
+            .filter(|l| l.starts_with("frame "))
+            .collect();
+        assert_eq!(lines, golden, "recorded:\n{}", lines.join("\n"));
     }
 
     #[test]

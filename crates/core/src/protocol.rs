@@ -968,185 +968,300 @@ mod tests {
         assert_eq!(back, msg);
     }
 
-    #[test]
-    fn all_message_variants_roundtrip() {
+    fn example(t: &SymbolTable, name: &str) -> Vec<Literal> {
+        vec![Literal::new(
+            t.intern("active"),
+            vec![Term::Sym(t.intern(name))],
+        )]
+    }
+
+    /// One named value per wire shape: every `Msg` variant, both
+    /// `PipelineToken` shapes, the role × strategy `SubmitJob` grid and a
+    /// small compiled KB. The round-trip, golden-layout, truncation and
+    /// corruption tests all walk this list.
+    fn samples() -> Vec<(String, Msg)> {
+        use p2mdie_logic::kb::KnowledgeBase;
         let t = SymbolTable::new();
-        roundtrip(Msg::LoadExamples);
-        roundtrip(Msg::StartPipeline { epoch: 3 });
-        roundtrip(Msg::PipelineStage(PipelineToken {
-            origin: 2,
-            step: 3,
-            bottom: Some(sample_bottom(&t)),
-            rules: vec![ScoredRule {
-                shape: RuleShape::from_indices(vec![0, 4]),
-                pos: 7,
-                neg: 1,
-                score: 6,
-            }],
-            trace: vec![StageTrace {
-                worker: 2,
-                step: 1,
-                start: 0.5,
-                end: 1.5,
-                rules_in: 0,
-                rules_out: 1,
-            }],
-        }));
-        roundtrip(Msg::PipelineStage(PipelineToken {
-            origin: 1,
-            step: 2,
-            bottom: None,
-            rules: vec![],
-            trace: vec![],
-        }));
-        roundtrip(Msg::RulesFound {
-            origin: 1,
-            rules: vec![(sample_clause(&t), 5, 0)],
-            had_seed: true,
-            trace: vec![],
-        });
-        roundtrip(Msg::Evaluate {
-            rules: vec![sample_clause(&t), sample_clause(&t)],
-        });
-        roundtrip(Msg::EvalResult {
-            counts: vec![(3, 0), (9, 2)],
-        });
-        roundtrip(Msg::MarkCovered {
-            rule: sample_clause(&t),
-        });
-        roundtrip(Msg::RetireSeed);
-        roundtrip(Msg::SeedRetired { removed: 1 });
-        roundtrip(Msg::CoveredIdx { pos: vec![0, 5, 9] });
-        roundtrip(Msg::NewPartition {
-            pos: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m1"))],
-            )],
-            neg: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m2"))],
-            )],
-        });
-        roundtrip(Msg::EnableRecovery);
-        roundtrip(Msg::AbortEpoch { dead: 2 });
-        roundtrip(Msg::EpochFlush);
-        roundtrip(Msg::AbortAck);
-        roundtrip(Msg::AdoptExamples {
-            pos: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m3"))],
-            )],
-            neg: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m4"))],
-            )],
-        });
-        roundtrip(Msg::ReplayTheory {
-            rules: vec![sample_clause(&t)],
-        });
+        let mut out: Vec<(String, Msg)> = Vec::new();
+        let mut add = |name: &str, msg: Msg| out.push((name.to_owned(), msg));
+        add("LoadExamples", Msg::LoadExamples);
+        add("StartPipeline", Msg::StartPipeline { epoch: 3 });
+        add(
+            "PipelineStage/full",
+            Msg::PipelineStage(PipelineToken {
+                origin: 2,
+                step: 3,
+                bottom: Some(sample_bottom(&t)),
+                rules: vec![ScoredRule {
+                    shape: RuleShape::from_indices(vec![0, 4]),
+                    pos: 7,
+                    neg: 1,
+                    score: 6,
+                }],
+                trace: vec![StageTrace {
+                    worker: 2,
+                    step: 1,
+                    start: 0.5,
+                    end: 1.5,
+                    rules_in: 0,
+                    rules_out: 1,
+                }],
+            }),
+        );
+        add(
+            "PipelineStage/empty",
+            Msg::PipelineStage(PipelineToken {
+                origin: 1,
+                step: 2,
+                bottom: None,
+                rules: vec![],
+                trace: vec![],
+            }),
+        );
+        add(
+            "RulesFound",
+            Msg::RulesFound {
+                origin: 1,
+                rules: vec![(sample_clause(&t), 5, 0)],
+                had_seed: true,
+                trace: vec![],
+            },
+        );
+        add(
+            "Evaluate",
+            Msg::Evaluate {
+                rules: vec![sample_clause(&t), sample_clause(&t)],
+            },
+        );
+        add(
+            "EvalResult",
+            Msg::EvalResult {
+                counts: vec![(3, 0), (9, 2)],
+            },
+        );
+        add(
+            "MarkCovered",
+            Msg::MarkCovered {
+                rule: sample_clause(&t),
+            },
+        );
+        add("RetireSeed", Msg::RetireSeed);
+        add("SeedRetired", Msg::SeedRetired { removed: 1 });
+        add("CoveredIdx", Msg::CoveredIdx { pos: vec![0, 5, 9] });
+        add(
+            "NewPartition",
+            Msg::NewPartition {
+                pos: example(&t, "m1"),
+                neg: example(&t, "m2"),
+            },
+        );
+        add("EnableRecovery", Msg::EnableRecovery);
+        add("AbortEpoch", Msg::AbortEpoch { dead: 2 });
+        add("EpochFlush", Msg::EpochFlush);
+        add("AbortAck", Msg::AbortAck);
+        add(
+            "AdoptExamples",
+            Msg::AdoptExamples {
+                pos: example(&t, "m3"),
+                neg: example(&t, "m4"),
+            },
+        );
+        add(
+            "ReplayTheory",
+            Msg::ReplayTheory {
+                rules: vec![sample_clause(&t)],
+            },
+        );
         let modes = p2mdie_ilp::modes::ModeSet::parse(
             &t,
             "active(+mol)",
             &[(8, "atm(+mol, -atom, #elem, -charge)"), (1, "solid")],
         )
         .unwrap();
-        for role in [
-            WorkerRole::Pipeline {
-                width: Width::Limit(7),
-                repartition: true,
-            },
-            WorkerRole::Pipeline {
-                width: Width::Unlimited,
-                repartition: false,
-            },
-            WorkerRole::Coverage,
+        for (role_name, role) in [
+            (
+                "pipeline-w7-repartition",
+                WorkerRole::Pipeline {
+                    width: Width::Limit(7),
+                    repartition: true,
+                },
+            ),
+            (
+                "pipeline-unlimited",
+                WorkerRole::Pipeline {
+                    width: Width::Unlimited,
+                    repartition: false,
+                },
+            ),
+            ("coverage", WorkerRole::Coverage),
         ] {
             for strategy in Strategy::ALL {
-                roundtrip(Msg::SubmitJob {
-                    id: 1,
-                    config: Box::new(WorkerConfig {
-                        role: role.clone(),
-                        modes: modes.clone(),
-                        settings: Settings {
-                            noise: 3,
-                            score: ScoreFn::Compression,
-                            eval_threads: 2,
-                            ..Settings::default()
-                        },
-                        strategy,
-                        strategy_seed: 0xDEAD_BEEF_CAFE_F00D,
-                    }),
-                    pos: vec![],
-                    neg: vec![],
-                });
+                add(
+                    &format!("SubmitJob/{role_name}/{strategy}"),
+                    Msg::SubmitJob {
+                        id: 1,
+                        config: Box::new(WorkerConfig {
+                            role: role.clone(),
+                            modes: modes.clone(),
+                            settings: Settings {
+                                noise: 3,
+                                score: ScoreFn::Compression,
+                                eval_threads: 2,
+                                ..Settings::default()
+                            },
+                            strategy,
+                            strategy_seed: 0xDEAD_BEEF_CAFE_F00D,
+                        }),
+                        pos: vec![],
+                        neg: vec![],
+                    },
+                );
             }
         }
-        roundtrip(Msg::SubmitJob {
-            id: 0x0102_0304_0506_0708,
-            config: Box::new(WorkerConfig {
-                role: WorkerRole::Coverage,
-                modes: modes.clone(),
-                settings: Settings::default(),
-                strategy: Strategy::SearchPartition,
-                strategy_seed: 7,
-            }),
-            pos: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m1"))],
-            )],
-            neg: vec![Literal::new(
-                t.intern("active"),
-                vec![Term::Sym(t.intern("m2"))],
-            )],
-        });
-        roundtrip(Msg::JobAccepted {
-            id: 9,
-            queue_free: 1,
-        });
-        roundtrip(Msg::JobResult {
-            id: 9,
-            steps: u64::MAX / 3,
-        });
-        roundtrip(Msg::MetricsQuery);
-        roundtrip(Msg::MetricsReport {
-            snapshot: MetricsSnapshot {
-                entries: vec![
-                    MetricEntry {
-                        name: "worker_steps_total".to_owned(),
-                        value: MetricValue::Counter(12345),
-                    },
-                    MetricEntry {
-                        name: "worker_vtime_seconds".to_owned(),
-                        value: MetricValue::Gauge(7.25),
-                    },
-                    MetricEntry {
-                        name: "sample_sizes".to_owned(),
-                        value: MetricValue::Histogram {
-                            count: 4,
-                            sum: 11,
-                            buckets: vec![(0, 1), (3, 3)],
+        add(
+            "SubmitJob/with-examples",
+            Msg::SubmitJob {
+                id: 0x0102_0304_0506_0708,
+                config: Box::new(WorkerConfig {
+                    role: WorkerRole::Coverage,
+                    modes: modes.clone(),
+                    settings: Settings::default(),
+                    strategy: Strategy::SearchPartition,
+                    strategy_seed: 7,
+                }),
+                pos: example(&t, "m1"),
+                neg: example(&t, "m2"),
+            },
+        );
+        add(
+            "JobAccepted",
+            Msg::JobAccepted {
+                id: 9,
+                queue_free: 1,
+            },
+        );
+        add(
+            "JobResult",
+            Msg::JobResult {
+                id: 9,
+                steps: u64::MAX / 3,
+            },
+        );
+        add("MetricsQuery", Msg::MetricsQuery);
+        add(
+            "MetricsReport/full",
+            Msg::MetricsReport {
+                snapshot: MetricsSnapshot {
+                    entries: vec![
+                        MetricEntry {
+                            name: "worker_steps_total".to_owned(),
+                            value: MetricValue::Counter(12345),
                         },
-                    },
+                        MetricEntry {
+                            name: "worker_vtime_seconds".to_owned(),
+                            value: MetricValue::Gauge(7.25),
+                        },
+                        MetricEntry {
+                            name: "sample_sizes".to_owned(),
+                            value: MetricValue::Histogram {
+                                count: 4,
+                                sum: 11,
+                                buckets: vec![(0, 1), (3, 3)],
+                            },
+                        },
+                    ],
+                },
+            },
+        );
+        add(
+            "MetricsReport/empty",
+            Msg::MetricsReport {
+                snapshot: MetricsSnapshot::default(),
+            },
+        );
+        add(
+            "Constraint/full",
+            Msg::Constraint {
+                origin: 3,
+                epoch: 12,
+                shapes: vec![
+                    RuleShape::from_indices(vec![0]),
+                    RuleShape::from_indices(vec![1, 4, 9]),
                 ],
             },
-        });
-        roundtrip(Msg::MetricsReport {
-            snapshot: MetricsSnapshot::default(),
-        });
-        roundtrip(Msg::Constraint {
-            origin: 3,
-            epoch: 12,
-            shapes: vec![
-                RuleShape::from_indices(vec![0]),
-                RuleShape::from_indices(vec![1, 4, 9]),
+        );
+        add(
+            "Constraint/empty",
+            Msg::Constraint {
+                origin: 1,
+                epoch: 0,
+                shapes: vec![],
+            },
+        );
+        add("Stop", Msg::Stop);
+        // A compiled KB small enough to read in hex, with every part of a
+        // `PredSnapshot` populated: ground facts (columns and postings), a
+        // fact with a variable (an irregular row and an unindexed entry)
+        // and a rule with predicate, builtin and unknown dispatch.
+        let kb_syms = SymbolTable::new();
+        let mut kb = KnowledgeBase::new(kb_syms.clone());
+        for i in 0..3i64 {
+            kb.assert_fact(Literal::new(
+                kb_syms.intern("atm"),
+                vec![Term::Int(i % 2), Term::Float(F64(0.25))],
+            ));
+        }
+        kb.assert_fact(Literal::new(
+            kb_syms.intern("atm"),
+            vec![Term::Var(0), Term::Sym(kb_syms.intern("c"))],
+        ));
+        kb.assert_rule(Clause::new(
+            Literal::new(kb_syms.intern("hot"), vec![Term::Var(0)]),
+            vec![
+                Literal::new(kb_syms.intern("atm"), vec![Term::Var(0), Term::Var(1)]),
+                Literal::new(kb_syms.intern(">="), vec![Term::Var(1), Term::Int(0)]),
+                Literal::new(kb_syms.intern("never_defined"), vec![Term::Var(0)]),
             ],
-        });
-        roundtrip(Msg::Constraint {
-            origin: 1,
-            epoch: 0,
-            shapes: vec![],
-        });
-        roundtrip(Msg::Stop);
+        ));
+        kb.optimize();
+        add("KbSnapshot", Msg::KbSnapshot(Box::new(kb.to_snapshot())));
+        out
+    }
+
+    #[test]
+    fn all_message_variants_roundtrip() {
+        for (_, msg) in samples() {
+            roundtrip(msg);
+        }
+    }
+
+    /// The byte layout of every sample is the one recorded in
+    /// `tests/golden/wire_layout.txt` on the codec this one replaced: name,
+    /// length, and the bytes in hex (their FNV-1a-64 where the hex would
+    /// not fit a line).
+    #[test]
+    fn wire_layout_matches_golden() {
+        let lines: Vec<String> = samples()
+            .iter()
+            .map(|(name, msg)| {
+                let bytes = to_bytes(msg);
+                let bytes = bytes.as_slice();
+                let shown = if bytes.len() <= 192 {
+                    bytes.iter().map(|b| format!("{b:02x}")).collect()
+                } else {
+                    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+                    });
+                    format!("fnv1a64:{fnv:016x}")
+                };
+                format!("msg {name} {} {shown}", bytes.len())
+            })
+            .collect();
+        let golden: Vec<&str> = include_str!("../../../tests/golden/wire_layout.txt")
+            .lines()
+            .filter(|l| l.starts_with("msg "))
+            .collect();
+        assert_eq!(lines, golden, "recorded:\n{}", lines.join("\n"));
     }
 
     /// Every prefix truncation of a `Constraint` frame decode-fails instead
