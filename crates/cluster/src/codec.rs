@@ -1,538 +1,27 @@
-//! Byte-accurate wire codec.
+//! Where the wire codec meets the transport's buffers.
 //!
-//! Every message between ranks is serialized through [`Wire`]; the byte
-//! counts feed the per-link traffic statistics that regenerate the paper's
-//! Table 4 (communication in MBytes) and the bandwidth term of the
-//! virtual-time model. Encoding is little-endian and self-describing only
-//! where necessary (length prefixes); no compression.
-//!
-//! Besides the primitives and containers, this module implements [`Wire`]
-//! for the logic crate's terms, literals, clauses, and the serialized
-//! compiled knowledge base ([`KbSnapshot`]) — the payload that lets a
-//! master ship its fully-indexed background theory to workers in one
-//! message (`Msg::KbSnapshot` in the core protocol) instead of every rank
-//! rebuilding arena, posting lists, and compiled rules from scratch.
+//! The codec itself — the [`Wire`] trait, the primitive and container
+//! layouts, and the `wire_struct!` / `wire_enum!` tables every payload type
+//! declares its layout with — is [`p2mdie_logic::wire`], below every type
+//! that travels. It reads and writes std buffers. Messages move between
+//! ranks as cheaply-cloneable [`Bytes`] (one encoding, many sends), and
+//! these two functions are the only place the two meet. The byte counts of
+//! what they produce feed the per-link traffic statistics that regenerate
+//! the paper's Table 4 and the bandwidth term of the virtual-time model.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use p2mdie_logic::arena::TermId;
-use p2mdie_logic::builtins::Builtin;
-use p2mdie_logic::clause::{
-    Clause, CompiledClause, CompiledLiteral, LitKind, Literal, PredId, PredKey,
-};
-use p2mdie_logic::snapshot::{KbSnapshot, PostingSnapshot, PredSnapshot};
-use p2mdie_logic::symbol::SymbolId;
-use p2mdie_logic::term::{Term, F64};
-use std::fmt;
-
-/// Decoding failure (truncated or malformed payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// What was being decoded.
-    pub context: &'static str,
-}
-
-impl DecodeError {
-    /// Creates an error tagged with the decoding context.
-    pub fn new(context: &'static str) -> Self {
-        DecodeError { context }
-    }
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "decode error: truncated or malformed {}", self.context)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Types that can be serialized to and from the wire.
-pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-    /// Decodes a value, consuming bytes from `buf`.
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError>;
-}
+use bytes::Bytes;
+pub use p2mdie_logic::wire::{DecodeError, Wire};
 
 /// Encodes a value into a fresh byte buffer.
 pub fn to_bytes<T: Wire>(value: &T) -> Bytes {
-    let mut buf = BytesMut::new();
-    value.encode(&mut buf);
-    buf.freeze()
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    Bytes::from(out)
 }
 
 /// Decodes a value from a byte buffer, requiring full consumption.
-pub fn from_bytes<T: Wire>(mut bytes: Bytes) -> Result<T, DecodeError> {
-    let v = T::decode(&mut bytes)?;
-    if bytes.has_remaining() {
-        return Err(DecodeError::new("trailing bytes"));
-    }
-    Ok(v)
-}
-
-macro_rules! need {
-    ($buf:expr, $n:expr, $ctx:literal) => {
-        if $buf.remaining() < $n {
-            return Err(DecodeError::new($ctx));
-        }
-    };
-}
-
-impl Wire for u8 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 1, "u8");
-        Ok(buf.get_u8())
-    }
-}
-
-impl Wire for u16 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16_le(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 2, "u16");
-        Ok(buf.get_u16_le())
-    }
-}
-
-impl Wire for u32 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 4, "u32");
-        Ok(buf.get_u32_le())
-    }
-}
-
-impl Wire for u64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 8, "u64");
-        Ok(buf.get_u64_le())
-    }
-}
-
-impl Wire for i64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_i64_le(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 8, "i64");
-        Ok(buf.get_i64_le())
-    }
-}
-
-impl Wire for f64 {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_f64_le(*self);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 8, "f64");
-        Ok(buf.get_f64_le())
-    }
-}
-
-impl Wire for bool {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(u8::from(*self));
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 1, "bool");
-        match buf.get_u8() {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(DecodeError::new("bool")),
-        }
-    }
-}
-
-impl Wire for usize {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(*self as u64);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 8, "usize");
-        Ok(buf.get_u64_le() as usize)
-    }
-}
-
-impl Wire for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u32).encode(buf);
-        buf.put_slice(self.as_bytes());
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let n = u32::decode(buf)? as usize;
-        need!(buf, n, "string body");
-        let raw = buf.copy_to_bytes(n);
-        String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("string utf8"))
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let n = u32::decode(buf)? as usize;
-        // Sanity bound: a length prefix can never exceed remaining bytes
-        // (each element takes at least one byte).
-        if n > buf.remaining() {
-            return Err(DecodeError::new("vec length"));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            None => buf.put_u8(0),
-            Some(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        need!(buf, 1, "option tag");
-        match buf.get_u8() {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            _ => Err(DecodeError::new("option tag")),
-        }
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
-impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Logic-crate payloads: terms, literals, clauses, and the compiled-KB
-// snapshot. Byte layouts for terms/literals/clauses are the ones the core
-// protocol has used since PR 0, so traffic statistics are unchanged.
-// ---------------------------------------------------------------------------
-
-impl Wire for Term {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Term::Var(v) => {
-                buf.put_u8(0);
-                v.encode(buf);
-            }
-            Term::Sym(s) => {
-                buf.put_u8(1);
-                s.0.encode(buf);
-            }
-            Term::Int(i) => {
-                buf.put_u8(2);
-                i.encode(buf);
-            }
-            Term::Float(f) => {
-                buf.put_u8(3);
-                f.0.encode(buf);
-            }
-            Term::App(f, args) => {
-                buf.put_u8(4);
-                f.0.encode(buf);
-                (args.len() as u32).encode(buf);
-                for a in args.iter() {
-                    a.encode(buf);
-                }
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => Term::Var(u32::decode(buf)?),
-            1 => Term::Sym(SymbolId(u32::decode(buf)?)),
-            2 => Term::Int(i64::decode(buf)?),
-            3 => Term::Float(F64(f64::decode(buf)?)),
-            4 => {
-                let f = SymbolId(u32::decode(buf)?);
-                let n = u32::decode(buf)? as usize;
-                if n > buf.len() {
-                    return Err(DecodeError::new("term arity"));
-                }
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    args.push(Term::decode(buf)?);
-                }
-                Term::app(f, args)
-            }
-            _ => return Err(DecodeError::new("term tag")),
-        })
-    }
-}
-
-impl Wire for Literal {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.pred.0.encode(buf);
-        (self.args.len() as u32).encode(buf);
-        for a in self.args.iter() {
-            a.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let pred = SymbolId(u32::decode(buf)?);
-        let n = u32::decode(buf)? as usize;
-        if n > buf.len() {
-            return Err(DecodeError::new("literal arity"));
-        }
-        let mut args = Vec::with_capacity(n);
-        for _ in 0..n {
-            args.push(Term::decode(buf)?);
-        }
-        Ok(Literal::new(pred, args))
-    }
-}
-
-impl Wire for Clause {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.head.encode(buf);
-        (self.body.len() as u32).encode(buf);
-        for l in &self.body {
-            l.encode(buf);
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let head = Literal::decode(buf)?;
-        let n = u32::decode(buf)? as usize;
-        if n > buf.len() {
-            return Err(DecodeError::new("clause body length"));
-        }
-        let mut body = Vec::with_capacity(n);
-        for _ in 0..n {
-            body.push(Literal::decode(buf)?);
-        }
-        Ok(Clause::new(head, body))
-    }
-}
-
-impl Wire for TermId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(TermId(u32::decode(buf)?))
-    }
-}
-
-impl Wire for PredKey {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.pred.0.encode(buf);
-        self.arity.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(PredKey {
-            pred: SymbolId(u32::decode(buf)?),
-            arity: u32::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for LitKind {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            LitKind::Unknown => buf.put_u8(0),
-            LitKind::Pred(id) => {
-                buf.put_u8(1);
-                id.0.encode(buf);
-            }
-            LitKind::Builtin(b) => {
-                buf.put_u8(2);
-                buf.put_u8(b.code());
-            }
-        }
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(buf)? {
-            0 => LitKind::Unknown,
-            1 => LitKind::Pred(PredId(u32::decode(buf)?)),
-            2 => LitKind::Builtin(
-                Builtin::from_code(u8::decode(buf)?)
-                    .ok_or_else(|| DecodeError::new("builtin code"))?,
-            ),
-            _ => return Err(DecodeError::new("litkind tag")),
-        })
-    }
-}
-
-impl Wire for CompiledLiteral {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.lit.encode(buf);
-        self.kind.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(CompiledLiteral {
-            lit: Literal::decode(buf)?,
-            kind: LitKind::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for CompiledClause {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.head.encode(buf);
-        (self.body.len() as u32).encode(buf);
-        for l in self.body.iter() {
-            l.encode(buf);
-        }
-        self.var_span.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let head = Literal::decode(buf)?;
-        let n = u32::decode(buf)? as usize;
-        if n > buf.len() {
-            return Err(DecodeError::new("compiled body length"));
-        }
-        let mut body = Vec::with_capacity(n);
-        for _ in 0..n {
-            body.push(CompiledLiteral::decode(buf)?);
-        }
-        Ok(CompiledClause {
-            head,
-            body: body.into_boxed_slice(),
-            var_span: u32::decode(buf)?,
-        })
-    }
-}
-
-/// Bulk-decodes a length-prefixed `u32` run with one upfront bounds check.
-/// Byte-identical to `Vec::<u32>::decode`, but columns / posting lists /
-/// unindexed lists are the bulk of a snapshot's bytes, and the per-element
-/// `need!` probe is measurable at that volume.
-fn decode_u32_run(buf: &mut Bytes) -> Result<Vec<u32>, DecodeError> {
-    let n = u32::decode(buf)? as usize;
-    if n.saturating_mul(4) > buf.remaining() {
-        return Err(DecodeError::new("u32 run length"));
-    }
-    Ok((0..n).map(|_| buf.get_u32_le()).collect())
-}
-
-/// [`decode_u32_run`] for `TermId` cells.
-fn decode_termid_run(buf: &mut Bytes) -> Result<Vec<TermId>, DecodeError> {
-    let n = u32::decode(buf)? as usize;
-    if n.saturating_mul(4) > buf.remaining() {
-        return Err(DecodeError::new("u32 run length"));
-    }
-    Ok((0..n).map(|_| TermId(buf.get_u32_le())).collect())
-}
-
-/// CSR posting list: three flat runs, decoded in bulk. (Validation —
-/// ascending keys, consistent offsets, in-bounds runs — happens in
-/// `KnowledgeBase::from_snapshot`, not here.)
-impl Wire for PostingSnapshot {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.keys.encode(buf);
-        self.offs.encode(buf);
-        self.idx.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(PostingSnapshot {
-            keys: decode_termid_run(buf)?,
-            offs: decode_u32_run(buf)?,
-            idx: decode_u32_run(buf)?,
-        })
-    }
-}
-
-impl Wire for PredSnapshot {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.key.encode(buf);
-        self.num_facts.encode(buf);
-        self.irregular.encode(buf);
-        // One flat position-major stripe run (protocol v4; v3 shipped one
-        // run per column).
-        self.cols.encode(buf);
-        self.postings.encode(buf);
-        self.unindexed.encode(buf);
-        self.rules.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let key = PredKey::decode(buf)?;
-        let num_facts = u32::decode(buf)?;
-        let irregular = Vec::decode(buf)?;
-        // Hand-rolled container walks so the u32 runs decode in bulk.
-        let cols = decode_termid_run(buf)?;
-        let nposts = u32::decode(buf)? as usize;
-        if nposts > buf.remaining() {
-            return Err(DecodeError::new("vec length"));
-        }
-        let mut postings = Vec::with_capacity(nposts);
-        for _ in 0..nposts {
-            need!(buf, 1, "option tag");
-            postings.push(match buf.get_u8() {
-                0 => None,
-                1 => Some(PostingSnapshot::decode(buf)?),
-                _ => return Err(DecodeError::new("option tag")),
-            });
-        }
-        let nun = u32::decode(buf)? as usize;
-        if nun > buf.remaining() {
-            return Err(DecodeError::new("vec length"));
-        }
-        let mut unindexed = Vec::with_capacity(nun);
-        for _ in 0..nun {
-            unindexed.push(decode_u32_run(buf)?);
-        }
-        Ok(PredSnapshot {
-            key,
-            num_facts,
-            irregular,
-            cols,
-            postings,
-            unindexed,
-            rules: Vec::decode(buf)?,
-        })
-    }
-}
-
-impl Wire for KbSnapshot {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.symbols.encode(buf);
-        self.terms.encode(buf);
-        self.preds.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(KbSnapshot {
-            symbols: Vec::decode(buf)?,
-            terms: Vec::decode(buf)?,
-            preds: Vec::decode(buf)?,
-        })
-    }
+pub fn from_bytes<T: Wire>(bytes: Bytes) -> Result<T, DecodeError> {
+    p2mdie_logic::wire::decode_exact(bytes.as_slice())
 }
 
 #[cfg(test)]
@@ -571,17 +60,14 @@ mod tests {
     #[test]
     fn truncated_input_errors() {
         let b = to_bytes(&42u64);
-        let mut short = b.slice(..4);
-        assert!(u64::decode(&mut short).is_err());
+        assert!(from_bytes::<u64>(b.slice(..4)).is_err());
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut buf = BytesMut::new();
-        42u32.encode(&mut buf);
-        0u8.encode(&mut buf);
+        let buf = to_bytes(&(42u32, 0u8));
         assert_eq!(
-            from_bytes::<u32>(buf.freeze()).unwrap_err().context,
+            from_bytes::<u32>(buf).unwrap_err().context,
             "trailing bytes"
         );
     }
@@ -589,20 +75,14 @@ mod tests {
     #[test]
     fn hostile_vec_length_rejected() {
         // Claim 2^31 elements with a 1-byte body.
-        let mut buf = BytesMut::new();
-        (1u32 << 31).encode(&mut buf);
-        buf.put_u8(0);
-        assert!(from_bytes::<Vec<u32>>(buf.freeze()).is_err());
+        let buf = to_bytes(&(1u32 << 31, 0u8));
+        assert!(from_bytes::<Vec<u32>>(buf).is_err());
     }
 
     #[test]
     fn bad_bool_and_option_tags() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        assert!(from_bytes::<bool>(buf.freeze()).is_err());
-        let mut buf = BytesMut::new();
-        buf.put_u8(9);
-        assert!(from_bytes::<Option<u8>>(buf.freeze()).is_err());
+        assert!(from_bytes::<bool>(to_bytes(&7u8)).is_err());
+        assert!(from_bytes::<Option<u8>>(to_bytes(&9u8)).is_err());
     }
 
     #[test]

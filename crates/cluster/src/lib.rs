@@ -7,7 +7,8 @@
 //! pluggable: ranks can be OS threads joined by channels (the default
 //! simulator) or real OS processes joined by a TCP mesh.
 //!
-//! * [`codec`] — byte-accurate wire encoding (Table 4's MBytes);
+//! * [`codec`] — `to_bytes` / `from_bytes` over the byte-accurate wire
+//!   codec of [`p2mdie_logic::wire`] (Table 4's MBytes);
 //! * [`vtime`] — the cost model (`t_step`, latency, bandwidth) and clocks;
 //! * [`stats`] — per-link traffic counters (dropped sends included);
 //! * [`comm`] — the paper's §2.2 primitives: non-blocking `send` and
@@ -50,8 +51,8 @@ pub mod vtime;
 pub use codec::{from_bytes, to_bytes, DecodeError, Wire};
 pub use comm::{CommError, CommFailure, Endpoint, Envelope, LinkFault, RecvError};
 pub use net::{
-    run_cluster_tcp, worker_connect, Frame, FrameError, FrameReader, MasterRendezvous, NetError,
-    TcpTransport, WorkerReport,
+    run_cluster_tcp, worker_connect, Frame, FrameReader, MasterRendezvous, NetError, TcpTransport,
+    WorkerReport,
 };
 pub use runtime::{run_cluster, run_cluster_with, ClusterError, ClusterOutcome};
 pub use stats::TrafficStats;

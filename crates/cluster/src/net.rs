@@ -16,26 +16,31 @@
 //! [len: u32 le] [kind: u8] [body…]          (len counts kind + body)
 //! ```
 //!
-//! * kind 0, **Envelope** — `from: u32`, `flags: u8` (bit 0 = poison),
-//!   `arrival: f64 le bits`, then the payload bytes. The *virtual arrival
-//!   time* travels in the frame, so a receiving process Lamport-merges the
-//!   exact same clock value the in-process simulation would — multi-process
-//!   runs stay bit-for-bit deterministic.
+//! The kind byte and the body are [`Frame`]'s wire table (a
+//! `p2mdie_logic::wire_enum!` next to the enum, the one place the layout is
+//! written; `tests/golden/wire_layout.txt` pins its bytes) under the rules
+//! of [`p2mdie_logic::wire`]. In prose:
+//!
+//! * kind 0, **Envelope** — `from: u32`, `poison: bool`, `arrival: f64`,
+//!   then the payload bytes, uncounted, to the end of the frame. The
+//!   *virtual arrival time* travels in the frame, so a receiving process
+//!   Lamport-merges the exact same clock value the in-process simulation
+//!   would — multi-process runs stay bit-for-bit deterministic.
 //! * kind 1, **Hello** — `magic: u32`, `version: u16`, `rank: u32`,
 //!   `addr: string` (the dialer's own listening address; empty on
 //!   worker-to-worker dials). The rendezvous handshake.
 //! * kind 2, **Roster** — the [`CostModel`] (five `f64`s) plus every
 //!   worker's `(rank, address)`. Master → worker, once, after all workers
 //!   said hello.
-//! * kind 3, **Report** — `vtime: f64`, `steps: u64`, the sender's
-//!   traffic row, and its recovery-traffic counters. Worker → master,
-//!   once, at shutdown, *outside* the metered protocol (reports are
-//!   bookkeeping, not algorithm traffic).
+//! * kind 3, **Report** — a [`WorkerReport`]: `vtime: f64`, `steps: u64`,
+//!   the sender's traffic row, and its recovery- and constraint-traffic
+//!   counters. Worker → master, once, at shutdown, *outside* the metered
+//!   protocol (reports are bookkeeping, not algorithm traffic).
 //!
 //! Frames are decoded by the incremental [`FrameReader`], which accepts
 //! arbitrary stream fragmentation — byte-at-a-time, coalesced, split
 //! mid-length or mid-payload — and either yields exactly the frames that
-//! were written or fails cleanly ([`FrameError`], no panic, no partial
+//! were written or fails cleanly ([`DecodeError`], no panic, no partial
 //! frame ever surfaced).
 //!
 //! # Rendezvous handshake
@@ -73,12 +78,14 @@
 //! real OS processes: fault isolation, real clusters, or validating that
 //! nothing silently depends on shared memory.
 
+use crate::codec::{DecodeError, Wire};
 use crate::comm::{CommFailure, Endpoint, Envelope, Poisoned};
 use crate::runtime::{ClusterError, ClusterOutcome};
 use crate::stats::TrafficStats;
 use crate::transport::{Transport, TransportEvent};
 use crate::vtime::CostModel;
 use bytes::Bytes;
+use p2mdie_logic::wire::decode_exact;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -139,27 +146,6 @@ pub const IDLE_DISCONNECT_EXIT: i32 = 4;
 // Errors.
 // ---------------------------------------------------------------------------
 
-/// A byte stream failed to parse as a frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrameError {
-    /// What was malformed.
-    pub context: &'static str,
-}
-
-impl FrameError {
-    fn new(context: &'static str) -> Self {
-        FrameError { context }
-    }
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed frame: {}", self.context)
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 /// Cluster setup over sockets failed (bind, dial, or handshake).
 #[derive(Debug)]
 pub struct NetError {
@@ -217,6 +203,15 @@ pub struct WorkerReport {
     /// Messages this worker sent during constraint phases.
     pub constraint_messages: u64,
 }
+p2mdie_logic::wire_struct!(WorkerReport {
+    vtime,
+    steps,
+    sends,
+    recovery_bytes,
+    recovery_messages,
+    constraint_bytes,
+    constraint_messages,
+});
 
 /// One decoded frame (see the [module docs](self) for the byte layout).
 #[derive(Clone, Debug, PartialEq)]
@@ -255,207 +250,31 @@ pub enum Frame {
     Report(WorkerReport),
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+p2mdie_logic::wire_enum!(Frame, "frame kind" {
+    0 => Envelope { from, poison, arrival, ..payload },
+    1 => Hello { magic, version, rank, addr },
+    2 => Roster { model, addrs },
+    3 => Report(report),
+});
 
 /// Encodes one frame, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = vec![0u8; 4]; // length patched below
-    match frame {
-        Frame::Envelope {
-            from,
-            poison,
-            arrival,
-            payload,
-        } => {
-            out.push(0);
-            put_u32(&mut out, *from);
-            out.push(u8::from(*poison));
-            put_u64(&mut out, arrival.to_bits());
-            out.extend_from_slice(payload);
-        }
-        Frame::Hello {
-            magic,
-            version,
-            rank,
-            addr,
-        } => {
-            out.push(1);
-            put_u32(&mut out, *magic);
-            out.extend_from_slice(&version.to_le_bytes());
-            put_u32(&mut out, *rank);
-            put_str(&mut out, addr);
-        }
-        Frame::Roster { model, addrs } => {
-            out.push(2);
-            for v in [
-                model.sec_per_step,
-                model.latency,
-                model.bytes_per_sec,
-                model.send_overhead,
-                model.recv_overhead,
-            ] {
-                put_u64(&mut out, v.to_bits());
-            }
-            put_u32(&mut out, addrs.len() as u32);
-            for (rank, addr) in addrs {
-                put_u32(&mut out, *rank);
-                put_str(&mut out, addr);
-            }
-        }
-        Frame::Report(rep) => {
-            out.push(3);
-            put_u64(&mut out, rep.vtime.to_bits());
-            put_u64(&mut out, rep.steps);
-            put_u32(&mut out, rep.sends.len() as u32);
-            for (b, m, d) in &rep.sends {
-                put_u64(&mut out, *b);
-                put_u64(&mut out, *m);
-                put_u64(&mut out, *d);
-            }
-            put_u64(&mut out, rep.recovery_bytes);
-            put_u64(&mut out, rep.recovery_messages);
-            put_u64(&mut out, rep.constraint_bytes);
-            put_u64(&mut out, rep.constraint_messages);
-        }
-    }
+    frame_bytes(frame, &[])
+}
+
+/// The length prefix, `frame`, and then `tail` as further body bytes. An
+/// envelope's payload is the uncounted end of its frame, so an envelope
+/// encoded with an empty payload plus the payload as `tail` is the same
+/// frame, built without first copying the payload into a [`Frame`].
+fn frame_bytes(frame: &Frame, tail: &[u8]) -> Vec<u8> {
+    // One allocation for an envelope (18 bytes before its payload).
+    let mut out = Vec::with_capacity(32 + tail.len());
+    out.extend_from_slice(&[0; 4]); // length patched below
+    frame.encode(&mut out);
+    out.extend_from_slice(tail);
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_le_bytes());
     out
-}
-
-/// Bounds-checked cursor over one frame body.
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn remaining(&self) -> usize {
-        self.b.len() - self.i
-    }
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        if self.remaining() < 1 {
-            return Err(FrameError::new("truncated body"));
-        }
-        self.i += 1;
-        Ok(self.b[self.i - 1])
-    }
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::new("truncated body"));
-        }
-        let s = &self.b[self.i..self.i + n];
-        self.i += n;
-        Ok(s)
-    }
-    fn string(&mut self) -> Result<String, FrameError> {
-        let n = self.u32()? as usize;
-        let raw = self.take(n)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| FrameError::new("string utf8"))
-    }
-}
-
-/// Decodes one frame body (`kind` byte + payload, no length prefix). The
-/// body must be consumed exactly.
-fn decode_frame_body(body: &[u8]) -> Result<Frame, FrameError> {
-    let mut c = Cur { b: body, i: 0 };
-    let frame = match c.u8()? {
-        0 => {
-            let from = c.u32()?;
-            let flags = c.u8()?;
-            if flags > 1 {
-                return Err(FrameError::new("envelope flags"));
-            }
-            let arrival = c.f64()?;
-            let payload = c.take(c.remaining())?.to_vec();
-            Frame::Envelope {
-                from,
-                poison: flags == 1,
-                arrival,
-                payload,
-            }
-        }
-        1 => Frame::Hello {
-            magic: c.u32()?,
-            version: c.u16()?,
-            rank: c.u32()?,
-            addr: c.string()?,
-        },
-        2 => {
-            let model = CostModel {
-                sec_per_step: c.f64()?,
-                latency: c.f64()?,
-                bytes_per_sec: c.f64()?,
-                send_overhead: c.f64()?,
-                recv_overhead: c.f64()?,
-            };
-            let n = c.u32()? as usize;
-            if n > c.remaining() {
-                return Err(FrameError::new("roster length"));
-            }
-            let mut addrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let rank = c.u32()?;
-                addrs.push((rank, c.string()?));
-            }
-            Frame::Roster { model, addrs }
-        }
-        3 => {
-            let vtime = c.f64()?;
-            let steps = c.u64()?;
-            let n = c.u32()? as usize;
-            if n.saturating_mul(24) > c.remaining() {
-                return Err(FrameError::new("report length"));
-            }
-            let mut sends = Vec::with_capacity(n);
-            for _ in 0..n {
-                sends.push((c.u64()?, c.u64()?, c.u64()?));
-            }
-            Frame::Report(WorkerReport {
-                vtime,
-                steps,
-                sends,
-                recovery_bytes: c.u64()?,
-                recovery_messages: c.u64()?,
-                constraint_bytes: c.u64()?,
-                constraint_messages: c.u64()?,
-            })
-        }
-        _ => return Err(FrameError::new("frame kind")),
-    };
-    if c.remaining() != 0 {
-        return Err(FrameError::new("trailing body bytes"));
-    }
-    Ok(frame)
 }
 
 /// Incremental frame decoder over an arbitrarily-fragmented byte stream.
@@ -494,23 +313,19 @@ impl FrameReader {
     }
 
     /// Tries to decode the next complete frame.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = self.buf.len() - self.start;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4]
-            .try_into()
-            .expect("4 bytes");
-        let len = u32::from_le_bytes(len_bytes);
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
+        let mut rest = &self.buf[self.start..];
+        let Ok(len) = u32::decode(&mut rest) else {
+            return Ok(None); // the length prefix itself is still incomplete
+        };
         if len == 0 || len > MAX_FRAME {
-            return Err(FrameError::new("frame length"));
+            return Err(DecodeError::new("frame length"));
         }
         let len = len as usize;
-        if avail < 4 + len {
+        if rest.len() < len {
             return Ok(None);
         }
-        let frame = decode_frame_body(&self.buf[self.start + 4..self.start + 4 + len])?;
+        let frame = decode_exact(&rest[..len])?;
         self.start += 4 + len;
         if self.start == self.buf.len() {
             self.buf.clear();
@@ -645,19 +460,16 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send(&mut self, to: usize, env: Envelope) -> bool {
         // Envelope sends are the hot path (a KB snapshot is multi-MB), so
-        // the frame is assembled with exactly one payload copy instead of
-        // going through the owned `Frame` (whose construction would copy
-        // the payload a second time). Layout must match `encode_frame`.
-        let payload = env.payload.as_slice();
-        let body_len = 1 + 4 + 1 + 8 + payload.len();
-        let mut out = Vec::with_capacity(4 + body_len);
-        out.extend_from_slice(&(body_len as u32).to_le_bytes());
-        out.push(0); // kind: Envelope
-        put_u32(&mut out, env.from as u32);
-        out.push(u8::from(env.poison));
-        put_u64(&mut out, env.arrival.to_bits());
-        out.extend_from_slice(payload);
-        self.write_frame(to, &out)
+        // the payload is copied exactly once, straight into the frame,
+        // instead of first into an owned `Frame`.
+        let head = Frame::Envelope {
+            from: env.from as u32,
+            poison: env.poison,
+            arrival: env.arrival,
+            payload: Vec::new(),
+        };
+        let bytes = frame_bytes(&head, env.payload.as_slice());
+        self.write_frame(to, &bytes)
     }
 
     fn recv(&mut self) -> TransportEvent {
@@ -1493,8 +1305,8 @@ mod tests {
     }
 
     /// The byte layout of every frame kind is the one recorded in
-    /// `tests/golden/wire_layout.txt` on the codec this one replaced: name,
-    /// length (prefix included), and the bytes in hex.
+    /// `tests/golden/wire_layout.txt`: name, length (prefix included), and
+    /// the bytes in hex.
     #[test]
     fn frame_layout_matches_golden() {
         let lines: Vec<String> = frame_samples()
@@ -1510,6 +1322,41 @@ mod tests {
             .filter(|l| l.starts_with("frame "))
             .collect();
         assert_eq!(lines, golden, "recorded:\n{}", lines.join("\n"));
+    }
+
+    /// Every strict prefix of a frame's stream stays pending; a cut *body*
+    /// under a matching length prefix is refused (except inside an
+    /// envelope's payload, which is uncounted); and every single-byte
+    /// substitution — `0x00`, `0xFF`, the low bit flipped — yields a frame,
+    /// pends or is refused without panicking.
+    #[test]
+    fn truncated_and_corrupted_frames_never_panic() {
+        let read = |raw: &[u8]| {
+            let mut reader = FrameReader::new();
+            reader.push(raw);
+            reader.next_frame()
+        };
+        for (name, frame) in frame_samples() {
+            let bytes = encode_frame(&frame);
+            for cut in 0..bytes.len() {
+                assert_eq!(read(&bytes[..cut]), Ok(None), "{name}: cut at {cut}");
+                if cut > 4 {
+                    let mut raw = bytes[..cut].to_vec();
+                    raw[..4].copy_from_slice(&((cut - 4) as u32).to_le_bytes());
+                    let in_payload = matches!(frame, Frame::Envelope { .. }) && cut >= 4 + 14;
+                    assert_eq!(read(&raw).is_err(), !in_payload, "{name}: body of {cut}");
+                }
+            }
+            let mut raw = bytes.clone();
+            for i in 0..raw.len() {
+                let old = raw[i];
+                for new in [0x00, 0xFF, old ^ 1] {
+                    raw[i] = new;
+                    let _ = read(&raw);
+                }
+                raw[i] = old;
+            }
+        }
     }
 
     #[test]

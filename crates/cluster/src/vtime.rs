@@ -34,6 +34,13 @@ pub struct CostModel {
     /// Receiver-side per-message CPU overhead in seconds.
     pub recv_overhead: f64,
 }
+p2mdie_logic::wire_struct!(CostModel {
+    sec_per_step,
+    latency,
+    bytes_per_sec,
+    send_overhead,
+    recv_overhead,
+});
 
 impl CostModel {
     /// A 2005-era Beowulf preset: 100 Mbit/s switched Ethernet with

@@ -19,8 +19,8 @@
 //! work as a `SubmitJob`, like a resident one) and the advisory `CancelJob`
 //! (tag 24, which every receiver ignored). Retired tags are not reused.
 //! Every payload is encoded through the byte-accurate
-//! [`Wire`] codec, so the traffic statistics reproduce Table 4 exactly as
-//! "bytes that would have crossed the network".
+//! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
+//! Table 4 exactly as "bytes that would have crossed the network".
 //!
 //! Terms reference [`p2mdie_logic::symbol::SymbolId`]s shared by all ranks
 //! — the analogue of the
@@ -37,297 +37,25 @@
 //! travels once, master → worker, so worker startup is a single transfer
 //! instead of a per-rank rebuild (see [`p2mdie_logic::snapshot`]).
 //!
-//! Terms, literals, clauses, and snapshots encode through the `Wire` impls
-//! in [`p2mdie_cluster::codec`] (byte layouts unchanged); only the
-//! ILP-specific payloads (bottom clauses, scored rules) are encoded here.
+//! Every type on the wire declares its layout once, next to its
+//! definition, as a [`p2mdie_logic::wire`] table: terms, clauses and the
+//! snapshot in `p2mdie-logic`, bottom clauses, scored rules, modes and
+//! settings in `p2mdie-ilp`, and here the token, the worker configuration
+//! and [`Msg`] itself — one row per tag. `tests/golden/wire_layout.txt`
+//! pins the bytes of every variant.
 
 use crate::strategy::Strategy;
-use bytes::{BufMut, Bytes, BytesMut};
-use p2mdie_cluster::codec::{DecodeError, Wire};
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
-use p2mdie_ilp::bottom::{BottomClause, BottomLiteral};
-use p2mdie_ilp::modes::{ModeArg, ModeDecl, ModeSet};
+use p2mdie_ilp::bottom::BottomClause;
+use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::search::ScoredRule;
-use p2mdie_ilp::settings::{ScoreFn, Settings, Width};
+use p2mdie_ilp::settings::{Settings, Width};
 use p2mdie_logic::clause::{Clause, Literal};
-use p2mdie_logic::prover::ProofLimits;
 use p2mdie_logic::snapshot::KbSnapshot;
-use p2mdie_logic::symbol::SymbolId;
-use p2mdie_obs::{MetricEntry, MetricValue, MetricsSnapshot};
-
-// ---------------------------------------------------------------------------
-// Wire helpers for the ILP-crate payloads (foreign trait + foreign types,
-// so these stay free functions).
-// ---------------------------------------------------------------------------
-
-fn encode_bottom(b: &BottomClause, buf: &mut BytesMut) {
-    b.head.encode(buf);
-    b.head_vars.encode(buf);
-    (b.lits.len() as u32).encode(buf);
-    for bl in &b.lits {
-        bl.lit.encode(buf);
-        bl.inputs.encode(buf);
-        bl.outputs.encode(buf);
-        bl.depth.encode(buf);
-    }
-    b.num_vars.encode(buf);
-    b.example.encode(buf);
-    // `steps` is deliberately not shipped: it is rank-local accounting.
-}
-
-fn decode_bottom(buf: &mut Bytes) -> Result<BottomClause, DecodeError> {
-    let head = Literal::decode(buf)?;
-    let head_vars = Vec::<u32>::decode(buf)?;
-    let n = u32::decode(buf)? as usize;
-    if n > buf.len() {
-        return Err(DecodeError::new("bottom body length"));
-    }
-    let mut lits = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lit = Literal::decode(buf)?;
-        let inputs = Vec::<u32>::decode(buf)?;
-        let outputs = Vec::<u32>::decode(buf)?;
-        let depth = u32::decode(buf)?;
-        lits.push(BottomLiteral {
-            lit,
-            inputs,
-            outputs,
-            depth,
-        });
-    }
-    let num_vars = u32::decode(buf)?;
-    let example = Literal::decode(buf)?;
-    Ok(BottomClause {
-        head,
-        head_vars,
-        lits,
-        num_vars,
-        example,
-        steps: 0,
-    })
-}
-
-fn encode_mode_arg(a: &ModeArg, buf: &mut BytesMut) {
-    let (tag, ty) = match a {
-        ModeArg::Input(t) => (0u8, t),
-        ModeArg::Output(t) => (1u8, t),
-        ModeArg::Const(t) => (2u8, t),
-    };
-    buf.put_u8(tag);
-    ty.0.encode(buf);
-}
-
-fn decode_mode_arg(buf: &mut Bytes) -> Result<ModeArg, DecodeError> {
-    let tag = u8::decode(buf)?;
-    let ty = SymbolId(u32::decode(buf)?);
-    Ok(match tag {
-        0 => ModeArg::Input(ty),
-        1 => ModeArg::Output(ty),
-        2 => ModeArg::Const(ty),
-        _ => return Err(DecodeError::new("mode arg tag")),
-    })
-}
-
-fn encode_mode_decl(m: &ModeDecl, buf: &mut BytesMut) {
-    m.recall.encode(buf);
-    m.pred.0.encode(buf);
-    (m.args.len() as u32).encode(buf);
-    for a in &m.args {
-        encode_mode_arg(a, buf);
-    }
-}
-
-fn decode_mode_decl(buf: &mut Bytes) -> Result<ModeDecl, DecodeError> {
-    let recall = u32::decode(buf)?;
-    let pred = SymbolId(u32::decode(buf)?);
-    let n = u32::decode(buf)? as usize;
-    if n > buf.len() {
-        return Err(DecodeError::new("mode arg count"));
-    }
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        args.push(decode_mode_arg(buf)?);
-    }
-    Ok(ModeDecl { recall, pred, args })
-}
-
-fn encode_modes(m: &ModeSet, buf: &mut BytesMut) {
-    encode_mode_decl(&m.head, buf);
-    (m.body.len() as u32).encode(buf);
-    for d in &m.body {
-        encode_mode_decl(d, buf);
-    }
-}
-
-fn decode_modes(buf: &mut Bytes) -> Result<ModeSet, DecodeError> {
-    let head = decode_mode_decl(buf)?;
-    let n = u32::decode(buf)? as usize;
-    if n > buf.len() {
-        return Err(DecodeError::new("mode body count"));
-    }
-    let mut body = Vec::with_capacity(n);
-    for _ in 0..n {
-        body.push(decode_mode_decl(buf)?);
-    }
-    Ok(ModeSet { head, body })
-}
-
-fn encode_settings(s: &Settings, buf: &mut BytesMut) {
-    s.noise.encode(buf);
-    s.min_pos.encode(buf);
-    s.max_body.encode(buf);
-    s.max_nodes.encode(buf);
-    s.default_recall.encode(buf);
-    s.max_var_depth.encode(buf);
-    s.max_bottom_literals.encode(buf);
-    s.proof.max_depth.encode(buf);
-    s.proof.max_steps.encode(buf);
-    buf.put_u8(match s.score {
-        ScoreFn::Coverage => 0,
-        ScoreFn::Compression => 1,
-    });
-    s.good_cap.encode(buf);
-    s.eval_threads.encode(buf);
-}
-
-fn decode_settings(buf: &mut Bytes) -> Result<Settings, DecodeError> {
-    Ok(Settings {
-        noise: u32::decode(buf)?,
-        min_pos: u32::decode(buf)?,
-        max_body: usize::decode(buf)?,
-        max_nodes: usize::decode(buf)?,
-        default_recall: u32::decode(buf)?,
-        max_var_depth: u32::decode(buf)?,
-        max_bottom_literals: usize::decode(buf)?,
-        proof: ProofLimits {
-            max_depth: u32::decode(buf)?,
-            max_steps: u64::decode(buf)?,
-        },
-        score: match u8::decode(buf)? {
-            0 => ScoreFn::Coverage,
-            1 => ScoreFn::Compression,
-            _ => return Err(DecodeError::new("score fn tag")),
-        },
-        good_cap: usize::decode(buf)?,
-        eval_threads: usize::decode(buf)?,
-    })
-}
-
-fn encode_width(w: &Width, buf: &mut BytesMut) {
-    match w {
-        Width::Unlimited => buf.put_u8(0),
-        Width::Limit(n) => {
-            buf.put_u8(1);
-            n.encode(buf);
-        }
-    }
-}
-
-fn decode_width(buf: &mut Bytes) -> Result<Width, DecodeError> {
-    Ok(match u8::decode(buf)? {
-        0 => Width::Unlimited,
-        1 => Width::Limit(u32::decode(buf)?),
-        _ => return Err(DecodeError::new("width tag")),
-    })
-}
-
-fn encode_scored(r: &ScoredRule, buf: &mut BytesMut) {
-    r.shape.lits.encode(buf);
-    r.pos.encode(buf);
-    r.neg.encode(buf);
-    r.score.encode(buf);
-}
-
-fn decode_scored(buf: &mut Bytes) -> Result<ScoredRule, DecodeError> {
-    let lits = Vec::<u32>::decode(buf)?;
-    let pos = u32::decode(buf)?;
-    let neg = u32::decode(buf)?;
-    let score = i64::decode(buf)?;
-    Ok(ScoredRule {
-        shape: RuleShape { lits },
-        pos,
-        neg,
-        score,
-    })
-}
-
-fn encode_shapes(shapes: &[RuleShape], buf: &mut BytesMut) {
-    (shapes.len() as u32).encode(buf);
-    for s in shapes {
-        s.lits.encode(buf);
-    }
-}
-
-fn decode_shapes(buf: &mut Bytes) -> Result<Vec<RuleShape>, DecodeError> {
-    let n = u32::decode(buf)? as usize;
-    if n > buf.len() {
-        return Err(DecodeError::new("constraint shape count"));
-    }
-    let mut shapes = Vec::with_capacity(n);
-    for _ in 0..n {
-        shapes.push(RuleShape {
-            lits: Vec::<u32>::decode(buf)?,
-        });
-    }
-    Ok(shapes)
-}
-
-// ---------------------------------------------------------------------------
-// Metric snapshots (protocol v6 introspection). Free functions because both
-// `Wire` and `MetricsSnapshot` are foreign here.
-// ---------------------------------------------------------------------------
-
-fn encode_metrics(snap: &MetricsSnapshot, buf: &mut BytesMut) {
-    (snap.entries.len() as u32).encode(buf);
-    for e in &snap.entries {
-        e.name.encode(buf);
-        match &e.value {
-            MetricValue::Counter(n) => {
-                buf.put_u8(0);
-                n.encode(buf);
-            }
-            MetricValue::Gauge(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-            MetricValue::Histogram {
-                count,
-                sum,
-                buckets,
-            } => {
-                buf.put_u8(2);
-                count.encode(buf);
-                sum.encode(buf);
-                buckets.encode(buf);
-            }
-        }
-    }
-}
-
-fn decode_metrics(buf: &mut Bytes) -> Result<MetricsSnapshot, DecodeError> {
-    let n = u32::decode(buf)? as usize;
-    if n > buf.len() {
-        return Err(DecodeError::new("metrics entry count"));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = String::decode(buf)?;
-        let value = match u8::decode(buf)? {
-            0 => MetricValue::Counter(u64::decode(buf)?),
-            1 => MetricValue::Gauge(f64::decode(buf)?),
-            2 => MetricValue::Histogram {
-                count: u64::decode(buf)?,
-                sum: u64::decode(buf)?,
-                buckets: Vec::<(u8, u64)>::decode(buf)?,
-            },
-            _ => return Err(DecodeError::new("metric value tag")),
-        };
-        entries.push(MetricEntry { name, value });
-    }
-    Ok(MetricsSnapshot { entries })
-}
+use p2mdie_logic::{wire_enum, wire_struct};
+use p2mdie_obs::MetricsSnapshot;
 
 // ---------------------------------------------------------------------------
 // Pipeline traces (raw material for the paper's Figures 3–4).
@@ -351,26 +79,14 @@ pub struct StageTrace {
     pub rules_out: u32,
 }
 
-impl Wire for StageTrace {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.worker.encode(buf);
-        self.step.encode(buf);
-        self.start.encode(buf);
-        self.end.encode(buf);
-        self.rules_in.encode(buf);
-        self.rules_out.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        Ok(StageTrace {
-            worker: u8::decode(buf)?,
-            step: u8::decode(buf)?,
-            start: f64::decode(buf)?,
-            end: f64::decode(buf)?,
-            rules_in: u32::decode(buf)?,
-            rules_out: u32::decode(buf)?,
-        })
-    }
-}
+wire_struct!(StageTrace {
+    worker,
+    step,
+    start,
+    end,
+    rules_in,
+    rules_out
+});
 
 /// A pipeline token travelling between stages: the bottom clause built by
 /// the origin worker, the good rules found so far, and the trace.
@@ -389,49 +105,13 @@ pub struct PipelineToken {
     pub trace: Vec<StageTrace>,
 }
 
-impl Wire for PipelineToken {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.origin.encode(buf);
-        self.step.encode(buf);
-        match &self.bottom {
-            None => buf.put_u8(0),
-            Some(b) => {
-                buf.put_u8(1);
-                encode_bottom(b, buf);
-            }
-        }
-        (self.rules.len() as u32).encode(buf);
-        for r in &self.rules {
-            encode_scored(r, buf);
-        }
-        self.trace.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let origin = u8::decode(buf)?;
-        let step = u8::decode(buf)?;
-        let bottom = match u8::decode(buf)? {
-            0 => None,
-            1 => Some(decode_bottom(buf)?),
-            _ => return Err(DecodeError::new("token bottom tag")),
-        };
-        let n = u32::decode(buf)? as usize;
-        if n > buf.len() {
-            return Err(DecodeError::new("token rule count"));
-        }
-        let mut rules = Vec::with_capacity(n);
-        for _ in 0..n {
-            rules.push(decode_scored(buf)?);
-        }
-        let trace = Vec::<StageTrace>::decode(buf)?;
-        Ok(PipelineToken {
-            origin,
-            step,
-            bottom,
-            rules,
-            trace,
-        })
-    }
-}
+wire_struct!(PipelineToken {
+    origin,
+    step,
+    bottom,
+    rules,
+    trace
+});
 
 // ---------------------------------------------------------------------------
 // Per-job worker configuration.
@@ -452,13 +132,18 @@ pub enum WorkerRole {
     /// covered indices.
     Coverage,
 }
+wire_enum!(WorkerRole, "worker role tag" {
+    0 => Pipeline { width, repartition },
+    1 => Coverage,
+});
 
 /// Everything a worker needs, beyond the compiled KB and its example
 /// subset, to run one job (`crate::worker::run_role`): the language bias,
 /// the search constraints, its role, and the strategy. An in-process rank
 /// of a one-shot run is handed it directly; everywhere else it travels
-/// inside [`Msg::SubmitJob`] and configures the rank for that job over the
-/// already-adopted KB.
+/// inside [`Msg::SubmitJob`] (its fields in the order of the wire table
+/// below, each through its own type's table) and configures the rank for
+/// that job over the already-adopted KB.
 ///
 /// Symbol ids inside the modes are the master's; they stay valid on a
 /// worker process because the KB snapshot ships the master's *complete*
@@ -482,43 +167,13 @@ pub struct WorkerConfig {
     pub strategy_seed: u64,
 }
 
-impl Wire for WorkerConfig {
-    fn encode(&self, buf: &mut BytesMut) {
-        match &self.role {
-            WorkerRole::Pipeline { width, repartition } => {
-                buf.put_u8(0);
-                encode_width(width, buf);
-                repartition.encode(buf);
-            }
-            WorkerRole::Coverage => buf.put_u8(1),
-        }
-        encode_modes(&self.modes, buf);
-        encode_settings(&self.settings, buf);
-        buf.put_u8(self.strategy.tag());
-        self.strategy_seed.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let role = match u8::decode(buf)? {
-            0 => WorkerRole::Pipeline {
-                width: decode_width(buf)?,
-                repartition: bool::decode(buf)?,
-            },
-            1 => WorkerRole::Coverage,
-            _ => return Err(DecodeError::new("worker role tag")),
-        };
-        let modes = decode_modes(buf)?;
-        let settings = decode_settings(buf)?;
-        let strategy =
-            Strategy::from_tag(u8::decode(buf)?).ok_or(DecodeError::new("strategy tag"))?;
-        Ok(WorkerConfig {
-            role,
-            modes,
-            settings,
-            strategy,
-            strategy_seed: u64::decode(buf)?,
-        })
-    }
-}
+wire_struct!(WorkerConfig {
+    role,
+    modes,
+    settings,
+    strategy,
+    strategy_seed
+});
 
 // ---------------------------------------------------------------------------
 // The message enum.
@@ -731,202 +386,48 @@ pub enum Msg {
     },
 }
 
-impl Wire for Msg {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Msg::LoadExamples => buf.put_u8(0),
-            Msg::StartPipeline { epoch } => {
-                buf.put_u8(1);
-                epoch.encode(buf);
-            }
-            Msg::PipelineStage(tok) => {
-                buf.put_u8(2);
-                tok.encode(buf);
-            }
-            Msg::RulesFound {
-                origin,
-                rules,
-                had_seed,
-                trace,
-            } => {
-                buf.put_u8(3);
-                origin.encode(buf);
-                rules.encode(buf);
-                had_seed.encode(buf);
-                trace.encode(buf);
-            }
-            Msg::Evaluate { rules } => {
-                buf.put_u8(4);
-                rules.encode(buf);
-            }
-            Msg::EvalResult { counts } => {
-                buf.put_u8(5);
-                counts.encode(buf);
-            }
-            Msg::MarkCovered { rule } => {
-                buf.put_u8(6);
-                rule.encode(buf);
-            }
-            Msg::RetireSeed => buf.put_u8(7),
-            Msg::SeedRetired { removed } => {
-                buf.put_u8(8);
-                removed.encode(buf);
-            }
-            Msg::Stop => buf.put_u8(9),
-            Msg::CoveredIdx { pos } => {
-                buf.put_u8(10);
-                pos.encode(buf);
-            }
-            Msg::NewPartition { pos, neg } => {
-                buf.put_u8(11);
-                pos.encode(buf);
-                neg.encode(buf);
-            }
-            Msg::KbSnapshot(snap) => {
-                buf.put_u8(12);
-                snap.encode(buf);
-            }
-            Msg::EnableRecovery => buf.put_u8(15),
-            Msg::AbortEpoch { dead } => {
-                buf.put_u8(16);
-                buf.put_u8(*dead);
-            }
-            Msg::EpochFlush => buf.put_u8(17),
-            Msg::AbortAck => buf.put_u8(18),
-            Msg::AdoptExamples { pos, neg } => {
-                buf.put_u8(19);
-                pos.encode(buf);
-                neg.encode(buf);
-            }
-            Msg::ReplayTheory { rules } => {
-                buf.put_u8(20);
-                rules.encode(buf);
-            }
-            Msg::SubmitJob {
-                id,
-                config,
-                pos,
-                neg,
-            } => {
-                buf.put_u8(21);
-                id.encode(buf);
-                config.encode(buf);
-                pos.encode(buf);
-                neg.encode(buf);
-            }
-            Msg::JobAccepted { id, queue_free } => {
-                buf.put_u8(22);
-                id.encode(buf);
-                queue_free.encode(buf);
-            }
-            Msg::JobResult { id, steps } => {
-                buf.put_u8(23);
-                id.encode(buf);
-                steps.encode(buf);
-            }
-            Msg::MetricsQuery => buf.put_u8(25),
-            Msg::MetricsReport { snapshot } => {
-                buf.put_u8(26);
-                encode_metrics(snapshot, buf);
-            }
-            Msg::Constraint {
-                origin,
-                epoch,
-                shapes,
-            } => {
-                buf.put_u8(27);
-                origin.encode(buf);
-                epoch.encode(buf);
-                encode_shapes(shapes, buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut Bytes) -> Result<Self, DecodeError> {
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => Msg::LoadExamples,
-            1 => Msg::StartPipeline {
-                epoch: u32::decode(buf)?,
-            },
-            2 => Msg::PipelineStage(PipelineToken::decode(buf)?),
-            3 => Msg::RulesFound {
-                origin: u8::decode(buf)?,
-                rules: Vec::<(Clause, u32, u32)>::decode(buf)?,
-                had_seed: bool::decode(buf)?,
-                trace: Vec::<StageTrace>::decode(buf)?,
-            },
-            4 => Msg::Evaluate {
-                rules: Vec::<Clause>::decode(buf)?,
-            },
-            5 => Msg::EvalResult {
-                counts: Vec::<(u32, u32)>::decode(buf)?,
-            },
-            6 => Msg::MarkCovered {
-                rule: Clause::decode(buf)?,
-            },
-            7 => Msg::RetireSeed,
-            8 => Msg::SeedRetired {
-                removed: u32::decode(buf)?,
-            },
-            9 => Msg::Stop,
-            10 => Msg::CoveredIdx {
-                pos: Vec::<u32>::decode(buf)?,
-            },
-            11 => Msg::NewPartition {
-                pos: Vec::<Literal>::decode(buf)?,
-                neg: Vec::<Literal>::decode(buf)?,
-            },
-            12 => Msg::KbSnapshot(Box::new(KbSnapshot::decode(buf)?)),
-            15 => Msg::EnableRecovery,
-            16 => Msg::AbortEpoch {
-                dead: u8::decode(buf)?,
-            },
-            17 => Msg::EpochFlush,
-            18 => Msg::AbortAck,
-            19 => Msg::AdoptExamples {
-                pos: Vec::<Literal>::decode(buf)?,
-                neg: Vec::<Literal>::decode(buf)?,
-            },
-            20 => Msg::ReplayTheory {
-                rules: Vec::<Clause>::decode(buf)?,
-            },
-            21 => Msg::SubmitJob {
-                id: u64::decode(buf)?,
-                config: Box::new(WorkerConfig::decode(buf)?),
-                pos: Vec::<Literal>::decode(buf)?,
-                neg: Vec::<Literal>::decode(buf)?,
-            },
-            22 => Msg::JobAccepted {
-                id: u64::decode(buf)?,
-                queue_free: u16::decode(buf)?,
-            },
-            23 => Msg::JobResult {
-                id: u64::decode(buf)?,
-                steps: u64::decode(buf)?,
-            },
-            25 => Msg::MetricsQuery,
-            26 => Msg::MetricsReport {
-                snapshot: decode_metrics(buf)?,
-            },
-            27 => Msg::Constraint {
-                origin: u8::decode(buf)?,
-                epoch: u32::decode(buf)?,
-                shapes: decode_shapes(buf)?,
-            },
-            // Unknown, or retired and never reused: 13 `Configure`, 14
-            // `LoadPartition`, 24 `CancelJob`.
-            _ => return Err(DecodeError::new("message tag")),
-        })
-    }
-}
+// One row per message: the wire tag a peer can be sent, the variant, its
+// fields in wire order. 13 `Configure`, 14 `LoadPartition` and 24
+// `CancelJob` are retired and never reused; like any unknown tag they are
+// refused.
+wire_enum!(Msg, "message tag" {
+    0 => LoadExamples,
+    1 => StartPipeline { epoch },
+    2 => PipelineStage(token),
+    3 => RulesFound { origin, rules, had_seed, trace },
+    4 => Evaluate { rules },
+    5 => EvalResult { counts },
+    6 => MarkCovered { rule },
+    7 => RetireSeed,
+    8 => SeedRetired { removed },
+    9 => Stop,
+    10 => CoveredIdx { pos },
+    11 => NewPartition { pos, neg },
+    12 => KbSnapshot(snapshot),
+    15 => EnableRecovery,
+    16 => AbortEpoch { dead },
+    17 => EpochFlush,
+    18 => AbortAck,
+    19 => AdoptExamples { pos, neg },
+    20 => ReplayTheory { rules },
+    21 => SubmitJob { id, config, pos, neg },
+    22 => JobAccepted { id, queue_free },
+    23 => JobResult { id, steps },
+    25 => MetricsQuery,
+    26 => MetricsReport { snapshot },
+    27 => Constraint { origin, epoch, shapes },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use p2mdie_cluster::codec::{from_bytes, to_bytes};
+    use p2mdie_ilp::bottom::BottomLiteral;
+    use p2mdie_ilp::settings::ScoreFn;
     use p2mdie_logic::symbol::SymbolTable;
     use p2mdie_logic::term::{Term, F64};
+    use p2mdie_obs::{MetricEntry, MetricValue};
 
     fn sample_clause(t: &SymbolTable) -> Clause {
         Clause::new(
@@ -1236,9 +737,8 @@ mod tests {
     }
 
     /// The byte layout of every sample is the one recorded in
-    /// `tests/golden/wire_layout.txt` on the codec this one replaced: name,
-    /// length, and the bytes in hex (their FNV-1a-64 where the hex would
-    /// not fit a line).
+    /// `tests/golden/wire_layout.txt`: name, length, and the bytes in hex
+    /// (their FNV-1a-64 where the hex would not fit a line).
     #[test]
     fn wire_layout_matches_golden() {
         let lines: Vec<String> = samples()
@@ -1262,6 +762,44 @@ mod tests {
             .filter(|l| l.starts_with("msg "))
             .collect();
         assert_eq!(lines, golden, "recorded:\n{}", lines.join("\n"));
+    }
+
+    /// What random junk cannot reach (it rarely survives the tag byte):
+    /// every strict prefix of every sample is refused, and every single-byte
+    /// substitution — `0x00`, `0xFF`, the low bit flipped — decodes or is
+    /// refused without panicking.
+    #[test]
+    fn truncated_and_corrupted_samples_never_panic() {
+        for (name, msg) in samples() {
+            let bytes = to_bytes(&msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    from_bytes::<Msg>(bytes.slice(..cut)).is_err(),
+                    "{name}: prefix of {cut} bytes decoded"
+                );
+            }
+            let mut raw = bytes.to_vec();
+            for i in 0..raw.len() {
+                let old = raw[i];
+                for new in [0x00, 0xFF, old ^ 1] {
+                    raw[i] = new;
+                    let _ = from_bytes::<Msg>(Bytes::from(raw.clone()));
+                }
+                raw[i] = old;
+            }
+        }
+    }
+
+    /// A count equal to the bytes left passes the one-byte-per-element
+    /// test; over `PredSnapshot`s (136 bytes each in memory) it must still
+    /// be refused — after reserving no more than the frame's own length.
+    #[test]
+    fn kb_snapshot_count_equal_to_bytes_left_is_rejected() {
+        let body = vec![0u8; 1 << 12];
+        // Tag 12, no symbols, no terms, then the lying predicate count.
+        let head = to_bytes(&(12u8, (0u32, 0u32, body.len() as u32)));
+        let raw = [head.to_vec(), body].concat();
+        assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
     }
 
     /// Every prefix truncation of a `Constraint` frame decode-fails instead

@@ -92,6 +92,12 @@ pub enum Strategy {
     /// searches exchanging proven-dead subtrees as lattice cuts.
     ConstraintDriven,
 }
+// Stable wire tags (protocol v7).
+p2mdie_logic::wire_enum!(Strategy, "strategy tag" {
+    0 => DataPipeline,
+    1 => SearchPartition,
+    2 => ConstraintDriven,
+});
 
 impl Strategy {
     /// Every strategy, in wire-tag order (the eval sweep's axis).
@@ -108,20 +114,6 @@ impl Strategy {
             Strategy::SearchPartition => "search-partition",
             Strategy::ConstraintDriven => "constraint-driven",
         }
-    }
-
-    /// Wire tag (stable; protocol v7).
-    pub fn tag(self) -> u8 {
-        match self {
-            Strategy::DataPipeline => 0,
-            Strategy::SearchPartition => 1,
-            Strategy::ConstraintDriven => 2,
-        }
-    }
-
-    /// Inverse of [`Strategy::tag`].
-    pub fn from_tag(tag: u8) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|s| s.tag() == tag)
     }
 }
 
@@ -315,15 +307,6 @@ mod tests {
         let mut cfg = ParallelConfig::new(workers, Width::Unlimited, 42).with_strategy(strategy);
         cfg.model = CostModel::free();
         cfg
-    }
-
-    #[test]
-    fn strategy_tags_roundtrip() {
-        for s in Strategy::ALL {
-            assert_eq!(Strategy::from_tag(s.tag()), Some(s));
-        }
-        assert_eq!(Strategy::from_tag(200), None);
-        assert_eq!(Strategy::default(), Strategy::DataPipeline);
     }
 
     /// Both non-default strategies learn a complete, consistent theory on

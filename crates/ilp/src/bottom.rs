@@ -16,6 +16,7 @@ use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::prover::Prover;
 use p2mdie_logic::symbol::SymbolId;
 use p2mdie_logic::term::{Term, VarId};
+use p2mdie_logic::wire::{DecodeError, Wire};
 use std::collections::HashMap;
 use std::collections::HashSet;
 
@@ -36,6 +37,12 @@ pub struct BottomLiteral {
     /// The saturation depth at which the literal was generated.
     pub depth: u32,
 }
+p2mdie_logic::wire_struct!(BottomLiteral {
+    lit,
+    inputs,
+    outputs,
+    depth
+});
 
 /// The most-specific clause ⊥e for a seed example.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -51,7 +58,30 @@ pub struct BottomClause {
     /// The ground seed example the clause was saturated from.
     pub example: Literal,
     /// Inference steps spent on saturation queries (virtual-time fuel).
+    /// Rank-local accounting: not shipped, 0 on a clause that arrived over
+    /// the wire.
     pub steps: u64,
+}
+
+/// Every field but `steps`, in order.
+impl Wire for BottomClause {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.head.encode(out);
+        self.head_vars.encode(out);
+        self.lits.encode(out);
+        self.num_vars.encode(out);
+        self.example.encode(out);
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(BottomClause {
+            head: Wire::decode(inp)?,
+            head_vars: Wire::decode(inp)?,
+            lits: Wire::decode(inp)?,
+            num_vars: Wire::decode(inp)?,
+            example: Wire::decode(inp)?,
+            steps: 0,
+        })
+    }
 }
 
 impl BottomClause {

@@ -20,6 +20,11 @@ pub enum ModeArg {
     /// `#type`: ground constant of the given type.
     Const(SymbolId),
 }
+p2mdie_logic::wire_enum!(ModeArg, "mode arg tag" {
+    0 => Input(ty),
+    1 => Output(ty),
+    2 => Const(ty),
+});
 
 impl ModeArg {
     /// The type symbol of this slot.
@@ -40,6 +45,7 @@ pub struct ModeDecl {
     /// Argument slots.
     pub args: Vec<ModeArg>,
 }
+p2mdie_logic::wire_struct!(ModeDecl { recall, pred, args });
 
 impl ModeDecl {
     /// Parses a template like `"bond(+mol, +atom, -atom, #bondtype)"`.
@@ -120,6 +126,7 @@ pub struct ModeSet {
     /// The body (`modeb`) declarations, in declaration order.
     pub body: Vec<ModeDecl>,
 }
+p2mdie_logic::wire_struct!(ModeSet { head, body });
 
 impl ModeSet {
     /// Creates a mode set with the given head declaration.

@@ -30,6 +30,7 @@ pub struct RuleShape {
     /// Selected bottom-literal indices, strictly ascending.
     pub lits: Vec<u32>,
 }
+p2mdie_logic::wire_struct!(RuleShape { lits });
 
 impl RuleShape {
     /// The most general rule: head with an empty body.

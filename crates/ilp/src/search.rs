@@ -92,6 +92,12 @@ pub struct ScoredRule {
     /// Score under the configured [`crate::settings::ScoreFn`].
     pub score: i64,
 }
+p2mdie_logic::wire_struct!(ScoredRule {
+    shape,
+    pos,
+    neg,
+    score
+});
 
 impl ScoredRule {
     /// Deterministic ordering: higher score first, then shorter body, then

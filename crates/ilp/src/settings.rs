@@ -15,6 +15,10 @@ pub enum ScoreFn {
     /// `pos_cover - neg_cover - body_length` (Progol-style compression).
     Compression,
 }
+p2mdie_logic::wire_enum!(ScoreFn, "score fn tag" {
+    0 => Coverage,
+    1 => Compression,
+});
 
 impl ScoreFn {
     /// Computes the score of a rule.
@@ -28,6 +32,8 @@ impl ScoreFn {
 }
 
 /// The constraints `C` given to both the sequential and parallel algorithms.
+/// Every field travels to the workers with each job, in the order of the
+/// wire table below.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Settings {
     /// Maximum negative examples a "good" (consistent) rule may cover.
@@ -57,6 +63,19 @@ pub struct Settings {
     /// result is bit-identical for every setting; only wall-clock changes.
     pub eval_threads: usize,
 }
+p2mdie_logic::wire_struct!(Settings {
+    noise,
+    min_pos,
+    max_body,
+    max_nodes,
+    default_recall,
+    max_var_depth,
+    max_bottom_literals,
+    proof,
+    score,
+    good_cap,
+    eval_threads,
+});
 
 impl Default for Settings {
     fn default() -> Self {
@@ -97,6 +116,10 @@ pub enum Width {
     /// Forward at most this many rules per stage.
     Limit(u32),
 }
+p2mdie_logic::wire_enum!(Width, "width tag" {
+    0 => Unlimited,
+    1 => Limit(n),
+});
 
 impl Width {
     /// The limit as a usize cap (`usize::MAX` when unlimited).

@@ -32,6 +32,7 @@ use crate::term::Term;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct TermId(pub u32);
+crate::wire_struct!(TermId { 0 });
 
 impl TermId {
     /// Sentinel for "not interned" (a non-ground argument in a fact column).

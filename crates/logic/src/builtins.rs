@@ -39,45 +39,22 @@ pub enum Builtin {
     Fail,
 }
 
-impl Builtin {
-    /// Stable wire code of this builtin, for serialized compiled clauses
-    /// (see [`crate::snapshot::KbSnapshot`]). Codes are part of the snapshot
-    /// format: append new builtins, never renumber.
-    pub fn code(self) -> u8 {
-        match self {
-            Builtin::Unify => 0,
-            Builtin::NotUnify => 1,
-            Builtin::Lt => 2,
-            Builtin::Le => 3,
-            Builtin::Gt => 4,
-            Builtin::Ge => 5,
-            Builtin::ArithEq => 6,
-            Builtin::ArithNeq => 7,
-            Builtin::Is => 8,
-            Builtin::True => 9,
-            Builtin::Fail => 10,
-        }
-    }
-
-    /// Inverse of [`Builtin::code`]; `None` for an unknown code (a corrupt
-    /// or future-format snapshot).
-    pub fn from_code(code: u8) -> Option<Builtin> {
-        Some(match code {
-            0 => Builtin::Unify,
-            1 => Builtin::NotUnify,
-            2 => Builtin::Lt,
-            3 => Builtin::Le,
-            4 => Builtin::Gt,
-            5 => Builtin::Ge,
-            6 => Builtin::ArithEq,
-            7 => Builtin::ArithNeq,
-            8 => Builtin::Is,
-            9 => Builtin::True,
-            10 => Builtin::Fail,
-            _ => return None,
-        })
-    }
-}
+// Stable wire codes, for serialized compiled clauses (see
+// [`crate::snapshot::KbSnapshot`]). Codes are part of the snapshot format:
+// append new builtins, never renumber.
+crate::wire_enum!(Builtin, "builtin code" {
+    0 => Unify,
+    1 => NotUnify,
+    2 => Lt,
+    3 => Le,
+    4 => Gt,
+    5 => Ge,
+    6 => ArithEq,
+    7 => ArithNeq,
+    8 => Is,
+    9 => True,
+    10 => Fail,
+});
 
 /// Maps predicate symbols to builtins. Both the Prolog spellings (`=<`) and
 /// the word aliases used in generated datasets (`lteq`) are registered.

@@ -16,6 +16,7 @@ pub struct Literal {
     /// Argument terms (may be empty for propositional atoms).
     pub args: Box<[Term]>,
 }
+crate::wire_struct!(Literal { pred, args });
 
 impl Literal {
     /// Builds a literal from a predicate and argument vector.
@@ -108,12 +109,14 @@ pub struct PredKey {
     /// Arity.
     pub arity: u32,
 }
+crate::wire_struct!(PredKey { pred, arity });
 
 /// Dense identifier of a `(predicate, arity)` relation inside one
 /// [`crate::kb::KnowledgeBase`]. Replaces per-goal [`PredKey`] map probes
 /// with a direct array index; ids are stable for the KB's lifetime.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredId(pub u32);
+crate::wire_struct!(PredId { 0 });
 
 impl PredId {
     /// The raw index of this id.
@@ -142,6 +145,11 @@ pub enum LitKind {
     /// the goal fails without consuming any inference step.
     Unknown,
 }
+crate::wire_enum!(LitKind, "litkind tag" {
+    0 => Unknown,
+    1 => Pred(id),
+    2 => Builtin(builtin),
+});
 
 /// A body literal with its dispatch resolved (the "compiled" form the
 /// prover's inner loop consumes — WAM-lite: direct slots, no bytecode).
@@ -152,6 +160,7 @@ pub struct CompiledLiteral {
     /// Resolved dispatch.
     pub kind: LitKind,
 }
+crate::wire_struct!(CompiledLiteral { lit, kind });
 
 /// A clause whose body literals carry resolved dispatch and whose
 /// rename-apart variable span is precomputed.
@@ -169,6 +178,11 @@ pub struct CompiledClause {
     /// so rule expansion skips the per-candidate `max_var` scan).
     pub var_span: VarId,
 }
+crate::wire_struct!(CompiledClause {
+    head,
+    body,
+    var_span
+});
 
 /// A compiled goal conjunction: the form [`crate::prover::Prover`] actually
 /// runs. Compile once per query (or once per rule evaluation) and reuse
@@ -245,6 +259,7 @@ pub struct Clause {
     /// Conjunction of body literals, proved left to right.
     pub body: Vec<Literal>,
 }
+crate::wire_struct!(Clause { head, body });
 
 impl Clause {
     /// Builds a clause from a head and body.

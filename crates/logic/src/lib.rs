@@ -42,6 +42,7 @@ pub mod subst;
 pub mod symbol;
 pub mod term;
 pub mod theta;
+pub mod wire;
 
 pub use arena::{TermArena, TermId};
 pub use clause::{

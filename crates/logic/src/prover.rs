@@ -60,6 +60,10 @@ pub struct ProofLimits {
     /// Maximum inference steps for one proof attempt.
     pub max_steps: u64,
 }
+crate::wire_struct!(ProofLimits {
+    max_depth,
+    max_steps
+});
 
 impl Default for ProofLimits {
     fn default() -> Self {

@@ -33,11 +33,11 @@
 //!   [`KnowledgeBase::retain_indexes`]), per-position unindexable fact
 //!   lists, and the [`CompiledClause`] rules with their resolved
 //!   [`LitKind`] dispatch (builtins travel as stable byte codes, see
-//!   [`crate::builtins::Builtin::code`]).
+//!   [`crate::builtins::Builtin`]'s wire table).
 //!
 //! The flat-stripe and CSR shapes replaced the per-position column vectors
 //! and sorted `(TermId, Vec<u32>)` posting pairs of protocol version 3;
-//! the cluster codec's `PROTOCOL_VERSION` was bumped to 4 with the change
+//! the cluster crate's `net::PROTOCOL_VERSION` was bumped to 4 with the change
 //! (the wire encoding is not cross-version compatible).
 //!
 //! Since the in-memory store became column-native, a restore materializes
@@ -56,8 +56,9 @@
 //! columns loads and then retrieves accordingly — semantic fidelity is the
 //! producer's contract, pinned by the differential proptests in
 //! `crates/logic/tests/snapshot_props.rs`, not re-checked per load).
-//! The byte-level encoding lives in the cluster crate's `codec` module
-//! (`Wire for KbSnapshot`), which is also how a snapshot travels as a
+//! The byte-level encoding is the [`Wire`] impls next to each type below
+//! (the fields in order; only the `u32` / `TermId` runs are decoded by
+//! hand, in bulk), which is also how a snapshot travels as a
 //! `Msg::KbSnapshot` protocol message.
 
 use crate::arena::{TermArena, TermId};
@@ -67,6 +68,7 @@ use crate::fxhash::FxHashMap;
 use crate::kb::{ColumnStripes, KnowledgeBase, PostingCsr, PredEntry, MAX_INDEXED_ARGS};
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::term::Term;
+use crate::wire::{self, DecodeError, Wire};
 use std::fmt;
 
 /// One position's serialized posting list, in the same CSR shape the
@@ -84,6 +86,37 @@ pub struct PostingSnapshot {
     pub idx: Vec<u32>,
 }
 
+/// Bulk-decodes a counted run of `u32` cells with one bounds check for the
+/// whole run. Byte-identical to `Vec::<u32>::decode`; columns and posting
+/// lists are the bulk of a snapshot's bytes, and the per-element check is
+/// measurable at that volume.
+fn decode_u32_run<T>(inp: &mut &[u8], cell: fn(u32) -> T) -> Result<Vec<T>, DecodeError> {
+    let n = u32::decode(inp)? as usize;
+    let raw = wire::take(inp, n.saturating_mul(4), "u32 run length")?;
+    Ok(raw
+        .chunks_exact(4)
+        .map(|c| cell(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+        .collect())
+}
+
+/// Three counted runs, decoded in bulk. (Validation — ascending keys,
+/// consistent offsets, in-bounds runs — happens in
+/// [`KnowledgeBase::from_snapshot`], not here.)
+impl Wire for PostingSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.keys.encode(out);
+        self.offs.encode(out);
+        self.idx.encode(out);
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(PostingSnapshot {
+            keys: decode_u32_run(inp, TermId)?,
+            offs: decode_u32_run(inp, |i| i)?,
+            idx: decode_u32_run(inp, |i| i)?,
+        })
+    }
+}
+
 /// A serializable snapshot of one compiled knowledge base.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KbSnapshot {
@@ -94,6 +127,11 @@ pub struct KbSnapshot {
     /// Per-predicate stores, in [`PredId`] order.
     pub preds: Vec<PredSnapshot>,
 }
+crate::wire_struct!(KbSnapshot {
+    symbols,
+    terms,
+    preds
+});
 
 /// One predicate's serialized store (facts, indexes, compiled rules).
 ///
@@ -127,6 +165,30 @@ pub struct PredSnapshot {
     pub unindexed: Vec<Vec<u32>>,
     /// Compiled rules with resolved dispatch, in assertion order.
     pub rules: Vec<CompiledClause>,
+}
+
+/// The fields in order; written out because `cols` decodes in bulk.
+impl Wire for PredSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.key.encode(out);
+        self.num_facts.encode(out);
+        self.irregular.encode(out);
+        self.cols.encode(out);
+        self.postings.encode(out);
+        self.unindexed.encode(out);
+        self.rules.encode(out);
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(PredSnapshot {
+            key: Wire::decode(inp)?,
+            num_facts: Wire::decode(inp)?,
+            irregular: Wire::decode(inp)?,
+            cols: decode_u32_run(inp, TermId)?,
+            postings: Wire::decode(inp)?,
+            unindexed: Wire::decode(inp)?,
+            rules: Wire::decode(inp)?,
+        })
+    }
 }
 
 /// A snapshot failed structural validation on load.

@@ -18,6 +18,7 @@ use std::sync::Arc;
     Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
 pub struct SymbolId(pub u32);
+crate::wire_struct!(SymbolId { 0 });
 
 impl SymbolId {
     /// The raw index of this symbol.

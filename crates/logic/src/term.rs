@@ -11,6 +11,7 @@ pub type VarId = u32;
 /// be used as map keys. NaN is permitted but compares by bits.
 #[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct F64(pub f64);
+crate::wire_struct!(F64 { 0 });
 
 impl PartialEq for F64 {
     fn eq(&self, other: &Self) -> bool {
@@ -48,6 +49,13 @@ pub enum Term {
     /// A compound term `f(t1, ..., tn)` with `n >= 1`.
     App(SymbolId, Box<[Term]>),
 }
+crate::wire_enum!(Term, "term tag" {
+    0 => Var(v),
+    1 => Sym(s),
+    2 => Int(i),
+    3 => Float(x),
+    4 => App(f, args),
+});
 
 impl Term {
     /// Convenience constructor for a compound term.

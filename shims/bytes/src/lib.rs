@@ -1,6 +1,7 @@
-//! Offline shim for `bytes`: a cheaply-cloneable immutable byte buffer
-//! (`Bytes`), a growable builder (`BytesMut`), and the little-endian
-//! `Buf`/`BufMut` accessors the wire codec uses.
+//! Offline shim for `bytes`: the cheaply-cloneable immutable byte buffer
+//! (`Bytes`) that encoded messages travel in. The wire codec itself reads
+//! and writes std buffers (`p2mdie_logic::wire`), so `BytesMut`, `Buf` and
+//! `BufMut` are not shimmed.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -98,185 +99,24 @@ impl PartialEq for Bytes {
 }
 impl Eq for Bytes {}
 
-/// Growable byte builder; `freeze` converts into an immutable [`Bytes`].
-#[derive(Clone, Default, Debug)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty builder.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// Builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    /// True when nothing has been written.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    /// Converts into an immutable buffer without copying.
-    pub fn freeze(self) -> Bytes {
-        self.vec.into()
-    }
-}
-
-/// Read cursor over a byte source (implemented for [`Bytes`]).
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Consumes `n` bytes.
-    fn advance(&mut self, n: usize);
-    /// The unread bytes.
-    fn chunk(&self) -> &[u8];
-
-    /// True when at least one byte is left.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let b = self.chunk()[0];
-        self.advance(1);
-        b
-    }
-
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut raw = [0u8; 2];
-        raw.copy_from_slice(&self.chunk()[..2]);
-        self.advance(2);
-        u16::from_le_bytes(raw)
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.chunk()[..4]);
-        self.advance(4);
-        u32::from_le_bytes(raw)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.chunk()[..8]);
-        self.advance(8);
-        u64::from_le_bytes(raw)
-    }
-
-    /// Reads a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        self.get_u64_le() as i64
-    }
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-
-    /// Copies `n` bytes out into an owned buffer.
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        let out: Bytes = self.chunk()[..n].to_vec().into();
-        self.advance(n);
-        out
-    }
-
-    /// Fills `dst` from the cursor.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.len(), "advance past end");
-        self.start += n;
-    }
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-/// Write cursor over a byte sink (implemented for [`BytesMut`]).
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-    /// Appends a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `i64`.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Appends a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.vec.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip_and_slice() {
-        let mut m = BytesMut::new();
-        m.put_u32_le(7);
-        m.put_u8(9);
-        let mut b = m.freeze();
+        let b: Bytes = vec![1, 2, 3, 4, 5].into();
         assert_eq!(b.len(), 5);
-        let s = b.slice(..4);
-        assert_eq!(s.len(), 4);
-        assert_eq!(b.get_u32_le(), 7);
-        assert_eq!(b.get_u8(), 9);
-        assert!(!b.has_remaining());
+        let s = b.slice(1..4);
+        assert_eq!(s.as_slice(), [2, 3, 4]);
+        assert_eq!(s.slice(..2).to_vec(), vec![2, 3]);
+        assert_eq!(b.clone(), b);
+        assert!(Bytes::new().is_empty());
     }
 
     #[test]
-    fn copy_to_bytes_advances() {
-        let mut b: Bytes = vec![1, 2, 3, 4].into();
-        let head = b.copy_to_bytes(2);
-        assert_eq!(head.to_vec(), vec![1, 2]);
-        assert_eq!(b.remaining(), 2);
+    #[should_panic(expected = "out of range")]
+    fn slice_past_the_end_panics() {
+        Bytes::from(vec![1, 2]).slice(..3);
     }
 }
