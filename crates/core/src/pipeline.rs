@@ -12,8 +12,9 @@ use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::ScoredRule;
+use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchGuide};
 use p2mdie_ilp::settings::Width;
+use p2mdie_ilp::CoverageMemo;
 use std::collections::HashSet;
 
 /// What a stage computed: the outgoing ranked rules and the fuel burnt.
@@ -31,7 +32,9 @@ pub struct StageResult {
 /// Per Figure 7 the incoming rules *stay in the stream* even when the local
 /// subset scores them badly; they are re-ranked with local scores where
 /// available, keeping their previous-stage scores when the node budget ran
-/// out before re-scoring them.
+/// out before re-scoring them. `memo` is the rank's coverage memo: every
+/// stage of every pipeline passing through the rank shares it, so a clause
+/// one pipeline evaluated here is not proved again for another.
 pub fn run_stage_search(
     engine: &IlpEngine,
     local: &Examples,
@@ -39,9 +42,20 @@ pub fn run_stage_search(
     bottom: &BottomClause,
     incoming: &[ScoredRule],
     width: Width,
+    memo: &mut CoverageMemo,
 ) -> StageResult {
     let seeds: Vec<RuleShape> = incoming.iter().map(|r| r.shape.clone()).collect();
-    let out = engine.search(bottom, local, Some(live), &seeds);
+    let out = search_rules_guided(
+        &engine.kb,
+        &engine.settings,
+        bottom,
+        local,
+        Some(live),
+        &seeds,
+        &SearchGuide::default(),
+        None,
+        memo,
+    );
 
     // Good = S ∪ new-good. Locally re-scored seeds replace their incoming
     // versions; seeds the budget never reached keep their old scores.
@@ -136,7 +150,15 @@ mod tests {
         let (_, engine, ex) = engine_and_examples();
         let live = ex.full_pos_live();
         let bottom = engine.saturate(&ex.pos[0]).unwrap();
-        let r = run_stage_search(&engine, &ex, &live, &bottom, &[], Width::Unlimited);
+        let r = run_stage_search(
+            &engine,
+            &ex,
+            &live,
+            &bottom,
+            &[],
+            Width::Unlimited,
+            &mut CoverageMemo::new(),
+        );
         assert!(!r.rules.is_empty());
         assert!(r.steps > 0);
         // Best rule must be the clean conjunction.
@@ -151,8 +173,24 @@ mod tests {
         engine.settings.noise = 10;
         let live = ex.full_pos_live();
         let bottom = engine.saturate(&ex.pos[0]).unwrap();
-        let wide = run_stage_search(&engine, &ex, &live, &bottom, &[], Width::Unlimited);
-        let narrow = run_stage_search(&engine, &ex, &live, &bottom, &[], Width::Limit(1));
+        let wide = run_stage_search(
+            &engine,
+            &ex,
+            &live,
+            &bottom,
+            &[],
+            Width::Unlimited,
+            &mut CoverageMemo::new(),
+        );
+        let narrow = run_stage_search(
+            &engine,
+            &ex,
+            &live,
+            &bottom,
+            &[],
+            Width::Limit(1),
+            &mut CoverageMemo::new(),
+        );
         assert!(wide.rules.len() > 1);
         assert_eq!(narrow.rules.len(), 1);
         assert_eq!(
@@ -173,7 +211,15 @@ mod tests {
             neg: 0,
             score: 5,
         }];
-        let r = run_stage_search(&engine, &ex, &live, &bottom, &incoming, Width::Unlimited);
+        let r = run_stage_search(
+            &engine,
+            &ex,
+            &live,
+            &bottom,
+            &incoming,
+            Width::Unlimited,
+            &mut CoverageMemo::new(),
+        );
         assert!(
             r.rules.iter().any(|x| x.shape == incoming[0].shape),
             "Good = S must keep incoming rules in the stream"
@@ -191,7 +237,15 @@ mod tests {
             neg: 0,
             score: 999,
         }];
-        let r = run_stage_search(&engine, &ex, &live, &bottom, &incoming, Width::Unlimited);
+        let r = run_stage_search(
+            &engine,
+            &ex,
+            &live,
+            &bottom,
+            &incoming,
+            Width::Unlimited,
+            &mut CoverageMemo::new(),
+        );
         let re = r
             .rules
             .iter()

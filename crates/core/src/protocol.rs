@@ -935,6 +935,39 @@ mod tests {
         }
     }
 
+    /// A frame whose clause nests `App` tags 100 000 deep is refused by the
+    /// decoder's depth bound instead of recursing a worker's stack away.
+    #[test]
+    fn deeply_nested_terms_in_a_message_are_rejected() {
+        let t = SymbolTable::new();
+        let rule = |arg| Clause::fact(Literal::new(t.intern("active"), vec![arg]));
+        // `MarkCovered { active(0) }`, cut before the head's only argument.
+        let whole = to_bytes(&Msg::MarkCovered {
+            rule: rule(Term::Int(0)),
+        })
+        .to_vec();
+        let arg_and_body = to_bytes(&Term::Int(0)).len() + to_bytes(&Vec::<Literal>::new()).len();
+        let mut raw = whole[..whole.len() - arg_and_body].to_vec();
+        // The argument: an integer under 100 000 one-argument `App`s.
+        use p2mdie_logic::wire::Wire;
+        for _ in 0..100_000 {
+            (4u8, 7u32, 1u32).encode(&mut raw);
+        }
+        Term::Int(0).encode(&mut raw);
+        Vec::<Literal>::new().encode(&mut raw);
+        let refused = from_bytes::<Msg>(Bytes::from(raw)).unwrap_err();
+        assert_eq!(refused.context, "term nesting");
+        // The splice itself is sound: one level of it is an ordinary message.
+        let nested = Msg::MarkCovered {
+            rule: rule(Term::app(t.intern("f"), vec![Term::Int(0)])),
+        };
+        assert_eq!(
+            from_bytes::<Msg>(to_bytes(&nested)).unwrap(),
+            nested,
+            "a shallow compound argument still round-trips"
+        );
+    }
+
     #[test]
     fn token_sizes_grow_with_rules() {
         let t = SymbolTable::new();

@@ -71,7 +71,10 @@ use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::refine::splitmix64;
-use p2mdie_ilp::{take_top, ConstraintStore, LatticeSlice, ScoredRule, SearchGuide};
+use p2mdie_ilp::{
+    search_rules_guided, take_top, ConstraintStore, CoverageMemo, LatticeSlice, ScoredRule,
+    SearchGuide,
+};
 use p2mdie_logic::clause::Clause;
 use p2mdie_obs::span;
 
@@ -165,6 +168,7 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
     seed_idx: Option<usize>,
     epoch: u32,
     constraints: &mut SeedConstraints,
+    memo: &mut CoverageMemo,
 ) -> (Vec<(Clause, u32, u32)>, Vec<StageTrace>, bool) {
     let me = ep.rank();
     if constraints.seed != seed_idx {
@@ -193,9 +197,17 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
      -> (Vec<ScoredRule>, Vec<p2mdie_ilp::RuleShape>) {
         let start = ep.now();
         let stage_span = span!(ep.tracer(), "stage", start, origin = me as u8, step = step);
-        let out =
-            ctx.engine
-                .search_guided(&bottom, &ctx.local, Some(live), &[], guide, constraints);
+        let out = search_rules_guided(
+            &ctx.engine.kb,
+            &ctx.engine.settings,
+            &bottom,
+            &ctx.local,
+            Some(live),
+            &[],
+            guide,
+            constraints,
+            memo,
+        );
         ep.advance_steps(out.steps);
         stage_span.end_with(
             ep.now(),

@@ -45,6 +45,7 @@ use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
+use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::clause::Literal;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
@@ -217,6 +218,10 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
     let mut constraints = SeedConstraints::default();
+    // What this rank's searches of this job have evaluated, shared by every
+    // stage of every pipeline and by every epoch. It stands for `ctx.local`
+    // and for the KB as rule bodies see it: dropped when either changes.
+    let mut memo = CoverageMemo::new();
 
     loop {
         let msg = Msg::recv(ep, 0, "a master command");
@@ -224,6 +229,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             Msg::KbSnapshot(snap) => {
                 let syms = ctx.engine.kb.symbols().clone();
                 ctx.engine.kb = restore_kb(*snap, syms, me);
+                memo.clear();
             }
             Msg::EnableRecovery => recovery = true,
             Msg::LoadExamples => {
@@ -234,8 +240,15 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             Msg::StartPipeline { epoch } if replicated => {
                 // Every rank picks the first live positive: the shared seed.
                 current_seed = live.first();
-                let (rules, trace, had_seed) =
-                    run_strategy_epoch(ep, &ctx, &live, current_seed, epoch, &mut constraints);
+                let (rules, trace, had_seed) = run_strategy_epoch(
+                    ep,
+                    &ctx,
+                    &live,
+                    current_seed,
+                    epoch,
+                    &mut constraints,
+                    &mut memo,
+                );
                 ep.send(
                     0,
                     &Msg::RulesFound {
@@ -247,7 +260,15 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 );
             }
             Msg::StartPipeline { epoch: _ } => {
-                let end = run_epoch_pipelines(ep, &ctx, &live, &mut current_seed, &alive, recovery);
+                let end = run_epoch_pipelines(
+                    ep,
+                    &ctx,
+                    &live,
+                    &mut current_seed,
+                    &alive,
+                    recovery,
+                    &mut memo,
+                );
                 if let EpochEnd::Aborted { dead, prev_flushed } = end {
                     handle_abort(ep, &mut alive, me, dead, prev_flushed);
                 }
@@ -274,6 +295,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                     grown.set(i);
                 }
                 live = grown;
+                memo.clear();
             }
             Msg::ReplayTheory { rules } => {
                 // Re-score the accepted theory against the (possibly just
@@ -310,8 +332,15 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                     ep.send(0, &Msg::CoveredIdx { pos: idx });
                 }
                 live.difference_with(&cov.pos);
-                // Fig. 6: B := B ∪ {R}.
+                // Fig. 6: B := B ∪ {R}. What the memo holds was computed
+                // without R, and stands unless a rule body can call R —
+                // never so for a target that is no body-mode predicate over
+                // a KB whose rules do not mention it.
+                let head = rule.head.key();
                 ctx.engine.assert_rule(rule);
+                if ctx.engine.callable_from_bodies(head) {
+                    memo.clear();
+                }
             }
             Msg::NewPartition { pos, neg } => {
                 // §4.1 repartitioning: adopt the freshly-dealt subset.
@@ -320,6 +349,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 ctx.local = Examples::new(pos, neg);
                 live = ctx.local.full_pos_live();
                 current_seed = None;
+                memo.clear();
             }
             Msg::RetireSeed => {
                 let retired = current_seed.filter(|&i| live.get(i));
@@ -363,6 +393,7 @@ fn run_epoch_pipelines<T: Transport>(
     current_seed: &mut Option<usize>,
     alive: &[usize],
     recovery: bool,
+    memo: &mut CoverageMemo,
 ) -> EpochEnd {
     let me = ep.rank();
     let p = alive.len();
@@ -380,7 +411,7 @@ fn run_epoch_pipelines<T: Transport>(
         trace: Vec::new(),
     };
     let seed = current_seed.map(|idx| &ctx.local.pos[idx]);
-    run_stage(ep, ctx, live, p, next, own, seed);
+    run_stage(ep, ctx, live, p, next, own, seed, memo);
 
     // --- Stages 2..=p of the pipelines passing through this worker. ----
     for _ in 0..p.saturating_sub(1) {
@@ -396,7 +427,7 @@ fn run_epoch_pipelines<T: Transport>(
             };
             token
         };
-        run_stage(ep, ctx, live, p, next, token, None);
+        run_stage(ep, ctx, live, p, next, token, None, memo);
     }
     EpochEnd::Done
 }
@@ -406,6 +437,7 @@ fn run_epoch_pipelines<T: Transport>(
 /// saturates it into the bottom clause the whole pipeline searches under;
 /// a token without one (no live seed, or one that does not saturate) just
 /// keeps the schedule static.
+#[allow(clippy::too_many_arguments)]
 fn run_stage<T: Transport>(
     ep: &mut Endpoint<T>,
     ctx: &WorkerContext,
@@ -414,6 +446,7 @@ fn run_stage<T: Transport>(
     next: usize,
     mut token: PipelineToken,
     seed: Option<&Literal>,
+    memo: &mut CoverageMemo,
 ) {
     let start = ep.now();
     let step = token.step;
@@ -441,6 +474,7 @@ fn run_stage<T: Transport>(
                 bottom,
                 &token.rules,
                 ctx.width,
+                memo,
             );
             ep.advance_steps(stage.steps);
             stage.rules
@@ -559,7 +593,7 @@ mod tests {
     use p2mdie_cluster::{run_cluster, CostModel};
     use p2mdie_ilp::modes::ModeSet;
     use p2mdie_ilp::settings::Settings;
-    use p2mdie_logic::clause::Literal;
+    use p2mdie_logic::clause::{Clause, Literal};
     use p2mdie_logic::kb::KnowledgeBase;
     use p2mdie_logic::symbol::SymbolTable;
     use p2mdie_logic::term::Term;
@@ -863,6 +897,120 @@ mod tests {
         .unwrap();
         assert_eq!(out.stats.messages_between(1, 2), 0, "no PipelineStage");
         assert_eq!(out.stats.messages_between(2, 1), 0, "no PipelineStage");
+    }
+
+    /// Chain graph `n0 → … → n9` with target `reach/2`, which is a body
+    /// mode too and has two background facts, so that bottom clauses call
+    /// it; and `reach(A,B) :- edge(A,B)`, which once asserted makes every
+    /// such call succeed along every edge. The first two positives are the
+    /// ones with a background fact at their start node: both epochs below
+    /// search clauses that call `reach`.
+    fn reach_ctx() -> (WorkerContext, Clause) {
+        let t = SymbolTable::new();
+        let mut kb = KnowledgeBase::new(t.clone());
+        let node = |i: usize| Term::Sym(t.intern(&format!("n{i}")));
+        let lit = |name: &str, args: Vec<Term>| Literal::new(t.intern(name), args);
+        for i in 0..9 {
+            kb.assert_fact(lit("edge", vec![node(i), node(i + 1)]));
+        }
+        kb.assert_fact(lit("reach", vec![node(1), node(2)]));
+        kb.assert_fact(lit("reach", vec![node(4), node(5)]));
+        let starts = [1, 4, 0, 2, 3, 5, 6, 7];
+        let local = Examples::new(
+            starts
+                .map(|i| lit("reach", vec![node(i), node(i + 2)]))
+                .into(),
+            starts
+                .map(|i| lit("reach", vec![node(i + 2), node(i)]))
+                .into(),
+        );
+        let modes = ModeSet::parse(
+            &t,
+            "reach(+node, +node)",
+            &[
+                (2, "edge(+node, -node)"),
+                (2, "reach(+node, -node)"),
+                (1, "edge(+node, +node)"),
+            ],
+        )
+        .unwrap();
+        let settings = Settings {
+            min_pos: 1,
+            noise: 0,
+            max_body: 2,
+            ..Settings::default()
+        };
+        let step = Clause::new(
+            lit("reach", vec![Term::Var(0), Term::Var(1)]),
+            vec![lit("edge", vec![Term::Var(0), Term::Var(1)])],
+        );
+        let engine = IlpEngine::new(kb, modes, settings);
+        (WorkerContext::new(engine, local, Width::Unlimited), step)
+    }
+
+    /// `MarkCovered` asserts its rule into the rank's KB. When candidate
+    /// bodies can call that rule, what the rank's memo holds is stale: the
+    /// next epoch must report what a search that remembers nothing reports.
+    #[test]
+    fn mark_covered_drops_the_memo_when_bodies_can_call_the_rule() {
+        let (ctx, step) = reach_ctx();
+        // The second epoch as a rank without history runs it: the rule in
+        // the KB, nothing covered by it, the seed after the first.
+        let mut engine = ctx.engine.clone();
+        assert!(engine.callable_from_bodies(step.head.key()));
+        engine.assert_rule(step.clone());
+        let live = ctx.local.full_pos_live();
+        assert_eq!(
+            engine.evaluate(&step, &ctx.local, None, None).pos_count(),
+            0
+        );
+        let bottom = engine.saturate(&ctx.local.pos[1]).unwrap();
+        let fresh = run_stage_search(
+            &engine,
+            &ctx.local,
+            &live,
+            &bottom,
+            &[],
+            ctx.width,
+            &mut CoverageMemo::new(),
+        );
+        let expected: Vec<_> = fresh
+            .rules
+            .iter()
+            .map(|r| (r.shape.to_clause(&bottom), r.pos, r.neg))
+            .collect();
+        assert!(
+            expected.iter().any(|(c, pos, _)| {
+                *pos == 8 && c.body.iter().any(|l| l.pred == step.head.pred)
+            }),
+            "with the rule in the KB a clause calling `reach` covers every positive"
+        );
+
+        let ctx = std::sync::Mutex::new(Some(ctx));
+        run_cluster(
+            1,
+            CostModel::free(),
+            |ep| {
+                ep.broadcast(&Msg::LoadExamples);
+                ep.send(1, &Msg::StartPipeline { epoch: 1 });
+                let Msg::RulesFound { rules: before, .. } = ep.recv_msg(1).unwrap() else {
+                    panic!("expected RulesFound")
+                };
+                assert_ne!(before, expected, "the rule changes what bodies prove");
+                ep.send(1, &Msg::MarkCovered { rule: step.clone() });
+                ep.send(1, &Msg::StartPipeline { epoch: 2 });
+                let Msg::RulesFound { rules: after, .. } = ep.recv_msg(1).unwrap() else {
+                    panic!("expected RulesFound")
+                };
+                assert_eq!(after, expected);
+                ep.send(1, &Msg::Stop);
+            },
+            |ep| {
+                let c = ctx.lock().unwrap().take().expect("single worker");
+                run_worker(ep, c);
+            },
+        )
+        .unwrap();
     }
 
     #[test]

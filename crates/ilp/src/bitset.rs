@@ -40,6 +40,24 @@ impl Bitset {
         b
     }
 
+    /// Builds a bitset of `len` bits from its `u64` words, lowest bits
+    /// first; bits beyond `len` in the last word are dropped.
+    pub fn from_words(len: usize, words: impl IntoIterator<Item = u64>) -> Self {
+        let mut b = Bitset {
+            blocks: words.into_iter().collect(),
+            len,
+        };
+        assert_eq!(b.blocks.len(), len.div_ceil(64), "bitset word count");
+        b.trim();
+        b
+    }
+
+    /// The bits as `u64` words, lowest bits first; bits beyond `len` are 0.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.blocks
+    }
+
     /// Number of bits.
     #[inline]
     pub fn len(&self) -> usize {

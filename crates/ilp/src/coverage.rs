@@ -241,8 +241,12 @@ pub fn evaluate_rule_threads(
     live_neg: Option<&Bitset>,
     threads: usize,
 ) -> Coverage {
-    let (pos, pos_steps) = evaluate_side_threads(kb, proof, rule, &examples.pos, live_pos, threads);
-    let (neg, neg_steps) = evaluate_side_threads(kb, proof, rule, &examples.neg, live_neg, threads);
+    // Compile once; both sides (and every example) reuse the dispatch.
+    let rule = prepare_rule(kb, rule);
+    let (pos, pos_steps) =
+        evaluate_side_prepared(kb, proof, &rule, &examples.pos, live_pos, threads);
+    let (neg, neg_steps) =
+        evaluate_side_prepared(kb, proof, &rule, &examples.neg, live_neg, threads);
     Coverage {
         pos,
         neg,

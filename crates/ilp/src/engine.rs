@@ -6,11 +6,12 @@ use crate::bottom::{saturate, BottomClause};
 use crate::coverage::Coverage;
 use crate::examples::Examples;
 use crate::mdie::{run_sequential, SequentialOutcome};
-use crate::modes::ModeSet;
+use crate::memo::CoverageMemo;
+use crate::modes::{ModeDecl, ModeSet};
 use crate::refine::{ConstraintStore, RuleShape};
 use crate::search::{search_rules, search_rules_guided, SearchGuide, SearchOutcome};
 use crate::settings::Settings;
-use p2mdie_logic::clause::{Clause, Literal};
+use p2mdie_logic::clause::{Clause, Literal, PredKey};
 use p2mdie_logic::kb::KnowledgeBase;
 
 /// An ILP problem instance: background knowledge, language bias, and the
@@ -95,6 +96,7 @@ impl IlpEngine {
             seeds,
             guide,
             constraints,
+            &mut CoverageMemo::new(),
         )
     }
 
@@ -127,6 +129,24 @@ impl IlpEngine {
     /// `mark_covered` asserts `B ∪ {R}`, Fig. 6).
     pub fn assert_rule(&mut self, rule: Clause) {
         self.kb.assert_rule(rule);
+    }
+
+    /// True when the body of a candidate rule can reach predicate `key`: it
+    /// is a body mode's predicate, or occurs in the body of a rule the KB
+    /// holds (a superset of what body modes reach through rules). Asserting
+    /// a rule for such a predicate changes what candidate bodies prove, so
+    /// coverage computed before it no longer stands — the owner of a
+    /// [`CoverageMemo`] clears it then, and only then.
+    pub fn callable_from_bodies(&self, key: PredKey) -> bool {
+        let called = |l: &Literal| l.key() == key;
+        let by_mode = |m: &ModeDecl| m.pred == key.pred && m.args.len() as u32 == key.arity;
+        self.modes.body.iter().any(by_mode)
+            || self.kb.predicates().any(|p| {
+                self.kb
+                    .rules_for(p)
+                    .iter()
+                    .any(|r| r.body.iter().any(called))
+            })
     }
 }
 

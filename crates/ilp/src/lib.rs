@@ -9,6 +9,8 @@
 //! * [`refine`] — Progol-style refinement over ⊥e's literal lattice;
 //! * [`coverage`] — rule evaluation with inference-step metering;
 //! * [`search`] — top-down breadth-first search with a node budget;
+//! * [`memo`] — the coverage memo a covering loop carries through its
+//!   searches;
 //! * [`mdie`] — the covering loop (one rule per epoch);
 //! * [`engine`] — the [`IlpEngine`] facade used by the parallel algorithm.
 //!
@@ -39,12 +41,18 @@
 //! assert_eq!(run.theory.len(), 1);
 //! ```
 
+// The differential oracle under `tests/oracle` is also compiled into the unit
+// tests (see `memo.rs`); it names the crate the way an outside caller does.
+#[cfg(test)]
+extern crate self as p2mdie_ilp;
+
 pub mod bitset;
 pub mod bottom;
 pub mod coverage;
 pub mod engine;
 pub mod examples;
 pub mod mdie;
+pub mod memo;
 pub mod modes;
 pub mod refine;
 pub mod search;
@@ -56,6 +64,7 @@ pub use coverage::{evaluate_rule, Coverage};
 pub use engine::IlpEngine;
 pub use examples::Examples;
 pub use mdie::{run_sequential, LearnedRule, SequentialOutcome};
+pub use memo::{CoverageMemo, MemoStats};
 pub use modes::{ModeArg, ModeDecl, ModeSet};
 pub use refine::{ConstraintStore, LatticeSlice, RuleShape};
 pub use search::{

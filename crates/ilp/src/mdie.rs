@@ -4,8 +4,9 @@
 use crate::bottom::saturate;
 use crate::coverage::evaluate_rule;
 use crate::examples::Examples;
+use crate::memo::CoverageMemo;
 use crate::modes::ModeSet;
-use crate::search::search_rules;
+use crate::search::{search_rules_guided, SearchGuide};
 use crate::settings::Settings;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::kb::KnowledgeBase;
@@ -46,6 +47,9 @@ pub fn run_sequential(
 ) -> SequentialOutcome {
     let mut out = SequentialOutcome::default();
     let mut live = examples.full_pos_live();
+    // One memo for the whole loop: the KB, the examples and the proof limits
+    // stay as they are, only `live` shrinks.
+    let mut memo = CoverageMemo::new();
 
     while let Some(seed_idx) = live.first() {
         out.epochs += 1;
@@ -59,7 +63,17 @@ pub fn run_sequential(
         };
         out.steps += bottom.steps;
 
-        let found = search_rules(kb, settings, &bottom, examples, Some(&live), &[]);
+        let found = search_rules_guided(
+            kb,
+            settings,
+            &bottom,
+            examples,
+            Some(&live),
+            &[],
+            &SearchGuide::default(),
+            None,
+            &mut memo,
+        );
         out.steps += found.steps;
 
         match found.best() {

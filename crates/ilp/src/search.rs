@@ -20,49 +20,91 @@
 //! parent already failed to cover are never touched again anywhere in that
 //! subtree.
 //!
-//! # Variant memo
+//! # Coverage memo
 //!
 //! A breadth-first walk over subsets of ⊥e meets the same clause *up to
 //! variable renaming* again and again: ⊥e of a 20-atom molecule holds half
 //! a dozen `atm(M,Ai,c,Ci)` literals, so `{atm₁}`, `{atm₂}`, … and all
-//! their pairs are alphabetic variants of each other. Each search
-//! therefore keeps a memo keyed by the node's *canonical* clause — variables
-//! renamed in first-occurrence order, literal order kept (see
-//! `VariantKeys`). A node whose canonical clause was already proved under
-//! value-equal live masks takes the stored covered sets and step counts
-//! instead of compiling and proving the clause, and its steps are charged
-//! exactly as if it had been proved: the work is skipped, the fuel is kept
-//! — the convention of the prover's bulk-charged plans — so `good`,
-//! `seed_scored`, `nodes`, `steps`, `dead` and `cut`, and with them every
-//! theory, virtual time and table, are bit-identical to the memo-free
-//! search. [`SearchOutcome::reused`] and the `search_memo_*` hot counters
-//! say how many nodes were served this way.
+//! their pairs are alphabetic variants of each other. And a covering loop
+//! meets the same clauses search after search: consecutive bottom clauses
+//! share their shallow lattice (1 776 distinct clauses in the 15 201 nodes
+//! of a `carcinogenesis(0.3)` run), and on a pipeline rank stage k of one
+//! pipeline walks what stage 1 of another walked. The loop that owns the
+//! live set therefore owns one [`CoverageMemo`] and hands it to every
+//! search; a search without a loop around it ([`search_rules`]) brings its
+//! own. A node the memo can answer is not compiled and not proved, and its
+//! steps are charged exactly as if it had been: the work is skipped, the
+//! fuel is kept — the convention of the prover's bulk-charged plans — so
+//! `good`, `seed_scored`, `nodes`, `steps`, `dead` and `cut`, and with them
+//! every theory, virtual time and table, are bit-identical to the memo-free
+//! search whatever the memo holds. [`SearchOutcome::reused`],
+//! [`CoverageMemo::stats`] and the `search_memo_*` hot counters say how
+//! nodes were served.
 //!
-//! *Why it is exact.* Equal canonical forms are the same clause with the
-//! same literal order, so each example's `(covered, steps)` is the same
-//! for both nodes; a side's result is that summed over the live examples,
-//! so it is the same whenever the live masks are.
+//! *The key* is the node's *canonical* clause: variables renamed in
+//! first-occurrence order — head first — literal order kept, written as one
+//! skeleton id per literal (the literal with its variables blanked, interned
+//! for the memo's lifetime) followed by its renamed variables. It does not
+//! mention ⊥e: equal keys are the same clause under any bottom clause.
 //!
-//! *The mask rule.* In a seedless search a variant's BFS parent is a
-//! variant of the other's parent, so by induction their coverages — the
-//! children's live masks — are equal, though held in different `Rc`s: masks
-//! are compared by value (pointer first). Figure 7 seeds are proved under
-//! the caller's `live_pos` and every negative whatever their length, so a
-//! seed and a non-seed variant can disagree; on a mismatch the node is
-//! proved as usual and the entry is left alone. The lazy negative side
-//! survives: an entry made by a node below `min_pos` holds the positive
-//! side only, and a seed that needs more proves the clause and completes
-//! the entry.
+//! *The rule.* An entry holds, per side, the mask `T` the clause was last
+//! evaluated on, the covered set `C ⊆ T` and the step total `S = Σ_{i∈T}
+//! steps_i`. A node with live mask `L` takes `gone = T∖L` and `fresh =
+//! L∖T`. Both empty: `(C, S)` is the answer. Fewer of them than `|L|`: the
+//! clause is proved on `gone` for its steps and on `fresh`, and the answer
+//! is `C' = (C ∩ L) ∪ C(fresh)`, `S' = S − S(gone) + S(fresh)`. Else `L` is
+//! proved. Either way the entry becomes `(L, C', S')`.
+//! An example's `(covered, steps)` is a function of the clause, the example,
+//! the KB and the proof limits — not of the examples evaluated with it —
+//! so a side's result is a sum over its mask and sums over disjoint masks
+//! add: `L = (T ∖ gone) ⊎ fresh` gives the two formulas.
+//! This one rule covers variants within a search (their BFS parents are
+//! variants, so `T = L`), the live set shrinking between epochs (`gone` is
+//! what was covered since; each entry proves it once, then it has left
+//! `T`), and Figure 7 seeds, which are evaluated on the caller's `live_pos`
+//! and every negative, against their non-seed variants (`fresh` is what the
+//! parent did not cover). The lazy negative side survives: an entry made by
+//! a node below `min_pos` holds the positive side only, and the first node
+//! that needs more proves the negatives and completes it; the sides are
+//! valid independently.
 //!
-//! *Memory.* The key is a flat `u32` encoding (one skeleton id per literal
-//! plus its renamed variables — 16 bytes for an `atm/4` literal), not a
-//! cloned `Clause` (over 130), and the covered sets are the very
-//! `Rc<(Bitset, Bitset)>` the node hands its successors; a node below
-//! `min_pos` stores two counters. At most `max_nodes` entries exist.
+//! *Validity.* A memo stands for one example list, one `ProofLimits` and the
+//! KB as rule bodies see it, and its owner clears it when one changes: a
+//! worker rank on a new partition, on adopted examples, on a new KB
+//! snapshot, and at every job (the memo is a local of the job's loop). The
+//! KB also changes when `mark_covered` asserts an accepted rule (Fig. 6, `B
+//! ∪ {R}`) — but what a candidate body proves changes only if the body can
+//! *call* `R`, i.e. the target is a body-mode predicate or occurs in a rule
+//! body of the KB ([`crate::engine::IlpEngine::callable_from_bodies`]). On
+//! fact-only KBs with non-recursive targets — every dataset here — it
+//! never does, and clearing on every accepted rule would forfeit the memo
+//! exactly where it pays, between epochs. The sequential loop asserts
+//! nothing.
 //!
-//! *Why per search.* Across epochs the live set shrinks, so an entry would
-//! have to be kept per example rather than per mask; that store measured
-//! 66 MB on the Table-1 mesh and needs an eviction design of its own.
+//! *Memory* is bounded by construction: keys, masks and step totals are
+//! records in one flat arena behind an open-addressing index, every byte
+//! allocated is counted against a fixed budget, and an insert that does not
+//! fit first evicts entries the *current* search has not touched — least
+//! recently used first — and else is dropped ([`crate::memo`] has the
+//! layout). The budget is 128 KiB per memo, a constant and not a setting:
+//! results do not depend on it. It was sized on executed proof steps of the
+//! sequential `carcinogenesis(0.3, 2005)` run (37.9 M charged; 15.6 M
+//! executed with the per-search memo this one replaces): 15.6 M at 32 KiB,
+//! 10.8 M at 64, 7.5 M at 128, 6.9 M at 256 and unbounded — 128 KiB is
+//! the knee, an entry there being about 120 bytes, most of it key. What
+//! caps it is resident memory of a *mesh*, where every rank has a memo,
+//! against the benchmark's 10 % bound on peak RSS: the issue's prototype,
+//! which trimmed only between searches, read +13 % at 256 KiB on
+//! `pyr-svc-tcp` — whose peak is its set-up learn on two ranks — and +5
+//! to +9 % at 128 KiB; with the hard in-search budget and the flat layout
+//! 128 KiB reads +0.3 % (`carc-seq`), +1.5 % (`carc-pipe-p2`), +2.7 %
+//! (`mesh-pipe-p2-tcp`) and +1.4 % (`pyr-svc-tcp`) over ten paired runs.
+//! On `mesh(1.0)` and `pyrimidines(1.0)` an entry is 0.4 to 0.8 KB of masks
+//! and a sequential run's clauses do not fit any such budget (3.5 MB and
+//! 1.5 MB unbounded); there the memo serves what it can — mostly within a
+//! search — and the ranks of a mesh, whose masks are 1/p the length, fare
+//! better.
+//!
 //! Skipping the *expansion* of variant subtrees is a different algorithm:
 //! it changes what the `max_nodes` budget buys, hence the theories.
 
@@ -70,13 +112,11 @@ use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
 use crate::coverage::{evaluate_side_prepared, prepare_rule};
 use crate::examples::Examples;
+use crate::memo::{ClauseKeys, CoverageMemo, Ran, Side};
 use crate::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
 use crate::settings::Settings;
-use p2mdie_logic::clause::Literal;
-use p2mdie_logic::fxhash::{FxHashMap, FxHashSet};
-use p2mdie_logic::hot;
+use p2mdie_logic::fxhash::FxHashSet;
 use p2mdie_logic::kb::KnowledgeBase;
-use p2mdie_logic::term::{Term, VarId};
 use std::collections::{HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -128,8 +168,11 @@ pub struct SearchOutcome {
     /// Nodes skipped *without evaluation* because a constraint-store entry
     /// already proved their subtree dead.
     pub cut: usize,
-    /// Nodes (of `nodes`) whose coverage came from the variant memo: counted
-    /// and step-charged like any other, but not proved again.
+    /// Nodes (of `nodes`) that ran no proof at all: the coverage memo held
+    /// their result for exactly their live masks. Counted and step-charged
+    /// like any other. A node served by a difference proof is not one of
+    /// these; the memo's statistics and the `search_memo_*` counters tell
+    /// the three kinds apart.
     pub reused: usize,
 }
 
@@ -162,94 +205,8 @@ pub struct SearchGuide {
 }
 
 /// The covered positives and negatives of an evaluated node: the live masks
-/// of its successors, shared among them and with the variant memo.
+/// of its successors, shared among them while they wait in the queue.
 type Masks = Rc<(Bitset, Bitset)>;
-
-/// True when two nodes are evaluated on the same examples. `None` stands for
-/// the caller's `live_pos` and every negative, which no covered set is
-/// compared with: a root or seed only ever matches another.
-fn same_masks(a: &Option<Masks>, b: &Option<Masks>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Rc::ptr_eq(a, b) || a == b,
-        _ => false,
-    }
-}
-
-/// Canonical keys for the shapes of one bottom clause: two shapes get equal
-/// keys exactly when their clauses are equal after renaming variables in
-/// first-occurrence order (head first, body literals in shape order).
-struct VariantKeys {
-    /// The head's variable occurrences; they take the first canonical ids.
-    head_vars: Vec<VarId>,
-    /// Per bottom literal: the id of its skeleton (the literal with every
-    /// variable blanked, so literals differing only in variable names share
-    /// one) and its variable occurrences in argument order.
-    lits: Vec<(u32, Vec<VarId>)>,
-    /// Scratch: the key being written and the variables met so far.
-    key: Vec<u32>,
-    renamed: Vec<VarId>,
-}
-
-impl VariantKeys {
-    fn new(bottom: &BottomClause) -> Self {
-        let mut head_vars = Vec::new();
-        bottom.head.collect_vars(&mut head_vars);
-        let mut skeletons: FxHashMap<Literal, u32> = FxHashMap::default();
-        let lits = bottom
-            .lits
-            .iter()
-            .map(|bl| {
-                let next = skeletons.len() as u32;
-                let skeleton = bl.lit.map_vars(&mut |_| Term::Var(0));
-                let mut vars = Vec::new();
-                bl.lit.collect_vars(&mut vars);
-                (*skeletons.entry(skeleton).or_insert(next), vars)
-            })
-            .collect();
-        VariantKeys {
-            head_vars,
-            lits,
-            key: Vec::new(),
-            renamed: Vec::new(),
-        }
-    }
-
-    /// `shape`'s key: per literal its skeleton id, then the canonical id of
-    /// each variable occurrence. A skeleton fixes how many ids follow it, so
-    /// distinct canonical clauses never share a key. (A clause has few
-    /// variables: renaming is a linear scan.)
-    fn key_of(&mut self, shape: &RuleShape) -> &[u32] {
-        self.key.clear();
-        self.renamed.clear();
-        self.renamed.extend_from_slice(&self.head_vars);
-        for &i in &shape.lits {
-            let (skeleton, vars) = &self.lits[i as usize];
-            self.key.push(*skeleton);
-            for v in vars {
-                let met = self.renamed.iter().position(|r| r == v);
-                let id = met.unwrap_or_else(|| {
-                    self.renamed.push(*v);
-                    self.renamed.len() - 1
-                });
-                self.key.push(id as u32);
-            }
-        }
-        &self.key
-    }
-}
-
-/// What the memo keeps of one proved canonical clause.
-struct Proved {
-    /// The live masks it was proved under.
-    under: Option<Masks>,
-    /// Covered positives and the steps proving them took.
-    pos: u32,
-    pos_steps: u64,
-    /// Covered sets and the negative side's steps; `None` while only nodes
-    /// that never needed the negatives (non-seeds below `min_pos`) met it.
-    both: Option<(Masks, u64)>,
-}
 
 /// Runs one breadth-first search over `bottom`'s refinement lattice.
 ///
@@ -274,13 +231,16 @@ pub fn search_rules(
         seeds,
         &SearchGuide::default(),
         None,
+        &mut CoverageMemo::new(),
     )
 }
 
-/// [`search_rules`] with strategy hooks: an optional lattice slice, an
+/// [`search_rules`] with strategy hooks — an optional lattice slice, an
 /// optional exploration seed, dead-shape collection, and a constraint store
-/// of known-dead shapes to cut before evaluation. With the default guide
-/// and no store this is exactly the plain search.
+/// of known-dead shapes to cut before evaluation — and the coverage memo of
+/// the covering loop the search is part of (see the module docs for what a
+/// memo may be shared across). With the default guide, no store and a new
+/// memo this is exactly the plain search.
 #[allow(clippy::too_many_arguments)]
 pub fn search_rules_guided(
     kb: &KnowledgeBase,
@@ -291,6 +251,7 @@ pub fn search_rules_guided(
     seeds: &[RuleShape],
     guide: &SearchGuide,
     constraints: Option<&ConstraintStore>,
+    memo: &mut CoverageMemo,
 ) -> SearchOutcome {
     let mut out = SearchOutcome::default();
     // Running RNG state for the successor shuffle; advanced only when an
@@ -301,8 +262,13 @@ pub fn search_rules_guided(
     let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
     let mut visited: FxHashSet<RuleShape> = FxHashSet::default();
     let mut seed_set: HashSet<&RuleShape> = HashSet::new();
-    let mut keys = VariantKeys::new(bottom);
-    let mut memo: FxHashMap<Box<[u32]>, Proved> = FxHashMap::default();
+    memo.begin_search(examples.num_pos(), examples.num_neg());
+    let mut keys = ClauseKeys::new(bottom, memo);
+    // What a root or seed is evaluated on: the caller's live positives and
+    // every negative.
+    let every_pos = examples.full_pos_live();
+    let root_pos = live_pos.unwrap_or(&every_pos);
+    let every_neg = Bitset::full(examples.num_neg());
 
     if seeds.is_empty() {
         queue.push_back((RuleShape::empty(), None));
@@ -336,71 +302,34 @@ pub fn search_rules_guided(
         // good, reports nothing, and is not expanded — its negative
         // coverage is unobservable, so don't pay for it.
         let needs_neg = |pos: u32| pos >= settings.min_pos || is_seed;
-        // Variant memo: an entry proved under the same masks stands in for
-        // the proof — unless this node needs the negative side and the
-        // entry never got one, when the proof below completes the entry.
-        let key = keys.key_of(&shape);
-        let known = memo.get(key);
-        let matching = known.filter(|e| same_masks(&e.under, &parent_cov));
-        let reused = matching
-            .filter(|e| e.both.is_some() || !needs_neg(e.pos))
-            .map(|e| (e.pos, e.pos_steps, e.both.clone()));
-        // An entry proved under other masks keeps its place.
-        let store = known.is_none() || matching.is_some();
-        let (pos, pos_steps, both) = match reused {
-            Some(proved) => {
-                out.reused += 1;
-                hot::search_memo_hit();
-                proved
-            }
-            None => {
-                hot::search_memo_miss();
-                // Compile the candidate once; both sides (and every example)
-                // reuse the resolved dispatch.
-                let clause = prepare_rule(kb, &shape.to_clause(bottom));
-                // Monotonicity: the child's coverage is a subset of the
-                // parent's, so the parent's covered sets are exact live masks
-                // for the child.
-                let (live_p, live_n) = match &parent_cov {
-                    Some(m) => (Some(&m.0), Some(&m.1)),
-                    None => (live_pos, None),
-                };
-                let (pos_bits, pos_steps) = evaluate_side_prepared(
-                    kb,
-                    settings.proof,
-                    &clause,
-                    &examples.pos,
-                    live_p,
-                    settings.eval_threads,
-                );
-                let pos = pos_bits.count() as u32;
-                let both = needs_neg(pos).then(|| {
-                    let (neg_bits, neg_steps) = evaluate_side_prepared(
-                        kb,
-                        settings.proof,
-                        &clause,
-                        &examples.neg,
-                        live_n,
-                        settings.eval_threads,
-                    );
-                    (Rc::new((pos_bits, neg_bits)), neg_steps)
-                });
-                if store {
-                    memo.insert(
-                        key.into(),
-                        Proved {
-                            under: parent_cov,
-                            pos,
-                            pos_steps,
-                            both: both.clone(),
-                        },
-                    );
-                }
-                (pos, pos_steps, both)
-            }
+        // Monotonicity: the child's coverage is a subset of the parent's, so
+        // the parent's covered sets are exact live masks for the child.
+        let live = match &parent_cov {
+            Some(m) => [&m.0, &m.1],
+            None => [root_pos, &every_neg],
         };
-        out.steps += pos_steps;
-        let Some((masks, neg_steps)) = both.filter(|_| needs_neg(pos)) else {
+        // Compiled when the memo first asks for a proof, once for both
+        // sides and every example.
+        let mut compiled = None;
+        let node = memo.evaluate(keys.key_of(&shape), live, needs_neg, |side, mask| {
+            let clause = compiled.get_or_insert_with(|| prepare_rule(kb, &shape.to_clause(bottom)));
+            let lits = match side {
+                Side::Pos => &examples.pos,
+                Side::Neg => &examples.neg,
+            };
+            evaluate_side_prepared(
+                kb,
+                settings.proof,
+                clause,
+                lits,
+                Some(mask),
+                settings.eval_threads,
+            )
+        });
+        out.reused += usize::from(node.ran == Ran::Nothing);
+        out.steps += node.pos_steps;
+        let pos = node.pos.count() as u32;
+        let Some((neg_bits, neg_steps)) = node.neg else {
             // This is the cut frontier: the shape and every specialization
             // are dead here and (coverage only shrinks as the live set
             // shrinks) stay dead for the rest of this bottom clause's life.
@@ -410,7 +339,7 @@ pub fn search_rules_guided(
             continue;
         };
         out.steps += neg_steps;
-        let neg = masks.1.count() as u32;
+        let neg = neg_bits.count() as u32;
 
         if is_seed {
             out.seed_scored.push(ScoredRule {
@@ -451,6 +380,7 @@ pub fn search_rules_guided(
                 succs.swap(i, (*state % (i as u64 + 1)) as usize);
             }
         }
+        let masks = Rc::new((node.pos, neg_bits));
         for succ in succs {
             if !visited.contains(&succ) {
                 queue.push_back((succ, Some(Rc::clone(&masks))));
@@ -639,6 +569,7 @@ mod tests {
             &[],
             &SearchGuide::default(),
             Some(&ConstraintStore::new()),
+            &mut CoverageMemo::new(),
         );
         assert_eq!(plain.good, guided.good);
         assert_eq!(plain.seed_scored, guided.seed_scored);
@@ -667,8 +598,17 @@ mod tests {
                     slice: Some(LatticeSlice { rank, of, salt: 11 }),
                     ..SearchGuide::default()
                 };
-                let out =
-                    search_rules_guided(&kb, &settings, &bottom, &ex, None, &[], &guide, None);
+                let out = search_rules_guided(
+                    &kb,
+                    &settings,
+                    &bottom,
+                    &ex,
+                    None,
+                    &[],
+                    &guide,
+                    None,
+                    &mut CoverageMemo::new(),
+                );
                 for r in &out.good {
                     assert!(
                         union.insert(r.shape.clone()),
@@ -707,7 +647,17 @@ mod tests {
             dead_cap: 64,
             ..SearchGuide::default()
         };
-        let first = search_rules_guided(&kb, &settings, &bottom, &ex, None, &[], &collect, None);
+        let first = search_rules_guided(
+            &kb,
+            &settings,
+            &bottom,
+            &ex,
+            None,
+            &[],
+            &collect,
+            None,
+            &mut CoverageMemo::new(),
+        );
         assert!(!first.dead.is_empty(), "this world has dead subtrees");
         let mut store = ConstraintStore::new();
         store.merge(&first.dead);
@@ -720,6 +670,7 @@ mod tests {
             &[],
             &SearchGuide::default(),
             Some(&store),
+            &mut CoverageMemo::new(),
         );
         assert!(second.cut > 0, "gossiped constraints must cut work");
         assert!(second.nodes < first.nodes);
@@ -739,13 +690,43 @@ mod tests {
             explore_seed: Some(seed),
             ..SearchGuide::default()
         };
-        let a = search_rules_guided(&kb, &settings, &bottom, &ex, None, &[], &guide(5), None);
-        let b = search_rules_guided(&kb, &settings, &bottom, &ex, None, &[], &guide(5), None);
+        let a = search_rules_guided(
+            &kb,
+            &settings,
+            &bottom,
+            &ex,
+            None,
+            &[],
+            &guide(5),
+            None,
+            &mut CoverageMemo::new(),
+        );
+        let b = search_rules_guided(
+            &kb,
+            &settings,
+            &bottom,
+            &ex,
+            None,
+            &[],
+            &guide(5),
+            None,
+            &mut CoverageMemo::new(),
+        );
         assert_eq!(a.good, b.good);
         assert_eq!(a.nodes, b.nodes);
         // With an unconstrained budget the shuffle only reorders the
         // traversal: the good set (sorted) is seed-independent.
-        let c = search_rules_guided(&kb, &settings, &bottom, &ex, None, &[], &guide(6), None);
+        let c = search_rules_guided(
+            &kb,
+            &settings,
+            &bottom,
+            &ex,
+            None,
+            &[],
+            &guide(6),
+            None,
+            &mut CoverageMemo::new(),
+        );
         assert_eq!(a.good, c.good);
     }
 

@@ -1,0 +1,412 @@
+//! The oracle of the coverage memo's differential tests: the search as it
+//! stood before any memo, written against public API only
+//! (`evaluate_side_threads`, `RuleShape::successors`) — every node is
+//! compiled and proved, nothing is remembered — and the covering loops it is
+//! compared on.
+//!
+//! Compiled twice: into `tests/variant_memo.rs`, which hands the loops a
+//! memo as any caller gets one, and into the crate's own unit tests
+//! (`src/memo.rs`), which hand them a memo with a budget of a few records —
+//! something no public API can build — so that eviction and refusal run on
+//! every case.
+#![allow(dead_code)]
+
+use p2mdie_ilp::bitset::Bitset;
+use p2mdie_ilp::bottom::{saturate, BottomClause};
+use p2mdie_ilp::coverage::evaluate_side_threads;
+use p2mdie_ilp::examples::Examples;
+use p2mdie_ilp::modes::ModeSet;
+use p2mdie_ilp::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
+use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchGuide, SearchOutcome};
+use p2mdie_ilp::settings::Settings;
+use p2mdie_ilp::CoverageMemo;
+use p2mdie_logic::clause::{Clause, Literal};
+use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_logic::prover::ProofLimits;
+use p2mdie_logic::symbol::SymbolTable;
+use p2mdie_logic::term::Term;
+use std::collections::{HashSet, VecDeque};
+use std::rc::Rc;
+
+/// A node's covered positives and negatives: its successors' live masks.
+pub type Masks = Rc<(Bitset, Bitset)>;
+
+/// The memo-free search: Figure 2 with monotone masks, Figure 7 seeds and
+/// the strategy hooks, one proof per node.
+#[allow(clippy::too_many_arguments)]
+pub fn memo_free_search(
+    kb: &KnowledgeBase,
+    settings: &Settings,
+    bottom: &BottomClause,
+    examples: &Examples,
+    live_pos: Option<&Bitset>,
+    seeds: &[RuleShape],
+    guide: &SearchGuide,
+    constraints: Option<&ConstraintStore>,
+) -> SearchOutcome {
+    let mut out = SearchOutcome::default();
+    let mut rng = guide.explore_seed.map(splitmix64);
+    let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
+    let mut visited: HashSet<RuleShape> = HashSet::new();
+    let seed_set: HashSet<&RuleShape> = seeds.iter().collect();
+    if seeds.is_empty() {
+        queue.push_back((RuleShape::empty(), None));
+    } else {
+        let mut queued = HashSet::new();
+        for s in seeds {
+            if queued.insert(s) {
+                queue.push_back((s.clone(), None));
+            }
+        }
+    }
+    let scored = |shape: &RuleShape, pos, neg| ScoredRule {
+        shape: shape.clone(),
+        pos,
+        neg,
+        score: settings.score.score(pos, neg, shape.body_len()),
+    };
+
+    while let Some((shape, parent_cov)) = queue.pop_front() {
+        if out.nodes >= settings.max_nodes {
+            break;
+        }
+        if !visited.insert(shape.clone()) {
+            continue;
+        }
+        let is_seed = seed_set.contains(&shape);
+        if !is_seed && constraints.is_some_and(|c| c.prunes(&shape)) {
+            out.cut += 1;
+            continue;
+        }
+        let clause = shape.to_clause(bottom);
+        let (live_p, live_n) = match &parent_cov {
+            Some(m) => (Some(&m.0), Some(&m.1)),
+            None => (live_pos, None),
+        };
+        out.nodes += 1;
+        let (pos_bits, pos_steps) =
+            evaluate_side_threads(kb, settings.proof, &clause, &examples.pos, live_p, 1);
+        out.steps += pos_steps;
+        let pos = pos_bits.count() as u32;
+        if pos < settings.min_pos && !is_seed {
+            if guide.collect_dead && out.dead.len() < guide.dead_cap {
+                out.dead.push(shape);
+            }
+            continue;
+        }
+        let (neg_bits, neg_steps) =
+            evaluate_side_threads(kb, settings.proof, &clause, &examples.neg, live_n, 1);
+        out.steps += neg_steps;
+        let neg = neg_bits.count() as u32;
+        if is_seed {
+            out.seed_scored.push(scored(&shape, pos, neg));
+        }
+        if settings.is_good(pos, neg) {
+            out.good.push(scored(&shape, pos, neg));
+        }
+        if pos < settings.min_pos {
+            continue;
+        }
+        let masks = Rc::new((pos_bits, neg_bits));
+        let mut succs = shape.successors(bottom, settings.max_body);
+        if let Some(slice) = &guide.slice {
+            succs.retain(|s| slice.admits(s));
+        }
+        if let Some(state) = rng.as_mut() {
+            for i in (1..succs.len()).rev() {
+                *state = splitmix64(*state);
+                succs.swap(i, (*state % (i as u64 + 1)) as usize);
+            }
+        }
+        for succ in succs {
+            if !visited.contains(&succ) {
+                queue.push_back((succ, Some(Rc::clone(&masks))));
+            }
+        }
+    }
+    out.good.sort_by(|a, b| a.rank_key().cmp(&b.rank_key()));
+    out
+}
+
+/// Small molecules: `atm(Mol, Atom, Elem, Charge)` over three elements (so
+/// every bottom clause repeats the `atm(M,_,c,_)` shape several times),
+/// typed `bond/4` chains, a charge test, and a recursive `linked/3` so that
+/// proofs expand rules and run into the step bound.
+pub struct World {
+    pub kb: KnowledgeBase,
+    pub modes: ModeSet,
+    pub examples: Examples,
+}
+
+pub fn world(seed: u64, molecules: usize) -> World {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    let mut state = seed;
+    let mut draw = move |n: u64| {
+        state = splitmix64(state);
+        state % n
+    };
+    let lit = |name: &str, args: Vec<Term>| Literal::new(t.intern(name), args);
+    let sym = |name: String| Term::Sym(t.intern(&name));
+
+    let (mut pos, mut neg) = (Vec::new(), Vec::new());
+    for m in 0..molecules {
+        let mol = sym(format!("m{m}"));
+        let atoms: Vec<Term> = (0..5 + draw(4)).map(|a| sym(format!("m{m}a{a}"))).collect();
+        for a in &atoms {
+            let elem = sym(["c", "c", "c", "c", "h", "o"][draw(6) as usize].to_owned());
+            let charge = Term::Int(draw(3) as i64 - 1);
+            kb.assert_fact(lit("atm", vec![mol.clone(), a.clone(), elem, charge]));
+        }
+        for w in atoms.windows(2) {
+            let ty = Term::Int(1 + draw(2) as i64);
+            kb.assert_fact(lit(
+                "bond",
+                vec![mol.clone(), w[0].clone(), w[1].clone(), ty],
+            ));
+        }
+        let example = lit("active", vec![mol]);
+        if draw(2) == 0 {
+            pos.push(example);
+        } else {
+            neg.push(example);
+        }
+    }
+    kb.assert_fact(lit("charged", vec![Term::Int(1)]));
+    let v = Term::Var;
+    // linked(M,A,B) :- bond(M,A,B,T).   linked(M,A,C) :- bond(M,A,B,T), linked(M,B,C).
+    kb.assert_rule(Clause::new(
+        lit("linked", vec![v(0), v(1), v(2)]),
+        vec![lit("bond", vec![v(0), v(1), v(2), v(3)])],
+    ));
+    kb.assert_rule(Clause::new(
+        lit("linked", vec![v(0), v(1), v(3)]),
+        vec![
+            lit("bond", vec![v(0), v(1), v(2), v(4)]),
+            lit("linked", vec![v(0), v(2), v(3)]),
+        ],
+    ));
+    let modes = ModeSet::parse(
+        &t,
+        "active(+mol)",
+        &[
+            (6, "atm(+mol, -atom, #elem, -charge)"),
+            (4, "bond(+mol, -atom, -atom, #btype)"),
+            (1, "charged(+charge)"),
+            (2, "linked(+mol, +atom, -atom)"),
+        ],
+    )
+    .expect("static templates parse");
+    World {
+        kb,
+        modes,
+        examples: Examples::new(pos, neg),
+    }
+}
+
+/// The shapes of the first two lattice levels, in BFS order: where seeds
+/// are drawn from, so that seeds have non-seed variants next to them.
+pub fn shallow_shapes(bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> {
+    let mut shapes = vec![RuleShape::empty()];
+    let level1 = RuleShape::empty().successors(bottom, max_body);
+    for s in &level1 {
+        shapes.extend(s.successors(bottom, max_body));
+    }
+    shapes.splice(1..1, level1);
+    shapes
+}
+
+/// Everything a caller can observe of a search, `reused` aside, must be
+/// the same with and without the memo.
+pub fn assert_same(memo: &SearchOutcome, plain: &SearchOutcome, what: &str) {
+    let observable = |o: &SearchOutcome| {
+        (
+            o.good.clone(),
+            o.seed_scored.clone(),
+            o.nodes,
+            o.steps,
+            o.dead.clone(),
+            o.cut,
+        )
+    };
+    let (memo_sees, plain_sees) = (observable(memo), observable(plain));
+    assert!(
+        memo_sees == plain_sees,
+        "{what}: memoised {memo_sees:?} != memo-free {plain_sees:?}"
+    );
+    assert!(memo.reused <= memo.nodes, "{what}: reused nodes are nodes");
+}
+
+/// One randomised covering loop, drawn from a seed.
+#[derive(Clone, Debug)]
+pub struct Case {
+    /// Seed and size of the [`world`].
+    pub world_seed: u64,
+    pub molecules: usize,
+    /// Search constraints, with tight proof bounds.
+    pub settings: Settings,
+    /// How many bottom clauses the loop searches under.
+    pub bottoms: usize,
+    /// Which shallow shapes are the Figure 7 seeds (indices modulo their
+    /// number, shifted per bottom clause).
+    pub seed_picks: Vec<usize>,
+    /// Exploration seed of the hooked searches (0: index order) and the
+    /// lattice slice they keep to.
+    pub explore: u64,
+    pub rank: u64,
+}
+
+impl Case {
+    /// The case of `seed`: the same for every caller.
+    pub fn draw(seed: u64) -> Case {
+        let mut state = seed;
+        let mut below = move |n: u64| {
+            state = splitmix64(state);
+            state % n
+        };
+        Case {
+            world_seed: below(u64::MAX),
+            molecules: 8 + below(16) as usize,
+            settings: Settings {
+                noise: below(3) as u32,
+                min_pos: 1 + below(3) as u32,
+                max_body: 3,
+                max_nodes: 10 + below(150) as usize,
+                max_var_depth: 2,
+                max_bottom_literals: 40,
+                proof: ProofLimits {
+                    max_depth: 2 + below(3) as u32,
+                    max_steps: 25 + below(475),
+                },
+                eval_threads: 1,
+                ..Settings::default()
+            },
+            bottoms: 2 + below(4) as usize,
+            seed_picks: (0..below(5)).map(|_| below(1000) as usize).collect(),
+            explore: below(4),
+            rank: below(2),
+        }
+    }
+}
+
+/// Runs `case`'s covering loop — a rank's life in small: per bottom clause
+/// a seedless and a seeded search (Figure 7 seeds from the first lattice
+/// levels, so that seeds meet their non-seed variants), each plain and
+/// again under every hook at once (a lattice slice, an exploration seed,
+/// the dead-shape frontier collected, a non-empty constraint store); then
+/// the positives the round's best rule covers leave the live set — with
+/// every search going through the one `memo`, and holds each against
+/// [`memo_free_search`]. The memo's accounting is audited after every
+/// search.
+pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut CoverageMemo) {
+    let w = world(case.world_seed, case.molecules);
+    let settings = &case.settings;
+    let plain_guide = SearchGuide::default();
+    let collect_all = SearchGuide {
+        collect_dead: true,
+        dead_cap: 64,
+        ..SearchGuide::default()
+    };
+    let mut live = w.examples.full_pos_live();
+    let mut cursor = None;
+    for round in 0..case.bottoms {
+        let Some(seed_idx) = live.next_after(cursor) else {
+            break;
+        };
+        cursor = Some(seed_idx);
+        let Some(bottom) = saturate(&w.kb, &w.modes, settings, &w.examples.pos[seed_idx]) else {
+            live.clear(seed_idx);
+            continue;
+        };
+        // The first round passes the full live set the way a caller
+        // without one does.
+        let live_pos = (round > 0).then_some(&live);
+        let shallow = shallow_shapes(&bottom, settings.max_body);
+        let seeds: Vec<RuleShape> = case
+            .seed_picks
+            .iter()
+            .map(|&i| shallow[(i + round) % shallow.len()].clone())
+            .collect();
+        let hooked_guide = SearchGuide {
+            slice: Some(LatticeSlice {
+                rank: case.rank,
+                of: 2,
+                salt: case.world_seed,
+            }),
+            explore_seed: (case.explore > 0).then_some(case.explore + round as u64),
+            collect_dead: true,
+            dead_cap: 6,
+        };
+        // A non-empty constraint store: the dead frontier of an unsliced,
+        // seedless pass over the same bottom clause.
+        let frontier = memo_free_search(
+            &w.kb,
+            settings,
+            &bottom,
+            &w.examples,
+            live_pos,
+            &[],
+            &collect_all,
+            None,
+        );
+        let mut store = ConstraintStore::new();
+        store.merge(&frontier.dead);
+
+        for seeds in [&[][..], &seeds[..]] {
+            for (guide, constraints) in [(&plain_guide, None), (&hooked_guide, Some(&store))] {
+                let what = format!(
+                    "{case:?}, bottom {round}, {} live, {} seeds, slice {:?}, {} constraints",
+                    live.count(),
+                    seeds.len(),
+                    guide.slice,
+                    constraints.map_or(0, ConstraintStore::len),
+                );
+                let memoised = search_rules_guided(
+                    &w.kb,
+                    settings,
+                    &bottom,
+                    &w.examples,
+                    live_pos,
+                    seeds,
+                    guide,
+                    constraints,
+                    memo,
+                );
+                let plain = memo_free_search(
+                    &w.kb,
+                    settings,
+                    &bottom,
+                    &w.examples,
+                    live_pos,
+                    seeds,
+                    guide,
+                    constraints,
+                );
+                assert_same(&memoised, &plain, &what);
+                assert!(
+                    memo.stats().peak_bytes <= memo.budget(),
+                    "{what}: the memo outgrew its budget"
+                );
+                assert_eq!(memo.bytes(), memo.recount(), "{what}: accounted bytes");
+            }
+        }
+
+        // The covering step: what the frontier pass's best rule covers goes,
+        // and the seed with it.
+        if let Some(best) = frontier.best() {
+            let clause = best.shape.to_clause(&bottom);
+            let (covered, _) = evaluate_side_threads(
+                &w.kb,
+                settings.proof,
+                &clause,
+                &w.examples.pos,
+                Some(&live),
+                1,
+            );
+            live.difference_with(&covered);
+        }
+        if live.get(seed_idx) {
+            live.clear(seed_idx);
+        }
+    }
+}

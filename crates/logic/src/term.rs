@@ -1,6 +1,7 @@
 //! First-order terms.
 
 use crate::symbol::{SymbolId, SymbolTable};
+use crate::wire::{decode_seq, DecodeError, Wire};
 use std::fmt;
 
 /// Identifier of a logic variable. Variables are clause-local; the prover
@@ -49,15 +50,53 @@ pub enum Term {
     /// A compound term `f(t1, ..., tn)` with `n >= 1`.
     App(SymbolId, Box<[Term]>),
 }
-crate::wire_enum!(Term, "term tag" {
-    0 => Var(v),
-    1 => Sym(s),
-    2 => Int(i),
-    3 => Float(x),
-    4 => App(f, args),
-});
+
+/// How deep `App` may nest inside `App` in a term off the wire. Decoding a
+/// term recurses once per level, and so does everything done to it after
+/// (dropping it, to begin with): a frame of nothing but `App` tags — nine
+/// bytes a level — would otherwise pick the depth of the receiver's stack.
+/// No dataset nests deeper than a few levels; a list of this many cells
+/// would.
+pub const MAX_TERM_DEPTH: usize = 256;
+
+/// A one-byte tag, then the variant's fields — the layout a `wire_enum!`
+/// table would give — written out because decoding counts the nesting.
+impl Wire for Term {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Term::Var(v) => (0u8, *v).encode(out),
+            Term::Sym(s) => (1u8, *s).encode(out),
+            Term::Int(i) => (2u8, *i).encode(out),
+            Term::Float(x) => (3u8, *x).encode(out),
+            Term::App(f, args) => {
+                (4u8, *f).encode(out);
+                args.encode(out);
+            }
+        }
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Term::decode_nested(inp, 0)
+    }
+}
 
 impl Term {
+    /// Decodes a term found `depth` levels of `App` down.
+    fn decode_nested(inp: &mut &[u8], depth: usize) -> Result<Term, DecodeError> {
+        Ok(match u8::decode(inp)? {
+            0 => Term::Var(Wire::decode(inp)?),
+            1 => Term::Sym(Wire::decode(inp)?),
+            2 => Term::Int(Wire::decode(inp)?),
+            3 => Term::Float(Wire::decode(inp)?),
+            4 if depth < MAX_TERM_DEPTH => {
+                let f = Wire::decode(inp)?;
+                let args = decode_seq(inp, |inp| Term::decode_nested(inp, depth + 1))?;
+                Term::App(f, args.into_boxed_slice())
+            }
+            4 => return Err(DecodeError::new("term nesting")),
+            _ => return Err(DecodeError::new("term tag")),
+        })
+    }
+
     /// Convenience constructor for a compound term.
     pub fn app(f: SymbolId, args: Vec<Term>) -> Term {
         Term::App(f, args.into_boxed_slice())
@@ -252,6 +291,38 @@ mod tests {
         assert_eq!(var_name(0), "A");
         assert_eq!(var_name(25), "Z");
         assert_eq!(var_name(26), "A1");
+    }
+
+    /// The bytes of an integer under `depth` one-argument `App`s, written
+    /// by hand: the decoder is tested on terms no test should build.
+    fn nested_apps(depth: usize) -> Vec<u8> {
+        let mut raw = Vec::new();
+        for _ in 0..depth {
+            (4u8, 7u32, 1u32).encode(&mut raw);
+        }
+        Term::Int(5).encode(&mut raw);
+        raw
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_bound_round_trips() {
+        // 900 KB of `App` tags off a socket are an error, not a stack
+        // overflow in the worker that reads them.
+        for depth in [MAX_TERM_DEPTH + 1, 100_000] {
+            let raw = nested_apps(depth);
+            let refused = Term::decode(&mut &raw[..]).unwrap_err();
+            assert_eq!(refused.context, "term nesting", "depth {depth}");
+        }
+        // The deepest term allowed — far deeper than any dataset's — comes
+        // back as it went.
+        let raw = nested_apps(MAX_TERM_DEPTH);
+        let mut inp = &raw[..];
+        let term = Term::decode(&mut inp).expect("nesting at the bound");
+        assert!(inp.is_empty());
+        assert_eq!(term.size(), MAX_TERM_DEPTH + 1);
+        let mut again = Vec::new();
+        term.encode(&mut again);
+        assert_eq!(again, raw);
     }
 
     #[test]

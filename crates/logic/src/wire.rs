@@ -32,17 +32,21 @@
 //!
 //! Decoding is bounds-checked by construction: every read is a checked
 //! split off the front of the input, a count larger than the bytes left is
-//! refused before anything is reserved, and the one reservation
-//! ([`Vec<T>`]'s) is capped by what the remaining bytes could pay for.
-//! Malformed input is a [`DecodeError`], never a panic.
+//! refused before anything is reserved, the one reservation
+//! ([`decode_seq`]'s, behind [`Vec<T>`]) is capped by what the remaining
+//! bytes could pay for, and the one recursive type ([`crate::term::Term`])
+//! refuses to nest deeper than [`crate::term::MAX_TERM_DEPTH`], so the
+//! input picks neither the memory nor the stack a decode takes. Malformed
+//! input is a [`DecodeError`], never a panic.
 //!
 //! # What may be written by hand
 //!
 //! A table row per field is the default. An `impl Wire` is written out only
 //! where the bytes are *not* the fields in order: a field that is
 //! deliberately not shipped (`BottomClause::steps`, rank-local accounting),
-//! and the snapshot's `u32` / `TermId` runs, which keep a bulk decoder
-//! because they are most of a snapshot's bytes. The one layout a table
+//! the snapshot's `u32` / `TermId` runs, which keep a bulk decoder because
+//! they are most of a snapshot's bytes, and `Term`, whose decoder counts
+//! its nesting depth. The one layout a table
 //! cannot express with element impls alone — an envelope frame's payload,
 //! which runs to the end of the frame without a count of its own — is the
 //! `..rest` marker of [`wire_enum!`](crate::wire_enum).
@@ -166,25 +170,36 @@ fn encode_slice<T: Wire>(items: &[T], out: &mut Vec<u8>) {
     }
 }
 
+/// Decodes a sequence — a `u32` count, then that many elements — reading
+/// each element with `elem`. This is [`Vec<T>`]'s decoder; a type whose
+/// elements need more than the input to decode (a nesting depth, for
+/// [`crate::term::Term`]) calls it with its own `elem`.
+pub fn decode_seq<T>(
+    inp: &mut &[u8],
+    mut elem: impl FnMut(&mut &[u8]) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let n = u32::decode(inp)? as usize;
+    // Every element takes at least one byte, so a count beyond the bytes
+    // left is a lie. An honest-looking count still reserves no more memory
+    // than the input itself occupies: elements are often smaller on the wire
+    // than in memory, and the vector grows past the cap if they really all
+    // arrive.
+    if n > inp.len() {
+        return Err(DecodeError::new("vec length"));
+    }
+    let mut out = Vec::with_capacity(n.min(inp.len() / size_of::<T>().max(1)));
+    for _ in 0..n {
+        out.push(elem(inp)?);
+    }
+    Ok(out)
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_slice(self, out);
     }
     fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
-        let n = u32::decode(inp)? as usize;
-        // Every element takes at least one byte, so a count beyond the
-        // bytes left is a lie. An honest-looking count still reserves no
-        // more memory than the input itself occupies: elements are often
-        // smaller on the wire than in memory, and the vector grows past the
-        // cap if they really all arrive.
-        if n > inp.len() {
-            return Err(DecodeError::new("vec length"));
-        }
-        let mut out = Vec::with_capacity(n.min(inp.len() / size_of::<T>().max(1)));
-        for _ in 0..n {
-            out.push(T::decode(inp)?);
-        }
-        Ok(out)
+        decode_seq(inp, T::decode)
     }
 }
 

@@ -432,9 +432,10 @@ impl MetricsSnapshot {
 /// deduction kernels have no rank identity (worker processes of a TCP mesh
 /// are one rank per process anyway; in-process meshes aggregate all ranks
 /// here — documented, and still the actionable signal: probe selectivity
-/// is an engine property, not a rank property). The rule search's
-/// variant-memo hit/miss pair lives here too: it explains the probe counts
-/// (a memo hit is a proof, and its probes, that never ran).
+/// is an engine property, not a rank property). The rule search's coverage
+/// memo counters live here too: they explain the probe counts (a memo hit
+/// is a proof, and its probes, that never ran; a partial hit one that ran
+/// on the examples that changed only).
 pub mod hot {
     use super::{MetricEntry, MetricValue};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -444,6 +445,8 @@ pub mod hot {
     static POSTING_PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
+    static SEARCH_MEMO_PARTIAL: AtomicU64 = AtomicU64::new(0);
+    static SEARCH_MEMO_EVICTED: AtomicU64 = AtomicU64::new(0);
     // Sampling ratio: record every Nth event, weight-scaled by N so the
     // exported totals stay unbiased. 1 (the default) records everything
     // and never touches TICK — exact counts, unchanged behavior.
@@ -522,7 +525,7 @@ pub mod hot {
         count(&POSTING_PROBE_MISSES);
     }
 
-    /// A search node took its coverage from the variant memo (no proof ran).
+    /// A search node took its coverage from the coverage memo (no proof ran).
     #[inline(always)]
     pub fn search_memo_hit() {
         count(&SEARCH_MEMO_HITS);
@@ -534,6 +537,19 @@ pub mod hot {
         count(&SEARCH_MEMO_MISSES);
     }
 
+    /// A search node was served by a difference proof: its memo entry plus
+    /// a proof on the examples that left or joined the live mask.
+    #[inline(always)]
+    pub fn search_memo_partial() {
+        count(&SEARCH_MEMO_PARTIAL);
+    }
+
+    /// The coverage memo evicted an entry to stay within its budget.
+    #[inline(always)]
+    pub fn search_memo_evicted() {
+        count(&SEARCH_MEMO_EVICTED);
+    }
+
     /// Zeroes every hot counter and the sampling tick (test isolation;
     /// the enabled flag and sampling ratio are untouched).
     pub fn reset() {
@@ -541,6 +557,8 @@ pub mod hot {
         POSTING_PROBE_MISSES.store(0, Ordering::Relaxed);
         SEARCH_MEMO_HITS.store(0, Ordering::Relaxed);
         SEARCH_MEMO_MISSES.store(0, Ordering::Relaxed);
+        SEARCH_MEMO_PARTIAL.store(0, Ordering::Relaxed);
+        SEARCH_MEMO_EVICTED.store(0, Ordering::Relaxed);
         TICK.store(0, Ordering::Relaxed);
     }
 
@@ -556,20 +574,21 @@ pub mod hot {
                 value: MetricValue::Counter(POSTING_PROBE_MISSES.load(Ordering::Relaxed)),
             },
         ];
-        // The search pair joins once it has moved: a mesh that runs no
+        // The search family joins once it has moved: a mesh that runs no
         // sampled search (a coverage service, say) ships no bytes for it in
         // its `MetricsReport`s.
-        let hits = SEARCH_MEMO_HITS.load(Ordering::Relaxed);
-        let misses = SEARCH_MEMO_MISSES.load(Ordering::Relaxed);
-        if hits + misses > 0 {
-            entries.push(MetricEntry {
-                name: "search_memo_hits_total".to_owned(),
-                value: MetricValue::Counter(hits),
-            });
-            entries.push(MetricEntry {
-                name: "search_memo_misses_total".to_owned(),
-                value: MetricValue::Counter(misses),
-            });
+        let search = [
+            ("search_memo_hits_total", &SEARCH_MEMO_HITS),
+            ("search_memo_misses_total", &SEARCH_MEMO_MISSES),
+            ("search_memo_partial_total", &SEARCH_MEMO_PARTIAL),
+            ("search_memo_evicted_total", &SEARCH_MEMO_EVICTED),
+        ]
+        .map(|(name, counter)| (name, counter.load(Ordering::Relaxed)));
+        if search.iter().any(|&(_, n)| n > 0) {
+            entries.extend(search.map(|(name, n)| MetricEntry {
+                name: name.to_owned(),
+                value: MetricValue::Counter(n),
+            }));
         }
         entries
     }
@@ -581,6 +600,8 @@ pub mod hot {
             + POSTING_PROBE_MISSES.load(Ordering::Relaxed)
             + SEARCH_MEMO_HITS.load(Ordering::Relaxed)
             + SEARCH_MEMO_MISSES.load(Ordering::Relaxed)
+            + SEARCH_MEMO_PARTIAL.load(Ordering::Relaxed)
+            + SEARCH_MEMO_EVICTED.load(Ordering::Relaxed)
     }
 }
 
@@ -700,15 +721,21 @@ mod tests {
             hot::entries()
                 .iter()
                 .all(|e| !e.name.starts_with("search_memo")),
-            "the search pair is reported only once it has moved"
+            "the search family is reported only once it has moved"
         );
         hot::search_memo_hit();
         hot::search_memo_hit();
         hot::search_memo_miss();
-        assert_eq!(hot::total_recorded(), 5);
+        hot::search_memo_partial();
+        assert_eq!(hot::total_recorded(), 6);
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("search_memo_hits_total"), 2);
         assert_eq!(snap.counter("search_memo_misses_total"), 1);
+        assert_eq!(snap.counter("search_memo_partial_total"), 1);
+        assert_eq!(snap.counter("search_memo_evicted_total"), 0);
+        hot::search_memo_evicted();
+        let snap = MetricsSnapshot::from_entries(hot::entries());
+        assert_eq!(snap.counter("search_memo_evicted_total"), 1);
         hot::disable();
         hot::reset();
     }
