@@ -119,8 +119,11 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// `SubmitJob` whether the mesh is resident or one-shot, so the v3
 /// `Configure`/`LoadPartition` pair and the advisory `CancelJob` are
 /// retired; a v7 worker would sit waiting for a `Configure` that never
-/// comes, and a v7 master would send frames a v8 worker refuses to decode).
-pub const PROTOCOL_VERSION: u16 = 8;
+/// comes, and a v7 master would send frames a v8 worker refuses to decode;
+/// v9: `SubmitJob` carries the rank's example subset as an option — absent
+/// when the rank kept it from its previous job — where v8 had the two
+/// lists, so either peer would mis-parse the other's job submission).
+pub const PROTOCOL_VERSION: u16 = 9;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -1263,7 +1266,9 @@ mod tests {
                 "Hello",
                 Frame::Hello {
                     magic: MAGIC,
-                    version: PROTOCOL_VERSION,
+                    // The version the layout was recorded at: the line pins
+                    // where the field lies, not today's number.
+                    version: 8,
                     rank: 2,
                     addr: "127.0.0.1:9999".to_owned(),
                 },
@@ -1397,6 +1402,28 @@ mod tests {
         // Poisoned: the error sticks.
         reader.push(b"more");
         assert!(reader.next_frame().is_err());
+    }
+
+    /// A peer built before the last protocol change is turned away at the
+    /// handshake with an error naming both versions, before any payload it
+    /// would mis-parse is sent.
+    #[test]
+    fn a_peer_of_the_previous_protocol_version_is_refused_at_the_handshake() {
+        let hello = |version| Frame::Hello {
+            magic: MAGIC,
+            version,
+            rank: 1,
+            addr: "127.0.0.1:9".to_owned(),
+        };
+        assert_eq!(PROTOCOL_VERSION, 9, "a bump moves this test with it");
+        let refused = check_hello(hello(8), 2, "worker hello").unwrap_err();
+        assert!(
+            refused.message.contains("protocol version 8 != 9"),
+            "{}",
+            refused.message
+        );
+        let (rank, _) = check_hello(hello(PROTOCOL_VERSION), 2, "worker hello").unwrap();
+        assert_eq!(rank, 1);
     }
 
     #[test]

@@ -153,8 +153,11 @@ pub fn run_cluster<R: Send>(
 ///   `Closed { peer }` there, exactly like a broken TCP link), and the
 ///   master's supervision loop decides what to do. When the master closure
 ///   completes despite losses, worker panics are *not* surfaced as run
-///   errors; when it gives up with a [`CommFailure`] panic (loss budget
-///   exhausted), that failure maps to [`ClusterError::Comm`].
+///   errors.
+///
+/// In either mode a master that gives up with a [`CommFailure`] panic — the
+/// loss budget exhausted, or a frame from a worker it must refuse — maps to
+/// [`ClusterError::Comm`] naming that worker, as over TCP.
 pub fn run_cluster_with<T: Transport + Send, R: Send>(
     workers: usize,
     model: CostModel,
@@ -235,13 +238,13 @@ pub fn run_cluster_with<T: Transport + Send, R: Send>(
     let result = match master_result {
         Ok(r) => r,
         Err(e) => {
-            if recovery {
-                if let Some(cf) = e.downcast_ref::<CommFailure>() {
-                    return Err(ClusterError::Comm {
-                        rank: cf.from,
-                        message: cf.to_string(),
-                    });
-                }
+            // A receive the master gave up on names the peer at fault,
+            // whether it lost the rank or was sent a frame it must refuse.
+            if let Some(cf) = e.downcast_ref::<CommFailure>() {
+                return Err(ClusterError::Comm {
+                    rank: cf.from,
+                    message: cf.to_string(),
+                });
             }
             // No worker failed, so this is the master's own bug: keep
             // unwinding.

@@ -115,7 +115,7 @@ pub(crate) fn coverage_parallel(
         TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
             baseline_master(ep, engine, examples, &partition, granularity)
         }),
-        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, &subsets, |ep| {
+        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, subsets, |ep| {
             baseline_master(ep, engine, examples, &partition, granularity)
         }),
     }?;

@@ -23,6 +23,7 @@ use p2mdie_cluster::{
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::{Settings, Width};
+use p2mdie_ilp::CoverageMemo;
 use p2mdie_obs::event;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -298,7 +299,15 @@ pub(crate) fn launch<R: Send>(
         },
         |ep| {
             let (kb, local) = take_seat(&seats, ep.rank());
-            run_role(ep, kb, config.clone(), local);
+            // A one-shot rank keeps nothing: a new memo, dropped with the run.
+            run_role(
+                ep,
+                kb,
+                config.clone(),
+                local,
+                &mut CoverageMemo::new(),
+                false,
+            );
         },
     )
 }
@@ -345,12 +354,14 @@ pub fn run_parallel(
 ) -> Result<ParallelReport, ClusterError> {
     check_combination(cfg)?;
     let started = Instant::now();
-    let (dealing, subsets) = Dealing::plan(
+    let mut subsets = Vec::new();
+    let (dealing, _) = Dealing::plan(
         examples,
         cfg.workers,
         cfg.seed,
         cfg.strategy,
         cfg.repartition,
+        &mut subsets,
     );
     let role = WorkerRole::Pipeline {
         width: cfg.width,
@@ -361,7 +372,7 @@ pub fn run_parallel(
         TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
             run_master(ep, settings, examples, &dealing, seed, recovery)
         }),
-        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, &subsets, |ep| {
+        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, subsets, |ep| {
             run_master(ep, settings, examples, &dealing, seed, recovery)
         }),
     }?;

@@ -68,7 +68,7 @@
 
 use crate::bag::RuleBag;
 use crate::driver::RecoveryPolicy;
-use crate::partition::{partition_examples, Partition};
+use crate::partition::Partition;
 use crate::protocol::{Msg, StageTrace};
 use crate::strategy::Strategy;
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
@@ -172,24 +172,54 @@ pub enum Dealing {
 }
 
 impl Dealing {
-    /// The dealing of a learning run and the example subset each rank
-    /// starts with.
+    /// The dealing of a learning run, and in `held` the example subset each
+    /// rank runs it on. `held` comes in as what the ranks hold from their
+    /// previous job (empty: nothing): a subset that is, by value, the one
+    /// its rank holds is neither rebuilt nor, the returned flag being
+    /// `false`, to be shipped. The comparison reads `examples` through the
+    /// partition's indices, so a job on the examples of the last one copies
+    /// none of them.
     pub(crate) fn plan(
         examples: &Examples,
         p: usize,
         seed: u64,
         strategy: Strategy,
         repartition: bool,
-    ) -> (Dealing, Vec<Examples>) {
-        if strategy != Strategy::DataPipeline {
-            (Dealing::Replicated, vec![examples.clone(); p])
+        held: &mut Vec<Examples>,
+    ) -> (Dealing, Vec<bool>) {
+        let dealing = if strategy != Strategy::DataPipeline {
+            Dealing::Replicated
         } else if repartition {
-            // Workers start empty; the first deal arrives with epoch 1.
-            (Dealing::Redeal, vec![Examples::default(); p])
+            Dealing::Redeal
         } else {
-            let (subsets, partition) = partition_examples(examples, p, seed);
-            (Dealing::Static(partition), subsets)
-        }
+            Dealing::Static(Partition::deal(
+                examples.num_pos(),
+                examples.num_neg(),
+                p,
+                seed,
+            ))
+        };
+        let anything_held = held.len() == p;
+        held.resize_with(p, Examples::default);
+        let deal_to = |(k, held): (usize, &mut Examples)| {
+            let is_held = anything_held
+                && match &dealing {
+                    Dealing::Static(part) => examples.subset_is(&part.pos[k], &part.neg[k], held),
+                    Dealing::Replicated => examples == held,
+                    Dealing::Redeal => false,
+                };
+            if !is_held {
+                *held = match &dealing {
+                    Dealing::Static(part) => examples.subset(&part.pos[k], &part.neg[k]),
+                    Dealing::Replicated => examples.clone(),
+                    // Workers start empty; the first deal arrives with epoch 1.
+                    Dealing::Redeal => Examples::default(),
+                };
+            }
+            !is_held
+        };
+        let shipped = held.iter_mut().enumerate().map(deal_to).collect();
+        (dealing, shipped)
     }
 }
 

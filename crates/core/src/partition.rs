@@ -21,6 +21,17 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// Deals `n_pos` positives and `n_neg` negatives to `p` workers,
+    /// randomly and evenly: the assignment [`partition_examples`] builds its
+    /// subsets from.
+    pub fn deal(n_pos: usize, n_neg: usize, p: usize, seed: u64) -> Partition {
+        assert!(p >= 1, "need at least one subset");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pos = deal(n_pos, p, &mut rng);
+        let neg = deal(n_neg, p, &mut rng);
+        Partition { pos, neg }
+    }
+
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.pos.len()
@@ -42,12 +53,11 @@ fn deal(n: usize, p: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
 /// Returns the per-worker example sets plus the index assignment (useful
 /// for tests and for mapping local coverage back to global indices).
 pub fn partition_examples(examples: &Examples, p: usize, seed: u64) -> (Vec<Examples>, Partition) {
-    assert!(p >= 1, "need at least one subset");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let pos = deal(examples.num_pos(), p, &mut rng);
-    let neg = deal(examples.num_neg(), p, &mut rng);
-    let subsets = (0..p).map(|k| examples.subset(&pos[k], &neg[k])).collect();
-    (subsets, Partition { pos, neg })
+    let part = Partition::deal(examples.num_pos(), examples.num_neg(), p, seed);
+    let subsets = (0..p)
+        .map(|k| examples.subset(&part.pos[k], &part.neg[k]))
+        .collect();
+    (subsets, part)
 }
 
 #[cfg(test)]

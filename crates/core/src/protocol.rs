@@ -18,6 +18,12 @@
 //! `LoadPartition`, tags 13 and 14 — a worker process is now handed its
 //! work as a `SubmitJob`, like a resident one) and the advisory `CancelJob`
 //! (tag 24, which every receiver ignored). Retired tags are not reused.
+//! Protocol v9 moves bytes in one frame: [`Msg::SubmitJob`] carries the
+//! rank's example subset only when the rank does not already hold it — an
+//! `Option` where v8 had the two lists, `None` naming the subset the rank
+//! kept from its previous job (see [`crate::scheduler`]) — so that a
+//! resident service ships a set once and clauses ever after. No tag is
+//! added or retired.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -45,9 +51,11 @@
 //! pins the bytes of every variant.
 
 use crate::strategy::Strategy;
-use p2mdie_cluster::comm::{CommFailure, Endpoint};
+use p2mdie_cluster::codec::DecodeError;
+use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bottom::BottomClause;
+use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::search::ScoredRule;
@@ -200,6 +208,34 @@ impl Msg {
             }),
         }
     }
+
+    /// [`Msg::recv`], then `pick` what the protocol's state allows out of
+    /// the message: a well-formed frame of another kind, or of the right
+    /// kind saying the wrong thing (`pick`'s `Err`), is refused like a
+    /// malformed one ([`refuse_frame`]).
+    pub(crate) fn expect<T: Transport, R>(
+        ep: &mut Endpoint<T>,
+        from: usize,
+        expected: &str,
+        pick: impl FnOnce(Msg) -> Result<R, &'static str>,
+    ) -> R {
+        pick(Msg::recv(ep, from, expected))
+            .unwrap_or_else(|why| refuse_frame(ep.rank(), from, expected, why))
+    }
+}
+
+/// Unwinds `rank` with the [`CommFailure`] of a frame from rank `from` that
+/// decoded and still cannot be acted on — `why`: not the kind the protocol
+/// `expected` in this state, or contents the receiver must not run on — so
+/// that the run reports it as it reports every other bad frame, as a
+/// rank-tagged `ClusterError`, and not as a bare assertion text.
+pub(crate) fn refuse_frame(rank: usize, from: usize, expected: &str, why: &'static str) -> ! {
+    std::panic::panic_any(CommFailure {
+        rank,
+        from,
+        expected: expected.to_owned(),
+        error: CommError::Decode(DecodeError::new(why)),
+    })
 }
 
 /// Every message exchanged by the p²-mdie master and workers.
@@ -316,21 +352,22 @@ pub enum Msg {
     },
     /// Master → idle worker (protocol v5): bootstrap one job over the
     /// already-adopted KB. Carries everything that differs between jobs —
-    /// role, language bias, settings, and this rank's example subset — and
-    /// nothing that doesn't (the compiled KB shipped once, when the mesh
-    /// came up). The worker clones its pristine base KB, runs the role loop
-    /// until the job's `Stop`, replies [`Msg::JobResult`], and returns to
-    /// idle. A resident service sends many; a one-shot run over worker
-    /// processes sends exactly one per rank.
+    /// role, language bias, settings, and this rank's example subset when
+    /// the rank does not hold it already (protocol v9) — and nothing that
+    /// doesn't (the compiled KB shipped once, when the mesh came up). The
+    /// worker runs the role loop on its base KB until the job's `Stop`,
+    /// replies [`Msg::JobResult`], and returns to idle. A resident service
+    /// sends many; a one-shot run over worker processes sends exactly one
+    /// per rank.
     SubmitJob {
         /// Master-assigned job id, echoed on every job-control reply.
         id: u64,
         /// Per-job worker configuration.
         config: Box<WorkerConfig>,
-        /// This rank's positive examples for the job.
-        pos: Vec<Literal>,
-        /// This rank's negative examples for the job.
-        neg: Vec<Literal>,
+        /// This rank's examples for the job; `None` when they are the
+        /// subset the rank kept from its previous job. A rank that kept
+        /// none refuses the frame.
+        examples: Option<Examples>,
     },
     /// Resident worker → master: job accepted and about to run.
     /// `queue_free` is the rank's remaining job-queue capacity — the
@@ -410,7 +447,7 @@ wire_enum!(Msg, "message tag" {
     18 => AbortAck,
     19 => AdoptExamples { pos, neg },
     20 => ReplayTheory { rules },
-    21 => SubmitJob { id, config, pos, neg },
+    21 => SubmitJob { id, config, examples },
     22 => JobAccepted { id, queue_free },
     23 => JobResult { id, steps },
     25 => MetricsQuery,
@@ -613,8 +650,7 @@ mod tests {
                             strategy,
                             strategy_seed: 0xDEAD_BEEF_CAFE_F00D,
                         }),
-                        pos: vec![],
-                        neg: vec![],
+                        examples: Some(Examples::default()),
                     },
                 );
             }
@@ -630,8 +666,21 @@ mod tests {
                     strategy: Strategy::SearchPartition,
                     strategy_seed: 7,
                 }),
-                pos: example(&t, "m1"),
-                neg: example(&t, "m2"),
+                examples: Some(Examples::new(example(&t, "m1"), example(&t, "m2"))),
+            },
+        );
+        add(
+            "SubmitJob/kept-examples",
+            Msg::SubmitJob {
+                id: 2,
+                config: Box::new(WorkerConfig {
+                    role: WorkerRole::Coverage,
+                    modes: modes.clone(),
+                    settings: Settings::default(),
+                    strategy: Strategy::DataPipeline,
+                    strategy_seed: 0,
+                }),
+                examples: None,
             },
         );
         add(
@@ -851,13 +900,13 @@ mod tests {
                 strategy: Strategy::ConstraintDriven,
                 strategy_seed: 3,
             }),
-            pos: vec![],
-            neg: vec![],
+            examples: Some(Examples::default()),
         });
-        // The config ends with the strategy tag and the u64 seed; the two
-        // empty example vectors after it are one u32 count each.
+        // The config ends with the strategy tag and the u64 seed; after it
+        // come the option's tag and one u32 count for each of the two empty
+        // example lists.
         let mut raw = cfg_bytes.to_vec();
-        let at = raw.len() - 8 - 9;
+        let at = raw.len() - 9 - 9;
         raw[at] = 200;
         assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
     }

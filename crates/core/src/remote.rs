@@ -18,8 +18,8 @@
 //!    worker process's fact memory is the columnar footprint and nothing
 //!    more);
 //! 2. park in the resident idle loop (`crate::scheduler`), which runs each
-//!    submitted job on a clone of that KB with the same worker loop an
-//!    in-process rank runs (`crate::worker::run_role`), until `Stop`.
+//!    submitted job on that KB with the same worker loop an in-process rank
+//!    runs (`crate::worker::run_role`), until `Stop`.
 //!
 //! A one-shot run is a one-job session of that worker: `launch_tcp` spawns
 //! the `p2mdie-worker` binary once per rank, ships the KB, submits the
@@ -172,7 +172,7 @@ pub(crate) fn launch_tcp<R>(
     cfg: &ParallelConfig,
     tcp: &TcpConfig,
     role: WorkerRole,
-    subsets: &[Examples],
+    mut subsets: Vec<Examples>,
     master: impl FnOnce(&mut Endpoint<TcpTransport>) -> R,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
     let bin = tcp.resolve_worker_bin()?;
@@ -191,7 +191,13 @@ pub(crate) fn launch_tcp<R>(
         |rank, addr| spawn_worker(&bin, rank, addr, tcp),
         |ep| {
             ship_kb(ep, &engine.kb);
-            submit_job(ep, ONE_SHOT_JOB, &config, subsets);
+            submit_job(
+                ep,
+                ONE_SHOT_JOB,
+                &config,
+                &mut subsets,
+                &vec![true; cfg.workers],
+            );
             let result = master(ep);
             drain_job(ep, ONE_SHOT_JOB);
             // `Stop` at idle ends the session; a rank the run recovered
@@ -240,8 +246,8 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
     let Msg::KbSnapshot(snap) = Msg::recv(ep, 0, "the KB snapshot") else {
         reject_bootstrap(me, "first frame: not a KB snapshot");
     };
-    let mut base = restore_kb(*snap, SymbolTable::new(), me);
-    run_resident_worker(ep, &mut base)
+    let base = restore_kb(*snap, SymbolTable::new(), me);
+    run_resident_worker(ep, base)
 }
 
 /// [`crate::baselines::run_coverage_parallel`] with worker processes over
@@ -291,8 +297,7 @@ mod tests {
                 Msg::SubmitJob {
                     id: ONE_SHOT_JOB,
                     config: Box::new(config),
-                    pos: ex.pos.clone(),
-                    neg: ex.neg.clone(),
+                    examples: Some(ex.clone()),
                 },
                 "not a KB snapshot",
             ),

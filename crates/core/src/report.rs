@@ -116,6 +116,14 @@ impl ParallelReport {
 /// received; worker-to-worker pipeline traffic of a `RuleSearch` or
 /// learning job is merged into the global totals only at mesh shutdown and
 /// is *not* split per job.
+///
+/// The step counts are those of the job run alone on a fresh service,
+/// whatever the ranks kept from the jobs before it: steps are charged as if
+/// every rule were proved, and `LoadExamples` charges the subset's size
+/// whether or not the subset travelled. `bytes` and `vtime` are not: a job
+/// whose example subsets the ranks already held ships none, and says so
+/// here — a few hundred bytes and the clock that goes with them where the
+/// first job on those examples moved the examples themselves.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobAccounting {
     /// Virtual time the job occupied the master, in seconds (clock delta

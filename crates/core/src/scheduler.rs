@@ -6,21 +6,56 @@
 //! [`Service::new`] builds the mesh **once** — spawn the ranks, ship the
 //! compiled KB snapshot once — and keeps the workers resident: between
 //! jobs each worker parks in an idle loop (`run_resident_worker`) with
-//! the adopted KB still loaded. Submitting a job ships only what is
-//! job-specific (role, modes, settings, and the example subsets inside the
-//! per-rank [`Msg::SubmitJob`] frames); the expensive part of a cold start
-//! — mesh construction and the KB transfer — is paid once per service
-//! instead of once per run. The same loop serves a TCP mesh of real
-//! `p2mdie-worker` processes ([`Service::new_tcp`]): a worker process
-//! adopts the snapshot and then runs the identical resident loop
+//! the adopted KB still loaded. The expensive part of a cold start — mesh
+//! construction and the KB transfer — is paid once per service instead of
+//! once per run. The same loop serves a TCP mesh of real `p2mdie-worker`
+//! processes ([`Service::new_tcp`]): a worker process adopts the snapshot
+//! and then runs the identical resident loop
 //! ([`crate::remote::run_remote_worker`]).
 //!
-//! Every worker runs each job on a **pristine clone** of the resident KB:
-//! accepted rules assert into the job's copy and vanish with it, so
-//! concurrent clients cannot contaminate each other's background theory —
-//! the property the differential tests in `crates/core/tests/service.rs`
-//! pin (any interleaving of submissions is bit-identical to each job run
-//! alone on a fresh mesh).
+//! # What a rank keeps
+//!
+//! The paper's premise (Figs. 5–7) is that example partitions live on the
+//! workers and only rules move, and a resident rank holds to it across
+//! jobs. It keeps three things, none of them configurable:
+//!
+//! * **The base KB.** A job runs on it, moved in and handed back, not on a
+//!   copy. Accepted rules assert into it (`MarkCovered`) and must die with
+//!   the job, so the worker loop copies the KB at the job's first assert and
+//!   puts the copy back at the job's end: a job that asserts nothing — every
+//!   coverage query and rule search — copies nothing, and concurrent clients
+//!   still cannot contaminate each other's background theory (any
+//!   interleaving of submissions is bit-identical to each job run alone on a
+//!   fresh mesh, pinned by `crates/core/tests/service.rs`).
+//! * **The example subset of its last job.** [`Msg::SubmitJob`] carries the
+//!   subset only when the rank does not hold it: the master remembers, per
+//!   rank, the subsets it dealt last and compares the next job's with them
+//!   **by value** — reading the job's examples through the new partition's
+//!   indices, so a match copies nothing; on a match the frame names the kept
+//!   set and carries role, bias and settings only. One set per rank and an
+//!   exact comparison — no content hash to collide, no LRU, no count —
+//!   because no caller alternates sets (a count is a private constant to
+//!   add when a workload does), and memory stays bounded by construction.
+//!   Both ends forget the set when a job may have replaced it on the rank
+//!   (a re-dealing job's `NewPartition`, a recovery's `AdoptExamples`) or
+//!   ended in failure; the first job of a service and a one-shot run always
+//!   ship. A frame naming a set on a rank that holds none fails that rank
+//!   with a typed error.
+//! * **The coverage memo** (`p2mdie_ilp::CoverageMemo`, 128 KiB): every
+//!   search and every `Evaluate` / `MarkCovered` / `ReplayTheory` of every
+//!   job on the rank goes through it, so the hundredth query of a clause on
+//!   the same examples proves nothing. Its validity rule is literal at the
+//!   job boundary: cleared when a subset is shipped, when the job's
+//!   `ProofLimits` differ from the previous job's, on a new KB snapshot,
+//!   and at the end of a job that asserted a rule candidate bodies can call
+//!   (what was stored since saw `B ∪ {R}`). Asserts no body can call — every
+//!   dataset here — leave it valid, so a second learning run on the same
+//!   examples is served as well.
+//!
+//! Results never depend on what a rank kept: every [`JobOutput`] and every
+//! step count of a [`JobAccounting`] equals what a fresh one-job service
+//! returns (steps are charged as if proved). Only a job's `bytes` and
+//! `vtime` say whether its subset was already there — which is the point.
 //!
 //! # Queuing and fairness
 //!
@@ -79,7 +114,7 @@
 //! `Stop` at idle. Only an in-process one-shot is framed differently: its
 //! ranks are handed KB, configuration and examples through shared memory
 //! (the paper's distributed-file-system assumption, zero bootstrap bytes),
-//! so no job-control frame travels.
+//! so no job-control frame travels, and each brings a new memo.
 
 use crate::baselines::{baseline_master, eval_round};
 use crate::driver::{take_seat, worker_config, RecoveryPolicy};
@@ -87,7 +122,7 @@ use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
 use crate::master::{run_master, run_search_epoch, ship_kb, Dealing};
-use crate::protocol::{Msg, WorkerConfig, WorkerRole};
+use crate::protocol::{refuse_frame, Msg, WorkerConfig, WorkerRole};
 use crate::remote::{spawn_worker, TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
 use crate::strategy::Strategy;
@@ -98,7 +133,7 @@ use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{run_cluster, ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
-use p2mdie_logic::clause::Literal;
+use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_obs::{event, metrics, MetricEntry, MetricValue, MetricsSnapshot};
 use std::collections::{HashSet, VecDeque};
@@ -385,8 +420,7 @@ fn serve_in_process(
         cfg.model,
         move |ep| scheduler_master(ep, engine, &rx, cancelled, ship),
         |ep| {
-            let mut base = take_seat(&bases, ep.rank());
-            let _ = run_resident_worker(ep, &mut base);
+            let _ = run_resident_worker(ep, take_seat(&bases, ep.rank()));
         },
     )
 }
@@ -428,6 +462,9 @@ fn scheduler_master<T: Transport>(
     let mut next_class = 0usize;
     let mut jobs_run = 0u32;
     let mut open = true;
+    // The subsets the ranks hold from the last job (see "What a rank
+    // keeps" in the module docs); dropped with this loop if a job unwinds.
+    let mut kept: Vec<Examples> = Vec::new();
     'serve: loop {
         // Refill: drain everything already submitted without blocking;
         // block only when there is nothing to run.
@@ -533,7 +570,7 @@ fn scheduler_master<T: Transport>(
                     CLASS_NAMES[class]
                 ))
                 .inc();
-            let outcome = dispatch_job(ep, engine, job.id, &job.spec);
+            let outcome = dispatch_job(ep, engine, job.id, &job.spec, &mut kept);
             // A cancel that raced the running job arrived too late to stop
             // it — the job completed legally. Consume the mark so it can
             // never leak onto a later dequeue pass.
@@ -542,8 +579,12 @@ fn scheduler_master<T: Transport>(
             }
             outcome
         };
-        // A dropped handle is fine; the job still ran to completion.
-        let _ = job.reply.send(outcome);
+        // The job's examples go before the client hears of its end — and
+        // builds the next job's — not while it does. A dropped handle is
+        // fine; the job still ran to completion.
+        let QueuedJob { spec, reply, .. } = job;
+        drop(spec);
+        let _ = reply.send(outcome);
     }
     // The shutdown metrics dump: one last introspection round while the
     // mesh is still up, returned through [`ServiceReport`].
@@ -568,22 +609,18 @@ fn collect_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) -> Vec<MetricsSnap
         .collect()
 }
 
-/// Answers a [`Msg::MetricsQuery`] from the master: a worker does so
-/// whenever it is idle, before its first job as much as between jobs.
-fn report_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) {
-    let snapshot = worker_metrics_snapshot(ep);
-    ep.send(0, &Msg::MetricsReport { snapshot });
-}
-
 /// A worker's answer to [`Msg::MetricsQuery`]: endpoint-level facts that
 /// are always valid (virtual clock, inference steps, this rank's send
-/// totals), this rank's [`metrics::rank_registry`], and the process-wide
-/// prover hot counters. The endpoint facts make the snapshot consistent
-/// with [`crate::report::JobAccounting`] deltas whether or not sampling
-/// is on. In-process meshes share one address space, so the prover hot
-/// counters repeat across ranks there; over TCP they are genuinely
+/// totals), what the rank's resident `memo` holds and did (its accounted
+/// bytes, the rules and search nodes it answered without a proof, and the
+/// inference steps its proofs really ran — `worker_inference_steps_total`
+/// is what was *charged*), this rank's [`metrics::rank_registry`], and the
+/// process-wide prover hot counters. The endpoint facts make the snapshot
+/// consistent with [`crate::report::JobAccounting`] deltas whether or not
+/// sampling is on. In-process meshes share one address space, so the prover
+/// hot counters repeat across ranks there; over TCP they are genuinely
 /// per-worker.
-fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>) -> MetricsSnapshot {
+fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) -> MetricsSnapshot {
     let me = ep.rank();
     let (bytes, msgs) = ep
         .stats()
@@ -607,6 +644,18 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>) -> MetricsSnapshot {
             name: "worker_sent_messages_total".to_owned(),
             value: MetricValue::Counter(msgs),
         },
+        MetricEntry {
+            name: "worker_memo_bytes".to_owned(),
+            value: MetricValue::Gauge(memo.bytes() as f64),
+        },
+        MetricEntry {
+            name: "worker_memo_served_total".to_owned(),
+            value: MetricValue::Counter(memo.stats().served),
+        },
+        MetricEntry {
+            name: "worker_steps_run_total".to_owned(),
+            value: MetricValue::Counter(memo.stats().steps_run),
+        },
     ];
     entries.extend(metrics::rank_registry(me).snapshot().entries);
     entries.extend(metrics::hot::entries());
@@ -616,12 +665,14 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>) -> MetricsSnapshot {
 /// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`],
 /// gather acceptances, run the kind's master protocol (which ends with the
 /// job's own `Stop`, returning every worker to the idle loop), drain the
-/// [`Msg::JobResult`]s, and account the deltas.
+/// [`Msg::JobResult`]s, and account the deltas. `kept` is what the ranks
+/// hold: from the previous job going in, from this one coming out.
 fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
     id: JobId,
     spec: &JobSpec,
+    kept: &mut Vec<Examples>,
 ) -> JobOutcome {
     let p = ep.workers();
     let mut job = Lifecycle::new(id);
@@ -650,8 +701,14 @@ fn dispatch_job<T: Transport>(
         JobKind::Learn => spec.strategy,
         _ => Strategy::DataPipeline,
     };
-    let (dealing, subsets) =
-        Dealing::plan(&spec.examples, p, spec.seed, strategy, spec.repartition);
+    let (dealing, shipped) = Dealing::plan(
+        &spec.examples,
+        p,
+        spec.seed,
+        strategy,
+        spec.repartition,
+        kept,
+    );
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
@@ -660,7 +717,7 @@ fn dispatch_job<T: Transport>(
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
-    submit_job(ep, id.0, &config, &subsets);
+    submit_job(ep, id.0, &config, kept, &shipped);
 
     job.advance(JobState::Running);
     event!(
@@ -722,6 +779,10 @@ fn dispatch_job<T: Transport>(
         state = "draining",
     );
     let worker_steps = drain_job(ep, id.0);
+    // A re-dealing job left every rank with a deal nobody remembers.
+    if let Dealing::Redeal = dealing {
+        kept.clear();
+    }
 
     job.advance(JobState::Done);
     event!(
@@ -755,38 +816,43 @@ pub(crate) fn live_workers<T: Transport>(ep: &Endpoint<T>) -> Vec<usize> {
 
 /// Hands job `id` to the idle workers, rank `k` getting `subsets[k - 1]`:
 /// one [`Msg::SubmitJob`] per live rank, then each one's
-/// [`Msg::JobAccepted`].
+/// [`Msg::JobAccepted`]. A rank whose subset need not be `shipped` — it is
+/// the one the rank kept from its previous job — is sent no examples; one
+/// that is shipped travels inside the frame and is put back, not copied.
 pub(crate) fn submit_job<T: Transport>(
     ep: &mut Endpoint<T>,
     id: u64,
     config: &WorkerConfig,
-    subsets: &[Examples],
+    subsets: &mut [Examples],
+    shipped: &[bool],
 ) {
     let ranks = live_workers(ep);
     for &k in &ranks {
-        ep.send(
-            k,
-            &Msg::SubmitJob {
-                id,
-                config: Box::new(config.clone()),
-                pos: subsets[k - 1].pos.clone(),
-                neg: subsets[k - 1].neg.clone(),
-            },
-        );
+        let frame = Msg::SubmitJob {
+            id,
+            config: Box::new(config.clone()),
+            examples: shipped[k - 1].then(|| std::mem::take(&mut subsets[k - 1])),
+        };
+        ep.send(k, &frame);
+        if let Msg::SubmitJob {
+            examples: Some(sent),
+            ..
+        } = frame
+        {
+            subsets[k - 1] = sent;
+        }
     }
     for k in ranks {
-        let msg = Msg::recv(ep, k, "a JobAccepted");
-        let Msg::JobAccepted {
-            id: accepted,
-            queue_free,
-        } = msg
-        else {
-            panic!("master: expected JobAccepted from rank {k}, got {msg:?}");
-        };
-        assert_eq!(accepted, id, "rank {k} accepted the wrong job");
-        // The backpressure contract: a worker runs one job at a time, so
-        // the slot it just consumed was its only one.
-        assert_eq!(queue_free, 0, "rank {k} advertised a queue it cannot have");
+        Msg::expect(ep, k, "a JobAccepted", |msg| match msg {
+            Msg::JobAccepted { id: accepted, .. } if accepted != id => {
+                Err("JobAccepted: the id of another job")
+            }
+            // The backpressure contract: a worker runs one job at a time,
+            // so the slot it just consumed was its only one.
+            Msg::JobAccepted { queue_free: 0, .. } => Ok(()),
+            Msg::JobAccepted { .. } => Err("JobAccepted: a queue the rank cannot have"),
+            _ => Err("reply to SubmitJob: not a JobAccepted"),
+        });
     }
 }
 
@@ -797,31 +863,33 @@ pub(crate) fn submit_job<T: Transport>(
 pub(crate) fn drain_job<T: Transport>(ep: &mut Endpoint<T>, id: u64) -> Vec<u64> {
     let mut worker_steps = vec![0u64; ep.workers()];
     for k in live_workers(ep) {
-        let msg = Msg::recv(ep, k, "a JobResult");
-        let Msg::JobResult {
-            id: finished,
-            steps,
-        } = msg
-        else {
-            panic!("master: expected JobResult from rank {k}, got {msg:?}");
-        };
-        assert_eq!(finished, id, "rank {k} drained the wrong job");
-        worker_steps[k - 1] = steps;
+        worker_steps[k - 1] = Msg::expect(ep, k, "a JobResult", |msg| match msg {
+            Msg::JobResult { id: finished, .. } if finished != id => {
+                Err("JobResult: the id of another job")
+            }
+            Msg::JobResult { steps, .. } => Ok(steps),
+            _ => Err("end of the job: not a JobResult"),
+        });
     }
     worker_steps
 }
 
-/// The resident worker's idle loop: park between jobs with the adopted KB
-/// loaded, run each [`Msg::SubmitJob`] on a pristine clone of it, return
-/// to idle. `Stop` *at idle* is mesh shutdown (inside a job it merely ends
-/// the job — the nested role loop consumes it); a closed master link at
-/// idle is the [`WorkerExit::IdleDisconnect`] the worker binary maps to
-/// its distinct exit code.
+/// The resident worker's idle loop: park between jobs holding what the
+/// module docs list under "What a rank keeps" — the adopted KB, the example
+/// subset of the last job, the coverage memo — run each [`Msg::SubmitJob`]
+/// on them, return to idle. `Stop` *at idle* is mesh shutdown (inside a job
+/// it merely ends the job — the nested role loop consumes it); a closed
+/// master link at idle is the [`WorkerExit::IdleDisconnect`] the worker
+/// binary maps to its distinct exit code.
 pub(crate) fn run_resident_worker<T: Transport>(
     ep: &mut Endpoint<T>,
-    base: &mut KnowledgeBase,
+    mut base: KnowledgeBase,
 ) -> WorkerExit {
     let me = ep.rank();
+    let mut kept: Option<Examples> = None;
+    // Valid for `kept`, for `base` and for the proof limits of the last job.
+    let mut memo = CoverageMemo::new();
+    let mut proof = None;
     loop {
         let msg: Msg = match ep.recv_msg(0) {
             Ok(msg) => msg,
@@ -836,51 +904,56 @@ pub(crate) fn run_resident_worker<T: Transport>(
             }),
         };
         match msg {
-            Msg::KbSnapshot(snap) => *base = restore_kb(*snap, base.symbols().clone(), me),
+            // The kept examples survive a new KB; what was proved on the old
+            // one does not.
+            Msg::KbSnapshot(snap) => {
+                base = restore_kb(*snap, base.symbols().clone(), me);
+                memo.clear();
+            }
             Msg::SubmitJob {
                 id,
                 config,
-                pos,
-                neg,
-            } => run_submitted_job(ep, base, id, *config, pos, neg),
+                examples,
+            } => {
+                let local = match examples {
+                    Some(shipped) => {
+                        memo.clear();
+                        shipped
+                    }
+                    // Never a job on an empty or a stale subset.
+                    None => kept.take().unwrap_or_else(|| {
+                        let why = "SubmitJob: names kept examples, and this rank keeps none";
+                        refuse_frame(me, 0, "a SubmitJob with its examples", why)
+                    }),
+                };
+                if proof.replace(config.settings.proof) != Some(config.settings.proof) {
+                    memo.clear();
+                }
+                ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
+                let steps0 = ep.compute_steps();
+                (base, kept) = run_role(ep, base, *config, local, &mut memo, true);
+                let steps = ep.compute_steps() - steps0;
+                ep.send(0, &Msg::JobResult { id, steps });
+            }
             // Introspection: always answered, even with sampling and
             // tracing off — the endpoint facts in the snapshot are
             // maintained unconditionally.
-            Msg::MetricsQuery => report_worker_metrics(ep),
+            Msg::MetricsQuery => {
+                let snapshot = worker_metrics_snapshot(ep, &memo);
+                ep.send(0, &Msg::MetricsReport { snapshot });
+            }
             Msg::Stop => return WorkerExit::Finished,
             other => panic!("worker {me}: unexpected idle-loop message {other:?}"),
         }
     }
 }
 
-/// One job on a resident worker: accept, run the role's protocol loop on
-/// a pristine KB clone until the job's `Stop`, report the step delta.
-fn run_submitted_job<T: Transport>(
-    ep: &mut Endpoint<T>,
-    base: &KnowledgeBase,
-    id: u64,
-    config: WorkerConfig,
-    pos: Vec<Literal>,
-    neg: Vec<Literal>,
-) {
-    ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
-    let steps0 = ep.compute_steps();
-    // A pristine clone per job: `MarkCovered` asserts accepted rules into
-    // the engine's KB, and those must die with the job.
-    run_role(ep, base.clone(), config, Examples::new(pos, neg));
-    ep.send(
-        0,
-        &Msg::JobResult {
-            id,
-            steps: ep.compute_steps() - steps0,
-        },
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::problem;
+    use p2mdie_logic::clause::{Clause, Literal};
+    use p2mdie_logic::term::Term;
 
     fn free_service(engine: &IlpEngine, workers: usize) -> Service {
         Service::new(
@@ -1102,8 +1175,7 @@ mod tests {
         let kb = engine.kb.clone();
         let handle = std::thread::spawn(move || {
             let mut ep = Endpoint::from_parts(1, 2, worker_t, CostModel::free(), stats);
-            let mut base = kb;
-            run_resident_worker(&mut ep, &mut base)
+            run_resident_worker(&mut ep, kb)
         });
         // A frame the idle loop answers, then the master is gone: its
         // endpoint drops and the supervisor notifies the worker.
@@ -1116,6 +1188,166 @@ mod tests {
             WorkerExit::IdleDisconnect,
             "an idle worker must classify a vanished master as IdleDisconnect"
         );
+    }
+
+    fn coverage_config(engine: &IlpEngine) -> WorkerConfig {
+        let role = WorkerRole::Coverage;
+        worker_config(engine, &engine.settings, 1, role, Strategy::DataPipeline, 0)
+    }
+
+    /// A worker that answers a job frame with a well-formed frame of the
+    /// wrong kind, with another job's id or with a queue it cannot have is
+    /// reported as a `ClusterError` naming it — on acceptance and at the
+    /// drain alike — not as the text of an assertion.
+    #[test]
+    fn a_wrong_answer_to_a_job_frame_is_a_rank_tagged_error() {
+        let (engine, ex) = problem(30);
+        let config = coverage_config(&engine);
+        let accepted = |id| Msg::JobAccepted { id, queue_free: 0 };
+        let done = |id| Msg::JobResult { id, steps: 0 };
+        // What the scripted worker says on acceptance and at the end of job 7.
+        let scripts = [
+            (done(7), None, "not a JobAccepted"),
+            (accepted(8), None, "JobAccepted: the id of another job"),
+            (
+                Msg::JobAccepted {
+                    id: 7,
+                    queue_free: 2,
+                },
+                None,
+                "a queue the rank cannot have",
+            ),
+            (accepted(7), Some(accepted(7)), "not a JobResult"),
+            (
+                accepted(7),
+                Some(done(9)),
+                "JobResult: the id of another job",
+            ),
+        ];
+        for (on_submit, on_drain, why) in scripts {
+            let err = run_cluster(
+                1,
+                CostModel::free(),
+                |ep| {
+                    submit_job(ep, 7, &config, &mut [ex.clone()], &[true]);
+                    drain_job(ep, 7);
+                },
+                |ep| {
+                    let _ = ep.recv_from(0);
+                    ep.send(0, &on_submit);
+                    if let Some(reply) = &on_drain {
+                        ep.send(0, reply);
+                    }
+                },
+            )
+            .unwrap_err();
+            match &err {
+                ClusterError::Comm { rank: 1, message } => {
+                    assert!(message.contains("from rank 1"), "{err}");
+                    assert!(message.contains(why), "{err}");
+                }
+                other => panic!("{why}: expected rank 1 to be named, got {other}"),
+            }
+        }
+    }
+
+    /// What a resident rank keeps and what drops it, driven frame by frame:
+    /// a second job naming the kept examples runs on them, across a new KB
+    /// snapshot too; a rank that was never sent any, or whose job replaced
+    /// them (`NewPartition`), refuses such a job with a typed error instead
+    /// of running it on nothing or on the wrong subset.
+    #[test]
+    fn a_job_naming_kept_examples_runs_on_them_or_fails_the_rank() {
+        let (engine, ex) = problem(60);
+        let syms = engine.kb.symbols();
+        let lit = |name: &str| Literal::new(syms.intern(name), vec![Term::Var(0)]);
+        let rule = Clause::new(lit("special"), vec![lit("even"), lit("div3")]);
+        let direct = engine.evaluate(&rule, &ex, None, None);
+        let config = coverage_config(&engine);
+        let submit = |id, config: &WorkerConfig, examples| Msg::SubmitJob {
+            id,
+            config: Box::new(config.clone()),
+            examples,
+        };
+        // One coverage job on rank 1, by hand.
+        let query = |ep: &mut Endpoint, id, examples| {
+            ep.send(1, &submit(id, &config, examples));
+            let _ = Msg::recv(ep, 1, "a JobAccepted");
+            ep.send(
+                1,
+                &Msg::Evaluate {
+                    rules: vec![rule.clone()],
+                },
+            );
+            let Msg::EvalResult { counts } = Msg::recv(ep, 1, "an EvalResult") else {
+                panic!("expected an EvalResult");
+            };
+            ep.send(1, &Msg::Stop);
+            let _ = Msg::recv(ep, 1, "a JobResult");
+            counts
+        };
+        let resident = |ep: &mut Endpoint| {
+            let _ = run_resident_worker(ep, engine.kb.clone());
+        };
+        run_cluster(
+            1,
+            CostModel::free(),
+            |ep| {
+                let shipped = query(ep, 1, Some(ex.clone()));
+                assert_eq!(shipped, [(direct.pos_count(), direct.neg_count())]);
+                assert_eq!(query(ep, 2, None), shipped);
+                ep.send(1, &Msg::KbSnapshot(Box::new(engine.kb.to_snapshot())));
+                assert_eq!(query(ep, 3, None), shipped, "the examples outlive a KB");
+                ep.send(1, &Msg::Stop);
+            },
+            resident,
+        )
+        .unwrap();
+
+        let mut repartitioning = config.clone();
+        repartitioning.role = WorkerRole::Pipeline {
+            width: p2mdie_ilp::settings::Width::Unlimited,
+            repartition: true,
+        };
+        let never_sent_any = |_: &mut Endpoint| {};
+        let replaced_by_a_new_partition = |ep: &mut Endpoint| {
+            ep.send(1, &submit(1, &repartitioning, Some(ex.clone())));
+            let _ = Msg::recv(ep, 1, "a JobAccepted");
+            ep.send(
+                1,
+                &Msg::NewPartition {
+                    pos: ex.pos[..3].to_vec(),
+                    neg: ex.neg[..3].to_vec(),
+                },
+            );
+            ep.send(1, &Msg::Stop);
+            let _ = Msg::recv(ep, 1, "a JobResult");
+        };
+        let histories: [&(dyn Fn(&mut Endpoint) + Sync); 2] =
+            [&never_sent_any, &replaced_by_a_new_partition];
+        for history in histories {
+            let err = run_cluster(
+                1,
+                CostModel::free(),
+                |ep| {
+                    history(ep);
+                    ep.send(1, &submit(9, &config, None));
+                    let _ = ep.recv_from(1);
+                },
+                resident,
+            )
+            .unwrap_err();
+            match &err {
+                ClusterError::WorkerPanicked { rank: 1, message } => {
+                    assert!(
+                        message.contains("rank 1: failed receiving a SubmitJob"),
+                        "{err}"
+                    );
+                    assert!(message.contains("this rank keeps none"), "{err}");
+                }
+                other => panic!("expected rank 1 to refuse the job, got {other}"),
+            }
+        }
     }
 
     #[test]

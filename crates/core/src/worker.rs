@@ -36,9 +36,9 @@
 //! resynchronizes exactly. Without `EnableRecovery` none of this code runs.
 
 use crate::pipeline::run_stage_search;
-use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
+use crate::protocol::{refuse_frame, Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
 use crate::strategy::{run_strategy_epoch, SeedConstraints, Strategy};
-use p2mdie_cluster::codec::{from_bytes, DecodeError};
+use p2mdie_cluster::codec::from_bytes;
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
@@ -46,7 +46,7 @@ use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::CoverageMemo;
-use p2mdie_logic::clause::Literal;
+use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::KbSnapshot;
@@ -78,6 +78,10 @@ pub struct WorkerContext {
     pub strategy: Strategy,
     /// Seed salting the strategy's lattice slices and exploration orders.
     pub strategy_seed: u64,
+    /// The rank's KB outlives the job (a resident rank): copy it before the
+    /// job's first assert and hand the copy back at `Stop`. Off, nothing is
+    /// copied and the KB handed back holds the job's rules.
+    pub resident: bool,
 }
 
 impl WorkerContext {
@@ -90,20 +94,25 @@ impl WorkerContext {
             report_covered: false,
             strategy: Strategy::DataPipeline,
             strategy_seed: 0,
+            resident: false,
         }
     }
 }
 
 /// Runs the worker loop on rank `ep.rank()` as `config` describes it, over
-/// `kb` and the rank's example subset, until the master's `Stop`. The one
-/// place a [`WorkerConfig`] becomes a [`WorkerContext`]: in-process ranks
-/// and resident workers running a submitted job both come through here.
+/// `kb` and the rank's example subset, until the master's `Stop`; `memo` and
+/// the return value are [`run_worker`]'s, `resident` is
+/// [`WorkerContext::resident`]. The one place a [`WorkerConfig`] becomes a
+/// [`WorkerContext`]: in-process ranks and resident workers running a
+/// submitted job both come through here.
 pub(crate) fn run_role<T: Transport>(
     ep: &mut Endpoint<T>,
     kb: KnowledgeBase,
     config: WorkerConfig,
     local: Examples,
-) {
+    memo: &mut CoverageMemo,
+    resident: bool,
+) -> (KnowledgeBase, Option<Examples>) {
     let (width, report_covered) = match config.role {
         WorkerRole::Pipeline { width, repartition } => (width, repartition),
         // No pipeline ever starts on a coverage rank: the width is never read.
@@ -120,8 +129,9 @@ pub(crate) fn run_role<T: Transport>(
         report_covered,
         strategy: config.strategy,
         strategy_seed: config.strategy_seed,
+        resident,
     };
-    run_worker(ep, ctx)
+    run_worker(ep, ctx, memo)
 }
 
 /// Rebuilds a worker's KB from a received compiled snapshot, interning its
@@ -139,15 +149,9 @@ pub(crate) fn restore_kb(snap: KbSnapshot, syms: SymbolTable, rank: usize) -> Kn
 
 /// Unwinds `rank` with the [`CommFailure`] of a bootstrap that did not
 /// deliver a usable KB snapshot (`why`: the violated snapshot invariant, or
-/// that the first frame was something else), so the master reports a
-/// rank-tagged `ClusterError` as for every other bad frame.
+/// that the first frame was something else); see [`refuse_frame`].
 pub(crate) fn reject_bootstrap(rank: usize, why: &'static str) -> ! {
-    std::panic::panic_any(CommFailure {
-        rank,
-        from: 0,
-        expected: "the KB snapshot".to_owned(),
-        error: CommError::Decode(DecodeError::new(why)),
-    })
+    refuse_frame(rank, 0, "the KB snapshot", why)
 }
 
 /// How an epoch's pipelines ended.
@@ -208,7 +212,23 @@ fn handle_abort<T: Transport>(
 
 /// Runs the worker protocol until `Stop`. Rank 0 is the master; this must
 /// be called on ranks `1..=p`.
-pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
+///
+/// `memo` is the rank's coverage memo: every search of every stage and
+/// epoch and every rule the master asks to be scored goes through it. It
+/// must hold nothing, or what an earlier call left in it for the same
+/// `ctx.local`, the same proof limits and the same `ctx.engine.kb`; on a
+/// resident rank ([`WorkerContext::resident`]) what this call leaves in it
+/// stands for the two values returned — the KB as it was before the job's
+/// first `MarkCovered` (the job's asserts die with the job: the copy is
+/// taken then, so a job that accepts no rule copies nothing), and the
+/// example subset, `None` when the job replaced it (`NewPartition`,
+/// `AdoptExamples`), for then the master no longer knows what the rank
+/// holds.
+pub fn run_worker<T: Transport>(
+    ep: &mut Endpoint<T>,
+    mut ctx: WorkerContext,
+    memo: &mut CoverageMemo,
+) -> (KnowledgeBase, Option<Examples>) {
     let me = ep.rank();
     assert!(me >= 1, "run_worker must not run on the master rank");
     let replicated = ctx.strategy != Strategy::DataPipeline;
@@ -218,10 +238,17 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
     let mut constraints = SeedConstraints::default();
-    // What this rank's searches of this job have evaluated, shared by every
-    // stage of every pipeline and by every epoch. It stands for `ctx.local`
-    // and for the KB as rule bodies see it: dropped when either changes.
-    let mut memo = CoverageMemo::new();
+    // The KB before the first assert, whether a rule body can call what was
+    // asserted since, and whether `ctx.local` is still the subset dealt.
+    let mut pristine: Option<KnowledgeBase> = None;
+    let mut stale = false;
+    let mut replaced = false;
+    // Every rule the master asks about is scored like a search node: through
+    // the memo, charged as if proved.
+    let score = |ctx: &WorkerContext, memo: &mut CoverageMemo, rules: &[Clause], live: &Bitset| {
+        let (kb, settings) = (&ctx.engine.kb, &ctx.engine.settings);
+        memo.evaluate_rules(kb, settings, rules, &ctx.local, live)
+    };
 
     loop {
         let msg = Msg::recv(ep, 0, "a master command");
@@ -229,6 +256,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             Msg::KbSnapshot(snap) => {
                 let syms = ctx.engine.kb.symbols().clone();
                 ctx.engine.kb = restore_kb(*snap, syms, me);
+                (pristine, stale) = (None, false);
                 memo.clear();
             }
             Msg::EnableRecovery => recovery = true,
@@ -247,7 +275,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                     current_seed,
                     epoch,
                     &mut constraints,
-                    &mut memo,
+                    memo,
                 );
                 ep.send(
                     0,
@@ -260,15 +288,8 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 );
             }
             Msg::StartPipeline { epoch: _ } => {
-                let end = run_epoch_pipelines(
-                    ep,
-                    &ctx,
-                    &live,
-                    &mut current_seed,
-                    &alive,
-                    recovery,
-                    &mut memo,
-                );
+                let end =
+                    run_epoch_pipelines(ep, &ctx, &live, &mut current_seed, &alive, recovery, memo);
                 if let EpochEnd::Aborted { dead, prev_flushed } = end {
                     handle_abort(ep, &mut alive, me, dead, prev_flushed);
                 }
@@ -295,6 +316,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                     grown.set(i);
                 }
                 live = grown;
+                replaced = true;
                 memo.clear();
             }
             Msg::ReplayTheory { rules } => {
@@ -304,8 +326,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 // are NOT re-asserted — the KB already holds them.
                 assert!(recovery, "ReplayTheory outside recovery mode");
                 let mut covered = Bitset::new(ctx.local.num_pos());
-                for rule in &rules {
-                    let cov = ctx.engine.evaluate(rule, &ctx.local, Some(&live), None);
+                for cov in score(&ctx, memo, &rules, &live) {
                     ep.advance_steps(cov.steps);
                     covered.union_with(&cov.pos);
                 }
@@ -317,15 +338,16 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
             }
             Msg::Evaluate { rules } => {
                 let mut counts = Vec::with_capacity(rules.len());
-                for rule in &rules {
-                    let cov = ctx.engine.evaluate(rule, &ctx.local, Some(&live), None);
+                for cov in score(&ctx, memo, &rules, &live) {
                     ep.advance_steps(cov.steps);
                     counts.push((cov.pos_count(), cov.neg_count()));
                 }
                 ep.send(0, &Msg::EvalResult { counts });
             }
             Msg::MarkCovered { rule } => {
-                let cov = ctx.engine.evaluate(&rule, &ctx.local, Some(&live), None);
+                let cov = score(&ctx, memo, std::slice::from_ref(&rule), &live)
+                    .pop()
+                    .expect("one rule, one coverage");
                 ep.advance_steps(cov.steps);
                 if ctx.report_covered || recovery {
                     let idx: Vec<u32> = cov.pos.iter_ones().map(|i| i as u32).collect();
@@ -337,9 +359,13 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 // never so for a target that is no body-mode predicate over
                 // a KB whose rules do not mention it.
                 let head = rule.head.key();
+                if ctx.resident {
+                    pristine.get_or_insert_with(|| ctx.engine.kb.clone());
+                }
                 ctx.engine.assert_rule(rule);
                 if ctx.engine.callable_from_bodies(head) {
                     memo.clear();
+                    stale = true;
                 }
             }
             Msg::NewPartition { pos, neg } => {
@@ -349,6 +375,7 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 ctx.local = Examples::new(pos, neg);
                 live = ctx.local.full_pos_live();
                 current_seed = None;
+                replaced = true;
                 memo.clear();
             }
             Msg::RetireSeed => {
@@ -374,7 +401,17 @@ pub fn run_worker<T: Transport>(ep: &mut Endpoint<T>, mut ctx: WorkerContext) {
                 };
                 ep.send(0, &reply);
             }
-            Msg::Stop => return,
+            Msg::Stop => {
+                if let Some(kb) = pristine {
+                    ctx.engine.kb = kb;
+                    // Whatever was stored since a callable assert saw
+                    // `B ∪ {R}`, and `R` goes with the job.
+                    if stale {
+                        memo.clear();
+                    }
+                }
+                return (ctx.engine.kb, (!replaced).then_some(ctx.local));
+            }
             other => panic!("worker {me}: unexpected master message {other:?}"),
         }
     }
@@ -699,7 +736,7 @@ mod tests {
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -748,7 +785,7 @@ mod tests {
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -797,7 +834,7 @@ mod tests {
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -835,7 +872,7 @@ mod tests {
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -891,7 +928,7 @@ mod tests {
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -960,10 +997,15 @@ mod tests {
         assert!(engine.callable_from_bodies(step.head.key()));
         engine.assert_rule(step.clone());
         let live = ctx.local.full_pos_live();
-        assert_eq!(
-            engine.evaluate(&step, &ctx.local, None, None).pos_count(),
-            0
+        let covered = p2mdie_ilp::evaluate_rule(
+            &engine.kb,
+            engine.settings.proof,
+            &step,
+            &ctx.local,
+            None,
+            None,
         );
+        assert_eq!(covered.pos_count(), 0);
         let bottom = engine.saturate(&ctx.local.pos[1]).unwrap();
         let fresh = run_stage_search(
             &engine,
@@ -1007,7 +1049,7 @@ mod tests {
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap();
@@ -1028,7 +1070,7 @@ mod tests {
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c);
+                run_worker(ep, c, &mut CoverageMemo::new());
             },
         )
         .unwrap_err();

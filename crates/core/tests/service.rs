@@ -1,11 +1,13 @@
 //! Differential tests for the resident ILP service: whatever mix of jobs
 //! is multiplexed over one standing mesh, and in whatever order they are
 //! submitted, every job's result must be bit-identical to running that job
-//! alone on a fresh one-shot mesh. This is the service's core promise —
-//! per-job pristine KB clones mean no job can observe another's accepted
-//! rules, queue order cannot leak into results, and the resident fast path
-//! (KB shipped once, examples delta-shipped per job) changes *where* work
-//! runs but never *what* it computes.
+//! alone on a fresh one-shot mesh. This is the service's core promise — a
+//! job's accepted rules leave the resident KB with the job, so no job can
+//! observe another's, queue order cannot leak into results, and the resident
+//! fast path (KB shipped once, examples shipped when they change, the memo
+//! kept) changes *where* work runs and how much is proved, but never *what*
+//! is computed. `resident_history.rs` holds the same promise against what a
+//! rank keeps between jobs.
 
 use p2mdie_core::driver::{run_parallel, ParallelConfig};
 use p2mdie_core::job::{JobOutcome, JobSpec, JobState};

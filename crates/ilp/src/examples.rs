@@ -12,6 +12,8 @@ pub struct Examples {
     pub neg: Vec<Literal>,
 }
 
+p2mdie_logic::wire_struct!(Examples { pos, neg });
+
 impl Examples {
     /// Creates an example set.
     pub fn new(pos: Vec<Literal>, neg: Vec<Literal>) -> Self {
@@ -50,6 +52,15 @@ impl Examples {
             pos: pos_idx.iter().map(|&i| self.pos[i].clone()).collect(),
             neg: neg_idx.iter().map(|&i| self.neg[i].clone()).collect(),
         }
+    }
+
+    /// Whether [`Examples::subset`] of the same index lists would equal
+    /// `other`, without building it.
+    pub fn subset_is(&self, pos_idx: &[usize], neg_idx: &[usize], other: &Examples) -> bool {
+        let same = |idx: &[usize], from: &[Literal], theirs: &[Literal]| {
+            idx.len() == theirs.len() && idx.iter().zip(theirs).all(|(&i, l)| from[i] == *l)
+        };
+        same(pos_idx, &self.pos, &other.pos) && same(neg_idx, &self.neg, &other.neg)
     }
 
     /// Concatenates several example sets (fold assembly).

@@ -48,10 +48,14 @@
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
+use crate::coverage::{evaluate_side_prepared, prepare_rule, Coverage, PreparedRule};
+use crate::examples::Examples;
 use crate::refine::RuleShape;
-use p2mdie_logic::clause::Literal;
+use crate::settings::Settings;
+use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::fxhash::FxHasher;
 use p2mdie_logic::hot;
+use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::term::{Term, VarId};
 use std::hash::Hasher;
 use std::mem::size_of;
@@ -354,7 +358,8 @@ impl CoverageMemo {
             self.clear();
             self.bits = [n_pos, n_neg];
         }
-        self.search += 1;
+        // A stamp only orders evictions: wrapping it around costs nothing.
+        self.search = self.search.wrapping_add(1);
         self.evictable = self.index.used;
     }
 
@@ -482,6 +487,38 @@ impl CoverageMemo {
             neg,
             ran,
         }
+    }
+
+    /// Evaluates each of `rules` on the `live_pos` positives and on every
+    /// negative of `examples` through the memo: the [`Coverage`], steps
+    /// included, that [`crate::coverage::evaluate_rule_threads`] computes for
+    /// `(Some(live_pos), None)`, proving only what the stored entries do not
+    /// answer — the search's nodes and a rule scored on its own share one
+    /// key, one lookup rule and one set of entries. A round is one eviction
+    /// epoch, like a search: what it touches stays until the next.
+    pub fn evaluate_rules(
+        &mut self,
+        kb: &KnowledgeBase,
+        settings: &Settings,
+        rules: &[Clause],
+        examples: &Examples,
+        live_pos: &Bitset,
+    ) -> Vec<Coverage> {
+        self.begin_search(examples.num_pos(), examples.num_neg());
+        let every_neg = Bitset::full(examples.num_neg());
+        let evaluate = |rule| {
+            let mut keys = ClauseKeys::of_clause(rule, self);
+            let prove = proving(kb, settings, examples, || prepare_rule(kb, rule));
+            let live = [live_pos, &every_neg];
+            let node = self.evaluate(keys.key_of_whole(), live, |_| true, prove);
+            let (neg, neg_steps) = node.neg.expect("the negatives were asked for");
+            Coverage {
+                pos: node.pos,
+                neg,
+                steps: node.pos_steps + neg_steps,
+            }
+        };
+        rules.iter().map(evaluate).collect()
     }
 
     /// Writes a node's halves — `(valid for, covered, steps)` — over the
@@ -724,6 +761,33 @@ impl CoverageMemo {
     }
 }
 
+/// The `prove` of [`CoverageMemo::evaluate`] for one clause on `examples`:
+/// the clause is `compile`d when the memo first asks for a proof, once for
+/// both sides and every example.
+pub(crate) fn proving<'a>(
+    kb: &'a KnowledgeBase,
+    settings: &'a Settings,
+    examples: &'a Examples,
+    compile: impl Fn() -> PreparedRule + 'a,
+) -> impl FnMut(Side, &Bitset) -> (Bitset, u64) + 'a {
+    let mut compiled = None;
+    move |side, mask| {
+        let lits = match side {
+            Side::Pos => &examples.pos,
+            Side::Neg => &examples.neg,
+        };
+        let rule = compiled.get_or_insert_with(&compile);
+        evaluate_side_prepared(
+            kb,
+            settings.proof,
+            rule,
+            lits,
+            Some(mask),
+            settings.eval_threads,
+        )
+    }
+}
+
 /// The one lookup rule, for one side of one node: the covered examples and
 /// the step total of a clause on the `live` mask, given what is `stored` of
 /// it — covered set `C` and steps `S` on a mask `T` — and `prove`, which
@@ -816,6 +880,21 @@ impl ClauseKeys {
     /// memo's lifetime: that is what makes a key mean the same clause under
     /// every bottom clause.
     pub(crate) fn new(bottom: &BottomClause, memo: &mut CoverageMemo) -> Self {
+        Self::over(&bottom.head, bottom.lits.iter().map(|bl| &bl.lit), memo)
+    }
+
+    /// The same for a plain clause, whose only shape is the whole of it
+    /// ([`ClauseKeys::key_of_whole`]): `shape.to_clause(⊥e)` keyed this way
+    /// and `shape` keyed under `⊥e` get the same key.
+    pub(crate) fn of_clause(clause: &Clause, memo: &mut CoverageMemo) -> Self {
+        Self::over(&clause.head, clause.body.iter(), memo)
+    }
+
+    fn over<'a>(
+        head: &Literal,
+        body: impl Iterator<Item = &'a Literal>,
+        memo: &mut CoverageMemo,
+    ) -> Self {
         let mut code = Vec::new();
         let mut entry = |lit: &Literal| {
             code.clear();
@@ -827,8 +906,8 @@ impl ClauseKeys {
             lit.collect_vars(&mut vars);
             (memo.skeleton(&code), vars)
         };
-        let mut lits = vec![entry(&bottom.head)];
-        lits.extend(bottom.lits.iter().map(|bl| entry(&bl.lit)));
+        let mut lits = vec![entry(head)];
+        lits.extend(body.map(entry));
         ClauseKeys {
             lits,
             key: Key::default(),
@@ -836,15 +915,26 @@ impl ClauseKeys {
         }
     }
 
-    /// `shape`'s key: for the head and then each body literal its skeleton
-    /// id followed by the canonical id of each variable occurrence. A
-    /// skeleton fixes how many ids follow it, so distinct canonical clauses
-    /// never share a key. (A clause has few variables: renaming is a linear
-    /// scan.) `None` when a skeleton has no id or the key outgrows a header.
+    /// `shape`'s key; see [`ClauseKeys::key_over`].
     pub(crate) fn key_of(&mut self, shape: &RuleShape) -> Option<&Key> {
+        self.key_over(shape.lits.iter().map(|&i| i as usize + 1))
+    }
+
+    /// The key of the clause made of every literal, in order.
+    pub(crate) fn key_of_whole(&mut self) -> Option<&Key> {
+        self.key_over(1..self.lits.len())
+    }
+
+    /// The key of the head followed by the `body` literals (indices into
+    /// `lits`): for each its skeleton id followed by the canonical id of
+    /// each variable occurrence. A skeleton fixes how many ids follow it, so
+    /// distinct canonical clauses never share a key. (A clause has few
+    /// variables: renaming is a linear scan.) `None` when a skeleton has no
+    /// id or the key outgrows a header.
+    fn key_over(&mut self, body: impl Iterator<Item = usize>) -> Option<&Key> {
         self.key.clear();
         self.renamed.clear();
-        for i in std::iter::once(0).chain(shape.lits.iter().map(|&i| i as usize + 1)) {
+        for i in std::iter::once(0).chain(body) {
             let (skeleton, vars) = &self.lits[i];
             self.key.push((*skeleton)?);
             for v in vars {
@@ -944,6 +1034,114 @@ mod tests {
             (bits, total, ran),
             (stored(&live).0, stored(&live).1, Ran::Full)
         );
+    }
+
+    /// A drawn shape of `bottom`: `steps` successor picks down from the root.
+    fn walk(bottom: &BottomClause, max_body: usize, picks: &[usize]) -> RuleShape {
+        let mut shape = RuleShape::empty();
+        for pick in picks {
+            let succs = shape.successors(bottom, max_body);
+            if succs.is_empty() {
+                break;
+            }
+            shape = succs[pick % succs.len()].clone();
+        }
+        shape
+    }
+
+    fn key_parts(key: Option<&Key>) -> Option<(Vec<u64>, usize, u32)> {
+        key.map(|k| (k.words.clone(), k.len, k.tag))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A shape keyed under its bottom clause and its clause keyed on its
+        /// own are one key — which is what lets a rule the master sends back
+        /// find the entry the search left — and the key reads the body in
+        /// order.
+        #[test]
+        fn a_clause_and_its_shape_share_one_key(
+            world_seed in proptest::prelude::any::<u64>(),
+            example in 0usize..64,
+            picks in proptest::collection::vec(0usize..1000, 0..4),
+        ) {
+            let w = oracle::world(world_seed, 12);
+            let settings = Settings { max_var_depth: 2, max_bottom_literals: 40, ..Settings::default() };
+            let seed = &w.examples.pos[example % w.examples.num_pos().max(1)];
+            let Some(bottom) = crate::bottom::saturate(&w.kb, &w.modes, &settings, seed) else {
+                return Ok(());
+            };
+            let shape = walk(&bottom, 3, &picks);
+            let clause = shape.to_clause(&bottom);
+            let mut memo = CoverageMemo::new();
+            let by_shape = key_parts(ClauseKeys::new(&bottom, &mut memo).key_of(&shape));
+            let by_clause = key_parts(ClauseKeys::of_clause(&clause, &mut memo).key_of_whole());
+            proptest::prop_assert!(by_shape.is_some());
+            proptest::prop_assert_eq!(&by_shape, &by_clause);
+
+            // Literals of two predicates the other way round: another key
+            // (two `atm` literals swapped are the same clause renamed).
+            if clause.body.len() >= 2 && clause.body[0].pred != clause.body[1].pred {
+                let mut swapped = clause.clone();
+                swapped.body.swap(0, 1);
+                let other = key_parts(ClauseKeys::of_clause(&swapped, &mut memo).key_of_whole());
+                proptest::prop_assert_ne!(&by_clause, &other);
+            }
+        }
+    }
+
+    /// The bag round of a pipeline: a rule a search scored as a Figure 7
+    /// seed — on the live positives and every negative — and the master then
+    /// asks about on the same live set is answered without a proof, with the
+    /// coverage a plain evaluation computes.
+    #[test]
+    fn a_rule_the_search_scored_as_a_seed_is_served_when_the_master_asks() {
+        let w = oracle::world(2005, 16);
+        let settings = Settings {
+            noise: 2,
+            min_pos: 2,
+            max_body: 3,
+            max_nodes: 400,
+            max_bottom_literals: 40,
+            eval_threads: 1,
+            ..Settings::default()
+        };
+        let (kb, ex) = (&w.kb, &w.examples);
+        let bottom = crate::bottom::saturate(kb, &w.modes, &settings, &ex.pos[0]).expect("head");
+        let mut live = ex.full_pos_live();
+        live.clear(1);
+        let mut memo = CoverageMemo::new();
+        let guide = crate::search::SearchGuide::default();
+        let search = |seeds: &[RuleShape], memo: &mut CoverageMemo| {
+            crate::search::search_rules_guided(
+                kb,
+                &settings,
+                &bottom,
+                ex,
+                Some(&live),
+                seeds,
+                &guide,
+                None,
+                memo,
+            )
+        };
+        let best = search(&[], &mut memo)
+            .best()
+            .expect("a good rule")
+            .shape
+            .clone();
+        search(std::slice::from_ref(&best), &mut memo);
+
+        let rule = best.to_clause(&bottom);
+        let before = memo.stats();
+        let scored = memo.evaluate_rules(kb, &settings, std::slice::from_ref(&rule), ex, &live);
+        let after = memo.stats();
+        assert_eq!(after.served, before.served + 1);
+        assert_eq!(after.steps_run, before.steps_run, "no proof ran");
+        let plain =
+            crate::coverage::evaluate_rule(kb, settings.proof, &rule, ex, Some(&live), None);
+        assert_eq!(scored, [plain]);
     }
 
     trait Tap: Sized {

@@ -70,16 +70,36 @@
 //!
 //! *Validity.* A memo stands for one example list, one `ProofLimits` and the
 //! KB as rule bodies see it, and its owner clears it when one changes: a
-//! worker rank on a new partition, on adopted examples, on a new KB
-//! snapshot, and at every job (the memo is a local of the job's loop). The
-//! KB also changes when `mark_covered` asserts an accepted rule (Fig. 6, `B
-//! ∪ {R}`) — but what a candidate body proves changes only if the body can
-//! *call* `R`, i.e. the target is a body-mode predicate or occurs in a rule
-//! body of the KB ([`crate::engine::IlpEngine::callable_from_bodies`]). On
-//! fact-only KBs with non-recursive targets — every dataset here — it
-//! never does, and clearing on every accepted rule would forfeit the memo
-//! exactly where it pays, between epochs. The sequential loop asserts
-//! nothing.
+//! worker rank on a new partition, on adopted examples and on a new KB
+//! snapshot. The KB also changes when `mark_covered` asserts an accepted
+//! rule (Fig. 6, `B ∪ {R}`) — but what a candidate body proves changes only
+//! if the body can *call* `R`, i.e. the target is a body-mode predicate or
+//! occurs in a rule body of the KB
+//! ([`crate::engine::IlpEngine::callable_from_bodies`]). On fact-only KBs
+//! with non-recursive targets — every dataset here — it never does, and
+//! clearing on every accepted rule would forfeit the memo exactly where it
+//! pays, between epochs. The sequential loop asserts nothing.
+//!
+//! A *job* is not a boundary. The rank of a one-shot run brings a new memo
+//! and drops it with the run, but a resident rank's memo outlives its jobs,
+//! and the same three conditions decide at the seam: it is cleared when a
+//! job ships the rank another example subset, when a job's `ProofLimits`
+//! are not the previous job's, on a KB snapshot between jobs — and at the
+//! end of a job that asserted a rule bodies can call, because the job's
+//! rules leave the KB with the job and whatever was stored after that
+//! assert saw them. A job that asserted only rules no body can call leaves
+//! the memo standing, so the next job on the same examples — a coverage
+//! query, a rule search, a whole learning run — starts from what the last
+//! one proved.
+//!
+//! *One path.* Scoring a clause on its own — the master's `Evaluate` of a
+//! bag, `MarkCovered`, a theory replay — goes through the same memo as a
+//! search node ([`CoverageMemo::evaluate_rules`]): the clause is keyed as
+//! the shape it came from was (`shape.to_clause(⊥e)` and `shape` under `⊥e`
+//! share a key), looked up by the same rule on the live positives and
+//! every negative, and charged as if proved. A bag round re-scores clauses
+//! a stage has just scored as Figure 7 seeds on the same masks, and the
+//! next round scores them again on a live set that lost what was accepted.
 //!
 //! *Memory* is bounded by construction: keys, masks and step totals are
 //! records in one flat arena behind an open-addressing index, every byte
@@ -110,9 +130,9 @@
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
-use crate::coverage::{evaluate_side_prepared, prepare_rule};
+use crate::coverage::prepare_rule;
 use crate::examples::Examples;
-use crate::memo::{ClauseKeys, CoverageMemo, Ran, Side};
+use crate::memo::{proving, ClauseKeys, CoverageMemo, Ran};
 use crate::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
 use crate::settings::Settings;
 use p2mdie_logic::fxhash::FxHashSet;
@@ -308,24 +328,9 @@ pub fn search_rules_guided(
             Some(m) => [&m.0, &m.1],
             None => [root_pos, &every_neg],
         };
-        // Compiled when the memo first asks for a proof, once for both
-        // sides and every example.
-        let mut compiled = None;
-        let node = memo.evaluate(keys.key_of(&shape), live, needs_neg, |side, mask| {
-            let clause = compiled.get_or_insert_with(|| prepare_rule(kb, &shape.to_clause(bottom)));
-            let lits = match side {
-                Side::Pos => &examples.pos,
-                Side::Neg => &examples.neg,
-            };
-            evaluate_side_prepared(
-                kb,
-                settings.proof,
-                clause,
-                lits,
-                Some(mask),
-                settings.eval_threads,
-            )
-        });
+        let compile = || prepare_rule(kb, &shape.to_clause(bottom));
+        let prove = proving(kb, settings, examples, compile);
+        let node = memo.evaluate(keys.key_of(&shape), live, needs_neg, prove);
         out.reused += usize::from(node.ran == Ran::Nothing);
         out.steps += node.pos_steps;
         let pos = node.pos.count() as u32;

@@ -13,7 +13,7 @@
 
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::bottom::{saturate, BottomClause};
-use p2mdie_ilp::coverage::evaluate_side_threads;
+use p2mdie_ilp::coverage::{evaluate_rule, evaluate_side_threads};
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
@@ -294,10 +294,12 @@ impl Case {
 /// levels, so that seeds meet their non-seed variants), each plain and
 /// again under every hook at once (a lattice slice, an exploration seed,
 /// the dead-shape frontier collected, a non-empty constraint store); then
-/// the positives the round's best rule covers leave the live set — with
-/// every search going through the one `memo`, and holds each against
-/// [`memo_free_search`]. The memo's accounting is audited after every
-/// search.
+/// a rank's `Evaluate` of the round's good rules on the live set (what
+/// `MarkCovered` and `ReplayTheory` run too), held against a plain
+/// [`evaluate_rule`]; then the positives the round's best rule covers leave
+/// the live set — with every search and every evaluation going through the
+/// one `memo`, and each search held against [`memo_free_search`]. The memo's
+/// accounting is audited after every one of them.
 pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut CoverageMemo) {
     let w = world(case.world_seed, case.molecules);
     let settings = &case.settings;
@@ -389,6 +391,35 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                 );
                 assert_eq!(memo.bytes(), memo.recount(), "{what}: accounted bytes");
             }
+        }
+
+        // The master's `Evaluate` round: the bag, scored on the live set as
+        // it stands, twice — the second time nothing is proved, and nothing
+        // may differ.
+        let bag: Vec<Clause> = frontier
+            .good
+            .iter()
+            .take(6)
+            .map(|r| r.shape.to_clause(&bottom))
+            .collect();
+        for pass in 0..2 {
+            let run_before = memo.stats().steps_run;
+            let scored = memo.evaluate_rules(&w.kb, settings, &bag, &w.examples, &live);
+            for (rule, cov) in bag.iter().zip(&scored) {
+                let plain =
+                    evaluate_rule(&w.kb, settings.proof, rule, &w.examples, Some(&live), None);
+                assert_eq!(
+                    cov, &plain,
+                    "{case:?}, bottom {round}, evaluate pass {pass}"
+                );
+            }
+            // A memo that never came near its budget stored all of pass 0.
+            let roomy = memo.stats().peak_bytes < memo.budget() / 2;
+            assert!(
+                pass == 0 || !roomy || memo.stats().steps_run == run_before,
+                "{case:?}, bottom {round}: the second pass proved something"
+            );
+            assert_eq!(memo.bytes(), memo.recount(), "{case:?}: accounted bytes");
         }
 
         // The covering step: what the frontier pass's best rule covers goes,

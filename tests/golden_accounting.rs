@@ -23,7 +23,12 @@
 //!   consumption and seed-retirement rounds. These lines are the
 //!   *contract* the single epoch driver is held to: theory with coverage
 //!   counts, epochs, set-aside, per-rank steps, bytes, messages and the
-//!   master's virtual clock, bit for bit.
+//!   master's virtual clock, bit for bit. The four service rows of each
+//!   file were re-recorded once, with protocol v9: their results, steps and
+//!   message counts are the first recording's; `bytes` and `vtime` are
+//!   those of a service whose ranks keep their examples — the first job
+//!   ships them (two bytes more than under v8: one option tag per rank),
+//!   the three after it, on the same examples, ship none.
 
 use p2mdie::cluster::CostModel;
 use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};

@@ -13,15 +13,24 @@
 //! * the loop is the product's: theory, epochs, set-aside and charged steps
 //!   equal `run_sequential`'s.
 //!
+//! A fourth case holds the memo of a *resident* rank to the same budget: the
+//! benchmark's service workload in-process — 100 coverage jobs over prefixes
+//! of one theory on `pyrimidines(1.0)` at p = 2 — reading each rank's
+//! `worker_memo_bytes` through `Service::metrics()` after every job, with
+//! every job's counts held against a direct `evaluate`.
+//!
 //! Run as `cargo test --release --test memo_budget -- --nocapture` (the
 //! "Coverage memo budget" CI step), which also prints what the memo did per
 //! dataset. Three Table-1-size learns take a minute unoptimised, so a debug
 //! `cargo test` leaves them ignored; nothing here depends on the profile.
 
+use p2mdie::core::{run_parallel, JobSpec, JobState, ParallelConfig, Service, ServiceConfig};
 use p2mdie::datasets::Dataset;
+use p2mdie::ilp::settings::Width;
 use p2mdie::ilp::{
     evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo, SearchGuide,
 };
+use p2mdie::obs::{MetricValue, MetricsSnapshot};
 
 fn covering_loop_stays_within_budget(name: &str, ds: &Dataset) {
     let (kb, modes, settings) = (&ds.engine.kb, &ds.engine.modes, &ds.engine.settings);
@@ -120,4 +129,82 @@ fn mesh_stays_within_budget() {
 fn pyrimidines_stays_within_budget() {
     let ds = p2mdie::datasets::pyrimidines(1.0, 2005);
     covering_loop_stays_within_budget("pyrimidines(1.0, 2005)", &ds);
+}
+
+/// A named entry of a rank's metrics snapshot, as a number.
+fn metric(snapshot: &MetricsSnapshot, name: &str) -> f64 {
+    let entry = snapshot.entries.iter().find(|e| e.name == name);
+    match entry.map(|e| &e.value) {
+        Some(MetricValue::Counter(n)) => *n as f64,
+        Some(MetricValue::Gauge(x)) => *x,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a minute unoptimised; run with --release")]
+fn a_resident_rank_stays_within_budget_and_proves_each_rule_once() {
+    const BUDGET: f64 = 128.0 * 1024.0;
+    let ds = p2mdie::datasets::pyrimidines(1.0, 2005);
+    let learnt = run_parallel(
+        &ds.engine,
+        &ds.examples,
+        &ParallelConfig::new(2, Width::Limit(10), 2005),
+    )
+    .expect("the reference learn");
+    let rules = learnt.clauses();
+    let direct: Vec<(u32, u32)> = rules
+        .iter()
+        .map(|r| {
+            let cov = ds.engine.evaluate(r, &ds.examples, None, None);
+            (cov.pos_count(), cov.neg_count())
+        })
+        .collect();
+
+    let service = Service::new(&ds.engine, ServiceConfig::new(2));
+    let (mut charged, mut first_pass) = (0u64, 0u64);
+    for i in 0..100 {
+        let picked = 1 + i % rules.len();
+        let spec = JobSpec::coverage(ds.examples.clone(), rules[..picked].to_vec());
+        let done = service.submit(spec).expect("an empty queue").wait();
+        assert_eq!(done.state, JobState::Done, "job {i}: {:?}", done.error);
+        assert_eq!(done.coverage(), &direct[..picked], "job {i}");
+        let steps: u64 = done.accounting.worker_steps.iter().sum();
+        charged += steps;
+        if i + 1 == rules.len() {
+            // Job `rules.len() - 1` is the first to ask about every rule.
+            first_pass = steps;
+        }
+        for (rank, snapshot) in service
+            .metrics()
+            .expect("an idle service")
+            .iter()
+            .enumerate()
+        {
+            let bytes = metric(snapshot, "worker_memo_bytes");
+            assert!(
+                bytes <= BUDGET,
+                "job {i}: rank {}'s memo holds {bytes} B",
+                rank + 1
+            );
+        }
+    }
+    let last = service.metrics().expect("an idle service");
+    let sum = |name: &str| last.iter().map(|s| metric(s, name)).sum::<f64>() as u64;
+    let (run, served) = (
+        sum("worker_steps_run_total"),
+        sum("worker_memo_served_total"),
+    );
+    service.shutdown().expect("a clean lifetime");
+    println!(
+        "pyrimidines(1.0, 2005) resident, p = 2: 100 jobs over {} rules charged {charged} steps; \
+         proofs ran {run} (one pass over every rule charges {first_pass}); {served} rules served",
+        rules.len()
+    );
+    // Every rule is proved once on every example; `LoadExamples` is charged
+    // per job and proves nothing.
+    assert!(
+        run <= first_pass,
+        "{run} steps run, one pass is {first_pass}"
+    );
 }
