@@ -1,4 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices the paper argues for, timed on
+//! the virtual clock of `p2mdie_cluster::vtime` over the synthetic data of
+//! `p2mdie_datasets`:
 //! pipelined data-parallelism (p²-mdie) vs data-parallel coverage testing
 //! (§6 related work) vs per-epoch repartitioning (§4.1's rejected
 //! alternative), all on the same virtual cluster.

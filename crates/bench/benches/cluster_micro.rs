@@ -36,11 +36,12 @@ fn bench_roundtrip(c: &mut Criterion) {
                 CostModel::beowulf_2005(),
                 |ep| {
                     ep.broadcast(&1u64);
-                    (1..=4).map(|w| ep.recv_msg::<u64>(w).unwrap()).sum::<u64>()
+                    Ok((1..=4).map(|w| ep.recv_msg::<u64>(w).unwrap()).sum::<u64>())
                 },
                 |ep| {
                     let x: u64 = ep.recv_msg(0).unwrap();
                     ep.send(0, &(x + ep.rank() as u64));
+                    Ok(())
                 },
             )
             .unwrap();

@@ -17,7 +17,8 @@
 //!
 //! Times are *virtual seconds* under the Beowulf-2005 cost model; speedup,
 //! communication, epoch and accuracy columns are directly comparable to the
-//! paper's (see DESIGN.md §3 and EXPERIMENTS.md).
+//! paper's (what stands in for the paper's cluster and for its datasets is
+//! stated in `p2mdie_cluster::vtime` and in `p2mdie_datasets`).
 
 use p2mdie_cluster::CostModel;
 use p2mdie_core::baselines::{run_coverage_parallel, EvalGranularity};

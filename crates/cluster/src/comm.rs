@@ -38,18 +38,11 @@ pub struct Envelope {
     pub from: usize,
     /// Virtual time at which the message reaches the destination.
     pub arrival: f64,
-    /// True for the internal panic-propagation marker.
+    /// True for the internal failure-propagation marker (the sender failed;
+    /// the payload is empty).
     pub poison: bool,
     /// Encoded payload.
     pub payload: Bytes,
-}
-
-/// A rank poisoned the cluster by panicking; receivers panic in turn so the
-/// whole run unwinds instead of deadlocking.
-#[derive(Debug)]
-pub struct Poisoned {
-    /// The rank whose panic started the unwind.
-    pub origin: usize,
 }
 
 /// How a link to a peer died.
@@ -61,11 +54,19 @@ pub enum LinkFault {
     /// The peer delivered bytes that did not parse as a frame; the link is
     /// treated as dead from that point on.
     Malformed(&'static str),
+    /// Rank `origin` failed and sent the poison marker: the run is over, and
+    /// whoever is told so is a victim of that failure, not a cause. Sticky —
+    /// every later receive on the endpoint reports it again, whatever the
+    /// source, so a rank that is woken winds down instead of blocking anew.
+    Poison {
+        /// The rank whose failure ended the run.
+        origin: usize,
+    },
 }
 
 /// A blocking receive failed: the awaited peer's link is dead (closed, or
-/// poisoned by a malformed frame). Rank-tagged so the failure is
-/// diagnosable instead of a bare panic backtrace.
+/// broken by a malformed frame), or another rank's failure ended the run.
+/// Rank-tagged so the failure is diagnosable.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecvError {
     /// The rank whose receive failed.
@@ -87,6 +88,11 @@ impl std::fmt::Display for RecvError {
             LinkFault::Malformed(ctx) => write!(
                 f,
                 "rank {}: malformed frame from rank {} ({ctx})",
+                self.rank, self.from
+            ),
+            LinkFault::Poison { origin } => write!(
+                f,
+                "rank {}: poisoned by rank {origin} while receiving from rank {}",
                 self.rank, self.from
             ),
         }
@@ -128,10 +134,12 @@ impl From<DecodeError> for CommError {
     }
 }
 
-/// The structured panic payload protocol layers throw when a receive they
-/// cannot recover from fails (see `Msg::recv` in the core crate). Carrying
-/// the failure as a value instead of a formatted string lets the runtime
-/// map it to a rank-tagged `ClusterError` after catching the unwind.
+/// The one failure value of the protocol layers: a receive that cannot be
+/// acted on — the link died under it, the frame would not decode, or it
+/// decoded to something the protocol's state must refuse. It is the `Err` of
+/// every protocol function (`Msg::recv` in the core crate and everything
+/// above it) and of the closures the runtimes take, which map it to a
+/// rank-tagged `ClusterError`.
 #[derive(Clone, Debug)]
 pub struct CommFailure {
     /// The rank whose receive failed.
@@ -155,6 +163,20 @@ impl std::fmt::Display for CommFailure {
 }
 
 impl std::error::Error for CommFailure {}
+
+impl CommFailure {
+    /// The rank whose failure woke this one, when this is the poison marker
+    /// surfacing: the runtimes report that rank and skip its victims.
+    pub fn poisoned_by(&self) -> Option<usize> {
+        match self.error {
+            CommError::Closed(RecvError {
+                fault: LinkFault::Poison { origin },
+                ..
+            }) => Some(origin),
+            _ => None,
+        }
+    }
+}
 
 /// One rank's communication endpoint, generic over the [`Transport`] that
 /// moves the bytes (defaults to the in-process mesh).
@@ -183,7 +205,9 @@ pub struct Endpoint<T: Transport = MeshTransport> {
     model: CostModel,
     stats: TrafficStats,
     compute_steps: u64,
-    poisoned: bool,
+    /// The rank whose poison marker ended the run (this one, once it sent
+    /// its own).
+    poisoned: Option<usize>,
     /// Flight-recorder handle for this rank. When no trace session is
     /// active (the default), every use is one relaxed atomic load.
     tracer: Tracer,
@@ -209,6 +233,7 @@ impl<T: Transport> Endpoint<T> {
         model: CostModel,
         stats: TrafficStats,
     ) -> Self {
+        // invariant: both are the caller's description of its own mesh.
         assert!(rank < size, "rank {rank} out of range for size {size}");
         assert_eq!(stats.size(), size, "stats sized for a different cluster");
         Endpoint {
@@ -225,7 +250,7 @@ impl<T: Transport> Endpoint<T> {
             model,
             stats,
             compute_steps: 0,
-            poisoned: false,
+            poisoned: None,
             tracer: Tracer::for_rank(rank),
             recovery_span: None,
             constraint_span: None,
@@ -309,6 +334,8 @@ impl<T: Transport> Endpoint<T> {
     /// as a dropped send in the traffic statistics — the run outcome
     /// exposes the total, so lost messages are diagnosable.
     pub fn send_bytes(&mut self, to: usize, payload: Bytes) {
+        // invariant: destinations are the protocol's own arithmetic on ranks
+        // of this mesh; a rank a frame names is checked where it is read.
         assert!(to < self.size, "destination rank {to} out of range");
         assert_ne!(to, self.rank, "no loopback sends in this protocol");
         self.stats.record(self.rank, to, payload.len());
@@ -358,64 +385,53 @@ impl<T: Transport> Endpoint<T> {
     /// buffering messages from other sources. Merges the arrival time into
     /// this rank's clock and charges the receive overhead.
     ///
-    /// A peer whose link dies (process exit, stream error, or a malformed
-    /// frame on a socket transport) surfaces as a rank-tagged
-    /// [`RecvError`] — after any already-buffered messages from it have
-    /// been delivered — instead of hanging or tearing the rank down with a
-    /// panic mid-receive.
-    ///
-    /// # Panics
-    /// Panics with [`Poisoned`] when a peer rank panicked (the deliberate
-    /// whole-run unwind).
+    /// Returns a rank-tagged [`RecvError`] — never hangs, never unwinds —
+    /// when nothing more can arrive: the peer's link died (process exit,
+    /// stream error, or a malformed frame on a socket transport), reported
+    /// after any already-buffered messages from it were delivered, or a rank
+    /// failed and its poison marker arrived ([`LinkFault::Poison`], naming
+    /// that rank; from then on every receive returns it again).
     pub fn recv_from(&mut self, from: usize) -> Result<Bytes, RecvError> {
-        assert!(from < self.size, "source rank {from} out of range");
-        loop {
-            if let Some(env) = self.pending[from].pop_front() {
-                return Ok(self.deliver(env));
-            }
-            if let Some(fault) = self.faults[from] {
-                return Err(RecvError {
-                    rank: self.rank,
-                    from,
-                    fault,
-                });
-            }
-            if self.fabric_closed {
-                return Err(RecvError {
-                    rank: self.rank,
-                    from,
-                    fault: LinkFault::Closed,
-                });
-            }
-            if let Some(env) = self.pump() {
-                if env.from == from {
-                    return Ok(self.deliver(env));
-                }
-                self.pending[env.from].push_back(env);
-            }
-        }
+        self.recv_any(&[from], false).map(|(_, bytes)| bytes)
     }
 
     /// Blocking receive from a specific rank, decoded. Dead-link and
     /// malformed-frame failures both arrive as a [`CommError`] value, so
-    /// protocol layers can diagnose (or recover) instead of unwinding.
+    /// protocol layers can diagnose (or recover) with `?`.
     pub fn recv_msg<T2: Wire>(&mut self, from: usize) -> Result<T2, CommError> {
         Ok(from_bytes(self.recv_from(from)?)?)
     }
 
+    /// The [`CommFailure`] of this rank failing to receive what the
+    /// protocol `expected` from rank `from`.
+    pub fn failure(&self, from: usize, expected: &str, error: impl Into<CommError>) -> CommFailure {
+        CommFailure {
+            rank: self.rank,
+            from,
+            expected: expected.to_owned(),
+            error: error.into(),
+        }
+    }
+
+    /// The [`CommFailure`] of a frame from rank `from` that decoded and
+    /// still cannot be acted on — `why`: not the kind the protocol
+    /// `expected` in this state, or contents the receiver must not run on —
+    /// so that it is reported as every other bad frame is.
+    pub fn refusal(&self, from: usize, expected: &str, why: &'static str) -> CommFailure {
+        self.failure(from, expected, DecodeError::new(why))
+    }
+
     /// Blocks for one transport event. Returns the envelope when a message
-    /// arrived; records the fault and returns `None` otherwise.
-    ///
-    /// # Panics
-    /// Panics with [`Poisoned`] on a poison marker.
+    /// arrived; otherwise records what the event said — a link's fault, the
+    /// fabric's closure, or the origin of a poison marker — for the receive
+    /// loop to return, and yields `None`.
     fn pump(&mut self) -> Option<Envelope> {
         match self.transport.recv() {
-            TransportEvent::Envelope(env) => {
-                if env.poison {
-                    self.enter_poisoned(env.from);
-                }
-                Some(env)
+            TransportEvent::Envelope(env) if env.poison => {
+                self.poisoned.get_or_insert(env.from);
+                None
             }
+            TransportEvent::Envelope(env) => Some(env),
             TransportEvent::Closed { peer: Some(p) } => {
                 self.faults[p].get_or_insert(LinkFault::Closed);
                 None
@@ -431,75 +447,64 @@ impl<T: Transport> Endpoint<T> {
         }
     }
 
-    /// Blocking receive from `from` that *watches every other link*: the
-    /// moment any rank not already [marked down](Endpoint::mark_down) has
-    /// a dead link, the wait aborts with `Err(that_rank)` — the recovering
-    /// master's membership-event primitive. A fault on an acknowledged-dead
-    /// rank is expected and ignored.
-    ///
-    /// # Panics
-    /// Panics with [`Poisoned`] when a peer rank panicked.
-    pub fn recv_from_watching(&mut self, from: usize) -> Result<Bytes, usize> {
-        assert!(from < self.size, "source rank {from} out of range");
+    /// The receive loop under the three public receives: the next message
+    /// from the first of `sources` that has one buffered, else whatever
+    /// arrives from any of them, everything else being buffered for later.
+    /// `Err` names the rank at fault: the poisoned run's awaited source, a
+    /// source whose link is dead, or — when `watching` — the lowest rank
+    /// with a dead link that was not [marked down](Endpoint::mark_down).
+    fn recv_any(&mut self, sources: &[usize], watching: bool) -> Result<(usize, Bytes), RecvError> {
+        // invariant: as for a send's destination.
+        assert!(
+            sources.iter().all(|&s| s < self.size),
+            "source rank out of range"
+        );
+        let rank = self.rank;
+        let err = |from, fault| Err(RecvError { rank, from, fault });
         loop {
-            if let Some(env) = self.pending[from].pop_front() {
-                return Ok(self.deliver(env));
+            if let Some(origin) = self.poisoned {
+                return err(sources[0], LinkFault::Poison { origin });
             }
-            if let Some(dead) = self.first_unacknowledged_fault() {
-                return Err(dead);
+            for &s in sources {
+                if let Some(env) = self.pending[s].pop_front() {
+                    return Ok((s, self.deliver(env)));
+                }
+            }
+            let fault_of = |r: usize| Some((r, self.faults[r]?));
+            let dead = match watching {
+                true => (0..self.size).filter(|&r| !self.down[r]).find_map(fault_of),
+                false => sources.iter().copied().find_map(fault_of),
+            };
+            if let Some((from, fault)) = dead {
+                return err(from, fault);
             }
             if self.fabric_closed {
-                return Err(from);
+                return err(sources[0], LinkFault::Closed);
             }
             if let Some(env) = self.pump() {
-                if env.from == from {
-                    return Ok(self.deliver(env));
-                }
                 self.pending[env.from].push_back(env);
             }
         }
     }
 
+    /// Blocking receive from `from` that *watches every other link*: the
+    /// moment any rank not already [marked down](Endpoint::mark_down) has
+    /// a dead link, the wait ends with a [`RecvError`] whose `from` is that
+    /// rank — which need not be the one waited on; this is the recovering
+    /// master's membership-event primitive. A fault on an acknowledged-dead
+    /// rank is expected and ignored. A poison marker is returned as by
+    /// [`Endpoint::recv_from`].
+    pub fn recv_from_watching(&mut self, from: usize) -> Result<Bytes, RecvError> {
+        self.recv_any(&[from], true).map(|(_, bytes)| bytes)
+    }
+
     /// Blocking receive from whichever of two ranks delivers first
     /// (already-buffered messages from `a` win ties). Used by recovering
     /// workers that must hear either the ring predecessor *or* a master
-    /// abort. A dead link on either source surfaces as a [`RecvError`]
-    /// naming it.
-    ///
-    /// # Panics
-    /// Panics with [`Poisoned`] when a peer rank panicked.
+    /// abort. A dead link on either source is returned as a [`RecvError`]
+    /// naming it, a poison marker as by [`Endpoint::recv_from`].
     pub fn recv_from_either(&mut self, a: usize, b: usize) -> Result<(usize, Bytes), RecvError> {
-        assert!(a < self.size && b < self.size, "source rank out of range");
-        loop {
-            for s in [a, b] {
-                if let Some(env) = self.pending[s].pop_front() {
-                    return Ok((s, self.deliver(env)));
-                }
-            }
-            for s in [a, b] {
-                if let Some(fault) = self.faults[s] {
-                    return Err(RecvError {
-                        rank: self.rank,
-                        from: s,
-                        fault,
-                    });
-                }
-            }
-            if self.fabric_closed {
-                return Err(RecvError {
-                    rank: self.rank,
-                    from: a,
-                    fault: LinkFault::Closed,
-                });
-            }
-            if let Some(env) = self.pump() {
-                if env.from == a || env.from == b {
-                    let from = env.from;
-                    return Ok((from, self.deliver(env)));
-                }
-                self.pending[env.from].push_back(env);
-            }
-        }
+        self.recv_any(&[a, b], false)
     }
 
     /// Acknowledges `rank` as dead: its link fault (present or future) no
@@ -549,10 +554,6 @@ impl<T: Transport> Endpoint<T> {
         self.constraint_phase = on;
     }
 
-    fn first_unacknowledged_fault(&self) -> Option<usize> {
-        (0..self.size).find(|&r| self.faults[r].is_some() && !self.down[r])
-    }
-
     fn deliver(&mut self, env: Envelope) -> Bytes {
         self.clock.merge(env.arrival);
         self.clock.advance(self.model.recv_overhead);
@@ -566,18 +567,14 @@ impl<T: Transport> Endpoint<T> {
         env.payload
     }
 
-    /// True once this endpoint observed a poison marker.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Sends the poison marker to every other rank (used by the runtime's
-    /// panic handler) unless already poisoned by someone else.
+    /// Sends the poison marker to every other rank — this rank failed, by
+    /// returning an error or by unwinding, and nobody may stay blocked on it
+    /// — unless the run is already poisoned, by this rank or another.
     pub fn broadcast_poison(&mut self) {
-        if self.poisoned {
+        if self.poisoned.is_some() {
             return;
         }
-        self.poisoned = true;
+        self.poisoned = Some(self.rank);
         for to in 0..self.size {
             if to != self.rank {
                 let _ = self.transport.send(
@@ -593,9 +590,20 @@ impl<T: Transport> Endpoint<T> {
         }
     }
 
-    fn enter_poisoned(&mut self, origin: usize) -> ! {
-        self.poisoned = true;
-        std::panic::panic_any(Poisoned { origin });
+    /// Runs `f` on this endpoint; should it unwind — a genuine bug, failures
+    /// being values — the poison marker goes out on the way, so that the
+    /// peers are woken and the panic can travel on without a deadlock.
+    pub fn poisoning_on_unwind<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        struct Guard<'a, T: Transport>(&'a mut Endpoint<T>);
+        impl<T: Transport> Drop for Guard<'_, T> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.broadcast_poison();
+                }
+            }
+        }
+        let guard = Guard(self);
+        f(&mut *guard.0)
     }
 }
 
@@ -692,7 +700,8 @@ mod tests {
         let mut ep0 = Endpoint::from_parts(0, 3, t0, CostModel::free(), TrafficStats::new(3));
 
         handle.notify(2); // rank 2 "dies"
-        assert_eq!(ep0.recv_from_watching(1).unwrap_err(), 2);
+        let died = ep0.recv_from_watching(1).unwrap_err();
+        assert_eq!((died.from, died.fault), (2, LinkFault::Closed));
 
         ep0.mark_down(2);
         assert_eq!(ep0.downed(), vec![2]);
@@ -728,6 +737,46 @@ mod tests {
         let (from, bytes) = ep0.recv_from_either(1, 2).unwrap();
         assert_eq!(from, 2);
         assert_eq!(from_bytes::<u32>(bytes).unwrap(), 5);
+    }
+
+    /// A poison marker is a value the receive returns, naming the rank that
+    /// failed, before anything still buffered and on every later receive
+    /// whatever the source; the endpoint that was told does not tell others.
+    #[test]
+    fn poison_is_a_sticky_receive_error_naming_its_origin() {
+        let mut mesh = MeshTransport::mesh(3);
+        let mut t2 = mesh.pop().expect("rank 2");
+        let mut t1 = mesh.pop().expect("rank 1");
+        let t0 = mesh.pop().expect("rank 0");
+        let mut ep0 = Endpoint::from_parts(0, 3, t0, CostModel::free(), TrafficStats::new(3));
+        let envelope = |from, poison| Envelope {
+            from,
+            arrival: 0.0,
+            poison,
+            payload: if poison { Bytes::new() } else { to_bytes(&1u8) },
+        };
+        assert!(t1.send(0, envelope(1, false)));
+        assert!(t2.send(0, envelope(2, true)));
+        let poisoned = |from| RecvError {
+            rank: 0,
+            from,
+            fault: LinkFault::Poison { origin: 2 },
+        };
+        // Waiting on rank 2 buffers rank 1's message and meets the marker.
+        assert_eq!(ep0.recv_from(2).unwrap_err(), poisoned(2));
+        assert_eq!(ep0.recv_from(1).unwrap_err(), poisoned(1));
+        assert_eq!(ep0.recv_from_watching(1).unwrap_err(), poisoned(1));
+        assert_eq!(ep0.recv_from_either(2, 1).unwrap_err(), poisoned(2));
+        let failure = ep0.failure(1, "a reply", poisoned(1));
+        assert_eq!(failure.poisoned_by(), Some(2));
+        assert_eq!(ep0.refusal(1, "a reply", "not one").poisoned_by(), None);
+        // A victim does not poison in turn: rank 1's next item is rank 2's.
+        ep0.broadcast_poison();
+        assert!(t2.send(1, envelope(2, false)));
+        assert!(matches!(
+            t1.recv(),
+            TransportEvent::Envelope(Envelope { from: 2, .. })
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Plays the role LAM/MPI + the 8-CPU Beowulf cluster played in Fonseca et
 //! al. (CLUSTER 2005). Ranks carry deterministic virtual clocks so that
 //! execution time, speedup, and communication volume can be *measured*
-//! (DESIGN.md §3, substitution 1) — and the transport underneath is
-//! pluggable: ranks can be OS threads joined by channels (the default
+//! (the substitution is stated in [`vtime`]) — and the transport underneath
+//! is pluggable: ranks can be OS threads joined by channels (the default
 //! simulator) or real OS processes joined by a TCP mesh.
 //!
 //! * [`codec`] — `to_bytes` / `from_bytes` over the byte-accurate wire
@@ -19,7 +19,9 @@
 //!   the rendezvous handshake, and the multi-process runtime
 //!   [`run_cluster_tcp`];
 //! * [`runtime`] — the in-process runtime
-//!   `run_cluster(p, model, master, worker)`.
+//!   `run_cluster(p, model, master, worker)`. Both closures return
+//!   `Result<_, CommFailure>`: a rank that cannot go on returns its failure,
+//!   and the run reports the rank at the root as a [`ClusterError`].
 //!
 //! ```
 //! use p2mdie_cluster::{run_cluster, CostModel};
@@ -29,11 +31,16 @@
 //!     CostModel::free(),
 //!     |ep| {
 //!         ep.broadcast(&21u64);
-//!         (1..=2).map(|w| ep.recv_msg::<u64>(w).unwrap()).sum::<u64>()
+//!         let mut sum = 0;
+//!         for w in 1..=2 {
+//!             sum += ep.recv_msg::<u64>(w).map_err(|e| ep.failure(w, "a product", e))?;
+//!         }
+//!         Ok(sum)
 //!     },
 //!     |ep| {
-//!         let x: u64 = ep.recv_msg(0).unwrap();
+//!         let x: u64 = ep.recv_msg(0).map_err(|e| ep.failure(0, "a factor", e))?;
 //!         ep.send(0, &(x * ep.rank() as u64));
+//!         Ok(())
 //!     },
 //! )
 //! .unwrap();
@@ -54,7 +61,7 @@ pub use net::{
     run_cluster_tcp, worker_connect, Frame, FrameReader, MasterRendezvous, NetError, TcpTransport,
     WorkerReport,
 };
-pub use runtime::{run_cluster, run_cluster_with, ClusterError, ClusterOutcome};
+pub use runtime::{panic_message, run_cluster, run_cluster_with, ClusterError, ClusterOutcome};
 pub use stats::TrafficStats;
 pub use transport::{
     maybe_chaos, ChaosConfig, ChaosTransport, DownHandle, MeshItem, MeshTransport, Transport,

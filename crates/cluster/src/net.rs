@@ -57,10 +57,24 @@
 //!
 //! The result is a full TCP mesh with the same topology as the in-process
 //! channel mesh. Poison/shutdown propagation works across the process
-//! boundary because poison is just an envelope flag: a panicking worker
-//! broadcasts poison frames before exiting, and a worker that dies without
-//! them surfaces as a per-link closure ([`crate::comm::LinkFault`]) at
+//! boundary because poison is just an envelope flag: a failing worker
+//! broadcasts poison frames before exiting — every peer's receive then
+//! returns [`LinkFault::Poison`](crate::comm::LinkFault) naming it — and
+//! a worker that dies without them is returned as a per-link closure at
 //! every peer instead of a hang.
+//!
+//! # How a run fails
+//!
+//! As in [`crate::runtime`], failures are values: the master closure of
+//! [`run_cluster_tcp`] returns `Result<_, CommFailure>`, and what the
+//! caller gets is a [`ClusterError`] naming the rank at the root —
+//! [`ClusterError::Comm`] for a peer the master lost or had to refuse,
+//! [`ClusterError::WorkerFailed`] / [`ClusterError::WorkerPanicked`] for a
+//! worker process whose poison marker woke the master (told apart by the
+//! process's exit code, see [`PROTOCOL_FAILURE_EXIT`]), each quoting the
+//! child's exit status and stderr. A master *panic* is a bug and travels on
+//! through the caller; on its way the workers are poisoned and the child
+//! processes killed.
 //!
 //! Every handshake step is bounded twice: the run-level `timeout` caps the
 //! whole rendezvous, and each *connection* additionally gets
@@ -79,7 +93,7 @@
 //! nothing silently depends on shared memory.
 
 use crate::codec::{DecodeError, Wire};
-use crate::comm::{CommFailure, Endpoint, Envelope, Poisoned};
+use crate::comm::{CommFailure, Endpoint, Envelope};
 use crate::runtime::{ClusterError, ClusterOutcome};
 use crate::stats::TrafficStats;
 use crate::transport::{Transport, TransportEvent};
@@ -88,7 +102,6 @@ use bytes::Bytes;
 use p2mdie_logic::wire::decode_exact;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::Child;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -140,10 +153,25 @@ pub const MAX_FRAME: u32 = 1 << 30;
 /// Exit code a *resident* worker process uses when its master link closed
 /// while it sat idle between jobs: an orderly disconnect (or a kill landing
 /// in the idle window), not a mid-job failure. Distinct from 0 (clean
-/// shutdown after a report), 101 (panic), and 102 (poisoned), so a
+/// shutdown after a report), [`BOOTSTRAP_FAILURE_EXIT`],
+/// [`PROTOCOL_FAILURE_EXIT`], [`PANIC_EXIT`] and [`POISONED_EXIT`], so a
 /// post-shutdown signal is never misreported as a mid-run crash — the
-/// child-failure diagnosis maps it to a friendly message.
+/// child-failure diagnosis maps each to its own message.
 pub const IDLE_DISCONNECT_EXIT: i32 = 4;
+/// Exit code of a worker process whose bootstrap delivered no usable KB
+/// snapshot: the first frame was something else, would not decode or
+/// validate, or the master link died before it came.
+pub const BOOTSTRAP_FAILURE_EXIT: i32 = 5;
+/// Exit code of a worker process whose protocol failed mid-run with a typed
+/// [`CommFailure`] — a peer's link died under a receive, or a frame had to
+/// be refused. The process poisons the run first.
+pub const PROTOCOL_FAILURE_EXIT: i32 = 6;
+/// Exit code of a worker process that panicked (a bug; Rust's own code for
+/// it). The process poisons the run first.
+pub const PANIC_EXIT: i32 = 101;
+/// Exit code of a worker process woken by another rank's poison marker: a
+/// victim of the failure, not its cause.
+pub const POISONED_EXIT: i32 = 102;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -749,6 +777,8 @@ impl MasterRendezvous {
         let mut peers: Vec<Option<(TcpStream, FrameReader)>> = Vec::with_capacity(workers + 1);
         peers.push(None); // self (rank 0)
         for slot in slots.into_iter().skip(1) {
+            // invariant: `workers` hellos, each of a rank in `1..=workers`
+            // (`check_hello`) that had not connected before, fill every slot.
             let (mut stream, reader, _) = slot.expect("all ranks accounted for");
             stream.write_all(&roster)?;
             peers.push(Some((stream, reader)));
@@ -781,6 +811,7 @@ pub fn worker_connect_opts(
     timeout: Duration,
     handshake: Duration,
 ) -> Result<(TcpTransport, CostModel), NetError> {
+    // invariant: the caller's own rank, not anything a peer sent.
     assert!(rank >= 1, "worker ranks start at 1");
     let deadline = Instant::now() + timeout;
 
@@ -997,13 +1028,23 @@ impl ChildSet {
             if *r != rank {
                 continue;
             }
-            let mut msg = match status {
-                Some(s) if s.code() == Some(IDLE_DISCONNECT_EXIT) => format!(
-                    "process was disconnected while idle between jobs \
-                     (exit code {IDLE_DISCONNECT_EXIT}; not a mid-job failure)"
-                ),
-                Some(s) => format!("process exited with {s}"),
-                None => fallback.to_owned(),
+            // What the worker binary's own exit codes mean; any other status
+            // (a panic's 101, a signal) is quoted as it is.
+            let story = status.and_then(|s| s.code()).and_then(|code| match code {
+                IDLE_DISCONNECT_EXIT => {
+                    Some("was disconnected while idle between jobs; not a mid-job failure")
+                }
+                BOOTSTRAP_FAILURE_EXIT => Some("was given no usable KB snapshot at bootstrap"),
+                PROTOCOL_FAILURE_EXIT => {
+                    Some("failed mid-run on a dead link or a frame it had to refuse")
+                }
+                POISONED_EXIT => Some("was woken by another rank's failure"),
+                _ => None,
+            });
+            let mut msg = match (*status, story) {
+                (Some(s), Some(story)) => format!("process {story} ({s})"),
+                (Some(s), None) => format!("process exited with {s}"),
+                (None, _) => fallback.to_owned(),
             };
             if let Some(mut err) = child.stderr.take() {
                 let (tx, rx) = mpsc::channel();
@@ -1031,6 +1072,16 @@ impl ChildSet {
             return msg;
         }
         fallback.to_owned()
+    }
+
+    /// Whether `rank`'s process ended in a typed failure of its own — one of
+    /// the two codes the worker binary keeps for that — and not in a panic,
+    /// a signal or as another rank's victim (call after `wait_all`).
+    fn failed_typed(&self, rank: usize) -> bool {
+        self.children.iter().any(|(r, _, status)| {
+            let code = status.and_then(|s| s.code());
+            *r == rank && matches!(code, Some(BOOTSTRAP_FAILURE_EXIT | PROTOCOL_FAILURE_EXIT))
+        })
     }
 
     /// The lowest-ranked child that exited abnormally, if any (call after
@@ -1067,17 +1118,18 @@ impl Drop for ChildSet {
 /// crate's `p2mdie-worker` binary is the standard worker; pipe its stderr
 /// if you want it quoted in failure diagnoses). Everything else mirrors
 /// [`crate::run_cluster`]: the master closure runs on the calling thread,
-/// worker failures surface as rank-tagged [`ClusterError`]s instead of
-/// hangs, and the returned [`ClusterOutcome`] carries whole-cluster
-/// statistics (worker processes report their clocks, steps, and traffic
-/// rows in a shutdown frame).
+/// worker failures are returned as rank-tagged [`ClusterError`]s instead of
+/// hangs (see the [module docs](self)), and the returned [`ClusterOutcome`]
+/// carries whole-cluster statistics (worker processes report their clocks,
+/// steps, and traffic rows in a shutdown frame).
 pub fn run_cluster_tcp<R>(
     workers: usize,
     model: CostModel,
     timeout: Duration,
     mut spawn: impl FnMut(usize, SocketAddr) -> io::Result<Child>,
-    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> R,
+    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> Result<R, CommFailure>,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
+    // invariant: the caller's configuration, not anything a peer sent.
     assert!(workers >= 1, "need at least one worker");
     let net_err = |e: NetError| ClusterError::Net { message: e.message };
     // Env-driven flight recording: with `P2MDIE_TRACE=<base>` set, the
@@ -1112,36 +1164,29 @@ pub fn run_cluster_tcp<R>(
     let stats = TrafficStats::new(size);
     let mut ep = Endpoint::from_parts(0, size, transport, model, stats.clone());
 
-    let master_result = catch_unwind(AssertUnwindSafe(|| master(&mut ep)));
-    let result = match master_result {
+    let result = match ep.poisoning_on_unwind(master) {
         Ok(r) => r,
-        Err(payload) => {
+        Err(failure) => {
             // Wake every worker that is still blocked, then diagnose.
             ep.broadcast_poison();
             drop(ep);
             children.wait_all(timeout);
-            if let Some(p) = payload.downcast_ref::<Poisoned>() {
-                return Err(ClusterError::WorkerPanicked {
-                    rank: p.origin,
-                    message: children.diagnose(p.origin, "poisoned the run"),
+            // Woken by a worker's poison marker: that worker is the error.
+            if let Some(rank) = failure.poisoned_by() {
+                let message = children.diagnose(rank, "poisoned the run");
+                return Err(match children.failed_typed(rank) {
+                    true => ClusterError::WorkerFailed { rank, message },
+                    false => ClusterError::WorkerPanicked { rank, message },
                 });
             }
-            if let Some(cf) = payload.downcast_ref::<CommFailure>() {
-                let mut message = cf.to_string();
-                let detail = children.diagnose(cf.from, "");
-                if !detail.is_empty() {
-                    message.push_str(" [");
-                    message.push_str(&detail);
-                    message.push(']');
-                }
-                return Err(ClusterError::Comm {
-                    rank: cf.from,
-                    message,
-                });
-            }
-            // The master's own bug: match the in-process runtime and keep
-            // unwinding (children are killed by the ChildSet drop).
-            std::panic::resume_unwind(payload);
+            let message = match children.diagnose(failure.from, "") {
+                detail if detail.is_empty() => failure.to_string(),
+                detail => format!("{failure} [{detail}]"),
+            };
+            return Err(ClusterError::Comm {
+                rank: failure.from,
+                message,
+            });
         }
     };
 
@@ -1160,6 +1205,10 @@ pub fn run_cluster_tcp<R>(
     let mut worker_steps = Vec::with_capacity(workers);
     for (rank, report) in reports.iter().enumerate().take(workers + 1).skip(1) {
         match report {
+            Some(rep) if rep.sends.len() > size => {
+                let message = "shutdown report: a traffic row wider than the cluster".to_owned();
+                return Err(ClusterError::WorkerProcess { rank, message });
+            }
             Some(rep) => {
                 stats.absorb_row(rank, &rep.sends);
                 stats.absorb_recovery(rep.recovery_bytes, rep.recovery_messages);
@@ -1477,9 +1526,10 @@ mod tests {
         assert_ne!(sa, sc);
     }
 
-    /// A worker killed (or disconnected) while idle between jobs exits
-    /// with [`IDLE_DISCONNECT_EXIT`], and the child-failure diagnosis says
-    /// so instead of reporting a mid-run crash.
+    /// Each exit code the worker binary keeps for a way of ending — idle
+    /// disconnect, bootstrap failure, typed mid-run failure, woken victim —
+    /// gets its own sentence in the child-failure diagnosis; a panic's 101
+    /// is reported as the bare status.
     #[test]
     fn idle_disconnect_exit_code_gets_a_friendly_diagnosis() {
         let spawn = |code: i32| {
@@ -1489,21 +1539,31 @@ mod tests {
                 .spawn()
                 .expect("spawn sh")
         };
+        let rows = [
+            (IDLE_DISCONNECT_EXIT, "idle between jobs", false),
+            (PANIC_EXIT, "exited with", false),
+            (BOOTSTRAP_FAILURE_EXIT, "no usable KB snapshot", true),
+            (PROTOCOL_FAILURE_EXIT, "a frame it had to refuse", true),
+            (POISONED_EXIT, "another rank's failure", false),
+        ];
         let mut children = ChildSet::new();
-        children.push(1, spawn(IDLE_DISCONNECT_EXIT));
-        children.push(2, spawn(101));
+        for (i, (code, ..)) in rows.iter().enumerate() {
+            children.push(i + 1, spawn(*code));
+        }
         children.wait_all(Duration::from_secs(10));
-        let idle = children.diagnose(1, "fallback");
-        assert!(
-            idle.contains("idle between jobs") && idle.contains("not a mid-job failure"),
-            "unexpected diagnosis: {idle}"
-        );
-        let crash = children.diagnose(2, "fallback");
-        assert!(
-            crash.contains("exited with") && !crash.contains("idle between jobs"),
-            "unexpected diagnosis: {crash}"
-        );
-        // Both are still *failures* from the mesh's point of view: the
+        for (i, (code, says, typed)) in rows.iter().enumerate() {
+            let text = children.diagnose(i + 1, "fallback");
+            assert!(text.contains(says), "exit {code}: {text}");
+            let others = rows.iter().filter(|(c, ..)| c != code);
+            for (_, not_this, _) in others.filter(|(c, ..)| *c != PANIC_EXIT) {
+                assert!(!text.contains(not_this), "exit {code}: {text}");
+            }
+            assert_eq!(children.failed_typed(i + 1), *typed, "exit {code}");
+        }
+        assert!(children
+            .diagnose(1, "fallback")
+            .contains("not a mid-job failure"));
+        // All are still *failures* from the mesh's point of view: the
         // distinct code only changes the story, not the verdict.
         assert_eq!(children.first_failure(&[]), Some(1));
         assert_eq!(children.first_failure(&[1]), Some(2));

@@ -6,8 +6,22 @@
 //! whole simulated cluster. The multi-process runtime over real sockets
 //! lives in [`crate::net`] (`run_cluster_tcp`); both produce the same
 //! [`ClusterOutcome`].
+//!
+//! # How a run fails
+//!
+//! Both closures return `Result<_, CommFailure>`: a rank whose protocol
+//! cannot go on — a dead link, a frame it must refuse — *returns* that, and
+//! what is returned here is a [`ClusterError`] naming the rank at the root:
+//! [`ClusterError::WorkerFailed`] for a worker's failure,
+//! [`ClusterError::Comm`] (naming the peer at fault) for the master's. A
+//! rank that fails wakes its peers with the poison marker; what they return
+//! in turn ([`CommFailure::poisoned_by`]) marks them as victims, which are
+//! skipped. Only a genuine bug unwinds: a worker's panic is caught where its
+//! thread ends and reported as [`ClusterError::WorkerPanicked`], the
+//! master's travels on through the caller (poisoning the run on the way, so
+//! that no worker is left blocked).
 
-use crate::comm::{CommFailure, Endpoint, Poisoned};
+use crate::comm::{CommFailure, Endpoint};
 use crate::stats::TrafficStats;
 use crate::transport::{DownHandle, MeshTransport, Transport};
 use crate::vtime::CostModel;
@@ -37,8 +51,16 @@ pub struct ClusterOutcome<R> {
 /// A cluster run failed.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// A worker rank panicked; the message is the panic payload when it was
-    /// a string.
+    /// A worker rank's protocol failed: a receive it could not go on from
+    /// (its link to a peer died, or it was sent a frame it must refuse).
+    WorkerFailed {
+        /// The failing rank.
+        rank: usize,
+        /// The rank's [`CommFailure`], as text.
+        message: String,
+    },
+    /// A worker rank panicked — a bug, not a failure of the run's peers or
+    /// inputs; the message is the panic payload when it was a string.
     WorkerPanicked {
         /// The panicking rank.
         rank: usize,
@@ -71,6 +93,9 @@ pub enum ClusterError {
 impl std::fmt::Display for ClusterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ClusterError::WorkerFailed { rank, message } => {
+                write!(f, "worker rank {rank} failed: {message}")
+            }
             ClusterError::WorkerPanicked { rank, message } => {
                 write!(f, "worker rank {rank} panicked: {message}")
             }
@@ -111,13 +136,8 @@ pub(crate) fn warn_dropped_sends(dropped: u64, master_vtime: f64) {
     }
 }
 
-pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(p) = e.downcast_ref::<Poisoned>() {
-        return format!("poisoned by rank {}", p.origin);
-    }
-    if let Some(cf) = e.downcast_ref::<CommFailure>() {
-        return cf.to_string();
-    }
+/// The text of a panic payload caught where a thread or a process ends.
+pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         return (*s).to_owned();
     }
@@ -129,15 +149,12 @@ pub(crate) fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs a master–worker cluster of `workers` worker ranks (total ranks =
 /// `workers + 1`; rank 0 is the master, which runs on the calling thread).
-///
-/// Worker panics are caught, propagated as poison so no rank deadlocks, and
-/// surfaced as [`ClusterError::WorkerPanicked`]. A master panic unrelated to
-/// a worker failure resumes unwinding.
+/// See the [module docs](self) for how a failing rank is reported.
 pub fn run_cluster<R: Send>(
     workers: usize,
     model: CostModel,
-    master: impl FnOnce(&mut Endpoint) -> R + Send,
-    worker: impl Fn(&mut Endpoint) + Send + Sync,
+    master: impl FnOnce(&mut Endpoint) -> Result<R, CommFailure> + Send,
+    worker: impl Fn(&mut Endpoint) -> Result<(), CommFailure> + Send + Sync,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
     run_cluster_with(workers, model, false, |_, t| t, master, worker)
 }
@@ -148,24 +165,25 @@ pub fn run_cluster<R: Send>(
 ///   endpoints actually run on (identity for normal runs; a
 ///   [`crate::transport::ChaosTransport`] for fault-injection tests).
 /// * `recovery` switches the failure discipline from *abort* to *event*:
-///   a worker panic no longer poisons the cluster — instead the runtime
+///   a failing worker no longer poisons the cluster — instead the runtime
 ///   injects a death notification into the master's channel (surfacing as
 ///   `Closed { peer }` there, exactly like a broken TCP link), and the
 ///   master's supervision loop decides what to do. When the master closure
-///   completes despite losses, worker panics are *not* surfaced as run
+///   completes despite losses, worker failures are *not* returned as run
 ///   errors.
 ///
-/// In either mode a master that gives up with a [`CommFailure`] panic — the
-/// loss budget exhausted, or a frame from a worker it must refuse — maps to
+/// In either mode a master that gives up — the loss budget exhausted, or a
+/// frame from a worker it must refuse — is reported as
 /// [`ClusterError::Comm`] naming that worker, as over TCP.
 pub fn run_cluster_with<T: Transport + Send, R: Send>(
     workers: usize,
     model: CostModel,
     recovery: bool,
     wrap: impl Fn(usize, MeshTransport) -> T,
-    master: impl FnOnce(&mut Endpoint<T>) -> R + Send,
-    worker: impl Fn(&mut Endpoint<T>) + Send + Sync,
+    master: impl FnOnce(&mut Endpoint<T>) -> Result<R, CommFailure> + Send,
+    worker: impl Fn(&mut Endpoint<T>) -> Result<(), CommFailure> + Send + Sync,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
+    // invariant: the caller's configuration, not anything a peer sent.
     assert!(workers >= 1, "need at least one worker");
     let size = workers + 1;
     let stats = TrafficStats::new(size);
@@ -181,76 +199,65 @@ pub fn run_cluster_with<T: Transport + Send, R: Send>(
         })
         .collect();
 
-    // Worker thread body: run, catch panics, report (vtime, steps, panic
-    // message) back through the join handle. On failure, either poison the
-    // whole cluster (abort mode) or notify the master of this rank's death
-    // (recovery mode).
-    type WorkerRecord = (f64, u64, Option<String>);
+    // Worker thread body: run, and report (vtime, steps, failure) back
+    // through the join handle. A rank that failed — and was not merely
+    // woken by another's failure — either poisons the whole cluster (abort
+    // mode) or notifies the master of its death (recovery mode).
+    type WorkerRecord = (f64, u64, Option<ClusterError>);
     let run_worker = |mut ep: Endpoint<T>, down: DownHandle| -> WorkerRecord {
-        let r = catch_unwind(AssertUnwindSafe(|| worker(&mut ep)));
-        let failure = r.err().and_then(|e| {
-            // A `Poisoned` panic is a secondary victim of another rank's
-            // failure, not a root cause: don't report it, don't re-poison.
-            if e.downcast_ref::<Poisoned>().is_some() {
-                return None;
-            }
-            let msg = panic_message(&*e);
-            if recovery {
-                down.notify(ep.rank());
-            } else {
-                ep.broadcast_poison();
-            }
-            Some(msg)
-        });
+        let rank = ep.rank();
+        let failure = match catch_unwind(AssertUnwindSafe(|| worker(&mut ep))) {
+            Ok(Ok(())) => None,
+            Ok(Err(f)) if f.poisoned_by().is_some() => None,
+            Ok(Err(f)) => Some(ClusterError::WorkerFailed {
+                rank,
+                message: f.to_string(),
+            }),
+            Err(payload) => Some(ClusterError::WorkerPanicked {
+                rank,
+                message: panic_message(&*payload),
+            }),
+        };
+        match (&failure, recovery) {
+            (None, _) => {}
+            (Some(_), true) => drop(down.notify(rank)),
+            (Some(_), false) => ep.broadcast_poison(),
+        }
         (ep.now(), ep.compute_steps(), failure)
     };
 
     let (mut master_ep, _) = endpoints.remove(0);
-    let (master_result, records) = std::thread::scope(|scope| {
+    let (master_result, mut records) = std::thread::scope(|scope| {
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|(ep, down)| scope.spawn(|| run_worker(ep, down)))
             .collect();
-        let master_result = catch_unwind(AssertUnwindSafe(|| master(&mut master_ep)));
+        let master_result = master_ep.poisoning_on_unwind(master);
         if master_result.is_err() {
             master_ep.broadcast_poison();
         }
         let records: Vec<WorkerRecord> = handles
             .into_iter()
+            // invariant: the thread body catches its closure's unwind.
             .map(|h| h.join().expect("worker report"))
             .collect();
         (master_result, records)
     });
 
-    // Abort mode: surface the first worker failure (rank order) as the run
-    // error. Recovery mode: worker deaths the master survived are part of
-    // the outcome, not errors.
+    // Abort mode: the first worker failure (rank order) is the run's error,
+    // whatever the master returned once woken. Recovery mode: worker deaths
+    // the master survived are part of the outcome, not errors.
     if !recovery {
-        for (i, (_, _, failure)) in records.iter().enumerate() {
-            if let Some(msg) = failure {
-                return Err(ClusterError::WorkerPanicked {
-                    rank: i + 1,
-                    message: msg.clone(),
-                });
-            }
+        if let Some(failure) = records.iter_mut().find_map(|r| r.2.take()) {
+            return Err(failure);
         }
     }
-    let result = match master_result {
-        Ok(r) => r,
-        Err(e) => {
-            // A receive the master gave up on names the peer at fault,
-            // whether it lost the rank or was sent a frame it must refuse.
-            if let Some(cf) = e.downcast_ref::<CommFailure>() {
-                return Err(ClusterError::Comm {
-                    rank: cf.from,
-                    message: cf.to_string(),
-                });
-            }
-            // No worker failed, so this is the master's own bug: keep
-            // unwinding.
-            std::panic::resume_unwind(e)
-        }
-    };
+    // A receive the master gave up on names the peer at fault, whether it
+    // lost the rank or was sent a frame it must refuse.
+    let result = master_result.map_err(|f| ClusterError::Comm {
+        rank: f.from,
+        message: f.to_string(),
+    })?;
 
     warn_dropped_sends(stats.total_dropped(), master_ep.now());
     Ok(ClusterOutcome {
@@ -268,6 +275,7 @@ pub fn run_cluster_with<T: Transport + Send, R: Send>(
 mod tests {
     use super::*;
     use crate::codec::from_bytes;
+    use crate::comm::LinkFault;
 
     #[test]
     fn ping_pong_round_trip() {
@@ -283,11 +291,12 @@ mod tests {
                 ep.send(2, &9u64);
                 let a: u64 = ep.recv_msg(1).unwrap();
                 let b: u64 = ep.recv_msg(2).unwrap();
-                (a, b)
+                Ok((a, b))
             },
             |ep| {
                 let x: u64 = ep.recv_msg(0).unwrap();
                 ep.send(0, &(x * 10));
+                Ok(())
             },
         )
         .unwrap();
@@ -309,11 +318,12 @@ mod tests {
                 // arrive earlier.
                 let b: u32 = ep.recv_msg(2).unwrap();
                 let a: u32 = ep.recv_msg(1).unwrap();
-                (a, b)
+                Ok((a, b))
             },
             |ep| {
                 let rank = ep.rank() as u32;
                 ep.send(0, &rank);
+                Ok(())
             },
         )
         .unwrap();
@@ -333,12 +343,13 @@ mod tests {
             |ep| {
                 ep.send(1, &1u8);
                 let _: u8 = ep.recv_msg(1).unwrap();
-                ep.now()
+                Ok(ep.now())
             },
             |ep| {
                 let _: u8 = ep.recv_msg(0).unwrap();
                 ep.advance_steps(5);
                 ep.send(0, &1u8);
+                Ok(())
             },
         )
         .unwrap();
@@ -358,11 +369,13 @@ mod tests {
                 for w in 1..=3 {
                     let _: u32 = ep.recv_msg(w).unwrap();
                 }
+                Ok(())
             },
             |ep| {
                 let v: u32 = ep.recv_msg(0).unwrap();
                 assert_eq!(v, 123);
                 ep.send(0, &v);
+                Ok(())
             },
         )
         .unwrap();
@@ -381,6 +394,7 @@ mod tests {
                 // Master waits forever for a message that never comes; the
                 // poison must wake it up.
                 let _ = ep.recv_from(1);
+                Ok(())
             },
             |ep| {
                 if ep.rank() == 2 {
@@ -388,6 +402,7 @@ mod tests {
                 }
                 // Rank 1 also blocks; poison must wake it too.
                 let _ = ep.recv_from(0);
+                Ok(())
             },
         )
         .unwrap_err();
@@ -400,6 +415,74 @@ mod tests {
         }
     }
 
+    /// Rank 2 of three fails while rank 1, rank 3 and the master each block
+    /// in a receive: all three are woken, what they return names rank 2 as
+    /// the origin, and the run's error is rank 2's own — `WorkerFailed` when
+    /// it returned its failure, `WorkerPanicked` when it panicked — never a
+    /// victim's, never the master's, never a hang.
+    #[test]
+    fn a_failing_worker_is_the_error_and_its_victims_are_not() {
+        let blocked = |ep: &mut Endpoint, on: usize| {
+            let woken = ep.recv_from(on).unwrap_err();
+            assert_eq!(woken.fault, LinkFault::Poison { origin: 2 });
+            Err(ep.failure(on, "a message that never comes", woken))
+        };
+        for panics in [false, true] {
+            let err = run_cluster(
+                3,
+                CostModel::free(),
+                |ep| blocked(ep, 1),
+                |ep| match ep.rank() {
+                    2 if panics => panic!("injected failure"),
+                    2 => Err(ep.refusal(0, "a command", "injected refusal")),
+                    // Rank 1 waits on the master, rank 3 on the failing rank.
+                    me => blocked(ep, me - 1),
+                },
+            )
+            .map(|out| out.result)
+            .unwrap_err();
+            match err {
+                ClusterError::WorkerPanicked { rank: 2, message } if panics => {
+                    assert!(message.contains("injected failure"), "{message}");
+                }
+                ClusterError::WorkerFailed { rank: 2, message } if !panics => {
+                    assert!(message.contains("rank 2: failed receiving"), "{message}");
+                    assert!(message.contains("injected refusal"), "{message}");
+                }
+                other => panic!("panics={panics}: expected rank 2's own failure, got {other}"),
+            }
+        }
+    }
+
+    /// A master that returns a failure wakes the workers blocked on it and
+    /// is reported as `Comm` naming the peer it failed on; one that panics
+    /// wakes them too, and its panic reaches the caller.
+    #[test]
+    fn a_failing_master_wakes_the_workers() {
+        let wait = |ep: &mut Endpoint| {
+            let woken = ep.recv_from(0).unwrap_err();
+            Err(ep.failure(0, "a command", woken))
+        };
+        let err = run_cluster(
+            2,
+            CostModel::free(),
+            |ep| Err::<(), _>(ep.refusal(2, "a reply", "injected refusal")),
+            wait,
+        )
+        .unwrap_err();
+        match err {
+            ClusterError::Comm { rank: 2, message } => {
+                assert!(message.contains("injected refusal"), "{message}")
+            }
+            other => panic!("expected the master's failure, got {other}"),
+        }
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let master = |_: &mut Endpoint| -> Result<(), CommFailure> { panic!("master bug") };
+            run_cluster(2, CostModel::free(), master, wait).map(|out| out.result)
+        }));
+        assert_eq!(panic_message(&*unwound.unwrap_err()), "master bug");
+    }
+
     #[test]
     fn undecodable_message_is_an_error_value() {
         let out = run_cluster(
@@ -408,12 +491,13 @@ mod tests {
             |ep| {
                 ep.send(1, &0xFFu8); // one byte, not a valid u64
                 let ok: bool = ep.recv_msg(1).unwrap();
-                ok
+                Ok(ok)
             },
             |ep| {
                 let raw = ep.recv_from(0).unwrap();
                 let failed = from_bytes::<u64>(raw).is_err();
                 ep.send(0, &failed);
+                Ok(())
             },
         )
         .unwrap();
@@ -433,10 +517,12 @@ mod tests {
                 for w in 1..=2 {
                     let _: u8 = ep.recv_msg(w).unwrap();
                 }
+                Ok(())
             },
             |ep| {
                 ep.advance_steps(ep.rank() as u64);
                 ep.send(0, &1u8);
+                Ok(())
             },
         )
         .unwrap();

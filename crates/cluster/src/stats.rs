@@ -52,6 +52,8 @@ impl TrafficStats {
 
     #[inline]
     fn idx(&self, from: usize, to: usize) -> usize {
+        // invariant: callers pass ranks of this cluster (`Endpoint` checks a
+        // destination, the runtimes a reporting rank).
         assert!(from < self.size && to < self.size, "rank out of range");
         from * self.size + to
     }
@@ -192,6 +194,7 @@ impl TrafficStats {
     ///
     /// [`send_row`]: TrafficStats::send_row
     pub fn absorb_row(&self, from: usize, row: &[(u64, u64, u64)]) {
+        // invariant: `run_cluster_tcp` refuses a report whose row is wider.
         assert!(row.len() <= self.size, "row wider than the cluster");
         for (to, (b, m, d)) in row.iter().enumerate() {
             let i = self.idx(from, to);

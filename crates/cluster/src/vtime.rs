@@ -1,9 +1,20 @@
-//! The virtual-time model (DESIGN.md §3, substitution 1).
+//! The virtual-time model: this reproduction's first substitution, stated
+//! here and nowhere else.
 //!
-//! The paper measured wall-clock seconds on an 8-CPU Beowulf cluster. This
-//! reproduction runs all ranks as threads on one machine, so wall-clock
-//! speedup is unmeasurable *by construction*; instead every rank carries a
-//! deterministic LogP-style virtual clock:
+//! **What is substituted.** The paper measured wall-clock seconds on an
+//! 8-CPU Beowulf cluster running LAM/MPI over switched Ethernet. That
+//! machine is not available and its timings are not reproducible; this
+//! reproduction runs all ranks as threads (or processes) on one machine,
+//! where wall-clock speedup over `p` ranks is unmeasurable *by
+//! construction*. The clock is therefore replaced and the algorithm is not:
+//! the same messages travel between the same ranks in the same order, the
+//! provers count the inference steps they execute, and time is *computed*
+//! from those counts and from each message's exact encoded size. Every
+//! number the tables print as seconds — `T(1)`, `T(p)`, speedup — is on this
+//! clock, is a pure function of (dataset, seed, `p`, width, cost model), and
+//! is bit-identical from run to run and between the in-process and the
+//! multi-process transport. Every rank carries a deterministic LogP-style
+//! virtual clock:
 //!
 //! * compute advances a rank's clock by `inference_steps × sec_per_step`
 //!   (the provers meter their own steps);
@@ -18,7 +29,10 @@
 //! paper's evaluation varies — compute shrinks with the local subset size,
 //! communication grows with pipeline width and `p` — so the *shape* of
 //! Tables 2–4 is reproduced; absolute seconds depend on the calibration
-//! constant [`CostModel::sec_per_step`].
+//! constant [`CostModel::sec_per_step`]. What the model leaves out is what
+//! a count cannot see: cache effects, contention between ranks sharing a
+//! machine, and work the implementation skips but still charges (the
+//! coverage memo: steps are charged as if proved).
 
 /// Cost parameters of the simulated cluster.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -108,6 +122,7 @@ impl VirtualClock {
     /// Advances by `dt` seconds (compute or overhead).
     #[inline]
     pub fn advance(&mut self, dt: f64) {
+        // invariant: every `dt` is a product of the cost model's constants.
         debug_assert!(dt >= 0.0, "time cannot go backwards");
         self.now += dt;
     }

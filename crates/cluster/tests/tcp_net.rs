@@ -4,7 +4,7 @@
 //! here; real processes are exercised in `crates/core/tests/`), and
 //! dead-link surfacing.
 
-use p2mdie_cluster::comm::{Endpoint, LinkFault, Poisoned};
+use p2mdie_cluster::comm::{Endpoint, LinkFault};
 use p2mdie_cluster::net::{worker_connect, MasterRendezvous, TcpTransport, WorkerReport};
 use p2mdie_cluster::{CostModel, TrafficStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,11 +31,9 @@ fn tcp_mesh<R: Send>(
                 let size = transport.size();
                 let mut ep =
                     Endpoint::from_parts(rank, size, transport, model, TrafficStats::new(size));
-                let r = catch_unwind(AssertUnwindSafe(|| worker(&mut ep)));
-                if let Err(e) = r {
-                    if e.downcast_ref::<Poisoned>().is_none() {
-                        ep.broadcast_poison();
-                    }
+                // A worker that panics wakes its peers, as the runtimes do.
+                if catch_unwind(AssertUnwindSafe(|| worker(&mut ep))).is_err() {
+                    ep.broadcast_poison();
                 }
             });
         }
@@ -86,7 +84,8 @@ fn rendezvous_builds_a_full_mesh_with_virtual_time() {
 }
 
 /// A worker panic must poison every rank across the sockets: the master's
-/// blocking receive unwinds with `Poisoned { origin }` instead of hanging.
+/// blocking receive returns `LinkFault::Poison { origin }` instead of
+/// hanging.
 #[test]
 fn poison_propagates_across_sockets() {
     let caught = tcp_mesh(
@@ -95,17 +94,16 @@ fn poison_propagates_across_sockets() {
         |ep| {
             // Block on the *failing* rank: its link carries the poison
             // frame before the stream close (per-link FIFO), so the master
-            // deterministically unwinds poisoned. (Blocking on rank 1
+            // is deterministically told it is poisoned. (Blocking on rank 1
             // instead would race poison-from-2 against closed-1 — rank 1
             // exits as soon as the poison reaches *it* — and sometimes
             // surface the benign-but-different `LinkFault::Closed`; rank 1
             // below still covers being woken while blocked on another
             // peer.)
-            let r = catch_unwind(AssertUnwindSafe(|| ep.recv_from(2)));
-            match r {
-                Err(e) => match e.downcast_ref::<Poisoned>() {
-                    Some(p) => p.origin,
-                    None => panic!("master unwound without poison"),
+            match ep.recv_from(2) {
+                Err(e) => match e.fault {
+                    LinkFault::Poison { origin } => origin,
+                    other => panic!("master woken without poison: {other:?}"),
                 },
                 Ok(x) => panic!("expected poison, got {x:?}"),
             }
@@ -115,8 +113,9 @@ fn poison_propagates_across_sockets() {
                 panic!("injected worker failure");
             }
             // Rank 1 blocks on the master; poison from rank 2 must wake it
-            // (the catch in tcp_mesh swallows the secondary Poisoned).
-            let _ = ep.recv_from(0);
+            // (or, racing it, the close of the master's link once the
+            // master was woken and left).
+            assert!(ep.recv_from(0).is_err());
         },
     );
     assert_eq!(caught, 2, "poison must name the failing rank");

@@ -34,13 +34,14 @@ proptest! {
                     assert!(ep.now() >= t_prev, "master clock went backwards");
                     t_prev = ep.now();
                 }
-                ep.now()
+                Ok(ep.now())
             },
             |ep| {
                 let r = ep.rank();
                 let data: Vec<u8> = ep.recv_msg(0).unwrap();
                 ep.advance_steps(steps[(r - 1) % steps.len()]);
                 ep.send(0, &data);
+                Ok(())
             },
         )
         .unwrap();
@@ -61,13 +62,14 @@ proptest! {
                 for k in 1..=sizes.len() {
                     let _: Vec<u8> = ep.recv_msg(k).unwrap();
                 }
-                ep.now()
+                Ok(ep.now())
             },
             |ep| {
                 let r = ep.rank();
                 let data: Vec<u8> = ep.recv_msg(0).unwrap();
                 ep.advance_steps(steps[(r - 1) % steps.len()]);
                 ep.send(0, &data);
+                Ok(())
             },
         )
         .unwrap();

@@ -86,10 +86,12 @@ impl RuleBag {
     /// evaluation was broadcast from.
     ///
     /// # Panics
-    /// Panics when a worker's vector length disagrees with the bag (a
-    /// protocol error that must not be silently absorbed).
+    /// Panics when a vector's length disagrees with the bag: the caller
+    /// checks what a worker sent before storing it.
     pub fn set_results(&mut self, results: &[Vec<(u32, u32)>]) {
         for (k, counts) in results.iter().enumerate() {
+            // invariant: the master refuses an `EvalResult` of another
+            // length before it gets here (`master::evaluate_bag`).
             assert_eq!(
                 counts.len(),
                 self.rules.len(),

@@ -15,7 +15,7 @@ use crate::driver::{launch, ParallelConfig, TransportKind};
 use crate::partition::{partition_examples, Partition};
 use crate::protocol::{Msg, WorkerRole};
 use crate::remote::launch_tcp;
-use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{ClusterError, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
@@ -133,32 +133,29 @@ pub(crate) fn coverage_parallel(
 }
 
 /// One distributed evaluation round: broadcast, gather, sum. Crate-visible
-/// so the scheduler's coverage-query jobs run the identical round.
+/// so the scheduler's coverage-query jobs run the identical round. A reply
+/// that is no `EvalResult`, or not one count per clause, is refused.
 pub(crate) fn eval_round<T: Transport>(
     ep: &mut Endpoint<T>,
     clauses: &[Clause],
-) -> Vec<(u32, u32)> {
+) -> Result<Vec<(u32, u32)>, CommFailure> {
     let p = ep.workers();
     ep.broadcast(&Msg::Evaluate {
         rules: clauses.to_vec(),
     });
     let mut totals = vec![(0u32, 0u32); clauses.len()];
     for k in 1..=p {
-        let msg = Msg::recv(ep, k, "EvalResult");
-        let Msg::EvalResult { counts } = msg else {
-            panic!("baseline master: expected EvalResult, got {msg:?}");
-        };
-        assert_eq!(
-            counts.len(),
-            clauses.len(),
-            "worker {k} count vector misaligned"
-        );
+        let counts = Msg::expect(ep, k, "EvalResult", |msg| match msg {
+            Msg::EvalResult { counts } if counts.len() == clauses.len() => Ok(counts),
+            Msg::EvalResult { .. } => Err("EvalResult: not one count per clause"),
+            _ => Err("reply to Evaluate: not an EvalResult"),
+        })?;
         for (t, c) in totals.iter_mut().zip(counts) {
             t.0 += c.0;
             t.1 += c.1;
         }
     }
-    totals
+    Ok(totals)
 }
 
 /// The master side: the ordinary sequential covering loop of Figure 1,
@@ -170,7 +167,7 @@ pub(crate) fn baseline_master<T: Transport>(
     examples: &Examples,
     partition: &Partition,
     granularity: EvalGranularity,
-) -> (Vec<Clause>, u32, u32) {
+) -> Result<(Vec<Clause>, u32, u32), CommFailure> {
     let settings = &engine.settings;
     let mut live = examples.full_pos_live();
     let mut theory = Vec::new();
@@ -182,6 +179,7 @@ pub(crate) fn baseline_master<T: Transport>(
 
     while live.any() {
         epochs += 1;
+        // invariant: the loop runs while `live.any()`.
         let seed_idx = live.next_after(cursor).expect("live set non-empty");
         cursor = Some(seed_idx);
 
@@ -206,7 +204,7 @@ pub(crate) fn baseline_master<T: Transport>(
             };
             let batch: Vec<RuleShape> = frontier.drain(..batch_len).collect();
             let clauses: Vec<Clause> = batch.iter().map(|s| s.to_clause(&bottom)).collect();
-            let counts = eval_round(ep, &clauses);
+            let counts = eval_round(ep, &clauses)?;
             nodes += batch.len();
             ep.advance_steps(batch.len() as u64); // orchestration bookkeeping
 
@@ -243,16 +241,17 @@ pub(crate) fn baseline_master<T: Transport>(
                 });
                 let p = ep.workers();
                 for k in 1..=p {
-                    let msg = Msg::recv(ep, k, "CoveredIdx");
-                    let Msg::CoveredIdx { pos } = msg else {
-                        panic!("baseline master: expected CoveredIdx, got {msg:?}");
-                    };
-                    for local_idx in pos {
-                        let global = partition.pos[k - 1][local_idx as usize];
-                        if live.get(global) {
-                            live.clear(global);
-                        }
-                    }
+                    let dealt = &partition.pos[k - 1];
+                    Msg::expect(ep, k, "CoveredIdx", |msg| match msg {
+                        Msg::CoveredIdx { pos } => pos.iter().try_for_each(|&local| {
+                            let global = dealt.get(local as usize);
+                            live.clear(
+                                *global.ok_or("CoveredIdx: an index past the rank's examples")?,
+                            );
+                            Ok(())
+                        }),
+                        _ => Err("reply to MarkCovered: not a CoveredIdx"),
+                    })?;
                 }
                 if live.get(seed_idx) {
                     // Proof bounds can make a rule miss its own seed on the
@@ -266,7 +265,7 @@ pub(crate) fn baseline_master<T: Transport>(
     }
 
     ep.broadcast(&Msg::Stop);
-    (theory, epochs, set_aside)
+    Ok((theory, epochs, set_aside))
 }
 
 #[cfg(test)]

@@ -17,11 +17,21 @@
 //! shutdown report (final clock, steps, traffic row, recovery counters),
 //! and exits 0.
 //!
-//! Exit codes: 0 success · 1 bad usage · 2 connect/handshake failure ·
-//! 3 injected test failure · 4 master disconnected while this worker sat
-//! idle between jobs of a resident service mesh (not a mid-job failure;
-//! `p2mdie_cluster::net::IDLE_DISCONNECT_EXIT`) · 101 worker panic (poison
-//! broadcast first) · 102 poisoned by another rank's failure.
+//! Exit codes say what happened (the named ones are constants of
+//! `p2mdie_cluster::net`, whose `ChildSet::diagnose` turns them back into
+//! sentences for the master's error):
+//!
+//! | code | meaning |
+//! |-----:|---------|
+//! | 0 | success: `Stop` at idle, shutdown report sent |
+//! | 1 | bad usage |
+//! | 2 | connect / handshake failure |
+//! | 3 | injected test failure (`P2MDIE_TEST_FAIL`) |
+//! | 4 | `IDLE_DISCONNECT_EXIT`: the master disconnected while this worker sat idle between jobs of a resident mesh (not a mid-job failure) |
+//! | 5 | `BOOTSTRAP_FAILURE_EXIT`: the bootstrap delivered no usable KB snapshot (poison broadcast first) |
+//! | 6 | `PROTOCOL_FAILURE_EXIT`: a typed protocol failure mid-run — a peer's link died under a receive, or a frame had to be refused (poison broadcast first) |
+//! | 101 | `PANIC_EXIT`: the worker panicked, a bug (poison broadcast first) |
+//! | 102 | `POISONED_EXIT`: woken by another rank's failure — a victim, not a cause |
 //!
 //! `P2MDIE_TRACE=<base>` turns the flight recorder on: the process
 //! streams its span/event records to `<base>.rank<N>.jsonl` (the path
@@ -45,11 +55,14 @@
 //!   no poison, no report) the moment an `(n+1)`-th message would be
 //!   received — a mid-run crash at a deterministic protocol point.
 
-use p2mdie_cluster::comm::{CommFailure, Endpoint, Poisoned};
-use p2mdie_cluster::net::{worker_connect, TcpTransport, WorkerReport, IDLE_DISCONNECT_EXIT};
-use p2mdie_cluster::TrafficStats;
-use p2mdie_cluster::{Envelope, Transport, TransportEvent};
-use p2mdie_core::remote::{run_remote_worker, WorkerExit};
+use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::net::{
+    worker_connect, TcpTransport, WorkerReport, BOOTSTRAP_FAILURE_EXIT, IDLE_DISCONNECT_EXIT,
+    PANIC_EXIT, POISONED_EXIT, PROTOCOL_FAILURE_EXIT,
+};
+use p2mdie_cluster::{panic_message, Envelope, TrafficStats, Transport, TransportEvent};
+use p2mdie_core::remote::{adopt_kb, WorkerExit};
+use p2mdie_core::scheduler::run_resident_worker;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -160,16 +173,22 @@ fn run() -> i32 {
     }
 }
 
-/// Runs the worker protocol to completion on `ep`, then sends the shutdown
-/// report over the underlying TCP transport (`report_via` peels any
-/// injection wrapper off).
+/// Runs the worker protocol to completion on `ep` — the two steps of
+/// `run_remote_worker`, apart, so that a failure says which one it ended —
+/// then sends the shutdown report over the underlying TCP transport
+/// (`report_via` peels any injection wrapper off).
 fn serve<T: Transport>(
     rank: usize,
     mut ep: Endpoint<T>,
     report_via: impl FnOnce(&mut T) -> &mut TcpTransport,
 ) -> i32 {
-    match catch_unwind(AssertUnwindSafe(|| run_remote_worker(&mut ep))) {
-        Ok(WorkerExit::Finished) => {
+    // Where the process ends: the one place its unwinding is caught.
+    let session = catch_unwind(AssertUnwindSafe(|| {
+        let base = adopt_kb(&mut ep).map_err(|f| (BOOTSTRAP_FAILURE_EXIT, f))?;
+        run_resident_worker(&mut ep, base).map_err(|f| (PROTOCOL_FAILURE_EXIT, f))
+    }));
+    match session {
+        Ok(Ok(WorkerExit::Finished)) => {
             let report = WorkerReport {
                 vtime: ep.now(),
                 steps: ep.compute_steps(),
@@ -184,36 +203,29 @@ fn serve<T: Transport>(
             }
             0
         }
-        Ok(WorkerExit::IdleDisconnect) => {
+        Ok(Ok(WorkerExit::IdleDisconnect)) => {
             // The master vanished while we sat idle between jobs: no report
             // to send (the link is gone) and nothing mid-flight was lost.
             eprintln!("worker rank {rank}: master disconnected while idle between jobs");
             IDLE_DISCONNECT_EXIT
         }
-        Err(payload) => {
-            if let Some(p) = payload.downcast_ref::<Poisoned>() {
-                eprintln!("worker rank {rank}: poisoned by rank {}", p.origin);
-                return 102;
+        Ok(Err((code, failure))) => match failure.poisoned_by() {
+            Some(origin) => {
+                eprintln!("worker rank {rank}: poisoned by rank {origin}");
+                POISONED_EXIT
             }
-            let message = panic_text(&*payload);
+            None => {
+                ep.broadcast_poison();
+                eprintln!("worker rank {rank} failed: {failure}");
+                code
+            }
+        },
+        Err(payload) => {
             ep.broadcast_poison();
-            eprintln!("worker rank {rank} panicked: {message}");
-            101
+            eprintln!("worker rank {rank} panicked: {}", panic_message(&*payload));
+            PANIC_EXIT
         }
     }
-}
-
-fn panic_text(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(cf) = e.downcast_ref::<CommFailure>() {
-        return cf.to_string();
-    }
-    if let Some(s) = e.downcast_ref::<&str>() {
-        return (*s).to_owned();
-    }
-    if let Some(s) = e.downcast_ref::<String>() {
-        return s.clone();
-    }
-    "<non-string panic payload>".to_owned()
 }
 
 enum Injection {

@@ -15,7 +15,7 @@ use crate::remote::launch_tcp;
 use crate::report::{ParallelReport, SequentialReport};
 use crate::strategy::Strategy;
 use crate::worker::run_role;
-use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::{
     maybe_chaos, run_cluster_with, ChaosConfig, ChaosTransport, ClusterError, ClusterOutcome,
     CostModel, MeshTransport,
@@ -245,8 +245,10 @@ pub(crate) fn worker_config(
 pub(crate) fn take_seat<S>(seats: &[Mutex<Option<S>>], rank: usize) -> S {
     seats[rank - 1]
         .lock()
-        .unwrap_or_else(|_| panic!("rank {rank}: seat lock poisoned by an earlier panic"))
+        // invariant: the lock guards one `take`, which cannot panic.
+        .expect("seat lock poisoned: a rank panicked while taking its seat")
         .take()
+        // invariant: a mesh runs its worker closure once per rank.
         .expect("each rank takes its seat exactly once")
 }
 
@@ -260,7 +262,7 @@ pub(crate) fn launch<R: Send>(
     cfg: &ParallelConfig,
     role: WorkerRole,
     subsets: Vec<Examples>,
-    master: impl FnOnce(&mut Endpoint<ChaosTransport<MeshTransport>>) -> R + Send,
+    master: impl FnOnce(&mut Endpoint<ChaosTransport<MeshTransport>>) -> Result<R, CommFailure> + Send,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
     let config = worker_config(
         engine,
@@ -300,14 +302,8 @@ pub(crate) fn launch<R: Send>(
         |ep| {
             let (kb, local) = take_seat(&seats, ep.rank());
             // A one-shot rank keeps nothing: a new memo, dropped with the run.
-            run_role(
-                ep,
-                kb,
-                config.clone(),
-                local,
-                &mut CoverageMemo::new(),
-                false,
-            );
+            let memo = &mut CoverageMemo::new();
+            run_role(ep, kb, config.clone(), local, memo, false).map(drop)
         },
     )
 }

@@ -274,6 +274,8 @@ impl Lifecycle {
     /// Moves to `next`, panicking on an illegal transition (a scheduler
     /// bug, not a user error).
     pub fn advance(&mut self, next: JobState) {
+        // invariant: the scheduler walks the states in order; no input
+        // picks a transition.
         assert!(
             self.state.may_transition_to(next),
             "{}: illegal lifecycle transition {:?} -> {next:?}",
@@ -327,6 +329,7 @@ impl JobOutcome {
     pub fn coverage(&self) -> &[(u32, u32)] {
         match &self.output {
             Some(JobOutput::Coverage(counts)) => counts,
+            // invariant: the caller's claim about the job it submitted.
             other => panic!("{}: expected a coverage output, got {other:?}", self.id),
         }
     }
@@ -336,6 +339,7 @@ impl JobOutcome {
     pub fn learned(&self) -> &MasterOutcome {
         match &self.output {
             Some(JobOutput::Learned(out)) => out,
+            // invariant: the caller's claim about the job it submitted.
             other => panic!("{}: expected a learned output, got {other:?}", self.id),
         }
     }

@@ -10,7 +10,13 @@
 //! rules per epoch.
 //!
 //! One job, one path: whatever the entry point, a run is a master
-//! function against `p` worker loops over a mesh.
+//! function against `p` worker loops over a mesh. And one failure path:
+//! every protocol function returns `Result<_, CommFailure>` — a receive that
+//! yields nothing its state can act on, be it a dead link, undecodable bytes
+//! or a well-formed frame it must refuse, is that value, passed up with `?`
+//! to the runtime, which reports the rank at the root as a `ClusterError`.
+//! Nothing unwinds on what a peer sent (`receive_states`, test-only, feeds
+//! every receive state every frame it does not take).
 //!
 //! * [`protocol`] — the wire messages (Figures 5–7 as a protocol);
 //! * [`partition`] — seeded random even example partitioning;
@@ -54,6 +60,8 @@ pub mod master;
 pub mod partition;
 pub mod pipeline;
 pub mod protocol;
+// Test-only: the scripted-peer table over every receive state.
+mod receive_states;
 pub mod remote;
 pub mod report;
 pub mod scheduler;

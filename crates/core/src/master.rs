@@ -41,8 +41,9 @@
 //! Under [`RecoveryPolicy::Repartition`] a dead rank is a *membership
 //! event*, not an error. Every receive watches all links
 //! ([`Endpoint::recv_from_watching`]); the moment one dies the epoch is
-//! abandoned and the master runs the recovery protocol instead of
-//! unwinding:
+//! abandoned — the receive's failure names the dead rank, and travels up
+//! to [`run_master`] like any other — and the master runs the recovery
+//! protocol instead of returning it:
 //!
 //! 1. **Abort** — send [`Msg::AbortEpoch`] to every survivor, then drain
 //!    each survivor's stream up to its [`Msg::AbortAck`], *processing* any
@@ -63,8 +64,18 @@
 //! traffic is tallied separately in the traffic statistics
 //! (`TrafficStats::recovery_bytes`), so reports stay honest about what the
 //! fault added. A *second* death while a recovery is quiescing exceeds the
-//! protocol and surfaces as a clean rank-tagged error — never a hang or a
+//! protocol and is returned as a clean rank-tagged error — never a hang or a
 //! partial theory (pinned by `crates/core/tests/recovery.rs`).
+//!
+//! # Failures
+//!
+//! Every function here that receives returns `Result<_, CommFailure>` and
+//! passes a failure up with `?`: a dead link, a frame that will not decode,
+//! a well-formed frame the state must refuse (another kind, an index or a
+//! count no honest worker sends), another rank's poison marker. The one
+//! place a failure is *handled* is [`run_master`]'s epoch loop, which
+//! recovers from a death under a watching receive while the policy's budget
+//! lasts and returns everything else.
 
 use crate::bag::RuleBag;
 use crate::driver::RecoveryPolicy;
@@ -72,7 +83,7 @@ use crate::partition::Partition;
 use crate::protocol::{Msg, StageTrace};
 use crate::strategy::Strategy;
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
-use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault, RecvError};
+use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::examples::Examples;
@@ -234,48 +245,29 @@ fn send_all<T: Transport>(ep: &mut Endpoint<T>, ranks: &[usize], msg: &Msg) {
 }
 
 /// Receives one message from each of `ranks`, in order — every receive
-/// names its source, which is what makes whole runs reproducible. When
-/// `watching`, the death of *any* rank not yet acknowledged ends the wait
-/// with `Err(dead)`; otherwise a dead link unwinds the run with a
-/// [`CommFailure`] naming the rank waited on.
+/// names its source, which is what makes whole runs reproducible — and
+/// hands it to `take`, whose `Err` says why the frame must be refused.
+/// Returns the [`CommFailure`] of the first receive that yields nothing
+/// usable. When `watching`, that includes the death of *any* rank not yet
+/// acknowledged: the failure's `from` then names the dead rank, which need
+/// not be the one waited on, and [`run_master`] may recover from it.
 fn gather<T: Transport>(
     ep: &mut Endpoint<T>,
     ranks: &[usize],
     watching: bool,
     expected: &str,
-    mut each: impl FnMut(usize, Msg),
-) -> Result<(), usize> {
+    mut take: impl FnMut(usize, Msg) -> Result<(), &'static str>,
+) -> Result<(), CommFailure> {
     for &k in ranks {
-        let msg = if watching {
-            match from_bytes(ep.recv_from_watching(k)?) {
-                Ok(msg) => msg,
-                Err(error) => std::panic::panic_any(CommFailure {
-                    rank: ep.rank(),
-                    from: k,
-                    expected: expected.to_owned(),
-                    error: CommError::Decode(error),
-                }),
-            }
-        } else {
-            Msg::recv(ep, k, expected)
+        let bytes = match watching {
+            true => ep.recv_from_watching(k),
+            false => ep.recv_from(k),
         };
-        each(k, msg);
+        let bytes = bytes.map_err(|e| ep.failure(e.from, expected, e))?;
+        let msg = from_bytes(bytes).map_err(|e| ep.failure(k, expected, e))?;
+        take(k, msg).map_err(|why| ep.refusal(k, expected, why))?;
     }
     Ok(())
-}
-
-/// Fails the run over the loss of rank `dead`.
-fn give_up<T: Transport>(ep: &Endpoint<T>, dead: usize, expected: String) -> ! {
-    std::panic::panic_any(CommFailure {
-        rank: ep.rank(),
-        from: dead,
-        expected,
-        error: CommError::Closed(RecvError {
-            rank: ep.rank(),
-            from: dead,
-            fault: LinkFault::Closed,
-        }),
-    })
 }
 
 /// A rule that survived a pipeline: the clause, its final stage's local
@@ -292,13 +284,13 @@ fn run_pipelines<T: Transport>(
     ranks: &[usize],
     watching: bool,
     trace: &mut EpochTrace,
-) -> Result<(Vec<Found>, bool), usize> {
+) -> Result<(Vec<Found>, bool), CommFailure> {
     for &k in ranks {
         ep.send(k, &Msg::StartPipeline { epoch: trace.epoch });
     }
     let mut found = Vec::new();
     let mut any_seed = false;
-    gather(ep, ranks, watching, "RulesFound", |k, msg| {
+    gather(ep, ranks, watching, "RulesFound", |_, msg| {
         let Msg::RulesFound {
             origin,
             rules,
@@ -306,11 +298,15 @@ fn run_pipelines<T: Transport>(
             trace: stages,
         } = msg
         else {
-            panic!("master: expected RulesFound from rank {k}, got {msg:?}");
+            return Err("reply to StartPipeline: not a RulesFound");
         };
+        let pipeline = (origin as usize)
+            .checked_sub(1)
+            .and_then(|i| trace.pipelines.get_mut(i));
+        *pipeline.ok_or("RulesFound: an origin that is no worker rank")? = stages;
         any_seed |= had_seed;
         found.extend(rules.into_iter().map(|(c, pos, neg)| (c, pos, neg, origin)));
-        trace.pipelines[origin as usize - 1] = stages;
+        Ok(())
     })?;
     Ok((found, any_seed))
 }
@@ -331,7 +327,7 @@ fn evaluate_bag<T: Transport>(
     ranks: &[usize],
     watching: bool,
     bag: &mut RuleBag,
-) -> Result<(), usize> {
+) -> Result<(), CommFailure> {
     send_all(
         ep,
         ranks,
@@ -340,9 +336,13 @@ fn evaluate_bag<T: Transport>(
         },
     );
     let mut results = Vec::with_capacity(ranks.len());
-    gather(ep, ranks, watching, "EvalResult", |k, msg| match msg {
-        Msg::EvalResult { counts } => results.push(counts),
-        other => panic!("master: expected EvalResult from rank {k}, got {other:?}"),
+    gather(ep, ranks, watching, "EvalResult", |_, msg| match msg {
+        Msg::EvalResult { counts } if counts.len() == bag.len() => {
+            results.push(counts);
+            Ok(())
+        }
+        Msg::EvalResult { .. } => Err("EvalResult: not one count per rule of the bag"),
+        _ => Err("reply to Evaluate: not an EvalResult"),
     })?;
     bag.set_results(&results);
     Ok(())
@@ -354,26 +354,21 @@ fn evaluate_bag<T: Transport>(
 pub(crate) fn run_search_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
     settings: &Settings,
-) -> Vec<(Clause, u32, u32)> {
+) -> Result<Vec<(Clause, u32, u32)>, CommFailure> {
     let ranks: Vec<usize> = (1..=ep.workers()).collect();
     ep.broadcast(&Msg::LoadExamples);
-    // Nothing watches here, so no receive can report a death.
-    fn unwatched<R>(dead: usize) -> R {
-        unreachable!("unwatched receive reported rank {dead} dead")
-    }
     let mut trace = EpochTrace::new(1, ranks.len());
-    let (found, _) = run_pipelines(ep, &ranks, false, &mut trace).unwrap_or_else(unwatched);
+    let (found, _) = run_pipelines(ep, &ranks, false, &mut trace)?;
     let mut bag = bag_of(found);
     if !bag.is_empty() {
-        evaluate_bag(ep, &ranks, false, &mut bag).unwrap_or_else(unwatched);
+        evaluate_bag(ep, &ranks, false, &mut bag)?;
     }
     ep.broadcast(&Msg::Stop);
-    std::iter::from_fn(|| bag.pick_best(settings.score))
-        .map(|rule| {
-            let (pos, neg) = (rule.global_pos(), rule.global_neg());
-            (rule.clause, pos, neg)
-        })
-        .collect()
+    let ranked = std::iter::from_fn(|| bag.pick_best(settings.score)).map(|rule| {
+        let (pos, neg) = (rule.global_pos(), rule.global_neg());
+        (rule.clause, pos, neg)
+    });
+    Ok(ranked.collect())
 }
 
 /// Global-index bookkeeping: which positives are still uncovered, and the
@@ -405,24 +400,30 @@ impl Uncovered {
     fn index(&mut self) -> &mut GlobalIndex {
         match self {
             Uncovered::Index(ix) => ix,
+            // invariant: `LiveSet::new` tracks by index whenever the run
+            // re-deals or watches, the only callers.
             Uncovered::Count(_) => unreachable!("this dealing tracks coverage by count only"),
         }
     }
 
     /// Folds rank `k`'s coverage reply into the set: local indices when
-    /// tracked by index, a count otherwise.
-    fn absorb(&mut self, k: usize, reply: Msg) {
+    /// tracked by index, a count otherwise. `Err` says why the reply must be
+    /// refused.
+    fn absorb(&mut self, k: usize, reply: Msg) -> Result<(), &'static str> {
         match (reply, self) {
             (Msg::CoveredIdx { pos }, Uncovered::Index(ix)) => {
                 for local in pos {
-                    ix.live.clear(ix.pos[k - 1][local as usize]);
+                    let global = ix.pos[k - 1].get(local as usize);
+                    ix.live
+                        .clear(*global.ok_or("CoveredIdx: an index past the rank's examples")?);
                 }
             }
             (Msg::SeedRetired { removed }, Uncovered::Count(n)) => {
                 *n = n.saturating_sub(removed as usize)
             }
-            (other, _) => panic!("master: unexpected coverage reply from rank {k}: {other:?}"),
+            _ => return Err("not the coverage reply this run's dealing is answered with"),
         }
+        Ok(())
     }
 }
 
@@ -439,8 +440,8 @@ struct Run<'a> {
 struct LiveSet {
     /// Live worker ranks, ascending.
     alive: Vec<usize>,
-    /// Recovery is armed: receives watch every link and report a death
-    /// instead of unwinding.
+    /// Recovery is armed: receives watch every link, and a failure that
+    /// names a dead one is recovered from.
     watching: bool,
     uncovered: Uncovered,
     /// A rank died in a re-dealing run: the next deal must be followed by
@@ -512,7 +513,7 @@ impl LiveSet {
         ep: &mut Endpoint<T>,
         rule: AcceptedRule,
         theory: &mut Vec<AcceptedRule>,
-    ) -> Result<(), usize> {
+    ) -> Result<(), CommFailure> {
         send_all(
             ep,
             &self.alive,
@@ -538,7 +539,7 @@ impl LiveSet {
         &mut self,
         ep: &mut Endpoint<T>,
         dealing: &Dealing,
-    ) -> Result<u32, usize> {
+    ) -> Result<u32, CommFailure> {
         let before = self.uncovered.remaining();
         if let Dealing::Redeal = dealing {
             // A fresh deal means each rank's seed was its first example.
@@ -573,7 +574,7 @@ impl LiveSet {
         &mut self,
         ep: &mut Endpoint<T>,
         theory: &[AcceptedRule],
-    ) -> Result<(), usize> {
+    ) -> Result<(), CommFailure> {
         let rules = theory.iter().map(|r| r.clause.clone()).collect();
         send_all(ep, &self.alive, &Msg::ReplayTheory { rules });
         let expected = "a ReplayTheory CoveredIdx";
@@ -592,20 +593,24 @@ impl LiveSet {
         dead: usize,
         theory: &[AcceptedRule],
         losses: usize,
-    ) {
+    ) -> Result<(), CommFailure> {
         ep.set_recovery_phase(true);
         ep.mark_down(dead);
         self.alive.retain(|&r| r != dead);
 
         // 1. Abort: tell every survivor, then drain each stream up to its
-        // ack — coverage replies still apply, stale pipeline, evaluation
-        // and retirement results are dropped.
+        // ack — coverage replies still apply; stale pipeline, evaluation
+        // and retirement results, whatever their kind, are skipped on purpose.
         send_all(ep, &self.alive, &Msg::AbortEpoch { dead: dead as u8 });
+        let expected = "an AbortAck";
         for &k in &self.alive {
             loop {
-                match Msg::recv(ep, k, "an AbortAck") {
+                match Msg::recv(ep, k, expected)? {
                     Msg::AbortAck => break,
-                    reply @ Msg::CoveredIdx { .. } => self.uncovered.absorb(k, reply),
+                    reply @ Msg::CoveredIdx { .. } => self
+                        .uncovered
+                        .absorb(k, reply)
+                        .map_err(|why| ep.refusal(k, expected, why))?,
                     _ => {}
                 }
             }
@@ -643,15 +648,13 @@ impl LiveSet {
             }
 
             // 3. Resync: replay the theory so both sides agree on the
-            // live set exactly.
-            if let Err(second) = self.replay_theory(ep, theory) {
-                let expected = "a ReplayTheory reply (second rank death mid-recovery)";
-                give_up(ep, second, expected.to_owned());
-            }
+            // live set exactly. A second death here exceeds the protocol.
+            self.replay_theory(ep, theory)?;
         } else {
             self.resync_after_deal = true;
         }
         ep.set_recovery_phase(false);
+        Ok(())
     }
 }
 
@@ -664,20 +667,19 @@ fn consume_bag<T: Transport>(
     mut bag: RuleBag,
     out: &mut MasterOutcome,
     trace: &mut EpochTrace,
-) -> Result<(), usize> {
+) -> Result<(), CommFailure> {
     if bag.is_empty() {
         return Ok(());
     }
     evaluate_bag(ep, &live.alive, live.watching, &mut bag)?;
     loop {
         bag.drop_not_good(settings);
-        if bag.is_empty() {
-            return Ok(());
-        }
         // Bag bookkeeping is master-side compute: charge one step per
         // scanned rule.
         ep.advance_steps(bag.len() as u64);
-        let best = bag.pick_best(settings.score).expect("bag non-empty");
+        let Some(best) = bag.pick_best(settings.score) else {
+            return Ok(());
+        };
         let rule = AcceptedRule {
             pos: best.global_pos(),
             neg: best.global_neg(),
@@ -706,7 +708,7 @@ fn accept_best_of_pool<T: Transport>(
     pool: Vec<Found>,
     out: &mut MasterOutcome,
     trace: &mut EpochTrace,
-) -> Result<(), usize> {
+) -> Result<(), CommFailure> {
     // Master-side pool scan is compute: one step per pooled rule.
     ep.advance_steps(pool.len() as u64);
     // `max_by_key` keeps the last of equal maxima: scan from the back.
@@ -732,15 +734,15 @@ fn accept_best_of_pool<T: Transport>(
 
 /// One epoch. `Ok(false)` when no progress is possible (the count of
 /// uncovered positives drifted from what the workers hold — should be
-/// impossible; bail out rather than spin), `Err(dead)` when rank `dead`
-/// died under a watching receive.
+/// impossible; bail out rather than spin), `Err` with the failure of the
+/// receive that ended it — under a watching receive, a rank's death.
 fn run_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
     run: &Run,
     live: &mut LiveSet,
     out: &mut MasterOutcome,
     trace: &mut EpochTrace,
-) -> Result<bool, usize> {
+) -> Result<bool, CommFailure> {
     if let Dealing::Redeal = run.dealing {
         live.deal(ep, run, trace.epoch);
         if live.resync_after_deal {
@@ -794,8 +796,10 @@ fn run_epoch<T: Transport>(
 /// `settings` must be the same the workers use (shared data assumption).
 /// `seed` drives the per-epoch re-deals and the redistribution of a dead
 /// rank's examples. Under [`RecoveryPolicy::Repartition`] up to
-/// `max_rank_losses` deaths are absorbed; one more fails the run with a
-/// rank-tagged error.
+/// `max_rank_losses` deaths are absorbed; one more is returned as the run's
+/// failure, naming the rank, like every other receive the run cannot go on
+/// from (see "Failures" in the module docs). On `Err` no `Stop` has been
+/// sent: the caller's runtime wakes the workers.
 pub fn run_master<T: Transport>(
     ep: &mut Endpoint<T>,
     settings: &Settings,
@@ -803,12 +807,14 @@ pub fn run_master<T: Transport>(
     dealing: &Dealing,
     seed: u64,
     recovery: &RecoveryPolicy,
-) -> MasterOutcome {
+) -> Result<MasterOutcome, CommFailure> {
     let p = ep.workers();
     let budget = match recovery {
         RecoveryPolicy::Abort => None,
         RecoveryPolicy::Repartition { max_rank_losses } => Some(*max_rank_losses),
     };
+    // invariant: the caller's configuration (`driver::check_combination`
+    // refuses the pair; service jobs never recover), not a peer's bytes.
     assert!(
         budget.is_none() || !matches!(dealing, Dealing::Replicated),
         "worker-death recovery only covers partitioned examples"
@@ -850,22 +856,35 @@ pub fn run_master<T: Transport>(
                 epoch_span.end(ep.now());
                 break;
             }
-            Err(dead) => {
+            Err(failure) => {
+                // A death to recover from is a link that died under a
+                // watching receive; anything else ends the run.
+                let (dead, allowed) = match (&failure.error, budget) {
+                    (CommError::Closed(e), Some(allowed))
+                        if !matches!(e.fault, LinkFault::Poison { .. }) =>
+                    {
+                        (e.from, allowed)
+                    }
+                    _ => return Err(failure),
+                };
                 out.rank_losses.push(dead as u32);
-                let (losses, allowed) = (out.rank_losses.len(), budget.unwrap_or(0));
+                let losses = out.rank_losses.len();
                 if losses as u32 > allowed {
                     let expected = format!(
                         "a live worker (recovery budget exhausted: \
                          {losses} rank losses, policy allows {allowed})"
                     );
-                    give_up(ep, dead, expected);
+                    return Err(CommFailure {
+                        expected,
+                        ..failure
+                    });
                 }
-                live.recover(ep, &run, dead, &out.theory, losses);
+                live.recover(ep, &run, dead, &out.theory, losses)?;
                 epoch_span.end_with(ep.now(), &[("aborted_by_death_of", (dead as u64).into())]);
             }
         }
     }
 
     send_all(ep, &live.alive, &Msg::Stop);
-    out
+    Ok(out)
 }

@@ -25,6 +25,7 @@ impl Partition {
     /// randomly and evenly: the assignment [`partition_examples`] builds its
     /// subsets from.
     pub fn deal(n_pos: usize, n_neg: usize, p: usize, seed: u64) -> Partition {
+        // invariant: the caller's worker count, not anything a peer sent.
         assert!(p >= 1, "need at least one subset");
         let mut rng = StdRng::seed_from_u64(seed);
         let pos = deal(n_pos, p, &mut rng);

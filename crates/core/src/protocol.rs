@@ -51,8 +51,7 @@
 //! pins the bytes of every variant.
 
 use crate::strategy::Strategy;
-use p2mdie_cluster::codec::DecodeError;
-use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::examples::Examples;
@@ -188,54 +187,36 @@ wire_struct!(WorkerConfig {
 // ---------------------------------------------------------------------------
 
 impl Msg {
-    /// Receives and decodes the next message from rank `from`, panicking
-    /// with a [`CommFailure`] naming the receiving rank, the source rank,
-    /// and what was expected when the frame is malformed *or the link died
-    /// under the receive* (a peer exiting early — both arrive as
-    /// [`p2mdie_cluster::comm::CommError`] values from `recv_msg`).
-    /// Cluster failures then report *which* rank and message died instead
-    /// of a bare `unwrap` backtrace; the panic still poisons the run so
-    /// every rank unwinds, and the runtimes downcast the payload to build
-    /// a rank-tagged `ClusterError`.
-    pub fn recv<T: Transport>(ep: &mut Endpoint<T>, from: usize, expected: &str) -> Msg {
-        match ep.recv_msg(from) {
-            Ok(msg) => msg,
-            Err(error) => std::panic::panic_any(CommFailure {
-                rank: ep.rank(),
-                from,
-                expected: expected.to_owned(),
-                error,
-            }),
-        }
+    /// Receives and decodes the next message from rank `from`. Returns a
+    /// [`CommFailure`] naming the receiving rank, the source rank and what
+    /// was `expected` when nothing usable arrived: the frame is malformed,
+    /// the link died under the receive (a peer exiting early), or another
+    /// rank failed and its poison marker woke this one — all three are the
+    /// [`p2mdie_cluster::comm::CommError`] values of `recv_msg`. Callers
+    /// pass it up with `?`; the rank that returns it from its protocol
+    /// function wakes its peers, and the runtimes turn the root cause into a
+    /// rank-tagged `ClusterError`.
+    pub fn recv<T: Transport>(
+        ep: &mut Endpoint<T>,
+        from: usize,
+        expected: &str,
+    ) -> Result<Msg, CommFailure> {
+        ep.recv_msg(from)
+            .map_err(|error| ep.failure(from, expected, error))
     }
 
     /// [`Msg::recv`], then `pick` what the protocol's state allows out of
     /// the message: a well-formed frame of another kind, or of the right
     /// kind saying the wrong thing (`pick`'s `Err`), is refused like a
-    /// malformed one ([`refuse_frame`]).
+    /// malformed one ([`Endpoint::refusal`]).
     pub(crate) fn expect<T: Transport, R>(
         ep: &mut Endpoint<T>,
         from: usize,
         expected: &str,
         pick: impl FnOnce(Msg) -> Result<R, &'static str>,
-    ) -> R {
-        pick(Msg::recv(ep, from, expected))
-            .unwrap_or_else(|why| refuse_frame(ep.rank(), from, expected, why))
+    ) -> Result<R, CommFailure> {
+        pick(Msg::recv(ep, from, expected)?).map_err(|why| ep.refusal(from, expected, why))
     }
-}
-
-/// Unwinds `rank` with the [`CommFailure`] of a frame from rank `from` that
-/// decoded and still cannot be acted on — `why`: not the kind the protocol
-/// `expected` in this state, or contents the receiver must not run on — so
-/// that the run reports it as it reports every other bad frame, as a
-/// rank-tagged `ClusterError`, and not as a bare assertion text.
-pub(crate) fn refuse_frame(rank: usize, from: usize, expected: &str, why: &'static str) -> ! {
-    std::panic::panic_any(CommFailure {
-        rank,
-        from,
-        expected: expected.to_owned(),
-        error: CommError::Decode(DecodeError::new(why)),
-    })
 }
 
 /// Every message exchanged by the p²-mdie master and workers.
@@ -456,7 +437,7 @@ wire_enum!(Msg, "message tag" {
 });
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
     use p2mdie_cluster::codec::{from_bytes, to_bytes};
@@ -516,8 +497,9 @@ mod tests {
     /// One named value per wire shape: every `Msg` variant, both
     /// `PipelineToken` shapes, the role × strategy `SubmitJob` grid and a
     /// small compiled KB. The round-trip, golden-layout, truncation and
-    /// corruption tests all walk this list.
-    fn samples() -> Vec<(String, Msg)> {
+    /// corruption tests all walk this list, and so does the scripted-peer
+    /// table of `crate::receive_states`.
+    pub(crate) fn samples() -> Vec<(String, Msg)> {
         use p2mdie_logic::kb::KnowledgeBase;
         let t = SymbolTable::new();
         let mut out: Vec<(String, Msg)> = Vec::new();

@@ -45,14 +45,15 @@ use crate::driver::{worker_config, ParallelConfig, TransportKind};
 use crate::master::ship_kb;
 use crate::protocol::{Msg, WorkerRole};
 use crate::scheduler::{drain_job, live_workers, run_resident_worker, submit_job};
-use crate::worker::{reject_bootstrap, restore_kb};
-use p2mdie_cluster::comm::Endpoint;
+use crate::worker::{restore_kb, KB_SNAPSHOT};
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::net::{run_cluster_tcp, TcpTransport};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
+use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
 use std::io;
 use std::net::SocketAddr;
@@ -173,7 +174,7 @@ pub(crate) fn launch_tcp<R>(
     tcp: &TcpConfig,
     role: WorkerRole,
     mut subsets: Vec<Examples>,
-    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> R,
+    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> Result<R, CommFailure>,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
     let bin = tcp.resolve_worker_bin()?;
     let config = worker_config(
@@ -197,15 +198,15 @@ pub(crate) fn launch_tcp<R>(
                 &config,
                 &mut subsets,
                 &vec![true; cfg.workers],
-            );
-            let result = master(ep);
-            drain_job(ep, ONE_SHOT_JOB);
+            )?;
+            let result = master(ep)?;
+            drain_job(ep, ONE_SHOT_JOB)?;
             // `Stop` at idle ends the session; a rank the run recovered
             // around is not there to hear it.
             for k in live_workers(ep) {
                 ep.send(k, &Msg::Stop);
             }
-            result
+            Ok(result)
         },
     )
 }
@@ -225,8 +226,8 @@ pub enum WorkerExit {
     IdleDisconnect,
 }
 
-/// The worker-process entry: adopt the KB, then serve jobs until the mesh
-/// stops.
+/// The first step of a worker process: receive the KB the master ships
+/// before anything else and restore it.
 ///
 /// The first frame must be the [`Msg::KbSnapshot`]; a job submitted to a
 /// process that has no KB yet is a protocol violation and fails the rank
@@ -237,16 +238,28 @@ pub enum WorkerExit {
 /// protocol stays valid. The restored KB is adopted as shipped, mirroring
 /// the in-process `ship_kb` adoption path bit for bit (the snapshot already
 /// carries the master's mode-pruned posting lists, so `IlpEngine::new`'s
-/// re-pruning is deliberately *not* run). From there on the process is a
-/// resident worker: a one-shot run submits one job and stops it, a service
-/// submits many.
-pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> WorkerExit {
-    let me = ep.rank();
-    assert!(me >= 1, "run_remote_worker must not run on the master rank");
-    let Msg::KbSnapshot(snap) = Msg::recv(ep, 0, "the KB snapshot") else {
-        reject_bootstrap(me, "first frame: not a KB snapshot");
-    };
-    let base = restore_kb(*snap, SymbolTable::new(), me);
+/// re-pruning is deliberately *not* run).
+///
+/// `Err` is a bootstrap that delivered no usable snapshot — the link died
+/// first, the first frame was something else, or it would not decode or
+/// validate — which the worker binary tells from a mid-run failure by its
+/// exit code.
+pub fn adopt_kb<T: Transport>(ep: &mut Endpoint<T>) -> Result<KnowledgeBase, CommFailure> {
+    // invariant: the caller's choice of rank, not anything a peer sent.
+    assert!(ep.rank() >= 1, "a worker process is never the master rank");
+    let snap = Msg::expect(ep, 0, KB_SNAPSHOT, |msg| match msg {
+        Msg::KbSnapshot(snap) => Ok(snap),
+        _ => Err("first frame: not a KB snapshot"),
+    })?;
+    restore_kb(ep, *snap, SymbolTable::new())
+}
+
+/// The worker-process entry: [`adopt_kb`], then serve jobs on that KB as a
+/// resident worker until the mesh stops — a one-shot run submits one job
+/// and stops it, a service submits many. `Err` is the failure of either
+/// step.
+pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> Result<WorkerExit, CommFailure> {
+    let base = adopt_kb(ep)?;
     run_resident_worker(ep, base)
 }
 
@@ -314,14 +327,13 @@ mod tests {
                 |ep| {
                     ep.send(1, &first);
                     let _ = ep.recv_from(1);
+                    Ok(())
                 },
-                |ep| {
-                    let _ = run_remote_worker(ep);
-                },
+                |ep| run_remote_worker(ep).map(drop),
             )
             .unwrap_err();
             match &err {
-                ClusterError::WorkerPanicked { rank, message } => {
+                ClusterError::WorkerFailed { rank, message } => {
                     assert_eq!(*rank, 1, "{err}");
                     assert!(message.contains("rank 1"), "{err}");
                     assert!(message.contains("the KB snapshot from rank 0"), "{err}");

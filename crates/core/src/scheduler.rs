@@ -122,13 +122,14 @@ use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
 use crate::master::{run_master, run_search_epoch, ship_kb, Dealing};
-use crate::protocol::{refuse_frame, Msg, WorkerConfig, WorkerRole};
+use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{spawn_worker, TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
 use crate::strategy::Strategy;
 use crate::worker::{restore_kb, run_role};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::net::run_cluster_tcp;
+use p2mdie_cluster::panic_message;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{run_cluster, ClusterError, ClusterOutcome, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
@@ -262,6 +263,7 @@ impl JobHandle {
     pub fn cancel(&self) {
         self.cancelled
             .lock()
+            // invariant: no holder of this lock runs code that can panic.
             .expect("cancellation set lock poisoned")
             .insert(self.id.0);
     }
@@ -386,14 +388,7 @@ impl Service {
         drop(self.tx);
         self.handle.join().unwrap_or_else(|payload| {
             Err(ClusterError::Net {
-                message: format!(
-                    "service thread panicked: {}",
-                    payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic payload>")
-                ),
+                message: format!("service thread panicked: {}", panic_message(&*payload)),
             })
         })
     }
@@ -419,9 +414,7 @@ fn serve_in_process(
         cfg.workers,
         cfg.model,
         move |ep| scheduler_master(ep, engine, &rx, cancelled, ship),
-        |ep| {
-            let _ = run_resident_worker(ep, take_seat(&bases, ep.rank()));
-        },
+        |ep| run_resident_worker(ep, take_seat(&bases, ep.rank())).map(drop),
     )
 }
 
@@ -453,7 +446,7 @@ fn scheduler_master<T: Transport>(
     rx: &mpsc::Receiver<Request>,
     cancelled: &Mutex<HashSet<u64>>,
     ship: bool,
-) -> (u32, Vec<MetricsSnapshot>) {
+) -> Result<(u32, Vec<MetricsSnapshot>), CommFailure> {
     if ship {
         ship_kb(ep, &engine.kb);
     }
@@ -463,7 +456,7 @@ fn scheduler_master<T: Transport>(
     let mut jobs_run = 0u32;
     let mut open = true;
     // The subsets the ranks hold from the last job (see "What a rank
-    // keeps" in the module docs); dropped with this loop if a job unwinds.
+    // keeps" in the module docs); dropped with this loop if a job fails.
     let mut kept: Vec<Examples> = Vec::new();
     'serve: loop {
         // Refill: drain everything already submitted without blocking;
@@ -512,7 +505,7 @@ fn scheduler_master<T: Transport>(
                     // Served here, between jobs, so every worker is parked
                     // in its idle loop and the query cannot interleave
                     // with a job's own frames.
-                    let _ = reply.send(collect_worker_metrics(ep));
+                    let _ = reply.send(collect_worker_metrics(ep)?);
                 }
                 Request::Shutdown => open = false,
             }
@@ -536,8 +529,10 @@ fn scheduler_master<T: Transport>(
         let class = (0..JOB_CLASSES)
             .map(|i| (next_class + i) % JOB_CLASSES)
             .find(|&c| !queues[c].is_empty())
-            .expect("the refill loop only falls through with work pending");
+            // invariant: the refill loop only falls through with work pending.
+            .expect("a class with a queued job");
         next_class = (class + 1) % JOB_CLASSES;
+        // invariant: `class` was picked for its non-empty queue.
         let job = queues[class].pop_front().expect("class just checked");
 
         let was_cancelled = cancelled
@@ -570,7 +565,7 @@ fn scheduler_master<T: Transport>(
                     CLASS_NAMES[class]
                 ))
                 .inc();
-            let outcome = dispatch_job(ep, engine, job.id, &job.spec, &mut kept);
+            let outcome = dispatch_job(ep, engine, job.id, &job.spec, &mut kept)?;
             // A cancel that raced the running job arrived too late to stop
             // it — the job completed legally. Consume the mark so it can
             // never leak onto a later dequeue pass.
@@ -588,25 +583,25 @@ fn scheduler_master<T: Transport>(
     }
     // The shutdown metrics dump: one last introspection round while the
     // mesh is still up, returned through [`ServiceReport`].
-    let dump = collect_worker_metrics(ep);
+    let dump = collect_worker_metrics(ep)?;
     ep.broadcast(&Msg::Stop);
-    (jobs_run, dump)
+    Ok((jobs_run, dump))
 }
 
 /// One introspection round: broadcast [`Msg::MetricsQuery`] to every
 /// (idle) worker and gather the [`Msg::MetricsReport`]s in rank order.
-fn collect_worker_metrics<T: Transport>(ep: &mut Endpoint<T>) -> Vec<MetricsSnapshot> {
+pub(crate) fn collect_worker_metrics<T: Transport>(
+    ep: &mut Endpoint<T>,
+) -> Result<Vec<MetricsSnapshot>, CommFailure> {
     let p = ep.workers();
     ep.broadcast(&Msg::MetricsQuery);
-    (1..=p)
-        .map(|k| {
-            let msg = Msg::recv(ep, k, "a MetricsReport");
-            let Msg::MetricsReport { snapshot } = msg else {
-                panic!("scheduler: expected MetricsReport from rank {k}, got {msg:?}");
-            };
-            snapshot
+    let report = |k| {
+        Msg::expect(ep, k, "a MetricsReport", |msg| match msg {
+            Msg::MetricsReport { snapshot } => Ok(snapshot),
+            _ => Err("reply to MetricsQuery: not a MetricsReport"),
         })
-        .collect()
+    };
+    (1..=p).map(report).collect()
 }
 
 /// A worker's answer to [`Msg::MetricsQuery`]: endpoint-level facts that
@@ -673,7 +668,7 @@ fn dispatch_job<T: Transport>(
     id: JobId,
     spec: &JobSpec,
     kept: &mut Vec<Examples>,
-) -> JobOutcome {
+) -> Result<JobOutcome, CommFailure> {
     let p = ep.workers();
     let mut job = Lifecycle::new(id);
     let t0 = ep.now();
@@ -717,7 +712,7 @@ fn dispatch_job<T: Transport>(
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
-    submit_job(ep, id.0, &config, kept, &shipped);
+    submit_job(ep, id.0, &config, kept, &shipped)?;
 
     job.advance(JobState::Running);
     event!(
@@ -730,11 +725,11 @@ fn dispatch_job<T: Transport>(
     let output = match &spec.kind {
         JobKind::Coverage { rules } => {
             ep.broadcast(&Msg::LoadExamples);
-            let totals = eval_round(ep, rules);
+            let totals = eval_round(ep, rules)?;
             ep.broadcast(&Msg::Stop);
             JobOutput::Coverage(totals)
         }
-        JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)),
+        JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)?),
         JobKind::Learn => JobOutput::Learned(run_master(
             ep,
             &settings,
@@ -742,9 +737,11 @@ fn dispatch_job<T: Transport>(
             &dealing,
             spec.seed,
             &RecoveryPolicy::Abort,
-        )),
+        )?),
         JobKind::BaselineLearn { granularity } => {
             let Dealing::Static(partition) = &dealing else {
+                // invariant: `strategy` above is the data pipeline for every
+                // kind but `Learn`, and a baseline job does not repartition.
                 unreachable!("baseline jobs partition statically");
             };
             // `baseline_master` saturates and refines master-side with the
@@ -761,7 +758,7 @@ fn dispatch_job<T: Transport>(
                 engine
             };
             let (theory, epochs, set_aside) =
-                baseline_master(ep, master_engine, &spec.examples, partition, *granularity);
+                baseline_master(ep, master_engine, &spec.examples, partition, *granularity)?;
             JobOutput::BaselineLearned {
                 theory,
                 epochs,
@@ -778,7 +775,7 @@ fn dispatch_job<T: Transport>(
         job = id.0,
         state = "draining",
     );
-    let worker_steps = drain_job(ep, id.0);
+    let worker_steps = drain_job(ep, id.0)?;
     // A re-dealing job left every rank with a deal nobody remembers.
     if let Dealing::Redeal = dealing {
         kept.clear();
@@ -792,7 +789,7 @@ fn dispatch_job<T: Transport>(
         job = id.0,
         state = "done",
     );
-    JobOutcome {
+    Ok(JobOutcome {
         id,
         state: job.state,
         output: Some(output),
@@ -804,7 +801,7 @@ fn dispatch_job<T: Transport>(
             bytes: ep.stats().total_bytes() - bytes0,
             messages: ep.stats().total_messages() - messages0,
         },
-    }
+    })
 }
 
 /// The worker ranks not acknowledged dead, ascending: everyone, unless the
@@ -825,7 +822,7 @@ pub(crate) fn submit_job<T: Transport>(
     config: &WorkerConfig,
     subsets: &mut [Examples],
     shipped: &[bool],
-) {
+) -> Result<(), CommFailure> {
     let ranks = live_workers(ep);
     for &k in &ranks {
         let frame = Msg::SubmitJob {
@@ -852,15 +849,19 @@ pub(crate) fn submit_job<T: Transport>(
             Msg::JobAccepted { queue_free: 0, .. } => Ok(()),
             Msg::JobAccepted { .. } => Err("JobAccepted: a queue the rank cannot have"),
             _ => Err("reply to SubmitJob: not a JobAccepted"),
-        });
+        })?;
     }
+    Ok(())
 }
 
 /// Collects job `id`'s [`Msg::JobResult`] from every live worker once the
 /// job's master protocol has sent its `Stop`, and returns the compute steps
 /// each rank spent on it. A rank that died during the job (and was
 /// recovered around) has nothing to report and counts 0.
-pub(crate) fn drain_job<T: Transport>(ep: &mut Endpoint<T>, id: u64) -> Vec<u64> {
+pub(crate) fn drain_job<T: Transport>(
+    ep: &mut Endpoint<T>,
+    id: u64,
+) -> Result<Vec<u64>, CommFailure> {
     let mut worker_steps = vec![0u64; ep.workers()];
     for k in live_workers(ep) {
         worker_steps[k - 1] = Msg::expect(ep, k, "a JobResult", |msg| match msg {
@@ -869,9 +870,9 @@ pub(crate) fn drain_job<T: Transport>(ep: &mut Endpoint<T>, id: u64) -> Vec<u64>
             }
             Msg::JobResult { steps, .. } => Ok(steps),
             _ => Err("end of the job: not a JobResult"),
-        });
+        })?;
     }
-    worker_steps
+    Ok(worker_steps)
 }
 
 /// The resident worker's idle loop: park between jobs holding what the
@@ -880,12 +881,15 @@ pub(crate) fn drain_job<T: Transport>(ep: &mut Endpoint<T>, id: u64) -> Vec<u64>
 /// on them, return to idle. `Stop` *at idle* is mesh shutdown (inside a job
 /// it merely ends the job — the nested role loop consumes it); a closed
 /// master link at idle is the [`WorkerExit::IdleDisconnect`] the worker
-/// binary maps to its distinct exit code.
-pub(crate) fn run_resident_worker<T: Transport>(
+/// binary maps to its distinct exit code. `Err` is the failure of a receive
+/// the rank could not go on from, at idle or inside a job: any other death
+/// of the master link, a frame that is no job-control frame, a job naming
+/// kept examples on a rank that keeps none.
+pub fn run_resident_worker<T: Transport>(
     ep: &mut Endpoint<T>,
     mut base: KnowledgeBase,
-) -> WorkerExit {
-    let me = ep.rank();
+) -> Result<WorkerExit, CommFailure> {
+    let expected = "a job-control frame";
     let mut kept: Option<Examples> = None;
     // Valid for `kept`, for `base` and for the proof limits of the last job.
     let mut memo = CoverageMemo::new();
@@ -894,20 +898,15 @@ pub(crate) fn run_resident_worker<T: Transport>(
         let msg: Msg = match ep.recv_msg(0) {
             Ok(msg) => msg,
             Err(CommError::Closed(err)) if matches!(err.fault, LinkFault::Closed) => {
-                return WorkerExit::IdleDisconnect
+                return Ok(WorkerExit::IdleDisconnect)
             }
-            Err(error) => std::panic::panic_any(CommFailure {
-                rank: me,
-                from: 0,
-                expected: "a job-control frame".to_owned(),
-                error,
-            }),
+            Err(error) => return Err(ep.failure(0, expected, error)),
         };
         match msg {
             // The kept examples survive a new KB; what was proved on the old
             // one does not.
             Msg::KbSnapshot(snap) => {
-                base = restore_kb(*snap, base.symbols().clone(), me);
+                base = restore_kb(ep, *snap, base.symbols().clone())?;
                 memo.clear();
             }
             Msg::SubmitJob {
@@ -921,17 +920,17 @@ pub(crate) fn run_resident_worker<T: Transport>(
                         shipped
                     }
                     // Never a job on an empty or a stale subset.
-                    None => kept.take().unwrap_or_else(|| {
+                    None => kept.take().ok_or_else(|| {
                         let why = "SubmitJob: names kept examples, and this rank keeps none";
-                        refuse_frame(me, 0, "a SubmitJob with its examples", why)
-                    }),
+                        ep.refusal(0, "a SubmitJob with its examples", why)
+                    })?,
                 };
                 if proof.replace(config.settings.proof) != Some(config.settings.proof) {
                     memo.clear();
                 }
                 ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
                 let steps0 = ep.compute_steps();
-                (base, kept) = run_role(ep, base, *config, local, &mut memo, true);
+                (base, kept) = run_role(ep, base, *config, local, &mut memo, true)?;
                 let steps = ep.compute_steps() - steps0;
                 ep.send(0, &Msg::JobResult { id, steps });
             }
@@ -942,8 +941,8 @@ pub(crate) fn run_resident_worker<T: Transport>(
                 let snapshot = worker_metrics_snapshot(ep, &memo);
                 ep.send(0, &Msg::MetricsReport { snapshot });
             }
-            Msg::Stop => return WorkerExit::Finished,
-            other => panic!("worker {me}: unexpected idle-loop message {other:?}"),
+            Msg::Stop => return Ok(WorkerExit::Finished),
+            _ => return Err(ep.refusal(0, expected, "not a frame an idle worker takes")),
         }
     }
 }
@@ -1180,11 +1179,11 @@ mod tests {
         // A frame the idle loop answers, then the master is gone: its
         // endpoint drops and the supervisor notifies the worker.
         master_ep.broadcast(&Msg::MetricsQuery);
-        let _ = Msg::recv(&mut master_ep, 1, "a MetricsReport");
+        Msg::recv(&mut master_ep, 1, "a MetricsReport").unwrap();
         drop(master_ep);
         assert!(master_down.notify(0), "worker must still be receiving");
         assert_eq!(
-            handle.join().expect("worker thread"),
+            handle.join().expect("worker thread").unwrap(),
             WorkerExit::IdleDisconnect,
             "an idle worker must classify a vanished master as IdleDisconnect"
         );
@@ -1229,8 +1228,8 @@ mod tests {
                 1,
                 CostModel::free(),
                 |ep| {
-                    submit_job(ep, 7, &config, &mut [ex.clone()], &[true]);
-                    drain_job(ep, 7);
+                    submit_job(ep, 7, &config, &mut [ex.clone()], &[true])?;
+                    drain_job(ep, 7)
                 },
                 |ep| {
                     let _ = ep.recv_from(0);
@@ -1238,6 +1237,7 @@ mod tests {
                     if let Some(reply) = &on_drain {
                         ep.send(0, reply);
                     }
+                    Ok(())
                 },
             )
             .unwrap_err();
@@ -1272,23 +1272,21 @@ mod tests {
         // One coverage job on rank 1, by hand.
         let query = |ep: &mut Endpoint, id, examples| {
             ep.send(1, &submit(id, &config, examples));
-            let _ = Msg::recv(ep, 1, "a JobAccepted");
+            Msg::recv(ep, 1, "a JobAccepted").unwrap();
             ep.send(
                 1,
                 &Msg::Evaluate {
                     rules: vec![rule.clone()],
                 },
             );
-            let Msg::EvalResult { counts } = Msg::recv(ep, 1, "an EvalResult") else {
+            let Ok(Msg::EvalResult { counts }) = Msg::recv(ep, 1, "an EvalResult") else {
                 panic!("expected an EvalResult");
             };
             ep.send(1, &Msg::Stop);
-            let _ = Msg::recv(ep, 1, "a JobResult");
+            Msg::recv(ep, 1, "a JobResult").unwrap();
             counts
         };
-        let resident = |ep: &mut Endpoint| {
-            let _ = run_resident_worker(ep, engine.kb.clone());
-        };
+        let resident = |ep: &mut Endpoint| run_resident_worker(ep, engine.kb.clone()).map(drop);
         run_cluster(
             1,
             CostModel::free(),
@@ -1299,6 +1297,7 @@ mod tests {
                 ep.send(1, &Msg::KbSnapshot(Box::new(engine.kb.to_snapshot())));
                 assert_eq!(query(ep, 3, None), shipped, "the examples outlive a KB");
                 ep.send(1, &Msg::Stop);
+                Ok(())
             },
             resident,
         )
@@ -1312,7 +1311,7 @@ mod tests {
         let never_sent_any = |_: &mut Endpoint| {};
         let replaced_by_a_new_partition = |ep: &mut Endpoint| {
             ep.send(1, &submit(1, &repartitioning, Some(ex.clone())));
-            let _ = Msg::recv(ep, 1, "a JobAccepted");
+            Msg::recv(ep, 1, "a JobAccepted").unwrap();
             ep.send(
                 1,
                 &Msg::NewPartition {
@@ -1321,7 +1320,7 @@ mod tests {
                 },
             );
             ep.send(1, &Msg::Stop);
-            let _ = Msg::recv(ep, 1, "a JobResult");
+            Msg::recv(ep, 1, "a JobResult").unwrap();
         };
         let histories: [&(dyn Fn(&mut Endpoint) + Sync); 2] =
             [&never_sent_any, &replaced_by_a_new_partition];
@@ -1333,12 +1332,13 @@ mod tests {
                     history(ep);
                     ep.send(1, &submit(9, &config, None));
                     let _ = ep.recv_from(1);
+                    Ok(())
                 },
                 resident,
             )
             .unwrap_err();
             match &err {
-                ClusterError::WorkerPanicked { rank: 1, message } => {
+                ClusterError::WorkerFailed { rank: 1, message } => {
                     assert!(
                         message.contains("rank 1: failed receiving a SubmitJob"),
                         "{err}"

@@ -67,7 +67,7 @@
 
 use crate::protocol::{Msg, StageTrace};
 use crate::worker::WorkerContext;
-use p2mdie_cluster::comm::Endpoint;
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::refine::splitmix64;
@@ -150,11 +150,17 @@ fn explore_seed(strategy_seed: u64, epoch: u32, rank: usize, round: u32) -> u64 
     splitmix64(x ^ u64::from(round))
 }
 
+/// What a replicated epoch yields: the rules as clauses with their counts,
+/// a stage trace per search round, and whether there was a seed.
+pub(crate) type Harvest = (Vec<(Clause, u32, u32)>, Vec<StageTrace>, bool);
+
 /// One replicated epoch on one rank — what `StartPipeline` means to a
 /// worker of either non-default strategy, which holds the **full** example
 /// set: saturate the shared seed, search under the strategy's guide, return
 /// the width-capped harvest as materialized clauses, a stage trace per
-/// search round, and whether there was a seed.
+/// search round, and whether there was a seed. `Err` is the failure of a
+/// constraint exchange: a peer's dead link, or a frame that is no
+/// `Constraint`.
 ///
 /// The shared-seed invariant: every rank holds identical examples, applies
 /// every `MarkCovered`/`RetireSeed` identically, and picks its epoch seed
@@ -169,7 +175,7 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
     epoch: u32,
     constraints: &mut SeedConstraints,
     memo: &mut CoverageMemo,
-) -> (Vec<(Clause, u32, u32)>, Vec<StageTrace>, bool) {
+) -> Result<Harvest, CommFailure> {
     let me = ep.rank();
     if constraints.seed != seed_idx {
         constraints.store.clear();
@@ -180,10 +186,10 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
     // rank, so the skip below is rank-uniform and nobody blocks waiting for
     // a peer that bailed out.
     let Some(idx) = seed_idx else {
-        return (Vec::new(), Vec::new(), false);
+        return Ok((Vec::new(), Vec::new(), false));
     };
     let Some(bottom) = ctx.engine.saturate(&ctx.local.pos[idx]) else {
-        return (Vec::new(), Vec::new(), true);
+        return Ok((Vec::new(), Vec::new(), true));
     };
     ep.advance_steps(bottom.steps);
 
@@ -267,13 +273,10 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
                 }
                 ep.set_constraint_phase(false);
                 for k in (1..=p).filter(|&k| k != me) {
-                    let msg = Msg::recv(ep, k, "a Constraint broadcast");
-                    let Msg::Constraint { shapes, .. } = msg else {
-                        panic!(
-                            "worker {me}: expected a Constraint from rank {k}, \
-                             got {msg:?}"
-                        );
-                    };
+                    let shapes = Msg::expect(ep, k, "a Constraint broadcast", |msg| match msg {
+                        Msg::Constraint { shapes, .. } => Ok(shapes),
+                        _ => Err("not a Constraint"),
+                    })?;
                     store.merge(&shapes);
                 }
             }
@@ -292,6 +295,8 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
             good.extend(good2);
             good
         }
+        // invariant: `run_worker` comes here for the replicating strategies
+        // only.
         Strategy::DataPipeline => unreachable!("the data pipeline runs the ring epoch"),
     };
 
@@ -304,7 +309,7 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
         .iter()
         .map(|r| (r.shape.to_clause(&bottom), r.pos, r.neg))
         .collect();
-    (rules, traces, true)
+    Ok((rules, traces, true))
 }
 
 #[cfg(test)]

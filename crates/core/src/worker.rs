@@ -33,13 +33,24 @@
 //! predecessor down to its marker, ack the master — after which the worker
 //! can adopt a dead rank's examples ([`Msg::AdoptExamples`]) and answer a
 //! theory replay ([`Msg::ReplayTheory`]) so the master's global live set
-//! resynchronizes exactly. Without `EnableRecovery` none of this code runs.
+//! resynchronizes exactly. Without `EnableRecovery` none of this code runs,
+//! and a frame that belongs to it is refused.
+//!
+//! # Failures
+//!
+//! [`run_worker`] returns `Result<_, CommFailure>`: a receive that yields
+//! nothing the loop's state can act on — a dead link, a frame that will not
+//! decode, a well-formed frame of a kind or with contents the state must
+//! refuse (a master-bound message, a recovery frame on a run that armed no
+//! recovery, a dead rank that is this one or none) — ends the loop with the
+//! failure naming this rank and the sender. Nothing here unwinds on what a
+//! peer sent.
 
 use crate::pipeline::run_stage_search;
-use crate::protocol::{refuse_frame, Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
+use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
 use crate::strategy::{run_strategy_epoch, SeedConstraints, Strategy};
 use p2mdie_cluster::codec::from_bytes;
-use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint};
+use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
@@ -112,7 +123,7 @@ pub(crate) fn run_role<T: Transport>(
     local: Examples,
     memo: &mut CoverageMemo,
     resident: bool,
-) -> (KnowledgeBase, Option<Examples>) {
+) -> Result<(KnowledgeBase, Option<Examples>), CommFailure> {
     let (width, report_covered) = match config.role {
         WorkerRole::Pipeline { width, repartition } => (width, repartition),
         // No pipeline ever starts on a coverage rank: the width is never read.
@@ -142,17 +153,20 @@ pub(crate) fn run_role<T: Transport>(
 /// fresh table, which reproduces the master's symbol ids exactly.
 ///
 /// A snapshot that decodes but fails validation is a bad frame from the
-/// master like any other: see [`reject_bootstrap`].
-pub(crate) fn restore_kb(snap: KbSnapshot, syms: SymbolTable, rank: usize) -> KnowledgeBase {
-    KnowledgeBase::from_snapshot(snap, syms).unwrap_or_else(|e| reject_bootstrap(rank, e.context))
+/// master like any other: refused, naming the violated invariant.
+pub(crate) fn restore_kb<T: Transport>(
+    ep: &Endpoint<T>,
+    snap: KbSnapshot,
+    syms: SymbolTable,
+) -> Result<KnowledgeBase, CommFailure> {
+    KnowledgeBase::from_snapshot(snap, syms).map_err(|e| ep.refusal(0, KB_SNAPSHOT, e.context))
 }
 
-/// Unwinds `rank` with the [`CommFailure`] of a bootstrap that did not
-/// deliver a usable KB snapshot (`why`: the violated snapshot invariant, or
-/// that the first frame was something else); see [`refuse_frame`].
-pub(crate) fn reject_bootstrap(rank: usize, why: &'static str) -> ! {
-    refuse_frame(rank, 0, "the KB snapshot", why)
-}
+/// What a rank expects when it is receiving, or validating, its KB.
+pub(crate) const KB_SNAPSHOT: &str = "the KB snapshot";
+
+/// What the worker loop expects between epochs.
+const COMMAND: &str = "a master command";
 
 /// How an epoch's pipelines ended.
 enum EpochEnd {
@@ -170,6 +184,8 @@ fn ring_neighbors(me: usize, alive: &[usize]) -> (usize, usize) {
     let pos = alive
         .iter()
         .position(|&r| r == me)
+        // invariant: `handle_abort`, the one place `alive` shrinks, refuses
+        // an abort that names this rank.
         .expect("own rank must be in the live set");
     let len = alive.len();
     (alive[(pos + 1) % len], alive[(pos + len - 1) % len])
@@ -179,14 +195,20 @@ fn ring_neighbors(me: usize, alive: &[usize]) -> (usize, usize) {
 /// shrink the live set, send the flush marker to the old successor, drain
 /// the old predecessor down to *its* marker (unless the stage loop already
 /// consumed it), ack the master, and forget everything buffered from the
-/// dead rank.
+/// dead rank. Refused: an abort on a run that armed no recovery, or one
+/// whose dead rank is this rank or no live worker.
 fn handle_abort<T: Transport>(
     ep: &mut Endpoint<T>,
     alive: &mut Vec<usize>,
-    me: usize,
+    recovery: bool,
     dead: usize,
     prev_flushed: bool,
-) {
+) -> Result<(), CommFailure> {
+    let me = ep.rank();
+    if !recovery || dead == me || !alive.contains(&dead) {
+        let why = "AbortEpoch: no recovery armed, or a dead rank that is this rank or not alive";
+        return Err(ep.refusal(0, COMMAND, why));
+    }
     let quiesce = span!(ep.tracer(), "quiesce", ep.now(), dead = dead);
     let (old_next, old_prev) = ring_neighbors(me, alive);
     alive.retain(|&r| r != dead);
@@ -208,6 +230,7 @@ fn handle_abort<T: Transport>(
     ep.clear_pending(dead);
     ep.mark_down(dead);
     quiesce.end(ep.now());
+    Ok(())
 }
 
 /// Runs the worker protocol until `Stop`. Rank 0 is the master; this must
@@ -224,12 +247,16 @@ fn handle_abort<T: Transport>(
 /// example subset, `None` when the job replaced it (`NewPartition`,
 /// `AdoptExamples`), for then the master no longer knows what the rank
 /// holds.
+///
+/// `Err` is the failure of the receive the loop could not go on from (see
+/// "Failures" in the module docs); the caller's runtime reports it.
 pub fn run_worker<T: Transport>(
     ep: &mut Endpoint<T>,
     mut ctx: WorkerContext,
     memo: &mut CoverageMemo,
-) -> (KnowledgeBase, Option<Examples>) {
+) -> Result<(KnowledgeBase, Option<Examples>), CommFailure> {
     let me = ep.rank();
+    // invariant: the caller's choice of rank, not anything a peer sent.
     assert!(me >= 1, "run_worker must not run on the master rank");
     let replicated = ctx.strategy != Strategy::DataPipeline;
     let mut live = ctx.local.full_pos_live();
@@ -251,11 +278,17 @@ pub fn run_worker<T: Transport>(
     };
 
     loop {
-        let msg = Msg::recv(ep, 0, "a master command");
-        match msg {
+        match Msg::recv(ep, 0, COMMAND)? {
+            // Frames of modes this run is not in are refused, not served.
+            Msg::AdoptExamples { .. } | Msg::ReplayTheory { .. } if !recovery => {
+                return Err(ep.refusal(0, COMMAND, "a recovery frame, and no recovery armed"));
+            }
+            Msg::NewPartition { .. } if !ctx.report_covered => {
+                return Err(ep.refusal(0, COMMAND, "NewPartition: not a re-dealing run"));
+            }
             Msg::KbSnapshot(snap) => {
                 let syms = ctx.engine.kb.symbols().clone();
-                ctx.engine.kb = restore_kb(*snap, syms, me);
+                ctx.engine.kb = restore_kb(ep, *snap, syms)?;
                 (pristine, stale) = (None, false);
                 memo.clear();
             }
@@ -276,7 +309,7 @@ pub fn run_worker<T: Transport>(
                     epoch,
                     &mut constraints,
                     memo,
-                );
+                )?;
                 ep.send(
                     0,
                     &Msg::RulesFound {
@@ -288,22 +321,27 @@ pub fn run_worker<T: Transport>(
                 );
             }
             Msg::StartPipeline { epoch: _ } => {
-                let end =
-                    run_epoch_pipelines(ep, &ctx, &live, &mut current_seed, &alive, recovery, memo);
+                let end = run_epoch_pipelines(
+                    ep,
+                    &ctx,
+                    &live,
+                    &mut current_seed,
+                    &alive,
+                    recovery,
+                    memo,
+                )?;
                 if let EpochEnd::Aborted { dead, prev_flushed } = end {
-                    handle_abort(ep, &mut alive, me, dead, prev_flushed);
+                    handle_abort(ep, &mut alive, recovery, dead, prev_flushed)?;
                 }
             }
+            // A rank died while this worker was between epochs; the quiesce
+            // still runs so ring markers pair up everywhere.
             Msg::AbortEpoch { dead } => {
-                // A rank died while this worker was between epochs; the
-                // quiesce still runs so ring markers pair up everywhere.
-                assert!(recovery, "AbortEpoch outside recovery mode");
-                handle_abort(ep, &mut alive, me, dead as usize, false);
+                handle_abort(ep, &mut alive, recovery, dead as usize, false)?
             }
             Msg::AdoptExamples { pos, neg } => {
                 // Inherit a dead rank's (still-live) examples on top of the
                 // current subset; adopted positives start live.
-                assert!(recovery, "AdoptExamples outside recovery mode");
                 ep.advance_steps((pos.len() + neg.len()) as u64);
                 let old_len = ctx.local.num_pos();
                 ctx.local.pos.extend(pos);
@@ -324,7 +362,6 @@ pub fn run_worker<T: Transport>(
                 // adopted) live set and report everything it covers, so the
                 // master can rebuild its global live set exactly. The rules
                 // are NOT re-asserted — the KB already holds them.
-                assert!(recovery, "ReplayTheory outside recovery mode");
                 let mut covered = Bitset::new(ctx.local.num_pos());
                 for cov in score(&ctx, memo, &rules, &live) {
                     ep.advance_steps(cov.steps);
@@ -347,6 +384,7 @@ pub fn run_worker<T: Transport>(
             Msg::MarkCovered { rule } => {
                 let cov = score(&ctx, memo, std::slice::from_ref(&rule), &live)
                     .pop()
+                    // invariant: `evaluate_rules` returns a coverage per rule.
                     .expect("one rule, one coverage");
                 ep.advance_steps(cov.steps);
                 if ctx.report_covered || recovery {
@@ -370,7 +408,6 @@ pub fn run_worker<T: Transport>(
             }
             Msg::NewPartition { pos, neg } => {
                 // §4.1 repartitioning: adopt the freshly-dealt subset.
-                assert!(ctx.report_covered, "NewPartition outside repartition mode");
                 ep.advance_steps((pos.len() + neg.len()) as u64);
                 ctx.local = Examples::new(pos, neg);
                 live = ctx.local.full_pos_live();
@@ -410,9 +447,9 @@ pub fn run_worker<T: Transport>(
                         memo.clear();
                     }
                 }
-                return (ctx.engine.kb, (!replaced).then_some(ctx.local));
+                return Ok((ctx.engine.kb, (!replaced).then_some(ctx.local)));
             }
-            other => panic!("worker {me}: unexpected master message {other:?}"),
+            _ => return Err(ep.refusal(0, COMMAND, "not a command a worker takes")),
         }
     }
 }
@@ -431,7 +468,7 @@ fn run_epoch_pipelines<T: Transport>(
     alive: &[usize],
     recovery: bool,
     memo: &mut CoverageMemo,
-) -> EpochEnd {
+) -> Result<EpochEnd, CommFailure> {
     let me = ep.rank();
     let p = alive.len();
     let (next, prev) = ring_neighbors(me, alive);
@@ -451,22 +488,29 @@ fn run_epoch_pipelines<T: Transport>(
     run_stage(ep, ctx, live, p, next, own, seed, memo);
 
     // --- Stages 2..=p of the pipelines passing through this worker. ----
+    let expected = "a PipelineStage token";
     for _ in 0..p.saturating_sub(1) {
         let token = if recovery {
-            match recv_token_watching(ep, prev) {
+            match recv_token_watching(ep, prev)? {
                 Ok(token) => token,
-                Err(end) => return end,
+                Err(end) => return Ok(end),
             }
         } else {
-            let msg = Msg::recv(ep, prev, "a PipelineStage token");
-            let Msg::PipelineStage(token) = msg else {
-                panic!("worker {me}: expected a pipeline token from rank {prev}, got {msg:?}");
-            };
-            token
+            Msg::expect(ep, prev, expected, |msg| match msg {
+                Msg::PipelineStage(token) => Ok(token),
+                _ => Err("not a pipeline token"),
+            })?
         };
+        // What the stage would index with must be in range before it runs.
+        let lits = token.bottom.as_ref().map_or(0, |b| b.lits.len() as u32);
+        let mut indices = token.rules.iter().flat_map(|r| &r.shape.lits);
+        if !(2..=p).contains(&(token.step as usize)) || indices.any(|&i| i >= lits) {
+            let why = "PipelineStage: a stage or a literal that does not exist";
+            return Err(ep.refusal(prev, expected, why));
+        }
         run_stage(ep, ctx, live, p, next, token, None, memo);
     }
-    EpochEnd::Done
+    Ok(EpochEnd::Done)
 }
 
 /// Runs stage `token.step` of pipeline `token.origin` on this worker and
@@ -535,63 +579,41 @@ fn run_stage<T: Transport>(
 /// wins, a master `AbortEpoch` (or an `EpochFlush` from a predecessor
 /// already aborting, followed by the master's `AbortEpoch`) ends the epoch,
 /// and a dead predecessor link blocks on the master's announcement.
+/// Anything else — a dead master link, a frame of another kind — is the
+/// `Err`.
 fn recv_token_watching<T: Transport>(
     ep: &mut Endpoint<T>,
     prev: usize,
-) -> Result<PipelineToken, EpochEnd> {
-    let me = ep.rank();
-    match ep.recv_from_either(prev, 0) {
-        Ok((src, bytes)) => {
-            let msg: Msg = match from_bytes(bytes) {
-                Ok(msg) => msg,
-                Err(error) => std::panic::panic_any(CommFailure {
-                    rank: ep.rank(),
-                    from: src,
-                    expected: "a pipeline token or an epoch abort".to_owned(),
-                    error: CommError::Decode(error),
-                }),
-            };
-            match (src, msg) {
-                (s, Msg::PipelineStage(token)) if s == prev => Ok(token),
-                (s, Msg::EpochFlush) if s == prev => {
-                    // The predecessor is already quiescing; the master's
-                    // abort for us is on its way.
-                    let msg = Msg::recv(ep, 0, "an AbortEpoch after a ring flush");
-                    let Msg::AbortEpoch { dead } = msg else {
-                        panic!("worker {me}: expected AbortEpoch after a flush, got {msg:?}");
-                    };
-                    Err(EpochEnd::Aborted {
-                        dead: dead as usize,
-                        prev_flushed: true,
-                    })
-                }
-                (0, Msg::AbortEpoch { dead }) => Err(EpochEnd::Aborted {
-                    dead: dead as usize,
-                    prev_flushed: false,
-                }),
-                (s, other) => {
-                    panic!("worker {me}: unexpected mid-epoch message from rank {s}: {other:?}")
-                }
-            }
-        }
-        Err(e) if e.from == prev => {
-            // The predecessor's link itself died (socket transports); the
-            // master will confirm which rank is gone.
-            let msg = Msg::recv(ep, 0, "an AbortEpoch after a ring death");
-            let Msg::AbortEpoch { dead } = msg else {
-                panic!("worker {me}: expected AbortEpoch after a ring death, got {msg:?}");
-            };
-            Err(EpochEnd::Aborted {
+) -> Result<Result<PipelineToken, EpochEnd>, CommFailure> {
+    let expected = "a pipeline token or an epoch abort";
+    // The master's word on which rank is gone, once the ring said one is.
+    let abort = |ep: &mut Endpoint<T>, expected: &str, prev_flushed| {
+        Msg::expect(ep, 0, expected, |msg| match msg {
+            Msg::AbortEpoch { dead } => Ok(Err(EpochEnd::Aborted {
                 dead: dead as usize,
-                prev_flushed: false,
-            })
-        }
-        Err(e) => std::panic::panic_any(CommFailure {
-            rank: ep.rank(),
-            from: e.from,
-            expected: "a pipeline token or an epoch abort".to_owned(),
-            error: CommError::Closed(e),
-        }),
+                prev_flushed,
+            })),
+            _ => Err("not an AbortEpoch"),
+        })
+    };
+    let (src, bytes) = match ep.recv_from_either(prev, 0) {
+        Ok(delivered) => delivered,
+        // The predecessor's link itself died (socket transports); the
+        // master will confirm which rank is gone.
+        Err(e) if e.from == prev => return abort(ep, "an AbortEpoch after a ring death", false),
+        Err(e) => return Err(ep.failure(e.from, expected, e)),
+    };
+    let msg = from_bytes(bytes).map_err(|e| ep.failure(src, expected, e))?;
+    match (src, msg) {
+        (s, Msg::PipelineStage(token)) if s == prev => Ok(Ok(token)),
+        // The predecessor is already quiescing; the master's abort for us
+        // is on its way.
+        (s, Msg::EpochFlush) if s == prev => abort(ep, "an AbortEpoch after a ring flush", true),
+        (0, Msg::AbortEpoch { dead }) => Ok(Err(EpochEnd::Aborted {
+            dead: dead as usize,
+            prev_flushed: false,
+        })),
+        (s, _) => Err(ep.refusal(s, expected, "no token, ring flush or epoch abort")),
     }
 }
 
@@ -733,10 +755,11 @@ mod tests {
                 assert_eq!(after[0].0, 0, "covered examples must be retired");
 
                 ep.send(1, &Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
@@ -782,10 +805,11 @@ mod tests {
                 assert_eq!(t1.iter().map(|s| s.worker).collect::<Vec<_>>(), vec![1, 2]);
                 assert_eq!(t2.iter().map(|s| s.worker).collect::<Vec<_>>(), vec![2, 1]);
                 ep.broadcast(&Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
@@ -831,10 +855,11 @@ mod tests {
                 assert_eq!((o2, h2), (2, false));
                 assert!(r2.is_empty());
                 ep.broadcast(&Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
@@ -869,10 +894,11 @@ mod tests {
                 let _ = ep.recv_from(1);
                 assert!(n_pos >= 1);
                 ep.send(1, &Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
@@ -925,10 +951,11 @@ mod tests {
                 };
                 assert!(counts.is_empty());
                 ep.broadcast(&Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctxs.lock().unwrap()[ep.rank() - 1].take().expect("ctx");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
@@ -1046,35 +1073,43 @@ mod tests {
                 };
                 assert_eq!(after, expected);
                 ep.send(1, &Msg::Stop);
+                Ok(())
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap();
     }
 
+    /// A well-formed frame the loop's state does not take — here a
+    /// master-bound `EvalResult` sent down — ends the worker with a typed
+    /// failure naming it and the sender, not with a panic.
     #[test]
-    fn unexpected_message_panics_worker() {
+    fn unexpected_message_fails_the_worker_typed() {
         let (_t, ctx) = make_ctx(1, 30);
         let ctx = std::sync::Mutex::new(Some(ctx));
         let err = run_cluster(
             1,
             CostModel::free(),
             |ep| {
-                // EvalResult is a worker→master message; sending it down is
-                // a protocol violation.
                 ep.send_bytes(1, to_bytes(&Msg::EvalResult { counts: vec![] }));
                 let _ = ep.recv_from(1);
+                Ok(())
             },
             |ep| {
                 let c = ctx.lock().unwrap().take().expect("single worker");
-                run_worker(ep, c, &mut CoverageMemo::new());
+                run_worker(ep, c, &mut CoverageMemo::new()).map(drop)
             },
         )
         .unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("unexpected"), "got: {msg}");
+        match &err {
+            p2mdie_cluster::ClusterError::WorkerFailed { rank: 1, message } => {
+                assert!(message.contains("from rank 0"), "{err}");
+                assert!(message.contains("not a command a worker takes"), "{err}");
+            }
+            other => panic!("expected rank 1's typed failure, got {other}"),
+        }
     }
 }

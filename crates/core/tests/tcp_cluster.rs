@@ -246,3 +246,56 @@ fn wedged_worker_process_cannot_hang_teardown() {
         other => panic!("expected a Comm error naming rank 1, got {other}"),
     }
 }
+
+/// A worker process's exit code says how it ended: a bootstrap that
+/// delivers no usable KB snapshot and a typed protocol failure mid-run —
+/// here a master-bound frame sent down to an idle worker — each exit with
+/// their own code, after poisoning the run so that the master's receive
+/// names the rank instead of waiting on it.
+#[test]
+fn worker_exit_codes_tell_a_bad_bootstrap_from_a_mid_run_failure() {
+    use p2mdie_cluster::comm::{Endpoint, LinkFault};
+    use p2mdie_cluster::net::{MasterRendezvous, BOOTSTRAP_FAILURE_EXIT, PROTOCOL_FAILURE_EXIT};
+    use p2mdie_cluster::TrafficStats;
+    use p2mdie_core::Msg;
+    use std::process::{Command, Stdio};
+
+    let ds = p2mdie_datasets::trains(8, 5);
+    let snapshot = || Msg::KbSnapshot(Box::new(ds.engine.kb.to_snapshot()));
+    let master_bound = || Msg::EvalResult { counts: vec![] };
+    let sessions = [
+        (vec![Msg::Stop], BOOTSTRAP_FAILURE_EXIT, "not a KB snapshot"),
+        (
+            vec![snapshot(), master_bound()],
+            PROTOCOL_FAILURE_EXIT,
+            "not a frame an idle worker takes",
+        ),
+    ];
+    for (frames, code, why) in sessions {
+        let (status, stderr, woken) = bounded(move || {
+            let rendezvous = MasterRendezvous::bind("127.0.0.1:0").unwrap();
+            let addr = rendezvous.local_addr().unwrap().to_string();
+            let child = Command::new(WORKER_BIN)
+                .args(["--connect", &addr, "--rank", "1", "--timeout-secs", "30"])
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn the worker");
+            let model = CostModel::free();
+            let transport = rendezvous
+                .accept_workers(1, model, Duration::from_secs(30))
+                .unwrap();
+            let mut ep = Endpoint::from_parts(0, 2, transport, model, TrafficStats::new(2));
+            for frame in &frames {
+                ep.send(1, frame);
+            }
+            let woken = ep.recv_from(1).unwrap_err();
+            let out = child.wait_with_output().expect("reap the worker");
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            (out.status, stderr, woken)
+        });
+        assert_eq!(status.code(), Some(code), "{stderr}");
+        assert!(stderr.contains("worker rank 1 failed"), "{stderr}");
+        assert!(stderr.contains(why), "{stderr}");
+        assert_eq!(woken.fault, LinkFault::Poison { origin: 1 }, "{woken}");
+    }
+}

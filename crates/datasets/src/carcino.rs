@@ -7,7 +7,8 @@
 //! ground-truth theory of three clauses, and 8% label noise. What the
 //! paper's experiments measure — search and evaluation cost scaling, rule
 //! bags, accuracy stability under partitioning — depends on these shape
-//! parameters, not on true chemistry (DESIGN.md §3, substitution 3).
+//! parameters, not on true chemistry (the dataset substitution, stated in
+//! the [crate docs](crate)).
 
 use crate::common::{scaled, Dataset};
 use p2mdie_ilp::coverage::evaluate_rule;

@@ -3,11 +3,23 @@
 //! (Table 1), plus the toy family and trains problems used by examples and
 //! tests.
 //!
-//! The original datasets are not redistributable; each generator reproduces
-//! the *shape* that matters to the paper's experiments — exact |E+|/|E−|,
-//! relational schema, a planted ground-truth theory, and label noise — as
-//! documented in DESIGN.md §3–4. All generators are seeded and
-//! deterministic.
+//! **The dataset substitution**, stated here and nowhere else. The original
+//! datasets are not redistributable, so each generator builds a synthetic
+//! one with the *shape* that matters to the paper's experiments: the exact
+//! |E+| / |E−| of Table 1 (scaled by the `scale` argument), a relational
+//! schema of the same kind (molecules of atoms and bonds with numeric
+//! charges behind threshold predicates; mesh edges with neighbour
+//! relations; drug pairs over substituent properties), a planted
+//! ground-truth theory (a few clauses, or a hidden activity function) that
+//! generates the labels, and enough noise in them that no theory is
+//! perfect. What the paper
+//! measures — how search and evaluation cost scale with the examples a rank
+//! holds, how many good rules an epoch's bag carries, whether accuracy
+//! survives partitioning — depends on those shape parameters and not on
+//! true chemistry or engineering, so speedup, communication, epoch and
+//! accuracy *trends* are comparable with the paper's and absolute accuracies
+//! are not. All generators are seeded and deterministic: a (generator,
+//! scale, seed) triple is a dataset.
 //!
 //! ```
 //! use p2mdie_datasets::carcinogenesis;

@@ -15,7 +15,8 @@
 //! * [`engine`] — the [`IlpEngine`] facade used by the parallel algorithm.
 //!
 //! Every expensive operation reports the inference steps it consumed; the
-//! cluster substrate turns those into virtual seconds (see DESIGN.md §3).
+//! cluster substrate turns those into virtual seconds (the virtual-time
+//! substitution, stated in `p2mdie_cluster::vtime`).
 //!
 //! ```
 //! use p2mdie_ilp::{Examples, IlpEngine, ModeSet, Settings};

@@ -6,7 +6,8 @@
 //! and a *step* budget counting every unification candidate tried and every
 //! builtin evaluated. The step count doubles as the *fuel* consumed by the
 //! cluster substrate's virtual-time model: compute time on a rank is
-//! `steps × t_step` (DESIGN.md §3, substitution 1).
+//! `steps × t_step` (the virtual-time substitution, stated in
+//! `p2mdie_cluster::vtime`).
 //!
 //! The search strategy is standard Prolog: goals left-to-right, clauses in
 //! assertion order, facts before rules, backtracking on failure.
