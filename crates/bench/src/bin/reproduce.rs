@@ -3,14 +3,15 @@
 //!
 //! ```text
 //! reproduce all                  # everything (Tables 1-7 + Figure 3/4)
-//! reproduce table1 ... table7    # one table (table7 = cross-strategy)
+//! reproduce table1 ... table7    # one table (table7 = data-pipeline vs
+//!                                # search-partition, unlimited width)
 //! reproduce figure3              # pipeline trace (Figures 3-4)
 //! reproduce ablation             # strategy ablation (p2-mdie vs baselines)
 //! Options:
 //!   --scale X     example-count scale factor (default 0.25; 1.0 = paper)
 //!   --seed N      master seed (default 2005)
 //!   --folds K     cross-validation folds (default 5, as in the paper)
-//!   --procs LIST  processor counts (default 2,4,8)
+//!   --procs LIST  processor counts (default 2,4,8; table7 runs at the last)
 //!   --datasets L  comma list (default carcinogenesis,mesh,pyrimidines)
 //!   --quiet       suppress per-run progress on stderr
 //! ```

@@ -1,11 +1,11 @@
 //! Benchmark harness crate: hosts the `reproduce` binary (regenerates every
-//! table and figure of the paper) and the Criterion micro/meso benches
-//! (`cargo bench -p p2mdie-bench`). See `src/bin/reproduce.rs`.
+//! table and figure of the paper) and `bench_prover` (the before/after gate
+//! behind `BENCH_prover.json`). See `src/bin/`.
 //!
 //! This crate also hosts verbatim replicas of the *pre-refactor* deduction
-//! hot path ([`legacy`]) so benches can pin the speedup of the PR-1 prover
-//! and coverage rework against the true seed implementation rather than a
-//! reconstruction. The replicas build on [`p2mdie_logic::prover::reference`]
+//! hot path ([`legacy`]) so `bench_prover` can pin the speedup of the PR-1
+//! prover and coverage rework against the true seed implementation rather
+//! than a reconstruction. The replicas build on [`p2mdie_logic::prover::reference`]
 //! (the seed's clone-per-expansion prover, kept in-tree for differential
 //! testing).
 

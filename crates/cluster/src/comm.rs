@@ -197,10 +197,6 @@ pub struct Endpoint<T: Transport = MeshTransport> {
     /// [`TrafficStats`] (so reports can separate recovery traffic from the
     /// algorithm's own).
     recovery_phase: bool,
-    /// While set, sends are additionally tallied in the constraint totals
-    /// of [`TrafficStats`] (the constraint-driven strategy's pruning
-    /// exchange, kept separate from the paper-shaped traffic).
-    constraint_phase: bool,
     clock: VirtualClock,
     model: CostModel,
     stats: TrafficStats,
@@ -214,9 +210,6 @@ pub struct Endpoint<T: Transport = MeshTransport> {
     /// The open `recovery` span while [`Endpoint::set_recovery_phase`] is
     /// on, so recovery traffic shows as a phase in the trace timeline.
     recovery_span: Option<Span>,
-    /// The open `constraint` span while [`Endpoint::set_constraint_phase`]
-    /// is on.
-    constraint_span: Option<Span>,
 }
 
 impl<T: Transport> Endpoint<T> {
@@ -245,7 +238,6 @@ impl<T: Transport> Endpoint<T> {
             fabric_closed: false,
             down: vec![false; size],
             recovery_phase: false,
-            constraint_phase: false,
             clock: VirtualClock::new(),
             model,
             stats,
@@ -253,7 +245,6 @@ impl<T: Transport> Endpoint<T> {
             poisoned: None,
             tracer: Tracer::for_rank(rank),
             recovery_span: None,
-            constraint_span: None,
         }
     }
 
@@ -341,9 +332,6 @@ impl<T: Transport> Endpoint<T> {
         self.stats.record(self.rank, to, payload.len());
         if self.recovery_phase {
             self.stats.record_recovery(payload.len());
-        }
-        if self.constraint_phase {
-            self.stats.record_constraint(payload.len());
         }
         self.clock.advance(self.model.send_overhead);
         let arrival = self.clock.now() + self.model.transfer_time(payload.len());
@@ -536,22 +524,6 @@ impl<T: Transport> Endpoint<T> {
             }
         }
         self.recovery_phase = on;
-    }
-
-    /// Toggles the constraint-traffic phase: while on, sends are
-    /// additionally tallied in the constraint totals of [`TrafficStats`],
-    /// and the phase shows as one `constraint` span on this rank's trace
-    /// timeline. Used by the constraint-driven search strategy around its
-    /// worker↔worker pruning exchange.
-    pub fn set_constraint_phase(&mut self, on: bool) {
-        if on && !self.constraint_phase {
-            self.constraint_span = Some(span!(self.tracer, "constraint", self.clock.now()));
-        } else if !on {
-            if let Some(s) = self.constraint_span.take() {
-                s.end(self.clock.now());
-            }
-        }
-        self.constraint_phase = on;
     }
 
     fn deliver(&mut self, env: Envelope) -> Bytes {

@@ -33,9 +33,9 @@
 //!   worker's `(rank, address)`. Master → worker, once, after all workers
 //!   said hello.
 //! * kind 3, **Report** — a [`WorkerReport`]: `vtime: f64`, `steps: u64`,
-//!   the sender's traffic row, and its recovery- and constraint-traffic
-//!   counters. Worker → master, once, at shutdown, *outside* the metered
-//!   protocol (reports are bookkeeping, not algorithm traffic).
+//!   the sender's traffic row, and its two recovery-traffic counters.
+//!   Worker → master, once, at shutdown, *outside* the metered protocol
+//!   (reports are bookkeeping, not algorithm traffic).
 //!
 //! Frames are decoded by the incremental [`FrameReader`], which accepts
 //! arbitrary stream fragmentation — byte-at-a-time, coalesced, split
@@ -124,10 +124,9 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// between jobs, which a v5 idle loop would reject as an unexpected
 /// message;
 /// v7: the strategy seam — `WorkerConfig` grew the search strategy and its
-/// seed, the protocol gained the worker↔worker `Constraint` broadcast of
-/// the constraint-driven strategy, and the shutdown `Report` frame grew the
-/// worker's constraint-traffic counters — a v6 peer would mis-parse all
-/// three;
+/// seed, the protocol gained a worker↔worker `Constraint` broadcast (tag
+/// 27), and the shutdown `Report` frame grew two counters for that traffic
+/// — a v6 peer would mis-parse all three;
 /// v8: one bootstrap framing — a worker process is handed its work as a
 /// `SubmitJob` whether the mesh is resident or one-shot, so the v3
 /// `Configure`/`LoadPartition` pair and the advisory `CancelJob` are
@@ -135,8 +134,12 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// comes, and a v7 master would send frames a v8 worker refuses to decode;
 /// v9: `SubmitJob` carries the rank's example subset as an option — absent
 /// when the rank kept it from its previous job — where v8 had the two
-/// lists, so either peer would mis-parse the other's job submission).
-pub const PROTOCOL_VERSION: u16 = 9;
+/// lists, so either peer would mis-parse the other's job submission;
+/// v10: the strategy that sent `Constraint` is gone, and with it tag 27,
+/// strategy tag 2 and the two `Report` counters — a v9 worker's report is
+/// 16 bytes longer than a v10 master reads, and a v9 peer's tag 27 or
+/// strategy tag 2 is refused).
+pub const PROTOCOL_VERSION: u16 = 10;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -227,12 +230,6 @@ pub struct WorkerReport {
     pub recovery_bytes: u64,
     /// Messages this worker sent during recovery phases.
     pub recovery_messages: u64,
-    /// Bytes this worker sent during constraint phases (the
-    /// constraint-driven strategy's pruning exchange — a labelled subset of
-    /// `sends`, kept out of the paper-shaped numbers).
-    pub constraint_bytes: u64,
-    /// Messages this worker sent during constraint phases.
-    pub constraint_messages: u64,
 }
 p2mdie_logic::wire_struct!(WorkerReport {
     vtime,
@@ -240,8 +237,6 @@ p2mdie_logic::wire_struct!(WorkerReport {
     sends,
     recovery_bytes,
     recovery_messages,
-    constraint_bytes,
-    constraint_messages,
 });
 
 /// One decoded frame (see the [module docs](self) for the byte layout).
@@ -1212,7 +1207,6 @@ pub fn run_cluster_tcp<R>(
             Some(rep) => {
                 stats.absorb_row(rank, &rep.sends);
                 stats.absorb_recovery(rep.recovery_bytes, rep.recovery_messages);
-                stats.absorb_constraint(rep.constraint_bytes, rep.constraint_messages);
                 worker_vtimes.push(rep.vtime);
                 worker_steps.push(rep.steps);
             }
@@ -1337,8 +1331,6 @@ mod tests {
                     sends: vec![(1, 2, 0), (0, 0, 3)],
                     recovery_bytes: 77,
                     recovery_messages: 4,
-                    constraint_bytes: 31,
-                    constraint_messages: 2,
                 }),
             ),
         ]
@@ -1464,10 +1456,10 @@ mod tests {
             rank: 1,
             addr: "127.0.0.1:9".to_owned(),
         };
-        assert_eq!(PROTOCOL_VERSION, 9, "a bump moves this test with it");
-        let refused = check_hello(hello(8), 2, "worker hello").unwrap_err();
+        assert_eq!(PROTOCOL_VERSION, 10, "a bump moves this test with it");
+        let refused = check_hello(hello(9), 2, "worker hello").unwrap_err();
         assert!(
-            refused.message.contains("protocol version 8 != 9"),
+            refused.message.contains("protocol version 9 != 10"),
             "{}",
             refused.message
         );
@@ -1494,6 +1486,21 @@ mod tests {
         raw.truncate(last); // shorten body…
         let new_len = (raw.len() - 4) as u32;
         raw[..4].copy_from_slice(&new_len.to_le_bytes()); // …but fix the prefix
+        let mut reader = FrameReader::new();
+        reader.push(&raw);
+        assert!(reader.next_frame().is_err());
+
+        // A v9 `Report`: two more `u64` counters after the recovery pair.
+        let mut raw = encode_frame(&Frame::Report(WorkerReport {
+            vtime: 1.0,
+            steps: 5,
+            sends: vec![(1, 1, 0)],
+            recovery_bytes: 0,
+            recovery_messages: 0,
+        }));
+        raw.extend_from_slice(&[0u8; 16]);
+        let new_len = (raw.len() - 4) as u32;
+        raw[..4].copy_from_slice(&new_len.to_le_bytes());
         let mut reader = FrameReader::new();
         reader.push(&raw);
         assert!(reader.next_frame().is_err());

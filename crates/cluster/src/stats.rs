@@ -20,14 +20,6 @@ pub struct TrafficStats {
     /// repartition-and-resume protocol added).
     recovery_bytes: Arc<AtomicU64>,
     recovery_messages: Arc<AtomicU64>,
-    /// Bytes/messages sent while the owning endpoint was in its constraint
-    /// phase (the worker↔worker pruning-constraint exchange of the
-    /// constraint-driven search strategy). Like the recovery totals, a
-    /// labelled *subset* of the matrix — keeping it split means the
-    /// paper-shaped Table-4 numbers can be reported with and without the
-    /// strategy's extra traffic.
-    constraint_bytes: Arc<AtomicU64>,
-    constraint_messages: Arc<AtomicU64>,
 }
 
 impl TrafficStats {
@@ -40,8 +32,6 @@ impl TrafficStats {
             dropped: Arc::new((0..size * size).map(|_| AtomicU64::new(0)).collect()),
             recovery_bytes: Arc::new(AtomicU64::new(0)),
             recovery_messages: Arc::new(AtomicU64::new(0)),
-            constraint_bytes: Arc::new(AtomicU64::new(0)),
-            constraint_messages: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -98,32 +88,6 @@ impl TrafficStats {
     pub fn absorb_recovery(&self, bytes: u64, messages: u64) {
         self.recovery_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.recovery_messages
-            .fetch_add(messages, Ordering::Relaxed);
-    }
-
-    /// Tallies one constraint-phase message of `bytes` bytes (in *addition*
-    /// to the normal [`record`](TrafficStats::record) for the link — like
-    /// the recovery totals, a labelled subset, not a separate matrix).
-    pub fn record_constraint(&self, bytes: usize) {
-        self.constraint_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.constraint_messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total bytes sent during constraint phases.
-    pub fn constraint_bytes(&self) -> u64 {
-        self.constraint_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent during constraint phases.
-    pub fn constraint_messages(&self) -> u64 {
-        self.constraint_messages.load(Ordering::Relaxed)
-    }
-
-    /// Merges constraint totals reported by another process.
-    pub fn absorb_constraint(&self, bytes: u64, messages: u64) {
-        self.constraint_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.constraint_messages
             .fetch_add(messages, Ordering::Relaxed);
     }
 
@@ -276,23 +240,6 @@ mod tests {
         s.absorb_recovery(3, 2);
         assert_eq!(s.recovery_bytes(), 13);
         assert_eq!(s.recovery_messages(), 3);
-    }
-
-    #[test]
-    fn constraint_totals_are_a_labelled_subset() {
-        let s = TrafficStats::new(2);
-        s.record(0, 1, 8);
-        s.record_constraint(8);
-        s.record(0, 1, 5);
-        assert_eq!(s.constraint_bytes(), 8);
-        assert_eq!(s.constraint_messages(), 1);
-        // Constraint traffic is still counted in the matrix totals, and it
-        // never bleeds into the recovery subset.
-        assert_eq!(s.total_bytes(), 13);
-        assert_eq!(s.recovery_bytes(), 0);
-        s.absorb_constraint(4, 2);
-        assert_eq!(s.constraint_bytes(), 12);
-        assert_eq!(s.constraint_messages(), 3);
     }
 
     #[test]

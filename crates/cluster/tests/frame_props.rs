@@ -36,21 +36,16 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
         proptest::collection::vec((0u64..9999, 0u64..99, 0u64..9), 0..8),
         0u64..100_000,
         0u64..1_000,
-        (0u64..100_000, 0u64..1_000),
     )
-        .prop_map(
-            |(t, steps, sends, recovery_bytes, recovery_messages, (cbytes, cmsgs))| {
-                Frame::Report(WorkerReport {
-                    vtime: t as f64 / 1.0e3,
-                    steps,
-                    sends,
-                    recovery_bytes,
-                    recovery_messages,
-                    constraint_bytes: cbytes,
-                    constraint_messages: cmsgs,
-                })
-            },
-        );
+        .prop_map(|(t, steps, sends, recovery_bytes, recovery_messages)| {
+            Frame::Report(WorkerReport {
+                vtime: t as f64 / 1.0e3,
+                steps,
+                sends,
+                recovery_bytes,
+                recovery_messages,
+            })
+        });
     let roster =
         proptest::collection::vec((1u32..9, 0u8..26), 0..6).prop_map(|entries| Frame::Roster {
             model: CostModel::beowulf_2005(),

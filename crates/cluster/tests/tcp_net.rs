@@ -183,8 +183,6 @@ fn malformed_bytes_surface_as_malformed_link() {
                 sends: ep.stats().send_row(ep.rank()),
                 recovery_bytes: 0,
                 recovery_messages: 0,
-                constraint_bytes: 0,
-                constraint_messages: 0,
             };
             assert!(ep.transport_mut().send_report(&report));
         },
@@ -230,8 +228,6 @@ fn shutdown_reports_reach_the_master() {
                 sends: ep.stats().send_row(me),
                 recovery_bytes: 0,
                 recovery_messages: 0,
-                constraint_bytes: 0,
-                constraint_messages: 0,
             };
             assert!(ep.transport_mut().send_report(&report));
         },

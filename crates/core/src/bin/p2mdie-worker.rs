@@ -195,8 +195,6 @@ fn serve<T: Transport>(
                 sends: ep.stats().send_row(rank),
                 recovery_bytes: ep.stats().recovery_bytes(),
                 recovery_messages: ep.stats().recovery_messages(),
-                constraint_bytes: ep.stats().constraint_bytes(),
-                constraint_messages: ep.stats().constraint_messages(),
             };
             if !report_via(ep.transport_mut()).send_report(&report) {
                 eprintln!("worker rank {rank}: master gone before the shutdown report");

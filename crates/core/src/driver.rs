@@ -95,10 +95,9 @@ pub struct ParallelConfig {
     /// rank whose fabric went silent.
     pub chaos: Vec<(usize, ChaosConfig)>,
     /// How the ranks divide the run: the paper's data-parallel pipeline
-    /// (default), hypothesis-parallel lattice slicing, or constraint-driven
-    /// independent search (see [`crate::strategy`]). `repartition`,
-    /// `recovery`, and `chaos` only apply to the default; [`run_parallel`]
-    /// rejects them with any other.
+    /// (default) or hypothesis-parallel lattice slicing (see
+    /// [`crate::strategy`]). `repartition`, `recovery`, and `chaos` only
+    /// apply to the default; [`run_parallel`] rejects them with the other.
     pub strategy: Strategy,
 }
 
@@ -165,7 +164,7 @@ impl ParallelConfig {
 /// Names the first unsupported combination in `cfg`, if any — here, before
 /// a mesh exists, because none of them can fail cleanly later: a rank
 /// silenced under `Abort` hangs the run, worker processes cannot be
-/// wrapped, and the replicating strategies' workers do not speak the
+/// wrapped, and the workers of a replicating strategy do not speak the
 /// repartitioning or recovery messages.
 fn check_combination(cfg: &ParallelConfig) -> Result<(), ClusterError> {
     let replicating = cfg.strategy != Strategy::DataPipeline;
@@ -585,7 +584,7 @@ mod tests {
             ),
             (
                 base()
-                    .with_strategy(Strategy::ConstraintDriven)
+                    .with_strategy(Strategy::SearchPartition)
                     .with_recovery(healing()),
                 "RecoveryPolicy::Repartition with a strategy",
             ),

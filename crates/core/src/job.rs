@@ -129,8 +129,9 @@ pub struct JobSpec {
     pub settings: Option<Settings>,
     /// Parallelization strategy for [`JobKind::Learn`] jobs (see
     /// [`crate::strategy`]). Ignored by every other kind: a `RuleSearch`
-    /// job's global scoring sums per-rank counts, which the non-default
-    /// strategies' full example replication would multiply by `p`, and
+    /// job's global scoring sums per-rank counts, which
+    /// [`Strategy::SearchPartition`]'s full example replication would
+    /// multiply by `p`, and
     /// coverage/baseline jobs have no rule search to re-parallelize. One
     /// resident mesh freely multiplexes jobs of different strategies.
     pub strategy: Strategy,

@@ -30,11 +30,10 @@
 //!   serves every role and strategy, and `run_role` is the one place a
 //!   [`WorkerConfig`] becomes its context;
 //! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
-//! * [`strategy`] — the [`Strategy`] switch and the replicated epoch of the
-//!   two non-default strategies (hypothesis-parallel lattice slicing,
-//!   constraint-driven search), which the worker loop runs in place of the
-//!   ring of pipelines; their master is [`master::run_master`] over
-//!   replicated examples;
+//! * [`strategy`] — the [`Strategy`] switch and the replicated epoch of
+//!   hypothesis-parallel lattice slicing, which the worker loop runs in
+//!   place of the ring of pipelines; its master is [`master::run_master`]
+//!   over replicated examples;
 //! * [`baselines`] — the coverage-parallel related-work algorithm: its own
 //!   master (a sequential search with distributed evaluation), the common
 //!   worker loop;

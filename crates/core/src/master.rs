@@ -11,7 +11,7 @@
 //! * the [`Dealing`] — examples dealt once before the run (the paper's
 //!   algorithm), re-dealt before every epoch (§4.1's rejected alternative,
 //!   implemented so its communication cost can be measured), or replicated
-//!   on every rank (the non-default strategies of [`crate::strategy`]);
+//!   on every rank ([`Strategy::SearchPartition`]);
 //! * the [`RecoveryPolicy`] — whether a dead rank fails the run or is
 //!   recovered around (below);
 //! * the reduce step, which follows from the dealing. Partitioned examples
@@ -177,7 +177,7 @@ pub enum Dealing {
     /// §4.1's rejected alternative: the master re-deals the live examples
     /// before every epoch, shipping the literals in full.
     Redeal,
-    /// Every rank holds the full set (the non-default strategies), so a
+    /// Every rank holds the full set ([`Strategy::SearchPartition`]), so a
     /// rule's counts on any rank are global and all ranks stay in lockstep.
     Replicated,
 }

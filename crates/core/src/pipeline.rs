@@ -12,7 +12,7 @@ use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchGuide};
+use p2mdie_ilp::search::{search_rules_guided, ScoredRule};
 use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::CoverageMemo;
 use std::collections::HashSet;
@@ -52,7 +52,6 @@ pub fn run_stage_search(
         local,
         Some(live),
         &seeds,
-        &SearchGuide::default(),
         None,
         memo,
     );

@@ -9,21 +9,21 @@
 //! exactly one on the worker processes of a one-shot run (see
 //! [`crate::remote`]) — and the protocol-v6 introspection pair
 //! ([`Msg::MetricsQuery`] / [`Msg::MetricsReport`]) that lets the master
-//! pull live per-worker metric snapshots between jobs. Protocol v7 adds the strategy seam: the
-//! worker-to-worker [`Msg::Constraint`] broadcast (proven-dead lattice
-//! regions exchanged by the constraint-driven strategy) and the
-//! [`Strategy`] + strategy-seed fields on [`WorkerConfig`], so one
-//! resident mesh can multiplex jobs of different strategies. Protocol v8
-//! only retires frames: the v3 process bootstrap (`Configure` +
-//! `LoadPartition`, tags 13 and 14 — a worker process is now handed its
-//! work as a `SubmitJob`, like a resident one) and the advisory `CancelJob`
-//! (tag 24, which every receiver ignored). Retired tags are not reused.
+//! pull live per-worker metric snapshots between jobs. Protocol v7 adds the
+//! strategy seam: the [`Strategy`] + strategy-seed fields on
+//! [`WorkerConfig`], so one resident mesh can multiplex jobs of different
+//! strategies. Protocol v8 only retires frames: the v3 process bootstrap
+//! (`Configure` + `LoadPartition`, tags 13 and 14 — a worker process is now
+//! handed its work as a `SubmitJob`, like a resident one) and the advisory
+//! `CancelJob` (tag 24, which every receiver ignored). Retired tags are not
+//! reused.
 //! Protocol v9 moves bytes in one frame: [`Msg::SubmitJob`] carries the
 //! rank's example subset only when the rank does not already hold it — an
 //! `Option` where v8 had the two lists, `None` naming the subset the rank
 //! kept from its previous job (see [`crate::scheduler`]) — so that a
 //! resident service ships a set once and clauses ever after. No tag is
-//! added or retired.
+//! added or retired. Protocol v10 retires tag 27 (`Constraint`, a
+//! worker-to-worker broadcast nothing sends) and strategy tag 2.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -56,7 +56,6 @@ use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
-use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::search::ScoredRule;
 use p2mdie_ilp::settings::{Settings, Width};
 use p2mdie_logic::clause::{Clause, Literal};
@@ -165,12 +164,12 @@ pub struct WorkerConfig {
     /// Search constraints, with `eval_threads` already set to this rank's
     /// fair share of the machine.
     pub settings: Settings,
-    /// Which parallelization strategy this rank runs (protocol v7). Only
+    /// Which parallelization strategy this rank runs. Only
     /// meaningful for `Pipeline`-role learning work; everything else runs
     /// [`Strategy::DataPipeline`] semantics regardless.
     pub strategy: Strategy,
-    /// Seed salting the strategy's lattice slices and exploration orders
-    /// (distinct from the example-partition seed, which stays master-side).
+    /// Seed salting the strategy's lattice slices (distinct from the
+    /// example-partition seed, which stays master-side).
     pub strategy_seed: u64,
 }
 
@@ -384,30 +383,12 @@ pub enum Msg {
         /// The reporting rank's snapshot.
         snapshot: MetricsSnapshot,
     },
-    /// Worker → worker (protocol v7): pruning constraints for the
-    /// constraint-driven strategy. The shapes are subtree roots the sender
-    /// proved *dead* against the epoch's shared bottom clause (positive
-    /// cover below `min_pos`, which specialization cannot recover), so the
-    /// receiver may cut every refinement under them. Shape indices are
-    /// bottom-clause relative and only meaningful while every rank
-    /// saturates the same seed — which the shared-live-set invariant
-    /// guarantees; a rank drops its store the moment the seed changes.
-    /// Metered in the dedicated constraint row of
-    /// [`p2mdie_cluster::TrafficStats`].
-    Constraint {
-        /// Sending rank.
-        origin: u8,
-        /// Epoch the shapes' bottom clause belongs to (for tracing).
-        epoch: u32,
-        /// Proven-dead subtree roots, a generalization antichain.
-        shapes: Vec<RuleShape>,
-    },
 }
 
 // One row per message: the wire tag a peer can be sent, the variant, its
-// fields in wire order. 13 `Configure`, 14 `LoadPartition` and 24
-// `CancelJob` are retired and never reused; like any unknown tag they are
-// refused.
+// fields in wire order. 13 `Configure`, 14 `LoadPartition`, 24 `CancelJob`
+// and 27 `Constraint` are retired and never reused; like any unknown tag
+// they are refused.
 wire_enum!(Msg, "message tag" {
     0 => LoadExamples,
     1 => StartPipeline { epoch },
@@ -433,7 +414,6 @@ wire_enum!(Msg, "message tag" {
     23 => JobResult { id, steps },
     25 => MetricsQuery,
     26 => MetricsReport { snapshot },
-    27 => Constraint { origin, epoch, shapes },
 });
 
 #[cfg(test)]
@@ -442,6 +422,7 @@ pub(crate) mod tests {
     use bytes::Bytes;
     use p2mdie_cluster::codec::{from_bytes, to_bytes};
     use p2mdie_ilp::bottom::BottomLiteral;
+    use p2mdie_ilp::refine::RuleShape;
     use p2mdie_ilp::settings::ScoreFn;
     use p2mdie_logic::symbol::SymbolTable;
     use p2mdie_logic::term::{Term, F64};
@@ -711,25 +692,6 @@ pub(crate) mod tests {
                 snapshot: MetricsSnapshot::default(),
             },
         );
-        add(
-            "Constraint/full",
-            Msg::Constraint {
-                origin: 3,
-                epoch: 12,
-                shapes: vec![
-                    RuleShape::from_indices(vec![0]),
-                    RuleShape::from_indices(vec![1, 4, 9]),
-                ],
-            },
-        );
-        add(
-            "Constraint/empty",
-            Msg::Constraint {
-                origin: 1,
-                epoch: 0,
-                shapes: vec![],
-            },
-        );
         add("Stop", Msg::Stop);
         // A compiled KB small enough to read in hex, with every part of a
         // `PredSnapshot` populated: ground facts (columns and postings), a
@@ -833,44 +795,11 @@ pub(crate) mod tests {
         assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
     }
 
-    /// Every prefix truncation of a `Constraint` frame decode-fails instead
-    /// of panicking or misreading (the shape-count guard catches the
-    /// length-prefix lie; the per-shape `Vec<u32>` decodes catch the rest).
-    #[test]
-    fn truncated_constraint_is_rejected() {
-        let bytes = to_bytes(&Msg::Constraint {
-            origin: 2,
-            epoch: 5,
-            shapes: vec![
-                RuleShape::from_indices(vec![0, 2, 7]),
-                RuleShape::from_indices(vec![3]),
-                RuleShape::from_indices(vec![1, 8]),
-            ],
-        });
-        for cut in [1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                from_bytes::<Msg>(bytes.slice(..cut)).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    /// A corrupted shape count (claiming more shapes than bytes remain)
-    /// and a corrupted strategy tag are both rejected, not mis-decoded.
+    /// A strategy tag no `Strategy` has — an unknown one, and the retired
+    /// 2 — inside an otherwise valid `SubmitJob` is rejected, not
+    /// mis-decoded.
     #[test]
     fn corrupt_constraint_payloads_are_rejected() {
-        let bytes = to_bytes(&Msg::Constraint {
-            origin: 1,
-            epoch: 1,
-            shapes: vec![RuleShape::from_indices(vec![4])],
-        });
-        let mut raw = bytes.to_vec();
-        // Bytes 1..=4 hold `origin`+`epoch` prefix; the shape count starts
-        // after origin (1) + epoch (4) = offset 5. Blow it up.
-        raw[5] = 0xFF;
-        raw[6] = 0xFF;
-        assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
-
         let t = SymbolTable::new();
         let modes = p2mdie_ilp::modes::ModeSet::parse(&t, "active(+mol)", &[(1, "solid")]).unwrap();
         let cfg_bytes = to_bytes(&Msg::SubmitJob {
@@ -879,7 +808,7 @@ pub(crate) mod tests {
                 role: WorkerRole::Coverage,
                 modes,
                 settings: Settings::default(),
-                strategy: Strategy::ConstraintDriven,
+                strategy: Strategy::SearchPartition,
                 strategy_seed: 3,
             }),
             examples: Some(Examples::default()),
@@ -889,8 +818,12 @@ pub(crate) mod tests {
         // example lists.
         let mut raw = cfg_bytes.to_vec();
         let at = raw.len() - 9 - 9;
-        raw[at] = 200;
-        assert!(from_bytes::<Msg>(Bytes::from(raw)).is_err());
+        assert_eq!(raw[at], 1, "the strategy tag");
+        for tag in [200, 2] {
+            raw[at] = tag;
+            let refused = from_bytes::<Msg>(Bytes::from(raw.clone())).unwrap_err();
+            assert_eq!(refused.context, "strategy tag", "tag {tag}");
+        }
     }
 
     /// The compiled KB travels as one message and the receiver adopts it
@@ -941,9 +874,9 @@ pub(crate) mod tests {
     }
 
     /// An unknown tag is a decode error, and so is a retired one — 13
-    /// (`Configure`), 14 (`LoadPartition`), 24 (`CancelJob`) — whatever
-    /// follows it: a v7 peer's frame is refused, never mis-decoded and never
-    /// a panic.
+    /// (`Configure`), 14 (`LoadPartition`), 24 (`CancelJob`), 27
+    /// (`Constraint`) — whatever follows it: an older peer's frame is
+    /// refused, never mis-decoded and never a panic.
     #[test]
     fn corrupt_tag_is_rejected() {
         let t = SymbolTable::new();
@@ -954,8 +887,10 @@ pub(crate) mod tests {
             // example vectors.
             to_bytes(&7u64).to_vec(),
             [to_bytes(&lits).to_vec(), to_bytes(&lits).to_vec()].concat(),
+            // … and tag 27: a rank, an epoch and a vector of rule shapes.
+            to_bytes(&(3u8, 12u32, vec![RuleShape::from_indices(vec![1, 4, 9])])).to_vec(),
         ];
-        for tag in [200u8, 13, 14, 24] {
+        for tag in [200u8, 13, 14, 24, 27] {
             for body in &bodies {
                 let raw = [&[tag][..], body].concat();
                 assert!(

@@ -160,20 +160,11 @@ mod tests {
             move |ep| run_master(ep, settings, &self.ex, &dealing, 42, &recovery).map(drop)
         }
 
-        /// `run_worker` on rank 1's half of the examples (all of them under
-        /// a replicating `strategy`).
-        fn worker(
-            &self,
-            strategy: Strategy,
-        ) -> impl Fn(&mut Endpoint) -> Result<(), CommFailure> + '_ {
-            let local = match strategy {
-                Strategy::DataPipeline => partition_examples(&self.ex, 2, 42).0.swap_remove(0),
-                _ => self.ex.clone(),
-            };
+        /// `run_worker` on rank 1's half of the examples.
+        fn worker(&self) -> impl Fn(&mut Endpoint) -> Result<(), CommFailure> + '_ {
+            let local = partition_examples(&self.ex, 2, 42).0.swap_remove(0);
             move |ep| {
-                let mut ctx =
-                    WorkerContext::new(self.engine.clone(), local.clone(), Width::Unlimited);
-                ctx.strategy = strategy;
+                let ctx = WorkerContext::new(self.engine.clone(), local.clone(), Width::Unlimited);
                 run_worker(ep, ctx, &mut CoverageMemo::new()).map(drop)
             }
         }
@@ -346,7 +337,7 @@ mod tests {
                     prefix: vec![],
                     takes: COMMANDS,
                     out_of_range: vec![],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: master command, recovery armed",
@@ -354,7 +345,7 @@ mod tests {
                     prefix: vec![Frame(0, Msg::EnableRecovery)],
                     takes: RECOVERY_COMMANDS,
                     out_of_range: vec![dead(0), dead(1), dead(3), dead(200)],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: ring token",
@@ -363,7 +354,7 @@ mod tests {
                     takes: &["PipelineStage"],
                     // Stage 3 of a ring of two, over literal 4 of one.
                     out_of_range: vec![named("PipelineStage/full")],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: ring token, recovery armed (from the ring)",
@@ -371,7 +362,7 @@ mod tests {
                     prefix: epoch(true),
                     takes: &["PipelineStage", "EpochFlush"],
                     out_of_range: vec![named("PipelineStage/full")],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: ring token, recovery armed (from the master)",
@@ -379,7 +370,7 @@ mod tests {
                     prefix: epoch(true),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: AbortEpoch after a ring flush",
@@ -387,7 +378,7 @@ mod tests {
                     prefix: with(epoch(true), Frame(2, Msg::EpochFlush)),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
+                    run: Box::new(self.worker()),
                 },
                 State {
                     name: "worker: AbortEpoch after a ring death",
@@ -395,15 +386,7 @@ mod tests {
                     prefix: with(epoch(true), Dies(2)),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker(Strategy::DataPipeline)),
-                },
-                State {
-                    name: "worker: Constraint exchange",
-                    mesh: (3, 1, 2),
-                    prefix: epoch(false),
-                    takes: &["Constraint"],
-                    out_of_range: vec![],
-                    run: Box::new(self.worker(Strategy::ConstraintDriven)),
+                    run: Box::new(self.worker()),
                 },
                 // --- A resident worker and a worker process (rank 1 of two). -
                 State {
@@ -484,9 +467,9 @@ mod tests {
                     }
                 }
             }
-            // 22 states; the command states, which take most kinds, still
-            // refuse 26 of the 48 samples each.
-            assert!(refused >= 800, "the table shrank: {refused} refusals");
+            // 21 states; the command states, which take most kinds, still
+            // refuse 21 of the 43 samples each.
+            assert!(refused >= 660, "the table shrank: {refused} refusals");
         });
     }
 
@@ -535,7 +518,7 @@ mod tests {
             script.extend(in_flight(3, "EpochFlush"));
             script.push(Frame(3, Msg::EpochFlush));
             script.push(Frame(0, Msg::Stop));
-            drive(4, 1, &script, fixture.worker(Strategy::DataPipeline)).unwrap();
+            drive(4, 1, &script, fixture.worker()).unwrap();
         });
     }
 

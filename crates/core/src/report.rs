@@ -50,14 +50,6 @@ pub struct ParallelReport {
     /// Messages spent on the recovery protocol (subset of
     /// `total_messages`).
     pub recovery_messages: u64,
-    /// Bytes spent broadcasting pruning constraints between workers — a
-    /// labelled subset of `total_bytes`, non-zero only under
-    /// [`Strategy::ConstraintDriven`](crate::strategy::Strategy) with two
-    /// or more ranks.
-    pub constraint_bytes: u64,
-    /// Messages spent on constraint broadcasts (subset of
-    /// `total_messages`).
-    pub constraint_messages: u64,
 }
 
 impl ParallelReport {
@@ -85,8 +77,6 @@ impl ParallelReport {
             rank_losses: master.rank_losses,
             recovery_bytes: stats.recovery_bytes(),
             recovery_messages: stats.recovery_messages(),
-            constraint_bytes: stats.constraint_bytes(),
-            constraint_messages: stats.constraint_messages(),
         }
     }
 
@@ -312,8 +302,6 @@ mod tests {
             rank_losses: vec![],
             recovery_bytes: 0,
             recovery_messages: 0,
-            constraint_bytes: 0,
-            constraint_messages: 0,
         };
         assert!((r.megabytes() - 3.0).abs() < 1e-12);
     }

@@ -15,11 +15,11 @@
 //! [`run_worker`] is the only worker loop; a run's variations are data in
 //! its [`WorkerContext`]. A worker that is never sent a `StartPipeline` is
 //! the worker of the coverage-parallel baseline ([`crate::baselines`]):
-//! step 3 is all that master asks for. A worker of a non-default
-//! [`Strategy`] holds the full example set, so steps 1–2 are one replicated
-//! epoch ([`crate::strategy`]) answered with `RulesFound` directly — no
-//! token travels the ring — and only rank 1 answers `RetireSeed`. `run_role`
-//! builds the context a [`WorkerConfig`] names.
+//! step 3 is all that master asks for. A worker of
+//! [`Strategy::SearchPartition`] holds the full example set, so steps 1–2 are
+//! one replicated epoch ([`crate::strategy`]) answered with `RulesFound`
+//! directly — no token travels the ring — and only rank 1 answers
+//! `RetireSeed`. `run_role` builds the context a [`WorkerConfig`] names.
 //!
 //! # Recovery mode
 //!
@@ -48,7 +48,7 @@
 
 use crate::pipeline::run_stage_search;
 use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
-use crate::strategy::{run_strategy_epoch, SeedConstraints, Strategy};
+use crate::strategy::{run_strategy_epoch, Strategy};
 use p2mdie_cluster::codec::from_bytes;
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
@@ -87,7 +87,7 @@ pub struct WorkerContext {
     /// How the ranks divide the run. Anything but the data pipeline means
     /// `local` is the **full** example set, replicated on every rank.
     pub strategy: Strategy,
-    /// Seed salting the strategy's lattice slices and exploration orders.
+    /// Seed salting the strategy's lattice slices.
     pub strategy_seed: u64,
     /// The rank's KB outlives the job (a resident rank): copy it before the
     /// job's first assert and hand the copy back at `Stop`. Off, nothing is
@@ -264,7 +264,6 @@ pub fn run_worker<T: Transport>(
     let mut recovery = false;
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
-    let mut constraints = SeedConstraints::default();
     // The KB before the first assert, whether a rule body can call what was
     // asserted since, and whether `ctx.local` is still the subset dealt.
     let mut pristine: Option<KnowledgeBase> = None;
@@ -298,18 +297,11 @@ pub fn run_worker<T: Transport>(
                 // compute proportional to the local subset.
                 ep.advance_steps(ctx.local.len() as u64);
             }
-            Msg::StartPipeline { epoch } if replicated => {
+            Msg::StartPipeline { epoch: _ } if replicated => {
                 // Every rank picks the first live positive: the shared seed.
                 current_seed = live.first();
-                let (rules, trace, had_seed) = run_strategy_epoch(
-                    ep,
-                    &ctx,
-                    &live,
-                    current_seed,
-                    epoch,
-                    &mut constraints,
-                    memo,
-                )?;
+                let (rules, trace, had_seed) =
+                    run_strategy_epoch(ep, &ctx, &live, current_seed, memo);
                 ep.send(
                     0,
                     &Msg::RulesFound {

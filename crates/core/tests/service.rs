@@ -165,6 +165,62 @@ fn repeated_jobs_on_one_service_stay_identical() {
     service.shutdown().unwrap();
 }
 
+/// One resident mesh multiplexes learning jobs of both strategies
+/// ([`JobSpec::with_strategy`]): each job is its one-shot `run_parallel`
+/// twin — theory, epochs, per-rank steps — whatever strategy the job before
+/// it ran, and the replicated example set of a `search-partition` job is a
+/// kept set too: the second of two in a row ships none of it.
+#[test]
+fn jobs_of_either_strategy_share_one_resident_mesh() {
+    use p2mdie_core::Strategy::{DataPipeline, SearchPartition};
+    let sequence = [
+        DataPipeline,
+        SearchPartition,
+        DataPipeline,
+        SearchPartition,
+        SearchPartition,
+        DataPipeline,
+    ];
+    for ds in [
+        p2mdie_datasets::trains(12, 5),
+        p2mdie_datasets::mesh(0.2, 9),
+    ] {
+        let service = Service::new(&ds.engine, ServiceConfig::new(WORKERS));
+        let mut bytes = Vec::new();
+        for (at, strategy) in sequence.into_iter().enumerate() {
+            let what = format!("{}, job {at} ({strategy})", ds.name);
+            let spec = JobSpec::learn(ds.examples.clone())
+                .with_seed(3)
+                .with_width(WIDTH)
+                .with_strategy(strategy);
+            let outcome = service.submit(spec).unwrap().wait();
+            assert_eq!(outcome.state, JobState::Done, "{what}: {:?}", outcome.error);
+            let solo = run_parallel(
+                &ds.engine,
+                &ds.examples,
+                &ParallelConfig::new(WORKERS, WIDTH, 3).with_strategy(strategy),
+            )
+            .unwrap();
+            let learned = outcome.learned();
+            assert_eq!(learned.theory, solo.theory, "{what}: theory");
+            assert_eq!(learned.epochs, solo.epochs, "{what}: epochs");
+            assert_eq!(
+                outcome.accounting.worker_steps, solo.worker_steps,
+                "{what}: per-rank steps"
+            );
+            bytes.push(outcome.accounting.bytes);
+        }
+        assert!(
+            bytes[4] < bytes[3],
+            "{}: a search-partition job right after another moved {} B, the first {} B",
+            ds.name,
+            bytes[4],
+            bytes[3]
+        );
+        service.shutdown().unwrap();
+    }
+}
+
 /// A baseline-learn job over the service matches the standalone
 /// coverage-parallel baseline (same partition seed, same granularity).
 #[test]

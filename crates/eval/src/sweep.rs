@@ -30,8 +30,9 @@ pub struct SweepConfig {
     pub model: CostModel,
     /// Parallelization strategies for the cross-strategy axis (Table 7).
     /// Each one runs at `widths[0]` × `procs.last()` so the comparison is
-    /// apples-to-apples; the paper's grid (Tables 2–6) always runs the
-    /// data-pipeline protocol. Empty disables the axis.
+    /// apples-to-apples (Table 7's caption names the cell); the paper's
+    /// grid (Tables 2–6) always runs the data-pipeline protocol. Empty
+    /// disables the axis.
     pub strategies: Vec<Strategy>,
     /// Print per-run progress to stderr.
     pub verbose: bool,
@@ -67,10 +68,6 @@ pub struct RunSeries {
     pub epochs: Vec<f64>,
     /// Communication volumes (MBytes).
     pub mbytes: Vec<f64>,
-    /// Constraint-broadcast volumes (MBytes) — the labelled subset of
-    /// `mbytes` spent exchanging pruning constraints; zero everywhere
-    /// except `Strategy::ConstraintDriven` cells.
-    pub cmbytes: Vec<f64>,
     /// Per-fold speedups vs the sequential fold time.
     pub speedups: Vec<f64>,
 }
@@ -177,7 +174,6 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
         out.seq.accs.push(seq_acc);
         out.seq.epochs.push(seq.epochs as f64);
         out.seq.mbytes.push(0.0);
-        out.seq.cmbytes.push(0.0);
         out.seq.speedups.push(1.0);
 
         for (w, p, series) in &mut out.cells {
@@ -202,7 +198,6 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
             series.accs.push(acc);
             series.epochs.push(rep.epochs as f64);
             series.mbytes.push(rep.megabytes());
-            series.cmbytes.push(rep.constraint_bytes as f64 / 1.0e6);
             series.speedups.push(seq.vtime / rep.vtime);
         }
 
@@ -215,13 +210,12 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
             let acc = score_theory(&ds.engine, &rep.clauses(), &fold.test).accuracy_pct();
             if cfg.verbose {
                 eprintln!(
-                    "[{}] fold {fi}: strategy={strat} t={:.0}s speedup={:.2} epochs={} {:.1}MB ({:.2}MB constraints) acc={:.1}%",
+                    "[{}] fold {fi}: strategy={strat} t={:.0}s speedup={:.2} epochs={} {:.1}MB acc={:.1}%",
                     ds.name,
                     rep.vtime,
                     seq.vtime / rep.vtime,
                     rep.epochs,
                     rep.megabytes(),
-                    rep.constraint_bytes as f64 / 1.0e6,
                     acc,
                 );
             }
@@ -229,7 +223,6 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
             series.accs.push(acc);
             series.epochs.push(rep.epochs as f64);
             series.mbytes.push(rep.megabytes());
-            series.cmbytes.push(rep.constraint_bytes as f64 / 1.0e6);
             series.speedups.push(seq.vtime / rep.vtime);
         }
     }
@@ -287,12 +280,10 @@ mod tests {
         assert!(cell.times.iter().all(|t| *t > 0.0));
         assert!(cell.accs.iter().all(|a| (0.0..=100.0).contains(a)));
         assert!(cell.mbytes.iter().all(|m| *m > 0.0));
-        assert!(cell.cmbytes.iter().all(|c| *c == 0.0));
     }
 
-    /// The cross-strategy axis: all three strategies on two datasets, each
-    /// producing a complete series, with constraint traffic non-zero only
-    /// under the constraint-driven strategy.
+    /// The cross-strategy axis: every strategy on two datasets, each
+    /// producing a complete series.
     #[test]
     fn strategy_axis_covers_every_strategy_on_two_datasets() {
         let cfg = SweepConfig {
@@ -315,18 +306,6 @@ mod tests {
                 assert_eq!(s.times.len(), 2);
                 assert!(s.times.iter().all(|t| *t > 0.0), "{strat} on {}", d.name);
                 assert!(s.accs.iter().all(|a| (0.0..=100.0).contains(a)));
-                if strat == Strategy::ConstraintDriven {
-                    assert!(
-                        s.cmbytes.iter().all(|c| *c > 0.0),
-                        "no constraint traffic on {}",
-                        d.name
-                    );
-                } else {
-                    assert!(
-                        s.cmbytes.iter().all(|c| *c == 0.0),
-                        "{strat} metered constraints"
-                    );
-                }
             }
         }
     }

@@ -3,6 +3,7 @@
 use crate::stats::{mean, stddev};
 use crate::sweep::{RunSeries, SweepResults};
 use crate::ttest::paired_ttest;
+use p2mdie_ilp::settings::Width;
 use std::fmt::Write as _;
 
 /// Renders a fixed-width ASCII table.
@@ -40,7 +41,7 @@ pub fn render_table(title: &str, header: &[String], rows: &[Vec<String>]) -> Str
     out
 }
 
-fn cell_label(width: p2mdie_ilp::settings::Width) -> String {
+fn cell_label(width: Width) -> String {
     width.label()
 }
 
@@ -157,8 +158,7 @@ pub fn table6(res: &SweepResults) -> String {
 
 /// Table 7 (beyond the paper): cross-strategy comparison. One row per
 /// dataset × strategy, every strategy run at the same `(width, procs)`
-/// cell over the same folds, with the constraint-broadcast traffic broken
-/// out of the total so the cost of the pruning exchange is visible.
+/// cell — named in the caption — over the same folds.
 pub fn table7(res: &SweepResults) -> String {
     let header = vec![
         "Dataset".to_owned(),
@@ -167,7 +167,6 @@ pub fn table7(res: &SweepResults) -> String {
         "Time (s)".to_owned(),
         "Epochs".to_owned(),
         "Comm (MB)".to_owned(),
-        "Constr (MB)".to_owned(),
         "Accuracy".to_owned(),
     ];
     let mut rows = Vec::new();
@@ -180,16 +179,20 @@ pub fn table7(res: &SweepResults) -> String {
                 format!("{:.0}", mean(&s.times)),
                 format!("{:.0}", mean(&s.epochs)),
                 format!("{:.3}", mean(&s.mbytes)),
-                format!("{:.3}", mean(&s.cmbytes)),
                 format!("{:.2} ({:.2})", mean(&s.accs), stddev(&s.accs)),
             ]);
         }
     }
-    render_table(
-        "Table 7. Cross-strategy comparison (same width, procs, and folds)",
-        &header,
-        &rows,
-    )
+    // The cell of `SweepConfig::strategies`: the last of `procs`, the first
+    // of `widths`.
+    let cfg = &res.config;
+    let caption = format!(
+        "Table 7. Cross-strategy comparison (p = {}, W = {}, {} folds)",
+        cfg.procs.last().copied().unwrap_or(2),
+        cell_label(cfg.widths.first().copied().unwrap_or(Width::Unlimited)),
+        cfg.folds
+    );
+    render_table(&caption, &header, &rows)
 }
 
 #[cfg(test)]
@@ -197,7 +200,6 @@ mod tests {
     use super::*;
     use crate::sweep::{DatasetSweep, SweepConfig};
     use p2mdie_core::Strategy;
-    use p2mdie_ilp::settings::Width;
 
     fn fake_results() -> SweepResults {
         let config = SweepConfig {
@@ -212,12 +214,7 @@ mod tests {
             accs: vec![60.0, 62.0],
             epochs: vec![10.0, 12.0],
             mbytes: vec![1.5, 2.5],
-            cmbytes: vec![0.0, 0.0],
             speedups: vec![2.0, 2.2],
-        };
-        let cseries = || RunSeries {
-            cmbytes: vec![0.25, 0.35],
-            ..series(30.0)
         };
         SweepResults {
             config,
@@ -235,7 +232,6 @@ mod tests {
                 strategy_cells: vec![
                     (Strategy::DataPipeline, series(25.0)),
                     (Strategy::SearchPartition, series(28.0)),
-                    (Strategy::ConstraintDriven, cseries()),
                 ],
             }],
         }
@@ -258,8 +254,9 @@ mod tests {
         assert!(t6.contains("61.00"));
     }
 
-    /// Table 7 renders one row per strategy, labelled, with the constraint
-    /// column non-zero only on the constraint-driven row.
+    /// Table 7 renders one row per strategy, labelled, and its caption
+    /// names the cell they ran at: the last of `procs`, the first of
+    /// `widths`.
     #[test]
     fn table7_has_a_row_per_strategy() {
         let r = fake_results();
@@ -267,11 +264,7 @@ mod tests {
         for strat in Strategy::ALL {
             assert!(t7.contains(strat.label()), "missing {strat} row:\n{t7}");
         }
-        let driven = t7
-            .lines()
-            .find(|l| l.contains("constraint-driven"))
-            .unwrap();
-        assert!(driven.contains("0.300"), "{driven}");
+        assert!(t7.contains("(p = 4, W = nolimit, 5 folds)"), "{t7}");
     }
 
     #[test]

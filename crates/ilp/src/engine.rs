@@ -6,10 +6,9 @@ use crate::bottom::{saturate, BottomClause};
 use crate::coverage::Coverage;
 use crate::examples::Examples;
 use crate::mdie::{run_sequential, SequentialOutcome};
-use crate::memo::CoverageMemo;
 use crate::modes::{ModeDecl, ModeSet};
-use crate::refine::{ConstraintStore, RuleShape};
-use crate::search::{search_rules, search_rules_guided, SearchGuide, SearchOutcome};
+use crate::refine::RuleShape;
+use crate::search::{search_rules, SearchOutcome};
 use crate::settings::Settings;
 use p2mdie_logic::clause::{Clause, Literal, PredKey};
 use p2mdie_logic::kb::KnowledgeBase;
@@ -74,32 +73,6 @@ impl IlpEngine {
         search_rules(&self.kb, &self.settings, bottom, examples, live_pos, seeds)
     }
 
-    /// [`IlpEngine::search`] with strategy hooks (lattice slice, seeded
-    /// exploration, dead-shape collection, constraint cuts). A default
-    /// guide and empty store reduce to the plain search bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_guided(
-        &self,
-        bottom: &BottomClause,
-        examples: &Examples,
-        live_pos: Option<&Bitset>,
-        seeds: &[RuleShape],
-        guide: &SearchGuide,
-        constraints: Option<&ConstraintStore>,
-    ) -> SearchOutcome {
-        search_rules_guided(
-            &self.kb,
-            &self.settings,
-            bottom,
-            examples,
-            live_pos,
-            seeds,
-            guide,
-            constraints,
-            &mut CoverageMemo::new(),
-        )
-    }
-
     /// Evaluates one rule (`evalOnExamples`, Fig. 2 step 6), fanning out
     /// over `settings.eval_threads` when the example set is large enough.
     pub fn evaluate(
@@ -136,7 +109,7 @@ impl IlpEngine {
     /// holds (a superset of what body modes reach through rules). Asserting
     /// a rule for such a predicate changes what candidate bodies prove, so
     /// coverage computed before it no longer stands — the owner of a
-    /// [`CoverageMemo`] clears it then, and only then.
+    /// [`crate::CoverageMemo`] clears it then, and only then.
     pub fn callable_from_bodies(&self, key: PredKey) -> bool {
         let called = |l: &Literal| l.key() == key;
         let by_mode = |m: &ModeDecl| m.pred == key.pred && m.args.len() as u32 == key.arity;

@@ -67,8 +67,6 @@ pub use examples::Examples;
 pub use mdie::{run_sequential, LearnedRule, SequentialOutcome};
 pub use memo::{CoverageMemo, MemoStats};
 pub use modes::{ModeArg, ModeDecl, ModeSet};
-pub use refine::{ConstraintStore, LatticeSlice, RuleShape};
-pub use search::{
-    search_rules, search_rules_guided, take_top, ScoredRule, SearchGuide, SearchOutcome,
-};
+pub use refine::{LatticeSlice, RuleShape};
+pub use search::{search_rules, search_rules_guided, take_top, ScoredRule, SearchOutcome};
 pub use settings::{ScoreFn, Settings, Width};

@@ -6,7 +6,7 @@ use crate::coverage::evaluate_rule;
 use crate::examples::Examples;
 use crate::memo::CoverageMemo;
 use crate::modes::ModeSet;
-use crate::search::{search_rules_guided, SearchGuide};
+use crate::search::search_rules_guided;
 use crate::settings::Settings;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::kb::KnowledgeBase;
@@ -70,7 +70,6 @@ pub fn run_sequential(
             examples,
             Some(&live),
             &[],
-            &SearchGuide::default(),
             None,
             &mut memo,
         );

@@ -1112,7 +1112,6 @@ mod tests {
         let mut live = ex.full_pos_live();
         live.clear(1);
         let mut memo = CoverageMemo::new();
-        let guide = crate::search::SearchGuide::default();
         let search = |seeds: &[RuleShape], memo: &mut CoverageMemo| {
             crate::search::search_rules_guided(
                 kb,
@@ -1121,7 +1120,6 @@ mod tests {
                 ex,
                 Some(&live),
                 seeds,
-                &guide,
                 None,
                 memo,
             )

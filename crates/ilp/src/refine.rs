@@ -96,20 +96,10 @@ impl RuleShape {
         }
         out
     }
-
-    /// True when `self`'s literal set is a subset of `other`'s (θ-subsumption
-    /// restricted to the shared bottom-clause lattice: fewer literals of the
-    /// same ⊥ means more general).
-    pub fn generalizes(&self, other: &RuleShape) -> bool {
-        let mut it = other.lits.iter();
-        self.lits.iter().all(|a| it.any(|b| b == a))
-    }
 }
 
 /// SplitMix64 — the small deterministic mixer used for lattice partitioning
-/// and seeded exploration orders (no external RNG dependency). Public so
-/// the strategy layer can derive per-(epoch, rank, round) exploration
-/// seeds from the same chain.
+/// (no external RNG dependency).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -150,82 +140,6 @@ impl LatticeSlice {
             None => true,
             Some(&first) => splitmix64(u64::from(first) ^ self.salt) % self.of == self.rank,
         }
-    }
-}
-
-/// A set of *dead* shapes: shapes proven unable to reach `min_pos` positive
-/// cover, which — coverage being anti-monotone under specialization — kills
-/// their entire specialization subtree too.
-///
-/// This is the pruning knowledge the constraint-driven strategy gossips
-/// between ranks. Shapes index into one specific bottom clause, so a store
-/// is only meaningful between searches that share the same saturated seed
-/// example; callers must clear it when the seed changes.
-///
-/// The store keeps a generalization antichain: inserting a shape drops any
-/// stored shape it generalizes, and is itself dropped when a stored shape
-/// already generalizes it.
-#[derive(Clone, Debug, Default)]
-pub struct ConstraintStore {
-    shapes: Vec<RuleShape>,
-}
-
-impl ConstraintStore {
-    /// Maximum shapes retained; beyond this, inserts are dropped (pruning
-    /// is an optimization — forgetting a constraint is always sound).
-    pub const CAP: usize = 512;
-
-    /// An empty store.
-    pub fn new() -> Self {
-        ConstraintStore::default()
-    }
-
-    /// Number of stored (minimal) dead shapes.
-    pub fn len(&self) -> usize {
-        self.shapes.len()
-    }
-
-    /// True when no constraints are held.
-    pub fn is_empty(&self) -> bool {
-        self.shapes.is_empty()
-    }
-
-    /// The stored antichain, for broadcasting to peers.
-    pub fn shapes(&self) -> &[RuleShape] {
-        &self.shapes
-    }
-
-    /// Records a dead shape. Returns true when the store changed.
-    pub fn insert(&mut self, shape: RuleShape) -> bool {
-        if self.shapes.iter().any(|s| s.generalizes(&shape)) {
-            return false;
-        }
-        self.shapes.retain(|s| !shape.generalizes(s));
-        if self.shapes.len() >= Self::CAP {
-            return false;
-        }
-        self.shapes.push(shape);
-        true
-    }
-
-    /// Merges a batch of shapes received from a peer.
-    pub fn merge(&mut self, shapes: &[RuleShape]) {
-        for s in shapes {
-            self.insert(s.clone());
-        }
-    }
-
-    /// True when `shape` is within some stored dead shape's subtree (a
-    /// stored generalization of `shape` exists) — the search may skip it
-    /// without evaluating.
-    pub fn prunes(&self, shape: &RuleShape) -> bool {
-        self.shapes.iter().any(|s| s.generalizes(shape))
-    }
-
-    /// Drops every constraint (the seed example changed, so stored shapes
-    /// no longer index into the current bottom clause).
-    pub fn clear(&mut self) {
-        self.shapes.clear();
     }
 }
 
@@ -307,16 +221,6 @@ mod tests {
         assert_eq!(format!("{}", c.display(&t)), "p(A) :- q(A,B), r(B).");
     }
 
-    #[test]
-    fn generalizes_is_subset_order() {
-        let a = RuleShape::from_indices(vec![0]);
-        let ab = RuleShape::from_indices(vec![0, 2]);
-        assert!(a.generalizes(&ab));
-        assert!(!ab.generalizes(&a));
-        assert!(RuleShape::empty().generalizes(&a));
-        assert!(a.generalizes(&a));
-    }
-
     /// All dataflow-closed shapes of the hand-built bottom clause.
     fn all_shapes() -> Vec<RuleShape> {
         let (_, b) = bottom();
@@ -365,27 +269,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn constraint_store_keeps_a_minimal_antichain() {
-        let mut store = ConstraintStore::new();
-        assert!(store.insert(RuleShape::from_indices(vec![0, 1])));
-        // A specialization of a stored dead shape adds nothing.
-        assert!(!store.insert(RuleShape::from_indices(vec![0, 1, 2])));
-        assert_eq!(store.len(), 1);
-        // A generalization replaces the more specific entry.
-        assert!(store.insert(RuleShape::from_indices(vec![0])));
-        assert_eq!(store.len(), 1);
-        assert!(store.prunes(&RuleShape::from_indices(vec![0, 2])));
-        assert!(!store.prunes(&RuleShape::from_indices(vec![2])));
-        store.merge(&[
-            RuleShape::from_indices(vec![2]),
-            RuleShape::from_indices(vec![0, 2]),
-        ]);
-        assert_eq!(store.len(), 2);
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]

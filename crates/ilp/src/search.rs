@@ -35,9 +35,9 @@
 //! own. A node the memo can answer is not compiled and not proved, and its
 //! steps are charged exactly as if it had been: the work is skipped, the
 //! fuel is kept — the convention of the prover's bulk-charged plans — so
-//! `good`, `seed_scored`, `nodes`, `steps`, `dead` and `cut`, and with them
-//! every theory, virtual time and table, are bit-identical to the memo-free
-//! search whatever the memo holds. [`SearchOutcome::reused`],
+//! `good`, `seed_scored`, `nodes` and `steps`, and with them every theory,
+//! virtual time and table, are bit-identical to the memo-free search
+//! whatever the memo holds. [`SearchOutcome::reused`],
 //! [`CoverageMemo::stats`] and the `search_memo_*` hot counters say how
 //! nodes were served.
 //!
@@ -133,7 +133,7 @@ use crate::bottom::BottomClause;
 use crate::coverage::prepare_rule;
 use crate::examples::Examples;
 use crate::memo::{proving, ClauseKeys, CoverageMemo, Ran};
-use crate::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
+use crate::refine::{LatticeSlice, RuleShape};
 use crate::settings::Settings;
 use p2mdie_logic::fxhash::FxHashSet;
 use p2mdie_logic::kb::KnowledgeBase;
@@ -181,13 +181,6 @@ pub struct SearchOutcome {
     pub nodes: usize,
     /// Inference steps spent evaluating candidates (virtual-time fuel).
     pub steps: u64,
-    /// Dead-shape cut frontier discovered this search (shapes whose whole
-    /// specialization subtree was abandoned for lack of positive cover).
-    /// Only collected when [`SearchGuide::collect_dead`] is set.
-    pub dead: Vec<RuleShape>,
-    /// Nodes skipped *without evaluation* because a constraint-store entry
-    /// already proved their subtree dead.
-    pub cut: usize,
     /// Nodes (of `nodes`) that ran no proof at all: the coverage memo held
     /// their result for exactly their live masks. Counted and step-charged
     /// like any other. A node served by a difference proof is not one of
@@ -201,27 +194,6 @@ impl SearchOutcome {
     pub fn best(&self) -> Option<&ScoredRule> {
         self.good.first()
     }
-}
-
-/// Strategy hooks threaded through [`search_rules_guided`]. The default
-/// guide is a strict no-op: `search_rules` through a default guide is
-/// bit-identical to the unguided search (pinned by test).
-#[derive(Clone, Debug, Default)]
-pub struct SearchGuide {
-    /// Restrict expansion to one slice of the refinement lattice
-    /// (hypothesis-parallel search). Successors outside the slice are never
-    /// enqueued; since slices are subtree-closed this loses nothing the
-    /// slice owns.
-    pub slice: Option<LatticeSlice>,
-    /// Deterministically shuffle each node's successor order with this
-    /// seed. Under an exhausted node budget different seeds explore
-    /// different lattice regions — the constraint-driven strategy's source
-    /// of inter-rank diversity. `None` keeps index order.
-    pub explore_seed: Option<u64>,
-    /// Collect the dead-shape cut frontier into [`SearchOutcome::dead`].
-    pub collect_dead: bool,
-    /// Cap on collected dead shapes (broadcast payload bound).
-    pub dead_cap: usize,
 }
 
 /// The covered positives and negatives of an evaluated node: the live masks
@@ -249,18 +221,17 @@ pub fn search_rules(
         examples,
         live_pos,
         seeds,
-        &SearchGuide::default(),
         None,
         &mut CoverageMemo::new(),
     )
 }
 
-/// [`search_rules`] with strategy hooks — an optional lattice slice, an
-/// optional exploration seed, dead-shape collection, and a constraint store
-/// of known-dead shapes to cut before evaluation — and the coverage memo of
-/// the covering loop the search is part of (see the module docs for what a
-/// memo may be shared across). With the default guide, no store and a new
-/// memo this is exactly the plain search.
+/// [`search_rules`] with its two hooks: an optional slice of the refinement
+/// lattice to stay inside (hypothesis-parallel search — successors outside
+/// the slice are never enqueued; slices are subtree-closed, so this loses
+/// nothing the slice owns), and the coverage memo of the covering loop the
+/// search is part of (see the module docs for what a memo may be shared
+/// across). With no slice and a new memo this is exactly the plain search.
 #[allow(clippy::too_many_arguments)]
 pub fn search_rules_guided(
     kb: &KnowledgeBase,
@@ -269,14 +240,10 @@ pub fn search_rules_guided(
     examples: &Examples,
     live_pos: Option<&Bitset>,
     seeds: &[RuleShape],
-    guide: &SearchGuide,
-    constraints: Option<&ConstraintStore>,
+    slice: Option<&LatticeSlice>,
     memo: &mut CoverageMemo,
 ) -> SearchOutcome {
     let mut out = SearchOutcome::default();
-    // Running RNG state for the successor shuffle; advanced only when an
-    // exploration seed is set, so the default path touches nothing.
-    let mut rng = guide.explore_seed.map(splitmix64);
     // Each queued node carries its parent's coverage masks (shared among
     // siblings); roots and seeds evaluate under the caller's live mask.
     let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
@@ -309,13 +276,6 @@ pub fn search_rules_guided(
         if !visited.insert(shape.clone()) {
             continue;
         }
-        // A gossiped constraint proving this subtree dead saves the whole
-        // evaluation (seeds are always evaluated — Fig. 7's Good = S
-        // contract holds regardless of strategy).
-        if !seed_set.contains(&shape) && constraints.is_some_and(|c| c.prunes(&shape)) {
-            out.cut += 1;
-            continue;
-        }
         out.nodes += 1;
         let is_seed = seed_set.contains(&shape);
         // Lazy negative side: a non-seed node below `min_pos` can never be
@@ -335,12 +295,7 @@ pub fn search_rules_guided(
         out.steps += node.pos_steps;
         let pos = node.pos.count() as u32;
         let Some((neg_bits, neg_steps)) = node.neg else {
-            // This is the cut frontier: the shape and every specialization
-            // are dead here and (coverage only shrinks as the live set
-            // shrinks) stay dead for the rest of this bottom clause's life.
-            if guide.collect_dead && out.dead.len() < guide.dead_cap {
-                out.dead.push(shape);
-            }
+            // Below `min_pos` and not a seed: nothing to report or expand.
             continue;
         };
         out.steps += neg_steps;
@@ -374,16 +329,8 @@ pub fn search_rules_guided(
             continue;
         }
         let mut succs = shape.successors(bottom, settings.max_body);
-        if let Some(slice) = &guide.slice {
+        if let Some(slice) = slice {
             succs.retain(|s| slice.admits(s));
-        }
-        if let Some(state) = rng.as_mut() {
-            // Fisher–Yates with the running SplitMix64 stream: deterministic
-            // for a given seed, different orders for different seeds.
-            for i in (1..succs.len()).rev() {
-                *state = splitmix64(*state);
-                succs.swap(i, (*state % (i as u64 + 1)) as usize);
-            }
         }
         let masks = Rc::new((node.pos, neg_bits));
         for succ in succs {
@@ -555,6 +502,9 @@ mod tests {
         assert_eq!(out.seed_scored[0].neg, 6);
     }
 
+    /// The guided search's defaults change nothing: with no slice, or with
+    /// the one-slice partition that admits the whole lattice, and a new memo
+    /// it is the plain search.
     #[test]
     fn default_guide_is_a_strict_no_op() {
         let (_, kb, modes, ex) = world();
@@ -565,23 +515,27 @@ mod tests {
         };
         let bottom = saturate(&kb, &modes, &settings, &ex.pos[0]).unwrap();
         let plain = search_rules(&kb, &settings, &bottom, &ex, None, &[]);
-        let guided = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &SearchGuide::default(),
-            Some(&ConstraintStore::new()),
-            &mut CoverageMemo::new(),
-        );
-        assert_eq!(plain.good, guided.good);
-        assert_eq!(plain.seed_scored, guided.seed_scored);
-        assert_eq!(plain.nodes, guided.nodes);
-        assert_eq!(plain.steps, guided.steps);
-        assert_eq!(guided.cut, 0);
-        assert!(guided.dead.is_empty());
+        let whole = LatticeSlice {
+            rank: 0,
+            of: 1,
+            salt: 11,
+        };
+        for slice in [None, Some(&whole)] {
+            let guided = search_rules_guided(
+                &kb,
+                &settings,
+                &bottom,
+                &ex,
+                None,
+                &[],
+                slice,
+                &mut CoverageMemo::new(),
+            );
+            assert_eq!(plain.good, guided.good);
+            assert_eq!(plain.seed_scored, guided.seed_scored);
+            assert_eq!(plain.nodes, guided.nodes);
+            assert_eq!(plain.steps, guided.steps);
+        }
     }
 
     #[test]
@@ -599,10 +553,6 @@ mod tests {
         for of in [2u64, 3] {
             let mut union = std::collections::HashSet::new();
             for rank in 0..of {
-                let guide = SearchGuide {
-                    slice: Some(LatticeSlice { rank, of, salt: 11 }),
-                    ..SearchGuide::default()
-                };
                 let out = search_rules_guided(
                     &kb,
                     &settings,
@@ -610,8 +560,7 @@ mod tests {
                     &ex,
                     None,
                     &[],
-                    &guide,
-                    None,
+                    Some(&LatticeSlice { rank, of, salt: 11 }),
                     &mut CoverageMemo::new(),
                 );
                 for r in &out.good {
@@ -624,115 +573,6 @@ mod tests {
             }
             assert_eq!(union, full, "slices must be collectively exhaustive");
         }
-    }
-
-    #[test]
-    fn constraints_cut_nodes_without_changing_good_rules() {
-        // The div6 world plus a `small` predicate (≤ 9): true of the seed
-        // (6) so it reaches the bottom clause, but covering only one
-        // positive — the {small} subtree is dead under min_pos = 2.
-        let (t, mut kb, _, ex) = world();
-        for i in 1..=9i64 {
-            kb.assert_fact(Literal::new(t.intern("small"), vec![Term::Int(i)]));
-        }
-        let modes = ModeSet::parse(
-            &t,
-            "div6(+num)",
-            &[(1, "even(+num)"), (1, "div3(+num)"), (1, "small(+num)")],
-        )
-        .unwrap();
-        let settings = Settings {
-            min_pos: 2,
-            noise: 0,
-            ..Settings::default()
-        };
-        let bottom = saturate(&kb, &modes, &settings, &ex.pos[0]).unwrap();
-        let collect = SearchGuide {
-            collect_dead: true,
-            dead_cap: 64,
-            ..SearchGuide::default()
-        };
-        let first = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &collect,
-            None,
-            &mut CoverageMemo::new(),
-        );
-        assert!(!first.dead.is_empty(), "this world has dead subtrees");
-        let mut store = ConstraintStore::new();
-        store.merge(&first.dead);
-        let second = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &SearchGuide::default(),
-            Some(&store),
-            &mut CoverageMemo::new(),
-        );
-        assert!(second.cut > 0, "gossiped constraints must cut work");
-        assert!(second.nodes < first.nodes);
-        assert_eq!(first.good, second.good, "pruning is sound");
-    }
-
-    #[test]
-    fn explore_seed_is_deterministic_and_diverse() {
-        let (_, kb, modes, ex) = world();
-        let settings = Settings {
-            noise: 3,
-            min_pos: 1,
-            ..Settings::default()
-        };
-        let bottom = saturate(&kb, &modes, &settings, &ex.pos[0]).unwrap();
-        let guide = |seed| SearchGuide {
-            explore_seed: Some(seed),
-            ..SearchGuide::default()
-        };
-        let a = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &guide(5),
-            None,
-            &mut CoverageMemo::new(),
-        );
-        let b = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &guide(5),
-            None,
-            &mut CoverageMemo::new(),
-        );
-        assert_eq!(a.good, b.good);
-        assert_eq!(a.nodes, b.nodes);
-        // With an unconstrained budget the shuffle only reorders the
-        // traversal: the good set (sorted) is seed-independent.
-        let c = search_rules_guided(
-            &kb,
-            &settings,
-            &bottom,
-            &ex,
-            None,
-            &[],
-            &guide(6),
-            None,
-            &mut CoverageMemo::new(),
-        );
-        assert_eq!(a.good, c.good);
     }
 
     #[test]

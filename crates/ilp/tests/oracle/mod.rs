@@ -16,8 +16,8 @@ use p2mdie_ilp::bottom::{saturate, BottomClause};
 use p2mdie_ilp::coverage::{evaluate_rule, evaluate_side_threads};
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
-use p2mdie_ilp::refine::{splitmix64, ConstraintStore, LatticeSlice, RuleShape};
-use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchGuide, SearchOutcome};
+use p2mdie_ilp::refine::{splitmix64, LatticeSlice, RuleShape};
+use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchOutcome};
 use p2mdie_ilp::settings::Settings;
 use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::clause::{Clause, Literal};
@@ -32,8 +32,7 @@ use std::rc::Rc;
 pub type Masks = Rc<(Bitset, Bitset)>;
 
 /// The memo-free search: Figure 2 with monotone masks, Figure 7 seeds and
-/// the strategy hooks, one proof per node.
-#[allow(clippy::too_many_arguments)]
+/// the lattice-slice hook, one proof per node.
 pub fn memo_free_search(
     kb: &KnowledgeBase,
     settings: &Settings,
@@ -41,11 +40,9 @@ pub fn memo_free_search(
     examples: &Examples,
     live_pos: Option<&Bitset>,
     seeds: &[RuleShape],
-    guide: &SearchGuide,
-    constraints: Option<&ConstraintStore>,
+    slice: Option<&LatticeSlice>,
 ) -> SearchOutcome {
     let mut out = SearchOutcome::default();
-    let mut rng = guide.explore_seed.map(splitmix64);
     let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
     let mut visited: HashSet<RuleShape> = HashSet::new();
     let seed_set: HashSet<&RuleShape> = seeds.iter().collect();
@@ -74,10 +71,6 @@ pub fn memo_free_search(
             continue;
         }
         let is_seed = seed_set.contains(&shape);
-        if !is_seed && constraints.is_some_and(|c| c.prunes(&shape)) {
-            out.cut += 1;
-            continue;
-        }
         let clause = shape.to_clause(bottom);
         let (live_p, live_n) = match &parent_cov {
             Some(m) => (Some(&m.0), Some(&m.1)),
@@ -89,9 +82,6 @@ pub fn memo_free_search(
         out.steps += pos_steps;
         let pos = pos_bits.count() as u32;
         if pos < settings.min_pos && !is_seed {
-            if guide.collect_dead && out.dead.len() < guide.dead_cap {
-                out.dead.push(shape);
-            }
             continue;
         }
         let (neg_bits, neg_steps) =
@@ -109,14 +99,8 @@ pub fn memo_free_search(
         }
         let masks = Rc::new((pos_bits, neg_bits));
         let mut succs = shape.successors(bottom, settings.max_body);
-        if let Some(slice) = &guide.slice {
+        if let Some(slice) = slice {
             succs.retain(|s| slice.admits(s));
-        }
-        if let Some(state) = rng.as_mut() {
-            for i in (1..succs.len()).rev() {
-                *state = splitmix64(*state);
-                succs.swap(i, (*state % (i as u64 + 1)) as usize);
-            }
         }
         for succ in succs {
             if !visited.contains(&succ) {
@@ -219,16 +203,7 @@ pub fn shallow_shapes(bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> 
 /// Everything a caller can observe of a search, `reused` aside, must be
 /// the same with and without the memo.
 pub fn assert_same(memo: &SearchOutcome, plain: &SearchOutcome, what: &str) {
-    let observable = |o: &SearchOutcome| {
-        (
-            o.good.clone(),
-            o.seed_scored.clone(),
-            o.nodes,
-            o.steps,
-            o.dead.clone(),
-            o.cut,
-        )
-    };
+    let observable = |o: &SearchOutcome| (o.good.clone(), o.seed_scored.clone(), o.nodes, o.steps);
     let (memo_sees, plain_sees) = (observable(memo), observable(plain));
     assert!(
         memo_sees == plain_sees,
@@ -250,9 +225,7 @@ pub struct Case {
     /// Which shallow shapes are the Figure 7 seeds (indices modulo their
     /// number, shifted per bottom clause).
     pub seed_picks: Vec<usize>,
-    /// Exploration seed of the hooked searches (0: index order) and the
-    /// lattice slice they keep to.
-    pub explore: u64,
+    /// The lattice slice (of two) the sliced searches keep to.
     pub rank: u64,
 }
 
@@ -283,7 +256,6 @@ impl Case {
             },
             bottoms: 2 + below(4) as usize,
             seed_picks: (0..below(5)).map(|_| below(1000) as usize).collect(),
-            explore: below(4),
             rank: below(2),
         }
     }
@@ -291,11 +263,10 @@ impl Case {
 
 /// Runs `case`'s covering loop — a rank's life in small: per bottom clause
 /// a seedless and a seeded search (Figure 7 seeds from the first lattice
-/// levels, so that seeds meet their non-seed variants), each plain and
-/// again under every hook at once (a lattice slice, an exploration seed,
-/// the dead-shape frontier collected, a non-empty constraint store); then
-/// a rank's `Evaluate` of the round's good rules on the live set (what
-/// `MarkCovered` and `ReplayTheory` run too), held against a plain
+/// levels, so that seeds meet their non-seed variants), each over the whole
+/// lattice and again inside one slice of it; then a rank's `Evaluate` of
+/// the round's good rules on the live set (what `MarkCovered` and
+/// `ReplayTheory` run too), held against a plain
 /// [`evaluate_rule`]; then the positives the round's best rule covers leave
 /// the live set — with every search and every evaluation going through the
 /// one `memo`, and each search held against [`memo_free_search`]. The memo's
@@ -303,12 +274,6 @@ impl Case {
 pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut CoverageMemo) {
     let w = world(case.world_seed, case.molecules);
     let settings = &case.settings;
-    let plain_guide = SearchGuide::default();
-    let collect_all = SearchGuide {
-        collect_dead: true,
-        dead_cap: 64,
-        ..SearchGuide::default()
-    };
     let mut live = w.examples.full_pos_live();
     let mut cursor = None;
     for round in 0..case.bottoms {
@@ -329,39 +294,17 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
             .iter()
             .map(|&i| shallow[(i + round) % shallow.len()].clone())
             .collect();
-        let hooked_guide = SearchGuide {
-            slice: Some(LatticeSlice {
-                rank: case.rank,
-                of: 2,
-                salt: case.world_seed,
-            }),
-            explore_seed: (case.explore > 0).then_some(case.explore + round as u64),
-            collect_dead: true,
-            dead_cap: 6,
+        let half = LatticeSlice {
+            rank: case.rank,
+            of: 2,
+            salt: case.world_seed,
         };
-        // A non-empty constraint store: the dead frontier of an unsliced,
-        // seedless pass over the same bottom clause.
-        let frontier = memo_free_search(
-            &w.kb,
-            settings,
-            &bottom,
-            &w.examples,
-            live_pos,
-            &[],
-            &collect_all,
-            None,
-        );
-        let mut store = ConstraintStore::new();
-        store.merge(&frontier.dead);
-
         for seeds in [&[][..], &seeds[..]] {
-            for (guide, constraints) in [(&plain_guide, None), (&hooked_guide, Some(&store))] {
+            for slice in [None, Some(&half)] {
                 let what = format!(
-                    "{case:?}, bottom {round}, {} live, {} seeds, slice {:?}, {} constraints",
+                    "{case:?}, bottom {round}, {} live, {} seeds, slice {slice:?}",
                     live.count(),
                     seeds.len(),
-                    guide.slice,
-                    constraints.map_or(0, ConstraintStore::len),
                 );
                 let memoised = search_rules_guided(
                     &w.kb,
@@ -370,8 +313,7 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                     &w.examples,
                     live_pos,
                     seeds,
-                    guide,
-                    constraints,
+                    slice,
                     memo,
                 );
                 let plain = memo_free_search(
@@ -381,8 +323,7 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                     &w.examples,
                     live_pos,
                     seeds,
-                    guide,
-                    constraints,
+                    slice,
                 );
                 assert_same(&memoised, &plain, &what);
                 assert!(
@@ -393,10 +334,11 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
             }
         }
 
-        // The master's `Evaluate` round: the bag, scored on the live set as
-        // it stands, twice — the second time nothing is proved, and nothing
-        // may differ.
-        let bag: Vec<Clause> = frontier
+        // The master's `Evaluate` round: the bag — the good rules of an
+        // unsliced, seedless pass — scored on the live set as it stands,
+        // twice: the second time nothing is proved, and nothing may differ.
+        let whole = memo_free_search(&w.kb, settings, &bottom, &w.examples, live_pos, &[], None);
+        let bag: Vec<Clause> = whole
             .good
             .iter()
             .take(6)
@@ -422,9 +364,9 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
             assert_eq!(memo.bytes(), memo.recount(), "{case:?}: accounted bytes");
         }
 
-        // The covering step: what the frontier pass's best rule covers goes,
+        // The covering step: what the unsliced pass's best rule covers goes,
         // and the seed with it.
-        if let Some(best) = frontier.best() {
+        if let Some(best) = whole.best() {
             let clause = best.shape.to_clause(&bottom);
             let (covered, _) = evaluate_side_threads(
                 &w.kb,

@@ -1,10 +1,10 @@
 //! Differential tests of the search's coverage memo: whatever a memo has
 //! seen before, `search_rules_guided` must report exactly what a memo-free
-//! breadth-first search reports — good rules, seed scores, node count,
-//! *charged steps*, dead frontier and cut count — on worlds whose bottom
-//! clauses are full of literals that differ only in variable names (several
-//! atoms of one element per molecule), under every hook the search has and
-//! tight proof bounds.
+//! breadth-first search reports — good rules, seed scores, node count and
+//! *charged steps* — on worlds whose bottom clauses are full of literals that
+//! differ only in variable names (several atoms of one element per
+//! molecule), over the whole lattice and inside a slice of it, under tight
+//! proof bounds.
 //!
 //! The oracle and the covering loops live in `oracle/`, shared with the
 //! crate's unit tests, which run the same loops on a memo of a few records.
@@ -19,7 +19,7 @@ use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::{search_rules_guided, SearchGuide, SearchOutcome};
+use p2mdie_ilp::search::{search_rules_guided, SearchOutcome};
 use p2mdie_ilp::settings::Settings;
 use p2mdie_ilp::{BottomClause, CoverageMemo};
 use p2mdie_logic::clause::{Clause, Literal};
@@ -33,7 +33,8 @@ proptest! {
 
     /// One memo through a whole covering loop: several bottom clauses, a
     /// live set that shrinks between them, seeds next to their variants,
-    /// every hook — equal to the memo-free search after every search.
+    /// sliced and unsliced — equal to the memo-free search after every
+    /// search.
     #[test]
     fn memoised_search_equals_the_memo_free_search(seed in any::<u64>()) {
         let mut memo = CoverageMemo::new();
@@ -50,12 +51,9 @@ fn search_both_ways(
     seeds: &[RuleShape],
     memo: &mut CoverageMemo,
 ) -> (SearchOutcome, SearchOutcome) {
-    let guide = SearchGuide::default();
     let (kb, settings) = (&engine.kb, &engine.settings);
-    let memoised = search_rules_guided(
-        kb, settings, bottom, examples, None, seeds, &guide, None, memo,
-    );
-    let plain = memo_free_search(kb, settings, bottom, examples, None, seeds, &guide, None);
+    let memoised = search_rules_guided(kb, settings, bottom, examples, None, seeds, None, memo);
+    let plain = memo_free_search(kb, settings, bottom, examples, None, seeds, None);
     (memoised, plain)
 }
 
@@ -123,21 +121,10 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     let w = world(2005, 16);
     let engine = IlpEngine::new(w.kb, w.modes, pinned_settings());
     let (kb, settings, ex) = (&engine.kb, &engine.settings, &w.examples);
-    let guide = SearchGuide::default();
     let mut memo = CoverageMemo::new();
     let mut live = ex.full_pos_live();
     let first = engine.saturate(&ex.pos[0]).expect("head matches");
-    search_rules_guided(
-        kb,
-        settings,
-        &first,
-        ex,
-        Some(&live),
-        &[],
-        &guide,
-        None,
-        &mut memo,
-    );
+    search_rules_guided(kb, settings, &first, ex, Some(&live), &[], None, &mut memo);
     let after_first = memo.stats();
 
     // Two positives retire; the next example's bottom clause shares the
@@ -145,18 +132,9 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     live.clear(0);
     live.clear(2);
     let second = engine.saturate(&ex.pos[1]).expect("head matches");
-    let memoised = search_rules_guided(
-        kb,
-        settings,
-        &second,
-        ex,
-        Some(&live),
-        &[],
-        &guide,
-        None,
-        &mut memo,
-    );
-    let plain = memo_free_search(kb, settings, &second, ex, Some(&live), &[], &guide, None);
+    let memoised =
+        search_rules_guided(kb, settings, &second, ex, Some(&live), &[], None, &mut memo);
+    let plain = memo_free_search(kb, settings, &second, ex, Some(&live), &[], None);
     assert_same(&memoised, &plain, "second bottom clause");
     let s = memo.stats();
     assert!(

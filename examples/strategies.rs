@@ -1,13 +1,10 @@
 //! The strategy seam, side by side: the same learning task solved under
-//! all three parallelization strategies the runtime hosts —
+//! both parallelization strategies the runtime hosts —
 //!
 //! * `data-pipeline` — the paper's §4 protocol: partitioned examples,
 //!   pipelined rule searches, globally-scored rule bag;
 //! * `search-partition` — hypothesis-parallel: every rank holds the full
-//!   example set and searches a disjoint slice of the refinement lattice;
-//! * `constraint-driven` — independent searches that broadcast pruning
-//!   constraints (dead generalizations) between rounds, cutting each
-//!   other's lattices.
+//!   example set and searches a disjoint slice of the refinement lattice.
 //!
 //! The run ends with the eval crate's cross-strategy comparison table
 //! (Table 7) over two datasets.
@@ -45,19 +42,18 @@ fn main() {
         let rep = run_parallel(&ds.engine, &ds.examples, &cfg).expect("strategy run");
         println!(
             "{:<18} p = 3:  T = {:>7.1} virtual s  speedup {:>5.2}  \
-             ({} epochs, {} rules, {:.3} MB total, {:.3} MB constraints)",
+             ({} epochs, {} rules, {:.3} MB)",
             strategy.label(),
             rep.vtime,
             seq.vtime / rep.vtime,
             rep.epochs,
             rep.theory.len(),
             rep.megabytes(),
-            rep.constraint_bytes as f64 / 1.0e6,
         );
     }
 
-    // The eval crate's strategy axis: all three strategies on two
-    // datasets, cross-validated, rendered as Table 7.
+    // The eval crate's strategy axis: both strategies on two datasets,
+    // cross-validated, rendered as Table 7.
     println!("\nrunning the cross-strategy sweep (2 datasets, 2 folds)...\n");
     let sweep = SweepConfig {
         datasets: vec!["carcinogenesis".into(), "mesh".into()],
@@ -72,10 +68,5 @@ fn main() {
     };
     let res = run_sweep(&sweep);
     println!("{}", tables::table7(&res));
-    println!(
-        "(strategy cells run at width {} with p = {}; times are virtual \
-         Beowulf-2005 seconds)",
-        sweep.widths[0].label(),
-        sweep.procs.last().unwrap()
-    );
+    println!("(times are virtual Beowulf-2005 seconds)");
 }

@@ -15,7 +15,7 @@
 //! * `golden/{trains,mesh}_accounting.txt`, one line per configuration of
 //!   every way `crates/core` can run a job — the default path (on trains
 //!   over workers × seed × width), repartitioning, fault-free recovery,
-//!   both non-default strategies, the coverage-parallel baseline and one
+//!   the search-partition strategy, the coverage-parallel baseline and one
 //!   job of each kind on a resident service — recorded at commit 0e178e7,
 //!   while each mode still had a master loop of its own. `trains(12, 5)`
 //!   is learnt in one epoch; `mesh(0.05, 9)` takes 7 to 13 epochs with
@@ -107,14 +107,13 @@ fn parallel_line(label: &str, rep: &ParallelReport, syms: &SymbolTable) -> Strin
     assert!(!rep.stalled && rep.rank_losses.is_empty() && rep.dropped_sends == 0);
     format!(
         "{label} | {:?} | epochs={} set_aside={} steps={:?} bytes={} msgs={} \
-         constraint_bytes={} recovery_bytes={} vtime={:?}",
+         recovery_bytes={} vtime={:?}",
         accepted_text(&rep.theory, syms),
         rep.epochs,
         rep.set_aside,
         rep.worker_steps,
         rep.total_bytes,
         rep.total_messages,
-        rep.constraint_bytes,
         rep.recovery_bytes,
         rep.vtime
     )
@@ -151,10 +150,6 @@ fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
     lines.push(run(
         "search-partition",
         base().with_strategy(Strategy::SearchPartition),
-    ));
-    lines.push(run(
-        "constraint-driven",
-        base().with_strategy(Strategy::ConstraintDriven),
     ));
 
     let granularities = [EvalGranularity::PerLevel, EvalGranularity::PerClause];

@@ -27,9 +27,7 @@
 use p2mdie::core::{run_parallel, JobSpec, JobState, ParallelConfig, Service, ServiceConfig};
 use p2mdie::datasets::Dataset;
 use p2mdie::ilp::settings::Width;
-use p2mdie::ilp::{
-    evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo, SearchGuide,
-};
+use p2mdie::ilp::{evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo};
 use p2mdie::obs::{MetricValue, MetricsSnapshot};
 
 fn covering_loop_stays_within_budget(name: &str, ds: &Dataset) {
@@ -54,7 +52,6 @@ fn covering_loop_stays_within_budget(name: &str, ds: &Dataset) {
             examples,
             Some(&live),
             &[],
-            &SearchGuide::default(),
             None,
             &mut memo,
         );
