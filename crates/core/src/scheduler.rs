@@ -607,9 +607,11 @@ pub(crate) fn collect_worker_metrics<T: Transport>(
 /// A worker's answer to [`Msg::MetricsQuery`]: endpoint-level facts that
 /// are always valid (virtual clock, inference steps, this rank's send
 /// totals), what the rank's resident `memo` holds and did (its accounted
-/// bytes, the rules and search nodes it answered without a proof, and the
-/// inference steps its proofs really ran — `worker_inference_steps_total`
-/// is what was *charged*), this rank's [`metrics::rank_registry`], and the
+/// bytes and record count; the rules and search nodes it answered without a
+/// proof, by a difference proof and by a full one; the entries it evicted
+/// and the results it had no room for; and the inference steps its proofs
+/// really ran — `worker_inference_steps_total` is what was *charged*), this
+/// rank's [`metrics::rank_registry`], and the
 /// process-wide prover hot counters. The endpoint facts make the snapshot
 /// consistent with [`crate::report::JobAccounting`] deltas whether or not
 /// sampling is on. In-process meshes share one address space, so the prover
@@ -622,35 +624,26 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
         .send_row(me)
         .iter()
         .fold((0u64, 0u64), |(b, m), (rb, rm, _)| (b + rb, m + rm));
+    let entry = |name: &str, value| MetricEntry {
+        name: name.to_owned(),
+        value,
+    };
+    let counter = |name, n| entry(name, MetricValue::Counter(n));
+    let gauge = |name, x| entry(name, MetricValue::Gauge(x));
+    let memo_did = memo.stats();
     let mut entries = vec![
-        MetricEntry {
-            name: "worker_vtime_seconds".to_owned(),
-            value: MetricValue::Gauge(ep.now()),
-        },
-        MetricEntry {
-            name: "worker_inference_steps_total".to_owned(),
-            value: MetricValue::Counter(ep.compute_steps()),
-        },
-        MetricEntry {
-            name: "worker_sent_bytes_total".to_owned(),
-            value: MetricValue::Counter(bytes),
-        },
-        MetricEntry {
-            name: "worker_sent_messages_total".to_owned(),
-            value: MetricValue::Counter(msgs),
-        },
-        MetricEntry {
-            name: "worker_memo_bytes".to_owned(),
-            value: MetricValue::Gauge(memo.bytes() as f64),
-        },
-        MetricEntry {
-            name: "worker_memo_served_total".to_owned(),
-            value: MetricValue::Counter(memo.stats().served),
-        },
-        MetricEntry {
-            name: "worker_steps_run_total".to_owned(),
-            value: MetricValue::Counter(memo.stats().steps_run),
-        },
+        gauge("worker_vtime_seconds", ep.now()),
+        counter("worker_inference_steps_total", ep.compute_steps()),
+        counter("worker_sent_bytes_total", bytes),
+        counter("worker_sent_messages_total", msgs),
+        gauge("worker_memo_bytes", memo.bytes() as f64),
+        gauge("worker_memo_records", memo.records() as f64),
+        counter("worker_memo_served_total", memo_did.served),
+        counter("worker_memo_partial_total", memo_did.partial),
+        counter("worker_memo_proved_total", memo_did.proved),
+        counter("worker_memo_evicted_total", memo_did.evicted),
+        counter("worker_memo_unstored_total", memo_did.unstored),
+        counter("worker_steps_run_total", memo_did.steps_run),
     ];
     entries.extend(metrics::rank_registry(me).snapshot().entries);
     entries.extend(metrics::hot::entries());

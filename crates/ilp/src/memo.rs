@@ -7,22 +7,37 @@
 //!
 //! # Layout
 //!
-//! Every entry of one memo has the same shape, fixed by the example list
-//! (`p = ⌈n⁺/64⌉`, `n = ⌈n⁻/64⌉` words per mask), so entries are records in
-//! one `Vec<u64>` arena, appended in insertion order:
+//! Entries are records in one `Vec<u64>` arena, appended in insertion
+//! order, each as long as what it holds:
 //!
 //! ```text
 //! header        stamp (32 bits) | key length in u32s (16) | flags (16)
 //! key           ⌈length/2⌉ words, two u32 per word
-//! positive half steps S, then the mask T it is valid for (p words), then
-//!               the covered set C ⊆ T (p words)
-//! negative half the same with n — absent until a node needs it
+//! positive half steps S, then the covered set C, then T∖C — the examples of
+//!               the mask T the half is valid for that C does not cover
+//! negative half the same — absent until a node needs it
 //! ```
 //!
+//! `C ⊆ T`, so `C` and `T∖C` say what `T` and `C` would, and they are the
+//! small sets: a deep node was tried on the few examples its parent covers
+//! and covers fewer. Each *set* is written the shorter of two ways, and a
+//! header flag per set says which: its dense words (`⌈n/64⌉` for a side of
+//! `n` examples), or a run of index slots — four 16-bit slots to the word
+//! while the side has at most 65 536 examples, two 32-bit slots beyond —
+//! slot 0 holding the count and the indices following in ascending order.
+//! A side of 64 examples or fewer is always dense — a run is never shorter
+//! than one word — so every half of such a memo is three words and is only
+//! ever overwritten in place. On the ranks of a two-rank `mesh(1.0)` run,
+//! whose positive masks are 23 words and where a stored `T` averages 47 of
+//! 1 420 examples, a half averages 6 words where `S`, `T` and `C` dense
+//! took 47.
+//!
 //! An open-addressing table of `(hash tag, arena offset)` slots, at most
-//! half full, finds a record by key. Completing a lazy record appends the
-//! full one and leaves the old one dead; eviction marks records dead too,
-//! and one slide over the arena closes the holes and rebuilds the table.
+//! half full, finds a record by key. A half whose new content takes the
+//! words the old did is overwritten in place; when a half changes size, or
+//! a lazy record gets its negative half, the whole record is appended anew
+//! and the old one left dead. Eviction marks records dead too, and one
+//! slide over the arena closes the holes and rebuilds the table.
 //! Skeletons — a literal with its variables blanked, see `ClauseKeys` —
 //! are interned the same way in a `Vec<u32>` arena for the memo's lifetime;
 //! a skeleton's id is its offset. There is no allocation per entry.
@@ -68,6 +83,12 @@ const BUDGET: usize = 128 * 1024;
 const HAS_NEG: u64 = 1;
 /// Header flag: the record was evicted or superseded; the next slide drops it.
 const DEAD: u64 = 2;
+
+/// Header flag: set `set` of `side`'s half (0 is `C`, 1 is `T∖C`) is an
+/// index run.
+fn run_flag(side: Side, set: usize) -> u64 {
+    4 << (2 * side as usize + set)
+}
 
 /// The two example lists a clause is evaluated on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,8 +256,8 @@ impl Key {
 struct Header {
     stamp: u32,
     key_len: usize,
-    has_neg: bool,
-    dead: bool,
+    /// The low 16 bits: [`HAS_NEG`], [`DEAD`] and a [`run_flag`] per set.
+    flags: u64,
 }
 
 impl Header {
@@ -244,22 +265,203 @@ impl Header {
         Header {
             stamp: (word >> 32) as u32,
             key_len: (word >> 16) as usize & 0xFFFF,
-            has_neg: word & HAS_NEG != 0,
-            dead: word & DEAD != 0,
+            flags: word & 0xFFFF,
         }
     }
 
-    fn pack(stamp: u32, key_len: usize, flags: u64) -> u64 {
-        u64::from(stamp) << 32 | (key_len as u64) << 16 | flags
+    fn pack(self) -> u64 {
+        u64::from(self.stamp) << 32 | (self.key_len as u64) << 16 | self.flags
+    }
+
+    fn has_neg(self) -> bool {
+        self.flags & HAS_NEG != 0
+    }
+
+    fn dead(self) -> bool {
+        self.flags & DEAD != 0
     }
 }
 
-/// One side of a stored entry: it was evaluated on `valid`, covered
-/// `covered ⊆ valid`, and that took `steps`.
+/// Index slots to the arena word on a side of `bits` examples.
+fn slots(bits: usize) -> usize {
+    if bits <= 1 << 16 {
+        4
+    } else {
+        2
+    }
+}
+
+/// Slot `i` of an index run on a side of `bits` examples.
+fn slot(run: &[u64], bits: usize, i: usize) -> usize {
+    let (per, width) = (slots(bits), 64 / slots(bits));
+    (run[i / per] >> (i % per * width)) as usize & ((1 << width) - 1)
+}
+
+/// How one set of a half is stored: as an index run or dense, in `words`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SetShape {
+    run: bool,
+    words: usize,
+}
+
+impl SetShape {
+    /// The shorter way to store `count` of `bits` examples: an index run —
+    /// the count, then the indices — when that takes fewer words than the
+    /// dense mask.
+    fn of(bits: usize, count: usize) -> Self {
+        let (run, dense) = ((count + 1).div_ceil(slots(bits)), bits.div_ceil(64));
+        SetShape {
+            run: run < dense,
+            words: run.min(dense),
+        }
+    }
+
+    /// The shape of the set stored at the head of `stored`, given its flag.
+    fn stored(bits: usize, run: bool, stored: &[u64]) -> Self {
+        let words = if run {
+            (slot(stored, bits, 0) + 1).div_ceil(slots(bits))
+        } else {
+            bits.div_ceil(64)
+        };
+        SetShape { run, words }
+    }
+
+    /// Writes the set whose dense words are `dense` into `out`, which is
+    /// `self.words` long.
+    fn write(self, bits: usize, dense: impl Iterator<Item = u64>, out: &mut [u64]) {
+        if !self.run {
+            out.iter_mut().zip(dense).for_each(|(o, w)| *o = w);
+            return;
+        }
+        let (per, width) = (slots(bits), 64 / slots(bits));
+        out.fill(0);
+        let mut count = 0;
+        for (i, mut word) in dense.enumerate() {
+            while word != 0 {
+                count += 1;
+                let index = (i * 64 + word.trailing_zeros() as usize) as u64;
+                out[count / per] |= index << (count % per * width);
+                word &= word - 1;
+            }
+        }
+        out[0] |= count as u64;
+    }
+}
+
+/// A set as the arena holds it, on a side of `bits` examples: read in
+/// place where a count answers, decoded where a mask is needed.
+#[derive(Clone, Copy)]
+struct StoredSet<'a> {
+    bits: usize,
+    run: bool,
+    words: &'a [u64],
+}
+
+impl StoredSet<'_> {
+    /// The examples of an index run.
+    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..=slot(self.words, self.bits, 0)).map(|i| slot(self.words, self.bits, i))
+    }
+
+    fn count(&self) -> usize {
+        if self.run {
+            slot(self.words, self.bits, 0)
+        } else {
+            self.words.iter().map(|w| w.count_ones() as usize).sum()
+        }
+    }
+
+    /// How many of the set's examples `mask` holds.
+    fn count_in(&self, mask: &Bitset) -> usize {
+        if self.run {
+            self.indices().filter(|&i| mask.get(i)).count()
+        } else {
+            let common = self.words.iter().zip(mask.words()).map(|(w, m)| w & m);
+            common.map(|w| w.count_ones() as usize).sum()
+        }
+    }
+
+    fn read(&self) -> Bitset {
+        if self.run {
+            Bitset::from_indices(self.bits, self.indices())
+        } else {
+            Bitset::from_words(self.bits, self.words.iter().copied())
+        }
+    }
+}
+
+/// One side of a node's result as [`CoverageMemo::evaluate`] hands it to
+/// be stored: the mask it is valid for, the examples covered, the steps.
+type SideResult<'a> = (&'a Bitset, &'a Bitset, u64);
+
+/// How a half is stored: `S`, then `C` and `T∖C` each in its own shape.
+type HalfShape = [SetShape; 2];
+
+fn half_words(shape: HalfShape) -> usize {
+    1 + shape[0].words + shape[1].words
+}
+
+/// Header `flags` with `side`'s run flags set for a half stored as `shape`.
+fn with_runs(flags: u64, side: Side, shape: HalfShape) -> u64 {
+    let flag = |set: usize| u64::from(shape[set].run) * run_flag(side, set);
+    flags & !(run_flag(side, 0) | run_flag(side, 1)) | flag(0) | flag(1)
+}
+
+/// The shape `(valid, covered, _)` takes on a side of `bits` examples.
+fn half_shape(bits: usize, (valid, covered, _): SideResult<'_>) -> HalfShape {
+    let covers = covered.count();
+    [covers, valid.count() - covers].map(|count| SetShape::of(bits, count))
+}
+
+/// Writes a half into `out`, which is [`half_words`] long.
+fn write_half(
+    bits: usize,
+    shape: HalfShape,
+    (valid, covered, steps): SideResult<'_>,
+    out: &mut [u64],
+) {
+    let (head, sets) = out.split_first_mut().expect("a half starts with its steps");
+    let (sets, rest) = sets.split_at_mut(shape[0].words);
+    *head = steps;
+    shape[0].write(bits, covered.words().iter().copied(), sets);
+    let uncovered = valid
+        .words()
+        .iter()
+        .zip(covered.words())
+        .map(|(t, c)| t & !c);
+    shape[1].write(bits, uncovered, rest);
+}
+
+/// One side of a stored entry: it was evaluated on `covered ⊎ uncovered`,
+/// covered `covered`, and that took `steps`.
 struct Half<'a> {
     steps: u64,
-    valid: &'a [u64],
-    covered: &'a [u64],
+    covered: StoredSet<'a>,
+    uncovered: StoredSet<'a>,
+}
+
+/// The half stored in `stored`, which is [`half_words`] long.
+fn read_half(bits: usize, shape: HalfShape, stored: &[u64]) -> Half<'_> {
+    let (covered, uncovered) = stored[1..].split_at(shape[0].words);
+    let set = |set: usize, words| StoredSet {
+        bits,
+        run: shape[set].run,
+        words,
+    };
+    Half {
+        steps: stored[0],
+        covered: set(0, covered),
+        uncovered: set(1, uncovered),
+    }
+}
+
+/// Where the parts of one record are.
+struct Layout {
+    head: Header,
+    /// Per side the offset of its half and how it is stored.
+    halves: [Option<(usize, HalfShape)>; 2],
+    /// The length of the record.
+    words: usize,
 }
 
 /// What [`CoverageMemo::evaluate`] found out about one node.
@@ -346,6 +548,11 @@ impl CoverageMemo {
         self.allocated
     }
 
+    /// How many entries the memo holds.
+    pub fn records(&self) -> usize {
+        self.index.used
+    }
+
     /// The bound [`CoverageMemo::bytes`] never exceeds.
     pub fn budget(&self) -> usize {
         self.budget
@@ -363,31 +570,40 @@ impl CoverageMemo {
         self.evictable = self.index.used;
     }
 
-    fn mask_words(&self, side: Side) -> usize {
-        self.bits[side as usize].div_ceil(64)
-    }
-
-    fn half_words(&self, side: Side) -> usize {
-        1 + 2 * self.mask_words(side)
-    }
-
-    fn record_words(&self, key_len: usize, has_neg: bool) -> usize {
-        let neg = if has_neg {
-            self.half_words(Side::Neg)
-        } else {
-            0
+    /// Where the parts of the record at `at` are.
+    fn layout(&self, at: usize) -> Layout {
+        let head = Header::of(self.arena[at]);
+        let mut end = at + 1 + head.key_len.div_ceil(2);
+        let mut half = |side: Side| {
+            let (bits, from) = (self.bits[side as usize], end);
+            end += 1;
+            let shape = [0, 1].map(|set| {
+                let run = head.flags & run_flag(side, set) != 0;
+                let shape = SetShape::stored(bits, run, &self.arena[end..]);
+                end += shape.words;
+                shape
+            });
+            (from, shape)
         };
-        1 + key_len.div_ceil(2) + self.half_words(Side::Pos) + neg
+        let halves = [
+            Some(half(Side::Pos)),
+            head.has_neg().then(|| half(Side::Neg)),
+        ];
+        Layout {
+            head,
+            halves,
+            words: end - at,
+        }
     }
 
-    /// The offset and header of every record, dead ones included.
-    fn records(&self) -> impl Iterator<Item = (usize, Header)> + '_ {
+    /// The offset, header and length of every record, dead ones included.
+    fn walk(&self) -> impl Iterator<Item = (usize, Header, usize)> + '_ {
         let mut at = 0;
         std::iter::from_fn(move || {
-            let head = Header::of(*self.arena.get(at)?);
             let here = at;
-            at += self.record_words(head.key_len, head.has_neg);
-            Some((here, head))
+            let record = (here < self.arena.len()).then(|| self.layout(here))?;
+            at += record.words;
+            Some((here, record.head, record.words))
         })
     }
 
@@ -408,30 +624,17 @@ impl CoverageMemo {
         let at = self.index.slots[self.slot_of(key)?].at as usize;
         let head = Header::of(self.arena[at]);
         if head.stamp != self.search {
-            self.arena[at] = Header::pack(self.search, head.key_len, self.arena[at] & 0xFFFF);
+            let stamp = self.search;
+            self.arena[at] = Header { stamp, ..head }.pack();
             self.evictable -= 1;
         }
         Some(at)
     }
 
-    /// Where `side` of the record at `at` starts, if the record has it.
-    fn half_at(&self, at: usize, side: Side) -> Option<usize> {
-        let head = Header::of(self.arena[at]);
-        let pos = at + 1 + head.key_len.div_ceil(2);
-        match side {
-            Side::Pos => Some(pos),
-            Side::Neg => head.has_neg.then(|| pos + self.half_words(Side::Pos)),
-        }
-    }
-
-    fn half(&self, at: usize, side: Side) -> Option<Half<'_>> {
-        let from = self.half_at(at, side)?;
-        let w = self.mask_words(side);
-        Some(Half {
-            steps: self.arena[from],
-            valid: &self.arena[from + 1..from + 1 + w],
-            covered: &self.arena[from + 1 + w..from + 1 + 2 * w],
-        })
+    /// `side`'s half, stored at `from` as `shape`.
+    fn half(&self, side: Side, (from, shape): (usize, HalfShape)) -> Half<'_> {
+        let stored = &self.arena[from..from + half_words(shape)];
+        read_half(self.bits[side as usize], shape, stored)
     }
 
     /// Evaluates one node — the clause `key` stands for, on the `live`
@@ -448,9 +651,10 @@ impl CoverageMemo {
         mut prove: impl FnMut(Side, &Bitset) -> (Bitset, u64),
     ) -> Evaluated {
         let at = key.and_then(|k| self.find(k));
+        let halves = at.map_or([None; 2], |at| self.layout(at).halves);
         let mut steps_run = 0;
         let mut side = |memo: &Self, side: Side| {
-            let stored = at.and_then(|at| memo.half(at, side));
+            let stored = halves[side as usize].map(|half| memo.half(side, half));
             difference_proof(stored, live[side as usize], |mask| {
                 let proved = prove(side, mask);
                 steps_run += proved.1;
@@ -479,7 +683,7 @@ impl CoverageMemo {
         if let (Some(key), true) = (key, ran != Ran::Nothing) {
             let pos_half = (live[0], &pos, pos_steps);
             let neg_half = neg.as_ref().map(|(bits, steps)| (live[1], bits, *steps));
-            self.store(key, at, pos_half, neg_half);
+            self.store(key, at, [Some(pos_half), neg_half]);
         }
         Evaluated {
             pos,
@@ -525,69 +729,85 @@ impl CoverageMemo {
     /// record at `at`, or into a new record when the key has none. A half
     /// the node did not evaluate keeps what is stored: the sides of an
     /// entry are valid independently of each other.
-    fn store(
-        &mut self,
-        key: &Key,
-        at: Option<usize>,
-        pos: (&Bitset, &Bitset, u64),
-        neg: Option<(&Bitset, &Bitset, u64)>,
-    ) {
-        let Some(at) = at else {
-            if !self.make_room(false, self.record_words(key.len, neg.is_some()), true) {
-                self.stats.unstored += 1;
+    fn store(&mut self, key: &Key, at: Option<usize>, halves: [Option<SideResult<'_>>; 2]) {
+        let sides = [Side::Pos, Side::Neg];
+        let shapes = sides.map(|side| {
+            halves[side as usize].map(|half| half_shape(self.bits[side as usize], half))
+        });
+
+        // In place, each half that takes the words it took.
+        let mut stored = [None; 2];
+        if let Some(at) = at {
+            stored = self.layout(at).halves;
+            let mut fits = true;
+            for side in sides {
+                let i = side as usize;
+                let (Some(half), Some(shape)) = (halves[i], shapes[i]) else {
+                    continue;
+                };
+                match stored[i] {
+                    Some((from, was)) if half_words(was) == half_words(shape) => {
+                        let out = &mut self.arena[from..from + half_words(shape)];
+                        write_half(self.bits[i], shape, half, out);
+                        self.arena[at] = with_runs(self.arena[at], side, shape);
+                    }
+                    _ => fits = false,
+                }
+            }
+            if fits {
                 return;
             }
-            let flags = if neg.is_some() { HAS_NEG } else { 0 };
-            self.index.insert(key.tag, self.arena.len());
-            self.arena.push(Header::pack(self.search, key.len, flags));
-            self.arena.extend_from_slice(&key.words);
-            self.push_half(pos);
-            if let Some(neg) = neg {
-                self.push_half(neg);
-            }
+        }
+
+        // Else a record is appended: the key's first, or — a half changed
+        // size, or a lazy record gets its negative half — one that takes
+        // over the slot and leaves the old one dead.
+        let kept = |i: usize| stored[i].map_or(0, |(_, was)| half_words(was));
+        let halves_words = |i: usize| shapes[i].map_or(kept(i), half_words);
+        let words = 1 + key.words.len() + halves_words(0) + halves_words(1);
+        if !self.make_room(false, words, at.is_none()) {
+            self.stats.unstored += 1;
             return;
+        }
+        let to = self.arena.len();
+        let mut head = Header {
+            stamp: self.search,
+            key_len: key.len,
+            flags: 0,
         };
-        self.write_half(at, Side::Pos, pos);
-        let Some(neg) = neg else { return };
-        if self.half_at(at, Side::Neg).is_some() {
-            self.write_half(at, Side::Neg, neg);
-        } else if self.make_room(false, self.record_words(key.len, true), false) {
-            // Complete the lazy record: the full one is appended and takes
-            // over the slot. Making room may have slid the old one, but not
-            // evicted it — this search touched it.
+        if at.is_none() {
+            self.index.insert(key.tag, to);
+        } else {
+            // Making room may have slid the old record, but not evicted
+            // it: this search touched it.
             let slot = self
                 .slot_of(key)
                 .expect("an entry this search touched is not evicted");
             let old = self.index.slots[slot].at as usize;
-            let lazy = self.record_words(key.len, false);
-            self.index.slots[slot].at = self.arena.len() as u32;
-            self.arena.push(self.arena[old] | HAS_NEG);
-            self.arena.extend_from_within(old + 1..old + lazy);
-            self.push_half(neg);
+            let was = self.layout(old);
+            (head, stored) = (was.head, was.halves);
+            self.index.slots[slot].at = to as u32;
             self.arena[old] |= DEAD;
-            self.holes += lazy;
-        } else {
-            self.stats.unstored += 1;
+            self.holes += was.words;
         }
-    }
-
-    fn push_half(&mut self, (valid, covered, steps): (&Bitset, &Bitset, u64)) {
-        self.arena.push(steps);
-        self.arena.extend_from_slice(valid.words());
-        self.arena.extend_from_slice(covered.words());
-    }
-
-    fn write_half(
-        &mut self,
-        at: usize,
-        side: Side,
-        (valid, covered, steps): (&Bitset, &Bitset, u64),
-    ) {
-        let from = self.half_at(at, side).expect("the half is stored");
-        let w = self.mask_words(side);
-        self.arena[from] = steps;
-        self.arena[from + 1..from + 1 + w].copy_from_slice(valid.words());
-        self.arena[from + 1 + w..from + 1 + 2 * w].copy_from_slice(covered.words());
+        self.arena.push(0);
+        self.arena.extend_from_slice(&key.words);
+        for side in sides {
+            let i = side as usize;
+            let from = self.arena.len();
+            if let (Some(half), Some(shape)) = (halves[i], shapes[i]) {
+                self.arena.resize(from + half_words(shape), 0);
+                write_half(self.bits[i], shape, half, &mut self.arena[from..]);
+                head.flags = with_runs(head.flags, side, shape);
+            } else if let Some((kept, shape)) = stored[i] {
+                self.arena
+                    .extend_from_within(kept..kept + half_words(shape));
+            }
+            if side == Side::Neg && self.arena.len() > from {
+                head.flags |= HAS_NEG;
+            }
+        }
+        self.arena[to] = head.pack();
     }
 
     /// The id of the skeleton encoded in `code`, interning it on first
@@ -676,17 +896,17 @@ impl CoverageMemo {
         let goal = want.max(self.budget / 8).div_ceil(size_of::<u64>());
         let mut freed = self.holes;
         while freed < goal && self.evictable > 0 {
+            let evictable = |head: &Header| !head.dead() && head.stamp != self.search;
             let oldest = self
-                .records()
-                .filter(|(_, head)| !head.dead && head.stamp != self.search)
-                .map(|(_, head)| head.stamp)
+                .walk()
+                .filter(|(_, head, _)| evictable(head))
+                .map(|(_, head, _)| head.stamp)
                 .min()
                 .expect("an evictable record is a live record of an earlier search");
             let mut at = 0;
             while at < self.arena.len() && freed < goal {
-                let head = Header::of(self.arena[at]);
-                let words = self.record_words(head.key_len, head.has_neg);
-                if !head.dead && head.stamp == oldest {
+                let Layout { head, words, .. } = self.layout(at);
+                if !head.dead() && head.stamp == oldest {
                     self.arena[at] |= DEAD;
                     freed += words;
                     self.evictable -= 1;
@@ -706,9 +926,8 @@ impl CoverageMemo {
         self.index.reset();
         let (mut from, mut to) = (0, 0);
         while from < self.arena.len() {
-            let head = Header::of(self.arena[from]);
-            let words = self.record_words(head.key_len, head.has_neg);
-            if !head.dead {
+            let Layout { head, words, .. } = self.layout(from);
+            if !head.dead() {
                 self.arena.copy_within(from..from + words, to);
                 let tag = tag_of(head.key_len, self.key_at(to, head.key_len));
                 self.index.insert(tag, to);
@@ -729,10 +948,9 @@ impl CoverageMemo {
     /// budget's back; panics on a broken invariant. For tests.
     pub fn recount(&self) -> usize {
         let (mut end, mut live, mut evictable, mut holes) = (0, 0, 0, 0);
-        for (at, head) in self.records() {
-            let words = self.record_words(head.key_len, head.has_neg);
+        for (at, head, words) in self.walk() {
             end = at + words;
-            if head.dead {
+            if head.dead() {
                 holes += words;
                 continue;
             }
@@ -802,44 +1020,42 @@ fn difference_proof(
     mut prove: impl FnMut(&Bitset) -> (Bitset, u64),
 ) -> (Bitset, u64, Ran) {
     let Some(Half {
-        steps,
-        valid,
+        mut steps,
         covered,
+        uncovered,
     }) = stored
     else {
         let (bits, steps) = prove(live);
         return (bits, steps, Ran::Full);
     };
-    let n = live.len();
-    let differing = |a: &[u64], b: &[u64]| -> usize {
-        let ones = a.iter().zip(b).map(|(a, b)| (a & !b).count_ones());
-        ones.sum::<u32>() as usize
-    };
-    let gone = differing(valid, live.words());
-    let fresh = differing(live.words(), valid);
+    let common = covered.count_in(live) + uncovered.count_in(live);
+    let gone = covered.count() + uncovered.count() - common;
+    let fresh = live.count() - common;
     if gone + fresh == 0 {
-        return (
-            Bitset::from_words(n, covered.iter().copied()),
-            steps,
-            Ran::Nothing,
-        );
+        return (covered.read(), steps, Ran::Nothing);
     }
     if gone + fresh >= live.count() {
         let (bits, steps) = prove(live);
         return (bits, steps, Ran::Full);
     }
-    let minus = |a: &[u64], b: &[u64]| Bitset::from_words(n, a.iter().zip(b).map(|(a, b)| a & !b));
-    let mut steps = steps;
-    let mut bits = Bitset::from_words(n, covered.iter().zip(live.words()).map(|(c, l)| c & l));
+    let minus = |a: &Bitset, b: &Bitset| {
+        let mut left = a.clone();
+        left.difference_with(b);
+        left
+    };
+    let mut covered = covered.read();
+    let mut valid = uncovered.read();
+    valid.union_with(&covered);
+    covered.intersect_with(live);
     if gone > 0 {
-        steps -= prove(&minus(valid, live.words())).1;
+        steps -= prove(&minus(&valid, live)).1;
     }
     if fresh > 0 {
-        let (fresh_bits, fresh_steps) = prove(&minus(live.words(), valid));
+        let (fresh_bits, fresh_steps) = prove(&minus(live, &valid));
         steps += fresh_steps;
-        bits.union_with(&fresh_bits);
+        covered.union_with(&fresh_bits);
     }
-    (bits, steps, Ran::Difference)
+    (covered, steps, Ran::Difference)
 }
 
 /// Appends the code of `term` with every variable blanked: a prefix code,
@@ -965,6 +1181,7 @@ mod tests {
     use super::oracle::{covering_loop_matches_the_memo_free_search, Case};
     use super::*;
     use crate::refine::splitmix64;
+    use std::collections::HashMap;
 
     /// Example `i` takes `10 + i` steps and is covered when `i` is a
     /// multiple of 3; `proved` collects every example handed over.
@@ -993,11 +1210,19 @@ mod tests {
     fn difference_proof_proves_what_changed_and_nothing_else() {
         let valid = set(0..40);
         let (covered, steps) = stored(&valid);
+        let uncovered = valid.clone().tap(|v| v.difference_with(&covered));
+        fn dense(set: &Bitset) -> StoredSet<'_> {
+            StoredSet {
+                bits: 70,
+                run: false,
+                words: set.words(),
+            }
+        }
         let half = || {
             Some(Half {
                 steps,
-                valid: valid.words(),
-                covered: covered.words(),
+                covered: dense(&covered),
+                uncovered: dense(&uncovered),
             })
         };
 
@@ -1034,6 +1259,93 @@ mod tests {
             (bits, total, ran),
             (stored(&live).0, stored(&live).1, Ran::Full)
         );
+    }
+
+    /// `n` examples, each in the set `per_mille` times in a thousand.
+    fn drawn(n: usize, seed: u64, per_mille: u64) -> Bitset {
+        let mut state = seed;
+        let mut draw = || {
+            state = splitmix64(state);
+            state % 1000 < per_mille
+        };
+        Bitset::from_indices(n, (0..n).filter(|_| draw()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// A half written to the arena reads back as the sets it was made
+        /// of, tells its own length, and answers a live mask as those sets
+        /// do — at the sizes where the encoding switches: one word and its
+        /// padding (1, 63, 64), the first side a run can be shorter on (65),
+        /// a mesh rank (1 420), the widest 16-bit index and the first
+        /// 32-bit one (65 536, 65 537); empty, sparse, dense and full sets.
+        #[test]
+        fn a_stored_half_reads_back_and_answers_as_its_dense_sets_do(
+            n in proptest::sample::select(vec![1usize, 63, 64, 65, 1420, 65_536, 65_537]),
+            seed in proptest::prelude::any::<u64>(),
+            density in proptest::collection::vec(
+                proptest::sample::select(vec![0u64, 1, 20, 200, 500, 950, 1000]), 3),
+            live_is in 0usize..3,
+        ) {
+            // The clause covers `covers`; example `i` takes `10 + i` steps.
+            let covers = drawn(n, seed ^ 1, density[1]);
+            let prove = |proved: &mut Vec<usize>, mask: &Bitset| {
+                proved.extend(mask.iter_ones());
+                let mut bits = mask.clone();
+                bits.intersect_with(&covers);
+                (bits, mask.iter_ones().map(|i| 10 + i as u64).sum::<u64>())
+            };
+            let valid = drawn(n, seed, density[0]);
+            let (covered, steps) = prove(&mut Vec::new(), &valid);
+
+            let shape = half_shape(n, (&valid, &covered, steps));
+            let counts = [covered.count(), valid.count() - covered.count()];
+            let (per_word, dense) = (if n <= 65_536 { 4 } else { 2 }, n.div_ceil(64));
+            for (set, count) in shape.iter().zip(counts) {
+                let run = (count + 1).div_ceil(per_word);
+                proptest::prop_assert_eq!(set.run, run < dense, "{} of {}", count, n);
+                proptest::prop_assert_eq!(set.words, run.min(dense), "{} of {}", count, n);
+            }
+            let mut arena = vec![!0; half_words(shape) + 1];
+            write_half(n, shape, (&valid, &covered, steps), &mut arena[..half_words(shape)]);
+            let mut at = 1;
+            for set in shape {
+                proptest::prop_assert_eq!(SetShape::stored(n, set.run, &arena[at..]), set);
+                at += set.words;
+            }
+            let minus = |a: &Bitset, b: &Bitset| a.clone().tap(|a| a.difference_with(b));
+            let stored = || read_half(n, shape, &arena[..half_words(shape)]);
+            proptest::prop_assert_eq!(stored().steps, steps);
+            proptest::prop_assert_eq!(&stored().covered.read(), &covered);
+            proptest::prop_assert_eq!(&stored().uncovered.read(), &minus(&valid, &covered));
+            proptest::prop_assert_eq!(stored().uncovered.count(), counts[1]);
+
+            // The same mask, the mask with a few examples gone and a few
+            // joined, another mask altogether.
+            let live = match live_is {
+                0 => valid.clone(),
+                1 => valid.clone().tap(|l| for k in 0..4 {
+                    let i = (splitmix64(seed ^ k) % n as u64) as usize;
+                    if l.get(i) { l.clear(i) } else { l.set(i) }
+                }),
+                _ => drawn(n, seed ^ 2, density[2]),
+            };
+            let (gone, fresh) = (minus(&valid, &live), minus(&live, &valid));
+            let mut proved = Vec::new();
+            let (bits, total, ran) =
+                difference_proof(Some(stored()), &live, |mask| prove(&mut proved, mask));
+            let (want_bits, want_total) = prove(&mut Vec::new(), &live);
+            proptest::prop_assert_eq!((&bits, total), (&want_bits, want_total));
+            let changed: Vec<usize> = gone.iter_ones().chain(fresh.iter_ones()).collect();
+            let (want_ran, want_proved) = match changed.len() {
+                0 => (Ran::Nothing, Vec::new()),
+                k if k >= live.count() => (Ran::Full, live.iter_ones().collect()),
+                _ => (Ran::Difference, changed),
+            };
+            proptest::prop_assert_eq!(ran, want_ran);
+            proptest::prop_assert_eq!(proved, want_proved);
+        }
     }
 
     /// A drawn shape of `bottom`: `steps` successor picks down from the root.
@@ -1140,6 +1452,110 @@ mod tests {
         let plain =
             crate::coverage::evaluate_rule(kb, settings.proof, &rule, ex, Some(&live), None);
         assert_eq!(scored, [plain]);
+    }
+
+    /// Per live record, by key: the words of its halves and how many of
+    /// its sets are index runs.
+    fn census(memo: &CoverageMemo) -> HashMap<Vec<u64>, ([Option<usize>; 2], usize)> {
+        let live = memo.walk().filter(|(_, head, _)| !head.dead());
+        live.map(|(at, head, _)| {
+            let halves = memo.layout(at).halves;
+            let sets = halves.iter().flatten().flat_map(|(_, shape)| shape);
+            (
+                memo.key_at(at, head.key_len).to_vec(),
+                (
+                    halves.map(|half| half.map(|(_, shape)| half_words(shape))),
+                    sets.filter(|set| set.run).count(),
+                ),
+            )
+        })
+        .collect()
+    }
+
+    /// The memo-free oracle once more, on an example list wide enough for
+    /// sets to be stored both ways: a thousand positives, so a mask is 17
+    /// words and a set of up to 63 examples an index run. A covering loop of
+    /// two bottom clauses — seedless, then seeded, on a live set that
+    /// shrinks — must store runs and dense sets side by side, complete lazy
+    /// records and move halves whose size changed, with every search equal
+    /// to the memo-free one and the accounting exact after each.
+    #[test]
+    fn a_wide_example_list_stores_sets_both_ways_and_moves_halves_that_change_size() {
+        let w = oracle::world(2005, 2200);
+        let mut settings = Settings {
+            noise: 40,
+            max_body: 3,
+            max_nodes: 30,
+            max_bottom_literals: 40,
+            proof: p2mdie_logic::prover::ProofLimits {
+                max_depth: 3,
+                max_steps: 60,
+            },
+            eval_threads: 1,
+            ..Settings::default()
+        };
+        let (kb, ex) = (&w.kb, &w.examples);
+        assert!(ex.num_pos() >= 1000 && ex.num_neg() >= 1000);
+        let mut memo = CoverageMemo::new();
+        let mut live = ex.full_pos_live();
+        let mut before = census(&memo);
+        let (mut runs, mut dense, mut completed, mut resized, mut in_place) = (0, 0, 0, 0, 0);
+        for round in 0..2 {
+            let seed = live.first().expect("a fifth of them leaves per round");
+            // Most two-literal shapes fall short of this and are stored
+            // without their negatives, until one comes back as a seed.
+            settings.min_pos = live.count() as u32 * 97 / 100;
+            let bottom =
+                crate::bottom::saturate(kb, &w.modes, &settings, &ex.pos[seed]).expect("head");
+            let shallow = oracle::shallow_shapes(&bottom, settings.max_body);
+            let seeds: Vec<RuleShape> = shallow.iter().skip(1).step_by(7).cloned().collect();
+            for seeds in [&[][..], &seeds[..]] {
+                let what = format!("bottom {round}, {} seeds", seeds.len());
+                let memoised = crate::search::search_rules_guided(
+                    kb,
+                    &settings,
+                    &bottom,
+                    ex,
+                    Some(&live),
+                    seeds,
+                    None,
+                    &mut memo,
+                );
+                let plain =
+                    oracle::memo_free_search(kb, &settings, &bottom, ex, Some(&live), seeds, None);
+                oracle::assert_same(&memoised, &plain, &what);
+                assert_eq!(memo.bytes(), memo.recount(), "{what}: accounted bytes");
+                assert!(memo.stats().peak_bytes <= memo.budget(), "{what}");
+
+                let after = census(&memo);
+                for (key, (halves, run_sets)) in &after {
+                    let sets = 2 * halves.iter().flatten().count();
+                    runs += run_sets;
+                    dense += sets - run_sets;
+                    let Some((was, _)) = before.get(key) else {
+                        continue;
+                    };
+                    completed += usize::from(was[1].is_none() && halves[1].is_some());
+                    let both = |side: usize| was[side].zip(halves[side]);
+                    let changed = |side| both(side).is_some_and(|(was, is)| was != is);
+                    resized += usize::from(changed(0) || changed(1));
+                    in_place += usize::from(was == halves);
+                }
+                before = after;
+            }
+            // What a covering step does to the live set, without asking
+            // this world for a good rule: a share of the positives leaves.
+            let leaving: Vec<usize> = live.iter_ones().step_by(5).collect();
+            leaving.into_iter().for_each(|i| live.clear(i));
+        }
+        assert!(
+            runs > 0 && dense > 0,
+            "{runs} index runs, {dense} dense sets"
+        );
+        assert!(completed > 0, "no lazy record was completed");
+        assert!(resized > 0, "no half changed size");
+        assert!(in_place > 0, "no record kept its layout");
+        assert!(memo.stats().partial > 0, "no difference proof ran");
     }
 
     trait Tap: Sized {

@@ -119,11 +119,22 @@
 //! to +9 % at 128 KiB; with the hard in-search budget and the flat layout
 //! 128 KiB reads +0.3 % (`carc-seq`), +1.5 % (`carc-pipe-p2`), +2.7 %
 //! (`mesh-pipe-p2-tcp`) and +1.4 % (`pyr-svc-tcp`) over ten paired runs.
-//! On `mesh(1.0)` and `pyrimidines(1.0)` an entry is 0.4 to 0.8 KB of masks
-//! and a sequential run's clauses do not fit any such budget (3.5 MB and
-//! 1.5 MB unbounded); there the memo serves what it can — mostly within a
-//! search — and the ranks of a mesh, whose masks are 1/p the length, fare
-//! better.
+//! On `mesh(1.0)` and `pyrimidines(1.0)` a mask is 23 to 45 words, and an
+//! entry that carried `T` and `C` dense was 0.4 to 0.8 KB; but most deep
+//! nodes are tried on a handful of examples and cover fewer, so an entry
+//! holds `C` and `T∖C`, each as a run of indices when that is shorter
+//! ([`crate::memo`], "Layout") — on a rank of a two-rank mesh run a record
+//! averages 18 words where it took 63, and three times as many fit. What
+//! the proofs really run at the one budget, per `tests/memo_budget.rs`
+//! (dense records before the arrow): the two ranks of the `mesh(1.0)`
+//! learn 3 199 539 → 2 215 099 of 9 318 456 charged steps (1 976 710 with
+//! no budget at all); sequential `mesh(1.0)` 1 986 431 → 1 870 606 of
+//! 2 705 644; sequential `pyrimidines(1.0)` 35 814 235 → 29 188 772 of
+//! 43 163 555; `carcinogenesis(0.3)`, whose masks are one word, 7 485 847
+//! before and after. A sequential run's clauses still do not fit any such
+//! budget (3.5 MB and 1.5 MB unbounded): there the memo serves what it can
+//! — mostly within a search — and what a record is made of now is a third
+//! key, a third sets and a tenth step totals.
 //!
 //! Skipping the *expansion* of variant subtrees is a different algorithm:
 //! it changes what the `max_nodes` budget buys, hence the theories.

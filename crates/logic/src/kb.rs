@@ -26,8 +26,9 @@
 //!    argument positions (unless pruned via
 //!    [`KnowledgeBase::retain_indexes`], e.g. from mode declarations), a
 //!    `PostingCsr`: sorted key array + offset array + one contiguous
-//!    fact-index array, probed by binary search — no per-key heap
-//!    allocation, no hashing, and the resident form round-trips through
+//!    fact-index array, probed through a small radix directory over the
+//!    keys (or, for a few dozen keys, by binary search) — no per-key heap
+//!    allocation, no hashing, and the three arrays round-trip through
 //!    snapshots verbatim. At query time the prover asks for a
 //!    [`FactPlan`], one per goal ([`KnowledgeBase::fact_plan`]): the
 //!    store picks the *most selective* bound position (hash-join style),
@@ -245,12 +246,20 @@ impl ColumnStripes {
 /// One position's posting index in CSR (compressed sparse row) form:
 /// `keys` holds the distinct ground-term ids in strictly ascending order,
 /// `offs[k]..offs[k + 1]` delimits key `k`'s run inside `idx`, and each run
-/// is an ascending list of fact indices. Probing is one binary search over
-/// `keys` — no per-key heap allocation, no hashing — and a sealed posting
-/// is exactly three contiguous arrays, which is both the resident layout
-/// and the snapshot/wire layout (adopted on restore without rebuilding).
-/// The sorted key array also makes the snapshot encoding inherently
-/// canonical.
+/// is an ascending list of fact indices. A sealed posting is exactly three
+/// contiguous arrays, which is both the resident layout and the
+/// snapshot/wire layout (adopted on restore without rebuilding); the sorted
+/// key array also makes the snapshot encoding inherently canonical. There
+/// is no per-key heap allocation and no hashing.
+///
+/// Probing a sealed posting of more than a few dozen keys is one read of
+/// its [`KeyDirectory`] — a radix table over the sorted keys, at most half
+/// a `u32` per key — and a search of the few keys of one bucket; the
+/// directory is derived from `keys` by [`PostingCsr::seal`] and
+/// [`PostingCsr::from_parts`], is no part of a snapshot, and is dropped by
+/// the merge that changes `keys`. A posting without one — between a merge
+/// and the next seal, or of [`KeyDirectory::MIN_KEYS`] keys or fewer —
+/// probes by one binary search over `keys`.
 ///
 /// Incremental asserts append to a small `pending` side buffer (the global
 /// fact counter only grows, so a key's pending hits always sort after its
@@ -265,6 +274,69 @@ pub(crate) struct PostingCsr {
     offs: Vec<u32>,
     idx: Vec<u32>,
     pending: Vec<(TermId, u32)>,
+    dir: Option<KeyDirectory>,
+}
+
+/// A radix directory over the sorted keys of a sealed [`PostingCsr`]:
+/// bucket `b` holds the keys with `(key - base) >> shift == b`, and
+/// `first[b]..first[b + 1]` is where they sit in the key array. The shift is
+/// the smallest that keeps `first` at half an entry per key, so a bucket of
+/// evenly spread ids holds two keys and a probe reads one entry pair and
+/// searches a few adjacent keys, where a binary search over a relation's
+/// thousands of keys is a dozen dependent loads across as many cache
+/// lines. Ids that cluster crowd their buckets, and a crowded bucket is
+/// just a longer search.
+#[derive(Debug, Clone)]
+struct KeyDirectory {
+    first: Box<[u32]>,
+    base: u32,
+    shift: u32,
+}
+
+impl KeyDirectory {
+    /// Key arrays up to this long get no directory: a binary search crosses
+    /// them in six steps inside four cache lines, which the directory's own
+    /// two loads do not beat (`pyrimidines`' postings have 12 and 55 keys
+    /// and its proofs ran 15 % slower through one).
+    const MIN_KEYS: usize = 64;
+
+    /// The directory of `keys` (strictly ascending), if they are worth one.
+    fn build(keys: &[TermId]) -> Option<Self> {
+        let (&TermId(base), &TermId(last)) = (keys.first()?, keys.last()?);
+        if keys.len() <= Self::MIN_KEYS {
+            return None;
+        }
+        let span = last - base;
+        let mut shift = 0;
+        while (span >> shift) as usize + 2 > keys.len() / 2 {
+            shift += 1;
+        }
+        let buckets = (span >> shift) as usize + 1;
+        let mut first = Vec::with_capacity(buckets + 1);
+        let mut k = 0;
+        for b in 0..=buckets {
+            while k < keys.len() && (((keys[k].0 - base) >> shift) as usize) < b {
+                k += 1;
+            }
+            first.push(k as u32);
+        }
+        Some(KeyDirectory {
+            first: first.into_boxed_slice(),
+            base,
+            shift,
+        })
+    }
+
+    /// The position of `tid` in `keys`, the array this was built from.
+    #[inline]
+    fn find(&self, keys: &[TermId], tid: TermId) -> Option<usize> {
+        // Below the first key there is no bucket; past the last one —
+        // where [`TermId::NONE`] sorts — no entry pair.
+        let b = (tid.0.checked_sub(self.base)? >> self.shift) as usize;
+        let lo = *self.first.get(b)? as usize;
+        let hi = *self.first.get(b + 1)? as usize;
+        Some(lo + keys[lo..hi].binary_search(&tid).ok()?)
+    }
 }
 
 impl PostingCsr {
@@ -274,13 +346,16 @@ impl PostingCsr {
             offs: vec![0],
             idx: Vec::new(),
             pending: Vec::new(),
+            dir: None,
         }
     }
 
-    /// Adopts validated snapshot arrays verbatim (zero per-key work).
+    /// Adopts validated snapshot arrays verbatim (no per-key work but the
+    /// one pass that derives the key directory).
     pub(crate) fn from_parts(keys: Vec<TermId>, offs: Vec<u32>, idx: Vec<u32>) -> Self {
         debug_assert_eq!(offs.len(), keys.len() + 1);
         PostingCsr {
+            dir: KeyDirectory::build(&keys),
             keys,
             offs,
             idx,
@@ -334,6 +409,7 @@ impl PostingCsr {
         self.offs = offs;
         self.idx = idx;
         self.pending.clear();
+        self.dir = None;
     }
 
     /// Merges any pending inserts and releases slack capacity — the
@@ -344,6 +420,7 @@ impl PostingCsr {
         self.offs.shrink_to_fit();
         self.idx.shrink_to_fit();
         self.pending = Vec::new();
+        self.dir = KeyDirectory::build(&self.keys);
     }
 
     /// All hits for `tid` in ascending fact order: the CSR run borrowed
@@ -363,9 +440,13 @@ impl PostingCsr {
         // The sealed run: empty when absent — including the
         // [`TermId::NONE`] probe of an uninterned term, which sorts above
         // every real key.
-        let run: &[u32] = match self.keys.binary_search(&tid) {
-            Ok(k) => &self.idx[self.offs[k] as usize..self.offs[k + 1] as usize],
-            Err(_) => &[],
+        let found = match &self.dir {
+            Some(dir) => dir.find(&self.keys, tid),
+            None => self.keys.binary_search(&tid).ok(),
+        };
+        let run: &[u32] = match found {
+            Some(k) => &self.idx[self.offs[k] as usize..self.offs[k + 1] as usize],
+            None => &[],
         };
         if self.pending.is_empty() || !self.pending.iter().any(|&(t, _)| t == tid) {
             return Hits::Run(run);
@@ -394,9 +475,11 @@ impl PostingCsr {
         }
     }
 
-    /// Exact heap bytes at logical (length, not capacity) sizes.
+    /// Exact heap bytes at logical (length, not capacity) sizes, the key
+    /// directory included.
     fn heap_bytes(&self) -> usize {
-        (self.keys.len() + self.offs.len() + self.idx.len()) * std::mem::size_of::<u32>()
+        let dir = self.dir.as_ref().map_or(0, |d| d.first.len());
+        (self.keys.len() + self.offs.len() + self.idx.len() + dir) * std::mem::size_of::<u32>()
             + self.pending.len() * std::mem::size_of::<(TermId, u32)>()
     }
 }
@@ -1323,6 +1406,16 @@ impl KnowledgeBase {
         Some((&csr.keys, &csr.offs, &csr.idx, csr.pending.len()))
     }
 
+    /// The key directory of one posting — entry `b` is the index of the
+    /// first key of radix bucket `b`, the last entry the key count — or an
+    /// empty slice when the posting probes by binary search. For the
+    /// layout-audit test; not a stable API.
+    #[doc(hidden)]
+    pub fn posting_directory(&self, id: PredId, pos: usize) -> Option<&[u32]> {
+        let csr = self.entries[id.index()].postings.get(pos)?.as_ref()?;
+        Some(csr.dir.as_ref().map_or(&[], |d| &d.first))
+    }
+
     /// Every `(predicate, arity)` with at least one fact or rule. (Entries
     /// allocated only as compiled body references are skipped.)
     pub fn predicates(&self) -> impl Iterator<Item = PredKey> + '_ {
@@ -2011,5 +2104,85 @@ mod tests {
             baseline as f64 >= 1.8 * column_only as f64,
             "column store {column_only}B not ≥1.8x under baseline {baseline}B"
         );
+    }
+
+    /// Key sets the directory has to get right: a dense id range, clusters
+    /// of ids, two keys a million apart, one key, one crowded bucket (a run
+    /// of adjacent ids next to one far key, which makes every bucket wider
+    /// than the run), ids all over.
+    fn key_sets() -> proptest::prelude::BoxedStrategy<Vec<u32>> {
+        use proptest::prelude::*;
+        let cluster = (0u32..4_000_000, 1u32..80);
+        prop_oneof![
+            (0u32..100_000, 1u32..600).prop_map(|(a, n)| (a..a + n).collect()),
+            proptest::collection::vec(cluster, 1..8)
+                .prop_map(|cs| cs.iter().flat_map(|&(a, n)| a..a + n).collect()),
+            (0u32..1000).prop_map(|a| vec![a, a + 1_000_000]),
+            (0u32..u32::MAX - 1).prop_map(|a| vec![a]),
+            (0u32..1000, 65u32..400)
+                .prop_map(|(a, n)| (a..a + n).chain([a + 50_000_000]).collect()),
+            proptest::collection::vec(0u32..u32::MAX - 1, 0..400),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `hits` is the run of the key a plain search finds — present
+        /// keys, their absent neighbours, [`TermId::NONE`] — whether the
+        /// posting probes through a directory (sealed, or restored from its
+        /// parts as a snapshot restores it) or not (merged but not sealed),
+        /// and with pending inserts on top of a directory.
+        #[test]
+        fn probes_through_a_directory_find_what_a_plain_search_finds(
+            keys in key_sets(),
+            late in proptest::collection::vec((0usize..1000, proptest::prelude::any::<bool>()), 0..40),
+        ) {
+            use std::collections::BTreeMap;
+            let mut model: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            let mut csr = PostingCsr::new();
+            let mut fact = 0;
+            let mut insert = |csr: &mut PostingCsr, model: &mut BTreeMap<u32, Vec<u32>>, key: u32| {
+                csr.insert(TermId(key), fact);
+                model.entry(key).or_default().push(fact);
+                fact += 1;
+            };
+            for (i, &key) in keys.iter().enumerate() {
+                for _ in 0..1 + i % 3 {
+                    insert(&mut csr, &mut model, key);
+                }
+            }
+            let check = |csr: &PostingCsr, model: &BTreeMap<u32, Vec<u32>>, directory: bool| {
+                let wanted = directory && csr.keys.len() > KeyDirectory::MIN_KEYS;
+                proptest::prop_assert_eq!(csr.dir.is_some(), wanted);
+                let around = model.keys().flat_map(|&k| [k.saturating_sub(1), k, k + 1]);
+                for probe in around.chain([0, u32::MAX - 1, u32::MAX]) {
+                    let plain = model.get(&probe).map_or(&[][..], |run| run);
+                    proptest::prop_assert_eq!(&*csr.hits(TermId(probe)), plain, "probe {}", probe);
+                }
+                Ok(())
+            };
+            csr.seal();
+            check(&csr, &model, true)?;
+
+            // Fewer late inserts than force a merge: they stay pending on
+            // top of the directory, some under keys it knows, some not.
+            for &(pick, known) in &late {
+                let key = match keys.get(pick % keys.len().max(1)) {
+                    Some(&key) if known => key,
+                    _ => pick as u32 * 4099,
+                };
+                insert(&mut csr, &mut model, key);
+            }
+            proptest::prop_assert_eq!(csr.pending.len(), late.len());
+            check(&csr, &model, true)?;
+            // A merge that changes the keys drops the directory.
+            csr.merge_pending();
+            check(&csr, &model, late.is_empty())?;
+            let (k, o, i) = csr.merged_parts();
+            check(&PostingCsr::from_parts(k, o, i), &model, true)?;
+            csr.seal();
+            check(&csr, &model, true)?;
+        }
     }
 }

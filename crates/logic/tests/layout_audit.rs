@@ -13,6 +13,9 @@
 //! 3. Sealed CSR posting runs tile one contiguous index buffer: run `k`
 //!    ends exactly where run `k + 1` begins, keys strictly sorted, no
 //!    pending tail.
+//! 4. The key directory a sealed posting probes through costs at most half
+//!    a `u32` entry — 2 bytes — per key, tiles the key array, and is absent
+//!    from postings of 64 keys or fewer.
 
 use p2mdie_logic::clause::Literal;
 use p2mdie_logic::kb::KnowledgeBase;
@@ -121,4 +124,56 @@ fn csr_runs_tile_one_buffer() {
             );
         }
     }
+}
+
+/// The directory's size bound, on the sample table (7, 23, 23 and 4 keys
+/// per position: none gets a directory) and on a relation shaped like the
+/// mesh KB's — one key per fact at the first position, thousands of them,
+/// ids interleaved with the other positions' as the arena hands them out.
+#[test]
+fn key_directories_cost_two_bytes_a_key_at_most() {
+    let (t, mut kb) = sample_kb();
+    for e in 0..2840u32 {
+        kb.assert_fact(Literal::new(
+            t.intern("edge"),
+            vec![
+                Term::Sym(t.intern(&format!("e{e}"))),
+                Term::Sym(t.intern(&format!("n{}", e % 900))),
+                Term::Int((e % 13) as i64),
+            ],
+        ));
+    }
+    kb.optimize();
+    let mut with_directory = 0;
+    for (name, arity) in [("bond", 4), ("edge", 3)] {
+        let key = Literal::new(t.intern(name), vec![Term::Int(0); arity]).key();
+        let pid = kb.pred_id(key).expect("asserted above");
+        for pos in 0..arity {
+            let (keys, ..) = kb.posting_parts(pid, pos).expect("indexed position");
+            let dir = kb.posting_directory(pid, pos).expect("indexed position");
+            if keys.len() <= 64 {
+                assert!(dir.is_empty(), "{name}/{pos}: {} keys", keys.len());
+                continue;
+            }
+            with_directory += 1;
+            assert!(
+                std::mem::size_of_val(dir) <= 2 * keys.len(),
+                "{name}/{pos}: {} entries over {} keys",
+                dir.len(),
+                keys.len()
+            );
+            assert_eq!(
+                dir.first(),
+                Some(&0),
+                "{name}/{pos}: buckets start at key 0"
+            );
+            assert_eq!(
+                dir.last().map(|&end| end as usize),
+                Some(keys.len()),
+                "{name}/{pos}: buckets cover every key"
+            );
+            assert!(dir.windows(2).all(|w| w[0] <= w[1]), "{name}/{pos}");
+        }
+    }
+    assert_eq!(with_directory, 2, "edge/0 (2 840 keys) and edge/1 (900)");
 }
