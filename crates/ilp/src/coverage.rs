@@ -7,6 +7,19 @@
 //! `|E|/p` examples costs roughly `1/p` of evaluating it on all of `E`,
 //! which is exactly the data-parallel effect the paper exploits.
 //!
+//! # The head test
+//!
+//! Every live example is charged one step for its head attempt, whatever
+//! that attempt costs. The attempt starts with the head's ground arguments,
+//! found once per [`PreparedRule`]: an example of another predicate or
+//! arity, or one with a different ground term where the head has one, is
+//! skipped with its step charged and nothing bound. A ground example that
+//! passes, against a head of distinct variables and ground terms (the
+//! usual head), binds each head variable straight to its
+//! argument, keeping the argument's arena id: the body's goals then probe
+//! the variable by id. Any other head or example is unified, as every
+//! example once was.
+//!
 //! # Parallel evaluation
 //!
 //! Each example's covered-bit and step count depend only on that example,
@@ -23,6 +36,7 @@ use p2mdie_logic::clause::{Clause, CompiledGoals, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::prover::{ProofLimits, Prover};
 use p2mdie_logic::subst::Bindings;
+use p2mdie_logic::term::Term;
 
 /// Below this many live examples on a side, thread spawn overhead outweighs
 /// the win and evaluation stays on the calling thread.
@@ -62,10 +76,11 @@ fn resolve_threads(threads: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// A rule compiled for repeated evaluation: body dispatch resolved once
-/// (see [`p2mdie_logic::clause::CompiledGoals`]), rename-apart span
-/// precomputed. Prepare once per candidate rule; prove per example. Each
-/// proof runs column-native end to end: body goals retrieve `(PredId,
+/// A rule compiled for repeated evaluation: variables renumbered densely
+/// ([`Clause::dense`]), body dispatch resolved once (see
+/// [`p2mdie_logic::clause::CompiledGoals`]), rename-apart span and head
+/// shape precomputed. Prepare once per candidate rule; prove per example.
+/// Each proof runs column-native end to end: body goals retrieve `(PredId,
 /// row-index)` candidates and unify against the KB's arena-id tuples, so
 /// coverage testing touches no row literals (the examples themselves are
 /// the only literals in play).
@@ -75,17 +90,50 @@ pub struct PreparedRule {
     pub head: Literal,
     /// Compiled body conjunction.
     pub body: CompiledGoals,
-    /// Variable span of the whole clause (head + body).
+    /// Variable span of the whole clause (head + body): its number of
+    /// variables.
     pub span: usize,
+    /// The head argument positions that hold a ground term.
+    ground_args: Box<[usize]>,
+    /// True when every head argument is a ground term or a variable that
+    /// occurs nowhere else in the head.
+    simple_head: bool,
+}
+
+impl PreparedRule {
+    /// False when `ex` cannot unify with the head: another predicate or
+    /// arity, or a different ground term at a ground head position.
+    #[inline]
+    fn head_may_match(&self, ex: &Literal) -> bool {
+        ex.pred == self.head.pred
+            && ex.args.len() == self.head.args.len()
+            && self.ground_args.iter().all(|&p| {
+                let arg = &ex.args[p];
+                *arg == self.head.args[p] || !arg.is_ground()
+            })
+    }
 }
 
 /// Compiles `rule` against `kb` for evaluation via
 /// [`evaluate_side_prepared`].
 pub fn prepare_rule(kb: &KnowledgeBase, rule: &Clause) -> PreparedRule {
+    let rule = rule.dense();
+    let args = &rule.head.args;
+    let mut head_vars = Vec::new();
+    let simple_head = args.iter().all(|a| match a {
+        Term::Var(v) if head_vars.contains(v) => false,
+        Term::Var(v) => {
+            head_vars.push(*v);
+            true
+        }
+        t => t.is_ground(),
+    });
     PreparedRule {
         head: rule.head.clone(),
         body: kb.compile_goals(&rule.body),
         span: rule.var_span() as usize,
+        ground_args: (0..args.len()).filter(|&p| args[p].is_ground()).collect(),
+        simple_head,
     }
 }
 
@@ -114,21 +162,39 @@ fn eval_range(
     }
 }
 
-/// Proves `rule` against each indexed example: reset the store, unify the
-/// head with the example (one step), prove the compiled body.
+/// Proves `rule` against each indexed example: the head test of the module
+/// docs (one step, charged whatever the test costs), then the compiled body.
+/// A `mesh(A, 7)` head skips about 11 examples in 12 before the store is
+/// touched; a surviving ground example costs one arena lookup per head
+/// variable, and no body goal hashes that variable again.
 fn eval_indices(
     prover: &Prover<'_>,
     rule: &PreparedRule,
     lits: &[Literal],
     indices: impl Iterator<Item = usize>,
 ) -> (Bitset, u64) {
+    let arena = prover.kb().arena();
     let mut bits = Bitset::new(lits.len());
     let mut steps = 0u64;
     let mut scratch = Bindings::with_capacity(rule.span);
     for i in indices {
         steps += 1; // head-match attempt
+        let example = &lits[i];
+        if !rule.head_may_match(example) {
+            continue;
+        }
         scratch.reset(rule.span);
-        if scratch.unify_literals(&rule.head, &lits[i], false) {
+        let matched = if rule.simple_head && example.is_ground() {
+            for (h, arg) in rule.head.args.iter().zip(example.args.iter()) {
+                if let Term::Var(v) = h {
+                    scratch.bind_ground(*v, arg, arena);
+                }
+            }
+            true
+        } else {
+            scratch.unify_literals(&rule.head, example, false)
+        };
+        if matched {
             let (ok, st) = prover.prove_compiled_reusing(&rule.body, &mut scratch);
             steps += st.steps;
             if ok {

@@ -12,12 +12,14 @@
 //! posting lists and columns can hold raw `u32`s without invalidation.
 //!
 //! Since unification went column-native, the arena is also the
-//! *unification source*: [`crate::subst::Bindings::unify_term_id`] matches
-//! a goal argument against `arena.term(cell)` directly — the arena term is
-//! ground by construction, which licenses the occurs-free fast path — so
-//! the columnar tuples are the only per-fact storage a release build
-//! carries (the row `Literal` store of earlier revisions is gone; see
-//! `kb.rs`).
+//! *unification source*: [`crate::subst::Bindings::unify_term_id`] binds a
+//! free goal variable to `arena.term(cell)` — ground by construction, which
+//! licenses the occurs-free fast path — and the binding keeps the cell's id.
+//! From then on that variable is probed and compared by id, like a goal
+//! argument whose id its probe found: the id is the value, so a cell is
+//! read from the arena only when a free variable is bound to it. The
+//! columnar tuples are the only per-fact storage a release build carries
+//! (the row `Literal` store of earlier revisions is gone; see `kb.rs`).
 
 use crate::fxhash::FxHashMap;
 use crate::term::Term;

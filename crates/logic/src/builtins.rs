@@ -158,12 +158,12 @@ pub fn eval_arith_off(
     syms: &SymbolTable,
 ) -> Option<Num> {
     match bindings.resolve_view(t, off) {
-        View::Int(i) => Some(Num::Int(i)),
-        View::Float(f) => Some(Num::Float(f.0)),
-        View::Var(_) | View::Sym(_) => None,
+        View::Int(i, _) => Some(Num::Int(i)),
+        View::Float(f, _) => Some(Num::Float(f.0)),
+        View::Var(_) | View::Sym(..) => None,
         // Slot-resident terms carry absolute variable ids (offset 0).
         View::App(app, app_off) => eval_app(app, app_off, bindings, syms),
-        View::OwnedApp(app) => eval_app(&app, 0, bindings, syms),
+        View::OwnedApp(app, _) => eval_app(&app, 0, bindings, syms),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::term::{var_name, write_term, Term, VarId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A predicate applied to arguments, e.g. `bond(M, A, B, 2)`.
@@ -318,9 +319,35 @@ impl Clause {
     }
 
     /// One past the largest variable id (0 for ground clauses); the number of
-    /// fresh slots a [`crate::subst::Bindings`] needs for this clause.
+    /// fresh slots a [`crate::subst::Bindings`] needs for this clause. A
+    /// clause naming `Var(VarId::MAX)` has no span that fits: it saturates at
+    /// `VarId::MAX`, and [`Clause::dense`] is what gives it one.
     pub fn var_span(&self) -> VarId {
-        self.max_var().map_or(0, |v| v + 1)
+        self.max_var()
+            .map_or(0, |v| v.checked_add(1).unwrap_or(VarId::MAX))
+    }
+
+    /// True when the clause's variables are exactly `0..n`, so its
+    /// [`Clause::var_span`] is its number of variables.
+    pub fn has_dense_vars(&self) -> bool {
+        let mut vars = Vec::new();
+        self.collect_vars(&mut vars);
+        vars.sort_unstable();
+        vars.dedup();
+        vars.last().is_none_or(|&m| m as usize + 1 == vars.len())
+    }
+
+    /// The clause as the prover may see it: itself when its variables are
+    /// dense, else renumbered by [`Clause::normalize`]. A clause off the wire
+    /// may name `Var(100_000_000)`; the prover sizes binding stores and
+    /// rename-apart offsets by the span, not by the number of variables.
+    /// Renaming changes no proof and no step count.
+    pub fn dense(&self) -> Cow<'_, Clause> {
+        if self.has_dense_vars() {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.normalize())
+        }
     }
 
     /// Returns a copy with every variable id shifted by `offset`.

@@ -18,10 +18,9 @@
 //!    membership tests) and the *unification target*: the prover matches a
 //!    goal directly against a fact's id tuple via
 //!    [`crate::subst::Bindings::unify_term_id`], so no row `Literal` is
-//!    ever needed on the hot path — and when every goal argument is ground
-//!    and every row regular, a candidate is tested by comparing its cells
-//!    with the goal's probe ids ([`FactCols::row_matches`]), binding
-//!    nothing.
+//!    ever needed on the hot path — and a candidate's cells at the goal's
+//!    ground positions are compared with the goal's probe ids
+//!    ([`FactCols::row_matches`]) before anything is bound.
 //! 2. **CSR posting lists** — for each of the first [`MAX_INDEXED_ARGS`]
 //!    argument positions (unless pruned via
 //!    [`KnowledgeBase::retain_indexes`], e.g. from mode declarations), a
@@ -37,8 +36,7 @@
 //!    relation (ROADMAP "index beyond first-arg").
 //! 3. **Irregular rows** — the occasional fact with a non-ground argument
 //!    cannot live in the arena; its original `Literal` is kept in a small
-//!    index-sorted side list and unified row-at-a-time as before (and a
-//!    relation holding one unifies every candidate, never compares).
+//!    index-sorted side list and unified row-at-a-time as before.
 //!
 //! The duplicate row store of earlier revisions (every fact kept a second
 //! time as a `Literal`) is gone from release builds, roughly halving fact
@@ -813,8 +811,11 @@ impl KnowledgeBase {
     /// Adds a rule (non-empty body or non-ground head), compiling its body
     /// dispatch eagerly. Predicates first seen in the body get (empty)
     /// entries, so their [`PredId`]s are stable if facts or rules for them
-    /// arrive later.
+    /// arrive later. A rule whose variables are not dense is stored
+    /// renumbered ([`Clause::dense`]): every expansion advances the
+    /// prover's fresh-variable base by the rule's span.
     pub fn assert_rule(&mut self, rule: Clause) {
+        let rule = rule.dense().into_owned();
         let var_span = rule.var_span();
         let body: Box<[CompiledLiteral]> = rule
             .body
@@ -1597,29 +1598,18 @@ impl<'a> FactCols<'a> {
         &self.entry.cols.data[start..start + self.entry.len as usize]
     }
 
-    /// True when every row is regular (all arguments ground) — half of
-    /// what licenses [`FactCols::row_matches`]: with no irregular row and
-    /// an all-ground goal, unification binds nothing and a candidate
-    /// matches iff each of its cells equals the goal's probe id.
-    #[inline]
-    pub fn all_regular(&self) -> bool {
-        self.entry.irregular.is_empty()
-    }
-
-    /// The ground compare for one plan-selected candidate: true iff every
-    /// cell of `row` equals its probe id. A [`Probe::Miss`] matches nothing
-    /// (no cell can equal an uninterned term); callers guarantee the
-    /// relation is [`FactCols::all_regular`] and no probe is
-    /// [`Probe::Free`].
+    /// The ground half of matching a regular `row` against a goal: true iff
+    /// the cell at every ground position equals that position's probe id.
+    /// A [`Probe::Miss`] matches nothing (no cell can equal an uninterned
+    /// term); a [`Probe::Free`] position is left to unification. Unifying a
+    /// ground goal argument with a cell binds nothing and succeeds exactly
+    /// when the ids are equal, since the arena dedupes.
     #[inline]
     pub fn row_matches(&self, probes: &[Probe], row: u32) -> bool {
         probes.iter().enumerate().all(|(p, probe)| match *probe {
             Probe::Id(id) => self.cell(p, row) == id,
             Probe::Miss => false,
-            Probe::Free => {
-                debug_assert!(false, "row_matches requires ground probes");
-                true
-            }
+            Probe::Free => true,
         })
     }
 

@@ -24,15 +24,24 @@
 //! the variable offset that renames that clause apart. Pushing a rule body
 //! is O(1) pointer work — no literal is ever cloned — and unification
 //! applies the offsets on the fly (see [`crate::subst::Bindings::unify_off`]).
+//! A binding is a 16-byte slot ([`crate::subst`]): binding a constant and
+//! undoing it clone and drop nothing; only a compound bound to a variable is
+//! cloned, onto the store's heap.
 //!
 //! # Multi-argument indexing with pinned step accounting
 //!
 //! Every fact goal takes one path: `Ctx::solve` resolves the goal's
 //! arguments to probes, asks [`KnowledgeBase::fact_plan`] for a plan, and
-//! `Ctx::run_plan` walks it, one candidate row at a time. A row of an
-//! all-ground goal over an all-regular relation is tested by comparing its
-//! cells with the probe ids ([`FactCols::row_matches`]); any other row is
-//! unified.
+//! `Ctx::run_plan` walks it, one candidate row at a time. A variable bound
+//! from the knowledge base — to a fact cell, or by coverage to an example's
+//! argument — probes as the arena id its slot carries; only a constant of
+//! the goal itself or a value bound without an id is hashed
+//! ([`Bindings::probe`]). A regular row is matched in two halves: its cells
+//! at the goal's ground positions are compared with the probe ids
+//! ([`FactCols::row_matches`]), then its free positions are unified. So a
+//! row a constant rules out is dropped before anything is bound, and an
+//! all-ground goal binds nothing. An irregular row (a fact with a non-ground
+//! argument) is unified literal-at-a-time.
 //!
 //! The plan may pick a *more selective* bound argument position than the
 //! first (hash-join choice). The inference-step fuel stays bit-identical to
@@ -141,6 +150,11 @@ impl<'a> Prover<'a> {
     /// The limits in force.
     pub fn limits(&self) -> ProofLimits {
         self.limits
+    }
+
+    /// The knowledge base proofs run against.
+    pub fn kb(&self) -> &'a KnowledgeBase {
+        self.kb
     }
 
     /// Compiles a goal conjunction for repeated proving (the coverage hot
@@ -436,14 +450,7 @@ impl<'a> Ctx<'a, '_> {
     }
 
     /// Walks one plan's candidates in reference order, charging what the
-    /// plan skipped. When every goal argument resolves ground
-    /// ([`Probe::is_ground`]) and every row is regular
-    /// ([`FactCols::all_regular`]), unification binds nothing and a
-    /// candidate matches iff each of its cells equals the goal's probe id —
-    /// so index-selected rows take [`Ctx::try_fact_ground`], a plain `u32`
-    /// compare per cell, with identical solutions, order, and steps. (Only
-    /// an arity-0 goal is all ground *and* planned [`FactPlan::All`]: a
-    /// ground first argument plans `Seq` or `Narrowed`.)
+    /// plan skipped; each candidate is one [`Ctx::try_fact`].
     #[allow(clippy::too_many_arguments)]
     fn run_plan(
         &mut self,
@@ -455,12 +462,13 @@ impl<'a> Ctx<'a, '_> {
         rest: &Frame<'_>,
         on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
     ) -> Control {
-        let ground = facts.all_regular() && probes.iter().all(|p| p.is_ground());
+        let mut try_row =
+            |ctx: &mut Self, row| ctx.try_fact(facts, probes, row, glit, goff, rest, on_solution);
         match plan {
             FactPlan::Empty => Control::More,
             FactPlan::All { n } => {
                 for row in 0..*n {
-                    match self.try_fact(facts, row, glit, goff, rest, on_solution) {
+                    match try_row(self, row) {
                         Control::More => {}
                         c => return c,
                     }
@@ -469,12 +477,7 @@ impl<'a> Ctx<'a, '_> {
             }
             FactPlan::Seq { indexed, unindexed } => {
                 for &row in indexed.iter().chain(unindexed.iter()) {
-                    let ctrl = if ground {
-                        self.try_fact_ground(facts, probes, row, rest, on_solution)
-                    } else {
-                        self.try_fact(facts, row, glit, goff, rest, on_solution)
-                    };
-                    match ctrl {
+                    match try_row(self, row) {
                         Control::More => {}
                         c => return c,
                     }
@@ -488,12 +491,7 @@ impl<'a> Ctx<'a, '_> {
                         return Control::Abort;
                     }
                     charged = rank;
-                    let ctrl = if ground {
-                        self.try_fact_ground(facts, probes, row, rest, on_solution)
-                    } else {
-                        self.try_fact(facts, row, glit, goff, rest, on_solution)
-                    };
-                    match ctrl {
+                    match try_row(self, row) {
                         Control::More => {}
                         c => return c,
                     }
@@ -507,38 +505,21 @@ impl<'a> Ctx<'a, '_> {
         }
     }
 
-    /// One fact candidate of an all-ground goal over an all-regular
-    /// relation: tick, compare cells ([`FactCols::row_matches`]), recurse.
-    /// No binding mark is taken — an all-ground match binds nothing, so
-    /// there is nothing to undo.
-    #[inline]
-    fn try_fact_ground(
-        &mut self,
-        facts: &FactCols<'a>,
-        probes: &[Probe],
-        row: u32,
-        rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
-    ) -> Control {
-        if !self.tick() {
-            return Control::Abort;
-        }
-        if facts.row_matches(probes, row) {
-            self.solve(Some(rest), on_solution)
-        } else {
-            Control::More
-        }
-    }
-
-    /// One fact candidate: tick, unify the goal's arguments directly
-    /// against the fact's column cells (arena ids), recurse on success. The
-    /// rare irregular row — a fact with a non-ground argument, which the
-    /// arena cannot hold — falls back to row-at-a-time literal unification
-    /// against its stored original.
+    /// One fact candidate: tick, match the goal against the fact's column
+    /// cells (arena ids), recurse on success. The goal's ground positions
+    /// are compared id to id with its probes first
+    /// ([`FactCols::row_matches`]): a mismatch fails the row before anything
+    /// is bound, and a match binds nothing. Only the free positions are then
+    /// unified ([`Bindings::unify_term_id`]) — so an all-ground goal binds
+    /// nothing at all. The rare irregular row — a fact with a non-ground
+    /// argument, which the arena cannot hold — falls back to row-at-a-time
+    /// literal unification against its stored original.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     fn try_fact(
         &mut self,
         facts: &FactCols<'a>,
+        probes: &[Probe],
         row: u32,
         goal: &Literal,
         goff: VarId,
@@ -553,10 +534,18 @@ impl<'a> Ctx<'a, '_> {
             Some(fact) => self.bindings.unify_literals_off(goal, goff, fact, 0, false),
             None => {
                 let arena = facts.arena();
-                goal.args.iter().enumerate().all(|(p, a)| {
-                    self.bindings
-                        .unify_term_id(a, goff, facts.cell(p, row), arena)
-                })
+                facts.row_matches(probes, row)
+                    && goal
+                        .args
+                        .iter()
+                        .zip(probes)
+                        .enumerate()
+                        .all(|(p, (a, probe))| {
+                            probe.is_ground()
+                                || self
+                                    .bindings
+                                    .unify_term_id(a, goff, facts.cell(p, row), arena)
+                        })
             }
         };
         if ok {
@@ -756,6 +745,51 @@ mod tests {
         )];
         let (ok, _) = p.prove_with_bindings(&body, b);
         assert!(ok);
+    }
+
+    /// A rule naming huge variable ids is stored renumbered: expanding it
+    /// advances the fresh-variable base by its number of variables, and
+    /// proofs through it match its dense twin's, steps included.
+    #[test]
+    fn sparse_rule_variables_are_renumbered() {
+        let (t, dense) = family_kb();
+        let mut sparse = KnowledgeBase::new(t.clone());
+        for (a, b) in [("ann", "bob"), ("bob", "carl"), ("carl", "dee")] {
+            let c = |n: &str| Term::Sym(t.intern(n));
+            sparse.assert_fact(lit(&t, "parent", vec![c(a), c(b)]));
+        }
+        let (x, y, z) = (Term::Var(7), Term::Var(2_000_000_000), Term::Var(u32::MAX));
+        sparse.assert_rule(Clause::new(
+            lit(&t, "ancestor", vec![x.clone(), y.clone()]),
+            vec![lit(&t, "parent", vec![x.clone(), y.clone()])],
+        ));
+        sparse.assert_rule(Clause::new(
+            lit(&t, "ancestor", vec![x.clone(), y.clone()]),
+            vec![
+                lit(&t, "parent", vec![x, z.clone()]),
+                lit(&t, "ancestor", vec![z, y]),
+            ],
+        ));
+        let key = lit(&t, "ancestor", vec![Term::Var(0), Term::Var(1)]).key();
+        let spans: Vec<VarId> = sparse
+            .rules_compiled(sparse.pred_id(key).unwrap())
+            .iter()
+            .map(|r| r.var_span)
+            .collect();
+        assert_eq!(spans, [2, 3]);
+        let c = |n: &str| Term::Sym(t.intern(n));
+        for goal in [
+            lit(&t, "ancestor", vec![c("ann"), c("dee")]),
+            lit(&t, "ancestor", vec![c("dee"), c("ann")]),
+            lit(&t, "ancestor", vec![Term::Var(0), c("dee")]),
+        ] {
+            let limits = ProofLimits::default();
+            assert_eq!(
+                Prover::new(&sparse, limits).solutions(&goal, 10),
+                Prover::new(&dense, limits).solutions(&goal, 10),
+                "{goal:?}"
+            );
+        }
     }
 
     #[test]

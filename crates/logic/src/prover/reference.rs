@@ -141,7 +141,7 @@ impl Ctx<'_, '_> {
         // `row-oracle` feature (every test build), lazily rebuilt from the
         // columnar store otherwise; either way this path unifies rows
         // exactly as the seed implementation did.
-        let first = goal.args.first().map(|t| self.bindings.walk(t).clone());
+        let first = goal.args.first().map(|t| self.bindings.walk(t));
         for fact in kb.candidate_facts(key, first.as_ref()) {
             if !self.tick() {
                 return Control::Abort;

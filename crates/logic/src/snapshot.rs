@@ -466,16 +466,21 @@ impl KnowledgeBase {
                         kind: cl.kind,
                     });
                 }
-                let plain = Clause::new(head.clone(), body.iter().map(|l| l.lit.clone()).collect());
+                let plain = Clause::new(head, body.iter().map(|l| l.lit.clone()).collect());
                 if plain.var_span() != r.var_span {
                     return Err(SnapshotError::new("rule variable span"));
                 }
-                rules.push(plain);
+                // Stored renumbered, as `assert_rule` stores it.
+                let plain = plain.dense().into_owned();
+                for (cl, lit) in body.iter_mut().zip(&plain.body) {
+                    cl.lit.clone_from(lit);
+                }
                 crules.push(CompiledClause {
-                    head,
+                    head: plain.head.clone(),
                     body: body.into_boxed_slice(),
-                    var_span: r.var_span,
+                    var_span: plain.var_span(),
                 });
+                rules.push(plain);
             }
 
             num_facts += nfacts;
@@ -600,6 +605,34 @@ mod tests {
         assert!(matches!(crule.body[1].kind, LitKind::Builtin(_)));
         // And `t`'s names still resolve through the remapped table.
         assert_eq!(&*t.name(t.lookup("bond").unwrap()), "bond");
+    }
+
+    /// A snapshot rule naming huge variable ids is restored renumbered, as
+    /// `assert_rule` stores it, and proves what the original proves.
+    #[test]
+    fn sparse_rule_variables_are_renumbered_on_restore() {
+        let (t, kb) = sample_kb();
+        let mut snap = kb.to_snapshot();
+        let last = snap.preds.len() - 1;
+        let rule = &mut snap.preds[last].rules[0];
+        let spread =
+            |l: &Literal| l.map_vars(&mut |v| Term::Var([7, 2_000_000_000, u32::MAX][v as usize]));
+        rule.head = spread(&rule.head);
+        for cl in rule.body.iter_mut() {
+            cl.lit = spread(&cl.lit);
+        }
+        rule.var_span = u32::MAX;
+        let restored = KnowledgeBase::from_snapshot(snap, t.clone()).unwrap();
+        let key = lit(&t, "linked", vec![Term::Int(0); 2]).key();
+        let crule = &restored.rules_compiled(restored.pred_id(key).unwrap())[0];
+        assert_eq!(crule.var_span, 3);
+        assert_eq!(restored.rules_for(key)[0].var_span(), 3);
+        let goal = lit(&t, "linked", vec![Term::Int(2), Term::Var(0)]);
+        let limits = crate::prover::ProofLimits::default();
+        assert_eq!(
+            crate::prover::Prover::new(&restored, limits).solutions(&goal, 10),
+            crate::prover::Prover::new(&kb, limits).solutions(&goal, 10)
+        );
     }
 
     #[test]

@@ -229,3 +229,51 @@ fn master_vtime_is_a_valid_makespan() {
         );
     }
 }
+
+/// A clause off the wire may name any variable id. Coverage renumbers it
+/// densely before it sizes a binding store, so `Var(100_000_000)` costs what
+/// `B` costs (it used to allocate 2.35 GB per evaluation) and
+/// `Var(u32::MAX)` no longer overflows the clause's span — directly and in
+/// a coverage job on the ranks of a resident service alike.
+#[test]
+fn sparse_variable_ids_cost_what_dense_ones_do() {
+    use p2mdie::core::{JobSpec, JobState, Service, ServiceConfig};
+    use p2mdie::ilp::evaluate_rule;
+    use p2mdie::logic::clause::{Clause, Literal};
+    use p2mdie::logic::term::Term;
+    use std::time::{Duration, Instant};
+
+    let ds = p2mdie::datasets::trains(4, 1);
+    let (kb, proof) = (&ds.engine.kb, ds.engine.settings.proof);
+    let syms = kb.symbols();
+    let rule = |v: u32| {
+        Clause::new(
+            Literal::new(syms.intern("eastbound"), vec![Term::Var(0)]),
+            vec![Literal::new(
+                syms.intern("has_car"),
+                vec![Term::Var(0), Term::Var(v)],
+            )],
+        )
+    };
+    let dense = evaluate_rule(kb, proof, &rule(1), &ds.examples, None, None);
+    assert!(dense.pos_count() > 0 && dense.steps > 0);
+    let service = Service::new(&ds.engine, ServiceConfig::new(2));
+    let job = |v: u32| {
+        let done = service
+            .submit(JobSpec::coverage(ds.examples.clone(), vec![rule(v)]))
+            .expect("an empty queue")
+            .wait();
+        assert_eq!(done.state, JobState::Done, "{:?}", done.error);
+        (done.coverage().to_vec(), done.accounting.worker_steps)
+    };
+    let dense_job = job(1);
+    for v in [100_000_000, u32::MAX] {
+        let started = Instant::now();
+        let sparse = evaluate_rule(kb, proof, &rule(v), &ds.examples, None, None);
+        let took = started.elapsed();
+        assert_eq!(sparse, dense, "Var({v})");
+        assert!(took < Duration::from_millis(500), "Var({v}) took {took:?}");
+        assert_eq!(job(v), dense_job, "Var({v}) in a coverage job");
+    }
+    service.shutdown().expect("a clean lifetime");
+}

@@ -7,7 +7,7 @@
 //! A change that moves any of these numbers changed what the reproduction
 //! computes, not just how fast.
 //!
-//! Two recordings:
+//! Three recordings:
 //!
 //! * the sequential baseline and an in-process p = 2, W = 10 pipeline on a
 //!   small carcinogenesis input, recorded at commit 7e9926a (before the
@@ -29,6 +29,11 @@
 //!   those of a service whose ranks keep their examples — the first job
 //!   ships them (two bytes more than under v8: one option tag per rank),
 //!   the three after it, on the same examples, ship none.
+//! * `golden/bench_inputs.txt`, the same line for the inputs `bench_e2e`
+//!   times — carcinogenesis(0.3), mesh(1.0) and pyrimidines(1.0) at seed
+//!   2005, sequentially and at p ∈ {2, 4} × W ∈ {10, nolimit} — recorded at
+//!   commit fadaf9f, before the binding store carried arena ids. Release
+//!   builds only.
 
 use p2mdie::cluster::CostModel;
 use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};
@@ -261,4 +266,53 @@ fn every_run_mode_on_mesh_matches_recorded_accounting() {
     let grid = [(2, 5, Width::Limit(10)), (3, 5, Width::Unlimited)];
     let lines = table_lines(&p2mdie::datasets::mesh(0.05, 9), &grid);
     assert_table(&lines, include_str!("golden/mesh_accounting.txt"));
+}
+
+/// The inputs `bench_e2e` times, at the seed it times them with: each
+/// dataset sequentially and in-process at p ∈ {2, 4} × W ∈ {10, nolimit}.
+/// A change that only makes the benchmark faster leaves every line of
+/// `golden/bench_inputs.txt` as it is. Printed as it runs; about 4 s in a
+/// release build, so a debug `cargo test` leaves it ignored.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "a minute unoptimised; run with --release")]
+fn benchmark_inputs_match_recorded_accounting() {
+    const BENCH_SEED: u64 = 2005;
+    let datasets = [
+        (
+            "carcinogenesis(0.3)",
+            p2mdie::datasets::carcinogenesis(0.3, BENCH_SEED),
+        ),
+        ("mesh(1.0)", p2mdie::datasets::mesh(1.0, BENCH_SEED)),
+        (
+            "pyrimidines(1.0)",
+            p2mdie::datasets::pyrimidines(1.0, BENCH_SEED),
+        ),
+    ];
+    let mut lines = Vec::new();
+    for (name, ds) in &datasets {
+        let syms = ds.engine.kb.symbols();
+        let rep = run_sequential_timed(&ds.engine, &ds.examples, &CostModel::beowulf_2005());
+        lines.push(format!(
+            "{name} sequential | {:?} | epochs={} set_aside={} steps={} vtime={:?}",
+            theory_text(&rep.theory, syms),
+            rep.epochs,
+            rep.set_aside,
+            rep.steps,
+            rep.vtime
+        ));
+        println!("{}", lines.last().unwrap());
+        for workers in [2, 4] {
+            for width in [Width::Limit(10), Width::Unlimited] {
+                let cfg = ParallelConfig::new(workers, width, BENCH_SEED);
+                let rep = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap();
+                lines.push(parallel_line(
+                    &format!("{name} p={workers} {width:?}"),
+                    &rep,
+                    syms,
+                ));
+                println!("{}", lines.last().unwrap());
+            }
+        }
+    }
+    assert_table(&lines, include_str!("golden/bench_inputs.txt"));
 }
