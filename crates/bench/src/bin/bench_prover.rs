@@ -1,56 +1,39 @@
-//! Before/after benchmark for the PR-1 deduction-hot-path rework.
+//! Before/after benchmark of the deduction stack's data layouts and of the
+//! resident service, behind `BENCH_prover.json`:
 //!
-//! Measures the pre-refactor implementation (the verbatim seed replicas in
-//! `p2mdie_bench::legacy`, built on `prover::reference`) against the
-//! optimized stack (goal-stack prover, monotone coverage pruning, optional
-//! thread fan-out) on these workloads:
-//!
-//! 1. `prover_backtracking` — deep recursive `ancestor/2` proofs;
-//! 2. `coverage_eval` — rule evaluation over a carcinogenesis-scale KB,
-//!    both a single rule and the refinement-chain workload `learn_rule`
-//!    actually issues (parent coverage masking the child);
-//! 3. `learn_rule_search` — a full breadth-first search from one seed;
-//! 4. `second_arg_bound` — `bond/4` retrieval with the molecule unbound,
-//!    where only the compiled KB's multi-argument join indexes narrow;
-//! 5. `worker_startup` — building the background KB fresh (consult the
+//! 1. `worker_startup` — building the background KB fresh (consult the
 //!    textual theory: parse, intern, index) vs adopting a serialized
 //!    compiled-KB snapshot (decode bytes, validate, done — see
 //!    `p2mdie_logic::snapshot`);
-//! 6. `fact_memory` — resident fact-store bytes of the column-native
+//! 2. `fact_memory` — resident fact-store bytes of the column-native
 //!    layout vs the retired duplicate row+column layout, on the
-//!    carcinogenesis and trains background KBs, with a trains coverage
-//!    run asserted bit-identical to the seed replica alongside;
-//! 7. `posting_memory` — resident posting-index bytes of the CSR layout
+//!    carcinogenesis and trains background KBs;
+//! 3. `posting_memory` — resident posting-index bytes of the CSR layout
 //!    (sorted keys + run offsets + one contiguous index buffer) vs the
 //!    retired per-key `FxHashMap<TermId, Vec<u32>>` layout, on the same
 //!    background KBs. Exact byte accounting, so CI enforces it
-//!    deterministically alongside `fact_memory`;
-//! 8. `warm_job_submit` — one coverage job on a *resident* service mesh
+//!    deterministically alongside `fact_memory` (`--fact-memory-only`);
+//! 4. `warm_job_submit` — one coverage job on a *resident* service mesh
 //!    (submit, wait; the compiled KB already shipped and adopted) vs the
 //!    one-shot shape that builds a fresh mesh, ships the KB, runs the
-//!    same job, and tears the mesh down — the PR-8 ILP-as-a-service win.
+//!    same job, and tears the mesh down.
 //!
-//! One caveat on the "before" timings: this binary builds without the
-//! `row-oracle` feature, so the seed-replica provers iterate rows rebuilt
-//! lazily from the columnar store — a small extra cost the true seed (with
-//! rows resident) did not pay. The speedup bars are lower bounds either
-//! way, and the differential *tests* run with rows resident.
+//! The timings of the seed's prover, coverage and search against the
+//! current ones are retired with the seed copy they raced; their last
+//! numbers are in the repository history of `BENCH_prover.json`. What the
+//! prover computes is held to the reference prover of
+//! `crates/logic/tests/oracle` by the differential tests instead.
 //!
 //! Writes the numbers to `BENCH_prover.json` (repo root) and exits non-zero
-//! when the coverage-evaluation speedup falls below 2x, the
-//! second-arg-bound speedup falls below 3x, the worker-startup speedup
-//! falls below 5x, the warm-job-submit speedup falls below 5x, the
-//! fact-memory reduction falls below 1.8x, or the posting-memory reduction
-//! falls below 1.5x, so CI can gate on the acceptance criteria.
+//! when the worker-startup speedup falls below 5x, the warm-job-submit
+//! speedup falls below 5x, the fact-memory reduction falls below 1.8x, or
+//! the posting-memory reduction falls below 1.5x.
 
-use p2mdie_bench::{legacy, workloads};
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
 use p2mdie_datasets::carcinogenesis;
 use p2mdie_ilp::coverage::{evaluate_rule_threads, Coverage};
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::search_rules;
 use p2mdie_logic::kb::KnowledgeBase;
-use p2mdie_logic::prover::{reference, ProofLimits, Prover};
 use p2mdie_logic::snapshot::KbSnapshot;
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::Program;
@@ -80,45 +63,11 @@ impl Entry {
     }
 }
 
-/// Workload 6 (`fact_memory`): exact byte accounting of the column-native
-/// fact store vs the retired row+column layout, plus a trains coverage run
-/// asserted bit-identical to the seed replica. Deterministic (no timing),
-/// so CI enforces this gate unconditionally via `--fact-memory-only`.
+/// `fact_memory`: exact byte accounting of the column-native fact store vs
+/// the retired row+column layout. Deterministic (no timing), so CI enforces
+/// this gate unconditionally via `--fact-memory-only`.
 fn fact_memory_entries(kb: &KnowledgeBase) -> Vec<(&'static str, usize, usize)> {
     let tr = p2mdie_datasets::trains(20, 7);
-    assert_eq!(
-        kb.resident_rows(),
-        0,
-        "release builds must not carry the row-oracle store"
-    );
-    assert_eq!(tr.engine.kb.resident_rows(), 0);
-
-    // Identity on trains: legacy (seed replica) vs column-native coverage
-    // of the seed's bottom clause, full example set.
-    let bottom_tr = tr.engine.saturate(&tr.examples.pos[0]).expect("saturates");
-    let rule_tr = bottom_tr.to_clause();
-    let legacy_cov = legacy::evaluate_rule(
-        &tr.engine.kb,
-        tr.engine.settings.proof,
-        &rule_tr,
-        &tr.examples,
-        None,
-        None,
-    );
-    let new_cov = evaluate_rule_threads(
-        &tr.engine.kb,
-        tr.engine.settings.proof,
-        &rule_tr,
-        &tr.examples,
-        None,
-        None,
-        1,
-    );
-    assert_eq!(
-        legacy_cov, new_cov,
-        "trains coverage must stay bit-identical to the seed replica"
-    );
-
     vec![
         (
             "carcinogenesis",
@@ -133,7 +82,7 @@ fn fact_memory_entries(kb: &KnowledgeBase) -> Vec<(&'static str, usize, usize)> 
     ]
 }
 
-/// Workload 8 (`posting_memory`): exact byte accounting of the CSR posting
+/// `posting_memory`: exact byte accounting of the CSR posting
 /// store vs the retired per-key hashmap layout it replaced. Deterministic
 /// (no timing), enforced by CI alongside `fact_memory`.
 fn posting_memory_entries(kb: &KnowledgeBase) -> Vec<(&'static str, usize, usize)> {
@@ -202,50 +151,16 @@ fn main() {
     let mut entries: Vec<Entry> = Vec::new();
     let samples = 7;
 
-    // ---- 1. Prover backtracking: deep recursion over a 200-link chain.
-    {
-        let mut prog = Program::new();
-        let mut src = String::new();
-        for i in 0..200 {
-            src.push_str(&format!("parent(p{i}, p{}).\n", i + 1));
-        }
-        src.push_str("ancestor(X, Y) :- parent(X, Y).\n");
-        src.push_str("ancestor(X, Z) :- parent(X, Y), ancestor(Y, Z).\n");
-        prog.consult(&src).expect("consult");
-        let limits = ProofLimits {
-            max_depth: 256,
-            max_steps: 10_000_000,
-        };
-        let hit = prog.parse_query("ancestor(p0, p150)").unwrap();
-        let miss = prog.parse_query("ancestor(p150, p0)").unwrap();
-
-        let old = reference::Prover::new(prog.kb(), limits);
-        let before = best_ns(samples, || {
-            black_box(old.prove_ground(black_box(&hit)));
-            black_box(old.prove_ground(black_box(&miss)));
-        });
-        let new = Prover::new(prog.kb(), limits);
-        let after = best_ns(samples, || {
-            black_box(new.prove_ground(black_box(&hit)));
-            black_box(new.prove_ground(black_box(&miss)));
-        });
-        entries.push(Entry {
-            name: "prover_backtracking",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // ---- 2 + 3. Carcinogenesis-scale KB.
+    // ---- Carcinogenesis-scale KB.
     let d = carcinogenesis(0.5, 7);
     let proof = d.engine.settings.proof;
     let kb = &d.engine.kb;
     let bottom = d.engine.saturate(&d.examples.pos[0]).expect("saturates");
 
-    // The refinement workload `learn_rule` issues: walk down the lattice
-    // one level at a time; at each level evaluate the first few successors
-    // of the current node (the breadth-first frontier slice), then descend
-    // into the first of them. Levels: 0 (root) .. max_body.
+    // The refinement walk the metrics sample below replays: down the
+    // lattice one level at a time, the first few successors of the current
+    // node (the breadth-first frontier slice), then into the first of them.
+    // Levels: 0 (root) .. max_body.
     let max_body = d.engine.settings.max_body;
     let mut levels: Vec<Vec<RuleShape>> = vec![vec![RuleShape::empty()]];
     let mut shape = RuleShape::empty();
@@ -266,134 +181,7 @@ fn main() {
         .map(|l| l.iter().map(|s| s.to_clause(&bottom)).collect())
         .collect();
 
-    // Single-rule coverage (no masks apply: like-for-like raw eval).
-    {
-        let clause = &level_clauses[1][0];
-        let before = best_ns(samples, || {
-            black_box(legacy::evaluate_rule(
-                kb,
-                proof,
-                clause,
-                &d.examples,
-                None,
-                None,
-            ));
-        });
-        let after = best_ns(samples, || {
-            black_box(evaluate_rule_threads(
-                kb,
-                proof,
-                clause,
-                &d.examples,
-                None,
-                None,
-                1,
-            ));
-        });
-        entries.push(Entry {
-            name: "coverage_single_rule",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // Refinement coverage: the workload the search actually issues. Legacy
-    // evaluates every frontier node on the full example set; the optimized
-    // path masks each level's nodes with their shared parent's coverage
-    // (bit-identical results, O(|parent coverage|) work per node).
-    {
-        let before = best_ns(samples, || {
-            for level in &level_clauses {
-                for clause in level {
-                    black_box(legacy::evaluate_rule(
-                        kb,
-                        proof,
-                        clause,
-                        &d.examples,
-                        None,
-                        None,
-                    ));
-                }
-            }
-        });
-        let after = best_ns(samples, || {
-            let mut masks: Option<Coverage> = None;
-            for level in &level_clauses {
-                let mut first_cov: Option<Coverage> = None;
-                for clause in level {
-                    let cov = evaluate_rule_threads(
-                        kb,
-                        proof,
-                        clause,
-                        &d.examples,
-                        masks.as_ref().map(|m| &m.pos),
-                        masks.as_ref().map(|m| &m.neg),
-                        1,
-                    );
-                    if first_cov.is_none() {
-                        first_cov = Some(black_box(cov));
-                    }
-                }
-                // Descend into the level's first node, as the walk above did.
-                masks = first_cov;
-            }
-        });
-        entries.push(Entry {
-            name: "coverage_eval",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // Full learn_rule search from one seed.
-    {
-        let settings = &d.engine.settings;
-        let before = best_ns(3, || {
-            black_box(legacy::search_rules(
-                kb,
-                settings,
-                &bottom,
-                &d.examples,
-                None,
-                &[],
-            ));
-        });
-        let after = best_ns(3, || {
-            black_box(search_rules(kb, settings, &bottom, &d.examples, None, &[]));
-        });
-        entries.push(Entry {
-            name: "learn_rule_search",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // ---- 4. Second-arg-bound retrieval: bond/4 with the molecule unbound.
-    // The seed's first-argument index has nothing to narrow on (full scan
-    // per query); the compiled KB's multi-argument join index probes the
-    // bound second argument. Acceptance bar: >= 3x.
-    {
-        let (_t, kb, queries) = workloads::bond_world();
-        let expect = workloads::run_bond_reference(&kb, &queries);
-        assert_eq!(
-            workloads::run_bond_compiled(&kb, &queries),
-            expect,
-            "provers must enumerate identical solutions"
-        );
-        let before = best_ns(samples, || {
-            black_box(workloads::run_bond_reference(&kb, &queries));
-        });
-        let after = best_ns(samples, || {
-            black_box(workloads::run_bond_compiled(&kb, &queries));
-        });
-        entries.push(Entry {
-            name: "second_arg_bound",
-            before_ns: before,
-            after_ns: after,
-        });
-    }
-
-    // ---- 5. Worker startup: fresh build vs snapshot load.
+    // ---- 1. Worker startup: fresh build vs snapshot load.
     // "Fresh" is what every rank of a real deployment does today: read the
     // background theory in its textual (Prolog) form and rebuild symbols,
     // arena, columns, posting lists, and compiled rules from scratch.
@@ -478,7 +266,7 @@ fn main() {
         });
     }
 
-    // ---- 6. Fact-store memory: the column-native store vs the retired
+    // ---- 2. Fact-store memory: the column-native store vs the retired
     // row+column layout (every fact kept a second time as a row `Literal`
     // next to its indexable-prefix columns). Bytes are computed from the
     // same KB by the store's own accounting (`fact_store_bytes` /
@@ -489,12 +277,12 @@ fn main() {
     // workload. Acceptance bar: >= 1.8x smaller.
     let fact_memory = fact_memory_entries(kb);
 
-    // ---- 7. Posting-index memory: CSR (sorted keys + run offsets + one
+    // ---- 3. Posting-index memory: CSR (sorted keys + run offsets + one
     // contiguous index buffer) vs the retired per-key hashmap. Exact byte
     // accounting from the store itself. Acceptance bar: >= 1.5x smaller.
     let posting_memory = posting_memory_entries(kb);
 
-    // ---- 8. Warm job submission: the same coverage job (one head-only
+    // ---- 4. Warm job submission: the same coverage job (one head-only
     // clause, always-true body, so the measured cost is the job machinery,
     // not deduction) submitted to a *standing* resident mesh vs run in the
     // one-shot shape — build a fresh service, ship the compiled KB, run
@@ -563,7 +351,7 @@ fn main() {
     };
 
     // ---- Report.
-    let mut json = String::from("{\n  \"description\": \"Deduction hot path: pre-refactor (seed replica) vs compiled KB (goal-stack prover, monotone coverage pruning, multi-arg join indexes); worker_startup: fresh textual consult vs compiled-KB snapshot load; fact_memory: column-native fact store vs the retired row+column layout (exact byte accounting; shared arena/postings excluded, column-only arena growth past the indexable prefix charged to the new layout); posting_memory: CSR posting store vs the retired per-key hashmap layout (exact byte accounting); warm_job_submit: one coverage job on a standing resident service mesh vs the one-shot build-ship-run-teardown shape. Best-of-N wall times\",\n  \"benches\": {\n");
+    let mut json = String::from("{\n  \"description\": \"worker_startup: fresh textual consult vs compiled-KB snapshot load; fact_memory: column-native fact store vs the retired row+column layout (exact byte accounting; shared arena/postings excluded, column-only arena growth past the indexable prefix charged to the new layout); posting_memory: CSR posting store vs the retired per-key hashmap layout (exact byte accounting); warm_job_submit: one coverage job on a standing resident service mesh vs the one-shot build-ship-run-teardown shape. Best-of-N wall times\",\n  \"benches\": {\n");
     for e in entries.iter() {
         println!(
             "{:<24} before {:>12.0} ns   after {:>12.0} ns   speedup {:>5.2}x",
@@ -612,12 +400,7 @@ fn main() {
     println!("\nwrote BENCH_prover.json");
 
     let mut failed = memory_failed;
-    for (name, bar) in [
-        ("coverage_eval", 2.0),
-        ("second_arg_bound", 3.0),
-        ("worker_startup", 5.0),
-        ("warm_job_submit", 5.0),
-    ] {
+    for (name, bar) in [("worker_startup", 5.0), ("warm_job_submit", 5.0)] {
         let e = entries
             .iter()
             .find(|e| e.name == name)

@@ -6,7 +6,6 @@
 //! to the pipeline width `W`, and forwards — to the next worker, or to the
 //! master when this was stage `p`.
 
-use crate::protocol::{PipelineToken, StageTrace};
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::engine::IlpEngine;
@@ -76,25 +75,6 @@ pub fn run_stage_search(
     StageResult {
         rules: merged,
         steps: out.steps,
-    }
-}
-
-/// Assembles the outgoing token for a non-final stage.
-pub fn next_token(
-    mut token_trace: Vec<StageTrace>,
-    origin: u8,
-    executed_step: u8,
-    bottom: Option<BottomClause>,
-    rules: Vec<ScoredRule>,
-    stage_trace: StageTrace,
-) -> PipelineToken {
-    token_trace.push(stage_trace);
-    PipelineToken {
-        origin,
-        step: executed_step + 1,
-        bottom,
-        rules,
-        trace: token_trace,
     }
 }
 
@@ -254,34 +234,5 @@ mod tests {
             re.pos <= ex.num_pos() as u32,
             "local re-scoring replaced the bogus count"
         );
-    }
-
-    #[test]
-    fn token_assembly_appends_trace() {
-        let tok = next_token(
-            vec![StageTrace {
-                worker: 1,
-                step: 1,
-                start: 0.0,
-                end: 1.0,
-                rules_in: 0,
-                rules_out: 2,
-            }],
-            1,
-            2,
-            None,
-            vec![],
-            StageTrace {
-                worker: 2,
-                step: 2,
-                start: 1.0,
-                end: 2.0,
-                rules_in: 2,
-                rules_out: 1,
-            },
-        );
-        assert_eq!(tok.step, 3);
-        assert_eq!(tok.trace.len(), 2);
-        assert_eq!(tok.trace[1].worker, 2);
     }
 }

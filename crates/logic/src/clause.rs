@@ -166,9 +166,9 @@ crate::wire_struct!(CompiledLiteral { lit, kind });
 /// A clause whose body literals carry resolved dispatch and whose
 /// rename-apart variable span is precomputed.
 ///
-/// Stored next to the plain [`Clause`] in the KB: the optimized prover
-/// walks `CompiledClause`s, the differential oracle
-/// ([`crate::prover::reference`]) keeps walking the plain form.
+/// Stored next to the plain [`Clause`] in the KB: the prover walks
+/// `CompiledClause`s, [`crate::kb::KnowledgeBase::rules_for`] serves the
+/// plain form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledClause {
     /// The clause head (never dispatched on, so it stays a plain literal).

@@ -38,18 +38,11 @@
 //!    cannot live in the arena; its original `Literal` is kept in a small
 //!    index-sorted side list and unified row-at-a-time as before.
 //!
-//! The duplicate row store of earlier revisions (every fact kept a second
-//! time as a `Literal`) is gone from release builds, roughly halving fact
-//! memory. Under the **`row-oracle`** feature (enabled for every `cargo
-//! test` run via the crate's self-dev-dependency) the rows stay resident so
-//! the differential oracle ([`crate::prover::reference`]) unifies against
-//! the *original* literals exactly as the seed implementation did; without
-//! the feature, debug/oracle views ([`KnowledgeBase::candidate_facts`],
-//! [`KnowledgeBase::facts_for`]) rebuild rows lazily from the columns.
-//! Either way the resident rows are a *view*: a KB restored from a
-//! snapshot never materializes them (see [`KnowledgeBase::resident_rows`]).
+//! No fact is kept a second time as a row `Literal`, in any build:
+//! [`KnowledgeBase::facts_for`] rebuilds rows from the columns on demand.
 //!
-//! Rules are stored both as plain [`Clause`]s (oracle view) and as
+//! Rules are stored both as plain [`Clause`]s (what
+//! [`KnowledgeBase::rules_for`] serves) and as
 //! [`CompiledClause`]s whose body literals carry pre-resolved dispatch
 //! ([`crate::clause::LitKind`]) and whose rename-apart variable span is
 //! precomputed — per-goal dispatch in the optimized prover is array reads.
@@ -80,11 +73,16 @@
 //! exactly the ones that provably fail unification on the chosen bound
 //! position (see [`FactPlan::Narrowed`]).
 //!
-//! **R is the reference walk.** Throughout this module, R names the seed
-//! enumeration that defines the contract: position-0 posting hits followed
-//! by position-0-unindexable facts when the goal's first argument is ground,
-//! every fact in assertion order otherwise. [`KnowledgeBase::candidate_facts`]
-//! *is* R (the differential oracle iterates it); every [`FactPlan`] variant
+//! **R is the reference walk.** Throughout this module, R names the
+//! enumeration that defines the contract. Dereference the goal's first
+//! argument through its variable bindings, at the top level only (a
+//! compound whose own variables are bound is not substituted, so it is not
+//! ground). If that term is ground, R is the facts whose first argument
+//! equals it, then the facts whose first argument is not ground; otherwise
+//! — a free or partly unbound first argument, or a predicate of arity 0 — R
+//! is every fact. Both segments keep assertion order. The reference prover
+//! of `tests/oracle/mod.rs` computes R from plain fact rows and is what the
+//! differential tests hold the product to. Every [`FactPlan`] variant
 //! enumerates a subset of R in R's order and charges the rest by rank; the
 //! prover's per-row ground compare only changes *how* a candidate's failure
 //! is detected (cell compare vs. unification), never which candidates R
@@ -99,7 +97,6 @@ use crate::fxhash::FxHashMap;
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::term::Term;
 use p2mdie_obs::metrics::hot;
-use std::borrow::Cow;
 
 /// How many leading argument positions get a posting-list index by default.
 pub const MAX_INDEXED_ARGS: usize = 4;
@@ -424,17 +421,8 @@ impl PostingCsr {
     /// All hits for `tid` in ascending fact order: the CSR run borrowed
     /// directly in the sealed case, an owned splice of run + pending
     /// matches otherwise (pending facts are strictly newer, so they append
-    /// in order).
-    pub(crate) fn hits(&self, tid: TermId) -> Hits<'_> {
-        self.hits_into(tid, Vec::new)
-    }
-
-    /// [`PostingCsr::hits`] drawing any needed owned buffer from `scratch`.
-    pub(crate) fn hits_with(&self, tid: TermId, scratch: &mut PlanScratch) -> Hits<'_> {
-        self.hits_into(tid, || scratch.take_hits())
-    }
-
-    fn hits_into(&self, tid: TermId, buf: impl FnOnce() -> Vec<u32>) -> Hits<'_> {
+    /// in order), its buffer drawn from `scratch`.
+    pub(crate) fn hits(&self, tid: TermId, scratch: &mut PlanScratch) -> Hits<'_> {
         // The sealed run: empty when absent — including the
         // [`TermId::NONE`] probe of an uninterned term, which sorts above
         // every real key.
@@ -449,7 +437,7 @@ impl PostingCsr {
         if self.pending.is_empty() || !self.pending.iter().any(|&(t, _)| t == tid) {
             return Hits::Run(run);
         }
-        let mut out = buf();
+        let mut out = scratch.take_hits();
         out.extend_from_slice(run);
         out.extend(
             self.pending
@@ -570,13 +558,6 @@ impl PlanScratch {
 /// can capture and restore it field-for-field.)
 #[derive(Debug, Clone)]
 pub(crate) struct PredEntry {
-    /// Row-oracle view: the original `Literal` of every fact, in assertion
-    /// order. Maintained only while *complete* — a snapshot restore leaves
-    /// it empty (and late asserts then stop appending, so indices never
-    /// skew); everyone resolving rows goes through [`PredEntry::row`],
-    /// which falls back to a columnar rebuild.
-    #[cfg(feature = "row-oracle")]
-    pub(crate) rows: Vec<Literal>,
     /// Number of facts (stripes are per-position, so an arity-0 relation
     /// has no cell to count).
     pub(crate) len: u32,
@@ -603,8 +584,6 @@ impl PredEntry {
     pub(crate) fn new(arity: usize) -> Self {
         let indexed = arity.min(MAX_INDEXED_ARGS);
         PredEntry {
-            #[cfg(feature = "row-oracle")]
-            rows: Vec::new(),
             len: 0,
             cols: ColumnStripes::new(arity),
             irregular: Vec::new(),
@@ -645,46 +624,6 @@ impl PredEntry {
             })
             .collect();
         Literal::new(pred, args)
-    }
-
-    /// The row literal of fact `idx`: borrowed from the resident row store
-    /// when it is complete (`row-oracle` builds, assert-built KBs), from
-    /// the irregular list when the fact is non-ground, rebuilt from the
-    /// columns otherwise.
-    fn row<'a>(&'a self, pred: SymbolId, arena: &'a TermArena, idx: u32) -> Cow<'a, Literal> {
-        #[cfg(feature = "row-oracle")]
-        if self.rows.len() == self.len as usize {
-            return Cow::Borrowed(&self.rows[idx as usize]);
-        }
-        if let Some(l) = self.irregular_row(idx) {
-            return Cow::Borrowed(l);
-        }
-        Cow::Owned(self.rebuild_row(pred, arena, idx))
-    }
-
-    /// Appends `fact` to the resident row store, but only while that store
-    /// is complete (a snapshot restore starts it empty; appending at wrong
-    /// offsets would corrupt the oracle view).
-    #[cfg(feature = "row-oracle")]
-    fn store_row(&mut self, fact: Literal) {
-        if self.rows.len() == self.len as usize {
-            self.rows.push(fact);
-        }
-    }
-
-    #[cfg(not(feature = "row-oracle"))]
-    fn store_row(&mut self, _fact: Literal) {}
-
-    /// Resident row-store literals (0 unless `row-oracle` kept them).
-    fn resident_rows(&self) -> usize {
-        #[cfg(feature = "row-oracle")]
-        {
-            self.rows.len()
-        }
-        #[cfg(not(feature = "row-oracle"))]
-        {
-            0
-        }
     }
 }
 
@@ -792,9 +731,8 @@ impl KnowledgeBase {
         }
         entry.cols.push_row(&tids);
         if !regular {
-            entry.irregular.push((idx, fact.clone()));
+            entry.irregular.push((idx, fact));
         }
-        entry.store_row(fact);
         entry.len += 1;
         self.num_facts += 1;
     }
@@ -907,7 +845,6 @@ impl KnowledgeBase {
     #[inline]
     pub fn fact_cols(&self, id: PredId) -> FactCols<'_> {
         FactCols {
-            pred: self.keys[id.index()].pred,
             entry: &self.entries[id.index()],
             arena: &self.arena,
         }
@@ -942,8 +879,8 @@ impl KnowledgeBase {
         }
         // The reference candidate sequence R: first-arg posting hits then
         // first-arg-unindexable facts when the first argument is bound to a
-        // ground term, every fact otherwise. (Mirrors `candidate_facts`
-        // exactly — R *is* the step-accounting contract.) A ground-but-
+        // ground term, every fact otherwise (the module docs define it; R
+        // *is* the step-accounting contract). A ground-but-
         // uninterned probe keys [`TermId::NONE`], which matches no posting
         // key: empty hits, exactly as the retired hashmap lookup missed.
         let first_segments = if !entry.postings.is_empty() && probes[0].is_ground() {
@@ -954,7 +891,7 @@ impl KnowledgeBase {
             let posting = entry.postings[0]
                 .as_ref()
                 .expect("invariant: position-0 posting list is never pruned");
-            let hits = posting.hits_with(probes[0].tid(), scratch);
+            let hits = posting.hits(probes[0].tid(), scratch);
             // Reference-probe selectivity (position 0 only: that probe
             // defines R). One relaxed load when sampling is off.
             if hits.is_empty() {
@@ -989,7 +926,7 @@ impl KnowledgeBase {
                     continue;
                 }
                 let tid = probes[p].tid();
-                let hits = posting.hits_with(tid, scratch);
+                let hits = posting.hits(tid, scratch);
                 let un = entry.unindexed[p].as_slice();
                 let size = (hits.len() + un.len()) as u64;
                 if best.as_ref().is_none_or(|b| size < b.size) {
@@ -1142,8 +1079,6 @@ impl KnowledgeBase {
     pub fn optimize(&mut self) {
         self.arena.shrink_to_fit();
         for entry in &mut self.entries {
-            #[cfg(feature = "row-oracle")]
-            entry.rows.shrink_to_fit();
             entry.irregular.shrink_to_fit();
             entry.cols.shrink_to_fit();
             for posting in entry.postings.iter_mut().flatten() {
@@ -1152,55 +1087,6 @@ impl KnowledgeBase {
             for un in &mut entry.unindexed {
                 un.shrink_to_fit();
             }
-        }
-    }
-
-    /// Facts possibly matching `goal` under first-argument indexing only —
-    /// the seed enumeration order, shared by the differential oracle
-    /// ([`crate::prover::reference`]) and the step-accounting contract. The
-    /// optimized prover uses [`KnowledgeBase::fact_plan`] instead.
-    ///
-    /// Yields row literals: borrowed from the resident row store when the
-    /// `row-oracle` feature keeps it (so the oracle unifies against the
-    /// original literals, exactly as the seed did), rebuilt lazily from the
-    /// columns otherwise.
-    ///
-    /// `first_arg` must already be dereferenced by the caller's bindings.
-    /// Any *ground* first argument probes the posting list — ground
-    /// compound terms included, since the arena interns them (ROADMAP
-    /// "Compound probes"); only a variable or a compound still containing
-    /// variables falls back to the scan.
-    pub fn candidate_facts(&self, key: PredKey, first_arg: Option<&Term>) -> FactIter<'_> {
-        let Some(&pid) = self.pred_index.get(&key) else {
-            return FactIter::empty();
-        };
-        let entry = &self.entries[pid.index()];
-        let rows = FactCols {
-            pred: key.pred,
-            entry,
-            arena: &self.arena,
-        };
-        match first_arg {
-            Some(t) if t.is_ground() && !entry.postings.is_empty() => {
-                // Invariant: position 0 is never pruned (see `fact_plan`).
-                let posting = entry.postings[0]
-                    .as_ref()
-                    .expect("invariant: position-0 posting list is never pruned");
-                let indexed = posting.hits(self.arena.lookup(t).unwrap_or(TermId::NONE));
-                FactIter {
-                    rows: Some(rows),
-                    order: Order::Indexed {
-                        indexed,
-                        unindexed: &entry.unindexed[0],
-                    },
-                    pos: 0,
-                }
-            }
-            _ => FactIter {
-                rows: Some(rows),
-                order: Order::All { n: entry.len },
-                pos: 0,
-            },
         }
     }
 
@@ -1221,16 +1107,8 @@ impl KnowledgeBase {
         };
         let entry = &self.entries[id.index()];
         (0..entry.len)
-            .map(|f| entry.row(key.pred, &self.arena, f).into_owned())
+            .map(|f| entry.rebuild_row(key.pred, &self.arena, f))
             .collect()
-    }
-
-    /// The row literal of one fact (`Display`/debug path).
-    pub fn fact_literal(&self, id: PredId, idx: u32) -> Literal {
-        let entry = &self.entries[id.index()];
-        entry
-            .row(self.keys[id.index()].pred, &self.arena, idx)
-            .into_owned()
     }
 
     /// Total number of stored facts.
@@ -1243,15 +1121,8 @@ impl KnowledgeBase {
         self.num_rules
     }
 
-    /// How many row `Literal`s are resident in memory: non-zero only under
-    /// the `row-oracle` feature, and only for assert-built KBs — a KB
-    /// restored from a snapshot materializes no rows in any build.
-    pub fn resident_rows(&self) -> usize {
-        self.entries.iter().map(PredEntry::resident_rows).sum()
-    }
-
     /// Approximate heap bytes of the *resident* fact store: columns,
-    /// irregular rows, (under `row-oracle`) the row store, and the arena
+    /// irregular rows, and the arena
     /// terms that exist *only* to back column cells past the indexable
     /// prefix — storage the retired row+column layout never paid, since its
     /// arena interned just the first [`MAX_INDEXED_ARGS`] positions.
@@ -1267,10 +1138,6 @@ impl KnowledgeBase {
                 + entry.cols.arity() * entry.cols.len() as usize * std::mem::size_of::<TermId>();
             for (_, lit) in &entry.irregular {
                 bytes += std::mem::size_of::<(u32, Literal)>() + literal_heap_bytes(lit);
-            }
-            #[cfg(feature = "row-oracle")]
-            for lit in &entry.rows {
-                bytes += std::mem::size_of::<Literal>() + literal_heap_bytes(lit);
             }
         }
         bytes
@@ -1551,7 +1418,6 @@ pub enum FactPlan<'a> {
 /// Column-native view of one predicate's facts — the unification target
 /// handed to the prover once a [`FactPlan`] selected candidate rows.
 pub struct FactCols<'a> {
-    pred: SymbolId,
     entry: &'a PredEntry,
     arena: &'a TermArena,
 }
@@ -1620,102 +1486,51 @@ impl<'a> FactCols<'a> {
     pub fn irregular_row(&self, row: u32) -> Option<&'a Literal> {
         self.entry.irregular_row(row)
     }
-
-    /// Rebuilds fact `row`'s literal (debug/Display, not the hot path).
-    pub fn row_literal(&self, row: u32) -> Literal {
-        self.row(row).into_owned()
-    }
-
-    /// Fact `row`'s literal as [`PredEntry::row`] serves it: borrowed from
-    /// the resident `row-oracle` store or the irregular list when
-    /// possible, rebuilt otherwise.
-    fn row(&self, row: u32) -> Cow<'a, Literal> {
-        self.entry.row(self.pred, self.arena, row)
-    }
-}
-
-/// Enumeration order of a [`FactIter`].
-enum Order<'a> {
-    /// All facts, `0..n`.
-    All { n: u32 },
-    /// Index hits followed by facts the index could not cover.
-    Indexed {
-        indexed: Hits<'a>,
-        unindexed: &'a [u32],
-    },
-}
-
-/// Iterator over candidate facts returned by
-/// [`KnowledgeBase::candidate_facts`]. Yields row literals — borrowed from
-/// the resident `row-oracle` store when present, rebuilt from the columns
-/// otherwise (see the module docs).
-pub struct FactIter<'a> {
-    rows: Option<FactCols<'a>>,
-    order: Order<'a>,
-    pos: usize,
-}
-
-impl FactIter<'_> {
-    fn empty() -> Self {
-        FactIter {
-            rows: None,
-            order: Order::All { n: 0 },
-            pos: 0,
-        }
-    }
-}
-
-impl<'a> Iterator for FactIter<'a> {
-    type Item = Cow<'a, Literal>;
-
-    fn next(&mut self) -> Option<Cow<'a, Literal>> {
-        let rows = self.rows.as_ref()?;
-        let idx = match &self.order {
-            Order::All { n } => {
-                if self.pos >= *n as usize {
-                    return None;
-                }
-                self.pos as u32
-            }
-            Order::Indexed { indexed, unindexed } => {
-                if self.pos < indexed.len() {
-                    indexed[self.pos]
-                } else {
-                    *unindexed.get(self.pos - indexed.len())?
-                }
-            }
-        };
-        self.pos += 1;
-        Some(rows.row(idx))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{PlainProgram, Subst};
 
     fn lit(t: &SymbolTable, name: &str, args: Vec<Term>) -> Literal {
         Literal::new(t.intern(name), args)
     }
 
+    /// The size of R for a `name` goal with `bound` ground arguments (free
+    /// variables elsewhere), as the plan reports it; asserted equal to the
+    /// oracle's walk over the rows `kb` was built from.
+    fn r_len(prog: &PlainProgram, kb: &KnowledgeBase, name: &str, bound: &[Option<Term>]) -> u64 {
+        let args = (0..bound.len()).map(|p| bound[p].clone().unwrap_or(Term::Var(p as u32)));
+        let goal = lit(kb.symbols(), name, args.collect());
+        let (_, total) = kb.plan_candidates(goal.key(), bound);
+        let walk = prog.reference_walk(&goal, &Subst::new());
+        assert_eq!(
+            total,
+            walk.len() as u64,
+            "plan and oracle disagree on R for {goal:?}"
+        );
+        total
+    }
+
     #[test]
     fn indexed_lookup_narrows_candidates() {
         let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
+        let mut prog = PlainProgram::new(&t);
         let m1 = Term::Sym(t.intern("m1"));
         let m2 = Term::Sym(t.intern("m2"));
         for i in 0..5 {
-            kb.assert_fact(lit(&t, "atm", vec![m1.clone(), Term::Int(i)]));
+            prog.fact(lit(&t, "atm", vec![m1.clone(), Term::Int(i)]));
         }
-        kb.assert_fact(lit(&t, "atm", vec![m2.clone(), Term::Int(9)]));
+        prog.fact(lit(&t, "atm", vec![m2.clone(), Term::Int(9)]));
+        let kb = prog.to_kb();
 
-        let key = lit(&t, "atm", vec![m1.clone(), Term::Int(0)]).key();
-        assert_eq!(kb.candidate_facts(key, Some(&m1)).count(), 5);
-        assert_eq!(kb.candidate_facts(key, Some(&m2)).count(), 1);
-        assert_eq!(kb.candidate_facts(key, None).count(), 6);
+        assert_eq!(r_len(&prog, &kb, "atm", &[Some(m1), None]), 5);
+        assert_eq!(r_len(&prog, &kb, "atm", &[Some(m2), None]), 1);
+        assert_eq!(r_len(&prog, &kb, "atm", &[None, None]), 6);
         // A constant with no index entry yields nothing.
         let m3 = Term::Sym(t.intern("m3"));
-        assert_eq!(kb.candidate_facts(key, Some(&m3)).count(), 0);
+        assert_eq!(r_len(&prog, &kb, "atm", &[Some(m3), None]), 0);
     }
 
     #[test]
@@ -1954,15 +1769,16 @@ mod tests {
     #[test]
     fn ground_compound_arguments_probe_instead_of_scanning() {
         let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
+        let mut prog = PlainProgram::new(&t);
         let q = t.intern("q");
         for i in 0..100i64 {
-            kb.assert_fact(lit(
+            prog.fact(lit(
                 &t,
                 "charge",
                 vec![Term::app(q, vec![Term::Int(i % 10)]), Term::Int(i)],
             ));
         }
+        let kb = prog.to_kb();
         let key = lit(&t, "charge", vec![Term::Int(0); 2]).key();
         let probe = Term::app(q, vec![Term::Int(3)]);
 
@@ -1971,10 +1787,10 @@ mod tests {
         let (tried, total) = kb.plan_candidates(key, &[Some(probe.clone()), None]);
         assert_eq!(total, 10, "compound probe must narrow the reference set");
         assert_eq!(tried.len(), 10);
-        assert_eq!(kb.candidate_facts(key, Some(&probe)).count(), 10);
+        assert_eq!(r_len(&prog, &kb, "charge", &[Some(probe), None]), 10);
         // An uninterned compound yields nothing (no fact can equal it).
         let absent = Term::app(q, vec![Term::Int(77)]);
-        assert_eq!(kb.candidate_facts(key, Some(&absent)).count(), 0);
+        assert_eq!(r_len(&prog, &kb, "charge", &[Some(absent), None]), 0);
         // A compound still containing a variable cannot probe: full scan.
         let open = Term::app(q, vec![Term::Var(0)]);
         let (tried, total) = kb.plan_candidates(key, &[Some(open), None]);
@@ -2017,7 +1833,7 @@ mod tests {
     #[test]
     fn rebuilt_rows_match_asserted_literals() {
         let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
+        let mut prog = PlainProgram::new(&t);
         let wide: Vec<Literal> = (0..10i64)
             .map(|i| {
                 lit(
@@ -2035,31 +1851,22 @@ mod tests {
             })
             .collect();
         for f in &wide {
-            kb.assert_fact(f.clone());
+            prog.fact(f.clone());
         }
         // One irregular fact (non-ground second argument).
         let odd = lit(&t, "odd", vec![Term::Int(1), Term::Var(3)]);
-        kb.assert_fact(odd.clone());
+        prog.fact(odd.clone());
+        let kb = prog.to_kb();
 
         let key = wide[0].key();
         assert_eq!(kb.facts_for(key), wide);
-        let pid = kb.pred_id(key).expect("entry exists");
-        for (i, f) in wide.iter().enumerate() {
-            assert_eq!(&kb.fact_literal(pid, i as u32), f);
-        }
+        assert_eq!(kb.facts_for(key), prog.facts(key));
         assert_eq!(kb.facts_for(odd.key()), vec![odd]);
-        // The oracle iterator serves the same rows.
-        let seen: Vec<Literal> = kb
-            .candidate_facts(key, None)
-            .map(|c| c.into_owned())
-            .collect();
-        assert_eq!(seen, wide);
     }
 
     /// The column-native store must beat the retired row+column layout on
     /// bytes (the `fact_memory` benchmark gates the real datasets; this
-    /// pins the accounting itself). Resident `row-oracle` rows are test-
-    /// only weight, so compare against the baseline without them.
+    /// pins the accounting itself).
     #[test]
     fn column_store_is_smaller_than_row_baseline() {
         let t = SymbolTable::new();
@@ -2078,17 +1885,7 @@ mod tests {
                 ));
             }
         }
-        let resident_row_bytes: usize = kb
-            .predicates()
-            .flat_map(|k| kb.facts_for(k))
-            .map(|l| std::mem::size_of::<Literal>() + l.args.len() * std::mem::size_of::<Term>())
-            .sum();
-        let column_only = kb.fact_store_bytes()
-            - if cfg!(feature = "row-oracle") {
-                resident_row_bytes
-            } else {
-                0
-            };
+        let column_only = kb.fact_store_bytes();
         let baseline = kb.row_baseline_bytes();
         assert!(
             baseline as f64 >= 1.8 * column_only as f64,
@@ -2148,7 +1945,7 @@ mod tests {
                 let around = model.keys().flat_map(|&k| [k.saturating_sub(1), k, k + 1]);
                 for probe in around.chain([0, u32::MAX - 1, u32::MAX]) {
                     let plain = model.get(&probe).map_or(&[][..], |run| run);
-                    proptest::prop_assert_eq!(&*csr.hits(TermId(probe)), plain, "probe {}", probe);
+                    proptest::prop_assert_eq!(&*csr.hits(TermId(probe), &mut PlanScratch::new()), plain, "probe {}", probe);
                 }
                 Ok(())
             };

@@ -61,3 +61,12 @@ pub use subst::Bindings;
 pub use symbol::{SymbolId, SymbolTable};
 pub use term::{Term, VarId, F64};
 pub use theta::{subsumes, variants};
+
+// The reference prover of `tests/oracle`, which the unit tests of `kb.rs`
+// and `prover.rs` hold the product to; it names the crate the way an outside
+// caller does.
+#[cfg(test)]
+extern crate self as p2mdie_logic;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

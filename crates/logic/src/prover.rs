@@ -44,15 +44,25 @@
 //! argument) is unified literal-at-a-time.
 //!
 //! The plan may pick a *more selective* bound argument position than the
-//! first (hash-join choice). The inference-step fuel stays bit-identical to
-//! the seed semantics: candidates the narrower index skips are exactly
-//! those that provably fail unification on the chosen position, so the
-//! prover *bulk-charges* their steps by rank without touching them.
-//! `(proved, steps, depth_cuts, aborted)` — and solution order — are pinned
-//! equal to [`mod@reference`], the seed implementation preserved verbatim
-//! for differential testing and benchmarking.
-
-pub mod reference;
+//! first (hash-join choice). The inference-step fuel stays what the
+//! reference walk R of the [`crate::kb`] docs defines: candidates the
+//! narrower index skips are exactly those that provably fail unification on
+//! the chosen position, so the prover *bulk-charges* their steps by rank
+//! without touching them.
+//!
+//! # The contract the tests hold
+//!
+//! One step per builtin call, per candidate of R, and per rule head tried; a
+//! rule expansion past `max_depth` is not tried and counts one depth cut;
+//! the step that crosses `max_steps` aborts the proof with `steps ==
+//! max_steps + 1`. A fact's own variables are not renamed apart: an
+//! irregular row unifies as stored. `(proved, steps, depth_cuts, aborted)`
+//! and the order of solutions are pinned equal to the reference prover of
+//! `tests/oracle/mod.rs` — a naive clone-per-expansion prover over the
+//! asserted rows, written from this contract — by the differential tests
+//! (`tests/compiled_kb_props.rs`, `tests/snapshot_props.rs`,
+//! `tests/prover_regression.rs`, and the root crate's
+//! `tests/oracle_real_kbs.rs` on the benchmark's datasets).
 
 use crate::arena::Probe;
 use crate::builtins::solve_builtin_off;
@@ -855,10 +865,10 @@ mod tests {
     #[test]
     fn narrowed_plans_stay_bit_identical_to_reference() {
         let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
+        let mut prog = crate::oracle::PlainProgram::new(&t);
         for m in 0..20i64 {
             for a in 0..12i64 {
-                kb.assert_fact(lit(
+                prog.fact(lit(
                     &t,
                     "bond",
                     vec![
@@ -870,6 +880,7 @@ mod tests {
                 ));
             }
         }
+        let kb = prog.to_kb();
         let goals = [
             // Second arg bound, first unbound: reference scans all facts.
             lit(
@@ -896,7 +907,7 @@ mod tests {
                 max_steps,
             };
             let new = Prover::new(&kb, limits);
-            let old = reference::Prover::new(&kb, limits);
+            let old = prog.prover(limits);
             for g in &goals {
                 let a = new.prove_ground(g);
                 let b = old.prove_ground(g);

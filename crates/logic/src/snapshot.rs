@@ -40,12 +40,10 @@
 //! the cluster crate's `net::PROTOCOL_VERSION` was bumped to 4 with the change
 //! (the wire encoding is not cross-version compatible).
 //!
-//! Since the in-memory store became column-native, a restore materializes
-//! **no** row literals at all — the loaded KB holds exactly the snapshot's
-//! columns plus the irregular side rows
-//! ([`KnowledgeBase::resident_rows`] reports 0 even under the
-//! `row-oracle` feature), and the prover unifies straight against the
-//! column cells.
+//! A restore materializes **no** row literals — the loaded KB holds exactly
+//! the snapshot's columns plus the irregular side rows, as the KB it was
+//! taken from does — and the prover unifies straight against the column
+//! cells.
 //!
 //! [`KnowledgeBase::from_snapshot`] validates the snapshot *structurally* —
 //! every id in range, every per-position vector shaped consistently with
@@ -486,10 +484,6 @@ impl KnowledgeBase {
             num_facts += nfacts;
             num_rules += rules.len();
             entries.push(PredEntry {
-                // Deliberately empty even under `row-oracle`: a restore
-                // materializes no rows (the oracle view rebuilds lazily).
-                #[cfg(feature = "row-oracle")]
-                rows: Vec::new(),
                 len: p.num_facts,
                 cols: ColumnStripes::from_compact(arity, p.num_facts, p.cols),
                 irregular,

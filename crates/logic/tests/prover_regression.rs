@@ -1,12 +1,14 @@
 //! Differential regression: the zero-allocation goal-stack prover must
-//! report exactly the seed semantics — same `proved`, same `steps`, same
-//! `depth_cuts`, same `aborted` — as the pre-refactor clone-per-expansion
-//! implementation kept in `prover::reference`, across recursion, builtins,
-//! compounds, tight step budgets, and tight depth bounds.
+//! report exactly what the clone-per-expansion oracle of `oracle/` reports
+//! — same `proved`, same `steps`, same `depth_cuts`, same `aborted` —
+//! across recursion, builtins, compounds, tight step budgets, and tight
+//! depth bounds.
 
+mod oracle;
+
+use oracle::{PlainProgram, Subst};
 use p2mdie_logic::clause::{Clause, Literal};
-use p2mdie_logic::kb::KnowledgeBase;
-use p2mdie_logic::prover::{reference, ProofLimits, Prover};
+use p2mdie_logic::prover::{ProofLimits, Prover};
 use p2mdie_logic::subst::Bindings;
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::term::Term;
@@ -16,11 +18,11 @@ fn lit(t: &SymbolTable, name: &str, args: Vec<Term>) -> Literal {
 }
 
 /// Family chain with the classic two-clause `ancestor/2` recursion.
-fn family_kb(n: usize) -> (SymbolTable, KnowledgeBase) {
+fn family_kb(n: usize) -> (SymbolTable, PlainProgram) {
     let t = SymbolTable::new();
-    let mut kb = KnowledgeBase::new(t.clone());
+    let mut prog = PlainProgram::new(&t);
     for i in 0..n {
-        kb.assert_fact(lit(
+        prog.fact(lit(
             &t,
             "parent",
             vec![
@@ -29,41 +31,41 @@ fn family_kb(n: usize) -> (SymbolTable, KnowledgeBase) {
             ],
         ));
     }
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "ancestor", vec![Term::Var(0), Term::Var(1)]),
         vec![lit(&t, "parent", vec![Term::Var(0), Term::Var(1)])],
     ));
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "ancestor", vec![Term::Var(0), Term::Var(2)]),
         vec![
             lit(&t, "parent", vec![Term::Var(0), Term::Var(1)]),
             lit(&t, "ancestor", vec![Term::Var(1), Term::Var(2)]),
         ],
     ));
-    (t, kb)
+    (t, prog)
 }
 
 /// Trains-style KB: cars with attributes, rules mixing facts, compounds and
 /// arithmetic builtins.
-fn trains_kb() -> (SymbolTable, KnowledgeBase) {
+fn trains_kb() -> (SymbolTable, PlainProgram) {
     let t = SymbolTable::new();
-    let mut kb = KnowledgeBase::new(t.clone());
+    let mut prog = PlainProgram::new(&t);
     let cfg = t.intern("cfg");
     for tr in 0..12i64 {
         let train = Term::Sym(t.intern(&format!("t{tr}")));
         for c in 0..(2 + tr % 3) {
             let car = Term::Sym(t.intern(&format!("t{tr}c{c}")));
-            kb.assert_fact(lit(&t, "has_car", vec![train.clone(), car.clone()]));
-            kb.assert_fact(lit(
+            prog.fact(lit(&t, "has_car", vec![train.clone(), car.clone()]));
+            prog.fact(lit(
                 &t,
                 "wheels",
                 vec![car.clone(), Term::Int(2 + (tr + c) % 3)],
             ));
             if (tr + c) % 2 == 0 {
-                kb.assert_fact(lit(&t, "closed", vec![car.clone()]));
+                prog.fact(lit(&t, "closed", vec![car.clone()]));
             }
             // A compound-valued attribute to exercise App unification.
-            kb.assert_fact(lit(
+            prog.fact(lit(
                 &t,
                 "shape",
                 vec![
@@ -74,7 +76,7 @@ fn trains_kb() -> (SymbolTable, KnowledgeBase) {
         }
     }
     // heavy(T) :- has_car(T, C), wheels(C, W), W >= 3.
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "heavy", vec![Term::Var(0)]),
         vec![
             lit(&t, "has_car", vec![Term::Var(0), Term::Var(1)]),
@@ -83,7 +85,7 @@ fn trains_kb() -> (SymbolTable, KnowledgeBase) {
         ],
     ));
     // boxy(T) :- has_car(T, C), closed(C), shape(C, cfg(S, 0)).
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "boxy", vec![Term::Var(0)]),
         vec![
             lit(&t, "has_car", vec![Term::Var(0), Term::Var(1)]),
@@ -99,26 +101,26 @@ fn trains_kb() -> (SymbolTable, KnowledgeBase) {
         ],
     ));
     // good(T) :- heavy(T), boxy(T).   (rule-over-rule nesting)
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "good", vec![Term::Var(0)]),
         vec![
             lit(&t, "heavy", vec![Term::Var(0)]),
             lit(&t, "boxy", vec![Term::Var(0)]),
         ],
     ));
-    (t, kb)
+    (t, prog)
 }
 
-fn assert_agree(kb: &KnowledgeBase, limits: ProofLimits, goal: &Literal) {
-    let new = Prover::new(kb, limits).prove_ground(goal);
-    let old = reference::Prover::new(kb, limits).prove_ground(goal);
+fn assert_agree(prog: &PlainProgram, limits: ProofLimits, goal: &Literal) {
+    let new = Prover::new(&prog.to_kb(), limits).prove_ground(goal);
+    let old = prog.prover(limits).prove_ground(goal);
     assert_eq!(new.0, old.0, "proved mismatch on {goal:?} under {limits:?}");
     assert_eq!(new.1, old.1, "stats mismatch on {goal:?} under {limits:?}");
 }
 
 #[test]
 fn family_chain_agrees_across_limits() {
-    let (t, kb) = family_kb(30);
+    let (t, prog) = family_kb(30);
     let c = |n: &str| Term::Sym(t.intern(n));
     let queries = [
         lit(&t, "parent", vec![c("p0"), c("p1")]),
@@ -153,14 +155,14 @@ fn family_chain_agrees_across_limits() {
     ];
     for limits in limit_grid {
         for q in &queries {
-            assert_agree(&kb, limits, q);
+            assert_agree(&prog, limits, q);
         }
     }
 }
 
 #[test]
 fn trains_kb_agrees_on_every_train() {
-    let (t, kb) = trains_kb();
+    let (t, prog) = trains_kb();
     for tr in 0..12 {
         let train = Term::Sym(t.intern(&format!("t{tr}")));
         for pred in ["heavy", "boxy", "good"] {
@@ -175,7 +177,7 @@ fn trains_kb_agrees_on_every_train() {
                     max_steps: 25,
                 },
             ] {
-                assert_agree(&kb, limits, &lit(&t, pred, vec![train.clone()]));
+                assert_agree(&prog, limits, &lit(&t, pred, vec![train.clone()]));
             }
         }
     }
@@ -184,18 +186,18 @@ fn trains_kb_agrees_on_every_train() {
 /// Enumerates `goals` to exhaustion on both provers: the solution streams
 /// (content and order) and the stats must match. Returns the solutions.
 fn assert_streams_agree(
-    kb: &KnowledgeBase,
+    prog: &PlainProgram,
     limits: ProofLimits,
     goals: &[Literal],
 ) -> Vec<Literal> {
     let mut new_sols = Vec::new();
-    let new_stats = Prover::new(kb, limits).run(goals, Bindings::new(), &mut |b| {
+    let new_stats = Prover::new(&prog.to_kb(), limits).run(goals, Bindings::new(), &mut |b| {
         new_sols.extend(goals.iter().map(|g| b.resolve_literal(g)));
         true
     });
     let mut old_sols = Vec::new();
-    let old_stats = reference::Prover::new(kb, limits).run(goals, Bindings::new(), &mut |b| {
-        old_sols.extend(goals.iter().map(|g| b.resolve_literal(g)));
+    let old_stats = prog.prover(limits).run(goals, Subst::new(), &mut |s| {
+        old_sols.extend(goals.iter().map(|g| s.resolve_literal(g)));
         true
     });
     assert_eq!(
@@ -211,9 +213,9 @@ fn assert_streams_agree(
 
 #[test]
 fn open_queries_enumerate_identically() {
-    let (t, kb) = trains_kb();
+    let (t, prog) = trains_kb();
     let goal = lit(&t, "heavy", vec![Term::Var(0)]);
-    let sols = assert_streams_agree(&kb, ProofLimits::default(), &[goal]);
+    let sols = assert_streams_agree(&prog, ProofLimits::default(), &[goal]);
     assert!(!sols.is_empty());
 }
 
@@ -225,16 +227,16 @@ fn open_queries_enumerate_identically() {
 #[test]
 fn arity_zero_facts_agree() {
     let t = SymbolTable::new();
-    let mut kb = KnowledgeBase::new(t.clone());
+    let mut prog = PlainProgram::new(&t);
     for _ in 0..5 {
-        kb.assert_fact(lit(&t, "plain", vec![]));
+        prog.fact(lit(&t, "plain", vec![]));
     }
     for i in 0..3 {
-        kb.assert_fact(lit(&t, "val", vec![Term::Int(i)]));
-        kb.assert_fact(lit(&t, "backed", vec![]));
+        prog.fact(lit(&t, "val", vec![Term::Int(i)]));
+        prog.fact(lit(&t, "backed", vec![]));
     }
     // backed :- val(X), plain.   (behind three `backed.` facts)
-    kb.assert_rule(Clause::new(
+    prog.rule(Clause::new(
         lit(&t, "backed", vec![]),
         vec![lit(&t, "val", vec![Term::Var(0)]), lit(&t, "plain", vec![])],
     ));
@@ -250,12 +252,12 @@ fn arity_zero_facts_agree() {
     ];
     let unbounded = ProofLimits::default();
     assert_eq!(
-        assert_streams_agree(&kb, unbounded, &conjunctions[0]).len(),
+        assert_streams_agree(&prog, unbounded, &conjunctions[0]).len(),
         5,
         "one solution per asserted copy"
     );
     assert_eq!(
-        assert_streams_agree(&kb, unbounded, &conjunctions[1]).len(),
+        assert_streams_agree(&prog, unbounded, &conjunctions[1]).len(),
         3 + 3 * 5,
         "facts first, then the rule's solutions"
     );
@@ -266,15 +268,15 @@ fn arity_zero_facts_agree() {
                 max_depth: 4,
                 max_steps,
             };
-            assert_streams_agree(&kb, limits, goals);
-            assert_agree(&kb, limits, &goals[0]);
+            assert_streams_agree(&prog, limits, goals);
+            assert_agree(&prog, limits, &goals[0]);
         }
     }
 }
 
 #[test]
 fn prebound_coverage_path_agrees() {
-    let (t, kb) = trains_kb();
+    let (t, prog) = trains_kb();
     let limits = ProofLimits::default();
     // Simulate coverage: V0 prebound to each train, prove the `good` body.
     let body = vec![
@@ -284,10 +286,10 @@ fn prebound_coverage_path_agrees() {
     for tr in 0..12 {
         let mut b1 = Bindings::new();
         b1.bind(0, Term::Sym(t.intern(&format!("t{tr}"))));
-        let mut b2 = Bindings::new();
+        let mut b2 = Subst::new();
         b2.bind(0, Term::Sym(t.intern(&format!("t{tr}"))));
-        let new = Prover::new(&kb, limits).prove_with_bindings(&body, b1);
-        let old = reference::Prover::new(&kb, limits).prove_with_bindings(&body, b2);
+        let new = Prover::new(&prog.to_kb(), limits).prove_with_bindings(&body, b1);
+        let old = prog.prover(limits).prove(&body, b2);
         assert_eq!(new, old, "train t{tr}");
     }
 }

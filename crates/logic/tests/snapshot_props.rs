@@ -1,133 +1,27 @@
 //! Property tests pinning snapshot-loaded knowledge bases to freshly built
 //! ones:
 //!
-//! 1. **Differential proving** — on randomized programs (multi-argument
-//!    facts with compound arguments, recursive rules, builtins) and
+//! 1. **Differential proving** — on the random worlds of `worlds/` and
 //!    randomized queries/limits, a KB restored from
-//!    `to_snapshot()`/`from_snapshot()` reports exactly the original's
-//!    `(proved, steps, depth_cuts, aborted)` and the same solution list in
-//!    the same order — whether restored into a fresh symbol table or into
-//!    the shared one.
+//!    `to_snapshot()`/`from_snapshot()` reports exactly what the freshly
+//!    built KB and the oracle report, `(proved, steps, depth_cuts,
+//!    aborted)` and the same solution list in the same order — whether
+//!    restored into a fresh symbol table or into the shared one.
 //! 2. **Index plans survive the round trip** — the restored KB's retrieval
 //!    plans (tried set and reference candidate count) match the original's
 //!    for every bound pattern, i.e. posting lists and columns really were
 //!    adopted, not rebuilt differently.
 
-use p2mdie_logic::clause::{Clause, Literal};
+mod oracle;
+mod worlds;
+
+use p2mdie_logic::clause::Literal;
 use p2mdie_logic::kb::KnowledgeBase;
-use p2mdie_logic::prover::{reference, ProofLimits, Prover};
+use p2mdie_logic::prover::{ProofLimits, Prover};
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::term::Term;
 use proptest::prelude::*;
-
-const ELEMS: [&str; 3] = ["c", "n", "o"];
-
-/// Molecule-flavored KB from raw byte seeds (same shape as the compiled-KB
-/// differential suite, compound atoms included). With `seal: false` the KB
-/// is snapshotted mid-bulk-load — CSR posting lists still carrying a
-/// pending tail — which `to_snapshot` must merge into sealed runs.
-fn build_kb(
-    bonds: &[(u8, u8, u8, u8)],
-    atms: &[(u8, u8, u8)],
-    vals: &[i64],
-    seal: bool,
-) -> (SymbolTable, KnowledgeBase) {
-    let t = SymbolTable::new();
-    let mut kb = KnowledgeBase::new(t.clone());
-    let mol = |m: u8| Term::Sym(t.intern(&format!("m{}", m % 6)));
-    let atom = |a: u8| {
-        if a % 5 == 4 {
-            Term::app(t.intern("at"), vec![Term::Int((a % 25) as i64)])
-        } else {
-            Term::Sym(t.intern(&format!("a{}", a % 25)))
-        }
-    };
-    for &(m, a, b, ty) in bonds {
-        kb.assert_fact(Literal::new(
-            t.intern("bond"),
-            vec![mol(m), atom(a), atom(b), Term::Int((ty % 4) as i64)],
-        ));
-    }
-    for &(m, a, e) in atms {
-        kb.assert_fact(Literal::new(
-            t.intern("atm"),
-            vec![
-                mol(m),
-                atom(a),
-                Term::Sym(t.intern(ELEMS[(e % 3) as usize])),
-            ],
-        ));
-    }
-    for &v in vals {
-        kb.assert_fact(Literal::new(t.intern("val"), vec![Term::Int(v % 20)]));
-    }
-    let lit = |name: &str, args: Vec<Term>| Literal::new(t.intern(name), args);
-    kb.assert_rule(Clause::new(
-        lit("path", vec![Term::Var(0), Term::Var(1), Term::Var(2)]),
-        vec![lit(
-            "bond",
-            vec![Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3)],
-        )],
-    ));
-    kb.assert_rule(Clause::new(
-        lit("path", vec![Term::Var(0), Term::Var(1), Term::Var(4)]),
-        vec![
-            lit(
-                "bond",
-                vec![Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3)],
-            ),
-            lit("path", vec![Term::Var(0), Term::Var(2), Term::Var(4)]),
-        ],
-    ));
-    kb.assert_rule(Clause::new(
-        lit("big", vec![Term::Var(0)]),
-        vec![
-            lit("val", vec![Term::Var(0)]),
-            lit(">=", vec![Term::Var(0), Term::Int(10)]),
-        ],
-    ));
-    if seal {
-        kb.optimize();
-    }
-    (t, kb)
-}
-
-/// A query literal over the KB's predicates (constants drawn from — and
-/// beyond — the fact pools; variables possibly shared).
-fn build_query(t: &SymbolTable, pred_pick: u8, seeds: &[u8]) -> Literal {
-    let (name, arity) = match pred_pick % 5 {
-        0 => ("bond", 4),
-        1 => ("atm", 3),
-        2 => ("val", 1),
-        3 => ("path", 3),
-        _ => ("big", 1),
-    };
-    let mut args = Vec::with_capacity(arity);
-    for p in 0..arity {
-        let s = seeds[p % seeds.len()].wrapping_add(p as u8);
-        let term = match s % 4 {
-            0 => Term::Var((s / 4 % 3) as u32),
-            1 => match (name, p) {
-                ("bond", 0) | ("atm", 0) | ("path", 0) => {
-                    Term::Sym(t.intern(&format!("m{}", s % 6)))
-                }
-                ("bond", 3) => Term::Int((s % 4) as i64),
-                ("val", _) | ("big", _) => Term::Int((s % 20) as i64),
-                ("atm", 2) => Term::Sym(t.intern(ELEMS[(s % 3) as usize])),
-                _ if s % 5 == 4 => Term::app(t.intern("at"), vec![Term::Int((s % 25) as i64)]),
-                _ => Term::Sym(t.intern(&format!("a{}", s % 25))),
-            },
-            2 => match (name, p) {
-                ("val", _) | ("big", _) | ("bond", 3) => Term::Int((s % 25) as i64),
-                _ if s % 5 == 4 => Term::app(t.intern("at"), vec![Term::Int((s % 25) as i64)]),
-                _ => Term::Sym(t.intern(&format!("a{}", s % 25))),
-            },
-            _ => Term::Sym(t.intern("zz_absent")),
-        };
-        args.push(term);
-    }
-    Literal::new(t.intern(name), args)
-}
+use worlds::{build_program, build_query, mol_term};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -144,7 +38,11 @@ proptest! {
         recall in 0usize..8,
         seal in any::<bool>(),
     ) {
-        let (t, kb) = build_kb(&bonds, &atms, &vals, seal);
+        let (t, prog) = build_program(&bonds, &atms, &vals);
+        let mut kb = prog.to_kb();
+        if seal {
+            kb.optimize();
+        }
         // Build the queries *before* snapshotting, so every query symbol is
         // part of the captured dictionary and ids agree across tables.
         let goals: Vec<Literal> = queries
@@ -158,27 +56,28 @@ proptest! {
         let loaded_shared = KnowledgeBase::from_snapshot(snap, t.clone()).unwrap();
 
         let limits = ProofLimits { max_depth, max_steps };
-        let fresh = Prover::new(&kb, limits);
-        let restored = [
+        let oracle = prog.prover(limits);
+        let provers = [
+            Prover::new(&kb, limits),
             Prover::new(&loaded_fresh, limits),
             Prover::new(&loaded_shared, limits),
         ];
         for goal in &goals {
-            let want_prove = fresh.prove_ground(goal);
-            let want_sols = fresh.solutions(goal, recall);
-            for (i, p) in restored.iter().enumerate() {
+            let want_prove = oracle.prove_ground(goal);
+            let want_sols = oracle.solutions(goal, recall);
+            for (i, p) in provers.iter().enumerate() {
                 prop_assert_eq!(
                     p.prove_ground(goal), want_prove,
-                    "prove diverged (restore {}) on {:?}", i, goal
+                    "prove diverged (KB {}) on {:?}", i, goal
                 );
                 let got = p.solutions(goal, recall);
                 prop_assert_eq!(
                     &got.0, &want_sols.0,
-                    "solutions diverged (restore {}) on {:?}", i, goal
+                    "solutions diverged (KB {}) on {:?}", i, goal
                 );
                 prop_assert_eq!(
                     got.1, want_sols.1,
-                    "solution stats diverged (restore {}) on {:?}", i, goal
+                    "solution stats diverged (KB {}) on {:?}", i, goal
                 );
             }
         }
@@ -192,7 +91,11 @@ proptest! {
         patterns in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 4), 1..5),
         seal in any::<bool>(),
     ) {
-        let (t, kb) = build_kb(&bonds, &[], &[], seal);
+        let (t, prog) = build_program(&bonds, &[], &[]);
+        let mut kb = prog.to_kb();
+        if seal {
+            kb.optimize();
+        }
         let key = Literal::new(t.intern("bond"), vec![Term::Int(0); 4]).key();
         // Materialize probe terms before the capture (shared dictionary).
         let bounds: Vec<Vec<Option<Term>>> = patterns
@@ -204,7 +107,8 @@ proptest! {
                     .map(|(p, &s)| match s % 3 {
                         0 => None,
                         _ => Some(match p {
-                            0 => Term::Sym(t.intern(&format!("m{}", s % 7))),
+                            0 if s % 7 == 6 => Term::Sym(t.intern("m6")),
+                            0 => mol_term(&t, s),
                             3 => Term::Int((s % 5) as i64),
                             _ if s % 5 == 4 => {
                                 Term::app(t.intern("at"), vec![Term::Int((s % 26) as i64)])
@@ -235,38 +139,37 @@ proptest! {
 }
 
 /// The column-native contract: restoring a snapshot materializes **no** row
-/// literals — the loaded KB holds only columns plus irregular side rows —
-/// while still proving, planning, and (lazily) rebuilding rows identically.
-/// Late facts asserted *after* a restore keep the store consistent too.
+/// literals — the loaded KB holds only columns plus irregular side rows, the
+/// same bytes as the KB it was taken from — while still proving, planning,
+/// and rebuilding rows identically. Late facts asserted *after* a restore
+/// keep the store consistent too.
 #[test]
 fn restore_materializes_no_rows() {
-    let (t, kb) = build_kb(
+    let (t, mut prog) = build_program(
         &[(1, 2, 3, 1), (1, 9, 4, 2), (2, 2, 9, 0), (5, 14, 19, 3)],
         &[(1, 2, 0), (2, 9, 1)],
         &[3, 12, 17],
-        true,
     );
-    // The assert-built KB keeps rows only as the test-only oracle view
-    // (`row-oracle` is on for every cargo test run).
-    assert_eq!(kb.resident_rows(), kb.num_facts());
+    let mut kb = prog.to_kb();
+    kb.optimize();
 
     let restored =
         KnowledgeBase::from_snapshot(kb.to_snapshot(), SymbolTable::new()).expect("snapshot loads");
     assert_eq!(restored.num_facts(), kb.num_facts());
     assert_eq!(
-        restored.resident_rows(),
-        0,
-        "snapshot restore must not materialize row literals"
+        restored.fact_store_bytes(),
+        kb.fact_store_bytes(),
+        "snapshot restore must hold exactly the columns and irregular rows"
     );
-    // The lazily rebuilt rows equal the originals, relation by relation.
+    // The rebuilt rows equal the originals, relation by relation.
     for key in kb.predicates() {
         assert_eq!(kb.facts_for(key), restored.facts_for(key));
     }
     // And a late assert after restore stays consistent (indexes, plans,
-    // proofs) without resurrecting a row store.
+    // proofs).
     let mut grown = restored.clone();
     let bond = t.intern("bond");
-    grown.assert_fact(Literal::new(
+    let late = Literal::new(
         bond,
         vec![
             Term::Sym(t.intern("m1")),
@@ -274,14 +177,11 @@ fn restore_materializes_no_rows() {
             Term::Sym(t.intern("a7")),
             Term::Int(1),
         ],
-    ));
-    assert_eq!(
-        grown.resident_rows(),
-        0,
-        "late asserts must not skew the (absent) row store"
     );
+    grown.assert_fact(late.clone());
+    prog.fact(late);
     let key = Literal::new(bond, vec![Term::Int(0); 4]).key();
-    assert_eq!(grown.facts_for(key).len(), kb.facts_for(key).len() + 1);
+    assert_eq!(grown.facts_for(key), prog.facts(key));
     let goal = Literal::new(
         bond,
         vec![
@@ -293,9 +193,8 @@ fn restore_materializes_no_rows() {
     );
     let limits = ProofLimits::default();
     let a = Prover::new(&grown, limits).solutions(&goal, 16);
-    let b = reference::Prover::new(&grown, limits).prove_ground(&goal);
-    assert!(b.0, "reference proves the grown goal");
-    // Seeds give bond(m1,a2,a3,_) and bond(m2,a2,a9,_); the late assert
+    assert_eq!(a, prog.prover(limits).solutions(&goal, 16));
+    // Seeds give bond(m1,a2,a3,_) and bond(m2,a2,at(9),_); the late assert
     // adds bond(m1,a2,a7,_): three bonds out of a2 in total.
     assert_eq!(
         a.0.len(),
