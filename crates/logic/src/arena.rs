@@ -55,8 +55,8 @@ impl TermId {
 
 /// A goal argument resolved for index probing, the cached form of one
 /// `arena.lookup(..)` — computed once per goal and shared by plan
-/// construction ([`crate::kb::KnowledgeBase::fact_plan`]) and the prover's
-/// ground compare ([`crate::kb::FactCols::row_matches`]), instead of
+/// construction ([`crate::kb::KnowledgeBase::fact_plan`]) and the ranked
+/// walk's cell compare ([`crate::kb::RankedWalk::walk`]), instead of
 /// re-resolving and re-hashing the argument per indexed position.
 ///
 /// The three-way split mirrors the step-accounting contract exactly:

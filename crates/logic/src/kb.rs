@@ -18,9 +18,9 @@
 //!    membership tests) and the *unification target*: the prover matches a
 //!    goal directly against a fact's id tuple via
 //!    [`crate::subst::Bindings::unify_term_id`], so no row `Literal` is
-//!    ever needed on the hot path — and a candidate's cells at the goal's
-//!    ground positions are compared with the goal's probe ids
-//!    ([`FactCols::row_matches`]) before anything is bound.
+//!    ever needed on the hot path — and a row's cells at the goal's ground
+//!    positions are compared with the goal's probe ids
+//!    ([`RankedWalk::walk`]) before the row costs a step attempt.
 //! 2. **CSR posting lists** — for each of the first [`MAX_INDEXED_ARGS`]
 //!    argument positions (unless pruned via
 //!    [`KnowledgeBase::retain_indexes`], e.g. from mode declarations), a
@@ -67,11 +67,7 @@
 //! The inference-step count is the cluster substrate's virtual-time fuel,
 //! pinned bit-identical to the seed semantics: a goal is charged one step
 //! per candidate *the first-argument index would have enumerated* (plus one
-//! per rule head tried). A narrower plan therefore reports, alongside the
-//! facts actually worth trying, the rank each occupies in that reference
-//! enumeration — the prover bulk-charges the skipped candidates, which are
-//! exactly the ones that provably fail unification on the chosen bound
-//! position (see [`FactPlan::Narrowed`]).
+//! per rule head tried).
 //!
 //! **R is the reference walk.** Throughout this module, R names the
 //! enumeration that defines the contract. Dereference the goal's first
@@ -82,12 +78,22 @@
 //! — a free or partly unbound first argument, or a predicate of arity 0 — R
 //! is every fact. Both segments keep assertion order. The reference prover
 //! of `tests/oracle/mod.rs` computes R from plain fact rows and is what the
-//! differential tests hold the product to. Every [`FactPlan`] variant
-//! enumerates a subset of R in R's order and charges the rest by rank; the
-//! prover's per-row ground compare only changes *how* a candidate's failure
-//! is detected (cell compare vs. unification), never which candidates R
-//! contains or the order they are charged in. The position-0 posting list is
+//! differential tests hold the product to. The position-0 posting list is
 //! never pruned, precisely because R is defined in terms of it.
+//!
+//! **One ranked walk.** A goal with no ground argument past the first tries
+//! every row of R ([`FactPlan::All`], [`FactPlan::Seq`]). Any other goal
+//! walks R by rank ([`FactPlan::Ranked`]): a row whose cell at one of those
+//! positions holds a different ground term than the goal's is skipped
+//! without a step attempt, and the prover charges the skipped rows by rank
+//! in bulk — each would have cost one step and failed. A row with no term
+//! in such a cell (an irregular row) is tried, and unified from its stored
+//! literal. So every plan tries a subset of R in R's order and charges the
+//! rest, and the step that crosses the budget lands where R's would; the
+//! walk changes how a row's failure is found, never which rows R contains
+//! or the order they are charged in. When R is the whole relation, a row's
+//! rank is the row itself, and the posting of the most selective ground
+//! position may hand the walk its candidates instead of every row.
 
 use crate::arena::{Probe, TermArena, TermId};
 use crate::builtins::BuiltinTable;
@@ -97,20 +103,22 @@ use crate::fxhash::FxHashMap;
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::term::Term;
 use p2mdie_obs::metrics::hot;
+use std::ops::ControlFlow;
 
 /// How many leading argument positions get a posting-list index by default.
 pub const MAX_INDEXED_ARGS: usize = 4;
 
-/// Reference candidate counts at or below this size skip the probe for a
-/// better position: probing costs two hash lookups per indexed position,
-/// which only pays off against a walk of some length (molecule-bound ILP
-/// goals sit in the tens; the scans worth narrowing sit in the thousands).
+/// A goal with a free first argument walks the whole relation; one of at
+/// most this many facts walks it without probing the postings of its other
+/// ground positions. A probe costs a posting search per indexed position,
+/// which only pays off against a walk of some length (the scans worth
+/// narrowing sit in the thousands).
 const NARROW_MIN: u64 = 64;
 
 /// Contiguous position-major fact storage: one `TermId` stripe per argument
 /// position, all stripes in a single allocation. `cell(p, f)` is
 /// `data[p * cap + f]`, so the stripe for position `p` is one contiguous
-/// `&[TermId]` run — which is what lets the narrowing column compare
+/// `&[TermId]` run — which is what lets the ranked walk's column compare
 /// stream a position with plain slice loads instead of chasing one `Vec`
 /// pointer per position.
 ///
@@ -493,15 +501,14 @@ impl std::ops::Deref for Hits<'_> {
     }
 }
 
-/// Reusable buffers for plan construction: the `tried` vectors of
-/// [`FactPlan::Narrowed`], merge scratch, and per-goal [`Probe`] vectors
-/// all draw from and return to these pools, so steady-state planning
-/// allocates nothing (the per-plan heap churn this PR's satellite retires).
+/// Reusable buffers for plan construction: the posting splices of an
+/// unsealed store, the merge of a narrowing posting with its
+/// position-unindexable rows, and per-goal [`Probe`] vectors all draw from
+/// and return to these pools, so steady-state planning allocates nothing.
 /// The prover owns one per engine; [`PlanScratch::recycle`] returns a
 /// consumed plan's buffers.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    tried: Vec<Vec<(u32, u64)>>,
     hits: Vec<Vec<u32>>,
     probes: Vec<Vec<Probe>>,
 }
@@ -512,10 +519,6 @@ impl PlanScratch {
         Self::default()
     }
 
-    fn take_tried(&mut self) -> Vec<(u32, u64)> {
-        self.tried.pop().unwrap_or_default()
-    }
-
     fn take_hits(&mut self) -> Vec<u32> {
         self.hits.pop().unwrap_or_default()
     }
@@ -524,14 +527,10 @@ impl PlanScratch {
         self.probes.pop().unwrap_or_default()
     }
 
-    fn recycle_hits_vec(&mut self, mut v: Vec<u32>) {
-        v.clear();
-        self.hits.push(v);
-    }
-
     fn recycle_hits(&mut self, h: Hits<'_>) {
-        if let Hits::Owned(v) = h {
-            self.recycle_hits_vec(v);
+        if let Hits::Owned(mut v) = h {
+            v.clear();
+            self.hits.push(v);
         }
     }
 
@@ -543,11 +542,11 @@ impl PlanScratch {
     /// Returns a consumed plan's owned buffers to the pool.
     pub fn recycle(&mut self, plan: FactPlan<'_>) {
         match plan {
-            FactPlan::Narrowed { mut tried, .. } => {
-                tried.clear();
-                self.tried.push(tried);
-            }
             FactPlan::Seq { indexed, .. } => self.recycle_hits(indexed),
+            FactPlan::Ranked(walk) => match walk.rows {
+                WalkRows::Keyed(hits, _) | WalkRows::Posting(hits) => self.recycle_hits(hits),
+                WalkRows::All(_) => {}
+            },
             FactPlan::Empty | FactPlan::All { .. } => {}
         }
     }
@@ -855,15 +854,13 @@ impl KnowledgeBase {
     /// `probes` carries the goal's arguments pre-resolved to [`Probe`]s,
     /// one per argument position (see
     /// [`crate::subst::Bindings::probe`]) — resolved once by the caller
-    /// and shared across every indexed position, where the old closure
-    /// interface re-walked and re-hashed the argument per position.
-    /// `scratch` supplies the plan's owned buffers; hand the consumed plan
-    /// back via [`PlanScratch::recycle`] and steady-state planning
-    /// allocates nothing.
+    /// and shared by plan construction and the walk. `scratch` supplies the
+    /// plan's owned buffers; hand the consumed plan back via
+    /// [`PlanScratch::recycle`] and steady-state planning allocates nothing.
     ///
-    /// The returned plan enumerates a *superset* of the facts unifiable
-    /// with the goal, and a *subset* of the reference (first-argument)
-    /// candidate set R, in R's order — see the module docs for the step
+    /// The plan enumerates R, the reference walk, in R's order: every row
+    /// of it when no argument past the first is ground, otherwise the rows
+    /// [`RankedWalk::walk`] admits — see the module docs for the step
     /// contract.
     pub fn fact_plan<'a>(
         &'a self,
@@ -873,21 +870,20 @@ impl KnowledgeBase {
     ) -> FactPlan<'a> {
         let entry = &self.entries[id.index()];
         debug_assert_eq!(probes.len(), entry.cols.arity());
-        let n = entry.len as usize;
+        let n = entry.len;
         if n == 0 {
             return FactPlan::Empty;
         }
-        // The reference candidate sequence R: first-arg posting hits then
-        // first-arg-unindexable facts when the first argument is bound to a
-        // ground term, every fact otherwise (the module docs define it; R
-        // *is* the step-accounting contract). A ground-but-
-        // uninterned probe keys [`TermId::NONE`], which matches no posting
-        // key: empty hits, exactly as the retired hashmap lookup missed.
-        let first_segments = if !entry.postings.is_empty() && probes[0].is_ground() {
-            // Invariant: position 0 is never pruned — `retain_indexes`
-            // unconditionally keeps it and snapshot validation rejects a
-            // store without it (it defines the reference candidate set,
-            // i.e. the step-accounting contract).
+        // The first ground position past R's key, if any: the walk's.
+        let first = (1..probes.len()).find(|&p| probes[p].is_ground());
+        if !entry.postings.is_empty() && probes[0].is_ground() {
+            // R keyed on the first argument: its posting hits, then the
+            // facts whose first argument is not ground (the module docs
+            // define R; R *is* the step-accounting contract). A ground but
+            // uninterned probe keys [`TermId::NONE`], which matches no
+            // posting key: empty hits. Position 0 is never pruned —
+            // `retain_indexes` keeps it and snapshot validation rejects a
+            // store without it.
             let posting = entry.postings[0]
                 .as_ref()
                 .expect("invariant: position-0 posting list is never pruned");
@@ -899,131 +895,67 @@ impl KnowledgeBase {
             } else {
                 hot::posting_probe_hit();
             }
-            Some((hits, entry.unindexed[0].as_slice()))
-        } else {
-            None
+            let unindexed = entry.unindexed[0].as_slice();
+            let Some(first) = first else {
+                return FactPlan::Seq {
+                    indexed: hits,
+                    unindexed,
+                };
+            };
+            return FactPlan::Ranked(RankedWalk {
+                cols: &entry.cols,
+                total: (hits.len() + unindexed.len()) as u64,
+                rows: WalkRows::Keyed(hits, unindexed),
+                first,
+            });
+        }
+        let Some(first) = first else {
+            return FactPlan::All { n };
         };
-        let r_len = first_segments
-            .as_ref()
-            .map_or(n as u64, |(a, b)| (a.len() + b.len()) as u64);
 
-        // Hash-join choice: the most selective bound position, by candidate
-        // count (posting hits + position-unindexable facts).
-        struct Alt<'h> {
-            pos: usize,
-            tid: TermId,
-            hits: Hits<'h>,
-            un: &'h [u32],
-            size: u64,
-        }
-        let mut best: Option<Alt<'a>> = None;
-        if r_len > NARROW_MIN {
+        // R is the whole relation, so a row's rank is the row itself, and
+        // the most selective posting of a ground position (hash-join
+        // choice, by hits plus position-unindexable facts) hands the walk
+        // its candidates when it halves a walk of some length.
+        let mut rows = WalkRows::All(n);
+        if n as u64 > NARROW_MIN {
+            // A posting must halve the walk (2 · size < n) and beat the
+            // best one so far.
+            let mut bound = (n as usize).div_ceil(2);
             for (p, posting) in entry.postings.iter().enumerate().skip(1) {
-                let Some(posting) = posting.as_ref() else {
+                let Some(posting) = posting.as_ref().filter(|_| probes[p].is_ground()) else {
                     continue;
                 };
-                if !probes[p].is_ground() {
-                    continue;
-                }
-                let tid = probes[p].tid();
-                let hits = posting.hits(tid, scratch);
+                let mut hits = posting.hits(probes[p].tid(), scratch);
                 let un = entry.unindexed[p].as_slice();
-                let size = (hits.len() + un.len()) as u64;
-                if best.as_ref().is_none_or(|b| size < b.size) {
-                    if let Some(old) = best.replace(Alt {
-                        pos: p,
-                        tid,
-                        hits,
-                        un,
-                        size,
-                    }) {
-                        scratch.recycle_hits(old.hits);
-                    }
-                } else {
+                if hits.len() + un.len() >= bound {
                     scratch.recycle_hits(hits);
+                    continue;
+                }
+                bound = hits.len() + un.len();
+                if !un.is_empty() {
+                    let mut merged = scratch.take_hits();
+                    merge_sorted_into(&hits, un, &mut merged);
+                    scratch.recycle_hits(std::mem::replace(&mut hits, Hits::Owned(merged)));
+                }
+                if let WalkRows::Posting(old) =
+                    std::mem::replace(&mut rows, WalkRows::Posting(hits))
+                {
+                    scratch.recycle_hits(old);
                 }
             }
         }
-
-        match (best, first_segments) {
-            // A strictly narrower position wins: enumerate its candidates
-            // restricted to R, tagged with their rank in R.
-            (Some(alt), segs) if alt.size.saturating_mul(2) < r_len => {
-                let mut tried = scratch.take_tried();
-                let total = match &segs {
-                    // R is the whole relation: the posting list *is* the
-                    // tried set, and a fact's rank is its own index. With no
-                    // position-unindexable facts (the common all-ground
-                    // relation) the hits run is consumed in place — no merge
-                    // copy.
-                    None => {
-                        if alt.un.is_empty() {
-                            for &f in alt.hits.iter() {
-                                tried.push((f, f as u64));
-                            }
-                        } else {
-                            let mut merged = scratch.take_hits();
-                            merge_sorted_into(&alt.hits, alt.un, &mut merged);
-                            for &f in &merged {
-                                tried.push((f, f as u64));
-                            }
-                            scratch.recycle_hits_vec(merged);
-                        }
-                        n as u64
-                    }
-                    // R is the first-arg candidate walk. When every fact's
-                    // argument at `alt.pos` is ground (the common case),
-                    // membership is one contiguous-stripe u32 compare per
-                    // reference candidate.
-                    Some((s1, s2)) if alt.un.is_empty() => {
-                        let col = entry.cols.stripe(alt.pos);
-                        for (rank, &f) in s1.iter().enumerate() {
-                            if col[f as usize] == alt.tid {
-                                tried.push((f, rank as u64));
-                            }
-                        }
-                        for (rank, &f) in s2.iter().enumerate() {
-                            if col[f as usize] == alt.tid {
-                                tried.push((f, (s1.len() + rank) as u64));
-                            }
-                        }
-                        r_len
-                    }
-                    // Mixed ground/non-ground arguments: intersect the
-                    // sorted posting candidates with the R segments.
-                    Some((s1, s2)) => {
-                        let mut merged = scratch.take_hits();
-                        merge_sorted_into(&alt.hits, alt.un, &mut merged);
-                        intersect_ranks(s1, &merged, 0, &mut tried);
-                        intersect_ranks(s2, &merged, s1.len() as u64, &mut tried);
-                        scratch.recycle_hits_vec(merged);
-                        r_len
-                    }
-                };
-                scratch.recycle_hits(alt.hits);
-                if let Some((h, _)) = segs {
-                    scratch.recycle_hits(h);
-                }
-                FactPlan::Narrowed { tried, total }
-            }
-            (best, Some((indexed, unindexed))) => {
-                if let Some(alt) = best {
-                    scratch.recycle_hits(alt.hits);
-                }
-                FactPlan::Seq { indexed, unindexed }
-            }
-            (best, None) => {
-                if let Some(alt) = best {
-                    scratch.recycle_hits(alt.hits);
-                }
-                FactPlan::All { n: n as u32 }
-            }
-        }
+        FactPlan::Ranked(RankedWalk {
+            cols: &entry.cols,
+            rows,
+            total: n as u64,
+            first,
+        })
     }
 
     /// Test/debug view of [`KnowledgeBase::fact_plan`]: the fact indices the
-    /// plan would try (in reference order) and the reference candidate
-    /// count, for a goal with the given per-position ground terms.
+    /// prover tries, in R's order, and R's size, for a goal with the given
+    /// per-position ground terms (free variables elsewhere).
     pub fn plan_candidates(&self, key: PredKey, bound: &[Option<Term>]) -> (Vec<u32>, u64) {
         let Some(id) = self.pred_id(key) else {
             return (Vec::new(), 0);
@@ -1047,8 +979,13 @@ impl KnowledgeBase {
                 let total = v.len() as u64;
                 (v, total)
             }
-            FactPlan::Narrowed { tried, total } => {
-                (tried.into_iter().map(|(f, _)| f).collect(), total)
+            FactPlan::Ranked(walk) => {
+                let mut v = Vec::new();
+                let _ = walk.walk(&probes, |row, _| {
+                    v.push(row);
+                    ControlFlow::<()>::Continue(())
+                });
+                (v, walk.total)
             }
         }
     }
@@ -1359,43 +1296,21 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Pushes `(fact, rank_base + rank-in-seg)` for every member of `cands`
-/// found in the ascending slice `seg`. Binary search with a moving floor:
-/// O(|cands| · log |seg|), and output ranks ascend.
-fn intersect_ranks(seg: &[u32], cands: &[u32], rank_base: u64, out: &mut Vec<(u32, u64)>) {
-    let mut lo = 0usize;
-    for &c in cands {
-        if lo >= seg.len() {
-            break;
-        }
-        match seg[lo..].binary_search(&c) {
-            Ok(k) => {
-                out.push((c, rank_base + (lo + k) as u64));
-                lo += k + 1;
-            }
-            Err(k) => lo += k,
-        }
-    }
-}
-
 /// A fact-retrieval plan produced by [`KnowledgeBase::fact_plan`].
 ///
-/// All variants enumerate candidates in *reference order* (first-argument
-/// posting hits, then first-arg-unindexable facts; or plain fact order), so
-/// solution discovery order — and therefore early-exit behavior — matches
-/// the oracle exactly.
+/// Every variant enumerates rows of R, the reference walk of the module
+/// docs, in R's order, so solution discovery order — and therefore
+/// early-exit behavior — matches the reference prover exactly.
 #[derive(Debug)]
 pub enum FactPlan<'a> {
     /// No facts for this predicate.
     Empty,
-    /// Scan every fact (first argument not ground, and no better position
-    /// available).
+    /// No argument is ground: every fact, each tried.
     All {
         /// Number of facts.
         n: u32,
     },
-    /// The reference first-argument enumeration: posting hits then
-    /// unindexable facts, each to be tried (and charged) individually.
+    /// The first argument is ground and no other is: R, each row tried.
     Seq {
         /// Posting hits for the first argument's ground term (a borrowed
         /// CSR run once sealed; an owned splice mid-bulk-load).
@@ -1403,16 +1318,100 @@ pub enum FactPlan<'a> {
         /// Facts whose first argument is not ground.
         unindexed: &'a [u32],
     },
-    /// A narrower position was chosen: try only `tried` (fact index plus
-    /// its rank in the reference enumeration, ranks ascending); every
-    /// reference candidate in between fails unification on the chosen bound
-    /// position and is bulk-charged by the prover.
-    Narrowed {
-        /// `(fact index, rank in the reference enumeration)`, rank-ascending.
-        tried: Vec<(u32, u64)>,
-        /// Reference candidate count (facts the seed semantics would try).
-        total: u64,
-    },
+    /// An argument past the first is ground: the ranked walk of R, which
+    /// skips the rows that argument rules out and charges them by rank.
+    Ranked(RankedWalk<'a>),
+}
+
+/// R walked by rank ([`FactPlan::Ranked`]): the rows of R whose cells
+/// could match the goal's ground arguments past the first, each with its
+/// rank in R; every row of R in between fails on such a cell and is
+/// bulk-charged by the prover.
+#[derive(Debug)]
+pub struct RankedWalk<'a> {
+    cols: &'a ColumnStripes,
+    rows: WalkRows<'a>,
+    total: u64,
+    /// The first ground position past position 0.
+    first: usize,
+}
+
+/// Where a [`RankedWalk`] takes its candidate rows from.
+#[derive(Debug)]
+enum WalkRows<'a> {
+    /// R keyed on a ground first argument: its posting hits, then the facts
+    /// whose first argument is not ground; a row's rank is its place in
+    /// the two.
+    Keyed(Hits<'a>, &'a [u32]),
+    /// R is the whole relation, its `n` rows; a row's rank is the row.
+    All(u32),
+    /// R is the whole relation, and these ascending rows are the hits of a
+    /// narrowing posting plus the rows not ground at its position: no row
+    /// left out could match. A row's rank is the row.
+    Posting(Hits<'a>),
+}
+
+impl RankedWalk<'_> {
+    /// R's size: the steps a walk that tries nothing is charged.
+    #[inline]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Calls `visit(row, rank)` for every row of R, in R's order, whose
+    /// cells at the goal's ground positions past the first hold the
+    /// probed term or no term (a [`TermId::NONE`] cell, whose row unifies
+    /// from its stored literal); stops at the first `Break`. `probes` are
+    /// the ones the plan was built from. Position 0 is
+    /// never compared: it is R's key, or free. A [`Probe::Miss`] admits
+    /// only rows with no term in that position, since no interned cell
+    /// equals an uninterned term.
+    #[inline]
+    pub fn walk<B>(
+        &self,
+        probes: &[Probe],
+        mut visit: impl FnMut(u32, u64) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        // The first compared position is read from its stripe; the later
+        // ones only for the rows that hold the probed term there.
+        let first = self.first;
+        let (cols, stripe, id) = (self.cols, self.cols.stripe(first), probes[first].tid());
+        let holds = |cell: TermId, id: TermId| cell == id || cell.is_none();
+        let admits = |row: u32| {
+            holds(stripe[row as usize], id)
+                && (first + 1..probes.len())
+                    .all(|p| probes[p] == Probe::Free || holds(cols.cell(p, row), probes[p].tid()))
+        };
+        match &self.rows {
+            WalkRows::Keyed(hits, unindexed) => {
+                for (rank, &row) in hits.iter().enumerate() {
+                    if admits(row) {
+                        visit(row, rank as u64)?;
+                    }
+                }
+                for (rank, &row) in unindexed.iter().enumerate() {
+                    if admits(row) {
+                        visit(row, (hits.len() + rank) as u64)?;
+                    }
+                }
+            }
+            WalkRows::All(n) => {
+                for row in 0..*n {
+                    if admits(row) {
+                        visit(row, row as u64)?;
+                    }
+                }
+            }
+            WalkRows::Posting(rows) => {
+                for &row in rows.iter() {
+                    if admits(row) {
+                        visit(row, row as u64)?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Column-native view of one predicate's facts — the unification target
@@ -1464,21 +1463,6 @@ impl<'a> FactCols<'a> {
         &self.entry.cols.data[start..start + self.entry.len as usize]
     }
 
-    /// The ground half of matching a regular `row` against a goal: true iff
-    /// the cell at every ground position equals that position's probe id.
-    /// A [`Probe::Miss`] matches nothing (no cell can equal an uninterned
-    /// term); a [`Probe::Free`] position is left to unification. Unifying a
-    /// ground goal argument with a cell binds nothing and succeeds exactly
-    /// when the ids are equal, since the arena dedupes.
-    #[inline]
-    pub fn row_matches(&self, probes: &[Probe], row: u32) -> bool {
-        probes.iter().enumerate().all(|(p, probe)| match *probe {
-            Probe::Id(id) => self.cell(p, row) == id,
-            Probe::Miss => false,
-            Probe::Free => true,
-        })
-    }
-
     /// The original literal of fact `row` when it has a non-ground
     /// argument (such rows unify literal-at-a-time); `None` for the common
     /// all-ground row. O(1) for the all-regular relation.
@@ -1525,12 +1509,31 @@ mod tests {
         prog.fact(lit(&t, "atm", vec![m2.clone(), Term::Int(9)]));
         let kb = prog.to_kb();
 
-        assert_eq!(r_len(&prog, &kb, "atm", &[Some(m1), None]), 5);
+        assert_eq!(r_len(&prog, &kb, "atm", &[Some(m1.clone()), None]), 5);
         assert_eq!(r_len(&prog, &kb, "atm", &[Some(m2), None]), 1);
         assert_eq!(r_len(&prog, &kb, "atm", &[None, None]), 6);
         // A constant with no index entry yields nothing.
         let m3 = Term::Sym(t.intern("m3"));
         assert_eq!(r_len(&prog, &kb, "atm", &[Some(m3), None]), 0);
+
+        // The carcinogenesis shape: a 20-atom molecule, and a goal bound to
+        // the molecule and an element. R is the molecule's rows; the walk
+        // tries only the rows of that element.
+        let elems = ["c", "n", "o", "h"].map(|e| Term::Sym(t.intern(e)));
+        for a in 0..20i64 {
+            let row = vec![
+                m1.clone(),
+                Term::Int(a),
+                elems[a as usize % 4].clone(),
+                Term::Int(-a),
+            ];
+            prog.fact(lit(&t, "atom", row));
+        }
+        let kb = prog.to_kb();
+        let bound = [Some(m1), None, Some(elems[1].clone()), None];
+        assert_eq!(r_len(&prog, &kb, "atom", &bound), 20);
+        let key = lit(&t, "atom", vec![Term::Int(0); 4]).key();
+        assert_eq!(kb.plan_candidates(key, &bound).0, [1, 5, 9, 13, 17]);
     }
 
     #[test]
@@ -1668,10 +1671,13 @@ mod tests {
         }
         let key = lit(&t, "r", vec![Term::Int(0), Term::Int(0)]).key();
         kb.retain_indexes(key, &[]);
-        // Second-arg probe no longer narrows; reference set = all facts.
+        let pid = kb.pred_id(key).expect("entry exists");
+        assert!(kb.posting_parts(pid, 1).is_none(), "posting survived");
+        assert!(kb.entries[pid.index()].unindexed[1].is_empty());
+        // Without its posting, a second-arg probe walks all 40 facts and
+        // still tries only the one its column compare admits.
         let (tried, total) = kb.plan_candidates(key, &[None, Some(Term::Int(7))]);
-        assert_eq!(tried.len() as u64, total);
-        assert_eq!(total, 40);
+        assert_eq!((tried, total), (vec![7], 40));
         // Facts asserted after pruning stay consistent.
         kb.assert_fact(lit(&t, "r", vec![Term::Int(0), Term::Int(77)]));
         let (tried, total) = kb.plan_candidates(key, &[Some(Term::Int(0)), None]);
@@ -1725,10 +1731,16 @@ mod tests {
                 "late asserts diverged from prune-first shape under {bound:?}"
             );
         }
-        // The pruned position must not have been revived: a probe on
-        // position 1 cannot narrow on either KB.
-        let (tried, total) = b.plan_candidates(key, &[None, Some(Term::Int(3)), None]);
-        assert_eq!(tried.len() as u64, total, "pruned posting was re-created");
+        // The pruned position must not have been revived on either KB: no
+        // posting there, and no row in its `unindexed` list.
+        for kb in [&a, &b] {
+            let pid = kb.pred_id(key).expect("entry exists");
+            assert!(
+                kb.posting_parts(pid, 1).is_none(),
+                "pruned posting was re-created"
+            );
+            assert!(kb.entries[pid.index()].unindexed[1].is_empty());
+        }
     }
 
     #[test]

@@ -32,23 +32,22 @@
 //!
 //! Every fact goal takes one path: `Ctx::solve` resolves the goal's
 //! arguments to probes, asks [`KnowledgeBase::fact_plan`] for a plan, and
-//! `Ctx::run_plan` walks it, one candidate row at a time. A variable bound
-//! from the knowledge base — to a fact cell, or by coverage to an example's
-//! argument — probes as the arena id its slot carries; only a constant of
-//! the goal itself or a value bound without an id is hashed
-//! ([`Bindings::probe`]). A regular row is matched in two halves: its cells
-//! at the goal's ground positions are compared with the probe ids
-//! ([`FactCols::row_matches`]), then its free positions are unified. So a
-//! row a constant rules out is dropped before anything is bound, and an
-//! all-ground goal binds nothing. An irregular row (a fact with a non-ground
-//! argument) is unified literal-at-a-time.
+//! `Ctx::run_plan` walks it. A variable bound from the knowledge base — to a
+//! fact cell, or by coverage to an example's argument — probes as the arena
+//! id its slot carries; only a constant of the goal itself or a value bound
+//! without an id is hashed ([`Bindings::probe`]).
 //!
-//! The plan may pick a *more selective* bound argument position than the
-//! first (hash-join choice). The inference-step fuel stays what the
-//! reference walk R of the [`crate::kb`] docs defines: candidates the
-//! narrower index skips are exactly those that provably fail unification on
-//! the chosen position, so the prover *bulk-charges* their steps by rank
-//! without touching them.
+//! The inference-step fuel stays what the reference walk R of the
+//! [`crate::kb`] docs defines, and every plan walks R in R's order. A goal
+//! whose only ground argument is R's key (or which has none) tries each row
+//! of R in a plain loop. Any other goal takes the ranked walk
+//! ([`RankedWalk::walk`], out of line in `Ctx::run_ranked`): a row whose
+//! cell at a ground position past the first holds another term is skipped
+//! before it costs a tick, a mark or an undo, and the prover *bulk-charges*
+//! the skipped rows by rank. A regular row that is tried therefore holds the
+//! goal's terms at every ground position, and only its free positions are
+//! unified: an all-ground goal binds nothing. An irregular row (a fact with
+//! a non-ground argument) is unified literal-at-a-time.
 //!
 //! # The contract the tests hold
 //!
@@ -67,10 +66,11 @@
 use crate::arena::Probe;
 use crate::builtins::solve_builtin_off;
 use crate::clause::{CompiledGoals, CompiledGoalsRef, CompiledLiteral, LitKind, Literal};
-use crate::kb::{FactCols, FactPlan, KnowledgeBase, PlanScratch};
+use crate::kb::{FactCols, FactPlan, KnowledgeBase, PlanScratch, RankedWalk};
 use crate::subst::Bindings;
 use crate::term::VarId;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 
 /// Resource limits for a single proof.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -494,36 +494,55 @@ impl<'a> Ctx<'a, '_> {
                 }
                 Control::More
             }
-            FactPlan::Narrowed { tried, total } => {
-                let mut charged: u64 = 0;
-                for &(row, rank) in tried {
-                    if !self.charge(rank - charged) {
-                        return Control::Abort;
-                    }
-                    charged = rank;
-                    match try_row(self, row) {
-                        Control::More => {}
-                        c => return c,
-                    }
-                    charged += 1;
-                }
-                if !self.charge(total - charged) {
-                    return Control::Abort;
-                }
-                Control::More
+            FactPlan::Ranked(walk) => {
+                self.run_ranked(facts, walk, probes, glit, goff, rest, on_solution)
             }
         }
     }
 
+    /// Walks R by rank ([`RankedWalk::walk`]): the rows it admits are tried,
+    /// and the rows of R before each of them, and after the last, are
+    /// bulk-charged. Kept out of line from [`Ctx::solve`], the recursion
+    /// that the per-row loops of every other goal run in.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn run_ranked(
+        &mut self,
+        facts: &FactCols<'a>,
+        walk: &RankedWalk<'a>,
+        probes: &[Probe],
+        glit: &Literal,
+        goff: VarId,
+        rest: &Frame<'_>,
+        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+    ) -> Control {
+        let mut charged: u64 = 0;
+        let walked = walk.walk(probes, |row, rank| {
+            if !self.charge(rank - charged) {
+                return ControlFlow::Break(Control::Abort);
+            }
+            charged = rank + 1;
+            match self.try_fact(facts, probes, row, glit, goff, rest, on_solution) {
+                Control::More => ControlFlow::Continue(()),
+                c => ControlFlow::Break(c),
+            }
+        });
+        match walked {
+            ControlFlow::Break(c) => c,
+            ControlFlow::Continue(()) if self.charge(walk.total() - charged) => Control::More,
+            ControlFlow::Continue(()) => Control::Abort,
+        }
+    }
+
     /// One fact candidate: tick, match the goal against the fact's column
-    /// cells (arena ids), recurse on success. The goal's ground positions
-    /// are compared id to id with its probes first
-    /// ([`FactCols::row_matches`]): a mismatch fails the row before anything
-    /// is bound, and a match binds nothing. Only the free positions are then
-    /// unified ([`Bindings::unify_term_id`]) — so an all-ground goal binds
-    /// nothing at all. The rare irregular row — a fact with a non-ground
-    /// argument, which the arena cannot hold — falls back to row-at-a-time
-    /// literal unification against its stored original.
+    /// cells (arena ids), recurse on success. The plan only hands over rows
+    /// whose cells at the goal's ground positions hold the probed terms
+    /// (R's key through its posting, the rest through the ranked walk), so
+    /// a regular row is unified at its free positions only
+    /// ([`Bindings::unify_term_id`]) — an all-ground goal binds nothing at
+    /// all. The rare irregular row — a fact with a non-ground argument,
+    /// which the arena cannot hold — is unified literal-at-a-time against
+    /// its stored original.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn try_fact(
@@ -544,18 +563,16 @@ impl<'a> Ctx<'a, '_> {
             Some(fact) => self.bindings.unify_literals_off(goal, goff, fact, 0, false),
             None => {
                 let arena = facts.arena();
-                facts.row_matches(probes, row)
-                    && goal
-                        .args
-                        .iter()
-                        .zip(probes)
-                        .enumerate()
-                        .all(|(p, (a, probe))| {
-                            probe.is_ground()
-                                || self
-                                    .bindings
-                                    .unify_term_id(a, goff, facts.cell(p, row), arena)
-                        })
+                goal.args
+                    .iter()
+                    .zip(probes)
+                    .enumerate()
+                    .all(|(p, (a, probe))| {
+                        probe.is_ground()
+                            || self
+                                .bindings
+                                .unify_term_id(a, goff, facts.cell(p, row), arena)
+                    })
             }
         };
         if ok {

@@ -8,7 +8,8 @@
 //! saturation asks, with its solutions in order and its steps (and their sum
 //! equal to the steps ⊥e records, so the replay below asks what `saturate`
 //! asks); then ⊥e as a rule and its first two refinements on the first five
-//! positives and negatives, each example's `(covered, steps)`.
+//! positives and negatives, each example's `(covered, steps)`, under the
+//! dataset's proof limits and again under a budget of 40 steps.
 
 #[path = "../crates/logic/tests/oracle/mod.rs"]
 mod oracle;
@@ -21,7 +22,7 @@ use p2mdie::ilp::refine::RuleShape;
 use p2mdie::ilp::settings::Settings;
 use p2mdie::logic::clause::Literal;
 use p2mdie::logic::kb::KnowledgeBase;
-use p2mdie::logic::prover::Prover;
+use p2mdie::logic::prover::{ProofLimits, Prover};
 use p2mdie::logic::symbol::SymbolId;
 use p2mdie::logic::term::Term;
 use std::collections::{HashMap, HashSet};
@@ -29,6 +30,9 @@ use std::collections::{HashMap, HashSet};
 /// How many positives seed ⊥e, and how many examples of each sign every
 /// rule is evaluated on.
 const FIRST: usize = 5;
+
+/// The step budget every rule is also evaluated under.
+const TIGHT_STEPS: u64 = 40;
 
 /// A literal of ⊥e before variablizing: its predicate and, per argument,
 /// the ground term with its mode type (`None` at a `#` slot) — exactly the
@@ -149,15 +153,24 @@ fn check(name: &str, ds: &Dataset) {
         let mut rules = vec![bottom.to_clause()];
         let refinements = RuleShape::empty().successors(&bottom, engine.settings.max_body);
         rules.extend(refinements.iter().take(2).map(|s| s.to_clause(&bottom)));
-        for rule in &rules {
-            for &ex in &probes {
-                let (bits, steps) =
-                    evaluate_side_threads(kb, limits, rule, std::slice::from_ref(ex), None, 1);
-                assert_eq!(
-                    (bits.get(0), steps),
-                    oracle.covers(rule, ex),
-                    "{name}: {rule:?} on {ex:?}"
-                );
+        // Under the dataset's limits, and under a budget so tight that it
+        // runs out inside the rows a ranked walk skips and charges in bulk.
+        let tight = ProofLimits {
+            max_steps: TIGHT_STEPS,
+            ..limits
+        };
+        for limits in [limits, tight] {
+            let oracle = prog.prover(limits);
+            for rule in &rules {
+                for &ex in &probes {
+                    let (bits, steps) =
+                        evaluate_side_threads(kb, limits, rule, std::slice::from_ref(ex), None, 1);
+                    assert_eq!(
+                        (bits.get(0), steps),
+                        oracle.covers(rule, ex),
+                        "{name}: {rule:?} on {ex:?} under {limits:?}"
+                    );
+                }
             }
         }
     }
