@@ -156,14 +156,18 @@ pub fn run_cluster<R: Send>(
     master: impl FnOnce(&mut Endpoint) -> Result<R, CommFailure> + Send,
     worker: impl Fn(&mut Endpoint) -> Result<(), CommFailure> + Send + Sync,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
-    run_cluster_with(workers, model, false, |_, t| t, master, worker)
+    let worker = |ep: &mut Endpoint, ()| worker(ep);
+    run_cluster_with(workers, model, false, |_, t| t, master, |_| (), worker)
 }
 
-/// [`run_cluster`] with two extra knobs for the self-healing runtime:
+/// [`run_cluster`] with three extra knobs:
 ///
 /// * `wrap` turns each rank's raw [`MeshTransport`] into the transport the
 ///   endpoints actually run on (identity for normal runs; a
 ///   [`crate::transport::ChaosTransport`] for fault-injection tests).
+/// * `start` builds what worker rank `k` starts with, on the calling thread,
+///   and hands it to the rank's thread with its endpoint: it is allocated
+///   where the caller's own data lives, not in a fresh thread's heap.
 /// * `recovery` switches the failure discipline from *abort* to *event*:
 ///   a failing worker no longer poisons the cluster — instead the runtime
 ///   injects a death notification into the master's channel (surfacing as
@@ -175,13 +179,14 @@ pub fn run_cluster<R: Send>(
 /// In either mode a master that gives up — the loss budget exhausted, or a
 /// frame from a worker it must refuse — is reported as
 /// [`ClusterError::Comm`] naming that worker, as over TCP.
-pub fn run_cluster_with<T: Transport + Send, R: Send>(
+pub fn run_cluster_with<T: Transport + Send, R: Send, S: Send>(
     workers: usize,
     model: CostModel,
     recovery: bool,
     wrap: impl Fn(usize, MeshTransport) -> T,
     master: impl FnOnce(&mut Endpoint<T>) -> Result<R, CommFailure> + Send,
-    worker: impl Fn(&mut Endpoint<T>) -> Result<(), CommFailure> + Send + Sync,
+    start: impl Fn(usize) -> S,
+    worker: impl Fn(&mut Endpoint<T>, S) -> Result<(), CommFailure> + Send + Sync,
 ) -> Result<ClusterOutcome<R>, ClusterError> {
     // invariant: the caller's configuration, not anything a peer sent.
     assert!(workers >= 1, "need at least one worker");
@@ -204,9 +209,9 @@ pub fn run_cluster_with<T: Transport + Send, R: Send>(
     // woken by another's failure — either poisons the whole cluster (abort
     // mode) or notifies the master of its death (recovery mode).
     type WorkerRecord = (f64, u64, Option<ClusterError>);
-    let run_worker = |mut ep: Endpoint<T>, down: DownHandle| -> WorkerRecord {
+    let run_worker = |mut ep: Endpoint<T>, down: DownHandle, state: S| -> WorkerRecord {
         let rank = ep.rank();
-        let failure = match catch_unwind(AssertUnwindSafe(|| worker(&mut ep))) {
+        let failure = match catch_unwind(AssertUnwindSafe(|| worker(&mut ep, state))) {
             Ok(Ok(())) => None,
             Ok(Err(f)) if f.poisoned_by().is_some() => None,
             Ok(Err(f)) => Some(ClusterError::WorkerFailed {
@@ -230,7 +235,10 @@ pub fn run_cluster_with<T: Transport + Send, R: Send>(
     let (master_result, mut records) = std::thread::scope(|scope| {
         let handles: Vec<_> = endpoints
             .into_iter()
-            .map(|(ep, down)| scope.spawn(|| run_worker(ep, down)))
+            .map(|(ep, down)| {
+                let state = start(ep.rank());
+                scope.spawn(|| run_worker(ep, down, state))
+            })
             .collect();
         let master_result = master_ep.poisoning_on_unwind(master);
         if master_result.is_err() {

@@ -14,12 +14,22 @@ pub struct TrafficStats {
     bytes: Arc<Vec<AtomicU64>>,
     messages: Arc<Vec<AtomicU64>>,
     dropped: Arc<Vec<AtomicU64>>,
-    /// Bytes/messages sent while the owning endpoint was in its recovery
-    /// phase — a *subset* of the matrix above (recovery traffic is real
-    /// traffic; these totals let reports state how much of it the
+    /// `[bytes, messages]` sent while the owning endpoint was in its
+    /// recovery phase — a *subset* of the matrix above (recovery traffic is
+    /// real traffic; these totals let reports state how much of it the
     /// repartition-and-resume protocol added).
-    recovery_bytes: Arc<AtomicU64>,
-    recovery_messages: Arc<AtomicU64>,
+    recovery: Arc<[AtomicU64; 2]>,
+    /// `[bytes, messages]` of the frames a protocol tallied as control (in
+    /// core, the job-control frames, at the master's end of each) — another
+    /// labelled subset of the matrix, which a report may leave out of its
+    /// totals.
+    control: Arc<[AtomicU64; 2]>,
+}
+
+/// Adds one tally to a labelled subset.
+fn tally(subset: &[AtomicU64; 2], bytes: u64, messages: u64) {
+    subset[0].fetch_add(bytes, Ordering::Relaxed);
+    subset[1].fetch_add(messages, Ordering::Relaxed);
 }
 
 impl TrafficStats {
@@ -30,8 +40,8 @@ impl TrafficStats {
             bytes: Arc::new((0..size * size).map(|_| AtomicU64::new(0)).collect()),
             messages: Arc::new((0..size * size).map(|_| AtomicU64::new(0)).collect()),
             dropped: Arc::new((0..size * size).map(|_| AtomicU64::new(0)).collect()),
-            recovery_bytes: Arc::new(AtomicU64::new(0)),
-            recovery_messages: Arc::new(AtomicU64::new(0)),
+            recovery: Arc::default(),
+            control: Arc::default(),
         }
     }
 
@@ -69,26 +79,39 @@ impl TrafficStats {
     /// to the normal [`record`](TrafficStats::record) for the link — the
     /// recovery totals are a labelled subset, not a separate matrix).
     pub fn record_recovery(&self, bytes: usize) {
-        self.recovery_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.recovery_messages.fetch_add(1, Ordering::Relaxed);
+        tally(&self.recovery, bytes as u64, 1);
     }
 
     /// Total bytes sent during recovery phases.
     pub fn recovery_bytes(&self) -> u64 {
-        self.recovery_bytes.load(Ordering::Relaxed)
+        self.recovery[0].load(Ordering::Relaxed)
     }
 
     /// Total messages sent during recovery phases.
     pub fn recovery_messages(&self) -> u64 {
-        self.recovery_messages.load(Ordering::Relaxed)
+        self.recovery[1].load(Ordering::Relaxed)
+    }
+
+    /// Tallies one control message of `bytes` bytes, sent or received by
+    /// the caller (in addition to the sender's
+    /// [`record`](TrafficStats::record), like the recovery totals).
+    pub fn record_control(&self, bytes: usize) {
+        tally(&self.control, bytes as u64, 1);
+    }
+
+    /// Total bytes tallied as control.
+    pub fn control_bytes(&self) -> u64 {
+        self.control[0].load(Ordering::Relaxed)
+    }
+
+    /// Total messages tallied as control.
+    pub fn control_messages(&self) -> u64 {
+        self.control[1].load(Ordering::Relaxed)
     }
 
     /// Merges recovery totals reported by another process.
     pub fn absorb_recovery(&self, bytes: u64, messages: u64) {
-        self.recovery_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.recovery_messages
-            .fetch_add(messages, Ordering::Relaxed);
+        tally(&self.recovery, bytes, messages);
     }
 
     /// Bytes sent on a specific link.
@@ -240,6 +263,16 @@ mod tests {
         s.absorb_recovery(3, 2);
         assert_eq!(s.recovery_bytes(), 13);
         assert_eq!(s.recovery_messages(), 3);
+    }
+
+    #[test]
+    fn control_totals_are_a_labelled_subset() {
+        let s = TrafficStats::new(2);
+        s.record(1, 0, 12);
+        s.record_control(12);
+        s.record(0, 1, 5);
+        assert_eq!((s.control_bytes(), s.control_messages()), (12, 1));
+        assert_eq!((s.total_bytes(), s.recovery_bytes()), (17, 0));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! implementing both lets this reproduction *measure* that explanation
 //! against p²-mdie on the same virtual cluster.
 
-use crate::driver::{launch, ParallelConfig, TransportKind};
-use crate::partition::{partition_examples, Partition};
-use crate::protocol::{Msg, WorkerRole};
-use crate::remote::launch_tcp;
+use crate::driver::{run_one_job, ParallelConfig};
+use crate::job::{JobOutput, JobSpec};
+use crate::partition::Partition;
+use crate::protocol::Msg;
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{ClusterError, CostModel};
@@ -46,10 +46,17 @@ pub struct BaselineReport {
     pub set_aside: u32,
     /// Virtual time at the master — the baseline's `T(p)`.
     pub vtime: f64,
-    /// Total communication in bytes.
+    /// Total communication in bytes, job-control frames aside.
     pub total_bytes: u64,
-    /// Total messages.
+    /// Total messages, job-control frames aside.
     pub total_messages: u64,
+    /// Bytes of the job-control frames (see [`ParallelReport`]'s), outside
+    /// `total_bytes`.
+    ///
+    /// [`ParallelReport`]: crate::report::ParallelReport
+    pub control_bytes: u64,
+    /// Job-control messages, outside `total_messages`.
+    pub control_messages: u64,
     /// Sends the transport could not deliver (0 on a clean run).
     pub dropped_sends: u64,
     /// Wall-clock time of the simulation.
@@ -98,9 +105,10 @@ pub fn run_coverage_parallel_opts(
     coverage_parallel(engine, examples, &cfg, granularity)
 }
 
-/// One baseline learning run on a fresh mesh. Of `cfg`, the mesh fields
-/// apply (`workers`, `model`, `seed`, `ship_kb`, `transport`); the workers
-/// run [`crate::worker::run_worker`] in its [`WorkerRole::Coverage`] shape:
+/// One baseline learning run: a baseline job on a fresh mesh. Of `cfg`, the
+/// mesh settings apply (`workers`, `model`, `ship_kb`, `transport`) and
+/// `seed`; the workers run [`crate::worker::run_worker`] in its
+/// [`WorkerRole::Coverage`](crate::protocol::WorkerRole::Coverage) shape:
 /// evaluate and mark-covered, no pipeline ever starts.
 pub(crate) fn coverage_parallel(
     engine: &IlpEngine,
@@ -109,24 +117,27 @@ pub(crate) fn coverage_parallel(
     granularity: EvalGranularity,
 ) -> Result<BaselineReport, ClusterError> {
     let started = Instant::now();
-    let (subsets, partition) = partition_examples(examples, cfg.workers, cfg.seed);
-    let role = WorkerRole::Coverage;
-    let outcome = match &cfg.transport {
-        TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
-            baseline_master(ep, engine, examples, &partition, granularity)
-        }),
-        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, subsets, |ep| {
-            baseline_master(ep, engine, examples, &partition, granularity)
-        }),
-    }?;
-    let (theory, epochs, set_aside) = outcome.result;
+    let spec = JobSpec::baseline(Examples::default(), granularity).with_seed(cfg.seed);
+    let outcome = run_one_job(engine, cfg, &spec, examples)?;
+    let JobOutput::BaselineLearned {
+        theory,
+        epochs,
+        set_aside,
+    } = outcome.result
+    else {
+        // invariant: the output of the baseline job just run.
+        unreachable!("a baseline job's output")
+    };
+    let stats = outcome.stats;
     Ok(BaselineReport {
         theory,
         epochs,
         set_aside,
         vtime: outcome.master_vtime,
-        total_bytes: outcome.stats.total_bytes(),
-        total_messages: outcome.stats.total_messages(),
+        total_bytes: stats.total_bytes() - stats.control_bytes(),
+        total_messages: stats.total_messages() - stats.control_messages(),
+        control_bytes: stats.control_bytes(),
+        control_messages: stats.control_messages(),
         dropped_sends: outcome.dropped_sends,
         wall: started.elapsed(),
     })
@@ -159,8 +170,8 @@ pub(crate) fn eval_round<T: Transport>(
 }
 
 /// The master side: the ordinary sequential covering loop of Figure 1,
-/// with every `evalOnExamples` replaced by a distributed round. Crate-
-/// visible so the TCP driver can run the same master over processes.
+/// with every `evalOnExamples` replaced by a distributed round — what a
+/// baseline job runs (`crate::scheduler`).
 pub(crate) fn baseline_master<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,

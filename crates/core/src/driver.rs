@@ -2,30 +2,31 @@
 //! and get back a full report. Used by the evaluation sweeps, the
 //! benchmarks, and the examples.
 //!
-//! A one-shot run builds a fresh mesh, runs one master function against
-//! one worker role, and tears the mesh down. `launch` does that for
-//! ranks that are threads of this process, `crate::remote::launch_tcp`
-//! for ranks that are worker processes; both take the master as a plain
-//! function of the endpoint, so [`run_parallel`] and the coverage-parallel
-//! baseline differ only in the function they pass.
+//! A one-shot run is one job on a mesh of its own: [`run_parallel`] builds
+//! a learning [`JobSpec`], the coverage-parallel baseline a baseline one,
+//! and `run_one_job` runs it with `dispatch_job` on a fresh mesh. That mesh
+//! comes from `open_mesh`, the one function that builds a mesh — for
+//! these runs and for the resident [`Service`](crate::scheduler::Service)
+//! alike, with threads of this process or `p2mdie-worker` processes for
+//! ranks, each a resident worker that a `Stop` at idle ends.
 
-use crate::master::{run_master, ship_kb, Dealing};
-use crate::protocol::{WorkerConfig, WorkerRole};
-use crate::remote::launch_tcp;
+use crate::job::{JobId, JobOutput, JobSpec};
+use crate::master::ship_kb;
+use crate::protocol::{Msg, WorkerConfig, WorkerRole};
+use crate::remote::{spawn_worker, WorkerExit};
 use crate::report::{ParallelReport, SequentialReport};
+use crate::scheduler::{dispatch_job, live_workers, run_resident_worker, send_control};
 use crate::strategy::Strategy;
-use crate::worker::run_role;
-use p2mdie_cluster::comm::{CommFailure, Endpoint};
+use p2mdie_cluster::comm::{CommFailure, Endpoint, LinkFault, RecvError};
+use p2mdie_cluster::net::run_cluster_tcp;
+use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::{
-    maybe_chaos, run_cluster_with, ChaosConfig, ChaosTransport, ClusterError, ClusterOutcome,
-    CostModel, MeshTransport,
+    maybe_chaos, run_cluster_with, ChaosConfig, ClusterError, ClusterOutcome, CostModel,
 };
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::{Settings, Width};
-use p2mdie_ilp::CoverageMemo;
 use p2mdie_obs::event;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which substrate carries the cluster's messages.
@@ -87,7 +88,8 @@ pub struct ParallelConfig {
     /// What to do when a worker rank dies mid-run.
     pub recovery: RecoveryPolicy,
     /// Deterministic fault injection for in-process runs: wrap each listed
-    /// worker rank's transport in a [`ChaosTransport`] with its own
+    /// worker rank's transport in a
+    /// [`ChaosTransport`](p2mdie_cluster::ChaosTransport) with its own
     /// configuration (test-only seam; empty in production use). Multiple
     /// entries inject faults into multiple ranks of the same run — the
     /// seam the second-death recovery tests use. Needs
@@ -238,73 +240,138 @@ pub(crate) fn worker_config(
     }
 }
 
-/// Takes what in-process rank `rank` starts with. The worker closure of a
-/// mesh is shared by every rank's thread, so ownership of each rank's
-/// start-up state travels through a seat it empties exactly once.
-pub(crate) fn take_seat<S>(seats: &[Mutex<Option<S>>], rank: usize) -> S {
-    seats[rank - 1]
-        .lock()
-        // invariant: the lock guards one `take`, which cannot panic.
-        .expect("seat lock poisoned: a rank panicked while taking its seat")
-        .take()
-        // invariant: a mesh runs its worker closure once per rank.
-        .expect("each rank takes its seat exactly once")
+/// What rank 0 of a mesh runs, whichever transport [`open_mesh`] gives it:
+/// one job, or the resident service's queue.
+pub(crate) trait MeshMaster: Send {
+    /// What the master hands back.
+    type Out: Send;
+
+    /// Runs on the master's endpoint after the KB went out; returns with
+    /// every live rank idle.
+    fn run<T: Transport>(
+        self,
+        ep: &mut Endpoint<T>,
+        engine: &IlpEngine,
+    ) -> Result<Self::Out, CommFailure>;
 }
 
-/// Runs `master` against `cfg.workers` in-process ranks in `role`, rank
-/// `k` holding `subsets[k - 1]`, on a fresh mesh that is torn down when
-/// the master returns. Every rank's transport is wrapped for fault
-/// injection — a no-op wrapper (no faults, no RNG draws) unless `cfg.chaos`
-/// names the rank.
-pub(crate) fn launch<R: Send>(
+/// The master of a one-shot run: `spec`, the only job of its mesh, on the
+/// caller's `examples` — the spec holds none, so the run copies none.
+struct OneJob<'a> {
+    spec: &'a JobSpec,
+    examples: &'a Examples,
+    recovery: &'a RecoveryPolicy,
+}
+
+impl MeshMaster for OneJob<'_> {
+    type Out = JobOutput;
+
+    fn run<T: Transport>(
+        self,
+        ep: &mut Endpoint<T>,
+        engine: &IlpEngine,
+    ) -> Result<JobOutput, CommFailure> {
+        let (output, _) = dispatch_job(
+            ep,
+            engine,
+            JobId(1),
+            self.spec,
+            self.examples,
+            &mut Vec::new(),
+            self.recovery,
+        )?;
+        Ok(output)
+    }
+}
+
+/// Runs `spec` on `examples` as the one job of a fresh mesh that `cfg`
+/// describes, with `cfg.recovery` for a rank's death.
+pub(crate) fn run_one_job(
     engine: &IlpEngine,
     cfg: &ParallelConfig,
-    role: WorkerRole,
-    subsets: Vec<Examples>,
-    master: impl FnOnce(&mut Endpoint<ChaosTransport<MeshTransport>>) -> Result<R, CommFailure> + Send,
-) -> Result<ClusterOutcome<R>, ClusterError> {
-    let config = worker_config(
+    spec: &JobSpec,
+    examples: &Examples,
+) -> Result<ClusterOutcome<JobOutput>, ClusterError> {
+    let recovery = &cfg.recovery;
+    open_mesh(
         engine,
-        &engine.settings,
-        cfg.workers,
-        role,
-        cfg.strategy,
-        cfg.seed,
-    );
-    // With KB shipping a worker starts *empty* (the multi-process
-    // deployment shape) and adopts the master's snapshot on its first
-    // message; otherwise it clones the shared KB.
-    let seats: Vec<Mutex<Option<_>>> = subsets
-        .into_iter()
-        .map(|local| {
-            let kb = match cfg.ship_kb {
-                true => engine.with_empty_kb().kb,
-                false => engine.kb.clone(),
-            };
-            Mutex::new(Some((kb, local)))
-        })
-        .collect();
-    run_cluster_with(
-        cfg.workers,
-        cfg.model,
-        cfg.recovery != RecoveryPolicy::Abort,
-        |rank, t| {
-            let chaos = cfg.chaos.iter().find(|(target, _)| *target == rank);
-            maybe_chaos(t, chaos.map(|(_, c)| c.clone()))
-        },
-        |ep| {
-            if cfg.ship_kb {
-                ship_kb(ep, &engine.kb);
-            }
-            master(ep)
-        },
-        |ep| {
-            let (kb, local) = take_seat(&seats, ep.rank());
-            // A one-shot rank keeps nothing: a new memo, dropped with the run.
-            let memo = &mut CoverageMemo::new();
-            run_role(ep, kb, config.clone(), local, memo, false).map(drop)
+        cfg,
+        OneJob {
+            spec,
+            examples,
+            recovery,
         },
     )
+}
+
+/// Opens the mesh `cfg` describes, runs `master` on it and stops its ranks
+/// at idle: the one function that builds a mesh. Of `cfg`, the mesh
+/// settings apply — `workers`, `model`, `ship_kb` (always on over TCP),
+/// `transport`, `chaos`, and whether `recovery` lets the in-process runtime
+/// outlive a rank. Every rank is a resident worker: a thread that starts on
+/// a copy of the engine's KB (an empty KB when it is shipped), built on the
+/// calling thread, its transport wrapped for fault injection (a no-op
+/// unless `cfg.chaos` names it); or a `p2mdie-worker` process.
+pub(crate) fn open_mesh<M: MeshMaster>(
+    engine: &IlpEngine,
+    cfg: &ParallelConfig,
+    master: M,
+) -> Result<ClusterOutcome<M::Out>, ClusterError> {
+    match &cfg.transport {
+        TransportKind::InProcess => run_cluster_with(
+            cfg.workers,
+            cfg.model,
+            cfg.recovery != RecoveryPolicy::Abort,
+            |rank, t| {
+                let chaos = cfg.chaos.iter().find(|(target, _)| *target == rank);
+                maybe_chaos(t, chaos.map(|(_, c)| c.clone()))
+            },
+            |ep| serve(ep, engine, cfg.ship_kb, master),
+            |_| match cfg.ship_kb {
+                true => engine.with_empty_kb().kb,
+                false => engine.kb.clone(),
+            },
+            |ep, kb| match run_resident_worker(ep, kb)? {
+                WorkerExit::Finished => Ok(()),
+                // In process the master's link outlives every job: a rank
+                // that saw it close before `Stop` has failed.
+                WorkerExit::IdleDisconnect => {
+                    let (rank, from, fault) = (ep.rank(), 0, LinkFault::Closed);
+                    let closed = RecvError { rank, from, fault };
+                    Err(ep.failure(from, "a job-control frame", closed))
+                }
+            },
+        ),
+        TransportKind::Tcp(tcp) => {
+            let bin = tcp.resolve_worker_bin()?;
+            run_cluster_tcp(
+                cfg.workers,
+                cfg.model,
+                tcp.timeout,
+                |rank, addr| spawn_worker(&bin, rank, addr, tcp),
+                |ep| serve(ep, engine, true, master),
+            )
+        }
+    }
+}
+
+/// Rank 0 of an open mesh: ship the KB if `ship`, run `master`, then `Stop`
+/// every rank at idle — a rank the run recovered around is not there to
+/// hear it.
+fn serve<T: Transport, M: MeshMaster>(
+    ep: &mut Endpoint<T>,
+    engine: &IlpEngine,
+    ship: bool,
+    master: M,
+) -> Result<M::Out, CommFailure> {
+    if ship {
+        ship_kb(ep, &engine.kb);
+    }
+    let out = master.run(ep, engine)?;
+    for k in live_workers(ep) {
+        send_control(ep, k, &Msg::Stop);
+    }
+    Ok(out)
 }
 
 /// End-of-run warning for a learning run that survived rank deaths: a
@@ -333,11 +400,12 @@ fn warn_rank_losses(losses: &[u32], master_vtime: f64) {
     }
 }
 
-/// Runs p²-mdie on `engine` × `examples` with `cfg`.
+/// Runs p²-mdie on `engine` × `examples` with `cfg`: one learning job on a
+/// fresh mesh.
 ///
 /// The engine (background knowledge, modes, settings) is shared by all
 /// ranks, mirroring the paper's distributed-file-system assumption; each
-/// worker clones it so `mark_covered` can grow its local copy of `B`.
+/// in-process worker clones its KB, unless `cfg.ship_kb` sends it over.
 ///
 /// A `cfg` that combines options no run supports (say, fault injection
 /// over TCP) is refused up front with a [`ClusterError::Net`] naming the
@@ -349,28 +417,15 @@ pub fn run_parallel(
 ) -> Result<ParallelReport, ClusterError> {
     check_combination(cfg)?;
     let started = Instant::now();
-    let mut subsets = Vec::new();
-    let (dealing, _) = Dealing::plan(
-        examples,
-        cfg.workers,
-        cfg.seed,
-        cfg.strategy,
-        cfg.repartition,
-        &mut subsets,
-    );
-    let role = WorkerRole::Pipeline {
-        width: cfg.width,
+    let spec = JobSpec {
         repartition: cfg.repartition,
+        ..JobSpec::learn(Examples::default())
     };
-    let (settings, seed, recovery) = (&engine.settings, cfg.seed, &cfg.recovery);
-    let outcome = match &cfg.transport {
-        TransportKind::InProcess => launch(engine, cfg, role, subsets, |ep| {
-            run_master(ep, settings, examples, &dealing, seed, recovery)
-        }),
-        TransportKind::Tcp(tcp) => launch_tcp(engine, cfg, tcp, role, subsets, |ep| {
-            run_master(ep, settings, examples, &dealing, seed, recovery)
-        }),
-    }?;
+    let spec = spec
+        .with_seed(cfg.seed)
+        .with_width(cfg.width)
+        .with_strategy(cfg.strategy);
+    let outcome = run_one_job(engine, cfg, &spec, examples)?;
     let report = ParallelReport::from_outcome(cfg.workers, started.elapsed(), outcome);
     warn_rank_losses(&report.rank_losses, report.vtime);
     Ok(report)

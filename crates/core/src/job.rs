@@ -1,14 +1,14 @@
 //! First-class jobs: *what* runs on the cluster, separated from *where*
 //! it runs.
 //!
-//! Before this layer, every entry point conflated three things: building a
-//! mesh, describing the work, and running it. A [`JobSpec`] now describes
-//! the work alone — a coverage query, a one-epoch rule search, or a full
-//! learning run, each with its own examples, settings, seed, and pipeline
-//! width — and the [`crate::scheduler`] multiplexes it with others over a
-//! resident [`Service`](crate::scheduler::Service). (The one-shot entry
-//! points of [`crate::driver`] run the same master functions on a mesh of
-//! their own and have no queue, hence no lifecycle.)
+//! A [`JobSpec`] describes the work alone — a coverage query, a one-epoch
+//! rule search, or a full learning run, each with its own examples,
+//! settings, seed, and pipeline width — and every run on the cluster is
+//! one: the [`crate::scheduler`] multiplexes jobs over a resident
+//! [`Service`](crate::scheduler::Service), and each one-shot entry point of
+//! [`crate::driver`] and [`crate::baselines`] builds one job and runs it the
+//! same way on a mesh of its own, opened by the same function. (A one-shot
+//! job has no queue, so it skips `Queued`'s wait but not the walk below.)
 //!
 //! # Lifecycle
 //!
@@ -325,6 +325,17 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
+    /// The outcome of a job that failed for `error`, with nothing accounted.
+    pub(crate) fn failed(id: JobId, error: impl Into<String>) -> Self {
+        JobOutcome {
+            id,
+            state: JobState::Failed,
+            output: None,
+            error: Some(error.into()),
+            accounting: JobAccounting::default(),
+        }
+    }
+
     /// The coverage counts, panicking if the job was not a completed
     /// coverage query.
     pub fn coverage(&self) -> &[(u32, u32)] {

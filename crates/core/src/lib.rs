@@ -38,14 +38,16 @@
 //!   master (a sequential search with distributed evaluation), the common
 //!   worker loop;
 //! * [`driver`] — `run_parallel` / `run_sequential_timed`, the check of
-//!   option combinations, and `launch`: a fresh in-process mesh for one
-//!   master function;
-//! * [`remote`] — multi-process deployment: `launch_tcp` (the same for
-//!   worker processes, as a one-job session of the resident worker) and
-//!   the worker-process entry (the `p2mdie-worker` binary is this crate's
-//!   `src/bin/`);
+//!   option combinations, and `open_mesh`: the one function that builds a
+//!   mesh (threads or worker processes, every rank a resident worker) and
+//!   runs a master on it — one job for a one-shot run, the queue for a
+//!   service;
+//! * [`remote`] — multi-process deployment: how worker processes are
+//!   spawned (`TcpConfig`) and the worker-process entry (the
+//!   `p2mdie-worker` binary is this crate's `src/bin/`);
 //! * [`job`] — the first-class job layer: what runs on the cluster
-//!   (coverage query, rule search, learning run) and its lifecycle;
+//!   (coverage query, rule search, learning run) and its lifecycle — every
+//!   run, one-shot or on a service, is one;
 //! * [`scheduler`] — ILP-as-a-service: a resident mesh (`Service`) that
 //!   multiplexes many jobs over one standing cluster, calling the same
 //!   master functions per job;

@@ -5,9 +5,9 @@
 //! `Evaluate` / `EvalResult` / `MarkCovered` / `RetireSeed` / `SeedRetired` /
 //! `Stop`, plus the protocol-v5 job-control frames ([`Msg::SubmitJob`] /
 //! [`Msg::JobAccepted`] / [`Msg::JobResult`]) that hand a worker its work —
-//! many jobs back to back on a *resident* mesh (see [`crate::scheduler`]),
-//! exactly one on the worker processes of a one-shot run (see
-//! [`crate::remote`]) — and the protocol-v6 introspection pair
+//! many jobs back to back on a service's mesh (see [`crate::scheduler`]),
+//! exactly one on a one-shot run's (see [`crate::driver`]) — and the
+//! protocol-v6 introspection pair
 //! ([`Msg::MetricsQuery`] / [`Msg::MetricsReport`]) that lets the master
 //! pull live per-worker metric snapshots between jobs. Protocol v7 adds the
 //! strategy seam: the [`Strategy`] + strategy-seed fields on
@@ -145,11 +145,10 @@ wire_enum!(WorkerRole, "worker role tag" {
 
 /// Everything a worker needs, beyond the compiled KB and its example
 /// subset, to run one job (`crate::worker::run_role`): the language bias,
-/// the search constraints, its role, and the strategy. An in-process rank
-/// of a one-shot run is handed it directly; everywhere else it travels
-/// inside [`Msg::SubmitJob`] (its fields in the order of the wire table
-/// below, each through its own type's table) and configures the rank for
-/// that job over the already-adopted KB.
+/// the search constraints, its role, and the strategy. It travels inside
+/// [`Msg::SubmitJob`] (its fields in the order of the wire table below,
+/// each through its own type's table) and configures the rank for that job
+/// over the already-adopted KB.
 ///
 /// Symbol ids inside the modes are the master's; they stay valid on a
 /// worker process because the KB snapshot ships the master's *complete*
@@ -336,9 +335,8 @@ pub enum Msg {
     /// the rank does not hold it already (protocol v9) — and nothing that
     /// doesn't (the compiled KB shipped once, when the mesh came up). The
     /// worker runs the role loop on its base KB until the job's `Stop`,
-    /// replies [`Msg::JobResult`], and returns to idle. A resident service
-    /// sends many; a one-shot run over worker processes sends exactly one
-    /// per rank.
+    /// replies [`Msg::JobResult`], and returns to idle. A service sends
+    /// many; a one-shot run sends exactly one per rank.
     SubmitJob {
         /// Master-assigned job id, echoed on every job-control reply.
         id: u64,

@@ -18,38 +18,36 @@
 //!    worker process's fact memory is the columnar footprint and nothing
 //!    more);
 //! 2. park in the resident idle loop (`crate::scheduler`), which runs each
-//!    submitted job on that KB with the same worker loop an in-process rank
-//!    runs (`crate::worker::run_role`), until `Stop`.
+//!    submitted job on that KB with the loop an in-process rank runs
+//!    (`run_resident_worker`, then `crate::worker::run_role` per job), until
+//!    `Stop`.
 //!
-//! A one-shot run is a one-job session of that worker: `launch_tcp` spawns
-//! the `p2mdie-worker` binary once per rank, ships the KB, submits the
-//! run as one job, drives the master function on the calling thread,
-//! drains the job and stops the idle mesh. A resident service
-//! ([`crate::scheduler::Service::new_tcp`]) keeps the same processes up
-//! for many jobs. [`WorkerExit`] reports how the session ended, so the
-//! binary can exit with a distinct code when its master vanished while it
-//! sat idle *between* jobs (not a mid-job failure).
+//! `crate::driver::open_mesh` spawns the `p2mdie-worker` binary once per
+//! rank ([`TcpConfig`] says how) for whatever runs on the mesh: a one-shot
+//! run's single job or a resident service's many
+//! ([`crate::scheduler::Service::new_tcp`]). [`WorkerExit`] reports how the
+//! session ended, so the binary can exit with a distinct code when its
+//! master vanished while it sat idle *between* jobs (not a mid-job failure).
 //!
-//! Because virtual arrival times travel inside the TCP frames, a
-//! multi-process run Lamport-merges the same clock values and makes the
-//! same decisions as the in-process run: the induced theory, coverage
-//! counts, and per-rank step counts are bit-identical to
-//! `run_parallel` with KB shipping enabled and the same seed (pinned by
+//! Because virtual arrival times travel inside the TCP frames, and an
+//! in-process rank runs the same resident loop on the same frames, a
+//! multi-process run is its in-process twin with KB shipping on and the
+//! same seed: the same theory, coverage counts and per-rank steps, and the
+//! same bytes, messages and clocks (pinned by
 //! `crates/core/tests/tcp_cluster.rs`).
 //!
-//! `ParallelConfig::with_transport` routes `run_parallel` through
-//! `launch_tcp`; [`run_coverage_parallel_tcp`] is the baseline's shorthand.
+//! `ParallelConfig::with_transport` selects this transport for
+//! `run_parallel`; [`run_coverage_parallel_tcp`] is the baseline's
+//! shorthand.
 
 use crate::baselines::{coverage_parallel, BaselineReport, EvalGranularity};
-use crate::driver::{worker_config, ParallelConfig, TransportKind};
-use crate::master::ship_kb;
-use crate::protocol::{Msg, WorkerRole};
-use crate::scheduler::{drain_job, live_workers, run_resident_worker, submit_job};
+use crate::driver::{ParallelConfig, TransportKind};
+use crate::protocol::Msg;
+use crate::scheduler::run_resident_worker;
 use crate::worker::{restore_kb, KB_SNAPSHOT};
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
-use p2mdie_cluster::net::{run_cluster_tcp, TcpTransport};
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{ClusterError, ClusterOutcome, CostModel};
+use p2mdie_cluster::{ClusterError, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
@@ -160,69 +158,19 @@ pub(crate) fn spawn_worker(
     cmd.spawn()
 }
 
-/// The job id of a one-shot run: the only job its worker processes see.
-const ONE_SHOT_JOB: u64 = 1;
-
-/// Runs `master` against `cfg.workers` worker *processes* in `role`, rank
-/// `k` holding `subsets[k - 1]`: spawn them, ship the compiled KB, submit
-/// the run as one job, run the master on the calling thread, drain the
-/// job, stop the (now idle) workers, reap the processes. The KB is always
-/// shipped — worker processes have no shared memory to inherit it from.
-pub(crate) fn launch_tcp<R>(
-    engine: &IlpEngine,
-    cfg: &ParallelConfig,
-    tcp: &TcpConfig,
-    role: WorkerRole,
-    mut subsets: Vec<Examples>,
-    master: impl FnOnce(&mut Endpoint<TcpTransport>) -> Result<R, CommFailure>,
-) -> Result<ClusterOutcome<R>, ClusterError> {
-    let bin = tcp.resolve_worker_bin()?;
-    let config = worker_config(
-        engine,
-        &engine.settings,
-        cfg.workers,
-        role,
-        cfg.strategy,
-        cfg.seed,
-    );
-    run_cluster_tcp(
-        cfg.workers,
-        cfg.model,
-        tcp.timeout,
-        |rank, addr| spawn_worker(&bin, rank, addr, tcp),
-        |ep| {
-            ship_kb(ep, &engine.kb);
-            submit_job(
-                ep,
-                ONE_SHOT_JOB,
-                &config,
-                &mut subsets,
-                &vec![true; cfg.workers],
-            )?;
-            let result = master(ep)?;
-            drain_job(ep, ONE_SHOT_JOB)?;
-            // `Stop` at idle ends the session; a rank the run recovered
-            // around is not there to hear it.
-            for k in live_workers(ep) {
-                ep.send(k, &Msg::Stop);
-            }
-            Ok(result)
-        },
-    )
-}
-
 /// How a worker-process session ended — the return value of
 /// [`run_remote_worker`], mapped to an exit code by the `p2mdie-worker`
 /// binary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerExit {
-    /// The master said `Stop`: a clean end of the run (one-shot) or of the
-    /// mesh (resident). The worker sends its shutdown report and exits 0.
+    /// The master said `Stop` at idle: a clean end of the mesh. The worker
+    /// sends its shutdown report and exits 0.
     Finished,
-    /// The master's link closed while the worker sat **idle between jobs**
-    /// of a resident mesh. Not a mid-job failure — the binary exits with
-    /// the distinct `IDLE_DISCONNECT_EXIT` code so supervisors (and
-    /// `ChildSet::diagnose`) can tell a torn-down service from a crash.
+    /// The master's link closed while the worker sat **idle between jobs**.
+    /// Not a mid-job failure — the binary exits with the distinct
+    /// `IDLE_DISCONNECT_EXIT` code so supervisors (and `ChildSet::diagnose`)
+    /// can tell a torn-down service from a crash. (An in-process rank's
+    /// master link never closes before `Stop`, so there it is a failure.)
     IdleDisconnect,
 }
 
@@ -255,8 +203,8 @@ pub fn adopt_kb<T: Transport>(ep: &mut Endpoint<T>) -> Result<KnowledgeBase, Com
 }
 
 /// The worker-process entry: [`adopt_kb`], then serve jobs on that KB as a
-/// resident worker until the mesh stops — a one-shot run submits one job
-/// and stops it, a service submits many. `Err` is the failure of either
+/// resident worker until the mesh stops — a one-shot run submits one job,
+/// a service many. `Err` is the failure of either
 /// step.
 pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> Result<WorkerExit, CommFailure> {
     let base = adopt_kb(ep)?;
@@ -284,7 +232,9 @@ pub fn run_coverage_parallel_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::worker_config;
     use crate::fixtures::problem;
+    use crate::protocol::WorkerRole;
     use p2mdie_cluster::run_cluster;
 
     /// Whatever reaches a worker process ahead of a valid KB snapshot — a
@@ -308,7 +258,7 @@ mod tests {
         let first_frames = [
             (
                 Msg::SubmitJob {
-                    id: ONE_SHOT_JOB,
+                    id: 1,
                     config: Box::new(config),
                     examples: Some(ex.clone()),
                 },

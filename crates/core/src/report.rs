@@ -2,7 +2,8 @@
 //! pipeline trace rendering that reproduces Figures 3–4 as ASCII Gantt
 //! charts of real executions.
 
-use crate::master::{AcceptedRule, EpochTrace, MasterOutcome};
+use crate::job::JobOutput;
+use crate::master::{AcceptedRule, EpochTrace};
 use p2mdie_cluster::ClusterOutcome;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::symbol::SymbolTable;
@@ -25,10 +26,19 @@ pub struct ParallelReport {
     pub vtime: f64,
     /// Final virtual clocks of the workers.
     pub worker_vtimes: Vec<f64>,
-    /// Total communication in bytes (Table 4 is `megabytes()`).
+    /// Total communication in bytes (Table 4 is `megabytes()`), job-control
+    /// frames aside.
     pub total_bytes: u64,
-    /// Total messages exchanged.
+    /// Total messages exchanged, job-control frames aside.
     pub total_messages: u64,
+    /// Bytes of the job-control frames: per rank its `SubmitJob`,
+    /// `JobAccepted` and `JobResult` and the idle `Stop`, as the master
+    /// tallied them. Outside `total_bytes`, which the paper's runs, handed
+    /// their work by a distributed file system, never paid; the virtual
+    /// clock charges them.
+    pub control_bytes: u64,
+    /// Job-control messages, outside `total_messages`.
+    pub control_messages: u64,
     /// Metered inference steps per worker.
     pub worker_steps: Vec<u64>,
     /// Sends the transport could not deliver (receiver already gone).
@@ -53,13 +63,17 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
-    /// The report of a finished mesh whose master ran a learning run.
+    /// The report of a finished mesh whose one job was a learning run.
     pub(crate) fn from_outcome(
         workers: usize,
         wall: Duration,
-        outcome: ClusterOutcome<MasterOutcome>,
+        outcome: ClusterOutcome<JobOutput>,
     ) -> Self {
-        let (master, stats) = (outcome.result, outcome.stats);
+        let JobOutput::Learned(master) = outcome.result else {
+            // invariant: `run_parallel` runs a learning job, whose output this is.
+            unreachable!("a learning job's output")
+        };
+        let stats = outcome.stats;
         ParallelReport {
             workers,
             theory: master.theory,
@@ -67,8 +81,10 @@ impl ParallelReport {
             set_aside: master.set_aside,
             vtime: outcome.master_vtime,
             worker_vtimes: outcome.worker_vtimes,
-            total_bytes: stats.total_bytes(),
-            total_messages: stats.total_messages(),
+            total_bytes: stats.total_bytes() - stats.control_bytes(),
+            total_messages: stats.total_messages() - stats.control_messages(),
+            control_bytes: stats.control_bytes(),
+            control_messages: stats.control_messages(),
             worker_steps: outcome.worker_steps,
             dropped_sends: outcome.dropped_sends,
             wall,
@@ -294,6 +310,8 @@ mod tests {
             worker_vtimes: vec![],
             total_bytes: 3_000_000,
             total_messages: 10,
+            control_bytes: 0,
+            control_messages: 0,
             worker_steps: vec![],
             dropped_sends: 0,
             wall: Duration::ZERO,

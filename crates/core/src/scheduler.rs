@@ -21,12 +21,12 @@
 //!
 //! * **The base KB.** A job runs on it, moved in and handed back, not on a
 //!   copy. Accepted rules assert into it (`MarkCovered`) and must die with
-//!   the job, so the worker loop copies the KB at the job's first assert and
-//!   puts the copy back at the job's end: a job that asserts nothing — every
-//!   coverage query and rule search — copies nothing, and concurrent clients
-//!   still cannot contaminate each other's background theory (any
-//!   interleaving of submissions is bit-identical to each job run alone on a
-//!   fresh mesh, pinned by `crates/core/tests/service.rs`).
+//!   the job, so the worker loop marks where the rules stood at the job's
+//!   first assert and, at the job's `Stop`, undoes every assert since — the
+//!   rules and the predicate entries they created. Nothing is copied, and
+//!   concurrent clients still cannot contaminate each other's background
+//!   theory (any interleaving of submissions is bit-identical to each job
+//!   run alone on a fresh mesh, pinned by `crates/core/tests/service.rs`).
 //! * **The example subset of its last job.** [`Msg::SubmitJob`] carries the
 //!   subset only when the rank does not hold it: the master remembers, per
 //!   rank, the subsets it dealt last and compares the next job's with them
@@ -38,9 +38,9 @@
 //!   add when a workload does), and memory stays bounded by construction.
 //!   Both ends forget the set when a job may have replaced it on the rank
 //!   (a re-dealing job's `NewPartition`, a recovery's `AdoptExamples`) or
-//!   ended in failure; the first job of a service and a one-shot run always
-//!   ship. A frame naming a set on a rank that holds none fails that rank
-//!   with a typed error.
+//!   ended in failure; the first job of a mesh always ships. A frame
+//!   naming a set on a rank that holds none fails that rank with a typed
+//!   error.
 //! * **The coverage memo** (`p2mdie_ilp::CoverageMemo`, 128 KiB): every
 //!   search and every `Evaluate` / `MarkCovered` / `ReplayTheory` of every
 //!   job on the rank goes through it, so the hundredth query of a clause on
@@ -103,37 +103,44 @@
 //! # One-shot runs
 //!
 //! [`crate::driver::run_parallel`], the coverage-parallel baseline and
-//! their TCP shorthands do not queue here: each builds a fresh mesh with
-//! `crate::driver::launch` / `crate::remote::launch_tcp`, runs one master
-//! function, and tears the mesh down. They share with a job on the service
-//! the master function ([`run_master`], `baseline_master`) and the worker
-//! loop (`run_role`), so a job's result is bit-identical to the one-shot
-//! run of the same work (pinned by `crates/core/tests/service.rs`). Over
-//! TCP they share the framing too: `launch_tcp` is a one-job session of
-//! the resident worker — `submit_job`, the master function, `drain_job`,
-//! `Stop` at idle. Only an in-process one-shot is framed differently: its
-//! ranks are handed KB, configuration and examples through shared memory
-//! (the paper's distributed-file-system assumption, zero bootstrap bytes),
-//! so no job-control frame travels, and each brings a new memo.
+//! their TCP shorthands are one job each, which does not queue here: each
+//! builds its [`JobSpec`] and runs it with `dispatch_job` on a fresh mesh,
+//! opened by `crate::driver::open_mesh` — the function a [`Service`] stands
+//! on too, over either transport — and stopped at idle afterwards. So a
+//! one-shot run is a service job from the bootstrap on (KB shipped or
+//! shared, `SubmitJob`, the master function, the resident worker, the
+//! `JobResult` drain), its result bit-identical to the same job on a
+//! service (pinned by `crates/core/tests/service.rs`), and over TCP equal
+//! to its in-process twin to the byte and the tick (pinned by
+//! `crates/core/tests/tcp_cluster.rs`). What a one-shot run adds is its
+//! own: the `RecoveryPolicy` it hands `dispatch_job` (a service passes
+//! `Abort`) and the chaos of its mesh. Its four job-control frames per rank
+//! — `SubmitJob`, `JobAccepted`, `JobResult`, the idle `Stop` — are charged
+//! on the virtual clock like any frame, but tallied apart at the master's
+//! end of each (`TrafficStats::record_control`) and left out of the
+//! report's totals, which are Table 4's.
 
 use crate::baselines::{baseline_master, eval_round};
-use crate::driver::{take_seat, worker_config, RecoveryPolicy};
+use crate::driver::{
+    open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
+};
 use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
-use crate::master::{run_master, run_search_epoch, ship_kb, Dealing};
+use crate::master::{run_master, run_search_epoch, Dealing};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
-use crate::remote::{spawn_worker, TcpConfig, WorkerExit};
+use crate::remote::{TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
 use crate::strategy::Strategy;
 use crate::worker::{restore_kb, run_role};
+use p2mdie_cluster::codec::{from_bytes, to_bytes};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
-use p2mdie_cluster::net::run_cluster_tcp;
 use p2mdie_cluster::panic_message;
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{run_cluster, ClusterError, ClusterOutcome, CostModel};
+use p2mdie_cluster::{ClusterError, CostModel};
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
+use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_obs::{event, metrics, MetricEntry, MetricValue, MetricsSnapshot};
@@ -273,12 +280,8 @@ impl JobHandle {
     /// `Failed` outcome rather than a hang.
     pub fn wait(self) -> JobOutcome {
         let id = self.id;
-        self.rx.recv().unwrap_or_else(|_| JobOutcome {
-            id,
-            state: JobState::Failed,
-            output: None,
-            error: Some("service terminated before the job finished".to_owned()),
-            accounting: JobAccounting::default(),
+        self.rx.recv().unwrap_or_else(|_| {
+            JobOutcome::failed(id, "service terminated before the job finished")
         })
     }
 }
@@ -299,26 +302,33 @@ impl Service {
     /// Builds an in-process resident mesh of `cfg.workers` ranks around a
     /// clone of `engine` and starts serving submissions.
     pub fn new(engine: &IlpEngine, cfg: ServiceConfig) -> Self {
-        Service::start(engine, cfg, None)
+        Service::start(engine, cfg, TransportKind::InProcess)
     }
 
     /// Builds a resident mesh of real `p2mdie-worker` OS processes over
     /// localhost TCP. The KB is always shipped (worker processes have no
     /// shared memory to inherit it from).
     pub fn new_tcp(engine: &IlpEngine, cfg: ServiceConfig, tcp: &TcpConfig) -> Self {
-        Service::start(engine, cfg, Some(tcp.clone()))
+        Service::start(engine, cfg, TransportKind::Tcp(tcp.clone()))
     }
 
-    fn start(engine: &IlpEngine, cfg: ServiceConfig, tcp: Option<TcpConfig>) -> Self {
+    fn start(engine: &IlpEngine, cfg: ServiceConfig, transport: TransportKind) -> Self {
         let (tx, rx) = mpsc::sync_channel::<Request>(cfg.queue_cap.max(1));
         let cancelled = Arc::new(Mutex::new(HashSet::new()));
-        let thread_cancelled = Arc::clone(&cancelled);
+        let scheduler = Scheduler {
+            rx,
+            cancelled: Arc::clone(&cancelled),
+        };
         let engine = engine.clone();
+        // The mesh settings of a run's configuration: no chaos, no recovery.
+        let mesh = ParallelConfig {
+            model: cfg.model,
+            ship_kb: cfg.ship_kb,
+            transport,
+            ..ParallelConfig::new(cfg.workers, Width::Unlimited, 0)
+        };
         let handle = std::thread::spawn(move || -> Result<ServiceReport, ClusterError> {
-            let outcome = match tcp {
-                None => serve_in_process(&engine, &cfg, rx, &thread_cancelled)?,
-                Some(tcp) => serve_tcp(&engine, &cfg, &tcp, rx, &thread_cancelled)?,
-            };
+            let outcome = open_mesh(&engine, &mesh, scheduler)?;
             let (jobs_run, worker_metrics) = outcome.result;
             Ok(ServiceReport {
                 jobs_run,
@@ -394,198 +404,170 @@ impl Service {
     }
 }
 
-fn serve_in_process(
-    engine: &IlpEngine,
-    cfg: &ServiceConfig,
-    rx: mpsc::Receiver<Request>,
-    cancelled: &Mutex<HashSet<u64>>,
-) -> Result<ClusterOutcome<(u32, Vec<MetricsSnapshot>)>, ClusterError> {
-    let bases: Vec<Mutex<Option<KnowledgeBase>>> = (0..cfg.workers)
-        .map(|_| {
-            Mutex::new(Some(if cfg.ship_kb {
-                engine.with_empty_kb().kb
-            } else {
-                engine.kb.clone()
-            }))
-        })
-        .collect();
-    let ship = cfg.ship_kb;
-    run_cluster(
-        cfg.workers,
-        cfg.model,
-        move |ep| scheduler_master(ep, engine, &rx, cancelled, ship),
-        |ep| run_resident_worker(ep, take_seat(&bases, ep.rank())).map(drop),
-    )
-}
-
-fn serve_tcp(
-    engine: &IlpEngine,
-    cfg: &ServiceConfig,
-    tcp: &TcpConfig,
-    rx: mpsc::Receiver<Request>,
-    cancelled: &Mutex<HashSet<u64>>,
-) -> Result<ClusterOutcome<(u32, Vec<MetricsSnapshot>)>, ClusterError> {
-    let bin = tcp.resolve_worker_bin()?;
-    run_cluster_tcp(
-        cfg.workers,
-        cfg.model,
-        tcp.timeout,
-        |rank, addr| spawn_worker(&bin, rank, addr, tcp),
-        // TCP workers always bootstrap from the snapshot.
-        move |ep| scheduler_master(ep, engine, &rx, cancelled, true),
-    )
-}
-
 /// The master side of the resident service: refill the class queues from
 /// the submission channel, round-robin across classes, dispatch one job at
-/// a time, stop the mesh when told to shut down and the queues are dry.
-/// Returns the dispatch count and the shutdown metrics dump.
-fn scheduler_master<T: Transport>(
-    ep: &mut Endpoint<T>,
-    engine: &IlpEngine,
-    rx: &mpsc::Receiver<Request>,
-    cancelled: &Mutex<HashSet<u64>>,
-    ship: bool,
-) -> Result<(u32, Vec<MetricsSnapshot>), CommFailure> {
-    if ship {
-        ship_kb(ep, &engine.kb);
-    }
-    let registry = metrics::rank_registry(ep.rank());
-    let mut queues: Vec<VecDeque<QueuedJob>> = (0..JOB_CLASSES).map(|_| VecDeque::new()).collect();
-    let mut next_class = 0usize;
-    let mut jobs_run = 0u32;
-    let mut open = true;
-    // The subsets the ranks hold from the last job (see "What a rank
-    // keeps" in the module docs); dropped with this loop if a job fails.
-    let mut kept: Vec<Examples> = Vec::new();
-    'serve: loop {
-        // Refill: drain everything already submitted without blocking;
-        // block only when there is nothing to run.
-        loop {
-            let pending: usize = queues.iter().map(VecDeque::len).sum();
-            if !open && pending == 0 {
-                break 'serve;
-            }
-            let req = if pending == 0 {
-                match rx.recv() {
-                    Ok(req) => req,
-                    Err(_) => {
-                        open = false;
-                        continue;
-                    }
+/// a time, return when told to shut down and the queues are dry. Its output
+/// is the dispatch count and the shutdown metrics dump.
+struct Scheduler {
+    rx: mpsc::Receiver<Request>,
+    cancelled: Arc<Mutex<HashSet<u64>>>,
+}
+
+impl MeshMaster for Scheduler {
+    type Out = (u32, Vec<MetricsSnapshot>);
+
+    fn run<T: Transport>(
+        self,
+        ep: &mut Endpoint<T>,
+        engine: &IlpEngine,
+    ) -> Result<Self::Out, CommFailure> {
+        let registry = metrics::rank_registry(ep.rank());
+        let mut queues: Vec<VecDeque<QueuedJob>> =
+            (0..JOB_CLASSES).map(|_| VecDeque::new()).collect();
+        let mut next_class = 0usize;
+        let mut jobs_run = 0u32;
+        let mut open = true;
+        // The subsets the ranks hold from the last job (see "What a rank
+        // keeps" in the module docs); dropped with this loop if a job fails.
+        let mut kept: Vec<Examples> = Vec::new();
+        'serve: loop {
+            // Refill: drain everything already submitted without blocking;
+            // block only when there is nothing to run.
+            loop {
+                let pending: usize = queues.iter().map(VecDeque::len).sum();
+                if !open && pending == 0 {
+                    break 'serve;
                 }
-            } else {
-                match rx.try_recv() {
-                    Ok(req) => req,
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
+                let req = if pending == 0 {
+                    match self.rx.recv() {
+                        Ok(req) => req,
+                        Err(_) => {
+                            open = false;
+                            continue;
+                        }
                     }
+                } else {
+                    match self.rx.try_recv() {
+                        Ok(req) => req,
+                        Err(mpsc::TryRecvError::Empty) => break,
+                        Err(mpsc::TryRecvError::Disconnected) => {
+                            open = false;
+                            break;
+                        }
+                    }
+                };
+                match req {
+                    Request::Submit(job) => {
+                        event!(
+                            ep.tracer(),
+                            "job_state",
+                            ep.now(),
+                            job = job.id.0,
+                            state = "queued",
+                        );
+                        registry
+                            .counter(&format!(
+                                "scheduler_jobs_submitted_total{{class=\"{}\"}}",
+                                CLASS_NAMES[job.spec.kind.class()]
+                            ))
+                            .inc();
+                        queues[job.spec.kind.class()].push_back(job);
+                    }
+                    Request::Metrics(reply) => {
+                        // Served here, between jobs, so every worker is parked
+                        // in its idle loop and the query cannot interleave
+                        // with a job's own frames.
+                        let _ = reply.send(collect_worker_metrics(ep)?);
+                    }
+                    Request::Shutdown => open = false,
+                }
+            }
+
+            // Class-fairness introspection: depth per class plus the total,
+            // sampled every time the scheduler picks its next job.
+            for (c, q) in queues.iter().enumerate() {
+                registry
+                    .gauge(&format!(
+                        "scheduler_queue_depth{{class=\"{}\"}}",
+                        CLASS_NAMES[c]
+                    ))
+                    .set(q.len() as f64);
+            }
+            registry
+                .gauge("scheduler_queue_depth")
+                .set(queues.iter().map(VecDeque::len).sum::<usize>() as f64);
+
+            // FIFO within a class, round-robin across non-empty classes.
+            let class = (0..JOB_CLASSES)
+                .map(|i| (next_class + i) % JOB_CLASSES)
+                .find(|&c| !queues[c].is_empty())
+                // invariant: the refill loop only falls through with work pending.
+                .expect("a class with a queued job");
+            next_class = (class + 1) % JOB_CLASSES;
+            // invariant: `class` was picked for its non-empty queue.
+            let job = queues[class].pop_front().expect("class just checked");
+
+            let was_cancelled = self
+                .cancelled
+                .lock()
+                .map(|mut set| set.remove(&job.id.0))
+                .unwrap_or(false);
+            let outcome = if was_cancelled {
+                registry.counter("scheduler_jobs_cancelled_total").inc();
+                advance(ep, &mut Lifecycle::new(job.id), JobState::Failed);
+                JobOutcome::failed(job.id, "cancelled before dispatch")
+            } else {
+                jobs_run += 1;
+                registry
+                    .counter(&format!(
+                        "scheduler_jobs_dispatched_total{{class=\"{}\"}}",
+                        CLASS_NAMES[class]
+                    ))
+                    .inc();
+                let abort = &RecoveryPolicy::Abort;
+                let (output, accounting) = match dispatch_job(
+                    ep,
+                    engine,
+                    job.id,
+                    &job.spec,
+                    &job.spec.examples,
+                    &mut kept,
+                    abort,
+                ) {
+                    Ok(done) => done,
+                    // The mesh goes down with the job; its handle hears why.
+                    Err(failure) => {
+                        let _ = job
+                            .reply
+                            .send(JobOutcome::failed(job.id, failure.to_string()));
+                        return Err(failure);
+                    }
+                };
+                // A cancel that raced the running job arrived too late to stop
+                // it — the job completed legally. Consume the mark so it can
+                // never leak onto a later dequeue pass.
+                if let Ok(mut set) = self.cancelled.lock() {
+                    set.remove(&job.id.0);
+                }
+                JobOutcome {
+                    id: job.id,
+                    state: JobState::Done,
+                    output: Some(output),
+                    error: None,
+                    accounting,
                 }
             };
-            match req {
-                Request::Submit(job) => {
-                    event!(
-                        ep.tracer(),
-                        "job_state",
-                        ep.now(),
-                        job = job.id.0,
-                        state = "queued",
-                    );
-                    registry
-                        .counter(&format!(
-                            "scheduler_jobs_submitted_total{{class=\"{}\"}}",
-                            CLASS_NAMES[job.spec.kind.class()]
-                        ))
-                        .inc();
-                    queues[job.spec.kind.class()].push_back(job);
-                }
-                Request::Metrics(reply) => {
-                    // Served here, between jobs, so every worker is parked
-                    // in its idle loop and the query cannot interleave
-                    // with a job's own frames.
-                    let _ = reply.send(collect_worker_metrics(ep)?);
-                }
-                Request::Shutdown => open = false,
-            }
+            // The job's examples go before the client hears of its end — and
+            // builds the next job's — not while it does. A dropped handle is
+            // fine; the job still ran to completion.
+            let QueuedJob { spec, reply, .. } = job;
+            drop(spec);
+            let _ = reply.send(outcome);
         }
-
-        // Class-fairness introspection: depth per class plus the total,
-        // sampled every time the scheduler picks its next job.
-        for (c, q) in queues.iter().enumerate() {
-            registry
-                .gauge(&format!(
-                    "scheduler_queue_depth{{class=\"{}\"}}",
-                    CLASS_NAMES[c]
-                ))
-                .set(q.len() as f64);
-        }
-        registry
-            .gauge("scheduler_queue_depth")
-            .set(queues.iter().map(VecDeque::len).sum::<usize>() as f64);
-
-        // FIFO within a class, round-robin across non-empty classes.
-        let class = (0..JOB_CLASSES)
-            .map(|i| (next_class + i) % JOB_CLASSES)
-            .find(|&c| !queues[c].is_empty())
-            // invariant: the refill loop only falls through with work pending.
-            .expect("a class with a queued job");
-        next_class = (class + 1) % JOB_CLASSES;
-        // invariant: `class` was picked for its non-empty queue.
-        let job = queues[class].pop_front().expect("class just checked");
-
-        let was_cancelled = cancelled
-            .lock()
-            .map(|mut set| set.remove(&job.id.0))
-            .unwrap_or(false);
-        let outcome = if was_cancelled {
-            registry.counter("scheduler_jobs_cancelled_total").inc();
-            let mut lifecycle = Lifecycle::new(job.id);
-            lifecycle.advance(JobState::Failed);
-            event!(
-                ep.tracer(),
-                "job_state",
-                ep.now(),
-                job = job.id.0,
-                state = "failed",
-            );
-            JobOutcome {
-                id: job.id,
-                state: lifecycle.state,
-                output: None,
-                error: Some("cancelled before dispatch".to_owned()),
-                accounting: JobAccounting::default(),
-            }
-        } else {
-            jobs_run += 1;
-            registry
-                .counter(&format!(
-                    "scheduler_jobs_dispatched_total{{class=\"{}\"}}",
-                    CLASS_NAMES[class]
-                ))
-                .inc();
-            let outcome = dispatch_job(ep, engine, job.id, &job.spec, &mut kept)?;
-            // A cancel that raced the running job arrived too late to stop
-            // it — the job completed legally. Consume the mark so it can
-            // never leak onto a later dequeue pass.
-            if let Ok(mut set) = cancelled.lock() {
-                set.remove(&job.id.0);
-            }
-            outcome
-        };
-        // The job's examples go before the client hears of its end — and
-        // builds the next job's — not while it does. A dropped handle is
-        // fine; the job still ran to completion.
-        let QueuedJob { spec, reply, .. } = job;
-        drop(spec);
-        let _ = reply.send(outcome);
+        // The shutdown metrics dump: one last introspection round while the
+        // mesh is still up, returned through [`ServiceReport`].
+        Ok((jobs_run, collect_worker_metrics(ep)?))
     }
-    // The shutdown metrics dump: one last introspection round while the
-    // mesh is still up, returned through [`ServiceReport`].
-    let dump = collect_worker_metrics(ep)?;
-    ep.broadcast(&Msg::Stop);
-    Ok((jobs_run, dump))
 }
 
 /// One introspection round: broadcast [`Msg::MetricsQuery`] to every
@@ -653,15 +635,19 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
 /// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`],
 /// gather acceptances, run the kind's master protocol (which ends with the
 /// job's own `Stop`, returning every worker to the idle loop), drain the
-/// [`Msg::JobResult`]s, and account the deltas. `kept` is what the ranks
-/// hold: from the previous job going in, from this one coming out.
-fn dispatch_job<T: Transport>(
+/// [`Msg::JobResult`]s, and account the deltas. The job runs on `examples`,
+/// which a service takes from `spec` and a one-shot run from its caller.
+/// `kept` is what the ranks hold: from the previous job going in, from this
+/// one coming out. A learning job meets a rank's death as `recovery` says.
+pub(crate) fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
     id: JobId,
     spec: &JobSpec,
+    examples: &Examples,
     kept: &mut Vec<Examples>,
-) -> Result<JobOutcome, CommFailure> {
+    recovery: &RecoveryPolicy,
+) -> Result<(JobOutput, JobAccounting), CommFailure> {
     let p = ep.workers();
     let mut job = Lifecycle::new(id);
     let t0 = ep.now();
@@ -669,14 +655,7 @@ fn dispatch_job<T: Transport>(
     let messages0 = ep.stats().total_messages();
     let steps0 = ep.compute_steps();
 
-    job.advance(JobState::Dispatching);
-    event!(
-        ep.tracer(),
-        "job_state",
-        t0,
-        job = id.0,
-        state = "dispatching",
-    );
+    advance(ep, &mut job, JobState::Dispatching);
     let settings = spec
         .settings
         .clone()
@@ -689,14 +668,8 @@ fn dispatch_job<T: Transport>(
         JobKind::Learn => spec.strategy,
         _ => Strategy::DataPipeline,
     };
-    let (dealing, shipped) = Dealing::plan(
-        &spec.examples,
-        p,
-        spec.seed,
-        strategy,
-        spec.repartition,
-        kept,
-    );
+    let (dealing, shipped) =
+        Dealing::plan(examples, p, spec.seed, strategy, spec.repartition, kept);
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
@@ -707,14 +680,7 @@ fn dispatch_job<T: Transport>(
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
     submit_job(ep, id.0, &config, kept, &shipped)?;
 
-    job.advance(JobState::Running);
-    event!(
-        ep.tracer(),
-        "job_state",
-        ep.now(),
-        job = id.0,
-        state = "running",
-    );
+    advance(ep, &mut job, JobState::Running);
     let output = match &spec.kind {
         JobKind::Coverage { rules } => {
             ep.broadcast(&Msg::LoadExamples);
@@ -724,12 +690,7 @@ fn dispatch_job<T: Transport>(
         }
         JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)?),
         JobKind::Learn => JobOutput::Learned(run_master(
-            ep,
-            &settings,
-            &spec.examples,
-            &dealing,
-            spec.seed,
-            &RecoveryPolicy::Abort,
+            ep, &settings, examples, &dealing, spec.seed, recovery,
         )?),
         JobKind::BaselineLearn { granularity } => {
             let Dealing::Static(partition) = &dealing else {
@@ -751,7 +712,7 @@ fn dispatch_job<T: Transport>(
                 engine
             };
             let (theory, epochs, set_aside) =
-                baseline_master(ep, master_engine, &spec.examples, partition, *granularity)?;
+                baseline_master(ep, master_engine, examples, partition, *granularity)?;
             JobOutput::BaselineLearned {
                 theory,
                 epochs,
@@ -760,41 +721,29 @@ fn dispatch_job<T: Transport>(
         }
     };
 
-    job.advance(JobState::Draining);
-    event!(
-        ep.tracer(),
-        "job_state",
-        ep.now(),
-        job = id.0,
-        state = "draining",
-    );
+    advance(ep, &mut job, JobState::Draining);
     let worker_steps = drain_job(ep, id.0)?;
     // A re-dealing job left every rank with a deal nobody remembers.
     if let Dealing::Redeal = dealing {
         kept.clear();
     }
 
-    job.advance(JobState::Done);
-    event!(
-        ep.tracer(),
-        "job_state",
-        ep.now(),
-        job = id.0,
-        state = "done",
-    );
-    Ok(JobOutcome {
-        id,
-        state: job.state,
-        output: Some(output),
-        error: None,
-        accounting: JobAccounting {
-            vtime: ep.now() - t0,
-            master_steps: ep.compute_steps() - steps0,
-            worker_steps,
-            bytes: ep.stats().total_bytes() - bytes0,
-            messages: ep.stats().total_messages() - messages0,
-        },
-    })
+    advance(ep, &mut job, JobState::Done);
+    let accounting = JobAccounting {
+        vtime: ep.now() - t0,
+        master_steps: ep.compute_steps() - steps0,
+        worker_steps,
+        bytes: ep.stats().total_bytes() - bytes0,
+        messages: ep.stats().total_messages() - messages0,
+    };
+    Ok((output, accounting))
+}
+
+/// Moves `job` to `next`, and says so on the trace.
+fn advance<T: Transport>(ep: &Endpoint<T>, job: &mut Lifecycle, next: JobState) {
+    job.advance(next);
+    let (id, state) = (job.id.0, next.tag());
+    event!(ep.tracer(), "job_state", ep.now(), job = id, state = state);
 }
 
 /// The worker ranks not acknowledged dead, ascending: everyone, unless the
@@ -823,7 +772,7 @@ pub(crate) fn submit_job<T: Transport>(
             config: Box::new(config.clone()),
             examples: shipped[k - 1].then(|| std::mem::take(&mut subsets[k - 1])),
         };
-        ep.send(k, &frame);
+        send_control(ep, k, &frame);
         if let Msg::SubmitJob {
             examples: Some(sent),
             ..
@@ -833,7 +782,7 @@ pub(crate) fn submit_job<T: Transport>(
         }
     }
     for k in ranks {
-        Msg::expect(ep, k, "a JobAccepted", |msg| match msg {
+        expect_control(ep, k, "a JobAccepted", |msg| match msg {
             Msg::JobAccepted { id: accepted, .. } if accepted != id => {
                 Err("JobAccepted: the id of another job")
             }
@@ -857,7 +806,7 @@ pub(crate) fn drain_job<T: Transport>(
 ) -> Result<Vec<u64>, CommFailure> {
     let mut worker_steps = vec![0u64; ep.workers()];
     for k in live_workers(ep) {
-        worker_steps[k - 1] = Msg::expect(ep, k, "a JobResult", |msg| match msg {
+        worker_steps[k - 1] = expect_control(ep, k, "a JobResult", |msg| match msg {
             Msg::JobResult { id: finished, .. } if finished != id => {
                 Err("JobResult: the id of another job")
             }
@@ -866,6 +815,28 @@ pub(crate) fn drain_job<T: Transport>(
         })?;
     }
     Ok(worker_steps)
+}
+
+/// Sends rank `k` a job-control frame, tallied as one at this end
+/// (`TrafficStats::record_control`).
+pub(crate) fn send_control<T: Transport>(ep: &mut Endpoint<T>, k: usize, msg: &Msg) {
+    let frame = to_bytes(msg);
+    ep.stats().record_control(frame.len());
+    ep.send_bytes(k, frame);
+}
+
+/// [`Msg::expect`] for a job-control frame from rank `k`, tallied as one at
+/// this end.
+fn expect_control<T: Transport, R>(
+    ep: &mut Endpoint<T>,
+    k: usize,
+    expected: &str,
+    pick: impl FnOnce(Msg) -> Result<R, &'static str>,
+) -> Result<R, CommFailure> {
+    let frame = ep.recv_from(k).map_err(|e| ep.failure(k, expected, e))?;
+    ep.stats().record_control(frame.len());
+    let msg = from_bytes(frame).map_err(|e| ep.failure(k, expected, e))?;
+    pick(msg).map_err(|why| ep.refusal(k, expected, why))
 }
 
 /// The resident worker's idle loop: park between jobs holding what the
@@ -923,7 +894,7 @@ pub fn run_resident_worker<T: Transport>(
                 }
                 ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
                 let steps0 = ep.compute_steps();
-                (base, kept) = run_role(ep, base, *config, local, &mut memo, true)?;
+                (base, kept) = run_role(ep, base, *config, local, &mut memo)?;
                 let steps = ep.compute_steps() - steps0;
                 ep.send(0, &Msg::JobResult { id, steps });
             }
@@ -944,6 +915,7 @@ pub fn run_resident_worker<T: Transport>(
 mod tests {
     use super::*;
     use crate::fixtures::problem;
+    use p2mdie_cluster::run_cluster;
     use p2mdie_logic::clause::{Clause, Literal};
     use p2mdie_logic::term::Term;
 

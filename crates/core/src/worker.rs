@@ -58,7 +58,7 @@ use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::clause::{Clause, Literal};
-use p2mdie_logic::kb::KnowledgeBase;
+use p2mdie_logic::kb::{KnowledgeBase, RuleMark};
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::KbSnapshot;
 use p2mdie_obs::span;
@@ -89,10 +89,6 @@ pub struct WorkerContext {
     pub strategy: Strategy,
     /// Seed salting the strategy's lattice slices.
     pub strategy_seed: u64,
-    /// The rank's KB outlives the job (a resident rank): copy it before the
-    /// job's first assert and hand the copy back at `Stop`. Off, nothing is
-    /// copied and the KB handed back holds the job's rules.
-    pub resident: bool,
 }
 
 impl WorkerContext {
@@ -105,24 +101,20 @@ impl WorkerContext {
             report_covered: false,
             strategy: Strategy::DataPipeline,
             strategy_seed: 0,
-            resident: false,
         }
     }
 }
 
 /// Runs the worker loop on rank `ep.rank()` as `config` describes it, over
 /// `kb` and the rank's example subset, until the master's `Stop`; `memo` and
-/// the return value are [`run_worker`]'s, `resident` is
-/// [`WorkerContext::resident`]. The one place a [`WorkerConfig`] becomes a
-/// [`WorkerContext`]: in-process ranks and resident workers running a
-/// submitted job both come through here.
+/// the return value are [`run_worker`]'s. The one place a [`WorkerConfig`]
+/// becomes a [`WorkerContext`]: every rank runs its jobs through here.
 pub(crate) fn run_role<T: Transport>(
     ep: &mut Endpoint<T>,
     kb: KnowledgeBase,
     config: WorkerConfig,
     local: Examples,
     memo: &mut CoverageMemo,
-    resident: bool,
 ) -> Result<(KnowledgeBase, Option<Examples>), CommFailure> {
     let (width, report_covered) = match config.role {
         WorkerRole::Pipeline { width, repartition } => (width, repartition),
@@ -140,7 +132,6 @@ pub(crate) fn run_role<T: Transport>(
         report_covered,
         strategy: config.strategy,
         strategy_seed: config.strategy_seed,
-        resident,
     };
     run_worker(ep, ctx, memo)
 }
@@ -239,14 +230,12 @@ fn handle_abort<T: Transport>(
 /// `memo` is the rank's coverage memo: every search of every stage and
 /// epoch and every rule the master asks to be scored goes through it. It
 /// must hold nothing, or what an earlier call left in it for the same
-/// `ctx.local`, the same proof limits and the same `ctx.engine.kb`; on a
-/// resident rank ([`WorkerContext::resident`]) what this call leaves in it
-/// stands for the two values returned — the KB as it was before the job's
-/// first `MarkCovered` (the job's asserts die with the job: the copy is
-/// taken then, so a job that accepts no rule copies nothing), and the
-/// example subset, `None` when the job replaced it (`NewPartition`,
-/// `AdoptExamples`), for then the master no longer knows what the rank
-/// holds.
+/// `ctx.local`, the same proof limits and the same `ctx.engine.kb`; what
+/// this call leaves in it stands for the two values returned — the KB as it
+/// was before the job's first `MarkCovered` (the job's asserts die with the
+/// job: `Stop` undoes them), and the example subset, `None` when the job
+/// replaced it (`NewPartition`, `AdoptExamples`), for then the master no
+/// longer knows what the rank holds.
 ///
 /// `Err` is the failure of the receive the loop could not go on from (see
 /// "Failures" in the module docs); the caller's runtime reports it.
@@ -264,9 +253,10 @@ pub fn run_worker<T: Transport>(
     let mut recovery = false;
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
-    // The KB before the first assert, whether a rule body can call what was
-    // asserted since, and whether `ctx.local` is still the subset dealt.
-    let mut pristine: Option<KnowledgeBase> = None;
+    // Where the rules stood before the first assert, whether a rule body can
+    // call what was asserted since, and whether `ctx.local` is still the
+    // subset dealt.
+    let mut mark: Option<RuleMark> = None;
     let mut stale = false;
     let mut replaced = false;
     // Every rule the master asks about is scored like a search node: through
@@ -288,7 +278,7 @@ pub fn run_worker<T: Transport>(
             Msg::KbSnapshot(snap) => {
                 let syms = ctx.engine.kb.symbols().clone();
                 ctx.engine.kb = restore_kb(ep, *snap, syms)?;
-                (pristine, stale) = (None, false);
+                (mark, stale) = (None, false);
                 memo.clear();
             }
             Msg::EnableRecovery => recovery = true,
@@ -389,9 +379,7 @@ pub fn run_worker<T: Transport>(
                 // never so for a target that is no body-mode predicate over
                 // a KB whose rules do not mention it.
                 let head = rule.head.key();
-                if ctx.resident {
-                    pristine.get_or_insert_with(|| ctx.engine.kb.clone());
-                }
+                mark.get_or_insert_with(|| ctx.engine.kb.rule_mark());
                 ctx.engine.assert_rule(rule);
                 if ctx.engine.callable_from_bodies(head) {
                     memo.clear();
@@ -431,8 +419,8 @@ pub fn run_worker<T: Transport>(
                 ep.send(0, &reply);
             }
             Msg::Stop => {
-                if let Some(kb) = pristine {
-                    ctx.engine.kb = kb;
+                if let Some(mark) = mark {
+                    ctx.engine.kb.undo_rules(&mark);
                     // Whatever was stored since a callable assert saw
                     // `B ∪ {R}`, and `R` goes with the job.
                     if stale {

@@ -142,3 +142,39 @@ fn metrics_before_the_first_job_leave_the_service_up() {
     assert_eq!(report.jobs_run, 1);
     assert_eq!(report.dropped_sends, 0);
 }
+
+/// A worker process that dies mid-job fails that job with the reason, not
+/// with "service terminated": the scheduler hands the job's own handle the
+/// rank-tagged error before the service goes down with it. Rank 1 dies when
+/// the job's `Evaluate` would be its fourth frame (after the KB snapshot,
+/// the `SubmitJob` and `LoadExamples`), so the master meets its closed link
+/// waiting for rank 1's answer.
+#[test]
+fn a_failed_dispatch_tells_its_job_why() {
+    let ds = p2mdie_datasets::trains(12, 5);
+    let rules = run_parallel(
+        &ds.engine,
+        &ds.examples,
+        &ParallelConfig::new(2, Width::Limit(10), 5),
+    )
+    .unwrap()
+    .clauses();
+    let mut tcp = tcp_config();
+    tcp.timeout = Duration::from_secs(30);
+    tcp.worker_env
+        .push(("P2MDIE_TEST_FAIL".to_owned(), "exit-after:1:3".to_owned()));
+    let (job, report) = bounded(move || {
+        let service = Service::new_tcp(&ds.engine, ServiceConfig::new(2), &tcp);
+        let job = service
+            .submit(JobSpec::coverage(ds.examples.clone(), rules))
+            .unwrap()
+            .wait();
+        (job, service.shutdown())
+    });
+    assert_eq!(job.state, JobState::Failed);
+    let error = job.error.expect("a failed job says why");
+    assert!(error.contains("from rank 1"), "{error}");
+    assert!(!error.contains("service terminated"), "{error}");
+    let err = report.expect_err("the service goes down with the job");
+    assert!(err.to_string().contains("rank 1"), "{err}");
+}

@@ -4,7 +4,9 @@
 //! The load-bearing assertion: a multi-process run is **bit-identical** to
 //! the in-process simulation with the same `ParallelConfig` seed — same
 //! induced theory, same coverage counts on every accepted rule, same
-//! epochs, same per-rank metered steps, same pipeline rule flow. The
+//! epochs, same per-rank metered steps, same pipeline rule flow, and, both
+//! being one job on a mesh of resident workers, the same bytes, messages
+//! and virtual clocks. The
 //! failure tests pin that a worker process dying early or emitting a
 //! malformed frame surfaces as a rank-tagged error at the master instead
 //! of a hang (every run is bounded by a watchdog timeout).
@@ -78,15 +80,17 @@ fn tcp_processes_match_in_process_run_bit_for_bit() {
         assert_eq!(flow(&reference), flow(&tcp), "p={p}: stage flow drifted");
         // Nothing was lost on the wire.
         assert_eq!(tcp.dropped_sends, 0, "p={p}");
-        // The TCP run ships the same protocol traffic plus the bootstrap
-        // (one SubmitJob per rank, acknowledged and drained), so its byte
-        // total strictly dominates the in-process one.
-        assert!(
-            tcp.total_bytes > reference.total_bytes,
-            "p={p}: bootstrap must be byte-accounted ({} vs {})",
-            tcp.total_bytes,
-            reference.total_bytes
-        );
+        // Both runs are one job on resident workers, framed alike: the
+        // same traffic, the same job-control frames (four per rank, tallied
+        // apart), and the same clocks to the last bit.
+        let traffic = |rep: &p2mdie_core::report::ParallelReport| {
+            let control = (rep.control_bytes, rep.control_messages);
+            (rep.total_bytes, rep.total_messages, control)
+        };
+        assert_eq!(traffic(&reference), traffic(&tcp), "p={p}: traffic");
+        assert_eq!(reference.control_messages, 4 * p as u64, "p={p}");
+        assert_eq!(reference.vtime.to_bits(), tcp.vtime.to_bits(), "p={p}");
+        assert_eq!(reference.worker_vtimes, tcp.worker_vtimes, "p={p}");
     }
 }
 
@@ -124,6 +128,13 @@ fn tcp_coverage_baseline_matches_in_process() {
     assert_eq!(reference.epochs, tcp.epochs);
     assert_eq!(reference.set_aside, tcp.set_aside);
     assert_eq!(tcp.dropped_sends, 0);
+    let traffic = |rep: &p2mdie_core::baselines::BaselineReport| {
+        let control = (rep.control_bytes, rep.control_messages);
+        (rep.total_bytes, rep.total_messages, control)
+    };
+    assert_eq!(traffic(&reference), traffic(&tcp));
+    assert_eq!(reference.control_messages, 8);
+    assert_eq!(reference.vtime.to_bits(), tcp.vtime.to_bits());
 }
 
 fn failing_run(injection: &str) -> Result<(), ClusterError> {

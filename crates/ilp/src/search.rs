@@ -80,8 +80,8 @@
 //! clearing on every accepted rule would forfeit the memo exactly where it
 //! pays, between epochs. The sequential loop asserts nothing.
 //!
-//! A *job* is not a boundary. The rank of a one-shot run brings a new memo
-//! and drops it with the run, but a resident rank's memo outlives its jobs,
+//! A *job* is not a boundary. Every rank is resident: its memo outlives
+//! its jobs (a one-shot run's single job starts a new one, on a new mesh),
 //! and the same three conditions decide at the seam: it is cleared when a
 //! job ships the rank another example subset, when a job's `ProofLimits`
 //! are not the previous job's, on a KB snapshot between jobs — and at the

@@ -1244,7 +1244,34 @@ impl KnowledgeBase {
         self.num_rules -= n;
         n
     }
+
+    /// Where the rules stand now, for [`KnowledgeBase::undo_rules`] to
+    /// return to.
+    pub fn rule_mark(&self) -> RuleMark {
+        RuleMark(self.entries.iter().map(|e| e.rules.len()).collect())
+    }
+
+    /// Undoes every [`KnowledgeBase::assert_rule`] since `mark`, taken on
+    /// this KB: the rules go, and so do the predicate entries they created.
+    /// Facts asserted and indexes pruned since are not undone.
+    pub fn undo_rules(&mut self, mark: &RuleMark) {
+        let kept = mark.0.len();
+        for key in self.keys.drain(kept..) {
+            self.pred_index.remove(&key);
+        }
+        self.entries.truncate(kept);
+        for (entry, &n) in self.entries.iter_mut().zip(&mark.0) {
+            entry.rules.truncate(n);
+            entry.crules.truncate(n);
+        }
+        self.num_rules = mark.0.iter().sum();
+    }
 }
+
+/// Each predicate entry's rule count at one point, in entry order (see
+/// [`KnowledgeBase::rule_mark`]).
+#[derive(Clone, Debug)]
+pub struct RuleMark(Vec<usize>);
 
 impl std::fmt::Debug for KnowledgeBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

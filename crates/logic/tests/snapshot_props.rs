@@ -11,11 +11,14 @@
 //!    plans (tried set and reference candidate count) match the original's
 //!    for every bound pattern, i.e. posting lists and columns really were
 //!    adopted, not rebuilt differently.
+//! 3. **Undone asserts leave no trace** — rules asserted after a
+//!    `rule_mark()` and undone with `undo_rules` leave the snapshot and
+//!    every proof as they were (what a resident rank does at a job's end).
 
 mod oracle;
 mod worlds;
 
-use p2mdie_logic::clause::Literal;
+use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::prover::{ProofLimits, Prover};
 use p2mdie_logic::symbol::SymbolTable;
@@ -135,6 +138,66 @@ proptest! {
                 "plan diverged under {:?}", bound
             );
         }
+    }
+
+    /// Undoing a run of rule asserts leaves no trace: the KB snapshots as
+    /// before, and every query proves with the same `(proved, steps,
+    /// depth_cuts, aborted)`. The rules are built from symbols already
+    /// interned; their heads and bodies range over the world's predicates
+    /// and over predicates the KB has no entry for (a fresh name, or a
+    /// known name at another arity).
+    #[test]
+    fn undone_rule_asserts_leave_no_trace(
+        bonds in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()), 0..60),
+        vals in proptest::collection::vec(0i64..40, 0..8),
+        rules in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), proptest::collection::vec(any::<u8>(), 1..4)), 1..4),
+            1..5,
+        ),
+        queries in proptest::collection::vec((any::<u8>(), proptest::collection::vec(any::<u8>(), 1..5)), 1..6),
+        max_steps in 1u64..2500,
+        seal in any::<bool>(),
+    ) {
+        let (t, prog) = build_program(&bonds, &[], &vals);
+        let mut kb = prog.to_kb();
+        if seal {
+            kb.optimize();
+        }
+        let ghost = t.intern("ghost");
+        // A literal over a world predicate, renamed to `ghost` (no entry
+        // at any arity) or to `val` at its own arity (an entry only at
+        // arity 1) on some picks.
+        let lit = |(pick, seeds): &(u8, Vec<u8>)| {
+            let mut l = build_query(&t, *pick, seeds);
+            match pick / 8 % 4 {
+                1 => l.pred = ghost,
+                2 if l.args.len() != 1 => l.pred = t.intern("val"),
+                _ => {}
+            }
+            l
+        };
+        let rules: Vec<Clause> = rules
+            .iter()
+            .map(|lits| Clause::new(lit(&lits[0]), lits[1..].iter().map(lit).collect()))
+            .collect();
+        let goals: Vec<Literal> = queries
+            .iter()
+            .map(|(pick, seeds)| build_query(&t, *pick, seeds))
+            .collect();
+        let limits = ProofLimits { max_depth: 4, max_steps };
+        let proofs = |kb: &KnowledgeBase| -> Vec<_> {
+            let prover = Prover::new(kb, limits);
+            goals.iter().map(|g| prover.prove_ground(g)).collect()
+        };
+        let (before, proved_before) = (kb.to_snapshot(), proofs(&kb));
+
+        let mark = kb.rule_mark();
+        for rule in rules {
+            kb.assert_rule(rule);
+        }
+        kb.undo_rules(&mark);
+        prop_assert_eq!(kb.to_snapshot(), before, "the snapshot moved");
+        prop_assert_eq!(proofs(&kb), proved_before, "a proof moved");
     }
 }
 

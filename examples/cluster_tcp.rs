@@ -66,8 +66,8 @@ fn main() {
     let cfg_tcp = cfg.clone().with_transport(TransportKind::Tcp(tcp_cfg));
     let remote = run_parallel(&ds.engine, &ds.examples, &cfg_tcp).expect("TCP run");
     println!(
-        "real OS processes:    {} rules, {} epochs, T(p) = {:.1} virtual s, {:.3} MB \
-         (+bootstrap), dropped sends: {}",
+        "real OS processes:    {} rules, {} epochs, T(p) = {:.1} virtual s, {:.3} MB, \
+         dropped sends: {}",
         remote.theory.len(),
         remote.epochs,
         remote.vtime,
@@ -83,7 +83,8 @@ fn main() {
     println!(
         "\nidentical theory, coverage counts, and per-rank inference steps — \
          {} workers ran as real processes over {} virtual-time-carrying TCP frames.",
-        workers, remote.total_messages
+        workers,
+        remote.total_messages + remote.control_messages
     );
 
     println!("\ninduced theory:");

@@ -5,8 +5,9 @@
 //! after that ships only its job description (examples, settings, rules to
 //! score). Here two coverage queries and a full learning run are submitted
 //! concurrently over one standing two-worker mesh; the mesh multiplexes
-//! them back to back, each on a pristine clone of the resident KB, and the
-//! service report shows the one-time KB ship amortized across all three.
+//! them back to back, each on the resident KB (a job's asserts are undone
+//! at its end), and the service report shows the one-time KB ship
+//! amortized across all three.
 //!
 //! ```sh
 //! cargo run --release --example service

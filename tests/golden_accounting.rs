@@ -34,6 +34,15 @@
 //!   2005, sequentially and at p ∈ {2, 4} × W ∈ {10, nolimit} — recorded at
 //!   commit fadaf9f, before the binding store carried arena ids. Release
 //!   builds only.
+//!
+//! Every in-process one-shot row — the pipelined p = 2 pin above, and 44
+//! of the 55 lines of the three files — was re-recorded once, in `vtime`
+//! only, on top of commit bec9139, when one-shot runs became jobs on
+//! resident workers: each rank's four job-control frames (`SubmitJob`,
+//! `JobAccepted`, `JobResult` and the idle `Stop`) are now charged on the
+//! model clock, as they already were over TCP. They stay out of `bytes`
+//! and `msgs`, so no theory, count, step, byte or message moved, and the
+//! sequential and service lines did not move at all.
 
 use p2mdie::cluster::CostModel;
 use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};
@@ -92,7 +101,7 @@ fn pipelined_p2_run_matches_recorded_accounting() {
     assert_eq!(rep.total_messages, 64);
     assert_eq!(rep.dropped_sends, 0);
     assert!(
-        (rep.vtime - 128.727_953_600_000_26).abs() < 1e-9,
+        (rep.vtime - 128.728_595_360_000_33).abs() < 1e-9,
         "vtime {}",
         rep.vtime
     );
