@@ -117,8 +117,8 @@ pub(crate) fn coverage_parallel(
     granularity: EvalGranularity,
 ) -> Result<BaselineReport, ClusterError> {
     let started = Instant::now();
-    let spec = JobSpec::baseline(Examples::default(), granularity).with_seed(cfg.seed);
-    let outcome = run_one_job(engine, cfg, &spec, examples)?;
+    let spec = JobSpec::baseline(examples.clone(), granularity).with_seed(cfg.seed);
+    let outcome = run_one_job(engine, cfg, &spec)?;
     let JobOutput::BaselineLearned {
         theory,
         epochs,

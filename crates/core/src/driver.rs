@@ -255,11 +255,9 @@ pub(crate) trait MeshMaster: Send {
     ) -> Result<Self::Out, CommFailure>;
 }
 
-/// The master of a one-shot run: `spec`, the only job of its mesh, on the
-/// caller's `examples` — the spec holds none, so the run copies none.
+/// The master of a one-shot run: `spec`, the only job of its mesh.
 struct OneJob<'a> {
     spec: &'a JobSpec,
-    examples: &'a Examples,
     recovery: &'a RecoveryPolicy,
 }
 
@@ -271,37 +269,20 @@ impl MeshMaster for OneJob<'_> {
         ep: &mut Endpoint<T>,
         engine: &IlpEngine,
     ) -> Result<JobOutput, CommFailure> {
-        let (output, _) = dispatch_job(
-            ep,
-            engine,
-            JobId(1),
-            self.spec,
-            self.examples,
-            &mut Vec::new(),
-            self.recovery,
-        )?;
+        let (output, _) = dispatch_job(ep, engine, JobId(1), self.spec, &mut None, self.recovery)?;
         Ok(output)
     }
 }
 
-/// Runs `spec` on `examples` as the one job of a fresh mesh that `cfg`
-/// describes, with `cfg.recovery` for a rank's death.
+/// Runs `spec` as the one job of a fresh mesh that `cfg` describes, with
+/// `cfg.recovery` for a rank's death.
 pub(crate) fn run_one_job(
     engine: &IlpEngine,
     cfg: &ParallelConfig,
     spec: &JobSpec,
-    examples: &Examples,
 ) -> Result<ClusterOutcome<JobOutput>, ClusterError> {
     let recovery = &cfg.recovery;
-    open_mesh(
-        engine,
-        cfg,
-        OneJob {
-            spec,
-            examples,
-            recovery,
-        },
-    )
+    open_mesh(engine, cfg, OneJob { spec, recovery })
 }
 
 /// Opens the mesh `cfg` describes, runs `master` on it and stops its ranks
@@ -401,7 +382,8 @@ fn warn_rank_losses(losses: &[u32], master_vtime: f64) {
 }
 
 /// Runs p²-mdie on `engine` × `examples` with `cfg`: one learning job on a
-/// fresh mesh.
+/// fresh mesh, its spec holding a clone of `examples` (a reference count,
+/// not a copy).
 ///
 /// The engine (background knowledge, modes, settings) is shared by all
 /// ranks, mirroring the paper's distributed-file-system assumption; each
@@ -419,13 +401,13 @@ pub fn run_parallel(
     let started = Instant::now();
     let spec = JobSpec {
         repartition: cfg.repartition,
-        ..JobSpec::learn(Examples::default())
+        ..JobSpec::learn(examples.clone())
     };
     let spec = spec
         .with_seed(cfg.seed)
         .with_width(cfg.width)
         .with_strategy(cfg.strategy);
-    let outcome = run_one_job(engine, cfg, &spec, examples)?;
+    let outcome = run_one_job(engine, cfg, &spec)?;
     let report = ParallelReport::from_outcome(cfg.workers, started.elapsed(), outcome);
     warn_rank_losses(&report.rank_losses, report.vtime);
     Ok(report)

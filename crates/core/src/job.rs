@@ -111,13 +111,18 @@ pub(crate) const CLASS_NAMES: [&str; JOB_CLASSES] = ["coverage", "rule-search", 
 ///
 /// Every job carries its *own* examples, settings, partition seed, and
 /// width — two jobs multiplexed over the same mesh may differ in all of
-/// them. `settings: None` inherits the service engine's settings.
+/// them. `settings: None` inherits the service engine's settings. The
+/// examples are shared, not copied: building a spec on `examples.clone()`
+/// costs a reference count per list, and so does dropping it (see
+/// [`Examples`]); on the wire they are two `Vec<Literal>`s.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// What to run.
     pub kind: JobKind,
     /// The examples this job runs over (partitioned over the workers with
-    /// `seed` at dispatch time).
+    /// `seed` at dispatch time). A job on the set the ranks were dealt from
+    /// last — the same lists, or equal ones — dealt the same way ships none
+    /// of it.
     pub examples: Examples,
     /// Pipeline width `W` for rule-search and learning jobs.
     pub width: Width,

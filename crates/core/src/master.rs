@@ -182,55 +182,76 @@ pub enum Dealing {
     Replicated,
 }
 
+/// What the ranks were dealt from by the last job of a mesh: the job's set
+/// (shared, not copied), the number of ranks, and how it was dealt — with
+/// the seed of a static dealing. See "What a rank keeps" in
+/// [`crate::scheduler`].
+pub(crate) struct Dealt {
+    examples: Examples,
+    p: usize,
+    seed: u64,
+    dealing: Dealing,
+}
+
 impl Dealing {
-    /// The dealing of a learning run, and in `held` the example subset each
-    /// rank runs it on. `held` comes in as what the ranks hold from their
-    /// previous job (empty: nothing): a subset that is, by value, the one
-    /// its rank holds is neither rebuilt nor, the returned flag being
-    /// `false`, to be shipped. The comparison reads `examples` through the
-    /// partition's indices, so a job on the examples of the last one copies
-    /// none of them.
-    pub(crate) fn plan(
+    /// The dealing of a job on `examples` over `p` ranks, and whether each
+    /// rank must be shipped its [`Dealing::subset`]. `kept` comes in as what
+    /// the ranks were dealt from by their previous job (`None`: nothing) and
+    /// leaves as this job's. A job on the kept set — the same allocation, or
+    /// else equal by value — dealt the same way finds every rank holding its
+    /// subset: the kept dealing serves, and nothing is dealt, compared rank
+    /// by rank, or shipped. Any other job is dealt afresh, ships every rank
+    /// and replaces what is kept.
+    pub(crate) fn plan<'k>(
         examples: &Examples,
         p: usize,
         seed: u64,
         strategy: Strategy,
         repartition: bool,
-        held: &mut Vec<Examples>,
-    ) -> (Dealing, Vec<bool>) {
-        let dealing = if strategy != Strategy::DataPipeline {
-            Dealing::Replicated
-        } else if repartition {
-            Dealing::Redeal
-        } else {
-            Dealing::Static(Partition::deal(
-                examples.num_pos(),
-                examples.num_neg(),
-                p,
-                seed,
-            ))
+        kept: &'k mut Option<Dealt>,
+    ) -> (&'k Dealing, bool) {
+        let replicated = strategy != Strategy::DataPipeline;
+        let same_way = |dealt: &Dealt| match dealt.dealing {
+            Dealing::Static(_) => !replicated && !repartition && dealt.seed == seed,
+            Dealing::Replicated => replicated,
+            // A re-dealing job left every rank a deal nobody remembers.
+            Dealing::Redeal => false,
         };
-        let anything_held = held.len() == p;
-        held.resize_with(p, Examples::default);
-        let deal_to = |(k, held): (usize, &mut Examples)| {
-            let is_held = anything_held
-                && match &dealing {
-                    Dealing::Static(part) => examples.subset_is(&part.pos[k], &part.neg[k], held),
-                    Dealing::Replicated => examples == held,
-                    Dealing::Redeal => false,
-                };
-            if !is_held {
-                *held = match &dealing {
-                    Dealing::Static(part) => examples.subset(&part.pos[k], &part.neg[k]),
-                    Dealing::Replicated => examples.clone(),
-                    // Workers start empty; the first deal arrives with epoch 1.
-                    Dealing::Redeal => Examples::default(),
-                };
-            }
-            !is_held
-        };
-        let shipped = held.iter_mut().enumerate().map(deal_to).collect();
-        (dealing, shipped)
+        let held = kept
+            .as_ref()
+            .is_some_and(|dealt| dealt.p == p && same_way(dealt) && dealt.examples == *examples);
+        if !held {
+            *kept = None;
+        }
+        let dealt = kept.get_or_insert_with(|| Dealt {
+            examples: examples.clone(),
+            p,
+            seed,
+            dealing: if replicated {
+                Dealing::Replicated
+            } else if repartition {
+                Dealing::Redeal
+            } else {
+                Dealing::Static(Partition::deal(
+                    examples.num_pos(),
+                    examples.num_neg(),
+                    p,
+                    seed,
+                ))
+            },
+        });
+        (&dealt.dealing, !held)
+    }
+
+    /// The subset of `examples` the `k`-th worker (from 0) is shipped: built
+    /// to travel in its frame, not kept.
+    pub(crate) fn subset(&self, examples: &Examples, k: usize) -> Examples {
+        match self {
+            Dealing::Static(part) => examples.subset(&part.pos[k], &part.neg[k]),
+            Dealing::Replicated => examples.clone(),
+            // Workers start empty; the first deal arrives with epoch 1.
+            Dealing::Redeal => Examples::default(),
+        }
     }
 }
 

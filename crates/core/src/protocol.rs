@@ -21,9 +21,13 @@
 //! rank's example subset only when the rank does not already hold it — an
 //! `Option` where v8 had the two lists, `None` naming the subset the rank
 //! kept from its previous job (see [`crate::scheduler`]) — so that a
-//! resident service ships a set once and clauses ever after. No tag is
-//! added or retired. Protocol v10 retires tag 27 (`Constraint`, a
-//! worker-to-worker broadcast nothing sends) and strategy tag 2.
+//! resident service ships a set once and clauses ever after. The master
+//! knows a rank holds its subset by the whole set it was dealt from, not
+//! by the subset: then every rank's frame is the same, encoded once. An
+//! [`Examples`] travels as its two `Vec<Literal>`s do, whatever shares
+//! them in memory. No tag is added or retired. Protocol v10 retires tag 27
+//! (`Constraint`, a worker-to-worker broadcast nothing sends) and strategy
+//! tag 2.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -343,8 +347,9 @@ pub enum Msg {
         /// Per-job worker configuration.
         config: Box<WorkerConfig>,
         /// This rank's examples for the job; `None` when they are the
-        /// subset the rank kept from its previous job. A rank that kept
-        /// none refuses the frame.
+        /// subset the rank kept from its previous job — in which case every
+        /// rank's frame is `None` too. A rank that kept none refuses the
+        /// frame.
         examples: Option<Examples>,
     },
     /// Resident worker → master: job accepted and about to run.

@@ -154,8 +154,7 @@ mod tests {
             p: usize,
             recovery: RecoveryPolicy,
         ) -> impl Fn(&mut Endpoint) -> Result<(), CommFailure> + '_ {
-            let strategy = Strategy::DataPipeline;
-            let (dealing, _) = Dealing::plan(&self.ex, p, 42, strategy, false, &mut Vec::new());
+            let dealing = Dealing::Static(partition_examples(&self.ex, p, 42).1);
             let settings = &self.engine.settings;
             move |ep| run_master(ep, settings, &self.ex, &dealing, 42, &recovery).map(drop)
         }
@@ -311,7 +310,7 @@ mod tests {
                     takes: &[],
                     out_of_range: vec![],
                     run: Box::new(move |ep| {
-                        submit_job(ep, 7, &config, &mut [self.ex.clone()], &[true])
+                        submit_job(ep, 7, &config, Some((&Dealing::Replicated, &self.ex)))
                     }),
                 },
                 State {

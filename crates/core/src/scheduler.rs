@@ -28,19 +28,26 @@
 //!   theory (any interleaving of submissions is bit-identical to each job
 //!   run alone on a fresh mesh, pinned by `crates/core/tests/service.rs`).
 //! * **The example subset of its last job.** [`Msg::SubmitJob`] carries the
-//!   subset only when the rank does not hold it: the master remembers, per
-//!   rank, the subsets it dealt last and compares the next job's with them
-//!   **by value** — reading the job's examples through the new partition's
-//!   indices, so a match copies nothing; on a match the frame names the kept
-//!   set and carries role, bias and settings only. One set per rank and an
-//!   exact comparison — no content hash to collide, no LRU, no count —
-//!   because no caller alternates sets (a count is a private constant to
-//!   add when a workload does), and memory stays bounded by construction.
-//!   Both ends forget the set when a job may have replaced it on the rank
-//!   (a re-dealing job's `NewPartition`, a recovery's `AdoptExamples`) or
-//!   ended in failure; the first job of a mesh always ships. A frame
-//!   naming a set on a rank that holds none fails that rank with a typed
-//!   error.
+//!   subset only when the rank does not hold it. The master keeps no
+//!   subsets, only what the ranks were dealt *from*: the last job's whole
+//!   set (a shared [`Examples`], so keeping it copies nothing), the number
+//!   of ranks and how it was dealt — statically with its seed and
+//!   partition, or replicated. The next job's set is compared with it
+//!   whole: the **same allocation** first, at once, then **by value**. When
+//!   it matches and is dealt the same way, every rank holds its subset: the
+//!   kept partition serves, nothing is dealt or shipped, and every rank's
+//!   frame is the same — role, bias and settings only, encoded once. Any
+//!   other job is dealt afresh and ships *every* rank its subset, built for
+//!   the frame and gone with it, and what is kept becomes this job's. One
+//!   set and an exact comparison — no content hash to collide, no LRU, no
+//!   count — because no caller alternates sets (a count is a private
+//!   constant to add when a workload does), and memory stays bounded by
+//!   construction. Both ends forget the set when a job may have replaced it
+//!   on the rank (a re-dealing job's `NewPartition`, which no later job
+//!   matches; a recovery's `AdoptExamples`, on a one-shot mesh with no later
+//!   job) or ended in failure; the first job of a mesh always ships. A
+//!   frame naming a set on a rank that holds none fails that rank with a
+//!   typed error.
 //! * **The coverage memo** (`p2mdie_ilp::CoverageMemo`, 128 KiB): every
 //!   search and every `Evaluate` / `MarkCovered` / `ReplayTheory` of every
 //!   job on the rank goes through it, so the hundredth query of a clause on
@@ -127,12 +134,13 @@ use crate::driver::{
 use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
-use crate::master::{run_master, run_search_epoch, Dealing};
+use crate::master::{run_master, run_search_epoch, Dealing, Dealt};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
 use crate::strategy::Strategy;
 use crate::worker::{restore_kb, run_role};
+use bytes::Bytes;
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::panic_message;
@@ -427,9 +435,9 @@ impl MeshMaster for Scheduler {
         let mut next_class = 0usize;
         let mut jobs_run = 0u32;
         let mut open = true;
-        // The subsets the ranks hold from the last job (see "What a rank
+        // What the ranks were dealt from by the last job (see "What a rank
         // keeps" in the module docs); dropped with this loop if a job fails.
-        let mut kept: Vec<Examples> = Vec::new();
+        let mut kept = None;
         'serve: loop {
             // Refill: drain everything already submitted without blocking;
             // block only when there is nothing to run.
@@ -525,24 +533,17 @@ impl MeshMaster for Scheduler {
                     ))
                     .inc();
                 let abort = &RecoveryPolicy::Abort;
-                let (output, accounting) = match dispatch_job(
-                    ep,
-                    engine,
-                    job.id,
-                    &job.spec,
-                    &job.spec.examples,
-                    &mut kept,
-                    abort,
-                ) {
-                    Ok(done) => done,
-                    // The mesh goes down with the job; its handle hears why.
-                    Err(failure) => {
-                        let _ = job
-                            .reply
-                            .send(JobOutcome::failed(job.id, failure.to_string()));
-                        return Err(failure);
-                    }
-                };
+                let (output, accounting) =
+                    match dispatch_job(ep, engine, job.id, &job.spec, &mut kept, abort) {
+                        Ok(done) => done,
+                        // The mesh goes down with the job; its handle hears why.
+                        Err(failure) => {
+                            let _ = job
+                                .reply
+                                .send(JobOutcome::failed(job.id, failure.to_string()));
+                            return Err(failure);
+                        }
+                    };
                 // A cancel that raced the running job arrived too late to stop
                 // it — the job completed legally. Consume the mark so it can
                 // never leak onto a later dequeue pass.
@@ -557,12 +558,8 @@ impl MeshMaster for Scheduler {
                     accounting,
                 }
             };
-            // The job's examples go before the client hears of its end — and
-            // builds the next job's — not while it does. A dropped handle is
-            // fine; the job still ran to completion.
-            let QueuedJob { spec, reply, .. } = job;
-            drop(spec);
-            let _ = reply.send(outcome);
+            // A dropped handle is fine; the job still ran to completion.
+            let _ = job.reply.send(outcome);
         }
         // The shutdown metrics dump: one last introspection round while the
         // mesh is still up, returned through [`ServiceReport`].
@@ -635,20 +632,19 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
 /// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`],
 /// gather acceptances, run the kind's master protocol (which ends with the
 /// job's own `Stop`, returning every worker to the idle loop), drain the
-/// [`Msg::JobResult`]s, and account the deltas. The job runs on `examples`,
-/// which a service takes from `spec` and a one-shot run from its caller.
-/// `kept` is what the ranks hold: from the previous job going in, from this
-/// one coming out. A learning job meets a rank's death as `recovery` says.
+/// [`Msg::JobResult`]s, and account the deltas. `kept` is what the ranks
+/// were dealt from: by the previous job going in, by this one coming out. A
+/// learning job meets a rank's death as `recovery` says.
 pub(crate) fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
     id: JobId,
     spec: &JobSpec,
-    examples: &Examples,
-    kept: &mut Vec<Examples>,
+    kept: &mut Option<Dealt>,
     recovery: &RecoveryPolicy,
 ) -> Result<(JobOutput, JobAccounting), CommFailure> {
     let p = ep.workers();
+    let examples = &spec.examples;
     let mut job = Lifecycle::new(id);
     let t0 = ep.now();
     let bytes0 = ep.stats().total_bytes();
@@ -668,8 +664,7 @@ pub(crate) fn dispatch_job<T: Transport>(
         JobKind::Learn => spec.strategy,
         _ => Strategy::DataPipeline,
     };
-    let (dealing, shipped) =
-        Dealing::plan(examples, p, spec.seed, strategy, spec.repartition, kept);
+    let (dealing, ship) = Dealing::plan(examples, p, spec.seed, strategy, spec.repartition, kept);
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
@@ -678,7 +673,7 @@ pub(crate) fn dispatch_job<T: Transport>(
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
-    submit_job(ep, id.0, &config, kept, &shipped)?;
+    submit_job(ep, id.0, &config, ship.then_some((dealing, examples)))?;
 
     advance(ep, &mut job, JobState::Running);
     let output = match &spec.kind {
@@ -690,10 +685,10 @@ pub(crate) fn dispatch_job<T: Transport>(
         }
         JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)?),
         JobKind::Learn => JobOutput::Learned(run_master(
-            ep, &settings, examples, &dealing, spec.seed, recovery,
+            ep, &settings, examples, dealing, spec.seed, recovery,
         )?),
         JobKind::BaselineLearn { granularity } => {
-            let Dealing::Static(partition) = &dealing else {
+            let Dealing::Static(partition) = dealing else {
                 // invariant: `strategy` above is the data pipeline for every
                 // kind but `Learn`, and a baseline job does not repartition.
                 unreachable!("baseline jobs partition statically");
@@ -723,10 +718,6 @@ pub(crate) fn dispatch_job<T: Transport>(
 
     advance(ep, &mut job, JobState::Draining);
     let worker_steps = drain_job(ep, id.0)?;
-    // A re-dealing job left every rank with a deal nobody remembers.
-    if let Dealing::Redeal = dealing {
-        kept.clear();
-    }
 
     advance(ep, &mut job, JobState::Done);
     let accounting = JobAccounting {
@@ -753,33 +744,33 @@ pub(crate) fn live_workers<T: Transport>(ep: &Endpoint<T>) -> Vec<usize> {
     (1..=ep.workers()).filter(|k| !down.contains(k)).collect()
 }
 
-/// Hands job `id` to the idle workers, rank `k` getting `subsets[k - 1]`:
-/// one [`Msg::SubmitJob`] per live rank, then each one's
-/// [`Msg::JobAccepted`]. A rank whose subset need not be `shipped` — it is
-/// the one the rank kept from its previous job — is sent no examples; one
-/// that is shipped travels inside the frame and is put back, not copied.
+/// Hands job `id` to the idle workers: one [`Msg::SubmitJob`] per live
+/// rank, then each one's [`Msg::JobAccepted`]. With `ship`, rank `k`'s frame
+/// carries its [`Dealing::subset`] of the examples, built for the frame and
+/// gone with it; without, every rank holds its subset from the previous job,
+/// every frame is the same, and it is encoded once for all of them.
 pub(crate) fn submit_job<T: Transport>(
     ep: &mut Endpoint<T>,
     id: u64,
     config: &WorkerConfig,
-    subsets: &mut [Examples],
-    shipped: &[bool],
+    ship: Option<(&Dealing, &Examples)>,
 ) -> Result<(), CommFailure> {
     let ranks = live_workers(ep);
-    for &k in &ranks {
-        let frame = Msg::SubmitJob {
+    let frame = |examples| {
+        let config = Box::new(config.clone());
+        to_bytes(&Msg::SubmitJob {
             id,
-            config: Box::new(config.clone()),
-            examples: shipped[k - 1].then(|| std::mem::take(&mut subsets[k - 1])),
+            config,
+            examples,
+        })
+    };
+    let mut shared = None;
+    for &k in &ranks {
+        let bytes = match ship {
+            Some((dealing, examples)) => frame(Some(dealing.subset(examples, k - 1))),
+            None => shared.get_or_insert_with(|| frame(None)).clone(),
         };
-        send_control(ep, k, &frame);
-        if let Msg::SubmitJob {
-            examples: Some(sent),
-            ..
-        } = frame
-        {
-            subsets[k - 1] = sent;
-        }
+        send_control_bytes(ep, k, bytes);
     }
     for k in ranks {
         expect_control(ep, k, "a JobAccepted", |msg| match msg {
@@ -820,7 +811,11 @@ pub(crate) fn drain_job<T: Transport>(
 /// Sends rank `k` a job-control frame, tallied as one at this end
 /// (`TrafficStats::record_control`).
 pub(crate) fn send_control<T: Transport>(ep: &mut Endpoint<T>, k: usize, msg: &Msg) {
-    let frame = to_bytes(msg);
+    send_control_bytes(ep, k, to_bytes(msg));
+}
+
+/// [`send_control`] of a frame already encoded.
+fn send_control_bytes<T: Transport>(ep: &mut Endpoint<T>, k: usize, frame: Bytes) {
     ep.stats().record_control(frame.len());
     ep.send_bytes(k, frame);
 }
@@ -1193,7 +1188,7 @@ mod tests {
                 1,
                 CostModel::free(),
                 |ep| {
-                    submit_job(ep, 7, &config, &mut [ex.clone()], &[true])?;
+                    submit_job(ep, 7, &config, Some((&Dealing::Replicated, &ex)))?;
                     drain_job(ep, 7)
                 },
                 |ep| {

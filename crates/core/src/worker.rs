@@ -326,8 +326,13 @@ pub fn run_worker<T: Transport>(
                 // current subset; adopted positives start live.
                 ep.advance_steps((pos.len() + neg.len()) as u64);
                 let old_len = ctx.local.num_pos();
-                ctx.local.pos.extend(pos);
-                ctx.local.neg.extend(neg);
+                let grow = |held: &[Literal], adopted: Vec<Literal>| {
+                    held.iter().cloned().chain(adopted).collect()
+                };
+                ctx.local = Examples {
+                    pos: grow(&ctx.local.pos, pos),
+                    neg: grow(&ctx.local.neg, neg),
+                };
                 let mut grown = Bitset::new(ctx.local.num_pos());
                 for i in live.iter_ones() {
                     grown.set(i);

@@ -221,6 +221,56 @@ fn jobs_of_either_strategy_share_one_resident_mesh() {
     }
 }
 
+/// What a rank keeps is recognised by the set it was dealt from, in bytes:
+/// after a first coverage job ships every rank its subset, a job on a
+/// clone of the set ships none, nor does one on a value-equal set in
+/// another allocation; the same set dealt with another seed ships every
+/// rank again — as many bytes as the first job — and a repeat of that
+/// ships none. Every answer stays the direct evaluation's.
+#[test]
+fn a_kept_set_is_recognised_by_the_set_it_was_dealt_from() {
+    use p2mdie_ilp::examples::Examples;
+    let ds = p2mdie_datasets::trains(12, 5);
+    let ex = &ds.examples;
+    let rules = solo_learn(&ds, 5).clauses();
+    let direct: Vec<(u32, u32)> = rules
+        .iter()
+        .map(|rule| {
+            let cov = ds.engine.evaluate(rule, ex, None, None);
+            (cov.pos_count(), cov.neg_count())
+        })
+        .collect();
+    let rebuilt = Examples::new(ex.pos.to_vec(), ex.neg.to_vec());
+    assert!(!rebuilt.pos.shares(&ex.pos) && !rebuilt.neg.shares(&ex.neg));
+
+    let service = Service::new(&ds.engine, ServiceConfig::new(WORKERS));
+    let bytes = |examples: Examples, seed| {
+        let spec = JobSpec::coverage(examples, rules.clone()).with_seed(seed);
+        let outcome = service.submit(spec).unwrap().wait();
+        assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
+        assert_eq!(outcome.coverage(), direct, "seed {seed}");
+        outcome.accounting.bytes
+    };
+    let first = bytes(ex.clone(), 3);
+    let held = bytes(ex.clone(), 3);
+    assert!(
+        held < first,
+        "a clone of the kept set moved {held} B, the first job {first} B"
+    );
+    assert_eq!(
+        bytes(rebuilt, 3),
+        held,
+        "an equal set in another allocation shipped"
+    );
+    assert_eq!(
+        bytes(ex.clone(), 4),
+        first,
+        "another seed must ship every rank"
+    );
+    assert_eq!(bytes(ex.clone(), 4), held, "the new deal is the kept one");
+    service.shutdown().unwrap();
+}
+
 /// A baseline-learn job over the service matches the standalone
 /// coverage-parallel baseline (same partition seed, same granularity).
 #[test]

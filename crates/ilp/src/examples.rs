@@ -1,15 +1,89 @@
 //! Example stores: the `E+` / `E-` of the paper.
+//!
+//! Each half of an [`Examples`] is an [`ExampleList`]: immutable and shared,
+//! so a clone is a reference count and so is its drop. A job, a client and a
+//! dealing can all hold the same set without copying a literal; a changed
+//! set is a new list. On the wire a list is a `Vec<Literal>`, byte for byte.
 
 use crate::bitset::Bitset;
 use p2mdie_logic::clause::Literal;
+use p2mdie_logic::wire::{DecodeError, Wire};
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An immutable, shared list of ground examples: cloning or dropping one is
+/// a reference count. It reads as a `[Literal]`, prints as one, and encodes
+/// as a `Vec<Literal>`. Equality is by value, and answers at once for two
+/// handles on the same allocation.
+#[derive(Clone, Default, serde::Serialize, serde::Deserialize)]
+pub struct ExampleList(Arc<[Literal]>);
+
+impl ExampleList {
+    /// Whether `self` and `other` are handles on one allocation.
+    pub fn shares(&self, other: &ExampleList) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for ExampleList {
+    type Target = [Literal];
+
+    fn deref(&self) -> &[Literal] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a ExampleList {
+    type Item = &'a Literal;
+    type IntoIter = std::slice::Iter<'a, Literal>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<Literal>> for ExampleList {
+    fn from(list: Vec<Literal>) -> Self {
+        ExampleList(list.into())
+    }
+}
+
+impl FromIterator<Literal> for ExampleList {
+    fn from_iter<I: IntoIterator<Item = Literal>>(iter: I) -> Self {
+        ExampleList(iter.into_iter().collect())
+    }
+}
+
+impl PartialEq for ExampleList {
+    fn eq(&self, other: &ExampleList) -> bool {
+        self.shares(other) || self.0[..] == other.0[..]
+    }
+}
+
+impl fmt::Debug for ExampleList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Wire for ExampleList {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(ExampleList(Wire::decode(inp)?))
+    }
+}
 
 /// A set of ground positive and negative examples of the target predicate.
+/// A clone shares both lists (see [`ExampleList`]).
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Examples {
     /// Positive examples (`E+`).
-    pub pos: Vec<Literal>,
+    pub pos: ExampleList,
     /// Negative examples (`E-`).
-    pub neg: Vec<Literal>,
+    pub neg: ExampleList,
 }
 
 p2mdie_logic::wire_struct!(Examples { pos, neg });
@@ -17,7 +91,10 @@ p2mdie_logic::wire_struct!(Examples { pos, neg });
 impl Examples {
     /// Creates an example set.
     pub fn new(pos: Vec<Literal>, neg: Vec<Literal>) -> Self {
-        Examples { pos, neg }
+        Examples {
+            pos: pos.into(),
+            neg: neg.into(),
+        }
     }
 
     /// `|E+|`.
@@ -54,23 +131,13 @@ impl Examples {
         }
     }
 
-    /// Whether [`Examples::subset`] of the same index lists would equal
-    /// `other`, without building it.
-    pub fn subset_is(&self, pos_idx: &[usize], neg_idx: &[usize], other: &Examples) -> bool {
-        let same = |idx: &[usize], from: &[Literal], theirs: &[Literal]| {
-            idx.len() == theirs.len() && idx.iter().zip(theirs).all(|(&i, l)| from[i] == *l)
-        };
-        same(pos_idx, &self.pos, &other.pos) && same(neg_idx, &self.neg, &other.neg)
-    }
-
     /// Concatenates several example sets (fold assembly).
     pub fn concat<'a>(parts: impl IntoIterator<Item = &'a Examples>) -> Examples {
-        let mut out = Examples::default();
-        for p in parts {
-            out.pos.extend(p.pos.iter().cloned());
-            out.neg.extend(p.neg.iter().cloned());
+        let parts: Vec<&Examples> = parts.into_iter().collect();
+        Examples {
+            pos: parts.iter().flat_map(|p| p.pos.iter().cloned()).collect(),
+            neg: parts.iter().flat_map(|p| p.neg.iter().cloned()).collect(),
         }
-        out
     }
 }
 

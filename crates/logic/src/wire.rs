@@ -19,8 +19,8 @@
 //!
 //! * integers and floats are fixed-width **little-endian**; `usize` travels
 //!   as a `u64`, `bool` as one byte that must be 0 or 1;
-//! * a sequence (`String`, `Vec<T>`, `Box<[T]>`) is a `u32` count followed
-//!   by its elements, with no padding;
+//! * a sequence (`String`, `Vec<T>`, `Box<[T]>`, `Arc<[T]>`) is a `u32`
+//!   count followed by its elements, with no padding;
 //! * `Option<T>` is a one-byte tag (0 = `None`, 1 = `Some`) and then `T`;
 //!   `Box<T>` and tuples add nothing to their contents;
 //! * a struct is its fields in declaration-of-layout order
@@ -209,6 +209,15 @@ impl<T: Wire> Wire for Box<[T]> {
     }
     fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Vec::decode(inp)?.into_boxed_slice())
+    }
+}
+
+impl<T: Wire> Wire for std::sync::Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_slice(self, out);
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Vec::decode(inp)?.into())
     }
 }
 
