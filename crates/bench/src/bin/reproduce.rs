@@ -216,7 +216,8 @@ fn main() {
                 ("coverage-parallel (per level)", EvalGranularity::PerLevel),
                 ("coverage-parallel (per clause)", EvalGranularity::PerClause),
             ] {
-                let cp = run_coverage_parallel(&ds.engine, &ds.examples, p, gran, model, args.seed)
+                let cfg = ParallelConfig::new(p, Width::Unlimited, args.seed);
+                let cp = run_coverage_parallel(&ds.engine, &ds.examples, &cfg, gran)
                     .expect("baseline run");
                 println!(
                     "{:<34} {:>10.0} {:>9.2} {:>10.2} {:>8}",

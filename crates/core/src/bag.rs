@@ -91,7 +91,7 @@ impl RuleBag {
     pub fn set_results(&mut self, results: &[Vec<(u32, u32)>]) {
         for (k, counts) in results.iter().enumerate() {
             // invariant: the master refuses an `EvalResult` of another
-            // length before it gets here (`master::evaluate_bag`).
+            // length before it gets here (`master::evaluate`).
             assert_eq!(
                 counts.len(),
                 self.rules.len(),

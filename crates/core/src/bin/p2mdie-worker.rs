@@ -1,8 +1,8 @@
 //! `p2mdie-worker` — a standalone worker rank for multi-process cluster
 //! runs.
 //!
-//! Spawned once per rank by the TCP drivers (`run_parallel` with
-//! `ParallelConfig::with_transport`, `run_coverage_parallel_tcp`, or
+//! Spawned once per rank by the TCP drivers (`run_parallel` or
+//! `run_coverage_parallel` with `ParallelConfig::with_transport`, or
 //! `Service::new_tcp`):
 //!
 //! ```sh
@@ -121,7 +121,6 @@ fn run() -> i32 {
     if let Ok(base) = std::env::var("P2MDIE_TRACE") {
         p2mdie_obs::trace::start(p2mdie_obs::trace::TraceConfig {
             jsonl_path: Some(p2mdie_cluster::net::trace_rank_path(&base, rank).into()),
-            ..Default::default()
         });
     }
 

@@ -4,13 +4,14 @@
 //!
 //! A one-shot run is one job on a mesh of its own: [`run_parallel`] builds
 //! a learning [`JobSpec`], the coverage-parallel baseline a baseline one,
-//! and `run_one_job` runs it with `dispatch_job` on a fresh mesh. That mesh
+//! and `run_one_job` checks the configuration, runs the job with
+//! `dispatch_job` on a fresh mesh and reports it. That mesh
 //! comes from `open_mesh`, the one function that builds a mesh — for
 //! these runs and for the resident [`Service`](crate::scheduler::Service)
 //! alike, with threads of this process or `p2mdie-worker` processes for
 //! ranks, each a resident worker that a `Stop` at idle ends.
 
-use crate::job::{JobId, JobOutput, JobSpec};
+use crate::job::{JobId, JobKind, JobOutput, JobSpec};
 use crate::master::ship_kb;
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{spawn_worker, WorkerExit};
@@ -100,6 +101,8 @@ pub struct ParallelConfig {
     /// (default) or hypothesis-parallel lattice slicing (see
     /// [`crate::strategy`]). `repartition`, `recovery`, and `chaos` only
     /// apply to the default; [`run_parallel`] rejects them with the other.
+    /// [`run_coverage_parallel`](crate::baselines::run_coverage_parallel)
+    /// rejects all three, and any strategy but the default.
     pub strategy: Strategy,
 }
 
@@ -163,17 +166,24 @@ impl ParallelConfig {
     }
 }
 
-/// Names the first unsupported combination in `cfg`, if any — here, before
-/// a mesh exists, because none of them can fail cleanly later: a rank
-/// silenced under `Abort` hangs the run, worker processes cannot be
-/// wrapped, and the workers of a replicating strategy do not speak the
-/// repartitioning or recovery messages.
-fn check_combination(cfg: &ParallelConfig) -> Result<(), ClusterError> {
+/// Names the first unsupported combination of `cfg` with a job of `kind`,
+/// if any — here, before a mesh exists, because none of them can fail
+/// cleanly later: a rank silenced under `Abort` hangs the run, worker
+/// processes cannot be wrapped, the workers of a replicating strategy do
+/// not speak the repartitioning or recovery messages, and the baseline has
+/// no epochs to re-deal or recover.
+fn check_combination(cfg: &ParallelConfig, kind: &JobKind) -> Result<(), ClusterError> {
     let replicating = cfg.strategy != Strategy::DataPipeline;
     let aborting = cfg.recovery == RecoveryPolicy::Abort;
     let chaos = !cfg.chaos.is_empty();
     let stray = |(rank, _): &(usize, ChaosConfig)| !(1..=cfg.workers).contains(rank);
+    let baseline = matches!(kind, JobKind::BaselineLearn { .. });
     let rejected = [
+        (
+            baseline && (cfg.repartition || replicating || !aborting || chaos),
+            "the coverage-parallel baseline with repartition, a strategy, \
+             RecoveryPolicy::Repartition or chaos (it has no epochs to re-deal or recover)",
+        ),
         (
             replicating && cfg.repartition,
             "repartition with a strategy that replicates the examples on every rank",
@@ -274,15 +284,25 @@ impl MeshMaster for OneJob<'_> {
     }
 }
 
-/// Runs `spec` as the one job of a fresh mesh that `cfg` describes, with
-/// `cfg.recovery` for a rank's death.
+/// Runs `spec` — a learning or a baseline job — as the one job of a fresh
+/// mesh that `cfg` describes, with `cfg.recovery` for a rank's death, and
+/// reports it. A `cfg` that combines options no such run supports (say,
+/// fault injection over TCP) is refused up front with a
+/// [`ClusterError::Net`] naming the combination.
 pub(crate) fn run_one_job(
     engine: &IlpEngine,
     cfg: &ParallelConfig,
     spec: &JobSpec,
-) -> Result<ClusterOutcome<JobOutput>, ClusterError> {
+) -> Result<ParallelReport, ClusterError> {
+    check_combination(cfg, &spec.kind)?;
+    let started = Instant::now();
     let recovery = &cfg.recovery;
-    open_mesh(engine, cfg, OneJob { spec, recovery })
+    let outcome = open_mesh(engine, cfg, OneJob { spec, recovery })?;
+    Ok(ParallelReport::from_outcome(
+        cfg.workers,
+        started.elapsed(),
+        outcome,
+    ))
 }
 
 /// Opens the mesh `cfg` describes, runs `master` on it and stops its ranks
@@ -397,8 +417,6 @@ pub fn run_parallel(
     examples: &Examples,
     cfg: &ParallelConfig,
 ) -> Result<ParallelReport, ClusterError> {
-    check_combination(cfg)?;
-    let started = Instant::now();
     let spec = JobSpec {
         repartition: cfg.repartition,
         ..JobSpec::learn(examples.clone())
@@ -407,8 +425,7 @@ pub fn run_parallel(
         .with_seed(cfg.seed)
         .with_width(cfg.width)
         .with_strategy(cfg.strategy);
-    let outcome = run_one_job(engine, cfg, &spec)?;
-    let report = ParallelReport::from_outcome(cfg.workers, started.elapsed(), outcome);
+    let report = run_one_job(engine, cfg, &spec)?;
     warn_rank_losses(&report.rank_losses, report.vtime);
     Ok(report)
 }
@@ -647,8 +664,23 @@ mod tests {
                 "not a worker rank",
             ),
         ];
-        for (cfg, what) in rejected {
-            match run_parallel(&engine, &ex, &cfg) {
+        // The baseline has no epochs to re-deal or recover.
+        let baseline = [
+            base().with_repartition(),
+            base().with_strategy(Strategy::SearchPartition),
+            base().with_recovery(healing()),
+            base().with_recovery(healing()).with_chaos(1, kill()),
+        ];
+        let runs = rejected
+            .into_iter()
+            .map(|(cfg, what)| (run_parallel(&engine, &ex, &cfg), what));
+        let baseline_runs = baseline.into_iter().map(|cfg| {
+            let per_level = crate::baselines::EvalGranularity::PerLevel;
+            let run = crate::baselines::run_coverage_parallel(&engine, &ex, &cfg, per_level);
+            (run, "the coverage-parallel baseline with repartition")
+        });
+        for (run, what) in runs.chain(baseline_runs) {
+            match run {
                 Err(ClusterError::Net { message }) => assert!(
                     message.contains("unsupported ParallelConfig") && message.contains(what),
                     "{what}: unhelpful message: {message}"

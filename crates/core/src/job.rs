@@ -2,12 +2,14 @@
 //! it runs.
 //!
 //! A [`JobSpec`] describes the work alone — a coverage query, a one-epoch
-//! rule search, or a full learning run, each with its own examples,
-//! settings, seed, and pipeline width — and every run on the cluster is
-//! one: the [`crate::scheduler`] multiplexes jobs over a resident
-//! [`Service`](crate::scheduler::Service), and each one-shot entry point of
-//! [`crate::driver`] and [`crate::baselines`] builds one job and runs it the
-//! same way on a mesh of its own, opened by the same function. (A one-shot
+//! rule search, or a full learning run (p²-mdie's or the coverage-parallel
+//! baseline's), each with its own examples, settings, seed, and pipeline
+//! width — and every run on the cluster is one: the [`crate::scheduler`]
+//! multiplexes jobs over a resident [`Service`](crate::scheduler::Service),
+//! and the two one-shot entry points, [`crate::driver::run_parallel`] and
+//! [`crate::baselines::run_coverage_parallel`], each build one job and run
+//! it the same way on a mesh of its own, opened by the same function, into
+//! the same [`ParallelReport`](crate::report::ParallelReport). (A one-shot
 //! job has no queue, so it skips `Queued`'s wait but not the walk below.)
 //!
 //! # Lifecycle
@@ -69,7 +71,8 @@ pub enum JobKind {
     /// A full p²-mdie learning run ([`crate::master::run_master`]).
     Learn,
     /// A full coverage-parallel baseline learning run
-    /// ([`crate::baselines`], the §6 related-work algorithm).
+    /// ([`crate::baselines`], the §6 related-work algorithm); its output is
+    /// a [`JobOutput::Learned`] like a p²-mdie run's.
     BaselineLearn {
         /// Clauses shipped per evaluation round.
         granularity: EvalGranularity,
@@ -129,6 +132,7 @@ pub struct JobSpec {
     /// Seed for the example partitioning.
     pub seed: u64,
     /// Per-epoch repartitioning (§4.1 variant) for [`JobKind::Learn`].
+    /// Ignored by every other kind, which is dealt statically.
     pub repartition: bool,
     /// Per-job settings override; `None` uses the service engine's.
     pub settings: Option<Settings>,
@@ -300,17 +304,10 @@ pub enum JobOutput {
     /// The scored bag of one rule-search epoch, best rule first:
     /// `(clause, global_pos, global_neg)`.
     Rules(Vec<(Clause, u32, u32)>),
-    /// The full outcome of a learning run.
+    /// The full outcome of a learning run, p²-mdie's or the baseline's. A
+    /// baseline run's epochs are its covering iterations, its rules have
+    /// `origin` 0, and it has no `traces`, `stalled` or `rank_losses`.
     Learned(MasterOutcome),
-    /// The outcome of a baseline learning run.
-    BaselineLearned {
-        /// The induced theory.
-        theory: Vec<Clause>,
-        /// Covering iterations executed.
-        epochs: u32,
-        /// Positives set aside without a covering rule.
-        set_aside: u32,
-    },
 }
 
 /// The terminal record of one job: its final state, its output (present
@@ -352,7 +349,7 @@ impl JobOutcome {
     }
 
     /// The learned outcome, panicking if the job was not a completed
-    /// learning run.
+    /// learning run (p²-mdie's or the baseline's).
     pub fn learned(&self) -> &MasterOutcome {
         match &self.output {
             Some(JobOutput::Learned(out)) => out,

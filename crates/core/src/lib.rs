@@ -23,8 +23,9 @@
 //! * [`master`] — **the** epoch loop (Figure 5): [`master::run_master`]
 //!   runs every learning run — static, re-dealing or replicated examples,
 //!   aborting or self-healing — and `run_search_epoch` the one-epoch rule
-//!   search; they share the pipeline-start/gather and bag-evaluation
-//!   rounds;
+//!   search; they share the pipeline-start/gather round, and with the
+//!   coverage job and the baseline the crate's one evaluation round and
+//!   one accept;
 //! * [`bag`] — the rule bag with global scoring;
 //! * [`worker`] — **the** worker loop (Figure 6): [`worker::run_worker`]
 //!   serves every role and strategy, and `run_role` is the one place a
@@ -34,20 +35,21 @@
 //!   hypothesis-parallel lattice slicing, which the worker loop runs in
 //!   place of the ring of pipelines; its master is [`master::run_master`]
 //!   over replicated examples;
-//! * [`baselines`] — the coverage-parallel related-work algorithm: its own
-//!   master (a sequential search with distributed evaluation), the common
-//!   worker loop;
+//! * [`baselines`] — the coverage-parallel related-work algorithm: a
+//!   sequential search at the master that evaluates and accepts through
+//!   [`master`]'s rounds, over the common worker loop, reported as a
+//!   [`ParallelReport`] like any parallel run;
 //! * [`driver`] — `run_parallel` / `run_sequential_timed`, the check of
-//!   option combinations, and `open_mesh`: the one function that builds a
-//!   mesh (threads or worker processes, every rank a resident worker) and
-//!   runs a master on it — one job for a one-shot run, the queue for a
-//!   service;
+//!   option combinations (the baseline's too), and `open_mesh`: the one
+//!   function that builds a mesh (threads or worker processes, every rank a
+//!   resident worker) and runs a master on it — one job for a one-shot run,
+//!   the queue for a service;
 //! * [`remote`] — multi-process deployment: how worker processes are
 //!   spawned (`TcpConfig`) and the worker-process entry (the
 //!   `p2mdie-worker` binary is this crate's `src/bin/`);
 //! * [`job`] — the first-class job layer: what runs on the cluster
-//!   (coverage query, rule search, learning run) and its lifecycle — every
-//!   run, one-shot or on a service, is one;
+//!   (coverage query, rule search, learning run, baseline run) and its
+//!   lifecycle — every run, one-shot or on a service, is one;
 //! * [`scheduler`] — ILP-as-a-service: a resident mesh (`Service`) that
 //!   multiplexes many jobs over one standing cluster, calling the same
 //!   master functions per job;
@@ -70,9 +72,7 @@ pub mod strategy;
 pub mod worker;
 
 pub use bag::{BagRule, RuleBag};
-pub use baselines::{
-    run_coverage_parallel, run_coverage_parallel_opts, BaselineReport, EvalGranularity,
-};
+pub use baselines::{run_coverage_parallel, EvalGranularity};
 pub use driver::{
     run_parallel, run_sequential_timed, ParallelConfig, RecoveryPolicy, TransportKind,
 };
@@ -80,9 +80,7 @@ pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState};
 pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterOutcome};
 pub use partition::{partition_examples, Partition};
 pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
-pub use remote::{
-    default_worker_bin, run_coverage_parallel_tcp, run_remote_worker, TcpConfig, WorkerExit,
-};
+pub use remote::{default_worker_bin, run_remote_worker, TcpConfig, WorkerExit};
 pub use report::{render_pipeline_trace, ParallelReport, SequentialReport};
 pub use scheduler::{JobHandle, Service, ServiceConfig, ServiceReport, SubmitError};
 pub use strategy::Strategy;

@@ -23,12 +23,20 @@
 //!   counts already are global, so the single best rule of the pool is
 //!   accepted without an evaluation round.
 //!
+//! Two rounds here are the crate's only ones of their kind: `evaluate`
+//! (every rank scores a list of rules and answers one count per rule; the
+//! bag keeps the per-rank rows, a coverage job and the coverage-parallel
+//! baseline of [`crate::baselines`] sum them) and `LiveSet::accept` (every
+//! live rank marks an accepted rule's cover). The baseline's master is a
+//! sequential search of its own, but evaluates and accepts through these.
+//!
 //! The worker side tells the master about coverage in one of two ways, and
 //! `LiveSet` hides which: a count (`SeedRetired`, and the accepted rule's
 //! own global cover) when examples were dealt statically and nobody can
 //! die, local indices (`CoveredIdx`) mapped back to global ones whenever
-//! the master must know *which* examples are left — to re-deal them, or to
-//! hand a dead rank's share to the survivors.
+//! the master must know *which* examples are left — to re-deal them, to
+//! hand a dead rank's share to the survivors, or to pick the baseline's
+//! next seed.
 //!
 //! One deliberate deviation from the letter of Figure 5: the bag is
 //! filtered with `notGood` *before* every pick, including the first, so a
@@ -72,10 +80,13 @@
 //! Every function here that receives returns `Result<_, CommFailure>` and
 //! passes a failure up with `?`: a dead link, a frame that will not decode,
 //! a well-formed frame the state must refuse (another kind, an index or a
-//! count no honest worker sends), another rank's poison marker. The one
-//! place a failure is *handled* is [`run_master`]'s epoch loop, which
-//! recovers from a death under a watching receive while the policy's budget
-//! lasts and returns everything else.
+//! count no honest worker sends), another rank's poison marker. Every
+//! receive of the pipeline, evaluation, accept, retirement and replay
+//! rounds goes through one `gather`, which refuses what its round does not
+//! take. The one place a failure is *handled* is [`run_master`]'s epoch
+//! loop, which recovers from a death under a watching receive while the
+//! policy's budget lasts and returns everything else; the baseline's master
+//! never watches and returns every failure.
 
 use crate::bag::RuleBag;
 use crate::driver::RecoveryPolicy;
@@ -104,9 +115,11 @@ pub struct AcceptedRule {
     pub pos: u32,
     /// Global negative cover at acceptance time.
     pub neg: u32,
-    /// Epoch in which it was accepted (1-based).
+    /// Epoch in which it was accepted (1-based); the covering iteration for
+    /// a rule of the coverage-parallel baseline.
     pub epoch: u32,
-    /// Pipeline origin the rule came from (worker rank).
+    /// Pipeline origin the rule came from (worker rank); 0 for a rule the
+    /// master found itself (the coverage-parallel baseline).
     pub origin: u8,
 }
 
@@ -341,32 +354,47 @@ fn bag_of(found: Vec<Found>) -> RuleBag {
     bag
 }
 
-/// One global evaluation round: every rank of `ranks` scores the bag on
-/// its live subset (Fig. 5 steps 10–11 / 18–19).
-fn evaluate_bag<T: Transport>(
+/// One global evaluation round (Fig. 5 steps 10–11 / 18–19), the only one
+/// in the crate: every rank of `ranks` scores `rules` on its live subset.
+/// Returns one row of counts per rank, in rank order; a reply that is no
+/// `EvalResult`, or not one count per rule, is refused. The bag keeps the
+/// rows ([`RuleBag::set_results`]); a coverage job and the baseline sum
+/// them ([`evaluate_summed`]).
+fn evaluate<T: Transport>(
     ep: &mut Endpoint<T>,
     ranks: &[usize],
     watching: bool,
-    bag: &mut RuleBag,
-) -> Result<(), CommFailure> {
-    send_all(
-        ep,
-        ranks,
-        &Msg::Evaluate {
-            rules: bag.clauses(),
-        },
-    );
-    let mut results = Vec::with_capacity(ranks.len());
+    rules: Vec<Clause>,
+) -> Result<Vec<Vec<(u32, u32)>>, CommFailure> {
+    let n = rules.len();
+    send_all(ep, ranks, &Msg::Evaluate { rules });
+    let mut rows = Vec::with_capacity(ranks.len());
     gather(ep, ranks, watching, "EvalResult", |_, msg| match msg {
-        Msg::EvalResult { counts } if counts.len() == bag.len() => {
-            results.push(counts);
+        Msg::EvalResult { counts } if counts.len() == n => {
+            rows.push(counts);
             Ok(())
         }
-        Msg::EvalResult { .. } => Err("EvalResult: not one count per rule of the bag"),
+        Msg::EvalResult { .. } => Err("EvalResult: not one count per rule"),
         _ => Err("reply to Evaluate: not an EvalResult"),
     })?;
-    bag.set_results(&results);
-    Ok(())
+    Ok(rows)
+}
+
+/// [`evaluate`] on every worker rank, summed over them: each rule's global
+/// `(pos, neg)` counts, in rule order.
+pub(crate) fn evaluate_summed<T: Transport>(
+    ep: &mut Endpoint<T>,
+    rules: Vec<Clause>,
+) -> Result<Vec<(u32, u32)>, CommFailure> {
+    let mut totals = vec![(0u32, 0u32); rules.len()];
+    let ranks: Vec<usize> = (1..=ep.workers()).collect();
+    for row in evaluate(ep, &ranks, false, rules)? {
+        for (t, c) in totals.iter_mut().zip(row) {
+            t.0 += c.0;
+            t.1 += c.1;
+        }
+    }
+    Ok(totals)
 }
 
 /// One pipelined rule-search epoch without the reduce step (Fig. 5 steps
@@ -382,7 +410,7 @@ pub(crate) fn run_search_epoch<T: Transport>(
     let (found, _) = run_pipelines(ep, &ranks, false, &mut trace)?;
     let mut bag = bag_of(found);
     if !bag.is_empty() {
-        evaluate_bag(ep, &ranks, false, &mut bag)?;
+        bag.set_results(&evaluate(ep, &ranks, false, bag.clauses())?);
     }
     ep.broadcast(&Msg::Stop);
     let ranked = std::iter::from_fn(|| bag.pick_best(settings.score)).map(|rule| {
@@ -422,7 +450,7 @@ impl Uncovered {
         match self {
             Uncovered::Index(ix) => ix,
             // invariant: `LiveSet::new` tracks by index whenever the run
-            // re-deals or watches, the only callers.
+            // re-deals or is told to, the only callers.
             Uncovered::Count(_) => unreachable!("this dealing tracks coverage by count only"),
         }
     }
@@ -458,7 +486,7 @@ struct Run<'a> {
 
 /// The master's view of a run in flight: which worker ranks are alive, how
 /// to wait on them, and which positives are left.
-struct LiveSet {
+pub(crate) struct LiveSet {
     /// Live worker ranks, ascending.
     alive: Vec<usize>,
     /// Recovery is armed: receives watch every link, and a failure that
@@ -471,10 +499,18 @@ struct LiveSet {
 }
 
 impl LiveSet {
-    fn new(p: usize, examples: &Examples, dealing: &Dealing, watching: bool) -> Self {
+    /// All of `p` ranks alive and every positive left, counted — or, with
+    /// `by_index` (or a re-dealing run), tracked one by one.
+    pub(crate) fn new(
+        p: usize,
+        examples: &Examples,
+        dealing: &Dealing,
+        watching: bool,
+        by_index: bool,
+    ) -> Self {
         let live = || Bitset::full(examples.num_pos());
         let uncovered = match dealing {
-            Dealing::Static(part) if watching => Uncovered::Index(GlobalIndex {
+            Dealing::Static(part) if by_index => Uncovered::Index(GlobalIndex {
                 live: live(),
                 pos: part.pos.clone(),
                 neg: part.neg.clone(),
@@ -492,6 +528,11 @@ impl LiveSet {
             uncovered,
             resync_after_deal: false,
         }
+    }
+
+    /// The positives left, one by one (a set tracked by index).
+    pub(crate) fn positives(&mut self) -> &mut Bitset {
+        &mut self.uncovered.index().live
     }
 
     /// §4.1: deals the live positives and all negatives evenly over the
@@ -529,7 +570,7 @@ impl LiveSet {
     /// acceptance is final the moment the broadcast is out — per-channel
     /// FIFO order means every survivor asserts the rule before it can see
     /// any abort — so it joins the theory before the replies are in.
-    fn accept<T: Transport>(
+    pub(crate) fn accept<T: Transport>(
         &mut self,
         ep: &mut Endpoint<T>,
         rule: AcceptedRule,
@@ -692,7 +733,7 @@ fn consume_bag<T: Transport>(
     if bag.is_empty() {
         return Ok(());
     }
-    evaluate_bag(ep, &live.alive, live.watching, &mut bag)?;
+    bag.set_results(&evaluate(ep, &live.alive, live.watching, bag.clauses())?);
     loop {
         bag.drop_not_good(settings);
         // Bag bookkeeping is master-side compute: charge one step per
@@ -713,7 +754,7 @@ fn consume_bag<T: Transport>(
         if bag.is_empty() {
             return Ok(());
         }
-        evaluate_bag(ep, &live.alive, live.watching, &mut bag)?;
+        bag.set_results(&evaluate(ep, &live.alive, live.watching, bag.clauses())?);
     }
 }
 
@@ -846,10 +887,11 @@ pub fn run_master<T: Transport>(
         dealing,
         seed,
     };
-    let mut live = LiveSet::new(p, examples, dealing, budget.is_some());
+    let watching = budget.is_some();
+    let mut live = LiveSet::new(p, examples, dealing, watching, watching);
     let mut out = MasterOutcome::default();
 
-    if budget.is_some() {
+    if watching {
         ep.broadcast(&Msg::EnableRecovery);
     }
     ep.broadcast(&Msg::LoadExamples);

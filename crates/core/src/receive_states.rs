@@ -30,10 +30,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::baselines::{baseline_master, eval_round, EvalGranularity};
+    use crate::baselines::{baseline_master, EvalGranularity};
     use crate::driver::{worker_config, RecoveryPolicy};
     use crate::fixtures::problem;
-    use crate::master::{run_master, run_search_epoch, Dealing};
+    use crate::master::{evaluate_summed, run_master, run_search_epoch, Dealing};
     use crate::partition::partition_examples;
     use crate::protocol::tests::samples;
     use crate::protocol::{Msg, WorkerRole};
@@ -45,7 +45,7 @@ mod tests {
     use p2mdie_cluster::{run_cluster, ClusterError, CostModel, MeshTransport, TrafficStats};
     use p2mdie_ilp::engine::IlpEngine;
     use p2mdie_ilp::examples::Examples;
-    use p2mdie_ilp::settings::Width;
+    use p2mdie_ilp::settings::{Settings, Width};
     use p2mdie_ilp::CoverageMemo;
     use p2mdie_logic::clause::{Clause, Literal};
     use p2mdie_logic::term::Term;
@@ -205,14 +205,17 @@ mod tests {
                 Strategy::DataPipeline,
                 0,
             );
-            let mut one_node = self.engine.clone();
-            one_node.settings.max_nodes = 1;
-            let partition = partition_examples(&self.ex, 1, 42).1;
-            let baseline = move |engine: IlpEngine| {
-                let partition = partition.clone();
+            let one_node = Settings {
+                max_nodes: 1,
+                ..settings.clone()
+            };
+            let dealing = Dealing::Static(partition_examples(&self.ex, 1, 42).1);
+            let baseline = move |settings: Settings| {
+                let dealing = dealing.clone();
                 move |ep: &mut Endpoint| {
                     let per_level = EvalGranularity::PerLevel;
-                    baseline_master(ep, &engine, &self.ex, &partition, per_level).map(drop)
+                    let (engine, ex) = (&self.engine, &self.ex);
+                    baseline_master(ep, engine, &settings, ex, &dealing, per_level).map(drop)
                 }
             };
             let epoch = |recovery: bool| {
@@ -260,7 +263,7 @@ mod tests {
                     prefix: vec![],
                     takes: &[],
                     out_of_range: vec![],
-                    run: Box::new(|ep| eval_round(ep, std::slice::from_ref(&self.rule)).map(drop)),
+                    run: Box::new(|ep| evaluate_summed(ep, vec![self.rule.clone()]).map(drop)),
                 },
                 State {
                     name: "master: SeedRetired (coverage tracked by count)",
@@ -292,7 +295,7 @@ mod tests {
                     prefix: vec![],
                     takes: &[],
                     out_of_range: vec![],
-                    run: Box::new(baseline.clone()(self.engine.clone())),
+                    run: Box::new(baseline.clone()(settings.clone())),
                 },
                 State {
                     name: "baseline master: CoveredIdx",

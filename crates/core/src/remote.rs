@@ -36,21 +36,15 @@
 //! same bytes, messages and clocks (pinned by
 //! `crates/core/tests/tcp_cluster.rs`).
 //!
-//! `ParallelConfig::with_transport` selects this transport for
-//! `run_parallel`; [`run_coverage_parallel_tcp`] is the baseline's
-//! shorthand.
+//! `ParallelConfig::with_transport` selects this transport for both
+//! one-shot entry points, `run_parallel` and `run_coverage_parallel`.
 
-use crate::baselines::{coverage_parallel, BaselineReport, EvalGranularity};
-use crate::driver::{ParallelConfig, TransportKind};
 use crate::protocol::Msg;
 use crate::scheduler::run_resident_worker;
 use crate::worker::{restore_kb, KB_SNAPSHOT};
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
-use p2mdie_cluster::{ClusterError, CostModel};
-use p2mdie_ilp::engine::IlpEngine;
-use p2mdie_ilp::examples::Examples;
-use p2mdie_ilp::settings::Width;
+use p2mdie_cluster::ClusterError;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
 use std::io;
@@ -211,31 +205,13 @@ pub fn run_remote_worker<T: Transport>(ep: &mut Endpoint<T>) -> Result<WorkerExi
     run_resident_worker(ep, base)
 }
 
-/// [`crate::baselines::run_coverage_parallel`] with worker processes over
-/// localhost TCP. The KB is always shipped, so the run to compare against
-/// is the in-process one with `ship_kb` on.
-pub fn run_coverage_parallel_tcp(
-    engine: &IlpEngine,
-    examples: &Examples,
-    workers: usize,
-    granularity: EvalGranularity,
-    model: CostModel,
-    seed: u64,
-    tcp: &TcpConfig,
-) -> Result<BaselineReport, ClusterError> {
-    let mut cfg = ParallelConfig::new(workers, Width::Unlimited, seed)
-        .with_transport(TransportKind::Tcp(tcp.clone()));
-    cfg.model = model;
-    coverage_parallel(engine, examples, &cfg, granularity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::worker_config;
     use crate::fixtures::problem;
     use crate::protocol::WorkerRole;
-    use p2mdie_cluster::run_cluster;
+    use p2mdie_cluster::{run_cluster, CostModel};
 
     /// Whatever reaches a worker process ahead of a valid KB snapshot — a
     /// job, a `Stop`, a snapshot that decodes but does not validate — fails

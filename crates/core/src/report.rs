@@ -10,7 +10,11 @@ use p2mdie_logic::symbol::SymbolTable;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// Report of one parallel (p²-mdie) run.
+/// Report of one parallel run: p²-mdie ([`crate::driver::run_parallel`]) or
+/// the coverage-parallel baseline
+/// ([`crate::baselines::run_coverage_parallel`]). The baseline's master
+/// finds every rule itself, so its `theory` has `origin` 0 throughout, its
+/// `epochs` are covering iterations, and its `traces` are empty.
 #[derive(Clone, Debug)]
 pub struct ParallelReport {
     /// Workers used (`p`).
@@ -63,14 +67,16 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
-    /// The report of a finished mesh whose one job was a learning run.
+    /// The report of a finished mesh whose one job was a learning run,
+    /// p²-mdie's or the baseline's.
     pub(crate) fn from_outcome(
         workers: usize,
         wall: Duration,
         outcome: ClusterOutcome<JobOutput>,
     ) -> Self {
         let JobOutput::Learned(master) = outcome.result else {
-            // invariant: `run_parallel` runs a learning job, whose output this is.
+            // invariant: `run_one_job` runs a learning or a baseline job,
+            // whose output this is.
             unreachable!("a learning job's output")
         };
         let stats = outcome.stats;

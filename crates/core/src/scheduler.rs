@@ -109,9 +109,10 @@
 //!
 //! # One-shot runs
 //!
-//! [`crate::driver::run_parallel`], the coverage-parallel baseline and
-//! their TCP shorthands are one job each, which does not queue here: each
-//! builds its [`JobSpec`] and runs it with `dispatch_job` on a fresh mesh,
+//! [`crate::driver::run_parallel`] and the coverage-parallel baseline
+//! ([`crate::baselines::run_coverage_parallel`]), over either transport,
+//! are one job each, which does not queue here: each builds its
+//! [`JobSpec`] and runs it with `dispatch_job` on a fresh mesh,
 //! opened by `crate::driver::open_mesh` — the function a [`Service`] stands
 //! on too, over either transport — and stopped at idle afterwards. So a
 //! one-shot run is a service job from the bootstrap on (KB shipped or
@@ -127,14 +128,14 @@
 //! end of each (`TrafficStats::record_control`) and left out of the
 //! report's totals, which are Table 4's.
 
-use crate::baselines::{baseline_master, eval_round};
+use crate::baselines::baseline_master;
 use crate::driver::{
     open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 use crate::job::{
     JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
 };
-use crate::master::{run_master, run_search_epoch, Dealing, Dealt};
+use crate::master::{evaluate_summed, run_master, run_search_epoch, Dealing, Dealt};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
@@ -656,20 +657,22 @@ pub(crate) fn dispatch_job<T: Transport>(
         .settings
         .clone()
         .unwrap_or_else(|| engine.settings.clone());
-    // Strategies apply to full learning runs only: a `RuleSearch` job's
-    // global scoring sums per-rank counts (which full replication would
-    // multiply by `p`), and coverage/baseline jobs have no search to
-    // parallelize differently.
-    let strategy = match &spec.kind {
-        JobKind::Learn => spec.strategy,
-        _ => Strategy::DataPipeline,
+    // Strategies and repartitioning apply to full learning runs only: a
+    // `RuleSearch` job's global scoring sums per-rank counts (which full
+    // replication would multiply by `p`) over one epoch (which nothing
+    // re-deals), and coverage/baseline jobs have no search to parallelize
+    // differently nor epochs to re-deal. Every other kind is dealt
+    // statically.
+    let (strategy, repartition) = match &spec.kind {
+        JobKind::Learn => (spec.strategy, spec.repartition),
+        _ => (Strategy::DataPipeline, false),
     };
-    let (dealing, ship) = Dealing::plan(examples, p, spec.seed, strategy, spec.repartition, kept);
+    let (dealing, ship) = Dealing::plan(examples, p, spec.seed, strategy, repartition, kept);
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
             width: spec.width,
-            repartition: spec.repartition,
+            repartition,
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
@@ -679,7 +682,7 @@ pub(crate) fn dispatch_job<T: Transport>(
     let output = match &spec.kind {
         JobKind::Coverage { rules } => {
             ep.broadcast(&Msg::LoadExamples);
-            let totals = eval_round(ep, rules)?;
+            let totals = evaluate_summed(ep, rules.clone())?;
             ep.broadcast(&Msg::Stop);
             JobOutput::Coverage(totals)
         }
@@ -687,33 +690,14 @@ pub(crate) fn dispatch_job<T: Transport>(
         JobKind::Learn => JobOutput::Learned(run_master(
             ep, &settings, examples, dealing, spec.seed, recovery,
         )?),
-        JobKind::BaselineLearn { granularity } => {
-            let Dealing::Static(partition) = dealing else {
-                // invariant: `strategy` above is the data pipeline for every
-                // kind but `Learn`, and a baseline job does not repartition.
-                unreachable!("baseline jobs partition statically");
-            };
-            // `baseline_master` saturates and refines master-side with the
-            // job's settings; rebuild the engine only when overridden.
-            let holder;
-            let master_engine = if spec.settings.is_some() {
-                holder = IlpEngine {
-                    kb: engine.kb.clone(),
-                    modes: engine.modes.clone(),
-                    settings: settings.clone(),
-                };
-                &holder
-            } else {
-                engine
-            };
-            let (theory, epochs, set_aside) =
-                baseline_master(ep, master_engine, examples, partition, *granularity)?;
-            JobOutput::BaselineLearned {
-                theory,
-                epochs,
-                set_aside,
-            }
-        }
+        JobKind::BaselineLearn { granularity } => JobOutput::Learned(baseline_master(
+            ep,
+            engine,
+            &settings,
+            examples,
+            dealing,
+            *granularity,
+        )?),
     };
 
     advance(ep, &mut job, JobState::Draining);

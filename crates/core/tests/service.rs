@@ -272,22 +272,16 @@ fn a_kept_set_is_recognised_by_the_set_it_was_dealt_from() {
 }
 
 /// A baseline-learn job over the service matches the standalone
-/// coverage-parallel baseline (same partition seed, same granularity).
+/// coverage-parallel baseline (same partition seed, same granularity):
+/// the whole outcome, each rule's coverage counts included.
 #[test]
 fn baseline_job_matches_the_standalone_baseline() {
-    use p2mdie_cluster::CostModel;
     use p2mdie_core::baselines::{run_coverage_parallel, EvalGranularity};
 
     let ds = p2mdie_datasets::trains(12, 5);
-    let solo = run_coverage_parallel(
-        &ds.engine,
-        &ds.examples,
-        WORKERS,
-        EvalGranularity::PerLevel,
-        CostModel::beowulf_2005(),
-        5,
-    )
-    .unwrap();
+    let cfg = ParallelConfig::new(WORKERS, Width::Unlimited, 5);
+    let solo =
+        run_coverage_parallel(&ds.engine, &ds.examples, &cfg, EvalGranularity::PerLevel).unwrap();
 
     let service = Service::new(&ds.engine, ServiceConfig::new(WORKERS));
     let outcome = service
@@ -295,17 +289,42 @@ fn baseline_job_matches_the_standalone_baseline() {
         .unwrap()
         .wait();
     assert_eq!(outcome.state, JobState::Done);
-    let Some(p2mdie_core::job::JobOutput::BaselineLearned {
-        theory,
-        epochs,
-        set_aside,
-    }) = &outcome.output
-    else {
-        panic!("expected a baseline output, got {:?}", outcome.output);
-    };
-    assert_eq!(theory, &solo.theory);
-    assert_eq!(*epochs, solo.epochs);
-    assert_eq!(*set_aside, solo.set_aside);
+    let out = outcome.learned();
+    assert!(!solo.theory.is_empty());
+    assert_eq!(out.theory, solo.theory);
+    assert_eq!(out.epochs, solo.epochs);
+    assert_eq!(out.set_aside, solo.set_aside);
+    assert!(out.traces.is_empty() && !out.stalled && out.rank_losses.is_empty());
+    service.shutdown().unwrap();
+}
+
+/// Repartitioning is for learning runs only: a coverage query, a rule
+/// search and a baseline run each return with `with_repartition()` what the
+/// same spec returns without it, on one service, which then shuts down
+/// cleanly.
+#[test]
+fn repartition_is_ignored_by_every_kind_but_learn() {
+    use p2mdie_core::baselines::EvalGranularity;
+
+    let ds = p2mdie_datasets::trains(12, 5);
+    let rules = solo_learn(&ds, 5).clauses();
+    let service = Service::new(&ds.engine, ServiceConfig::new(WORKERS));
+    let specs = [
+        JobSpec::coverage(ds.examples.clone(), rules),
+        JobSpec::rule_search(ds.examples.clone()).with_width(WIDTH),
+        JobSpec::baseline(ds.examples.clone(), EvalGranularity::PerLevel),
+    ];
+    for spec in specs {
+        let spec = spec.with_seed(5);
+        let kind = spec.kind.tag();
+        let output = |spec: JobSpec| {
+            let outcome = service.submit(spec).unwrap().wait();
+            assert_eq!(outcome.state, JobState::Done, "{kind}: {:?}", outcome.error);
+            format!("{:?}", outcome.output)
+        };
+        let plain = output(spec.clone());
+        assert_eq!(output(spec.with_repartition()), plain, "{kind}");
+    }
     service.shutdown().unwrap();
 }
 

@@ -12,9 +12,9 @@
 //! of a hang (every run is bounded by a watchdog timeout).
 
 use p2mdie_cluster::{ClusterError, CostModel};
-use p2mdie_core::baselines::{run_coverage_parallel_opts, EvalGranularity};
+use p2mdie_core::baselines::{run_coverage_parallel, EvalGranularity};
 use p2mdie_core::driver::{run_parallel, ParallelConfig, RecoveryPolicy, TransportKind};
-use p2mdie_core::remote::{run_coverage_parallel_tcp, TcpConfig};
+use p2mdie_core::remote::TcpConfig;
 use p2mdie_ilp::settings::Width;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -94,47 +94,38 @@ fn tcp_processes_match_in_process_run_bit_for_bit() {
     }
 }
 
-/// The coverage-parallel baseline over real processes induces the same
-/// theory as its in-process twin.
+/// The coverage-parallel baseline over real processes is its in-process
+/// twin (KB shipped, same seed): one entry point, two transports, and the
+/// same theory with coverage counts, per-rank steps, traffic and clocks.
 #[test]
 fn tcp_coverage_baseline_matches_in_process() {
     let ds = p2mdie_datasets::trains(20, 5);
-    let model = CostModel::beowulf_2005();
-    let reference = run_coverage_parallel_opts(
+    let cfg = ParallelConfig::new(2, Width::Unlimited, 5);
+    let per_level = EvalGranularity::PerLevel;
+    // Ship the KB, as the TCP run must.
+    let reference = run_coverage_parallel(
         &ds.engine,
         &ds.examples,
-        2,
-        EvalGranularity::PerLevel,
-        model,
-        5,
-        true, // ship the KB, as the TCP run must
+        &cfg.clone().with_kb_shipping(),
+        per_level,
     )
     .unwrap();
-    let engine = ds.engine.clone();
-    let examples = ds.examples.clone();
-    let tcp = bounded(move || {
-        run_coverage_parallel_tcp(
-            &engine,
-            &examples,
-            2,
-            EvalGranularity::PerLevel,
-            model,
-            5,
-            &tcp_config(),
-        )
-    })
-    .unwrap();
+    let cfg = cfg.with_transport(TransportKind::Tcp(tcp_config()));
+    let tcp =
+        bounded(move || run_coverage_parallel(&ds.engine, &ds.examples, &cfg, per_level)).unwrap();
     assert_eq!(reference.theory, tcp.theory);
     assert_eq!(reference.epochs, tcp.epochs);
     assert_eq!(reference.set_aside, tcp.set_aside);
+    assert_eq!(reference.worker_steps, tcp.worker_steps);
     assert_eq!(tcp.dropped_sends, 0);
-    let traffic = |rep: &p2mdie_core::baselines::BaselineReport| {
+    let traffic = |rep: &p2mdie_core::report::ParallelReport| {
         let control = (rep.control_bytes, rep.control_messages);
         (rep.total_bytes, rep.total_messages, control)
     };
     assert_eq!(traffic(&reference), traffic(&tcp));
     assert_eq!(reference.control_messages, 8);
     assert_eq!(reference.vtime.to_bits(), tcp.vtime.to_bits());
+    assert_eq!(reference.worker_vtimes, tcp.worker_vtimes);
 }
 
 fn failing_run(injection: &str) -> Result<(), ClusterError> {

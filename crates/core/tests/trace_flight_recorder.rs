@@ -70,15 +70,11 @@ fn chaos_run_trace_is_byte_reproducible() {
 
 /// With no session started and sampling off, the flight recorder is
 /// inert: no trace events buffer anywhere and the prover hot counters
-/// never move — the disabled path is a single relaxed load per site,
-/// regardless of the configured sampling ratio.
+/// never move — the disabled path is a single relaxed load per site.
 #[test]
 fn disabled_recorder_records_nothing() {
     let _guard = TRACE_LOCK.lock().unwrap();
     hot::reset();
-    // A non-default sampling ratio must not weaken the off guard: the
-    // ratio only shapes what an *enabled* session records.
-    hot::set_sample_every(8);
     assert!(!trace::enabled());
     assert!(!hot::enabled());
 
@@ -100,6 +96,5 @@ fn disabled_recorder_records_nothing() {
         !trace::enabled(),
         "a run must not start a trace session on its own"
     );
-    hot::set_sample_every(1);
     hot::reset();
 }

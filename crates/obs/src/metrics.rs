@@ -447,11 +447,6 @@ pub mod hot {
     static SEARCH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_PARTIAL: AtomicU64 = AtomicU64::new(0);
     static SEARCH_MEMO_EVICTED: AtomicU64 = AtomicU64::new(0);
-    // Sampling ratio: record every Nth event, weight-scaled by N so the
-    // exported totals stay unbiased. 1 (the default) records everything
-    // and never touches TICK — exact counts, unchanged behavior.
-    static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(1);
-    static TICK: AtomicU64 = AtomicU64::new(0);
 
     /// Is hot-counter sampling on? One relaxed load — the entire cost of
     /// every instrumentation site while sampling is off.
@@ -460,16 +455,8 @@ pub mod hot {
         ENABLED.load(Ordering::Relaxed)
     }
 
-    /// Turns sampling on. If `P2MDIE_HOT_SAMPLE` is set to an integer N,
-    /// the sampling ratio is taken from it (record every Nth event,
-    /// weighted by N); unset or unparsable leaves the ratio as configured
-    /// (default 1 = record everything).
+    /// Turns sampling on: every event is counted.
     pub fn enable() {
-        if let Ok(s) = std::env::var("P2MDIE_HOT_SAMPLE") {
-            if let Ok(n) = s.trim().parse::<u64>() {
-                set_sample_every(n);
-            }
-        }
         ENABLED.store(true, Ordering::Relaxed);
     }
 
@@ -478,38 +465,11 @@ pub mod hot {
         ENABLED.store(false, Ordering::Relaxed);
     }
 
-    /// Sets the sampling ratio: record every `every`-th event, scaling
-    /// each recorded event by `every` so totals remain unbiased in
-    /// expectation. 0 is clamped to 1 (record everything, exact).
-    pub fn set_sample_every(every: u64) {
-        SAMPLE_EVERY.store(every.max(1), Ordering::Relaxed);
-    }
-
-    /// The current sampling ratio.
-    pub fn sample_every() -> u64 {
-        SAMPLE_EVERY.load(Ordering::Relaxed)
-    }
-
-    /// The weight of this event if it is sampled, `None` if it is skipped.
-    /// At ratio 1 this is branch-only (no tick traffic); at ratio N every
-    /// Nth event across all hot sites is recorded with weight N.
-    #[inline(always)]
-    fn sample_weight() -> Option<u64> {
-        let every = SAMPLE_EVERY.load(Ordering::Relaxed);
-        if every <= 1 {
-            return Some(1);
-        }
-        let t = TICK.fetch_add(1, Ordering::Relaxed);
-        t.is_multiple_of(every).then_some(every)
-    }
-
-    /// Counts one event on `counter`, sampled and weighted as configured.
+    /// Counts one event on `counter` while sampling is on.
     #[inline(always)]
     fn count(counter: &AtomicU64) {
         if enabled() {
-            if let Some(w) = sample_weight() {
-                counter.fetch_add(w, Ordering::Relaxed);
-            }
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -550,8 +510,8 @@ pub mod hot {
         count(&SEARCH_MEMO_EVICTED);
     }
 
-    /// Zeroes every hot counter and the sampling tick (test isolation;
-    /// the enabled flag and sampling ratio are untouched).
+    /// Zeroes every hot counter (test isolation; the enabled flag is
+    /// untouched).
     pub fn reset() {
         POSTING_PROBE_HITS.store(0, Ordering::Relaxed);
         POSTING_PROBE_MISSES.store(0, Ordering::Relaxed);
@@ -559,7 +519,6 @@ pub mod hot {
         SEARCH_MEMO_MISSES.store(0, Ordering::Relaxed);
         SEARCH_MEMO_PARTIAL.store(0, Ordering::Relaxed);
         SEARCH_MEMO_EVICTED.store(0, Ordering::Relaxed);
-        TICK.store(0, Ordering::Relaxed);
     }
 
     /// The hot counters as snapshot entries (merged into metric reports).
@@ -695,7 +654,7 @@ mod tests {
     }
 
     /// The hot counters are process-wide statics, so tests that flip the
-    /// guard or the sampling ratio must not interleave.
+    /// guard must not interleave.
     fn hot_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -705,7 +664,6 @@ mod tests {
     fn hot_counters_gate_on_the_sampling_guard() {
         let _guard = hot_lock();
         hot::disable();
-        hot::set_sample_every(1);
         hot::reset();
         hot::posting_probe_hit();
         hot::search_memo_hit();
@@ -737,28 +695,6 @@ mod tests {
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("search_memo_evicted_total"), 1);
         hot::disable();
-        hot::reset();
-    }
-
-    /// At ratio N every Nth event is recorded with weight N, so exported
-    /// totals equal the true event count whenever it is a multiple of N —
-    /// deterministic here because the tick is reset and events are serial.
-    #[test]
-    fn sampled_hot_counters_are_weight_scaled() {
-        let _guard = hot_lock();
-        hot::disable();
-        hot::set_sample_every(4);
-        hot::reset();
-        hot::enable();
-        for _ in 0..8 {
-            hot::posting_probe_hit();
-        }
-        // Ticks 0..8: ticks 0 and 4 sample, each with weight 4.
-        let snap = MetricsSnapshot::from_entries(hot::entries());
-        assert_eq!(snap.counter("prover_posting_probe_hits_total"), 8);
-        assert_eq!(hot::sample_every(), 4);
-        hot::disable();
-        hot::set_sample_every(1);
         hot::reset();
     }
 

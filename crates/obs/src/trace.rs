@@ -158,12 +158,6 @@ pub struct TraceConfig {
     /// order; re-sorted on load). `None` keeps everything in memory until
     /// [`finish`].
     pub jsonl_path: Option<PathBuf>,
-    /// Sampling ratio for the prover hot counters
-    /// ([`crate::metrics::hot`]): `Some(n)` applies
-    /// [`set_sample_every(n)`](crate::metrics::hot::set_sample_every)
-    /// when the session starts — every `n`-th event recorded, weighted by
-    /// `n`. `None` (the default) leaves the configured ratio untouched.
-    pub hot_sample: Option<u64>,
 }
 
 struct Ring {
@@ -246,9 +240,6 @@ pub fn start(cfg: TraceConfig) -> bool {
     let mut slot = session_slot().lock().expect("session lock");
     if slot.is_some() {
         return false;
-    }
-    if let Some(n) = cfg.hot_sample {
-        crate::metrics::hot::set_sample_every(n);
     }
     let jsonl = cfg
         .jsonl_path
@@ -507,7 +498,6 @@ mod tests {
             std::env::temp_dir().join(format!("p2mdie-obs-test-{}.jsonl", std::process::id()));
         assert!(start(TraceConfig {
             jsonl_path: Some(path.clone()),
-            hot_sample: None,
         }));
         let t = Tracer::for_rank(1);
         let sp = t.span("work", 0.5, &[("n", Value::U64(7))]);

@@ -47,7 +47,7 @@
 use p2mdie::cluster::CostModel;
 use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};
 use p2mdie::core::driver::{run_parallel, run_sequential_timed, ParallelConfig, RecoveryPolicy};
-use p2mdie::core::job::{JobOutput, JobSpec, JobState};
+use p2mdie::core::job::{JobKind, JobOutput, JobSpec, JobState};
 use p2mdie::core::master::AcceptedRule;
 use p2mdie::core::report::ParallelReport;
 use p2mdie::core::scheduler::{Service, ServiceConfig};
@@ -168,19 +168,12 @@ fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
 
     let granularities = [EvalGranularity::PerLevel, EvalGranularity::PerClause];
     for granularity in granularities {
-        let rep = run_coverage_parallel(
-            &ds.engine,
-            &ds.examples,
-            3,
-            granularity,
-            CostModel::beowulf_2005(),
-            5,
-        )
-        .unwrap();
+        let cfg = ParallelConfig::new(3, Width::Unlimited, 5);
+        let rep = run_coverage_parallel(&ds.engine, &ds.examples, &cfg, granularity).unwrap();
         lines.push(format!(
             "coverage-parallel {granularity:?} | {:?} | epochs={} set_aside={} bytes={} msgs={} \
              vtime={:?}",
-            theory_text(&rep.theory, syms),
+            theory_text(&rep.clauses(), syms),
             rep.epochs,
             rep.set_aside,
             rep.total_bytes,
@@ -204,6 +197,8 @@ fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
         ),
     ];
     for (label, spec) in jobs {
+        // The baseline's line was recorded with its clauses alone.
+        let baseline = matches!(spec.kind, JobKind::BaselineLearn { .. });
         let outcome = service
             .submit(spec.with_seed(3).with_width(Width::Limit(10)))
             .unwrap()
@@ -222,21 +217,18 @@ fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
                     .collect();
                 format!("{rules:?}")
             }
-            JobOutput::Learned(out) => format!(
-                "{:?} | epochs={} set_aside={}",
-                accepted_text(&out.theory, syms),
-                out.epochs,
-                out.set_aside
-            ),
+            JobOutput::Learned(out) => {
+                let clauses: Vec<Clause> = out.theory.iter().map(|r| r.clause.clone()).collect();
+                let theory = match baseline {
+                    true => theory_text(&clauses, syms),
+                    false => accepted_text(&out.theory, syms),
+                };
+                format!(
+                    "{theory:?} | epochs={} set_aside={}",
+                    out.epochs, out.set_aside
+                )
+            }
             JobOutput::Coverage(counts) => format!("{counts:?}"),
-            JobOutput::BaselineLearned {
-                theory,
-                epochs,
-                set_aside,
-            } => format!(
-                "{:?} | epochs={epochs} set_aside={set_aside}",
-                theory_text(theory, syms)
-            ),
         };
         let acct = &outcome.accounting;
         lines.push(format!(
