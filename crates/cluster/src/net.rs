@@ -29,11 +29,13 @@
 //! * kind 1, **Hello** — `magic: u32`, `version: u16`, `rank: u32`,
 //!   `addr: string` (the dialer's own listening address; empty on
 //!   worker-to-worker dials). The rendezvous handshake.
-//! * kind 2, **Roster** — the [`CostModel`] (five `f64`s) plus every
-//!   worker's `(rank, address)`. Master → worker, once, after all workers
-//!   said hello.
+//! * kind 2, **Roster** — the [`CostModel`] (five `f64`s), every worker's
+//!   `(rank, address)`, and `recording: bool`, whether the master has a
+//!   trace session active (a worker process then records too). Master →
+//!   worker, once, after all workers said hello.
 //! * kind 3, **Report** — a [`WorkerReport`]: `vtime: f64`, `steps: u64`,
-//!   the sender's traffic row, and its two recovery-traffic counters.
+//!   the sender's traffic row, its two recovery-traffic counters, and its
+//!   trace records (empty unless the roster said the master records).
 //!   Worker → master, once, at shutdown, *outside* the metered protocol
 //!   (reports are bookkeeping, not algorithm traffic).
 //!
@@ -51,7 +53,7 @@
 //! 2. each worker binds its *own* listener, dials the master, and sends
 //!    `Hello { rank, addr }`;
 //! 3. once all `p` ranks said hello, the master sends every worker the
-//!    `Roster` (cost model + every worker's address);
+//!    `Roster` (cost model + every worker's address + whether it records);
 //! 4. worker `k` dials every worker `j < k` (sending a `Hello` so the
 //!    acceptor knows who called) and accepts dials from every `j > k`.
 //!
@@ -100,6 +102,7 @@ use crate::transport::{Transport, TransportEvent};
 use crate::vtime::CostModel;
 use bytes::Bytes;
 use p2mdie_logic::wire::decode_exact;
+use p2mdie_obs::Event;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::process::Child;
@@ -138,8 +141,11 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// v10: the strategy that sent `Constraint` is gone, and with it tag 27,
 /// strategy tag 2 and the two `Report` counters — a v9 worker's report is
 /// 16 bytes longer than a v10 master reads, and a v9 peer's tag 27 or
-/// strategy tag 2 is refused).
-pub const PROTOCOL_VERSION: u16 = 10;
+/// strategy tag 2 is refused;
+/// v11: the `Roster` frame grew whether the master records and the
+/// shutdown `Report` frame the worker's trace records, so a worker process's
+/// timeline comes home in-band — a v10 peer reads either frame short).
+pub const PROTOCOL_VERSION: u16 = 11;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -213,9 +219,10 @@ impl From<io::Error> for NetError {
 // Frames.
 // ---------------------------------------------------------------------------
 
-/// A worker's shutdown report: final clock, metered steps, and its send
-/// row of the traffic matrix (each process only records its own sends, so
-/// the master aggregates these to recover whole-cluster statistics).
+/// A worker's shutdown report: final clock, metered steps, its send row of
+/// the traffic matrix (each process only records its own sends, so the
+/// master aggregates these to recover whole-cluster statistics), and its
+/// trace records.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerReport {
     /// Final virtual clock.
@@ -230,6 +237,9 @@ pub struct WorkerReport {
     pub recovery_bytes: u64,
     /// Messages this worker sent during recovery phases.
     pub recovery_messages: u64,
+    /// The worker's trace records, for the master's session; empty when
+    /// the master was not recording as the mesh formed.
+    pub records: Vec<Event>,
 }
 p2mdie_logic::wire_struct!(WorkerReport {
     vtime,
@@ -237,6 +247,7 @@ p2mdie_logic::wire_struct!(WorkerReport {
     sends,
     recovery_bytes,
     recovery_messages,
+    records,
 });
 
 /// One decoded frame (see the [module docs](self) for the byte layout).
@@ -264,13 +275,16 @@ pub enum Frame {
         /// The dialer's own listening address ("" on worker-worker dials).
         addr: String,
     },
-    /// Rendezvous: the master's answer — cost model plus every worker's
-    /// address.
+    /// Rendezvous: the master's answer — cost model, every worker's
+    /// address, and whether the master records.
     Roster {
         /// The cost model every rank must meter with.
         model: CostModel,
         /// `(rank, address)` of every worker, rank-ascending.
         addrs: Vec<(u32, String)>,
+        /// Whether the master had a trace session active as the mesh
+        /// formed: a worker then records and reports its records.
+        recording: bool,
     },
     /// A worker's shutdown report.
     Report(WorkerReport),
@@ -279,7 +293,7 @@ pub enum Frame {
 p2mdie_logic::wire_enum!(Frame, "frame kind" {
     0 => Envelope { from, poison, arrival, ..payload },
     1 => Hello { magic, version, rank, addr },
-    2 => Roster { model, addrs },
+    2 => Roster { model, addrs, recording },
     3 => Report(report),
 });
 
@@ -382,13 +396,18 @@ pub struct TcpTransport {
     streams: Vec<Option<TcpStream>>,
     events: mpsc::Receiver<NetEvent>,
     reports: Vec<Option<WorkerReport>>,
+    recording: bool,
 }
 
 impl TcpTransport {
     /// Assembles the transport from established, handshaken streams
     /// (index = peer rank; `None` for self). Any bytes a handshake read
     /// over-consumed are carried in the per-stream [`FrameReader`]s.
-    fn assemble(rank: usize, peers: Vec<Option<(TcpStream, FrameReader)>>) -> io::Result<Self> {
+    fn assemble(
+        rank: usize,
+        peers: Vec<Option<(TcpStream, FrameReader)>>,
+        recording: bool,
+    ) -> io::Result<Self> {
         let size = peers.len();
         let (tx, rx) = mpsc::channel();
         let mut streams = Vec::with_capacity(size);
@@ -413,6 +432,7 @@ impl TcpTransport {
             streams,
             events: rx,
             reports: vec![None; size],
+            recording,
         })
     }
 
@@ -424,6 +444,13 @@ impl TcpTransport {
     /// Total ranks in the mesh (self included).
     pub fn size(&self) -> usize {
         self.streams.len()
+    }
+
+    /// Whether the master had a trace session active as the mesh formed
+    /// (the roster's word on a worker). A worker process that sees `true`
+    /// records, and sends its records in its shutdown report.
+    pub fn master_records(&self) -> bool {
+        self.recording
     }
 
     fn write_frame(&mut self, to: usize, bytes: &[u8]) -> bool {
@@ -765,9 +792,11 @@ impl MasterRendezvous {
             .enumerate()
             .filter_map(|(r, s)| s.as_ref().map(|(_, _, a)| (r as u32, a.clone())))
             .collect();
+        let recording = p2mdie_obs::trace::enabled();
         let roster = encode_frame(&Frame::Roster {
             model,
             addrs: addrs.clone(),
+            recording,
         });
         let mut peers: Vec<Option<(TcpStream, FrameReader)>> = Vec::with_capacity(workers + 1);
         peers.push(None); // self (rank 0)
@@ -778,7 +807,7 @@ impl MasterRendezvous {
             stream.write_all(&roster)?;
             peers.push(Some((stream, reader)));
         }
-        Ok(TcpTransport::assemble(0, peers)?)
+        Ok(TcpTransport::assemble(0, peers, recording)?)
     }
 }
 
@@ -834,7 +863,12 @@ pub fn worker_connect_opts(
         deadline,
         "worker rendezvous",
     )?;
-    let Frame::Roster { model, addrs } = roster else {
+    let Frame::Roster {
+        model,
+        addrs,
+        recording,
+    } = roster
+    else {
         return Err(NetError::new("worker rendezvous: expected a Roster frame"));
     };
     let workers = addrs.len();
@@ -894,7 +928,7 @@ pub fn worker_connect_opts(
         peers[peer] = Some((stream, reader));
     }
 
-    Ok((TcpTransport::assemble(rank, peers)?, model))
+    Ok((TcpTransport::assemble(rank, peers, recording)?, model))
 }
 
 fn resolve(addr: &str) -> Result<SocketAddr, NetError> {
@@ -1117,6 +1151,11 @@ impl Drop for ChildSet {
 /// hangs (see the [module docs](self)), and the returned [`ClusterOutcome`]
 /// carries whole-cluster statistics (worker processes report their clocks,
 /// steps, and traffic rows in a shutdown frame).
+///
+/// A trace session the caller has active as the mesh forms records every
+/// rank: the roster tells each worker process to record, and the records in
+/// its shutdown report join the session ([`p2mdie_obs::trace::absorb`]).
+/// This function never starts or finishes a session.
 pub fn run_cluster_tcp<R>(
     workers: usize,
     model: CostModel,
@@ -1127,15 +1166,6 @@ pub fn run_cluster_tcp<R>(
     // invariant: the caller's configuration, not anything a peer sent.
     assert!(workers >= 1, "need at least one worker");
     let net_err = |e: NetError| ClusterError::Net { message: e.message };
-    // Env-driven flight recording: with `P2MDIE_TRACE=<base>` set, the
-    // master rank records into an in-process session here, each worker
-    // process streams JSONL to `<base>.rank<k>.jsonl` (the worker binary
-    // honours the same variable), and after the run the pieces Lamport-merge
-    // into `<base>` + `<base>.chrome.json`.
-    let trace_base = std::env::var("P2MDIE_TRACE").ok();
-    if trace_base.is_some() {
-        p2mdie_obs::trace::start(p2mdie_obs::trace::TraceConfig::default());
-    }
 
     let rendezvous = MasterRendezvous::bind("127.0.0.1:0").map_err(net_err)?;
     let addr = rendezvous.local_addr().map_err(net_err)?;
@@ -1198,7 +1228,7 @@ pub fn run_cluster_tcp<R>(
     children.wait_all(timeout);
     let mut worker_vtimes = Vec::with_capacity(workers);
     let mut worker_steps = Vec::with_capacity(workers);
-    for (rank, report) in reports.iter().enumerate().take(workers + 1).skip(1) {
+    for (rank, report) in reports.into_iter().enumerate().take(workers + 1).skip(1) {
         match report {
             Some(rep) if rep.sends.len() > size => {
                 let message = "shutdown report: a traffic row wider than the cluster".to_owned();
@@ -1209,6 +1239,7 @@ pub fn run_cluster_tcp<R>(
                 stats.absorb_recovery(rep.recovery_bytes, rep.recovery_messages);
                 worker_vtimes.push(rep.vtime);
                 worker_steps.push(rep.steps);
+                p2mdie_obs::trace::absorb(rep.records);
             }
             None if recovered_dead.contains(&rank) => {
                 worker_vtimes.push(0.0);
@@ -1226,9 +1257,6 @@ pub fn run_cluster_tcp<R>(
     }
 
     crate::runtime::warn_dropped_sends(stats.total_dropped(), ep.now());
-    if let Some(base) = &trace_base {
-        merge_trace_files(base, workers);
-    }
     Ok(ClusterOutcome {
         result,
         master_vtime: ep.now(),
@@ -1238,43 +1266,6 @@ pub fn run_cluster_tcp<R>(
         dropped_sends: stats.total_dropped(),
         stats,
     })
-}
-
-/// The per-rank JSONL file a worker process streams its trace to when
-/// `P2MDIE_TRACE=<base>` is set (`<base>.rank<k>.jsonl`).
-pub fn trace_rank_path(base: &str, rank: usize) -> String {
-    format!("{base}.rank{rank}.jsonl")
-}
-
-/// The Chrome `trace_event` file written next to a merged trace base.
-pub fn trace_chrome_path(base: &str) -> String {
-    format!("{base}.chrome.json")
-}
-
-/// Finishes the master's trace session, loads every worker's per-rank
-/// JSONL file that exists, Lamport-merges the lot on the virtual-time
-/// axis, and writes `<base>` (merged JSONL) plus `<base>.chrome.json`
-/// (Perfetto-loadable). Missing rank files — a worker that died before
-/// flushing — are simply skipped; the merge is best-effort diagnostics,
-/// never a run failure.
-fn merge_trace_files(base: &str, workers: usize) {
-    let mut traces = Vec::new();
-    if let Some((trace, _summary)) = p2mdie_obs::trace::finish() {
-        traces.push(trace);
-    }
-    for rank in 1..=workers {
-        if let Ok(text) = std::fs::read_to_string(trace_rank_path(base, rank)) {
-            if let Ok(t) = p2mdie_obs::Trace::from_jsonl(&text) {
-                traces.push(t);
-            }
-        }
-    }
-    if traces.is_empty() {
-        return;
-    }
-    let merged = p2mdie_obs::Trace::merge(traces);
-    let _ = std::fs::write(base, merged.to_jsonl());
-    let _ = std::fs::write(trace_chrome_path(base), merged.chrome_json());
 }
 
 #[cfg(test)]
@@ -1321,6 +1312,7 @@ mod tests {
                 Frame::Roster {
                     model: CostModel::beowulf_2005(),
                     addrs: vec![(1, "a:1".to_owned()), (2, "b:2".to_owned())],
+                    recording: true,
                 },
             ),
             (
@@ -1331,6 +1323,15 @@ mod tests {
                     sends: vec![(1, 2, 0), (0, 0, 3)],
                     recovery_bytes: 77,
                     recovery_messages: 4,
+                    records: vec![Event {
+                        rank: 2,
+                        seq: 0,
+                        vt: 0.5,
+                        wall_ns: 0,
+                        phase: p2mdie_obs::Phase::Begin,
+                        name: "stage".into(),
+                        args: vec![("epoch".into(), p2mdie_obs::Value::U64(1))],
+                    }],
                 }),
             ),
         ]
@@ -1456,10 +1457,10 @@ mod tests {
             rank: 1,
             addr: "127.0.0.1:9".to_owned(),
         };
-        assert_eq!(PROTOCOL_VERSION, 10, "a bump moves this test with it");
-        let refused = check_hello(hello(9), 2, "worker hello").unwrap_err();
+        assert_eq!(PROTOCOL_VERSION, 11, "a bump moves this test with it");
+        let refused = check_hello(hello(10), 2, "worker hello").unwrap_err();
         assert!(
-            refused.message.contains("protocol version 9 != 10"),
+            refused.message.contains("protocol version 10 != 11"),
             "{}",
             refused.message
         );
@@ -1490,20 +1491,24 @@ mod tests {
         reader.push(&raw);
         assert!(reader.next_frame().is_err());
 
-        // A v9 `Report`: two more `u64` counters after the recovery pair.
-        let mut raw = encode_frame(&Frame::Report(WorkerReport {
+        // A v9 `Report` (two more `u64` counters after the recovery pair)
+        // and a v10 one (no records: four bytes short).
+        let v11 = encode_frame(&Frame::Report(WorkerReport {
             vtime: 1.0,
             steps: 5,
             sends: vec![(1, 1, 0)],
             recovery_bytes: 0,
             recovery_messages: 0,
+            records: vec![],
         }));
-        raw.extend_from_slice(&[0u8; 16]);
-        let new_len = (raw.len() - 4) as u32;
-        raw[..4].copy_from_slice(&new_len.to_le_bytes());
-        let mut reader = FrameReader::new();
-        reader.push(&raw);
-        assert!(reader.next_frame().is_err());
+        let v10 = &v11[..v11.len() - 4];
+        for mut raw in [[v10, &[0u8; 16]].concat(), v10.to_vec()] {
+            let new_len = (raw.len() - 4) as u32;
+            raw[..4].copy_from_slice(&new_len.to_le_bytes());
+            let mut reader = FrameReader::new();
+            reader.push(&raw);
+            assert!(reader.next_frame().is_err());
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use p2mdie_cluster::net::{encode_frame, Frame, FrameReader, MAX_FRAME};
 use p2mdie_cluster::{CostModel, WorkerReport};
+use p2mdie_obs::{Event, Phase, Value};
 use proptest::prelude::*;
 
 /// A random frame of every kind the wire carries.
@@ -44,11 +45,23 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
                 sends,
                 recovery_bytes,
                 recovery_messages,
+                records: (0..steps % 3)
+                    .map(|seq| Event {
+                        rank: 1,
+                        seq,
+                        vt: t as f64 / 1.0e3,
+                        wall_ns: steps,
+                        phase: Phase::Instant,
+                        name: "send".into(),
+                        args: vec![("bytes".into(), Value::U64(recovery_bytes))],
+                    })
+                    .collect(),
             })
         });
     let roster =
         proptest::collection::vec((1u32..9, 0u8..26), 0..6).prop_map(|entries| Frame::Roster {
             model: CostModel::beowulf_2005(),
+            recording: entries.len() % 2 == 0,
             addrs: entries
                 .into_iter()
                 .map(|(r, a)| (r, format!("127.0.0.1:{}", 1000 + a as u32)))

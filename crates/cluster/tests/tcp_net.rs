@@ -183,6 +183,7 @@ fn malformed_bytes_surface_as_malformed_link() {
                 sends: ep.stats().send_row(ep.rank()),
                 recovery_bytes: 0,
                 recovery_messages: 0,
+                records: Vec::new(),
             };
             assert!(ep.transport_mut().send_report(&report));
         },
@@ -228,6 +229,7 @@ fn shutdown_reports_reach_the_master() {
                 sends: ep.stats().send_row(me),
                 recovery_bytes: 0,
                 recovery_messages: 0,
+                records: Vec::new(),
             };
             assert!(ep.transport_mut().send_report(&report));
         },

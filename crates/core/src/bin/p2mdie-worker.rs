@@ -14,8 +14,8 @@
 //! background KB from the wire (`Msg::KbSnapshot`), then serves jobs — each
 //! a `Msg::SubmitJob` run to its own `Stop`; one for a one-shot run, many
 //! on a resident service — until a `Stop` arrives while it is idle, sends a
-//! shutdown report (final clock, steps, traffic row, recovery counters),
-//! and exits 0.
+//! shutdown report (final clock, steps, traffic row, recovery counters,
+//! trace records), and exits 0.
 //!
 //! Exit codes say what happened (the named ones are constants of
 //! `p2mdie_cluster::net`, whose `ChildSet::diagnose` turns them back into
@@ -33,12 +33,12 @@
 //! | 101 | `PANIC_EXIT`: the worker panicked, a bug (poison broadcast first) |
 //! | 102 | `POISONED_EXIT`: woken by another rank's failure — a victim, not a cause |
 //!
-//! `P2MDIE_TRACE=<base>` turns the flight recorder on: the process
-//! streams its span/event records to `<base>.rank<N>.jsonl` (the path
-//! convention of `p2mdie_cluster::net::trace_rank_path`) and the
-//! spawning master merges every rank file into one timeline at the end
-//! of the run. Worker processes inherit the variable from the spawner,
-//! so setting it on the driver traces the whole mesh.
+//! The process records its spans and events when the master does: the
+//! roster says whether the master had a trace session active as the mesh
+//! formed, and if it did, the worker starts one of its own right after the
+//! handshake. Its records go home in the shutdown report, into the
+//! master's session, so the caller's `trace::finish` holds every rank. A
+//! worker that exits without a report takes its records with it.
 //!
 //! The `P2MDIE_TEST_FAIL` environment variable injects post-handshake
 //! failures so the failure-propagation and recovery tests can exercise a
@@ -63,15 +63,12 @@ use p2mdie_cluster::net::{
 use p2mdie_cluster::{panic_message, Envelope, TrafficStats, Transport, TransportEvent};
 use p2mdie_core::remote::{adopt_kb, WorkerExit};
 use p2mdie_core::scheduler::run_resident_worker;
+use p2mdie_obs::trace::{self, TraceConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 fn main() {
-    let code = run();
-    // Flush the flight recorder (if `run` started one) before the process
-    // dies; a no-op when no trace session is active.
-    p2mdie_obs::trace::finish();
-    std::process::exit(code);
+    std::process::exit(run());
 }
 
 fn usage() -> i32 {
@@ -116,14 +113,6 @@ fn run() -> i32 {
         return usage();
     }
 
-    // Flight recorder: stream this rank's span/event records to the
-    // per-rank JSONL file the master's end-of-run merge looks for.
-    if let Ok(base) = std::env::var("P2MDIE_TRACE") {
-        p2mdie_obs::trace::start(p2mdie_obs::trace::TraceConfig {
-            jsonl_path: Some(p2mdie_cluster::net::trace_rank_path(&base, rank).into()),
-        });
-    }
-
     let (transport, model) = match worker_connect(&connect, rank, timeout) {
         Ok(x) => x,
         Err(e) => {
@@ -132,6 +121,9 @@ fn run() -> i32 {
         }
     };
     let size = transport.size();
+    if transport.master_records() {
+        trace::start(TraceConfig::default());
+    }
 
     match parse_test_injection(rank) {
         Some(Injection::Exit) => {
@@ -194,6 +186,7 @@ fn serve<T: Transport>(
                 sends: ep.stats().send_row(rank),
                 recovery_bytes: ep.stats().recovery_bytes(),
                 recovery_messages: ep.stats().recovery_messages(),
+                records: trace::finish().map_or_else(Vec::new, |(t, _)| t.events),
             };
             if !report_via(ep.transport_mut()).send_report(&report) {
                 eprintln!("worker rank {rank}: master gone before the shutdown report");

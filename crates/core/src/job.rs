@@ -106,10 +106,6 @@ impl JobKind {
 /// Number of distinct scheduling classes (see [`JobKind::class`]).
 pub(crate) const JOB_CLASSES: usize = 3;
 
-/// Metric-label names of the scheduling classes, indexed by
-/// [`JobKind::class`].
-pub(crate) const CLASS_NAMES: [&str; JOB_CLASSES] = ["coverage", "rule-search", "learn"];
-
 /// A complete description of one unit of cluster work.
 ///
 /// Every job carries its *own* examples, settings, partition seed, and

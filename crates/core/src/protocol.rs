@@ -27,7 +27,8 @@
 //! [`Examples`] travels as its two `Vec<Literal>`s do, whatever shares
 //! them in memory. No tag is added or retired. Protocol v10 retires tag 27
 //! (`Constraint`, a worker-to-worker broadcast nothing sends) and strategy
-//! tag 2.
+//! tag 2. Protocol v11 changes no message: it grows two socket frames
+//! (`p2mdie_cluster::net`).
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".

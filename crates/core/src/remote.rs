@@ -142,10 +142,9 @@ pub(crate) fn spawn_worker(
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
-    // The child inherits this process's environment, so a `P2MDIE_TRACE`
-    // set on the driver reaches every worker process and each rank
-    // streams its own `<base>.rank<N>.jsonl` (merged by the master at the
-    // end of the run). `worker_env` entries layer on top.
+    // The child inherits this process's environment; `worker_env` entries
+    // layer on top. Whether it records is not read from there: the roster
+    // tells it whether the master records.
     for (k, v) in &tcp.worker_env {
         cmd.env(k, v);
     }

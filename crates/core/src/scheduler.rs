@@ -96,16 +96,14 @@
 //!
 //! # Introspection
 //!
-//! [`Service::metrics`] is the flight-recorder readout: the scheduler
-//! broadcasts the protocol-v6 [`Msg::MetricsQuery`] between jobs (when
-//! every worker is idle) and each rank answers [`Msg::MetricsReport`]
-//! with a [`MetricsSnapshot`] built from its endpoint state, its
-//! per-rank metrics registry, and the prover hot counters. The same dump
-//! is taken once more right before shutdown and returned in
-//! [`ServiceReport::worker_metrics`]. Job lifecycle transitions emit
-//! `job_state` trace events, and the scheduler maintains queue-depth /
-//! class-fairness gauges plus a backpressure counter in rank 0's
-//! registry.
+//! [`Service::metrics`] is the metrics readout: the scheduler broadcasts
+//! the protocol-v6 [`Msg::MetricsQuery`] between jobs (when every worker is
+//! idle) and each rank answers [`Msg::MetricsReport`] with a
+//! [`MetricsSnapshot`] built from its endpoint state, its coverage memo,
+//! and the prover hot counters. The same dump is taken once more right
+//! before shutdown and returned in [`ServiceReport::worker_metrics`]. Job
+//! lifecycle transitions emit `job_state` trace events onto the flight
+//! recorder's timeline; the scheduler keeps no metrics of its own.
 //!
 //! # One-shot runs
 //!
@@ -133,7 +131,7 @@ use crate::driver::{
     open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 use crate::job::{
-    JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, CLASS_NAMES, JOB_CLASSES,
+    JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, JOB_CLASSES,
 };
 use crate::master::{evaluate_summed, run_master, run_search_epoch, Dealing, Dealt};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
@@ -317,6 +315,11 @@ impl Service {
     /// Builds a resident mesh of real `p2mdie-worker` OS processes over
     /// localhost TCP. The KB is always shipped (worker processes have no
     /// shared memory to inherit it from).
+    ///
+    /// The worker processes record trace events only if a trace session is
+    /// active as the mesh forms: start it before this call and keep it
+    /// open. Their records reach that session at [`Service::shutdown`],
+    /// when each worker's shutdown report arrives.
     pub fn new_tcp(engine: &IlpEngine, cfg: ServiceConfig, tcp: &TcpConfig) -> Self {
         Service::start(engine, cfg, TransportKind::Tcp(tcp.clone()))
     }
@@ -372,12 +375,7 @@ impl Service {
                 rx,
                 cancelled: Arc::clone(&self.cancelled),
             }),
-            Err(mpsc::TrySendError::Full(_)) => {
-                metrics::rank_registry(0)
-                    .counter("scheduler_backpressure_total")
-                    .inc();
-                Err(SubmitError::Backpressure)
-            }
+            Err(mpsc::TrySendError::Full(_)) => Err(SubmitError::Backpressure),
             Err(mpsc::TrySendError::Disconnected(_)) => Err(SubmitError::ServiceDown),
         }
     }
@@ -430,7 +428,6 @@ impl MeshMaster for Scheduler {
         ep: &mut Endpoint<T>,
         engine: &IlpEngine,
     ) -> Result<Self::Out, CommFailure> {
-        let registry = metrics::rank_registry(ep.rank());
         let mut queues: Vec<VecDeque<QueuedJob>> =
             (0..JOB_CLASSES).map(|_| VecDeque::new()).collect();
         let mut next_class = 0usize;
@@ -474,12 +471,6 @@ impl MeshMaster for Scheduler {
                             job = job.id.0,
                             state = "queued",
                         );
-                        registry
-                            .counter(&format!(
-                                "scheduler_jobs_submitted_total{{class=\"{}\"}}",
-                                CLASS_NAMES[job.spec.kind.class()]
-                            ))
-                            .inc();
                         queues[job.spec.kind.class()].push_back(job);
                     }
                     Request::Metrics(reply) => {
@@ -491,20 +482,6 @@ impl MeshMaster for Scheduler {
                     Request::Shutdown => open = false,
                 }
             }
-
-            // Class-fairness introspection: depth per class plus the total,
-            // sampled every time the scheduler picks its next job.
-            for (c, q) in queues.iter().enumerate() {
-                registry
-                    .gauge(&format!(
-                        "scheduler_queue_depth{{class=\"{}\"}}",
-                        CLASS_NAMES[c]
-                    ))
-                    .set(q.len() as f64);
-            }
-            registry
-                .gauge("scheduler_queue_depth")
-                .set(queues.iter().map(VecDeque::len).sum::<usize>() as f64);
 
             // FIFO within a class, round-robin across non-empty classes.
             let class = (0..JOB_CLASSES)
@@ -522,17 +499,10 @@ impl MeshMaster for Scheduler {
                 .map(|mut set| set.remove(&job.id.0))
                 .unwrap_or(false);
             let outcome = if was_cancelled {
-                registry.counter("scheduler_jobs_cancelled_total").inc();
                 advance(ep, &mut Lifecycle::new(job.id), JobState::Failed);
                 JobOutcome::failed(job.id, "cancelled before dispatch")
             } else {
                 jobs_run += 1;
-                registry
-                    .counter(&format!(
-                        "scheduler_jobs_dispatched_total{{class=\"{}\"}}",
-                        CLASS_NAMES[class]
-                    ))
-                    .inc();
                 let abort = &RecoveryPolicy::Abort;
                 let (output, accounting) =
                     match dispatch_job(ep, engine, job.id, &job.spec, &mut kept, abort) {
@@ -590,9 +560,8 @@ pub(crate) fn collect_worker_metrics<T: Transport>(
 /// bytes and record count; the rules and search nodes it answered without a
 /// proof, by a difference proof and by a full one; the entries it evicted
 /// and the results it had no room for; and the inference steps its proofs
-/// really ran — `worker_inference_steps_total` is what was *charged*), this
-/// rank's [`metrics::rank_registry`], and the
-/// process-wide prover hot counters. The endpoint facts make the snapshot
+/// really ran — `worker_inference_steps_total` is what was *charged*), and
+/// the process-wide prover hot counters. The endpoint facts make the snapshot
 /// consistent with [`crate::report::JobAccounting`] deltas whether or not
 /// sampling is on. In-process meshes share one address space, so the prover
 /// hot counters repeat across ranks there; over TCP they are genuinely
@@ -625,7 +594,6 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
         counter("worker_memo_unstored_total", memo_did.unstored),
         counter("worker_steps_run_total", memo_did.steps_run),
     ];
-    entries.extend(metrics::rank_registry(me).snapshot().entries);
     entries.extend(metrics::hot::entries());
     MetricsSnapshot::from_entries(entries)
 }

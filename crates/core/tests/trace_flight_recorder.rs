@@ -4,15 +4,19 @@
 //! that loses a rank mid-flight to `ChaosTransport` and self-heals —
 //! produces a **byte-identical** Chrome `trace_event` export every time,
 //! because spans and events are ordered on the deterministic virtual-time
-//! axis (wall-clock never reaches the export). The companion invariant:
-//! with no trace session and sampling off, the whole instrumentation
-//! layer records nothing at all.
+//! axis (wall-clock never reaches the export). A run over real
+//! `p2mdie-worker` processes records the same timeline as its in-process
+//! twin: each worker process records when the master does and its records
+//! come home in its shutdown report. The companion invariant: with no
+//! trace session and sampling off, the whole instrumentation layer records
+//! nothing at all.
 //!
 //! Trace sessions are process-global (one at a time), so every test that
 //! starts one serializes on [`TRACE_LOCK`].
 
 use p2mdie_cluster::ChaosConfig;
-use p2mdie_core::driver::{run_parallel, ParallelConfig, RecoveryPolicy};
+use p2mdie_core::driver::{run_parallel, ParallelConfig, RecoveryPolicy, TransportKind};
+use p2mdie_core::remote::TcpConfig;
 use p2mdie_ilp::settings::Width;
 use p2mdie_obs::metrics::hot;
 use p2mdie_obs::trace::{self, TraceConfig};
@@ -20,6 +24,72 @@ use p2mdie_obs::validate_chrome;
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+const WORKER_BIN: &str = env!("CARGO_BIN_EXE_p2mdie-worker");
+
+fn tcp(cfg: &ParallelConfig) -> ParallelConfig {
+    let tcp = TcpConfig::with_worker_bin(WORKER_BIN);
+    cfg.clone().with_transport(TransportKind::Tcp(tcp))
+}
+
+/// One traced learn under `cfg`: the Chrome export and the ranks that
+/// recorded.
+fn traced_learn(cfg: &ParallelConfig) -> (String, Vec<u32>) {
+    let ds = p2mdie_datasets::trains(16, 5);
+    assert!(
+        trace::start(TraceConfig::default()),
+        "no other trace session may be active"
+    );
+    let rep = run_parallel(&ds.engine, &ds.examples, cfg);
+    let (trace, _summary) = trace::finish().expect("session was active");
+    assert!(!rep.unwrap().theory.is_empty());
+    let mut ranks: Vec<u32> = trace.events.iter().map(|e| e.rank).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    (trace.chrome_json(), ranks)
+}
+
+/// A traced run over two real worker processes records what its
+/// in-process twin (KB shipped, same seed) records, byte for byte: every
+/// rank's records, at the same virtual times, with their fields in order.
+#[test]
+fn tcp_run_trace_matches_its_in_process_twin() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let cfg = ParallelConfig::new(2, Width::Limit(10), 5).with_kb_shipping();
+    let (twin, twin_ranks) = traced_learn(&cfg);
+    let (over_tcp, tcp_ranks) = traced_learn(&tcp(&cfg));
+    assert_eq!(twin_ranks, [0, 1, 2]);
+    assert_eq!(tcp_ranks, [0, 1, 2], "every rank's records came home");
+    assert_eq!(
+        twin.lines().count(),
+        over_tcp.lines().count(),
+        "as many records over TCP as in process"
+    );
+    assert_eq!(over_tcp, twin, "the same Chrome export on both transports");
+    validate_chrome(&over_tcp).expect("well-formed, properly nested trace");
+}
+
+/// A traced TCP run whose worker fails returns the error and leaves the
+/// caller's session as it was: still active, holding the master's records.
+#[test]
+fn failed_tcp_run_leaves_the_callers_session_active() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let ds = p2mdie_datasets::trains(8, 5);
+    let mut tcp = TcpConfig::with_worker_bin(WORKER_BIN);
+    tcp.timeout = std::time::Duration::from_secs(30);
+    tcp.worker_env
+        .push(("P2MDIE_TEST_FAIL".to_owned(), "exit:1".to_owned()));
+    let cfg = ParallelConfig::new(2, Width::Limit(10), 5).with_transport(TransportKind::Tcp(tcp));
+    assert!(trace::start(TraceConfig::default()));
+    assert!(run_parallel(&ds.engine, &ds.examples, &cfg).is_err());
+    assert!(
+        trace::enabled(),
+        "the caller's session survives the failure"
+    );
+    let (trace, _) = trace::finish().expect("the caller's session");
+    assert!(!trace.events.is_empty(), "the master recorded its part");
+    assert!(trace.events.iter().all(|e| e.rank == 0));
+}
 
 fn recovering_cfg(workers: usize) -> ParallelConfig {
     ParallelConfig::new(workers, Width::Limit(10), 5)
@@ -79,13 +149,11 @@ fn disabled_recorder_records_nothing() {
     assert!(!hot::enabled());
 
     let ds = p2mdie_datasets::trains(12, 5);
-    let rep = run_parallel(
-        &ds.engine,
-        &ds.examples,
-        &ParallelConfig::new(2, Width::Limit(10), 5),
-    )
-    .unwrap();
-    assert!(!rep.theory.is_empty());
+    let cfg = ParallelConfig::new(2, Width::Limit(10), 5);
+    for cfg in [cfg.clone(), tcp(&cfg)] {
+        let rep = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap();
+        assert!(!rep.theory.is_empty());
+    }
 
     assert_eq!(
         hot::total_recorded(),

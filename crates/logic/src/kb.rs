@@ -429,8 +429,8 @@ impl PostingCsr {
     /// All hits for `tid` in ascending fact order: the CSR run borrowed
     /// directly in the sealed case, an owned splice of run + pending
     /// matches otherwise (pending facts are strictly newer, so they append
-    /// in order), its buffer drawn from `scratch`.
-    pub(crate) fn hits(&self, tid: TermId, scratch: &mut PlanScratch) -> Hits<'_> {
+    /// in order).
+    pub(crate) fn hits(&self, tid: TermId) -> Hits<'_> {
         // The sealed run: empty when absent — including the
         // [`TermId::NONE`] probe of an uninterned term, which sorts above
         // every real key.
@@ -445,8 +445,7 @@ impl PostingCsr {
         if self.pending.is_empty() || !self.pending.iter().any(|&(t, _)| t == tid) {
             return Hits::Run(run);
         }
-        let mut out = scratch.take_hits();
-        out.extend_from_slice(run);
+        let mut out = run.to_vec();
         out.extend(
             self.pending
                 .iter()
@@ -501,15 +500,14 @@ impl std::ops::Deref for Hits<'_> {
     }
 }
 
-/// Reusable buffers for plan construction: the posting splices of an
-/// unsealed store, the merge of a narrowing posting with its
-/// position-unindexable rows, and per-goal [`Probe`] vectors all draw from
-/// and return to these pools, so steady-state planning allocates nothing.
-/// The prover owns one per engine; [`PlanScratch::recycle`] returns a
-/// consumed plan's buffers.
+/// Reusable per-goal [`Probe`] vectors: the prover draws one per goal and
+/// returns it when the goal's plan is consumed, so steady-state planning
+/// allocates nothing. (A plan's own buffers — the posting splice of an
+/// unsealed store, the merge of a narrowing posting with non-ground rows —
+/// are allocated where they arise; no benchmark workload's operation builds
+/// one.)
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    hits: Vec<Vec<u32>>,
     probes: Vec<Vec<Probe>>,
 }
 
@@ -519,36 +517,13 @@ impl PlanScratch {
         Self::default()
     }
 
-    fn take_hits(&mut self) -> Vec<u32> {
-        self.hits.pop().unwrap_or_default()
-    }
-
     pub(crate) fn take_probes(&mut self) -> Vec<Probe> {
         self.probes.pop().unwrap_or_default()
-    }
-
-    fn recycle_hits(&mut self, h: Hits<'_>) {
-        if let Hits::Owned(mut v) = h {
-            v.clear();
-            self.hits.push(v);
-        }
     }
 
     pub(crate) fn recycle_probes(&mut self, mut v: Vec<Probe>) {
         v.clear();
         self.probes.push(v);
-    }
-
-    /// Returns a consumed plan's owned buffers to the pool.
-    pub fn recycle(&mut self, plan: FactPlan<'_>) {
-        match plan {
-            FactPlan::Seq { indexed, .. } => self.recycle_hits(indexed),
-            FactPlan::Ranked(walk) => match walk.rows {
-                WalkRows::Keyed(hits, _) | WalkRows::Posting(hits) => self.recycle_hits(hits),
-                WalkRows::All(_) => {}
-            },
-            FactPlan::Empty | FactPlan::All { .. } => {}
-        }
     }
 }
 
@@ -854,20 +829,13 @@ impl KnowledgeBase {
     /// `probes` carries the goal's arguments pre-resolved to [`Probe`]s,
     /// one per argument position (see
     /// [`crate::subst::Bindings::probe`]) — resolved once by the caller
-    /// and shared by plan construction and the walk. `scratch` supplies the
-    /// plan's owned buffers; hand the consumed plan back via
-    /// [`PlanScratch::recycle`] and steady-state planning allocates nothing.
+    /// and shared by plan construction and the walk.
     ///
     /// The plan enumerates R, the reference walk, in R's order: every row
     /// of it when no argument past the first is ground, otherwise the rows
     /// [`RankedWalk::walk`] admits — see the module docs for the step
     /// contract.
-    pub fn fact_plan<'a>(
-        &'a self,
-        id: PredId,
-        probes: &[Probe],
-        scratch: &mut PlanScratch,
-    ) -> FactPlan<'a> {
+    pub fn fact_plan<'a>(&'a self, id: PredId, probes: &[Probe]) -> FactPlan<'a> {
         let entry = &self.entries[id.index()];
         debug_assert_eq!(probes.len(), entry.cols.arity());
         let n = entry.len;
@@ -887,7 +855,7 @@ impl KnowledgeBase {
             let posting = entry.postings[0]
                 .as_ref()
                 .expect("invariant: position-0 posting list is never pruned");
-            let hits = posting.hits(probes[0].tid(), scratch);
+            let hits = posting.hits(probes[0].tid());
             // Reference-probe selectivity (position 0 only: that probe
             // defines R). One relaxed load when sampling is off.
             if hits.is_empty() {
@@ -926,23 +894,16 @@ impl KnowledgeBase {
                 let Some(posting) = posting.as_ref().filter(|_| probes[p].is_ground()) else {
                     continue;
                 };
-                let mut hits = posting.hits(probes[p].tid(), scratch);
+                let mut hits = posting.hits(probes[p].tid());
                 let un = entry.unindexed[p].as_slice();
                 if hits.len() + un.len() >= bound {
-                    scratch.recycle_hits(hits);
                     continue;
                 }
                 bound = hits.len() + un.len();
                 if !un.is_empty() {
-                    let mut merged = scratch.take_hits();
-                    merge_sorted_into(&hits, un, &mut merged);
-                    scratch.recycle_hits(std::mem::replace(&mut hits, Hits::Owned(merged)));
+                    hits = Hits::Owned(merge_sorted(&hits, un));
                 }
-                if let WalkRows::Posting(old) =
-                    std::mem::replace(&mut rows, WalkRows::Posting(hits))
-                {
-                    scratch.recycle_hits(old);
-                }
+                rows = WalkRows::Posting(hits);
             }
         }
         FactPlan::Ranked(RankedWalk {
@@ -968,8 +929,7 @@ impl KnowledgeBase {
                 _ => Probe::Free,
             })
             .collect();
-        let mut scratch = PlanScratch::new();
-        let plan = self.fact_plan(id, &probes, &mut scratch);
+        let plan = self.fact_plan(id, &probes);
         match plan {
             FactPlan::Empty => (Vec::new(), 0),
             FactPlan::All { n } => ((0..n).collect(), n as u64),
@@ -1304,11 +1264,9 @@ fn literal_heap_bytes(l: &Literal) -> usize {
     l.args.len() * std::mem::size_of::<Term>() + l.args.iter().map(term_heap_bytes).sum::<usize>()
 }
 
-/// Merges two sorted, disjoint index slices into `out` (cleared first; the
-/// buffer comes from and returns to a [`PlanScratch`] pool).
-fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
+/// Merges two sorted, disjoint index slices.
+fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         if a[i] < b[j] {
@@ -1321,6 +1279,7 @@ fn merge_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// A fact-retrieval plan produced by [`KnowledgeBase::fact_plan`].
@@ -1984,7 +1943,7 @@ mod tests {
                 let around = model.keys().flat_map(|&k| [k.saturating_sub(1), k, k + 1]);
                 for probe in around.chain([0, u32::MAX - 1, u32::MAX]) {
                     let plain = model.get(&probe).map_or(&[][..], |run| run);
-                    proptest::prop_assert_eq!(&*csr.hits(TermId(probe), &mut PlanScratch::new()), plain, "probe {}", probe);
+                    proptest::prop_assert_eq!(&*csr.hits(TermId(probe)), plain, "probe {}", probe);
                 }
                 Ok(())
             };

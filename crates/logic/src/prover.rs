@@ -308,8 +308,8 @@ struct Ctx<'a, 'v> {
     stats: ProofStats,
     bindings: &'v mut Bindings,
     next_var: &'v mut VarId,
-    /// Pooled plan buffers (`tried` vectors, merge scratch, probe vectors)
-    /// — drawn per goal, returned when the goal's plan is consumed.
+    /// Pooled probe vectors — drawn per goal, returned when the goal's
+    /// plan is consumed.
     plan_scratch: &'v mut PlanScratch,
 }
 
@@ -412,10 +412,9 @@ impl<'a> Ctx<'a, '_> {
         // accounting stays pinned to the first-argument reference plan.
         // Candidates unify column-natively — goal arguments match straight
         // against the fact's arena-id tuple, no row literal involved.
-        let plan = kb.fact_plan(pid, &probes, self.plan_scratch);
+        let plan = kb.fact_plan(pid, &probes);
         let facts = kb.fact_cols(pid);
         let ctrl = self.run_plan(&facts, &plan, &probes, glit, goff, &rest, on_solution);
-        self.plan_scratch.recycle(plan);
         self.plan_scratch.recycle_probes(probes);
         match ctrl {
             Control::More => {}

@@ -9,8 +9,8 @@
 //! `tests/golden/wire_layout.txt` pins the bytes.
 //!
 //! The trait lives here because this is the lowest crate every payload type
-//! can see (the metric snapshot types of `p2mdie-obs`, which sits below, get
-//! their impls at the bottom of this file). It works over std buffers only
+//! can see (the metric snapshots and trace records of `p2mdie-obs`, which
+//! sits below, get their impls at the bottom of this file). It works over std buffers only
 //! — `Vec<u8>` out, `&mut &[u8]` in — so no crate needs a buffer dependency
 //! to state a layout; `p2mdie_cluster::codec` is where these meet the
 //! transport's shared `Bytes`.
@@ -51,7 +51,8 @@
 //! which runs to the end of the frame without a count of its own — is the
 //! `..rest` marker of [`wire_enum!`](crate::wire_enum).
 
-use p2mdie_obs::{MetricEntry, MetricValue, MetricsSnapshot};
+use p2mdie_obs::{Event, MetricEntry, MetricValue, MetricsSnapshot, Phase, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::mem::size_of;
 
@@ -160,6 +161,17 @@ impl Wire for String {
         let n = u32::decode(inp)? as usize;
         let raw = take(inp, n, "string body")?;
         String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::new("string utf8"))
+    }
+}
+
+/// A string's layout; it decodes owned.
+impl Wire for Cow<'static, str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(inp: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(Cow::Owned(String::decode(inp)?))
     }
 }
 
@@ -371,13 +383,35 @@ macro_rules! wire_enum {
 }
 
 // `p2mdie-obs` sits below this crate, so its wire-carried types (the
-// payload of the protocol's `MetricsReport`) are declared here.
+// payload of the protocol's `MetricsReport`, and the trace records a worker
+// process's shutdown report carries home) are declared here.
 wire_struct!(MetricsSnapshot { entries });
 wire_struct!(MetricEntry { name, value });
 wire_enum!(MetricValue, "metric value tag" {
     0 => Counter(n),
     1 => Gauge(v),
     2 => Histogram { count, sum, buckets },
+});
+wire_struct!(Event {
+    rank,
+    seq,
+    vt,
+    wall_ns,
+    phase,
+    name,
+    args,
+});
+wire_enum!(Phase, "trace phase tag" {
+    0 => Begin,
+    1 => End,
+    2 => Instant,
+});
+wire_enum!(Value, "trace value tag" {
+    0 => U64(n),
+    1 => I64(n),
+    2 => F64(x),
+    3 => Bool(b),
+    4 => Str(s),
 });
 
 #[cfg(test)]
@@ -470,6 +504,40 @@ mod tests {
         assert_eq!(
             Shape::decode(&mut &[3u8][..]).unwrap_err().context,
             "shape tag"
+        );
+    }
+
+    /// A trace record travels exactly: every field, every value kind, the
+    /// order of its args, a borrowed name arriving owned.
+    #[test]
+    fn trace_records_roundtrip_and_reject_prefixes() {
+        let arg = |k: &'static str, v| (Cow::Borrowed(k), v);
+        let event = Event {
+            rank: 2,
+            seq: 9,
+            vt: 1.25,
+            wall_ns: 777,
+            phase: Phase::Instant,
+            name: Cow::Borrowed("warn"),
+            args: vec![
+                arg("z", Value::U64(u64::MAX)),
+                arg("a", Value::I64(-3)),
+                arg("vt", Value::F64(0.1)),
+                arg("ok", Value::Bool(true)),
+                arg("msg", Value::Str(Cow::Owned("a\"b".to_owned()))),
+            ],
+        };
+        roundtrip(event);
+        for phase in [Phase::Begin, Phase::End, Phase::Instant] {
+            roundtrip(phase);
+        }
+        assert_eq!(
+            Value::decode(&mut &[5u8][..]).unwrap_err().context,
+            "trace value tag"
+        );
+        assert_eq!(
+            Phase::decode(&mut &[3u8][..]).unwrap_err().context,
+            "trace phase tag"
         );
     }
 

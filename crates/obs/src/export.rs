@@ -1,7 +1,6 @@
-//! Trace containers and encoders: JSONL (streaming, lossless-enough to
-//! merge), Chrome `trace_event` JSON (the visual timeline), a textual span
-//! tree (deterministic-trace tests), and the Chrome validator behind the
-//! CI trace-smoke gate.
+//! The trace container and its encoders: Chrome `trace_event` JSON (the
+//! visual timeline), a textual span tree (deterministic-trace tests), and
+//! the Chrome validator behind the CI trace-smoke gate.
 
 use crate::json::{self, JsonValue};
 use crate::trace::{Event, Phase, Value};
@@ -9,8 +8,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A finished (or loaded) trace: a flat list of records, canonically
-/// sorted by `(virtual time, rank, per-rank sequence)`.
+/// A finished trace: a flat list of records, canonically sorted by `(virtual time, rank, per-rank sequence)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     /// The records.
@@ -24,47 +22,6 @@ impl Trace {
     /// (and therefore span nesting).
     pub fn sort(&mut self) {
         self.events.sort_by_key(|e| (e.vt.to_bits(), e.rank, e.seq));
-    }
-
-    /// Merges several traces (e.g. the master's plus one per worker
-    /// process) into one canonical timeline.
-    pub fn merge(traces: impl IntoIterator<Item = Trace>) -> Trace {
-        let mut events = Vec::new();
-        for t in traces {
-            events.extend(t.events);
-        }
-        let mut merged = Trace { events };
-        merged.sort();
-        merged
-    }
-
-    /// Renders the whole trace as JSONL (one record per line, canonical
-    /// order).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            jsonl_line(ev, &mut out);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a JSONL trace (as written by [`Trace::to_jsonl`] or the
-    /// session's streaming writer) and restores canonical order. Numeric
-    /// field types normalize on reload (JSON has one number type); the
-    /// rendered output is unaffected.
-    pub fn from_jsonl(text: &str) -> Result<Trace, String> {
-        let mut events = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            events.push(event_from_json(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-        }
-        let mut t = Trace { events };
-        t.sort();
-        Ok(t)
     }
 
     /// Renders the Chrome `trace_event` JSON (load in `chrome://tracing`
@@ -218,82 +175,6 @@ fn args_json(args: &[(Cow<'static, str>, Value)], out: &mut String) {
     out.push('}');
 }
 
-/// Writes one record as a single JSONL object into `out` (no trailing
-/// newline). Both clocks are carried: `vt` (deterministic) and `wall_ns`
-/// (diagnostic).
-pub fn jsonl_line(ev: &Event, out: &mut String) {
-    let ph = match ev.phase {
-        Phase::Begin => "B",
-        Phase::End => "E",
-        Phase::Instant => "i",
-    };
-    let _ = write!(
-        out,
-        "{{\"rank\":{},\"seq\":{},\"vt\":{},\"wall_ns\":{},\"ph\":\"{ph}\",\"name\":",
-        ev.rank,
-        ev.seq,
-        fmt_f64(ev.vt),
-        ev.wall_ns
-    );
-    json::escape_into(&ev.name, out);
-    if !ev.args.is_empty() {
-        out.push_str(",\"args\":");
-        args_json(&ev.args, out);
-    }
-    out.push('}');
-}
-
-fn event_from_json(v: &JsonValue) -> Result<Event, String> {
-    let num = |key: &str| -> Result<f64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("missing numeric `{key}`"))
-    };
-    let phase = match v.get("ph").and_then(JsonValue::as_str) {
-        Some("B") => Phase::Begin,
-        Some("E") => Phase::End,
-        Some("i") => Phase::Instant,
-        other => return Err(format!("bad phase {other:?}")),
-    };
-    let name = v
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing `name`")?
-        .to_owned();
-    let mut args = Vec::new();
-    if let Some(JsonValue::Obj(m)) = v.get("args") {
-        for (k, val) in m {
-            args.push((Cow::Owned(k.clone()), json_to_value(val)));
-        }
-    }
-    Ok(Event {
-        rank: num("rank")? as u32,
-        seq: num("seq")? as u64,
-        vt: num("vt")?,
-        wall_ns: num("wall_ns")? as u64,
-        phase,
-        name: Cow::Owned(name),
-        args,
-    })
-}
-
-fn json_to_value(v: &JsonValue) -> Value {
-    match v {
-        JsonValue::Bool(b) => Value::Bool(*b),
-        JsonValue::Str(s) => Value::Str(Cow::Owned(s.clone())),
-        JsonValue::Num(n) => {
-            if n.fract() == 0.0 && *n >= 0.0 && *n <= (1u64 << 53) as f64 {
-                Value::U64(*n as u64)
-            } else if n.fract() == 0.0 && *n < 0.0 && *n >= -((1u64 << 53) as f64) {
-                Value::I64(*n as i64)
-            } else {
-                Value::F64(*n)
-            }
-        }
-        other => Value::Str(Cow::Owned(format!("{other:?}"))),
-    }
-}
-
 /// Validates a Chrome `trace_event` JSON document: it must parse, every
 /// `E` must close the most recent `B` of the *same name on the same tid*,
 /// per-tid timestamps must be non-decreasing, and no span may be left
@@ -372,26 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_interleaves_on_virtual_time() {
-        let a = Trace {
-            events: vec![
-                ev(0, 0, 0.0, Phase::Begin, "run"),
-                ev(0, 1, 3.0, Phase::End, "run"),
-            ],
-        };
-        let b = Trace {
-            events: vec![
-                ev(1, 0, 1.0, Phase::Begin, "stage"),
-                ev(1, 1, 2.0, Phase::End, "stage"),
-            ],
-        };
-        let m = Trace::merge([a, b]);
-        let vts: Vec<f64> = m.events.iter().map(|e| e.vt).collect();
-        assert_eq!(vts, [0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(validate_chrome(&m.chrome_json()), Ok(2));
-    }
-
-    #[test]
     fn validator_rejects_orphan_end() {
         let t = Trace {
             events: vec![ev(0, 0, 0.0, Phase::End, "oops")],
@@ -439,26 +300,5 @@ mod tests {
             "rank 0\n  epoch @0\n    * note @0.5\n  end epoch @1\nrank 1\n  stage @0.25\n  end stage @0.75\n"
         );
         assert_eq!(tree, t.clone().span_tree());
-    }
-
-    #[test]
-    fn jsonl_roundtrip_preserves_rendering() {
-        let t = Trace {
-            events: vec![Event {
-                rank: 2,
-                seq: 9,
-                vt: 1.25,
-                wall_ns: 777,
-                phase: Phase::Instant,
-                name: Cow::Borrowed("warn"),
-                args: vec![
-                    (Cow::Borrowed("dropped"), Value::U64(3)),
-                    (Cow::Borrowed("msg"), Value::Str(Cow::Borrowed("a\"b"))),
-                ],
-            }],
-        };
-        let back = Trace::from_jsonl(&t.to_jsonl()).unwrap();
-        assert_eq!(back.chrome_json(), t.chrome_json());
-        assert_eq!(back.to_jsonl(), t.to_jsonl());
     }
 }

@@ -1,6 +1,6 @@
-//! A minimal JSON reader, just big enough to load back the JSONL/Chrome
-//! files this crate writes (multi-process trace merging and the CI
-//! trace-smoke validation). Hand-rolled because the workspace is offline
+//! A minimal JSON reader, just big enough to load back the Chrome files
+//! this crate writes (the CI trace-smoke validation), and the string
+//! escaper its encoders share. Hand-rolled because the workspace is offline
 //! (no `serde_json`); strict where it matters (structure, escapes,
 //! numbers), no attempt at full spec corners like `\u` surrogate pairs
 //! beyond the BMP-by-escape forms we emit.

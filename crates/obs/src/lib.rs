@@ -1,5 +1,5 @@
-//! Flight recorder for the p²-mdie cluster: structured tracing, a metrics
-//! registry, and the encoders that turn both into standard tool formats.
+//! Flight recorder for the p²-mdie cluster: structured tracing, metric
+//! snapshots, and the encoders that turn both into standard tool formats.
 //!
 //! This crate is the workspace's in-repo equivalent of `tracing` +
 //! `metrics` + `tracing-chrome` (the build environment has no crates.io
@@ -21,9 +21,12 @@
 //! * **events** — instantaneous, structured key/value points
 //!   ([`trace::Tracer::event`] / the [`event!`] macro).
 //!
-//! Events land in per-rank ring buffers drained by a background writer
-//! thread (JSONL streaming when a path is configured); [`trace::finish`]
-//! joins the writer and returns the whole [`export::Trace`].
+//! Records land in the session's one buffer, tagged with their rank; there
+//! is no writer thread and no file. [`trace::finish`] returns the whole
+//! [`export::Trace`]. A multi-process run records the same way: each worker
+//! process of a TCP mesh records into a session of its own when the master
+//! is recording, and its records come home in its shutdown report, where
+//! [`trace::absorb`] adds them to the master's session.
 //!
 //! # Virtual time vs wall time
 //!
@@ -32,8 +35,9 @@
 //! caller passes it explicitly, typically `Endpoint::now()`) and the *wall*
 //! nanoseconds since the session started. Virtual time is the deterministic
 //! axis: two runs with the same seed produce byte-identical span trees on
-//! it, and multi-process traces Lamport-merge into one coherent timeline
-//! because the merged clock values travel inside the protocol frames. Wall
+//! it, and a worker process's records sort into one coherent timeline with
+//! the master's because the merged clock values travel inside the protocol
+//! frames. Wall
 //! time is diagnostic only — it is kept out of the Chrome export so that
 //! file stays bit-reproducible.
 //!
@@ -48,15 +52,14 @@
 //!
 //! # Metrics
 //!
-//! [`metrics::Registry`] holds counters, gauges, and fixed log₂-bucket
-//! histograms — handles are `Arc`'d atomics, so the hot path is a relaxed
-//! `fetch_add` with **no allocation** (names are interned once at
-//! registration). [`metrics::MetricsSnapshot`] is the sorted, serializable
-//! view: [`metrics::MetricsSnapshot::prometheus`] renders the Prometheus
-//! text exposition format, [`metrics::MetricsSnapshot::to_json`] the
-//! machine-readable block `bench_prover` embeds in `BENCH_prover.json`.
-//! Process-wide prover hot-path counters live in [`metrics::hot`], guarded
-//! by their own single relaxed atomic load ([`metrics::hot::enabled`]).
+//! [`metrics::MetricsSnapshot`] is the sorted, serializable view a rank's
+//! metrics report carries: [`metrics::MetricsSnapshot::prometheus`]
+//! renders the Prometheus text exposition format,
+//! [`metrics::MetricsSnapshot::to_json`] the machine-readable block
+//! `bench_prover` embeds in `BENCH_prover.json`. A snapshot is built where
+//! it is read; there is no registry. Process-wide prover hot-path counters
+//! live in [`metrics::hot`], guarded by their own single relaxed atomic
+//! load ([`metrics::hot::enabled`]).
 
 pub mod export;
 mod json;
@@ -64,7 +67,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use export::{validate_chrome, Trace};
-pub use metrics::{MetricEntry, MetricValue, MetricsSnapshot, Registry};
+pub use metrics::{MetricEntry, MetricValue, MetricsSnapshot};
 pub use trace::{Event, Phase, Span, Tracer, Value};
 
 /// Opens a span through a [`trace::Tracer`]: `span!(tracer, "name", vt,

@@ -1,254 +1,15 @@
-//! The metrics registry: counters, gauges, and fixed log₂-bucket
-//! histograms with `Arc`'d-atomic handles (hot-path updates are a relaxed
-//! `fetch_add`, no allocation, no lock), plus the serializable
-//! [`MetricsSnapshot`] with Prometheus-text and JSON encoders.
+//! Metrics in one scope: the process-wide prover hot counters ([`hot`]),
+//! and the serializable [`MetricsSnapshot`] a rank's `MetricsReport`
+//! carries, with Prometheus-text and JSON encoders.
 //!
-//! Two scopes exist:
-//!
-//! * **Registries** ([`Registry`]) — explicit instances; the service layer
-//!   keeps one per rank ([`rank_registry`]) so a worker's
-//!   `MetricsReport` is genuinely per-worker (each worker *process* of a
-//!   TCP mesh has its own globals anyway; in-process ranks get their own
-//!   registry by construction).
-//! * **Hot counters** ([`hot`]) — one process-wide, statically-allocated
-//!   block for the prover's innermost loops, where even a registry-handle
-//!   field would be invasive. Guarded by its own single relaxed atomic
-//!   load; disabled (the default) the guard is the entire cost.
+//! A snapshot is built where it is read: a worker answers a metrics query
+//! with its endpoint and memo state plus the hot counters, assembled into
+//! [`MetricEntry`]s on the spot ([`MetricsSnapshot::from_entries`]). The hot
+//! counters are one statically-allocated block for the prover's innermost
+//! loops, guarded by their own single relaxed atomic load; disabled (the
+//! default) the guard is the entire cost.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Number of histogram buckets: bucket 0 holds zero values, bucket `i ≥ 1`
-/// holds values in `[2^(i-1), 2^i)` — every `u64` maps to exactly one.
-pub const HISTO_BUCKETS: usize = 65;
-
-// ---------------------------------------------------------------------------
-// Handles.
-// ---------------------------------------------------------------------------
-
-/// A monotone counter handle.
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle (an `f64` stored as bits).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-/// The fixed-bucket histogram storage (see [`HISTO_BUCKETS`]).
-#[derive(Debug)]
-pub struct Histo {
-    buckets: [AtomicU64; HISTO_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histo {
-    /// An empty histogram (const, so it can back a `static`).
-    pub const fn new() -> Histo {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Histo {
-            buckets: [ZERO; HISTO_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Index of the bucket holding `v`.
-    #[inline]
-    pub fn bucket_of(v: u64) -> usize {
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Records one observation — three relaxed `fetch_add`s, nothing else.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the non-empty buckets.
-    pub fn load(&self) -> MetricValue {
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                buckets.push((i as u8, n));
-            }
-        }
-        MetricValue::Histogram {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-impl Default for Histo {
-    fn default() -> Histo {
-        Histo::new()
-    }
-}
-
-/// A histogram handle.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<Histo>);
-
-impl Histogram {
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.record(v);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-enum Slot {
-    Counter(Arc<AtomicU64>),
-    Gauge(Arc<AtomicU64>),
-    Histogram(Arc<Histo>),
-}
-
-/// A named collection of metrics. Cloning shares the underlying storage.
-/// Registration (name lookup) takes a lock and may allocate; the returned
-/// handles never do either.
-#[derive(Clone, Debug, Default)]
-pub struct Registry {
-    slots: Arc<Mutex<BTreeMap<String, Slot>>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Gets or creates the counter `name`. Panics if `name` is already
-    /// registered as a different kind (a wiring bug, not a runtime
-    /// condition).
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))))
-        {
-            Slot::Counter(c) => Counter(Arc::clone(c)),
-            _ => panic!("metric `{name}` is not a counter"),
-        }
-    }
-
-    /// Gets or creates the gauge `name` (panics on a kind clash).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-        {
-            Slot::Gauge(g) => Gauge(Arc::clone(g)),
-            _ => panic!("metric `{name}` is not a gauge"),
-        }
-    }
-
-    /// Gets or creates the histogram `name` (panics on a kind clash).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut slots = self.slots.lock().expect("registry lock");
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Histogram(Arc::new(Histo::new())))
-        {
-            Slot::Histogram(h) => Histogram(Arc::clone(h)),
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
-    }
-
-    /// A sorted, serializable snapshot of every registered metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let slots = self.slots.lock().expect("registry lock");
-        let entries = slots
-            .iter()
-            .map(|(name, slot)| MetricEntry {
-                name: name.clone(),
-                value: match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
-                    Slot::Gauge(g) => MetricValue::Gauge(f64::from_bits(g.load(Ordering::Relaxed))),
-                    Slot::Histogram(h) => h.load(),
-                },
-            })
-            .collect();
-        MetricsSnapshot { entries }
-    }
-
-    /// Total registered metrics (tests).
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("registry lock").len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The per-rank registry map: get-or-create the [`Registry`] for `rank`.
-/// In-process ranks share the process but not the registry; worker
-/// processes of a TCP mesh naturally hold only their own rank's entry.
-pub fn rank_registry(rank: usize) -> Registry {
-    let mut map = rank_registries().lock().expect("rank registry lock");
-    map.entry(rank).or_default().clone()
-}
-
-/// Drops every per-rank registry (test isolation between service runs in
-/// one process).
-pub fn reset_rank_registries() {
-    rank_registries()
-        .lock()
-        .expect("rank registry lock")
-        .clear();
-}
-
-fn rank_registries() -> &'static Mutex<BTreeMap<usize, Registry>> {
-    static MAP: Mutex<BTreeMap<usize, Registry>> = Mutex::new(BTreeMap::new());
-    &MAP
-}
 
 // ---------------------------------------------------------------------------
 // Snapshots.
@@ -262,8 +23,8 @@ pub enum MetricValue {
     /// Point-in-time gauge.
     Gauge(f64),
     /// Log₂-bucket histogram: only non-empty buckets are carried, as
-    /// `(bucket index, count)` with the index meaning of
-    /// [`Histo::bucket_of`].
+    /// `(bucket index, count)`; bucket 0 holds zero values, bucket `i ≥ 1`
+    /// values in `[2^(i-1), 2^i)`.
     Histogram {
         /// Total observations.
         count: u64,
@@ -283,8 +44,8 @@ pub struct MetricEntry {
     pub value: MetricValue,
 }
 
-/// A sorted, serializable view of a registry (what `MetricsReport`
-/// carries over the wire and `Service::metrics` returns).
+/// A sorted, serializable set of metrics (what `MetricsReport` carries
+/// over the wire and `Service::metrics` returns).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Entries, name-ascending.
@@ -568,66 +329,58 @@ pub mod hot {
 mod tests {
     use super::*;
 
+    fn entry(name: &str, value: MetricValue) -> MetricEntry {
+        MetricEntry {
+            name: name.to_owned(),
+            value,
+        }
+    }
+
+    /// A counter family with two labels, a gauge, and a histogram holding
+    /// 3 (bucket 2, le 3) and 9 (bucket 4, le 15), given out of order.
+    fn sample() -> MetricsSnapshot {
+        MetricsSnapshot::from_entries(vec![
+            entry("queue_depth", MetricValue::Gauge(4.0)),
+            entry("jobs_total{class=\"learn\"}", MetricValue::Counter(1)),
+            entry(
+                "batch",
+                MetricValue::Histogram {
+                    count: 2,
+                    sum: 12,
+                    buckets: vec![(2, 1), (4, 1)],
+                },
+            ),
+            entry("jobs_total{class=\"coverage\"}", MetricValue::Counter(2)),
+        ])
+    }
+
     #[test]
     fn counters_gauges_histograms_snapshot_sorted() {
-        let reg = Registry::new();
-        reg.counter("b_total").add(3);
-        reg.gauge("a_depth").set(2.5);
-        let h = reg.histogram("c_sizes");
-        h.record(0);
-        h.record(1);
-        h.record(5);
-        h.record(5);
-        let snap = reg.snapshot();
+        let snap = sample();
         let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["a_depth", "b_total", "c_sizes"]);
-        assert_eq!(snap.counter("b_total"), 3);
-        assert_eq!(snap.gauge("a_depth"), 2.5);
         assert_eq!(
-            snap.get("c_sizes"),
-            Some(&MetricValue::Histogram {
-                count: 4,
-                sum: 11,
-                buckets: vec![(0, 1), (1, 1), (3, 2)],
-            })
+            names,
+            [
+                "batch",
+                "jobs_total{class=\"coverage\"}",
+                "jobs_total{class=\"learn\"}",
+                "queue_depth"
+            ]
         );
-    }
-
-    #[test]
-    fn handles_share_storage_and_reregistration_is_idempotent() {
-        let reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        a.inc();
-        b.add(2);
-        assert_eq!(reg.counter("x").get(), 3);
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a gauge")]
-    fn kind_clash_panics() {
-        let reg = Registry::new();
-        reg.counter("x");
-        reg.gauge("x");
+        assert_eq!(snap.counter("jobs_total{class=\"coverage\"}"), 2);
+        assert_eq!(snap.gauge("queue_depth"), 4.0);
+        assert_eq!(snap.counter("absent"), 0);
     }
 
     #[test]
     fn prometheus_exposition_shape() {
-        let reg = Registry::new();
-        reg.counter("jobs_total{class=\"coverage\"}").add(2);
-        reg.counter("jobs_total{class=\"learn\"}").inc();
-        reg.gauge("queue_depth").set(4.0);
-        let h = reg.histogram("batch");
-        h.record(3);
-        h.record(9);
-        let text = reg.snapshot().prometheus();
+        let text = sample().prometheus();
         assert!(text.contains("# TYPE jobs_total counter\n"), "{text}");
         assert!(text.contains("jobs_total{class=\"coverage\"} 2\n"));
         assert!(text.contains("jobs_total{class=\"learn\"} 1\n"));
         assert!(text.contains("# TYPE queue_depth gauge\nqueue_depth 4\n"));
         assert!(text.contains("# TYPE batch histogram\n"));
-        // 3 lands in bucket 2 (le 3), 9 in bucket 4 (le 15); cumulative.
+        // Cumulative buckets, each labelled with its inclusive upper bound.
         assert!(text.contains("batch_bucket{le=\"3\"} 1\n"), "{text}");
         assert!(text.contains("batch_bucket{le=\"15\"} 2\n"), "{text}");
         assert!(text.contains("batch_bucket{le=\"+Inf\"} 2\n"));
@@ -639,13 +392,20 @@ mod tests {
 
     #[test]
     fn json_encoding_is_deterministic() {
-        let reg = Registry::new();
-        reg.counter("n").add(7);
-        reg.gauge("g").set(1.5);
-        reg.histogram("h").record(2);
-        let a = reg.snapshot().to_json(2);
-        let b = reg.snapshot().to_json(2);
-        assert_eq!(a, b);
+        let snap = MetricsSnapshot::from_entries(vec![
+            entry("n", MetricValue::Counter(7)),
+            entry("g", MetricValue::Gauge(1.5)),
+            entry(
+                "h",
+                MetricValue::Histogram {
+                    count: 1,
+                    sum: 2,
+                    buckets: vec![(2, 1)],
+                },
+            ),
+        ]);
+        let a = snap.to_json(2);
+        assert_eq!(a, snap.clone().to_json(2));
         assert!(a.contains("\"n\": 7"));
         assert!(a.contains("\"g\": 1.5"));
         assert!(a.contains("\"h\": { \"count\": 1, \"sum\": 2, \"buckets\": [[2, 1]] }"));
@@ -656,7 +416,7 @@ mod tests {
     /// The hot counters are process-wide statics, so tests that flip the
     /// guard must not interleave.
     fn hot_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -696,15 +456,5 @@ mod tests {
         assert_eq!(snap.counter("search_memo_evicted_total"), 1);
         hot::disable();
         hot::reset();
-    }
-
-    #[test]
-    fn bucket_of_covers_the_u64_range() {
-        assert_eq!(Histo::bucket_of(0), 0);
-        assert_eq!(Histo::bucket_of(1), 1);
-        assert_eq!(Histo::bucket_of(2), 2);
-        assert_eq!(Histo::bucket_of(3), 2);
-        assert_eq!(Histo::bucket_of(4), 3);
-        assert_eq!(Histo::bucket_of(u64::MAX), 64);
     }
 }

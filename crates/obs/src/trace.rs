@@ -1,5 +1,5 @@
-//! The tracing core: per-rank ring buffers, the writer thread, and the
-//! zero-cost-when-disabled [`Tracer`] handle.
+//! The tracing core: the session's record buffer, the records themselves,
+//! and the zero-cost-when-disabled [`Tracer`] handle.
 //!
 //! See the [crate docs](crate) for the span model and the two time axes.
 //! The design constraints, in order:
@@ -14,37 +14,20 @@
 //!    timelines. Per-rank virtual clocks are monotone, which makes that
 //!    sort order preserve each rank's emission order (span nesting
 //!    survives).
-//! 3. **Producers never block on I/O.** Ranks push into their own ring
-//!    buffer; a background writer thread drains all rings on a short
-//!    cadence (streaming JSONL when a path is configured). Rings grow
-//!    past [`RING_SOFT_CAP`] rather than dropping records — losing events
-//!    under load would make the timeline timing-dependent, violating (2);
-//!    the overflow is surfaced in [`TraceSummary::ring_overflows`]
-//!    instead.
+//! 3. **Nothing is dropped, and nothing is written mid-run.** A record is
+//!    pushed into the session's buffer under one short lock and stays there
+//!    until [`finish`] sorts and returns the lot; no thread drains it and
+//!    no file is written, so a record is never lost or reordered under
+//!    load. A worker process of a TCP mesh records into a session of its
+//!    own and sends its records home in its shutdown report, where
+//!    [`absorb`] adds them to the master's session: one timeline for every
+//!    rank, whichever transport ran them.
 
 use crate::export::Trace;
 use std::borrow::Cow;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-/// Number of per-rank ring buffers a session allocates. Ranks at or above
-/// the cap share the last ring (their records stay correctly rank-tagged;
-/// only the sequence counter is shared, so same-virtual-time ordering
-/// between two such ranks is not pinned). The paper runs p ≤ 8; this cap
-/// exists so a session is a fixed allocation, not a growing map.
-pub const RING_COUNT: usize = 256;
-
-/// Per-ring soft capacity: the writer thread normally drains long before
-/// this; a producer that outruns it grows the buffer (determinism beats
-/// boundedness) and bumps the session's overflow counter.
-pub const RING_SOFT_CAP: usize = 8192;
-
-/// How often the writer thread drains the rings.
-const FLUSH_INTERVAL: Duration = Duration::from_millis(20);
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Is a trace session active? One relaxed atomic load — this is the whole
 /// cost of every instrumentation site while tracing is off.
@@ -55,9 +38,14 @@ pub fn enabled() -> bool {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-fn session_slot() -> &'static Mutex<Option<Arc<Shared>>> {
-    static SLOT: Mutex<Option<Arc<Shared>>> = Mutex::new(None);
-    &SLOT
+static SESSION: Mutex<Option<Session>> = Mutex::new(None);
+
+/// The session slot. Every update leaves the session whole (a record is
+/// pushed or not), so a lock poisoned by a panic elsewhere still guards a
+/// valid session; recovering it also keeps [`Span`]'s drop, which emits,
+/// from panicking during an unwind.
+fn session() -> MutexGuard<'static, Option<Session>> {
+    SESSION.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -151,157 +139,63 @@ pub struct Event {
 // The session.
 // ---------------------------------------------------------------------------
 
-/// Configuration for one trace session.
+/// Configuration for one trace session. It has no fields: a session keeps
+/// every record in memory until [`finish`].
 #[derive(Clone, Debug, Default)]
-pub struct TraceConfig {
-    /// Stream records to this JSONL file as they are drained (append
-    /// order; re-sorted on load). `None` keeps everything in memory until
-    /// [`finish`].
-    pub jsonl_path: Option<PathBuf>,
-}
+pub struct TraceConfig {}
 
-struct Ring {
-    buf: Mutex<Vec<Event>>,
-    seq: AtomicU64,
-}
-
-struct Shared {
+struct Session {
     start: Instant,
-    rings: Vec<Ring>,
-    ring_overflows: AtomicU64,
-    stop: Mutex<bool>,
-    wake: Condvar,
-    collected: Mutex<Vec<Event>>,
-    jsonl: Mutex<Option<BufWriter<File>>>,
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    events: Vec<Event>,
+    /// The next sequence number of each rank, indexed by rank.
+    seqs: Vec<u64>,
 }
 
 /// Counters describing how a finished session behaved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// Times a producer found its ring past [`RING_SOFT_CAP`] (records
-    /// were kept regardless; this only flags that the writer fell behind).
+    /// Records a session could not keep. Always 0: a session keeps every
+    /// record.
     pub ring_overflows: u64,
-}
-
-impl Shared {
-    fn drain_rings(&self) {
-        let mut drained: Vec<Event> = Vec::new();
-        for ring in &self.rings {
-            let mut buf = ring.buf.lock().expect("ring lock");
-            if !buf.is_empty() {
-                drained.append(&mut buf);
-            }
-        }
-        if drained.is_empty() {
-            return;
-        }
-        if let Some(w) = self.jsonl.lock().expect("jsonl lock").as_mut() {
-            let mut line = String::new();
-            for ev in &drained {
-                line.clear();
-                crate::export::jsonl_line(ev, &mut line);
-                line.push('\n');
-                let _ = w.write_all(line.as_bytes());
-            }
-        }
-        self.collected
-            .lock()
-            .expect("collected lock")
-            .append(&mut drained);
-    }
-}
-
-fn writer_loop(shared: Arc<Shared>) {
-    let mut stopped = shared.stop.lock().expect("stop lock");
-    loop {
-        if *stopped {
-            break;
-        }
-        let (guard, _) = shared
-            .wake
-            .wait_timeout(stopped, FLUSH_INTERVAL)
-            .expect("writer wait");
-        stopped = guard;
-        drop(stopped);
-        shared.drain_rings();
-        stopped = shared.stop.lock().expect("stop lock");
-    }
-    drop(stopped);
-    shared.drain_rings();
-    if let Some(w) = shared.jsonl.lock().expect("jsonl lock").as_mut() {
-        let _ = w.flush();
-    }
 }
 
 /// Starts a trace session. Returns `false` (and does nothing) when one is
 /// already active — sessions are process-global, exactly one at a time.
-pub fn start(cfg: TraceConfig) -> bool {
-    let mut slot = session_slot().lock().expect("session lock");
+pub fn start(_cfg: TraceConfig) -> bool {
+    let mut slot = session();
     if slot.is_some() {
         return false;
     }
-    let jsonl = cfg
-        .jsonl_path
-        .as_ref()
-        .and_then(|p| File::create(p).ok())
-        .map(BufWriter::new);
-    let mut rings = Vec::with_capacity(RING_COUNT);
-    rings.resize_with(RING_COUNT, || Ring {
-        buf: Mutex::new(Vec::new()),
-        seq: AtomicU64::new(0),
-    });
-    let shared = Arc::new(Shared {
+    *slot = Some(Session {
         start: Instant::now(),
-        rings,
-        ring_overflows: AtomicU64::new(0),
-        stop: Mutex::new(false),
-        wake: Condvar::new(),
-        collected: Mutex::new(Vec::new()),
-        jsonl: Mutex::new(jsonl),
-        writer: Mutex::new(None),
+        events: Vec::new(),
+        seqs: Vec::new(),
     });
-    let for_writer = Arc::clone(&shared);
-    let handle = std::thread::Builder::new()
-        .name("p2mdie-obs-writer".to_owned())
-        .spawn(move || writer_loop(for_writer))
-        .expect("spawn trace writer");
-    *shared.writer.lock().expect("writer lock") = Some(handle);
-    *slot = Some(shared);
     ENABLED.store(true, Ordering::Release);
     true
 }
 
-/// Ends the active session: disables emission, joins the writer thread,
-/// drains everything, and returns the sorted [`Trace`] (plus a summary).
-/// Returns `None` when no session was active.
+/// Adds records another process took (a worker process's, from its
+/// shutdown report) to the active session, where [`finish`] sorts them in
+/// with the rest. A no-op when no session is active.
+pub fn absorb(events: Vec<Event>) {
+    if let Some(s) = session().as_mut() {
+        s.events.extend(events);
+    }
+}
+
+/// Ends the active session: disables emission and returns its records as
+/// the sorted [`Trace`] (plus a summary). Returns `None` when no session
+/// was active.
 pub fn finish() -> Option<(Trace, TraceSummary)> {
-    let shared = {
-        let mut slot = session_slot().lock().expect("session lock");
+    let events = {
+        let mut slot = session();
         ENABLED.store(false, Ordering::Release);
-        slot.take()?
+        slot.take()?.events
     };
-    {
-        let mut stopped = shared.stop.lock().expect("stop lock");
-        *stopped = true;
-        shared.wake.notify_all();
-    }
-    if let Some(h) = shared.writer.lock().expect("writer lock").take() {
-        let _ = h.join();
-    }
-    // The writer's exit path already drained and flushed; a late producer
-    // racing `finish` could still have pushed, so drain once more.
-    shared.drain_rings();
-    if let Some(w) = shared.jsonl.lock().expect("jsonl lock").as_mut() {
-        let _ = w.flush();
-    }
-    let events = std::mem::take(&mut *shared.collected.lock().expect("collected lock"));
     let mut trace = Trace { events };
     trace.sort();
-    let summary = TraceSummary {
-        ring_overflows: shared.ring_overflows.load(Ordering::Relaxed),
-    };
-    Some((trace, summary))
+    Some((trace, TraceSummary::default()))
 }
 
 #[inline]
@@ -309,17 +203,18 @@ fn emit(rank: u32, phase: Phase, name: &'static str, vt: f64, args: &[(&'static 
     if !enabled() {
         return;
     }
-    let shared = {
-        let slot = session_slot().lock().expect("session lock");
-        match slot.as_ref() {
-            Some(s) => Arc::clone(s),
-            None => return,
-        }
+    let mut slot = session();
+    let Some(s) = slot.as_mut() else {
+        return;
     };
-    let ring = &shared.rings[(rank as usize).min(RING_COUNT - 1)];
-    let seq = ring.seq.fetch_add(1, Ordering::Relaxed);
-    let wall_ns = shared.start.elapsed().as_nanos() as u64;
-    let ev = Event {
+    let r = rank as usize;
+    if s.seqs.len() <= r {
+        s.seqs.resize(r + 1, 0);
+    }
+    let seq = s.seqs[r];
+    s.seqs[r] += 1;
+    let wall_ns = s.start.elapsed().as_nanos() as u64;
+    s.events.push(Event {
         rank,
         seq,
         vt,
@@ -330,14 +225,7 @@ fn emit(rank: u32, phase: Phase, name: &'static str, vt: f64, args: &[(&'static 
             .iter()
             .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
             .collect(),
-    };
-    let mut buf = ring.buf.lock().expect("ring lock");
-    if buf.len() >= RING_SOFT_CAP {
-        shared.ring_overflows.fetch_add(1, Ordering::Relaxed);
-    }
-    buf.push(ev);
-    drop(buf);
-    shared.wake.notify_all();
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -491,22 +379,48 @@ mod tests {
         validate_chrome(&trace.chrome_json()).expect("self-closed span nests");
     }
 
+    /// Records absorbed from another process sort in with the session's
+    /// own by `(vt, rank, seq)`, whatever order they arrive in.
     #[test]
-    fn jsonl_streaming_roundtrips() {
+    fn absorbed_records_sort_into_the_session_order() {
         let _g = lock();
-        let path =
-            std::env::temp_dir().join(format!("p2mdie-obs-test-{}.jsonl", std::process::id()));
-        assert!(start(TraceConfig {
-            jsonl_path: Some(path.clone()),
-        }));
-        let t = Tracer::for_rank(1);
-        let sp = t.span("work", 0.5, &[("n", Value::U64(7))]);
-        sp.end(1.5);
-        t.event("note", 2.0, &[("msg", Value::from("done"))]);
+        let record = |rank, seq, vt, phase| Event {
+            rank,
+            seq,
+            vt,
+            wall_ns: 0,
+            phase,
+            name: Cow::Owned("stage".to_owned()),
+            args: vec![(Cow::Owned("n".to_owned()), Value::U64(seq))],
+        };
+        absorb(vec![record(9, 0, 0.0, Phase::Instant)]);
+        assert!(start(TraceConfig::default()));
+        let m = Tracer::for_rank(0);
+        let outer = m.span("epoch", 0.0, &[]);
+        m.event("send", 1.0, &[]);
+        absorb(vec![
+            record(2, 1, 2.0, Phase::End),
+            record(1, 0, 1.0, Phase::Instant),
+            record(2, 0, 1.0, Phase::Begin),
+        ]);
+        outer.end(3.0);
         let (trace, _) = finish().expect("session");
-        let text = std::fs::read_to_string(&path).expect("jsonl written");
-        let reloaded = Trace::from_jsonl(&text).expect("jsonl parses");
-        assert_eq!(reloaded.events, trace.events);
-        let _ = std::fs::remove_file(&path);
+        let keys: Vec<(f64, u32, u64)> =
+            trace.events.iter().map(|e| (e.vt, e.rank, e.seq)).collect();
+        assert_eq!(
+            keys,
+            [
+                (0.0, 0, 0),
+                (1.0, 0, 1),
+                (1.0, 1, 0),
+                (1.0, 2, 0),
+                (2.0, 2, 1),
+                (3.0, 0, 2)
+            ],
+            "sorted by (vt, rank, seq); nothing absorbed before the session"
+        );
+        validate_chrome(&trace.chrome_json()).expect("spans nest");
+        absorb(vec![record(1, 0, 0.0, Phase::Instant)]);
+        assert!(finish().is_none(), "absorb starts no session");
     }
 }

@@ -33,8 +33,8 @@ fn main() {
     let workers = 3;
 
     // Arm the recorder: one process-global session buffers every rank's
-    // spans and events (per-rank rings, drained by a writer thread), and
-    // the prover's hot counters start sampling.
+    // spans and events until `finish`, and the prover's hot counters start
+    // sampling.
     assert!(
         trace::start(TraceConfig::default()),
         "recorder armed twice?"
@@ -50,7 +50,7 @@ fn main() {
     .expect("learning run");
 
     hot::disable();
-    let (trace, summary) = trace::finish().expect("session was active");
+    let (trace, _) = trace::finish().expect("session was active");
 
     println!(
         "learned {} rules in {} epochs over {workers} workers, T = {:.2} virtual s",
@@ -58,11 +58,7 @@ fn main() {
         report.epochs,
         report.vtime
     );
-    println!(
-        "recorded {} trace events ({} ring overflows)\n",
-        trace.events.len(),
-        summary.ring_overflows
-    );
+    println!("recorded {} trace events\n", trace.events.len());
 
     // The merged timeline as a span tree (virtual-time ordered).
     println!("span tree:\n{}", trace.span_tree());

@@ -12,7 +12,7 @@
 //! | p²-mdie (paper §4) | [`core`] — master/worker protocol, pipelined `learn_rule'`, rule bag |
 //! | carcinogenesis / mesh / pyrimidines | [`datasets`] — synthetic generators with Table 1's sizes |
 //! | 5-fold CV + paired t-test | [`eval`] — folds, accuracy, t-test, table rendering, sweeps |
-//! | (instrumentation) | [`obs`] — flight recorder: virtual-time tracing, metrics registry, exports |
+//! | (instrumentation) | [`obs`] — flight recorder: virtual-time tracing of every rank on either transport, metric snapshots, exports |
 //!
 //! ## Quickstart
 //!
