@@ -136,9 +136,15 @@ fn main() {
             cfg.scale,
             cfg.folds,
             cfg.procs,
+            // The grid's cell serves the data pipeline's strategy row.
             cfg.datasets.len()
                 * cfg.folds
-                * (1 + cfg.procs.len() * cfg.widths.len() + cfg.strategies.len()),
+                * (1 + cfg.procs.len() * cfg.widths.len()
+                    + cfg
+                        .strategies
+                        .iter()
+                        .filter(|s| **s != Strategy::DataPipeline)
+                        .count()),
         );
         let res = run_sweep(&cfg);
         println!(
@@ -201,9 +207,10 @@ fn main() {
             let rp = run_parallel(
                 &ds.engine,
                 &ds.examples,
-                &ParallelConfig::new(p, Width::Limit(10), args.seed).with_repartition(),
+                &ParallelConfig::new(p, Width::Limit(10), args.seed)
+                    .with_strategy(Strategy::Redeal),
             )
-            .expect("repartition run");
+            .expect("re-dealing run");
             println!(
                 "{:<34} {:>10.0} {:>9.2} {:>10.2} {:>8}",
                 "p2-mdie + epoch repartitioning",

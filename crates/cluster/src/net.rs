@@ -144,8 +144,13 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// strategy tag 2 is refused;
 /// v11: the `Roster` frame grew whether the master records and the
 /// shutdown `Report` frame the worker's trace records, so a worker process's
-/// timeline comes home in-band — a v10 peer reads either frame short).
-pub const PROTOCOL_VERSION: u16 = 11;
+/// timeline comes home in-band — a v10 peer reads either frame short);
+/// v12: message tag 15, which armed a worker's recovery at any point of a
+/// job, is retired — a job's worker configuration says whether it recovers,
+/// in the slot of its old re-dealing flag — and re-dealing is strategy tag
+/// 3: a v12 worker refuses a v11 master's arming frame, and reads its
+/// re-dealing job as one that recovers).
+pub const PROTOCOL_VERSION: u16 = 12;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -1457,10 +1462,10 @@ mod tests {
             rank: 1,
             addr: "127.0.0.1:9".to_owned(),
         };
-        assert_eq!(PROTOCOL_VERSION, 11, "a bump moves this test with it");
-        let refused = check_hello(hello(10), 2, "worker hello").unwrap_err();
+        assert_eq!(PROTOCOL_VERSION, 12, "a bump moves this test with it");
+        let refused = check_hello(hello(11), 2, "worker hello").unwrap_err();
         assert!(
-            refused.message.contains("protocol version 10 != 11"),
+            refused.message.contains("protocol version 11 != 12"),
             "{}",
             refused.message
         );

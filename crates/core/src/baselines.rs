@@ -49,8 +49,8 @@ pub enum EvalGranularity {
 /// metered on its clock); only rule evaluation is distributed, to workers
 /// that hold the examples partitioned exactly as in p²-mdie, so the
 /// comparison is like for like. Of `cfg`, `workers`, `model`, `seed`,
-/// `ship_kb` and `transport` apply; a `cfg` asking for repartitioning, a
-/// strategy, recovery or chaos is refused with a [`ClusterError::Net`] —
+/// `ship_kb` and `transport` apply; a `cfg` asking for any strategy but
+/// the default, recovery or chaos is refused with a [`ClusterError::Net`] —
 /// the baseline has no epochs to re-deal or recover.
 pub fn run_coverage_parallel(
     engine: &IlpEngine,

@@ -71,10 +71,6 @@ pub struct ParallelConfig {
     pub model: CostModel,
     /// Seed for the random example partitioning.
     pub seed: u64,
-    /// Re-deal the live examples to the workers before every epoch
-    /// (paper §4.1's rejected alternative — expensive in communication;
-    /// implemented so that cost can be measured).
-    pub repartition: bool,
     /// Ship the compiled background KB to every worker as a serialized
     /// snapshot (`Msg::KbSnapshot`) instead of assuming shared data:
     /// workers start with an *empty* KB and adopt the master's in one
@@ -97,12 +93,13 @@ pub struct ParallelConfig {
     /// [`RecoveryPolicy::Repartition`]: only a recovering mesh notices a
     /// rank whose fabric went silent.
     pub chaos: Vec<(usize, ChaosConfig)>,
-    /// How the ranks divide the run: the paper's data-parallel pipeline
-    /// (default) or hypothesis-parallel lattice slicing (see
-    /// [`crate::strategy`]). `repartition`, `recovery`, and `chaos` only
-    /// apply to the default; [`run_parallel`] rejects them with the other.
+    /// How the run deals its examples: once, as the paper does (default),
+    /// again before every epoch, or replicated on every rank for
+    /// hypothesis-parallel lattice slicing (see [`crate::strategy`]).
+    /// `recovery` and `chaos` need examples dealt, not replicated;
+    /// [`run_parallel`] rejects them with [`Strategy::SearchPartition`].
     /// [`run_coverage_parallel`](crate::baselines::run_coverage_parallel)
-    /// rejects all three, and any strategy but the default.
+    /// rejects both, and any strategy but the default.
     pub strategy: Strategy,
 }
 
@@ -114,7 +111,6 @@ impl ParallelConfig {
             width,
             model: CostModel::beowulf_2005(),
             seed,
-            repartition: false,
             ship_kb: false,
             transport: TransportKind::InProcess,
             recovery: RecoveryPolicy::default(),
@@ -123,16 +119,10 @@ impl ParallelConfig {
         }
     }
 
-    /// Selects the parallelization strategy (default
+    /// Selects how the run deals its examples (default
     /// [`Strategy::DataPipeline`], the paper's algorithm).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Enables per-epoch repartitioning (§4.1 variant).
-    pub fn with_repartition(mut self) -> Self {
-        self.repartition = true;
         self
     }
 
@@ -170,23 +160,19 @@ impl ParallelConfig {
 /// if any — here, before a mesh exists, because none of them can fail
 /// cleanly later: a rank silenced under `Abort` hangs the run, worker
 /// processes cannot be wrapped, the workers of a replicating strategy do
-/// not speak the repartitioning or recovery messages, and the baseline has
-/// no epochs to re-deal or recover.
+/// not speak the recovery messages, and the baseline has no epochs to
+/// re-deal or recover.
 fn check_combination(cfg: &ParallelConfig, kind: &JobKind) -> Result<(), ClusterError> {
-    let replicating = cfg.strategy != Strategy::DataPipeline;
+    let replicating = cfg.strategy.replicates();
     let aborting = cfg.recovery == RecoveryPolicy::Abort;
     let chaos = !cfg.chaos.is_empty();
     let stray = |(rank, _): &(usize, ChaosConfig)| !(1..=cfg.workers).contains(rank);
     let baseline = matches!(kind, JobKind::BaselineLearn { .. });
     let rejected = [
         (
-            baseline && (cfg.repartition || replicating || !aborting || chaos),
-            "the coverage-parallel baseline with repartition, a strategy, \
-             RecoveryPolicy::Repartition or chaos (it has no epochs to re-deal or recover)",
-        ),
-        (
-            replicating && cfg.repartition,
-            "repartition with a strategy that replicates the examples on every rank",
+            baseline && (cfg.strategy != Strategy::DataPipeline || !aborting || chaos),
+            "the coverage-parallel baseline with a strategy, RecoveryPolicy::Repartition \
+             or chaos (it has no epochs to re-deal or recover)",
         ),
         (
             replicating && !aborting,
@@ -417,11 +403,7 @@ pub fn run_parallel(
     examples: &Examples,
     cfg: &ParallelConfig,
 ) -> Result<ParallelReport, ClusterError> {
-    let spec = JobSpec {
-        repartition: cfg.repartition,
-        ..JobSpec::learn(examples.clone())
-    };
-    let spec = spec
+    let spec = JobSpec::learn(examples.clone())
         .with_seed(cfg.seed)
         .with_width(cfg.width)
         .with_strategy(cfg.strategy);
@@ -552,7 +534,7 @@ mod tests {
     #[test]
     fn repartition_variant_learns_the_same_concept() {
         let (engine, ex) = problem();
-        let cfg = ParallelConfig::new(3, Width::Limit(10), 42).with_repartition();
+        let cfg = ParallelConfig::new(3, Width::Limit(10), 42).with_strategy(Strategy::Redeal);
         let rep = run_parallel(&engine, &ex, &cfg).unwrap();
         assert!(!rep.stalled);
         check_complete_and_consistent(&engine, &ex, &rep.clauses());
@@ -568,7 +550,7 @@ mod tests {
         let repa = run_parallel(
             &engine,
             &ex,
-            &ParallelConfig::new(3, Width::Limit(10), 42).with_repartition(),
+            &ParallelConfig::new(3, Width::Limit(10), 42).with_strategy(Strategy::Redeal),
         )
         .unwrap();
         // Even on this tiny problem with 1-argument examples the overhead
@@ -585,7 +567,7 @@ mod tests {
     #[test]
     fn repartition_is_deterministic() {
         let (engine, ex) = problem();
-        let cfg = ParallelConfig::new(3, Width::Limit(5), 11).with_repartition();
+        let cfg = ParallelConfig::new(3, Width::Limit(5), 11).with_strategy(Strategy::Redeal);
         let a = run_parallel(&engine, &ex, &cfg).unwrap();
         let b = run_parallel(&engine, &ex, &cfg).unwrap();
         assert_eq!(a.clauses(), b.clauses());
@@ -633,12 +615,6 @@ mod tests {
             (
                 base()
                     .with_strategy(Strategy::SearchPartition)
-                    .with_repartition(),
-                "repartition with a strategy",
-            ),
-            (
-                base()
-                    .with_strategy(Strategy::SearchPartition)
                     .with_recovery(healing()),
                 "RecoveryPolicy::Repartition with a strategy",
             ),
@@ -666,7 +642,7 @@ mod tests {
         ];
         // The baseline has no epochs to re-deal or recover.
         let baseline = [
-            base().with_repartition(),
+            base().with_strategy(Strategy::Redeal),
             base().with_strategy(Strategy::SearchPartition),
             base().with_recovery(healing()),
             base().with_recovery(healing()).with_chaos(1, kill()),
@@ -677,7 +653,7 @@ mod tests {
         let baseline_runs = baseline.into_iter().map(|cfg| {
             let per_level = crate::baselines::EvalGranularity::PerLevel;
             let run = crate::baselines::run_coverage_parallel(&engine, &ex, &cfg, per_level);
-            (run, "the coverage-parallel baseline with repartition")
+            (run, "the coverage-parallel baseline with a strategy")
         });
         for (run, what) in runs.chain(baseline_runs) {
             match run {

@@ -9,30 +9,17 @@
 //! and the two one-shot entry points, [`crate::driver::run_parallel`] and
 //! [`crate::baselines::run_coverage_parallel`], each build one job and run
 //! it the same way on a mesh of its own, opened by the same function, into
-//! the same [`ParallelReport`](crate::report::ParallelReport). (A one-shot
-//! job has no queue, so it skips `Queued`'s wait but not the walk below.)
+//! the same [`ParallelReport`](crate::report::ParallelReport).
 //!
 //! # Lifecycle
 //!
-//! Every job walks the same state machine:
-//!
-//! ```text
-//!             submit            per-rank SubmitJob        all JobAccepted
-//!   Queued ────────► Dispatching ──────────────► Running ───────────────┐
-//!      │                  │                         │                   │
-//!      │                  │                         │ job protocol ran  │
-//!      │                  │                         ▼                   │
-//!      │                  │                     Draining ◄──────────────┘
-//!      │                  │                         │  all JobResult in
-//!      │                  │                         ▼
-//!      │                  └──────────► Failed     Done
-//!      └─ cancel ─────────────────────►  ▲
-//!                                        └─ any non-terminal state may fail
-//! ```
-//!
-//! Transitions are checked ([`JobState::may_transition_to`]); an illegal
-//! hop is a scheduler bug and panics rather than mis-reporting a job.
-//! `Done` and `Failed` are terminal.
+//! A job's lifecycle is its trace: the scheduler emits a `job_state` event
+//! as a job is `queued` (a service job only), `dispatching` (per-rank
+//! `SubmitJob` frames out), `running` (all accepted), `draining` (its
+//! protocol ran, the `JobResult`s are due) and `done` — or `failed`, for a
+//! job cancelled before dispatch. It walks them in straight-line code, so
+//! nothing checks the order at run time; what a caller keeps is the
+//! terminal [`JobState`] of its [`JobOutcome`].
 
 use crate::baselines::EvalGranularity;
 use crate::master::MasterOutcome;
@@ -127,18 +114,16 @@ pub struct JobSpec {
     pub width: Width,
     /// Seed for the example partitioning.
     pub seed: u64,
-    /// Per-epoch repartitioning (§4.1 variant) for [`JobKind::Learn`].
-    /// Ignored by every other kind, which is dealt statically.
-    pub repartition: bool,
     /// Per-job settings override; `None` uses the service engine's.
     pub settings: Option<Settings>,
-    /// Parallelization strategy for [`JobKind::Learn`] jobs (see
-    /// [`crate::strategy`]). Ignored by every other kind: a `RuleSearch`
-    /// job's global scoring sums per-rank counts, which
-    /// [`Strategy::SearchPartition`]'s full example replication would
-    /// multiply by `p`, and
-    /// coverage/baseline jobs have no rule search to re-parallelize. One
-    /// resident mesh freely multiplexes jobs of different strategies.
+    /// How a [`JobKind::Learn`] job deals its examples (see
+    /// [`crate::strategy`]). Ignored by every other kind, which is dealt
+    /// once, statically: a `RuleSearch` job's global scoring sums per-rank
+    /// counts, which [`Strategy::SearchPartition`]'s full example
+    /// replication would multiply by `p`, over one epoch, which nothing
+    /// re-deals; coverage/baseline jobs have no rule search to
+    /// re-parallelize. One resident mesh freely multiplexes jobs of
+    /// different strategies.
     pub strategy: Strategy,
 }
 
@@ -149,7 +134,6 @@ impl JobSpec {
             examples,
             width: Width::Unlimited,
             seed: 42,
-            repartition: false,
             settings: None,
             strategy: Strategy::default(),
         }
@@ -193,13 +177,7 @@ impl JobSpec {
         self
     }
 
-    /// Enables per-epoch repartitioning (learning jobs only).
-    pub fn with_repartition(mut self) -> Self {
-        self.repartition = true;
-        self
-    }
-
-    /// Selects the parallelization strategy (learning jobs only; see the
+    /// Selects how the job deals its examples (learning jobs only; see the
     /// `strategy` field for why other kinds ignore it).
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
@@ -207,89 +185,13 @@ impl JobSpec {
     }
 }
 
-/// Where a job is in its lifecycle (diagram in the [module docs](self)).
+/// How a job ended (see "Lifecycle" in the [module docs](self)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
-    /// Accepted into the service queue; not yet on the mesh.
-    Queued,
-    /// Being shipped to the workers (per-rank
-    /// [`Msg::SubmitJob`](crate::protocol::Msg::SubmitJob) frames out,
-    /// acceptances pending).
-    Dispatching,
-    /// All workers accepted; the job's protocol is running.
-    Running,
-    /// The protocol finished; per-worker results are being collected.
-    Draining,
-    /// Finished with a result. Terminal.
+    /// Finished with a result.
     Done,
-    /// Cancelled, rejected, or aborted by an error. Terminal.
+    /// Cancelled, rejected, or aborted by an error.
     Failed,
-}
-
-impl JobState {
-    /// Whether the lifecycle permits moving from `self` to `next`.
-    /// Forward progress only; any non-terminal state may move to
-    /// [`JobState::Failed`].
-    pub fn may_transition_to(self, next: JobState) -> bool {
-        use JobState::*;
-        matches!(
-            (self, next),
-            (Queued, Dispatching)
-                | (Dispatching, Running)
-                | (Running, Draining)
-                | (Draining, Done)
-                | (Queued | Dispatching | Running | Draining, Failed)
-        )
-    }
-
-    /// True for `Done` and `Failed`.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, JobState::Done | JobState::Failed)
-    }
-
-    /// Short lowercase tag for trace events and logs.
-    pub fn tag(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Dispatching => "dispatching",
-            JobState::Running => "running",
-            JobState::Draining => "draining",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-        }
-    }
-}
-
-/// The scheduler's in-flight view of one job: its id plus a
-/// transition-checked [`JobState`].
-#[derive(Debug)]
-pub(crate) struct Lifecycle {
-    pub id: JobId,
-    pub state: JobState,
-}
-
-impl Lifecycle {
-    /// A freshly queued job.
-    pub fn new(id: JobId) -> Self {
-        Lifecycle {
-            id,
-            state: JobState::Queued,
-        }
-    }
-
-    /// Moves to `next`, panicking on an illegal transition (a scheduler
-    /// bug, not a user error).
-    pub fn advance(&mut self, next: JobState) {
-        // invariant: the scheduler walks the states in order; no input
-        // picks a transition.
-        assert!(
-            self.state.may_transition_to(next),
-            "{}: illegal lifecycle transition {:?} -> {next:?}",
-            self.id,
-            self.state
-        );
-        self.state = next;
-    }
 }
 
 /// What a finished job produced, by kind.
@@ -358,47 +260,6 @@ impl JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lifecycle_happy_path() {
-        let mut job = Lifecycle::new(JobId(7));
-        for next in [
-            JobState::Dispatching,
-            JobState::Running,
-            JobState::Draining,
-            JobState::Done,
-        ] {
-            job.advance(next);
-        }
-        assert!(job.state.is_terminal());
-    }
-
-    #[test]
-    fn any_non_terminal_state_may_fail() {
-        for reach in 0..4usize {
-            let mut job = Lifecycle::new(JobId(1));
-            let path = [JobState::Dispatching, JobState::Running, JobState::Draining];
-            for next in path.iter().take(reach) {
-                job.advance(*next);
-            }
-            job.advance(JobState::Failed);
-            assert_eq!(job.state, JobState::Failed);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal lifecycle transition")]
-    fn cannot_skip_dispatch() {
-        Lifecycle::new(JobId(1)).advance(JobState::Running);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal lifecycle transition")]
-    fn terminal_states_are_final() {
-        let mut job = Lifecycle::new(JobId(1));
-        job.advance(JobState::Failed);
-        job.advance(JobState::Dispatching);
-    }
 
     #[test]
     fn classes_partition_the_kinds() {

@@ -31,7 +31,8 @@
 //!   serves every role and strategy, and `run_role` is the one place a
 //!   [`WorkerConfig`] becomes its context;
 //! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
-//! * [`strategy`] — the [`Strategy`] switch and the replicated epoch of
+//! * [`strategy`] — the [`Strategy`] a learning run deals its examples by
+//!   (once, again every epoch, or replicated), and the replicated epoch of
 //!   hypothesis-parallel lattice slicing, which the worker loop runs in
 //!   place of the ring of pipelines; its master is [`master::run_master`]
 //!   over replicated examples;

@@ -8,10 +8,12 @@
 //! retires the seeds the pipelines started from, so a run always makes
 //! progress. [`run_master`] is that loop; what varies is plain data:
 //!
-//! * the [`Dealing`] — examples dealt once before the run (the paper's
-//!   algorithm), re-dealt before every epoch (§4.1's rejected alternative,
-//!   implemented so its communication cost can be measured), or replicated
-//!   on every rank ([`Strategy::SearchPartition`]);
+//! * the [`Dealing`], one to one with the run's [`Strategy`] — examples
+//!   dealt once before the run ([`Strategy::DataPipeline`], the paper's
+//!   algorithm), re-dealt before every epoch ([`Strategy::Redeal`], §4.1's
+//!   rejected alternative, implemented so its communication cost can be
+//!   measured), or replicated on every rank
+//!   ([`Strategy::SearchPartition`]);
 //! * the [`RecoveryPolicy`] — whether a dead rank fails the run or is
 //!   recovered around (below);
 //! * the reduce step, which follows from the dealing. Partitioned examples
@@ -184,11 +186,13 @@ pub fn ship_kb<T: Transport>(ep: &mut Endpoint<T>, kb: &KnowledgeBase) {
 /// How a learning run's examples reach the ranks.
 #[derive(Clone, Debug)]
 pub enum Dealing {
-    /// Dealt once, before the run (Fig. 5 steps 1–2). The partition maps
-    /// every rank's local example indices back to global ones.
+    /// Dealt once, before the run (Fig. 5 steps 1–2;
+    /// [`Strategy::DataPipeline`]). The partition maps every rank's local
+    /// example indices back to global ones.
     Static(Partition),
-    /// §4.1's rejected alternative: the master re-deals the live examples
-    /// before every epoch, shipping the literals in full.
+    /// §4.1's rejected alternative ([`Strategy::Redeal`]): the master
+    /// re-deals the live examples before every epoch, shipping the literals
+    /// in full.
     Redeal,
     /// Every rank holds the full set ([`Strategy::SearchPartition`]), so a
     /// rule's counts on any rank are global and all ranks stay in lockstep.
@@ -207,8 +211,9 @@ pub(crate) struct Dealt {
 }
 
 impl Dealing {
-    /// The dealing of a job on `examples` over `p` ranks, and whether each
-    /// rank must be shipped its [`Dealing::subset`]. `kept` comes in as what
+    /// The dealing of a job on `examples` over `p` ranks — the one
+    /// `strategy` names — and whether each rank must be shipped its
+    /// [`Dealing::subset`]. `kept` comes in as what
     /// the ranks were dealt from by their previous job (`None`: nothing) and
     /// leaves as this job's. A job on the kept set — the same allocation, or
     /// else equal by value — dealt the same way finds every rank holding its
@@ -220,13 +225,11 @@ impl Dealing {
         p: usize,
         seed: u64,
         strategy: Strategy,
-        repartition: bool,
         kept: &'k mut Option<Dealt>,
     ) -> (&'k Dealing, bool) {
-        let replicated = strategy != Strategy::DataPipeline;
         let same_way = |dealt: &Dealt| match dealt.dealing {
-            Dealing::Static(_) => !replicated && !repartition && dealt.seed == seed,
-            Dealing::Replicated => replicated,
+            Dealing::Static(_) => strategy == Strategy::DataPipeline && dealt.seed == seed,
+            Dealing::Replicated => strategy.replicates(),
             // A re-dealing job left every rank a deal nobody remembers.
             Dealing::Redeal => false,
         };
@@ -240,17 +243,15 @@ impl Dealing {
             examples: examples.clone(),
             p,
             seed,
-            dealing: if replicated {
-                Dealing::Replicated
-            } else if repartition {
-                Dealing::Redeal
-            } else {
-                Dealing::Static(Partition::deal(
+            dealing: match strategy {
+                Strategy::DataPipeline => Dealing::Static(Partition::deal(
                     examples.num_pos(),
                     examples.num_neg(),
                     p,
                     seed,
-                ))
+                )),
+                Strategy::Redeal => Dealing::Redeal,
+                Strategy::SearchPartition => Dealing::Replicated,
             },
         });
         (&dealt.dealing, !held)
@@ -891,9 +892,6 @@ pub fn run_master<T: Transport>(
     let mut live = LiveSet::new(p, examples, dealing, watching, watching);
     let mut out = MasterOutcome::default();
 
-    if watching {
-        ep.broadcast(&Msg::EnableRecovery);
-    }
     ep.broadcast(&Msg::LoadExamples);
 
     while live.uncovered.remaining() > 0 {

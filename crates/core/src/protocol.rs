@@ -28,7 +28,11 @@
 //! them in memory. No tag is added or retired. Protocol v10 retires tag 27
 //! (`Constraint`, a worker-to-worker broadcast nothing sends) and strategy
 //! tag 2. Protocol v11 changes no message: it grows two socket frames
-//! (`p2mdie_cluster::net`).
+//! (`p2mdie_cluster::net`). Protocol v12 retires tag 15, the frame that armed a
+//! worker's recovery at any point of a job: whether a job recovers from a
+//! rank's death travels in its [`WorkerRole`], for the whole job, in the
+//! slot where the role's re-dealing flag was, and re-dealing is strategy
+//! tag 3 ([`Strategy::Redeal`]).
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -135,8 +139,10 @@ pub enum WorkerRole {
     Pipeline {
         /// Pipeline width `W`.
         width: Width,
-        /// §4.1 repartitioning mode.
-        repartition: bool,
+        /// The job may lose ranks: arm the worker-side recovery protocol
+        /// (`AbortEpoch` handling, ring membership tracking, `CoveredIdx`
+        /// replies) for the whole job.
+        recovery: bool,
     },
     /// The coverage-parallel baseline's worker (paper §6): the same loop,
     /// never sent a `StartPipeline`, answering every `MarkCovered` with the
@@ -144,7 +150,7 @@ pub enum WorkerRole {
     Coverage,
 }
 wire_enum!(WorkerRole, "worker role tag" {
-    0 => Pipeline { width, repartition },
+    0 => Pipeline { width, recovery },
     1 => Coverage,
 });
 
@@ -168,9 +174,9 @@ pub struct WorkerConfig {
     /// Search constraints, with `eval_threads` already set to this rank's
     /// fair share of the machine.
     pub settings: Settings,
-    /// Which parallelization strategy this rank runs. Only
-    /// meaningful for `Pipeline`-role learning work; everything else runs
-    /// [`Strategy::DataPipeline`] semantics regardless.
+    /// How the job deals its examples. Only meaningful for `Pipeline`-role
+    /// learning work; everything else runs [`Strategy::DataPipeline`]
+    /// semantics regardless.
     pub strategy: Strategy,
     /// Seed salting the strategy's lattice slices (distinct from the
     /// example-partition seed, which stays master-side).
@@ -273,16 +279,16 @@ pub enum Msg {
         removed: u32,
     },
     /// Worker → master: the *local indices* of positives covered by the
-    /// last `MarkCovered` rule. Used by the coverage-parallel baseline and
-    /// by the repartitioning variant, where the master tracks the global
-    /// live set (plain p²-mdie never needs it).
+    /// last `MarkCovered` rule. Used by the coverage-parallel baseline, by
+    /// [`Strategy::Redeal`] and by a recovering run, where the master tracks
+    /// the global live set (plain p²-mdie never needs it).
     CoveredIdx {
         /// Local positive-example indices removed from the live set.
         pos: Vec<u32>,
     },
-    /// Master → worker: replace your local example subset (the §4.1
-    /// repartitioning variant; deliberately expensive — the examples
-    /// travel in full).
+    /// Master → worker: replace your local example subset
+    /// ([`Strategy::Redeal`], §4.1's rejected alternative; deliberately
+    /// expensive — the examples travel in full).
     NewPartition {
         /// New local positive examples.
         pos: Vec<Literal>,
@@ -298,11 +304,6 @@ pub enum Msg {
     KbSnapshot(Box<KbSnapshot>),
     /// Master → workers: run over, shut down.
     Stop,
-    /// Master → workers, before `LoadExamples`: this run may lose ranks —
-    /// arm the worker-side recovery protocol (`AbortEpoch` handling, ring
-    /// membership tracking, `CoveredIdx` replies). Without it none of that
-    /// code runs on a worker.
-    EnableRecovery,
     /// Master → survivors: rank `dead` is gone; abandon the current epoch,
     /// flush in-flight ring traffic, shrink the ring, and ack.
     AbortEpoch {
@@ -390,9 +391,9 @@ pub enum Msg {
 }
 
 // One row per message: the wire tag a peer can be sent, the variant, its
-// fields in wire order. 13 `Configure`, 14 `LoadPartition`, 24 `CancelJob`
-// and 27 `Constraint` are retired and never reused; like any unknown tag
-// they are refused.
+// fields in wire order. 13 `Configure`, 14 `LoadPartition`, 15 (recovery's
+// arming frame), 24 `CancelJob` and 27 `Constraint` are retired and never
+// reused; like any unknown tag they are refused.
 wire_enum!(Msg, "message tag" {
     0 => LoadExamples,
     1 => StartPipeline { epoch },
@@ -407,7 +408,6 @@ wire_enum!(Msg, "message tag" {
     10 => CoveredIdx { pos },
     11 => NewPartition { pos, neg },
     12 => KbSnapshot(snapshot),
-    15 => EnableRecovery,
     16 => AbortEpoch { dead },
     17 => EpochFlush,
     18 => AbortAck,
@@ -560,7 +560,6 @@ pub(crate) mod tests {
                 neg: example(&t, "m2"),
             },
         );
-        add("EnableRecovery", Msg::EnableRecovery);
         add("AbortEpoch", Msg::AbortEpoch { dead: 2 });
         add("EpochFlush", Msg::EpochFlush);
         add("AbortAck", Msg::AbortAck);
@@ -583,19 +582,21 @@ pub(crate) mod tests {
             &[(8, "atm(+mol, -atom, #elem, -charge)"), (1, "solid")],
         )
         .unwrap();
+        // The role that recovers is named for the run's policy,
+        // `RecoveryPolicy::Repartition`.
         for (role_name, role) in [
             (
                 "pipeline-w7-repartition",
                 WorkerRole::Pipeline {
                     width: Width::Limit(7),
-                    repartition: true,
+                    recovery: true,
                 },
             ),
             (
                 "pipeline-unlimited",
                 WorkerRole::Pipeline {
                     width: Width::Unlimited,
-                    repartition: false,
+                    recovery: false,
                 },
             ),
             ("coverage", WorkerRole::Coverage),
@@ -801,7 +802,7 @@ pub(crate) mod tests {
 
     /// A strategy tag no `Strategy` has — an unknown one, and the retired
     /// 2 — inside an otherwise valid `SubmitJob` is rejected, not
-    /// mis-decoded.
+    /// mis-decoded; tag 3 is `Redeal`.
     #[test]
     fn corrupt_constraint_payloads_are_rejected() {
         let t = SymbolTable::new();
@@ -828,6 +829,11 @@ pub(crate) mod tests {
             let refused = from_bytes::<Msg>(Bytes::from(raw.clone())).unwrap_err();
             assert_eq!(refused.context, "strategy tag", "tag {tag}");
         }
+        raw[at] = 3;
+        let Msg::SubmitJob { config, .. } = from_bytes(Bytes::from(raw)).unwrap() else {
+            panic!("expected SubmitJob");
+        };
+        assert_eq!(config.strategy, Strategy::Redeal);
     }
 
     /// The compiled KB travels as one message and the receiver adopts it
@@ -878,9 +884,9 @@ pub(crate) mod tests {
     }
 
     /// An unknown tag is a decode error, and so is a retired one — 13
-    /// (`Configure`), 14 (`LoadPartition`), 24 (`CancelJob`), 27
-    /// (`Constraint`) — whatever follows it: an older peer's frame is
-    /// refused, never mis-decoded and never a panic.
+    /// (`Configure`), 14 (`LoadPartition`), 15 (recovery's arming frame), 24
+    /// (`CancelJob`), 27 (`Constraint`) — whatever follows it: an older
+    /// peer's frame is refused, never mis-decoded and never a panic.
     #[test]
     fn corrupt_tag_is_rejected() {
         let t = SymbolTable::new();
@@ -894,7 +900,7 @@ pub(crate) mod tests {
             // … and tag 27: a rank, an epoch and a vector of rule shapes.
             to_bytes(&(3u8, 12u32, vec![RuleShape::from_indices(vec![1, 4, 9])])).to_vec(),
         ];
-        for tag in [200u8, 13, 14, 24, 27] {
+        for tag in [200u8, 13, 14, 15, 24, 27] {
             for body in &bodies {
                 let raw = [&[tag][..], body].concat();
                 assert!(

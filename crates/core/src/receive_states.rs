@@ -116,8 +116,6 @@ mod tests {
     }
 
     const COMMANDS: &[&str] = &[
-        "KbSnapshot",
-        "EnableRecovery",
         "LoadExamples",
         "StartPipeline",
         "Evaluate",
@@ -126,8 +124,6 @@ mod tests {
         "Stop",
     ];
     const RECOVERY_COMMANDS: &[&str] = &[
-        "KbSnapshot",
-        "EnableRecovery",
         "LoadExamples",
         "StartPipeline",
         "Evaluate",
@@ -159,11 +155,17 @@ mod tests {
             move |ep| run_master(ep, settings, &self.ex, &dealing, 42, &recovery).map(drop)
         }
 
-        /// `run_worker` on rank 1's half of the examples.
-        fn worker(&self) -> impl Fn(&mut Endpoint) -> Result<(), CommFailure> + '_ {
+        /// `run_worker` on rank 1's half of the examples, in a job that
+        /// recovers from a rank's death or not.
+        fn worker(&self, recovery: bool) -> impl Fn(&mut Endpoint) -> Result<(), CommFailure> + '_ {
             let local = partition_examples(&self.ex, 2, 42).0.swap_remove(0);
             move |ep| {
-                let ctx = WorkerContext::new(self.engine.clone(), local.clone(), Width::Unlimited);
+                let mut ctx =
+                    WorkerContext::new(self.engine.clone(), local.clone(), Width::Unlimited);
+                ctx.role = WorkerRole::Pipeline {
+                    width: Width::Unlimited,
+                    recovery,
+                };
                 run_worker(ep, ctx, &mut CoverageMemo::new()).map(drop)
             }
         }
@@ -218,12 +220,9 @@ mod tests {
                     baseline_master(ep, engine, &settings, ex, &dealing, per_level).map(drop)
                 }
             };
-            let epoch = |recovery: bool| {
-                let arm = recovery.then_some(Frame(0, Msg::EnableRecovery));
+            let epoch = || {
                 let start = [Msg::LoadExamples, Msg::StartPipeline { epoch: 1 }];
-                arm.into_iter()
-                    .chain(start.map(|msg| Frame(0, msg)))
-                    .collect::<Vec<_>>()
+                start.map(|msg| Frame(0, msg)).to_vec()
             };
             let with = |mut prefix: Vec<Step>, step| {
                 prefix.push(step);
@@ -339,56 +338,56 @@ mod tests {
                     prefix: vec![],
                     takes: COMMANDS,
                     out_of_range: vec![],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(false)),
                 },
                 State {
                     name: "worker: master command, recovery armed",
                     mesh: (3, 1, 0),
-                    prefix: vec![Frame(0, Msg::EnableRecovery)],
+                    prefix: vec![],
                     takes: RECOVERY_COMMANDS,
                     out_of_range: vec![dead(0), dead(1), dead(3), dead(200)],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(true)),
                 },
                 State {
                     name: "worker: ring token",
                     mesh: (3, 1, 2),
-                    prefix: epoch(false),
+                    prefix: epoch(),
                     takes: &["PipelineStage"],
                     // Stage 3 of a ring of two, over literal 4 of one.
                     out_of_range: vec![named("PipelineStage/full")],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(false)),
                 },
                 State {
                     name: "worker: ring token, recovery armed (from the ring)",
                     mesh: (3, 1, 2),
-                    prefix: epoch(true),
+                    prefix: epoch(),
                     takes: &["PipelineStage", "EpochFlush"],
                     out_of_range: vec![named("PipelineStage/full")],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(true)),
                 },
                 State {
                     name: "worker: ring token, recovery armed (from the master)",
                     mesh: (3, 1, 0),
-                    prefix: epoch(true),
+                    prefix: epoch(),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(true)),
                 },
                 State {
                     name: "worker: AbortEpoch after a ring flush",
                     mesh: (3, 1, 0),
-                    prefix: with(epoch(true), Frame(2, Msg::EpochFlush)),
+                    prefix: with(epoch(), Frame(2, Msg::EpochFlush)),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(true)),
                 },
                 State {
                     name: "worker: AbortEpoch after a ring death",
                     mesh: (3, 1, 0),
-                    prefix: with(epoch(true), Dies(2)),
+                    prefix: with(epoch(), Dies(2)),
                     takes: &["AbortEpoch"],
                     out_of_range: vec![dead(1), dead(3)],
-                    run: Box::new(self.worker()),
+                    run: Box::new(self.worker(true)),
                 },
                 // --- A resident worker and a worker process (rank 1 of two). -
                 State {
@@ -470,8 +469,8 @@ mod tests {
                 }
             }
             // 21 states; the command states, which take most kinds, still
-            // refuse 21 of the 43 samples each.
-            assert!(refused >= 660, "the table shrank: {refused} refusals");
+            // refuse 29 and 26 of the 35 samples (709 refusals in all).
+            assert!(refused >= 700, "the table shrank: {refused} refusals");
         });
     }
 
@@ -513,14 +512,11 @@ mod tests {
             // between epochs, that rank 2 (its successor) died; it discards
             // what rank 3 (its predecessor) had in flight down to the flush
             // marker, acks, and serves the next command — `Stop`.
-            let mut script = vec![
-                Frame(0, Msg::EnableRecovery),
-                Frame(0, Msg::AbortEpoch { dead: 2 }),
-            ];
+            let mut script = vec![Frame(0, Msg::AbortEpoch { dead: 2 })];
             script.extend(in_flight(3, "EpochFlush"));
             script.push(Frame(3, Msg::EpochFlush));
             script.push(Frame(0, Msg::Stop));
-            drive(4, 1, &script, fixture.worker()).unwrap();
+            drive(4, 1, &script, fixture.worker(true)).unwrap();
         });
     }
 

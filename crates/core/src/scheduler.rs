@@ -130,9 +130,7 @@ use crate::baselines::baseline_master;
 use crate::driver::{
     open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
 };
-use crate::job::{
-    JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, Lifecycle, JOB_CLASSES,
-};
+use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, JOB_CLASSES};
 use crate::master::{evaluate_summed, run_master, run_search_epoch, Dealing, Dealt};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{TcpConfig, WorkerExit};
@@ -464,13 +462,7 @@ impl MeshMaster for Scheduler {
                 };
                 match req {
                     Request::Submit(job) => {
-                        event!(
-                            ep.tracer(),
-                            "job_state",
-                            ep.now(),
-                            job = job.id.0,
-                            state = "queued",
-                        );
+                        job_state(ep, job.id, "queued");
                         queues[job.spec.kind.class()].push_back(job);
                     }
                     Request::Metrics(reply) => {
@@ -499,7 +491,7 @@ impl MeshMaster for Scheduler {
                 .map(|mut set| set.remove(&job.id.0))
                 .unwrap_or(false);
             let outcome = if was_cancelled {
-                advance(ep, &mut Lifecycle::new(job.id), JobState::Failed);
+                job_state(ep, job.id, "failed");
                 JobOutcome::failed(job.id, "cancelled before dispatch")
             } else {
                 jobs_run += 1;
@@ -603,7 +595,9 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
 /// job's own `Stop`, returning every worker to the idle loop), drain the
 /// [`Msg::JobResult`]s, and account the deltas. `kept` is what the ranks
 /// were dealt from: by the previous job going in, by this one coming out. A
-/// learning job meets a rank's death as `recovery` says.
+/// learning job meets a rank's death as `recovery` says, and its workers
+/// arm their side of the recovery protocol for the whole job unless it is
+/// [`RecoveryPolicy::Abort`]. The job's `job_state` events mark each phase.
 pub(crate) fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
@@ -614,39 +608,37 @@ pub(crate) fn dispatch_job<T: Transport>(
 ) -> Result<(JobOutput, JobAccounting), CommFailure> {
     let p = ep.workers();
     let examples = &spec.examples;
-    let mut job = Lifecycle::new(id);
     let t0 = ep.now();
     let bytes0 = ep.stats().total_bytes();
     let messages0 = ep.stats().total_messages();
     let steps0 = ep.compute_steps();
 
-    advance(ep, &mut job, JobState::Dispatching);
+    job_state(ep, id, "dispatching");
     let settings = spec
         .settings
         .clone()
         .unwrap_or_else(|| engine.settings.clone());
-    // Strategies and repartitioning apply to full learning runs only: a
-    // `RuleSearch` job's global scoring sums per-rank counts (which full
-    // replication would multiply by `p`) over one epoch (which nothing
-    // re-deals), and coverage/baseline jobs have no search to parallelize
-    // differently nor epochs to re-deal. Every other kind is dealt
-    // statically.
-    let (strategy, repartition) = match &spec.kind {
-        JobKind::Learn => (spec.strategy, spec.repartition),
-        _ => (Strategy::DataPipeline, false),
+    // Strategies apply to full learning runs only: a `RuleSearch` job's
+    // global scoring sums per-rank counts (which full replication would
+    // multiply by `p`) over one epoch (which nothing re-deals), and
+    // coverage/baseline jobs have no search to parallelize differently nor
+    // epochs to re-deal. Every other kind is dealt statically.
+    let strategy = match &spec.kind {
+        JobKind::Learn => spec.strategy,
+        _ => Strategy::DataPipeline,
     };
-    let (dealing, ship) = Dealing::plan(examples, p, spec.seed, strategy, repartition, kept);
+    let (dealing, ship) = Dealing::plan(examples, p, spec.seed, strategy, kept);
     let role = match &spec.kind {
         JobKind::Coverage { .. } | JobKind::BaselineLearn { .. } => WorkerRole::Coverage,
         JobKind::RuleSearch | JobKind::Learn => WorkerRole::Pipeline {
             width: spec.width,
-            repartition,
+            recovery: *recovery != RecoveryPolicy::Abort,
         },
     };
     let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
     submit_job(ep, id.0, &config, ship.then_some((dealing, examples)))?;
 
-    advance(ep, &mut job, JobState::Running);
+    job_state(ep, id, "running");
     let output = match &spec.kind {
         JobKind::Coverage { rules } => {
             ep.broadcast(&Msg::LoadExamples);
@@ -668,10 +660,10 @@ pub(crate) fn dispatch_job<T: Transport>(
         )?),
     };
 
-    advance(ep, &mut job, JobState::Draining);
+    job_state(ep, id, "draining");
     let worker_steps = drain_job(ep, id.0)?;
 
-    advance(ep, &mut job, JobState::Done);
+    job_state(ep, id, "done");
     let accounting = JobAccounting {
         vtime: ep.now() - t0,
         master_steps: ep.compute_steps() - steps0,
@@ -682,11 +674,15 @@ pub(crate) fn dispatch_job<T: Transport>(
     Ok((output, accounting))
 }
 
-/// Moves `job` to `next`, and says so on the trace.
-fn advance<T: Transport>(ep: &Endpoint<T>, job: &mut Lifecycle, next: JobState) {
-    job.advance(next);
-    let (id, state) = (job.id.0, next.tag());
-    event!(ep.tracer(), "job_state", ep.now(), job = id, state = state);
+/// Says on the trace that job `id` entered `state`.
+fn job_state<T: Transport>(ep: &Endpoint<T>, id: JobId, state: &'static str) {
+    event!(
+        ep.tracer(),
+        "job_state",
+        ep.now(),
+        job = id.0,
+        state = state
+    );
 }
 
 /// The worker ranks not acknowledged dead, ascending: everyone, unless the
@@ -1218,8 +1214,9 @@ mod tests {
         let mut repartitioning = config.clone();
         repartitioning.role = WorkerRole::Pipeline {
             width: p2mdie_ilp::settings::Width::Unlimited,
-            repartition: true,
+            recovery: false,
         };
+        repartitioning.strategy = Strategy::Redeal;
         let never_sent_any = |_: &mut Endpoint| {};
         let replaced_by_a_new_partition = |ep: &mut Endpoint| {
             ep.send(1, &submit(1, &repartitioning, Some(ex.clone())));

@@ -1,15 +1,19 @@
-//! The strategy seam: two ways to parallelize one ILP run over the same
-//! mesh, protocol, and virtual-time accounting.
+//! The strategy seam: how one learning run deals its examples to the
+//! ranks, over the same mesh, protocol, and virtual-time accounting.
 //!
 //! p²-mdie as published is **data-parallel**: examples are partitioned,
 //! every rank searches the full refinement lattice of its own seed, and
 //! rules travel a pipeline so each is scored against every subset (Figure
-//! 7). The cluster-ILP literature's other classic point sits beside it as a
-//! comparator, behind one [`Strategy`] switch:
+//! 7). One [`Strategy`] value names the dealing, and each maps one to one
+//! onto the master's [`crate::master::Dealing`]:
 //!
-//! * [`Strategy::DataPipeline`] — the paper's algorithm: partitioned
-//!   examples, [`crate::worker::run_worker`] on every rank, and the bag
-//!   reduce of [`crate::master::run_master`].
+//! * [`Strategy::DataPipeline`] — the paper's algorithm: examples dealt
+//!   once (Figure 5, steps 1–2), [`crate::worker::run_worker`] on every
+//!   rank, and the bag reduce of [`crate::master::run_master`].
+//! * [`Strategy::Redeal`] — §4.1's rejected alternative: the same pipeline
+//!   and reduce, but the master re-deals the live examples before every
+//!   epoch ([`Msg::NewPartition`]), so its communication cost can be
+//!   measured.
 //! * [`Strategy::SearchPartition`] — **hypothesis-parallel**: every rank
 //!   holds the *full* example set and the ranks split the refinement
 //!   lattice itself. The split rides on a structural fact of
@@ -22,7 +26,7 @@
 //!
 //! # Determinism contracts
 //!
-//! Both strategies are deterministic for a fixed (`workers`, `seed`,
+//! Every strategy is deterministic for a fixed (`workers`, `seed`,
 //! strategy) triple, in-process and over TCP: every receive names its
 //! source rank, the lattice slices are salted by the strategy seed alone,
 //! and the master breaks rule ties by pool order, which is itself
@@ -41,6 +45,7 @@
 //! ring of pipelines.
 //!
 //! [`Msg::MarkCovered`]: crate::protocol::Msg::MarkCovered
+//! [`Msg::NewPartition`]: crate::protocol::Msg::NewPartition
 //! [`Msg::RetireSeed`]: crate::protocol::Msg::RetireSeed
 
 use crate::protocol::StageTrace;
@@ -52,7 +57,7 @@ use p2mdie_ilp::{search_rules_guided, take_top, CoverageMemo, LatticeSlice};
 use p2mdie_logic::clause::Clause;
 use p2mdie_obs::span;
 
-/// How the ranks divide one learning run among themselves.
+/// How a learning run deals its examples to the ranks.
 #[derive(
     Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
 )]
@@ -65,23 +70,38 @@ pub enum Strategy {
     /// Hypothesis-parallel: full example replication, the refinement
     /// lattice split into disjoint per-rank slices by first-literal hash.
     SearchPartition,
+    /// The data pipeline with the live examples re-dealt before every
+    /// epoch (§4.1's rejected alternative).
+    Redeal,
 }
 // Tag 2 is retired and, like any unknown strategy tag, refused.
 p2mdie_logic::wire_enum!(Strategy, "strategy tag" {
     0 => DataPipeline,
     1 => SearchPartition,
+    3 => Redeal,
 });
 
 impl Strategy {
     /// Every strategy, in wire-tag order (the eval sweep's axis).
-    pub const ALL: [Strategy; 2] = [Strategy::DataPipeline, Strategy::SearchPartition];
+    pub const ALL: [Strategy; 3] = [
+        Strategy::DataPipeline,
+        Strategy::SearchPartition,
+        Strategy::Redeal,
+    ];
 
     /// Table/CLI label.
     pub fn label(self) -> &'static str {
         match self {
             Strategy::DataPipeline => "data-pipeline",
             Strategy::SearchPartition => "search-partition",
+            Strategy::Redeal => "redeal",
         }
+    }
+
+    /// Whether every rank holds the full example set instead of a share of
+    /// it.
+    pub(crate) fn replicates(self) -> bool {
+        self == Strategy::SearchPartition
     }
 }
 
@@ -150,7 +170,7 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
         rules_out: out.good.len() as u32,
     };
     // The harvest: the search's good rules, best first, cut to the width.
-    let rules = take_top(out.good, ctx.width.cap())
+    let rules = take_top(out.good, ctx.width().cap())
         .iter()
         .map(|r| (r.shape.to_clause(&bottom), r.pos, r.neg))
         .collect();
@@ -171,16 +191,17 @@ mod tests {
         cfg
     }
 
-    /// The non-default strategy learns a complete, consistent theory on the
-    /// two-rule problem, at several mesh widths.
+    /// The non-default strategies learn a complete, consistent theory on
+    /// the two-rule problem, at several mesh widths.
     #[test]
     fn nondefault_strategies_learn_correct_theories() {
         let (engine, ex) = problem(120);
-        let strategy = Strategy::SearchPartition;
-        for workers in [1, 2, 3] {
-            let rep = run_parallel(&engine, &ex, &cfg(workers, strategy)).unwrap();
-            assert!(!rep.stalled, "{strategy} with {workers} workers stalled");
-            check_complete_and_consistent(&engine, &ex, &rep.clauses());
+        for strategy in [Strategy::SearchPartition, Strategy::Redeal] {
+            for workers in [1, 2, 3] {
+                let rep = run_parallel(&engine, &ex, &cfg(workers, strategy)).unwrap();
+                assert!(!rep.stalled, "{strategy} with {workers} workers stalled");
+                check_complete_and_consistent(&engine, &ex, &rep.clauses());
+            }
         }
     }
 

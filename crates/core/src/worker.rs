@@ -23,8 +23,9 @@
 //!
 //! # Recovery mode
 //!
-//! When the master broadcasts [`Msg::EnableRecovery`] before `LoadExamples`,
-//! the worker arms the rank-death protocol. The ring is then *membership
+//! When the job's role says it recovers (`WorkerRole::Pipeline { recovery:
+//! true, .. }`, set from the run's `RecoveryPolicy`), the worker arms the
+//! rank-death protocol for the whole job. The ring is then *membership
 //! dependent*: each `StartPipeline` recomputes the successor/predecessor
 //! from the local live-rank set, and every mid-epoch receive watches the
 //! master channel too, so an [`Msg::AbortEpoch`] can interrupt a stage wait.
@@ -33,8 +34,8 @@
 //! predecessor down to its marker, ack the master — after which the worker
 //! can adopt a dead rank's examples ([`Msg::AdoptExamples`]) and answer a
 //! theory replay ([`Msg::ReplayTheory`]) so the master's global live set
-//! resynchronizes exactly. Without `EnableRecovery` none of this code runs,
-//! and a frame that belongs to it is refused.
+//! resynchronizes exactly. In a job that does not recover none of this code
+//! runs, and a frame that belongs to it is refused.
 //!
 //! # Failures
 //!
@@ -64,8 +65,8 @@ use p2mdie_logic::KbSnapshot;
 use p2mdie_obs::span;
 
 /// Everything a worker owns locally: its engine (background knowledge,
-/// modes, settings), its example subset, the pipeline width, and the
-/// strategy the mesh runs.
+/// modes, settings), its example subset, its role, and the strategy the
+/// job runs.
 ///
 /// The engine's `settings.eval_threads` controls how many OS threads this
 /// rank's coverage evaluations fan out over (the driver splits the physical
@@ -76,16 +77,11 @@ pub struct WorkerContext {
     pub engine: IlpEngine,
     /// The local example subset `(E+_k, E-_k)`.
     pub local: Examples,
-    /// Pipeline width `W`.
-    pub width: Width,
-    /// Answer every `MarkCovered` with the covered local indices, for a
-    /// master that tracks the global live set itself: §4.1 repartitioning
-    /// (which re-deals the live examples every epoch via `NewPartition`)
-    /// and the coverage-parallel baseline. Recovery mode turns the replies
-    /// on by itself.
-    pub report_covered: bool,
-    /// How the ranks divide the run. Anything but the data pipeline means
-    /// `local` is the **full** example set, replicated on every rank.
+    /// The worker loop's shape: the pipeline (its width, and whether the
+    /// job recovers from a rank's death) or the coverage baseline's.
+    pub role: WorkerRole,
+    /// How the job deals its examples. A replicating strategy means `local`
+    /// is the **full** example set, held by every rank.
     pub strategy: Strategy,
     /// Seed salting the strategy's lattice slices.
     pub strategy_seed: u64,
@@ -97,11 +93,35 @@ impl WorkerContext {
         WorkerContext {
             engine,
             local,
-            width,
-            report_covered: false,
+            role: WorkerRole::Pipeline {
+                width,
+                recovery: false,
+            },
             strategy: Strategy::DataPipeline,
             strategy_seed: 0,
         }
+    }
+
+    /// Pipeline width `W`. No pipeline ever starts on a coverage rank: its
+    /// width is never read.
+    pub(crate) fn width(&self) -> Width {
+        match self.role {
+            WorkerRole::Pipeline { width, .. } => width,
+            WorkerRole::Coverage => Width::Unlimited,
+        }
+    }
+
+    /// Whether the job arms the recovery protocol (see "Recovery mode" in
+    /// the module docs).
+    fn recovers(&self) -> bool {
+        matches!(self.role, WorkerRole::Pipeline { recovery: true, .. })
+    }
+
+    /// Whether `MarkCovered` is answered with the covered local indices: for
+    /// a master that tracks the global live set itself — the
+    /// coverage-parallel baseline's, a re-dealing run's, a recovering run's.
+    fn answers_with_indices(&self) -> bool {
+        self.role == WorkerRole::Coverage || self.strategy == Strategy::Redeal || self.recovers()
     }
 }
 
@@ -116,11 +136,6 @@ pub(crate) fn run_role<T: Transport>(
     local: Examples,
     memo: &mut CoverageMemo,
 ) -> Result<(KnowledgeBase, Option<Examples>), CommFailure> {
-    let (width, report_covered) = match config.role {
-        WorkerRole::Pipeline { width, repartition } => (width, repartition),
-        // No pipeline ever starts on a coverage rank: the width is never read.
-        WorkerRole::Coverage => (Width::Unlimited, true),
-    };
     let ctx = WorkerContext {
         engine: IlpEngine {
             kb,
@@ -128,8 +143,7 @@ pub(crate) fn run_role<T: Transport>(
             settings: config.settings,
         },
         local,
-        width,
-        report_covered,
+        role: config.role,
         strategy: config.strategy,
         strategy_seed: config.strategy_seed,
     };
@@ -247,10 +261,10 @@ pub fn run_worker<T: Transport>(
     let me = ep.rank();
     // invariant: the caller's choice of rank, not anything a peer sent.
     assert!(me >= 1, "run_worker must not run on the master rank");
-    let replicated = ctx.strategy != Strategy::DataPipeline;
+    let replicated = ctx.strategy.replicates();
+    let recovery = ctx.recovers();
     let mut live = ctx.local.full_pos_live();
     let mut current_seed: Option<usize> = None;
-    let mut recovery = false;
     // The ring: only a recovering run ever shrinks it.
     let mut alive: Vec<usize> = (1..=ep.workers()).collect();
     // Where the rules stood before the first assert, whether a rule body can
@@ -272,16 +286,9 @@ pub fn run_worker<T: Transport>(
             Msg::AdoptExamples { .. } | Msg::ReplayTheory { .. } if !recovery => {
                 return Err(ep.refusal(0, COMMAND, "a recovery frame, and no recovery armed"));
             }
-            Msg::NewPartition { .. } if !ctx.report_covered => {
+            Msg::NewPartition { .. } if ctx.strategy != Strategy::Redeal => {
                 return Err(ep.refusal(0, COMMAND, "NewPartition: not a re-dealing run"));
             }
-            Msg::KbSnapshot(snap) => {
-                let syms = ctx.engine.kb.symbols().clone();
-                ctx.engine.kb = restore_kb(ep, *snap, syms)?;
-                (mark, stale) = (None, false);
-                memo.clear();
-            }
-            Msg::EnableRecovery => recovery = true,
             Msg::LoadExamples => {
                 // Data is shared (distributed-FS assumption); loading costs
                 // compute proportional to the local subset.
@@ -374,7 +381,7 @@ pub fn run_worker<T: Transport>(
                     // invariant: `evaluate_rules` returns a coverage per rule.
                     .expect("one rule, one coverage");
                 ep.advance_steps(cov.steps);
-                if ctx.report_covered || recovery {
+                if ctx.answers_with_indices() {
                     let idx: Vec<u32> = cov.pos.iter_ones().map(|i| i as u32).collect();
                     ep.send(0, &Msg::CoveredIdx { pos: idx });
                 }
@@ -392,7 +399,7 @@ pub fn run_worker<T: Transport>(
                 }
             }
             Msg::NewPartition { pos, neg } => {
-                // §4.1 repartitioning: adopt the freshly-dealt subset.
+                // §4.1 re-dealing: adopt the freshly-dealt subset.
                 ep.advance_steps((pos.len() + neg.len()) as u64);
                 ctx.local = Examples::new(pos, neg);
                 live = ctx.local.full_pos_live();
@@ -539,7 +546,7 @@ fn run_stage<T: Transport>(
                 live,
                 bottom,
                 &token.rules,
-                ctx.width,
+                ctx.width(),
                 memo,
             );
             ep.advance_steps(stage.steps);
@@ -1025,7 +1032,7 @@ mod tests {
             &live,
             &bottom,
             &[],
-            ctx.width,
+            ctx.width(),
             &mut CoverageMemo::new(),
         );
         let expected: Vec<_> = fresh

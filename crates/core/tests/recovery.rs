@@ -10,6 +10,7 @@
 use p2mdie_cluster::ChaosConfig;
 use p2mdie_core::driver::{run_parallel, ParallelConfig, RecoveryPolicy};
 use p2mdie_core::report::ParallelReport;
+use p2mdie_core::Strategy;
 use p2mdie_ilp::settings::Width;
 use proptest::prelude::*;
 
@@ -63,12 +64,12 @@ fn killed_rank_mid_run_does_not_change_the_theory() {
     );
 }
 
-/// Same guarantee under the §4.1 repartitioning variant (the master
-/// re-deals every epoch; recovery rides on the next deal).
+/// Same guarantee under the §4.1 re-dealing strategy (the master re-deals
+/// every epoch; recovery rides on the next deal).
 #[test]
 fn killed_rank_under_repartitioning_does_not_change_the_theory() {
     let ds = p2mdie_datasets::trains(16, 5);
-    let cfg = recovering_cfg(3).with_repartition();
+    let cfg = recovering_cfg(3).with_strategy(Strategy::Redeal);
     let fault_free = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap();
     assert!(!fault_free.stalled);
 
@@ -97,7 +98,8 @@ fn losses_beyond_the_budget_fail_the_run() {
     );
 }
 
-/// The recovery seam itself (EnableRecovery + index-tracked replies) must
+/// The recovery seam itself (the job's role arming recovery on every rank,
+/// and index-tracked replies) must
 /// not change what a fault-free run learns relative to the legacy
 /// `Abort`-policy protocol.
 #[test]

@@ -17,6 +17,7 @@ use p2mdie_core::baselines::EvalGranularity;
 use p2mdie_core::job::{JobOutcome, JobOutput, JobSpec, JobState};
 use p2mdie_core::remote::TcpConfig;
 use p2mdie_core::scheduler::{Service, ServiceConfig};
+use p2mdie_core::Strategy;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
@@ -99,11 +100,7 @@ fn run_sequence(
 
 /// The entries of a rank's snapshot that say what its memo did.
 fn memo_counters(snapshot: &MetricsSnapshot) -> Vec<(String, String)> {
-    let kept = |name: &str| {
-        name.starts_with("worker_memo_")
-            || name.starts_with("search_memo_")
-            || name == "worker_steps_run_total"
-    };
+    let kept = |name: &str| name.starts_with("worker_memo_") || name == "worker_steps_run_total";
     snapshot
         .entries
         .iter()
@@ -179,7 +176,7 @@ fn drug_world() -> World {
         ),
         (
             "learn A, re-dealing",
-            JobSpec::learn(a.clone()).with_repartition(),
+            JobSpec::learn(a.clone()).with_strategy(Strategy::Redeal),
         ),
         (
             "baseline learn A",

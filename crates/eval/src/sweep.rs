@@ -28,11 +28,11 @@ pub struct SweepConfig {
     pub widths: Vec<Width>,
     /// Virtual-time cost model.
     pub model: CostModel,
-    /// Parallelization strategies for the cross-strategy axis (Table 7).
-    /// Each one runs at `widths[0]` × `procs.last()` so the comparison is
-    /// apples-to-apples (Table 7's caption names the cell); the paper's
-    /// grid (Tables 2–6) always runs the data-pipeline protocol. Empty
-    /// disables the axis.
+    /// Strategies for the cross-strategy axis (Table 7). Each one runs at
+    /// `widths[0]` × `procs.last()` so the comparison is apples-to-apples
+    /// (Table 7's caption names the cell); the paper's grid (Tables 2–6)
+    /// always runs the data-pipeline protocol, and its cell serves that
+    /// strategy's row. Empty disables the axis.
     pub strategies: Vec<Strategy>,
     /// Print per-run progress to stderr.
     pub verbose: bool,
@@ -155,6 +155,11 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
     };
     let strategy_width = cfg.widths.first().copied().unwrap_or(Width::Unlimited);
     let strategy_procs = cfg.procs.last().copied().unwrap_or(2);
+    // The data pipeline's strategy row is the grid's cell at the same
+    // (width, procs), run with the same seed: it is taken from there, not
+    // run twice.
+    let from_grid = out.cell(strategy_width, strategy_procs).is_some();
+    let grid_row = |s: &Strategy| from_grid && *s == Strategy::DataPipeline;
 
     for (fi, fold) in folds.iter().enumerate() {
         // Sequential baseline for this fold.
@@ -176,16 +181,27 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
         out.seq.mbytes.push(0.0);
         out.seq.speedups.push(1.0);
 
-        for (w, p, series) in &mut out.cells {
+        // The grid, then the cross-strategy axis: every strategy at the same
+        // (width, procs) cell, against the same folds, so Table 7 compares
+        // like with like.
+        let grid = out.cells.iter_mut().map(|(w, p, series)| {
+            let label = format!("p={p} w={}", w.label());
             let pcfg = cell_config(cfg, *p, *w, fi, Strategy::DataPipeline);
+            (label, pcfg, series)
+        });
+        let strategies = out.strategy_cells.iter_mut().filter(|(s, _)| !grid_row(s));
+        let strategies = strategies.map(|(strat, series)| {
+            let pcfg = cell_config(cfg, strategy_procs, strategy_width, fi, *strat);
+            (format!("strategy={strat}"), pcfg, series)
+        });
+        for (label, pcfg, series) in grid.chain(strategies) {
             let rep = run_parallel(&ds.engine, &fold.train, &pcfg)
-                .unwrap_or_else(|e| panic!("parallel run failed: {e}"));
+                .unwrap_or_else(|e| panic!("parallel run ({label}) failed: {e}"));
             let acc = score_theory(&ds.engine, &rep.clauses(), &fold.test).accuracy_pct();
             if cfg.verbose {
                 eprintln!(
-                    "[{}] fold {fi}: p={p} w={} t={:.0}s speedup={:.2} epochs={} {:.1}MB acc={:.1}% (wall {:.1}s)",
+                    "[{}] fold {fi}: {label} t={:.0}s speedup={:.2} epochs={} {:.1}MB acc={:.1}% (wall {:.1}s)",
                     ds.name,
-                    w.label(),
                     rep.vtime,
                     seq.vtime / rep.vtime,
                     rep.epochs,
@@ -200,30 +216,10 @@ fn sweep_dataset(ds: &Dataset, cfg: &SweepConfig) -> DatasetSweep {
             series.mbytes.push(rep.megabytes());
             series.speedups.push(seq.vtime / rep.vtime);
         }
-
-        // Cross-strategy axis: every strategy at the same (width, procs)
-        // cell, against the same folds, so Table 7 compares like with like.
-        for (strat, series) in &mut out.strategy_cells {
-            let pcfg = cell_config(cfg, strategy_procs, strategy_width, fi, *strat);
-            let rep = run_parallel(&ds.engine, &fold.train, &pcfg)
-                .unwrap_or_else(|e| panic!("strategy run failed: {e}"));
-            let acc = score_theory(&ds.engine, &rep.clauses(), &fold.test).accuracy_pct();
-            if cfg.verbose {
-                eprintln!(
-                    "[{}] fold {fi}: strategy={strat} t={:.0}s speedup={:.2} epochs={} {:.1}MB acc={:.1}%",
-                    ds.name,
-                    rep.vtime,
-                    seq.vtime / rep.vtime,
-                    rep.epochs,
-                    rep.megabytes(),
-                    acc,
-                );
-            }
-            series.times.push(rep.vtime);
-            series.accs.push(acc);
-            series.epochs.push(rep.epochs as f64);
-            series.mbytes.push(rep.megabytes());
-            series.speedups.push(seq.vtime / rep.vtime);
+    }
+    if let Some(cell) = out.cell(strategy_width, strategy_procs).cloned() {
+        for (_, series) in out.strategy_cells.iter_mut().filter(|(s, _)| grid_row(s)) {
+            *series = cell.clone();
         }
     }
     out
@@ -241,7 +237,6 @@ fn cell_config(
         width,
         model: cfg.model,
         seed: cfg.seed.wrapping_add(fold as u64),
-        repartition: false,
         ship_kb: false,
         transport: p2mdie_core::driver::TransportKind::InProcess,
         recovery: p2mdie_core::driver::RecoveryPolicy::Abort,

@@ -232,6 +232,7 @@ mod tests {
                 strategy_cells: vec![
                     (Strategy::DataPipeline, series(25.0)),
                     (Strategy::SearchPartition, series(28.0)),
+                    (Strategy::Redeal, series(22.0)),
                 ],
             }],
         }

@@ -320,17 +320,6 @@ pub fn evaluate_rule_threads(
     }
 }
 
-/// Evaluates only the positive side (used by `mark_covered`).
-pub fn covered_positives(
-    kb: &KnowledgeBase,
-    proof: ProofLimits,
-    rule: &Clause,
-    examples: &Examples,
-    live_pos: Option<&Bitset>,
-) -> (Bitset, u64) {
-    evaluate_side_threads(kb, proof, rule, &examples.pos, live_pos, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

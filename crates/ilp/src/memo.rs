@@ -69,7 +69,6 @@ use crate::refine::RuleShape;
 use crate::settings::Settings;
 use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::fxhash::FxHasher;
-use p2mdie_logic::hot;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::term::{Term, VarId};
 use std::hash::Hasher;
@@ -666,18 +665,9 @@ impl CoverageMemo {
         let ran = neg.as_ref().map_or(ran_pos, |n| n.2.max(ran_pos));
         self.stats.steps_run += steps_run;
         match ran {
-            Ran::Nothing => {
-                self.stats.served += 1;
-                hot::search_memo_hit();
-            }
-            Ran::Difference => {
-                self.stats.partial += 1;
-                hot::search_memo_partial();
-            }
-            Ran::Full => {
-                self.stats.proved += 1;
-                hot::search_memo_miss();
-            }
+            Ran::Nothing => self.stats.served += 1,
+            Ran::Difference => self.stats.partial += 1,
+            Ran::Full => self.stats.proved += 1,
         }
         let neg = neg.map(|(bits, steps, _)| (bits, steps));
         if let (Some(key), true) = (key, ran != Ran::Nothing) {
@@ -911,7 +901,6 @@ impl CoverageMemo {
                     freed += words;
                     self.evictable -= 1;
                     self.stats.evicted += 1;
-                    hot::search_memo_evicted();
                 }
                 at += words;
             }

@@ -37,9 +37,8 @@
 //! fuel is kept — the convention of the prover's bulk-charged plans — so
 //! `good`, `seed_scored`, `nodes` and `steps`, and with them every theory,
 //! virtual time and table, are bit-identical to the memo-free search
-//! whatever the memo holds. [`SearchOutcome::reused`],
-//! [`CoverageMemo::stats`] and the `search_memo_*` hot counters say how
-//! nodes were served.
+//! whatever the memo holds. [`SearchOutcome::reused`] and
+//! [`CoverageMemo::stats`] say how nodes were served.
 //!
 //! *The key* is the node's *canonical* clause: variables renamed in
 //! first-occurrence order — head first — literal order kept, written as one
@@ -195,8 +194,7 @@ pub struct SearchOutcome {
     /// Nodes (of `nodes`) that ran no proof at all: the coverage memo held
     /// their result for exactly their live masks. Counted and step-charged
     /// like any other. A node served by a difference proof is not one of
-    /// these; the memo's statistics and the `search_memo_*` counters tell
-    /// the three kinds apart.
+    /// these; the memo's statistics tell the three kinds apart.
     pub reused: usize,
 }
 

@@ -193,10 +193,9 @@ impl MetricsSnapshot {
 /// deduction kernels have no rank identity (worker processes of a TCP mesh
 /// are one rank per process anyway; in-process meshes aggregate all ranks
 /// here — documented, and still the actionable signal: probe selectivity
-/// is an engine property, not a rank property). The rule search's coverage
-/// memo counters live here too: they explain the probe counts (a memo hit
-/// is a proof, and its probes, that never ran; a partial hit one that ran
-/// on the examples that changed only).
+/// is an engine property, not a rank property). What the rule search's
+/// coverage memo did is not counted here: each memo keeps its own
+/// statistics, which a worker's metrics report carries per rank.
 pub mod hot {
     use super::{MetricEntry, MetricValue};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -204,10 +203,6 @@ pub mod hot {
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static POSTING_PROBE_HITS: AtomicU64 = AtomicU64::new(0);
     static POSTING_PROBE_MISSES: AtomicU64 = AtomicU64::new(0);
-    static SEARCH_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-    static SEARCH_MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-    static SEARCH_MEMO_PARTIAL: AtomicU64 = AtomicU64::new(0);
-    static SEARCH_MEMO_EVICTED: AtomicU64 = AtomicU64::new(0);
 
     /// Is hot-counter sampling on? One relaxed load — the entire cost of
     /// every instrumentation site while sampling is off.
@@ -246,45 +241,16 @@ pub mod hot {
         count(&POSTING_PROBE_MISSES);
     }
 
-    /// A search node took its coverage from the coverage memo (no proof ran).
-    #[inline(always)]
-    pub fn search_memo_hit() {
-        count(&SEARCH_MEMO_HITS);
-    }
-
-    /// A search node found no usable memo entry and was proved.
-    #[inline(always)]
-    pub fn search_memo_miss() {
-        count(&SEARCH_MEMO_MISSES);
-    }
-
-    /// A search node was served by a difference proof: its memo entry plus
-    /// a proof on the examples that left or joined the live mask.
-    #[inline(always)]
-    pub fn search_memo_partial() {
-        count(&SEARCH_MEMO_PARTIAL);
-    }
-
-    /// The coverage memo evicted an entry to stay within its budget.
-    #[inline(always)]
-    pub fn search_memo_evicted() {
-        count(&SEARCH_MEMO_EVICTED);
-    }
-
     /// Zeroes every hot counter (test isolation; the enabled flag is
     /// untouched).
     pub fn reset() {
         POSTING_PROBE_HITS.store(0, Ordering::Relaxed);
         POSTING_PROBE_MISSES.store(0, Ordering::Relaxed);
-        SEARCH_MEMO_HITS.store(0, Ordering::Relaxed);
-        SEARCH_MEMO_MISSES.store(0, Ordering::Relaxed);
-        SEARCH_MEMO_PARTIAL.store(0, Ordering::Relaxed);
-        SEARCH_MEMO_EVICTED.store(0, Ordering::Relaxed);
     }
 
     /// The hot counters as snapshot entries (merged into metric reports).
     pub fn entries() -> Vec<MetricEntry> {
-        let mut entries = vec![
+        vec![
             MetricEntry {
                 name: "prover_posting_probe_hits_total".to_owned(),
                 value: MetricValue::Counter(POSTING_PROBE_HITS.load(Ordering::Relaxed)),
@@ -293,35 +259,13 @@ pub mod hot {
                 name: "prover_posting_probe_misses_total".to_owned(),
                 value: MetricValue::Counter(POSTING_PROBE_MISSES.load(Ordering::Relaxed)),
             },
-        ];
-        // The search family joins once it has moved: a mesh that runs no
-        // sampled search (a coverage service, say) ships no bytes for it in
-        // its `MetricsReport`s.
-        let search = [
-            ("search_memo_hits_total", &SEARCH_MEMO_HITS),
-            ("search_memo_misses_total", &SEARCH_MEMO_MISSES),
-            ("search_memo_partial_total", &SEARCH_MEMO_PARTIAL),
-            ("search_memo_evicted_total", &SEARCH_MEMO_EVICTED),
         ]
-        .map(|(name, counter)| (name, counter.load(Ordering::Relaxed)));
-        if search.iter().any(|&(_, n)| n > 0) {
-            entries.extend(search.map(|(name, n)| MetricEntry {
-                name: name.to_owned(),
-                value: MetricValue::Counter(n),
-            }));
-        }
-        entries
     }
 
     /// Sum of events recorded so far (zero-overhead tests assert this
     /// stays 0 while sampling is off).
     pub fn total_recorded() -> u64 {
-        POSTING_PROBE_HITS.load(Ordering::Relaxed)
-            + POSTING_PROBE_MISSES.load(Ordering::Relaxed)
-            + SEARCH_MEMO_HITS.load(Ordering::Relaxed)
-            + SEARCH_MEMO_MISSES.load(Ordering::Relaxed)
-            + SEARCH_MEMO_PARTIAL.load(Ordering::Relaxed)
-            + SEARCH_MEMO_EVICTED.load(Ordering::Relaxed)
+        POSTING_PROBE_HITS.load(Ordering::Relaxed) + POSTING_PROBE_MISSES.load(Ordering::Relaxed)
     }
 }
 
@@ -426,7 +370,6 @@ mod tests {
         hot::disable();
         hot::reset();
         hot::posting_probe_hit();
-        hot::search_memo_hit();
         assert_eq!(hot::total_recorded(), 0, "disabled guard records nothing");
         hot::enable();
         hot::posting_probe_hit();
@@ -435,25 +378,6 @@ mod tests {
         let snap = MetricsSnapshot::from_entries(hot::entries());
         assert_eq!(snap.counter("prover_posting_probe_hits_total"), 1);
         assert_eq!(snap.counter("prover_posting_probe_misses_total"), 1);
-        assert!(
-            hot::entries()
-                .iter()
-                .all(|e| !e.name.starts_with("search_memo")),
-            "the search family is reported only once it has moved"
-        );
-        hot::search_memo_hit();
-        hot::search_memo_hit();
-        hot::search_memo_miss();
-        hot::search_memo_partial();
-        assert_eq!(hot::total_recorded(), 6);
-        let snap = MetricsSnapshot::from_entries(hot::entries());
-        assert_eq!(snap.counter("search_memo_hits_total"), 2);
-        assert_eq!(snap.counter("search_memo_misses_total"), 1);
-        assert_eq!(snap.counter("search_memo_partial_total"), 1);
-        assert_eq!(snap.counter("search_memo_evicted_total"), 0);
-        hot::search_memo_evicted();
-        let snap = MetricsSnapshot::from_entries(hot::entries());
-        assert_eq!(snap.counter("search_memo_evicted_total"), 1);
         hot::disable();
         hot::reset();
     }

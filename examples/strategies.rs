@@ -1,10 +1,12 @@
 //! The strategy seam, side by side: the same learning task solved under
-//! both parallelization strategies the runtime hosts —
+//! each of the three ways the runtime deals a run's examples —
 //!
-//! * `data-pipeline` — the paper's §4 protocol: partitioned examples,
+//! * `data-pipeline` — the paper's §4 protocol: examples partitioned once,
 //!   pipelined rule searches, globally-scored rule bag;
 //! * `search-partition` — hypothesis-parallel: every rank holds the full
-//!   example set and searches a disjoint slice of the refinement lattice.
+//!   example set and searches a disjoint slice of the refinement lattice;
+//! * `redeal` — the paper's protocol with the live examples re-dealt before
+//!   every epoch (§4.1's rejected alternative).
 //!
 //! The run ends with the eval crate's cross-strategy comparison table
 //! (Table 7) over two datasets.
@@ -52,7 +54,7 @@ fn main() {
         );
     }
 
-    // The eval crate's strategy axis: both strategies on two datasets,
+    // The eval crate's strategy axis: every strategy on two datasets,
     // cross-validated, rendered as Table 7.
     println!("\nrunning the cross-strategy sweep (2 datasets, 2 folds)...\n");
     let sweep = SweepConfig {

@@ -8,11 +8,9 @@
 //!   Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing` to see
 //!   the master's `epoch` spans over the workers' pipeline `stage` spans,
 //!   with every `send`/`recv` on the virtual-time axis;
-//! * stdout — the span tree, a Prometheus-style metrics dump, and the hot
-//!   counters: the prover's posting probes and what the search's coverage
-//!   memo did with each node (`search_memo_hits_total`: no proof ran,
-//!   `_partial_total`: a proof on the examples that changed, `_misses_total`:
-//!   a full proof) and with its budget (`_evicted_total`).
+//! * stdout — the span tree and the prover's hot counters (its posting
+//!   probes that found a run and those that found nothing) as a
+//!   Prometheus-style metrics dump.
 //!
 //! Everything is ordered by **virtual time**, so the same seed produces
 //! the same timeline on every machine — the trace is an artifact of the
@@ -69,8 +67,8 @@ fn main() {
     std::fs::write("trace_run.chrome.json", &chrome).expect("write chrome trace");
     println!("wrote trace_run.chrome.json ({} bytes)", chrome.len());
 
-    // The hot counters — prover probes, coverage-memo outcomes — as a
-    // Prometheus exposition.
+    // The hot counters — the prover's posting probes — as a Prometheus
+    // exposition.
     let snapshot = MetricsSnapshot::from_entries(hot::entries());
     println!("\nhot counters:\n{}", snapshot.prometheus());
 }

@@ -190,7 +190,6 @@ fn parallel_virtual_time_beats_sequential() {
             width: Width::Limit(10),
             model,
             seed: 7,
-            repartition: false,
             ship_kb: false,
             transport: p2mdie::core::TransportKind::InProcess,
             recovery: p2mdie::core::RecoveryPolicy::Abort,

@@ -14,7 +14,8 @@
 //!   search's variant memo);
 //! * `golden/{trains,mesh}_accounting.txt`, one line per configuration of
 //!   every way `crates/core` can run a job — the default path (on trains
-//!   over workers × seed × width), repartitioning, fault-free recovery,
+//!   over workers × seed × width), re-dealing (the `repartition` rows,
+//!   `Strategy::Redeal`), fault-free recovery,
 //!   the search-partition strategy, the coverage-parallel baseline and one
 //!   job of each kind on a resident service — recorded at commit 0e178e7,
 //!   while each mode still had a master loop of its own. `trains(12, 5)`
@@ -43,6 +44,13 @@
 //! model clock, as they already were over TCP. They stay out of `bytes`
 //! and `msgs`, so no theory, count, step, byte or message moved, and the
 //! sequential and service lines did not move at all.
+//!
+//! The `recovery static` and `recovery repartition` rows of the two
+//! `*_accounting.txt` files were re-recorded once, with protocol v12, when
+//! a job's role began to say whether it recovers: each lost the p one-byte
+//! frames that had armed recovery, so p messages, p bytes and the clock
+//! they cost. Theory, epochs, set-aside and steps did not move, and each
+//! `recovery repartition` row now equals its `repartition` row.
 
 use p2mdie::cluster::CostModel;
 use p2mdie::core::baselines::{run_coverage_parallel, EvalGranularity};
@@ -152,15 +160,13 @@ fn table_lines(ds: &Dataset, grid: &[(usize, u64, Width)]) -> Vec<String> {
 
     let base = || ParallelConfig::new(3, Width::Limit(10), 5);
     let healing = RecoveryPolicy::Repartition { max_rank_losses: 1 };
-    lines.push(run("repartition", base().with_repartition()));
+    let redeal = || base().with_strategy(Strategy::Redeal);
+    lines.push(run("repartition", redeal()));
     lines.push(run(
         "recovery static",
         base().with_recovery(healing.clone()),
     ));
-    lines.push(run(
-        "recovery repartition",
-        base().with_repartition().with_recovery(healing),
-    ));
+    lines.push(run("recovery repartition", redeal().with_recovery(healing)));
     lines.push(run(
         "search-partition",
         base().with_strategy(Strategy::SearchPartition),
