@@ -119,9 +119,9 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// v4: `PredSnapshot` columns flattened to one position-major stripe run
 /// and posting lists moved from sorted pairs to CSR keys/offs/idx runs;
 /// v5: the protocol gained the resident-service job-control messages —
-/// `SubmitJob`/`JobAccepted`/`JobResult` — and workers became
-/// resident between jobs, so a v4 peer would mis-parse a job submission
-/// and would exit where a v5 worker idles;
+/// `SubmitJob`, its acknowledgement (retired in v13) and `JobResult` — and
+/// workers became resident between jobs, so a v4 peer would mis-parse a
+/// job submission and would exit where a v5 worker idles;
 /// v6: the protocol gained the introspection pair `MetricsQuery` /
 /// `MetricsReport` — the master pulls live per-worker metric snapshots
 /// between jobs, which a v5 idle loop would reject as an unexpected
@@ -149,8 +149,13 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// job, is retired — a job's worker configuration says whether it recovers,
 /// in the slot of its old re-dealing flag — and re-dealing is strategy tag
 /// 3: a v12 worker refuses a v11 master's arming frame, and reads its
-/// re-dealing job as one that recovers).
-pub const PROTOCOL_VERSION: u16 = 12;
+/// re-dealing job as one that recovers;
+/// v13: message tag 22, the empty acknowledgement a worker sent for every
+/// `SubmitJob`, is retired — a job's frames follow its submission at once
+/// and its `JobResult` is the only answer — so a v12 master would wait for
+/// an acknowledgement a v13 worker never sends, and a v13 master refuses a
+/// v12 worker's).
+pub const PROTOCOL_VERSION: u16 = 13;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -1462,10 +1467,10 @@ mod tests {
             rank: 1,
             addr: "127.0.0.1:9".to_owned(),
         };
-        assert_eq!(PROTOCOL_VERSION, 12, "a bump moves this test with it");
-        let refused = check_hello(hello(11), 2, "worker hello").unwrap_err();
+        assert_eq!(PROTOCOL_VERSION, 13, "a bump moves this test with it");
+        let refused = check_hello(hello(12), 2, "worker hello").unwrap_err();
         assert!(
-            refused.message.contains("protocol version 11 != 12"),
+            refused.message.contains("protocol version 12 != 13"),
             "{}",
             refused.message
         );

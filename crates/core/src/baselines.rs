@@ -21,7 +21,7 @@
 
 use crate::driver::{run_one_job, ParallelConfig};
 use crate::job::JobSpec;
-use crate::master::{evaluate_summed, AcceptedRule, Dealing, LiveSet, MasterOutcome};
+use crate::master::{evaluate_all, AcceptedRule, Dealing, LiveSet, MasterOutcome};
 use crate::protocol::Msg;
 use crate::report::ParallelReport;
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
@@ -107,7 +107,7 @@ pub(crate) fn baseline_master<T: Transport>(
             };
             let batch: Vec<RuleShape> = frontier.drain(..batch_len).collect();
             let clauses: Vec<Clause> = batch.iter().map(|s| s.to_clause(&bottom)).collect();
-            let counts = evaluate_summed(ep, clauses)?;
+            let counts = evaluate_all(ep, clauses).summed(ep)?;
             nodes += batch.len();
             ep.advance_steps(batch.len() as u64); // orchestration bookkeeping
 

@@ -212,10 +212,12 @@ fn check_combination(cfg: &ParallelConfig, kind: &JobKind) -> Result<(), Cluster
 
 /// The configuration every rank of a run is bootstrapped with: the
 /// engine's bias, `settings`, and what the run's description adds.
+/// `cores` is the machine's core count, read once per mesh.
 pub(crate) fn worker_config(
     engine: &IlpEngine,
     settings: &Settings,
     workers: usize,
+    cores: usize,
     role: WorkerRole,
     strategy: Strategy,
     strategy_seed: u64,
@@ -226,7 +228,7 @@ pub(crate) fn worker_config(
     // without oversubscribing the machine. An explicit `eval_threads` in
     // the caller's settings wins.
     let mut settings = settings.clone();
-    settings.eval_threads = threads_per_worker(settings.eval_threads, workers);
+    settings.eval_threads = threads_per_worker(settings.eval_threads, workers, cores);
     WorkerConfig {
         role,
         modes: engine.modes.clone(),
@@ -243,11 +245,13 @@ pub(crate) trait MeshMaster: Send {
     type Out: Send;
 
     /// Runs on the master's endpoint after the KB went out; returns with
-    /// every live rank idle.
+    /// every live rank idle. `cores` is the machine's core count, read
+    /// once as the mesh formed.
     fn run<T: Transport>(
         self,
         ep: &mut Endpoint<T>,
         engine: &IlpEngine,
+        cores: usize,
     ) -> Result<Self::Out, CommFailure>;
 }
 
@@ -264,8 +268,10 @@ impl MeshMaster for OneJob<'_> {
         self,
         ep: &mut Endpoint<T>,
         engine: &IlpEngine,
+        cores: usize,
     ) -> Result<JobOutput, CommFailure> {
-        let (output, _) = dispatch_job(ep, engine, JobId(1), self.spec, &mut None, self.recovery)?;
+        let (id, spec, recovery) = (JobId(1), self.spec, self.recovery);
+        let (output, _) = dispatch_job(ep, engine, cores, id, spec, &mut None, recovery)?;
         Ok(output)
     }
 }
@@ -292,7 +298,8 @@ pub(crate) fn run_one_job(
 }
 
 /// Opens the mesh `cfg` describes, runs `master` on it and stops its ranks
-/// at idle: the one function that builds a mesh. Of `cfg`, the mesh
+/// at idle: the one function that builds a mesh, and the one place the
+/// machine's core count is read (once per mesh). Of `cfg`, the mesh
 /// settings apply — `workers`, `model`, `ship_kb` (always on over TCP),
 /// `transport`, `chaos`, and whether `recovery` lets the in-process runtime
 /// outlive a rank. Every rank is a resident worker: a thread that starts on
@@ -304,6 +311,9 @@ pub(crate) fn open_mesh<M: MeshMaster>(
     cfg: &ParallelConfig,
     master: M,
 ) -> Result<ClusterOutcome<M::Out>, ClusterError> {
+    // The probe reads cgroup files and costs about 26 µs, as much as a
+    // coverage job's round trip on a resident mesh: once per mesh, then.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     match &cfg.transport {
         TransportKind::InProcess => run_cluster_with(
             cfg.workers,
@@ -313,7 +323,7 @@ pub(crate) fn open_mesh<M: MeshMaster>(
                 let chaos = cfg.chaos.iter().find(|(target, _)| *target == rank);
                 maybe_chaos(t, chaos.map(|(_, c)| c.clone()))
             },
-            |ep| serve(ep, engine, cfg.ship_kb, master),
+            |ep| serve(ep, engine, cores, cfg.ship_kb, master),
             |_| match cfg.ship_kb {
                 true => engine.with_empty_kb().kb,
                 false => engine.kb.clone(),
@@ -336,7 +346,7 @@ pub(crate) fn open_mesh<M: MeshMaster>(
                 cfg.model,
                 tcp.timeout,
                 |rank, addr| spawn_worker(&bin, rank, addr, tcp),
-                |ep| serve(ep, engine, true, master),
+                |ep| serve(ep, engine, cores, true, master),
             )
         }
     }
@@ -348,13 +358,14 @@ pub(crate) fn open_mesh<M: MeshMaster>(
 fn serve<T: Transport, M: MeshMaster>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
+    cores: usize,
     ship: bool,
     master: M,
 ) -> Result<M::Out, CommFailure> {
     if ship {
         ship_kb(ep, &engine.kb);
     }
-    let out = master.run(ep, engine)?;
+    let out = master.run(ep, engine, cores)?;
     for k in live_workers(ep) {
         send_control(ep, k, &Msg::Stop);
     }
@@ -412,16 +423,13 @@ pub fn run_parallel(
     Ok(report)
 }
 
-/// Each simulated rank's fair share of the machine's cores: an explicit
-/// non-zero `eval_threads` is kept as-is, `0` (auto) divides the available
-/// parallelism by the number of ranks evaluating concurrently.
-pub(crate) fn threads_per_worker(configured: usize, workers: usize) -> usize {
+/// Each simulated rank's fair share of the machine's `cores`: an explicit
+/// non-zero `eval_threads` is kept as-is, `0` (auto) divides the cores by
+/// the number of ranks evaluating concurrently.
+fn threads_per_worker(configured: usize, workers: usize, cores: usize) -> usize {
     if configured != 0 {
         return configured;
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     (cores / workers.max(1)).max(1)
 }
 

@@ -15,9 +15,9 @@
 //!
 //! A job's lifecycle is its trace: the scheduler emits a `job_state` event
 //! as a job is `queued` (a service job only), `dispatching` (per-rank
-//! `SubmitJob` frames out), `running` (all accepted), `draining` (its
-//! protocol ran, the `JobResult`s are due) and `done` — or `failed`, for a
-//! job cancelled before dispatch. It walks them in straight-line code, so
+//! `SubmitJob` frames out), `running` (its protocol's frames right behind
+//! them, unacknowledged), `draining` (its protocol ran, the `JobResult`s
+//! are due) and `done` — or `failed`, for a job cancelled before dispatch. It walks them in straight-line code, so
 //! nothing checks the order at run time; what a caller keeps is the
 //! terminal [`JobState`] of its [`JobOutcome`].
 

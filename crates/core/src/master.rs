@@ -356,51 +356,74 @@ fn bag_of(found: Vec<Found>) -> RuleBag {
 }
 
 /// One global evaluation round (Fig. 5 steps 10–11 / 18–19), the only one
-/// in the crate: every rank of `ranks` scores `rules` on its live subset.
-/// Returns one row of counts per rank, in rank order; a reply that is no
-/// `EvalResult`, or not one count per rule, is refused. The bag keeps the
-/// rows ([`RuleBag::set_results`]); a coverage job and the baseline sum
-/// them ([`evaluate_summed`]).
-fn evaluate<T: Transport>(
-    ep: &mut Endpoint<T>,
-    ranks: &[usize],
-    watching: bool,
-    rules: Vec<Clause>,
-) -> Result<Vec<Vec<(u32, u32)>>, CommFailure> {
-    let n = rules.len();
+/// in the crate: every rank of `ranks` is sent `rules` to score on its live
+/// subset. This is the send half; the round's counts are [`Owed`] until
+/// gathered, so a job may put more frames on the wire first.
+fn evaluate<T: Transport>(ep: &mut Endpoint<T>, ranks: &[usize], rules: Vec<Clause>) -> Owed {
+    let owed = Owed { rules: rules.len() };
     send_all(ep, ranks, &Msg::Evaluate { rules });
-    let mut rows = Vec::with_capacity(ranks.len());
-    gather(ep, ranks, watching, "EvalResult", |_, msg| match msg {
-        Msg::EvalResult { counts } if counts.len() == n => {
-            rows.push(counts);
-            Ok(())
-        }
-        Msg::EvalResult { .. } => Err("EvalResult: not one count per rule"),
-        _ => Err("reply to Evaluate: not an EvalResult"),
-    })?;
-    Ok(rows)
+    owed
 }
 
-/// [`evaluate`] on every worker rank, summed over them: each rule's global
-/// `(pos, neg)` counts, in rule order.
-pub(crate) fn evaluate_summed<T: Transport>(
-    ep: &mut Endpoint<T>,
-    rules: Vec<Clause>,
-) -> Result<Vec<(u32, u32)>, CommFailure> {
-    let mut totals = vec![(0u32, 0u32); rules.len()];
-    let ranks: Vec<usize> = (1..=ep.workers()).collect();
-    for row in evaluate(ep, &ranks, false, rules)? {
-        for (t, c) in totals.iter_mut().zip(row) {
-            t.0 += c.0;
-            t.1 += c.1;
-        }
+/// The counts an [`evaluate`] round's ranks owe: one per rule.
+#[must_use = "an evaluation round's counts must be gathered"]
+pub(crate) struct Owed {
+    rules: usize,
+}
+
+impl Owed {
+    /// The gather half of [`evaluate`]: one row of counts per rank, in rank
+    /// order; a reply that is no `EvalResult`, or not one count per rule,
+    /// is refused. The bag keeps the rows ([`RuleBag::set_results`]); a
+    /// coverage job and the baseline sum them ([`Owed::summed`]).
+    fn gather<T: Transport>(
+        self,
+        ep: &mut Endpoint<T>,
+        ranks: &[usize],
+        watching: bool,
+    ) -> Result<Vec<Vec<(u32, u32)>>, CommFailure> {
+        let mut rows = Vec::with_capacity(ranks.len());
+        gather(ep, ranks, watching, "EvalResult", |_, msg| match msg {
+            Msg::EvalResult { counts } if counts.len() == self.rules => {
+                rows.push(counts);
+                Ok(())
+            }
+            Msg::EvalResult { .. } => Err("EvalResult: not one count per rule"),
+            _ => Err("reply to Evaluate: not an EvalResult"),
+        })?;
+        Ok(rows)
     }
-    Ok(totals)
+
+    /// [`Owed::gather`] of an [`evaluate_all`] round, summed over the
+    /// ranks: each rule's global `(pos, neg)` counts, in rule order.
+    pub(crate) fn summed<T: Transport>(
+        self,
+        ep: &mut Endpoint<T>,
+    ) -> Result<Vec<(u32, u32)>, CommFailure> {
+        let mut totals = vec![(0u32, 0u32); self.rules];
+        let ranks: Vec<usize> = (1..=ep.workers()).collect();
+        for row in self.gather(ep, &ranks, false)? {
+            for (t, c) in totals.iter_mut().zip(row) {
+                t.0 += c.0;
+                t.1 += c.1;
+            }
+        }
+        Ok(totals)
+    }
+}
+
+/// [`evaluate`] on every worker rank: a coverage job's round and each of
+/// the baseline's.
+pub(crate) fn evaluate_all<T: Transport>(ep: &mut Endpoint<T>, rules: Vec<Clause>) -> Owed {
+    let ranks: Vec<usize> = (1..=ep.workers()).collect();
+    evaluate(ep, &ranks, rules)
 }
 
 /// One pipelined rule-search epoch without the reduce step (Fig. 5 steps
 /// 6–11, a `RuleSearch` job): start the `p` pipelines, pool the survivors,
 /// score the bag globally, and return it best-first without consuming it.
+/// The job's `Stop` goes out right behind the bag's `Evaluate`, before its
+/// counts are gathered.
 pub(crate) fn run_search_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
     settings: &Settings,
@@ -410,10 +433,11 @@ pub(crate) fn run_search_epoch<T: Transport>(
     let mut trace = EpochTrace::new(1, ranks.len());
     let (found, _) = run_pipelines(ep, &ranks, false, &mut trace)?;
     let mut bag = bag_of(found);
-    if !bag.is_empty() {
-        bag.set_results(&evaluate(ep, &ranks, false, bag.clauses())?);
-    }
+    let owed = (!bag.is_empty()).then(|| evaluate(ep, &ranks, bag.clauses()));
     ep.broadcast(&Msg::Stop);
+    if let Some(owed) = owed {
+        bag.set_results(&owed.gather(ep, &ranks, false)?);
+    }
     let ranked = std::iter::from_fn(|| bag.pick_best(settings.score)).map(|rule| {
         let (pos, neg) = (rule.global_pos(), rule.global_neg());
         (rule.clause, pos, neg)
@@ -734,7 +758,8 @@ fn consume_bag<T: Transport>(
     if bag.is_empty() {
         return Ok(());
     }
-    bag.set_results(&evaluate(ep, &live.alive, live.watching, bag.clauses())?);
+    let owed = evaluate(ep, &live.alive, bag.clauses());
+    bag.set_results(&owed.gather(ep, &live.alive, live.watching)?);
     loop {
         bag.drop_not_good(settings);
         // Bag bookkeeping is master-side compute: charge one step per
@@ -755,7 +780,8 @@ fn consume_bag<T: Transport>(
         if bag.is_empty() {
             return Ok(());
         }
-        bag.set_results(&evaluate(ep, &live.alive, live.watching, bag.clauses())?);
+        let owed = evaluate(ep, &live.alive, bag.clauses());
+        bag.set_results(&owed.gather(ep, &live.alive, live.watching)?);
     }
 }
 

@@ -4,7 +4,7 @@
 //! `LoadExamples` / `StartPipeline` / `PipelineStage` / `RulesFound` /
 //! `Evaluate` / `EvalResult` / `MarkCovered` / `RetireSeed` / `SeedRetired` /
 //! `Stop`, plus the protocol-v5 job-control frames ([`Msg::SubmitJob`] /
-//! [`Msg::JobAccepted`] / [`Msg::JobResult`]) that hand a worker its work —
+//! [`Msg::JobResult`]) that hand a worker its work —
 //! many jobs back to back on a service's mesh (see [`crate::scheduler`]),
 //! exactly one on a one-shot run's (see [`crate::driver`]) — and the
 //! protocol-v6 introspection pair
@@ -32,7 +32,10 @@
 //! worker's recovery at any point of a job: whether a job recovers from a
 //! rank's death travels in its [`WorkerRole`], for the whole job, in the
 //! slot where the role's re-dealing flag was, and re-dealing is strategy
-//! tag 3 ([`Strategy::Redeal`]).
+//! tag 3 ([`Strategy::Redeal`]). Protocol v13 retires tag 22, the
+//! acknowledgement a worker sent for every `SubmitJob`: it carried nothing,
+//! and waiting for it cost every job a round trip. A job's frames now
+//! follow its `SubmitJob` at once, and its `JobResult` is the only answer.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -341,10 +344,11 @@ pub enum Msg {
     /// the rank does not hold it already (protocol v9) — and nothing that
     /// doesn't (the compiled KB shipped once, when the mesh came up). The
     /// worker runs the role loop on its base KB until the job's `Stop`,
-    /// replies [`Msg::JobResult`], and returns to idle. A service sends
-    /// many; a one-shot run sends exactly one per rank.
+    /// replies [`Msg::JobResult`] — its only answer to the job — and
+    /// returns to idle. A service sends many; a one-shot run sends exactly
+    /// one per rank.
     SubmitJob {
-        /// Master-assigned job id, echoed on every job-control reply.
+        /// Master-assigned job id, echoed by the job's `JobResult`.
         id: u64,
         /// Per-job worker configuration.
         config: Box<WorkerConfig>,
@@ -353,16 +357,6 @@ pub enum Msg {
         /// rank's frame is `None` too. A rank that kept none refuses the
         /// frame.
         examples: Option<Examples>,
-    },
-    /// Resident worker → master: job accepted and about to run.
-    /// `queue_free` is the rank's remaining job-queue capacity — the
-    /// scheduler's backpressure signal (a rank reporting 0 must not be sent
-    /// another `SubmitJob` until a `JobResult` frees a slot).
-    JobAccepted {
-        /// The accepted job's id.
-        id: u64,
-        /// Remaining worker-side job-queue slots after this acceptance.
-        queue_free: u16,
     },
     /// Resident worker → master: the job's role loop finished; `steps` is
     /// the rank's compute-step delta attributable to this job alone (the
@@ -392,8 +386,9 @@ pub enum Msg {
 
 // One row per message: the wire tag a peer can be sent, the variant, its
 // fields in wire order. 13 `Configure`, 14 `LoadPartition`, 15 (recovery's
-// arming frame), 24 `CancelJob` and 27 `Constraint` are retired and never
-// reused; like any unknown tag they are refused.
+// arming frame), 22 (the submission's acknowledgement), 24 `CancelJob` and
+// 27 `Constraint` are retired and never reused; like any unknown tag they
+// are refused.
 wire_enum!(Msg, "message tag" {
     0 => LoadExamples,
     1 => StartPipeline { epoch },
@@ -414,7 +409,6 @@ wire_enum!(Msg, "message tag" {
     19 => AdoptExamples { pos, neg },
     20 => ReplayTheory { rules },
     21 => SubmitJob { id, config, examples },
-    22 => JobAccepted { id, queue_free },
     23 => JobResult { id, steps },
     25 => MetricsQuery,
     26 => MetricsReport { snapshot },
@@ -652,13 +646,6 @@ pub(crate) mod tests {
             },
         );
         add(
-            "JobAccepted",
-            Msg::JobAccepted {
-                id: 9,
-                queue_free: 1,
-            },
-        );
-        add(
             "JobResult",
             Msg::JobResult {
                 id: 9,
@@ -884,23 +871,25 @@ pub(crate) mod tests {
     }
 
     /// An unknown tag is a decode error, and so is a retired one — 13
-    /// (`Configure`), 14 (`LoadPartition`), 15 (recovery's arming frame), 24
-    /// (`CancelJob`), 27 (`Constraint`) — whatever follows it: an older
-    /// peer's frame is refused, never mis-decoded and never a panic.
+    /// (`Configure`), 14 (`LoadPartition`), 15 (recovery's arming frame), 22
+    /// (the submission's acknowledgement), 24 (`CancelJob`), 27
+    /// (`Constraint`) — whatever follows it: an older peer's frame is
+    /// refused, never mis-decoded and never a panic.
     #[test]
     fn corrupt_tag_is_rejected() {
         let t = SymbolTable::new();
         let lits = vec![Literal::new(t.intern("active"), vec![Term::Int(1)])];
         let bodies = [
             Vec::new(),
-            // What used to follow the retired tags: a job id, and two
-            // example vectors.
+            // What used to follow the retired tags: a job id, a job id and
+            // a queue size, and two example vectors.
             to_bytes(&7u64).to_vec(),
+            to_bytes(&(7u64, 0u16)).to_vec(),
             [to_bytes(&lits).to_vec(), to_bytes(&lits).to_vec()].concat(),
             // … and tag 27: a rank, an epoch and a vector of rule shapes.
             to_bytes(&(3u8, 12u32, vec![RuleShape::from_indices(vec![1, 4, 9])])).to_vec(),
         ];
-        for tag in [200u8, 13, 14, 15, 24, 27] {
+        for tag in [200u8, 13, 14, 15, 22, 24, 27] {
             for body in &bodies {
                 let raw = [&[tag][..], body].concat();
                 assert!(

@@ -224,6 +224,7 @@ mod tests {
             &engine,
             &engine.settings,
             1,
+            1,
             WorkerRole::Coverage,
             Default::default(),
             0,

@@ -35,9 +35,8 @@ pub struct ParallelReport {
     pub total_bytes: u64,
     /// Total messages exchanged, job-control frames aside.
     pub total_messages: u64,
-    /// Bytes of the job-control frames: per rank its `SubmitJob`,
-    /// `JobAccepted` and `JobResult` and the idle `Stop`, as the master
-    /// tallied them. Outside `total_bytes`, which the paper's runs, handed
+    /// Bytes of the job-control frames: per rank its `SubmitJob` and
+    /// `JobResult` and the idle `Stop`, as the master tallied them. Outside `total_bytes`, which the paper's runs, handed
     /// their work by a distributed file system, never paid; the virtual
     /// clock charges them.
     pub control_bytes: u64,

@@ -81,12 +81,13 @@
 //!    a full queue returns [`SubmitError::Backpressure`] and the client
 //!    decides whether to retry, drop, or wait on an outstanding
 //!    [`JobHandle`].
-//! 2. **Master → worker**: a worker runs one job at a time and says so —
-//!    its [`Msg::JobAccepted`] advertises `queue_free: 0`, and the master
-//!    honours the contract by never sending a rank another
-//!    [`Msg::SubmitJob`] before that job's [`Msg::JobResult`] drained.
-//!    Dispatch is therefore serialized over the mesh; concurrency lives in
-//!    the queue, not in interleaved wire traffic.
+//! 2. **Master → worker**: a worker runs one job at a time, and the
+//!    [`Msg::JobResult`] drain is the contract: the master never sends a
+//!    rank another [`Msg::SubmitJob`] before that job's `JobResult`
+//!    drained. Nothing acknowledges a submission — the job's own frames
+//!    follow it on the same link at once — so a job costs one round trip
+//!    per rank, not three. Dispatch is serialized over the mesh;
+//!    concurrency lives in the queue, not in interleaved wire traffic.
 //!
 //! Cancellation is advisory and queue-side: [`JobHandle::cancel`] marks
 //! the id and the scheduler fails the job at dequeue time, before any
@@ -120,18 +121,18 @@
 //! to its in-process twin to the byte and the tick (pinned by
 //! `crates/core/tests/tcp_cluster.rs`). What a one-shot run adds is its
 //! own: the `RecoveryPolicy` it hands `dispatch_job` (a service passes
-//! `Abort`) and the chaos of its mesh. Its four job-control frames per rank
-//! — `SubmitJob`, `JobAccepted`, `JobResult`, the idle `Stop` — are charged
-//! on the virtual clock like any frame, but tallied apart at the master's
-//! end of each (`TrafficStats::record_control`) and left out of the
-//! report's totals, which are Table 4's.
+//! `Abort`) and the chaos of its mesh. Its three job-control frames per
+//! rank — `SubmitJob`, `JobResult`, the idle `Stop` — are charged on the
+//! virtual clock like any frame, but tallied apart at the master's end of
+//! each (`TrafficStats::record_control`) and left out of the report's
+//! totals, which are Table 4's.
 
 use crate::baselines::baseline_master;
 use crate::driver::{
     open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, JOB_CLASSES};
-use crate::master::{evaluate_summed, run_master, run_search_epoch, Dealing, Dealt};
+use crate::master::{evaluate_all, run_master, run_search_epoch, Dealing, Dealt};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
@@ -425,6 +426,7 @@ impl MeshMaster for Scheduler {
         self,
         ep: &mut Endpoint<T>,
         engine: &IlpEngine,
+        cores: usize,
     ) -> Result<Self::Out, CommFailure> {
         let mut queues: Vec<VecDeque<QueuedJob>> =
             (0..JOB_CLASSES).map(|_| VecDeque::new()).collect();
@@ -496,8 +498,9 @@ impl MeshMaster for Scheduler {
             } else {
                 jobs_run += 1;
                 let abort = &RecoveryPolicy::Abort;
+                let (id, spec) = (job.id, &job.spec);
                 let (output, accounting) =
-                    match dispatch_job(ep, engine, job.id, &job.spec, &mut kept, abort) {
+                    match dispatch_job(ep, engine, cores, id, spec, &mut kept, abort) {
                         Ok(done) => done,
                         // The mesh goes down with the job; its handle hears why.
                         Err(failure) => {
@@ -590,17 +593,23 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
     MetricsSnapshot::from_entries(entries)
 }
 
-/// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`],
-/// gather acceptances, run the kind's master protocol (which ends with the
-/// job's own `Stop`, returning every worker to the idle loop), drain the
-/// [`Msg::JobResult`]s, and account the deltas. `kept` is what the ranks
-/// were dealt from: by the previous job going in, by this one coming out. A
-/// learning job meets a rank's death as `recovery` says, and its workers
-/// arm their side of the recovery protocol for the whole job unless it is
-/// [`RecoveryPolicy::Abort`]. The job's `job_state` events mark each phase.
+/// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`], the
+/// kind's master protocol right behind it (which ends with the job's own
+/// `Stop`, returning every worker to the idle loop), drain the
+/// [`Msg::JobResult`]s, and account the deltas. Nothing acknowledges a
+/// submission: the `JobResult` is the job's only acknowledgement, and a
+/// rank that refused its `SubmitJob` fails the job at the master's next
+/// receive from it. A job whose settings leave `eval_threads` at 0 splits
+/// `cores` — the machine's core count, read once per mesh — among its
+/// ranks. `kept` is what the ranks were dealt from: by the previous job
+/// going in, by this one coming out. A learning job meets a rank's death as `recovery` says, and its
+/// workers arm their side of the recovery protocol for the whole job unless
+/// it is [`RecoveryPolicy::Abort`]. The job's `job_state` events mark each
+/// phase.
 pub(crate) fn dispatch_job<T: Transport>(
     ep: &mut Endpoint<T>,
     engine: &IlpEngine,
+    cores: usize,
     id: JobId,
     spec: &JobSpec,
     kept: &mut Option<Dealt>,
@@ -635,16 +644,18 @@ pub(crate) fn dispatch_job<T: Transport>(
             recovery: *recovery != RecoveryPolicy::Abort,
         },
     };
-    let config = worker_config(engine, &settings, p, role, strategy, spec.seed);
-    submit_job(ep, id.0, &config, ship.then_some((dealing, examples)))?;
+    let config = worker_config(engine, &settings, p, cores, role, strategy, spec.seed);
+    submit_job(ep, id.0, &config, ship.then_some((dealing, examples)));
 
     job_state(ep, id, "running");
     let output = match &spec.kind {
+        // Every frame of a coverage job goes out before its first count
+        // comes back.
         JobKind::Coverage { rules } => {
             ep.broadcast(&Msg::LoadExamples);
-            let totals = evaluate_summed(ep, rules.clone())?;
+            let owed = evaluate_all(ep, rules.clone());
             ep.broadcast(&Msg::Stop);
-            JobOutput::Coverage(totals)
+            JobOutput::Coverage(owed.summed(ep)?)
         }
         JobKind::RuleSearch => JobOutput::Rules(run_search_epoch(ep, &settings)?),
         JobKind::Learn => JobOutput::Learned(run_master(
@@ -693,17 +704,18 @@ pub(crate) fn live_workers<T: Transport>(ep: &Endpoint<T>) -> Vec<usize> {
 }
 
 /// Hands job `id` to the idle workers: one [`Msg::SubmitJob`] per live
-/// rank, then each one's [`Msg::JobAccepted`]. With `ship`, rank `k`'s frame
-/// carries its [`Dealing::subset`] of the examples, built for the frame and
-/// gone with it; without, every rank holds its subset from the previous job,
-/// every frame is the same, and it is encoded once for all of them.
+/// rank, and nothing to wait for — the job's frames follow it on the same
+/// links, and its [`Msg::JobResult`] is the only answer. With `ship`, rank
+/// `k`'s frame carries its [`Dealing::subset`] of the examples, built for
+/// the frame and gone with it; without, every rank holds its subset from
+/// the previous job, every frame is the same, and it is encoded once for
+/// all of them.
 pub(crate) fn submit_job<T: Transport>(
     ep: &mut Endpoint<T>,
     id: u64,
     config: &WorkerConfig,
     ship: Option<(&Dealing, &Examples)>,
-) -> Result<(), CommFailure> {
-    let ranks = live_workers(ep);
+) {
     let frame = |examples| {
         let config = Box::new(config.clone());
         to_bytes(&Msg::SubmitJob {
@@ -713,26 +725,13 @@ pub(crate) fn submit_job<T: Transport>(
         })
     };
     let mut shared = None;
-    for &k in &ranks {
+    for k in live_workers(ep) {
         let bytes = match ship {
             Some((dealing, examples)) => frame(Some(dealing.subset(examples, k - 1))),
             None => shared.get_or_insert_with(|| frame(None)).clone(),
         };
         send_control_bytes(ep, k, bytes);
     }
-    for k in ranks {
-        expect_control(ep, k, "a JobAccepted", |msg| match msg {
-            Msg::JobAccepted { id: accepted, .. } if accepted != id => {
-                Err("JobAccepted: the id of another job")
-            }
-            // The backpressure contract: a worker runs one job at a time,
-            // so the slot it just consumed was its only one.
-            Msg::JobAccepted { queue_free: 0, .. } => Ok(()),
-            Msg::JobAccepted { .. } => Err("JobAccepted: a queue the rank cannot have"),
-            _ => Err("reply to SubmitJob: not a JobAccepted"),
-        })?;
-    }
-    Ok(())
 }
 
 /// Collects job `id`'s [`Msg::JobResult`] from every live worker once the
@@ -835,7 +834,6 @@ pub fn run_resident_worker<T: Transport>(
                 if proof.replace(config.settings.proof) != Some(config.settings.proof) {
                     memo.clear();
                 }
-                ep.send(0, &Msg::JobAccepted { id, queue_free: 0 });
                 let steps0 = ep.compute_steps();
                 (base, kept) = run_role(ep, base, *config, local, &mut memo)?;
                 let steps = ep.compute_steps() - steps0;
@@ -1099,52 +1097,43 @@ mod tests {
 
     fn coverage_config(engine: &IlpEngine) -> WorkerConfig {
         let role = WorkerRole::Coverage;
-        worker_config(engine, &engine.settings, 1, role, Strategy::DataPipeline, 0)
+        worker_config(
+            engine,
+            &engine.settings,
+            1,
+            1,
+            role,
+            Strategy::DataPipeline,
+            0,
+        )
     }
 
-    /// A worker that answers a job frame with a well-formed frame of the
-    /// wrong kind, with another job's id or with a queue it cannot have is
-    /// reported as a `ClusterError` naming it — on acceptance and at the
-    /// drain alike — not as the text of an assertion.
+    /// A worker that ends a job with a well-formed frame of the wrong kind,
+    /// or with another job's id, is reported as a `ClusterError` naming it,
+    /// not as the text of an assertion.
     #[test]
     fn a_wrong_answer_to_a_job_frame_is_a_rank_tagged_error() {
         let (engine, ex) = problem(30);
         let config = coverage_config(&engine);
-        let accepted = |id| Msg::JobAccepted { id, queue_free: 0 };
-        let done = |id| Msg::JobResult { id, steps: 0 };
-        // What the scripted worker says on acceptance and at the end of job 7.
+        // What the scripted worker says at the end of job 7.
         let scripts = [
-            (done(7), None, "not a JobAccepted"),
-            (accepted(8), None, "JobAccepted: the id of another job"),
+            (Msg::Stop, "not a JobResult"),
             (
-                Msg::JobAccepted {
-                    id: 7,
-                    queue_free: 2,
-                },
-                None,
-                "a queue the rank cannot have",
-            ),
-            (accepted(7), Some(accepted(7)), "not a JobResult"),
-            (
-                accepted(7),
-                Some(done(9)),
+                Msg::JobResult { id: 9, steps: 0 },
                 "JobResult: the id of another job",
             ),
         ];
-        for (on_submit, on_drain, why) in scripts {
+        for (reply, why) in scripts {
             let err = run_cluster(
                 1,
                 CostModel::free(),
                 |ep| {
-                    submit_job(ep, 7, &config, Some((&Dealing::Replicated, &ex)))?;
+                    submit_job(ep, 7, &config, Some((&Dealing::Replicated, &ex)));
                     drain_job(ep, 7)
                 },
                 |ep| {
                     let _ = ep.recv_from(0);
-                    ep.send(0, &on_submit);
-                    if let Some(reply) = &on_drain {
-                        ep.send(0, reply);
-                    }
+                    ep.send(0, &reply);
                     Ok(())
                 },
             )
@@ -1156,6 +1145,70 @@ mod tests {
                 }
                 other => panic!("{why}: expected rank 1 to be named, got {other}"),
             }
+        }
+    }
+
+    /// A coverage job puts every frame a rank needs on the wire before it
+    /// waits for any: the scripted rank reads `SubmitJob`, `LoadExamples`,
+    /// `Evaluate` and `Stop` before it sends anything, then answers with
+    /// its counts and the `JobResult`. A master that waited for an answer
+    /// in between would leave both ends waiting; a watchdog then tells each
+    /// end that the other is gone, so the test fails instead of hanging.
+    #[test]
+    fn a_coverage_job_sends_every_frame_before_it_waits() {
+        use p2mdie_cluster::{MeshTransport, TrafficStats};
+        use std::time::Duration;
+        let (engine, ex) = problem(30);
+        let syms = engine.kb.symbols();
+        let lit = |name: &str| Literal::new(syms.intern(name), vec![Term::Var(0)]);
+        let rule = Clause::new(lit("special"), vec![lit("even"), lit("div3")]);
+        let spec = JobSpec::coverage(ex, vec![rule]);
+        let mut meshes = MeshTransport::mesh(2);
+        let worker_t = meshes.pop().expect("rank 1");
+        let master_t = meshes.pop().expect("rank 0");
+        let (wake_master, wake_worker) = (worker_t.down_handle(0), master_t.down_handle(1));
+        let stats = TrafficStats::new(2);
+        let mut worker = Endpoint::from_parts(1, 2, worker_t, CostModel::free(), stats.clone());
+        let master = std::thread::spawn(move || {
+            let mut ep = Endpoint::from_parts(0, 2, master_t, CostModel::free(), stats);
+            let abort = &RecoveryPolicy::Abort;
+            dispatch_job(&mut ep, &engine, 1, JobId(7), &spec, &mut None, abort)
+        });
+        let (heard_all, watchdog) = mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let waited = Duration::from_secs(20);
+            if let Err(mpsc::RecvTimeoutError::Timeout) = watchdog.recv_timeout(waited) {
+                wake_worker.notify(0);
+                wake_master.notify(1);
+            }
+        });
+        let mut heard = Vec::new();
+        while heard.len() < 4 {
+            let kind = match worker.recv_msg(0) {
+                Ok(Msg::SubmitJob { id: 7, .. }) => "SubmitJob",
+                Ok(Msg::LoadExamples) => "LoadExamples",
+                Ok(Msg::Evaluate { .. }) => "Evaluate",
+                Ok(Msg::Stop) => "Stop",
+                Ok(_) => "another frame",
+                Err(_) => "nothing: the master waited for an answer",
+            };
+            heard.push(kind);
+            if kind.starts_with("nothing") {
+                break;
+            }
+        }
+        let _ = heard_all.send(());
+        let in_order = ["SubmitJob", "LoadExamples", "Evaluate", "Stop"];
+        if heard == in_order {
+            let counts = vec![(3, 1)];
+            worker.send(0, &Msg::EvalResult { counts });
+            worker.send(0, &Msg::JobResult { id: 7, steps: 0 });
+        }
+        let output = master.join().expect("the master thread");
+        assert_eq!(heard, in_order, "what rank 1 heard before it answered");
+        match output {
+            Ok((JobOutput::Coverage(counts), _)) => assert_eq!(counts, [(3, 1)]),
+            other => panic!("expected the rank's counts, got {other:?}"),
         }
     }
 
@@ -1180,7 +1233,6 @@ mod tests {
         // One coverage job on rank 1, by hand.
         let query = |ep: &mut Endpoint, id, examples| {
             ep.send(1, &submit(id, &config, examples));
-            Msg::recv(ep, 1, "a JobAccepted").unwrap();
             ep.send(
                 1,
                 &Msg::Evaluate {
@@ -1220,7 +1272,6 @@ mod tests {
         let never_sent_any = |_: &mut Endpoint| {};
         let replaced_by_a_new_partition = |ep: &mut Endpoint| {
             ep.send(1, &submit(1, &repartitioning, Some(ex.clone())));
-            Msg::recv(ep, 1, "a JobAccepted").unwrap();
             ep.send(
                 1,
                 &Msg::NewPartition {
@@ -1239,9 +1290,9 @@ mod tests {
                 CostModel::free(),
                 |ep| {
                     history(ep);
-                    ep.send(1, &submit(9, &config, None));
-                    let _ = ep.recv_from(1);
-                    Ok(())
+                    // The refusal surfaces at the master's next receive.
+                    submit_job(ep, 9, &config, None);
+                    drain_job(ep, 9).map(drop)
                 },
                 resident,
             )

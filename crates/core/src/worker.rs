@@ -69,8 +69,10 @@ use p2mdie_obs::span;
 /// job runs.
 ///
 /// The engine's `settings.eval_threads` controls how many OS threads this
-/// rank's coverage evaluations fan out over (the driver splits the physical
-/// cores across ranks); results are bit-identical for any value, so the
+/// rank's coverage evaluations fan out over. A job that leaves it at 0
+/// (one per core) reaches its ranks with an equal share of the machine's
+/// cores instead, counted once when the mesh formed (`driver::open_mesh`)
+/// and split among the ranks by `dispatch_job`. Results are bit-identical for any value, so the
 /// simulated cluster stays deterministic while exploiting real cores.
 pub struct WorkerContext {
     /// The local ILP engine (the KB grows as rules are accepted).

@@ -41,9 +41,9 @@ fn killed_rank_mid_run_does_not_change_the_theory() {
     assert!(fault_free.rank_losses.is_empty());
     assert!(!fault_free.stalled);
 
-    // Rank 1's fabric dies after its 4th send — mid-epoch, after real
+    // Rank 1's fabric dies after its 3rd send — mid-epoch, after real
     // pipeline traffic has flowed.
-    let cfg = recovering_cfg(3).with_chaos(1, ChaosConfig::new(7).kill_after_sends(4));
+    let cfg = recovering_cfg(3).with_chaos(1, ChaosConfig::new(7).kill_after_sends(3));
     let healed = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap();
 
     assert_eq!(healed.rank_losses, vec![1], "the death must be recorded");
@@ -75,7 +75,7 @@ fn killed_rank_under_repartitioning_does_not_change_the_theory() {
 
     let killed = cfg
         .clone()
-        .with_chaos(2, ChaosConfig::new(11).kill_after_sends(4));
+        .with_chaos(2, ChaosConfig::new(11).kill_after_sends(3));
     let healed = run_parallel(&ds.engine, &ds.examples, &killed).unwrap();
     assert_eq!(healed.rank_losses, vec![2]);
     assert!(!healed.stalled);
@@ -89,7 +89,7 @@ fn losses_beyond_the_budget_fail_the_run() {
     let ds = p2mdie_datasets::trains(12, 5);
     let cfg = ParallelConfig::new(3, Width::Limit(10), 5)
         .with_recovery(RecoveryPolicy::Repartition { max_rank_losses: 0 })
-        .with_chaos(1, ChaosConfig::new(3).kill_after_sends(2));
+        .with_chaos(1, ChaosConfig::new(3).kill_after_sends(1));
     let err = run_parallel(&ds.engine, &ds.examples, &cfg).unwrap_err();
     let msg = format!("{err}");
     assert!(
@@ -160,9 +160,9 @@ fn second_death_during_quiesce_fails_cleanly_or_heals_completely() {
     let baseline = decisions(&fault_free);
 
     let (mut healed, mut failed) = (0u32, 0u32);
-    for second_kill in 1..=14u64 {
+    for second_kill in 0..=13u64 {
         let cfg = cfg2(2)
-            .with_chaos(1, ChaosConfig::new(7).kill_after_sends(4))
+            .with_chaos(1, ChaosConfig::new(7).kill_after_sends(3))
             .with_chaos(2, ChaosConfig::new(13).kill_after_sends(second_kill));
         match run_parallel(&ds.engine, &ds.examples, &cfg) {
             Ok(rep) => {
@@ -205,7 +205,7 @@ proptest! {
     #[test]
     fn any_single_rank_kill_preserves_the_theory(
         rank in 1usize..=3,
-        kill_after in 1u64..40,
+        kill_after in 0u64..39,
         chaos_seed in 0u64..1000,
     ) {
         let ds = p2mdie_datasets::trains(12, 5);

@@ -81,14 +81,14 @@ fn tcp_processes_match_in_process_run_bit_for_bit() {
         // Nothing was lost on the wire.
         assert_eq!(tcp.dropped_sends, 0, "p={p}");
         // Both runs are one job on resident workers, framed alike: the
-        // same traffic, the same job-control frames (four per rank, tallied
+        // same traffic, the same job-control frames (three per rank, tallied
         // apart), and the same clocks to the last bit.
         let traffic = |rep: &p2mdie_core::report::ParallelReport| {
             let control = (rep.control_bytes, rep.control_messages);
             (rep.total_bytes, rep.total_messages, control)
         };
         assert_eq!(traffic(&reference), traffic(&tcp), "p={p}: traffic");
-        assert_eq!(reference.control_messages, 4 * p as u64, "p={p}");
+        assert_eq!(reference.control_messages, 3 * p as u64, "p={p}");
         assert_eq!(reference.vtime.to_bits(), tcp.vtime.to_bits(), "p={p}");
         assert_eq!(reference.worker_vtimes, tcp.worker_vtimes, "p={p}");
     }
@@ -123,7 +123,7 @@ fn tcp_coverage_baseline_matches_in_process() {
         (rep.total_bytes, rep.total_messages, control)
     };
     assert_eq!(traffic(&reference), traffic(&tcp));
-    assert_eq!(reference.control_messages, 8);
+    assert_eq!(reference.control_messages, 6);
     assert_eq!(reference.vtime.to_bits(), tcp.vtime.to_bits());
     assert_eq!(reference.worker_vtimes, tcp.worker_vtimes);
 }

@@ -100,7 +100,7 @@ fn recovering_cfg(workers: usize) -> ParallelConfig {
 /// the Chrome export of the whole mesh's timeline.
 fn traced_chaos_chrome() -> String {
     let ds = p2mdie_datasets::trains(16, 5);
-    let cfg = recovering_cfg(3).with_chaos(1, ChaosConfig::new(7).kill_after_sends(4));
+    let cfg = recovering_cfg(3).with_chaos(1, ChaosConfig::new(7).kill_after_sends(3));
     assert!(
         trace::start(TraceConfig::default()),
         "no other trace session may be active"

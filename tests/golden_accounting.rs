@@ -39,11 +39,22 @@
 //! Every in-process one-shot row — the pipelined p = 2 pin above, and 44
 //! of the 55 lines of the three files — was re-recorded once, in `vtime`
 //! only, on top of commit bec9139, when one-shot runs became jobs on
-//! resident workers: each rank's four job-control frames (`SubmitJob`,
-//! `JobAccepted`, `JobResult` and the idle `Stop`) are now charged on the
-//! model clock, as they already were over TCP. They stay out of `bytes`
-//! and `msgs`, so no theory, count, step, byte or message moved, and the
-//! sequential and service lines did not move at all.
+//! resident workers: each rank's job-control frames (then four:
+//! `SubmitJob`, its acknowledgement, `JobResult` and the idle `Stop`) are
+//! now charged on the model clock, as they already were over TCP. They stay
+//! out of `bytes` and `msgs`, so no theory, count, step, byte or message
+//! moved, and the sequential and service lines did not move at all.
+//!
+//! Every parallel row — the pipelined p = 2 pin and the 52 parallel lines
+//! of the three files — was re-recorded once more with protocol v13, when
+//! a submission stopped being acknowledged: each job saves the round trip
+//! of that acknowledgement, and a coverage or rule-search job a second one,
+//! because its `Stop` goes out before its counts come back. Only `vtime`
+//! fell on the one-shot rows (by 0.26–0.33 ms). A service row's `bytes`
+//! and `msgs` count every frame the job put on the mesh, its job control
+//! included, so the four service rows of each file also lost one 11-byte
+//! frame per rank (22 bytes, 2 messages). No theory, count, epoch,
+//! set-aside or step moved, nor any `ParallelReport` total (Table 4's).
 //!
 //! The `recovery static` and `recovery repartition` rows of the two
 //! `*_accounting.txt` files were re-recorded once, with protocol v12, when
@@ -109,7 +120,7 @@ fn pipelined_p2_run_matches_recorded_accounting() {
     assert_eq!(rep.total_messages, 64);
     assert_eq!(rep.dropped_sends, 0);
     assert!(
-        (rep.vtime - 128.728_595_360_000_33).abs() < 1e-9,
+        (rep.vtime - 128.728_314_400_000_3).abs() < 1e-9,
         "vtime {}",
         rep.vtime
     );
