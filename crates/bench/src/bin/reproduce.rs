@@ -16,6 +16,9 @@
 //!   --quiet       suppress per-run progress on stderr
 //! ```
 //!
+//! An unknown table, dataset or option exits 2 with the usage line before
+//! any work starts.
+//!
 //! Times are *virtual seconds* under the Beowulf-2005 cost model; speedup,
 //! communication, epoch and accuracy columns are directly comparable to the
 //! paper's (what stands in for the paper's cluster and for its datasets is
@@ -29,6 +32,12 @@ use p2mdie_core::Strategy;
 use p2mdie_eval::sweep::{run_sweep, SweepConfig};
 use p2mdie_eval::tables;
 use p2mdie_ilp::settings::Width;
+
+/// What `reproduce` can be asked to run.
+const WHAT: [&str; 10] = [
+    "all", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure3",
+    "ablation",
+];
 
 struct Args {
     what: Vec<String>,
@@ -71,10 +80,18 @@ fn parse_args() -> Result<Args, String> {
                     .split(',')
                     .map(|s| s.to_owned())
                     .collect();
+                if let Some(bad) = args
+                    .datasets
+                    .iter()
+                    .find(|d| !p2mdie_datasets::PAPER_DATASETS.contains(&d.as_str()))
+                {
+                    return Err(format!("unknown dataset {bad}"));
+                }
             }
             "--quiet" => args.verbose = false,
             other if other.starts_with("--") => return Err(format!("unknown option {other}")),
-            other => args.what.push(other.to_owned()),
+            other if WHAT.contains(&other) => args.what.push(other.to_owned()),
+            other => return Err(format!("unknown table {other}")),
         }
     }
     if args.what.is_empty() {
@@ -106,8 +123,7 @@ fn main() {
         out.push_str("| Dataset         | |E+| | |E-| |\n");
         out.push_str("+-----------------+------+------+\n");
         for name in &args.datasets {
-            let d = p2mdie_datasets::by_name(name, 1.0, args.seed)
-                .unwrap_or_else(|| panic!("unknown dataset `{name}`"));
+            let d = p2mdie_datasets::by_name(name, 1.0, args.seed).expect("checked by parse_args");
             let (p, n) = d.characterization();
             out.push_str(&format!("| {name:<15} | {p:>4} | {n:>4} |\n"));
         }
@@ -187,7 +203,7 @@ fn main() {
         );
         for name in &args.datasets {
             let ds = p2mdie_datasets::by_name(name, args.scale, args.seed)
-                .unwrap_or_else(|| panic!("unknown dataset `{name}`"));
+                .expect("checked by parse_args");
             let seq = run_sequential_timed(&ds.engine, &ds.examples, &model);
             println!("--- {name} (T(1) = {:.0} s) ---", seq.vtime);
             let p2 = run_parallel(

@@ -154,8 +154,11 @@ pub const MAGIC: u32 = 0x7032_6d64;
 /// `SubmitJob`, is retired — a job's frames follow its submission at once
 /// and its `JobResult` is the only answer — so a v12 master would wait for
 /// an acknowledgement a v13 worker never sends, and a v13 master refuses a
-/// v12 worker's).
-pub const PROTOCOL_VERSION: u16 = 13;
+/// v12 worker's;
+/// v14: `JobResult` grew the bytes and messages the rank sent for the job,
+/// so a master accounts a job's whole-mesh traffic over TCP as in process —
+/// either peer reads the other's `JobResult` at the wrong length).
+pub const PROTOCOL_VERSION: u16 = 14;
 /// Default per-connection handshake bound: once a peer has *connected*, it
 /// gets this long to complete its `Hello` (and a roster-fed worker dial
 /// this long to succeed) before the rendezvous gives up on it. Without a
@@ -1467,10 +1470,10 @@ mod tests {
             rank: 1,
             addr: "127.0.0.1:9".to_owned(),
         };
-        assert_eq!(PROTOCOL_VERSION, 13, "a bump moves this test with it");
-        let refused = check_hello(hello(12), 2, "worker hello").unwrap_err();
+        assert_eq!(PROTOCOL_VERSION, 14, "a bump moves this test with it");
+        let refused = check_hello(hello(13), 2, "worker hello").unwrap_err();
         assert!(
-            refused.message.contains("protocol version 12 != 13"),
+            refused.message.contains("protocol version 13 != 14"),
             "{}",
             refused.message
         );

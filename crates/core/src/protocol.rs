@@ -36,6 +36,9 @@
 //! acknowledgement a worker sent for every `SubmitJob`: it carried nothing,
 //! and waiting for it cost every job a round trip. A job's frames now
 //! follow its `SubmitJob` at once, and its `JobResult` is the only answer.
+//! Protocol v14 grows [`Msg::JobResult`] by the bytes and messages the rank
+//! sent for the job, so a job's accounting counts the whole mesh's traffic
+//! over TCP as it does in process.
 //! Every payload is encoded through the byte-accurate
 //! [`Wire`](p2mdie_logic::wire) codec, so the traffic statistics reproduce
 //! Table 4 exactly as "bytes that would have crossed the network".
@@ -358,14 +361,21 @@ pub enum Msg {
         /// frame.
         examples: Option<Examples>,
     },
-    /// Resident worker → master: the job's role loop finished; `steps` is
-    /// the rank's compute-step delta attributable to this job alone (the
-    /// per-job slice of what the one-shot path reports globally).
+    /// Resident worker → master: the job's role loop finished; `steps`,
+    /// `bytes` and `messages` are what this rank spent on this job alone
+    /// (the per-job slice of what the one-shot path reports globally), so
+    /// the master accounts the whole mesh's traffic of a job on either
+    /// transport (protocol v14).
     JobResult {
         /// The finished job's id.
         id: u64,
         /// Compute steps this rank spent on this job.
         steps: u64,
+        /// Bytes this rank sent for this job, on every link, this frame
+        /// aside.
+        bytes: u64,
+        /// Messages this rank sent for this job, this frame aside.
+        messages: u64,
     },
     /// Master → *idle* resident worker (protocol v6): report your live
     /// metric snapshot. Only sent between jobs (the resident idle loop is
@@ -409,7 +419,7 @@ wire_enum!(Msg, "message tag" {
     19 => AdoptExamples { pos, neg },
     20 => ReplayTheory { rules },
     21 => SubmitJob { id, config, examples },
-    23 => JobResult { id, steps },
+    23 => JobResult { id, steps, bytes, messages },
     25 => MetricsQuery,
     26 => MetricsReport { snapshot },
 });
@@ -650,6 +660,8 @@ pub(crate) mod tests {
             Msg::JobResult {
                 id: 9,
                 steps: u64::MAX / 3,
+                bytes: 1_234,
+                messages: 7,
             },
         );
         add("MetricsQuery", Msg::MetricsQuery);

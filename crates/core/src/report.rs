@@ -117,16 +117,16 @@ impl ParallelReport {
 /// A resident [`Service`](crate::scheduler::Service) multiplexes many jobs
 /// over one standing mesh, so the mesh-lifetime totals (the numbers
 /// [`ParallelReport`] carries) stop being attributable to any single
-/// request. The scheduler instead snapshots the master's clock, traffic
-/// counters, and step counter around each job and reports the deltas here;
-/// worker steps arrive per job in the
-/// [`Msg::JobResult`](crate::protocol::Msg::JobResult) drain.
+/// request. The scheduler instead snapshots the master's clock, step
+/// counter and own sends around each job and reports the deltas here; each
+/// worker's steps and sends for the job arrive in its
+/// [`Msg::JobResult`](crate::protocol::Msg::JobResult).
 ///
-/// On a TCP mesh the byte/message deltas are measured at the master's
-/// endpoint, so they cover everything the master sent plus everything it
-/// received; worker-to-worker pipeline traffic of a `RuleSearch` or
-/// learning job is merged into the global totals only at mesh shutdown and
-/// is *not* split per job.
+/// `bytes` and `messages` are the whole mesh's traffic for the job, the
+/// same on either transport: what the master sent, what every live worker
+/// reported sending (to the master and to other workers), and the
+/// `JobResult` frames themselves. A rank that died during the job reports
+/// nothing.
 ///
 /// The step counts are those of the job run alone on a fresh service,
 /// whatever the ranks kept from the jobs before it: steps are charged as if
@@ -145,9 +145,9 @@ pub struct JobAccounting {
     /// Per-worker inference steps, indexed by rank − 1 (from the
     /// `JobResult` replies).
     pub worker_steps: Vec<u64>,
-    /// Bytes through the master's endpoint while the job ran.
+    /// Bytes every rank sent for the job, job-control frames included.
     pub bytes: u64,
-    /// Messages through the master's endpoint while the job ran.
+    /// Messages every rank sent for the job, job-control frames included.
     pub messages: u64,
 }
 

@@ -562,12 +562,7 @@ pub(crate) fn collect_worker_metrics<T: Transport>(
 /// hot counters repeat across ranks there; over TCP they are genuinely
 /// per-worker.
 fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) -> MetricsSnapshot {
-    let me = ep.rank();
-    let (bytes, msgs) = ep
-        .stats()
-        .send_row(me)
-        .iter()
-        .fold((0u64, 0u64), |(b, m), (rb, rm, _)| (b + rb, m + rm));
+    let (bytes, msgs) = sent(ep);
     let entry = |name: &str, value| MetricEntry {
         name: name.to_owned(),
         value,
@@ -591,6 +586,16 @@ fn worker_metrics_snapshot<T: Transport>(ep: &Endpoint<T>, memo: &CoverageMemo) 
     ];
     entries.extend(metrics::hot::entries());
     MetricsSnapshot::from_entries(entries)
+}
+
+/// The bytes and messages this endpoint's rank has sent so far, on every
+/// link. Only the rank's own sends: over TCP its statistics hold nothing
+/// else, and in process they hold every rank's.
+fn sent<T: Transport>(ep: &Endpoint<T>) -> (u64, u64) {
+    ep.stats()
+        .send_row(ep.rank())
+        .iter()
+        .fold((0, 0), |(b, m), (rb, rm, _)| (b + rb, m + rm))
 }
 
 /// Runs one job over the resident mesh: per-rank [`Msg::SubmitJob`], the
@@ -617,10 +622,7 @@ pub(crate) fn dispatch_job<T: Transport>(
 ) -> Result<(JobOutput, JobAccounting), CommFailure> {
     let p = ep.workers();
     let examples = &spec.examples;
-    let t0 = ep.now();
-    let bytes0 = ep.stats().total_bytes();
-    let messages0 = ep.stats().total_messages();
-    let steps0 = ep.compute_steps();
+    let (t0, steps0, (bytes0, messages0)) = (ep.now(), ep.compute_steps(), sent(ep));
 
     job_state(ep, id, "dispatching");
     let settings = spec
@@ -672,15 +674,16 @@ pub(crate) fn dispatch_job<T: Transport>(
     };
 
     job_state(ep, id, "draining");
-    let worker_steps = drain_job(ep, id.0)?;
+    let (worker_steps, (worker_bytes, worker_messages)) = drain_job(ep, id.0)?;
 
     job_state(ep, id, "done");
+    let (bytes, messages) = sent(ep);
     let accounting = JobAccounting {
         vtime: ep.now() - t0,
         master_steps: ep.compute_steps() - steps0,
         worker_steps,
-        bytes: ep.stats().total_bytes() - bytes0,
-        messages: ep.stats().total_messages() - messages0,
+        bytes: bytes - bytes0 + worker_bytes,
+        messages: messages - messages0 + worker_messages,
     };
     Ok((output, accounting))
 }
@@ -736,23 +739,34 @@ pub(crate) fn submit_job<T: Transport>(
 
 /// Collects job `id`'s [`Msg::JobResult`] from every live worker once the
 /// job's master protocol has sent its `Stop`, and returns the compute steps
-/// each rank spent on it. A rank that died during the job (and was
-/// recovered around) has nothing to report and counts 0.
+/// each rank spent on it, and the bytes and messages the ranks sent for
+/// it — what each reported, its `JobResult` frame included. A rank that
+/// died during the job (and was recovered around) has nothing to report
+/// and counts 0. Each `JobResult` is tallied as control at this end.
 pub(crate) fn drain_job<T: Transport>(
     ep: &mut Endpoint<T>,
     id: u64,
-) -> Result<Vec<u64>, CommFailure> {
+) -> Result<(Vec<u64>, (u64, u64)), CommFailure> {
     let mut worker_steps = vec![0u64; ep.workers()];
+    let mut sent = (0, 0);
     for k in live_workers(ep) {
-        worker_steps[k - 1] = expect_control(ep, k, "a JobResult", |msg| match msg {
-            Msg::JobResult { id: finished, .. } if finished != id => {
-                Err("JobResult: the id of another job")
-            }
-            Msg::JobResult { steps, .. } => Ok(steps),
-            _ => Err("end of the job: not a JobResult"),
-        })?;
+        let (steps, bytes, messages) =
+            expect_control(ep, k, "a JobResult", |msg, len| match msg {
+                Msg::JobResult { id: finished, .. } if finished != id => {
+                    Err("JobResult: the id of another job")
+                }
+                Msg::JobResult {
+                    steps,
+                    bytes,
+                    messages,
+                    ..
+                } => Ok((steps, bytes + len as u64, messages + 1)),
+                _ => Err("end of the job: not a JobResult"),
+            })?;
+        worker_steps[k - 1] = steps;
+        sent = (sent.0 + bytes, sent.1 + messages);
     }
-    Ok(worker_steps)
+    Ok((worker_steps, sent))
 }
 
 /// Sends rank `k` a job-control frame, tallied as one at this end
@@ -768,17 +782,18 @@ fn send_control_bytes<T: Transport>(ep: &mut Endpoint<T>, k: usize, frame: Bytes
 }
 
 /// [`Msg::expect`] for a job-control frame from rank `k`, tallied as one at
-/// this end.
+/// this end; `pick` is handed the frame's length too.
 fn expect_control<T: Transport, R>(
     ep: &mut Endpoint<T>,
     k: usize,
     expected: &str,
-    pick: impl FnOnce(Msg) -> Result<R, &'static str>,
+    pick: impl FnOnce(Msg, usize) -> Result<R, &'static str>,
 ) -> Result<R, CommFailure> {
     let frame = ep.recv_from(k).map_err(|e| ep.failure(k, expected, e))?;
-    ep.stats().record_control(frame.len());
+    let len = frame.len();
+    ep.stats().record_control(len);
     let msg = from_bytes(frame).map_err(|e| ep.failure(k, expected, e))?;
-    pick(msg).map_err(|why| ep.refusal(k, expected, why))
+    pick(msg, len).map_err(|why| ep.refusal(k, expected, why))
 }
 
 /// The resident worker's idle loop: park between jobs holding what the
@@ -834,10 +849,16 @@ pub fn run_resident_worker<T: Transport>(
                 if proof.replace(config.settings.proof) != Some(config.settings.proof) {
                     memo.clear();
                 }
-                let steps0 = ep.compute_steps();
+                let (steps0, (bytes0, messages0)) = (ep.compute_steps(), sent(ep));
                 (base, kept) = run_role(ep, base, *config, local, &mut memo)?;
-                let steps = ep.compute_steps() - steps0;
-                ep.send(0, &Msg::JobResult { id, steps });
+                let (bytes, messages) = sent(ep);
+                let result = Msg::JobResult {
+                    id,
+                    steps: ep.compute_steps() - steps0,
+                    bytes: bytes - bytes0,
+                    messages: messages - messages0,
+                };
+                ep.send(0, &result);
             }
             // Introspection: always answered, even with sampling and
             // tracing off — the endpoint facts in the snapshot are
@@ -1119,7 +1140,12 @@ mod tests {
         let scripts = [
             (Msg::Stop, "not a JobResult"),
             (
-                Msg::JobResult { id: 9, steps: 0 },
+                Msg::JobResult {
+                    id: 9,
+                    steps: 0,
+                    bytes: 0,
+                    messages: 0,
+                },
                 "JobResult: the id of another job",
             ),
         ];
@@ -1202,7 +1228,15 @@ mod tests {
         if heard == in_order {
             let counts = vec![(3, 1)];
             worker.send(0, &Msg::EvalResult { counts });
-            worker.send(0, &Msg::JobResult { id: 7, steps: 0 });
+            worker.send(
+                0,
+                &Msg::JobResult {
+                    id: 7,
+                    steps: 0,
+                    bytes: 0,
+                    messages: 0,
+                },
+            );
         }
         let output = master.join().expect("the master thread");
         assert_eq!(heard, in_order, "what rank 1 heard before it answered");

@@ -4,13 +4,17 @@
 //! the KB snapshot ships once, several jobs of different kinds are
 //! multiplexed over the standing worker processes, each result matches the
 //! corresponding fresh-mesh run, and the workers exit cleanly at shutdown
-//! (no idle-disconnect exits, no reaping timeouts).
+//! (no idle-disconnect exits, no reaping timeouts). The same jobs on an
+//! in-process service account the same bytes and messages: a job's traffic
+//! is the whole mesh's on either transport.
 
 use p2mdie_core::driver::{run_parallel, ParallelConfig};
-use p2mdie_core::job::{JobSpec, JobState};
+use p2mdie_core::job::{JobOutcome, JobSpec, JobState};
 use p2mdie_core::remote::TcpConfig;
 use p2mdie_core::scheduler::{Service, ServiceConfig};
+use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
+use p2mdie_logic::clause::Clause;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -37,8 +41,33 @@ fn bounded<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
     }
 }
 
+/// Two learning runs with different partition seeds and a coverage query,
+/// submitted back to back and waited for in order.
+fn three_jobs(
+    service: &Service,
+    examples: &Examples,
+    width: Width,
+    rules: Vec<Clause>,
+) -> [JobOutcome; 3] {
+    let learn = |seed| {
+        service
+            .submit(
+                JobSpec::learn(examples.clone())
+                    .with_seed(seed)
+                    .with_width(width),
+            )
+            .unwrap()
+    };
+    let (h3, h5) = (learn(3), learn(5));
+    let hq = service
+        .submit(JobSpec::coverage(examples.clone(), rules))
+        .unwrap();
+    [h3.wait(), h5.wait(), hq.wait()]
+}
+
 /// Three jobs — two learning runs with different partition seeds and a
-/// coverage query — multiplexed over two resident worker processes.
+/// coverage query — multiplexed over two resident worker processes, and
+/// the same three on an in-process service.
 #[test]
 fn multi_job_service_over_real_worker_processes() {
     let ds = p2mdie_datasets::trains(12, 5);
@@ -51,32 +80,16 @@ fn multi_job_service_over_real_worker_processes() {
     let rules = solo5.clauses();
     assert!(!rules.is_empty());
 
+    let in_process = Service::new(&ds.engine, ServiceConfig::new(2));
+    let twins = three_jobs(&in_process, &ds.examples, width, rules.clone());
+    in_process.shutdown().unwrap();
+
     let engine = ds.engine.clone();
     let examples = ds.examples.clone();
-    let (learn3, learn5, query, report) = bounded(move || {
+    let ([learn3, learn5, query], report) = bounded(move || {
         let service = Service::new_tcp(&engine, ServiceConfig::new(2), &tcp_config());
-        let h3 = service
-            .submit(
-                JobSpec::learn(examples.clone())
-                    .with_seed(3)
-                    .with_width(width),
-            )
-            .unwrap();
-        let h5 = service
-            .submit(
-                JobSpec::learn(examples.clone())
-                    .with_seed(5)
-                    .with_width(width),
-            )
-            .unwrap();
-        let hq = service
-            .submit(JobSpec::coverage(examples.clone(), rules))
-            .unwrap();
-        let learn3 = h3.wait();
-        let learn5 = h5.wait();
-        let query = hq.wait();
-        let report = service.shutdown().unwrap();
-        (learn3, learn5, query, report)
+        let jobs = three_jobs(&service, &examples, width, rules);
+        (jobs, service.shutdown().unwrap())
     });
 
     assert_eq!(learn3.state, JobState::Done, "learn#3: {:?}", learn3.error);
@@ -103,6 +116,21 @@ fn multi_job_service_over_real_worker_processes() {
             *counts,
             "TCP coverage query drifted from direct evaluation"
         );
+    }
+
+    for (name, tcp, twin) in [
+        ("learn#3", &learn3, &twins[0]),
+        ("learn#5", &learn5, &twins[1]),
+        ("query", &query, &twins[2]),
+    ] {
+        assert_eq!(twin.state, JobState::Done, "{name}: {:?}", twin.error);
+        let (a, b) = (&tcp.accounting, &twin.accounting);
+        assert_eq!(
+            (a.bytes, a.messages),
+            (b.bytes, b.messages),
+            "{name}: the TCP job's traffic differs from its in-process twin's"
+        );
+        assert_eq!(a.worker_steps, b.worker_steps, "{name}");
     }
 
     assert_eq!(report.jobs_run, 3);

@@ -1,7 +1,8 @@
 //! Literals and Horn clauses.
 
+use crate::parser::REL_OPS;
 use crate::symbol::{SymbolId, SymbolTable};
-use crate::term::{var_name, write_term, Term, VarId};
+use crate::term::{var_name, write_prefix, write_term, Term, VarId};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -237,18 +238,16 @@ pub struct LiteralDisplay<'a> {
 
 impl fmt::Display for LiteralDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.syms.name(self.lit.pred))?;
-        if self.lit.args.is_empty() {
-            return Ok(());
-        }
-        write!(f, "(")?;
-        for (i, a) in self.lit.args.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
+        let name = self.syms.name(self.lit.pred);
+        // A comparison or `is` prints infix, as the parser reads it.
+        if let [lhs, rhs] = &self.lit.args[..] {
+            if &*name == "is" || REL_OPS.contains(&&*name) {
+                write_term(f, lhs, self.syms)?;
+                write!(f, " {name} ")?;
+                return write_term(f, rhs, self.syms);
             }
-            write_term(f, a, self.syms)?;
         }
-        write!(f, ")")
+        write_prefix(f, &name, &self.lit.args, self.syms)
     }
 }
 
@@ -488,6 +487,16 @@ mod tests {
         assert_eq!(format!("{}", c.display(&t)), "p(A) :- q(A).");
         let f = Clause::fact(lit(&t, "r", vec![]));
         assert_eq!(format!("{}", f.display(&t)), "r.");
+        // Builtins and arithmetic print infix, as the parser reads them.
+        let src = "r(X) :- X < 3, Y is X * 2 + 1, Z is (X + 1) * -Y, W is X - (Y - 2).";
+        let c = crate::parser::Parser::new(&t, src)
+            .unwrap()
+            .parse_clause()
+            .unwrap();
+        assert_eq!(
+            format!("{}", c.display(&t)),
+            "r(A) :- A < 3, B is A * 2 + 1, C is (A + 1) * -B, D is A - (B - 2)."
+        );
     }
 
     #[test]

@@ -1018,14 +1018,14 @@ impl KnowledgeBase {
         self.num_rules
     }
 
-    /// Approximate heap bytes of the *resident* fact store: columns,
-    /// irregular rows, and the arena
+    /// Heap bytes of the *resident* fact store: one stripe buffer per
+    /// relation at its compact size, the irregular rows, and the arena
     /// terms that exist *only* to back column cells past the indexable
-    /// prefix — storage the retired row+column layout never paid, since its
-    /// arena interned just the first [`MAX_INDEXED_ARGS`] positions.
-    /// Excludes the rest of the arena and the posting lists (shared and
-    /// identical between the two layouts, so they cancel out of the
-    /// `fact_memory` comparison).
+    /// prefix (the first [`MAX_INDEXED_ARGS`] positions). Excludes the rest
+    /// of the arena and the posting lists
+    /// ([`KnowledgeBase::posting_store_bytes`]). Deterministic — no
+    /// capacities — so the benchmark inputs' values are pinned exactly
+    /// (`tests/oracle_real_kbs.rs`).
     pub fn fact_store_bytes(&self) -> usize {
         let mut bytes = self.past_prefix_arena_bytes();
         for entry in &self.entries {
@@ -1041,10 +1041,9 @@ impl KnowledgeBase {
     }
 
     /// Bytes of arena terms referenced *exclusively* by column cells past
-    /// the indexable prefix (positions ≥ [`MAX_INDEXED_ARGS`]). The retired
-    /// layout never interned those positions, so this is column-native-only
-    /// arena growth and is charged to [`KnowledgeBase::fact_store_bytes`]
-    /// to keep the memory comparison honest on wide relations.
+    /// the indexable prefix (positions ≥ [`MAX_INDEXED_ARGS`]): arena
+    /// growth the fact columns alone cause, charged to
+    /// [`KnowledgeBase::fact_store_bytes`].
     fn past_prefix_arena_bytes(&self) -> usize {
         let n = self.arena.len();
         if n == 0 {
@@ -1074,84 +1073,16 @@ impl KnowledgeBase {
             .sum()
     }
 
-    /// Approximate heap bytes the retired duplicate layout would hold for
-    /// this KB's facts: one row `Literal` per fact *plus* the columns of
-    /// the indexable prefix (`min(arity, MAX_INDEXED_ARGS)` positions), as
-    /// the store kept before column-native unification. The `fact_memory`
-    /// benchmark gates `row_baseline_bytes / fact_store_bytes`.
-    pub fn row_baseline_bytes(&self) -> usize {
-        let mut bytes = 0usize;
-        for (key, entry) in self.keys.iter().zip(self.entries.iter()) {
-            let indexed = (key.arity as usize).min(MAX_INDEXED_ARGS);
-            bytes += indexed
-                * (std::mem::size_of::<Vec<TermId>>()
-                    + entry.len as usize * std::mem::size_of::<TermId>());
-            for f in 0..entry.len {
-                // Row cost without materializing the row: header + one
-                // `Term` per argument + each argument's own heap.
-                bytes += std::mem::size_of::<Literal>();
-                match entry.irregular_row(f) {
-                    Some(lit) => bytes += literal_heap_bytes(lit),
-                    None => {
-                        for p in 0..entry.cols.arity() {
-                            bytes += std::mem::size_of::<Term>()
-                                + term_heap_bytes(self.arena.term(entry.cols.cell(p, f)));
-                        }
-                    }
-                }
-            }
-        }
-        bytes
-    }
-
     /// Exact heap bytes of the resident CSR posting indexes: per live
     /// posting, its three contiguous arrays (keys/offsets/fact indices) at
     /// logical size plus any pending side-buffer entries, plus the
-    /// `PostingCsr` struct itself (its counterpart map struct is charged
-    /// to the baseline). Deterministic — no capacities, no wall clock — so
-    /// the `posting_memory` bench bar is CI-enforceable like the
-    /// fact-memory gate.
+    /// `PostingCsr` struct itself. Deterministic — no capacities — and
+    /// pinned exactly like [`KnowledgeBase::fact_store_bytes`].
     pub fn posting_store_bytes(&self) -> usize {
         let mut bytes = 0usize;
         for entry in &self.entries {
             for csr in entry.postings.iter().flatten() {
                 bytes += std::mem::size_of::<PostingCsr>() + csr.heap_bytes();
-            }
-        }
-        bytes
-    }
-
-    /// Modeled heap bytes of the retired `FxHashMap<TermId, Vec<u32>>`
-    /// posting layout for the same index contents — the `posting_memory`
-    /// baseline. Per posting with K keys: the hashbrown-style table
-    /// (`slots(K)` slots of one `(TermId, Vec<u32>)` entry — 32 bytes with
-    /// the inline `Vec` header — plus one control byte each, slot count
-    /// rounded up to a power of two at the 7/8 load factor), one heap
-    /// allocation per key holding that key's run (4 bytes per fact index
-    /// plus 16 bytes of modeled allocator bookkeeping — malloc header and
-    /// size-class rounding), and the map struct. The CSR side's three
-    /// allocations carry the same bookkeeping, but as a per-*posting*
-    /// constant rather than per-*key*, so it is omitted on both sides of
-    /// the per-key comparison.
-    pub fn posting_hashmap_baseline_bytes(&self) -> usize {
-        const ALLOC_OVERHEAD: usize = 16;
-        fn table_slots(keys: usize) -> usize {
-            match keys {
-                0 => 0,
-                1..=3 => 4,
-                4..=7 => 8,
-                k => (k * 8 / 7 + 1).next_power_of_two(),
-            }
-        }
-        let slot_size = std::mem::size_of::<(TermId, Vec<u32>)>() + 1;
-        let mut bytes = 0usize;
-        for entry in &self.entries {
-            for csr in entry.postings.iter().flatten() {
-                let (keys, _offs, idx) = csr.merged_parts();
-                bytes += std::mem::size_of::<FxHashMap<TermId, Vec<u32>>>()
-                    + table_slots(keys.len()) * slot_size
-                    + idx.len() * std::mem::size_of::<u32>()
-                    + keys.len() * ALLOC_OVERHEAD;
             }
         }
         bytes
@@ -1860,35 +1791,6 @@ mod tests {
         assert_eq!(kb.facts_for(key), wide);
         assert_eq!(kb.facts_for(key), prog.facts(key));
         assert_eq!(kb.facts_for(odd.key()), vec![odd]);
-    }
-
-    /// The column-native store must beat the retired row+column layout on
-    /// bytes (the `fact_memory` benchmark gates the real datasets; this
-    /// pins the accounting itself).
-    #[test]
-    fn column_store_is_smaller_than_row_baseline() {
-        let t = SymbolTable::new();
-        let mut kb = KnowledgeBase::new(t.clone());
-        for m in 0..50i64 {
-            for a in 0..20i64 {
-                kb.assert_fact(lit(
-                    &t,
-                    "bond",
-                    vec![
-                        Term::Int(m),
-                        Term::Int(m * 100 + a),
-                        Term::Int(m * 100 + a + 1),
-                        Term::Int(a % 3),
-                    ],
-                ));
-            }
-        }
-        let column_only = kb.fact_store_bytes();
-        let baseline = kb.row_baseline_bytes();
-        assert!(
-            baseline as f64 >= 1.8 * column_only as f64,
-            "column store {column_only}B not ≥1.8x under baseline {baseline}B"
-        );
     }
 
     /// Key sets the directory has to get right: a dense id range, clusters

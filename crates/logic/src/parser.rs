@@ -304,7 +304,8 @@ pub struct Parser<'s> {
     next_var: VarId,
 }
 
-const REL_OPS: &[&str] = &["<", "=<", ">", ">=", "=:=", "=\\=", "=", "\\="];
+/// The comparison operators a literal is written infix with (`is` aside).
+pub(crate) const REL_OPS: &[&str] = &["<", "=<", ">", ">=", "=:=", "=\\=", "=", "\\="];
 
 impl<'s> Parser<'s> {
     /// Tokenizes `src` for parsing against `syms`.

@@ -205,26 +205,89 @@ impl fmt::Display for TermDisplay<'_> {
     }
 }
 
-/// Writes `term` in (approximate) Prolog syntax.
+/// Writes `term` in the syntax [`crate::parser`] reads back: arithmetic
+/// (`+ - * / mod`, unary `-`) infix with parentheses where precedence needs
+/// them, any other compound in prefix form, and an atom that does not lex
+/// as one quoted.
 pub fn write_term(f: &mut fmt::Formatter<'_>, term: &Term, syms: &SymbolTable) -> fmt::Result {
+    write_at(f, term, syms, ARG_PRIORITY)
+}
+
+/// Priority an argument or either side of a builtin literal may have
+/// unparenthesized: any arithmetic expression.
+const ARG_PRIORITY: u32 = 999;
+
+/// Priority of unary minus (`fy`).
+const NEG_PRIORITY: u32 = 200;
+
+/// Priority of a binary arithmetic functor the parser reads infix (all
+/// left-associative, `yfx`).
+fn infix_priority(name: &str) -> Option<u32> {
+    match name {
+        "+" | "-" => Some(500),
+        "*" | "/" | "mod" => Some(400),
+        _ => None,
+    }
+}
+
+/// Writes `term`, in parentheses if its priority exceeds `max`.
+fn write_at(f: &mut fmt::Formatter<'_>, term: &Term, syms: &SymbolTable, max: u32) -> fmt::Result {
     match term {
         Term::Var(v) => write!(f, "{}", var_name(*v)),
-        Term::Sym(s) => write!(f, "{}", syms.name(*s)),
+        Term::Sym(s) => write_prefix(f, &syms.name(*s), &[], syms),
         Term::Int(i) => write!(f, "{i}"),
         // Keep a decimal point so the token re-parses as a float.
         Term::Float(x) if x.0.fract() == 0.0 && x.0.is_finite() => write!(f, "{:.1}", x.0),
         Term::Float(x) => write!(f, "{}", x.0),
         Term::App(s, args) => {
-            write!(f, "{}(", syms.name(*s))?;
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write_term(f, a, syms)?;
+            let name = syms.name(*s);
+            let prio = match &args[..] {
+                [_, _] => infix_priority(&name),
+                // `-3` and `-(3)` both read back as the number -3.
+                [Term::Int(_) | Term::Float(_)] => None,
+                [_] if &*name == "-" => Some(NEG_PRIORITY),
+                _ => None,
+            };
+            let Some(prio) = prio else {
+                return write_prefix(f, &name, args, syms);
+            };
+            let (open, close) = if prio > max { ("(", ")") } else { ("", "") };
+            write!(f, "{open}")?;
+            if let [operand] = &args[..] {
+                write!(f, "-")?;
+                write_at(f, operand, syms, NEG_PRIORITY)?;
+            } else {
+                write_at(f, &args[0], syms, prio)?;
+                write!(f, " {name} ")?;
+                write_at(f, &args[1], syms, prio - 1)?;
             }
-            write!(f, ")")
+            write!(f, "{close}")
         }
     }
+}
+
+/// Writes `name(args…)`, or the bare name without arguments; the name is
+/// quoted unless it lexes as an atom (a lowercase letter, then letters,
+/// digits and underscores).
+pub(crate) fn write_prefix(
+    f: &mut fmt::Formatter<'_>,
+    name: &str,
+    args: &[Term],
+    syms: &SymbolTable,
+) -> fmt::Result {
+    let mut bytes = name.bytes();
+    let plain = bytes.next().is_some_and(|b| b.is_ascii_lowercase())
+        && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_');
+    let quote = if plain { "" } else { "'" };
+    write!(f, "{quote}{name}{quote}")?;
+    for (i, a) in args.iter().enumerate() {
+        write!(f, "{}", if i == 0 { "(" } else { "," })?;
+        write_term(f, a, syms)?;
+    }
+    if !args.is_empty() {
+        write!(f, ")")?;
+    }
+    Ok(())
 }
 
 /// Human-readable variable name for id `v` (`A`, `B`, ..., `Z`, `A1`, ...).

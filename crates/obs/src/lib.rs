@@ -54,10 +54,8 @@
 //!
 //! [`metrics::MetricsSnapshot`] is the sorted, serializable view a rank's
 //! metrics report carries: [`metrics::MetricsSnapshot::prometheus`]
-//! renders the Prometheus text exposition format,
-//! [`metrics::MetricsSnapshot::to_json`] the machine-readable block
-//! `bench_prover` embeds in `BENCH_prover.json`. A snapshot is built where
-//! it is read; there is no registry. Process-wide prover hot-path counters
+//! renders the Prometheus text exposition format. A snapshot is built
+//! where it is read; there is no registry. Process-wide prover hot-path counters
 //! live in [`metrics::hot`], guarded by their own single relaxed atomic
 //! load ([`metrics::hot::enabled`]).
 

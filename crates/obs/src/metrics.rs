@@ -1,6 +1,6 @@
 //! Metrics in one scope: the process-wide prover hot counters ([`hot`]),
 //! and the serializable [`MetricsSnapshot`] a rank's `MetricsReport`
-//! carries, with Prometheus-text and JSON encoders.
+//! carries, with its Prometheus-text encoder.
 //!
 //! A snapshot is built where it is read: a worker answers a metrics query
 //! with its endpoint and memo state plus the hot counters, assembled into
@@ -133,53 +133,6 @@ impl MetricsSnapshot {
                 }
             }
         }
-        out
-    }
-
-    /// Renders the snapshot as a deterministic JSON object (the `metrics`
-    /// block `bench_prover` embeds in `BENCH_prover.json`). `indent` is
-    /// the number of leading spaces on each line.
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let mut out = String::from("{\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&inner);
-            crate::json::escape_into(&e.name, &mut out);
-            out.push_str(": ");
-            match &e.value {
-                MetricValue::Counter(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                MetricValue::Gauge(v) => {
-                    if v.is_finite() {
-                        let _ = write!(out, "{v}");
-                    } else {
-                        out.push_str("null");
-                    }
-                }
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    let _ = write!(out, "{{ \"count\": {count}, \"sum\": {sum}, \"buckets\": [");
-                    for (j, (bucket, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let _ = write!(out, "[{bucket}, {n}]");
-                    }
-                    out.push_str("] }");
-                }
-            }
-            if i + 1 < self.entries.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str(&pad);
-        out.push('}');
         out
     }
 }
@@ -332,29 +285,6 @@ mod tests {
         assert!(text.contains("batch_count 2\n"));
         // The TYPE line appears exactly once per family.
         assert_eq!(text.matches("# TYPE jobs_total").count(), 1);
-    }
-
-    #[test]
-    fn json_encoding_is_deterministic() {
-        let snap = MetricsSnapshot::from_entries(vec![
-            entry("n", MetricValue::Counter(7)),
-            entry("g", MetricValue::Gauge(1.5)),
-            entry(
-                "h",
-                MetricValue::Histogram {
-                    count: 1,
-                    sum: 2,
-                    buckets: vec![(2, 1)],
-                },
-            ),
-        ]);
-        let a = snap.to_json(2);
-        assert_eq!(a, snap.clone().to_json(2));
-        assert!(a.contains("\"n\": 7"));
-        assert!(a.contains("\"g\": 1.5"));
-        assert!(a.contains("\"h\": { \"count\": 1, \"sum\": 2, \"buckets\": [[2, 1]] }"));
-        // It must parse as JSON (the bench file embeds it verbatim).
-        crate::json::parse(&a).expect("valid JSON");
     }
 
     /// The hot counters are process-wide statics, so tests that flip the

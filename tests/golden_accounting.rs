@@ -56,6 +56,14 @@
 //! frame per rank (22 bytes, 2 messages). No theory, count, epoch,
 //! set-aside or step moved, nor any `ParallelReport` total (Table 4's).
 //!
+//! Every parallel row was re-recorded once more with protocol v14, when a
+//! `JobResult` began to carry the bytes and messages its rank sent for the
+//! job (16 bytes more per frame): `vtime` rose by 1.28 µs on every one-shot
+//! row and on the service rows whose last `JobResult` sets the master's
+//! clock, and each service row's `bytes` by 32 (two ranks). No theory,
+//! count, epoch, set-aside, step or message count moved, nor any
+//! `ParallelReport` total.
+//!
 //! The `recovery static` and `recovery repartition` rows of the two
 //! `*_accounting.txt` files were re-recorded once, with protocol v12, when
 //! a job's role began to say whether it recovers: each lost the p one-byte
@@ -120,7 +128,7 @@ fn pipelined_p2_run_matches_recorded_accounting() {
     assert_eq!(rep.total_messages, 64);
     assert_eq!(rep.dropped_sends, 0);
     assert!(
-        (rep.vtime - 128.728_314_400_000_3).abs() < 1e-9,
+        (rep.vtime - 128.728_315_680_000_3).abs() < 1e-9,
         "vtime {}",
         rep.vtime
     );

@@ -10,6 +10,10 @@
 //! asks); then ⊥e as a rule and its first two refinements on the first five
 //! positives and negatives, each example's `(covered, steps)`, under the
 //! dataset's proof limits and again under a budget of 40 steps.
+//!
+//! Beside it, two checks on the same KBs: their fact and posting stores
+//! pinned in bytes, and the carcinogenesis background theory printed and
+//! consulted back.
 
 #[path = "../crates/logic/tests/oracle/mod.rs"]
 mod oracle;
@@ -20,11 +24,12 @@ use p2mdie::ilp::coverage::evaluate_side_threads;
 use p2mdie::ilp::modes::{ModeArg, ModeSet};
 use p2mdie::ilp::refine::RuleShape;
 use p2mdie::ilp::settings::Settings;
-use p2mdie::logic::clause::Literal;
+use p2mdie::logic::clause::{Clause, Literal};
 use p2mdie::logic::kb::KnowledgeBase;
 use p2mdie::logic::prover::{ProofLimits, Prover};
-use p2mdie::logic::symbol::SymbolId;
+use p2mdie::logic::symbol::{SymbolId, SymbolTable};
 use p2mdie::logic::term::Term;
+use p2mdie::logic::Program;
 use std::collections::{HashMap, HashSet};
 
 /// How many positives seed ⊥e, and how many examples of each sign every
@@ -188,4 +193,79 @@ fn benchmark_inputs_prove_as_the_oracle_does() {
         "pyrimidines(1.0)",
         &p2mdie::datasets::pyrimidines(1.0, BENCH_SEED),
     );
+}
+
+/// The fact and posting stores of the benchmark's inputs, in bytes, pinned
+/// exactly: the accounting counts lengths, never capacities, so any change
+/// to a store's layout moves these numbers and must restate them here.
+#[test]
+fn benchmark_input_stores_are_pinned() {
+    const BENCH_SEED: u64 = 2005;
+    let cases = [
+        (
+            "carcinogenesis(0.3)",
+            p2mdie::datasets::carcinogenesis(0.3, BENCH_SEED),
+            88_412,
+            162_636,
+        ),
+        (
+            "mesh(1.0)",
+            p2mdie::datasets::mesh(1.0, BENCH_SEED),
+            102_456,
+            288_232,
+        ),
+        (
+            "pyrimidines(1.0)",
+            p2mdie::datasets::pyrimidines(1.0, BENCH_SEED),
+            2_544,
+            11_072,
+        ),
+        ("trains(20)", p2mdie::datasets::trains(20, 7), 2_788, 7_304),
+        (
+            "carcinogenesis(0.5, seed 7)",
+            p2mdie::datasets::carcinogenesis(0.5, 7),
+            171_336,
+            311_616,
+        ),
+    ];
+    for (name, d, facts, postings) in cases {
+        let kb = &d.engine.kb;
+        assert_eq!(kb.fact_store_bytes(), facts, "{name}: fact_store_bytes");
+        assert_eq!(
+            kb.posting_store_bytes(),
+            postings,
+            "{name}: posting_store_bytes"
+        );
+    }
+}
+
+/// The whole background theory, one clause at a time.
+fn theory_text(kb: &KnowledgeBase, syms: &SymbolTable) -> String {
+    let mut text = String::new();
+    for key in kb.predicates() {
+        for fact in kb.facts_for(key) {
+            text.push_str(&format!("{}\n", Clause::fact(fact).display(syms)));
+        }
+        for rule in kb.rules_for(key) {
+            text.push_str(&format!("{}\n", rule.display(syms)));
+        }
+    }
+    text
+}
+
+/// Carcinogenesis's background theory — builtin comparisons in its rules
+/// included — printed and consulted back is the same theory: as many facts
+/// and rules, and the same text printed again.
+#[test]
+fn carcinogenesis_background_prints_and_consults_back() {
+    let d = p2mdie::datasets::carcinogenesis(0.3, 2005);
+    let kb = &d.engine.kb;
+    let text = theory_text(kb, &d.syms);
+    let mut prog = Program::new();
+    prog.consult(&text).expect("the printed theory parses");
+    prog.kb_mut().optimize();
+    assert_eq!(prog.kb().num_facts(), kb.num_facts(), "facts");
+    assert_eq!(prog.kb().num_rules(), kb.num_rules(), "rules");
+    assert!(kb.num_rules() > 0);
+    assert_eq!(theory_text(prog.kb(), prog.symbols()), text);
 }
