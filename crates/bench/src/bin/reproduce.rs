@@ -17,7 +17,9 @@
 //! ```
 //!
 //! An unknown table, dataset or option exits 2 with the usage line before
-//! any work starts.
+//! any work starts, and so does a size no run can take: `--procs` outside
+//! `1..=254`, fewer than 2 `--folds`, a `--scale` that is not a positive
+//! number.
 //!
 //! Times are *virtual seconds* under the Beowulf-2005 cost model; speedup,
 //! communication, epoch and accuracy columns are directly comparable to the
@@ -28,7 +30,7 @@ use p2mdie_cluster::CostModel;
 use p2mdie_core::baselines::{run_coverage_parallel, EvalGranularity};
 use p2mdie_core::driver::{run_parallel, run_sequential_timed, ParallelConfig};
 use p2mdie_core::report::render_pipeline_trace;
-use p2mdie_core::Strategy;
+use p2mdie_core::{Strategy, MAX_WORKERS};
 use p2mdie_eval::sweep::{run_sweep, SweepConfig};
 use p2mdie_eval::tables;
 use p2mdie_ilp::settings::Width;
@@ -93,6 +95,19 @@ fn parse_args() -> Result<Args, String> {
             other if WHAT.contains(&other) => args.what.push(other.to_owned()),
             other => return Err(format!("unknown table {other}")),
         }
+    }
+    // Sizes no run can take are refused here too, before any rank starts.
+    if !(args.scale.is_finite() && args.scale > 0.0) {
+        return Err(format!("--scale {} is not a positive number", args.scale));
+    }
+    if args.folds < 2 {
+        return Err(format!(
+            "--folds {} leaves no fold to test on (2 at least)",
+            args.folds
+        ));
+    }
+    if let Some(p) = args.procs.iter().find(|p| !(1..=MAX_WORKERS).contains(*p)) {
+        return Err(format!("--procs {p} is outside 1..={MAX_WORKERS}"));
     }
     if args.what.is_empty() {
         args.what.push("all".to_owned());

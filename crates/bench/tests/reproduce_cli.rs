@@ -1,5 +1,7 @@
-//! `reproduce` refuses a name it does not know before it runs anything: a
-//! misspelt table, dataset or option exits 2 with the usage line.
+//! `reproduce` refuses a name it does not know, or a size no run can take,
+//! before it runs anything: a misspelt table, dataset or option, `--procs`
+//! outside 1..=254, fewer than 2 `--folds` or a `--scale` that is not a
+//! positive number exits 2 with the usage line.
 
 use std::process::{Command, Output};
 
@@ -21,6 +23,30 @@ fn unknown_names_are_refused() {
             "unknown dataset trains",
         ),
         (&["table1", "--scael", "0.1"], "unknown option --scael"),
+        // Sizes no run can take, refused before any rank starts.
+        (&["table5", "--procs", "0"], "--procs 0 is outside 1..=254"),
+        (
+            &["table5", "--procs", "2,300"],
+            "--procs 300 is outside 1..=254",
+        ),
+        (&["table5", "--folds", "0"], "--folds 0 leaves no fold"),
+        (&["table5", "--folds", "1"], "--folds 1 leaves no fold"),
+        (
+            &["table5", "--scale", "0"],
+            "--scale 0 is not a positive number",
+        ),
+        (
+            &["table5", "--scale", "-1"],
+            "--scale -1 is not a positive number",
+        ),
+        (
+            &["table5", "--scale", "NaN"],
+            "--scale NaN is not a positive number",
+        ),
+        (
+            &["table5", "--scale", "inf"],
+            "--scale inf is not a positive number",
+        ),
     ] {
         let out = reproduce(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

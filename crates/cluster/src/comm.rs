@@ -357,6 +357,16 @@ impl<T: Transport> Endpoint<T> {
         );
     }
 
+    /// Puts every message this rank sent on the wire: the transport may
+    /// hold sends until then ([`Transport::flush`]), and every receive
+    /// flushes first. A held message that could not be written after all is
+    /// counted as a dropped send, once.
+    pub fn flush(&mut self) {
+        for to in self.transport.flush() {
+            self.stats.record_dropped(self.rank, to);
+        }
+    }
+
     /// Non-blocking broadcast to every other rank (implemented, like LAM on
     /// switched Ethernet, as point-to-point sends — each counted in the
     /// traffic statistics).
@@ -447,6 +457,7 @@ impl<T: Transport> Endpoint<T> {
             sources.iter().all(|&s| s < self.size),
             "source rank out of range"
         );
+        self.flush();
         let rank = self.rank;
         let err = |from, fault| Err(RecvError { rank, from, fault });
         loop {

@@ -50,10 +50,15 @@
 pub mod codec;
 pub mod comm;
 pub mod net;
+#[cfg(unix)]
+mod poll;
 pub mod runtime;
 pub mod stats;
 pub mod transport;
 pub mod vtime;
+
+#[cfg(not(unix))]
+compile_error!("the TCP transport waits on its sockets with unix `poll(2)`");
 
 pub use codec::{from_bytes, to_bytes, DecodeError, Wire};
 pub use comm::{CommError, CommFailure, Endpoint, Envelope, LinkFault, RecvError};

@@ -4,9 +4,37 @@
 //! This is the layer that turns the simulator into a system that can run
 //! on an actual cluster, the way the paper ran on LAM/MPI over switched
 //! Ethernet. It is deliberately **std-only** (no async runtime, no socket
-//! crates): `std::net::TcpStream` + one reader thread per link is exactly
-//! enough for the paper's static, deterministic message pattern, and keeps
-//! the offline shim setup untouched.
+//! crates): non-blocking `std::net::TcpStream`s served by the rank's own
+//! thread are exactly enough for the paper's static, deterministic message
+//! pattern, and keep the offline shim setup untouched. The one call std
+//! does not wrap is unix `poll(2)`, declared in a small shim of this crate;
+//! the transport needs a unix host.
+//!
+//! # One thread per rank
+//!
+//! A rank's sends and receives run on the thread that runs its protocol;
+//! the transport starts no thread.
+//!
+//! * **Sending** appends the frame to the peer's write buffer. The buffers
+//!   go out — one write per peer, however many frames a burst holds — when
+//!   the rank next receives: [`crate::comm::Endpoint`] flushes at the top of
+//!   every receive, also one its pending queues serve
+//!   ([`Transport::flush`]). A poison marker and a frame over 64 KiB are
+//!   written through at once.
+//! * **Receiving** waits in `poll(2)` on every live socket and reads each
+//!   one that is readable into its link's [`FrameReader`]; complete frames
+//!   queue up as events in arrival order.
+//! * **Writes never deadlock.** The sockets are non-blocking: while a
+//!   write waits for room, the same `poll` keeps reading every peer, so two
+//!   ranks writing to each other never block on each other.
+//! * **Delivery stays honest.** A buffered frame whose write fails later is
+//!   counted once as a dropped send, at the next flush. The shutdown report
+//!   and the report collection flush first, and a dropped transport still
+//!   flushes, for two seconds at most.
+//!
+//! Grouping frames into writes changes only how they fall into TCP
+//! segments: every frame keeps its bytes and its arrival stamp, so clocks,
+//! counts and traffic are those of a write per frame.
 //!
 //! # Frame format
 //!
@@ -96,6 +124,7 @@
 
 use crate::codec::{DecodeError, Wire};
 use crate::comm::{CommFailure, Endpoint, Envelope};
+use crate::poll::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::runtime::{ClusterError, ClusterOutcome};
 use crate::stats::TrafficStats;
 use crate::transport::{Transport, TransportEvent};
@@ -103,8 +132,10 @@ use crate::vtime::CostModel;
 use bytes::Bytes;
 use p2mdie_logic::wire::decode_exact;
 use p2mdie_obs::Event;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::process::Child;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -312,22 +343,24 @@ p2mdie_logic::wire_enum!(Frame, "frame kind" {
 
 /// Encodes one frame, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    frame_bytes(frame, &[])
+    let mut out = Vec::new();
+    append_frame(&mut out, frame, &[]);
+    out
 }
 
-/// The length prefix, `frame`, and then `tail` as further body bytes. An
-/// envelope's payload is the uncounted end of its frame, so an envelope
-/// encoded with an empty payload plus the payload as `tail` is the same
-/// frame, built without first copying the payload into a [`Frame`].
-fn frame_bytes(frame: &Frame, tail: &[u8]) -> Vec<u8> {
-    // One allocation for an envelope (18 bytes before its payload).
-    let mut out = Vec::with_capacity(32 + tail.len());
+/// Appends the length prefix, `frame`, and then `tail` as further body
+/// bytes to `out`. An envelope's payload is the uncounted end of its frame,
+/// so an envelope encoded with an empty payload plus the payload as `tail`
+/// is the same frame, built without first copying the payload into a
+/// [`Frame`].
+fn append_frame(out: &mut Vec<u8>, frame: &Frame, tail: &[u8]) {
+    let start = out.len();
+    out.reserve(32 + tail.len()); // an envelope has 18 bytes before its payload
     out.extend_from_slice(&[0; 4]); // length patched below
-    frame.encode(&mut out);
+    frame.encode(out);
     out.extend_from_slice(tail);
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    out
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Incremental frame decoder over an arbitrarily-fragmented byte stream.
@@ -395,58 +428,110 @@ impl FrameReader {
 // The TCP transport.
 // ---------------------------------------------------------------------------
 
-enum NetEvent {
-    Transport(TransportEvent),
-    Report { peer: usize, report: WorkerReport },
+/// A frame whose encoding is longer than this is written through at once
+/// instead of waiting for the rank's next receive: a KB snapshot or an
+/// example subset gains nothing from sharing a write, and the link's buffer
+/// would otherwise keep a copy of it.
+const WRITE_THROUGH: usize = 64 * 1024;
+/// Bound on the flush a dropped transport still attempts, so that a peer
+/// which stopped reading cannot hold up this rank's teardown.
+const DROP_FLUSH_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// One peer's link: the non-blocking socket, the decoder its bytes go into,
+/// and the frames sent to it that wait for this rank's next receive.
+struct Link {
+    stream: TcpStream,
+    reader: FrameReader,
+    /// Encoded frames not yet on the wire; `written` of its bytes are.
+    out: Vec<u8>,
+    written: usize,
+    /// How many frames `out` holds, to count as dropped should it fail.
+    frames: usize,
+    /// Whether the peer may still send: false once its stream ended, broke
+    /// or carried bytes that do not parse.
+    reading: bool,
+    /// Whether writes still go through: false once one failed, and every
+    /// later send to the peer is a dropped send.
+    writable: bool,
 }
 
-/// A full-mesh TCP transport for one rank: one duplex stream per peer,
-/// one reader thread per stream feeding a single event queue. Built by
-/// [`MasterRendezvous::accept_workers`] (rank 0) or [`worker_connect`]
+impl Link {
+    fn pending(&self) -> bool {
+        self.writable && self.written < self.out.len()
+    }
+}
+
+/// A full-mesh TCP transport for one rank: one duplex stream per peer, all
+/// of them served by the rank's own thread. A send appends the frame to the
+/// peer's buffer; the buffers go out, one write per peer, when the rank
+/// next receives ([`Transport::flush`]); a receive waits in `poll(2)` on
+/// every live socket and reads each into its link's [`FrameReader`]. Built
+/// by [`MasterRendezvous::accept_workers`] (rank 0) or [`worker_connect`]
 /// (ranks 1..=p).
 pub struct TcpTransport {
     rank: usize,
-    streams: Vec<Option<TcpStream>>,
-    events: mpsc::Receiver<NetEvent>,
+    /// Index = peer rank; `None` for self.
+    links: Vec<Option<Link>>,
+    /// What the sockets delivered and no receive has taken yet, in arrival
+    /// order.
+    ready: VecDeque<TransportEvent>,
+    /// The destination of every buffered frame whose write failed, for the
+    /// next [`Transport::flush`] to report.
+    dropped: Vec<usize>,
     reports: Vec<Option<WorkerReport>>,
     recording: bool,
+    /// Read scratch, and the `poll` set with the peer of each entry; kept
+    /// so a receive allocates nothing.
+    chunk: Vec<u8>,
+    fds: Vec<PollFd>,
+    fd_peers: Vec<usize>,
 }
 
 impl TcpTransport {
     /// Assembles the transport from established, handshaken streams
     /// (index = peer rank; `None` for self). Any bytes a handshake read
-    /// over-consumed are carried in the per-stream [`FrameReader`]s.
+    /// over-consumed are carried in the per-stream [`FrameReader`]s, and
+    /// the frames they already complete are ready at once.
     fn assemble(
         rank: usize,
         peers: Vec<Option<(TcpStream, FrameReader)>>,
         recording: bool,
     ) -> io::Result<Self> {
         let size = peers.len();
-        let (tx, rx) = mpsc::channel();
-        let mut streams = Vec::with_capacity(size);
-        for (peer, slot) in peers.into_iter().enumerate() {
-            match slot {
-                None => streams.push(None),
+        let mut links = Vec::with_capacity(size);
+        for slot in peers {
+            links.push(match slot {
+                None => None,
                 Some((stream, reader)) => {
                     stream.set_nodelay(true)?;
-                    stream.set_read_timeout(None)?;
-                    let read_half = stream.try_clone()?;
-                    let tx = tx.clone();
-                    std::thread::Builder::new()
-                        .name(format!("p2mdie-net-r{rank}-p{peer}"))
-                        .spawn(move || reader_loop(peer, read_half, reader, tx))?;
-                    streams.push(Some(stream));
+                    stream.set_nonblocking(true)?;
+                    Some(Link {
+                        stream,
+                        reader,
+                        out: Vec::new(),
+                        written: 0,
+                        frames: 0,
+                        reading: true,
+                        writable: true,
+                    })
                 }
-            }
+            });
         }
-        drop(tx); // only reader threads hold senders now
-        Ok(TcpTransport {
+        let mut transport = TcpTransport {
             rank,
-            streams,
-            events: rx,
+            links,
+            ready: VecDeque::new(),
+            dropped: Vec::new(),
             reports: vec![None; size],
             recording,
-        })
+            chunk: vec![0; 64 * 1024],
+            fds: Vec::with_capacity(size),
+            fd_peers: Vec::with_capacity(size),
+        };
+        for peer in 0..size {
+            transport.decode(peer, false);
+        }
+        Ok(transport)
     }
 
     /// This rank's id.
@@ -456,7 +541,7 @@ impl TcpTransport {
 
     /// Total ranks in the mesh (self included).
     pub fn size(&self) -> usize {
-        self.streams.len()
+        self.links.len()
     }
 
     /// Whether the master had a trace session active as the mesh formed
@@ -466,34 +551,38 @@ impl TcpTransport {
         self.recording
     }
 
-    fn write_frame(&mut self, to: usize, bytes: &[u8]) -> bool {
-        let Some(stream) = self.streams[to].as_mut() else {
+    /// Appends bytes no statistic counts — a shutdown report, a test's raw
+    /// bytes — to the link to `to` and writes them through, with everything
+    /// buffered before them. Returns whether they reached the socket.
+    fn write_through(&mut self, to: usize, bytes: &[u8]) -> bool {
+        let Some(link) = self.links[to].as_mut().filter(|l| l.writable) else {
             return false;
         };
-        if stream.write_all(bytes).is_err() {
-            self.streams[to] = None;
-            return false;
-        }
-        true
+        link.out.extend_from_slice(bytes);
+        self.flush_until(Some(to), None);
+        self.links[to].as_ref().is_some_and(|l| l.writable)
     }
 
-    /// Sends the shutdown report to the master (rank 0). Bookkeeping, not
-    /// protocol traffic: not metered, not counted in the statistics.
+    /// Sends the shutdown report to the master (rank 0), after every frame
+    /// still buffered. Bookkeeping, not protocol traffic: not metered, not
+    /// counted in the statistics.
     pub fn send_report(&mut self, report: &WorkerReport) -> bool {
+        self.flush_until(None, None);
         let bytes = encode_frame(&Frame::Report(report.clone()));
-        self.write_frame(0, &bytes)
+        self.write_through(0, &bytes)
     }
 
     /// Writes raw bytes to a peer, bypassing the frame codec. A failure-
     /// injection aid for tests (malformed-frame propagation); never used
     /// by the protocol itself.
     pub fn send_raw_bytes(&mut self, to: usize, bytes: &[u8]) -> bool {
-        self.write_frame(to, bytes)
+        self.write_through(to, bytes)
     }
 
-    /// Master-side: blocks until every worker's shutdown [`WorkerReport`]
-    /// arrived, the links died, or `timeout` elapsed. Returns the reports
-    /// collected so far, indexed by rank.
+    /// Master-side: writes what is still buffered, then waits until every
+    /// worker's shutdown [`WorkerReport`] arrived, the links died, or
+    /// `timeout` elapsed. Returns the reports collected so far, indexed by
+    /// rank.
     pub fn collect_reports(&mut self, timeout: Duration) -> &[Option<WorkerReport>] {
         self.collect_reports_except(timeout, &[])
     }
@@ -508,70 +597,169 @@ impl TcpTransport {
         dead: &[usize],
     ) -> &[Option<WorkerReport>] {
         let deadline = Instant::now() + timeout;
+        self.flush_until(None, Some(deadline));
         while (1..self.reports.len()).any(|k| self.reports[k].is_none() && !dead.contains(&k)) {
+            self.ready.clear(); // late envelopes and closures
             let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match self.events.recv_timeout(deadline - now) {
-                Ok(NetEvent::Report { peer, report }) => self.reports[peer] = Some(report),
-                Ok(NetEvent::Transport(_)) => {} // late envelopes/closures
-                Err(_) => break,                 // timeout or every link gone
+            if now >= deadline || !self.poll_round(None, Some(deadline - now)) {
+                break; // timeout, or every link gone
             }
         }
         &self.reports
     }
-}
 
-impl Transport for TcpTransport {
-    fn send(&mut self, to: usize, env: Envelope) -> bool {
-        // Envelope sends are the hot path (a KB snapshot is multi-MB), so
-        // the payload is copied exactly once, straight into the frame,
-        // instead of first into an owned `Frame`.
-        let head = Frame::Envelope {
-            from: env.from as u32,
-            poison: env.poison,
-            arrival: env.arrival,
-            payload: Vec::new(),
-        };
-        let bytes = frame_bytes(&head, env.payload.as_slice());
-        self.write_frame(to, &bytes)
-    }
-
-    fn recv(&mut self) -> TransportEvent {
+    /// Writes the buffered frames of `only` (of every peer when `None`)
+    /// until none is left, reading every readable socket meanwhile, so that
+    /// two ranks writing to each other never block on each other. With a
+    /// `deadline`, whatever is still buffered then stays so.
+    fn flush_until(&mut self, only: Option<usize>, deadline: Option<Instant>) {
         loop {
-            match self.events.recv() {
-                Ok(NetEvent::Transport(e)) => return e,
-                Ok(NetEvent::Report { peer, report }) => self.reports[peer] = Some(report),
-                Err(_) => return TransportEvent::Closed { peer: None },
+            let mut left = false;
+            for peer in 0..self.links.len() {
+                if only.is_none_or(|o| o == peer) && !self.write_out(peer) {
+                    left = true;
+                }
+            }
+            if !left {
+                return;
+            }
+            let timeout = match deadline {
+                None => None,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(t) if !t.is_zero() => Some(t),
+                    _ => return,
+                },
+            };
+            if !self.poll_round(only, timeout) {
+                return;
             }
         }
     }
-}
 
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Unblock the reader threads; they exit on the resulting EOF/error.
-        for s in self.streams.iter().flatten() {
-            let _ = s.shutdown(Shutdown::Both);
+    /// One `poll(2)` round: waits up to `timeout` (`None`: without bound)
+    /// until a reading link is readable or a link of `writes` (every link
+    /// when `None`) with frames buffered is writable, then reads what is
+    /// ready. Returns `false` when there was nothing to wait on.
+    fn poll_round(&mut self, writes: Option<usize>, timeout: Option<Duration>) -> bool {
+        self.fds.clear();
+        self.fd_peers.clear();
+        for (peer, link) in self.links.iter().enumerate() {
+            let Some(link) = link else { continue };
+            let mut events = 0;
+            if link.reading {
+                events |= POLLIN;
+            }
+            if link.pending() && writes.is_none_or(|w| w == peer) {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                self.fds.push(PollFd {
+                    fd: link.stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
+                self.fd_peers.push(peer);
+            }
+        }
+        if self.fds.is_empty() {
+            return false;
+        }
+        match crate::poll::wait(&mut self.fds, timeout) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return true,
+            // The kernel refused the wait itself (out of memory): no socket
+            // can be served any more, so every link counts as gone.
+            Err(_) => {
+                for peer in 0..self.links.len() {
+                    self.fail_write(peer);
+                    self.end_reading(peer, TransportEvent::Closed { peer: Some(peer) });
+                }
+                return false;
+            }
+        }
+        for i in 0..self.fds.len() {
+            if self.fds[i].revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+                self.read_in(self.fd_peers[i]);
+            }
+        }
+        true
+    }
+
+    /// Writes as much of the peer's buffer as the socket takes without
+    /// blocking. Returns whether nothing is left buffered.
+    fn write_out(&mut self, peer: usize) -> bool {
+        let Some(link) = self.links[peer].as_mut() else {
+            return true;
+        };
+        while link.pending() {
+            match link.stream.write(&link.out[link.written..]) {
+                Ok(0) => break,
+                Ok(n) => link.written += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        if link.pending() {
+            self.fail_write(peer);
+            return true;
+        }
+        link.out.clear();
+        if link.out.capacity() > 2 * WRITE_THROUGH {
+            link.out = Vec::new(); // a large frame's copy goes with it
+        }
+        link.written = 0;
+        link.frames = 0;
+        true
+    }
+
+    /// The link's writes failed: its buffered frames are dropped sends, and
+    /// so is every later send to it.
+    fn fail_write(&mut self, peer: usize) {
+        let Some(link) = self.links[peer].as_mut().filter(|l| l.writable) else {
+            return;
+        };
+        link.writable = false;
+        self.dropped.extend(std::iter::repeat_n(peer, link.frames));
+        link.out = Vec::new();
+        link.written = 0;
+        link.frames = 0;
+    }
+
+    /// Reads one chunk of what the peer's socket holds into its reader and
+    /// decodes it. One chunk per `poll` round, not all there is: a bulk
+    /// stream is then decoded about as fast as it is consumed, and few of
+    /// its payloads are alive at once (reading a whole burst ahead, each
+    /// payload freshly allocated and all freed together, halved the
+    /// large-message rate of a loopback pair).
+    fn read_in(&mut self, peer: usize) {
+        let Some(link) = self.links[peer].as_mut().filter(|l| l.reading) else {
+            return;
+        };
+        loop {
+            match link.stream.read(&mut self.chunk) {
+                Ok(0) => return self.decode(peer, true),
+                Ok(n) => {
+                    link.reader.push(&self.chunk[..n]);
+                    return self.decode(peer, false);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.decode(peer, true),
+            }
         }
     }
-}
 
-/// One link's reader: drain frames, forward envelopes (and stash reports),
-/// surface closure / malformed bytes as events, exit.
-fn reader_loop(
-    peer: usize,
-    mut stream: TcpStream,
-    mut reader: FrameReader,
-    tx: mpsc::Sender<NetEvent>,
-) {
-    let mut chunk = vec![0u8; 64 * 1024];
-    loop {
-        // Drain every complete frame before reading more bytes.
-        loop {
-            match reader.next_frame() {
-                Ok(None) => break,
+    /// Turns every complete frame in the peer's reader into a ready event
+    /// (a shutdown report is kept aside); a frame that cannot be taken, or
+    /// the stream's end once every frame before it was, ends the reading.
+    fn decode(&mut self, peer: usize, ended: bool) {
+        let Some(link) = self.links[peer].as_mut().filter(|l| l.reading) else {
+            return;
+        };
+        let malformed = loop {
+            match link.reader.next_frame() {
+                Ok(None) => break None,
                 Ok(Some(Frame::Envelope {
                     from,
                     poison,
@@ -579,61 +767,87 @@ fn reader_loop(
                     payload,
                 })) => {
                     if from as usize != peer {
-                        let _ = tx.send(NetEvent::Transport(TransportEvent::Malformed {
-                            peer,
-                            context: "envelope source rank",
-                        }));
-                        return;
+                        break Some("envelope source rank");
                     }
-                    let env = Envelope {
-                        from: from as usize,
+                    self.ready.push_back(TransportEvent::Envelope(Envelope {
+                        from: peer,
                         arrival,
                         poison,
                         payload: Bytes::from(payload),
-                    };
-                    if tx
-                        .send(NetEvent::Transport(TransportEvent::Envelope(env)))
-                        .is_err()
-                    {
-                        return; // receiver gone; nothing left to do
-                    }
+                    }));
                 }
-                Ok(Some(Frame::Report(report))) => {
-                    if tx.send(NetEvent::Report { peer, report }).is_err() {
-                        return;
-                    }
-                }
+                Ok(Some(Frame::Report(report))) => self.reports[peer] = Some(report),
                 Ok(Some(Frame::Hello { .. } | Frame::Roster { .. })) => {
-                    let _ = tx.send(NetEvent::Transport(TransportEvent::Malformed {
-                        peer,
-                        context: "handshake frame after handshake",
-                    }));
-                    return;
+                    break Some("handshake frame after handshake")
                 }
-                Err(e) => {
-                    let _ = tx.send(NetEvent::Transport(TransportEvent::Malformed {
-                        peer,
-                        context: e.context,
-                    }));
-                    return;
-                }
+                Err(e) => break Some(e.context),
+            }
+        };
+        match malformed {
+            Some(context) => self.end_reading(peer, TransportEvent::Malformed { peer, context }),
+            None if ended => self.end_reading(peer, TransportEvent::Closed { peer: Some(peer) }),
+            None => {}
+        }
+    }
+
+    /// Stops reading the peer's link, with `why` as its last event.
+    fn end_reading(&mut self, peer: usize, why: TransportEvent) {
+        if let Some(link) = self.links[peer].as_mut().filter(|l| l.reading) {
+            link.reading = false;
+            self.ready.push_back(why);
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn send(&mut self, to: usize, env: Envelope) -> bool {
+        let Some(link) = self.links[to].as_mut().filter(|l| l.writable) else {
+            return false;
+        };
+        // The payload is copied exactly once, straight into the buffer,
+        // instead of first into an owned `Frame`.
+        let head = Frame::Envelope {
+            from: env.from as u32,
+            poison: env.poison,
+            arrival: env.arrival,
+            payload: Vec::new(),
+        };
+        let start = link.out.len();
+        append_frame(&mut link.out, &head, env.payload.as_slice());
+        link.frames += 1;
+        if !env.poison && link.out.len() - start <= WRITE_THROUGH {
+            return true;
+        }
+        // A poison marker must wake the peer now, and a large frame goes
+        // out on its own (see `WRITE_THROUGH`); should the write fail, the
+        // next flush reports the frame dropped.
+        self.flush_until(Some(to), None);
+        true
+    }
+
+    fn flush(&mut self) -> Vec<usize> {
+        self.flush_until(None, None);
+        std::mem::take(&mut self.dropped)
+    }
+
+    fn recv(&mut self) -> TransportEvent {
+        self.flush_until(None, None);
+        loop {
+            if let Some(event) = self.ready.pop_front() {
+                return event;
+            }
+            if !self.poll_round(None, None) {
+                return TransportEvent::Closed { peer: None };
             }
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                let _ = tx.send(NetEvent::Transport(TransportEvent::Closed {
-                    peer: Some(peer),
-                }));
-                return;
-            }
-            Ok(n) => reader.push(&chunk[..n]),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                let _ = tx.send(NetEvent::Transport(TransportEvent::Closed {
-                    peer: Some(peer),
-                }));
-                return;
-            }
+    }
+}
+
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        self.flush_until(None, Some(Instant::now() + DROP_FLUSH_TIMEOUT));
+        for link in self.links.iter().flatten() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -1234,6 +1448,7 @@ pub fn run_cluster_tcp<R>(
     // run already healed, and its traffic row is simply lost (its sends
     // were received and metered by the survivors' clocks regardless).
     let recovered_dead = ep.downed();
+    ep.flush(); // the workers' idle `Stop`s, its write failures counted
     let reports = ep
         .transport_mut()
         .collect_reports_except(timeout, &recovered_dead)

@@ -84,8 +84,23 @@ pub enum TransportEvent {
 pub trait Transport {
     /// Best-effort, non-blocking send to rank `to`. Returns `false` when
     /// the envelope could not be handed off (peer gone, stream broken);
-    /// the caller accounts such losses as dropped sends.
+    /// the caller accounts such losses as dropped sends. The transport may
+    /// hold the envelope until the next [`Transport::flush`].
     fn send(&mut self, to: usize, env: Envelope) -> bool;
+
+    /// Puts every envelope that `send` accepted on the wire, and returns the
+    /// destination of each one that could not be written after all (one
+    /// entry per envelope), for the caller to account as dropped sends.
+    ///
+    /// The contract: a frame is on the wire before the sender's next
+    /// receive returns. [`crate::comm::Endpoint`] flushes at the top of
+    /// every receive — also one its own buffers serve without asking the
+    /// transport, so no frame waits out a stage of compute — and `recv`
+    /// itself flushes first. The in-process mesh hands an envelope over in
+    /// `send`, so its flush has nothing to do.
+    fn flush(&mut self) -> Vec<usize> {
+        Vec::new()
+    }
 
     /// Blocks until the next event: a message from any peer, or a link
     /// failure. Ordering per peer is FIFO; ordering across peers is
@@ -313,6 +328,10 @@ impl<T: Transport> Transport for ChaosTransport<T> {
             env
         };
         self.inner.send(to, env)
+    }
+
+    fn flush(&mut self) -> Vec<usize> {
+        self.inner.flush()
     }
 
     fn recv(&mut self) -> TransportEvent {

@@ -359,3 +359,139 @@ fn stalled_peer_fails_worker_mesh_fast() {
     drop(master_stream);
     master.join().expect("master thread");
 }
+
+/// Runs `f` on a thread of its own; a hang fails the test after `bound`
+/// instead of stalling the suite (the thread is left behind).
+fn within<R: Send + 'static>(bound: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let r = rx
+        .recv_timeout(bound)
+        .unwrap_or_else(|_| panic!("no result within {bound:?} (deadlock?)"));
+    handle.join().expect("the bounded thread finished");
+    r
+}
+
+/// A send is held until the sender's next receive, and that includes a
+/// receive its own buffers serve without asking the transport: the frame
+/// must not wait while the sender then does something else for a while.
+#[test]
+fn a_frame_leaves_at_a_receive_served_from_the_pending_queue() {
+    use std::sync::{mpsc, Mutex};
+    use std::time::Instant;
+    // Rank 2 speaks only once rank 1's word is on the wire.
+    let (said, heard) = mpsc::channel();
+    let heard = Mutex::new(heard);
+    tcp_mesh(
+        2,
+        CostModel::free(),
+        |ep| {
+            // Rank 1's word is buffered while the master waits on rank 2.
+            let _: u8 = ep.recv_msg(2).unwrap();
+            ep.send(1, &7u32);
+            let _: u8 = ep.recv_msg(1).unwrap(); // served from the queue
+            std::thread::sleep(Duration::from_secs(2));
+            let waited: u64 = ep.recv_msg(1).unwrap();
+            assert!(waited < 1000, "the frame was held for {waited} ms");
+        },
+        |ep| match ep.rank() {
+            1 => {
+                ep.send(0, &1u8);
+                ep.flush();
+                said.send(()).expect("rank 2 listens");
+                let waiting = Instant::now();
+                let got: u32 = ep.recv_msg(0).unwrap();
+                assert_eq!(got, 7);
+                ep.send(0, &(waiting.elapsed().as_millis() as u64));
+                ep.flush();
+            }
+            _ => {
+                heard
+                    .lock()
+                    .expect("one listener")
+                    .recv()
+                    .expect("rank 1 spoke");
+                ep.send(0, &2u8);
+                ep.flush();
+            }
+        },
+    );
+}
+
+/// Two ranks that each send the other more than any socket buffer holds
+/// before either receives both complete: a rank blocked writing still
+/// reads what its peer writes.
+#[test]
+fn two_ranks_sending_each_other_16_mib_before_receiving_both_complete() {
+    let big = vec![0x5au8; 16 << 20];
+    within(Duration::from_secs(60), move || {
+        let answer = big.clone();
+        tcp_mesh(
+            1,
+            CostModel::free(),
+            move |ep| {
+                ep.send(1, &big);
+                let got: Vec<u8> = ep.recv_msg(1).unwrap();
+                assert_eq!(got, big);
+                let intact: bool = ep.recv_msg(1).unwrap();
+                assert!(intact, "rank 1 received another envelope");
+            },
+            move |ep| {
+                ep.send(0, &answer);
+                let got: Vec<u8> = ep.recv_msg(0).unwrap();
+                ep.send(0, &(got == answer));
+                ep.flush();
+            },
+        )
+    });
+}
+
+/// A peer that closed its end is named by the next receive as a closed
+/// link, on a pair as on a larger mesh.
+#[test]
+fn a_closed_peer_is_named_by_the_next_receive() {
+    within(Duration::from_secs(30), || {
+        tcp_mesh(
+            1,
+            CostModel::free(),
+            |ep| {
+                let err = ep.recv_from(1).unwrap_err();
+                assert_eq!((err.rank, err.from, err.fault), (0, 1, LinkFault::Closed));
+            },
+            |_| {}, // rank 1 leaves at once
+        )
+    });
+}
+
+/// A send held in the buffer is not counted as dropped when it is made,
+/// but once, at the flush whose write fails; a send to a link already
+/// known broken is dropped at once.
+#[test]
+fn a_held_frame_whose_write_fails_is_counted_dropped_once() {
+    within(Duration::from_secs(30), || {
+        tcp_mesh(
+            1,
+            CostModel::free(),
+            |ep| {
+                let dropped = |ep: &Endpoint<TcpTransport>| ep.stats().dropped_between(0, 1);
+                assert!(ep.recv_from(1).is_err(), "rank 1 left");
+                // The first write to a closed peer still succeeds; the
+                // peer's reset answers it.
+                ep.send(1, &1u8);
+                ep.flush();
+                std::thread::sleep(Duration::from_millis(200));
+                ep.send(1, &2u8);
+                assert_eq!(dropped(ep), 0, "held, not yet written");
+                ep.flush();
+                assert_eq!(dropped(ep), 1, "its write failed at the flush");
+                ep.send(1, &3u8);
+                assert_eq!(dropped(ep), 2, "the link is known broken");
+                ep.flush();
+                assert_eq!(dropped(ep), 2, "each frame counted once");
+            },
+            |_| {},
+        )
+    });
+}

@@ -180,6 +180,7 @@ fn serve<T: Transport>(
     }));
     match session {
         Ok(Ok(WorkerExit::Finished)) => {
+            ep.flush(); // its write failures counted before the row is read
             let report = WorkerReport {
                 vtime: ep.now(),
                 steps: ep.compute_steps(),
@@ -273,6 +274,10 @@ struct ExitAfter {
 impl Transport for ExitAfter {
     fn send(&mut self, to: usize, env: Envelope) -> bool {
         self.inner.send(to, env)
+    }
+
+    fn flush(&mut self) -> Vec<usize> {
+        self.inner.flush()
     }
 
     fn recv(&mut self) -> TransportEvent {

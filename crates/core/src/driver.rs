@@ -13,7 +13,7 @@
 
 use crate::job::{JobId, JobKind, JobOutput, JobSpec};
 use crate::master::ship_kb;
-use crate::protocol::{Msg, WorkerConfig, WorkerRole};
+use crate::protocol::{Msg, WorkerConfig, WorkerRole, MAX_WORKERS};
 use crate::remote::{spawn_worker, WorkerExit};
 use crate::report::{ParallelReport, SequentialReport};
 use crate::scheduler::{dispatch_job, live_workers, run_resident_worker, send_control};
@@ -158,10 +158,11 @@ impl ParallelConfig {
 
 /// Names the first unsupported combination of `cfg` with a job of `kind`,
 /// if any — here, before a mesh exists, because none of them can fail
-/// cleanly later: a rank silenced under `Abort` hangs the run, worker
-/// processes cannot be wrapped, the workers of a replicating strategy do
-/// not speak the recovery messages, and the baseline has no epochs to
-/// re-deal or recover.
+/// cleanly later: a mesh needs a worker and its pipeline tokens count at
+/// most [`MAX_WORKERS`], a rank silenced under `Abort` hangs the run,
+/// worker processes cannot be wrapped, the workers of a replicating
+/// strategy do not speak the recovery messages, and the baseline has no
+/// epochs to re-deal or recover.
 fn check_combination(cfg: &ParallelConfig, kind: &JobKind) -> Result<(), ClusterError> {
     let replicating = cfg.strategy.replicates();
     let aborting = cfg.recovery == RecoveryPolicy::Abort;
@@ -169,6 +170,11 @@ fn check_combination(cfg: &ParallelConfig, kind: &JobKind) -> Result<(), Cluster
     let stray = |(rank, _): &(usize, ChaosConfig)| !(1..=cfg.workers).contains(rank);
     let baseline = matches!(kind, JobKind::BaselineLearn { .. });
     let rejected = [
+        (
+            !(1..=MAX_WORKERS).contains(&cfg.workers),
+            "a worker count outside 1..=254 (a pipeline token carries its origin rank and \
+             its stage, which reaches p + 1, in one byte each)",
+        ),
         (
             baseline && (cfg.strategy != Strategy::DataPipeline || !aborting || chaos),
             "the coverage-parallel baseline with a strategy, RecoveryPolicy::Repartition \
@@ -619,7 +625,14 @@ mod tests {
         let healing = || RecoveryPolicy::Repartition { max_rank_losses: 1 };
         // The binary is never resolved, let alone spawned: the check runs first.
         let tcp = || TransportKind::Tcp(crate::remote::TcpConfig::with_worker_bin("/nonexistent"));
+        assert_eq!(MAX_WORKERS, 254, "the refusal names the bound");
+        let sized = |workers| ParallelConfig::new(workers, Width::Limit(10), 42);
         let rejected = [
+            (sized(0), "a worker count outside 1..=254"),
+            (
+                sized(MAX_WORKERS + 1).with_transport(tcp()),
+                "a worker count outside 1..=254",
+            ),
             (
                 base()
                     .with_strategy(Strategy::SearchPartition)

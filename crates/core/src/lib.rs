@@ -80,7 +80,7 @@ pub use driver::{
 pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState};
 pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterOutcome};
 pub use partition::{partition_examples, Partition};
-pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
+pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole, MAX_WORKERS};
 pub use remote::{default_worker_bin, run_remote_worker, TcpConfig, WorkerExit};
 pub use report::{render_pipeline_trace, ParallelReport, SequentialReport};
 pub use scheduler::{JobHandle, Service, ServiceConfig, ServiceReport, SubmitError};

@@ -109,6 +109,11 @@ wire_struct!(StageTrace {
     rules_out
 });
 
+/// The most worker ranks a mesh can have: a [`PipelineToken`] carries its
+/// origin rank and its stage in one byte each, and the stage reaches `p + 1`
+/// once the last one ran.
+pub const MAX_WORKERS: usize = u8::MAX as usize - 1;
+
 /// A pipeline token travelling between stages: the bottom clause built by
 /// the origin worker, the good rules found so far, and the trace.
 #[derive(Clone, Debug, PartialEq)]

@@ -86,8 +86,16 @@
 //!    rank another [`Msg::SubmitJob`] before that job's `JobResult`
 //!    drained. Nothing acknowledges a submission — the job's own frames
 //!    follow it on the same link at once — so a job costs one round trip
-//!    per rank, not three. Dispatch is serialized over the mesh;
-//!    concurrency lives in the queue, not in interleaved wire traffic.
+//!    per rank, not three. Over TCP the round trip is one write each way:
+//!    the job's frames for a rank wait in its link's buffer and leave
+//!    together when the master starts to wait for the results, and a rank's
+//!    `JobResult` leaves when it parks in its idle loop (see
+//!    `p2mdie_cluster::net`, "One thread per rank"). A frame over 64 KiB —
+//!    a rank's example subset, a KB snapshot — goes out at once; its write
+//!    waits for the rank to read, and meanwhile the master keeps reading
+//!    every link, so neither end can block the other. Dispatch is
+//!    serialized over the mesh; concurrency lives in the queue, not in
+//!    interleaved wire traffic.
 //!
 //! Cancellation is advisory and queue-side: [`JobHandle::cancel`] marks
 //! the id and the scheduler fails the job at dequeue time, before any

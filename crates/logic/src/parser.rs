@@ -5,6 +5,12 @@
 //! operators (`<`, `=<`, `>`, `>=`, `=:=`, `=\=`, `=`, `\=`, `is`), and
 //! arithmetic expressions with the usual precedence (`+ - * / mod`).
 //! Comments: `% line` and `/* block */`.
+//!
+//! A quoted atom holds any UTF-8 text, a quote inside it doubled (`'it''s'`,
+//! the ISO escape); nothing else is escaped. Integers span all of `i64`,
+//! `-9223372036854775808` included. A float is finite: `inf` and `NaN` have
+//! no literal, so a clause holding one prints text that reads back as an
+//! atom or a variable.
 
 use crate::clause::{Clause, Literal};
 use crate::symbol::SymbolTable;
@@ -39,7 +45,9 @@ impl std::error::Error for ParseError {}
 enum Tok {
     Atom(String),
     Var(String),
-    Int(i64),
+    /// An unsigned literal: its sign is the parser's, so that
+    /// `-9223372036854775808` reads.
+    Int(u64),
     Float(f64),
     LParen,
     RParen,
@@ -160,15 +168,21 @@ impl<'s> Lexer<'s> {
             }
             b'\'' => {
                 self.bump();
-                let mut s = String::new();
+                let mut bytes = Vec::new();
                 loop {
                     match self.bump() {
+                        Some(b'\'') if self.peek() == Some(b'\'') => {
+                            self.bump();
+                            bytes.push(b'\'');
+                        }
                         Some(b'\'') => break,
-                        Some(ch) => s.push(ch as char),
+                        Some(b) => bytes.push(b),
                         None => return Err(self.err("unterminated quoted atom")),
                     }
                 }
-                Tok::Atom(s)
+                // Quotes are ASCII, so the bytes between two of them are
+                // whole characters of the (UTF-8) source.
+                Tok::Atom(String::from_utf8_lossy(&bytes).into_owned())
             }
             b'0'..=b'9' => self.lex_number()?,
             b'_' | b'A'..=b'Z' => {
@@ -287,7 +301,7 @@ impl<'s> Lexer<'s> {
                 .map(Tok::Float)
                 .map_err(|e| self.err(e.to_string()))
         } else {
-            text.parse::<i64>()
+            text.parse::<u64>()
                 .map(Tok::Int)
                 .map_err(|e| self.err(e.to_string()))
         }
@@ -474,9 +488,18 @@ impl<'s> Parser<'s> {
     fn parse_unary(&mut self) -> Result<Term, ParseError> {
         if let Some(Tok::Op("-")) = self.peek() {
             self.bump();
+            // A literal is negated before it must fit: i64::MIN has no
+            // positive twin.
+            if let Some(&Tok::Int(n)) = self.peek() {
+                self.bump();
+                return 0i64
+                    .checked_sub_unsigned(n)
+                    .map(Term::Int)
+                    .ok_or_else(|| self.err_here("number too small to fit in an i64"));
+            }
             let inner = self.parse_unary()?;
             return Ok(match inner {
-                Term::Int(i) => Term::Int(-i),
+                Term::Int(i) if i != i64::MIN => Term::Int(-i),
                 Term::Float(f) => Term::Float(F64(-f.0)),
                 other => Term::app(self.syms.intern("-"), vec![other]),
             });
@@ -486,7 +509,9 @@ impl<'s> Parser<'s> {
 
     fn parse_primary(&mut self) -> Result<Term, ParseError> {
         match self.bump() {
-            Some(Tok::Int(i)) => Ok(Term::Int(i)),
+            Some(Tok::Int(n)) => i64::try_from(n)
+                .map(Term::Int)
+                .map_err(|_| self.err_here("number too large to fit in an i64")),
             Some(Tok::Float(f)) => Ok(Term::Float(F64(f))),
             Some(Tok::Var(v)) => Ok(Term::Var(self.var_id(&v))),
             Some(Tok::Atom(a)) => {
@@ -595,6 +620,30 @@ mod tests {
             }),
             "Cl"
         );
+    }
+
+    /// Non-ASCII text, a doubled quote and the smallest integer read as
+    /// themselves and print as what was read.
+    #[test]
+    fn odd_atoms_and_the_smallest_integer_read_back() {
+        for src in ["p('café').", "p('it''s').", "p(-9223372036854775808)."] {
+            let (t, c) = parse_one(src);
+            assert_eq!(format!("{}", c.display(&t)), src);
+        }
+        let (t, c) = parse_one("p('it''s', '''').");
+        let name = |a: &Term| match a {
+            Term::Sym(s) => t.name(*s).to_string(),
+            other => panic!("not an atom: {other:?}"),
+        };
+        let names: Vec<_> = c.head.args.iter().map(name).collect();
+        assert_eq!(names, ["it's", "'"]);
+        for (src, why) in [
+            ("p(9223372036854775808).", "too large"),
+            ("p(-9223372036854775809).", "too small"),
+        ] {
+            let e = Parser::new(&t, src).unwrap().parse_clause().unwrap_err();
+            assert!(e.message.contains(why), "{src}: {}", e.message);
+        }
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn write_at(f: &mut fmt::Formatter<'_>, term: &Term, syms: &SymbolTable, max: u3
 
 /// Writes `name(args…)`, or the bare name without arguments; the name is
 /// quoted unless it lexes as an atom (a lowercase letter, then letters,
-/// digits and underscores).
+/// digits and underscores), a quote inside it doubled.
 pub(crate) fn write_prefix(
     f: &mut fmt::Formatter<'_>,
     name: &str,
@@ -278,8 +278,11 @@ pub(crate) fn write_prefix(
     let mut bytes = name.bytes();
     let plain = bytes.next().is_some_and(|b| b.is_ascii_lowercase())
         && bytes.all(|b| b.is_ascii_alphanumeric() || b == b'_');
-    let quote = if plain { "" } else { "'" };
-    write!(f, "{quote}{name}{quote}")?;
+    if plain {
+        write!(f, "{name}")?;
+    } else {
+        write!(f, "'{}'", name.replace('\'', "''"))?;
+    }
     for (i, a) in args.iter().enumerate() {
         write!(f, "{}", if i == 0 { "(" } else { "," })?;
         write_term(f, a, syms)?;

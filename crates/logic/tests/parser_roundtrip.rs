@@ -1,7 +1,8 @@
 //! Property: pretty-printing a clause and parsing it back yields an
 //! α-equivalent clause (display/parse round-trip) — builtin literals and
 //! arithmetic terms included, with operators nested in every precedence
-//! combination and operator names used as plain functors.
+//! combination, operator names used as plain functors, quoted atoms with
+//! non-ASCII text or a quote inside, and the ends of `i64`.
 
 use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::parser::Parser;
@@ -11,12 +12,14 @@ use proptest::prelude::*;
 
 /// Every name the generator uses, interned in this order into each table
 /// so that a clause's symbol ids mean the same names in both.
-const NAMES: [&str; 22] = [
+const NAMES: [&str; 25] = [
     "p", "qq", "a", "b", "cde", "x1", "f", "+", "-", "*", "/", "mod", "is", "<", "=<", ">", ">=",
-    "=:=", "=\\=", "=", "\\=", "Odd name",
+    "=:=", "=\\=", "=", "\\=", "Odd name", "café", "it's", "'",
 ];
 
-const CONSTS: [&str; 6] = ["a", "b", "cde", "x1", "mod", "Odd name"];
+const CONSTS: [&str; 9] = [
+    "a", "b", "cde", "x1", "mod", "Odd name", "café", "it's", "'",
+];
 const ARITH: [&str; 5] = ["+", "-", "*", "/", "mod"];
 const BUILTINS: [&str; 9] = ["is", "<", "=<", ">", ">=", "=:=", "=\\=", "=", "\\="];
 
@@ -40,6 +43,7 @@ fn arb_term(t: &SymbolTable) -> BoxedStrategy<Term> {
         (0u32..5).prop_map(Term::Var),
         proptest::sample::select(consts),
         (-99i64..99).prop_map(Term::Int),
+        proptest::sample::select(vec![i64::MIN, i64::MIN + 1, i64::MAX]).prop_map(Term::Int),
         // Floats chosen to print exactly (avoid 0.1 + parse mismatch).
         (-8i32..8).prop_map(|i| Term::Float(F64(i as f64 * 0.5))),
     ];
