@@ -891,8 +891,9 @@ fn read_one_frame(
     }
 }
 
-/// Accepts one connection, blocking up to `deadline` (the listener is
-/// polled non-blocking so a dead dialer cannot hang the handshake).
+/// Accepts one connection, waiting up to `deadline`: the listener is
+/// non-blocking, so a dead dialer cannot hang the handshake, and the wait
+/// between attempts is a `poll(2)` on it that returns as a dialer arrives.
 fn accept_one(
     listener: &TcpListener,
     deadline: Instant,
@@ -906,10 +907,19 @@ fn accept_one(
                 return Ok(stream);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
+                let now = Instant::now();
+                if now >= deadline {
                     return Err(NetError::new(format!("{what}: accept timed out")));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                let mut fds = [PollFd {
+                    fd: listener.as_raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
+                }];
+                match crate::poll::wait(&mut fds, Some(deadline - now)) {
+                    Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
+                    _ => {}
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
@@ -1243,9 +1253,12 @@ impl ChildSet {
     }
 
     /// Polls until every child exited or `timeout` elapsed; stragglers are
-    /// killed and reaped.
+    /// killed and reaped. A child reports before it exits, so the first
+    /// polls come soon — 100 µs apart, doubling to 5 ms — and a reap does
+    /// not wait out a fixed quantum after the last report.
     fn wait_all(&mut self, timeout: Duration) {
         let deadline = Instant::now() + timeout;
+        let mut pause = Duration::from_micros(100);
         loop {
             let mut all_done = true;
             for (_, child, status) in self.children.iter_mut() {
@@ -1256,10 +1269,12 @@ impl ChildSet {
                     }
                 }
             }
-            if all_done || Instant::now() >= deadline {
+            let now = Instant::now();
+            if all_done || now >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(pause.min(deadline - now));
+            pause = (pause * 2).min(Duration::from_millis(5));
         }
         for (_, child, status) in self.children.iter_mut() {
             if status.is_none() {

@@ -6,7 +6,7 @@
 //! equal lengths.
 
 /// A fixed-length set of bits.
-#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Bitset {
     blocks: Vec<u64>,
     len: usize,
@@ -50,6 +50,28 @@ impl Bitset {
         assert_eq!(b.blocks.len(), len.div_ceil(64), "bitset word count");
         b.trim();
         b
+    }
+
+    /// Empties the set and makes it `len` bits long, in the memory it holds
+    /// (it allocates only to grow).
+    pub fn reset(&mut self, len: usize) {
+        self.blocks.clear();
+        self.blocks.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
+    /// [`Bitset::from_words`] into the memory this set holds.
+    pub fn assign_words(&mut self, len: usize, words: &[u64]) {
+        assert_eq!(words.len(), len.div_ceil(64), "bitset word count");
+        self.blocks.clear();
+        self.blocks.extend_from_slice(words);
+        self.len = len;
+        self.trim();
+    }
+
+    /// Makes the set a copy of `other`, in the memory it holds.
+    pub fn copy_from(&mut self, other: &Bitset) {
+        self.assign_words(other.len, &other.blocks);
     }
 
     /// The bits as `u64` words, lowest bits first; bits beyond `len` are 0.

@@ -16,9 +16,10 @@
 //! skipped with its step charged and nothing bound. A ground example that
 //! passes, against a head of distinct variables and ground terms (the
 //! usual head), binds each head variable straight to its
-//! argument, keeping the argument's arena id: the body's goals then probe
-//! the variable by id. Any other head or example is unified, as every
-//! example once was.
+//! argument, keeping the argument's arena id — read from the ids found once
+//! per example list ([`ExampleIds`]) when the caller has them, else looked
+//! up: the body's goals then probe the variable by id. Any other head or
+//! example is unified, as every example once was.
 //!
 //! # Parallel evaluation
 //!
@@ -31,12 +32,16 @@
 //! fuel accounting) is preserved exactly.
 
 use crate::bitset::Bitset;
+use crate::bottom::BottomClause;
 use crate::examples::Examples;
-use p2mdie_logic::clause::{Clause, CompiledGoals, Literal};
+use crate::refine::RuleShape;
+use p2mdie_logic::arena::{TermArena, TermId};
+use p2mdie_logic::clause::{Clause, CompiledGoalsRef, CompiledLiteral, LitKind, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::prover::{ProofLimits, Prover};
 use p2mdie_logic::subst::Bindings;
-use p2mdie_logic::term::Term;
+use p2mdie_logic::term::{Term, VarId};
+use std::sync::OnceLock;
 
 /// Below this many live examples on a side, thread spawn overhead outweighs
 /// the win and evaluation stays on the calling thread.
@@ -66,41 +71,96 @@ impl Coverage {
     }
 }
 
-/// Resolves a thread-count knob: `0` means "one thread per available core".
+/// Resolves a thread-count knob: `0` means "one thread per available core",
+/// asked of the OS (cgroup and affinity reads, tens of microseconds) once
+/// per process.
 fn resolve_threads(threads: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if threads != 0 {
         return threads;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A rule compiled for repeated evaluation: variables renumbered densely
 /// ([`Clause::dense`]), body dispatch resolved once (see
-/// [`p2mdie_logic::clause::CompiledGoals`]), rename-apart span and head
-/// shape precomputed. Prepare once per candidate rule; prove per example.
-/// Each proof runs column-native end to end: body goals retrieve `(PredId,
-/// row-index)` candidates and unify against the KB's arena-id tuples, so
-/// coverage testing touches no row literals (the examples themselves are
-/// the only literals in play).
+/// [`p2mdie_logic::clause::CompiledGoals`]), the arena ids of the body's
+/// constants found once (see [`CompiledGoalsRef::ids`]), rename-apart span
+/// and head shape precomputed. Prepare once per candidate rule; prove per
+/// example. Each proof runs column-native end to end: body goals retrieve
+/// `(PredId, row-index)` candidates and unify against the KB's arena-id
+/// tuples, so coverage testing touches no row literals (the examples
+/// themselves are the only literals in play).
+///
+/// A rule scored on its own is compiled by [`prepare_rule`]. A search node
+/// is compiled from ⊥e ([`CompiledBottom::compile`]) into the one
+/// `PreparedRule` its search keeps: the literals are rewritten in the
+/// argument boxes the last node left, so a node allocates nothing. Both
+/// ways give equal rules — literals, dispatch, variable numbering, spans
+/// and ids (`tests/node_compile.rs`).
 #[derive(Clone, Debug)]
 pub struct PreparedRule {
     /// The rule head (examples unify against it).
-    pub head: Literal,
-    /// Compiled body conjunction.
-    pub body: CompiledGoals,
+    head: Literal,
+    /// The compiled body is `body[..len]`; the literals past it are kept
+    /// for the next rule compiled into this one to rewrite.
+    body: Vec<CompiledLiteral>,
+    len: usize,
+    /// The arena id of every argument of the body, in order (see
+    /// [`CompiledGoalsRef::ids`]).
+    ids: Vec<TermId>,
+    /// One past the largest variable id of the body.
+    body_span: VarId,
     /// Variable span of the whole clause (head + body): its number of
     /// variables.
-    pub span: usize,
+    span: usize,
     /// The head argument positions that hold a ground term.
-    ground_args: Box<[usize]>,
+    ground_args: Vec<usize>,
     /// True when every head argument is a ground term or a variable that
     /// occurs nowhere else in the head.
     simple_head: bool,
 }
 
 impl PreparedRule {
+    /// The rule head.
+    pub fn head(&self) -> &Literal {
+        &self.head
+    }
+
+    /// The compiled body literals, in order.
+    pub fn body(&self) -> &[CompiledLiteral] {
+        &self.body[..self.len]
+    }
+
+    /// The arena id of every argument of the body, in order:
+    /// [`TermId::NONE`] for a non-ground argument or one the arena lacks.
+    pub fn ids(&self) -> &[TermId] {
+        &self.ids
+    }
+
+    /// The body as the prover runs it.
+    pub fn goals(&self) -> CompiledGoalsRef<'_> {
+        CompiledGoalsRef {
+            lits: self.body(),
+            ids: &self.ids,
+            var_span: self.body_span,
+        }
+    }
+
+    /// Variable span of the whole clause: its number of variables.
+    pub fn span(&self) -> usize {
+        self.span
+    }
+
+    /// The head argument positions that hold a ground term.
+    pub fn ground_args(&self) -> &[usize] {
+        &self.ground_args
+    }
+
     /// False when `ex` cannot unify with the head: another predicate or
     /// arity, or a different ground term at a ground head position.
     #[inline]
@@ -114,11 +174,10 @@ impl PreparedRule {
     }
 }
 
-/// Compiles `rule` against `kb` for evaluation via
-/// [`evaluate_side_prepared`].
-pub fn prepare_rule(kb: &KnowledgeBase, rule: &Clause) -> PreparedRule {
-    let rule = rule.dense();
-    let args = &rule.head.args;
+/// The head's ground positions, and whether every other argument is a
+/// variable no other argument repeats.
+fn head_shape(head: &Literal) -> (Vec<usize>, bool) {
+    let args = &head.args;
     let mut head_vars = Vec::new();
     let simple_head = args.iter().all(|a| match a {
         Term::Var(v) if head_vars.contains(v) => false,
@@ -128,87 +187,385 @@ pub fn prepare_rule(kb: &KnowledgeBase, rule: &Clause) -> PreparedRule {
         }
         t => t.is_ground(),
     });
+    let ground_args = (0..args.len()).filter(|&p| args[p].is_ground()).collect();
+    (ground_args, simple_head)
+}
+
+/// Appends the arena id of each of `lit`'s arguments to `out`: the id of a
+/// ground argument the arena holds, [`TermId::NONE`] for any other.
+fn arg_ids(arena: &TermArena, lit: &Literal, out: &mut Vec<TermId>) {
+    out.extend(lit.args.iter().map(|a| match a.is_ground() {
+        true => arena.lookup(a).unwrap_or(TermId::NONE),
+        false => TermId::NONE,
+    }));
+}
+
+/// Compiles `rule` against `kb` for evaluation via
+/// [`ProofScratch::evaluate_side`].
+pub fn prepare_rule(kb: &KnowledgeBase, rule: &Clause) -> PreparedRule {
+    let rule = rule.dense();
+    let body = kb.compile_goals(&rule.body);
+    let mut ids = Vec::new();
+    for lit in &rule.body {
+        arg_ids(kb.arena(), lit, &mut ids);
+    }
+    let (ground_args, simple_head) = head_shape(&rule.head);
     PreparedRule {
         head: rule.head.clone(),
-        body: kb.compile_goals(&rule.body),
+        len: body.lits.len(),
+        body: body.lits.into_vec(),
+        ids,
+        body_span: body.var_span,
         span: rule.var_span() as usize,
-        ground_args: (0..args.len()).filter(|&p| args[p].is_ground()).collect(),
+        ground_args,
         simple_head,
     }
 }
 
-/// Evaluates one side (positive or negative examples) over `[lo, hi)`,
-/// reusing one binding store across the whole range.
-fn eval_range(
-    prover: &Prover<'_>,
-    rule: &PreparedRule,
-    lits: &[Literal],
-    live: Option<&Bitset>,
-    lo: usize,
-    hi: usize,
-) -> (Bitset, u64) {
-    match live {
-        None => eval_indices(prover, rule, lits, lo..hi),
-        // Walk set bits directly: a sparse mask (deep refinements cover
-        // little) costs O(|coverage|), not O(|E|).
-        Some(l) => eval_indices(
-            prover,
-            rule,
-            lits,
-            l.iter_ones()
-                .skip_while(|&i| i < lo)
-                .take_while(|&i| i < hi),
-        ),
+/// A variable [`CompiledBottom::compile`] has not met in the node.
+const UNMET: VarId = VarId::MAX;
+
+/// ⊥e compiled once per search, so that each node's [`PreparedRule`] is
+/// built without a `Clause`, a rename map or a dispatch lookup: per literal
+/// its dispatch, the arena ids of its arguments and its variable
+/// occurrences, and the head's shape, which no renaming changes.
+pub struct CompiledBottom<'b> {
+    bottom: &'b BottomClause,
+    /// Per body literal of ⊥e its dispatch.
+    kinds: Vec<LitKind>,
+    /// The arguments' ids of every body literal, in order: literal `i`'s
+    /// are `ids[id_at[i]..id_at[i + 1]]`.
+    ids: Vec<TermId>,
+    id_at: Vec<usize>,
+    /// The variable occurrences of the head (literal 0) and of every body
+    /// literal (`i + 1`), each in argument order: `vars[var_at[l]..var_at[l +
+    /// 1]]`.
+    vars: Vec<VarId>,
+    var_at: Vec<usize>,
+    ground_args: Vec<usize>,
+    simple_head: bool,
+    /// Scratch of [`CompiledBottom::compile`]: per variable of ⊥e its
+    /// number in the node ([`UNMET`] between calls), and the node's
+    /// variables in first-occurrence order.
+    renamed: Vec<VarId>,
+    order: Vec<VarId>,
+}
+
+impl<'b> CompiledBottom<'b> {
+    /// Compiles `bottom`'s literals against `kb`.
+    pub fn new(kb: &KnowledgeBase, bottom: &'b BottomClause) -> Self {
+        let mut out = CompiledBottom {
+            bottom,
+            kinds: Vec::with_capacity(bottom.lits.len()),
+            ids: Vec::new(),
+            id_at: vec![0],
+            vars: Vec::new(),
+            var_at: vec![0],
+            ground_args: Vec::new(),
+            simple_head: false,
+            renamed: Vec::new(),
+            order: Vec::new(),
+        };
+        (out.ground_args, out.simple_head) = head_shape(&bottom.head);
+        bottom.head.collect_vars(&mut out.vars);
+        out.var_at.push(out.vars.len());
+        for bl in &bottom.lits {
+            out.kinds.push(kb.litkind(&bl.lit));
+            arg_ids(kb.arena(), &bl.lit, &mut out.ids);
+            out.id_at.push(out.ids.len());
+            bl.lit.collect_vars(&mut out.vars);
+            out.var_at.push(out.vars.len());
+        }
+        let span = out.vars.iter().max().map_or(0, |&v| v as usize + 1);
+        out.renamed = vec![UNMET; span];
+        out
+    }
+
+    /// An empty rule to compile nodes into.
+    pub fn rule(&self) -> PreparedRule {
+        PreparedRule {
+            head: self.bottom.head.clone(),
+            body: Vec::new(),
+            len: 0,
+            ids: Vec::new(),
+            body_span: 0,
+            span: 0,
+            ground_args: self.ground_args.clone(),
+            simple_head: self.simple_head,
+        }
+    }
+
+    /// Compiles `shape` into `rule`, which [`CompiledBottom::rule`] made:
+    /// what [`prepare_rule`] makes of `shape.to_clause(⊥e)`, numbered as
+    /// [`Clause::dense`] numbers it — kept when the clause's variables are
+    /// exactly `0..n`, else renamed in first-occurrence order, head first.
+    /// The numbering is not cosmetic: a fact's own variables are not
+    /// renamed apart, so an irregular row meets the rule's variables by
+    /// number.
+    pub fn compile(&mut self, shape: &RuleShape, rule: &mut PreparedRule) {
+        let occurrences = |l: usize| self.var_at[l]..self.var_at[l + 1];
+        let literals = std::iter::once(0).chain(shape.lits.iter().map(|&i| i as usize + 1));
+        self.order.clear();
+        for l in literals {
+            for &v in &self.vars[occurrences(l)] {
+                if self.renamed[v as usize] == UNMET {
+                    self.renamed[v as usize] = 0;
+                    self.order.push(v);
+                }
+            }
+        }
+        let n = self.order.len();
+        let dense = self.order.iter().all(|&v| (v as usize) < n);
+        for (k, &v) in self.order.iter().enumerate() {
+            self.renamed[v as usize] = if dense { v } else { k as VarId };
+        }
+
+        rename_into(&self.bottom.head, &mut rule.head, &self.renamed);
+        rule.len = 0;
+        rule.ids.clear();
+        let mut body_span = 0;
+        for &i in &shape.lits {
+            let i = i as usize;
+            let lit = &self.bottom.lits[i].lit;
+            let k = rule.len;
+            // A kept literal of the same arity takes slot `k`; else one is
+            // made, once, and stays.
+            let spare = rule.body[k..]
+                .iter()
+                .position(|c| c.lit.args.len() == lit.args.len());
+            if spare.is_none() {
+                rule.body.push(CompiledLiteral {
+                    lit: lit.clone(),
+                    kind: self.kinds[i],
+                });
+            }
+            let at = spare.map_or(rule.body.len() - 1, |j| k + j);
+            rule.body.swap(k, at);
+            let slot = &mut rule.body[k];
+            slot.kind = self.kinds[i];
+            rename_into(lit, &mut slot.lit, &self.renamed);
+            rule.ids
+                .extend_from_slice(&self.ids[self.id_at[i]..self.id_at[i + 1]]);
+            rule.len += 1;
+            for &v in &self.vars[occurrences(i + 1)] {
+                body_span = body_span.max(self.renamed[v as usize] + 1);
+            }
+        }
+        rule.body_span = body_span;
+        rule.span = n;
+        for &v in &self.order {
+            self.renamed[v as usize] = UNMET;
+        }
     }
 }
 
-/// Proves `rule` against each indexed example: the head test of the module
-/// docs (one step, charged whatever the test costs), then the compiled body.
-/// A `mesh(A, 7)` head skips about 11 examples in 12 before the store is
-/// touched; a surviving ground example costs one arena lookup per head
-/// variable, and no body goal hashes that variable again.
-fn eval_indices(
-    prover: &Prover<'_>,
-    rule: &PreparedRule,
-    lits: &[Literal],
-    indices: impl Iterator<Item = usize>,
-) -> (Bitset, u64) {
-    let arena = prover.kb().arena();
-    let mut bits = Bitset::new(lits.len());
-    let mut steps = 0u64;
-    let mut scratch = Bindings::with_capacity(rule.span);
-    for i in indices {
-        steps += 1; // head-match attempt
-        let example = &lits[i];
-        if !rule.head_may_match(example) {
-            continue;
-        }
-        scratch.reset(rule.span);
-        let matched = if rule.simple_head && example.is_ground() {
-            for (h, arg) in rule.head.args.iter().zip(example.args.iter()) {
-                if let Term::Var(v) = h {
-                    scratch.bind_ground(*v, arg, arena);
-                }
-            }
-            true
-        } else {
-            scratch.unify_literals(&rule.head, example, false)
+/// Writes `src` with every variable renamed by `renamed` over `dst`, a
+/// literal of the same arity, in the box `dst` holds.
+fn rename_into(src: &Literal, dst: &mut Literal, renamed: &[VarId]) {
+    debug_assert_eq!(src.args.len(), dst.args.len());
+    dst.pred = src.pred;
+    for (d, s) in dst.args.iter_mut().zip(src.args.iter()) {
+        *d = match s {
+            Term::Var(v) => Term::Var(renamed[*v as usize]),
+            Term::App(..) => s.map_vars(&mut |v| Term::Var(renamed[v as usize])),
+            constant => constant.clone(),
         };
-        if matched {
-            let (ok, st) = prover.prove_compiled_reusing(&rule.body, &mut scratch);
-            steps += st.steps;
-            if ok {
-                bits.set(i);
+    }
+}
+
+/// The arena ids of an example list's arguments, in example order: found
+/// once per list and knowledge base, and handed to the head test, which
+/// then binds a head variable by id instead of hashing the argument. The
+/// ids are hints ([`TermArena::lookup_hinted`]): one that does not name
+/// its argument in the arena at hand is looked past, so a list of ids
+/// made against another knowledge base changes no binding.
+#[derive(Debug, Default)]
+pub struct ExampleIds {
+    ids: Vec<TermId>,
+    at: Vec<usize>,
+}
+
+impl ExampleIds {
+    /// Looks up every argument of every example of `lits` in `arena`.
+    pub fn new(arena: &TermArena, lits: &[Literal]) -> Self {
+        let mut out = ExampleIds {
+            ids: Vec::new(),
+            at: vec![0],
+        };
+        for lit in lits {
+            arg_ids(arena, lit, &mut out.ids);
+            out.at.push(out.ids.len());
+        }
+        out
+    }
+
+    /// The ids of example `i`'s arguments; none past the list.
+    pub fn of(&self, i: usize) -> &[TermId] {
+        match (self.at.get(i), self.at.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => &self.ids[lo..hi],
+            _ => &[],
+        }
+    }
+}
+
+/// One proof scratch: a prover, with its pool of plan buffers, and one
+/// binding store, made once and reused by every proof of a search. A side
+/// evaluated through it allocates nothing once the buffers have grown.
+pub struct ProofScratch<'a> {
+    prover: Prover<'a>,
+    bindings: Bindings,
+}
+
+impl<'a> ProofScratch<'a> {
+    /// A scratch for proofs against `kb` under `proof`.
+    pub fn new(kb: &'a KnowledgeBase, proof: ProofLimits) -> Self {
+        ProofScratch {
+            prover: Prover::new(kb, proof),
+            bindings: Bindings::new(),
+        }
+    }
+
+    /// [`evaluate_side_threads`] of a compiled rule into `covered`, with
+    /// the arena ids of `lits`' arguments when the caller has them. Returns
+    /// the steps.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate_side(
+        &mut self,
+        rule: &PreparedRule,
+        lits: &[Literal],
+        ids: Option<&ExampleIds>,
+        live: Option<&Bitset>,
+        threads: usize,
+        covered: &mut Bitset,
+    ) -> u64 {
+        let n = lits.len();
+        // Threshold on *live* examples: under monotone pruning a deep
+        // refinement may be live on a handful of a thousand examples, and
+        // spawning threads for mostly-dead ranges costs more than it saves.
+        let workload = live.map_or(n, Bitset::count);
+        let cap = workload.div_ceil(PARALLEL_MIN_EXAMPLES);
+        let threads = if cap <= 1 {
+            1
+        } else {
+            resolve_threads(threads).min(cap)
+        };
+        covered.reset(n);
+        if threads <= 1 {
+            return self.eval_range(rule, lits, ids, live, 0..n, covered);
+        }
+        let (kb, proof) = (self.prover.kb(), self.prover.limits());
+        let chunk = n.div_ceil(threads);
+        let parts: Vec<(Bitset, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|k| {
+                    let range = k * chunk..((k + 1) * chunk).min(n);
+                    scope.spawn(move || {
+                        let mut bits = Bitset::new(n);
+                        let mut scratch = ProofScratch::new(kb, proof);
+                        let steps = scratch.eval_range(rule, lits, ids, live, range, &mut bits);
+                        (bits, steps)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("coverage worker panicked"))
+                .collect()
+        });
+        // Merge in chunk order: bits are disjoint, the step sum is
+        // order-invariant — bit-identical to the sequential pass.
+        let mut steps = 0u64;
+        for (b, s) in parts {
+            covered.union_with(&b);
+            steps += s;
+        }
+        steps
+    }
+
+    /// Evaluates one side (positive or negative examples) over `range` into
+    /// `bits`, reusing one binding store across the whole range.
+    fn eval_range(
+        &mut self,
+        rule: &PreparedRule,
+        lits: &[Literal],
+        ids: Option<&ExampleIds>,
+        live: Option<&Bitset>,
+        range: std::ops::Range<usize>,
+        bits: &mut Bitset,
+    ) -> u64 {
+        match live {
+            None => self.eval_indices(rule, lits, ids, range, bits),
+            // Walk set bits directly: a sparse mask (deep refinements cover
+            // little) costs O(|coverage|), not O(|E|).
+            Some(l) => {
+                let (lo, hi) = (range.start, range.end);
+                let indices = l
+                    .iter_ones()
+                    .skip_while(|&i| i < lo)
+                    .take_while(|&i| i < hi);
+                self.eval_indices(rule, lits, ids, indices, bits)
             }
         }
     }
-    (bits, steps)
+
+    /// Proves `rule` against each indexed example, setting the bits of those
+    /// covered: the head test of the module docs (one step, charged
+    /// whatever the test costs), then the compiled body. A `mesh(A, 7)` head
+    /// skips about 11 examples in 12 before the store is touched; a
+    /// surviving ground example binds each head variable by the id `ids`
+    /// holds for its argument (one compare; a lookup without one), and no
+    /// body goal hashes that variable again.
+    fn eval_indices(
+        &mut self,
+        rule: &PreparedRule,
+        lits: &[Literal],
+        ids: Option<&ExampleIds>,
+        indices: impl Iterator<Item = usize>,
+        bits: &mut Bitset,
+    ) -> u64 {
+        let (prover, bindings) = (&self.prover, &mut self.bindings);
+        let arena = prover.kb().arena();
+        let mut steps = 0u64;
+        for i in indices {
+            steps += 1; // head-match attempt
+            let example = &lits[i];
+            if !rule.head_may_match(example) {
+                continue;
+            }
+            // Exactly `span` free slots, as a store made for this rule has.
+            bindings.reset(rule.span);
+            bindings.ensure(rule.span);
+            let matched = if rule.simple_head && example.is_ground() {
+                let hints = ids.map_or(&[][..], |ids| ids.of(i));
+                for (k, (h, arg)) in rule.head.args.iter().zip(example.args.iter()).enumerate() {
+                    if let Term::Var(v) = h {
+                        let hint = hints.get(k).copied().unwrap_or(TermId::NONE);
+                        let id = arena.lookup_hinted(arg, hint).unwrap_or(TermId::NONE);
+                        bindings.bind_ground_id(*v, arg, id);
+                    }
+                }
+                true
+            } else {
+                bindings.unify_literals(&rule.head, example, false)
+            };
+            if matched {
+                let (ok, st) = prover.prove_compiled_reusing(rule.goals(), bindings);
+                steps += st.steps;
+                if ok {
+                    bits.set(i);
+                }
+            }
+        }
+        steps
+    }
 }
 
 /// Evaluates `rule` on one side (a positive or negative example list),
 /// fanned out over `threads` contiguous chunks; `0` means one thread per
 /// available core. Returns the covered bitset and the inference steps
-/// spent. Bit-identical for every thread count.
+/// spent. Bit-identical for every thread count. A caller that evaluates a
+/// rule more than once compiles it once ([`prepare_rule`]) and keeps a
+/// [`ProofScratch`] instead.
 pub fn evaluate_side_threads(
     kb: &KnowledgeBase,
     proof: ProofLimits,
@@ -217,64 +574,11 @@ pub fn evaluate_side_threads(
     live: Option<&Bitset>,
     threads: usize,
 ) -> (Bitset, u64) {
-    let prepared = prepare_rule(kb, rule);
-    evaluate_side_prepared(kb, proof, &prepared, lits, live, threads)
-}
-
-/// [`evaluate_side_threads`] over an already-compiled rule: the per-rule
-/// compile (dispatch resolution, span scan) is hoisted out of the search's
-/// two-sides-per-node pattern.
-pub fn evaluate_side_prepared(
-    kb: &KnowledgeBase,
-    proof: ProofLimits,
-    rule: &PreparedRule,
-    lits: &[Literal],
-    live: Option<&Bitset>,
-    threads: usize,
-) -> (Bitset, u64) {
-    let n = lits.len();
-    // Threshold on *live* examples: under monotone pruning a deep
-    // refinement may be live on a handful of a thousand examples, and
-    // spawning threads for mostly-dead ranges costs more than it saves.
-    let workload = live.map_or(n, Bitset::count);
-    let cap = workload.div_ceil(PARALLEL_MIN_EXAMPLES);
-    // Resolving `0` asks the OS (cgroup and affinity reads): only when the
-    // side is large enough to fan out at all.
-    let threads = if cap <= 1 {
-        1
-    } else {
-        resolve_threads(threads).min(cap)
-    };
-    if threads <= 1 {
-        let prover = Prover::new(kb, proof);
-        return eval_range(&prover, rule, lits, live, 0, n);
-    }
-    let chunk = n.div_ceil(threads);
-    let parts: Vec<(Bitset, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|k| {
-                let lo = k * chunk;
-                let hi = (lo + chunk).min(n);
-                scope.spawn(move || {
-                    let prover = Prover::new(kb, proof);
-                    eval_range(&prover, rule, lits, live, lo, hi)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("coverage worker panicked"))
-            .collect()
-    });
-    // Merge in chunk order: bits are disjoint, the step sum is
-    // order-invariant — bit-identical to the sequential pass.
-    let mut bits = Bitset::new(n);
-    let mut steps = 0u64;
-    for (b, s) in parts {
-        bits.union_with(&b);
-        steps += s;
-    }
-    (bits, steps)
+    let rule = prepare_rule(kb, rule);
+    let mut covered = Bitset::default();
+    let mut scratch = ProofScratch::new(kb, proof);
+    let steps = scratch.evaluate_side(&rule, lits, None, live, threads, &mut covered);
+    (covered, steps)
 }
 
 /// Evaluates `rule` on `examples`, optionally restricted to live subsets.
@@ -309,10 +613,14 @@ pub fn evaluate_rule_threads(
 ) -> Coverage {
     // Compile once; both sides (and every example) reuse the dispatch.
     let rule = prepare_rule(kb, rule);
-    let (pos, pos_steps) =
-        evaluate_side_prepared(kb, proof, &rule, &examples.pos, live_pos, threads);
-    let (neg, neg_steps) =
-        evaluate_side_prepared(kb, proof, &rule, &examples.neg, live_neg, threads);
+    let mut scratch = ProofScratch::new(kb, proof);
+    let mut side = |lits: &[Literal], live| {
+        let mut covered = Bitset::default();
+        let steps = scratch.evaluate_side(&rule, lits, None, live, threads, &mut covered);
+        (covered, steps)
+    };
+    let (pos, pos_steps) = side(&examples.pos, live_pos);
+    let (neg, neg_steps) = side(&examples.neg, live_neg);
     Coverage {
         pos,
         neg,

@@ -44,8 +44,10 @@
 //!
 //! # Budget
 //!
-//! The capacity of those four vectors plus the struct itself is the memo's
-//! accounted size, and it never exceeds `BUDGET`: every vector grows
+//! The capacity of those four vectors plus the struct itself — but for
+//! what it works in rather than stores, a node's bitsets and the examples'
+//! arena ids (`Working`) — is the memo's accounted size, and it never
+//! exceeds `BUDGET`: every vector grows
 //! through `CoverageMemo::make_room` only, which evicts before it grows
 //! past the budget and refuses when nothing may be evicted — the node's
 //! result is then not stored (or, for a skeleton, the clauses using it get
@@ -63,7 +65,7 @@
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
-use crate::coverage::{evaluate_side_prepared, prepare_rule, Coverage, PreparedRule};
+use crate::coverage::{prepare_rule, Coverage, ExampleIds, PreparedRule, ProofScratch};
 use crate::examples::Examples;
 use crate::refine::RuleShape;
 use crate::settings::Settings;
@@ -73,6 +75,7 @@ use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::term::{Term, VarId};
 use std::hash::Hasher;
 use std::mem::size_of;
+use std::sync::Arc;
 
 /// Hard cap on the bytes one memo allocates. See the "Memory" paragraph of
 /// [`crate::search`]'s module docs for how it was chosen.
@@ -380,11 +383,13 @@ impl StoredSet<'_> {
         }
     }
 
-    fn read(&self) -> Bitset {
+    /// Decodes the set into `out`, in the memory `out` holds.
+    fn read_into(&self, out: &mut Bitset) {
         if self.run {
-            Bitset::from_indices(self.bits, self.indices())
+            out.reset(self.bits);
+            self.indices().for_each(|i| out.set(i));
         } else {
-            Bitset::from_words(self.bits, self.words.iter().copied())
+            out.assign_words(self.bits, self.words);
         }
     }
 }
@@ -463,16 +468,41 @@ struct Layout {
     words: usize,
 }
 
-/// What [`CoverageMemo::evaluate`] found out about one node.
-pub(crate) struct Evaluated {
+/// What [`CoverageMemo::evaluate`] found out about one node, read from the
+/// memo's scratch until the next node.
+pub(crate) struct Evaluated<'a> {
     /// Covered positives among the live ones, and the steps charged.
-    pub pos: Bitset,
+    pub pos: &'a Bitset,
     pub pos_steps: u64,
     /// The same for the negatives, when the node needs them.
-    pub neg: Option<(Bitset, u64)>,
+    pub neg: Option<(&'a Bitset, u64)>,
     /// The most proving either side took.
     pub ran: Ran,
 }
+
+/// The bitsets a node is evaluated in, kept from node to node so that none
+/// is allocated per node: per side the covered set the node answers with,
+/// and the working sets of a difference proof.
+#[derive(Default)]
+struct Scratch {
+    covered: [Bitset; 2],
+    work: [Bitset; 3],
+}
+
+/// What the memo works in rather than stores, and so outside its budget,
+/// which bounds what it *stores*: a node's bitsets, a few masks' worth
+/// whatever the memo holds, and the example list the memo stands for with
+/// the arena ids of its arguments ([`CoverageMemo::example_ids`]), one id
+/// per argument of an example the rank holds anyway.
+#[derive(Default)]
+struct Working {
+    scratch: Scratch,
+    example_ids: Option<(Examples, Arc<[ExampleIds; 2]>)>,
+}
+
+/// The bytes of the memo's own struct that count against the budget:
+/// every field but its [`Working`] part.
+const OWN_BYTES: usize = size_of::<CoverageMemo>() - size_of::<Working>();
 
 /// The coverage memo of one covering loop; see the module docs and
 /// [`crate::search`]'s. It is valid for one example list, one
@@ -499,6 +529,7 @@ pub struct CoverageMemo {
     allocated: usize,
     budget: usize,
     stats: MemoStats,
+    working: Working,
 }
 
 impl Default for CoverageMemo {
@@ -519,9 +550,10 @@ impl CoverageMemo {
             evictable: 0,
             skeletons: Vec::new(),
             skeleton_index: Index::default(),
-            allocated: size_of::<Self>(),
+            allocated: OWN_BYTES,
             budget: BUDGET,
             stats: MemoStats::default(),
+            working: Working::default(),
         }
     }
 
@@ -555,6 +587,28 @@ impl CoverageMemo {
     /// The bound [`CoverageMemo::bytes`] never exceeds.
     pub fn budget(&self) -> usize {
         self.budget
+    }
+
+    /// The arena ids of `examples`' arguments in `kb`, for the head test to
+    /// bind by ([`ExampleIds`]): looked up once per example list and kept
+    /// with the entries, which stand for one list and one KB too — a
+    /// [`CoverageMemo::clear`] drops them, and another list replaces them.
+    /// They are hints, so a KB that changed under them costs lookups, not
+    /// results.
+    pub(crate) fn example_ids(
+        &mut self,
+        kb: &KnowledgeBase,
+        examples: &Examples,
+    ) -> Arc<[ExampleIds; 2]> {
+        if let Some((held, ids)) = &self.working.example_ids {
+            if held.pos.shares(&examples.pos) && held.neg.shares(&examples.neg) {
+                return Arc::clone(ids);
+            }
+        }
+        let sides = [&examples.pos, &examples.neg];
+        let ids = Arc::new(sides.map(|lits| ExampleIds::new(kb.arena(), lits)));
+        self.working.example_ids = Some((examples.clone(), Arc::clone(&ids)));
+        ids
     }
 
     /// Opens a search over example lists of `n_pos` and `n_neg` examples:
@@ -639,46 +693,58 @@ impl CoverageMemo {
     /// Evaluates one node — the clause `key` stands for, on the `live`
     /// positives and, if `needs_neg` of the covered count says so, on the
     /// `live` negatives — proving as little as the stored entry allows, and
-    /// stores what it learnt. `prove` runs the clause on a mask of one side
-    /// and returns the covered examples and the steps taken; without a key
-    /// everything is proved and nothing stored.
+    /// stores what it learnt. `prove` runs the clause on a mask of one side,
+    /// writes the covered examples into the bitset it is handed and returns
+    /// the steps taken; without a key everything is proved and nothing
+    /// stored.
     pub(crate) fn evaluate(
         &mut self,
         key: Option<&Key>,
         live: [&Bitset; 2],
         needs_neg: impl Fn(u32) -> bool,
-        mut prove: impl FnMut(Side, &Bitset) -> (Bitset, u64),
-    ) -> Evaluated {
+        mut prove: impl FnMut(Side, &Bitset, &mut Bitset) -> u64,
+    ) -> Evaluated<'_> {
         let at = key.and_then(|k| self.find(k));
         let halves = at.map_or([None; 2], |at| self.layout(at).halves);
         let mut steps_run = 0;
-        let mut side = |memo: &Self, side: Side| {
+        let mut bits = std::mem::take(&mut self.working.scratch);
+        let mut side = |memo: &Self, side: Side, bits: &mut Scratch| {
             let stored = halves[side as usize].map(|half| memo.half(side, half));
-            difference_proof(stored, live[side as usize], |mask| {
-                let proved = prove(side, mask);
-                steps_run += proved.1;
-                proved
-            })
+            let covered = &mut bits.covered[side as usize];
+            difference_proof(
+                stored,
+                live[side as usize],
+                covered,
+                &mut bits.work,
+                |mask, out| {
+                    let steps = prove(side, mask, out);
+                    steps_run += steps;
+                    steps
+                },
+            )
         };
-        let (pos, pos_steps, ran_pos) = side(self, Side::Pos);
-        let neg = needs_neg(pos.count() as u32).then(|| side(self, Side::Neg));
-        let ran = neg.as_ref().map_or(ran_pos, |n| n.2.max(ran_pos));
+        let (pos_steps, ran_pos) = side(self, Side::Pos, &mut bits);
+        let neg =
+            needs_neg(bits.covered[0].count() as u32).then(|| side(self, Side::Neg, &mut bits));
+        let ran = neg.map_or(ran_pos, |n| n.1.max(ran_pos));
         self.stats.steps_run += steps_run;
         match ran {
             Ran::Nothing => self.stats.served += 1,
             Ran::Difference => self.stats.partial += 1,
             Ran::Full => self.stats.proved += 1,
         }
-        let neg = neg.map(|(bits, steps, _)| (bits, steps));
+        let neg_steps = neg.map(|(steps, _)| steps);
         if let (Some(key), true) = (key, ran != Ran::Nothing) {
-            let pos_half = (live[0], &pos, pos_steps);
-            let neg_half = neg.as_ref().map(|(bits, steps)| (live[1], bits, *steps));
+            let pos_half = (live[0], &bits.covered[0], pos_steps);
+            let neg_half = neg_steps.map(|steps| (live[1], &bits.covered[1], steps));
             self.store(key, at, [Some(pos_half), neg_half]);
         }
+        self.working.scratch = bits;
+        let [pos, neg] = &self.working.scratch.covered;
         Evaluated {
             pos,
             pos_steps,
-            neg,
+            neg: neg_steps.map(|steps| (neg, steps)),
             ran,
         }
     }
@@ -700,19 +766,24 @@ impl CoverageMemo {
     ) -> Vec<Coverage> {
         self.begin_search(examples.num_pos(), examples.num_neg());
         let every_neg = Bitset::full(examples.num_neg());
-        let evaluate = |rule| {
+        let mut proving = Proving::new(kb, settings, examples, self);
+        let mut evaluate = |rule| {
             let mut keys = ClauseKeys::of_clause(rule, self);
-            let prove = proving(kb, settings, examples, || prepare_rule(kb, rule));
+            let mut compiled = None;
+            let prove = |side, mask: &Bitset, out: &mut Bitset| {
+                let rule = compiled.get_or_insert_with(|| prepare_rule(kb, rule));
+                proving.prove(rule, side, mask, out)
+            };
             let live = [live_pos, &every_neg];
             let node = self.evaluate(keys.key_of_whole(), live, |_| true, prove);
             let (neg, neg_steps) = node.neg.expect("the negatives were asked for");
             Coverage {
-                pos: node.pos,
-                neg,
+                pos: node.pos.clone(),
+                neg: neg.clone(),
                 steps: node.pos_steps + neg_steps,
             }
         };
-        rules.iter().map(evaluate).collect()
+        rules.iter().map(&mut evaluate).collect()
     }
 
     /// Writes a node's halves — `(valid for, covered, steps)` — over the
@@ -960,7 +1031,7 @@ impl CoverageMemo {
         }
         assert_eq!(at, self.skeletons.len(), "skeletons tile their arena");
         assert_eq!(skeletons, self.skeleton_index.used, "one slot per skeleton");
-        size_of::<Self>()
+        OWN_BYTES
             + self.arena.capacity() * size_of::<u64>()
             + self.skeletons.capacity() * size_of::<u32>()
             + (self.index.slots.capacity() + self.skeleton_index.slots.capacity())
@@ -968,37 +1039,57 @@ impl CoverageMemo {
     }
 }
 
-/// The `prove` of [`CoverageMemo::evaluate`] for one clause on `examples`:
-/// the clause is `compile`d when the memo first asks for a proof, once for
-/// both sides and every example.
-pub(crate) fn proving<'a>(
-    kb: &'a KnowledgeBase,
-    settings: &'a Settings,
+/// What proves the clauses of one search — or of one round of
+/// [`CoverageMemo::evaluate_rules`] — for [`CoverageMemo::evaluate`]: one
+/// proof scratch, and the arena ids of the examples' arguments the memo
+/// keeps, for every clause, side and example.
+pub(crate) struct Proving<'a> {
     examples: &'a Examples,
-    compile: impl Fn() -> PreparedRule + 'a,
-) -> impl FnMut(Side, &Bitset) -> (Bitset, u64) + 'a {
-    let mut compiled = None;
-    move |side, mask| {
+    ids: Arc<[ExampleIds; 2]>,
+    threads: usize,
+    scratch: ProofScratch<'a>,
+}
+
+impl<'a> Proving<'a> {
+    pub(crate) fn new(
+        kb: &'a KnowledgeBase,
+        settings: &Settings,
+        examples: &'a Examples,
+        memo: &mut CoverageMemo,
+    ) -> Self {
+        Proving {
+            examples,
+            ids: memo.example_ids(kb, examples),
+            threads: settings.eval_threads,
+            scratch: ProofScratch::new(kb, settings.proof),
+        }
+    }
+
+    /// Proves `rule` on `side`'s examples in `mask`, writing the covered
+    /// ones into `out`; returns the steps.
+    pub(crate) fn prove(
+        &mut self,
+        rule: &PreparedRule,
+        side: Side,
+        mask: &Bitset,
+        out: &mut Bitset,
+    ) -> u64 {
         let lits = match side {
-            Side::Pos => &examples.pos,
-            Side::Neg => &examples.neg,
+            Side::Pos => &self.examples.pos,
+            Side::Neg => &self.examples.neg,
         };
-        let rule = compiled.get_or_insert_with(&compile);
-        evaluate_side_prepared(
-            kb,
-            settings.proof,
-            rule,
-            lits,
-            Some(mask),
-            settings.eval_threads,
-        )
+        let ids = &self.ids[side as usize];
+        self.scratch
+            .evaluate_side(rule, lits, Some(ids), Some(mask), self.threads, out)
     }
 }
 
-/// The one lookup rule, for one side of one node: the covered examples and
-/// the step total of a clause on the `live` mask, given what is `stored` of
-/// it — covered set `C` and steps `S` on a mask `T` — and `prove`, which
-/// runs the clause on a mask. With `gone = T∖live` and `fresh = live∖T`:
+/// The one lookup rule, for one side of one node: the covered examples
+/// (written into `covered`) and the step total of a clause on the `live`
+/// mask, given what is `stored` of it — covered set `C` and steps `S` on a
+/// mask `T` — and `prove`, which runs the clause on a mask and writes what
+/// it covers into the set it is handed; `work` is scratch. With `gone =
+/// T∖live` and `fresh = live∖T`:
 /// nothing to prove when both are empty; when they are fewer than the live
 /// examples, prove those only — `S − S(gone) + S(fresh)` steps, covering
 /// `(C ∩ live) ∪ C(fresh)`; else prove `live`. Exact because an example's
@@ -1006,45 +1097,44 @@ pub(crate) fn proving<'a>(
 fn difference_proof(
     stored: Option<Half<'_>>,
     live: &Bitset,
-    mut prove: impl FnMut(&Bitset) -> (Bitset, u64),
-) -> (Bitset, u64, Ran) {
+    covered: &mut Bitset,
+    [valid, mask, proved]: &mut [Bitset; 3],
+    mut prove: impl FnMut(&Bitset, &mut Bitset) -> u64,
+) -> (u64, Ran) {
     let Some(Half {
         mut steps,
-        covered,
+        covered: stored_covered,
         uncovered,
     }) = stored
     else {
-        let (bits, steps) = prove(live);
-        return (bits, steps, Ran::Full);
+        return (prove(live, covered), Ran::Full);
     };
-    let common = covered.count_in(live) + uncovered.count_in(live);
-    let gone = covered.count() + uncovered.count() - common;
+    let common = stored_covered.count_in(live) + uncovered.count_in(live);
+    let gone = stored_covered.count() + uncovered.count() - common;
     let fresh = live.count() - common;
     if gone + fresh == 0 {
-        return (covered.read(), steps, Ran::Nothing);
+        stored_covered.read_into(covered);
+        return (steps, Ran::Nothing);
     }
     if gone + fresh >= live.count() {
-        let (bits, steps) = prove(live);
-        return (bits, steps, Ran::Full);
+        return (prove(live, covered), Ran::Full);
     }
-    let minus = |a: &Bitset, b: &Bitset| {
-        let mut left = a.clone();
-        left.difference_with(b);
-        left
-    };
-    let mut covered = covered.read();
-    let mut valid = uncovered.read();
-    valid.union_with(&covered);
+    stored_covered.read_into(covered);
+    uncovered.read_into(valid);
+    valid.union_with(covered);
     covered.intersect_with(live);
     if gone > 0 {
-        steps -= prove(&minus(&valid, live)).1;
+        mask.copy_from(valid);
+        mask.difference_with(live);
+        steps -= prove(mask, proved);
     }
     if fresh > 0 {
-        let (fresh_bits, fresh_steps) = prove(&minus(live, &valid));
-        steps += fresh_steps;
-        covered.union_with(&fresh_bits);
+        mask.copy_from(live);
+        mask.difference_with(valid);
+        steps += prove(mask, proved);
+        covered.union_with(proved);
     }
-    (covered, steps, Ran::Difference)
+    (steps, Ran::Difference)
 }
 
 /// Appends the code of `term` with every variable blanked: a prefix code,
@@ -1073,8 +1163,10 @@ pub(crate) struct ClauseKeys {
     /// The head, then each bottom literal: the id of its skeleton (the
     /// literal with every variable blanked, so literals differing only in
     /// variable names share one; `None` when the memo could not intern it)
-    /// and its variable occurrences in argument order.
-    lits: Vec<(Option<u32>, Vec<VarId>)>,
+    /// and where its variable occurrences, in argument order, end in
+    /// `vars`.
+    lits: Vec<(Option<u32>, usize)>,
+    vars: Vec<VarId>,
     /// Scratch: the key being written and the variables met so far.
     key: Key,
     renamed: Vec<VarId>,
@@ -1101,20 +1193,21 @@ impl ClauseKeys {
         memo: &mut CoverageMemo,
     ) -> Self {
         let mut code = Vec::new();
+        let mut vars = Vec::new();
         let mut entry = |lit: &Literal| {
             code.clear();
             code.extend([lit.pred.0, lit.args.len() as u32]);
             for a in lit.args.iter() {
                 skeleton_code(a, &mut code);
             }
-            let mut vars = Vec::new();
             lit.collect_vars(&mut vars);
-            (memo.skeleton(&code), vars)
+            (memo.skeleton(&code), vars.len())
         };
         let mut lits = vec![entry(head)];
         lits.extend(body.map(entry));
         ClauseKeys {
             lits,
+            vars,
             key: Key::default(),
             renamed: Vec::new(),
         }
@@ -1140,9 +1233,10 @@ impl ClauseKeys {
         self.key.clear();
         self.renamed.clear();
         for i in std::iter::once(0).chain(body) {
-            let (skeleton, vars) = &self.lits[i];
-            self.key.push((*skeleton)?);
-            for v in vars {
+            let (skeleton, end) = self.lits[i];
+            let start = i.checked_sub(1).map_or(0, |before| self.lits[before].1);
+            self.key.push(skeleton?);
+            for v in &self.vars[start..end] {
                 let met = self.renamed.iter().position(|r| r == v);
                 let id = met.unwrap_or_else(|| {
                     self.renamed.push(*v);
@@ -1187,6 +1281,31 @@ mod tests {
         Bitset::from_indices(70, indices)
     }
 
+    /// [`difference_proof`] with the covered set returned, run in scratch
+    /// sets that hold what an earlier, wider node left there: nothing of it
+    /// may leak into the answer.
+    fn proof(
+        stored: Option<Half<'_>>,
+        live: &Bitset,
+        mut prove: impl FnMut(&Bitset) -> (Bitset, u64),
+    ) -> (Bitset, u64, Ran) {
+        let stale = || Bitset::full(live.len() + 130);
+        let (mut covered, mut work) = (stale(), [stale(), stale(), stale()]);
+        let (steps, ran) = difference_proof(stored, live, &mut covered, &mut work, |mask, out| {
+            let (bits, steps) = prove(mask);
+            out.copy_from(&bits);
+            steps
+        });
+        (covered, steps, ran)
+    }
+
+    /// A stored set, decoded.
+    fn read(set: StoredSet<'_>) -> Bitset {
+        let mut out = Bitset::full(3);
+        set.read_into(&mut out);
+        out
+    }
+
     /// The stored half of a clause evaluated on `valid` by [`prover`].
     fn stored(valid: &Bitset) -> (Bitset, u64) {
         prover(&mut Vec::new())(valid)
@@ -1217,7 +1336,7 @@ mod tests {
 
         // Same mask: served.
         let mut proved = Vec::new();
-        let (bits, total, ran) = difference_proof(half(), &valid, prover(&mut proved));
+        let (bits, total, ran) = proof(half(), &valid, prover(&mut proved));
         assert_eq!((bits, total, ran), (covered.clone(), steps, Ran::Nothing));
         assert!(proved.is_empty());
 
@@ -1225,7 +1344,7 @@ mod tests {
         // in the second word — joined: those seven are proved, no other.
         let live = set(4..40).tap(|l| (64..67).for_each(|i| l.set(i)));
         let mut proved = Vec::new();
-        let (bits, total, ran) = difference_proof(half(), &live, prover(&mut proved));
+        let (bits, total, ran) = proof(half(), &live, prover(&mut proved));
         let (want_bits, want_total) = stored(&live);
         assert_eq!(ran, Ran::Difference);
         assert_eq!(total, want_total, "S − S(gone) + S(fresh)");
@@ -1235,7 +1354,7 @@ mod tests {
         // As many changed as are live: proved as if nothing were stored.
         let live = set(36..44);
         let mut proved = Vec::new();
-        let (bits, total, ran) = difference_proof(half(), &live, prover(&mut proved));
+        let (bits, total, ran) = proof(half(), &live, prover(&mut proved));
         assert_eq!(
             (bits, total, ran),
             (stored(&live).0, stored(&live).1, Ran::Full)
@@ -1243,7 +1362,7 @@ mod tests {
         assert_eq!(proved, (36..44).collect::<Vec<_>>());
 
         // Nothing stored: the same.
-        let (bits, total, ran) = difference_proof(None, &live, prover(&mut Vec::new()));
+        let (bits, total, ran) = proof(None, &live, prover(&mut Vec::new()));
         assert_eq!(
             (bits, total, ran),
             (stored(&live).0, stored(&live).1, Ran::Full)
@@ -1306,8 +1425,8 @@ mod tests {
             let minus = |a: &Bitset, b: &Bitset| a.clone().tap(|a| a.difference_with(b));
             let stored = || read_half(n, shape, &arena[..half_words(shape)]);
             proptest::prop_assert_eq!(stored().steps, steps);
-            proptest::prop_assert_eq!(&stored().covered.read(), &covered);
-            proptest::prop_assert_eq!(&stored().uncovered.read(), &minus(&valid, &covered));
+            proptest::prop_assert_eq!(&read(stored().covered), &covered);
+            proptest::prop_assert_eq!(&read(stored().uncovered), &minus(&valid, &covered));
             proptest::prop_assert_eq!(stored().uncovered.count(), counts[1]);
 
             // The same mask, the mask with a few examples gone and a few
@@ -1323,7 +1442,7 @@ mod tests {
             let (gone, fresh) = (minus(&valid, &live), minus(&live, &valid));
             let mut proved = Vec::new();
             let (bits, total, ran) =
-                difference_proof(Some(stored()), &live, |mask| prove(&mut proved, mask));
+                proof(Some(stored()), &live, |mask| prove(&mut proved, mask));
             let (want_bits, want_total) = prove(&mut Vec::new(), &live);
             proptest::prop_assert_eq!((&bits, total), (&want_bits, want_total));
             let changed: Vec<usize> = gone.iter_ones().chain(fresh.iter_ones()).collect();

@@ -99,6 +99,19 @@
 //! every negative, and charged as if proved. A bag round re-scores clauses
 //! a stage has just scored as Figure 7 seeds on the same masks, and the
 //! next round scores them again on a live set that lost what was accepted.
+//! A node the memo cannot answer is proved as such a clause would be, and
+//! without building it: ⊥e's literals are compiled once per search — their
+//! dispatch and the arena ids of their constants
+//! ([`crate::coverage::CompiledBottom`]) — and each node is compiled from
+//! them into the one [`crate::coverage::PreparedRule`] the search keeps,
+//! numbered as `Clause::dense` numbers `shape.to_clause(⊥e)` (equal to
+//! [`crate::coverage::prepare_rule`] of it, literal for literal:
+//! `tests/node_compile.rs`). A search, like a round of scored clauses,
+//! proves with one [`crate::coverage::ProofScratch`] — a prover and a
+//! binding store — and the memo's bitsets, and binds each example's
+//! arguments by the arena ids the memo keeps for its example list; so a
+//! proved node allocates nothing of its own, and hashes no term the KB
+//! already holds (`crates/core/tests/node_allocations.rs` counts a learn).
 //!
 //! *Memory* is bounded by construction: keys, masks and step totals are
 //! records in one flat arena behind an open-addressing index, every byte
@@ -140,9 +153,9 @@
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
-use crate::coverage::prepare_rule;
+use crate::coverage::CompiledBottom;
 use crate::examples::Examples;
-use crate::memo::{proving, ClauseKeys, CoverageMemo, Ran};
+use crate::memo::{ClauseKeys, CoverageMemo, Proving, Ran};
 use crate::refine::{LatticeSlice, RuleShape};
 use crate::settings::Settings;
 use p2mdie_logic::fxhash::FxHashSet;
@@ -260,6 +273,11 @@ pub fn search_rules_guided(
     let mut seed_set: HashSet<&RuleShape> = HashSet::new();
     memo.begin_search(examples.num_pos(), examples.num_neg());
     let mut keys = ClauseKeys::new(bottom, memo);
+    // Compiled once for every node: ⊥e, the buffer a node compiles into
+    // and the proof scratch.
+    let mut compiler = CompiledBottom::new(kb, bottom);
+    let mut rule = compiler.rule();
+    let mut proving = Proving::new(kb, settings, examples, memo);
     // What a root or seed is evaluated on: the caller's live positives and
     // every negative.
     let every_pos = examples.full_pos_live();
@@ -297,8 +315,15 @@ pub fn search_rules_guided(
             Some(m) => [&m.0, &m.1],
             None => [root_pos, &every_neg],
         };
-        let compile = || prepare_rule(kb, &shape.to_clause(bottom));
-        let prove = proving(kb, settings, examples, compile);
+        // Compiled when the memo first asks for a proof, once for both
+        // sides and every example.
+        let mut compiled = false;
+        let prove = |side, mask: &Bitset, out: &mut Bitset| {
+            if !std::mem::replace(&mut compiled, true) {
+                compiler.compile(&shape, &mut rule);
+            }
+            proving.prove(&rule, side, mask, out)
+        };
         let node = memo.evaluate(keys.key_of(&shape), live, needs_neg, prove);
         out.reused += usize::from(node.ran == Ran::Nothing);
         out.steps += node.pos_steps;
@@ -341,7 +366,7 @@ pub fn search_rules_guided(
         if let Some(slice) = slice {
             succs.retain(|s| slice.admits(s));
         }
-        let masks = Rc::new((node.pos, neg_bits));
+        let masks = Rc::new((node.pos.clone(), neg_bits.clone()));
         for succ in succs {
             if !visited.contains(&succ) {
                 queue.push_back((succ, Some(Rc::clone(&masks))));

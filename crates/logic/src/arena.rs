@@ -145,6 +145,19 @@ impl TermArena {
         self.map.get(t).copied()
     }
 
+    /// [`TermArena::lookup`] that tries a kept id first: `hint` is the
+    /// answer when it names `t`, which costs one compare and no hash. Any
+    /// other hint — [`TermId::NONE`], an id of another arena, an id this
+    /// arena does not have yet — falls back to the lookup, so the answer
+    /// never depends on where the hint came from.
+    #[inline]
+    pub fn lookup_hinted(&self, t: &Term, hint: TermId) -> Option<TermId> {
+        match self.terms.get(hint.index()) {
+            Some(held) if held == t => Some(hint),
+            _ => self.lookup(t),
+        }
+    }
+
     /// The term behind `id`. Panics on [`TermId::NONE`] or a foreign id.
     #[inline]
     pub fn term(&self, id: TermId) -> &Term {
@@ -235,6 +248,21 @@ mod tests {
         assert_eq!(a.lookup(&Term::Int(3)), None);
         let id = a.intern(&Term::Int(3));
         assert_eq!(a.lookup(&Term::Int(3)), Some(id));
+    }
+
+    #[test]
+    fn a_hint_is_taken_only_when_it_names_the_term() {
+        let mut a = TermArena::new();
+        let (three, four) = (Term::Int(3), Term::Int(4));
+        let id = a.intern(&three);
+        assert_eq!(a.lookup_hinted(&three, id), Some(id));
+        assert_eq!(a.lookup_hinted(&three, TermId::NONE), Some(id));
+        assert_eq!(
+            a.lookup_hinted(&four, id),
+            None,
+            "a wrong hint is looked past"
+        );
+        assert_eq!(a.lookup_hinted(&four, TermId(7)), None);
     }
 
     #[test]

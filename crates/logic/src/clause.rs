@@ -1,5 +1,6 @@
 //! Literals and Horn clauses.
 
+use crate::arena::TermId;
 use crate::parser::REL_OPS;
 use crate::symbol::{SymbolId, SymbolTable};
 use crate::term::{var_name, write_prefix, write_term, Term, VarId};
@@ -207,6 +208,13 @@ pub struct CompiledGoals {
 pub struct CompiledGoalsRef<'a> {
     /// Compiled goals, proved left to right.
     pub lits: &'a [CompiledLiteral],
+    /// The arena ids of the goals' arguments, found once where the goals
+    /// were compiled: one per argument of every goal in order, the id of a
+    /// ground argument the arena holds and [`TermId::NONE`] for any other.
+    /// A goal probes a listed id instead of hashing the argument; an
+    /// argument listed `NONE` is looked up as before. Empty when the caller
+    /// found none.
+    pub ids: &'a [TermId],
     /// One past the largest variable id of the goals.
     pub var_span: VarId,
 }
@@ -215,6 +223,7 @@ impl<'a> From<&'a CompiledGoals> for CompiledGoalsRef<'a> {
     fn from(goals: &'a CompiledGoals) -> Self {
         CompiledGoalsRef {
             lits: &goals.lits,
+            ids: &[],
             var_span: goals.var_span,
         }
     }
@@ -225,6 +234,7 @@ impl<'a> CompiledGoalsRef<'a> {
     pub fn single(goal: &'a CompiledLiteral) -> Self {
         CompiledGoalsRef {
             lits: std::slice::from_ref(goal),
+            ids: &[],
             var_span: goal.lit.max_var().map_or(0, |v| v + 1),
         }
     }

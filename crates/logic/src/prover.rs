@@ -34,8 +34,10 @@
 //! arguments to probes, asks [`KnowledgeBase::fact_plan`] for a plan, and
 //! `Ctx::run_plan` walks it. A variable bound from the knowledge base — to a
 //! fact cell, or by coverage to an example's argument — probes as the arena
-//! id its slot carries; only a constant of the goal itself or a value bound
-//! without an id is hashed ([`Bindings::probe`]).
+//! id its slot carries, and a constant of a goal compiled with its
+//! arguments' ids ([`CompiledGoalsRef::ids`]) as that id; only another
+//! constant of the goal or a value bound without an id is hashed
+//! ([`Bindings::probe`]).
 //!
 //! The inference-step fuel stays what the reference walk R of the
 //! [`crate::kb`] docs defines, and every plan walks R in R's order. A goal
@@ -63,7 +65,7 @@
 //! `tests/prover_regression.rs`, and the root crate's
 //! `tests/oracle_real_kbs.rs` on the benchmark's datasets).
 
-use crate::arena::Probe;
+use crate::arena::{Probe, TermId};
 use crate::builtins::solve_builtin_off;
 use crate::clause::{CompiledGoals, CompiledGoalsRef, CompiledLiteral, LitKind, Literal};
 use crate::kb::{FactCols, FactPlan, KnowledgeBase, PlanScratch, RankedWalk};
@@ -131,6 +133,9 @@ enum Control {
 /// stack and shared immutably across choice points.
 struct Frame<'a> {
     lits: &'a [CompiledLiteral],
+    /// The arena ids of `lits`' arguments (see [`CompiledGoalsRef::ids`]);
+    /// empty for a KB clause's body.
+    ids: &'a [TermId],
     offset: VarId,
     depth: u32,
     next: Option<&'a Frame<'a>>,
@@ -195,14 +200,15 @@ impl<'a> Prover<'a> {
         self.prove_compiled_reusing(&compiled, &mut bindings)
     }
 
-    /// [`Prover::prove_with_bindings`] over pre-compiled goals and a
-    /// borrowed binding store, so hot loops (coverage testing) compile a
-    /// rule body once and reuse one allocation across proofs: no dispatch
-    /// resolution, no allocation — prove thousands of times per compile.
-    /// The caller clears the store between proofs.
-    pub fn prove_compiled_reusing(
+    /// [`Prover::prove_with_bindings`] over pre-compiled goals — owned or
+    /// borrowed, with the arena ids of their arguments when the caller found
+    /// them — and a borrowed binding store, so hot loops (coverage testing)
+    /// compile a rule body once and reuse one allocation across proofs: no
+    /// dispatch resolution, no allocation — prove thousands of times per
+    /// compile. The caller clears the store between proofs.
+    pub fn prove_compiled_reusing<'g>(
         &self,
-        goals: &CompiledGoals,
+        goals: impl Into<CompiledGoalsRef<'g>>,
         bindings: &mut Bindings,
     ) -> (bool, ProofStats) {
         let mut found = false;
@@ -280,6 +286,11 @@ impl<'a> Prover<'a> {
         bindings: &mut Bindings,
         on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
     ) -> ProofStats {
+        debug_assert!(
+            goals.ids.is_empty()
+                || goals.ids.len() == goals.lits.iter().map(|g| g.lit.args.len()).sum::<usize>(),
+            "one id per argument of every goal, or none"
+        );
         let mut next_var: VarId = goals.var_span.max(bindings.len() as VarId);
         bindings.ensure(next_var as usize);
         let mut plan_scratch = self.scratch.borrow_mut();
@@ -293,6 +304,7 @@ impl<'a> Prover<'a> {
         };
         let root = Frame {
             lits: goals.lits,
+            ids: goals.ids,
             offset: 0,
             depth: 0,
             next: None,
@@ -362,10 +374,13 @@ impl<'a> Ctx<'a, '_> {
         let Some((goal, rest_lits)) = f.lits.split_first() else {
             return self.solve(f.next, on_solution);
         };
+        // The goal's own argument ids, when the frame carries any.
+        let (ids, rest_ids) = f.ids.split_at(f.ids.len().min(goal.lit.args.len()));
         let goff = f.offset;
         let depth = f.depth;
         let rest = Frame {
             lits: rest_lits,
+            ids: rest_ids,
             offset: goff,
             depth,
             next: f.next,
@@ -401,11 +416,15 @@ impl<'a> Ctx<'a, '_> {
         // construction (every indexed position probes the cached id instead
         // of re-walking and re-hashing the argument) and, when the goal is
         // all ground over an all-regular relation, by the per-row compare.
+        // An argument whose id the goals were compiled with is not hashed.
         let mut probes = self.plan_scratch.take_probes();
         {
             let arena = kb.arena();
             let bindings = &*self.bindings;
-            probes.extend(glit.args.iter().map(|a| bindings.probe(a, goff, arena)));
+            probes.extend(glit.args.iter().enumerate().map(|(k, a)| match ids.get(k) {
+                Some(&id) if !id.is_none() => Probe::Id(id),
+                _ => bindings.probe(a, goff, arena),
+            }));
         }
 
         // Facts, through the most selective available argument index; step
@@ -440,6 +459,7 @@ impl<'a> Ctx<'a, '_> {
             {
                 let body = Frame {
                     lits: &crule.body,
+                    ids: &[],
                     offset,
                     depth: depth + 1,
                     next: Some(&rest),

@@ -19,7 +19,8 @@
 //!
 //! A value bound from the knowledge base keeps its arena id in the slot: a
 //! fact cell bound by [`Bindings::unify_term_id`], an example argument bound
-//! by [`Bindings::bind_ground`], and any variable later bound to either.
+//! by [`Bindings::bind_ground`] (or [`Bindings::bind_ground_id`], its id
+//! found beforehand), and any variable later bound to either.
 //! [`Bindings::probe`] answers such a variable from its id without hashing
 //! the value, and [`Bindings::unify_term_id`] compares it with a fact cell id
 //! to id. A value bound without an id — a rule's own constant, a builtin's
@@ -227,8 +228,16 @@ impl Bindings {
     /// last: every later probe of `v` reads the id (see [`Bindings::probe`]).
     #[inline]
     pub fn bind_ground(&mut self, v: VarId, t: &Term, arena: &TermArena) {
+        self.bind_ground_id(v, t, arena.lookup(t).unwrap_or(TermId::NONE));
+    }
+
+    /// [`Bindings::bind_ground`] with the lookup already made: `id` must be
+    /// `t`'s id in the prover's arena, or [`TermId::NONE`] when the arena
+    /// does not hold `t` ([`TermArena::lookup_hinted`] finds it from a kept
+    /// id without hashing).
+    #[inline]
+    pub fn bind_ground_id(&mut self, v: VarId, t: &Term, id: TermId) {
         debug_assert!(t.is_ground(), "bind_ground takes ground terms");
-        let id = arena.lookup(t).unwrap_or(TermId::NONE);
         let slot = self.slot_for(t, id);
         self.bind_slot(v, slot);
     }
