@@ -32,7 +32,6 @@ use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::settings::Settings;
 use p2mdie_logic::clause::Clause;
-use std::collections::HashSet;
 
 /// How many candidate clauses one evaluation round ships.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,8 +93,9 @@ pub(crate) fn baseline_master<T: Transport>(
         ep.advance_steps(bottom.steps);
 
         // Breadth-first search; evaluation is the only distributed part.
+        // From the one root, appending ascending literals reaches each shape
+        // once (`p2mdie_ilp::refine`): no shape is queued twice.
         let mut frontier: Vec<RuleShape> = vec![RuleShape::empty()];
-        let mut visited: HashSet<RuleShape> = HashSet::new();
         let mut nodes = 0usize;
         let mut best: Option<(RuleShape, u32, u32, i64)> = None;
 
@@ -123,11 +123,7 @@ pub(crate) fn baseline_master<T: Transport>(
                     best = Some((shape.clone(), pos, neg, score));
                 }
                 if pos >= settings.min_pos {
-                    for succ in shape.successors(&bottom, settings.max_body) {
-                        if visited.insert(succ.clone()) {
-                            frontier.push(succ);
-                        }
-                    }
+                    frontier.extend(shape.successors(&bottom, settings.max_body));
                 }
             }
         }

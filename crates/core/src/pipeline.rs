@@ -56,24 +56,21 @@ pub fn run_stage_search(
     );
 
     // Good = S ∪ new-good. Locally re-scored seeds replace their incoming
-    // versions; seeds the budget never reached keep their old scores.
-    let mut merged: Vec<ScoredRule> = Vec::with_capacity(out.good.len() + incoming.len());
-    let mut taken: HashSet<RuleShape> = HashSet::new();
-    for r in out.seed_scored.iter().chain(out.good.iter()) {
-        if taken.insert(r.shape.clone()) {
-            merged.push(r.clone());
-        }
-    }
-    for r in incoming {
-        if taken.insert(r.shape.clone()) {
-            merged.push(r.clone());
-        }
-    }
+    // versions; seeds the budget never reached keep their old scores. Merged
+    // and ranked by reference: only the rules that go on are copied.
+    let mut taken: HashSet<&RuleShape> = HashSet::new();
+    let mut merged: Vec<&ScoredRule> = out
+        .seed_scored
+        .iter()
+        .chain(&out.good)
+        .chain(incoming)
+        .filter(|r| taken.insert(&r.shape))
+        .collect();
     merged.sort_by(|a, b| a.rank_key().cmp(&b.rank_key()));
     merged.truncate(width.cap());
 
     StageResult {
-        rules: merged,
+        rules: merged.into_iter().cloned().collect(),
         steps: out.steps,
     }
 }

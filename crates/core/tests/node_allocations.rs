@@ -7,13 +7,15 @@
 //! — the benchmark's `carc-pipe-p2` learn on `carcinogenesis(0.3)` and the
 //! learn of `mesh(1.0)` that `mesh-pipe-p2-tcp` runs over worker processes
 //! — and held to ceilings. A node compiled from its bottom clause into a
-//! reused buffer and proved with the search's one proof scratch allocates
-//! only the search's own bookkeeping (its successors, its visited entry,
-//! the masks its children share); a node path that builds a `Clause`, a
-//! binding store, a prover or a bitset per node or per side allocates tens
-//! of thousands of times more per learn. Coverage stays on the calling
-//! thread (`eval_threads = 1`, as on the benchmark's one CPU), so the
-//! counts do not depend on the machine's cores. Both counts are printed.
+//! reused buffer, proved with the search's one proof scratch and queued as
+//! words in the search's flat frontier allocates nothing of its own: what
+//! a learn still allocates comes per search, per message and per good
+//! rule. A node path that builds a `Clause`, a binding store, a prover or
+//! a bitset per node or per side, or a frontier that builds every
+//! successor as a shape of its own, allocates tens of thousands of times
+//! more per learn. Coverage stays on the calling thread (`eval_threads =
+//! 1`, as on the benchmark's one CPU), so the counts do not depend on the
+//! machine's cores. Both counts are printed.
 //! One test, so that no other test's thread allocates into the count.
 
 use p2mdie_core::{run_parallel, ParallelConfig};
@@ -77,16 +79,16 @@ fn learn(mut ds: Dataset) -> u64 {
     ignore = "two learns unoptimised; run with --release"
 )]
 fn a_proved_node_allocates_no_compile_or_scratch_buffer() {
-    // (name, dataset, ceiling): the counts measured, 250 410 and 327 949,
-    // rounded up to the next thousand, and mesh's by one more: its count
-    // varies by a few with how the ranks' threads interleave.
+    // (name, dataset, ceiling): the counts measured, 33 189 and 177 067,
+    // rounded up to the next thousand; both vary by a few with how the
+    // ranks' threads interleave.
     let cases = [
         (
             "carcinogenesis(0.3)",
             p2mdie_datasets::carcinogenesis(0.3, 2005),
-            251_000,
+            34_000,
         ),
-        ("mesh(1.0)", p2mdie_datasets::mesh(1.0, 2005), 329_000),
+        ("mesh(1.0)", p2mdie_datasets::mesh(1.0, 2005), 178_000),
     ];
     for (name, ds, ceiling) in cases {
         let count = learn(ds);

@@ -7,7 +7,11 @@
 //! or by already-selected literals. Because saturation emits producers
 //! before consumers (see `bottom.rs`), increasing-index enumeration reaches
 //! every dataflow-closed subset exactly once — the lattice is explored
-//! without duplicates.
+//! without duplicates. The search's frontier relies on this: it keeps no
+//! set of visited shapes, and skips a built successor only when it is one
+//! of the search's seeds (`crate::search`), the one way a shape can be
+//! reached twice; `tests/node_compile.rs` walks the real datasets' lattices
+//! and fails if a successor repeats.
 
 use crate::bottom::BottomClause;
 use p2mdie_logic::clause::Clause;
@@ -63,7 +67,15 @@ impl RuleShape {
     /// The variables bound once this shape's literals are in the clause:
     /// head variables plus every variable of every selected literal.
     pub fn bound_vars(&self, bottom: &BottomClause) -> Vec<VarId> {
-        let mut bound = bottom.head_vars.clone();
+        let mut bound = Vec::new();
+        self.bound_vars_into(bottom, &mut bound);
+        bound
+    }
+
+    /// [`RuleShape::bound_vars`] into `bound`, in the memory it holds.
+    pub(crate) fn bound_vars_into(&self, bottom: &BottomClause, bound: &mut Vec<VarId>) {
+        bound.clear();
+        bound.extend_from_slice(&bottom.head_vars);
         for &i in &self.lits {
             let bl = &bottom.lits[i as usize];
             for &v in bl.inputs.iter().chain(bl.outputs.iter()) {
@@ -72,30 +84,48 @@ impl RuleShape {
                 }
             }
         }
-        bound
+    }
+
+    /// Where this shape's successors start: one past its last literal.
+    pub(crate) fn append_from(&self) -> usize {
+        self.lits.last().map_or(0, |&i| i as usize + 1)
     }
 
     /// One-step specializations: append an addable literal with index
     /// greater than the current maximum. Returns shapes in index order
     /// (deterministic).
     pub fn successors(&self, bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> {
-        if self.lits.len() >= max_body {
-            return Vec::new();
-        }
         let bound = self.bound_vars(bottom);
-        let start = self.lits.last().map_or(0, |&i| i as usize + 1);
-        let mut out = Vec::new();
-        for j in start..bottom.lits.len() {
-            let bl = &bottom.lits[j];
-            if bl.inputs.iter().all(|v| bound.contains(v)) {
+        let next = |from| next_appendable(bottom, &bound, self.body_len(), max_body, from);
+        std::iter::successors(next(self.append_from()), |&j| next(j + 1))
+            .map(|j| {
                 let mut lits = Vec::with_capacity(self.lits.len() + 1);
                 lits.extend_from_slice(&self.lits);
                 lits.push(j as u32);
-                out.push(RuleShape { lits });
-            }
-        }
-        out
+                RuleShape { lits }
+            })
+            .collect()
     }
+}
+
+/// The lattice's one admissibility rule: the first literal of ⊥e at index
+/// `from` or later that a shape of `body_len` literals binding `bound` (its
+/// [`RuleShape::bound_vars`]) may append — one whose input variables are
+/// all bound — and none once the shape has `max_body` literals. Asked from
+/// [`RuleShape::append_from`], then from one past each answer, it lists the
+/// shape's successors in index order: [`RuleShape::successors`] collects
+/// them, the search's frontier builds them one at a time.
+pub(crate) fn next_appendable(
+    bottom: &BottomClause,
+    bound: &[VarId],
+    body_len: usize,
+    max_body: usize,
+    from: usize,
+) -> Option<usize> {
+    if body_len >= max_body {
+        return None;
+    }
+    (from..bottom.lits.len()).find(|&j| bottom.lits[j].inputs.iter().all(|v| bound.contains(v)))
 }
 
 /// SplitMix64 — the small deterministic mixer used for lattice partitioning

@@ -13,12 +13,27 @@
 //! extended body passes through a proof of the prefix within the same step
 //! and depth budget — so a child rule can only cover a *subset* of its
 //! parent's coverage, even under bounded proofs. The search exploits this:
-//! each evaluated node's covered-positive/covered-negative bitsets are
-//! threaded down (shared via `Rc` among its successors) as the live masks
-//! for child evaluation. A child is then evaluated on O(|parent coverage|)
-//! examples instead of O(|E|), with bit-identical results; examples the
-//! parent already failed to cover are never touched again anywhere in that
-//! subtree.
+//! each evaluated node's covered-positive/covered-negative bitsets wait
+//! with it in the search's frontier, as words in one flat queue, and are
+//! the live masks of every one of its successors. A child is then
+//! evaluated on O(|parent coverage|) examples instead of O(|E|), with
+//! bit-identical results; examples the parent already failed to cover are
+//! never touched again anywhere in that subtree.
+//!
+//! # A lazy frontier
+//!
+//! A search the node budget ends leaves much of the last level it reached
+//! queued — on the `carc-pipe-p2` learn, a queue of every successor built
+//! 67 120 shapes for 28 975 nodes — so a successor is built only when the
+//! breadth-first order reaches it. The queue holds evaluated nodes, each
+//! with a cursor to the next literal it may append
+//! (`refine::next_appendable`, the rule [`RuleShape::successors`]
+//! follows too), and the front node yields its successors one at a time:
+//! the order is that of a queue of every successor. No set of shapes seen
+//! is kept. From one root, appending ascending literals reaches a shape
+//! once ([`crate::refine`]), so a successor can only repeat a Figure 7
+//! seed, and one that does is skipped: the seeds are evaluated, each once,
+//! before any successor.
 //!
 //! # Coverage memo
 //!
@@ -109,9 +124,10 @@
 //! `tests/node_compile.rs`). A search, like a round of scored clauses,
 //! proves with one [`crate::coverage::ProofScratch`] — a prover and a
 //! binding store — and the memo's bitsets, and binds each example's
-//! arguments by the arena ids the memo keeps for its example list; so a
-//! proved node allocates nothing of its own, and hashes no term the KB
-//! already holds (`crates/core/tests/node_allocations.rs` counts a learn).
+//! arguments by the arena ids the memo keeps for its example list; and the
+//! frontier builds each node into one reused shape. So a node, proved or
+//! served, allocates nothing of its own, and hashes no term the KB already
+//! holds (`crates/core/tests/node_allocations.rs` counts a learn).
 //!
 //! *Memory* is bounded by construction: keys, masks and step totals are
 //! records in one flat arena behind an open-addressing index, every byte
@@ -156,12 +172,11 @@ use crate::bottom::BottomClause;
 use crate::coverage::CompiledBottom;
 use crate::examples::Examples;
 use crate::memo::{ClauseKeys, CoverageMemo, Proving, Ran};
-use crate::refine::{LatticeSlice, RuleShape};
+use crate::refine::{next_appendable, LatticeSlice, RuleShape};
 use crate::settings::Settings;
 use p2mdie_logic::fxhash::FxHashSet;
 use p2mdie_logic::kb::KnowledgeBase;
-use std::collections::{HashSet, VecDeque};
-use std::rc::Rc;
+use p2mdie_logic::term::VarId;
 
 /// A rule with its (local) coverage and score.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -218,9 +233,110 @@ impl SearchOutcome {
     }
 }
 
-/// The covered positives and negatives of an evaluated node: the live masks
-/// of its successors, shared among them while they wait in the queue.
-type Masks = Rc<(Bitset, Bitset)>;
+/// The breadth-first queue of one search, built lazily. Only evaluated
+/// nodes that may be refined wait in it, in the order they were evaluated,
+/// each as its shape and its covered positives and negatives — the live
+/// masks of its successors — in one flat buffer of words. The node at the
+/// front is unpacked with a cursor into ⊥e's literals, and its successors
+/// are built one at a time as the search reaches them
+/// ([`Frontier::next`]): the order is that of a queue of every successor
+/// built at expansion, and a successor the node budget never reaches is
+/// never built.
+struct Frontier {
+    /// Per waiting node: its body length, its body, the words of its
+    /// covered positives and of its covered negatives. Read from `front`;
+    /// the words before it are dropped once they are half the buffer, so a
+    /// word moves at most once more on average.
+    queue: Vec<u64>,
+    front: usize,
+    /// The front node: its shape, its bound variables, the literal its
+    /// last successor appended (`None` once it has no successor left) and
+    /// the covered sets its successors are evaluated on.
+    shape: RuleShape,
+    bound: Vec<VarId>,
+    cursor: Option<usize>,
+    live: [Bitset; 2],
+}
+
+impl Frontier {
+    fn new(examples: &Examples) -> Self {
+        Frontier {
+            queue: Vec::new(),
+            front: 0,
+            shape: RuleShape::empty(),
+            bound: Vec::new(),
+            cursor: None,
+            live: [
+                Bitset::new(examples.num_pos()),
+                Bitset::new(examples.num_neg()),
+            ],
+        }
+    }
+
+    /// Queues an evaluated node with the sets it covers.
+    fn push(&mut self, shape: &RuleShape, covered: [&Bitset; 2]) {
+        self.queue.push(shape.lits.len() as u64);
+        self.queue.extend(shape.lits.iter().map(|&i| u64::from(i)));
+        for side in covered {
+            self.queue.extend_from_slice(side.words());
+        }
+    }
+
+    /// Builds into `child` the next successor of the front node that
+    /// `admit` lets through, unpacking the next waiting node whenever the
+    /// front one has none left; false when no node is left.
+    fn next(
+        &mut self,
+        bottom: &BottomClause,
+        max_body: usize,
+        child: &mut RuleShape,
+        admit: impl Fn(&RuleShape) -> bool,
+    ) -> bool {
+        loop {
+            let from = match self.cursor {
+                Some(j) => j + 1,
+                None if self.front == self.queue.len() => return false,
+                None => self.unpack(bottom),
+            };
+            let len = self.shape.body_len();
+            let Some(j) = next_appendable(bottom, &self.bound, len, max_body, from) else {
+                self.cursor = None;
+                continue;
+            };
+            self.cursor = Some(j);
+            child.lits.clear();
+            child.lits.extend_from_slice(&self.shape.lits);
+            child.lits.push(j as u32);
+            if admit(child) {
+                return true;
+            }
+        }
+    }
+
+    /// Makes the first waiting node the front one; returns where its
+    /// successors start.
+    fn unpack(&mut self, bottom: &BottomClause) -> usize {
+        if 2 * self.front > self.queue.len() {
+            self.queue.drain(..self.front);
+            self.front = 0;
+        }
+        let words = &self.queue[self.front..];
+        let len = words[0] as usize;
+        self.shape.lits.clear();
+        self.shape
+            .lits
+            .extend(words[1..=len].iter().map(|&i| i as u32));
+        let mut at = 1 + len;
+        for live in &mut self.live {
+            let n = live.len().div_ceil(64);
+            live.assign_words(live.len(), &words[at..at + n]);
+            at += n;
+        }
+        self.front += at;
+        self.shape.bound_vars_into(bottom, &mut self.bound);
+        self.shape.append_from()
+    }
+}
 
 /// Runs one breadth-first search over `bottom`'s refinement lattice.
 ///
@@ -266,11 +382,6 @@ pub fn search_rules_guided(
     memo: &mut CoverageMemo,
 ) -> SearchOutcome {
     let mut out = SearchOutcome::default();
-    // Each queued node carries its parent's coverage masks (shared among
-    // siblings); roots and seeds evaluate under the caller's live mask.
-    let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
-    let mut visited: FxHashSet<RuleShape> = FxHashSet::default();
-    let mut seed_set: HashSet<&RuleShape> = HashSet::new();
     memo.begin_search(examples.num_pos(), examples.num_neg());
     let mut keys = ClauseKeys::new(bottom, memo);
     // Compiled once for every node: ⊥e, the buffer a node compiles into
@@ -284,36 +395,51 @@ pub fn search_rules_guided(
     let root_pos = live_pos.unwrap_or(&every_pos);
     let every_neg = Bitset::full(examples.num_neg());
 
+    // The roots, evaluated first: each seed once, in order, or the most
+    // general rule. A successor that repeats a seed is skipped (see "A lazy
+    // frontier" above).
+    let mut seed_set: FxHashSet<&[u32]> = FxHashSet::default();
+    let mut roots: Vec<&[u32]> = seeds
+        .iter()
+        .map(|s| &s.lits[..])
+        .filter(|lits| seed_set.insert(lits))
+        .collect();
     if seeds.is_empty() {
-        queue.push_back((RuleShape::empty(), None));
-    } else {
-        let mut queued: HashSet<&RuleShape> = HashSet::new();
-        for s in seeds {
-            seed_set.insert(s);
-            if queued.insert(s) {
-                queue.push_back((s.clone(), None));
-            }
-        }
+        roots.push(&[]);
     }
+    let mut roots = roots.into_iter();
+    let admit = |child: &RuleShape| {
+        (seeds.is_empty() || !seed_set.contains(&child.lits[..]))
+            && slice.is_none_or(|slice| slice.admits(child))
+    };
+    let mut frontier = Frontier::new(examples);
+    // The node being evaluated.
+    let mut shape = RuleShape::empty();
 
-    while let Some((shape, parent_cov)) = queue.pop_front() {
+    loop {
+        let is_root = match roots.next() {
+            Some(root) => {
+                shape.lits.clear();
+                shape.lits.extend_from_slice(root);
+                true
+            }
+            None if frontier.next(bottom, settings.max_body, &mut shape, admit) => false,
+            None => break,
+        };
         if out.nodes >= settings.max_nodes {
             break;
         }
-        if !visited.insert(shape.clone()) {
-            continue;
-        }
         out.nodes += 1;
-        let is_seed = seed_set.contains(&shape);
+        let is_seed = is_root && !seeds.is_empty();
         // Lazy negative side: a non-seed node below `min_pos` can never be
         // good, reports nothing, and is not expanded — its negative
         // coverage is unobservable, so don't pay for it.
         let needs_neg = |pos: u32| pos >= settings.min_pos || is_seed;
         // Monotonicity: the child's coverage is a subset of the parent's, so
         // the parent's covered sets are exact live masks for the child.
-        let live = match &parent_cov {
-            Some(m) => [&m.0, &m.1],
-            None => [root_pos, &every_neg],
+        let live = match is_root {
+            true => [root_pos, &every_neg],
+            false => [&frontier.live[0], &frontier.live[1]],
         };
         // Compiled when the memo first asks for a proof, once for both
         // sides and every example.
@@ -359,18 +485,8 @@ pub fn search_rules_guided(
         }
 
         // Specializing cannot regain positive cover: prune hopeless subtrees.
-        if pos < settings.min_pos {
-            continue;
-        }
-        let mut succs = shape.successors(bottom, settings.max_body);
-        if let Some(slice) = slice {
-            succs.retain(|s| slice.admits(s));
-        }
-        let masks = Rc::new((node.pos.clone(), neg_bits.clone()));
-        for succ in succs {
-            if !visited.contains(&succ) {
-                queue.push_back((succ, Some(Rc::clone(&masks))));
-            }
+        if pos >= settings.min_pos {
+            frontier.push(&shape, [node.pos, neg_bits]);
         }
     }
 

@@ -21,7 +21,7 @@ use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::search::{search_rules_guided, SearchOutcome};
 use p2mdie_ilp::settings::Settings;
-use p2mdie_ilp::{BottomClause, CoverageMemo};
+use p2mdie_ilp::{BottomClause, CoverageMemo, LatticeSlice};
 use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::symbol::SymbolTable;
@@ -110,6 +110,62 @@ fn repeated_atoms_hit_the_memo_and_seed_variants_take_a_difference_proof() {
         "no seed of {} was served by a difference proof cheaper than its full proof",
         level_two.len()
     );
+}
+
+/// Figure 7 seeds the lattice reaches from one another, against the eager
+/// queue of the memo-free search, which holds every shape to the set it has
+/// visited. The search keeps no such set and skips only a successor that is
+/// a seed, so it must visit the same nodes in the same order with seeds
+/// nested in each other, a seed listed twice, and a seed listed before and
+/// after a seed it is a successor of — over the whole lattice and inside a
+/// slice of it, whole and with the node budget cutting a level in the
+/// middle.
+#[test]
+fn seeds_reached_from_one_another_are_visited_once() {
+    let w = world(2005, 16);
+    let mut engine = IlpEngine::new(w.kb, w.modes, pinned_settings());
+    let bottom = engine.saturate(&w.examples.pos[0]).expect("head matches");
+    let max_body = engine.settings.max_body;
+    let root = RuleShape::empty();
+    let level1 = root.successors(&bottom, max_body);
+    let (a, ab) = level1
+        .iter()
+        .find_map(|a| Some((a.clone(), a.successors(&bottom, max_body).first()?.clone())))
+        .expect("a one-literal shape with a successor");
+    let c = level1
+        .iter()
+        .find(|&c| *c != a)
+        .expect("two one-literal shapes");
+    let cases = [
+        ("nested", vec![root.clone(), a.clone(), ab.clone()]),
+        ("listed twice", vec![a.clone(), c.clone(), a.clone()]),
+        ("successor before", vec![ab.clone(), c.clone(), a.clone()]),
+        ("successor after", vec![a.clone(), c.clone(), ab.clone()]),
+    ];
+    let half = LatticeSlice {
+        rank: 0,
+        of: 2,
+        salt: 2005,
+    };
+    let mut memo = CoverageMemo::new();
+    for (what, seeds) in &cases {
+        // Whole, and cut among the successors of the seeds' first level.
+        for max_nodes in [400, seeds.len() + level1.len() / 2] {
+            engine.settings.max_nodes = max_nodes;
+            let (kb, settings, ex) = (&engine.kb, &engine.settings, &w.examples);
+            for slice in [None, Some(&half)] {
+                let what = format!("{what}, {max_nodes} nodes, slice {slice:?}");
+                let memoised =
+                    search_rules_guided(kb, settings, &bottom, ex, None, seeds, slice, &mut memo);
+                let plain = memo_free_search(kb, settings, &bottom, ex, None, seeds, slice);
+                assert_same(&memoised, &plain, &what);
+                assert!(
+                    plain.seed_scored.iter().all(|r| r.pos >= settings.min_pos),
+                    "{what}: every seed is refined"
+                );
+            }
+        }
+    }
 }
 
 /// Across bottom clauses the key still means the same clause: a search

@@ -10,10 +10,12 @@
 //! changes no node — is compiled both ways into one buffer and compared:
 //! head, body literals with their dispatch, variable numbering, both
 //! variable spans, the head's ground positions and the arena ids of the
-//! body's arguments. The numbering is compared literally, not up to
-//! renaming: a fact's own variables are not renamed apart, so an irregular
-//! row meets the rule's variables by number. Both numberings `Clause::dense`
-//! gives — kept, and renamed in first-occurrence order — must occur.
+//! body's arguments. The walk also holds that no shape is met twice, the
+//! premise on which the search keeps no visited set. The numbering is
+//! compared literally, not up to renaming: a fact's own variables are not
+//! renamed apart, so an irregular row meets the rule's variables by number.
+//! Both numberings `Clause::dense` gives — kept, and renamed in
+//! first-occurrence order — must occur.
 //!
 //! Beside it: the ids are `arena.lookup` of each ground argument; the
 //! examples' ids, and a hint that names another term, bind a head variable
@@ -88,9 +90,14 @@ fn a_node_compiled_from_bottom_is_the_rule_of_its_clause() {
                 if visits >= settings.max_nodes {
                     break;
                 }
-                if !visited.insert(shape.clone()) {
-                    continue;
-                }
+                // Appending ascending literals reaches a shape once: the
+                // search's frontier keeps no visited set on that premise.
+                assert!(
+                    visited.insert(shape.clone()),
+                    "{} {:?}: a successor repeats a shape",
+                    ds.name,
+                    shape.lits
+                );
                 visits += 1;
                 let what = format!("{} {:?}", ds.name, shape.lits);
                 let clause = shape.to_clause(&bottom);
@@ -114,7 +121,7 @@ fn a_node_compiled_from_bottom_is_the_rule_of_its_clause() {
 
                 if want_bits.count() >= settings.min_pos as usize {
                     let succs = shape.successors(&bottom, settings.max_body);
-                    queue.extend(succs.into_iter().filter(|s| !visited.contains(s)));
+                    queue.extend(succs);
                 }
             }
             nodes += visits;
