@@ -52,6 +52,7 @@ pub fn run_stage_search(
         Some(live),
         &seeds,
         None,
+        width.cap().min(engine.settings.good_cap),
         memo,
     );
 

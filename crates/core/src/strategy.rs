@@ -157,6 +157,7 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
         Some(live),
         &[],
         Some(&slice),
+        ctx.engine.settings.good_cap,
         memo,
     );
     ep.advance_steps(out.steps);

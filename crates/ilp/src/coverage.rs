@@ -21,6 +21,36 @@
 //! up: the body's goals then probe the variable by id. Any other head or
 //! example is unified, as every example once was.
 //!
+//! # Query packs
+//!
+//! A search node's successors are its rule plus one body literal each, and
+//! each is proved on the examples the node covered. Proved alone, every
+//! successor binds the head and proves the node's whole body again on each
+//! of those examples. [`ProofScratch::eval_pack`] proves them together
+//! (Blockeel et al., JAIR 2002): per example it binds the head once and
+//! enumerates the parent's body once, and at each solution of the body it
+//! proves the one extra literal of every member not yet decided, with a
+//! second prover (the first one's plan pool is borrowed while the body's
+//! proof runs). Each member's `(covered, steps)` is what proving it alone
+//! gives, because a proof of the extended body *is* a proof of the parent's
+//! body that tries the extra literal at each of the body's solutions:
+//!
+//! * a member is charged its head step plus `min(max_steps + 1, P + E)`,
+//!   with `P` the body's steps at the member's first covering solution (or
+//!   at the end of the body's proof) and `E` the steps its extra literal
+//!   took over all solutions up to then;
+//! * at a solution where `P + E > max_steps` already holds, the member's
+//!   proof alone would have aborted before reaching it, and it is decided
+//!   as aborted there; otherwise its literal runs with a budget of
+//!   `max_steps − (P + E)`, so that it aborts where the proof alone would.
+//!
+//! Every member's variable ids are reserved before the body runs: the body's
+//! rule expansions are renamed apart above all of them, and so never bind a
+//! variable a member's literal introduces. A rule is a member only when its
+//! compiled form is the parent's, literal for literal, plus one last literal
+//! ([`PreparedRule::extends`]); `tests/query_pack.rs` holds every member to
+//! its proof alone, aborts before, between and inside extensions included.
+//!
 //! # Parallel evaluation
 //!
 //! Each example's covered-bit and step count depend only on that example,
@@ -161,6 +191,30 @@ impl PreparedRule {
         &self.ground_args
     }
 
+    /// True when this rule is `parent` with one more body literal, the same
+    /// in everything else: the head, and every literal of `parent`'s body
+    /// with its dispatch, its variables' numbers and its arguments' ids.
+    /// Such a rule can be proved in `parent`'s query pack
+    /// ([`ProofScratch::eval_pack`]).
+    pub fn extends(&self, parent: &PreparedRule) -> bool {
+        self.len == parent.len + 1
+            && self.head == parent.head
+            && self.body()[..parent.len] == *parent.body()
+            && self.ids.starts_with(&parent.ids)
+    }
+
+    /// The last body literal as a goal of its own, with its arguments' ids:
+    /// what a member of a query pack proves at each solution of its
+    /// parent's body.
+    fn last_goal(&self) -> CompiledGoalsRef<'_> {
+        let lits = &self.body()[self.len - 1..];
+        CompiledGoalsRef {
+            lits,
+            ids: &self.ids[self.ids.len() - lits[0].lit.args.len()..],
+            var_span: self.body_span,
+        }
+    }
+
     /// False when `ex` cannot unify with the head: another predicate or
     /// arity, or a different ground term at a ground head position.
     #[inline]
@@ -295,8 +349,9 @@ impl<'b> CompiledBottom<'b> {
         }
     }
 
-    /// Compiles `shape` into `rule`, which [`CompiledBottom::rule`] made:
-    /// what [`prepare_rule`] makes of `shape.to_clause(⊥e)`, numbered as
+    /// Compiles `shape` into `rule`, which the [`CompiledBottom::rule`] of
+    /// this or any other bottom clause made: what [`prepare_rule`] makes of
+    /// `shape.to_clause(⊥e)`, numbered as
     /// [`Clause::dense`] numbers it — kept when the clause's variables are
     /// exactly `0..n`, else renamed in first-occurrence order, head first.
     /// The numbering is not cosmetic: a fact's own variables are not
@@ -320,7 +375,12 @@ impl<'b> CompiledBottom<'b> {
             self.renamed[v as usize] = if dense { v } else { k as VarId };
         }
 
+        if rule.head.args.len() != self.bottom.head.args.len() {
+            rule.head = self.bottom.head.clone();
+        }
         rename_into(&self.bottom.head, &mut rule.head, &self.renamed);
+        rule.ground_args.clone_from(&self.ground_args);
+        rule.simple_head = self.simple_head;
         rule.len = 0;
         rule.ids.clear();
         let mut body_span = 0;
@@ -408,11 +468,98 @@ impl ExampleIds {
     }
 }
 
-/// One proof scratch: a prover, with its pool of plan buffers, and one
-/// binding store, made once and reused by every proof of a search. A side
-/// evaluated through it allocates nothing once the buffers have grown.
+/// What one side of a query pack answers ([`ProofScratch::eval_pack`]):
+/// per member the examples it covers and the steps it is charged, each what
+/// [`ProofScratch::evaluate_side`] gives for the member alone. Kept from
+/// pack to pack, so that its sets are made once.
+#[derive(Debug, Default)]
+pub struct PackAnswers {
+    covered: Vec<Bitset>,
+    steps: Vec<u64>,
+}
+
+impl PackAnswers {
+    /// The examples member `m` covers.
+    pub fn covered(&self, m: usize) -> &Bitset {
+        &self.covered[m]
+    }
+
+    /// The steps member `m` is charged.
+    pub fn steps(&self, m: usize) -> u64 {
+        self.steps[m]
+    }
+
+    /// Empties the answers of the members in `which`, for a side of `n`
+    /// examples.
+    fn reset(&mut self, which: u64, n: usize) {
+        let members = 64 - which.leading_zeros() as usize;
+        if self.covered.len() < members {
+            self.covered.resize_with(members, Bitset::default);
+            self.steps.resize(members, 0);
+        }
+        for m in members_of(which) {
+            self.covered[m].reset(n);
+            self.steps[m] = 0;
+        }
+    }
+}
+
+/// The members in a pack's mask, in order.
+fn members_of(mut which: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let m = (which != 0).then(|| which.trailing_zeros() as usize)?;
+        which &= which - 1;
+        Some(m)
+    })
+}
+
+/// How many threads prove a side of `n` examples of which the `live` ones
+/// are tried: one below [`PARALLEL_MIN_EXAMPLES`] live examples a thread.
+fn side_threads(n: usize, live: Option<&Bitset>, threads: usize) -> usize {
+    // Threshold on *live* examples: under monotone pruning a deep
+    // refinement may be live on a handful of a thousand examples, and
+    // spawning threads for mostly-dead ranges costs more than it saves.
+    let workload = live.map_or(n, Bitset::count);
+    let cap = workload.div_ceil(PARALLEL_MIN_EXAMPLES);
+    if cap <= 1 {
+        1
+    } else {
+        resolve_threads(threads).min(cap)
+    }
+}
+
+/// Binds `rule`'s head to `example`, as the head test of the module docs
+/// does once the example may match: straight by id for a simple head and a
+/// ground example (`hints` are the example's argument ids, when the caller
+/// has them), else by unification. False when they do not unify.
+fn bind_head(
+    rule: &PreparedRule,
+    example: &Literal,
+    hints: &[TermId],
+    arena: &TermArena,
+    bindings: &mut Bindings,
+) -> bool {
+    if !(rule.simple_head && example.is_ground()) {
+        return bindings.unify_literals(&rule.head, example, false);
+    }
+    for (k, (h, arg)) in rule.head.args.iter().zip(example.args.iter()).enumerate() {
+        if let Term::Var(v) = h {
+            let hint = hints.get(k).copied().unwrap_or(TermId::NONE);
+            let id = arena.lookup_hinted(arg, hint).unwrap_or(TermId::NONE);
+            bindings.bind_ground_id(*v, arg, id);
+        }
+    }
+    true
+}
+
+/// One proof scratch: a prover, with its pool of plan buffers, a second
+/// prover for the extra literals of a query pack, which run while the first
+/// one's proof of their parent's body does, and one binding store, made
+/// once and reused by every proof of a search. A side or a pack evaluated
+/// through it allocates nothing once the buffers have grown.
 pub struct ProofScratch<'a> {
     prover: Prover<'a>,
+    extend: Prover<'a>,
     bindings: Bindings,
 }
 
@@ -421,6 +568,7 @@ impl<'a> ProofScratch<'a> {
     pub fn new(kb: &'a KnowledgeBase, proof: ProofLimits) -> Self {
         ProofScratch {
             prover: Prover::new(kb, proof),
+            extend: Prover::new(kb, proof),
             bindings: Bindings::new(),
         }
     }
@@ -439,38 +587,15 @@ impl<'a> ProofScratch<'a> {
         covered: &mut Bitset,
     ) -> u64 {
         let n = lits.len();
-        // Threshold on *live* examples: under monotone pruning a deep
-        // refinement may be live on a handful of a thousand examples, and
-        // spawning threads for mostly-dead ranges costs more than it saves.
-        let workload = live.map_or(n, Bitset::count);
-        let cap = workload.div_ceil(PARALLEL_MIN_EXAMPLES);
-        let threads = if cap <= 1 {
-            1
-        } else {
-            resolve_threads(threads).min(cap)
-        };
+        let threads = side_threads(n, live, threads);
         covered.reset(n);
         if threads <= 1 {
             return self.eval_range(rule, lits, ids, live, 0..n, covered);
         }
-        let (kb, proof) = (self.prover.kb(), self.prover.limits());
-        let chunk = n.div_ceil(threads);
-        let parts: Vec<(Bitset, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|k| {
-                    let range = k * chunk..((k + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        let mut bits = Bitset::new(n);
-                        let mut scratch = ProofScratch::new(kb, proof);
-                        let steps = scratch.eval_range(rule, lits, ids, live, range, &mut bits);
-                        (bits, steps)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("coverage worker panicked"))
-                .collect()
+        let parts = self.in_chunks(n, threads, |scratch, range| {
+            let mut bits = Bitset::new(n);
+            let steps = scratch.eval_range(rule, lits, ids, live, range, &mut bits);
+            (bits, steps)
         });
         // Merge in chunk order: bits are disjoint, the step sum is
         // order-invariant — bit-identical to the sequential pass.
@@ -480,6 +605,31 @@ impl<'a> ProofScratch<'a> {
             steps += s;
         }
         steps
+    }
+
+    /// Runs `work` on `threads` contiguous chunks of `0..n`, each on a
+    /// thread of its own with a scratch of its own; the results come back
+    /// in chunk order.
+    fn in_chunks<R: Send>(
+        &self,
+        n: usize,
+        threads: usize,
+        work: impl Fn(&mut ProofScratch<'a>, std::ops::Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        let (kb, proof, work) = (self.prover.kb(), self.prover.limits(), &work);
+        let chunk = n.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|k| {
+                    let range = k * chunk..((k + 1) * chunk).min(n);
+                    scope.spawn(move || work(&mut ProofScratch::new(kb, proof), range))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("coverage worker panicked"))
+                .collect()
+        })
     }
 
     /// Evaluates one side (positive or negative examples) over `range` into
@@ -535,20 +685,8 @@ impl<'a> ProofScratch<'a> {
             // Exactly `span` free slots, as a store made for this rule has.
             bindings.reset(rule.span);
             bindings.ensure(rule.span);
-            let matched = if rule.simple_head && example.is_ground() {
-                let hints = ids.map_or(&[][..], |ids| ids.of(i));
-                for (k, (h, arg)) in rule.head.args.iter().zip(example.args.iter()).enumerate() {
-                    if let Term::Var(v) = h {
-                        let hint = hints.get(k).copied().unwrap_or(TermId::NONE);
-                        let id = arena.lookup_hinted(arg, hint).unwrap_or(TermId::NONE);
-                        bindings.bind_ground_id(*v, arg, id);
-                    }
-                }
-                true
-            } else {
-                bindings.unify_literals(&rule.head, example, false)
-            };
-            if matched {
+            let hints = ids.map_or(&[][..], |ids| ids.of(i));
+            if bind_head(rule, example, hints, arena, bindings) {
                 let (ok, st) = prover.prove_compiled_reusing(rule.goals(), bindings);
                 steps += st.steps;
                 if ok {
@@ -557,6 +695,117 @@ impl<'a> ProofScratch<'a> {
             }
         }
         steps
+    }
+
+    /// Proves the query pack of `parent` (see "Query packs" above) on the
+    /// examples of `lits` in `live`: each member of `members` whose bit is
+    /// set in `which` — a rule that [`PreparedRule::extends`] `parent` — into
+    /// `answers`, exactly what [`ProofScratch::evaluate_side`] of the member
+    /// alone gives, for every thread count. `ids` as there.
+    #[allow(clippy::too_many_arguments)]
+    pub fn eval_pack(
+        &mut self,
+        parent: &PreparedRule,
+        members: &[PreparedRule],
+        which: u64,
+        lits: &[Literal],
+        ids: Option<&ExampleIds>,
+        live: &Bitset,
+        threads: usize,
+        answers: &mut PackAnswers,
+    ) {
+        debug_assert!(members_of(which).all(|m| members[m].extends(parent)));
+        let n = lits.len();
+        let threads = side_threads(n, Some(live), threads);
+        answers.reset(which, n);
+        if threads <= 1 {
+            return self.pack_range(parent, members, which, lits, ids, live, 0..n, answers);
+        }
+        let parts = self.in_chunks(n, threads, |scratch, range| {
+            let mut part = PackAnswers::default();
+            part.reset(which, n);
+            scratch.pack_range(parent, members, which, lits, ids, live, range, &mut part);
+            part
+        });
+        // Disjoint bits and order-invariant sums, as in `evaluate_side`.
+        for part in parts {
+            for m in members_of(which) {
+                answers.covered[m].union_with(&part.covered[m]);
+                answers.steps[m] += part.steps[m];
+            }
+        }
+    }
+
+    /// [`ProofScratch::eval_pack`] over the live examples in `range`, on the
+    /// calling thread.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_range(
+        &mut self,
+        parent: &PreparedRule,
+        members: &[PreparedRule],
+        which: u64,
+        lits: &[Literal],
+        ids: Option<&ExampleIds>,
+        live: &Bitset,
+        range: std::ops::Range<usize>,
+        answers: &mut PackAnswers,
+    ) {
+        let (prover, extend, bindings) = (&self.prover, &self.extend, &mut self.bindings);
+        let arena = prover.kb().arena();
+        let max_steps = prover.limits().max_steps;
+        // Every member's variables, reserved before the body runs.
+        let span = members_of(which).fold(parent.span, |span, m| span.max(members[m].span));
+        let indices = live
+            .iter_ones()
+            .skip_while(|&i| i < range.start)
+            .take_while(|&i| i < range.end);
+        let mut tried = 0u64;
+        for i in indices {
+            tried += 1; // the head step, every member's
+            let example = &lits[i];
+            if !parent.head_may_match(example) {
+                continue;
+            }
+            bindings.reset(span);
+            bindings.ensure(span);
+            let hints = ids.map_or(&[][..], |ids| ids.of(i));
+            if !bind_head(parent, example, hints, arena, bindings) {
+                continue;
+            }
+            // The members not yet decided, and the steps each one's literal
+            // took so far.
+            let mut open = which;
+            let mut extra = [0u64; 64];
+            let body = prover.run_metered(parent.goals(), bindings, 0, max_steps, &mut |b, at| {
+                for m in members_of(open) {
+                    let spent = at.steps + extra[m];
+                    if spent <= max_steps {
+                        let mut found = false;
+                        let goal = members[m].last_goal();
+                        let left = max_steps - spent;
+                        let tried = extend.run_metered(goal, b, at.fresh, left, &mut |_, _| {
+                            found = true;
+                            false
+                        });
+                        extra[m] += tried.steps;
+                        if found {
+                            answers.covered[m].set(i);
+                        } else if !tried.aborted {
+                            continue;
+                        }
+                    }
+                    answers.steps[m] += (at.steps + extra[m]).min(max_steps + 1);
+                    open &= !(1 << m);
+                }
+                open != 0
+            });
+            for m in members_of(open) {
+                answers.steps[m] += (body.steps + extra[m]).min(max_steps + 1);
+            }
+        }
+        for m in members_of(which) {
+            answers.steps[m] += tried;
+        }
     }
 }
 

@@ -71,6 +71,7 @@ pub fn run_sequential(
             Some(&live),
             &[],
             None,
+            1,
             &mut memo,
         );
         out.steps += found.steps;

@@ -45,8 +45,9 @@
 //! # Budget
 //!
 //! The capacity of those four vectors plus the struct itself — but for
-//! what it works in rather than stores, a node's bitsets and the examples'
-//! arena ids (`Working`) — is the memo's accounted size, and it never
+//! what it works in rather than stores, a node's bitsets, the examples'
+//! arena ids, the query packs' buffers and its statistics (`Working`) — is
+//! the memo's accounted size, and it never
 //! exceeds `BUDGET`: every vector grows
 //! through `CoverageMemo::make_room` only, which evicts before it grows
 //! past the budget and refuses when nothing may be evicted — the node's
@@ -65,9 +66,12 @@
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
-use crate::coverage::{prepare_rule, Coverage, ExampleIds, PreparedRule, ProofScratch};
+use crate::coverage::{
+    prepare_rule, Coverage, ExampleIds, PackAnswers, PreparedRule, ProofScratch,
+};
 use crate::examples::Examples;
 use crate::refine::RuleShape;
+use crate::search::Pack;
 use crate::settings::Settings;
 use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::fxhash::FxHasher;
@@ -119,6 +123,12 @@ pub struct MemoStats {
     pub partial: u64,
     /// Nodes proved on every live example of some side.
     pub proved: u64,
+    /// Nodes of `proved` whose positives were answered by a query pack of
+    /// their parent's successors ([`crate::search`], "Query packs").
+    pub packed: u64,
+    /// Query packs proved on the positives: `packed / packs` is their mean
+    /// size.
+    pub packs: u64,
     /// Entries evicted to stay within the budget.
     pub evicted: u64,
     /// Results not stored because nothing more could be evicted.
@@ -232,6 +242,37 @@ pub(crate) struct Key {
     words: Vec<u64>,
     len: usize,
     tag: u32,
+}
+
+/// A few keys, told apart: the successors a query pack gathered that the
+/// memo had no record of, so that of several variants only the first is
+/// proved (the others find its record). Per key a word of its tag and
+/// length, then its words.
+#[derive(Default)]
+pub(crate) struct KeySet {
+    words: Vec<u64>,
+}
+
+impl KeySet {
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+    }
+
+    /// Adds `key`; false when it is in the set already.
+    pub(crate) fn insert(&mut self, key: &Key) -> bool {
+        let head = u64::from(key.tag) << 32 | key.len as u64;
+        let mut at = 0;
+        while let Some(&word) = self.words.get(at) {
+            let words = (word as u32 as usize).div_ceil(2);
+            if word == head && self.words[at + 1..at + 1 + words] == key.words {
+                return false;
+            }
+            at += 1 + words;
+        }
+        self.words.push(head);
+        self.words.extend_from_slice(&key.words);
+        true
+    }
 }
 
 impl Key {
@@ -493,11 +534,17 @@ struct Scratch {
 /// which bounds what it *stores*: a node's bitsets, a few masks' worth
 /// whatever the memo holds, and the example list the memo stands for with
 /// the arena ids of its arguments ([`CoverageMemo::example_ids`]), one id
-/// per argument of an example the rank holds anyway.
+/// per argument of an example the rank holds anyway; the buffers of the
+/// searches' query packs, at most 65 compiled rules and 128 masks, kept
+/// from search to search (even across [`CoverageMemo::clear`]) so that they
+/// are made once per covering loop; and the statistics, which are no
+/// record either.
 #[derive(Default)]
 struct Working {
     scratch: Scratch,
     example_ids: Option<(Examples, Arc<[ExampleIds; 2]>)>,
+    pack: Pack,
+    stats: MemoStats,
 }
 
 /// The bytes of the memo's own struct that count against the budget:
@@ -528,7 +575,6 @@ pub struct CoverageMemo {
     /// [`CoverageMemo::recount`].
     allocated: usize,
     budget: usize,
-    stats: MemoStats,
     working: Working,
 }
 
@@ -552,7 +598,6 @@ impl CoverageMemo {
             skeleton_index: Index::default(),
             allocated: OWN_BYTES,
             budget: BUDGET,
-            stats: MemoStats::default(),
             working: Working::default(),
         }
     }
@@ -560,17 +605,22 @@ impl CoverageMemo {
     /// Forgets every entry and skeleton and frees their memory; the
     /// statistics stay.
     pub fn clear(&mut self) {
+        let working = Working {
+            pack: std::mem::take(&mut self.working.pack),
+            stats: self.working.stats,
+            ..Working::default()
+        };
         *self = CoverageMemo {
             search: self.search,
             budget: self.budget,
-            stats: self.stats,
+            working,
             ..Self::new()
         };
     }
 
     /// What the memo did so far.
     pub fn stats(&self) -> MemoStats {
-        self.stats
+        self.working.stats
     }
 
     /// The bytes the memo accounts for: its own size plus the capacity of
@@ -609,6 +659,20 @@ impl CoverageMemo {
         let ids = Arc::new(sides.map(|lits| ExampleIds::new(kb.arena(), lits)));
         self.working.example_ids = Some((examples.clone(), Arc::clone(&ids)));
         ids
+    }
+
+    /// The query pack buffers, lent to a search until it hands them back
+    /// ([`CoverageMemo::keep_pack`]).
+    pub(crate) fn take_pack(&mut self) -> Pack {
+        std::mem::take(&mut self.working.pack)
+    }
+
+    /// Takes the query pack buffers back, with what the search's packs did.
+    pub(crate) fn keep_pack(&mut self, mut pack: Pack) {
+        let (packed, packs) = pack.take_counts();
+        self.working.stats.packed += packed;
+        self.working.stats.packs += packs;
+        self.working.pack = pack;
     }
 
     /// Opens a search over example lists of `n_pos` and `n_neg` examples:
@@ -672,6 +736,12 @@ impl CoverageMemo {
         })
     }
 
+    /// Whether a record is stored under `key`. Unlike a lookup this stamps
+    /// nothing, so what may be evicted stays as it was.
+    pub(crate) fn holds(&self, key: &Key) -> bool {
+        self.slot_of(key).is_some()
+    }
+
     /// The record stored under `key`, stamped as touched by this search.
     fn find(&mut self, key: &Key) -> Option<usize> {
         let at = self.index.slots[self.slot_of(key)?].at as usize;
@@ -727,11 +797,11 @@ impl CoverageMemo {
         let neg =
             needs_neg(bits.covered[0].count() as u32).then(|| side(self, Side::Neg, &mut bits));
         let ran = neg.map_or(ran_pos, |n| n.1.max(ran_pos));
-        self.stats.steps_run += steps_run;
+        self.working.stats.steps_run += steps_run;
         match ran {
-            Ran::Nothing => self.stats.served += 1,
-            Ran::Difference => self.stats.partial += 1,
-            Ran::Full => self.stats.proved += 1,
+            Ran::Nothing => self.working.stats.served += 1,
+            Ran::Difference => self.working.stats.partial += 1,
+            Ran::Full => self.working.stats.proved += 1,
         }
         let neg_steps = neg.map(|(steps, _)| steps);
         if let (Some(key), true) = (key, ran != Ran::Nothing) {
@@ -827,7 +897,7 @@ impl CoverageMemo {
         let halves_words = |i: usize| shapes[i].map_or(kept(i), half_words);
         let words = 1 + key.words.len() + halves_words(0) + halves_words(1);
         if !self.make_room(false, words, at.is_none()) {
-            self.stats.unstored += 1;
+            self.working.stats.unstored += 1;
             return;
         }
         let to = self.arena.len();
@@ -941,7 +1011,7 @@ impl CoverageMemo {
                 added += index.grow();
             }
             self.allocated += added;
-            self.stats.peak_bytes = self.stats.peak_bytes.max(self.allocated);
+            self.working.stats.peak_bytes = self.working.stats.peak_bytes.max(self.allocated);
             return true;
         }
     }
@@ -971,7 +1041,7 @@ impl CoverageMemo {
                     self.arena[at] |= DEAD;
                     freed += words;
                     self.evictable -= 1;
-                    self.stats.evicted += 1;
+                    self.working.stats.evicted += 1;
                 }
                 at += words;
             }
@@ -1081,6 +1151,34 @@ impl<'a> Proving<'a> {
         let ids = &self.ids[side as usize];
         self.scratch
             .evaluate_side(rule, lits, Some(ids), Some(mask), self.threads, out)
+    }
+
+    /// Proves the query pack of `parent` — the `members` in `which` — on
+    /// `side`'s examples in `mask`, into `answers`
+    /// ([`ProofScratch::eval_pack`]).
+    pub(crate) fn prove_pack(
+        &mut self,
+        parent: &PreparedRule,
+        members: &[PreparedRule],
+        which: u64,
+        (side, mask): (Side, &Bitset),
+        answers: &mut PackAnswers,
+    ) {
+        let lits = match side {
+            Side::Pos => &self.examples.pos,
+            Side::Neg => &self.examples.neg,
+        };
+        let ids = &self.ids[side as usize];
+        self.scratch.eval_pack(
+            parent,
+            members,
+            which,
+            lits,
+            Some(ids),
+            mask,
+            self.threads,
+            answers,
+        );
     }
 }
 
@@ -1541,6 +1639,7 @@ mod tests {
                 Some(&live),
                 seeds,
                 None,
+                settings.good_cap,
                 memo,
             )
         };
@@ -1627,6 +1726,7 @@ mod tests {
                     Some(&live),
                     seeds,
                     None,
+                    settings.good_cap,
                     &mut memo,
                 );
                 let plain =

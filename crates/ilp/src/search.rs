@@ -49,7 +49,8 @@
 //! search; a search without a loop around it ([`search_rules`]) brings its
 //! own. A node the memo can answer is not compiled and not proved, and its
 //! steps are charged exactly as if it had been: the work is skipped, the
-//! fuel is kept — the convention of the prover's bulk-charged plans — so
+//! fuel is kept — the convention of the prover's bulk-charged plans, and of
+//! the query packs below — so
 //! `good`, `seed_scored`, `nodes` and `steps`, and with them every theory,
 //! virtual time and table, are bit-identical to the memo-free search
 //! whatever the memo holds. [`SearchOutcome::reused`] and
@@ -106,7 +107,10 @@
 //! query, a rule search, a whole learning run — starts from what the last
 //! one proved.
 //!
-//! *One path.* Scoring a clause on its own — the master's `Evaluate` of a
+//! *One path.* The steps a memo's proofs run ([`CoverageMemo::stats`]'s
+//! `steps_run`) are the proofs it asked for, each charged as that node alone
+//! would be, whether a query pack answered it or not; a pack runs fewer.
+//! Scoring a clause on its own — the master's `Evaluate` of a
 //! bag, `MarkCovered`, a theory replay — goes through the same memo as a
 //! search node ([`CoverageMemo::evaluate_rules`]): the clause is keyed as
 //! the shape it came from was (`shape.to_clause(⊥e)` and `shape` under `⊥e`
@@ -166,17 +170,47 @@
 //!
 //! Skipping the *expansion* of variant subtrees is a different algorithm:
 //! it changes what the `max_nodes` budget buys, hence the theories.
+//!
+//! # Query packs
+//!
+//! A node's successors are the node plus one body literal each, evaluated
+//! on the examples the node covered: proved alone, each binds the head and
+//! proves the node's whole body again on every one of them. On the
+//! sequential `mesh(1.0)` learn a proved example ran 2.69 goals on average,
+//! 1.69 of them its parent's body. So the successors the memo will prove
+//! are proved together, as one *query pack* (Blockeel et al., JAIR 2002;
+//! [`crate::coverage`], "Query packs", has the proof and its charge rule):
+//! per example one head bind and one proof of the parent's body, and at each
+//! of the body's solutions the extra literal of every member not yet
+//! decided.
+//!
+//! When the frontier starts a new front node, the search gathers its
+//! admitted successors, as many as the node budget leaves and at most 64,
+//! whose key has no record in the memo (looked at without touching the
+//! record, so that eviction is what it would be without packs), whose key
+//! is not a variant's already gathered (the variant finds the first one's
+//! record), and whose compiled rule is the front node's plus one last
+//! literal. The pack is proved on the positives when its first member asks
+//! for a proof on its whole live mask — for that member and every later one
+//! — and on the negatives when the first member asks for negatives, for the
+//! members from it on whose covered positives reach `min_pos`. The memo
+//! sees the very calls, masks and step totals it sees without packs: a
+//! member's question on the whole mask is answered from the pack, and any
+//! other proof — a difference proof, a node that is not a member — is the
+//! node's alone. On the sequential `mesh(1.0)` learn a pack has about 3.5
+//! members ([`CoverageMemo::stats`] counts them).
 
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
-use crate::coverage::CompiledBottom;
+use crate::coverage::{CompiledBottom, PackAnswers, PreparedRule};
 use crate::examples::Examples;
-use crate::memo::{ClauseKeys, CoverageMemo, Proving, Ran};
+use crate::memo::{ClauseKeys, CoverageMemo, KeySet, Proving, Ran, Side};
 use crate::refine::{next_appendable, LatticeSlice, RuleShape};
 use crate::settings::Settings;
 use p2mdie_logic::fxhash::FxHashSet;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::term::VarId;
+use std::collections::BinaryHeap;
 
 /// A rule with its (local) coverage and score.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -201,14 +235,38 @@ impl ScoredRule {
     /// Deterministic ordering: higher score first, then shorter body, then
     /// lexicographically smaller shape.
     pub fn rank_key(&self) -> (i64, i64, &[u32]) {
-        (-self.score, self.shape.body_len() as i64, &self.shape.lits)
+        rank_key(self.score, &self.shape)
+    }
+}
+
+/// [`ScoredRule::rank_key`] of a rule not built yet.
+fn rank_key(score: i64, shape: &RuleShape) -> (i64, i64, &[u32]) {
+    (-score, shape.body_len() as i64, &shape.lits)
+}
+
+/// A good rule in the search's bounded heap, the worst kept on top: ordered
+/// by [`ScoredRule::rank_key`], which is total on a search's rules (no
+/// shape is evaluated twice).
+#[derive(PartialEq, Eq)]
+struct Kept(ScoredRule);
+
+impl Ord for Kept {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.rank_key().cmp(&other.0.rank_key())
+    }
+}
+
+impl PartialOrd for Kept {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 /// The outcome of one search.
 #[derive(Clone, Debug, Default)]
 pub struct SearchOutcome {
-    /// Good rules found, best first (deterministic order).
+    /// The best good rules found, as many as the caller keeps, best first
+    /// (deterministic order).
     pub good: Vec<ScoredRule>,
     /// Every seed rule with its local score, good or not. The pipelined
     /// `learn_rule'` (paper Fig. 7) initializes `Good = S`: rules received
@@ -256,6 +314,8 @@ struct Frontier {
     bound: Vec<VarId>,
     cursor: Option<usize>,
     live: [Bitset; 2],
+    /// How many nodes have been the front one: names the front node.
+    fronts: usize,
 }
 
 impl Frontier {
@@ -270,6 +330,7 @@ impl Frontier {
                 Bitset::new(examples.num_pos()),
                 Bitset::new(examples.num_neg()),
             ],
+            fronts: 0,
         }
     }
 
@@ -333,8 +394,164 @@ impl Frontier {
             at += n;
         }
         self.front += at;
+        self.fronts += 1;
         self.shape.bound_vars_into(bottom, &mut self.bound);
         self.shape.append_from()
+    }
+}
+
+/// The most members a query pack takes: one bit each in a `u64`.
+const PACK_MEMBERS: usize = 64;
+
+/// The query pack of the front node's successors (see "Query packs"), with
+/// the buffers it is proved in: lent by the memo to each search, so that
+/// its rules and sets are made once per covering loop.
+#[derive(Default)]
+pub(crate) struct Pack {
+    /// The front node compiled (`rules[0]`), each member compiled
+    /// (`rules[1 + m]`), then spare rules for later packs.
+    rules: Vec<PreparedRule>,
+    /// Per member the literal of ⊥e it appends, ascending.
+    appends: Vec<usize>,
+    /// The front node the pack was gathered for ([`Frontier::fronts`]), and
+    /// the literal the last successor it looked at appends.
+    front: Option<usize>,
+    reach: usize,
+    /// The member the search meets next.
+    next: usize,
+    /// The keys of the successors gathered that had no record.
+    keys: KeySet,
+    /// Per side the members proved, none before the first member asks, and
+    /// their answers.
+    proved: [u64; 2],
+    answers: [PackAnswers; 2],
+    /// The successor being looked at.
+    shape: RuleShape,
+    /// Nodes whose positives a pack answered, and packs proved on the
+    /// positives, since the memo last took the counts.
+    packed: u64,
+    packs: u64,
+}
+
+impl Pack {
+    /// The counts of `packed` and `packs` so far, zeroed.
+    pub(crate) fn take_counts(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.packed),
+            std::mem::take(&mut self.packs),
+        )
+    }
+
+    /// The member `child` — the frontier's last successor — is of its
+    /// parent's pack. When `child` is the first successor of a new front
+    /// node, or one past what the pack looked at, the pack is gathered
+    /// first: from `child` on, the successors `admit` lets through, as many
+    /// as the node budget leaves, whose key the memo holds no record of and
+    /// is not a variant's already gathered, and whose compiled rule extends
+    /// the front node's ([`PreparedRule::extends`]) — at most
+    /// [`PACK_MEMBERS`]. Looking stamps no record, so that eviction is what
+    /// it would be without packs.
+    #[allow(clippy::too_many_arguments)]
+    fn member(
+        &mut self,
+        child: &RuleShape,
+        frontier: &Frontier,
+        bottom: &BottomClause,
+        max_body: usize,
+        admit: impl Fn(&RuleShape) -> bool,
+        nodes_left: usize,
+        keys: &mut ClauseKeys,
+        memo: &CoverageMemo,
+        compiler: &mut CompiledBottom,
+    ) -> Option<usize> {
+        let last = *child.lits.last().expect("a successor appends a literal") as usize;
+        if self.front != Some(frontier.fronts) || last > self.reach {
+            self.front = Some(frontier.fronts);
+            self.appends.clear();
+            self.keys.clear();
+            self.next = 0;
+            self.proved = [0; 2];
+            let parent = &frontier.shape;
+            let (mut next, mut taken) = (Some(last), 0);
+            while let Some(j) = next.filter(|_| taken < nodes_left) {
+                if self.appends.len() == PACK_MEMBERS {
+                    break;
+                }
+                next = next_appendable(bottom, &frontier.bound, parent.body_len(), max_body, j + 1);
+                self.shape.lits.clear();
+                self.shape.lits.extend_from_slice(&parent.lits);
+                self.shape.lits.push(j as u32);
+                if !admit(&self.shape) {
+                    continue;
+                }
+                taken += 1;
+                self.reach = j;
+                match keys.key_of(&self.shape) {
+                    Some(key) if memo.holds(key) || !self.keys.insert(key) => continue,
+                    _ => {}
+                }
+                let m = self.appends.len();
+                while self.rules.len() < m + 2 {
+                    self.rules.push(compiler.rule());
+                }
+                if m == 0 {
+                    compiler.compile(parent, &mut self.rules[0]);
+                }
+                compiler.compile(&self.shape, &mut self.rules[1 + m]);
+                if self.rules[1 + m].extends(&self.rules[0]) {
+                    self.appends.push(j);
+                }
+            }
+        }
+        let m = self.next;
+        (self.appends.get(m) == Some(&last)).then(|| {
+            self.next += 1;
+            m
+        })
+    }
+
+    /// Member `m`'s answer on `side` when asked on the whole `live` mask of
+    /// that side: covered examples into `out`, and the steps. The side's
+    /// pack is proved at the first member's question, for that member and
+    /// every one after it — on the negatives only those whose positives
+    /// were answered here and number at least `min_pos`. `None` when the
+    /// pack has no answer for `m`: the member is proved alone.
+    fn answer(
+        &mut self,
+        m: usize,
+        (side, live): (Side, &Bitset),
+        min_pos: u32,
+        proving: &mut Proving<'_>,
+        out: &mut Bitset,
+    ) -> Option<u64> {
+        let s = side as usize;
+        if self.proved[s] == 0 {
+            let from_m = (u64::MAX >> (PACK_MEMBERS - self.appends.len())) & (u64::MAX << m);
+            let mut which = from_m;
+            if side == Side::Neg {
+                which &= self.proved[0];
+                for c in 0..self.appends.len() {
+                    let reached = |c| self.answers[0].covered(c).count() >= min_pos as usize;
+                    if which & (1 << c) != 0 && !reached(c) {
+                        which &= !(1 << c);
+                    }
+                }
+            }
+            if which & (1 << m) == 0 {
+                return None;
+            }
+            let (parent, members) = self.rules.split_first().expect("a pack has a parent");
+            let members = &members[..self.appends.len()];
+            proving.prove_pack(parent, members, which, (side, live), &mut self.answers[s]);
+            self.proved[s] = which;
+            self.packs += u64::from(side == Side::Pos);
+        }
+        if self.proved[s] & (1 << m) == 0 {
+            return None;
+        }
+        self.packed += u64::from(side == Side::Pos);
+        out.copy_from(self.answers[s].covered(m));
+        Some(self.answers[s].steps(m))
     }
 }
 
@@ -360,16 +577,20 @@ pub fn search_rules(
         live_pos,
         seeds,
         None,
+        settings.good_cap,
         &mut CoverageMemo::new(),
     )
 }
 
-/// [`search_rules`] with its two hooks: an optional slice of the refinement
-/// lattice to stay inside (hypothesis-parallel search — successors outside
-/// the slice are never enqueued; slices are subtree-closed, so this loses
-/// nothing the slice owns), and the coverage memo of the covering loop the
-/// search is part of (see the module docs for what a memo may be shared
-/// across). With no slice and a new memo this is exactly the plain search.
+/// [`search_rules`] with its three hooks: an optional slice of the
+/// refinement lattice to stay inside (hypothesis-parallel search —
+/// successors outside the slice are never enqueued; slices are
+/// subtree-closed, so this loses nothing the slice owns), how many of the
+/// best good rules the caller keeps (`keep`: only those are copied into
+/// [`SearchOutcome::good`], as they are found), and the coverage memo of
+/// the covering loop the search is part of (see the module docs for what a
+/// memo may be shared across). With no slice, `settings.good_cap` and a new
+/// memo this is exactly the plain search.
 #[allow(clippy::too_many_arguments)]
 pub fn search_rules_guided(
     kb: &KnowledgeBase,
@@ -379,10 +600,14 @@ pub fn search_rules_guided(
     live_pos: Option<&Bitset>,
     seeds: &[RuleShape],
     slice: Option<&LatticeSlice>,
+    keep: usize,
     memo: &mut CoverageMemo,
 ) -> SearchOutcome {
     let mut out = SearchOutcome::default();
+    let mut good = BinaryHeap::new();
     memo.begin_search(examples.num_pos(), examples.num_neg());
+    let mut pack = memo.take_pack();
+    pack.front = None;
     let mut keys = ClauseKeys::new(bottom, memo);
     // Compiled once for every node: ⊥e, the buffer a node compiles into
     // and the proof scratch.
@@ -429,6 +654,20 @@ pub fn search_rules_guided(
         if out.nodes >= settings.max_nodes {
             break;
         }
+        let member = match is_root {
+            true => None,
+            false => pack.member(
+                &shape,
+                &frontier,
+                bottom,
+                settings.max_body,
+                admit,
+                settings.max_nodes - out.nodes,
+                &mut keys,
+                memo,
+                &mut compiler,
+            ),
+        };
         out.nodes += 1;
         let is_seed = is_root && !seeds.is_empty();
         // Lazy negative side: a non-seed node below `min_pos` can never be
@@ -441,10 +680,18 @@ pub fn search_rules_guided(
             true => [root_pos, &every_neg],
             false => [&frontier.live[0], &frontier.live[1]],
         };
-        // Compiled when the memo first asks for a proof, once for both
-        // sides and every example.
+        // A member's question on a whole live mask — the memo passes the
+        // mask it was handed — is answered by its pack. Any other proof is
+        // the node's alone, compiled when the memo first asks for one, once
+        // for both sides and every example.
         let mut compiled = false;
-        let prove = |side, mask: &Bitset, out: &mut Bitset| {
+        let prove = |side: Side, mask: &Bitset, out: &mut Bitset| {
+            if let Some(m) = member.filter(|_| std::ptr::eq(mask, live[side as usize])) {
+                let asked = (side, mask);
+                if let Some(steps) = pack.answer(m, asked, settings.min_pos, &mut proving, out) {
+                    return steps;
+                }
+            }
             if !std::mem::replace(&mut compiled, true) {
                 compiler.compile(&shape, &mut rule);
             }
@@ -471,17 +718,8 @@ pub fn search_rules_guided(
         }
 
         if settings.is_good(pos, neg) {
-            out.good.push(ScoredRule {
-                shape: shape.clone(),
-                pos,
-                neg,
-                score: settings.score.score(pos, neg, shape.body_len()),
-            });
-            if out.good.len() > settings.good_cap {
-                // Keep the cap loose: sort and truncate only when exceeded.
-                out.good.sort_by(|a, b| a.rank_key().cmp(&b.rank_key()));
-                out.good.truncate(settings.good_cap);
-            }
+            let score = settings.score.score(pos, neg, shape.body_len());
+            keep_good(&mut good, keep, &shape, (pos, neg, score));
         }
 
         // Specializing cannot regain positive cover: prune hopeless subtrees.
@@ -490,8 +728,35 @@ pub fn search_rules_guided(
         }
     }
 
-    out.good.sort_by(|a, b| a.rank_key().cmp(&b.rank_key()));
+    memo.keep_pack(pack);
+    out.good = good.into_sorted_vec().into_iter().map(|k| k.0).collect();
     out
+}
+
+/// Keeps a good rule among the `keep` best of `good` so far: copied only
+/// when it is kept, into the shape of the rule it displaces. The order is
+/// total, so the rules kept are the first `keep` of every good rule ranked.
+fn keep_good(
+    good: &mut BinaryHeap<Kept>,
+    keep: usize,
+    shape: &RuleShape,
+    (pos, neg, score): (u32, u32, i64),
+) {
+    if good.len() < keep {
+        let shape = shape.clone();
+        good.push(Kept(ScoredRule {
+            shape,
+            pos,
+            neg,
+            score,
+        }));
+    } else if let Some(mut worst) = good.peek_mut() {
+        if rank_key(score, shape) < worst.0.rank_key() {
+            let rule = &mut worst.0;
+            rule.shape.lits.clone_from(&shape.lits);
+            (rule.pos, rule.neg, rule.score) = (pos, neg, score);
+        }
+    }
 }
 
 /// Selects the top `cap` rules of an already-ranked good list (the pipeline
@@ -679,6 +944,7 @@ mod tests {
                 None,
                 &[],
                 slice,
+                settings.good_cap,
                 &mut CoverageMemo::new(),
             );
             assert_eq!(plain.good, guided.good);
@@ -711,6 +977,7 @@ mod tests {
                     None,
                     &[],
                     Some(&LatticeSlice { rank, of, salt: 11 }),
+                    settings.good_cap,
                     &mut CoverageMemo::new(),
                 );
                 for r in &out.good {

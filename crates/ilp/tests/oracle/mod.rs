@@ -314,6 +314,7 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                     live_pos,
                     seeds,
                     slice,
+                    settings.good_cap,
                     memo,
                 );
                 let plain = memo_free_search(

@@ -52,7 +52,17 @@ fn search_both_ways(
     memo: &mut CoverageMemo,
 ) -> (SearchOutcome, SearchOutcome) {
     let (kb, settings) = (&engine.kb, &engine.settings);
-    let memoised = search_rules_guided(kb, settings, bottom, examples, None, seeds, None, memo);
+    let memoised = search_rules_guided(
+        kb,
+        settings,
+        bottom,
+        examples,
+        None,
+        seeds,
+        None,
+        settings.good_cap,
+        memo,
+    );
     let plain = memo_free_search(kb, settings, bottom, examples, None, seeds, None);
     (memoised, plain)
 }
@@ -155,8 +165,17 @@ fn seeds_reached_from_one_another_are_visited_once() {
             let (kb, settings, ex) = (&engine.kb, &engine.settings, &w.examples);
             for slice in [None, Some(&half)] {
                 let what = format!("{what}, {max_nodes} nodes, slice {slice:?}");
-                let memoised =
-                    search_rules_guided(kb, settings, &bottom, ex, None, seeds, slice, &mut memo);
+                let memoised = search_rules_guided(
+                    kb,
+                    settings,
+                    &bottom,
+                    ex,
+                    None,
+                    seeds,
+                    slice,
+                    settings.good_cap,
+                    &mut memo,
+                );
                 let plain = memo_free_search(kb, settings, &bottom, ex, None, seeds, slice);
                 assert_same(&memoised, &plain, &what);
                 assert!(
@@ -180,7 +199,18 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     let mut memo = CoverageMemo::new();
     let mut live = ex.full_pos_live();
     let first = engine.saturate(&ex.pos[0]).expect("head matches");
-    search_rules_guided(kb, settings, &first, ex, Some(&live), &[], None, &mut memo);
+    let cap = settings.good_cap;
+    search_rules_guided(
+        kb,
+        settings,
+        &first,
+        ex,
+        Some(&live),
+        &[],
+        None,
+        cap,
+        &mut memo,
+    );
     let after_first = memo.stats();
 
     // Two positives retire; the next example's bottom clause shares the
@@ -188,8 +218,17 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     live.clear(0);
     live.clear(2);
     let second = engine.saturate(&ex.pos[1]).expect("head matches");
-    let memoised =
-        search_rules_guided(kb, settings, &second, ex, Some(&live), &[], None, &mut memo);
+    let memoised = search_rules_guided(
+        kb,
+        settings,
+        &second,
+        ex,
+        Some(&live),
+        &[],
+        None,
+        cap,
+        &mut memo,
+    );
     let plain = memo_free_search(kb, settings, &second, ex, Some(&live), &[], None);
     assert_same(&memoised, &plain, "second bottom clause");
     let s = memo.stats();

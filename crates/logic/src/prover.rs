@@ -51,6 +51,20 @@
 //! unified: an all-ground goal binds nothing. An irregular row (a fact with
 //! a non-ground argument) is unified literal-at-a-time.
 //!
+//! # One metered loop
+//!
+//! Every entry point ends in [`Prover::run_metered`]: a proof from given
+//! bindings under a per-call step budget, whose solution callback is told
+//! where the proof stands ([`Reached`]: the steps taken so far and the
+//! first variable id no rule expansion has used). A caller can therefore
+//! prove a conjunction in two parts and charge it as one. Coverage's query
+//! packs (`ProofScratch::eval_pack` in the ilp crate) prove a parent rule's
+//! body once and, at each of its solutions, a child's one extra literal
+//! with a *second* prover — the first one's plan pool is borrowed while its
+//! proof runs, so the callback may not re-enter it — under the budget the
+//! child has left, renaming rules apart from `fresh`, so that the extra
+//! literal's expansions meet none of the parent proof's variables.
+//!
 //! # The contract the tests hold
 //!
 //! One step per builtin call, per candidate of R, and per rule head tried; a
@@ -116,6 +130,17 @@ impl ProofStats {
     }
 }
 
+/// Where a proof stands at one of its solutions: what
+/// [`Prover::run_metered`] tells its callback.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reached {
+    /// Inference steps taken so far, under the call's budget.
+    pub steps: u64,
+    /// The first variable id no rule expansion of the proof has used: a goal
+    /// proved on from this solution renames rules apart from here.
+    pub fresh: VarId,
+}
+
 /// Flow control for the backtracking search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Control {
@@ -145,7 +170,8 @@ struct Frame<'a> {
 ///
 /// Owns a [`PlanScratch`] pool so steady-state retrieval planning allocates
 /// nothing (the pool is behind a `RefCell`; don't re-enter the prover from
-/// inside an `on_solution` callback).
+/// inside an `on_solution` callback — prove on from a solution with a
+/// second prover, as query packs do).
 pub struct Prover<'a> {
     kb: &'a KnowledgeBase,
     limits: ProofLimits,
@@ -212,7 +238,8 @@ impl<'a> Prover<'a> {
         bindings: &mut Bindings,
     ) -> (bool, ProofStats) {
         let mut found = false;
-        let stats = self.run_borrowed_reusing(goals.into(), bindings, &mut |_| {
+        let max_steps = self.limits.max_steps;
+        let stats = self.run_metered(goals.into(), bindings, 0, max_steps, &mut |_, _| {
             found = true;
             false // stop at first solution
         });
@@ -244,7 +271,9 @@ impl<'a> Prover<'a> {
         }
         scratch.reset(0);
         let mut seen: crate::fxhash::FxHashSet<Literal> = crate::fxhash::FxHashSet::default();
-        let stats = self.run_borrowed_reusing(CompiledGoalsRef::single(goal), scratch, &mut |b| {
+        let goals = CompiledGoalsRef::single(goal);
+        let max_steps = self.limits.max_steps;
+        let stats = self.run_metered(goals, scratch, 0, max_steps, &mut |b, _| {
             let inst = b.resolve_literal(&goal.lit);
             if seen.insert(inst.clone()) {
                 out.push(inst);
@@ -274,29 +303,40 @@ impl<'a> Prover<'a> {
         on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
     ) -> ProofStats {
         let compiled = self.compile(goals);
-        self.run_borrowed_reusing((&compiled).into(), bindings, on_solution)
+        let max_steps = self.limits.max_steps;
+        self.run_metered((&compiled).into(), bindings, 0, max_steps, &mut |b, _| {
+            on_solution(b)
+        })
     }
 
-    /// [`Prover::run`] over *borrowed* compiled goals — what every entry
-    /// point above ends in: the literals stay wherever the caller compiled
-    /// them.
-    fn run_borrowed_reusing(
+    /// The one search loop, which every entry point above ends in: proves
+    /// *borrowed* compiled goals — the literals stay wherever the caller
+    /// compiled them — from `bindings`, under the limits' depth bound and a
+    /// budget of `max_steps` for this call, renaming rules apart from
+    /// `fresh` at the lowest (and above the goals' variables and every slot
+    /// of `bindings`). At each solution `on_solution` is told where the
+    /// proof stands ([`Reached`]) and returns `true` to go on enumerating.
+    /// The bindings are back at their entry state when it returns.
+    pub fn run_metered(
         &self,
         goals: CompiledGoalsRef<'_>,
         bindings: &mut Bindings,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+        fresh: VarId,
+        max_steps: u64,
+        on_solution: &mut dyn FnMut(&mut Bindings, Reached) -> bool,
     ) -> ProofStats {
         debug_assert!(
             goals.ids.is_empty()
                 || goals.ids.len() == goals.lits.iter().map(|g| g.lit.args.len()).sum::<usize>(),
             "one id per argument of every goal, or none"
         );
-        let mut next_var: VarId = goals.var_span.max(bindings.len() as VarId);
+        let mut next_var: VarId = goals.var_span.max(bindings.len() as VarId).max(fresh);
         bindings.ensure(next_var as usize);
         let mut plan_scratch = self.scratch.borrow_mut();
         let mut ctx = Ctx {
             kb: self.kb,
-            limits: self.limits,
+            max_depth: self.limits.max_depth,
+            max_steps,
             stats: ProofStats::default(),
             bindings,
             next_var: &mut next_var,
@@ -316,7 +356,9 @@ impl<'a> Prover<'a> {
 
 struct Ctx<'a, 'v> {
     kb: &'a KnowledgeBase,
-    limits: ProofLimits,
+    max_depth: u32,
+    /// This call's step budget.
+    max_steps: u64,
     stats: ProofStats,
     bindings: &'v mut Bindings,
     next_var: &'v mut VarId,
@@ -329,7 +371,7 @@ impl<'a> Ctx<'a, '_> {
     #[inline]
     fn tick(&mut self) -> bool {
         self.stats.steps += 1;
-        if self.stats.steps > self.limits.max_steps {
+        if self.stats.steps > self.max_steps {
             self.stats.aborted = true;
             false
         } else {
@@ -347,8 +389,8 @@ impl<'a> Ctx<'a, '_> {
         if k == 0 {
             return true;
         }
-        if k > self.limits.max_steps.saturating_sub(self.stats.steps) {
-            self.stats.steps = self.limits.max_steps.saturating_add(1);
+        if k > self.max_steps.saturating_sub(self.stats.steps) {
+            self.stats.steps = self.max_steps.saturating_add(1);
             self.stats.aborted = true;
             false
         } else {
@@ -362,10 +404,14 @@ impl<'a> Ctx<'a, '_> {
     fn solve(
         &mut self,
         frame: Option<&Frame<'_>>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+        on_solution: &mut dyn FnMut(&mut Bindings, Reached) -> bool,
     ) -> Control {
         let Some(f) = frame else {
-            return if on_solution(self.bindings) {
+            let reached = Reached {
+                steps: self.stats.steps,
+                fresh: *self.next_var,
+            };
+            return if on_solution(self.bindings, reached) {
                 Control::More
             } else {
                 Control::Done
@@ -443,7 +489,7 @@ impl<'a> Ctx<'a, '_> {
         // Rules: rename apart via a fresh offset (the span is precompiled),
         // push the compiled body at depth+1.
         for crule in kb.rules_compiled(pid) {
-            if depth + 1 > self.limits.max_depth {
+            if depth + 1 > self.max_depth {
                 self.stats.depth_cuts += 1;
                 continue;
             }
@@ -489,7 +535,7 @@ impl<'a> Ctx<'a, '_> {
         glit: &Literal,
         goff: VarId,
         rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+        on_solution: &mut dyn FnMut(&mut Bindings, Reached) -> bool,
     ) -> Control {
         let mut try_row =
             |ctx: &mut Self, row| ctx.try_fact(facts, probes, row, glit, goff, rest, on_solution);
@@ -533,7 +579,7 @@ impl<'a> Ctx<'a, '_> {
         glit: &Literal,
         goff: VarId,
         rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+        on_solution: &mut dyn FnMut(&mut Bindings, Reached) -> bool,
     ) -> Control {
         let mut charged: u64 = 0;
         let walked = walk.walk(probes, |row, rank| {
@@ -572,7 +618,7 @@ impl<'a> Ctx<'a, '_> {
         goal: &Literal,
         goff: VarId,
         rest: &Frame<'_>,
-        on_solution: &mut dyn FnMut(&mut Bindings) -> bool,
+        on_solution: &mut dyn FnMut(&mut Bindings, Reached) -> bool,
     ) -> Control {
         if !self.tick() {
             return Control::Abort;
@@ -835,6 +881,39 @@ mod tests {
                 Prover::new(&dense, limits).solutions(&goal, 10),
                 "{goal:?}"
             );
+        }
+    }
+
+    /// A call's own budget bounds it as the limits bound a proof, and each
+    /// solution is told the steps taken up to it: the last one told plus
+    /// what failed after it is what the call reports.
+    #[test]
+    fn a_metered_call_keeps_its_own_budget_and_tells_its_steps() {
+        let (t, kb) = family_kb();
+        let p = Prover::new(&kb, ProofLimits::default());
+        let goal = lit(&t, "ancestor", vec![Term::Var(0), Term::Var(1)]);
+        let compiled = kb.compile_query(goal);
+        let goals = CompiledGoalsRef::single(&compiled);
+        let mut bindings = Bindings::new();
+        let mut told = Vec::new();
+        let all = p.run_metered(goals, &mut bindings, 0, u64::MAX, &mut |_, at| {
+            told.push(at.steps);
+            true
+        });
+        assert_eq!(told.len(), 6, "three parents, three longer chains");
+        assert!(told.windows(2).all(|w| w[0] < w[1]) && told[5] <= all.steps);
+        for budget in [0, told[2], told[2] + 1] {
+            let mut seen = 0;
+            let cut = p.run_metered(goals, &mut bindings, 0, budget, &mut |_, at| {
+                assert!(at.steps <= budget);
+                seen += 1;
+                true
+            });
+            assert!(
+                cut.aborted && cut.steps == budget + 1,
+                "budget {budget}: {cut:?}"
+            );
+            assert_eq!(seen, told.iter().filter(|&&s| s <= budget).count());
         }
     }
 

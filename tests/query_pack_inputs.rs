@@ -1,0 +1,186 @@
+//! A node's successors share one proof of their parent, on the benchmark's
+//! inputs.
+//!
+//! The search proves the successors of a node that the memo has no record
+//! of as one query pack (`ProofScratch::eval_pack`): per example one head
+//! bind and one proof of the node's body, and each member's extra literal
+//! at every solution of the body. Each member must cover the examples, and
+//! be charged the steps, that proving it alone gives. On
+//! `carcinogenesis(0.3)`, `mesh(1.0)` and `pyrimidines(0.25)` at seed 2005
+//! the sequential covering loop is replayed search by search, and every
+//! node a seedless search expands — its breadth-first order, node budget
+//! and `min_pos` pruning, walked without the memo, which changes no node —
+//! is the parent of a pack of all its successors whose compiled rule
+//! extends it, in packs of at most 64, compiled from ⊥e as the search
+//! compiles them: on its covered positives, and on its covered negatives
+//! for the members whose positives reach `min_pos`, as the search asks.
+//! Every member is held to its proof alone, bit for bit and step for step.
+//!
+//! Run as `cargo test --release --test query_pack_inputs -- --nocapture` (the
+//! "A node's successors share one proof of their parent" CI step); three
+//! covering loops proved twice over take minutes unoptimised, so a debug
+//! `cargo test` leaves it ignored.
+
+use p2mdie::datasets::Dataset;
+use p2mdie::ilp::bitset::Bitset;
+use p2mdie::ilp::coverage::{
+    evaluate_rule, CompiledBottom, ExampleIds, PackAnswers, PreparedRule, ProofScratch,
+};
+use p2mdie::ilp::refine::RuleShape;
+use p2mdie::ilp::{search_rules_guided, BottomClause, CoverageMemo};
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// Parents checked, and members held to their proof alone, per side.
+#[derive(Default)]
+struct Checked {
+    parents: usize,
+    members: [usize; 2],
+}
+
+/// A node's covered positives and negatives: its successors' live masks.
+type Masks = Rc<[Bitset; 2]>;
+
+/// Holds every pack of one seedless search under `bottom` on `live` to its
+/// members proved alone.
+fn check_search(ds: &Dataset, bottom: &BottomClause, live: &Bitset, checked: &mut Checked) {
+    let (kb, settings, ex) = (&ds.engine.kb, &ds.engine.settings, &ds.examples);
+    let sides = [&ex.pos, &ex.neg];
+    let ids = sides.map(|lits| ExampleIds::new(kb.arena(), lits));
+    let mut scratch = ProofScratch::new(kb, settings.proof);
+    let mut alone = ProofScratch::new(kb, settings.proof);
+    let mut answers = [PackAnswers::default(), PackAnswers::default()];
+    let mut compiler = CompiledBottom::new(kb, bottom);
+    let mut rules: Vec<PreparedRule> = Vec::new();
+    let mut covered = Bitset::default();
+
+    let every_neg = Bitset::full(ex.num_neg());
+    let root: Masks = Rc::new([live.clone(), every_neg]);
+    let mut queue = VecDeque::from([(RuleShape::empty(), root)]);
+    let mut visits = 0;
+    while let Some((shape, masks)) = queue.pop_front() {
+        if visits >= settings.max_nodes {
+            break;
+        }
+        visits += 1;
+        if rules.is_empty() {
+            rules.push(compiler.rule());
+        }
+        compiler.compile(&shape, &mut rules[0]);
+        let mut node = [Bitset::default(), Bitset::default()];
+        let mut prove = |s: usize, out: &mut Bitset| {
+            scratch.evaluate_side(&rules[0], sides[s], Some(&ids[s]), Some(&masks[s]), 1, out)
+        };
+        prove(0, &mut node[0]);
+        if node[0].count() < settings.min_pos as usize {
+            continue;
+        }
+        prove(1, &mut node[1]);
+        let node = Rc::new(node);
+        let succs = shape.successors(bottom, settings.max_body);
+        for group in succs.chunks(64) {
+            while rules.len() < 1 + group.len() {
+                rules.push(compiler.rule());
+            }
+            let mut which = 0u64;
+            for (m, succ) in group.iter().enumerate() {
+                compiler.compile(succ, &mut rules[1 + m]);
+                if rules[1 + m].extends(&rules[0]) {
+                    which |= 1 << m;
+                }
+            }
+            if which == 0 {
+                continue;
+            }
+            checked.parents += 1;
+            let (parent, members) = rules.split_first().expect("a parent");
+            let members = &members[..group.len()];
+            for (s, lits) in sides.iter().enumerate() {
+                if s == 1 {
+                    // The negatives are asked of members that reach `min_pos`.
+                    let reach =
+                        |m: usize| answers[0].covered(m).count() >= settings.min_pos as usize;
+                    which = (0..group.len())
+                        .filter(|&m| which & (1 << m) != 0 && reach(m))
+                        .fold(0, |w, m| w | (1 << m));
+                }
+                let (ids, live) = (Some(&ids[s]), &node[s]);
+                let answers_s = &mut answers[s];
+                scratch.eval_pack(parent, members, which, lits, ids, live, 1, answers_s);
+                for (m, member) in members.iter().enumerate() {
+                    if which & (1 << m) == 0 {
+                        continue;
+                    }
+                    checked.members[s] += 1;
+                    let steps = alone.evaluate_side(member, lits, ids, Some(live), 1, &mut covered);
+                    assert_eq!(
+                        (answers[s].covered(m), answers[s].steps(m)),
+                        (&covered, steps),
+                        "{}: member {:?} of {:?}, side {s}",
+                        ds.name,
+                        group[m].lits,
+                        shape.lits
+                    );
+                }
+            }
+        }
+        queue.extend(succs.into_iter().map(|s| (s, Rc::clone(&node))));
+    }
+}
+
+/// The sequential covering loop of `run_sequential`, each of its searches
+/// checked pack by pack.
+fn check_covering_loop(ds: &Dataset) -> Checked {
+    let (kb, settings, ex) = (&ds.engine.kb, &ds.engine.settings, &ds.examples);
+    let mut checked = Checked::default();
+    let mut memo = CoverageMemo::new();
+    let mut live = ex.full_pos_live();
+    while let Some(seed) = live.first() {
+        let Some(bottom) = ds.engine.saturate(&ex.pos[seed]) else {
+            live.clear(seed);
+            continue;
+        };
+        check_search(ds, &bottom, &live, &mut checked);
+        let found = search_rules_guided(
+            kb,
+            settings,
+            &bottom,
+            ex,
+            Some(&live),
+            &[],
+            None,
+            1,
+            &mut memo,
+        );
+        if let Some(best) = found.best() {
+            let clause = best.shape.to_clause(&bottom);
+            let cov = evaluate_rule(kb, settings.proof, &clause, ex, Some(&live), None);
+            live.difference_with(&cov.pos);
+        }
+        live.clear(seed);
+    }
+    checked
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "minutes unoptimised; run with --release")]
+fn every_parent_of_the_benchmark_searches_matches_its_members_alone() {
+    let datasets = [
+        p2mdie::datasets::carcinogenesis(0.3, 2005),
+        p2mdie::datasets::mesh(1.0, 2005),
+        p2mdie::datasets::pyrimidines(0.25, 2005),
+    ];
+    for ds in &datasets {
+        let checked = check_covering_loop(ds);
+        println!(
+            "{}: {} packs, {} members on the positives and {} on the negatives, each equal to \
+             its proof alone",
+            ds.name, checked.parents, checked.members[0], checked.members[1]
+        );
+        assert!(
+            checked.parents > 0 && checked.members[1] > 0,
+            "{}: nothing was packed",
+            ds.name
+        );
+    }
+}
