@@ -51,6 +51,27 @@
 //! ([`PreparedRule::extends`]); `tests/query_pack.rs` holds every member to
 //! its proof alone, aborts before, between and inside extensions included.
 //!
+//! *The call table.* Most extra-literal calls repeat one made before in the
+//! search: on `carcinogenesis(0.3)` 341 824 of 377 672 call the same
+//! literal on the same argument values again. A scratch therefore keeps
+//! the calls of one search in a table (`CallTable`), keyed by the
+//! literal's predicate and, per argument, the arena id of a constant or of
+//! a bound variable's value, or — for a variable still unbound — the
+//! position of that variable's first occurrence among the arguments, so
+//! that `q(X, X)` and `q(X, Y)` are two calls. A call with a compound
+//! argument, or a ground value the arena does not hold, is not tabled.
+//! Every run of three steps or more that did not abort is recorded as
+//! `(found, steps)`; met again with a budget of `left`, the call is the
+//! recorded outcome charged `steps` when `steps ≤ left`, else an abort
+//! charged `left + 1`. That is what running it gives: the literal starts at
+//! depth 0 from the body's solution, and its rules are renamed apart above
+//! every variable in use (`Reached::fresh`), so its proof depends only on
+//! its call, the KB and the proof limits, which are fixed for a search; and
+//! a run under a smaller budget walks the same path and stops where the
+//! budget does. One exception: a fact's own variables are not renamed apart
+//! (the prover's contract), so a non-ground fact meets variables outside
+//! the call, and a KB holding one keeps the table off.
+//!
 //! # Parallel evaluation
 //!
 //! Each example's covered-bit and step count depend only on that example,
@@ -67,8 +88,8 @@ use crate::examples::Examples;
 use crate::refine::RuleShape;
 use p2mdie_logic::arena::{TermArena, TermId};
 use p2mdie_logic::clause::{Clause, CompiledGoalsRef, CompiledLiteral, LitKind, Literal};
-use p2mdie_logic::kb::KnowledgeBase;
-use p2mdie_logic::prover::{ProofLimits, Prover};
+use p2mdie_logic::kb::{KnowledgeBase, PlanScratch};
+use p2mdie_logic::prover::{ProofLimits, ProofStats, Prover};
 use p2mdie_logic::subst::Bindings;
 use p2mdie_logic::term::{Term, VarId};
 use std::sync::OnceLock;
@@ -552,25 +573,267 @@ fn bind_head(
     true
 }
 
+/// Slots of a [`CallTable`], a power of two so that a hash's top bits pick
+/// one. On the sequential `carcinogenesis(0.3)` learn 1 024 slots answer
+/// 241 505 of its 377 672 extra-literal calls (64 %), 4 096 71 % and 65 536
+/// 77 %: past 1 024 a doubling buys a few points and doubles the 40 KB that
+/// every covering loop keeps (the benchmark's bound on peak RSS is 10 %).
+const CALL_SLOTS: usize = 1024;
+
+/// Fewest steps a call must have run to be recorded. A shorter call costs
+/// about what its lookup does, and keeping them out keeps whole searches
+/// off the table: `mesh(1.0)`'s extra-literal calls run 0.77 steps on
+/// average and none 3 or more, so there nothing is recorded or looked up.
+const MIN_TABLED_STEPS: u64 = 3;
+
+/// Most arguments of a tabled call (the benchmark's literals have four).
+const CALL_ARGS: usize = 5;
+
+/// A call of an extra literal, keyed by what its proof depends on: the
+/// predicate, and per argument a cell — the arena id of a constant or of a
+/// bound variable's value, or, for an argument whose bit is set in `free`,
+/// the position of its unbound variable's first occurrence, so that
+/// `q(X, X)` and `q(X, Y)` differ.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Call {
+    pred: u32,
+    free: u8,
+    cells: [u32; CALL_ARGS],
+}
+
+/// A call that ran without aborting, in the search `search`: whether it
+/// found a solution and the steps it took to find it or to fail.
+#[derive(Clone, Copy, Default)]
+struct Record {
+    call: Call,
+    search: u32,
+    steps: u32,
+    found: bool,
+}
+
+const _: () = assert!(size_of::<Record>() == 40);
+
+/// The calls of a search's extra literals, each proved once and charged
+/// every time (the module docs, "Query packs", say why that is exact).
+/// Direct-mapped, [`CALL_SLOTS`] records overwritten on collision,
+/// allocated at the first record; valid for one search (a KB and a
+/// [`ProofLimits`]), which [`CallTable::open`] starts. Only runs of
+/// [`MIN_TABLED_STEPS`] or more are recorded, and only calls of a
+/// predicate with a record in the search are looked up.
+#[derive(Default)]
+struct CallTable {
+    records: Vec<Record>,
+    /// Per [`p2mdie_logic::clause::PredId`] the last search that recorded
+    /// a call of it.
+    preds: Vec<u32>,
+    /// The current search; records of another are empty slots.
+    search: u32,
+    /// Off while the KB holds an irregular fact.
+    on: bool,
+    /// Calls answered in this search, and the steps charged for them.
+    answered: u64,
+    answered_steps: u64,
+}
+
+impl CallTable {
+    /// Starts a search against `kb`: every record is forgotten.
+    fn open(&mut self, kb: &KnowledgeBase) {
+        if self.search == u32::MAX {
+            *self = CallTable::default();
+        }
+        self.search += 1;
+        self.on = !kb.has_irregular_facts();
+        (self.answered, self.answered_steps) = (0, 0);
+    }
+
+    /// The call `goal`, one literal, makes from `bindings`; none for a
+    /// compound argument, a ground value without an arena id or more than
+    /// [`CALL_ARGS`] arguments.
+    fn call_of(pred: u32, goal: CompiledGoalsRef<'_>, bindings: &Bindings) -> Option<Call> {
+        let args = &goal.lits[0].lit.args;
+        if args.len() > CALL_ARGS {
+            return None;
+        }
+        let mut call = Call {
+            pred,
+            ..Call::default()
+        };
+        let mut vars = [VarId::MAX; CALL_ARGS];
+        for (k, arg) in args.iter().enumerate() {
+            let id = match arg {
+                Term::Var(v) => match bindings.id_or_var(*v) {
+                    Ok(id) => id,
+                    Err(var) => {
+                        vars[k] = var;
+                        call.free |= 1 << k;
+                        call.cells[k] = vars.iter().position(|&w| w == var).unwrap_or(k) as u32;
+                        continue;
+                    }
+                },
+                Term::App(..) => return None,
+                _ => goal.ids.get(k).copied().unwrap_or(TermId::NONE),
+            };
+            if id.is_none() {
+                return None;
+            }
+            call.cells[k] = id.0;
+        }
+        Some(call)
+    }
+
+    /// The slot of `call`: the top bits of one product per word, which do
+    /// not wait on each other as a hasher's chain of them would.
+    fn slot(call: &Call) -> usize {
+        const K: [u64; 4] = [
+            0x9e37_79b9_7f4a_7c15,
+            0xc2b2_ae3d_27d4_eb4f,
+            0x1656_67b1_9e37_79f9,
+            0x27d4_eb2f_1656_67c5,
+        ];
+        let [a, b, c, d, e] = call.cells.map(u64::from);
+        let pred = u64::from(call.pred) | u64::from(call.free) << 32;
+        let words = [pred, a | b << 32, c | d << 32, e];
+        let h = (0..4).fold(0, |h, k| h ^ words[k].wrapping_mul(K[k]));
+        (h >> (64 - CALL_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// The record of `call` in this search.
+    fn held(&self, call: &Call) -> Option<Record> {
+        let r = self.records[Self::slot(call)];
+        (r.search == self.search && r.call == *call).then_some(r)
+    }
+
+    /// Records a run of `pred`, over whatever held the slot.
+    fn record(&mut self, pred: usize, record: Record) {
+        if self.records.is_empty() {
+            self.records = vec![Record::default(); CALL_SLOTS];
+        }
+        if self.preds.len() <= pred {
+            self.preds.resize(pred + 1, 0);
+        }
+        self.preds[pred] = self.search;
+        self.records[Self::slot(&record.call)] = record;
+    }
+
+    /// What `run` — a proof of `goal` from `bindings` under a budget of
+    /// `left` — gives, whether a solution was found and its stats, answered
+    /// from the table when it holds the call.
+    fn run(
+        &mut self,
+        goal: CompiledGoalsRef<'_>,
+        bindings: &mut Bindings,
+        left: u64,
+        run: impl FnOnce(&mut Bindings) -> (bool, ProofStats),
+    ) -> (bool, ProofStats) {
+        let pred = match goal.lits[0].kind {
+            LitKind::Pred(pred) if self.on => pred.index(),
+            _ => return run(bindings),
+        };
+        let looked = self.preds.get(pred) == Some(&self.search);
+        let call = looked
+            .then(|| Self::call_of(pred as u32, goal, bindings))
+            .flatten();
+        if let Some(r) = call.and_then(|call| self.held(&call)) {
+            // A smaller budget stops the recorded run short.
+            let aborted = u64::from(r.steps) > left;
+            let steps = if aborted {
+                left + 1
+            } else {
+                u64::from(r.steps)
+            };
+            self.answered += 1;
+            self.answered_steps += steps;
+            let stats = ProofStats {
+                steps,
+                depth_cuts: 0,
+                aborted,
+            };
+            return (r.found && !aborted, stats);
+        }
+        let (found, stats) = run(bindings);
+        if !stats.aborted && stats.steps >= MIN_TABLED_STEPS {
+            let call = if looked {
+                call
+            } else {
+                Self::call_of(pred as u32, goal, bindings)
+            };
+            if let (Some(call), Ok(steps)) = (call, u32::try_from(stats.steps)) {
+                let search = self.search;
+                self.record(
+                    pred,
+                    Record {
+                        call,
+                        search,
+                        steps,
+                        found,
+                    },
+                );
+            }
+        }
+        (found, stats)
+    }
+}
+
+/// The buffers of a [`ProofScratch`], which outlive it: the binding store,
+/// both provers' plan pools and the call table. The coverage memo keeps
+/// one set per covering loop and lends it to each search
+/// ([`ProofScratch::lend`]), so that they are made once.
+#[derive(Default)]
+pub(crate) struct ProofBuffers {
+    bindings: Bindings,
+    plans: [PlanScratch; 2],
+    calls: CallTable,
+}
+
 /// One proof scratch: a prover, with its pool of plan buffers, a second
 /// prover for the extra literals of a query pack, which run while the first
-/// one's proof of their parent's body does, and one binding store, made
+/// one's proof of their parent's body does, the call table of those
+/// literals (the module docs, "Query packs") and one binding store, made
 /// once and reused by every proof of a search. A side or a pack evaluated
 /// through it allocates nothing once the buffers have grown.
 pub struct ProofScratch<'a> {
     prover: Prover<'a>,
     extend: Prover<'a>,
     bindings: Bindings,
+    calls: CallTable,
 }
 
 impl<'a> ProofScratch<'a> {
     /// A scratch for proofs against `kb` under `proof`.
     pub fn new(kb: &'a KnowledgeBase, proof: ProofLimits) -> Self {
+        Self::lend(kb, proof, ProofBuffers::default())
+    }
+
+    /// [`ProofScratch::new`] in `buffers`, kept from an earlier scratch
+    /// ([`ProofScratch::give_back`]); its call table starts empty.
+    pub(crate) fn lend(kb: &'a KnowledgeBase, proof: ProofLimits, buffers: ProofBuffers) -> Self {
+        let ProofBuffers {
+            bindings,
+            plans: [plans, extend_plans],
+            mut calls,
+        } = buffers;
+        calls.open(kb);
         ProofScratch {
-            prover: Prover::new(kb, proof),
-            extend: Prover::new(kb, proof),
-            bindings: Bindings::new(),
+            prover: Prover::with_pool(kb, proof, plans),
+            extend: Prover::with_pool(kb, proof, extend_plans),
+            bindings,
+            calls,
         }
+    }
+
+    /// The buffers, for the next scratch to take.
+    pub(crate) fn give_back(self) -> ProofBuffers {
+        ProofBuffers {
+            bindings: self.bindings,
+            plans: [self.prover.into_pool(), self.extend.into_pool()],
+            calls: self.calls,
+        }
+    }
+
+    /// The extra-literal calls of this scratch's packs its call table
+    /// answered, and the steps it charged for them without running them.
+    pub fn tabled(&self) -> (u64, u64) {
+        (self.calls.answered, self.calls.answered_steps)
     }
 
     /// [`evaluate_side_threads`] of a compiled rule into `covered`, with
@@ -725,10 +988,12 @@ impl<'a> ProofScratch<'a> {
             let mut part = PackAnswers::default();
             part.reset(which, n);
             scratch.pack_range(parent, members, which, lits, ids, live, range, &mut part);
-            part
+            (part, scratch.tabled())
         });
         // Disjoint bits and order-invariant sums, as in `evaluate_side`.
-        for part in parts {
+        for (part, (calls, steps)) in parts {
+            self.calls.answered += calls;
+            self.calls.answered_steps += steps;
             for m in members_of(which) {
                 answers.covered[m].union_with(&part.covered[m]);
                 answers.steps[m] += part.steps[m];
@@ -751,6 +1016,7 @@ impl<'a> ProofScratch<'a> {
         answers: &mut PackAnswers,
     ) {
         let (prover, extend, bindings) = (&self.prover, &self.extend, &mut self.bindings);
+        let calls = &mut self.calls;
         let arena = prover.kb().arena();
         let max_steps = prover.limits().max_steps;
         // Every member's variables, reserved before the body runs.
@@ -780,12 +1046,15 @@ impl<'a> ProofScratch<'a> {
                 for m in members_of(open) {
                     let spent = at.steps + extra[m];
                     if spent <= max_steps {
-                        let mut found = false;
                         let goal = members[m].last_goal();
                         let left = max_steps - spent;
-                        let tried = extend.run_metered(goal, b, at.fresh, left, &mut |_, _| {
-                            found = true;
-                            false
+                        let (found, tried) = calls.run(goal, b, left, |b| {
+                            let mut found = false;
+                            let stats = extend.run_metered(goal, b, at.fresh, left, &mut |_, _| {
+                                found = true;
+                                false
+                            });
+                            (found, stats)
                         });
                         extra[m] += tried.steps;
                         if found {

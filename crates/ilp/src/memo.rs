@@ -46,8 +46,8 @@
 //!
 //! The capacity of those four vectors plus the struct itself — but for
 //! what it works in rather than stores, a node's bitsets, the examples'
-//! arena ids, the query packs' buffers and its statistics (`Working`) — is
-//! the memo's accounted size, and it never
+//! arena ids, the query packs' and the proofs' buffers and its statistics
+//! (`Working`) — is the memo's accounted size, and it never
 //! exceeds `BUDGET`: every vector grows
 //! through `CoverageMemo::make_room` only, which evicts before it grows
 //! past the budget and refuses when nothing may be evicted — the node's
@@ -67,7 +67,7 @@
 use crate::bitset::Bitset;
 use crate::bottom::BottomClause;
 use crate::coverage::{
-    prepare_rule, Coverage, ExampleIds, PackAnswers, PreparedRule, ProofScratch,
+    prepare_rule, Coverage, ExampleIds, PackAnswers, PreparedRule, ProofBuffers, ProofScratch,
 };
 use crate::examples::Examples;
 use crate::refine::RuleShape;
@@ -129,6 +129,11 @@ pub struct MemoStats {
     /// Query packs proved on the positives: `packed / packs` is their mean
     /// size.
     pub packs: u64,
+    /// Extra-literal calls of query packs that a search's call table
+    /// answered ([`crate::coverage`], "Query packs"), and the steps charged
+    /// for them without running them.
+    pub tabled: u64,
+    pub tabled_steps: u64,
     /// Entries evicted to stay within the budget.
     pub evicted: u64,
     /// Results not stored because nothing more could be evicted.
@@ -535,15 +540,17 @@ struct Scratch {
 /// whatever the memo holds, and the example list the memo stands for with
 /// the arena ids of its arguments ([`CoverageMemo::example_ids`]), one id
 /// per argument of an example the rank holds anyway; the buffers of the
-/// searches' query packs, at most 65 compiled rules and 128 masks, kept
-/// from search to search (even across [`CoverageMemo::clear`]) so that they
-/// are made once per covering loop; and the statistics, which are no
-/// record either.
+/// searches' query packs, at most 65 compiled rules and 128 masks, and of
+/// their proofs — a binding store, two plan pools and a call table of
+/// 40 KB — kept from search to search (even across
+/// [`CoverageMemo::clear`]) so that they are made once per covering loop;
+/// and the statistics, which are no record either.
 #[derive(Default)]
 struct Working {
     scratch: Scratch,
     example_ids: Option<(Examples, Arc<[ExampleIds; 2]>)>,
     pack: Pack,
+    proof: ProofBuffers,
     stats: MemoStats,
 }
 
@@ -607,6 +614,7 @@ impl CoverageMemo {
     pub fn clear(&mut self) {
         let working = Working {
             pack: std::mem::take(&mut self.working.pack),
+            proof: std::mem::take(&mut self.working.proof),
             stats: self.working.stats,
             ..Working::default()
         };
@@ -673,6 +681,15 @@ impl CoverageMemo {
         self.working.stats.packed += packed;
         self.working.stats.packs += packs;
         self.working.pack = pack;
+    }
+
+    /// Takes the proof buffers back from a search, or a round of
+    /// [`CoverageMemo::evaluate_rules`], with what its call table answered.
+    pub(crate) fn keep_proving(&mut self, proving: Proving<'_>) {
+        let (tabled, steps) = proving.scratch.tabled();
+        self.working.stats.tabled += tabled;
+        self.working.stats.tabled_steps += steps;
+        self.working.proof = proving.scratch.give_back();
     }
 
     /// Opens a search over example lists of `n_pos` and `n_neg` examples:
@@ -853,7 +870,9 @@ impl CoverageMemo {
                 steps: node.pos_steps + neg_steps,
             }
         };
-        rules.iter().map(&mut evaluate).collect()
+        let scored = rules.iter().map(&mut evaluate).collect();
+        self.keep_proving(proving);
+        scored
     }
 
     /// Writes a node's halves — `(valid for, covered, steps)` — over the
@@ -1111,8 +1130,9 @@ impl CoverageMemo {
 
 /// What proves the clauses of one search — or of one round of
 /// [`CoverageMemo::evaluate_rules`] — for [`CoverageMemo::evaluate`]: one
-/// proof scratch, and the arena ids of the examples' arguments the memo
-/// keeps, for every clause, side and example.
+/// proof scratch in the buffers the memo lends until
+/// [`CoverageMemo::keep_proving`], and the arena ids of the examples'
+/// arguments the memo keeps, for every clause, side and example.
 pub(crate) struct Proving<'a> {
     examples: &'a Examples,
     ids: Arc<[ExampleIds; 2]>,
@@ -1131,7 +1151,11 @@ impl<'a> Proving<'a> {
             examples,
             ids: memo.example_ids(kb, examples),
             threads: settings.eval_threads,
-            scratch: ProofScratch::new(kb, settings.proof),
+            scratch: ProofScratch::lend(
+                kb,
+                settings.proof,
+                std::mem::take(&mut memo.working.proof),
+            ),
         }
     }
 

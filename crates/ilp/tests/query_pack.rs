@@ -10,7 +10,11 @@
 //! alone aborts before its extra literal is first tried, between two tries
 //! and inside one; masks are whole, sparse and the parent's own coverage;
 //! and one scratch and one set of answers serve every pack of a case, as
-//! in a search.
+//! in a search — so the calls of the members' extra literals share the
+//! scratch's call table across packs, and a call met again is answered from
+//! it. Pinned cases hold the table's key and its budget rule: a recorded
+//! call met with less budget than it took, `q(X, X)` against `q(X, Y)`,
+//! constants the arena does not hold, and a KB with a non-ground fact.
 
 mod oracle;
 
@@ -20,18 +24,22 @@ use p2mdie_ilp::bottom::{saturate, BottomClause};
 use p2mdie_ilp::coverage::{prepare_rule, ExampleIds, PackAnswers, PreparedRule, ProofScratch};
 use p2mdie_ilp::refine::{splitmix64, RuleShape};
 use p2mdie_ilp::settings::Settings;
-use p2mdie_logic::clause::Literal;
+use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::prover::ProofLimits;
+use p2mdie_logic::symbol::SymbolTable;
+use p2mdie_logic::term::{Term, F64};
 use proptest::prelude::*;
 
-/// What a batch of packs met: members proved, and member-example pairs
-/// whose proof alone covered, or aborted.
+/// What a batch of packs met: members proved, member-example pairs whose
+/// proof alone covered, or aborted, and extra-literal calls the call table
+/// answered.
 #[derive(Default, Debug)]
 struct Met {
     members: usize,
     covered: usize,
     aborted: usize,
+    tabled: u64,
 }
 
 /// A parent, its members (the successors whose compiled rule extends it)
@@ -205,6 +213,7 @@ fn packs_match_their_members_alone(seed: u64) -> Met {
             }
         }
     }
+    met.tabled = scratch.tabled().0;
     met
 }
 
@@ -227,10 +236,12 @@ fn the_drawn_cases_cover_and_abort() {
         met.members += case.members;
         met.covered += case.covered;
         met.aborted += case.aborted;
+        met.tabled += case.tabled;
     }
     assert!(met.members > 100, "{met:?}");
     assert!(met.covered > 100, "{met:?}");
     assert!(met.aborted > 100, "{met:?}");
+    assert!(met.tabled > 100, "{met:?}");
 }
 
 /// Above `PARALLEL_MIN_EXAMPLES` live examples a pack is proved in chunks
@@ -332,4 +343,196 @@ fn a_member_literal_renames_its_rules_above_the_parent_proof() {
         &mut met,
     );
     assert_eq!(met.covered, 1, "the member alone covers its example");
+}
+
+/// `name(args)`.
+fn lit(t: &SymbolTable, name: &str, args: Vec<Term>) -> Literal {
+    Literal::new(t.intern(name), args)
+}
+
+/// The pack of `parent` whose members are `parent` with one of `extras`
+/// appended each, in order.
+fn pack_with(kb: &KnowledgeBase, parent: &Clause, extras: &[Literal]) -> Pack {
+    let members: Vec<PreparedRule> = extras
+        .iter()
+        .map(|extra| {
+            let mut member = parent.clone();
+            member.body.push(extra.clone());
+            prepare_rule(kb, &member)
+        })
+        .collect();
+    let parent = prepare_rule(kb, parent);
+    assert!(members.iter().all(|m| m.extends(&parent)));
+    Pack {
+        parent,
+        which: u64::MAX >> (64 - members.len()),
+        members,
+    }
+}
+
+/// Proves `packs` in turn through one scratch on every example of `lits`,
+/// each member held to its proof alone, as a search proves its packs.
+fn check_in_turn(kb: &KnowledgeBase, proof: ProofLimits, packs: &[Pack], lits: &[Literal]) -> Met {
+    let mut scratch = ProofScratch::new(kb, proof);
+    let mut answers = PackAnswers::default();
+    let mut met = Met::default();
+    let live = Bitset::full(lits.len());
+    for pack in packs {
+        let buffers = (&mut scratch, &mut answers);
+        check(
+            kb,
+            proof,
+            pack,
+            pack.which,
+            (lits, None),
+            &live,
+            1,
+            buffers,
+            &mut met,
+        );
+    }
+    met.tabled = scratch.tabled().0;
+    met
+}
+
+/// `pad(1)` … `pad(10)`, for rules that take a step count of their choosing.
+fn pads(t: &SymbolTable, kb: &mut KnowledgeBase) {
+    for i in 1..=10 {
+        kb.assert_fact(lit(t, "pad", vec![Term::Int(i)]));
+    }
+}
+
+/// A call recorded under a roomy budget and met again with fewer steps
+/// left than it took aborts where its proof alone does, found or not:
+/// `q(x1, Y)` succeeds and `q(x2, Y)` fails, each in more steps than are
+/// left after `b(X)`, which takes 21 of the 32.
+#[test]
+fn a_tabled_call_met_with_less_budget_aborts() {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    let v = Term::Var;
+    let (x1, x2) = (Term::Sym(t.intern("x1")), Term::Sym(t.intern("x2")));
+    pads(&t, &mut kb);
+    kb.assert_fact(lit(&t, "ok", vec![x1.clone()]));
+    for x in [&x1, &x2] {
+        kb.assert_fact(lit(&t, "a", vec![x.clone()]));
+    }
+    // b(X) :- pad(I), I >= 10.
+    kb.assert_rule(Clause::new(
+        lit(&t, "b", vec![v(0)]),
+        vec![
+            lit(&t, "pad", vec![v(1)]),
+            lit(&t, ">=", vec![v(1), Term::Int(10)]),
+        ],
+    ));
+    // q(X, Y) :- pad(I), I >= 5, ok(X), Y = I.
+    kb.assert_rule(Clause::new(
+        lit(&t, "q", vec![v(0), v(1)]),
+        vec![
+            lit(&t, "pad", vec![v(2)]),
+            lit(&t, ">=", vec![v(2), Term::Int(5)]),
+            lit(&t, "ok", vec![v(0)]),
+            lit(&t, "=", vec![v(1), v(2)]),
+        ],
+    ));
+    let proof = ProofLimits {
+        max_depth: 4,
+        max_steps: 32,
+    };
+    let q = [lit(&t, "q", vec![v(0), v(1)])];
+    let roomy = pack_with(
+        &kb,
+        &Clause::new(lit(&t, "h", vec![v(0)]), vec![lit(&t, "a", vec![v(0)])]),
+        &q,
+    );
+    let tight = pack_with(
+        &kb,
+        &Clause::new(lit(&t, "h", vec![v(0)]), vec![lit(&t, "b", vec![v(0)])]),
+        &q,
+    );
+    let lits = [x1, x2].map(|x| lit(&t, "h", vec![x]));
+    let met = check_in_turn(&kb, proof, &[roomy, tight], &lits);
+    assert_eq!((met.covered, met.aborted), (1, 2), "{met:?}");
+    assert_eq!(
+        met.tabled, 2,
+        "both calls of the tight pack are answered: {met:?}"
+    );
+}
+
+/// `r(A, Y, Y)` and `r(A, Y, Z)` on the same `A` are two calls: the first
+/// takes four steps to its solution `r(a, 5, 5)`, the second one.
+#[test]
+fn a_repeated_free_variable_is_another_call() {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    let v = Term::Var;
+    let a = Term::Sym(t.intern("a"));
+    kb.assert_fact(lit(&t, "p", vec![a.clone()]));
+    for (y, z) in [(1, 2), (2, 3), (3, 4), (5, 5)] {
+        kb.assert_fact(lit(&t, "r", vec![a.clone(), Term::Int(y), Term::Int(z)]));
+    }
+    let parent = Clause::new(lit(&t, "h", vec![v(0)]), vec![lit(&t, "p", vec![v(0)])]);
+    let extras = [
+        lit(&t, "r", vec![v(0), v(1), v(1)]),
+        lit(&t, "r", vec![v(0), v(1), v(2)]),
+    ];
+    let pack = pack_with(&kb, &parent, &extras);
+    let lits = [lit(&t, "h", vec![a])];
+    let met = check_in_turn(&kb, ProofLimits::default(), &[pack], &lits);
+    assert_eq!(met.covered, 2, "{met:?}");
+}
+
+/// Constants the arena does not hold have no id to key a call by:
+/// `s(a, 7.5)` and `s(a, 9.5)` take 17 and 21 steps.
+#[test]
+fn constants_the_arena_lacks_are_not_tabled() {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    let v = Term::Var;
+    let a = Term::Sym(t.intern("a"));
+    pads(&t, &mut kb);
+    kb.assert_fact(lit(&t, "p", vec![a.clone()]));
+    // s(A, W) :- pad(I), I >= W.
+    kb.assert_rule(Clause::new(
+        lit(&t, "s", vec![v(0), v(1)]),
+        vec![lit(&t, "pad", vec![v(2)]), lit(&t, ">=", vec![v(2), v(1)])],
+    ));
+    let parent = Clause::new(lit(&t, "h", vec![v(0)]), vec![lit(&t, "p", vec![v(0)])]);
+    let extras = [7.5, 9.5].map(|w| lit(&t, "s", vec![v(0), Term::Float(F64(w))]));
+    let pack = pack_with(&kb, &parent, &extras);
+    let lits = [lit(&t, "h", vec![a])];
+    let met = check_in_turn(&kb, ProofLimits::default(), &[pack], &lits);
+    assert_eq!((met.covered, met.tabled), (2, 0), "{met:?}");
+}
+
+/// A fact's own variables are not renamed apart, so the non-ground fact
+/// `u(V0)` meets the member's variable 0, the head's: `w(c)`, which reaches
+/// `u(c)` in eight steps, is proved for the example `h(c)` and not for
+/// `h(d)`. With such a fact in the KB the table stays off.
+#[test]
+fn a_kb_with_a_non_ground_fact_tables_nothing() {
+    let t = SymbolTable::new();
+    let mut kb = KnowledgeBase::new(t.clone());
+    let v = Term::Var;
+    let (c, d) = (Term::Sym(t.intern("c")), Term::Sym(t.intern("d")));
+    pads(&t, &mut kb);
+    for x in [&c, &d] {
+        kb.assert_fact(lit(&t, "p", vec![x.clone()]));
+    }
+    kb.assert_fact(lit(&t, "u", vec![v(0)]));
+    assert!(kb.has_irregular_facts());
+    // w(X) :- pad(I), I >= 3, u(X).
+    kb.assert_rule(Clause::new(
+        lit(&t, "w", vec![v(0)]),
+        vec![
+            lit(&t, "pad", vec![v(1)]),
+            lit(&t, ">=", vec![v(1), Term::Int(3)]),
+            lit(&t, "u", vec![v(0)]),
+        ],
+    ));
+    let parent = Clause::new(lit(&t, "h", vec![v(0)]), vec![lit(&t, "p", vec![v(0)])]);
+    let pack = pack_with(&kb, &parent, &[lit(&t, "w", vec![c.clone()])]);
+    let lits = [c, d].map(|x| lit(&t, "h", vec![x]));
+    let met = check_in_turn(&kb, ProofLimits::default(), &[pack], &lits);
+    assert_eq!((met.covered, met.tabled), (1, 0), "{met:?}");
 }

@@ -1018,6 +1018,13 @@ impl KnowledgeBase {
         self.num_rules
     }
 
+    /// True when some fact has a non-ground argument (an irregular row):
+    /// its variables are not renamed apart, so a proof that meets it
+    /// depends on the bindings of variables outside the goal.
+    pub fn has_irregular_facts(&self) -> bool {
+        self.entries.iter().any(|e| !e.irregular.is_empty())
+    }
+
     /// Heap bytes of the *resident* fact store: one stripe buffer per
     /// relation at its compact size, the irregular rows, and the arena
     /// terms that exist *only* to back column cells past the indexable

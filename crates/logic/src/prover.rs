@@ -181,11 +181,23 @@ pub struct Prover<'a> {
 impl<'a> Prover<'a> {
     /// Creates a prover for `kb` with the given limits.
     pub fn new(kb: &'a KnowledgeBase, limits: ProofLimits) -> Self {
+        Self::with_pool(kb, limits, PlanScratch::new())
+    }
+
+    /// [`Prover::new`] over a plan pool the caller kept from an earlier
+    /// prover ([`Prover::into_pool`]), so that its buffers are not made
+    /// again.
+    pub fn with_pool(kb: &'a KnowledgeBase, limits: ProofLimits, pool: PlanScratch) -> Self {
         Prover {
             kb,
             limits,
-            scratch: RefCell::new(PlanScratch::new()),
+            scratch: RefCell::new(pool),
         }
+    }
+
+    /// The plan pool, for the next prover to take ([`Prover::with_pool`]).
+    pub fn into_pool(self) -> PlanScratch {
+        self.scratch.into_inner()
     }
 
     /// The limits in force.

@@ -269,6 +269,19 @@ impl Bindings {
         }
     }
 
+    /// What `v` stands for as a key: `Err` of the variable it resolves to
+    /// while that is unbound, else `Ok` of the arena id its value was bound
+    /// with — [`TermId::NONE`] for a value bound without one and for a
+    /// compound.
+    pub fn id_or_var(&self, v: VarId) -> Result<TermId, VarId> {
+        let (abs, s) = self.deref(v);
+        match s.tag {
+            Tag::Free => Err(abs),
+            Tag::App => Ok(TermId::NONE),
+            _ => Ok(s.id),
+        }
+    }
+
     /// The raw binding of `v`, if any (not dereferenced).
     pub fn lookup(&self, v: VarId) -> Option<Term> {
         let s = self.slots.get(v as usize)?;

@@ -36,7 +36,9 @@
 use p2mdie::core::{run_parallel, JobSpec, JobState, ParallelConfig, Service, ServiceConfig};
 use p2mdie::datasets::Dataset;
 use p2mdie::ilp::settings::Width;
-use p2mdie::ilp::{evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo};
+use p2mdie::ilp::{
+    evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo, MemoStats,
+};
 use p2mdie::obs::{MetricValue, MetricsSnapshot};
 
 fn covering_loop_stays_within_budget(name: &str, ds: &Dataset, steps_run_ceiling: u64) {
@@ -108,7 +110,7 @@ fn covering_loop_stays_within_budget(name: &str, ds: &Dataset, steps_run_ceiling
         s.served,
         s.partial,
         s.proved,
-        packed(s.packed, s.packs),
+        packed(s),
         s.evicted,
         s.unstored,
         s.steps_run,
@@ -144,10 +146,16 @@ fn pyrimidines_stays_within_budget() {
     covering_loop_stays_within_budget("pyrimidines(1.0, 2005)", &ds, 29_188_772);
 }
 
-/// How many proved nodes query packs answered, and their mean size.
-fn packed(packed: u64, packs: u64) -> String {
-    let mean = packed as f64 / packs.max(1) as f64;
-    format!("{packed} of them in {packs} query packs, {mean:.2} a pack")
+/// How many proved nodes query packs answered, their mean size, and the
+/// extra-literal calls of the packs that the searches' call tables
+/// answered, with the steps charged for them without running them.
+fn packed(s: MemoStats) -> String {
+    let mean = s.packed as f64 / s.packs.max(1) as f64;
+    format!(
+        "{} of them in {} query packs, {mean:.2} a pack, {} extra-literal calls tabled for {} \
+         steps",
+        s.packed, s.packs, s.tabled, s.tabled_steps
+    )
 }
 
 /// A named entry of a rank's metrics snapshot, as a number.
