@@ -11,9 +11,11 @@
 //! implementing both lets this reproduction *measure* that explanation
 //! against p²-mdie on the same virtual cluster.
 //!
-//! Only the search is the baseline's own. Its rounds are p²-mdie's: the
-//! master's evaluation round scores each batch, and an accepted rule is
-//! marked covered through the master's live set ([`crate::master`]). A run
+//! Only its evaluator is the baseline's own. The search is the sequential
+//! learn's ([`Search`], Figure 2's one breadth-first loop) with the batched
+//! evaluator, whose rounds are p²-mdie's: the master's evaluation round
+//! scores each batch on every rank, and an accepted rule is marked covered
+//! through the master's live set ([`crate::master`]). A run
 //! is a baseline job on a mesh of its own ([`run_coverage_parallel`], the
 //! one entry point, over either transport), and reports like any parallel
 //! run: a [`ParallelReport`] whose `traces` are empty and whose rules have
@@ -29,9 +31,8 @@ use p2mdie_cluster::transport::Transport;
 use p2mdie_cluster::ClusterError;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
-use p2mdie_ilp::refine::RuleShape;
+use p2mdie_ilp::search::Search;
 use p2mdie_ilp::settings::Settings;
-use p2mdie_logic::clause::Clause;
 
 /// How many candidate clauses one evaluation round ships.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,6 +41,18 @@ pub enum EvalGranularity {
     PerClause,
     /// One breadth-first level per round (Graham et al.'s design).
     PerLevel,
+}
+
+impl EvalGranularity {
+    /// The most nodes one round scores: one, or all the search's frontier
+    /// yields within the node budget before any of them is queued — one
+    /// breadth-first level ([`Search::run_batched`]).
+    fn batch(self) -> usize {
+        match self {
+            EvalGranularity::PerClause => 1,
+            EvalGranularity::PerLevel => usize::MAX,
+        }
+    }
 }
 
 /// Runs the coverage-parallel baseline: one baseline job on a fresh mesh.
@@ -92,52 +105,28 @@ pub(crate) fn baseline_master<T: Transport>(
         };
         ep.advance_steps(bottom.steps);
 
-        // Breadth-first search; evaluation is the only distributed part.
-        // From the one root, appending ascending literals reaches each shape
-        // once (`p2mdie_ilp::refine`): no shape is queued twice.
-        let mut frontier: Vec<RuleShape> = vec![RuleShape::empty()];
-        let mut nodes = 0usize;
-        let mut best: Option<(RuleShape, u32, u32, i64)> = None;
-
-        while !frontier.is_empty() && nodes < settings.max_nodes {
-            let budget = settings.max_nodes - nodes;
-            let batch_len = match granularity {
-                EvalGranularity::PerClause => 1,
-                EvalGranularity::PerLevel => frontier.len().min(budget),
-            };
-            let batch: Vec<RuleShape> = frontier.drain(..batch_len).collect();
-            let clauses: Vec<Clause> = batch.iter().map(|s| s.to_clause(&bottom)).collect();
+        // Figure 2's search, with every node evaluated by the workers: a
+        // round's clauses scored on every rank and summed.
+        let search = Search {
+            keep: 1,
+            ..Search::new(&engine.kb, settings, &bottom, examples)
+        };
+        let found = search.run_batched(granularity.batch(), |clauses| {
             let counts = evaluate_all(ep, clauses).summed(ep)?;
-            nodes += batch.len();
-            ep.advance_steps(batch.len() as u64); // orchestration bookkeeping
+            ep.advance_steps(counts.len() as u64); // orchestration bookkeeping
+            Ok(counts)
+        })?;
 
-            for (shape, (pos, neg)) in batch.into_iter().zip(counts) {
-                let score = settings.score.score(pos, neg, shape.body_len());
-                if settings.is_good(pos, neg)
-                    && best.as_ref().is_none_or(|(bs, _, _, bsc)| {
-                        (score, -(shape.body_len() as i64), &shape.lits)
-                            > (*bsc, -(bs.body_len() as i64), &bs.lits)
-                    })
-                {
-                    // NOTE: strictly-better comparison keeps determinism.
-                    best = Some((shape.clone(), pos, neg, score));
-                }
-                if pos >= settings.min_pos {
-                    frontier.extend(shape.successors(&bottom, settings.max_body));
-                }
-            }
-        }
-
-        match best {
+        match found.best() {
             None => {
                 live.positives().clear(seed_idx);
                 out.set_aside += 1;
             }
-            Some((shape, pos, neg, _)) => {
+            Some(best) => {
                 let rule = AcceptedRule {
-                    clause: shape.to_clause(&bottom),
-                    pos,
-                    neg,
+                    clause: best.shape.to_clause(&bottom),
+                    pos: best.pos,
+                    neg: best.neg,
                     epoch: out.epochs,
                     origin: 0,
                 };

@@ -11,7 +11,7 @@ use p2mdie_ilp::bottom::BottomClause;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::{search_rules_guided, ScoredRule};
+use p2mdie_ilp::search::{ScoredRule, Search};
 use p2mdie_ilp::settings::Width;
 use p2mdie_ilp::CoverageMemo;
 use std::collections::HashSet;
@@ -44,17 +44,13 @@ pub fn run_stage_search(
     memo: &mut CoverageMemo,
 ) -> StageResult {
     let seeds: Vec<RuleShape> = incoming.iter().map(|r| r.shape.clone()).collect();
-    let out = search_rules_guided(
-        &engine.kb,
-        &engine.settings,
-        bottom,
-        local,
-        Some(live),
-        &seeds,
-        None,
-        width.cap().min(engine.settings.good_cap),
-        memo,
-    );
+    let out = Search {
+        live_pos: Some(live),
+        seeds: &seeds,
+        keep: width.cap().min(engine.settings.good_cap),
+        ..Search::new(&engine.kb, &engine.settings, bottom, local)
+    }
+    .run(memo);
 
     // Good = S ∪ new-good. Locally re-scored seeds replace their incoming
     // versions; seeds the budget never reached keep their old scores. Merged

@@ -53,7 +53,7 @@ use crate::worker::WorkerContext;
 use p2mdie_cluster::comm::Endpoint;
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bitset::Bitset;
-use p2mdie_ilp::{search_rules_guided, take_top, CoverageMemo, LatticeSlice};
+use p2mdie_ilp::{CoverageMemo, LatticeSlice, Search};
 use p2mdie_logic::clause::Clause;
 use p2mdie_obs::span;
 
@@ -149,17 +149,12 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
     };
     let start = ep.now();
     let stage_span = span!(ep.tracer(), "stage", start, origin = me as u8, step = 1u8);
-    let out = search_rules_guided(
-        &ctx.engine.kb,
-        &ctx.engine.settings,
-        &bottom,
-        &ctx.local,
-        Some(live),
-        &[],
-        Some(&slice),
-        ctx.engine.settings.good_cap,
-        memo,
-    );
+    let out = Search {
+        live_pos: Some(live),
+        slice: Some(&slice),
+        ..Search::new(&ctx.engine.kb, &ctx.engine.settings, &bottom, &ctx.local)
+    }
+    .run(memo);
     ep.advance_steps(out.steps);
     stage_span.end_with(ep.now(), &[("rules_out", (out.good.len() as u64).into())]);
     let trace = StageTrace {
@@ -171,7 +166,9 @@ pub(crate) fn run_strategy_epoch<T: Transport>(
         rules_out: out.good.len() as u32,
     };
     // The harvest: the search's good rules, best first, cut to the width.
-    let rules = take_top(out.good, ctx.width().cap())
+    let mut good = out.good;
+    good.truncate(ctx.width().cap());
+    let rules = good
         .iter()
         .map(|r| (r.shape.to_clause(&bottom), r.pos, r.neg))
         .collect();

@@ -200,7 +200,8 @@ mod tests {
         // paper's justification for bounding the pipeline width.
         let d = mesh(0.05, 11);
         let bottom = d.engine.saturate(&d.examples.pos[0]).unwrap();
-        let out = d.engine.search(&bottom, &d.examples, None, &[]);
+        let (kb, settings) = (&d.engine.kb, &d.engine.settings);
+        let out = p2mdie_ilp::search_rules(kb, settings, &bottom, &d.examples, None, &[]);
         assert!(out.good.len() >= 5, "only {} good rules", out.good.len());
     }
 

@@ -7,8 +7,6 @@ use crate::coverage::Coverage;
 use crate::examples::Examples;
 use crate::mdie::{run_sequential, SequentialOutcome};
 use crate::modes::{ModeDecl, ModeSet};
-use crate::refine::RuleShape;
-use crate::search::{search_rules, SearchOutcome};
 use crate::settings::Settings;
 use p2mdie_logic::clause::{Clause, Literal, PredKey};
 use p2mdie_logic::kb::KnowledgeBase;
@@ -60,17 +58,6 @@ impl IlpEngine {
     /// Builds ⊥e for a seed example (`build_msh`, Fig. 1 step 5).
     pub fn saturate(&self, example: &Literal) -> Option<BottomClause> {
         saturate(&self.kb, &self.modes, &self.settings, example)
-    }
-
-    /// Runs one rule search (`learn_rule`, Fig. 2 / `learn_rule'`, Fig. 7).
-    pub fn search(
-        &self,
-        bottom: &BottomClause,
-        examples: &Examples,
-        live_pos: Option<&Bitset>,
-        seeds: &[RuleShape],
-    ) -> SearchOutcome {
-        search_rules(&self.kb, &self.settings, bottom, examples, live_pos, seeds)
     }
 
     /// Evaluates one rule (`evalOnExamples`, Fig. 2 step 6), fanning out
@@ -156,7 +143,8 @@ mod tests {
             vec![Literal::new(tgt, vec![Term::Int(3)])],
         );
         let bottom = engine.saturate(&ex.pos[0]).unwrap();
-        let found = engine.search(&bottom, &ex, None, &[]);
+        let found =
+            crate::search::search_rules(&engine.kb, &engine.settings, &bottom, &ex, None, &[]);
         let best = found.best().unwrap();
         assert_eq!(best.pos, 2);
         assert_eq!(best.neg, 0);

@@ -68,5 +68,5 @@ pub use mdie::{run_sequential, LearnedRule, SequentialOutcome};
 pub use memo::{CoverageMemo, MemoStats};
 pub use modes::{ModeArg, ModeDecl, ModeSet};
 pub use refine::{LatticeSlice, RuleShape};
-pub use search::{search_rules, search_rules_guided, take_top, ScoredRule, SearchOutcome};
+pub use search::{search_rules, ScoredRule, Search, SearchOutcome};
 pub use settings::{ScoreFn, Settings, Width};

@@ -6,7 +6,7 @@ use crate::coverage::evaluate_rule;
 use crate::examples::Examples;
 use crate::memo::CoverageMemo;
 use crate::modes::ModeSet;
-use crate::search::search_rules_guided;
+use crate::search::Search;
 use crate::settings::Settings;
 use p2mdie_logic::clause::Clause;
 use p2mdie_logic::kb::KnowledgeBase;
@@ -63,17 +63,12 @@ pub fn run_sequential(
         };
         out.steps += bottom.steps;
 
-        let found = search_rules_guided(
-            kb,
-            settings,
-            &bottom,
-            examples,
-            Some(&live),
-            &[],
-            None,
-            1,
-            &mut memo,
-        );
+        let found = Search {
+            live_pos: Some(&live),
+            keep: 1,
+            ..Search::new(kb, settings, &bottom, examples)
+        }
+        .run(&mut memo);
         out.steps += found.steps;
 
         match found.best() {

@@ -1385,7 +1385,7 @@ mod oracle;
 mod tests {
     use super::oracle::{covering_loop_matches_the_memo_free_search, Case};
     use super::*;
-    use crate::refine::splitmix64;
+    use crate::refine::{next_appendable, splitmix64};
     use std::collections::HashMap;
 
     /// Example `i` takes `10 + i` steps and is covered when `i` is a
@@ -1578,15 +1578,19 @@ mod tests {
         }
     }
 
-    /// A drawn shape of `bottom`: `steps` successor picks down from the root.
+    /// A drawn shape of `bottom`: `steps` successor picks down from the root,
+    /// each among the literals the shape may append.
     fn walk(bottom: &BottomClause, max_body: usize, picks: &[usize]) -> RuleShape {
-        let mut shape = RuleShape::empty();
+        let (mut shape, mut bound) = (RuleShape::empty(), Vec::new());
         for pick in picks {
-            let succs = shape.successors(bottom, max_body);
-            if succs.is_empty() {
+            shape.bound_vars_into(bottom, &mut bound);
+            let next = |from| next_appendable(bottom, &bound, shape.body_len(), max_body, from);
+            let appendable: Vec<usize> =
+                std::iter::successors(next(shape.append_from()), |&j| next(j + 1)).collect();
+            if appendable.is_empty() {
                 break;
             }
-            shape = succs[pick % succs.len()].clone();
+            shape.lits.push(appendable[pick % appendable.len()] as u32);
         }
         shape
     }
@@ -1655,17 +1659,12 @@ mod tests {
         live.clear(1);
         let mut memo = CoverageMemo::new();
         let search = |seeds: &[RuleShape], memo: &mut CoverageMemo| {
-            crate::search::search_rules_guided(
-                kb,
-                &settings,
-                &bottom,
-                ex,
-                Some(&live),
+            crate::search::Search {
+                live_pos: Some(&live),
                 seeds,
-                None,
-                settings.good_cap,
-                memo,
-            )
+                ..crate::search::Search::new(kb, &settings, &bottom, ex)
+            }
+            .run(memo)
         };
         let best = search(&[], &mut memo)
             .best()
@@ -1742,17 +1741,12 @@ mod tests {
             let seeds: Vec<RuleShape> = shallow.iter().skip(1).step_by(7).cloned().collect();
             for seeds in [&[][..], &seeds[..]] {
                 let what = format!("bottom {round}, {} seeds", seeds.len());
-                let memoised = crate::search::search_rules_guided(
-                    kb,
-                    &settings,
-                    &bottom,
-                    ex,
-                    Some(&live),
+                let memoised = crate::search::Search {
+                    live_pos: Some(&live),
                     seeds,
-                    None,
-                    settings.good_cap,
-                    &mut memo,
-                );
+                    ..crate::search::Search::new(kb, &settings, &bottom, ex)
+                }
+                .run(&mut memo);
                 let plain =
                     oracle::memo_free_search(kb, &settings, &bottom, ex, Some(&live), seeds, None);
                 oracle::assert_same(&memoised, &plain, &what);

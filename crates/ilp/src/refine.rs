@@ -64,15 +64,9 @@ impl RuleShape {
         )
     }
 
-    /// The variables bound once this shape's literals are in the clause:
-    /// head variables plus every variable of every selected literal.
-    pub fn bound_vars(&self, bottom: &BottomClause) -> Vec<VarId> {
-        let mut bound = Vec::new();
-        self.bound_vars_into(bottom, &mut bound);
-        bound
-    }
-
-    /// [`RuleShape::bound_vars`] into `bound`, in the memory it holds.
+    /// The variables bound once this shape's literals are in the clause —
+    /// head variables plus every variable of every selected literal — into
+    /// `bound`, in the memory it holds.
     pub(crate) fn bound_vars_into(&self, bottom: &BottomClause, bound: &mut Vec<VarId>) {
         bound.clear();
         bound.extend_from_slice(&bottom.head_vars);
@@ -90,31 +84,15 @@ impl RuleShape {
     pub(crate) fn append_from(&self) -> usize {
         self.lits.last().map_or(0, |&i| i as usize + 1)
     }
-
-    /// One-step specializations: append an addable literal with index
-    /// greater than the current maximum. Returns shapes in index order
-    /// (deterministic).
-    pub fn successors(&self, bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> {
-        let bound = self.bound_vars(bottom);
-        let next = |from| next_appendable(bottom, &bound, self.body_len(), max_body, from);
-        std::iter::successors(next(self.append_from()), |&j| next(j + 1))
-            .map(|j| {
-                let mut lits = Vec::with_capacity(self.lits.len() + 1);
-                lits.extend_from_slice(&self.lits);
-                lits.push(j as u32);
-                RuleShape { lits }
-            })
-            .collect()
-    }
 }
 
 /// The lattice's one admissibility rule: the first literal of ⊥e at index
 /// `from` or later that a shape of `body_len` literals binding `bound` (its
-/// [`RuleShape::bound_vars`]) may append — one whose input variables are
+/// [`RuleShape::bound_vars_into`]) may append — one whose input variables are
 /// all bound — and none once the shape has `max_body` literals. Asked from
 /// [`RuleShape::append_from`], then from one past each answer, it lists the
-/// shape's successors in index order: [`RuleShape::successors`] collects
-/// them, the search's frontier builds them one at a time.
+/// shape's successors in index order, which the search's frontier builds
+/// one at a time.
 pub(crate) fn next_appendable(
     bottom: &BottomClause,
     bound: &[VarId],
@@ -141,8 +119,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// search (the "data-parallel Aleph" strategy: same examples everywhere,
 /// different parts of the search space per rank).
 ///
-/// Because [`RuleShape::successors`] only ever appends a strictly larger
-/// index, every non-empty shape keeps the first literal it was born with —
+/// Because refinement only ever appends a strictly larger index, every
+/// non-empty shape keeps the first literal it was born with —
 /// the lattice is a forest of complete subtrees rooted at the one-literal
 /// shapes. Partitioning by a salted hash of that *first* literal therefore
 /// yields disjoint, collectively exhaustive subtrees: no shape is reachable
@@ -219,10 +197,20 @@ mod tests {
         (t, b)
     }
 
+    /// A shape's successors, in index order, by the one admissibility rule.
+    fn successors(shape: &RuleShape, b: &BottomClause, max_body: usize) -> Vec<RuleShape> {
+        let mut bound = Vec::new();
+        shape.bound_vars_into(b, &mut bound);
+        let next = |from| next_appendable(b, &bound, shape.body_len(), max_body, from);
+        std::iter::successors(next(shape.append_from()), |&j| next(j + 1))
+            .map(|j| RuleShape::from_indices([&shape.lits[..], &[j as u32]].concat()))
+            .collect()
+    }
+
     #[test]
     fn empty_successors_respect_dataflow() {
         let (_, b) = bottom();
-        let succ = RuleShape::empty().successors(&b, 4);
+        let succ = successors(&RuleShape::empty(), &b, 4);
         // r needs V1 which is not yet bound; q and s are addable.
         let idx: Vec<Vec<u32>> = succ.into_iter().map(|s| s.lits).collect();
         assert_eq!(idx, vec![vec![0], vec![2]]);
@@ -231,7 +219,7 @@ mod tests {
     #[test]
     fn outputs_unlock_consumers() {
         let (_, b) = bottom();
-        let succ = RuleShape::from_indices(vec![0]).successors(&b, 4);
+        let succ = successors(&RuleShape::from_indices(vec![0]), &b, 4);
         let idx: Vec<Vec<u32>> = succ.into_iter().map(|s| s.lits).collect();
         assert_eq!(idx, vec![vec![0, 1], vec![0, 2]]);
     }
@@ -239,9 +227,7 @@ mod tests {
     #[test]
     fn max_body_stops_expansion() {
         let (_, b) = bottom();
-        assert!(RuleShape::from_indices(vec![0])
-            .successors(&b, 1)
-            .is_empty());
+        assert!(successors(&RuleShape::from_indices(vec![0]), &b, 1).is_empty());
     }
 
     #[test]
@@ -260,7 +246,7 @@ mod tests {
             if !seen.insert(s.clone()) {
                 continue;
             }
-            queue.extend(s.successors(&b, 4));
+            queue.extend(successors(&s, &b, 4));
         }
         seen.into_iter().collect()
     }
@@ -294,7 +280,7 @@ mod tests {
         };
         for shape in all_shapes() {
             if !shape.lits.is_empty() && slice.admits(&shape) {
-                for succ in shape.successors(&b, 4) {
+                for succ in successors(&shape, &b, 4) {
                     assert!(slice.admits(&succ));
                 }
             }
@@ -312,7 +298,7 @@ mod tests {
             if !seen.insert(s.clone()) {
                 continue;
             }
-            queue.extend(s.successors(&b, 4));
+            queue.extend(successors(&s, &b, 4));
         }
         assert_eq!(seen.len(), 6);
         assert!(seen.contains(&RuleShape::from_indices(vec![0, 1, 2])));

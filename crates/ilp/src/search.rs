@@ -27,13 +27,45 @@
 //! 67 120 shapes for 28 975 nodes — so a successor is built only when the
 //! breadth-first order reaches it. The queue holds evaluated nodes, each
 //! with a cursor to the next literal it may append
-//! (`refine::next_appendable`, the rule [`RuleShape::successors`]
-//! follows too), and the front node yields its successors one at a time:
-//! the order is that of a queue of every successor. No set of shapes seen
-//! is kept. From one root, appending ascending literals reaches a shape
-//! once ([`crate::refine`]), so a successor can only repeat a Figure 7
-//! seed, and one that does is skipped: the seeds are evaluated, each once,
-//! before any successor.
+//! (`refine::next_appendable`, the lattice's one admissibility rule), and
+//! the front node yields its successors one at a time: the order is that of
+//! a queue of every successor. No set of shapes seen is kept. From one
+//! root, appending ascending literals reaches a shape once
+//! ([`crate::refine`]), so a successor can only repeat a Figure 7 seed, and
+//! one that does is skipped: the seeds are evaluated, each once, before any
+//! successor.
+//!
+//! # One loop, two evaluators
+//!
+//! Figure 2's `learn_rule` is this module's one breadth-first loop, and a
+//! search is one value, [`Search`]: kb, settings, ⊥e, examples, live
+//! positives, seeds, lattice slice and how many good rules to keep. Its
+//! callers differ only in *who evaluates a node* — the data-parallel
+//! Aleph of Konstantopoulos is the sequential search with coverage alone
+//! distributed — so that is the one thing a search is run with, an
+//! evaluator chosen by type (no trait object on the node path). The loop
+//! gathers a round of the next nodes the frontier yields, without queueing
+//! any, has the evaluator score them in order, keeps the good ones ranked
+//! by [`ScoredRule::rank_key`], and queues each that reaches `min_pos`.
+//!
+//! * The memo evaluator ([`Search::run`]) takes one node a round and proves
+//!   it on its parent's covered sets through the covering loop's memo, in
+//!   query packs and the search's call table, its negatives only when they
+//!   can matter: the sections below. The sequential loop and every
+//!   pipeline and hypothesis-parallel stage run it.
+//! * The batched evaluator ([`Search::run_batched`]) hands a round's
+//!   clauses to a fallible callback and gets their `(pos, neg)` counts
+//!   back; it keeps no masks and proves nothing. The coverage-parallel
+//!   baseline runs it, its callback one evaluation round on every rank,
+//!   with rounds of one node (per clause) or unbounded (per level): as
+//!   nothing is queued while a round is gathered, what the frontier yields
+//!   within the node budget is exactly one breadth-first level.
+//!
+//! The node order does not depend on the round size, so both find the same
+//! rules in the same `nodes`: `tests/oracle` holds both evaluators, at one
+//! node and at a level a round, to a memo-free reference on random worlds,
+//! and `tests/query_pack_inputs.rs` the batched search to the sequential
+//! loop's on the benchmark inputs.
 //!
 //! # Coverage memo
 //!
@@ -221,10 +253,12 @@ use crate::examples::Examples;
 use crate::memo::{ClauseKeys, CoverageMemo, KeySet, Proving, Ran, Side};
 use crate::refine::{next_appendable, LatticeSlice, RuleShape};
 use crate::settings::Settings;
+use p2mdie_logic::clause::Clause;
 use p2mdie_logic::fxhash::FxHashSet;
 use p2mdie_logic::kb::KnowledgeBase;
 use p2mdie_logic::term::VarId;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
 /// A rule with its (local) coverage and score.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -305,16 +339,25 @@ impl SearchOutcome {
     }
 }
 
-/// The breadth-first queue of one search, built lazily. Only evaluated
-/// nodes that may be refined wait in it, in the order they were evaluated,
-/// each as its shape and its covered positives and negatives — the live
-/// masks of its successors — in one flat buffer of words. The node at the
-/// front is unpacked with a cursor into ⊥e's literals, and its successors
-/// are built one at a time as the search reaches them
-/// ([`Frontier::next`]): the order is that of a queue of every successor
-/// built at expansion, and a successor the node budget never reaches is
-/// never built.
-struct Frontier {
+/// The breadth-first queue of one search, built lazily. Its roots come
+/// first. Then only evaluated nodes that may be refined wait in it, in the
+/// order they were evaluated, each as its shape and its covered positives
+/// and negatives — the live masks of its successors, when the evaluator
+/// keeps masks — in one flat buffer of words. The node at the front is
+/// unpacked with a cursor into ⊥e's literals, and its successors are built
+/// one at a time as the search reaches them ([`Frontier::next`]): the order
+/// is that of a queue of every successor built at expansion, and a
+/// successor the node budget never reaches is never built.
+struct Frontier<'s> {
+    bottom: &'s BottomClause,
+    max_body: usize,
+    /// The roots not yet yielded: each seed once, in order, or the most
+    /// general rule.
+    roots: std::vec::IntoIter<&'s [u32]>,
+    /// What a successor must pass to be a node: it repeats no seed (see "A
+    /// lazy frontier") and lies in the slice.
+    seeds: FxHashSet<&'s [u32]>,
+    slice: Option<&'s LatticeSlice>,
     /// Per waiting node: its body length, its body, the words of its
     /// covered positives and of its covered negatives. Read from `front`;
     /// the words before it are dropped once they are half the buffer, so a
@@ -323,7 +366,11 @@ struct Frontier {
     front: usize,
     /// The front node: its shape, its bound variables, the literal its
     /// last successor appended (`None` once it has no successor left) and
-    /// the covered sets its successors are evaluated on.
+    /// the covered sets its successors are evaluated on — before the first
+    /// front node, what the roots are evaluated on: the live positives and
+    /// every negative. Monotonicity makes a parent's covered sets exact
+    /// live masks for its successors: a child's coverage is a subset of its
+    /// parent's.
     shape: RuleShape,
     bound: Vec<VarId>,
     cursor: Option<usize>,
@@ -332,19 +379,62 @@ struct Frontier {
     fronts: usize,
 }
 
-impl Frontier {
-    fn new(examples: &Examples) -> Self {
+impl<'s> Frontier<'s> {
+    /// The frontier of `search`, queueing each node's covered sets with it
+    /// when the evaluator keeps `masks`.
+    fn new(search: &Search<'s>, masks: bool) -> Self {
+        let mut seeds = FxHashSet::default();
+        let mut roots: Vec<&[u32]> = search
+            .seeds
+            .iter()
+            .map(|s| &s.lits[..])
+            .filter(|lits| seeds.insert(*lits))
+            .collect();
+        if roots.is_empty() {
+            roots.push(&[]);
+        }
+        let ex = search.examples;
+        let live = match masks {
+            true => [
+                search
+                    .live_pos
+                    .map_or_else(|| ex.full_pos_live(), Bitset::clone),
+                Bitset::full(ex.num_neg()),
+            ],
+            false => Default::default(),
+        };
         Frontier {
+            bottom: search.bottom,
+            max_body: search.settings.max_body,
+            roots: roots.into_iter(),
+            seeds,
+            slice: search.slice,
             queue: Vec::new(),
             front: 0,
             shape: RuleShape::empty(),
             bound: Vec::new(),
             cursor: None,
-            live: [
-                Bitset::new(examples.num_pos()),
-                Bitset::new(examples.num_neg()),
-            ],
+            live,
             fronts: 0,
+        }
+    }
+
+    /// Builds into `child` the front node's first successor that appends a
+    /// literal at `from` or later and is a node — it repeats no seed and
+    /// lies in the slice — and returns the literal it appends.
+    fn successor(&self, mut from: usize, child: &mut RuleShape) -> Option<usize> {
+        loop {
+            let len = self.shape.body_len();
+            let j = next_appendable(self.bottom, &self.bound, len, self.max_body, from)?;
+            child.lits.clear();
+            child.lits.extend_from_slice(&self.shape.lits);
+            child.lits.push(j as u32);
+            if (self.seeds.is_empty() || !self.seeds.contains(&child.lits[..]))
+                && self.slice.is_none_or(|slice| slice.admits(child))
+            {
+                return Some(j);
+            }
+            from = j + 1;
         }
     }
 
@@ -357,40 +447,32 @@ impl Frontier {
         }
     }
 
-    /// Builds into `child` the next successor of the front node that
-    /// `admit` lets through, unpacking the next waiting node whenever the
-    /// front one has none left; false when no node is left.
-    fn next(
-        &mut self,
-        bottom: &BottomClause,
-        max_body: usize,
-        child: &mut RuleShape,
-        admit: impl Fn(&RuleShape) -> bool,
-    ) -> bool {
+    /// Builds into `child` the next node: the next root, else the next
+    /// admitted successor of the front node, unpacking the next waiting
+    /// node whenever the front one has none left. Says whether it is a
+    /// root; `None` when no node is left.
+    fn next(&mut self, child: &mut RuleShape) -> Option<bool> {
+        if let Some(root) = self.roots.next() {
+            child.lits.clear();
+            child.lits.extend_from_slice(root);
+            return Some(true);
+        }
         loop {
             let from = match self.cursor {
                 Some(j) => j + 1,
-                None if self.front == self.queue.len() => return false,
-                None => self.unpack(bottom),
+                None if self.front == self.queue.len() => return None,
+                None => self.unpack(),
             };
-            let len = self.shape.body_len();
-            let Some(j) = next_appendable(bottom, &self.bound, len, max_body, from) else {
-                self.cursor = None;
-                continue;
-            };
-            self.cursor = Some(j);
-            child.lits.clear();
-            child.lits.extend_from_slice(&self.shape.lits);
-            child.lits.push(j as u32);
-            if admit(child) {
-                return true;
+            self.cursor = self.successor(from, child);
+            if self.cursor.is_some() {
+                return Some(false);
             }
         }
     }
 
     /// Makes the first waiting node the front one; returns where its
     /// successors start.
-    fn unpack(&mut self, bottom: &BottomClause) -> usize {
+    fn unpack(&mut self) -> usize {
         if 2 * self.front > self.queue.len() {
             self.queue.drain(..self.front);
             self.front = 0;
@@ -409,7 +491,7 @@ impl Frontier {
         }
         self.front += at;
         self.fronts += 1;
-        self.shape.bound_vars_into(bottom, &mut self.bound);
+        self.shape.bound_vars_into(self.bottom, &mut self.bound);
         self.shape.append_from()
     }
 }
@@ -459,20 +541,16 @@ impl Pack {
     /// The member `child` — the frontier's last successor — is of its
     /// parent's pack. When `child` is the first successor of a new front
     /// node, or one past what the pack looked at, the pack is gathered
-    /// first: from `child` on, the successors `admit` lets through, as many
+    /// first: from `child` on, the successors the frontier admits, as many
     /// as the node budget leaves, whose key the memo holds no record of and
     /// is not a variant's already gathered, and whose compiled rule extends
     /// the front node's ([`PreparedRule::extends`]) — at most
     /// [`PACK_MEMBERS`]. Looking stamps no record, so that eviction is what
     /// it would be without packs.
-    #[allow(clippy::too_many_arguments)]
     fn member(
         &mut self,
         child: &RuleShape,
-        frontier: &Frontier,
-        bottom: &BottomClause,
-        max_body: usize,
-        admit: impl Fn(&RuleShape) -> bool,
+        frontier: &Frontier<'_>,
         nodes_left: usize,
         keys: &mut ClauseKeys,
         memo: &CoverageMemo,
@@ -485,21 +563,12 @@ impl Pack {
             self.keys.clear();
             self.next = 0;
             self.proved = [0; 2];
-            let parent = &frontier.shape;
-            let (mut next, mut taken) = (Some(last), 0);
-            while let Some(j) = next.filter(|_| taken < nodes_left) {
-                if self.appends.len() == PACK_MEMBERS {
+            let (mut from, mut taken) = (last, 0);
+            while taken < nodes_left && self.appends.len() < PACK_MEMBERS {
+                let Some(j) = frontier.successor(from, &mut self.shape) else {
                     break;
-                }
-                next = next_appendable(bottom, &frontier.bound, parent.body_len(), max_body, j + 1);
-                self.shape.lits.clear();
-                self.shape.lits.extend_from_slice(&parent.lits);
-                self.shape.lits.push(j as u32);
-                if !admit(&self.shape) {
-                    continue;
-                }
-                taken += 1;
-                self.reach = j;
+                };
+                (from, taken, self.reach) = (j + 1, taken + 1, j);
                 match keys.key_of(&self.shape) {
                     Some(key) if memo.holds(key) || !self.keys.insert(key) => continue,
                     _ => {}
@@ -509,7 +578,7 @@ impl Pack {
                     self.rules.push(compiler.rule());
                 }
                 if m == 0 {
-                    compiler.compile(parent, &mut self.rules[0]);
+                    compiler.compile(&frontier.shape, &mut self.rules[0]);
                 }
                 compiler.compile(&self.shape, &mut self.rules[1 + m]);
                 if self.rules[1 + m].extends(&self.rules[0]) {
@@ -569,7 +638,9 @@ impl Pack {
     }
 }
 
-/// Runs one breadth-first search over `bottom`'s refinement lattice.
+/// Runs one breadth-first search over `bottom`'s refinement lattice with a
+/// memo of its own: [`Search`] with these fields and the rest at
+/// [`Search::new`]'s.
 ///
 /// * `live_pos` — positive examples still uncovered (dead ones are skipped).
 /// * `seeds` — starting shapes; when empty, starts from the most-general
@@ -583,117 +654,260 @@ pub fn search_rules(
     live_pos: Option<&Bitset>,
     seeds: &[RuleShape],
 ) -> SearchOutcome {
-    search_rules_guided(
-        kb,
-        settings,
-        bottom,
-        examples,
+    Search {
         live_pos,
         seeds,
-        None,
-        settings.good_cap,
-        &mut CoverageMemo::new(),
-    )
+        ..Search::new(kb, settings, bottom, examples)
+    }
+    .run(&mut CoverageMemo::new())
 }
 
-/// [`search_rules`] with its three hooks: an optional slice of the
-/// refinement lattice to stay inside (hypothesis-parallel search —
-/// successors outside the slice are never enqueued; slices are
-/// subtree-closed, so this loses nothing the slice owns), how many of the
-/// best good rules the caller keeps (`keep`: only those are copied into
-/// [`SearchOutcome::good`], as they are found), and the coverage memo of
-/// the covering loop the search is part of (see the module docs for what a
-/// memo may be shared across). With no slice, `settings.good_cap` and a new
-/// memo this is exactly the plain search.
-#[allow(clippy::too_many_arguments)]
-pub fn search_rules_guided(
-    kb: &KnowledgeBase,
-    settings: &Settings,
-    bottom: &BottomClause,
-    examples: &Examples,
-    live_pos: Option<&Bitset>,
-    seeds: &[RuleShape],
-    slice: Option<&LatticeSlice>,
-    keep: usize,
-    memo: &mut CoverageMemo,
-) -> SearchOutcome {
-    let mut out = SearchOutcome::default();
-    let mut good = BinaryHeap::new();
-    memo.begin_search(examples.num_pos(), examples.num_neg());
-    let mut pack = memo.take_pack();
-    pack.front = None;
-    let mut keys = ClauseKeys::new(bottom, memo);
-    // Compiled once for every node: ⊥e, the buffer a node compiles into
-    // and the proof scratch.
-    let mut compiler = CompiledBottom::new(kb, bottom);
-    let mut rule = compiler.rule();
-    let mut proving = Proving::new(kb, settings, examples, memo);
-    // What a root or seed is evaluated on: the caller's live positives and
-    // every negative.
-    let every_pos = examples.full_pos_live();
-    let root_pos = live_pos.unwrap_or(&every_pos);
-    let every_neg = Bitset::full(examples.num_neg());
+/// One breadth-first search (see "One loop, two evaluators"): what it
+/// searches, on which examples, from which roots, and how many of its good
+/// rules it keeps. Run it with the memo evaluator ([`Search::run`]) or the
+/// batched one ([`Search::run_batched`]).
+pub struct Search<'s> {
+    /// The background knowledge nodes are proved against.
+    pub kb: &'s KnowledgeBase,
+    /// Node budget, body length, `min_pos`, noise, score and proof limits.
+    pub settings: &'s Settings,
+    /// ⊥e, whose literals the nodes select.
+    pub bottom: &'s BottomClause,
+    /// The (local) examples.
+    pub examples: &'s Examples,
+    /// Positive examples still uncovered, which a root is evaluated on with
+    /// every negative; `None` is every positive. A batched evaluator's
+    /// callback scores on what it holds and reads neither this nor `kb`.
+    pub live_pos: Option<&'s Bitset>,
+    /// Starting shapes (Figure 7's `S`), each evaluated once, in order,
+    /// before any successor and scored whatever it covers
+    /// ([`SearchOutcome::seed_scored`]); when empty, the most general rule.
+    pub seeds: &'s [RuleShape],
+    /// A slice of the refinement lattice to stay inside (hypothesis-parallel
+    /// search): successors outside it are never built. Slices are
+    /// subtree-closed, so this loses nothing the slice owns.
+    pub slice: Option<&'s LatticeSlice>,
+    /// How many of the best good rules the caller keeps: only those are
+    /// copied into [`SearchOutcome::good`], as they are found.
+    pub keep: usize,
+}
 
-    // The roots, evaluated first: each seed once, in order, or the most
-    // general rule. A successor that repeats a seed is skipped (see "A lazy
-    // frontier" above).
-    let mut seed_set: FxHashSet<&[u32]> = FxHashSet::default();
-    let mut roots: Vec<&[u32]> = seeds
-        .iter()
-        .map(|s| &s.lits[..])
-        .filter(|lits| seed_set.insert(lits))
-        .collect();
-    if seeds.is_empty() {
-        roots.push(&[]);
-    }
-    let mut roots = roots.into_iter();
-    let admit = |child: &RuleShape| {
-        (seeds.is_empty() || !seed_set.contains(&child.lits[..]))
-            && slice.is_none_or(|slice| slice.admits(child))
-    };
-    let mut frontier = Frontier::new(examples);
-    // The node being evaluated.
-    let mut shape = RuleShape::empty();
-
-    loop {
-        let is_root = match roots.next() {
-            Some(root) => {
-                shape.lits.clear();
-                shape.lits.extend_from_slice(root);
-                true
-            }
-            None if frontier.next(bottom, settings.max_body, &mut shape, admit) => false,
-            None => break,
-        };
-        if out.nodes >= settings.max_nodes {
-            break;
+impl<'s> Search<'s> {
+    /// The plain search: every positive live, from the most general rule,
+    /// over the whole lattice, keeping `settings.good_cap` good rules.
+    pub fn new(
+        kb: &'s KnowledgeBase,
+        settings: &'s Settings,
+        bottom: &'s BottomClause,
+        examples: &'s Examples,
+    ) -> Self {
+        Search {
+            kb,
+            settings,
+            bottom,
+            examples,
+            live_pos: None,
+            seeds: &[],
+            slice: None,
+            keep: settings.good_cap,
         }
-        let member = match is_root {
-            true => None,
-            false => pack.member(
-                &shape,
-                &frontier,
-                bottom,
-                settings.max_body,
-                admit,
-                settings.max_nodes - out.nodes,
-                &mut keys,
-                memo,
-                &mut compiler,
-            ),
+    }
+
+    /// Runs the search with the memo evaluator, through `memo`, the coverage
+    /// memo of the covering loop the search is part of (see the module docs
+    /// for what a memo may be shared across).
+    pub fn run(&self, memo: &mut CoverageMemo) -> SearchOutcome {
+        let mut eval = Memoised::new(self, memo);
+        let Ok(out) = self.drive(&mut eval, 1);
+        eval.memo.keep_pack(eval.pack);
+        eval.memo.keep_proving(eval.proving);
+        out
+    }
+
+    /// Runs the search with the batched evaluator: rounds of at most `batch`
+    /// nodes (`usize::MAX`: one breadth-first level each), whose clauses
+    /// `score` is handed and answers with their `(pos, neg)` counts, in
+    /// order, or with an error that ends the search. Nothing is proved
+    /// here, so the outcome's `steps` and `reused` are zero.
+    pub fn run_batched<E>(
+        &self,
+        batch: usize,
+        score: impl FnMut(Vec<Clause>) -> Result<Vec<(u32, u32)>, E>,
+    ) -> Result<SearchOutcome, E> {
+        let mut eval = Batched {
+            score,
+            counts: Vec::new(),
+            none: Bitset::default(),
         };
-        out.nodes += 1;
-        let is_seed = is_root && !seeds.is_empty();
+        self.drive(&mut eval, batch)
+    }
+
+    /// The one breadth-first loop: rounds of at most `batch` of the next
+    /// nodes the frontier yields, gathered without queueing any, then
+    /// scored by `eval` in order; a good node joins the kept rules, and one
+    /// that reaches `min_pos` waits in the frontier for its successors.
+    fn drive<V: Evaluator>(&self, eval: &mut V, batch: usize) -> Result<SearchOutcome, V::Error> {
+        let settings = self.settings;
+        let mut out = SearchOutcome::default();
+        let mut good = BinaryHeap::new();
+        let mut frontier = Frontier::new(self, V::MASKS);
+        // A round's nodes, its roots first, in shapes kept from round to
+        // round.
+        let mut shapes: Vec<RuleShape> = Vec::new();
+        loop {
+            let room = batch.min(settings.max_nodes - out.nodes);
+            let (mut len, mut roots) = (0, 0);
+            while len < room {
+                if shapes.len() == len {
+                    shapes.push(RuleShape::empty());
+                }
+                let Some(root) = frontier.next(&mut shapes[len]) else {
+                    break;
+                };
+                roots += usize::from(root);
+                len += 1;
+            }
+            if len == 0 {
+                break;
+            }
+            eval.round(self, &shapes[..len])?;
+            for (index, shape) in shapes[..len].iter().enumerate() {
+                let root = index < roots;
+                let seed = root && !self.seeds.is_empty();
+                let node = Node {
+                    index,
+                    shape,
+                    root,
+                    seed,
+                };
+                let scored = eval.score(node, &frontier, &mut out);
+                out.nodes += 1;
+                let Some((pos, neg, covered)) = scored else {
+                    // Below `min_pos` and not a seed: nothing to report or
+                    // expand.
+                    continue;
+                };
+                let score = settings.score.score(pos, neg, shape.body_len());
+                if seed {
+                    let shape = shape.clone();
+                    let seed = ScoredRule {
+                        shape,
+                        pos,
+                        neg,
+                        score,
+                    };
+                    out.seed_scored.push(seed);
+                }
+                if settings.is_good(pos, neg) {
+                    keep_good(&mut good, self.keep, shape, (pos, neg, score));
+                }
+                // Specializing cannot regain positive cover: prune hopeless
+                // subtrees.
+                if pos >= settings.min_pos {
+                    frontier.push(shape, covered);
+                }
+            }
+        }
+        out.good = good.into_sorted_vec().into_iter().map(|k| k.0).collect();
+        Ok(out)
+    }
+}
+
+/// A node of a round, as its evaluator is asked about it.
+struct Node<'n> {
+    /// Its place in the round.
+    index: usize,
+    shape: &'n RuleShape,
+    /// Whether it is a root (a seed or the most general rule), and no
+    /// successor of the front node.
+    root: bool,
+    /// A seed is scored on both sides whatever it covers.
+    seed: bool,
+}
+
+/// Who evaluates a search's nodes (see "One loop, two evaluators").
+trait Evaluator {
+    type Error;
+    /// Whether a node queues its covered sets, as its successors' masks.
+    const MASKS: bool;
+    /// Takes a round's nodes before any is scored.
+    fn round(&mut self, _: &Search<'_>, _: &[RuleShape]) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    /// Scores `node`, the search's node number `out.nodes`, charging its
+    /// steps to `out`: its covered positives and negatives, counted and as
+    /// sets — its successors' live masks, or empty without masks — or
+    /// `None` for a node below `min_pos` that is no seed, whose negatives
+    /// cannot matter.
+    fn score(
+        &mut self,
+        node: Node<'_>,
+        frontier: &Frontier<'_>,
+        out: &mut SearchOutcome,
+    ) -> Option<(u32, u32, [&Bitset; 2])>;
+}
+
+/// The memo evaluator: one node a round, proved on its parent's covered
+/// sets through the covering loop's memo, in query packs and the search's
+/// call table, its negatives only when they can matter (the module docs'
+/// sections from "Monotone coverage pruning" on).
+struct Memoised<'s, 'm> {
+    settings: &'s Settings,
+    memo: &'m mut CoverageMemo,
+    keys: ClauseKeys,
+    pack: Pack,
+    /// ⊥e compiled once for every node, the buffer a node compiles into
+    /// and the proof scratch.
+    compiler: CompiledBottom<'s>,
+    rule: PreparedRule,
+    proving: Proving<'s>,
+}
+
+impl<'s, 'm> Memoised<'s, 'm> {
+    /// Borrows `memo` and the buffers it lends for one search.
+    fn new(search: &Search<'s>, memo: &'m mut CoverageMemo) -> Self {
+        let (kb, examples) = (search.kb, search.examples);
+        memo.begin_search(examples.num_pos(), examples.num_neg());
+        let mut pack = memo.take_pack();
+        pack.front = None;
+        let keys = ClauseKeys::new(search.bottom, memo);
+        let compiler = CompiledBottom::new(kb, search.bottom);
+        let rule = compiler.rule();
+        let proving = Proving::new(kb, search.settings, examples, memo);
+        Memoised {
+            settings: search.settings,
+            memo,
+            keys,
+            pack,
+            compiler,
+            rule,
+            proving,
+        }
+    }
+}
+
+impl Evaluator for Memoised<'_, '_> {
+    type Error = Infallible;
+    const MASKS: bool = true;
+
+    fn score(
+        &mut self,
+        node: Node<'_>,
+        frontier: &Frontier<'_>,
+        out: &mut SearchOutcome,
+    ) -> Option<(u32, u32, [&Bitset; 2])> {
+        let (shape, min_pos) = (node.shape, self.settings.min_pos);
+        let nodes_left = self.settings.max_nodes - out.nodes;
+        let (pack, keys, memo) = (&mut self.pack, &mut self.keys, &*self.memo);
+        let member = match node.root {
+            true => None,
+            false => pack.member(shape, frontier, nodes_left, keys, memo, &mut self.compiler),
+        };
         // Lazy negative side: a non-seed node below `min_pos` can never be
         // good, reports nothing, and is not expanded — its negative
         // coverage is unobservable, so don't pay for it.
-        let needs_neg = |pos: u32| pos >= settings.min_pos || is_seed;
-        // Monotonicity: the child's coverage is a subset of the parent's, so
-        // the parent's covered sets are exact live masks for the child.
-        let live = match is_root {
-            true => [root_pos, &every_neg],
-            false => [&frontier.live[0], &frontier.live[1]],
-        };
+        let needs_neg = |pos: u32| pos >= min_pos || node.seed;
+        let live = [&frontier.live[0], &frontier.live[1]];
         // A member's question on a whole live mask — the memo passes the
         // mask it was handed — is answered by its pack. Any other proof is
         // the node's alone, compiled when the memo first asks for one, once
@@ -701,51 +915,63 @@ pub fn search_rules_guided(
         let mut compiled = false;
         let prove = |side: Side, mask: &Bitset, out: &mut Bitset| {
             if let Some(m) = member.filter(|_| std::ptr::eq(mask, live[side as usize])) {
-                let asked = (side, mask);
-                if let Some(steps) = pack.answer(m, asked, settings.min_pos, &mut proving, out) {
+                let proving = &mut self.proving;
+                if let Some(steps) = self.pack.answer(m, (side, mask), min_pos, proving, out) {
                     return steps;
                 }
             }
             if !std::mem::replace(&mut compiled, true) {
-                compiler.compile(&shape, &mut rule);
+                self.compiler.compile(shape, &mut self.rule);
             }
-            proving.prove(&rule, side, mask, out)
+            self.proving.prove(&self.rule, side, mask, out)
         };
-        let node = memo.evaluate(keys.key_of(&shape), live, needs_neg, prove);
-        out.reused += usize::from(node.ran == Ran::Nothing);
-        out.steps += node.pos_steps;
-        let pos = node.pos.count() as u32;
-        let Some((neg_bits, neg_steps)) = node.neg else {
-            // Below `min_pos` and not a seed: nothing to report or expand.
-            continue;
-        };
+        let found = self
+            .memo
+            .evaluate(self.keys.key_of(shape), live, needs_neg, prove);
+        out.reused += usize::from(found.ran == Ran::Nothing);
+        out.steps += found.pos_steps;
+        let (neg, neg_steps) = found.neg?;
         out.steps += neg_steps;
-        let neg = neg_bits.count() as u32;
+        Some((
+            found.pos.count() as u32,
+            neg.count() as u32,
+            [found.pos, neg],
+        ))
+    }
+}
 
-        if is_seed {
-            out.seed_scored.push(ScoredRule {
-                shape: shape.clone(),
-                pos,
-                neg,
-                score: settings.score.score(pos, neg, shape.body_len()),
-            });
-        }
+/// The batched evaluator: a round's clauses handed to `score` at once,
+/// which answers with their counts; no masks, no proof here.
+struct Batched<F> {
+    score: F,
+    /// The round's counts, in order.
+    counts: Vec<(u32, u32)>,
+    /// The covered sets a node queues: empty.
+    none: Bitset,
+}
 
-        if settings.is_good(pos, neg) {
-            let score = settings.score.score(pos, neg, shape.body_len());
-            keep_good(&mut good, keep, &shape, (pos, neg, score));
-        }
+impl<F, E> Evaluator for Batched<F>
+where
+    F: FnMut(Vec<Clause>) -> Result<Vec<(u32, u32)>, E>,
+{
+    type Error = E;
+    const MASKS: bool = false;
 
-        // Specializing cannot regain positive cover: prune hopeless subtrees.
-        if pos >= settings.min_pos {
-            frontier.push(&shape, [node.pos, neg_bits]);
-        }
+    fn round(&mut self, search: &Search<'_>, shapes: &[RuleShape]) -> Result<(), E> {
+        let clauses = shapes.iter().map(|s| s.to_clause(search.bottom)).collect();
+        self.counts = (self.score)(clauses)?;
+        Ok(())
     }
 
-    memo.keep_pack(pack);
-    memo.keep_proving(proving);
-    out.good = good.into_sorted_vec().into_iter().map(|k| k.0).collect();
-    out
+    fn score(
+        &mut self,
+        node: Node<'_>,
+        _: &Frontier<'_>,
+        _: &mut SearchOutcome,
+    ) -> Option<(u32, u32, [&Bitset; 2])> {
+        let (pos, neg) = self.counts[node.index];
+        Some((pos, neg, [&self.none; 2]))
+    }
 }
 
 /// Keeps a good rule among the `keep` best of `good` so far: copied only
@@ -772,13 +998,6 @@ fn keep_good(
             (rule.pos, rule.neg, rule.score) = (pos, neg, score);
         }
     }
-}
-
-/// Selects the top `cap` rules of an already-ranked good list (the pipeline
-/// width `W` applied when forwarding; paper §4.1).
-pub fn take_top(mut good: Vec<ScoredRule>, cap: usize) -> Vec<ScoredRule> {
-    good.truncate(cap);
-    good
 }
 
 #[cfg(test)]
@@ -932,9 +1151,9 @@ mod tests {
         assert_eq!(out.seed_scored[0].neg, 6);
     }
 
-    /// The guided search's defaults change nothing: with no slice, or with
-    /// the one-slice partition that admits the whole lattice, and a new memo
-    /// it is the plain search.
+    /// A search value's defaults change nothing: with no slice, or with the
+    /// one-slice partition that admits the whole lattice, and a new memo it
+    /// is the plain search.
     #[test]
     fn default_guide_is_a_strict_no_op() {
         let (_, kb, modes, ex) = world();
@@ -951,17 +1170,11 @@ mod tests {
             salt: 11,
         };
         for slice in [None, Some(&whole)] {
-            let guided = search_rules_guided(
-                &kb,
-                &settings,
-                &bottom,
-                &ex,
-                None,
-                &[],
+            let guided = Search {
                 slice,
-                settings.good_cap,
-                &mut CoverageMemo::new(),
-            );
+                ..Search::new(&kb, &settings, &bottom, &ex)
+            }
+            .run(&mut CoverageMemo::new());
             assert_eq!(plain.good, guided.good);
             assert_eq!(plain.seed_scored, guided.seed_scored);
             assert_eq!(plain.nodes, guided.nodes);
@@ -984,17 +1197,11 @@ mod tests {
         for of in [2u64, 3] {
             let mut union = std::collections::HashSet::new();
             for rank in 0..of {
-                let out = search_rules_guided(
-                    &kb,
-                    &settings,
-                    &bottom,
-                    &ex,
-                    None,
-                    &[],
-                    Some(&LatticeSlice { rank, of, salt: 11 }),
-                    settings.good_cap,
-                    &mut CoverageMemo::new(),
-                );
+                let out = Search {
+                    slice: Some(&LatticeSlice { rank, of, salt: 11 }),
+                    ..Search::new(&kb, &settings, &bottom, &ex)
+                }
+                .run(&mut CoverageMemo::new());
                 for r in &out.good {
                     assert!(
                         union.insert(r.shape.clone()),
@@ -1005,19 +1212,5 @@ mod tests {
             }
             assert_eq!(union, full, "slices must be collectively exhaustive");
         }
-    }
-
-    #[test]
-    fn take_top_truncates() {
-        let rules: Vec<ScoredRule> = (0..5)
-            .map(|i| ScoredRule {
-                shape: RuleShape::from_indices(vec![i]),
-                pos: 1,
-                neg: 0,
-                score: 1,
-            })
-            .collect();
-        assert_eq!(take_top(rules.clone(), 2).len(), 2);
-        assert_eq!(take_top(rules, 100).len(), 5);
     }
 }

@@ -56,8 +56,7 @@ pub struct Settings {
     /// Scoring function for the search.
     pub score: ScoreFn,
     /// Cap on how many good rules one search retains (memory guard). A
-    /// caller that keeps fewer asks for fewer (`search_rules_guided`'s
-    /// `keep`): a pipeline stage the width `W`, the sequential loop one.
+    /// caller that keeps fewer asks for fewer (`Search::keep`): a pipeline stage the width `W`, the sequential loop one.
     pub good_cap: usize,
     /// Thread count for coverage evaluation: `1` = on the calling thread,
     /// `0` = one thread per available core, `n` = exactly `n` threads. The

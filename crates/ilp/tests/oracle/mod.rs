@@ -1,8 +1,9 @@
-//! The oracle of the coverage memo's differential tests: the search as it
-//! stood before any memo, written against public API only
-//! (`evaluate_side_threads`, `RuleShape::successors`) — every node is
-//! compiled and proved, nothing is remembered — and the covering loops it is
-//! compared on.
+//! The oracle of the search's differential tests: the search as it stood
+//! before any memo, written against public API only
+//! (`evaluate_side_threads`) and with a successor rule of its own
+//! ([`successors`]) — an eager queue with a visited set, every node
+//! compiled and proved, nothing remembered — and the covering loops it is
+//! compared on, under the memo evaluator and under the batched one.
 //!
 //! Compiled twice: into `tests/variant_memo.rs`, which hands the loops a
 //! memo as any caller gets one, and into the crate's own unit tests
@@ -17,7 +18,7 @@ use p2mdie_ilp::coverage::{evaluate_rule, evaluate_side_threads};
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::{splitmix64, LatticeSlice, RuleShape};
-use p2mdie_ilp::search::{search_rules_guided, ScoredRule, SearchOutcome};
+use p2mdie_ilp::search::{ScoredRule, Search, SearchOutcome};
 use p2mdie_ilp::settings::Settings;
 use p2mdie_ilp::CoverageMemo;
 use p2mdie_logic::clause::{Clause, Literal};
@@ -26,10 +27,30 @@ use p2mdie_logic::prover::ProofLimits;
 use p2mdie_logic::symbol::SymbolTable;
 use p2mdie_logic::term::Term;
 use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 use std::rc::Rc;
 
 /// A node's covered positives and negatives: its successors' live masks.
 pub type Masks = Rc<(Bitset, Bitset)>;
+
+/// The reference's successor rule, written from the refinement contract
+/// rather than shared with the search: `shape` with one literal of ⊥e past
+/// its last appended, for each such literal whose input variables the
+/// shape binds — the head's variables and every variable of its literals —
+/// in index order; none once the body has `max_body` literals.
+pub fn successors(shape: &RuleShape, bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> {
+    if shape.body_len() >= max_body {
+        return Vec::new();
+    }
+    let chosen = shape.lits.iter().map(|&i| &bottom.lits[i as usize]);
+    let lit_vars = chosen.flat_map(|l| l.inputs.iter().chain(&l.outputs));
+    let bound: HashSet<_> = bottom.head_vars.iter().chain(lit_vars).collect();
+    let from = shape.lits.last().map_or(0, |&i| i as usize + 1);
+    (from..bottom.lits.len())
+        .filter(|&j| bottom.lits[j].inputs.iter().all(|v| bound.contains(v)))
+        .map(|j| RuleShape::from_indices([&shape.lits[..], &[j as u32]].concat()))
+        .collect()
+}
 
 /// The memo-free search: Figure 2 with monotone masks, Figure 7 seeds and
 /// the lattice-slice hook, one proof per node.
@@ -42,17 +63,32 @@ pub fn memo_free_search(
     seeds: &[RuleShape],
     slice: Option<&LatticeSlice>,
 ) -> SearchOutcome {
+    memo_free_levels(kb, settings, bottom, examples, live_pos, seeds, slice).0
+}
+
+/// [`memo_free_search`], with the number of nodes it evaluated of each
+/// breadth-first level: the roots, their successors, theirs, ….
+pub fn memo_free_levels(
+    kb: &KnowledgeBase,
+    settings: &Settings,
+    bottom: &BottomClause,
+    examples: &Examples,
+    live_pos: Option<&Bitset>,
+    seeds: &[RuleShape],
+    slice: Option<&LatticeSlice>,
+) -> (SearchOutcome, Vec<usize>) {
     let mut out = SearchOutcome::default();
-    let mut queue: VecDeque<(RuleShape, Option<Masks>)> = VecDeque::new();
+    let mut levels: Vec<usize> = Vec::new();
+    let mut queue: VecDeque<(RuleShape, Option<Masks>, usize)> = VecDeque::new();
     let mut visited: HashSet<RuleShape> = HashSet::new();
     let seed_set: HashSet<&RuleShape> = seeds.iter().collect();
     if seeds.is_empty() {
-        queue.push_back((RuleShape::empty(), None));
+        queue.push_back((RuleShape::empty(), None, 0));
     } else {
         let mut queued = HashSet::new();
         for s in seeds {
             if queued.insert(s) {
-                queue.push_back((s.clone(), None));
+                queue.push_back((s.clone(), None, 0));
             }
         }
     }
@@ -63,13 +99,15 @@ pub fn memo_free_search(
         score: settings.score.score(pos, neg, shape.body_len()),
     };
 
-    while let Some((shape, parent_cov)) = queue.pop_front() {
+    while let Some((shape, parent_cov, level)) = queue.pop_front() {
         if out.nodes >= settings.max_nodes {
             break;
         }
         if !visited.insert(shape.clone()) {
             continue;
         }
+        levels.resize(levels.len().max(level + 1), 0);
+        levels[level] += 1;
         let is_seed = seed_set.contains(&shape);
         let clause = shape.to_clause(bottom);
         let (live_p, live_n) = match &parent_cov {
@@ -98,18 +136,68 @@ pub fn memo_free_search(
             continue;
         }
         let masks = Rc::new((pos_bits, neg_bits));
-        let mut succs = shape.successors(bottom, settings.max_body);
+        let mut succs = successors(&shape, bottom, settings.max_body);
         if let Some(slice) = slice {
             succs.retain(|s| slice.admits(s));
         }
         for succ in succs {
             if !visited.contains(&succ) {
-                queue.push_back((succ, Some(Rc::clone(&masks))));
+                queue.push_back((succ, Some(Rc::clone(&masks)), level + 1));
             }
         }
     }
     out.good.sort_by(|a, b| a.rank_key().cmp(&b.rank_key()));
-    out
+    (out, levels)
+}
+
+/// `examples` dealt round-robin to `ranks` ranks, each part with its share
+/// of the `live` positives: what the workers of a coverage-parallel run
+/// hold.
+pub fn dealt(examples: &Examples, live: &Bitset, ranks: usize) -> Vec<(Examples, Bitset)> {
+    (0..ranks)
+        .map(|rank| {
+            let pos: Vec<usize> = (rank..examples.num_pos()).step_by(ranks).collect();
+            let neg: Vec<usize> = (rank..examples.num_neg()).step_by(ranks).collect();
+            let part_live = (0..pos.len()).filter(|&i| live.get(pos[i]));
+            let part_live = Bitset::from_indices(pos.len(), part_live);
+            (examples.subset(&pos, &neg), part_live)
+        })
+        .collect()
+}
+
+/// `search` under the batched evaluator, in rounds of at most `batch`
+/// nodes, its callback summing [`evaluate_rule`] over the `dealt` parts as
+/// the coverage-parallel baseline sums its ranks' counts; with the size of
+/// every round.
+pub fn batched_search(
+    search: &Search<'_>,
+    dealt: &[(Examples, Bitset)],
+    batch: usize,
+) -> (SearchOutcome, Vec<usize>) {
+    let mut rounds = Vec::new();
+    let count = |clause: &Clause| {
+        dealt.iter().fold((0, 0), |(pos, neg), (part, live)| {
+            let proof = search.settings.proof;
+            let cov = evaluate_rule(search.kb, proof, clause, part, Some(live), None);
+            (pos + cov.pos_count(), neg + cov.neg_count())
+        })
+    };
+    let Ok(out) = search.run_batched(batch, |clauses| {
+        rounds.push(clauses.len());
+        Ok::<_, Infallible>(clauses.iter().map(count).collect())
+    });
+    (out, rounds)
+}
+
+/// What a batched search can observe — good rules, seed scores and nodes;
+/// it proves nothing, so it charges no steps — must be the reference's.
+pub fn assert_same_rules(batched: &SearchOutcome, plain: &SearchOutcome, what: &str) {
+    let observable = |o: &SearchOutcome| (o.good.clone(), o.seed_scored.clone(), o.nodes);
+    let (batched_sees, plain_sees) = (observable(batched), observable(plain));
+    assert!(
+        batched_sees == plain_sees,
+        "{what}: batched {batched_sees:?} != memo-free {plain_sees:?}"
+    );
 }
 
 /// Small molecules: `atm(Mol, Atom, Elem, Charge)` over three elements (so
@@ -192,9 +280,9 @@ pub fn world(seed: u64, molecules: usize) -> World {
 /// are drawn from, so that seeds have non-seed variants next to them.
 pub fn shallow_shapes(bottom: &BottomClause, max_body: usize) -> Vec<RuleShape> {
     let mut shapes = vec![RuleShape::empty()];
-    let level1 = RuleShape::empty().successors(bottom, max_body);
+    let level1 = successors(&RuleShape::empty(), bottom, max_body);
     for s in &level1 {
-        shapes.extend(s.successors(bottom, max_body));
+        shapes.extend(successors(s, bottom, max_body));
     }
     shapes.splice(1..1, level1);
     shapes
@@ -306,18 +394,14 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                     live.count(),
                     seeds.len(),
                 );
-                let memoised = search_rules_guided(
-                    &w.kb,
-                    settings,
-                    &bottom,
-                    &w.examples,
+                let search = Search {
                     live_pos,
                     seeds,
                     slice,
-                    settings.good_cap,
-                    memo,
-                );
-                let plain = memo_free_search(
+                    ..Search::new(&w.kb, settings, &bottom, &w.examples)
+                };
+                let memoised = search.run(memo);
+                let (plain, levels) = memo_free_levels(
                     &w.kb,
                     settings,
                     &bottom,
@@ -327,6 +411,18 @@ pub fn covering_loop_matches_the_memo_free_search(case: &Case, memo: &mut Covera
                     slice,
                 );
                 assert_same(&memoised, &plain, &what);
+                // The batched evaluator, over the examples dealt to two and
+                // to three ranks, a node a round and a level a round.
+                for ranks in [2, 3] {
+                    let dealt = dealt(&w.examples, &live, ranks);
+                    for (batch, rounds) in [(1, vec![1; plain.nodes]), (usize::MAX, levels.clone())]
+                    {
+                        let what = format!("{what}, {ranks} ranks, rounds of {batch}");
+                        let (batched, sizes) = batched_search(&search, &dealt, batch);
+                        assert_same_rules(&batched, &plain, &what);
+                        assert_eq!(sizes, rounds, "{what}: round sizes");
+                    }
+                }
                 assert!(
                     memo.stats().peak_bytes <= memo.budget(),
                     "{what}: the memo outgrew its budget"

@@ -18,7 +18,7 @@
 
 mod oracle;
 
-use oracle::{shallow_shapes, world};
+use oracle::{shallow_shapes, successors, world};
 use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::bottom::{saturate, BottomClause};
 use p2mdie_ilp::coverage::{prepare_rule, ExampleIds, PackAnswers, PreparedRule, ProofScratch};
@@ -53,8 +53,7 @@ struct Pack {
 fn pack_of(kb: &KnowledgeBase, bottom: &BottomClause, parent: &RuleShape, max_body: usize) -> Pack {
     let prepared = |shape: &RuleShape| prepare_rule(kb, &shape.to_clause(bottom));
     let parent_rule = prepared(parent);
-    let members: Vec<PreparedRule> = parent
-        .successors(bottom, max_body)
+    let members: Vec<PreparedRule> = successors(parent, bottom, max_body)
         .iter()
         .map(prepared)
         .filter(|rule| rule.extends(&parent_rule))

@@ -1,5 +1,5 @@
 //! Differential tests of the search's coverage memo: whatever a memo has
-//! seen before, `search_rules_guided` must report exactly what a memo-free
+//! seen before, `Search::run` must report exactly what a memo-free
 //! breadth-first search reports — good rules, seed scores, node count and
 //! *charged steps* — on worlds whose bottom clauses are full of literals that
 //! differ only in variable names (several atoms of one element per
@@ -13,13 +13,13 @@ mod oracle;
 
 use oracle::{
     assert_same, covering_loop_matches_the_memo_free_search, memo_free_search, shallow_shapes,
-    world, Case,
+    successors, world, Case,
 };
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::modes::ModeSet;
 use p2mdie_ilp::refine::RuleShape;
-use p2mdie_ilp::search::{search_rules_guided, SearchOutcome};
+use p2mdie_ilp::search::{Search, SearchOutcome};
 use p2mdie_ilp::settings::Settings;
 use p2mdie_ilp::{BottomClause, CoverageMemo, LatticeSlice};
 use p2mdie_logic::clause::{Clause, Literal};
@@ -52,17 +52,11 @@ fn search_both_ways(
     memo: &mut CoverageMemo,
 ) -> (SearchOutcome, SearchOutcome) {
     let (kb, settings) = (&engine.kb, &engine.settings);
-    let memoised = search_rules_guided(
-        kb,
-        settings,
-        bottom,
-        examples,
-        None,
+    let memoised = Search {
         seeds,
-        None,
-        settings.good_cap,
-        memo,
-    );
+        ..Search::new(kb, settings, bottom, examples)
+    }
+    .run(memo);
     let plain = memo_free_search(kb, settings, bottom, examples, None, seeds, None);
     (memoised, plain)
 }
@@ -137,10 +131,10 @@ fn seeds_reached_from_one_another_are_visited_once() {
     let bottom = engine.saturate(&w.examples.pos[0]).expect("head matches");
     let max_body = engine.settings.max_body;
     let root = RuleShape::empty();
-    let level1 = root.successors(&bottom, max_body);
+    let level1 = successors(&root, &bottom, max_body);
     let (a, ab) = level1
         .iter()
-        .find_map(|a| Some((a.clone(), a.successors(&bottom, max_body).first()?.clone())))
+        .find_map(|a| Some((a.clone(), successors(a, &bottom, max_body).first()?.clone())))
         .expect("a one-literal shape with a successor");
     let c = level1
         .iter()
@@ -165,17 +159,12 @@ fn seeds_reached_from_one_another_are_visited_once() {
             let (kb, settings, ex) = (&engine.kb, &engine.settings, &w.examples);
             for slice in [None, Some(&half)] {
                 let what = format!("{what}, {max_nodes} nodes, slice {slice:?}");
-                let memoised = search_rules_guided(
-                    kb,
-                    settings,
-                    &bottom,
-                    ex,
-                    None,
+                let memoised = Search {
                     seeds,
                     slice,
-                    settings.good_cap,
-                    &mut memo,
-                );
+                    ..Search::new(kb, settings, &bottom, ex)
+                }
+                .run(&mut memo);
                 let plain = memo_free_search(kb, settings, &bottom, ex, None, seeds, slice);
                 assert_same(&memoised, &plain, &what);
                 assert!(
@@ -199,18 +188,11 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     let mut memo = CoverageMemo::new();
     let mut live = ex.full_pos_live();
     let first = engine.saturate(&ex.pos[0]).expect("head matches");
-    let cap = settings.good_cap;
-    search_rules_guided(
-        kb,
-        settings,
-        &first,
-        ex,
-        Some(&live),
-        &[],
-        None,
-        cap,
-        &mut memo,
-    );
+    Search {
+        live_pos: Some(&live),
+        ..Search::new(kb, settings, &first, ex)
+    }
+    .run(&mut memo);
     let after_first = memo.stats();
 
     // Two positives retire; the next example's bottom clause shares the
@@ -218,17 +200,11 @@ fn entries_outlive_their_bottom_clause_and_a_shrinking_live_set() {
     live.clear(0);
     live.clear(2);
     let second = engine.saturate(&ex.pos[1]).expect("head matches");
-    let memoised = search_rules_guided(
-        kb,
-        settings,
-        &second,
-        ex,
-        Some(&live),
-        &[],
-        None,
-        cap,
-        &mut memo,
-    );
+    let memoised = Search {
+        live_pos: Some(&live),
+        ..Search::new(kb, settings, &second, ex)
+    }
+    .run(&mut memo);
     let plain = memo_free_search(kb, settings, &second, ex, Some(&live), &[], None);
     assert_same(&memoised, &plain, "second bottom clause");
     let s = memo.stats();

@@ -35,7 +35,8 @@ fn main() {
     }
 
     // Step 2: breadth-first search through ⊥e's subset lattice.
-    let out = ds.engine.search(&bottom, &ds.examples, None, &[]);
+    let (kb, settings) = (&ds.engine.kb, &ds.engine.settings);
+    let out = p2mdie::ilp::search_rules(kb, settings, &bottom, &ds.examples, None, &[]);
     println!(
         "\nsearch evaluated {} candidate rules ({} inference steps), {} good:",
         out.nodes,

@@ -36,9 +36,7 @@
 use p2mdie::core::{run_parallel, JobSpec, JobState, ParallelConfig, Service, ServiceConfig};
 use p2mdie::datasets::Dataset;
 use p2mdie::ilp::settings::Width;
-use p2mdie::ilp::{
-    evaluate_rule, run_sequential, saturate, search_rules_guided, CoverageMemo, MemoStats,
-};
+use p2mdie::ilp::{evaluate_rule, run_sequential, saturate, CoverageMemo, MemoStats, Search};
 use p2mdie::obs::{MetricValue, MetricsSnapshot};
 
 fn covering_loop_stays_within_budget(name: &str, ds: &Dataset, steps_run_ceiling: u64) {
@@ -56,17 +54,12 @@ fn covering_loop_stays_within_budget(name: &str, ds: &Dataset, steps_run_ceiling
             continue;
         };
         steps += bottom.steps;
-        let found = search_rules_guided(
-            kb,
-            settings,
-            &bottom,
-            examples,
-            Some(&live),
-            &[],
-            None,
-            1,
-            &mut memo,
-        );
+        let found = Search {
+            live_pos: Some(&live),
+            keep: 1,
+            ..Search::new(kb, settings, &bottom, examples)
+        }
+        .run(&mut memo);
         steps += found.steps;
         search_steps += found.steps;
         assert!(

@@ -22,6 +22,9 @@
 //! as `bind_ground` does; and each node covers the same positives in the
 //! same steps either way.
 
+#[path = "../crates/ilp/tests/oracle/mod.rs"]
+mod ilp_oracle;
+
 use p2mdie::datasets::Dataset;
 use p2mdie::ilp::bitset::Bitset;
 use p2mdie::ilp::coverage::{
@@ -120,7 +123,7 @@ fn a_node_compiled_from_bottom_is_the_rule_of_its_clause() {
                 );
 
                 if want_bits.count() >= settings.min_pos as usize {
-                    let succs = shape.successors(&bottom, settings.max_body);
+                    let succs = ilp_oracle::successors(&shape, &bottom, settings.max_body);
                     queue.extend(succs);
                 }
             }

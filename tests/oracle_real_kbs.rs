@@ -18,6 +18,9 @@
 #[path = "../crates/logic/tests/oracle/mod.rs"]
 mod oracle;
 
+#[path = "../crates/ilp/tests/oracle/mod.rs"]
+mod ilp_oracle;
+
 use oracle::PlainProgram;
 use p2mdie::datasets::Dataset;
 use p2mdie::ilp::coverage::evaluate_side_threads;
@@ -156,7 +159,8 @@ fn check(name: &str, ds: &Dataset) {
         );
 
         let mut rules = vec![bottom.to_clause()];
-        let refinements = RuleShape::empty().successors(&bottom, engine.settings.max_body);
+        let max_body = engine.settings.max_body;
+        let refinements = ilp_oracle::successors(&RuleShape::empty(), &bottom, max_body);
         rules.extend(refinements.iter().take(2).map(|s| s.to_clause(&bottom)));
         // Under the dataset's limits, and under a budget so tight that it
         // runs out inside the rows a ranked walk skips and charges in bulk.

@@ -19,6 +19,13 @@
 //! calls of their extra literals share the search's call table; on
 //! carcinogenesis the table must answer some of them.
 //!
+//! Each search is run a second time under the batched evaluator, a
+//! breadth-first level a round, its clauses scored on the live positives
+//! and every negative by `evaluate_rule`, as the coverage-parallel
+//! baseline's ranks score theirs: it must pick the best rule the memo
+//! evaluator picks, in as many nodes, and its rounds must be the levels of
+//! the walk above.
+//!
 //! Run as `cargo test --release --test query_pack_inputs -- --nocapture` (the
 //! "A node's successors share one proof of their parent" CI step); three
 //! covering loops proved twice over take minutes unoptimised, so a debug
@@ -30,25 +37,38 @@ use p2mdie::ilp::coverage::{
     evaluate_rule, CompiledBottom, ExampleIds, PackAnswers, PreparedRule, ProofScratch,
 };
 use p2mdie::ilp::refine::RuleShape;
-use p2mdie::ilp::{search_rules_guided, BottomClause, CoverageMemo};
+use p2mdie::ilp::{BottomClause, CoverageMemo, Search};
+use p2mdie::logic::clause::Clause;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::rc::Rc;
 
-/// Parents checked, members held to their proof alone, per side, and the
-/// extra-literal calls the searches' call tables answered.
+#[path = "../crates/ilp/tests/oracle/mod.rs"]
+mod ilp_oracle;
+
+/// Parents checked, members held to their proof alone, per side, the
+/// extra-literal calls the searches' call tables answered, and searches
+/// held to their batched twin.
 #[derive(Default)]
 struct Checked {
     parents: usize,
     members: [usize; 2],
     tabled: u64,
+    batched: usize,
 }
 
 /// A node's covered positives and negatives: its successors' live masks.
 type Masks = Rc<[Bitset; 2]>;
 
 /// Holds every pack of one seedless search under `bottom` on `live` to its
-/// members proved alone.
-fn check_search(ds: &Dataset, bottom: &BottomClause, live: &Bitset, checked: &mut Checked) {
+/// members proved alone; returns how many nodes it visited of each
+/// breadth-first level.
+fn check_search(
+    ds: &Dataset,
+    bottom: &BottomClause,
+    live: &Bitset,
+    checked: &mut Checked,
+) -> Vec<usize> {
     let (kb, settings, ex) = (&ds.engine.kb, &ds.engine.settings, &ds.examples);
     let sides = [&ex.pos, &ex.neg];
     let ids = sides.map(|lits| ExampleIds::new(kb.arena(), lits));
@@ -63,11 +83,15 @@ fn check_search(ds: &Dataset, bottom: &BottomClause, live: &Bitset, checked: &mu
     let root: Masks = Rc::new([live.clone(), every_neg]);
     let mut queue = VecDeque::from([(RuleShape::empty(), root)]);
     let mut visits = 0;
+    let mut levels: Vec<usize> = Vec::new();
     while let Some((shape, masks)) = queue.pop_front() {
         if visits >= settings.max_nodes {
             break;
         }
         visits += 1;
+        // A seedless search's level is its body length.
+        levels.resize(levels.len().max(shape.body_len() + 1), 0);
+        levels[shape.body_len()] += 1;
         if rules.is_empty() {
             rules.push(compiler.rule());
         }
@@ -82,7 +106,7 @@ fn check_search(ds: &Dataset, bottom: &BottomClause, live: &Bitset, checked: &mu
         }
         prove(1, &mut node[1]);
         let node = Rc::new(node);
-        let succs = shape.successors(bottom, settings.max_body);
+        let succs = ilp_oracle::successors(&shape, bottom, settings.max_body);
         for group in succs.chunks(64) {
             while rules.len() < 1 + group.len() {
                 rules.push(compiler.rule());
@@ -132,6 +156,7 @@ fn check_search(ds: &Dataset, bottom: &BottomClause, live: &Bitset, checked: &mu
         queue.extend(succs.into_iter().map(|s| (s, Rc::clone(&node))));
     }
     checked.tabled += scratch.tabled().0;
+    levels
 }
 
 /// The sequential covering loop of `run_sequential`, each of its searches
@@ -146,18 +171,27 @@ fn check_covering_loop(ds: &Dataset) -> Checked {
             live.clear(seed);
             continue;
         };
-        check_search(ds, &bottom, &live, &mut checked);
-        let found = search_rules_guided(
-            kb,
-            settings,
-            &bottom,
-            ex,
-            Some(&live),
-            &[],
-            None,
-            1,
-            &mut memo,
-        );
+        let levels = check_search(ds, &bottom, &live, &mut checked);
+        let search = Search {
+            live_pos: Some(&live),
+            keep: 1,
+            ..Search::new(kb, settings, &bottom, ex)
+        };
+        let found = search.run(&mut memo);
+        let mut rounds = Vec::new();
+        let count = |clause: &Clause| {
+            let cov = evaluate_rule(kb, settings.proof, clause, ex, Some(&live), None);
+            (cov.pos_count(), cov.neg_count())
+        };
+        let Ok(batched) = search.run_batched(usize::MAX, |clauses| {
+            rounds.push(clauses.len());
+            Ok::<_, Infallible>(clauses.iter().map(count).collect())
+        });
+        let what = format!("{}, seed {seed}", ds.name);
+        assert_eq!(batched.best(), found.best(), "{what}: best rule");
+        assert_eq!(batched.nodes, found.nodes, "{what}: nodes");
+        assert_eq!(rounds, levels, "{what}: a round is a breadth-first level");
+        checked.batched += 1;
         if let Some(best) = found.best() {
             let clause = best.shape.to_clause(&bottom);
             let cov = evaluate_rule(kb, settings.proof, &clause, ex, Some(&live), None);
@@ -181,8 +215,14 @@ fn every_parent_of_the_benchmark_searches_matches_its_members_alone() {
         let checked = check_covering_loop(ds);
         println!(
             "{}: {} packs, {} members on the positives and {} on the negatives, each equal to \
-             its proof alone; {} extra-literal calls tabled",
-            ds.name, checked.parents, checked.members[0], checked.members[1], checked.tabled
+             its proof alone; {} extra-literal calls tabled; {} searches equal to their batched \
+             twin",
+            ds.name,
+            checked.parents,
+            checked.members[0],
+            checked.members[1],
+            checked.tabled,
+            checked.batched
         );
         assert!(
             checked.parents > 0 && checked.members[1] > 0,
