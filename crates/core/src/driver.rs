@@ -12,12 +12,11 @@
 //! ranks, each a resident worker that a `Stop` at idle ends.
 
 use crate::job::{JobId, JobKind, JobOutput, JobSpec};
-use crate::master::ship_kb;
+use crate::master::{ship_kb, Strategy};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole, MAX_WORKERS};
 use crate::remote::{spawn_worker, WorkerExit};
 use crate::report::{ParallelReport, SequentialReport};
 use crate::scheduler::{dispatch_job, live_workers, run_resident_worker, send_control};
-use crate::strategy::Strategy;
 use p2mdie_cluster::comm::{CommFailure, Endpoint, LinkFault, RecvError};
 use p2mdie_cluster::net::run_cluster_tcp;
 use p2mdie_cluster::transport::Transport;
@@ -95,7 +94,7 @@ pub struct ParallelConfig {
     pub chaos: Vec<(usize, ChaosConfig)>,
     /// How the run deals its examples: once, as the paper does (default),
     /// again before every epoch, or replicated on every rank for
-    /// hypothesis-parallel lattice slicing (see [`crate::strategy`]).
+    /// hypothesis-parallel lattice slicing (see [`Strategy`]).
     /// `recovery` and `chaos` need examples dealt, not replicated;
     /// [`run_parallel`] rejects them with [`Strategy::SearchPartition`].
     /// [`run_coverage_parallel`](crate::baselines::run_coverage_parallel)
@@ -476,6 +475,7 @@ mod tests {
             let rep = run_parallel(&engine, &ex, &cfg).unwrap();
             assert!(!rep.stalled, "p={p} stalled");
             assert_eq!(rep.set_aside, 0, "p={p} set examples aside");
+            assert_eq!(rep.traces[0].seeded, p as u32, "p={p}: a seed per rank");
             check_complete_and_consistent(&engine, &ex, &rep.clauses());
             assert!(rep.vtime > 0.0);
             assert!(rep.total_bytes > 0);

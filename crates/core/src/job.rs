@@ -22,9 +22,8 @@
 //! terminal [`JobState`] of its [`JobOutcome`].
 
 use crate::baselines::EvalGranularity;
-use crate::master::MasterOutcome;
+use crate::master::{MasterOutcome, Strategy};
 use crate::report::JobAccounting;
-use crate::strategy::Strategy;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::{Settings, Width};
 use p2mdie_logic::clause::Clause;
@@ -117,7 +116,7 @@ pub struct JobSpec {
     /// Per-job settings override; `None` uses the service engine's.
     pub settings: Option<Settings>,
     /// How a [`JobKind::Learn`] job deals its examples (see
-    /// [`crate::strategy`]). Ignored by every other kind, which is dealt
+    /// [`Strategy`]). Ignored by every other kind, which is dealt
     /// once, statically: a `RuleSearch` job's global scoring sums per-rank
     /// counts, which [`Strategy::SearchPartition`]'s full example
     /// replication would multiply by `p`, over one epoch, which nothing

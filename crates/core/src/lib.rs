@@ -22,20 +22,16 @@
 //! * [`partition`] — seeded random even example partitioning;
 //! * [`master`] — **the** epoch loop (Figure 5): [`master::run_master`]
 //!   runs every learning run — static, re-dealing or replicated examples,
-//!   aborting or self-healing — and `run_search_epoch` the one-epoch rule
-//!   search; they share the pipeline-start/gather round, and with the
-//!   coverage job and the baseline the crate's one evaluation round and
-//!   one accept;
+//!   the one [`Strategy`] value naming which, aborting or self-healing —
+//!   and `run_search_epoch` the one-epoch rule search; they share the
+//!   pipeline-start/gather round, and with the coverage job and the
+//!   baseline the crate's one evaluation round and one accept;
 //! * [`bag`] — the rule bag with global scoring;
 //! * [`worker`] — **the** worker loop (Figure 6): [`worker::run_worker`]
 //!   serves every role and strategy, and `run_role` is the one place a
 //!   [`WorkerConfig`] becomes its context;
-//! * [`pipeline`] — one stage of `learn_rule'` (Figure 7);
-//! * [`strategy`] — the [`Strategy`] a learning run deals its examples by
-//!   (once, again every epoch, or replicated), and the replicated epoch of
-//!   hypothesis-parallel lattice slicing, which the worker loop runs in
-//!   place of the ring of pipelines; its master is [`master::run_master`]
-//!   over replicated examples;
+//! * [`pipeline`] — one stage of `learn_rule'` (Figure 7), the one stage
+//!   of every strategy: a replicated rank's pipeline is a ring of itself;
 //! * [`baselines`] — the coverage-parallel related-work algorithm: a
 //!   sequential search at the master that evaluates and accepts through
 //!   [`master`]'s rounds, over the common worker loop, reported as a
@@ -69,7 +65,6 @@ mod receive_states;
 pub mod remote;
 pub mod report;
 pub mod scheduler;
-pub mod strategy;
 pub mod worker;
 
 pub use bag::{BagRule, RuleBag};
@@ -78,13 +73,12 @@ pub use driver::{
     run_parallel, run_sequential_timed, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 pub use job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState};
-pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterOutcome};
+pub use master::{run_master, ship_kb, AcceptedRule, Dealing, EpochTrace, MasterOutcome, Strategy};
 pub use partition::{partition_examples, Partition};
 pub use protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole, MAX_WORKERS};
 pub use remote::{default_worker_bin, run_remote_worker, TcpConfig, WorkerExit};
 pub use report::{render_pipeline_trace, ParallelReport, SequentialReport};
 pub use scheduler::{JobHandle, Service, ServiceConfig, ServiceReport, SubmitError};
-pub use strategy::Strategy;
 pub use worker::{run_worker, WorkerContext};
 
 /// The problem the unit tests of this crate learn on.

@@ -46,6 +46,50 @@
 //! first acceptance. This matches its stated intent of "emulating MDIE as
 //! closely as possible".
 //!
+//! # Strategies
+//!
+//! p²-mdie as published is **data-parallel**: examples are partitioned,
+//! every rank searches the full refinement lattice of its own seed, and
+//! rules travel a pipeline so each is scored against every subset (Figure
+//! 7). [`Strategy::SearchPartition`] is **hypothesis-parallel**: every rank
+//! holds the *full* example set and the ranks split the refinement lattice
+//! itself. The split rides on a structural fact of
+//! [`p2mdie_ilp::refine::RuleShape`]: successors only ever append strictly
+//! larger literal indices, so every non-empty shape keeps its first literal
+//! forever and hashing that first literal ([`p2mdie_ilp::LatticeSlice`])
+//! yields disjoint, subtree-closed, collectively exhaustive slices — no
+//! shape is searched twice, none is lost (pinned in `crates/ilp`'s
+//! `sliced_searches_union_to_the_full_search`). Every strategy runs the same
+//! pipeline stage on the worker ([`crate::worker`]); a replicated rank's
+//! pipeline is a ring of itself, its one stage searching its own slice.
+//!
+//! # Determinism contracts
+//!
+//! Every strategy is deterministic for a fixed (`workers`, `seed`,
+//! strategy) triple, in-process and over TCP: every receive names its
+//! source rank, the lattice slices are salted by the strategy seed alone,
+//! and the master breaks rule ties by pool order, which is itself
+//! rank-ordered. On replicated examples local coverage counts *are* global
+//! counts, so the epoch needs no separate evaluation round: the master pools
+//! the per-rank rules, accepts the single best acceptable one (ties broken
+//! by pool order, which is rank-then-rule order) and broadcasts it as
+//! [`Msg::MarkCovered`], which keeps every rank's live set bit-identical.
+//! Every rank seeds its epoch with its *first* live positive, so all ranks
+//! saturate the same example into the same bottom clause, which is what
+//! makes their slices parts of one lattice. An epoch with no acceptable rule
+//! retires that shared seed ([`Msg::RetireSeed`]; rank 1 answers for the
+//! mesh, since every rank retires the same example).
+//!
+//! # Progress
+//!
+//! An epoch that accepts nothing retires the seeds its pipelines started
+//! from and sets them aside — a seed whose search found nothing good and a
+//! seed that did not saturate (no head mode matches it) alike. That
+//! retirement is the run's one stall guard: an epoch that accepts nothing
+//! and retires nothing ends the run `stalled`, which only a count that
+//! drifted from what the workers hold can cause. A run with nothing left to
+//! retire still ends, after one `RetireSeed` round.
+//!
 //! # Worker-death recovery
 //!
 //! Under [`RecoveryPolicy::Repartition`] a dead rank is a *membership
@@ -94,7 +138,6 @@ use crate::bag::RuleBag;
 use crate::driver::RecoveryPolicy;
 use crate::partition::Partition;
 use crate::protocol::{Msg, StageTrace};
-use crate::strategy::Strategy;
 use p2mdie_cluster::codec::{from_bytes, to_bytes};
 use p2mdie_cluster::comm::{CommError, CommFailure, Endpoint, LinkFault};
 use p2mdie_cluster::transport::Transport;
@@ -132,6 +175,9 @@ pub struct EpochTrace {
     pub epoch: u32,
     /// Stage traces, one vector per pipeline origin (index 0 = origin 1).
     pub pipelines: Vec<Vec<StageTrace>>,
+    /// Pipelines that started from a seed that saturated (each
+    /// `RulesFound`'s `had_seed`).
+    pub seeded: u32,
     /// Rules gathered into the bag this epoch (after dedup).
     pub bag_size: u32,
     /// Rules accepted this epoch.
@@ -143,6 +189,7 @@ impl EpochTrace {
         EpochTrace {
             epoch,
             pipelines: vec![Vec::new(); p],
+            seeded: 0,
             bag_size: 0,
             accepted: 0,
         }
@@ -181,6 +228,62 @@ pub struct MasterOutcome {
 pub fn ship_kb<T: Transport>(ep: &mut Endpoint<T>, kb: &KnowledgeBase) {
     ep.advance_steps(kb.num_facts() as u64);
     ep.broadcast(&Msg::KbSnapshot(Box::new(kb.to_snapshot())));
+}
+
+/// How a learning run deals its examples to the ranks: each maps one to
+/// one onto a [`Dealing`] (see "Strategies" in the module docs).
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
+)]
+pub enum Strategy {
+    /// The paper's data-parallel pipelined algorithm (Figure 7): examples
+    /// dealt once, full lattice per rank, rules scored by travelling the
+    /// pipeline. The default.
+    #[default]
+    DataPipeline,
+    /// Hypothesis-parallel: full example replication, the refinement
+    /// lattice split into disjoint per-rank slices by first-literal hash.
+    SearchPartition,
+    /// The data pipeline with the live examples re-dealt before every
+    /// epoch (§4.1's rejected alternative, implemented so its communication
+    /// cost can be measured).
+    Redeal,
+}
+// Tag 2 is retired and, like any unknown strategy tag, refused.
+p2mdie_logic::wire_enum!(Strategy, "strategy tag" {
+    0 => DataPipeline,
+    1 => SearchPartition,
+    3 => Redeal,
+});
+
+impl Strategy {
+    /// Every strategy, in wire-tag order (the eval sweep's axis).
+    pub const ALL: [Strategy; 3] = [
+        Strategy::DataPipeline,
+        Strategy::SearchPartition,
+        Strategy::Redeal,
+    ];
+
+    /// Table/CLI label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Strategy::DataPipeline => "data-pipeline",
+            Strategy::SearchPartition => "search-partition",
+            Strategy::Redeal => "redeal",
+        }
+    }
+
+    /// Whether every rank holds the full example set instead of a share of
+    /// it.
+    pub(crate) fn replicates(self) -> bool {
+        self == Strategy::SearchPartition
+    }
+}
+
+impl std::fmt::Display for Strategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
 }
 
 /// How a learning run's examples reach the ranks.
@@ -310,21 +413,21 @@ fn gather<T: Transport>(
 type Found = (Clause, u32, u32, u8);
 
 /// Fig. 5 steps 6–9: starts a pipeline on each of `ranks` and gathers the
-/// rules that survive all stages, in rank order, plus whether any pipeline
-/// had a seed to start from. The pipeline of origin `k` delivers from its
-/// last stage, the ring predecessor of `k`, so receiving from the ranks in
-/// order collects all of them deterministically.
+/// rules that survive all stages, in rank order, counting the pipelines that
+/// had a seed into `trace.seeded`. The pipeline of origin `k` delivers from
+/// its last stage, the ring predecessor of `k` (`k` itself when its ring is
+/// one rank), so receiving from the ranks in order collects all of them
+/// deterministically.
 fn run_pipelines<T: Transport>(
     ep: &mut Endpoint<T>,
     ranks: &[usize],
     watching: bool,
     trace: &mut EpochTrace,
-) -> Result<(Vec<Found>, bool), CommFailure> {
+) -> Result<Vec<Found>, CommFailure> {
     for &k in ranks {
         ep.send(k, &Msg::StartPipeline { epoch: trace.epoch });
     }
     let mut found = Vec::new();
-    let mut any_seed = false;
     gather(ep, ranks, watching, "RulesFound", |_, msg| {
         let Msg::RulesFound {
             origin,
@@ -339,11 +442,11 @@ fn run_pipelines<T: Transport>(
             .checked_sub(1)
             .and_then(|i| trace.pipelines.get_mut(i));
         *pipeline.ok_or("RulesFound: an origin that is no worker rank")? = stages;
-        any_seed |= had_seed;
+        trace.seeded += u32::from(had_seed);
         found.extend(rules.into_iter().map(|(c, pos, neg)| (c, pos, neg, origin)));
         Ok(())
     })?;
-    Ok((found, any_seed))
+    Ok(found)
 }
 
 /// Pools pipeline harvests into a bag, one entry per α-variant.
@@ -431,7 +534,7 @@ pub(crate) fn run_search_epoch<T: Transport>(
     let ranks: Vec<usize> = (1..=ep.workers()).collect();
     ep.broadcast(&Msg::LoadExamples);
     let mut trace = EpochTrace::new(1, ranks.len());
-    let (found, _) = run_pipelines(ep, &ranks, false, &mut trace)?;
+    let found = run_pipelines(ep, &ranks, false, &mut trace)?;
     let mut bag = bag_of(found);
     let owed = (!bag.is_empty()).then(|| evaluate(ep, &ranks, bag.clauses()));
     ep.broadcast(&Msg::Stop);
@@ -821,10 +924,13 @@ fn accept_best_of_pool<T: Transport>(
     Ok(())
 }
 
-/// One epoch. `Ok(false)` when no progress is possible (the count of
-/// uncovered positives drifted from what the workers hold — should be
-/// impossible; bail out rather than spin), `Err` with the failure of the
-/// receive that ended it — under a watching receive, a rank's death.
+/// One epoch. `Ok(false)` when no progress is possible: nothing was
+/// accepted and retiring the seeds retired nothing — the run's one stall
+/// guard (the count of uncovered positives drifted from what the workers
+/// hold, which should be impossible; bail out rather than spin). A pipeline
+/// whose seed did not saturate found nothing, so its seed is retired like
+/// any other. `Err` with the failure of the receive that ended it — under a
+/// watching receive, a rank's death.
 fn run_epoch<T: Transport>(
     ep: &mut Endpoint<T>,
     run: &Run,
@@ -845,10 +951,7 @@ fn run_epoch<T: Transport>(
         }
     }
 
-    let (found, any_seed) = run_pipelines(ep, &live.alive, live.watching, trace)?;
-    // A fresh deal seeds every rank that got a positive, so only the other
-    // dealings can find themselves with examples left and no seed.
-    let seedless = !any_seed && !matches!(run.dealing, Dealing::Redeal);
+    let found = run_pipelines(ep, &live.alive, live.watching, trace)?;
     if let Dealing::Replicated = run.dealing {
         let mut pool: Vec<Found> = Vec::new();
         for rule in found {
@@ -857,16 +960,10 @@ fn run_epoch<T: Transport>(
             }
         }
         trace.bag_size = pool.len() as u32;
-        if seedless {
-            return Ok(false);
-        }
         accept_best_of_pool(ep, run.settings, live, pool, out, trace)?;
     } else {
         let bag = bag_of(found);
         trace.bag_size = bag.len() as u32;
-        if seedless {
-            return Ok(false);
-        }
         consume_bag(ep, run.settings, live, bag, out, trace)?;
     }
 
@@ -974,4 +1071,75 @@ pub fn run_master<T: Transport>(
 
     send_all(ep, &live.alive, &Msg::Stop);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::{run_parallel, ParallelConfig};
+    use crate::fixtures::{check_complete_and_consistent, problem};
+    use p2mdie_cluster::CostModel;
+    use p2mdie_ilp::settings::Width;
+    use p2mdie_logic::clause::Literal;
+    use p2mdie_logic::term::Term;
+
+    fn cfg(workers: usize, strategy: Strategy) -> ParallelConfig {
+        let mut cfg = ParallelConfig::new(workers, Width::Unlimited, 42).with_strategy(strategy);
+        cfg.model = CostModel::free();
+        cfg
+    }
+
+    /// The non-default strategies learn a complete, consistent theory on
+    /// the two-rule problem, at several mesh widths.
+    #[test]
+    fn nondefault_strategies_learn_correct_theories() {
+        let (engine, ex) = problem(120);
+        for strategy in [Strategy::SearchPartition, Strategy::Redeal] {
+            for workers in [1, 2, 3] {
+                let rep = run_parallel(&engine, &ex, &cfg(workers, strategy)).unwrap();
+                assert!(!rep.stalled, "{strategy} with {workers} workers stalled");
+                check_complete_and_consistent(&engine, &ex, &rep.clauses());
+            }
+        }
+    }
+
+    /// The same (strategy, workers, seed) triple is deterministic:
+    /// identical theory, epochs, traffic, and steps across runs.
+    #[test]
+    fn strategy_runs_are_deterministic() {
+        let (engine, ex) = problem(120);
+        let strategy = Strategy::SearchPartition;
+        let a = run_parallel(&engine, &ex, &cfg(3, strategy)).unwrap();
+        let b = run_parallel(&engine, &ex, &cfg(3, strategy)).unwrap();
+        assert_eq!(a.theory, b.theory);
+        assert_eq!(a.epochs, b.epochs);
+        assert_eq!(a.total_bytes, b.total_bytes);
+        assert_eq!(a.worker_steps, b.worker_steps);
+    }
+
+    /// Two positives no head mode matches never saturate, so no pipeline
+    /// seeded by one finds a rule: every strategy sets both aside, as the
+    /// sequential loop does, instead of stalling, and learns the rest.
+    #[test]
+    fn every_strategy_sets_aside_a_positive_that_does_not_saturate() {
+        let (engine, ex) = problem(60);
+        let other = engine.kb.symbols().intern("other");
+        let unsaturable = [7, 11].map(|i| Literal::new(other, vec![Term::Int(i)]));
+        let with_others = Examples::new(
+            ex.pos.iter().cloned().chain(unsaturable).collect(),
+            ex.neg.to_vec(),
+        );
+        let (kb, modes, settings) = (&engine.kb, &engine.modes, &engine.settings);
+        let sequential = p2mdie_ilp::run_sequential(kb, modes, settings, &with_others);
+        assert_eq!(sequential.set_aside, 2);
+        for strategy in Strategy::ALL {
+            for workers in [1, 2, 3] {
+                let rep = run_parallel(&engine, &with_others, &cfg(workers, strategy)).unwrap();
+                let run = format!("{strategy} with {workers} workers");
+                assert!(!rep.stalled, "{run} stalled");
+                assert_eq!(rep.set_aside as usize, sequential.set_aside, "{run}");
+                check_complete_and_consistent(&engine, &ex, &rep.clauses());
+            }
+        }
+    }
 }

@@ -5,11 +5,12 @@
 //! subset, merges `Good = S ∪ {new good rules}`, ranks by local score, cuts
 //! to the pipeline width `W`, and forwards — to the next worker, or to the
 //! master when this was stage `p`.
+//!
+//! Every strategy runs this one stage. A rank that holds the full example
+//! set (hypothesis-parallel) runs a pipeline over a ring of itself, so its
+//! stage 1 is also its last, and its search stays inside the rank's slice of
+//! the refinement lattice.
 
-use p2mdie_ilp::bitset::Bitset;
-use p2mdie_ilp::bottom::BottomClause;
-use p2mdie_ilp::engine::IlpEngine;
-use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::refine::RuleShape;
 use p2mdie_ilp::search::{ScoredRule, Search};
 use p2mdie_ilp::settings::Width;
@@ -27,28 +28,27 @@ pub struct StageResult {
 
 /// Runs the search part of one pipeline stage on the local subset.
 ///
-/// `incoming` is `S`, the rules from the previous stage (empty at stage 1).
-/// Per Figure 7 the incoming rules *stay in the stream* even when the local
-/// subset scores them badly; they are re-ranked with local scores where
-/// available, keeping their previous-stage scores when the node budget ran
-/// out before re-scoring them. `memo` is the rank's coverage memo: every
+/// `search` is the stage's search as the caller builds it — its KB,
+/// settings, ⊥e, local examples, live positives and, on a replicated rank,
+/// its lattice slice; the stage sets its seeds and how many good rules it
+/// keeps. `incoming` is `S`, the rules from the previous stage (empty at
+/// stage 1). Per Figure 7 the incoming rules *stay in the stream* even when
+/// the local subset scores them badly; they are re-ranked with local scores
+/// where available, keeping their previous-stage scores when the node budget
+/// ran out before re-scoring them. `memo` is the rank's coverage memo: every
 /// stage of every pipeline passing through the rank shares it, so a clause
 /// one pipeline evaluated here is not proved again for another.
 pub fn run_stage_search(
-    engine: &IlpEngine,
-    local: &Examples,
-    live: &Bitset,
-    bottom: &BottomClause,
+    search: Search,
     incoming: &[ScoredRule],
     width: Width,
     memo: &mut CoverageMemo,
 ) -> StageResult {
     let seeds: Vec<RuleShape> = incoming.iter().map(|r| r.shape.clone()).collect();
     let out = Search {
-        live_pos: Some(live),
         seeds: &seeds,
-        keep: width.cap().min(engine.settings.good_cap),
-        ..Search::new(&engine.kb, &engine.settings, bottom, local)
+        keep: width.cap().min(search.settings.good_cap),
+        ..search
     }
     .run(memo);
 
@@ -75,6 +75,10 @@ pub fn run_stage_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2mdie_ilp::bitset::Bitset;
+    use p2mdie_ilp::bottom::BottomClause;
+    use p2mdie_ilp::engine::IlpEngine;
+    use p2mdie_ilp::examples::Examples;
     use p2mdie_ilp::modes::ModeSet;
     use p2mdie_ilp::settings::Settings;
     use p2mdie_logic::clause::Literal;
@@ -118,20 +122,28 @@ mod tests {
         (t, engine, ex)
     }
 
+    /// A stage on `ex` with a fresh memo, `live` the live positives.
+    fn stage(
+        engine: &IlpEngine,
+        ex: &Examples,
+        live: &Bitset,
+        bottom: &BottomClause,
+        incoming: &[ScoredRule],
+        width: Width,
+    ) -> StageResult {
+        let search = Search {
+            live_pos: Some(live),
+            ..Search::new(&engine.kb, &engine.settings, bottom, ex)
+        };
+        run_stage_search(search, incoming, width, &mut CoverageMemo::new())
+    }
+
     #[test]
     fn stage_one_finds_and_ranks_rules() {
         let (_, engine, ex) = engine_and_examples();
         let live = ex.full_pos_live();
         let bottom = engine.saturate(&ex.pos[0]).unwrap();
-        let r = run_stage_search(
-            &engine,
-            &ex,
-            &live,
-            &bottom,
-            &[],
-            Width::Unlimited,
-            &mut CoverageMemo::new(),
-        );
+        let r = stage(&engine, &ex, &live, &bottom, &[], Width::Unlimited);
         assert!(!r.rules.is_empty());
         assert!(r.steps > 0);
         // Best rule must be the clean conjunction.
@@ -146,24 +158,8 @@ mod tests {
         engine.settings.noise = 10;
         let live = ex.full_pos_live();
         let bottom = engine.saturate(&ex.pos[0]).unwrap();
-        let wide = run_stage_search(
-            &engine,
-            &ex,
-            &live,
-            &bottom,
-            &[],
-            Width::Unlimited,
-            &mut CoverageMemo::new(),
-        );
-        let narrow = run_stage_search(
-            &engine,
-            &ex,
-            &live,
-            &bottom,
-            &[],
-            Width::Limit(1),
-            &mut CoverageMemo::new(),
-        );
+        let wide = stage(&engine, &ex, &live, &bottom, &[], Width::Unlimited);
+        let narrow = stage(&engine, &ex, &live, &bottom, &[], Width::Limit(1));
         assert!(wide.rules.len() > 1);
         assert_eq!(narrow.rules.len(), 1);
         assert_eq!(
@@ -184,15 +180,7 @@ mod tests {
             neg: 0,
             score: 5,
         }];
-        let r = run_stage_search(
-            &engine,
-            &ex,
-            &live,
-            &bottom,
-            &incoming,
-            Width::Unlimited,
-            &mut CoverageMemo::new(),
-        );
+        let r = stage(&engine, &ex, &live, &bottom, &incoming, Width::Unlimited);
         assert!(
             r.rules.iter().any(|x| x.shape == incoming[0].shape),
             "Good = S must keep incoming rules in the stream"
@@ -210,15 +198,7 @@ mod tests {
             neg: 0,
             score: 999,
         }];
-        let r = run_stage_search(
-            &engine,
-            &ex,
-            &live,
-            &bottom,
-            &incoming,
-            Width::Unlimited,
-            &mut CoverageMemo::new(),
-        );
+        let r = stage(&engine, &ex, &live, &bottom, &incoming, Width::Unlimited);
         let re = r
             .rules
             .iter()

@@ -65,7 +65,7 @@
 //! and [`Msg`] itself — one row per tag. `tests/golden/wire_layout.txt`
 //! pins the bytes of every variant.
 
-use crate::strategy::Strategy;
+use crate::master::Strategy;
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
 use p2mdie_ilp::bottom::BottomClause;
@@ -259,7 +259,9 @@ pub enum Msg {
         origin: u8,
         /// Surviving rules with their final-stage local scores.
         rules: Vec<(Clause, u32, u32)>,
-        /// Whether the origin actually had a live seed example.
+        /// Whether the origin had a live seed that saturated into the
+        /// bottom clause the pipeline searched (counted into
+        /// [`crate::master::EpochTrace::seeded`]).
         had_seed: bool,
         /// The pipeline's trace (for Figures 3–4).
         trace: Vec<StageTrace>,

@@ -276,6 +276,7 @@ mod tests {
                     },
                 ],
             ],
+            seeded: 2,
             bag_size: 3,
             accepted: 2,
         }
@@ -297,6 +298,7 @@ mod tests {
         let t = EpochTrace {
             epoch: 3,
             pipelines: vec![vec![], vec![]],
+            seeded: 0,
             bag_size: 0,
             accepted: 0,
         };

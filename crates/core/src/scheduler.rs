@@ -140,11 +140,10 @@ use crate::driver::{
     open_mesh, worker_config, MeshMaster, ParallelConfig, RecoveryPolicy, TransportKind,
 };
 use crate::job::{JobId, JobKind, JobOutcome, JobOutput, JobSpec, JobState, JOB_CLASSES};
-use crate::master::{evaluate_all, run_master, run_search_epoch, Dealing, Dealt};
+use crate::master::{evaluate_all, run_master, run_search_epoch, Dealing, Dealt, Strategy};
 use crate::protocol::{Msg, WorkerConfig, WorkerRole};
 use crate::remote::{TcpConfig, WorkerExit};
 use crate::report::JobAccounting;
-use crate::strategy::Strategy;
 use crate::worker::{restore_kb, run_role};
 use bytes::Bytes;
 use p2mdie_cluster::codec::{from_bytes, to_bytes};

@@ -16,10 +16,13 @@
 //! its [`WorkerContext`]. A worker that is never sent a `StartPipeline` is
 //! the worker of the coverage-parallel baseline ([`crate::baselines`]):
 //! step 3 is all that master asks for. A worker of
-//! [`Strategy::SearchPartition`] holds the full example set, so steps 1–2 are
-//! one replicated epoch ([`crate::strategy`]) answered with `RulesFound`
-//! directly — no token travels the ring — and only rank 1 answers
-//! `RetireSeed`. `run_role` builds the context a [`WorkerConfig`] names.
+//! [`Strategy::SearchPartition`] holds the full example set, so its pipeline
+//! is a ring of itself: step 1 seeds with the first live positive (the seed
+//! every rank shares), searches this rank's slice of the lattice and answers
+//! with `RulesFound` directly, step 2 has no token to wait for, and only
+//! rank 1 answers `RetireSeed`. Every strategy runs the same stage
+//! (`run_stage`, [`crate::pipeline`]). `run_role` builds the context a
+//! [`WorkerConfig`] names.
 //!
 //! # Recovery mode
 //!
@@ -47,9 +50,9 @@
 //! failure naming this rank and the sender. Nothing here unwinds on what a
 //! peer sent.
 
+use crate::master::Strategy;
 use crate::pipeline::run_stage_search;
 use crate::protocol::{Msg, PipelineToken, StageTrace, WorkerConfig, WorkerRole};
-use crate::strategy::{run_strategy_epoch, Strategy};
 use p2mdie_cluster::codec::from_bytes;
 use p2mdie_cluster::comm::{CommFailure, Endpoint};
 use p2mdie_cluster::transport::Transport;
@@ -57,7 +60,7 @@ use p2mdie_ilp::bitset::Bitset;
 use p2mdie_ilp::engine::IlpEngine;
 use p2mdie_ilp::examples::Examples;
 use p2mdie_ilp::settings::Width;
-use p2mdie_ilp::CoverageMemo;
+use p2mdie_ilp::{CoverageMemo, LatticeSlice, Search};
 use p2mdie_logic::clause::{Clause, Literal};
 use p2mdie_logic::kb::{KnowledgeBase, RuleMark};
 use p2mdie_logic::symbol::SymbolTable;
@@ -267,8 +270,12 @@ pub fn run_worker<T: Transport>(
     let recovery = ctx.recovers();
     let mut live = ctx.local.full_pos_live();
     let mut current_seed: Option<usize> = None;
-    // The ring: only a recovering run ever shrinks it.
-    let mut alive: Vec<usize> = (1..=ep.workers()).collect();
+    // The ring. A replicated rank's is itself alone, so its one stage goes
+    // straight to the master; only a recovering run ever shrinks one.
+    let mut alive: Vec<usize> = match replicated {
+        true => vec![me],
+        false => (1..=ep.workers()).collect(),
+    };
     // Where the rules stood before the first assert, whether a rule body can
     // call what was asserted since, and whether `ctx.local` is still the
     // subset dealt.
@@ -295,21 +302,6 @@ pub fn run_worker<T: Transport>(
                 // Data is shared (distributed-FS assumption); loading costs
                 // compute proportional to the local subset.
                 ep.advance_steps(ctx.local.len() as u64);
-            }
-            Msg::StartPipeline { epoch: _ } if replicated => {
-                // Every rank picks the first live positive: the shared seed.
-                current_seed = live.first();
-                let (rules, trace, had_seed) =
-                    run_strategy_epoch(ep, &ctx, &live, current_seed, memo);
-                ep.send(
-                    0,
-                    &Msg::RulesFound {
-                        origin: me as u8,
-                        rules,
-                        had_seed,
-                        trace,
-                    },
-                );
             }
             Msg::StartPipeline { epoch: _ } => {
                 let end = run_epoch_pipelines(
@@ -469,8 +461,13 @@ fn run_epoch_pipelines<T: Transport>(
     // --- Stage 1: seed, saturate, search. -----------------------------
     // Seeds advance round-robin through the live set (April's "select an
     // example"): picking the next live example after the previous seed
-    // keeps one uncoverable example from monopolizing this pipeline.
-    *current_seed = live.next_after(*current_seed);
+    // keeps one uncoverable example from monopolizing this pipeline. A
+    // replicated rank picks the first live positive instead: every rank
+    // holds the same live set, so that is the seed all ranks share.
+    *current_seed = match ctx.strategy.replicates() {
+        true => live.first(),
+        false => live.next_after(*current_seed),
+    };
     let own = PipelineToken {
         origin: me as u8,
         step: 1,
@@ -539,18 +536,21 @@ fn run_stage<T: Transport>(
             ep.advance_steps(bottom.steps);
         }
     }
+    // A replicated rank searches only its slice of the shared lattice.
+    let slice = ctx.strategy.replicates().then(|| LatticeSlice {
+        rank: (ep.rank() - 1) as u64,
+        of: ep.workers() as u64,
+        salt: ctx.strategy_seed,
+    });
     token.rules = match &token.bottom {
         None => Vec::new(),
         Some(bottom) => {
-            let stage = run_stage_search(
-                &ctx.engine,
-                &ctx.local,
-                live,
-                bottom,
-                &token.rules,
-                ctx.width(),
-                memo,
-            );
+            let search = Search {
+                live_pos: Some(live),
+                slice: slice.as_ref(),
+                ..Search::new(&ctx.engine.kb, &ctx.engine.settings, bottom, &ctx.local)
+            };
+            let stage = run_stage_search(search, &token.rules, ctx.width(), memo);
             ep.advance_steps(stage.steps);
             stage.rules
         }
@@ -1028,15 +1028,11 @@ mod tests {
         );
         assert_eq!(covered.pos_count(), 0);
         let bottom = engine.saturate(&ctx.local.pos[1]).unwrap();
-        let fresh = run_stage_search(
-            &engine,
-            &ctx.local,
-            &live,
-            &bottom,
-            &[],
-            ctx.width(),
-            &mut CoverageMemo::new(),
-        );
+        let search = Search {
+            live_pos: Some(&live),
+            ..Search::new(&engine.kb, &engine.settings, &bottom, &ctx.local)
+        };
+        let fresh = run_stage_search(search, &[], ctx.width(), &mut CoverageMemo::new());
         let expected: Vec<_> = fresh
             .rules
             .iter()
